@@ -11,7 +11,9 @@ package repro_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -349,6 +351,62 @@ func BenchmarkKV(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDeviceOrdered drives the peel ladder's device rung — 4000 4 KB
+// writes in epochs of eight, the eighth an ordered barrier write, straight
+// into the NVMe-class device — and reports what one command costs the
+// simulator. events/IO is a seeded count that repeats exactly (CI gates it
+// at threshold 0); ns/IO and allocs/IO are the host cost it buys.
+func BenchmarkDeviceOrdered(b *testing.B) {
+	const n = 4000
+	var events, allocs int64
+	var elapsed time.Duration
+	for i := 0; i < b.N; i++ {
+		k := sim.NewKernel()
+		ks := &sim.KernelStats{}
+		k.AttachStats(ks)
+		d := device.New(k, device.NVMeSSD())
+		var free []*device.Command
+		recycle := func(_ sim.Time, c *device.Command) { free = append(free, c) }
+		k.Spawn("host", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				var c *device.Command
+				if m := len(free); m > 0 {
+					c, free = free[m-1], free[:m-1]
+				} else {
+					c = new(device.Command)
+				}
+				*c = device.Command{Kind: device.CmdWrite, LPA: uint64(i % 2048), Data: devicePayload, Done: recycle}
+				if i%8 == 7 {
+					c.Barrier, c.Prio = true, device.PrioOrdered
+				}
+				for !d.Submit(c) {
+					d.WaitSpace(p)
+				}
+			}
+		})
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		start := time.Now()
+		k.Run()
+		elapsed += time.Since(start)
+		runtime.ReadMemStats(&m1)
+		k.Close()
+		if got := d.Stats().Writes; got != n {
+			b.Fatalf("%d of %d writes serviced", got, n)
+		}
+		events += ks.HandlerDispatches.Load() + ks.GoroutineDispatches.Load()
+		allocs += int64(m1.Mallocs - m0.Mallocs)
+	}
+	ios := float64(b.N) * n
+	b.ReportMetric(float64(events)/ios, "events/IO")
+	b.ReportMetric(float64(elapsed.Nanoseconds())/ios, "ns/IO")
+	b.ReportMetric(float64(allocs)/ios, "allocs/IO")
+}
+
+// devicePayload is the one page content BenchmarkDeviceOrdered writes;
+// boxing it once keeps the host from allocating per write.
+var devicePayload any = uint64(1)
 
 // BenchmarkSimKernel measures raw simulator event throughput (ablation: the
 // substrate's own cost). allocs/op is the headline: the by-value event

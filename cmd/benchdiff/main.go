@@ -72,6 +72,16 @@ func parse(path, prefix, metric string) (map[string]float64, error) {
 	return out, sc.Err()
 }
 
+// fmtValue prints a metric value: whole numbers for wall-clock-sized values,
+// three decimals for small per-IO counts such as events/IO, which a rounded
+// print would show as unchanged when the gate fails on them.
+func fmtValue(v float64) string {
+	if math.Abs(v) >= 1000 {
+		return fmt.Sprintf("%.0f", v)
+	}
+	return fmt.Sprintf("%.3f", v)
+}
+
 // gate compares one metric across the two files and reports whether any
 // benchmark regressed beyond the threshold. A missing baseline for the
 // metric reports and passes (first runs and baselines without -benchmem
@@ -108,7 +118,7 @@ func gate(oldPath, newPath, bench, metric string, threshold float64, reportSets 
 		nv, ok := cur[name]
 		if !ok {
 			if reportSets {
-				fmt.Printf("%-45s baseline-only (%.0f %s)\n", name, ov, metric)
+				fmt.Printf("%-45s baseline-only (%s %s)\n", name, fmtValue(ov), metric)
 			}
 			continue
 		}
@@ -129,8 +139,8 @@ func gate(oldPath, newPath, bench, metric string, threshold float64, reportSets 
 			mark = fmt.Sprintf("REGRESSION (> %.0f%%)", threshold)
 			failed = true
 		}
-		fmt.Printf("%-45s %14.0f -> %14.0f %s  %+7.1f%%  %s\n",
-			name, ov, nv, metric, delta, mark)
+		fmt.Printf("%-45s %14s -> %14s %s  %+7.1f%%  %s\n",
+			name, fmtValue(ov), fmtValue(nv), metric, delta, mark)
 	}
 	if reportSets {
 		added := make([]string, 0, len(cur))
@@ -141,7 +151,7 @@ func gate(oldPath, newPath, bench, metric string, threshold float64, reportSets 
 		}
 		sort.Strings(added)
 		for _, name := range added {
-			fmt.Printf("%-45s new benchmark (%.0f %s)\n", name, cur[name], metric)
+			fmt.Printf("%-45s new benchmark (%s %s)\n", name, fmtValue(cur[name]), metric)
 		}
 	}
 	if failed {

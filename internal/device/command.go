@@ -100,10 +100,24 @@ type Command struct {
 	// reads, Data carries the result.
 	Done func(at sim.Time, c *Command)
 
-	seq      uint64
-	complete bool
-	arrived  sim.Time
+	// Queue state, owned by the device from Submit until Done fires: Submit
+	// initialises every field, and nothing reads them once the command has
+	// completed (hosts recycle commands from Done).
+	seq   uint64
+	state cmdState
+	so    *streamOrder // the stream's ordering index, for O(1) retirement
+	links [2]cmdLink   // position in so.all and so.ord
 }
+
+// cmdState is a command's place in the device: waiting behind an earlier
+// command of its stream, in the ready set, or being serviced by a worker.
+type cmdState uint8
+
+const (
+	cmdBlocked cmdState = iota
+	cmdReady
+	cmdInService
+)
 
 // Seq returns the device arrival sequence number (set by Submit).
 func (c *Command) Seq() uint64 { return c.seq }

@@ -77,11 +77,8 @@ func (d *Device) CaptureConstraints() Constraint {
 		// crash states are exactly the transfer-order prefixes, expressed
 		// as a single chain over all streams.
 		c.PLP, c.PLPPartial, c.Ordered = false, true, true
-		for _, e := range d.entries {
-			if e.durable {
-				continue
-			}
-			if e.started && e.idx < d.f.DurableIdx() {
+		for e := d.cacheHead; e != nil; e = e.next {
+			if e.idx < d.f.DurableIdx() {
 				continue // already survives the recovery scan (see below)
 			}
 			c.Writes = append(c.Writes, VolatileWrite{
@@ -95,11 +92,10 @@ func (d *Device) CaptureConstraints() Constraint {
 		}
 		return c
 	}
-	for _, e := range d.entries {
-		if e.durable {
-			continue // already on the storage surface: part of the base
-		}
-		if e.started && e.idx < d.f.DurableIdx() {
+	// The cache list holds exactly the not-yet-retired pages; whatever the
+	// reaper retired is on the storage surface and part of the base.
+	for e := d.cacheHead; e != nil; e = e.next {
+		if e.idx < d.f.DurableIdx() {
 			// Program completed inside the contiguous durable prefix: the
 			// reaper has not retired the entry yet, but the page already
 			// survives the FTL's first-hole recovery scan, so it belongs

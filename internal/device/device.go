@@ -19,24 +19,10 @@ type Stats struct {
 	Barriers     int64 // writes carrying the barrier flag
 	FUAWrites    int64
 	BusyRejects  int64 // submissions rejected with a full queue
+	FutileWakes  int64 // workers woken for a command that found none to pick
 	CacheHits    int64
 	EpochCrosses int64 // writeback order checks (barrier devices)
 	ReadErrors   int64 // reads completed with an uncorrectable media error
-}
-
-// cacheEntry is one page in the writeback cache. Entries live from DMA
-// completion until their NAND program completes (or forever, under power
-// failure, if the device has PLP).
-type cacheEntry struct {
-	seq     uint64 // cache arrival order == transfer order
-	lpa     uint64
-	data    any
-	stream  uint64
-	epoch   uint64 // write epoch within the stream
-	urgent  bool   // FUA: write back immediately
-	started bool   // handed to the FTL appender
-	idx     uint64 // FTL append index, valid once started
-	durable bool
 }
 
 // Device is the simulated storage device.
@@ -48,20 +34,27 @@ type Device struct {
 	rng *rand.Rand
 	inj *fault.Injector // nil unless cfg.Fault is set
 
-	// Command queue.
-	queued   []*Command
-	inflight []*Command
-	cmdSeq   uint64
-	order    map[uint64]*streamOrder // per-stream incomplete-command index
-	order0   *streamOrder            // order[0]: the single-queue fast path
+	// Command queue (see queue.go).
+	occupancy int // commands queued or in service
+	cmdSeq    uint64
+	order     map[uint64]*streamOrder // per-stream incomplete-command index
+	order0    *streamOrder            // order[0]: the single-queue fast path
+	ready     []*Command              // queued commands eligible for service, by seq
+	readyHoQ  int                     // head-of-queue commands among them
+	pickers   int                     // workers about to run pick (see wakePickers)
 
-	// Writeback cache.
-	entries  []*cacheEntry // not-yet-durable pages in transfer order
-	entrySeq uint64
-	dirtyN   int // entries not yet handed to the FTL appender
-	urgentN  int // dirty entries with FUA urgency
-	readMap  map[uint64]any
-	epochs   map[uint64]uint64 // per-stream write epoch (barrier count)
+	// Writeback cache (see cache.go).
+	cacheHead, cacheTail   *cacheEntry // not-yet-durable pages in transfer order
+	wbNext                 *cacheEntry // oldest of them not yet handed to the FTL appender
+	flightHead, flightTail *cacheEntry // appended entries awaiting durability, in append order
+	freeEntries            *cacheEntry
+	cachePages             int // entries in the cache list
+	entrySeq               uint64
+	dirtyN                 int              // entries not yet handed to the FTL appender
+	urgentN                int              // dirty entries with FUA urgency
+	live                   map[uint64]int32 // fault campaigns only: cache entries per LPA
+	readMap                map[uint64]any
+	epochs                 map[uint64]uint64 // per-stream write epoch (barrier count)
 
 	dmaBus *sim.Semaphore
 
@@ -75,17 +68,21 @@ type Device struct {
 	wantDrain   bool // writeback daemon should drain everything
 	barrierOn   bool // a barrier write has been seen; penalty active
 	dead        bool
-	plpSnapshot []*cacheEntry
+	plpSnapshot []plpPage // cache image the supercap saved at Crash
 
 	// Handler-mode state machines (see handler.go).
 	wb   wbSM
 	reap reapSM
 
-	eligScratch []int // pick()'s eligible-index scratch, reused across calls
-
-	qdSeries *metrics.Series
+	qdSeries *metrics.Series // nil until QDSeries is first called
 	stats    Stats
 	obs      devObs
+}
+
+// plpPage is one cached page in a power-loss-protected device's crash image.
+type plpPage struct {
+	lpa  uint64
+	data any
 }
 
 // devObs holds the device's registry instruments. With no registry every
@@ -137,7 +134,7 @@ func newDevice(k *sim.Kernel, cfg Config, arr *nand.Array) *Device {
 		k: k, cfg: cfg, arr: arr,
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 		order:     make(map[uint64]*streamOrder),
-		order0:    &streamOrder{},
+		order0:    newStreamOrder(),
 		readMap:   make(map[uint64]any),
 		epochs:    make(map[uint64]uint64),
 		dmaBus:    sim.NewSemaphore(k, 1),
@@ -146,9 +143,11 @@ func newDevice(k *sim.Kernel, cfg Config, arr *nand.Array) *Device {
 		wbCond:    sim.NewCond(k),
 		reapCond:  sim.NewCond(k),
 		doneCond:  sim.NewCond(k),
-		qdSeries:  metrics.NewSeries(cfg.Name + "/qd"),
 	}
 	d.inj = fault.New(cfg.Fault)
+	if cfg.Fault != nil {
+		d.live = make(map[uint64]int32)
+	}
 	arr.SetFault(d.inj)
 	if reg := metrics.Resolve(cfg.Metrics); reg != nil {
 		d.obs = devObs{
@@ -172,6 +171,7 @@ func newDevice(k *sim.Kernel, cfg Config, arr *nand.Array) *Device {
 // goroutine loops (the trace oracle) on the reference kernel.
 func (d *Device) start() {
 	prefix := d.cfg.Name + "/worker"
+	d.pickers = d.cfg.QueueDepth // every worker's first activation runs pick
 	if d.k.CallbackMode() {
 		for i := 0; i < d.cfg.QueueDepth; i++ {
 			w := &workerSM{}
@@ -204,12 +204,20 @@ func (d *Device) FaultInjector() *fault.Injector { return d.inj }
 // Stats returns cumulative statistics.
 func (d *Device) Stats() Stats { return d.stats }
 
-// QDSeries returns the queue-depth trace (Figs. 10, 12).
-func (d *Device) QDSeries() *metrics.Series { return d.qdSeries }
+// QDSeries returns the queue-depth trace (Figs. 10, 12). Recording starts
+// with the first call, at the occupancy of that instant, and costs nothing
+// on a device nobody asked: take the handle before the window of interest.
+func (d *Device) QDSeries() *metrics.Series {
+	if d.qdSeries == nil {
+		d.qdSeries = metrics.NewSeries(d.cfg.Name + "/qd")
+		d.qdSeries.Record(d.k.Now(), float64(d.occupancy))
+	}
+	return d.qdSeries
+}
 
 // Occupancy returns the number of commands in the device (queued + in
 // service).
-func (d *Device) Occupancy() int { return len(d.queued) + len(d.inflight) }
+func (d *Device) Occupancy() int { return d.occupancy }
 
 // CurEpoch returns the write epoch of stream 0 (the only stream a
 // single-queue host uses), i.e. the device-global barrier count.
@@ -228,144 +236,44 @@ func (d *Device) Submit(c *Command) bool {
 	if d.dead {
 		return false
 	}
-	if d.Occupancy() >= d.cfg.QueueDepth {
+	if d.occupancy >= d.cfg.QueueDepth {
 		d.stats.BusyRejects++
 		return false
 	}
 	d.cmdSeq++
 	c.seq = d.cmdSeq
-	c.arrived = d.k.Now()
-	c.complete = false // commands are pooled; reset per admission
-	c.Err = nil
-	so := d.streamOrderFor(c.Stream)
-	so.all = append(so.all, c.seq) // cmdSeq is increasing: append keeps order
-	if c.Prio != PrioSimple {
-		so.ord = append(so.ord, c.seq)
-	}
-	d.queued = append(d.queued, c)
-	d.qdSeries.Record(d.k.Now(), float64(d.Occupancy()))
+	c.Err = nil // commands are pooled; reset per admission
+	d.occupancy++
+	d.admit(c)
+	d.qdSeries.Record(d.k.Now(), float64(d.occupancy))
 	if d.obs.qdepth != nil {
-		d.obs.qdepth.Set(int64(d.Occupancy()))
+		d.obs.qdepth.Set(int64(d.occupancy))
 	}
 	if d.k.Spans() != nil {
 		d.k.SpanBegin("device", cmdSpanName(c), c.seq)
 	}
-	// At most len(queued) workers can pick something; waking the rest of
-	// the idle worker pool would be a futile dispatch each.
-	d.pickCond.SignalN(len(d.queued))
+	d.wakePickers()
 	return true
 }
 
-// WaitSpace blocks until the queue has a free slot (or the device dies).
+// WaitSpace blocks until the queue has a free slot (or the device dies). A
+// completion wakes one waiter per freed slot, so the caller is expected to
+// follow up with Submit, as every `for !Submit(c) { WaitSpace(p) }` loop
+// does: a waiter that walks away leaves the slot unannounced to the others.
 func (d *Device) WaitSpace(p *sim.Proc) {
-	for !d.dead && d.Occupancy() >= d.cfg.QueueDepth {
+	for !d.dead && d.occupancy >= d.cfg.QueueDepth {
 		d.spaceCond.Wait(p)
 	}
 }
 
 // --- command servicing ---
 
-// streamOrder tracks one stream's incomplete commands (queued and in
-// flight) as ascending seq lists. The seed's eligibility check re-scanned
-// the whole queue per candidate — O(n²) per pick, the simulator's hottest
-// path under deep queues; the index answers the same questions from the
-// list heads in O(1).
-type streamOrder struct {
-	all []uint64 // seqs of every incomplete command
-	ord []uint64 // seqs of incomplete ordered/head-of-queue commands
-}
-
-func (d *Device) streamOrderFor(stream uint64) *streamOrder {
-	if stream == 0 {
-		return d.order0
-	}
-	so := d.order[stream]
-	if so == nil {
-		so = &streamOrder{}
-		d.order[stream] = so
-	}
-	return so
-}
-
-// seqRemove deletes seq from an ascending list.
-func seqRemove(a []uint64, seq uint64) []uint64 {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(a) && a[lo] == seq {
-		a = append(a[:lo], a[lo+1:]...)
-	}
-	return a
-}
-
-// retire drops a completed command from the ordering index.
-func (d *Device) retire(c *Command) {
-	so := d.streamOrderFor(c.Stream)
-	so.all = seqRemove(so.all, c.seq)
-	if c.Prio != PrioSimple {
-		so.ord = seqRemove(so.ord, c.seq)
-	}
-}
-
-// eligible reports whether queued command c may begin service under SCSI
-// ordering rules, given every incomplete command of the same stream with a
-// smaller sequence number. Ordering is scoped per stream: commands of other
-// streams never constrain c, which is what lets independent streams proceed
-// through their own barriers concurrently.
-func (d *Device) eligible(c *Command) bool {
-	switch c.Prio {
-	case PrioHeadOfQueue:
-		return true
-	case PrioOrdered:
-		// Only after everything received before it (c is in all, so the
-		// head is c itself iff nothing older is incomplete).
-		return d.streamOrderFor(c.Stream).all[0] == c.seq
-	default: // simple: must not pass an earlier ordered/head-of-queue command
-		ord := d.streamOrderFor(c.Stream).ord
-		return len(ord) == 0 || ord[0] > c.seq
-	}
-}
-
-// pick removes one eligible command from the queue, emulating the
-// controller's freedom to choose among simple commands.
-func (d *Device) pick() *Command {
-	elig := d.eligScratch[:0]
-	for i, c := range d.queued {
-		if d.eligible(c) {
-			if c.Prio == PrioHeadOfQueue {
-				elig = append(elig[:0], i)
-				break
-			}
-			elig = append(elig, i)
-		}
-	}
-	d.eligScratch = elig // keep the grown backing array for the next pick
-	if len(elig) == 0 {
-		return nil
-	}
-	i := elig[d.rng.Intn(len(elig))]
-	c := d.queued[i]
-	d.queued = append(d.queued[:i], d.queued[i+1:]...)
-	d.inflight = append(d.inflight, c)
-	return c
-}
-
 func (d *Device) worker(p *sim.Proc) {
 	for {
-		var c *Command
-		for {
-			if !d.dead {
-				if c = d.pick(); c != nil {
-					break
-				}
-			}
+		c := d.pick(false)
+		for c == nil {
 			d.pickCond.Wait(p)
+			c = d.pick(true)
 		}
 		d.service(p, c)
 	}
@@ -423,7 +331,7 @@ func (d *Device) service(p *sim.Proc, c *Command) {
 
 func (d *Device) doWrite(p *sim.Proc, c *Command) {
 	// Cache admission: wait for a free page slot.
-	for !d.dead && len(d.entries) >= d.cfg.CachePages {
+	for !d.dead && d.cachePages >= d.cfg.CachePages {
 		d.wantDrain = true
 		d.wbCond.Broadcast()
 		d.doneCond.Wait(p)
@@ -441,48 +349,12 @@ func (d *Device) doWrite(p *sim.Proc, c *Command) {
 	if d.dead {
 		return
 	}
-	d.entrySeq++
-	e := &cacheEntry{seq: d.entrySeq, lpa: c.LPA, data: c.Data,
-		stream: c.Stream, epoch: d.epochs[c.Stream], urgent: c.FUA}
-	d.entries = append(d.entries, e)
-	d.dirtyN++
-	if e.urgent {
-		d.urgentN++
-	}
-	d.readMap[c.LPA] = c.Data
-	d.stats.Writes++
-	d.obs.cache.Set(int64(len(d.entries)))
-	if c.Barrier {
-		d.barrierAdvance(c.Stream)
-	}
-	if d.cfg.EagerWriteback || d.dirtyCount() >= d.highWater() || e.urgent {
-		d.wbCond.Broadcast()
-	}
-	if c.FUA {
-		d.stats.FUAWrites++
-		if d.cfg.PLP {
-			// The powerfail-protected cache is as durable as the medium:
-			// FUA is satisfied at transfer.
-			return
-		}
+	if e := d.cacheInsert(c); e != nil {
 		for !d.dead && !e.durable {
 			d.doneCond.Wait(p)
 		}
+		d.fuaRelease(e)
 	}
-}
-
-// cacheLive reports whether lpa still has a not-yet-durable entry in the
-// writeback cache. Only those reads are legitimately served from device
-// DRAM; once the page is programmed and retired, a read touches the medium.
-// The distinction is moot without fault injection (readMap doubles as the
-// flash content shadow), so only the fault-armed read path consults it.
-func (d *Device) cacheLive(lpa uint64) bool {
-	for _, e := range d.entries {
-		if e.lpa == lpa && !e.durable {
-			return true
-		}
-	}
-	return false
 }
 
 func (d *Device) doRead(p *sim.Proc, c *Command) {
@@ -534,29 +406,12 @@ func (d *Device) doFlush(p *sim.Proc) {
 	}
 }
 
-// oldestPending returns the seq of the oldest non-durable cache entry, or
-// MaxUint64 when the cache is clean.
-func (d *Device) oldestPending() uint64 {
-	for _, e := range d.entries {
-		if !e.durable {
-			return e.seq
-		}
-	}
-	return ^uint64(0)
-}
-
 func (d *Device) complete(p *sim.Proc, c *Command) {
-	for i, o := range d.inflight {
-		if o == c {
-			d.inflight = append(d.inflight[:i], d.inflight[i+1:]...)
-			break
-		}
-	}
-	c.complete = true
+	d.occupancy--
 	d.retire(c)
-	d.qdSeries.Record(p.Now(), float64(d.Occupancy()))
+	d.qdSeries.Record(p.Now(), float64(d.occupancy))
 	if d.obs.writes != nil {
-		d.obs.qdepth.Set(int64(d.Occupancy()))
+		d.obs.qdepth.Set(int64(d.occupancy))
 		switch c.Kind {
 		case CmdFlush:
 			d.obs.flushes.Inc()
@@ -576,88 +431,31 @@ func (d *Device) complete(p *sim.Proc, c *Command) {
 		d.k.SpanEnd("device", cmdSpanName(c), c.seq)
 	}
 	c.Trace.StampChain(reqtrace.StageDevDone, p.Now())
-	d.spaceCond.Broadcast()
-	d.pickCond.SignalN(len(d.queued))
+	d.spaceCond.Signal() // one freed slot admits one waiting submitter
+	d.pickers++          // this worker re-picks inline as soon as complete returns
+	d.wakePickers()
 	if c.Done != nil {
 		c.Done(p.Now(), c)
 	}
 }
 
-// --- writeback path ---
-
-func (d *Device) dirtyCount() int { return d.dirtyN }
-
-func (d *Device) highWater() int {
-	return int(float64(d.cfg.CachePages) * d.cfg.WritebackHighWater)
-}
-
-func (d *Device) lowWater() int {
-	return int(float64(d.cfg.CachePages) * d.cfg.WritebackLowWater)
-}
-
-// nextWriteback chooses the next cache entry to append to the FTL. Barrier
-// devices preserve transfer order (the paper's UFS FTL appends blocks in
-// transfer order, which together with in-order recovery yields the epoch
-// guarantee). Legacy devices scramble within a window, modelling an
-// arbitrary cache-eviction policy — exactly why they need transfer-and-flush.
-func (d *Device) nextWriteback() *cacheEntry {
-	var window []*cacheEntry
-	for _, e := range d.entries {
-		if e.started {
-			continue
-		}
-		if d.cfg.BarrierSupport {
-			// Order preserved: always drain in transfer order (an urgent
-			// entry pulls everything in front of it along).
-			return e
-		}
-		if e.urgent {
-			return e
-		}
-		window = append(window, e)
-		if len(window) == 16 {
-			break
-		}
-	}
-	if len(window) == 0 {
-		return nil
-	}
-	return window[d.rng.Intn(len(window))]
-}
-
-func (d *Device) shouldWriteback() bool {
-	if d.dirtyN == 0 {
-		return false
-	}
-	if d.cfg.EagerWriteback {
-		return true
-	}
-	return d.wantDrain || d.urgentN > 0 || d.dirtyN >= d.lowWater()
-}
+// --- writeback path (selection and bookkeeping in cache.go) ---
 
 func (d *Device) writebackLoop(p *sim.Proc) {
 	for {
 		for d.dead || !d.shouldWriteback() {
-			if !d.dead && d.dirtyCount() == 0 {
+			if !d.dead && d.dirtyN == 0 {
 				d.wantDrain = false
 			}
 			d.wbCond.Wait(p)
 		}
 		e := d.nextWriteback()
-		if e == nil {
-			d.wantDrain = false
-			continue
-		}
-		e.started = true
-		d.dirtyN--
-		if e.urgent {
-			d.urgentN--
-		}
-		e.idx = d.f.Append(p, e.lpa, e.data) // may block on FTL space
+		d.startWriteback(e)
+		idx := d.f.Append(p, e.lpa, e.data) // may block on FTL space
 		if d.dead {
 			return
 		}
-		d.reapCond.Broadcast()
+		d.appended(e, idx)
 	}
 }
 
@@ -665,38 +463,16 @@ func (d *Device) writebackLoop(p *sim.Proc) {
 // cache slots and waking FUA/flush waiters.
 func (d *Device) reaperLoop(p *sim.Proc) {
 	for {
-		// Find the smallest outstanding append index.
-		min := ^uint64(0)
-		for _, e := range d.entries {
-			if e.started && !e.durable && e.idx < min {
-				min = e.idx
-			}
-		}
-		if min == ^uint64(0) {
+		e := d.flightHead // the oldest outstanding append
+		if e == nil {
 			d.reapCond.Wait(p)
 			continue
 		}
-		d.f.WaitDurable(p, min+1)
+		d.f.WaitDurable(p, e.idx+1)
 		if d.dead {
 			return
 		}
-		durableTo := d.f.DurableIdx()
-		kept := d.entries[:0]
-		retired := false
-		for _, e := range d.entries {
-			if e.started && !e.durable && e.idx < durableTo {
-				e.durable = true
-				retired = true
-				continue // drop from cache
-			}
-			kept = append(kept, e)
-		}
-		d.entries = kept
-		d.obs.cache.Set(int64(len(d.entries)))
-		if retired {
-			d.doneCond.Broadcast()
-			d.pickCond.SignalN(len(d.queued))
-		}
+		d.retireDurable()
 	}
 }
 
@@ -714,10 +490,8 @@ func (d *Device) Crash() {
 	if d.cfg.PLP {
 		// The supercap drains the cache to flash; equivalently, the cache
 		// image survives and is replayed at next power-on.
-		for _, e := range d.entries {
-			if !e.durable {
-				d.plpSnapshot = append(d.plpSnapshot, e)
-			}
+		for e := d.cacheHead; e != nil; e = e.next {
+			d.plpSnapshot = append(d.plpSnapshot, plpPage{e.lpa, e.data})
 		}
 		if d.inj.PLPFailure() {
 			// PLP-failure model: the supercap dies mid-drain, persisting
@@ -727,10 +501,10 @@ func (d *Device) Crash() {
 			d.plpSnapshot = d.plpSnapshot[:d.inj.PLPDrain(len(d.plpSnapshot))]
 		}
 	}
-	d.queued = nil
-	d.inflight = nil
+	d.occupancy = 0
+	d.ready, d.readyHoQ = nil, 0
 	d.order = make(map[uint64]*streamOrder)
-	d.order0 = &streamOrder{}
+	d.order0 = newStreamOrder()
 	d.arr.Fail()
 	// Wake every parked process so it can observe death and stand down.
 	d.pickCond.Broadcast()
@@ -752,8 +526,8 @@ func Recover(p *sim.Proc, crashed *Device) *Device {
 	crashed.arr.ProgramScale = 1
 	d := newDevice(k, crashed.cfg, crashed.arr)
 	d.f = ftl.Mount(p, crashed.arr, crashed.cfg.FTL)
-	for _, e := range crashed.plpSnapshot {
-		idx := d.f.Append(p, e.lpa, e.data)
+	for _, pg := range crashed.plpSnapshot {
+		idx := d.f.Append(p, pg.lpa, pg.data)
 		d.f.WaitDurable(p, idx+1)
 	}
 	crashed.plpSnapshot = nil

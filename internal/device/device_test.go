@@ -434,14 +434,15 @@ func TestQDSeriesRecordsDepth(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	d := New(k, tinyConfig())
+	qd := d.QDSeries() // recording starts when the handle is taken
 	k.Spawn("host", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
 			d.Submit(&Command{Kind: CmdWrite, LPA: uint64(i), Data: i})
 		}
 	})
 	k.Run()
-	if d.QDSeries().Peak(0, k.Now()) < 2 {
-		t.Errorf("QD peak = %v, want >= 2", d.QDSeries().Peak(0, k.Now()))
+	if qd.Peak(0, k.Now()) < 2 {
+		t.Errorf("QD peak = %v, want >= 2", qd.Peak(0, k.Now()))
 	}
 }
 

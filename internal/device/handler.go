@@ -36,6 +36,7 @@ const (
 // workerSM is one worker's state between activations.
 type workerSM struct {
 	phase       int
+	parked      bool // last left the pick loop by parking on pickCond
 	c           *Command
 	e           *cacheEntry // FUA wait target
 	rdata       any         // read result
@@ -97,19 +98,19 @@ func (d *Device) workerStep(h *sim.Proc, w *workerSM) {
 	for {
 		switch w.phase {
 		case wPick:
-			if !d.dead {
-				if c := d.pick(); c != nil {
-					w.c = c
-					w.phase = wOverhead
-					if d.cfg.CmdOverhead > 0 {
-						h.WakeIn(d.cfg.CmdOverhead)
-						return
-					}
-					continue
-				}
+			c := d.pick(w.parked)
+			if c == nil {
+				w.parked = true
+				d.pickCond.Park(h)
+				return
 			}
-			d.pickCond.Park(h)
-			return
+			w.parked = false
+			w.c = c
+			w.phase = wOverhead
+			if d.cfg.CmdOverhead > 0 {
+				h.WakeIn(d.cfg.CmdOverhead)
+				return
+			}
 
 		case wOverhead:
 			if d.dead {
@@ -155,7 +156,7 @@ func (d *Device) workerStep(h *sim.Proc, w *workerSM) {
 
 		case wWrite:
 			// Cache admission: wait for a free page slot.
-			if !d.dead && len(d.entries) >= d.cfg.CachePages {
+			if !d.dead && d.cachePages >= d.cfg.CachePages {
 				d.wantDrain = true
 				d.wbCond.Broadcast()
 				d.doneCond.Park(h)
@@ -185,41 +186,16 @@ func (d *Device) workerStep(h *sim.Proc, w *workerSM) {
 				w.abort()
 				continue
 			}
-			c := w.c
-			d.entrySeq++
-			e := &cacheEntry{seq: d.entrySeq, lpa: c.LPA, data: c.Data,
-				stream: c.Stream, epoch: d.epochs[c.Stream], urgent: c.FUA}
-			d.entries = append(d.entries, e)
-			d.dirtyN++
-			if e.urgent {
-				d.urgentN++
-			}
-			d.readMap[c.LPA] = c.Data
-			d.stats.Writes++
-			d.obs.cache.Set(int64(len(d.entries)))
-			if c.Barrier {
-				d.barrierAdvance(c.Stream)
-			}
-			if d.cfg.EagerWriteback || d.dirtyCount() >= d.highWater() || e.urgent {
-				d.wbCond.Broadcast()
-			}
-			if c.FUA {
-				d.stats.FUAWrites++
-				if d.cfg.PLP {
-					// Powerfail-protected cache: FUA satisfied at transfer.
-					w.phase = wTail
-					continue
-				}
-				w.e = e
-				w.phase = wWriteFUA
-				continue
-			}
 			w.phase = wTail
+			if w.e = d.cacheInsert(w.c); w.e != nil {
+				w.phase = wWriteFUA
+			}
 		case wWriteFUA:
 			if !d.dead && !w.e.durable {
 				d.doneCond.Park(h)
 				return
 			}
+			d.fuaRelease(w.e)
 			w.e = nil
 			w.phase = wTail
 
@@ -303,22 +279,14 @@ func (d *Device) writebackStep(h *sim.Proc) {
 		switch d.wb.phase {
 		case wbCheck:
 			if d.dead || !d.shouldWriteback() {
-				if !d.dead && d.dirtyCount() == 0 {
+				if !d.dead && d.dirtyN == 0 {
 					d.wantDrain = false
 				}
 				d.wbCond.Park(h)
 				return
 			}
 			e := d.nextWriteback()
-			if e == nil {
-				d.wantDrain = false
-				continue
-			}
-			e.started = true
-			d.dirtyN--
-			if e.urgent {
-				d.urgentN--
-			}
+			d.startWriteback(e)
 			d.wb.e = e
 			d.wb.op.Start(e.lpa, e.data)
 			d.wb.phase = wbAppend
@@ -326,13 +294,13 @@ func (d *Device) writebackStep(h *sim.Proc) {
 			if !d.f.AppendStep(h, &d.wb.op) {
 				return // parked on FTL seal barrier or free-segment wait
 			}
-			d.wb.e.idx = d.wb.op.Idx
+			e := d.wb.e
 			d.wb.e = nil
 			if d.dead {
 				h.Complete() // the blocking loop returns (dies) here too
 				return
 			}
-			d.reapCond.Broadcast()
+			d.appended(e, d.wb.op.Idx)
 			d.wb.phase = wbCheck
 		}
 	}
@@ -353,18 +321,12 @@ func (d *Device) reaperStep(h *sim.Proc) {
 	for {
 		switch d.reap.phase {
 		case reapScan:
-			// Find the smallest outstanding append index.
-			min := ^uint64(0)
-			for _, e := range d.entries {
-				if e.started && !e.durable && e.idx < min {
-					min = e.idx
-				}
-			}
-			if min == ^uint64(0) {
+			e := d.flightHead // the oldest outstanding append
+			if e == nil {
 				d.reapCond.Park(h)
 				return
 			}
-			d.reap.target = min + 1
+			d.reap.target = e.idx + 1
 			d.reap.phase = reapWait
 		case reapWait:
 			if !d.f.DurableOrPark(h, d.reap.target) {
@@ -374,23 +336,7 @@ func (d *Device) reaperStep(h *sim.Proc) {
 				h.Complete() // the blocking loop returns (dies) here too
 				return
 			}
-			durableTo := d.f.DurableIdx()
-			kept := d.entries[:0]
-			retired := false
-			for _, e := range d.entries {
-				if e.started && !e.durable && e.idx < durableTo {
-					e.durable = true
-					retired = true
-					continue // drop from cache
-				}
-				kept = append(kept, e)
-			}
-			d.entries = kept
-			d.obs.cache.Set(int64(len(d.entries)))
-			if retired {
-				d.doneCond.Broadcast()
-				d.pickCond.SignalN(len(d.queued))
-			}
+			d.retireDurable()
 			d.reap.phase = reapScan
 		}
 	}

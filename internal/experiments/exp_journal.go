@@ -183,8 +183,8 @@ func Fig12(scale Scale) Fig12Result {
 		})
 		warm := sim.Time(scale.dur(5*sim.Millisecond, 20*sim.Millisecond))
 		window := sim.Duration(scale.dur(2*sim.Millisecond, 5*sim.Millisecond))
+		qd := s.Dev.QDSeries() // taken before the run: the device records from here on
 		k.RunUntil(warm.Add(window))
-		qd := s.Dev.QDSeries()
 		return qd.Peak(warm, warm.Add(window)),
 			qd.AsciiPlot(warm, warm.Add(window), 12, float64(prof.Device.QueueDepth))
 	}

@@ -27,8 +27,13 @@ func NewSeries(name string) *Series { return &Series{name: name} }
 // Name returns the series label.
 func (s *Series) Name() string { return s.name }
 
-// Record appends an observation; consecutive equal values are coalesced.
+// Record appends an observation; consecutive equal values are coalesced. A
+// nil series records nothing, so an owner can leave the series unallocated
+// until someone asks for it.
 func (s *Series) Record(at sim.Time, v float64) {
+	if s == nil {
+		return
+	}
 	if n := len(s.points); n > 0 && s.points[n-1].Value == v {
 		return
 	}

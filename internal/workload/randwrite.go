@@ -90,6 +90,7 @@ func DefaultRandWrite(po Policy) RandWriteConfig {
 // kernel for warmup+duration, and measures only the post-warmup window.
 func RandWrite(k *sim.Kernel, s *core.Stack, cfg RandWriteConfig) RandWriteResult {
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	qd := s.Dev.QDSeries() // taken before the run: the device records from here on
 	var file *fs.Inode
 	ready := false
 	var ops int64
@@ -141,7 +142,6 @@ func RandWrite(k *sim.Kernel, s *core.Stack, cfg RandWriteConfig) RandWriteResul
 	measuring = false
 	end := k.Now()
 
-	qd := s.Dev.QDSeries()
 	return RandWriteResult{
 		Policy: cfg.Policy,
 		Ops:    ops,
