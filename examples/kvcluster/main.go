@@ -62,6 +62,7 @@ func resizeWalkthrough() {
 		Shards:   3,
 		Replicas: 2,
 		Profile:  core.BFSDR,
+		// InflightCap (64) and SLO (2ms) take the same defaults as Config.
 	}
 	tr := kvcluster.Traffic{
 		Arrivals: workload.ArrivalConfig{
@@ -77,10 +78,11 @@ func resizeWalkthrough() {
 	spec := kvcluster.ResizeSpec{
 		NewShards: 4,
 		ResizeAt:  sim.Time(tr.Warmup + 4*sim.Millisecond),
+		Bins:      8,
 	}
 	fmt.Printf("\n-- live resize: 3 -> 4 shards (R=2) at t=%.0fms under %.0f req/s --\n\n",
 		float64(spec.ResizeAt)/float64(sim.Millisecond), tr.Arrivals.RatePerS)
-	res := kvcluster.RunResize(rc, tr, 64, 2*sim.Millisecond, spec, 8)
+	res := kvcluster.RunResize(rc, tr, spec)
 
 	fmt.Printf("%8s %8s %-7s %11s %8s\n", "startms", "endms", "phase", "goodput/s", "p99ms")
 	for _, b := range res.Timeline {

@@ -126,6 +126,7 @@ func Faults(scale Scale) FaultsResult {
 			},
 			Store:   store,
 			Retry:   &pol,
+			SLO:     slo,
 			Metrics: reg,
 			NewKernel: func(label string) *sim.Kernel {
 				return newKernel(fmt.Sprintf("%s/%s", label, mix.name))
@@ -142,7 +143,7 @@ func Faults(scale Scale) FaultsResult {
 			Warmup:    4 * sim.Millisecond,
 			Duration:  dur,
 		}
-		res := kvcluster.RunReplicated(rc, tr, 64, slo)
+		res := kvcluster.RunReplicated(rc, tr)
 		shedPct := 0.0
 		if res.Offered > 0 {
 			shedPct = 100 * float64(res.Shed) / float64(res.Offered)

@@ -56,7 +56,6 @@ func Rebalance(scale Scale) RebalanceResult {
 	scenarios := []string{"resize", "rebuild"}
 	dur := scale.dur(12*sim.Millisecond, 30*sim.Millisecond)
 	slo := 2 * sim.Millisecond
-	const bins = 12
 
 	out := RebalanceResult{SLOms: float64(slo) / float64(sim.Millisecond)}
 	runs := len(engines) * len(scenarios)
@@ -72,6 +71,7 @@ func Rebalance(scale Scale) RebalanceResult {
 			Replicas: 2,
 			Profile:  profFn,
 			Store:    store,
+			SLO:      slo,
 			Metrics:  reg,
 			NewKernel: func(label string) *sim.Kernel {
 				return newKernel(fmt.Sprintf("%s/%s", label, scenario))
@@ -88,7 +88,7 @@ func Rebalance(scale Scale) RebalanceResult {
 			Warmup:    4 * sim.Millisecond,
 			Duration:  dur,
 		}
-		spec := kvcluster.ResizeSpec{}
+		spec := kvcluster.ResizeSpec{Bins: 12}
 		switch scenario {
 		case "resize":
 			spec.NewShards = 4
@@ -98,7 +98,7 @@ func Rebalance(scale Scale) RebalanceResult {
 			spec.KillAt = sim.Time(tr.Warmup + dur/6)
 			spec.ReplaceAt = sim.Time(tr.Warmup + dur/4)
 		}
-		res := kvcluster.RunResize(rc, tr, 64, slo, spec, bins)
+		res := kvcluster.RunResize(rc, tr, spec)
 		shedPct := 0.0
 		if res.Offered > 0 {
 			shedPct = 100 * float64(res.Shed) / float64(res.Offered)

@@ -126,8 +126,9 @@ func goldenShapes() map[string]shapeGolden {
 	}
 	{
 		var tk traceKernels
-		rc := ReplicaConfig{Shards: 3, Replicas: 2, Store: smallStore(), NewKernel: tk.newKernel}
-		out["replicated"] = tk.shape(RunReplicated(rc, smallTraffic(60_000), 12, 400*sim.Microsecond))
+		rc := ReplicaConfig{Shards: 3, Replicas: 2, Store: smallStore(),
+			InflightCap: 12, SLO: 400 * sim.Microsecond, NewKernel: tk.newKernel}
+		out["replicated"] = tk.shape(RunReplicated(rc, smallTraffic(60_000)))
 	}
 	{
 		var tk traceKernels
@@ -150,7 +151,7 @@ func goldenShapes() map[string]shapeGolden {
 		tr := smallTraffic(30_000)
 		tr.Mix = workload.Mix{ReadPct: 50, DeletePct: 5}
 		tr.KeySpace = 256
-		g := tk.shape(RunReplicated(rc, tr, 64, 2*sim.Millisecond))
+		g := tk.shape(RunReplicated(rc, tr))
 		g.Counters = make(map[string]int64)
 		for _, name := range []string{"kvcluster/failovers", "kvcluster/read.repairs",
 			"kvcluster/replica.writes"} {
@@ -162,15 +163,16 @@ func goldenShapes() map[string]shapeGolden {
 		var tk traceKernels
 		rc := ReplicaConfig{Shards: 3, Replicas: 2, Store: smallStore(),
 			Trace: reqtrace.NewSampler(*trace), NewKernel: tk.newKernel}
-		spec := ResizeSpec{ResizeAt: sim.Time(6 * sim.Millisecond), NewShards: 4}
-		out["resize"] = tk.resizeShape(RunResize(rc, resizeTraffic(40_000), 64, 2*sim.Millisecond, spec, 12))
+		spec := ResizeSpec{ResizeAt: sim.Time(6 * sim.Millisecond), NewShards: 4, Bins: 12}
+		out["resize"] = tk.resizeShape(RunResize(rc, resizeTraffic(40_000), spec))
 	}
 	{
 		var tk traceKernels
-		rc := ReplicaConfig{Shards: 3, Replicas: 2, Store: smallStore(), NewKernel: tk.newKernel}
+		rc := ReplicaConfig{Shards: 3, Replicas: 2, Store: smallStore(),
+			InflightCap: 48, NewKernel: tk.newKernel}
 		spec := ResizeSpec{KillShard: 1, KillAt: sim.Time(6 * sim.Millisecond),
 			ReplaceAt: sim.Time(7 * sim.Millisecond)}
-		out["kill-replace"] = tk.resizeShape(RunResize(rc, resizeTraffic(40_000), 48, 2*sim.Millisecond, spec, 10))
+		out["kill-replace"] = tk.resizeShape(RunResize(rc, resizeTraffic(40_000), spec))
 	}
 	return out
 }

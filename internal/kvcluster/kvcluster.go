@@ -1,7 +1,7 @@
 // Package kvcluster is a sharded, barrier-enabled key-value service under
 // open-loop planetary traffic: N kvwal stores behind a consistent-hash
 // router, each shard group-committing on its own barrier-enabled IO stack.
-// Two deployment shapes map the shards onto hardware:
+// Three deployment shapes map the shards onto hardware:
 //
 //   - ShardedStacks: one simulated device + stack per shard (one kernel
 //     each, fanned out with internal/par) — the scale-out rack.
@@ -9,11 +9,18 @@
 //     device, each with its own journal area and its own block-layer order
 //     stream (block.OrderStream(i)), so per-shard barriers constrain only
 //     that shard's epoch stream — the paper's multi-stream SSD shape.
+//   - Replicated: every shard is a full stack in ONE kernel behind a
+//     Cluster that writes each key to R successor-list replicas, fails
+//     reads over past media errors and dead shards, and rebalances live
+//     (Resize, ReplaceShard).
 //
 // Traffic is open loop: arrivals are offered at their own pace (Poisson,
 // bursty or diurnal), keys are Zipfian, and an admission controller bounds
-// per-shard inflight requests, shedding (and counting) the excess instead
-// of letting the closed-loop illusion hide queueing collapse. The payoff
+// inflight requests, shedding (and counting) the excess instead of letting
+// the closed-loop illusion hide queueing collapse. One runner (runner.go)
+// plays that loop for every shape — per shard for the first two, cluster
+// wide for the third; Run, RunReplicated and RunResize only build the
+// backend it serves from and fold its samples into a Result. The payoff
 // under test: at equal p99 SLO, barrier-engine shards sustain more goodput
 // than Transfer-and-Flush shards, because each group commit costs a
 // dispatch instead of a flush round trip.
@@ -21,7 +28,6 @@ package kvcluster
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/block"
@@ -49,7 +55,8 @@ const (
 	// multi-queue device, each on its own order stream.
 	MQStreams
 	// Replicated runs every shard as a full stack in one kernel with R-way
-	// successor-list replication (see ReplicaConfig / RunReplicated).
+	// successor-list replication. It has its own configuration and entry
+	// points (ReplicaConfig, RunReplicated, RunResize); Run rejects it.
 	Replicated
 )
 
@@ -103,11 +110,6 @@ type Config struct {
 	// tail-biased exemplars (see internal/reqtrace). Nil disables tracing
 	// and compiles to the zero-context no-op paths.
 	Trace *reqtrace.Config
-}
-
-// DefaultConfig returns a cluster of shards BFS-DR stacks.
-func DefaultConfig(shards int) Config {
-	return Config{Shards: shards}
 }
 
 func (c Config) withDefaults() Config {
@@ -203,203 +205,82 @@ func (r Result) Report() string {
 	return b.String()
 }
 
-// latSample is one measured-window completion.
-type latSample struct {
-	tenant int
-	at     sim.Time // request arrival (zero unless the runner bins timelines)
-	d      sim.Duration
-	good   bool
-}
-
-// shardOutcome collects one shard's measured-window results.
-type shardOutcome struct {
-	admitted  int64
-	shed      int64
-	samples   []latSample
-	exemplars []reqtrace.Exemplar
-	traceLost int
-}
-
-// shardRun is the live handle the drain loop polls.
-type shardRun struct {
-	dispatched  bool
-	outstanding int
-	smp         *reqtrace.Sampler // nil unless the run samples traces
-}
-
-func (s *shardRun) idle() bool { return s.dispatched && s.outstanding == 0 }
-
-// collectTrace drains the shard's kept exemplars into its outcome after the
-// kernel stops (nil-sampler safe).
-func (s *shardRun) collectTrace(out *shardOutcome) {
-	out.exemplars = append(out.exemplars, s.smp.Take()...)
-	out.traceLost += s.smp.Dropped()
-}
-
-// spawnShard wires one shard's daemons into kernel k: an opener, an
-// open-loop dispatcher replaying the shard's arrival slice with
-// shed-and-count admission control, and InflightCap workers executing
-// routed operations against the store.
-func spawnShard(k *sim.Kernel, idx int, open func(p *sim.Proc) (*kvwal.Store, error),
-	reqs []Request, cfg Config, tr Traffic, out *shardOutcome) *shardRun {
-	run := &shardRun{}
-	if cfg.Trace != nil {
-		// Per-shard sampler: shards may run on parallel kernels (par.For),
-		// and Admit/Finish must stay on the owning kernel's goroutine.
-		run.smp = reqtrace.NewSampler(*cfg.Trace)
+// spawnShard wires shard idx's runner into k, serving from a kvwal store
+// opened on mount; the engine choice (fdatabarrier vs fdatasync group
+// commit) follows the profile's journaling mode. Shards sample traces into
+// a sampler each.
+func (c Config) spawnShard(k *sim.Kernel, idx int, reqs []Request, tr Traffic,
+	mount *fs.FS, prof core.Profile) *runner {
+	run := &runner{
+		reqs: reqs, tr: tr, idx: idx, instruments: fmt.Sprintf("kvcluster/shard=%d/", idx),
+		cap: c.InflightCap, slo: c.SLO,
 	}
-	q := sim.NewQueue[Request](k)
-	var st *kvwal.Store
-	ready := false
-
-	var admitted, shed *metrics.Counter
-	var inflight *metrics.Gauge
-	if reg := metrics.Resolve(cfg.Metrics); reg != nil {
-		pfx := fmt.Sprintf("kvcluster/shard=%d/", idx)
-		admitted = reg.Counter(pfx + "admitted")
-		shed = reg.Counter(pfx + "shed")
-		inflight = reg.Gauge(pfx + "inflight")
+	if c.Trace != nil {
+		run.smp = reqtrace.NewSampler(*c.Trace)
 	}
-
-	k.SpawnIdx("kvc/open", idx, func(p *sim.Proc) {
-		s, err := open(p)
+	run.spawn(k, c.Metrics, func(p *sim.Proc) (serveFunc, error) {
+		st, err := kvwal.OpenFS(p, mount, prof.FS.Journal.Mode == jbd.ModeDual, c.Store)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		st = s
-		ready = true
+		return func(p *sim.Proc, r Request) error {
+			switch r.Class {
+			case workload.ClassGet:
+				st.Get(p, r.Key)
+			case workload.ClassDelete:
+				st.ApplyT(p, []kvwal.Op{{Kind: kvwal.Delete, Key: r.Key}}, r.Trace)
+			default:
+				st.ApplyT(p, []kvwal.Op{{Kind: kvwal.Put, Key: r.Key}}, r.Trace)
+			}
+			return nil
+		}, nil
 	})
-
-	k.SpawnIdx("kvc/dispatch", idx, func(p *sim.Proc) {
-		for !ready {
-			p.Sleep(50 * sim.Microsecond)
-		}
-		for _, r := range reqs {
-			if r.At > p.Now() {
-				p.Sleep(sim.Duration(r.At - p.Now()))
-			}
-			if run.outstanding >= cfg.InflightCap {
-				shed.Inc()
-				if r.measured(tr) {
-					out.shed++
-				}
-				continue
-			}
-			run.outstanding++
-			inflight.Inc()
-			admitted.Inc()
-			if r.measured(tr) {
-				out.admitted++
-			}
-			if run.smp != nil && r.Class != workload.ClassGet {
-				// Trace writes only: reads never enter the group-commit and
-				// durability machinery the trace attributes.
-				r.Trace = run.smp.Admit(p.Now())
-			}
-			q.Put(r)
-		}
-		run.dispatched = true
-	})
-
-	for w := 0; w < cfg.InflightCap; w++ {
-		k.SpawnIdx("kvc/worker", idx*cfg.InflightCap+w, func(p *sim.Proc) {
-			for {
-				r, ok := q.Get(p)
-				if !ok {
-					return
-				}
-				switch r.Class {
-				case workload.ClassGet:
-					st.Get(p, r.Key)
-				case workload.ClassDelete:
-					st.ApplyT(p, []kvwal.Op{{Kind: kvwal.Delete, Key: r.Key}}, r.Trace)
-				default:
-					st.ApplyT(p, []kvwal.Op{{Kind: kvwal.Put, Key: r.Key}}, r.Trace)
-				}
-				lat := sim.Duration(p.Now() - r.At)
-				run.smp.Finish(r.Trace, p.Now())
-				run.outstanding--
-				inflight.Dec()
-				if r.measured(tr) {
-					out.samples = append(out.samples, latSample{
-						tenant: r.Tenant, d: lat, good: lat <= cfg.SLO,
-					})
-				}
-			}
-		})
-	}
 	return run
 }
 
-// drive runs the kernel to the end of the offered window, then drains:
-// admitted requests still in flight complete on simulated time, bounded by
-// a drain cap so a wedged shard cannot hang the run.
-func drive(k *sim.Kernel, runs []*shardRun, end sim.Time) {
-	k.RunUntil(end)
-	deadline := end.Add(100 * sim.Millisecond)
-	for k.Now() < deadline {
-		idle := true
-		for _, r := range runs {
-			if !r.idle() {
-				idle = false
-				break
-			}
-		}
-		if idle {
-			return
-		}
-		k.RunUntil(k.Now().Add(sim.Millisecond))
-	}
-}
-
-// Run drives one cluster under one traffic description and reports the
-// measured-window outcome. Everything is deterministic under the traffic
-// seed: the request stream is pre-generated, partitioned by the ring, and
-// replayed open loop per shard.
+// Run drives one unreplicated cluster (ShardedStacks or MQStreams) under one
+// traffic description and reports the measured-window outcome. Everything
+// is deterministic under the traffic seed: the request stream is
+// pre-generated, partitioned by the ring, and replayed open loop per shard.
 func Run(cfg Config, tr Traffic) Result {
+	if cfg.Mode == Replicated {
+		panic("kvcluster: Run drives unreplicated shards only; use RunReplicated for Mode Replicated")
+	}
 	cfg = cfg.withDefaults()
 	tr = tr.withDefaults()
-	reqs := tr.Generate()
-	ring := NewRing(cfg.Shards, cfg.VNodes)
-	parts := Partition(reqs, ring)
-	outs := make([]shardOutcome, cfg.Shards)
-	engine := cfg.Profile(cfg.Device()).Name
+	parts := Partition(tr.Generate(), NewRing(cfg.Shards, cfg.VNodes))
+	runs := make([]*runner, cfg.Shards)
 	end := sim.Time(tr.Warmup + tr.Duration)
 
-	switch cfg.Mode {
-	case MQStreams:
-		runMQStreams(cfg, tr, parts, outs, end)
-	default:
+	if cfg.Mode == MQStreams {
+		runMQStreams(cfg, tr, parts, runs, end)
+	} else {
 		par.For(cfg.Shards, func(i int) {
-			runShardStack(cfg, tr, i, parts[i], &outs[i], end)
+			runs[i] = runShardStack(cfg, tr, i, parts[i], end)
 		})
 	}
-	return aggregate(cfg, tr, engine, parts, outs)
+	res := Result{Engine: cfg.Profile(cfg.Device()).Name, Mode: cfg.Mode, Shards: cfg.Shards}
+	return aggregate(res, cfg.SLO, tr, runs)
 }
 
 // runShardStack runs one shard on its own device, stack and kernel.
-func runShardStack(cfg Config, tr Traffic, idx int, reqs []Request,
-	out *shardOutcome, end sim.Time) {
+func runShardStack(cfg Config, tr Traffic, idx int, reqs []Request, end sim.Time) *runner {
 	prof := cfg.Profile(cfg.Device())
 	if prof.Metrics == nil {
 		prof.Metrics = cfg.Metrics
 	}
 	k := cfg.NewKernel(fmt.Sprintf("kvcluster/%s/shard%d", prof.Name, idx))
 	defer k.Close()
-	s := core.NewStack(k, prof)
-	run := spawnShard(k, idx, func(p *sim.Proc) (*kvwal.Store, error) {
-		return kvwal.Open(p, s, cfg.Store)
-	}, reqs, cfg, tr, out)
-	drive(k, []*shardRun{run}, end)
-	run.collectTrace(out)
+	run := cfg.spawnShard(k, idx, reqs, tr, core.NewStack(k, prof).FS, prof)
+	drive(k, []*runner{run}, end)
+	return run
 }
 
 // runMQStreams runs every shard as a filesystem on one shared multi-queue
 // device: shard i's journal lives at LPA i*stride and rides order stream
 // block.OrderStream(i), so barriers order only their own shard's epochs
 // while all shards share the device's hardware queues.
-func runMQStreams(cfg Config, tr Traffic, parts [][]Request,
-	outs []shardOutcome, end sim.Time) {
+func runMQStreams(cfg Config, tr Traffic, parts [][]Request, runs []*runner, end sim.Time) {
 	prof := cfg.Profile(cfg.Device())
 	if prof.MQQueues == 0 {
 		prof.MQQueues = 4
@@ -410,47 +291,36 @@ func runMQStreams(cfg Config, tr Traffic, parts [][]Request,
 	k := cfg.NewKernel(fmt.Sprintf("kvcluster/%s/mq-streams", prof.Name))
 	defer k.Close()
 	s := core.NewStack(k, prof)
-	barrier := prof.FS.Journal.Mode == jbd.ModeDual
-	runs := make([]*shardRun, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		fsys := s.FS
+	for i := range runs {
+		mount := s.FS
 		if i > 0 {
 			opts := prof.FS
 			base := uint64(i) * mqShardStride
 			opts.Journal.SuperLPA = base
 			opts.Journal.Start = base + 1
 			opts.Journal.Stream = block.OrderStream(i)
-			fsys = fs.New(k, s.Front, opts)
+			mount = fs.New(k, s.Front, opts)
 		}
-		mount := fsys
-		runs[i] = spawnShard(k, i, func(p *sim.Proc) (*kvwal.Store, error) {
-			return kvwal.OpenFS(p, mount, barrier, cfg.Store)
-		}, parts[i], cfg, tr, &outs[i])
+		runs[i] = cfg.spawnShard(k, i, parts[i], tr, mount, prof)
 	}
 	drive(k, runs, end)
-	for i, run := range runs {
-		run.collectTrace(&outs[i])
-	}
 }
 
-// aggregate folds per-shard outcomes into the cluster result.
-func aggregate(cfg Config, tr Traffic, engine string,
-	parts [][]Request, outs []shardOutcome) Result {
-	res := Result{
-		Engine: engine, Mode: cfg.Mode, Shards: cfg.Shards,
-		SLOms: float64(cfg.SLO) / float64(sim.Millisecond),
-	}
+// aggregate folds the runners' samples into res, which arrives carrying the
+// run's identity (Engine, Mode, Shards).
+func aggregate(res Result, slo sim.Duration, tr Traffic, runs []*runner) Result {
+	res.SLOms = float64(slo) / float64(sim.Millisecond)
 	cluster := metrics.NewLatencyRecorder("kvcluster/latency")
-	tenantOffered := make([]int64, tr.withDefaults().Tenants)
+	tenantOffered := make([]int64, tr.Tenants)
 	tenantGood := make([]int64, len(tenantOffered))
 	tenantRec := make([]*metrics.LatencyRecorder, len(tenantOffered))
 	for i := range tenantRec {
 		tenantRec[i] = metrics.NewLatencyRecorder(fmt.Sprintf("kvcluster/tenant=%d", i))
 	}
-	for i, out := range outs {
+	for i, out := range runs {
 		shardRec := metrics.NewLatencyRecorder(fmt.Sprintf("kvcluster/shard=%d", i))
 		var offered, good int64
-		for _, r := range parts[i] {
+		for _, r := range out.reqs {
 			if r.measured(tr) {
 				offered++
 				tenantOffered[r.Tenant]++
@@ -470,8 +340,8 @@ func aggregate(cfg Config, tr Traffic, engine string,
 		res.Shed += out.shed
 		res.Done += int64(len(out.samples))
 		res.Good += good
-		res.Exemplars = append(res.Exemplars, out.exemplars...)
-		res.TraceDropped += out.traceLost
+		res.Exemplars = append(res.Exemplars, out.smp.Take()...)
+		res.TraceDropped += out.smp.Dropped()
 		res.PerShard = append(res.PerShard, ShardStats{
 			Shard: i, Offered: offered, Admitted: out.admitted,
 			Shed: out.shed, Done: int64(len(out.samples)), Good: good,
@@ -495,8 +365,5 @@ func aggregate(cfg Config, tr Traffic, engine string,
 		}
 		res.PerTenant = append(res.PerTenant, ts)
 	}
-	sort.Slice(res.PerTenant, func(i, j int) bool {
-		return res.PerTenant[i].Tenant < res.PerTenant[j].Tenant
-	})
 	return res
 }

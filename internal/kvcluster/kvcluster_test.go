@@ -2,6 +2,7 @@ package kvcluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -155,4 +156,17 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if res.Admitted+res.Shed != res.Offered {
 		t.Errorf("admission accounting broken: %+v", res)
 	}
+}
+
+// Run drives unreplicated shards only: asked for Mode Replicated it used to
+// fall through to the sharded path and report an unreplicated run as
+// replicated. It must refuse and point at RunReplicated.
+func TestRunRejectsReplicatedMode(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "RunReplicated") {
+			t.Fatalf("Run(Mode: Replicated) recovered %q, want a panic naming RunReplicated", msg)
+		}
+	}()
+	Run(Config{Shards: 2, Mode: Replicated}, smallTraffic(10_000))
 }

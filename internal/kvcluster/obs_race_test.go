@@ -38,7 +38,7 @@ func TestSnapshotReadersDuringResizeRace(t *testing.T) {
 
 	done := make(chan ResizeResult, 1)
 	go func() {
-		done <- RunResize(rc, tr, 64, 2*sim.Millisecond, spec, 10)
+		done <- RunResize(rc, tr, spec)
 	}()
 
 	// Poll both snapshot surfaces until the run completes. Each exemplar read

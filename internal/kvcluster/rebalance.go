@@ -2,6 +2,7 @@ package kvcluster
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"repro/internal/kvwal"
@@ -228,10 +229,6 @@ func (c *Cluster) ReplaceShard(p *sim.Proc, i int) (*Migration, error) {
 	return c.startMigration(p.Now(), c.ring, len(c.nodes), c.ring.ReplacePlan(i, c.cfg.Replicas)), nil
 }
 
-// Migrating returns the active (or failed-and-pinned) migration, nil when
-// routing is purely ring-based.
-func (c *Cluster) Migrating() *Migration { return c.mig }
-
 func (c *Cluster) startMigration(now sim.Time, target *Ring, targetShards int, moves []RangeMove) *Migration {
 	c.epoch++
 	m := &Migration{
@@ -350,7 +347,7 @@ func (rm *rangeMig) setState(at sim.Time, s MigrationState) {
 func (rm *rangeMig) destShards() []int {
 	var out []int
 	for _, s := range rm.mv.New {
-		if !containsInt(rm.mv.Old, s) {
+		if !slices.Contains(rm.mv.Old, s) {
 			out = append(out, s)
 		}
 	}

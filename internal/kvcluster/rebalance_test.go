@@ -3,6 +3,7 @@ package kvcluster
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -59,16 +60,16 @@ func TestRingReplacePlanCoversShard(t *testing.T) {
 		t.Fatal("replace plan for an owner shard is empty")
 	}
 	for _, mv := range plan {
-		if !containsInt(mv.New, 2) {
+		if !slices.Contains(mv.New, 2) {
 			t.Fatalf("plan range %+v does not own shard 2", mv)
 		}
-		if containsInt(mv.Old, 2) {
+		if slices.Contains(mv.Old, 2) {
 			t.Fatalf("plan range %+v sources from the dead shard", mv)
 		}
 	}
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("u%07d", i)
-		if !containsInt(r.ShardsFor(key, 2), 2) {
+		if !slices.Contains(r.ShardsFor(key, 2), 2) {
 			continue
 		}
 		found := false
@@ -102,8 +103,8 @@ func resizeTraffic(rate float64) Traffic {
 // steady state.
 func TestResizeUnderLoadNoAckedLoss(t *testing.T) {
 	rc := ReplicaConfig{Shards: 3, Replicas: 2, Store: smallStore()}
-	spec := ResizeSpec{ResizeAt: sim.Time(6 * sim.Millisecond), NewShards: 4}
-	res := RunResize(rc, resizeTraffic(40_000), 64, 2*sim.Millisecond, spec, 12)
+	spec := ResizeSpec{ResizeAt: sim.Time(6 * sim.Millisecond), NewShards: 4, Bins: 12}
+	res := RunResize(rc, resizeTraffic(40_000), spec)
 
 	if res.AckedKeys == 0 {
 		t.Fatal("no acked writes to audit")
@@ -144,7 +145,7 @@ func TestResizeDeterministicSchedule(t *testing.T) {
 	run := func() ResizeResult {
 		rc := ReplicaConfig{Shards: 3, Replicas: 2, Store: smallStore()}
 		spec := ResizeSpec{ResizeAt: sim.Time(5 * sim.Millisecond), NewShards: 4}
-		return RunResize(rc, resizeTraffic(30_000), 64, 2*sim.Millisecond, spec, 10)
+		return RunResize(rc, resizeTraffic(30_000), spec)
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a.Events, b.Events) {
@@ -193,11 +194,11 @@ func TestConcurrentOpsDuringResize(t *testing.T) {
 			}
 			for i := 0; i < perWorker; i++ {
 				key := fmt.Sprintf("w%d-%05d", w, i)
-				if err := cl.Put(p, key); err != nil {
+				if err := cl.Put(p, key, ReqCtx{}); err != nil {
 					continue
 				}
 				acked[w] = append(acked[w], key)
-				if _, _, err := cl.Get(p, key); err != nil {
+				if _, _, err := cl.Get(p, key, ReqCtx{}); err != nil {
 					t.Errorf("read-your-write %s during resize: %v", key, err)
 				}
 			}
@@ -226,7 +227,7 @@ func TestConcurrentOpsDuringResize(t *testing.T) {
 		mig.Wait(p)
 		for w := range acked {
 			for _, key := range acked[w] {
-				if _, ok, err := cl.Get(p, key); err != nil || !ok {
+				if _, ok, err := cl.Get(p, key, ReqCtx{}); err != nil || !ok {
 					t.Errorf("acked key %s unreadable after resize: ok=%v err=%v", key, ok, err)
 				}
 			}
@@ -261,7 +262,7 @@ func TestReplaceShardRebuildsDeadShard(t *testing.T) {
 		}
 		for i := 0; i < 128; i++ {
 			key := fmt.Sprintf("r%05d", i)
-			if err := cl.Put(p, key); err == nil {
+			if err := cl.Put(p, key, ReqCtx{}); err == nil {
 				keys = append(keys, key)
 			}
 		}
@@ -291,7 +292,7 @@ func TestReplaceShardRebuildsDeadShard(t *testing.T) {
 			t.Error("rebuilt shard holds no keys after re-replication")
 		}
 		for _, key := range keys {
-			if _, ok, err := cl.Get(p, key); err != nil || !ok {
+			if _, ok, err := cl.Get(p, key, ReqCtx{}); err != nil || !ok {
 				t.Errorf("key %s unreadable after rebuild: ok=%v err=%v", key, ok, err)
 			}
 		}
@@ -324,7 +325,7 @@ func TestResizeRetargetsWhenDestinationDies(t *testing.T) {
 		var keys []string
 		for i := 0; i < 256; i++ {
 			key := fmt.Sprintf("d%05d", i)
-			if err := cl.Put(p, key); err == nil {
+			if err := cl.Put(p, key, ReqCtx{}); err == nil {
 				keys = append(keys, key)
 			}
 		}
@@ -345,7 +346,7 @@ func TestResizeRetargetsWhenDestinationDies(t *testing.T) {
 			t.Fatalf("migration pinned failed despite live successors: %+v", mig.Stats())
 		}
 		for _, key := range keys {
-			if _, ok, err := cl.Get(p, key); err != nil || !ok {
+			if _, ok, err := cl.Get(p, key, ReqCtx{}); err != nil || !ok {
 				t.Errorf("acked key %s lost after dest death: ok=%v err=%v", key, ok, err)
 			}
 		}
@@ -370,22 +371,22 @@ func TestAllReplicasDeadShedsDegraded(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := cl.Put(p, "alive"); err != nil {
+		if err := cl.Put(p, "alive", ReqCtx{}); err != nil {
 			t.Errorf("healthy put failed: %v", err)
 		}
 		cl.KillShard(0)
 		// One survivor: writes commit degraded (capped below R) and count.
-		if err := cl.Put(p, "degraded"); err != nil {
+		if err := cl.Put(p, "degraded", ReqCtx{}); err != nil {
 			t.Errorf("degraded put refused with a live replica: %v", err)
 		}
 		if got := cl.Stats().DegradedWrites; got == 0 {
 			t.Error("capped-replication write not counted as degraded")
 		}
 		cl.KillShard(1)
-		if err := cl.Put(p, "dead"); err != ErrUnavailable {
+		if err := cl.Put(p, "dead", ReqCtx{}); err != ErrUnavailable {
 			t.Errorf("put with all replicas dead: got %v, want ErrUnavailable", err)
 		}
-		if _, _, err := cl.Get(p, "alive"); err != ErrUnavailable {
+		if _, _, err := cl.Get(p, "alive", ReqCtx{}); err != ErrUnavailable {
 			t.Errorf("get with all replicas dead: got %v, want ErrUnavailable", err)
 		}
 		st := cl.Stats()

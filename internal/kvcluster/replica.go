@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/reqtrace"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // R-way replicated deployment. Every shard is a full barrier-enabled IO
@@ -62,8 +63,15 @@ type ReplicaConfig struct {
 	TenantFailovers int64
 	// Migrate bounds live-rebalancing copy bandwidth (see MigrateConfig).
 	Migrate MigrateConfig
+	// InflightCap is the runners' cluster-wide outstanding request bound;
+	// arrivals beyond it are shed and counted (default 64).
+	InflightCap int
+	// SLO is the per-request latency objective the runners measure goodput
+	// against (default 2ms).
+	SLO sim.Duration
 	// Metrics is an explicit observability registry; nil falls back to the
-	// process-wide live registry.
+	// process-wide live registry. The runners register their admission
+	// instruments under a "kvcluster/cluster/" prefix.
 	Metrics *metrics.Registry
 	// NewKernel builds the cluster kernel (default sim.NewKernel); the
 	// experiment driver injects its span-capturing choke point here.
@@ -97,6 +105,12 @@ func (c ReplicaConfig) withDefaults() ReplicaConfig {
 	}
 	if c.VNodes <= 0 {
 		c.VNodes = 64
+	}
+	if c.InflightCap <= 0 {
+		c.InflightCap = 64
+	}
+	if c.SLO <= 0 {
+		c.SLO = 2 * sim.Millisecond
 	}
 	if c.NewKernel == nil {
 		c.NewKernel = func(string) *sim.Kernel { return sim.NewKernel() }
@@ -157,20 +171,19 @@ func OpenCluster(p *sim.Proc, cfg ReplicaConfig) (*Cluster, error) {
 		budgets: make(map[int]int64),
 		wild:    make(map[int]int),
 	}
-	if reg := metrics.Resolve(cfg.Metrics); reg != nil {
-		c.obs = clusterObs{
-			failovers:   reg.Counter("kvcluster/failovers"),
-			repairs:     reg.Counter("kvcluster/read.repairs"),
-			hedged:      reg.Counter("kvcluster/hedged.reads"),
-			shed:        reg.Counter("kvcluster/degraded.shed"),
-			repWrites:   reg.Counter("kvcluster/replica.writes"),
-			rebKeys:     reg.Counter("kvcluster/rebalance/keys.copied"),
-			rebDual:     reg.Counter("kvcluster/rebalance/dual.writes"),
-			rebCutovers: reg.Counter("kvcluster/rebalance/cutovers"),
-			rebAborts:   reg.Counter("kvcluster/rebalance/aborts"),
-			rebSkipped:  reg.Counter("kvcluster/rebalance/copy.skipped"),
-			rebRanges:   reg.Gauge("kvcluster/rebalance/ranges.migrating"),
-		}
+	reg := metrics.Resolve(cfg.Metrics) // nil registry: nil, no-op instruments
+	c.obs = clusterObs{
+		failovers:   reg.Counter("kvcluster/failovers"),
+		repairs:     reg.Counter("kvcluster/read.repairs"),
+		hedged:      reg.Counter("kvcluster/hedged.reads"),
+		shed:        reg.Counter("kvcluster/degraded.shed"),
+		repWrites:   reg.Counter("kvcluster/replica.writes"),
+		rebKeys:     reg.Counter("kvcluster/rebalance/keys.copied"),
+		rebDual:     reg.Counter("kvcluster/rebalance/dual.writes"),
+		rebCutovers: reg.Counter("kvcluster/rebalance/cutovers"),
+		rebAborts:   reg.Counter("kvcluster/rebalance/aborts"),
+		rebSkipped:  reg.Counter("kvcluster/rebalance/copy.skipped"),
+		rebRanges:   reg.Gauge("kvcluster/rebalance/ranges.migrating"),
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		if err := c.addNode(p, i); err != nil {
@@ -243,42 +256,41 @@ func (c *Cluster) Store(i int) *kvwal.Store { return c.nodes[i].store }
 // Stack returns shard i's IO stack (fault hooks, crash injection).
 func (c *Cluster) Stack(i int) *core.Stack { return c.nodes[i].stack }
 
-// Down reports whether shard i is marked dead.
-func (c *Cluster) Down(i int) bool { return c.nodes[i].down }
-
 // KillShard marks shard i dead: it stops serving reads and writes
 // (fail-stop at the service level; its device and daemons idle on). Reads
 // of its keys fail over to the surviving replicas; writes commit on the
 // remaining replica set.
 func (c *Cluster) KillShard(i int) { c.nodes[i].down = true }
 
-// ReviveShard returns a killed shard to service. Its store missed every
-// write that committed while it was down; read-repair backfills touched
-// keys on demand.
-func (c *Cluster) ReviveShard(i int) { c.nodes[i].down = false }
+// ReqCtx is the by-value context word every request carries: the tenant it
+// is accounted to (failover budgets, per-tenant SLO rows) and its
+// request-trace context. The zero value is tenant 0, untraced.
+type ReqCtx struct {
+	Tenant int
+	Trace  reqtrace.Ctx
+}
 
 // Put writes key to every live replica and returns once all of their
 // group commits acknowledged (write-both).
-func (c *Cluster) Put(p *sim.Proc, key string) error { return c.PutT(p, 0, key) }
-
-// PutT is Put with a tenant tag (per-tenant accounting).
-func (c *Cluster) PutT(p *sim.Proc, tenant int, key string) error {
-	return c.applyTC(p, tenant, kvwal.Op{Kind: kvwal.Put, Key: key}, reqtrace.Ctx{})
+func (c *Cluster) Put(p *sim.Proc, key string, rc ReqCtx) error {
+	return c.apply(p, kvwal.Op{Kind: kvwal.Put, Key: key}, rc.Trace)
 }
 
-// DeleteT submits a tombstone to every live replica.
-func (c *Cluster) DeleteT(p *sim.Proc, tenant int, key string) error {
-	return c.applyTC(p, tenant, kvwal.Op{Kind: kvwal.Delete, Key: key}, reqtrace.Ctx{})
+// Delete submits a tombstone to every live replica.
+func (c *Cluster) Delete(p *sim.Proc, key string, rc ReqCtx) error {
+	return c.apply(p, kvwal.Op{Kind: kvwal.Delete, Key: key}, rc.Trace)
 }
 
-// PutTC is PutT carrying a request-trace context.
-func (c *Cluster) PutTC(p *sim.Proc, tenant int, key string, tc reqtrace.Ctx) error {
-	return c.applyTC(p, tenant, kvwal.Op{Kind: kvwal.Put, Key: key}, tc)
-}
-
-// DeleteTC is DeleteT carrying a request-trace context.
-func (c *Cluster) DeleteTC(p *sim.Proc, tenant int, key string, tc reqtrace.Ctx) error {
-	return c.applyTC(p, tenant, kvwal.Op{Kind: kvwal.Delete, Key: key}, tc)
+// serve executes one generated request: the runner's serveFunc.
+func (c *Cluster) serve(p *sim.Proc, r Request) error {
+	switch r.Class {
+	case workload.ClassGet:
+		_, _, err := c.Get(p, r.Key, r.ReqCtx)
+		return err
+	case workload.ClassDelete:
+		return c.Delete(p, r.Key, r.ReqCtx)
+	}
+	return c.Put(p, r.Key, r.ReqCtx)
 }
 
 // ownersForWrite resolves a key's write set. Under an active migration the
@@ -306,7 +318,7 @@ func (c *Cluster) ownersForWrite(key string) (owners []int, rm *rangeMig, dual b
 	return c.ring.ShardsForUp(key, c.cfg.Replicas, c.downFn()), nil, false
 }
 
-func (c *Cluster) applyTC(p *sim.Proc, tenant int, op kvwal.Op, tc reqtrace.Ctx) error {
+func (c *Cluster) apply(p *sim.Proc, op kvwal.Op, tc reqtrace.Ctx) error {
 	owners, rm, dual := c.ownersForWrite(op.Key)
 	var gen, epoch int
 	if rm != nil {
@@ -389,13 +401,6 @@ func (c *Cluster) applyTC(p *sim.Proc, tenant int, op kvwal.Op, tc reqtrace.Ctx)
 	return nil
 }
 
-// Get reads key from its primary, failing over down the replica list on a
-// dead shard or a hard media error. It reports the newest committed
-// sequence for the key and whether the key is live.
-func (c *Cluster) Get(p *sim.Proc, key string) (uint64, bool, error) {
-	return c.GetT(p, 0, key)
-}
-
 // ownersForRead resolves a key's read order plus its natural primary (the
 // shard that would serve it with nothing down — serving from anywhere else
 // is a failover). Under an active migration reads stay on the old owners
@@ -418,9 +423,11 @@ func (c *Cluster) ownersForRead(key string) (owners []int, primary int) {
 	return owners, c.ring.Shard(key)
 }
 
-// GetT is Get with a tenant tag: the tenant's failover budget throttles
-// how often its reads may be retried on replicas.
-func (c *Cluster) GetT(p *sim.Proc, tenant int, key string) (uint64, bool, error) {
+// Get reads key from its primary, failing over down the replica list on a
+// dead shard or a hard media error. It reports the newest committed
+// sequence for the key and whether the key is live. The tenant's failover
+// budget throttles how often its reads may be retried on replicas.
+func (c *Cluster) Get(p *sim.Proc, key string, rc ReqCtx) (uint64, bool, error) {
 	c.stats.Reads++
 	owners, primary := c.ownersForRead(key)
 	var errShards []int
@@ -431,7 +438,7 @@ func (c *Cluster) GetT(p *sim.Proc, tenant int, key string) (uint64, bool, error
 			// Moving past the first choice — or serving a key away from its
 			// natural primary (dead, or promoted around) — is a failover;
 			// charge the tenant's budget.
-			if !c.chargeFailover(tenant) {
+			if !c.chargeFailover(rc.Tenant) {
 				return 0, false, lastErrOr(lastErr)
 			}
 		}

@@ -149,7 +149,7 @@ func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 		const n = 64
 		for i := 0; i < n; i++ {
 			key := fmt.Sprintf("k%05d", i)
-			if err := cl.Put(p, key); err != nil {
+			if err := cl.Put(p, key, ReqCtx{}); err != nil {
 				t.Errorf("put %s: %v", key, err)
 				return
 			}
@@ -159,7 +159,7 @@ func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 		// Let flushes push keys into segment files on all shards.
 		p.Sleep(5 * sim.Millisecond)
 		for key := range acked {
-			_, ok, err := cl.Get(p, key)
+			_, ok, err := cl.Get(p, key, ReqCtx{})
 			if err != nil || !ok {
 				lost++
 				t.Errorf("acked key %s lost: ok=%v err=%v", key, ok, err)
@@ -207,11 +207,11 @@ func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 		}
 		const n = 64
 		for i := 0; i < n; i++ {
-			cl.Put(p, fmt.Sprintf("k%05d", i))
+			cl.Put(p, fmt.Sprintf("k%05d", i), ReqCtx{})
 		}
 		p.Sleep(5 * sim.Millisecond)
 		for i := 0; i < n; i++ {
-			if _, _, err := cl.Get(p, fmt.Sprintf("k%05d", i)); err != nil {
+			if _, _, err := cl.Get(p, fmt.Sprintf("k%05d", i), ReqCtx{}); err != nil {
 				readErrs++
 			}
 		}
@@ -255,11 +255,11 @@ func TestClusterConcurrentOpsDuringFailover(t *testing.T) {
 			}
 			for i := 0; i < perWorker; i++ {
 				key := fmt.Sprintf("w%d-%05d", w, i)
-				if err := cl.Put(p, key); err != nil {
+				if err := cl.Put(p, key, ReqCtx{}); err != nil {
 					continue // no live replica pair — not acked, no promise
 				}
 				acked[w] = append(acked[w], key)
-				if _, _, err := cl.Get(p, key); err != nil {
+				if _, _, err := cl.Get(p, key, ReqCtx{}); err != nil {
 					t.Errorf("read-your-write %s: %v", key, err)
 				}
 			}
@@ -280,7 +280,7 @@ func TestClusterConcurrentOpsDuringFailover(t *testing.T) {
 	k.Spawn("audit", func(p *sim.Proc) {
 		for w := range acked {
 			for _, key := range acked[w] {
-				if _, ok, err := cl.Get(p, key); err != nil || !ok {
+				if _, ok, err := cl.Get(p, key, ReqCtx{}); err != nil || !ok {
 					t.Errorf("acked key %s unreadable after shard death: ok=%v err=%v", key, ok, err)
 				}
 			}
@@ -323,11 +323,11 @@ func TestTenantFailoverBudgetSheds(t *testing.T) {
 		}
 		const n = 48
 		for i := 0; i < n; i++ {
-			cl.PutT(p, 0, fmt.Sprintf("k%05d", i))
+			cl.Put(p, fmt.Sprintf("k%05d", i), ReqCtx{})
 		}
 		p.Sleep(5 * sim.Millisecond)
 		for i := 0; i < n; i++ {
-			cl.GetT(p, 0, fmt.Sprintf("k%05d", i))
+			cl.Get(p, fmt.Sprintf("k%05d", i), ReqCtx{})
 		}
 		stats = cl.Stats()
 	})
@@ -344,18 +344,36 @@ func TestTenantFailoverBudgetSheds(t *testing.T) {
 }
 
 func TestRunReplicatedTraffic(t *testing.T) {
-	rc := ReplicaConfig{Shards: 2, Replicas: 2, Store: smallStore()}
-	res := RunReplicated(rc, smallTraffic(20_000), 32, 0)
+	reg := metrics.NewRegistry()
+	rc := ReplicaConfig{Shards: 2, Replicas: 2, Store: smallStore(), InflightCap: 6, Metrics: reg}
+	tr := smallTraffic(60_000)
+	res := RunReplicated(rc, tr)
 	if res.Offered == 0 || res.Done == 0 {
 		t.Fatalf("no measured traffic: %+v", res)
 	}
 	if res.Mode != Replicated {
 		t.Errorf("mode %v, want replicated", res.Mode)
 	}
+	if res.Shed == 0 {
+		t.Errorf("expected shedding at a 6-request admission window: %+v", res)
+	}
 	if res.Admitted+res.Shed != res.Offered {
 		t.Errorf("admission accounting broken: %+v", res)
 	}
-	res2 := RunReplicated(rc, smallTraffic(20_000), 32, 0)
+	// The cluster-wide runner's instruments count the whole run, warm-up
+	// included: every generated arrival was either admitted or shed, and
+	// nothing is left in flight.
+	admitted := reg.Counter("kvcluster/cluster/admitted").Value()
+	shed := reg.Counter("kvcluster/cluster/shed").Value()
+	if offered := int64(len(tr.Generate())); admitted+shed != offered || shed < res.Shed {
+		t.Errorf("instruments: admitted %d + shed %d != offered %d (measured shed %d)",
+			admitted, shed, offered, res.Shed)
+	}
+	if got := reg.Gauge("kvcluster/cluster/inflight").Value(); got != 0 {
+		t.Errorf("inflight gauge %d after drain, want 0", got)
+	}
+	rc.Metrics = metrics.NewRegistry()
+	res2 := RunReplicated(rc, tr)
 	if res.Good != res2.Good || res.Done != res2.Done {
 		t.Errorf("replicated run not deterministic: good %d vs %d, done %d vs %d",
 			res.Good, res2.Good, res.Done, res2.Done)

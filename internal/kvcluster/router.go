@@ -2,6 +2,7 @@ package kvcluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -180,7 +181,7 @@ func (r *Ring) ReplacePlan(i, n int) []RangeMove {
 	for _, mv := range planMoves(bounds,
 		func(h uint64) []int { return r.ownersAt(h, n, skip) },
 		func(h uint64) []int { return r.ownersAt(h, n, nil) }) {
-		if containsInt(mv.New, i) {
+		if slices.Contains(mv.New, i) {
 			moves = append(moves, mv)
 		}
 	}
@@ -206,11 +207,11 @@ func planMoves(bounds []uint64, oldAt, newAt func(uint64) []int) []RangeMove {
 	for i, hi := range bounds {
 		lo := bounds[(i+len(bounds)-1)%len(bounds)] // arc (lo, hi], wrapping at i == 0
 		old, new_ := oldAt(hi), newAt(hi)
-		if equalInts(old, new_) {
+		if slices.Equal(old, new_) {
 			continue
 		}
 		if k := len(moves) - 1; k >= 0 && moves[k].Hi == lo &&
-			equalInts(moves[k].Old, old) && equalInts(moves[k].New, new_) {
+			slices.Equal(moves[k].Old, old) && slices.Equal(moves[k].New, new_) {
 			moves[k].Hi = hi
 			continue
 		}
@@ -220,33 +221,12 @@ func planMoves(bounds []uint64, oldAt, newAt func(uint64) []int) []RangeMove {
 	// owners, fold them into one wrapping move.
 	if len(moves) >= 2 {
 		first, last := &moves[0], &moves[len(moves)-1]
-		if last.Hi == first.Lo && equalInts(first.Old, last.Old) && equalInts(first.New, last.New) {
+		if last.Hi == first.Lo && slices.Equal(first.Old, last.Old) && slices.Equal(first.New, last.New) {
 			first.Lo = last.Lo
 			moves = moves[:len(moves)-1]
 		}
 	}
 	return moves
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsInt(a []int, v int) bool {
-	for _, x := range a {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // sameMembers reports whether a and b contain the same shard set, order
@@ -256,7 +236,7 @@ func sameMembers(a, b []int) bool {
 		return false
 	}
 	for _, x := range a {
-		if !containsInt(b, x) {
+		if !slices.Contains(b, x) {
 			return false
 		}
 	}
@@ -268,7 +248,7 @@ func unionInts(a, b []int) []int {
 	out := make([]int, 0, len(a)+len(b))
 	out = append(out, a...)
 	for _, x := range b {
-		if !containsInt(out, x) {
+		if !slices.Contains(out, x) {
 			out = append(out, x)
 		}
 	}

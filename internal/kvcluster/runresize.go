@@ -2,19 +2,20 @@ package kvcluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Open-loop traffic runner for live rebalancing: the replicated runner plus
-// a control-plane schedule (kill / resize / replace), a goodput+p99
-// timeline binned before/during/after the migration window, and an
-// acked-write audit — every write the cluster acknowledged during the run
-// must still be readable once the migration lands. Deterministic under the
-// traffic seed like every other runner: two identical runs produce the
-// same migration schedule and the same cells.
+// The replicated entry points: set-up/aggregate shells around the traffic
+// runner, serving every request through a Cluster. One kernel hosts all the
+// shard stacks, so a run is deterministic under the traffic seed like the
+// other modes. RunResize adds a control-plane schedule (kill / resize /
+// replace), a goodput+p99 timeline binned before/during/after the migration
+// window, and an acked-write audit — every write the cluster acknowledged
+// during the run must still be readable once the migration lands.
 
 // ResizeSpec schedules the control-plane actions of a resize run.
 type ResizeSpec struct {
@@ -27,6 +28,33 @@ type ResizeSpec struct {
 	KillShard int
 	KillAt    sim.Time
 	ReplaceAt sim.Time
+	// Bins is the number of timeline slices of the measured window
+	// (default 10).
+	Bins int
+}
+
+// play is the control-plane proc of a resize run: it performs spec's
+// actions at their instants against the opened cluster and returns the
+// migration they started (nil if none).
+func (spec ResizeSpec) play(p *sim.Proc, cl *Cluster) *Migration {
+	if spec.KillAt > 0 {
+		sleepUntil(p, spec.KillAt)
+		cl.KillShard(spec.KillShard)
+	}
+	var mig *Migration
+	var err error
+	switch {
+	case spec.NewShards > 0:
+		sleepUntil(p, spec.ResizeAt)
+		mig, err = cl.Resize(p, spec.NewShards)
+	case spec.ReplaceAt > 0:
+		sleepUntil(p, spec.ReplaceAt)
+		mig, err = cl.ReplaceShard(p, spec.KillShard)
+	}
+	if err != nil {
+		panic("kvcluster: resize control: " + err.Error())
+	}
+	return mig
 }
 
 // TimelineBin is one slice of the measured window.
@@ -71,144 +99,99 @@ func (r ResizeResult) PhaseFor(name string) PhaseAgg {
 	return PhaseAgg{Phase: name}
 }
 
-// RunResize drives a replicated cluster under tr while spec's control-plane
-// schedule plays out, waits for the migration to land, audits every acked
-// write, and reports the timeline in bins slices of the measured window
-// (default 10).
-func RunResize(rc ReplicaConfig, tr Traffic, inflight int, slo sim.Duration,
-	spec ResizeSpec, bins int) ResizeResult {
+// clusterRun is one replicated run: the kernel, the cluster the runner's
+// opener builds on it, and the cluster-wide runner serving from it.
+type clusterRun struct {
+	k   *sim.Kernel
+	cl  *Cluster
+	run *runner
+	rc  ReplicaConfig
+	res Result // identity only (Engine, Mode, Shards) until result
+}
+
+// newClusterRun builds the kernel and the runner; nothing spawns until drive,
+// so the caller may still set the runner's hooks. The caller closes cr.k.
+func newClusterRun(rc ReplicaConfig, tr Traffic, label string) *clusterRun {
 	rc = rc.withDefaults()
 	tr = tr.withDefaults()
-	if inflight <= 0 {
-		inflight = 64
-	}
-	if slo <= 0 {
-		slo = 2 * sim.Millisecond
-	}
-	if bins <= 0 {
-		bins = 10
-	}
-	reqs := tr.Generate()
 	engine := fmt.Sprintf("%s+r%d", rc.Profile(rc.Device(0)).Name, rc.Replicas)
+	cr := &clusterRun{
+		k: rc.NewKernel(fmt.Sprintf("kvcluster/%s/%s", engine, label)), rc: rc,
+		res: Result{Engine: engine, Mode: Replicated, Shards: rc.Shards},
+	}
+	cr.run = &runner{
+		reqs: tr.Generate(), tr: tr, idx: -1, instruments: "kvcluster/cluster/",
+		cap: rc.InflightCap, slo: rc.SLO, smp: rc.Trace,
+	}
+	return cr
+}
 
-	k := rc.NewKernel(fmt.Sprintf("kvcluster/%s/resize", engine))
+// drive opens the cluster and plays the offered window plus drain.
+func (cr *clusterRun) drive() {
+	cr.run.spawn(cr.k, cr.rc.Metrics, func(p *sim.Proc) (serveFunc, error) {
+		cl, err := OpenCluster(p, cr.rc)
+		if err != nil {
+			return nil, err
+		}
+		cr.cl = cl
+		return cl.serve, nil
+	})
+	drive(cr.k, []*runner{cr.run}, sim.Time(cr.run.tr.Warmup+cr.run.tr.Duration))
+}
+
+// result folds the run into its measured-window Result.
+func (cr *clusterRun) result() Result {
+	return aggregate(cr.res, cr.rc.SLO, cr.run.tr, []*runner{cr.run})
+}
+
+// RunReplicated drives a replicated cluster under tr and reports the
+// measured-window outcome. rc.InflightCap bounds cluster-wide outstanding
+// requests (shed-and-count beyond it); rc.SLO is the latency objective.
+func RunReplicated(rc ReplicaConfig, tr Traffic) Result {
+	cr := newClusterRun(rc, tr, "replicated")
+	defer cr.k.Close()
+	cr.drive()
+	return cr.result()
+}
+
+// RunResize drives a replicated cluster under tr while spec's control-plane
+// schedule plays out, waits for the migration to land, audits every acked
+// write, and reports the timeline in spec.Bins slices of the measured
+// window.
+func RunResize(rc ReplicaConfig, tr Traffic, spec ResizeSpec) ResizeResult {
+	if spec.Bins <= 0 {
+		spec.Bins = 10
+	}
+	cr := newClusterRun(rc, tr, "resize")
+	k := cr.k
 	defer k.Close()
-	out := shardOutcome{}
-	run := &shardRun{}
-	q := sim.NewQueue[Request](k)
-	var cl *Cluster
 	var mig *Migration
-	ready := false
 	ackedPut := make(map[string]bool)
 	ackedDel := make(map[string]bool)
-
-	k.Spawn("kvc/open", func(p *sim.Proc) {
-		c, err := OpenCluster(p, rc)
+	cr.run.control = func(p *sim.Proc) { mig = spec.play(p, cr.cl) }
+	cr.run.completed = func(r Request, err error) {
 		if err != nil {
-			panic(err)
+			return
 		}
-		cl = c
-		ready = true
-	})
-	k.Spawn("kvc/control", func(p *sim.Proc) {
-		for !ready {
-			p.Sleep(50 * sim.Microsecond)
+		switch r.Class {
+		case workload.ClassPut:
+			ackedPut[r.Key] = true
+		case workload.ClassDelete:
+			ackedDel[r.Key] = true
 		}
-		if spec.KillAt > 0 {
-			if spec.KillAt > p.Now() {
-				p.Sleep(sim.Duration(spec.KillAt - p.Now()))
-			}
-			cl.KillShard(spec.KillShard)
-		}
-		var err error
-		switch {
-		case spec.NewShards > 0:
-			if spec.ResizeAt > p.Now() {
-				p.Sleep(sim.Duration(spec.ResizeAt - p.Now()))
-			}
-			mig, err = cl.Resize(p, spec.NewShards)
-		case spec.ReplaceAt > 0:
-			if spec.ReplaceAt > p.Now() {
-				p.Sleep(sim.Duration(spec.ReplaceAt - p.Now()))
-			}
-			mig, err = cl.ReplaceShard(p, spec.KillShard)
-		}
-		if err != nil {
-			panic("kvcluster: resize control: " + err.Error())
-		}
-	})
-	k.Spawn("kvc/dispatch", func(p *sim.Proc) {
-		for !ready {
-			p.Sleep(50 * sim.Microsecond)
-		}
-		for _, r := range reqs {
-			if r.At > p.Now() {
-				p.Sleep(sim.Duration(r.At - p.Now()))
-			}
-			if run.outstanding >= inflight {
-				if r.measured(tr) {
-					out.shed++
-				}
-				continue
-			}
-			run.outstanding++
-			if r.measured(tr) {
-				out.admitted++
-			}
-			if r.Class != workload.ClassGet {
-				// Trace writes only (nil-sampler safe).
-				r.Trace = rc.Trace.Admit(p.Now())
-			}
-			q.Put(r)
-		}
-		run.dispatched = true
-	})
-	for w := 0; w < inflight; w++ {
-		k.SpawnIdx("kvc/worker", w, func(p *sim.Proc) {
-			for {
-				r, ok := q.Get(p)
-				if !ok {
-					return
-				}
-				var err error
-				switch r.Class {
-				case workload.ClassGet:
-					_, _, err = cl.GetT(p, r.Tenant, r.Key)
-				case workload.ClassDelete:
-					err = cl.DeleteTC(p, r.Tenant, r.Key, r.Trace)
-					if err == nil {
-						ackedDel[r.Key] = true
-					}
-				default:
-					err = cl.PutTC(p, r.Tenant, r.Key, r.Trace)
-					if err == nil {
-						ackedPut[r.Key] = true
-					}
-				}
-				lat := sim.Duration(p.Now() - r.At)
-				rc.Trace.Finish(r.Trace, p.Now())
-				run.outstanding--
-				if r.measured(tr) {
-					out.samples = append(out.samples, latSample{
-						tenant: r.Tenant, at: r.At, d: lat,
-						good: err == nil && lat <= slo,
-					})
-				}
-			}
-		})
 	}
-	drive(k, []*shardRun{run}, sim.Time(tr.Warmup+tr.Duration))
+	cr.drive()
 
 	// Post-run audit: let the migration land, then read back every key with
 	// an acked put and no acked delete. Keys deleted at any point are
 	// excluded — with concurrent workers the put/delete order of a key is
 	// not well-defined, so absence cannot be called a loss.
+	var keys []string
 	lost := 0
 	k.Spawn("kvc/audit", func(p *sim.Proc) {
 		if mig != nil {
 			mig.Wait(p)
 		}
-		keys := make([]string, 0, len(ackedPut))
 		for key := range ackedPut {
 			if !ackedDel[key] {
 				keys = append(keys, key)
@@ -216,26 +199,14 @@ func RunResize(rc ReplicaConfig, tr Traffic, inflight int, slo sim.Duration,
 		}
 		sort.Strings(keys)
 		for _, key := range keys {
-			if _, ok, err := cl.Get(p, key); err != nil || !ok {
+			if _, ok, err := cr.cl.Get(p, key, ReqCtx{}); err != nil || !ok {
 				lost++
 			}
 		}
 	})
 	k.Run()
-	out.exemplars = rc.Trace.Take()
-	out.traceLost = rc.Trace.Dropped()
 
-	res := ResizeResult{
-		Result: aggregate(Config{Shards: rc.Shards, Mode: Replicated, SLO: slo}.withDefaults(),
-			tr, engine, [][]Request{reqs}, []shardOutcome{out}),
-		AckedLost: lost,
-	}
-	res.Shards = rc.Shards
-	for key := range ackedPut {
-		if !ackedDel[key] {
-			res.AckedKeys++
-		}
-	}
+	res := ResizeResult{Result: cr.result(), AckedKeys: len(keys), AckedLost: lost}
 	var migStart, migEnd sim.Time
 	if mig != nil {
 		res.Migration = mig.Stats()
@@ -249,7 +220,7 @@ func RunResize(rc ReplicaConfig, tr Traffic, inflight int, slo sim.Duration,
 	}
 	res.MigStart = ms(migStart)
 	res.MigEnd = ms(migEnd)
-	res.Timeline = binTimeline(out.samples, tr, bins, migStart, migEnd)
+	res.Timeline = binTimeline(cr.run.samples, cr.run.tr, spec.Bins, migStart, migEnd)
 	res.Phases = phaseAggs(res.Timeline)
 	return res
 }
@@ -314,13 +285,9 @@ func p99ms(d []sim.Duration) float64 {
 
 // phaseAggs folds the timeline into one aggregate per phase.
 func phaseAggs(tl []TimelineBin) []PhaseAgg {
-	order := []string{"before", "during", "after"}
-	agg := map[string]*PhaseAgg{}
-	for _, name := range order {
-		agg[name] = &PhaseAgg{Phase: name}
-	}
+	out := []PhaseAgg{{Phase: "before"}, {Phase: "during"}, {Phase: "after"}}
 	for _, b := range tl {
-		a := agg[b.Phase]
+		a := &out[slices.IndexFunc(out, func(a PhaseAgg) bool { return a.Phase == b.Phase })]
 		a.WindowMs += b.EndMs - b.StartMs
 		a.Done += b.Done
 		a.Good += b.Good
@@ -329,13 +296,10 @@ func phaseAggs(tl []TimelineBin) []PhaseAgg {
 			a.P99 = b.P99
 		}
 	}
-	var out []PhaseAgg
-	for _, name := range order {
-		a := agg[name]
-		if a.WindowMs > 0 {
+	for i := range out {
+		if a := &out[i]; a.WindowMs > 0 {
 			a.GoodputPerS = float64(a.Good) / (a.WindowMs / 1000)
 		}
-		out = append(out, *a)
 	}
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/reqtrace"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -56,15 +55,14 @@ func (t Traffic) withDefaults() Traffic {
 	return t
 }
 
-// Request is one generated client request. Trace is zero in the generated
-// stream; the dispatcher fills it at admission when the run samples
-// request traces.
+// Request is one generated client request. Its ReqCtx carries the tenant;
+// Trace is zero in the generated stream and filled by the dispatcher at
+// admission when the run samples request traces.
 type Request struct {
-	At     sim.Time
-	Class  workload.OpClass
-	Key    string
-	Tenant int
-	Trace  reqtrace.Ctx
+	At    sim.Time
+	Class workload.OpClass
+	Key   string
+	ReqCtx
 }
 
 // measured reports whether the request arrives inside the measuring window.
@@ -81,7 +79,7 @@ func (t Traffic) Generate() []Request {
 		for i, at := range times {
 			row := t.Replay.Row(i)
 			reqs[i] = Request{
-				At: at, Class: row.Op, Key: row.Key, Tenant: rng.Intn(t.Tenants),
+				At: at, Class: row.Op, Key: row.Key, ReqCtx: ReqCtx{Tenant: rng.Intn(t.Tenants)},
 			}
 		}
 		return reqs
@@ -95,7 +93,7 @@ func (t Traffic) Generate() []Request {
 			At:     at,
 			Class:  t.Mix.Pick(rng),
 			Key:    fmt.Sprintf("u%07d", zipf.Next()),
-			Tenant: rng.Intn(t.Tenants),
+			ReqCtx: ReqCtx{Tenant: rng.Intn(t.Tenants)},
 		}
 	}
 	return reqs
