@@ -260,7 +260,7 @@ func Run(cfg Config, tr Traffic) Result {
 		})
 	}
 	res := Result{Engine: cfg.Profile(cfg.Device()).Name, Mode: cfg.Mode, Shards: cfg.Shards}
-	return aggregate(res, cfg.SLO, tr, runs)
+	return aggregate(res, runs)
 }
 
 // runShardStack runs one shard on its own device, stack and kernel.
@@ -307,9 +307,11 @@ func runMQStreams(cfg Config, tr Traffic, parts [][]Request, runs []*runner, end
 }
 
 // aggregate folds the runners' samples into res, which arrives carrying the
-// run's identity (Engine, Mode, Shards).
-func aggregate(res Result, slo sim.Duration, tr Traffic, runs []*runner) Result {
-	res.SLOms = float64(slo) / float64(sim.Millisecond)
+// run's identity (Engine, Mode, Shards). The runners of one run share their
+// traffic description and SLO.
+func aggregate(res Result, runs []*runner) Result {
+	tr := runs[0].tr
+	res.SLOms = float64(runs[0].slo) / float64(sim.Millisecond)
 	cluster := metrics.NewLatencyRecorder("kvcluster/latency")
 	tenantOffered := make([]int64, tr.Tenants)
 	tenantGood := make([]int64, len(tenantOffered))

@@ -25,7 +25,8 @@ type runner struct {
 	reqs []Request
 	tr   Traffic
 	// idx is the proc-name index: the shard for a per-shard runner, -1 for a
-	// cluster-wide one (SpawnIdx(name, -1, …) is Spawn(name, …)).
+	// cluster-wide one (SpawnIdx(name, -1, …) is Spawn(name, …)). Workers are
+	// numbered idx*cap+w, plain w cluster-wide.
 	idx int
 	// instruments is the registry prefix of admitted/shed/inflight.
 	instruments string

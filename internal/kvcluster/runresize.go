@@ -106,7 +106,8 @@ type clusterRun struct {
 	cl  *Cluster
 	run *runner
 	rc  ReplicaConfig
-	res Result // identity only (Engine, Mode, Shards) until result
+	// engine names the run: "<profile>+r<replicas>".
+	engine string
 }
 
 // newClusterRun builds the kernel and the runner; nothing spawns until drive,
@@ -116,8 +117,7 @@ func newClusterRun(rc ReplicaConfig, tr Traffic, label string) *clusterRun {
 	tr = tr.withDefaults()
 	engine := fmt.Sprintf("%s+r%d", rc.Profile(rc.Device(0)).Name, rc.Replicas)
 	cr := &clusterRun{
-		k: rc.NewKernel(fmt.Sprintf("kvcluster/%s/%s", engine, label)), rc: rc,
-		res: Result{Engine: engine, Mode: Replicated, Shards: rc.Shards},
+		k: rc.NewKernel(fmt.Sprintf("kvcluster/%s/%s", engine, label)), rc: rc, engine: engine,
 	}
 	cr.run = &runner{
 		reqs: tr.Generate(), tr: tr, idx: -1, instruments: "kvcluster/cluster/",
@@ -141,7 +141,8 @@ func (cr *clusterRun) drive() {
 
 // result folds the run into its measured-window Result.
 func (cr *clusterRun) result() Result {
-	return aggregate(cr.res, cr.rc.SLO, cr.run.tr, []*runner{cr.run})
+	res := Result{Engine: cr.engine, Mode: Replicated, Shards: cr.rc.Shards}
+	return aggregate(res, []*runner{cr.run})
 }
 
 // RunReplicated drives a replicated cluster under tr and reports the
