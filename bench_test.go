@@ -12,12 +12,14 @@ package repro_test
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/experiments"
+	"repro/internal/fs"
 	"repro/internal/kvwal"
 	"repro/internal/metrics"
 	"repro/internal/oltp"
@@ -407,6 +409,90 @@ func BenchmarkDeviceOrdered(b *testing.B) {
 // devicePayload is the one page content BenchmarkDeviceOrdered writes;
 // boxing it once keeps the host from allocating per write.
 var devicePayload any = uint64(1)
+
+// fsyncAppendCost grows one file on BFS-DR over the plain SSD to pages pages
+// and returns what one further append+fsync costs the host: the medians of
+// the runtime.MemStats deltas over fsyncAppends of them. The median, because
+// the device's per-LPA maps (FTL mapping, read map) regrow every few thousand
+// new pages and charge the whole table to whichever fsync crosses the
+// threshold; that cost follows the pages ever written, not the file's size.
+func fsyncAppendCost(pages int64) (bytesPerFsync, allocsPerFsync float64) {
+	k := sim.NewKernel()
+	defer k.Close()
+	s := core.NewStack(k, core.BFSDR(device.PlainSSD()))
+	bytes := make([]float64, 0, fsyncAppends)
+	allocs := make([]float64, 0, fsyncAppends)
+	k.Spawn("app", func(p *sim.Proc) {
+		defer k.Stop()
+		create := func(name string) *fs.Inode {
+			f, err := s.FS.Create(p, s.FS.Root(), name)
+			if err != nil {
+				panic(err)
+			}
+			return f
+		}
+		// Warm the pools and the journal's checkpoint cycle on a scratch file,
+		// so both file sizes are measured in the same steady state.
+		w := create("warm.dat")
+		for idx := int64(0); idx < 4*fsyncAppends; idx++ {
+			s.FS.Write(p, w, idx)
+			s.FS.Fsync(p, w)
+		}
+		f := create("grow.dat")
+		for idx := int64(0); idx < pages; idx++ {
+			s.FS.Write(p, f, idx)
+			if idx%64 == 63 {
+				s.FS.Fsync(p, f)
+			}
+		}
+		var m0, m1 runtime.MemStats
+		for idx := pages; idx < pages+fsyncAppends; idx++ {
+			runtime.ReadMemStats(&m0)
+			s.FS.Write(p, f, idx)
+			s.FS.Fsync(p, f)
+			runtime.ReadMemStats(&m1)
+			bytes = append(bytes, float64(m1.TotalAlloc-m0.TotalAlloc))
+			allocs = append(allocs, float64(m1.Mallocs-m0.Mallocs))
+		}
+	})
+	k.Run()
+	sort.Float64s(bytes)
+	sort.Float64s(allocs)
+	return bytes[len(bytes)/2], allocs[len(allocs)/2]
+}
+
+// fsyncAppends is the number of fsyncs fsyncAppendCost measures.
+const fsyncAppends = 128
+
+// BenchmarkFsyncAppend reports the host cost of one journaled fsync at two
+// file sizes. The journal freezes an inode by aliasing its block map, so
+// B/fsync and allocs/fsync must not depend on the size (CI gates
+// allocs/fsync).
+func BenchmarkFsyncAppend(b *testing.B) {
+	for _, pages := range []int64{64, 4096} {
+		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
+			var bytes, allocs float64
+			for i := 0; i < b.N; i++ {
+				by, al := fsyncAppendCost(pages)
+				bytes, allocs = bytes+by, allocs+al
+			}
+			b.ReportMetric(bytes/float64(b.N), "B/fsync")
+			b.ReportMetric(allocs/float64(b.N), "allocs/fsync")
+		})
+	}
+}
+
+// TestFsyncHostBytesFlatInFileSize pins the O(1) journal freeze: an fsync of
+// a 4096-page file may allocate at most a quarter more than one of a 64-page
+// file. With a block-map copy per commit it allocated about twenty times more.
+func TestFsyncHostBytesFlatInFileSize(t *testing.T) {
+	small, _ := fsyncAppendCost(64)
+	large, _ := fsyncAppendCost(4096)
+	t.Logf("B/fsync: %.0f at 64 pages, %.0f at 4096 pages", small, large)
+	if large > 1.25*small {
+		t.Errorf("fsync host bytes grow with file size: %.0f B at 4096 pages > 1.25 x %.0f B at 64 pages", large, small)
+	}
+}
 
 // BenchmarkSimKernel measures raw simulator event throughput (ablation: the
 // substrate's own cost). allocs/op is the headline: the by-value event

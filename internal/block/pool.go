@@ -102,10 +102,12 @@ func (c *cmdCtx) done(at sim.Time, cc *device.Command) {
 	}
 }
 
-// ReqPool recycles block requests whose ownership is unambiguous: journal
-// writes released after their commit wait, standalone flushes released
-// after SubmitAndWait. Requests that outlive their completion in caller
-// state (ordered-data dependencies, writeback plans) are never pooled.
+// ReqPool recycles block requests. Requests with one owner and one release
+// point (journal writes released after their commit wait, standalone flushes
+// released after SubmitAndWait) go back with Put. Requests that several
+// components hold past submission (a data write in flight, in a sync call's
+// writeback plan, and in a transaction's ordered-data list) are counted
+// instead: each holder calls Hold, and the last Release recycles.
 type ReqPool struct {
 	free []*Request
 }
@@ -117,12 +119,25 @@ func (pl *ReqPool) Get() *Request {
 		pl.free = pl.free[:n-1]
 		return r
 	}
-	return &Request{}
+	return &Request{pool: pl}
 }
 
 // Put recycles r. The caller must guarantee no other component still holds
 // the pointer.
 func (pl *ReqPool) Put(r *Request) {
-	*r = Request{waiters: r.waiters[:0]}
+	*r = Request{waiters: r.waiters[:0], pool: pl}
 	pl.free = append(pl.free, r)
+}
+
+// Hold records one more holder of r.
+func (r *Request) Hold() { r.holds++ }
+
+// Release drops one hold. The last one returns a request drawn from a pool
+// to it; a request built by hand is left to the garbage collector, so
+// holders need not know where a request came from.
+func (r *Request) Release() {
+	r.holds--
+	if r.holds == 0 && r.pool != nil {
+		r.pool.Put(r)
+	}
 }

@@ -101,6 +101,8 @@ type Request struct {
 	epoch     uint64 // set by the epoch scheduler
 	waiters   []*sim.Proc
 	k         *sim.Kernel
+	pool      *ReqPool // where the last Release returns it; nil: not pooled
+	holds     int
 }
 
 // OrderStreamBase is the first stream ID of the order-stream range: the

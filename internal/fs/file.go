@@ -39,6 +39,10 @@ func (f *FS) Write(p *sim.Proc, i *Inode, idx int64) {
 		i.blocks = append(i.blocks, 0)
 	}
 	if i.blocks[idx] == 0 {
+		if idx < int64(i.frozenLen) {
+			// A hole fill under a frozen snapshot: copy on write.
+			i.blocks, i.frozenLen = append([]uint64(nil), i.blocks...), 0
+		}
 		i.blocks[idx] = f.allocLPARaw()
 		f.j.DirtyBuffer(p, f.allocBufFor(i.ino), nil)
 		i.allocDirty = true
@@ -142,11 +146,14 @@ type writebackPlan struct {
 // writeback turns the file's dirty pages into block requests with the given
 // flags, journaling pages instead when the data-journal mode (or OptFS
 // selective data journaling, for overwrites) applies. The requests are
-// submitted; the caller decides whether to wait. tc, when active, tags each
-// submitted request so the block layer's queue/dispatch stamps land on the
-// originating sync call's trace record.
+// submitted; the caller decides whether to wait. The plan holds every
+// request until the caller releases it (release, waitAll); an escaping plan
+// (WritebackAsync) never does, leaving its requests to the collector. tc,
+// when active, tags each submitted request so the block layer's
+// queue/dispatch stamps land on the originating sync call's trace record.
 func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast bool, tc reqtrace.Ctx) writebackPlan {
-	var plan writebackPlan
+	plan := writebackPlan{reqs: i.wbReqs[:0]}
+	i.wbReqs = nil
 	dirty := i.takeDirty()
 	f.obs.dirtyPages.Add(-int64(len(dirty)))
 	for _, pg := range dirty {
@@ -169,10 +176,12 @@ func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast boo
 		}
 		plan.reqs = append(plan.reqs, f.dataRequest(i, pg, flags, p.ID()))
 	}
+	i.keepDirty(dirty)
 	if barrierLast && len(plan.reqs) > 0 {
 		plan.reqs[len(plan.reqs)-1].Flags |= block.FlagBarrier | block.FlagOrdered
 	}
 	for _, r := range plan.reqs {
+		r.Hold()
 		r.Trace = tc
 		// Ordered mode: the journal must not commit the inode before the
 		// data lands (EXT4's ordered-mode rule).
@@ -185,9 +194,19 @@ func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast boo
 	return plan
 }
 
+// release drops the plan's hold on its requests and hands the plan's slice
+// back to the inode.
+func (f *FS) release(i *Inode, plan writebackPlan) {
+	for _, r := range plan.reqs {
+		r.Release()
+	}
+	i.wbReqs = plan.reqs[:0]
+}
+
 // takeDirty removes and returns the inode's dirty pages in page-index
 // order. Every dirty page is on the inode's dirty list; writeback cleans
-// them all, so the list resets wholesale.
+// them all, so the list resets wholesale. The caller returns the array with
+// keepDirty once it has walked it.
 func (i *Inode) takeDirty() []*page {
 	dirty := i.dirtyPg
 	// Deterministic order: by page index.
@@ -200,39 +219,44 @@ func (i *Inode) takeDirty() []*page {
 	return dirty
 }
 
+// keepDirty reuses a walked takeDirty array as the dirty list, unless a
+// write dirtied a page meanwhile (a journaling writeback can block).
+func (i *Inode) keepDirty(dirty []*page) {
+	if i.dirtyPg == nil {
+		i.dirtyPg = dirty[:0]
+	}
+}
+
 // dataRequest builds the in-place write request for one dirty page,
 // marking the page clean. Shared by the blocking writeback and the pdflush
 // handler so the two stay statement-identical.
 func (f *FS) dataRequest(i *Inode, pg *page, flags block.Flags, pid int) *block.Request {
-	r := &block.Request{
-		Op: block.OpWrite, LPA: i.blocks[pg.idx],
-		Data:   PageData{Ino: i.ino, Idx: pg.idx, Ver: pg.ver},
-		Flags:  flags,
-		PID:    pid,
-		Stream: f.stream,
-	}
+	r := f.reqPool.Get()
+	r.Op, r.LPA, r.Flags, r.PID, r.Stream = block.OpWrite, i.blocks[pg.idx], flags, pid, f.stream
+	r.Data = PageData{Ino: i.ino, Idx: pg.idx, Ver: pg.ver}
 	pg.dirty = false
 	pg.everSynced = true
 	f.stats.PagesWritten++
 	return r
 }
 
-// trackInflight records a submitted writeback request on the inode until it
-// completes, so sync calls can wait on it (see waitCrossStream).
+// trackInflight records a writeback request about to be submitted on the
+// inode, holding it until it completes, so sync calls can wait on it (see
+// waitCrossStream).
 func (i *Inode) trackInflight(r *block.Request) {
+	r.Hold()
 	i.inflight = append(i.inflight, r)
-	prev := r.OnComplete
-	r.OnComplete = func(at sim.Time, rr *block.Request) {
-		for n, o := range i.inflight {
-			if o == rr {
-				i.inflight = append(i.inflight[:n], i.inflight[n+1:]...)
-				break
-			}
-		}
-		if prev != nil {
-			prev(at, rr)
+	r.OnComplete = i.onDone
+}
+
+func (i *Inode) writebackDone(_ sim.Time, r *block.Request) {
+	for n, o := range i.inflight {
+		if o == r {
+			i.inflight = append(i.inflight[:n], i.inflight[n+1:]...)
+			break
 		}
 	}
+	r.Release()
 }
 
 // waitCrossStream blocks until every in-flight writeback request of the
@@ -270,8 +294,9 @@ func (f *FS) WritebackAsync(p *sim.Proc, i *Inode) []*block.Request {
 }
 
 // waitAll blocks until every request in the plan completes, charging one
-// wake-up.
-func (f *FS) waitAll(p *sim.Proc, plan writebackPlan) {
+// wake-up, and releases the plan.
+func (f *FS) waitAll(p *sim.Proc, i *Inode, plan writebackPlan) {
+	defer f.release(i, plan)
 	n := 0
 	for _, r := range plan.reqs {
 		if !r.Completed() {

@@ -110,14 +110,16 @@ type PageData struct {
 }
 
 // InodeMeta is the on-disk snapshot of an inode (the journaled metadata
-// block).
+// block). Blocks and Entries are read-only views: every snapshot of one
+// generation of a file's block map aliases the same array, from the journal
+// through the device cache and NAND page contents to jbd.Scan and View.
 type InodeMeta struct {
 	Ino        Ino
 	Dir        bool
 	Size       int64
 	MTimeJiffy int64
-	Blocks     []uint64          // page index -> LPA (0 = hole)
-	Entries    map[string]uint64 // dir: name -> child inode home LPA
+	Blocks     []uint64          // page index -> LPA (0 = hole); read-only
+	Entries    map[string]uint64 // dir: name -> child inode home LPA; read-only
 }
 
 // AllocMeta is the on-disk snapshot of the block allocator.
@@ -146,9 +148,13 @@ type Inode struct {
 	size       int64
 	mtimeJiffy int64
 	blocks     []uint64
-	pages      map[int64]*page
-	entries    map[string]uint64 // dirs: name -> child home LPA
-	buf        *jbd.Buffer
+	// frozenLen is the longest prefix of blocks a snapshot aliases. Entries
+	// below it are immutable; Write clones the map before filling a hole
+	// there, and appends land beyond it.
+	frozenLen int
+	pages     map[int64]*page
+	entries   map[string]uint64 // dirs: name -> child home LPA
+	buf       *jbd.Buffer
 	// allocDirty marks metadata changes that fdatasync must commit (size or
 	// block allocation), as opposed to timestamp-only changes.
 	allocDirty bool
@@ -157,9 +163,14 @@ type Inode struct {
 	// marked clean at submission, so the sync calls must be able to wait on
 	// writeback they did not plan themselves (filemap_fdatawait).
 	inflight []*block.Request
+	// onDone is writebackDone, bound once: every data write's OnComplete.
+	onDone func(sim.Time, *block.Request)
 	// dirtyPg lists the dirty pages (append-on-dirty), so writeback and the
 	// dirty counters never re-scan the whole page cache.
 	dirtyPg []*page
+	// wbReqs is the spare writeback-plan slice; a writeback takes it and
+	// release hands it back, so concurrent sync calls never share one.
+	wbReqs []*block.Request
 }
 
 // Ino returns the inode number.
@@ -174,10 +185,13 @@ func (i *Inode) IsDir() bool { return i.dir }
 // DirtyPages returns the number of dirty page-cache entries.
 func (i *Inode) DirtyPages() int { return len(i.dirtyPg) }
 
+// snapshot freezes the inode for the journal in O(1): the block map is shared
+// (see frozenLen), cap-clamped so a holder's append cannot reach the live tail.
 func (i *Inode) snapshot() any {
+	i.frozenLen = len(i.blocks)
 	m := InodeMeta{
 		Ino: i.ino, Dir: i.dir, Size: i.size, MTimeJiffy: i.mtimeJiffy,
-		Blocks: append([]uint64(nil), i.blocks...),
+		Blocks: i.blocks[:i.frozenLen:i.frozenLen],
 	}
 	if i.entries != nil {
 		m.Entries = make(map[string]uint64, len(i.entries))
@@ -227,6 +241,10 @@ type FS struct {
 	nFree       int
 	allocGrps   []*jbd.Buffer
 	writeVer    int64
+
+	// reqPool recycles data-writeback requests, each when the last of {in
+	// flight, sync call's plan, transaction's ordered data} releases it.
+	reqPool block.ReqPool
 
 	stats Stats
 	obs   fsObs
@@ -300,7 +318,7 @@ func (f *FS) pdflush(p *sim.Proc) {
 		// run-to-run nondeterminism into the writeback submission order.
 		for _, i := range f.inodeList {
 			if i.DirtyPages() > 0 {
-				f.writeback(p, i, block.FlagBackground, false, reqtrace.Ctx{})
+				f.release(i, f.writeback(p, i, block.FlagBackground, false, reqtrace.Ctx{}))
 				f.stats.PdflushRuns++
 				f.obs.pdflushRuns.Inc()
 			}
@@ -358,6 +376,7 @@ func (f *FS) newInode(ino Ino, dir bool) *Inode {
 	}
 	i.buf = &jbd.Buffer{Home: i.home, Name: fmt.Sprintf("inode-%d", ino)}
 	i.buf.Snapshot = i.snapshot
+	i.onDone = i.writebackDone
 	f.inodes[ino] = i
 	f.inodeList = append(f.inodeList, i) // ino is monotonic: stays sorted
 	f.byHome[i.home] = i
@@ -456,7 +475,18 @@ func (f *FS) Unlink(p *sim.Proc, dir *Inode, name string) error {
 	if child, ok := f.byHome[home]; ok {
 		child.nlink--
 		if child.nlink == 0 {
-			f.nFree += len(child.blocks)
+			for _, lpa := range child.blocks {
+				if lpa != 0 { // holes were never allocated
+					f.nFree++
+				}
+			}
+			// Truncate semantics: pdflush never visits the inode again, so
+			// its dirty pages are discarded rather than left counted.
+			f.obs.dirtyPages.Add(-int64(len(child.dirtyPg)))
+			for _, pg := range child.dirtyPg {
+				pg.dirty = false
+			}
+			child.dirtyPg = nil
 			f.j.DirtyBuffer(p, f.allocBufFor(child.ino), nil)
 			delete(f.inodes, child.ino)
 			delete(f.byHome, child.home)

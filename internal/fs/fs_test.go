@@ -16,7 +16,10 @@ type env struct {
 	fs  *FS
 }
 
-func newEnv(mode jbd.Mode, barrier bool) *env {
+func newEnv(mode jbd.Mode, barrier bool) *env { return newEnvOpts(mode, barrier, nil) }
+
+// newEnvOpts is newEnv with a hook to adjust the mount options.
+func newEnvOpts(mode jbd.Mode, barrier bool, tweak func(*Options)) *env {
 	k := sim.NewKernel()
 	cfg := device.UFS()
 	cfg.QueueDepth = 16
@@ -30,6 +33,9 @@ func newEnv(mode jbd.Mode, barrier bool) *env {
 	opts.Journal.BarrierMount = barrier
 	opts.Journal.Pages = 256
 	opts.Journal.CheckpointLow = 32
+	if tweak != nil {
+		tweak(&opts)
+	}
 	f := New(k, l, opts)
 	return &env{k: k, dev: dev, l: l, fs: f}
 }

@@ -101,5 +101,6 @@ func (f *FS) pdflushPlan(h *sim.Proc, i *Inode) []*block.Request {
 	for _, pg := range dirty {
 		reqs = append(reqs, f.dataRequest(i, pg, block.FlagBackground, h.ID()))
 	}
+	i.keepDirty(dirty)
 	return reqs
 }

@@ -67,7 +67,7 @@ func (f *FS) sync(p *sim.Proc, i *Inode, commitMeta bool, tc reqtrace.Ctx) {
 		if commitMeta {
 			// D as ordered writes — no Wait-on-Transfer. The commit thread's
 			// JD closes the {D, JD} epoch (Eq. 3).
-			f.writeback(p, i, block.FlagOrdered, false, tc)
+			f.release(i, f.writeback(p, i, block.FlagOrdered, false, tc))
 			f.j.CommitAndWaitT(p, tc)
 			i.allocDirty = false
 			return
@@ -77,18 +77,19 @@ func (f *FS) sync(p *sim.Proc, i *Inode, commitMeta bool, tc reqtrace.Ctx) {
 		// delimit an epoch (§4.2) and wait for it durably.
 		plan := f.writeback(p, i, block.FlagOrdered, true, tc)
 		if len(plan.reqs) == 0 {
+			f.release(i, plan)
 			t := f.j.CommitOrderingT(p, true, tc)
 			if t != nil {
 				f.j.WaitTxn(p, t)
 			}
 			return
 		}
-		f.waitAll(p, plan)
+		f.waitAll(p, i, plan)
 		f.layer.FlushT(p, tc)
 		f.wake(p)
 	case jbd.ModeOptFS:
 		plan := f.writeback(p, i, 0, false, tc)
-		f.waitAll(p, plan)
+		f.waitAll(p, i, plan)
 		if commitMeta {
 			f.j.CommitOrderingT(p, false, tc)
 			i.allocDirty = false
@@ -98,7 +99,7 @@ func (f *FS) sync(p *sim.Proc, i *Inode, commitMeta bool, tc reqtrace.Ctx) {
 		f.wake(p)
 	default: // JBD2 / EXT4
 		plan := f.writeback(p, i, 0, false, tc)
-		f.waitAll(p, plan) // Wait-on-Transfer (wake-up #1)
+		f.waitAll(p, i, plan) // Wait-on-Transfer (wake-up #1)
 		if commitMeta {
 			f.j.CommitAndWaitT(p, tc) // transfer-and-flush commit (wake-up #2)
 			i.allocDirty = false
@@ -123,7 +124,7 @@ func (f *FS) Fbarrier(p *sim.Proc, i *Inode) {
 	switch f.opts.Journal.Mode {
 	case jbd.ModeDual:
 		if i.MetaPending() {
-			f.writeback(p, i, block.FlagOrdered, false, reqtrace.Ctx{})
+			f.release(i, f.writeback(p, i, block.FlagOrdered, false, reqtrace.Ctx{}))
 			f.j.CommitOrdering(p, false) // returns at JC dispatch
 			i.allocDirty = false
 			return
@@ -133,7 +134,7 @@ func (f *FS) Fbarrier(p *sim.Proc, i *Inode) {
 	case jbd.ModeOptFS:
 		// osync(): ordering via Wait-on-Transfer, no flush.
 		plan := f.writeback(p, i, 0, false, reqtrace.Ctx{})
-		f.waitAll(p, plan)
+		f.waitAll(p, i, plan)
 		if i.MetaPending() {
 			f.j.CommitOrdering(p, false)
 			i.allocDirty = false
@@ -167,7 +168,7 @@ func (f *FS) FdatabarrierT(p *sim.Proc, i *Inode, tc reqtrace.Ctx) {
 		// journaled pages (selective data journaling) only reach the device
 		// through the commit.
 		plan := f.writeback(p, i, 0, false, tc)
-		f.waitAll(p, plan)
+		f.waitAll(p, i, plan)
 		f.j.CommitOrderingT(p, false, tc)
 	default:
 		f.FdatasyncT(p, i, tc)
@@ -182,6 +183,7 @@ func (f *FS) fdatabarrierDual(p *sim.Proc, i *Inode, tc reqtrace.Ctx) {
 		// not wait for anything beyond the commit dispatch.
 		f.j.CommitOrderingT(p, true, tc)
 	}
+	f.release(i, plan)
 }
 
 // SyncFS flushes everything: all dirty files, a journal commit and a device
@@ -192,7 +194,7 @@ func (f *FS) SyncFS(p *sim.Proc) {
 	for _, i := range f.inodeList {
 		f.waitCrossStream(p, i)
 		plan := f.writeback(p, i, 0, false, reqtrace.Ctx{})
-		f.waitAll(p, plan)
+		f.waitAll(p, i, plan)
 	}
 	f.j.CommitAndWait(p)
 	f.layer.Flush(p)

@@ -14,7 +14,8 @@ type DescBlock struct {
 	N     int // number of log blocks
 }
 
-// LogBlock is one journaled metadata block copy.
+// LogBlock is one journaled metadata block copy. Journal pages hold it by
+// pointer (*LogBlock) into the owning transaction's slab.
 type LogBlock struct {
 	TxnID    uint64
 	Index    int
@@ -78,14 +79,15 @@ func (j *Journal) buildJD(t *Txn) (jd []*block.Request, jc *block.Request) {
 	desc.Op, desc.LPA = block.OpWrite, j.slotLPA(j.head)
 	desc.Data = DescBlock{TxnID: t.id, N: n}
 	j.head++
-	jd = append(jd, desc)
-	for i, l := range t.frozen {
+	jd = append(t.jd[:0], desc)
+	for i := range t.frozen {
 		r := j.newReq()
 		r.Op, r.LPA = block.OpWrite, j.slotLPA(j.head)
-		r.Data = LogBlock{TxnID: t.id, Index: i, Home: l.home, Snapshot: l.data}
+		r.Data = &t.frozen[i]
 		jd = append(jd, r)
 		j.head++
 	}
+	t.jd = jd
 	jc = j.newReq()
 	jc.Op, jc.LPA = block.OpWrite, j.slotLPA(j.head)
 	jc.Data = CommitBlock{TxnID: t.id, N: n}
@@ -244,14 +246,14 @@ func (j *Journal) dualFlushThread(p *sim.Proc) {
 			j.wake(p)
 			j.stats.Flushes++
 			// The flush persisted every transfer before it: all transactions
-			// whose JC was transferred are now durable.
-			var done []*Txn
-			for _, c := range j.committing {
-				if c.jcTransferred && c.state < StateDurable {
-					done = append(done, c)
+			// whose JC was transferred are now durable. finishTxn unlinks c
+			// from the committing list: step only past those left there.
+			for n := 0; n < len(j.committing); {
+				c := j.committing[n]
+				if !c.jcTransferred || c.state >= StateDurable {
+					n++
+					continue
 				}
-			}
-			for _, c := range done {
 				c.state = StateDurable
 				c.wakeDurable()
 				j.finishTxn(c)
@@ -446,6 +448,9 @@ func (j *Journal) finishTxn(t *Txn) {
 			b.owner = nil
 		}
 	}
+	for _, d := range t.dataDeps {
+		d.Release()
+	}
 	// Conflict-page list: buffers parked while t held them move to the
 	// running transaction now (§4.3).
 	if len(j.conflictList) > 0 {
@@ -496,10 +501,10 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		var order []uint64
 		for _, t := range batch {
 			for _, l := range t.frozen {
-				if _, seen := homes[l.home]; !seen {
-					order = append(order, l.home)
+				if _, seen := homes[l.Home]; !seen {
+					order = append(order, l.Home)
 				}
-				homes[l.home] = l.data
+				homes[l.Home] = l.Snapshot
 			}
 		}
 		var reqs []*block.Request
@@ -522,6 +527,10 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		j.reqPool.Put(sb)
 		for _, t := range batch {
 			j.freePages += t.pagesUsed
+			// Nothing reads a checkpointed transaction's lists again.
+			t.buffers, t.dataDeps, t.jd = t.buffers[:0], t.dataDeps[:0], t.jd[:0]
+			j.spare = append(j.spare, t.txnScratch)
+			t.txnScratch = txnScratch{}
 		}
 		j.stats.Checkpoints++
 		j.obs.checkpoints.Inc()

@@ -141,22 +141,27 @@ type Buffer struct {
 // the running transaction or on the conflict-page list).
 func (b *Buffer) Pending() bool { return b.inRunning || b.conflict }
 
-// logged is one frozen (home, snapshot) pair inside a committing txn.
-type logged struct {
-	home uint64
-	data any
+// txnScratch is a transaction's slice storage: the checkpointer hands it to
+// newTxn once the transaction is dead, so a steady-state commit grows no slice.
+type txnScratch struct {
+	buffers []*Buffer
+	// dataDeps are ordered-mode data writes that must be on their way to
+	// the device before JD is written; held (Request.Hold) until finishTxn.
+	dataDeps []*block.Request
+	jd       []*block.Request // buildJD's descriptor+log chunk
+
+	committedWaiters []*sim.Proc
+	durableWaiters   []*sim.Proc
 }
 
 // Txn is a journal transaction.
 type Txn struct {
-	id      uint64
-	buffers []*Buffer
-	frozen  []logged
-	state   TxnState
-
-	// dataDeps are ordered-mode data writes that must be on their way to
-	// the device before JD is written.
-	dataDeps []*block.Request
+	id uint64
+	txnScratch
+	// frozen is the log blocks, one slab filled by freeze. JD requests carry
+	// pointers into it: it lives on as journal page contents, never reused.
+	frozen []LogBlock
+	state  TxnState
 
 	forced bool // committed even if empty (epoch delimiter)
 
@@ -176,9 +181,7 @@ type Txn struct {
 	// JD/JC block requests with it.
 	trace reqtrace.Ctx
 
-	committedWaiters []*sim.Proc
-	durableWaiters   []*sim.Proc
-	k                *sim.Kernel
+	k *sim.Kernel
 }
 
 // attachTrace attaches tc to the transaction, first-wins.
@@ -198,20 +201,19 @@ func (t *Txn) State() TxnState { return t.state }
 // forced epoch delimiter.
 func (t *Txn) Empty() bool { return len(t.buffers) == 0 && len(t.frozen) == 0 && !t.forced }
 
+// Resume only schedules the waiter, so neither list grows while it is walked.
 func (t *Txn) wakeCommitted() {
-	ws := t.committedWaiters
-	t.committedWaiters = nil
-	for _, w := range ws {
+	for _, w := range t.committedWaiters {
 		t.k.Resume(w)
 	}
+	t.committedWaiters = t.committedWaiters[:0]
 }
 
 func (t *Txn) wakeDurable() {
-	ws := t.durableWaiters
-	t.durableWaiters = nil
-	for _, w := range ws {
+	for _, w := range t.durableWaiters {
 		t.k.Resume(w)
 	}
+	t.durableWaiters = t.durableWaiters[:0]
 }
 
 // Stats are cumulative journal statistics.
@@ -238,6 +240,7 @@ type Journal struct {
 	nextTxnID  uint64
 
 	conflictList []*Buffer
+	spare        []txnScratch // from checkpointed transactions, for newTxn
 
 	commitQ   *sim.Queue[*Txn]
 	flushQ    *sim.Queue[*Txn]
@@ -344,6 +347,9 @@ func (j *Journal) RunningBuffers() int { return len(j.running.buffers) }
 func (j *Journal) newTxn() *Txn {
 	t := &Txn{id: j.nextTxnID, state: StateRunning, k: j.k}
 	j.nextTxnID++
+	if n := len(j.spare); n > 0 {
+		t.txnScratch, j.spare = j.spare[n-1], j.spare[:n-1]
+	}
 	return t
 }
 
@@ -400,6 +406,7 @@ func (j *Journal) DirtyBuffer(p *sim.Proc, buf *Buffer, snapshot any) {
 // transaction: the commit must not write JD until this request has been
 // transferred (JBD2) or has been dispatched in an earlier epoch (Dual).
 func (j *Journal) RegisterOrderedData(r *block.Request) {
+	r.Hold()
 	j.running.dataDeps = append(j.running.dataDeps, r)
 }
 
@@ -408,12 +415,13 @@ func (j *Journal) RegisterOrderedData(r *block.Request) {
 // is empty, so every buffer destined for this transaction has joined it.
 func (j *Journal) freeze(t *Txn) {
 	t.state = StateCommitting
-	for _, b := range t.buffers {
+	t.frozen = make([]LogBlock, len(t.buffers))
+	for i, b := range t.buffers {
 		data := b.Data
 		if b.Snapshot != nil {
 			data = b.Snapshot()
 		}
-		t.frozen = append(t.frozen, logged{home: b.Home, data: data})
+		t.frozen[i] = LogBlock{TxnID: t.id, Index: i, Home: b.Home, Snapshot: data}
 		b.owner = t
 		b.inRunning = false
 	}

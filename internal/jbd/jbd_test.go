@@ -292,14 +292,14 @@ func TestRecoveryStopsAtIncompleteTxn(t *testing.T) {
 		cfg.SuperLPA: SuperBlock{TailTxn: 1},
 		// txn 1: complete.
 		cfg.Start + 0: DescBlock{TxnID: 1, N: 1},
-		cfg.Start + 1: LogBlock{TxnID: 1, Index: 0, Home: 500, Snapshot: "a"},
+		cfg.Start + 1: &LogBlock{TxnID: 1, Index: 0, Home: 500, Snapshot: "a"},
 		cfg.Start + 2: CommitBlock{TxnID: 1, N: 1},
 		// txn 2: missing its log block (crash mid-commit).
 		cfg.Start + 3: DescBlock{TxnID: 2, N: 1},
 		cfg.Start + 5: CommitBlock{TxnID: 2, N: 1},
 		// txn 3: complete, but must NOT be applied (ordering).
 		cfg.Start + 6: DescBlock{TxnID: 3, N: 1},
-		cfg.Start + 7: LogBlock{TxnID: 3, Index: 0, Home: 500, Snapshot: "c"},
+		cfg.Start + 7: &LogBlock{TxnID: 3, Index: 0, Home: 500, Snapshot: "c"},
 		cfg.Start + 8: CommitBlock{TxnID: 3, N: 1},
 	}
 	read := func(lpa uint64) (any, bool) { v, ok := img[lpa]; return v, ok }
@@ -322,10 +322,10 @@ func TestRecoveryRespectsTail(t *testing.T) {
 		cfg.SuperLPA: SuperBlock{TailTxn: 2},
 		// Stale txn 1 (already checkpointed): must be ignored.
 		cfg.Start + 0: DescBlock{TxnID: 1, N: 1},
-		cfg.Start + 1: LogBlock{TxnID: 1, Index: 0, Home: 500, Snapshot: "stale"},
+		cfg.Start + 1: &LogBlock{TxnID: 1, Index: 0, Home: 500, Snapshot: "stale"},
 		cfg.Start + 2: CommitBlock{TxnID: 1, N: 1},
 		cfg.Start + 3: DescBlock{TxnID: 2, N: 1},
-		cfg.Start + 4: LogBlock{TxnID: 2, Index: 0, Home: 500, Snapshot: "fresh"},
+		cfg.Start + 4: &LogBlock{TxnID: 2, Index: 0, Home: 500, Snapshot: "fresh"},
 		cfg.Start + 5: CommitBlock{TxnID: 2, N: 1},
 	}
 	read := func(lpa uint64) (any, bool) { v, ok := img[lpa]; return v, ok }

@@ -55,8 +55,8 @@ func Scan(read ReadFn, cfg Config) Recovered {
 		case DescBlock:
 			r := rec
 			get(rec.TxnID).desc = &r
-		case LogBlock:
-			get(rec.TxnID).logs[rec.Index] = rec
+		case *LogBlock:
+			get(rec.TxnID).logs[rec.Index] = *rec
 		case CommitBlock:
 			r := rec
 			get(rec.TxnID).commit = &r
