@@ -330,7 +330,7 @@ func (m *MQ) FlushT(p *sim.Proc, tc reqtrace.Ctx) {
 	r.Op = block.OpFlush
 	r.Trace = tc
 	m.SubmitAndWait(p, r)
-	m.flushes.Put(r)
+	r.Release()
 }
 
 // feedStaged moves a stream's staged requests into its scheduler in

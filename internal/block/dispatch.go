@@ -178,7 +178,7 @@ func (l *Layer) FlushT(p *sim.Proc, tc reqtrace.Ctx) {
 	r.Op = OpFlush
 	r.Trace = tc
 	l.SubmitAndWait(p, r)
-	l.flushes.Put(r)
+	r.Release()
 }
 
 func (l *Layer) feedStaged() {
@@ -238,55 +238,4 @@ func (l *Layer) dispatcher(p *sim.Proc) {
 		}
 		l.congest.Broadcast()
 	}
-}
-
-// ToCommand converts the request into its device command under
-// order-preserving dispatch (§3.4): barrier writes and flushes carry ordered
-// priority, FUA/PreFlush map to their command fields, and the command
-// inherits the request's stream so device-level ordering scopes correctly.
-// done, if non-nil, fires at completion after the request's own bookkeeping
-// (waiter wake-ups, OnComplete). The dispatch daemons use the allocation-free
-// CmdPool.Get, which mirrors this mapping; ToCommand remains the one-shot
-// form for callers outside the hot path.
-func (r *Request) ToCommand(done func(at sim.Time, r *Request)) *device.Command {
-	c := &device.Command{
-		LPA:    r.LPA,
-		Data:   r.Data,
-		Stream: r.Stream,
-		Trace:  r.Trace,
-		Done: func(at sim.Time, cc *device.Command) {
-			r.Err = cc.Err // one-shot path: no retry, straight propagation
-			r.complete(at)
-			if done != nil {
-				done(at, r)
-			}
-		},
-	}
-	switch r.Op {
-	case OpWrite:
-		c.Kind = device.CmdWrite
-		c.FUA = r.Flags.Has(FlagFUA)
-		c.PreFlush = r.Flags.Has(FlagFlush)
-		c.Barrier = r.Flags.Has(FlagBarrier)
-		if c.Barrier {
-			// The core of order-preserving dispatch: the barrier write is
-			// sent with ordered priority, so the device transfers everything
-			// before it first and everything after it later (§3.4).
-			c.Prio = device.PrioOrdered
-		}
-	case OpRead:
-		c.Kind = device.CmdRead
-		out := c.Done
-		c.Done = func(at sim.Time, cc *device.Command) {
-			r.Data = cc.Data
-			out(at, cc)
-		}
-	case OpFlush:
-		c.Kind = device.CmdFlush
-		// Ordered, not head-of-queue: the flush must not overtake writes
-		// that are still queued in the device, so it drains everything
-		// received before it into the cache first, then flushes.
-		c.Prio = device.PrioOrdered
-	}
-	return c
 }

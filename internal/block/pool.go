@@ -31,10 +31,12 @@ func NewCmdPool(onDone func(at sim.Time, r *Request)) *CmdPool {
 	return &CmdPool{onDone: onDone}
 }
 
-// Get builds the device command for r under order-preserving dispatch,
-// exactly as Request.ToCommand does, but from the free list. The command
-// returns to the pool when it completes; commands dropped by a device crash
-// simply fall out of the pool.
+// Get builds the device command for r under order-preserving dispatch
+// (§3.4) from the free list: barrier writes and flushes carry ordered
+// priority, FUA/PreFlush map to their command fields, and the command
+// inherits the request's stream so device-level ordering scopes correctly.
+// The command returns to the pool when it completes; commands dropped by a
+// device crash simply fall out of the pool.
 func (pl *CmdPool) Get(r *Request) *device.Command {
 	var c *cmdCtx
 	if n := len(pl.free); n > 0 {
@@ -96,37 +98,30 @@ func (c *cmdCtx) done(at sim.Time, cc *device.Command) {
 	if r.Op == OpRead {
 		r.Data = data
 	}
-	r.complete(at)
-	if pl.onDone != nil {
-		pl.onDone(at, r)
-	}
+	r.complete(at, pl.onDone)
 }
 
-// ReqPool recycles block requests. Requests with one owner and one release
-// point (journal writes released after their commit wait, standalone flushes
-// released after SubmitAndWait) go back with Put. Requests that several
-// components hold past submission (a data write in flight, in a sync call's
-// writeback plan, and in a transaction's ordered-data list) are counted
-// instead: each holder calls Hold, and the last Release recycles.
+// ReqPool recycles block requests by counting their holders. Get returns a
+// request with one hold, the caller's. Whoever keeps the pointer in a list of
+// its own past the caller's use (a transaction's ordered-data list) adds a
+// Hold. The layer holds a request from submission until its completion
+// callbacks have returned, and Wait holds it across the park, so neither an
+// OnComplete that releases nor a waiter that runs later sees a recycled
+// request. The last Release returns the request to the pool.
 type ReqPool struct {
 	free []*Request
 }
 
-// Get returns a zeroed request.
+// Get returns a zeroed request holding one reference for the caller.
 func (pl *ReqPool) Get() *Request {
-	if n := len(pl.free); n > 0 {
-		r := pl.free[n-1]
-		pl.free = pl.free[:n-1]
-		return r
+	n := len(pl.free)
+	if n == 0 {
+		return &Request{pool: pl, holds: 1}
 	}
-	return &Request{pool: pl}
-}
-
-// Put recycles r. The caller must guarantee no other component still holds
-// the pointer.
-func (pl *ReqPool) Put(r *Request) {
-	*r = Request{waiters: r.waiters[:0], pool: pl}
-	pl.free = append(pl.free, r)
+	r := pl.free[n-1]
+	pl.free = pl.free[:n-1]
+	r.holds = 1
+	return r
 }
 
 // Hold records one more holder of r.
@@ -137,7 +132,11 @@ func (r *Request) Hold() { r.holds++ }
 // holders need not know where a request came from.
 func (r *Request) Release() {
 	r.holds--
+	if r.holds < 0 {
+		panic("block: Request.Release without a matching Hold")
+	}
 	if r.holds == 0 && r.pool != nil {
-		r.pool.Put(r)
+		*r = Request{waiters: r.waiters[:0], pool: r.pool}
+		r.pool.free = append(r.pool.free, r)
 	}
 }

@@ -102,7 +102,7 @@ type Request struct {
 	waiters   []*sim.Proc
 	k         *sim.Kernel
 	pool      *ReqPool // where the last Release returns it; nil: not pooled
-	holds     int
+	holds     int      // see ReqPool
 }
 
 // OrderStreamBase is the first stream ID of the order-stream range: the
@@ -144,8 +144,10 @@ func (r *Request) IssuedAt() sim.Time { return r.issued }
 
 // Bind attaches the request to kernel k and stamps its submission time.
 // Submission front-ends (the single-queue Layer, the multi-queue blkmq.MQ)
-// call it exactly once when the request enters the layer.
+// call it exactly once when the request enters the layer. The layer holds
+// the request from here until complete has run its callbacks.
 func (r *Request) Bind(k *sim.Kernel, at sim.Time) {
+	r.Hold()
 	r.k = k
 	r.issued = at
 	r.Err = nil
@@ -155,17 +157,23 @@ func (r *Request) Bind(k *sim.Kernel, at sim.Time) {
 
 // Wait blocks the calling process until the request completes. This is the
 // Wait-on-Transfer primitive of the legacy stack (§2.2): callers in the
-// barrier-enabled stack should rarely need it.
+// barrier-enabled stack should rarely need it. The waiter holds the request
+// across the park: completion only schedules it, and it must still find the
+// request completed — not recycled — when it runs.
 func (r *Request) Wait(p *sim.Proc) {
+	r.Hold()
 	for !r.completed {
 		r.waiters = append(r.waiters, p)
 		p.Suspend()
 	}
+	r.Release()
 }
 
 // WaitOrPark is the handler analogue of Wait — one Mesa iteration: true if
 // the request already completed, otherwise the run-to-completion handler h
-// joins the waiter list (woken by complete) and is left parked.
+// joins the waiter list (woken by complete) and is left parked. A handler
+// keeps the pointer in its own state to call again, so unlike Wait it must
+// hold the request itself until WaitOrPark has returned true.
 func (r *Request) WaitOrPark(h *sim.Proc) bool {
 	if r.completed {
 		return true
@@ -175,9 +183,12 @@ func (r *Request) WaitOrPark(h *sim.Proc) bool {
 	return false
 }
 
-// complete marks the request done and wakes waiters. Called by the
-// dispatcher from device completion context.
-func (r *Request) complete(at sim.Time) {
+// complete marks the request done, wakes waiters, and runs OnComplete and
+// then the layer's own done callback, if any. Called by the dispatcher from
+// device completion context. It ends by dropping the hold Bind took, so a
+// callback that releases the last other hold does not recycle the request
+// under the ones after it.
+func (r *Request) complete(at sim.Time, done func(at sim.Time, r *Request)) {
 	r.completed = true
 	ws := r.waiters
 	r.waiters = nil
@@ -187,4 +198,8 @@ func (r *Request) complete(at sim.Time) {
 	if r.OnComplete != nil {
 		r.OnComplete(at, r)
 	}
+	if done != nil {
+		done(at, r)
+	}
+	r.Release()
 }

@@ -303,3 +303,63 @@ func TestOrderingMQ(t *testing.T) {
 		}
 	}
 }
+
+// TestMQFsyncCoversPdflushWriteback is TestMQFsyncCoversSpreadWriteback with
+// the pdflush daemon as the background writer: its requests are pooled and
+// nobody but the block layer and the transaction holds them once they are
+// submitted, so an fsync that waits on one (waitCrossStream) races its
+// completion for the request's recycling. Rounds of overwrite + fsync keep
+// background writes in flight under every fsync; each must return, and a
+// crash after the last may lose nothing.
+func TestMQFsyncCoversPdflushWriteback(t *testing.T) {
+	const pages, rounds = 256, 8
+	for _, mk := range []func(device.Config) core.Profile{core.EXT4MQ, core.BFSMQ} {
+		prof := mk(device.NVMeSSD())
+		prof.FS.PdflushInterval = 50 * sim.Microsecond
+		k := sim.NewKernel()
+		s := core.NewStack(k, prof)
+		var synced [pages]int64
+		finished := false
+		k.Spawn("app", func(p *sim.Proc) {
+			f, err := s.FS.Create(p, s.FS.Root(), "pdflush.dat")
+			if err != nil {
+				panic(err)
+			}
+			for r := 0; r < rounds; r++ {
+				for i := int64(0); i < pages; i++ {
+					s.FS.Write(p, f, i)
+				}
+				s.FS.Fsync(p, f)
+			}
+			for i := range synced {
+				synced[i], _ = s.FS.Read(p, f, int64(i))
+			}
+			finished = true
+			s.Crash()
+		})
+		k.Run()
+		if !finished {
+			t.Fatalf("%s: fsync never returned (a waiter parked on a recycled request)", prof.Name)
+		}
+		if s.FS.Stats().PdflushRuns == 0 {
+			t.Errorf("%s: pdflush never ran; test is vacuous", prof.Name)
+		}
+		var view *fs.View
+		k.Spawn("recover", func(p *sim.Proc) { view, _ = s.RecoverView(p) })
+		k.Run()
+		root, ok := view.Root(s.FS)
+		if !ok {
+			t.Fatalf("%s: root unrecoverable", prof.Name)
+		}
+		meta, ok := view.Lookup(root, "pdflush.dat")
+		if !ok {
+			t.Fatalf("%s: file lost despite fsync", prof.Name)
+		}
+		for i, ver := range synced {
+			if got, ok := view.PageVersion(meta, int64(i)); !ok || got < ver {
+				t.Errorf("%s: page %d fsynced v%d, recovered v%d (present=%v)", prof.Name, i, ver, got, ok)
+			}
+		}
+		k.Close()
+	}
+}

@@ -146,11 +146,12 @@ type writebackPlan struct {
 // writeback turns the file's dirty pages into block requests with the given
 // flags, journaling pages instead when the data-journal mode (or OptFS
 // selective data journaling, for overwrites) applies. The requests are
-// submitted; the caller decides whether to wait. The plan holds every
-// request until the caller releases it (release, waitAll); an escaping plan
-// (WritebackAsync) never does, leaving its requests to the collector. tc,
-// when active, tags each submitted request so the block layer's
-// queue/dispatch stamps land on the originating sync call's trace record.
+// submitted; the caller decides whether to wait. The plan owns the hold
+// dataRequest drew each request with until the caller releases it (release,
+// waitAll); an escaping plan (WritebackAsync) never does, leaving its
+// requests to the collector. tc, when active, tags each submitted request so
+// the block layer's queue/dispatch stamps land on the originating sync
+// call's trace record.
 func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast bool, tc reqtrace.Ctx) writebackPlan {
 	plan := writebackPlan{reqs: i.wbReqs[:0]}
 	i.wbReqs = nil
@@ -181,7 +182,6 @@ func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast boo
 		plan.reqs[len(plan.reqs)-1].Flags |= block.FlagBarrier | block.FlagOrdered
 	}
 	for _, r := range plan.reqs {
-		r.Hold()
 		r.Trace = tc
 		// Ordered mode: the journal must not commit the inode before the
 		// data lands (EXT4's ordered-mode rule).
@@ -241,10 +241,9 @@ func (f *FS) dataRequest(i *Inode, pg *page, flags block.Flags, pid int) *block.
 }
 
 // trackInflight records a writeback request about to be submitted on the
-// inode, holding it until it completes, so sync calls can wait on it (see
-// waitCrossStream).
+// inode until it completes, so sync calls can wait on it (see
+// waitCrossStream). Its creator, then the block layer, hold it meanwhile.
 func (i *Inode) trackInflight(r *block.Request) {
-	r.Hold()
 	i.inflight = append(i.inflight, r)
 	r.OnComplete = i.onDone
 }
@@ -256,7 +255,6 @@ func (i *Inode) writebackDone(_ sim.Time, r *block.Request) {
 			break
 		}
 	}
-	r.Release()
 }
 
 // waitCrossStream blocks until every in-flight writeback request of the

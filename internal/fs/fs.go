@@ -242,8 +242,8 @@ type FS struct {
 	allocGrps   []*jbd.Buffer
 	writeVer    int64
 
-	// reqPool recycles data-writeback requests, each when the last of {in
-	// flight, sync call's plan, transaction's ordered data} releases it.
+	// reqPool recycles data-writeback requests, each when the last of {sync
+	// call's plan, transaction's ordered data, the block layer} releases it.
 	reqPool block.ReqPool
 
 	stats Stats

@@ -80,6 +80,7 @@ func (f *FS) pdflushStep(h *sim.Proc) {
 				if !f.layer.SubmitOrPark(h, r) {
 					return // parked on the congestion limit
 				}
+				r.Release() // in flight: the layer (and the transaction) hold it
 				s.ri++
 				s.prepped = false
 			}

@@ -15,7 +15,8 @@ type DescBlock struct {
 }
 
 // LogBlock is one journaled metadata block copy. Journal pages hold it by
-// pointer (*LogBlock) into the owning transaction's slab.
+// pointer (*LogBlock) into the owning transaction's slab; Scan reads either
+// form.
 type LogBlock struct {
 	TxnID    uint64
 	Index    int
@@ -96,12 +97,16 @@ func (j *Journal) buildJD(t *Txn) (jd []*block.Request, jc *block.Request) {
 	return jd, jc
 }
 
-// releaseReqs returns fully waited-on journal requests to the pool.
+// releaseReqs drops the journal's hold on fully waited-on requests.
 func (j *Journal) releaseReqs(reqs []*block.Request) {
 	for _, r := range reqs {
-		j.reqPool.Put(r)
+		r.Release()
 	}
 }
+
+// releaseDone is the OnComplete of a request nothing waits on: completion
+// ends the journal's use of it.
+func releaseDone(_ sim.Time, r *block.Request) { r.Release() }
 
 // --- JBD2: the EXT4 transfer-and-flush engine (§2.3) ---
 
@@ -139,7 +144,7 @@ func (j *Journal) jbd2Thread(p *sim.Proc) {
 		}
 		j.submitWaitAll(p, []*block.Request{jc})
 		j.releaseReqs(jd)
-		j.reqPool.Put(jc)
+		jc.Release()
 		t.jcTransferred = true
 		t.state = StateCommitted
 		t.wakeCommitted()
@@ -203,7 +208,7 @@ func (j *Journal) dualCommitThread(p *sim.Proc) {
 			}
 			// Nothing waits on a Dual-Mode JD write: completion is its last
 			// reference, so it recycles itself there.
-			r.OnComplete = j.relJD
+			r.OnComplete = releaseDone
 			j.layer.Submit(p, r)
 		}
 		jc.Flags |= block.FlagOrdered | block.FlagBarrier
@@ -211,7 +216,7 @@ func (j *Journal) dualCommitThread(p *sim.Proc) {
 		jc.OnComplete = func(at sim.Time, _ *block.Request) {
 			txn.jcTransferred = true
 			j.flushQ.Put(txn)
-			j.reqPool.Put(jc)
+			jc.Release()
 		}
 		j.layer.Submit(p, jc)
 		// Ordering is established at dispatch: fbarrier callers resume here,
@@ -294,7 +299,7 @@ func (j *Journal) optfsCommitThread(p *sim.Proc) {
 		j.submitWaitAll(p, jd)
 		j.submitWaitAll(p, []*block.Request{jc})
 		j.releaseReqs(jd)
-		j.reqPool.Put(jc)
+		jc.Release()
 		t.jcTransferred = true
 		t.state = StateCommitted
 		t.wakeCommitted()
@@ -370,7 +375,7 @@ func (j *Journal) delayedFlushStep(h *sim.Proc) {
 				return
 			}
 		case dfFlushWait:
-			j.reqPool.Put(s.req)
+			s.req.Release()
 			s.req = nil
 			s.phase = dfWake
 			if j.cfg.WakeLatency > 0 {
@@ -524,7 +529,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		sb.Data = SuperBlock{TailTxn: j.tailTxn}
 		sb.Flags = block.FlagFUA
 		j.submitWaitAll(p, []*block.Request{sb})
-		j.reqPool.Put(sb)
+		sb.Release()
 		for _, t := range batch {
 			j.freePages += t.pagesUsed
 			// Nothing reads a checkpointed transaction's lists again.

@@ -252,10 +252,8 @@ type Journal struct {
 	df        delayFlushSM // handler-mode delayed flush state (engines.go)
 
 	// reqPool recycles the journal's own block requests (JD/JC chunks,
-	// checkpoint writes); relJD is the bound release hook for requests whose
-	// last reference is their completion (Dual-Mode JD writes).
+	// checkpoint writes).
 	reqPool block.ReqPool
-	relJD   func(at sim.Time, r *block.Request)
 
 	head      uint64 // next journal slot sequence number
 	freePages int
@@ -307,7 +305,6 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 			ckptBacklog:    reg.Gauge("jbd/ckpt.backlog"),
 		}
 	}
-	j.relJD = func(_ sim.Time, r *block.Request) { j.reqPool.Put(r) }
 	j.running = j.newTxn()
 	switch cfg.Mode {
 	case ModeDual:

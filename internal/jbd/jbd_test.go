@@ -318,14 +318,16 @@ func TestRecoveryStopsAtIncompleteTxn(t *testing.T) {
 func TestRecoveryRespectsTail(t *testing.T) {
 	cfg := DefaultConfig(ModeJBD2)
 	cfg.Pages = 16
+	// Log blocks by value here, by pointer (as commits write them) in
+	// TestRecoveryStopsAtIncompleteTxn: Scan must read both.
 	img := map[uint64]any{
 		cfg.SuperLPA: SuperBlock{TailTxn: 2},
 		// Stale txn 1 (already checkpointed): must be ignored.
 		cfg.Start + 0: DescBlock{TxnID: 1, N: 1},
-		cfg.Start + 1: &LogBlock{TxnID: 1, Index: 0, Home: 500, Snapshot: "stale"},
+		cfg.Start + 1: LogBlock{TxnID: 1, Index: 0, Home: 500, Snapshot: "stale"},
 		cfg.Start + 2: CommitBlock{TxnID: 1, N: 1},
 		cfg.Start + 3: DescBlock{TxnID: 2, N: 1},
-		cfg.Start + 4: &LogBlock{TxnID: 2, Index: 0, Home: 500, Snapshot: "fresh"},
+		cfg.Start + 4: LogBlock{TxnID: 2, Index: 0, Home: 500, Snapshot: "fresh"},
 		cfg.Start + 5: CommitBlock{TxnID: 2, N: 1},
 	}
 	read := func(lpa uint64) (any, bool) { v, ok := img[lpa]; return v, ok }

@@ -55,8 +55,10 @@ func Scan(read ReadFn, cfg Config) Recovered {
 		case DescBlock:
 			r := rec
 			get(rec.TxnID).desc = &r
-		case *LogBlock:
+		case *LogBlock: // what commits write: a pointer into the slab
 			get(rec.TxnID).logs[rec.Index] = *rec
+		case LogBlock:
+			get(rec.TxnID).logs[rec.Index] = rec
 		case CommitBlock:
 			r := rec
 			get(rec.TxnID).commit = &r
