@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blkmq"
+	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/experiments"
@@ -360,6 +362,77 @@ func BenchmarkKV(b *testing.B) {
 // simulator. events/IO is a seeded count that repeats exactly (CI gates it
 // at threshold 0); ns/IO and allocs/IO are the host cost it buys.
 func BenchmarkDeviceOrdered(b *testing.B) {
+	benchOrderedWrites(b, func(_ *sim.Kernel, d *device.Device) func(p *sim.Proc, i int, last bool) {
+		var free []*device.Command
+		recycle := func(_ sim.Time, c *device.Command) { free = append(free, c) }
+		return func(p *sim.Proc, i int, last bool) {
+			var c *device.Command
+			if m := len(free); m > 0 {
+				c, free = free[m-1], free[:m-1]
+			} else {
+				c = new(device.Command)
+			}
+			*c = device.Command{Kind: device.CmdWrite, LPA: uint64(i % 2048), Data: devicePayload, Done: recycle}
+			if last {
+				c.Barrier, c.Prio = true, device.PrioOrdered
+			}
+			for !d.Submit(c) {
+				d.WaitSpace(p)
+			}
+		}
+	})
+}
+
+// BenchmarkBlockOrdered is the block rung of the same ladder: the stream of
+// BenchmarkDeviceOrdered submitted as ordered requests, the eighth a barrier
+// request, through each block-layer front-end on stream 0. The two are one
+// dispatch engine in two shapes, so their events/IO and allocs/IO are equal;
+// CI gates events/IO at threshold 0.
+func BenchmarkBlockOrdered(b *testing.B) {
+	const tD = 2 * sim.Microsecond
+	fronts := []struct {
+		name string
+		mk   func(k *sim.Kernel, d *device.Device) block.Submitter
+	}{
+		{"single-queue", func(k *sim.Kernel, d *device.Device) block.Submitter {
+			return block.NewLayer(k, d, block.NewEpochScheduler(block.NewNOOP()),
+				block.LayerConfig{DispatchOverhead: tD})
+		}},
+		{"blkmq", func(k *sim.Kernel, d *device.Device) block.Submitter {
+			return blkmq.New(k, d, blkmq.Config{HWQueues: 4, DispatchOverhead: tD})
+		}},
+	}
+	for _, f := range fronts {
+		b.Run(f.name, func(b *testing.B) {
+			benchOrderedWrites(b, func(k *sim.Kernel, d *device.Device) func(p *sim.Proc, i int, last bool) {
+				front := f.mk(k, d)
+				var free []*block.Request
+				recycle := func(_ sim.Time, r *block.Request) { free = append(free, r) }
+				return func(p *sim.Proc, i int, last bool) {
+					var r *block.Request
+					if m := len(free); m > 0 {
+						r, free = free[m-1], free[:m-1]
+					} else {
+						r = new(block.Request)
+					}
+					flags := block.FlagOrdered
+					if last {
+						flags |= block.FlagBarrier
+					}
+					*r = block.Request{Op: block.OpWrite, LPA: uint64(i % 2048), Data: devicePayload,
+						Flags: flags, PID: p.ID(), OnComplete: recycle}
+					front.Submit(p, r)
+				}
+			})
+		})
+	}
+}
+
+// benchOrderedWrites times b.N runs of 4000 writes in epochs of eight into a
+// fresh NVMe-class device: mk builds the stack under test over it and returns
+// the host's per-write body (last marks an epoch's eighth write). It reports
+// the kernel events, host nanoseconds and allocations one write costs.
+func benchOrderedWrites(b *testing.B, mk func(k *sim.Kernel, d *device.Device) func(p *sim.Proc, i int, last bool)) {
 	const n = 4000
 	var events, allocs int64
 	var elapsed time.Duration
@@ -368,23 +441,10 @@ func BenchmarkDeviceOrdered(b *testing.B) {
 		ks := &sim.KernelStats{}
 		k.AttachStats(ks)
 		d := device.New(k, device.NVMeSSD())
-		var free []*device.Command
-		recycle := func(_ sim.Time, c *device.Command) { free = append(free, c) }
+		write := mk(k, d)
 		k.Spawn("host", func(p *sim.Proc) {
 			for i := 0; i < n; i++ {
-				var c *device.Command
-				if m := len(free); m > 0 {
-					c, free = free[m-1], free[:m-1]
-				} else {
-					c = new(device.Command)
-				}
-				*c = device.Command{Kind: device.CmdWrite, LPA: uint64(i % 2048), Data: devicePayload, Done: recycle}
-				if i%8 == 7 {
-					c.Barrier, c.Prio = true, device.PrioOrdered
-				}
-				for !d.Submit(c) {
-					d.WaitSpace(p)
-				}
+				write(p, i, i%8 == 7)
 			}
 		})
 		var m0, m1 runtime.MemStats
@@ -406,7 +466,7 @@ func BenchmarkDeviceOrdered(b *testing.B) {
 	b.ReportMetric(float64(allocs)/ios, "allocs/IO")
 }
 
-// devicePayload is the one page content BenchmarkDeviceOrdered writes;
+// devicePayload is the one page content the ordered-write benchmarks write;
 // boxing it once keeps the host from allocating per write.
 var devicePayload any = uint64(1)
 
