@@ -386,8 +386,9 @@ func BenchmarkDeviceOrdered(b *testing.B) {
 // BenchmarkBlockOrdered is the block rung of the same ladder: the stream of
 // BenchmarkDeviceOrdered submitted as ordered requests, the eighth a barrier
 // request, through each block-layer front-end on stream 0. The two are one
-// dispatch engine in two shapes, so their events/IO and allocs/IO are equal;
-// CI gates events/IO at threshold 0.
+// dispatch engine in two shapes, so their events/IO are equal (allocs/IO to
+// two digits: the per-stream shape opens a queue); CI gates events/IO at
+// threshold 0.
 func BenchmarkBlockOrdered(b *testing.B) {
 	const tD = 2 * sim.Microsecond
 	fronts := []struct {

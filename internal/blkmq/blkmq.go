@@ -1,8 +1,8 @@
-// Package blkmq implements a blk-mq-style multi-queue, order-preserving
-// block layer: per-stream software queues feeding M hardware dispatch
-// queues, with the paper's epoch-based barrier semantics (§3.3) tracked per
-// *stream* instead of globally — the multi-queue scalability direction the
-// paper names as future work (§8).
+// Package blkmq is the blk-mq-style multi-queue front-end of the
+// order-preserving block layer: per-stream software queues feeding M
+// hardware dispatch queues, with the paper's epoch-based barrier semantics
+// (§3.3) tracked per *stream* instead of globally — the multi-queue
+// scalability direction the paper names as future work (§8).
 //
 // Every request carries a stream ID (block.Request.Stream). Within one
 // stream the §3.3 invariants hold exactly as in the single-queue layer: the
@@ -14,19 +14,25 @@
 // ordering rules are scoped per stream — so a barrier in one stream never
 // drains another stream's traffic.
 //
-// A stream is pinned to one hardware dispatch queue (stream mod M), which
-// keeps a stream's commands flowing through a single dispatcher in order
-// while independent streams dispatch concurrently from separate daemons.
+// There is one dispatch engine, block.Layer, in two shapes. block.NewLayer is
+// one queue shared by every stream and one daemon. An MQ is the other: one
+// queue per stream pinned to hardware queue stream mod M, so a stream's
+// commands flow through a single dispatcher in order while independent
+// streams dispatch concurrently from separate daemons. Submission, staging,
+// congestion, flushing and the dispatch loop are the engine's; this package
+// owns what is multi-queue only — the Config defaults, the per-stream epoch
+// schedulers and their accessors, the spreading of background writeback,
+// the blkmq/* instruments and the per-stream trace verifier.
 package blkmq
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/block"
 	"repro/internal/device"
 	"repro/internal/metrics"
-	"repro/internal/reqtrace"
 	"repro/internal/sim"
 )
 
@@ -83,55 +89,19 @@ type Stats struct {
 	Spread     int64 // orderless requests rerouted to data streams
 }
 
-// stream is one ordering domain: a private epoch scheduler plus staging for
-// requests that arrive while the stream's epoch is closed.
-type stream struct {
-	id      uint64
-	sched   *block.EpochScheduler
-	staged  []*block.Request
-	congest *sim.Cond
-	hq      *hwQueue
-}
-
-func (st *stream) queued() int { return st.sched.Pending() + len(st.staged) }
-
-// hwQueue is one hardware dispatch context: a daemon draining its assigned
-// streams round-robin into the device.
-type hwQueue struct {
-	id      int
-	streams []*stream
-	kick    *sim.Cond
-	rr      int
-}
-
-// MQ is the multi-queue block layer front-end. It satisfies
-// block.Submitter, so a filesystem stack mounts on it exactly as on the
-// single-queue block.Layer.
+// MQ is the multi-queue block layer front-end: the per-stream shape of
+// block.Layer, whose Submitter surface it inherits, so a filesystem stack
+// mounts on it exactly as on the single-queue layer.
 type MQ struct {
-	k   *sim.Kernel
-	dev *device.Device
+	*block.Layer
 	cfg Config
 
-	hw      []*hwQueue
-	streams map[uint64]*stream
-	cmds    *block.CmdPool
-	flushes block.ReqPool
-
-	trace  []block.DispatchRecord
-	stats  Stats
-	staged int // total staged across streams, for StagedPeak
-	obs    mqObs
+	// scheds holds the epoch scheduler of every stream opened so far; the
+	// layer's per-stream queues run on them.
+	scheds    map[uint64]*block.EpochScheduler
+	spread    int64
+	spreadCtr *metrics.Counter // nil when disabled
 }
-
-// mqObs holds the layer's registry instruments; all nil when disabled. The
-// per-queue depth gauges count requests buffered per hardware dispatch
-// context (scheduler + staging), the blk-mq in-flight view.
-type mqObs struct {
-	submitted, dispatched, spread *metrics.Counter
-	depth                         []*metrics.Gauge
-}
-
-var _ block.Submitter = (*MQ)(nil)
 
 // New builds a multi-queue layer over dev and starts one dispatch daemon
 // per hardware queue.
@@ -139,57 +109,58 @@ func New(k *sim.Kernel, dev *device.Device, cfg Config) *MQ {
 	if cfg.HWQueues <= 0 {
 		cfg.HWQueues = 1
 	}
-	if cfg.QueueLimit <= 0 {
-		cfg.QueueLimit = 128
-	}
 	if cfg.BaseSched == nil {
 		cfg.BaseSched = func() block.Scheduler { return block.NewNOOP() }
 	}
 	if cfg.DataStreams <= 0 {
-		cfg.DataStreams = cfg.HWQueues - 1
-		if cfg.DataStreams == 0 {
-			cfg.DataStreams = 1
-		}
+		cfg.DataStreams = max(cfg.HWQueues-1, 1)
 	}
-	m := &MQ{k: k, dev: dev, cfg: cfg, streams: make(map[uint64]*stream)}
-	m.cmds = block.NewCmdPool(func(sim.Time, *block.Request) { m.stats.Completed++ })
-	if cfg.Retry != nil {
-		m.cmds.EnableRetry(k, dev, *cfg.Retry, metrics.Resolve(cfg.Metrics))
+	m := &MQ{cfg: cfg, scheds: make(map[uint64]*block.EpochScheduler)}
+	shape := block.PerStream{HWQueues: cfg.HWQueues, Daemon: "blkmq/hwq", OpenStream: m.openStream}
+	if cfg.SpreadOrderless {
+		shape.Route = m.spreadOrderless
 	}
+	// The per-queue depth gauges count requests buffered per hardware
+	// dispatch context (scheduler + staging), the blk-mq in-flight view.
 	if reg := metrics.Resolve(cfg.Metrics); reg != nil {
-		m.obs.submitted = reg.Counter("blkmq/submitted")
-		m.obs.dispatched = reg.Counter("blkmq/dispatched")
-		m.obs.spread = reg.Counter("blkmq/spread")
+		shape.Submitted = reg.Counter("blkmq/submitted")
+		shape.Dispatched = reg.Counter("blkmq/dispatched")
+		m.spreadCtr = reg.Counter("blkmq/spread")
 		for i := 0; i < cfg.HWQueues; i++ {
-			m.obs.depth = append(m.obs.depth, reg.Gauge(fmt.Sprintf("blkmq/hwq%d.depth", i)))
+			shape.Depth = append(shape.Depth, reg.Gauge(fmt.Sprintf("blkmq/hwq%d.depth", i)))
 		}
 	}
-	for i := 0; i < cfg.HWQueues; i++ {
-		h := &hwQueue{id: i, kick: sim.NewCond(k)}
-		m.hw = append(m.hw, h)
-		k.SpawnIdx("blkmq/hwq", i, m.dispatcher(h))
-	}
+	m.Layer = block.NewPerStreamLayer(k, dev, shape, block.LayerConfig{
+		DispatchOverhead: cfg.DispatchOverhead,
+		QueueLimit:       cfg.QueueLimit,
+		BarrierAsCommand: cfg.BarrierAsCommand,
+		Trace:            cfg.Trace,
+		Retry:            cfg.Retry,
+		Metrics:          cfg.Metrics,
+	})
 	return m
 }
 
-// Device returns the underlying device.
-func (m *MQ) Device() *device.Device { return m.dev }
+// openStream opens a stream's ordering domain: a private epoch scheduler.
+func (m *MQ) openStream(id uint64) block.Scheduler {
+	es := block.NewEpochScheduler(m.cfg.BaseSched())
+	m.scheds[id] = es
+	return es
+}
 
 // Stats returns cumulative statistics.
-func (m *MQ) Stats() Stats { return m.stats }
-
-// HWQueues returns the number of hardware dispatch queues.
-func (m *MQ) HWQueues() int { return len(m.hw) }
-
-// DispatchLog returns the recorded dispatch order (requires cfg.Trace).
-func (m *MQ) DispatchLog() []block.DispatchRecord { return m.trace }
+func (m *MQ) Stats() Stats {
+	s := m.Layer.Stats()
+	return Stats{Submitted: s.Submitted, Dispatched: s.Dispatched, Completed: s.Completed,
+		StagedPeak: s.StagedPeak, Streams: len(m.scheds), Spread: m.spread}
+}
 
 // EpochsClosed returns the number of epochs fully dispatched, summed over
 // all streams.
 func (m *MQ) EpochsClosed() int64 {
 	var n int64
-	for _, st := range m.streams {
-		n += st.sched.EpochsClosed()
+	for _, es := range m.scheds {
+		n += es.EpochsClosed()
 	}
 	return n
 }
@@ -198,8 +169,8 @@ func (m *MQ) EpochsClosed() int64 {
 // streams.
 func (m *MQ) Reassigned() int64 {
 	var n int64
-	for _, st := range m.streams {
-		n += st.sched.Reassigned()
+	for _, es := range m.scheds {
+		n += es.Reassigned()
 	}
 	return n
 }
@@ -211,208 +182,37 @@ func (m *MQ) Reassigned() int64 {
 // crash-time device capture (device.CaptureConstraints) with the streams
 // the layer actually opened.
 func (m *MQ) Streams() []uint64 {
-	out := make([]uint64, 0, len(m.streams))
-	for id := range m.streams {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(m.scheds))
 }
 
 // StreamEpoch returns the epoch a stream's scheduler is currently
 // assigning.
 func (m *MQ) StreamEpoch(id uint64) uint64 {
-	if st, ok := m.streams[id]; ok {
-		return st.sched.CurrentEpoch()
+	if es, ok := m.scheds[id]; ok {
+		return es.CurrentEpoch()
 	}
 	return 0
 }
 
 // Verify checks the recorded dispatch trace against the per-stream epoch
 // invariants (requires cfg.Trace).
-func (m *MQ) Verify() error { return VerifyTrace(m.trace) }
+func (m *MQ) Verify() error { return VerifyTrace(m.DispatchLog()) }
 
-// stream returns the ordering domain for id, opening it on first use and
-// pinning it to hardware queue id mod M.
-func (m *MQ) stream(id uint64) *stream {
-	st, ok := m.streams[id]
-	if !ok {
-		st = &stream{
-			id:      id,
-			sched:   block.NewEpochScheduler(m.cfg.BaseSched()),
-			congest: sim.NewCond(m.k),
-		}
-		st.hq = m.hw[int(id%uint64(len(m.hw)))]
-		st.hq.streams = append(st.hq.streams, st)
-		m.streams[id] = st
-		m.stats.Streams++
-	}
-	return st
-}
-
-// Submit queues a request on its stream. Requests arriving while the
-// stream's epoch scheduler has admission closed are staged and fed in
-// submission order once it reopens; only that stream's submitters ever
-// block on its congestion limit.
-func (m *MQ) Submit(p *sim.Proc, r *block.Request) {
-	m.spread(r)
-	st := m.stream(r.Stream)
-	for st.queued() >= m.cfg.QueueLimit {
-		st.congest.Wait(p)
-	}
-	m.admit(st, r)
-}
-
-// SubmitOrPark is the handler-path Submit: one congestion Mesa iteration on
-// the request's stream. Spreading is idempotent, so a parked handler
-// retrying with the same request keeps its assigned data stream.
-func (m *MQ) SubmitOrPark(h *sim.Proc, r *block.Request) bool {
-	m.spread(r)
-	st := m.stream(r.Stream)
-	if st.queued() >= m.cfg.QueueLimit {
-		st.congest.Park(h)
-		return false
-	}
-	m.admit(st, r)
-	return true
-}
-
-// spread scatters background writeback arriving on an ordering stream —
-// stream 0 or a per-shard order stream (block.OrderStream) — over the data
-// streams. Background writeback carries no ordering promise and nobody
-// waits on it, so it bypasses the ordering stream's barriers and congestion
-// limit. Keyed by LPA, not submitter, so a single pdflush daemon still
-// spreads across every data stream; data streams are shared by every
-// tenant, which is safe precisely because spread writes are orderless.
-func (m *MQ) spread(r *block.Request) {
-	if m.cfg.SpreadOrderless &&
-		(r.Stream == 0 || block.IsOrderStream(r.Stream)) && !r.Ordered() &&
+// spreadOrderless scatters background writeback arriving on an ordering
+// stream — stream 0 or a per-shard order stream (block.OrderStream) — over
+// the data streams. Background writeback carries no ordering promise and
+// nobody waits on it, so it bypasses the ordering stream's barriers and
+// congestion limit. Keyed by LPA, not submitter, so a single pdflush daemon
+// still spreads across every data stream; data streams are shared by every
+// tenant, which is safe precisely because spread writes are orderless. A
+// moved request sits on no ordering stream, so a parked handler's retry with
+// the same request keeps its data stream.
+func (m *MQ) spreadOrderless(r *block.Request) {
+	if (r.Stream == 0 || block.IsOrderStream(r.Stream)) && !r.Ordered() &&
 		r.Op == block.OpWrite && r.Flags.Has(block.FlagBackground) &&
 		r.Flags&(block.FlagFlush|block.FlagFUA) == 0 {
 		r.Stream = 1 + r.LPA%uint64(m.cfg.DataStreams)
-		m.stats.Spread++
-		m.obs.spread.Inc()
-	}
-}
-
-func (m *MQ) admit(st *stream, r *block.Request) {
-	r.Bind(m.k, m.k.Now())
-	m.stats.Submitted++
-	m.obs.submitted.Inc()
-	if m.obs.depth != nil {
-		m.obs.depth[st.hq.id].Inc()
-	}
-	if len(st.staged) > 0 || !st.sched.Add(r) {
-		st.staged = append(st.staged, r)
-		m.staged++
-		if m.staged > m.stats.StagedPeak {
-			m.stats.StagedPeak = m.staged
-		}
-	}
-	st.hq.kick.Broadcast()
-}
-
-// SubmitAndWait submits r and blocks until it completes (Wait-on-Transfer).
-func (m *MQ) SubmitAndWait(p *sim.Proc, r *block.Request) {
-	m.Submit(p, r)
-	r.Wait(p)
-}
-
-// Flush issues a standalone cache-flush request on stream 0 and waits for
-// it. The device flushes its whole cache regardless of stream, so pages a
-// caller transferred (and waited for) on any stream are covered. The
-// request is pooled: after SubmitAndWait returns nothing else can hold it.
-func (m *MQ) Flush(p *sim.Proc) { m.FlushT(p, reqtrace.Ctx{}) }
-
-// FlushT is Flush with a trace context attached to the flush request.
-func (m *MQ) FlushT(p *sim.Proc, tc reqtrace.Ctx) {
-	r := m.flushes.Get()
-	r.Op = block.OpFlush
-	r.Trace = tc
-	m.SubmitAndWait(p, r)
-	r.Release()
-}
-
-// feedStaged moves a stream's staged requests into its scheduler in
-// submission order while admission is open.
-func (m *MQ) feedStaged(st *stream) {
-	for len(st.staged) > 0 && st.sched.Accepting() {
-		if !st.sched.Add(st.staged[0]) {
-			break
-		}
-		st.staged = st.staged[1:]
-		m.staged--
-	}
-}
-
-// next returns the next dispatchable request among h's streams, round-robin
-// so one busy stream cannot starve its neighbours.
-func (m *MQ) next(h *hwQueue) (*block.Request, *stream) {
-	n := len(h.streams)
-	for i := 0; i < n; i++ {
-		st := h.streams[(h.rr+i)%n]
-		m.feedStaged(st)
-		if r := st.sched.Next(); r != nil {
-			h.rr = (h.rr + i + 1) % n
-			return r, st
-		}
-	}
-	return nil, nil
-}
-
-func (m *MQ) dispatcher(h *hwQueue) func(p *sim.Proc) {
-	return func(p *sim.Proc) {
-		for {
-			r, st := m.next(h)
-			if r == nil {
-				h.kick.Wait(p)
-				continue
-			}
-			if m.obs.depth != nil {
-				m.obs.depth[h.id].Dec()
-			}
-			if m.cfg.DispatchOverhead > 0 {
-				p.Advance(m.cfg.DispatchOverhead)
-			}
-			if m.cfg.Trace {
-				m.trace = append(m.trace, block.DispatchRecord{
-					At: p.Now(), LPA: r.LPA, Op: r.Op, Flags: r.Flags,
-					Epoch: r.Epoch(), Stream: r.Stream, HWQueue: h.id,
-				})
-			}
-			r.Trace.StampChain(reqtrace.StageBlockDispatch, p.Now())
-			cmd := m.cmds.Get(r)
-			var trailer *device.Command
-			if m.cfg.BarrierAsCommand && cmd.Kind == device.CmdWrite && cmd.Barrier {
-				// §3.2 ablation: strip the flag; an explicit barrier command
-				// follows the write on the same stream, paying one more queue
-				// slot and dispatch.
-				cmd.Barrier = false
-				trailer = &device.Command{Kind: device.CmdBarrier,
-					Prio: device.PrioOrdered, Stream: r.Stream}
-			}
-			for !m.dev.Submit(cmd) {
-				if m.dev.Dead() {
-					return
-				}
-				m.dev.WaitSpace(p)
-			}
-			m.stats.Dispatched++
-			m.obs.dispatched.Inc()
-			if trailer != nil {
-				if m.cfg.DispatchOverhead > 0 {
-					p.Advance(m.cfg.DispatchOverhead)
-				}
-				for !m.dev.Submit(trailer) {
-					if m.dev.Dead() {
-						return
-					}
-					m.dev.WaitSpace(p)
-				}
-				m.stats.Dispatched++
-				m.obs.dispatched.Inc()
-			}
-			st.congest.Broadcast()
-		}
+		m.spread++
+		m.spreadCtr.Inc()
 	}
 }

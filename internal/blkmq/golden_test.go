@@ -62,8 +62,9 @@ func goldenShapes() []goldenShape {
 			layer: block.LayerConfig{DispatchOverhead: tD, QueueLimit: 4}},
 		{name: "mq/limit4", streams: 4, bg: true, handler: true,
 			mq: &Config{HWQueues: 2, DispatchOverhead: tD, QueueLimit: 4, SpreadOrderless: true}},
-		// One stream on the single-queue layer: its §3.2 trailer used to drop
-		// the write's stream, which the merged engine fixes.
+		// Stream 0 only on the single-queue layer: the file was recorded when
+		// that layer's §3.2 trailer closed stream 0's epoch whatever stream the
+		// write rode, so other streams would pin the defect.
 		{name: "single/barrier-cmd", streams: 1,
 			layer: block.LayerConfig{DispatchOverhead: tD, BarrierAsCommand: true}},
 		{name: "mq/barrier-cmd", streams: 4,

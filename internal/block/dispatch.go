@@ -12,9 +12,9 @@ type LayerConfig struct {
 	// DispatchOverhead is the host-side cost of dispatching one command
 	// (the paper's tD).
 	DispatchOverhead sim.Duration
-	// QueueLimit bounds the requests buffered in the layer (scheduler +
-	// staging), like the kernel's nr_requests; submitters block beyond it.
-	// 0 means the default of 128.
+	// QueueLimit bounds the requests buffered per software queue (scheduler +
+	// staging), like the kernel's nr_requests; that queue's submitters block
+	// beyond it. 0 or less means the default of 128.
 	QueueLimit int
 	// BarrierAsCommand dispatches epoch boundaries as standalone barrier
 	// commands instead of write flags — the §3.2 alternative the paper
@@ -40,13 +40,13 @@ type DispatchRecord struct {
 	Epoch  uint64
 	Stream uint64
 	// HWQueue is the hardware dispatch queue that issued the command (always
-	// 0 on the single-queue Layer).
+	// 0 on the single-queue shape).
 	HWQueue int
 }
 
 // Submitter is the request-submission surface a filesystem stack builds on.
-// It is satisfied by the single-queue *Layer and by the multi-queue
-// blkmq.MQ front-end.
+// It is satisfied by *Layer in either shape (blkmq.MQ embeds the per-stream
+// one).
 type Submitter interface {
 	// Submit queues a request without waiting for it.
 	Submit(p *sim.Proc, r *Request)
@@ -74,49 +74,141 @@ type LayerStats struct {
 	StagedPeak int // high-water mark of requests parked behind a closed epoch
 }
 
-// Layer is the order-preserving block device layer: submission front-end,
-// an IO scheduler, and the dispatch daemon feeding the device. The daemon
-// implements order-preserving dispatch (§3.4): barrier writes become
-// ordered-priority barrier commands and the caller is never blocked on a
-// transfer.
-type Layer struct {
-	k     *sim.Kernel
-	dev   *device.Device
-	sched Scheduler
-	cfg   LayerConfig
+// PerStream describes the multi-queue shape of the layer (§8), which
+// internal/blkmq builds: one software queue per stream, pinned to hardware
+// dispatch queue stream mod HWQueues, so a stream's commands flow through a
+// single daemon in order while independent streams dispatch concurrently.
+type PerStream struct {
+	// HWQueues is the number of hardware dispatch queues. Each is drained by
+	// its own daemon, spawned under the name Daemon + its index.
+	HWQueues int
+	Daemon   string
+	// OpenStream builds a stream's scheduler, at the stream's first request.
+	OpenStream func(stream uint64) Scheduler
+	// Route, if set, may move a request to another stream before it is
+	// queued. A parked handler submits the same request again, so it must be
+	// idempotent.
+	Route func(r *Request)
+	// Submitted and Dispatched count admitted requests and issued commands;
+	// Depth, if non-nil, holds one gauge per hardware queue of the requests
+	// buffered behind it. Nil instruments are off.
+	Submitted, Dispatched *metrics.Counter
+	Depth                 []*metrics.Gauge
+}
 
+// swQueue is one software queue, an ordering domain: a scheduler, staging
+// for requests that arrive while its epoch is closed, and the congestion
+// condition its submitters wait on.
+type swQueue struct {
+	sched   Scheduler
 	staged  []*Request
-	kick    *sim.Cond
 	congest *sim.Cond
+	hw      *hwQueue
+}
 
-	cmds    *CmdPool
+func (q *swQueue) queued() int { return q.sched.Pending() + len(q.staged) }
+
+// hwQueue is one hardware dispatch context: a daemon draining its software
+// queues round-robin into the device.
+type hwQueue struct {
+	id     int
+	queues []*swQueue
+	kick   *sim.Cond
+	rr     int
+}
+
+// Layer is the order-preserving block device layer: submission front-end,
+// software queues holding an IO scheduler each, and the dispatch daemons
+// feeding the device. A daemon implements order-preserving dispatch (§3.4):
+// barrier writes become ordered-priority barrier commands and the caller is
+// never blocked on a transfer. It comes in two shapes: NewLayer, the paper's
+// stack, has one queue shared by every stream and one daemon, so epochs are
+// ordered device-wide; NewPerStreamLayer orders them within a stream only.
+type Layer struct {
+	k   *sim.Kernel
+	dev *device.Device
+	cfg LayerConfig
+	ps  PerStream // zero on the single-queue shape
+
+	shared *swQueue            // single-queue shape: the queue every stream rides
+	queues map[uint64]*swQueue // per-stream shape: opened at first use
+	hw     []*hwQueue
+	staged int // total staged across queues, for StagedPeak
+
+	cmds    *cmdPool
 	flushes ReqPool
 
 	trace []DispatchRecord
 	stats LayerStats
 }
 
-// NewLayer builds a block layer over dev using sched and starts its
-// dispatch daemon.
+// NewLayer builds a single-queue block layer over dev using sched and starts
+// its dispatch daemon.
 func NewLayer(k *sim.Kernel, dev *device.Device, sched Scheduler, cfg LayerConfig) *Layer {
-	if cfg.QueueLimit == 0 {
-		cfg.QueueLimit = 128
-	}
-	l := &Layer{k: k, dev: dev, sched: sched, cfg: cfg,
-		kick: sim.NewCond(k), congest: sim.NewCond(k)}
-	l.cmds = NewCmdPool(func(sim.Time, *Request) { l.stats.Completed++ })
-	if cfg.Retry != nil {
-		l.cmds.EnableRetry(k, dev, *cfg.Retry, metrics.Resolve(cfg.Metrics))
-	}
-	k.Spawn("block/dispatch", l.dispatcher)
+	l := newLayer(k, dev, cfg, 1)
+	l.shared = l.open(sched, l.hw[0])
+	k.Spawn("block/dispatch", func(p *sim.Proc) { l.dispatcher(p, l.hw[0]) })
 	return l
 }
 
-// queued returns the number of requests held in the layer.
-func (l *Layer) queued() int { return l.sched.Pending() + len(l.staged) }
+// NewPerStreamLayer builds the multi-queue shape ps describes over dev and
+// starts one dispatch daemon per hardware queue.
+func NewPerStreamLayer(k *sim.Kernel, dev *device.Device, ps PerStream, cfg LayerConfig) *Layer {
+	l := newLayer(k, dev, cfg, ps.HWQueues)
+	l.ps, l.queues = ps, make(map[uint64]*swQueue)
+	for _, h := range l.hw {
+		k.SpawnIdx(ps.Daemon, h.id, func(p *sim.Proc) { l.dispatcher(p, h) })
+	}
+	return l
+}
 
-// Scheduler returns the layer's IO scheduler.
-func (l *Layer) Scheduler() Scheduler { return l.sched }
+func newLayer(k *sim.Kernel, dev *device.Device, cfg LayerConfig, hwQueues int) *Layer {
+	if cfg.QueueLimit <= 0 {
+		cfg.QueueLimit = 128
+	}
+	l := &Layer{k: k, dev: dev, cfg: cfg}
+	l.cmds = &cmdPool{onDone: func(sim.Time, *Request) { l.stats.Completed++ }}
+	if cfg.Retry != nil {
+		l.cmds.enableRetry(k, dev, *cfg.Retry, metrics.Resolve(cfg.Metrics))
+	}
+	for i := 0; i < hwQueues; i++ {
+		l.hw = append(l.hw, &hwQueue{id: i, kick: sim.NewCond(k)})
+	}
+	return l
+}
+
+// open adds a software queue over sched to hardware queue h.
+func (l *Layer) open(sched Scheduler, h *hwQueue) *swQueue {
+	q := &swQueue{sched: sched, congest: sim.NewCond(l.k), hw: h}
+	h.queues = append(h.queues, q)
+	return q
+}
+
+// route returns the software queue r rides: the shared one, or — after the
+// shape's Route hook has had its say — its stream's, opened at first use.
+func (l *Layer) route(r *Request) *swQueue {
+	if l.shared != nil {
+		return l.shared
+	}
+	if l.ps.Route != nil {
+		l.ps.Route(r)
+	}
+	q, ok := l.queues[r.Stream]
+	if !ok {
+		q = l.open(l.ps.OpenStream(r.Stream), l.hw[r.Stream%uint64(len(l.hw))])
+		l.queues[r.Stream] = q
+	}
+	return q
+}
+
+// Scheduler returns the single-queue shape's IO scheduler; nil on the
+// per-stream shape, whose schedulers belong to whoever opened them.
+func (l *Layer) Scheduler() Scheduler {
+	if l.shared == nil {
+		return nil
+	}
+	return l.shared.sched
+}
 
 // Device returns the underlying device.
 func (l *Layer) Device() *device.Device { return l.dev }
@@ -127,38 +219,46 @@ func (l *Layer) Stats() LayerStats { return l.stats }
 // DispatchLog returns the recorded dispatch order (requires cfg.Trace).
 func (l *Layer) DispatchLog() []DispatchRecord { return l.trace }
 
-// Submit queues a request. Requests arriving while the epoch scheduler has
-// admission closed are staged and fed in submission order once it reopens.
-// When the layer holds QueueLimit requests (nr_requests congestion), Submit
-// blocks the caller until the dispatcher drains — the only situation in
-// which the barrier-enabled submission path blocks.
+// Submit queues a request. Requests arriving while their queue's epoch
+// scheduler has admission closed are staged and fed in submission order once
+// it reopens. When the queue holds QueueLimit requests (nr_requests
+// congestion), Submit blocks the caller until a dispatcher drains it — the
+// only situation in which the barrier-enabled submission path blocks, and on
+// the per-stream shape only that stream's submitters ever do.
 func (l *Layer) Submit(p *sim.Proc, r *Request) {
-	for l.queued() >= l.cfg.QueueLimit {
-		l.congest.Wait(p)
+	q := l.route(r)
+	for q.queued() >= l.cfg.QueueLimit {
+		q.congest.Wait(p)
 	}
-	l.admit(r)
+	l.admit(q, r)
 }
 
 // SubmitOrPark is the handler-path Submit: one congestion Mesa iteration.
 func (l *Layer) SubmitOrPark(h *sim.Proc, r *Request) bool {
-	if l.queued() >= l.cfg.QueueLimit {
-		l.congest.Park(h)
+	q := l.route(r)
+	if q.queued() >= l.cfg.QueueLimit {
+		q.congest.Park(h)
 		return false
 	}
-	l.admit(r)
+	l.admit(q, r)
 	return true
 }
 
-func (l *Layer) admit(r *Request) {
-	r.Bind(l.k, l.k.Now())
+func (l *Layer) admit(q *swQueue, r *Request) {
+	r.bind(l.k, l.k.Now())
 	l.stats.Submitted++
-	if len(l.staged) > 0 || !l.sched.Add(r) {
-		l.staged = append(l.staged, r)
-		if len(l.staged) > l.stats.StagedPeak {
-			l.stats.StagedPeak = len(l.staged)
+	l.ps.Submitted.Inc()
+	if l.ps.Depth != nil {
+		l.ps.Depth[q.hw.id].Inc()
+	}
+	if len(q.staged) > 0 || !q.sched.Add(r) {
+		q.staged = append(q.staged, r)
+		l.staged++
+		if l.staged > l.stats.StagedPeak {
+			l.stats.StagedPeak = l.staged
 		}
 	}
-	l.kick.Broadcast()
+	q.hw.kick.Broadcast()
 }
 
 // SubmitAndWait submits r and blocks until it completes (Wait-on-Transfer;
@@ -168,8 +268,10 @@ func (l *Layer) SubmitAndWait(p *sim.Proc, r *Request) {
 	r.Wait(p)
 }
 
-// Flush issues a standalone cache-flush request and waits for it. The
-// request is pooled: after SubmitAndWait returns nothing else can hold it.
+// Flush issues a standalone cache-flush request on stream 0 and waits for
+// it. The device flushes its whole cache regardless of stream, so pages a
+// caller transferred (and waited for) on any stream are covered. The request
+// is pooled: after SubmitAndWait returns nothing else can hold it.
 func (l *Layer) Flush(p *sim.Proc) { l.FlushT(p, reqtrace.Ctx{}) }
 
 // FlushT is Flush with a trace context attached to the flush request.
@@ -181,61 +283,93 @@ func (l *Layer) FlushT(p *sim.Proc, tc reqtrace.Ctx) {
 	r.Release()
 }
 
-func (l *Layer) feedStaged() {
-	for len(l.staged) > 0 && l.sched.Accepting() {
-		r := l.staged[0]
-		if !l.sched.Add(r) {
+// feedStaged moves a queue's staged requests into its scheduler in
+// submission order while admission is open.
+func (l *Layer) feedStaged(q *swQueue) {
+	for len(q.staged) > 0 && q.sched.Accepting() {
+		if !q.sched.Add(q.staged[0]) {
 			break
 		}
-		l.staged = l.staged[1:]
+		q.staged = q.staged[1:]
+		l.staged--
 	}
 }
 
-func (l *Layer) dispatcher(p *sim.Proc) {
+// next returns the next dispatchable request among h's software queues,
+// round-robin so one busy stream cannot starve its neighbours.
+func (l *Layer) next(h *hwQueue) (*Request, *swQueue) {
+	n := len(h.queues)
+	for i := 0; i < n; i++ {
+		q := h.queues[(h.rr+i)%n]
+		l.feedStaged(q)
+		if r := q.sched.Next(); r != nil {
+			h.rr = (h.rr + i + 1) % n
+			return r, q
+		}
+	}
+	return nil, nil
+}
+
+func (l *Layer) dispatcher(p *sim.Proc, h *hwQueue) {
 	for {
-		l.feedStaged()
-		r := l.sched.Next()
+		r, q := l.next(h)
 		if r == nil {
-			l.kick.Wait(p)
+			h.kick.Wait(p)
 			continue
 		}
-		if l.cfg.DispatchOverhead > 0 {
-			p.Advance(l.cfg.DispatchOverhead)
+		if l.ps.Depth != nil {
+			l.ps.Depth[h.id].Dec()
 		}
+		p.Advance(l.cfg.DispatchOverhead)
 		if l.cfg.Trace {
 			l.trace = append(l.trace, DispatchRecord{
 				At: p.Now(), LPA: r.LPA, Op: r.Op, Flags: r.Flags, Epoch: r.epoch,
-				Stream: r.Stream,
+				Stream: r.Stream, HWQueue: h.id,
 			})
 		}
 		r.Trace.StampChain(reqtrace.StageBlockDispatch, p.Now())
-		cmd := l.cmds.Get(r)
+		cmd := l.cmds.get(r)
 		var trailer *device.Command
 		if l.cfg.BarrierAsCommand && cmd.Kind == device.CmdWrite && cmd.Barrier {
-			// Strip the flag; an explicit barrier command follows the write,
-			// paying one more queue slot and dispatch.
+			// §3.2 ablation: strip the flag; an explicit barrier command
+			// follows the write on the same stream, paying one more queue
+			// slot and dispatch.
 			cmd.Barrier = false
-			trailer = &device.Command{Kind: device.CmdBarrier, Prio: device.PrioOrdered}
+			trailer = &device.Command{Kind: device.CmdBarrier,
+				Prio: device.PrioOrdered, Stream: r.Stream}
 		}
-		for !l.dev.Submit(cmd) {
-			if l.dev.Dead() {
+		if !l.issue(p, cmd) {
+			return
+		}
+		if trailer != nil {
+			p.Advance(l.cfg.DispatchOverhead)
+			if !l.issue(p, trailer) {
 				return
 			}
-			l.dev.WaitSpace(p)
 		}
-		l.stats.Dispatched++
-		if trailer != nil {
-			if l.cfg.DispatchOverhead > 0 {
-				p.Advance(l.cfg.DispatchOverhead)
-			}
-			for !l.dev.Submit(trailer) {
-				if l.dev.Dead() {
-					return
-				}
-				l.dev.WaitSpace(p)
-			}
-			l.stats.Dispatched++
-		}
-		l.congest.Broadcast()
+		q.congest.Broadcast()
 	}
+}
+
+// issue feeds one command to the device and counts the dispatch.
+func (l *Layer) issue(p *sim.Proc, cmd *device.Command) bool {
+	if !feed(p, l.dev, cmd) {
+		return false
+	}
+	l.stats.Dispatched++
+	l.ps.Dispatched.Inc()
+	return true
+}
+
+// feed hands cmd to dev, waiting for a slot while the command queue is full
+// (§3.4, Fig. 6b). False means the device died first: a crash drops queued
+// commands without completing them, and the calling daemon stands down.
+func feed(p *sim.Proc, dev *device.Device, cmd *device.Command) bool {
+	for !dev.Submit(cmd) {
+		if dev.Dead() {
+			return false
+		}
+		dev.WaitSpace(p)
+	}
+	return true
 }

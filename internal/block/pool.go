@@ -10,34 +10,28 @@ import (
 // the pools need no locking and no sync.Pool machinery: a plain LIFO slice
 // is both faster and deterministic.
 
-// CmdPool recycles device commands together with their completion plumbing.
+// cmdPool recycles device commands together with their completion plumbing.
 // Each pooled entry binds its Done closure once, at allocation, so a
 // steady-state dispatch allocates neither the command nor a closure.
-type CmdPool struct {
+type cmdPool struct {
 	free   []*cmdCtx
 	onDone func(at sim.Time, r *Request)
-	retry  *retrier // nil unless EnableRetry armed bounded retry
+	retry  *retrier // nil unless enableRetry armed bounded retry
 }
 
 type cmdCtx struct {
-	pool *CmdPool
+	pool *cmdPool
 	r    *Request
 	cmd  device.Command
 }
 
-// NewCmdPool returns a pool whose commands invoke onDone (statistics,
-// trace hooks) after the owning request completes.
-func NewCmdPool(onDone func(at sim.Time, r *Request)) *CmdPool {
-	return &CmdPool{onDone: onDone}
-}
-
-// Get builds the device command for r under order-preserving dispatch
+// get builds the device command for r under order-preserving dispatch
 // (§3.4) from the free list: barrier writes and flushes carry ordered
 // priority, FUA/PreFlush map to their command fields, and the command
 // inherits the request's stream so device-level ordering scopes correctly.
 // The command returns to the pool when it completes; commands dropped by a
 // device crash simply fall out of the pool.
-func (pl *CmdPool) Get(r *Request) *device.Command {
+func (pl *cmdPool) get(r *Request) *device.Command {
 	var c *cmdCtx
 	if n := len(pl.free); n > 0 {
 		c = pl.free[n-1]

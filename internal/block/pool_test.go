@@ -44,7 +44,7 @@ func TestReqPoolLiveThroughCompletionCallbacks(t *testing.T) {
 	var pool ReqPool
 	r := pool.Get()
 	r.LPA = 9
-	r.Bind(k, 0)
+	r.bind(k, 0)
 	r.OnComplete = func(_ sim.Time, rr *Request) { rr.Release() }
 	seen := uint64(0)
 	r.complete(0, func(_ sim.Time, rr *Request) { seen = rr.LPA })
@@ -66,4 +66,35 @@ func TestReqPoolReleaseWithoutHoldPanics(t *testing.T) {
 	r := pool.Get()
 	r.Release()
 	r.Release()
+}
+
+// TestReqPoolKeepsWaiterArray: completion truncates the waiter list in place
+// and Release carries the array across reuse, so only the first Wait on a
+// pooled request allocates one.
+func TestReqPoolKeepsWaiterArray(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	l, _ := newStack(k)
+	var pool ReqPool
+	k.Spawn("host", func(p *sim.Proc) {
+		r := pool.Get()
+		r.Op, r.LPA = OpWrite, 7
+		l.SubmitAndWait(p, r)
+		r.Release()
+		if r2 := pool.Get(); r2 != r {
+			t.Errorf("pool did not hand the request out again")
+		}
+		if len(r.waiters) != 0 || cap(r.waiters) == 0 {
+			t.Errorf("recycled request: waiters len %d cap %d, want an empty list with its array kept",
+				len(r.waiters), cap(r.waiters))
+			return
+		}
+		arr, c := &r.waiters[:1][0], cap(r.waiters)
+		r.Op, r.LPA = OpWrite, 8
+		l.SubmitAndWait(p, r)
+		if &r.waiters[:1][0] != arr || cap(r.waiters) != c {
+			t.Errorf("second Wait allocated a new waiter array")
+		}
+	})
+	k.Run()
 }

@@ -73,13 +73,13 @@ type Request struct {
 	// Stream identifies the ordering domain of the request (§8's per-stream
 	// barriers). Ordering and barrier semantics hold only among requests of
 	// the same stream; requests of different streams are mutually orderless.
-	// The single-queue Layer ignores it (everything rides stream 0); the
-	// multi-queue layer (internal/blkmq) keys epochs and device-level command
-	// ordering on it.
+	// The single-queue Layer schedules every stream in one epoch sequence; the
+	// multi-queue layer (internal/blkmq) keys epochs on it. Either way the
+	// command carries it, scoping device-level ordering.
 	Stream uint64
 
 	// Trace is the request-scoped causal trace context (zero: tracing
-	// off). The layer stamps StageBlockQueue at Bind and
+	// off). The layer stamps StageBlockQueue at submission and
 	// StageBlockDispatch when the dispatcher hands the request to the
 	// device; the context rides into the device command so service
 	// start/done land on the same trace.
@@ -142,11 +142,10 @@ func (r *Request) Epoch() uint64 { return r.epoch }
 // IssuedAt returns the submission time.
 func (r *Request) IssuedAt() sim.Time { return r.issued }
 
-// Bind attaches the request to kernel k and stamps its submission time.
-// Submission front-ends (the single-queue Layer, the multi-queue blkmq.MQ)
-// call it exactly once when the request enters the layer. The layer holds
+// bind attaches the request to kernel k and stamps its submission time. The
+// layer calls it exactly once, when the request enters a queue, and holds
 // the request from here until complete has run its callbacks.
-func (r *Request) Bind(k *sim.Kernel, at sim.Time) {
+func (r *Request) bind(k *sim.Kernel, at sim.Time) {
 	r.Hold()
 	r.k = k
 	r.issued = at
@@ -185,16 +184,15 @@ func (r *Request) WaitOrPark(h *sim.Proc) bool {
 
 // complete marks the request done, wakes waiters, and runs OnComplete and
 // then the layer's own done callback, if any. Called by the dispatcher from
-// device completion context. It ends by dropping the hold Bind took, so a
+// device completion context. It ends by dropping the hold bind took, so a
 // callback that releases the last other hold does not recycle the request
 // under the ones after it.
 func (r *Request) complete(at sim.Time, done func(at sim.Time, r *Request)) {
 	r.completed = true
-	ws := r.waiters
-	r.waiters = nil
-	for _, w := range ws {
-		r.k.Resume(w)
+	for _, w := range r.waiters {
+		r.k.Resume(w) // only schedules w: the list cannot grow under the loop
 	}
+	r.waiters = r.waiters[:0] // keep the array: Release carries it across reuse
 	if r.OnComplete != nil {
 		r.OnComplete(at, r)
 	}

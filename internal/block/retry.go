@@ -78,14 +78,14 @@ type retryItem struct {
 	due sim.Time
 }
 
-// retrier re-drives failed commands for one CmdPool. Its daemon is spawned
+// retrier re-drives failed commands for one cmdPool. Its daemon is spawned
 // lazily on the first failure, so a fault-free run — in particular every
 // golden-trace comparison — never sees an extra process.
 type retrier struct {
 	k    *sim.Kernel
 	dev  *device.Device
 	pol  RetryPolicy
-	pool *CmdPool
+	pool *cmdPool
 
 	// FIFO of requests awaiting re-submission. Exponential backoff can put
 	// a later-queued item due earlier than the head; the daemon still
@@ -99,9 +99,9 @@ type retrier struct {
 	errors  *metrics.Counter
 }
 
-// EnableRetry arms the pool's bounded retry engine against dev. reg may be
+// enableRetry arms the pool's bounded retry engine against dev. reg may be
 // nil (counters become no-ops). Call once, before traffic.
-func (pl *CmdPool) EnableRetry(k *sim.Kernel, dev *device.Device, pol RetryPolicy, reg *metrics.Registry) {
+func (pl *cmdPool) enableRetry(k *sim.Kernel, dev *device.Device, pol RetryPolicy, reg *metrics.Registry) {
 	pl.retry = &retrier{
 		k: k, dev: dev, pol: pol, pool: pl,
 		cond:    sim.NewCond(k),
@@ -134,15 +134,8 @@ func (rt *retrier) daemon(p *sim.Proc) {
 		}
 		// A device crash drops queued commands without completing them;
 		// pending retries die the same way.
-		if rt.dev.Dead() {
+		if !feed(p, rt.dev, rt.pool.get(it.r)) {
 			return
-		}
-		cmd := rt.pool.Get(it.r)
-		for !rt.dev.Submit(cmd) {
-			if rt.dev.Dead() {
-				return
-			}
-			rt.dev.WaitSpace(p)
 		}
 	}
 }
