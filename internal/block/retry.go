@@ -134,7 +134,7 @@ func (rt *retrier) daemon(p *sim.Proc) {
 		}
 		// A device crash drops queued commands without completing them;
 		// pending retries die the same way.
-		if !feed(p, rt.dev, rt.pool.get(it.r)) {
+		if rt.dev.Dead() || !feed(p, rt.dev, rt.pool.get(it.r)) {
 			return
 		}
 	}
