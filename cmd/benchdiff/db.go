@@ -1,13 +1,11 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"os"
-	"regexp"
 	"sort"
-	"strings"
+
+	"repro/internal/benchdb"
 )
 
 // Database gate: with -db, benchdiff compares the latest recorded run in
@@ -18,48 +16,23 @@ import (
 // explored). Fewer than two recorded runs reports and passes, so a fresh
 // database cannot fail CI.
 
-// dbRun mirrors the cmd/repro record line; only the fields the gate reads.
-type dbRun struct {
-	Label  string             `json:"label"`
-	Commit string             `json:"commit"`
-	Cells  map[string]float64 `json:"cells"`
-}
-
-func readDB(path string) ([]dbRun, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var runs []dbRun
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var r dbRun
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			return nil, fmt.Errorf("%s: bad run line: %v", path, err)
-		}
-		runs = append(runs, r)
-	}
-	return runs, sc.Err()
-}
-
 // gateDB compares the last two recorded runs over cells matching the glob.
 // Returns true when any matched cell moved in the regression direction by
 // more than threshold percent.
 func gateDB(dbPath, cellGlob, direction string, threshold float64) bool {
-	runs, err := readDB(dbPath)
-	if err != nil || len(runs) < 2 {
-		fmt.Printf("benchdiff: %s has %d recorded runs (%v) — need 2, report-only\n",
-			dbPath, len(runs), err)
+	runs, err := benchdb.Read(dbPath)
+	if err != nil {
+		// A database that exists but cannot be read is not a fresh one:
+		// passing it would disarm every gate silently.
+		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
+		os.Exit(2)
+	}
+	if len(runs) < 2 {
+		fmt.Printf("benchdiff: %s has %d recorded runs — need 2, report-only\n", dbPath, len(runs))
 		return false
 	}
 	prev, cur := runs[len(runs)-2], runs[len(runs)-1]
-	pat, err := regexp.Compile("^" + strings.ReplaceAll(regexp.QuoteMeta(cellGlob), `\*`, ".*") + "$")
+	pat, err := benchdb.CellPattern(cellGlob)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: bad -cell glob %q: %v\n", cellGlob, err)
 		os.Exit(2)

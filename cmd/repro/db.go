@@ -1,59 +1,36 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/benchdb"
+	"repro/internal/experiments"
 )
 
-// The perf-trajectory database is an append-only JSONL file (bench.db by
-// default): one line per recorded run, each run flattened into named cells.
-// A cell is `<experiment>/<key=value,...>/<metric>` — e.g.
-// `kv/clients=4,config=BFS-DR/ops_per_s` — so the same logical measurement
-// keeps the same name across history and `repro trend` / `benchdiff -db`
-// can line runs up column by column.
-
-// dbRun is one recorded line of the database.
-type dbRun struct {
-	RecordedAt  string             `json:"recorded_at"`
-	Label       string             `json:"label"`
-	Source      string             `json:"source"`
-	Commit      string             `json:"commit,omitempty"`
-	GoVersion   string             `json:"go_version,omitempty"`
-	Host        string             `json:"host,omitempty"`
-	Scale       string             `json:"scale"`
-	Parallel    bool               `json:"parallel"`
-	GoMaxProcs  int                `json:"gomaxprocs"`
-	WallSeconds float64            `json:"wall_seconds"`
-	Cells       map[string]float64 `json:"cells"`
-}
-
-// keyFieldInts are the numeric row fields that identify a sweep cell rather
-// than measure it (sweep axes: client count, stream count, crash time, ...).
-// String fields are always identity; remaining numerics are metrics.
-var keyFieldInts = map[string]bool{
-	"clients": true, "streams": true, "hw_queues": true, "threads": true,
-	"channels": true, "crash_at_us": true, "shards": true, "offered_kops": true,
-	"replicas": true,
-}
+// `repro record` flattens a -json run file into the named cells of the
+// perf-trajectory database (internal/benchdb holds the file format) and
+// `repro trend` prints the cross-history table over it. Which numeric row
+// fields identify a sweep cell rather than measure it is declared with the
+// columns (experiments.Axes); string fields always identify and the
+// remaining numerics are metrics.
 
 // cellKey renders one row's identity: sorted key=value pairs.
-func cellKey(row map[string]any) string {
+func cellKey(row map[string]any, axes map[string]bool) string {
 	var parts []string
 	for f, v := range row {
 		switch v := v.(type) {
 		case string:
 			parts = append(parts, f+"="+v)
 		case float64:
-			if keyFieldInts[f] {
+			if axes[f] {
 				parts = append(parts, f+"="+strconv.FormatFloat(v, 'g', -1, 64))
 			}
 		}
@@ -65,14 +42,15 @@ func cellKey(row map[string]any) string {
 // flattenCells turns a -json report into the run's cell map.
 func flattenCells(rep jsonReport) map[string]float64 {
 	cells := make(map[string]float64)
+	axes := experiments.Axes()
 	for _, exp := range rep.Experiments {
 		cells[exp.Name+"//wall_seconds"] = exp.WallSeconds
 		for _, row := range exp.Rows {
-			key := cellKey(row)
+			key := cellKey(row, axes)
 			for f, v := range row {
 				switch v := v.(type) {
 				case float64:
-					if !keyFieldInts[f] {
+					if !axes[f] {
 						cells[exp.Name+"/"+key+"/"+f] = v
 					}
 				case bool:
@@ -90,34 +68,6 @@ func flattenCells(rep jsonReport) map[string]float64 {
 	return cells
 }
 
-// readDB loads every run line of the database, oldest first. A missing file
-// is an empty history, not an error.
-func readDB(path string) ([]dbRun, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	defer f.Close()
-	var runs []dbRun
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var r dbRun
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			return nil, fmt.Errorf("%s: bad run line: %v", path, err)
-		}
-		runs = append(runs, r)
-	}
-	return runs, sc.Err()
-}
-
 // cmdRecord appends -json run files to the database. The run's commit/go
 // version/host come from the report header when present (repro -json writes
 // them since PR 6); -commit overrides for older snapshots.
@@ -133,11 +83,6 @@ func cmdRecord(args []string) error {
 	if *label != "" && fs.NArg() > 1 {
 		return fmt.Errorf("record: -label only applies to a single run file")
 	}
-	f, err := os.OpenFile(*dbPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	for _, src := range fs.Args() {
 		b, err := os.ReadFile(src)
 		if err != nil {
@@ -147,7 +92,7 @@ func cmdRecord(args []string) error {
 		if err := json.Unmarshal(b, &rep); err != nil {
 			return fmt.Errorf("%s: %v", src, err)
 		}
-		run := dbRun{
+		run := benchdb.Run{
 			RecordedAt:  time.Now().UTC().Format(time.RFC3339),
 			Label:       *label,
 			Source:      src,
@@ -166,23 +111,13 @@ func cmdRecord(args []string) error {
 		if *commit != "" {
 			run.Commit = *commit
 		}
-		line, err := json.Marshal(run)
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(append(line, '\n')); err != nil {
+		if err := benchdb.Append(*dbPath, run); err != nil {
 			return err
 		}
 		fmt.Printf("recorded %s: %d cells as %q into %s\n",
 			src, len(run.Cells), run.Label, *dbPath)
 	}
 	return nil
-}
-
-// cellPattern compiles a benchdiff/trend-style glob ('*' matches anything)
-// into an anchored regexp.
-func cellPattern(glob string) (*regexp.Regexp, error) {
-	return regexp.Compile("^" + strings.ReplaceAll(regexp.QuoteMeta(glob), `\*`, ".*") + "$")
 }
 
 // cmdTrend prints the cross-history table: one row per cell, one column per
@@ -194,7 +129,7 @@ func cmdTrend(args []string) error {
 	last := fs.Int("last", 0, "only show the last N runs (0 = all)")
 	band := fs.Bool("band", false, "append each cell's noise band (min/median/max over the shown runs)")
 	fs.Parse(args)
-	runs, err := readDB(*dbPath)
+	runs, err := benchdb.Read(*dbPath)
 	if err != nil {
 		return err
 	}
@@ -205,7 +140,7 @@ func cmdTrend(args []string) error {
 	if *last > 0 && len(runs) > *last {
 		runs = runs[len(runs)-*last:]
 	}
-	pat, err := cellPattern(*cellGlob)
+	pat, err := benchdb.CellPattern(*cellGlob)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/benchdb"
 )
 
 func TestFlattenCells(t *testing.T) {
@@ -70,7 +72,7 @@ func TestRecordAndReadDB(t *testing.T) {
 	if err := cmdRecord([]string{"-db", db, "-label", "second", src}); err != nil {
 		t.Fatal(err)
 	}
-	runs, err := readDB(db)
+	runs, err := benchdb.Read(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestRecordAndReadDB(t *testing.T) {
 		t.Errorf("cell = %v", v)
 	}
 	// Missing database is an empty history, not an error.
-	none, err := readDB(filepath.Join(dir, "nope.db"))
+	none, err := benchdb.Read(filepath.Join(dir, "nope.db"))
 	if err != nil || none != nil {
 		t.Errorf("missing db: runs=%v err=%v", none, err)
 	}

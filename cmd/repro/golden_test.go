@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/quick_all.* from this run")
@@ -71,8 +73,26 @@ func quickAll(t *testing.T) (text, rows, cells []byte) {
 	if err := json.Unmarshal(written, &rep); err != nil {
 		t.Fatal(err)
 	}
+	// A cell is one metric of one row: were two rows of a run to share an
+	// identity, the later would silently overwrite the earlier in the map.
+	flat := flattenCells(rep)
+	axes := experiments.Axes()
+	want := 0
+	for _, e := range rep.Experiments {
+		want++ // <name>//wall_seconds
+		for _, row := range e.Rows {
+			for f, v := range row {
+				if _, isString := v.(string); !isString && !axes[f] {
+					want++
+				}
+			}
+		}
+	}
+	if len(flat) != want {
+		t.Errorf("%d rows x metrics flattened to %d cells: two rows share an identity", want, len(flat))
+	}
 	var names []string
-	for name := range flattenCells(rep) {
+	for name := range flat {
 		names = append(names, name)
 	}
 	sort.Strings(names)

@@ -65,95 +65,6 @@ import (
 	"repro/internal/workload"
 )
 
-// runner regenerates one experiment, returning the text rendering and the
-// machine-readable rows for -json.
-type runner struct {
-	name string
-	run  func(scale experiments.Scale) (string, []map[string]any)
-}
-
-var runners = []runner{
-	{"fig1", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.Fig1(s)
-		return r.String(), fig1JSON(r)
-	}},
-	{"fig8", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.Fig8(s)
-		return r.String(), fig8JSON(r)
-	}},
-	{"fig9", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.Fig9(s)
-		return r.String(), fig9JSON(r)
-	}},
-	{"fig10", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.Fig10(s)
-		return experiments.RenderFig10(r), fig10JSON(r)
-	}},
-	{"table1", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.Table1(s)
-		return r.String(), table1JSON(r)
-	}},
-	{"fig11", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.Fig11(s)
-		return r.String(), fig11JSON(r)
-	}},
-	{"fig12", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.Fig12(s)
-		return r.String(), fig12JSON(r)
-	}},
-	{"fig13", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.Fig13(s)
-		return r.String(), fig13JSON(r)
-	}},
-	{"fig14", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.Fig14(s)
-		return r.String(), fig14JSON(r)
-	}},
-	{"fig15", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.Fig15(s)
-		return r.String(), fig15JSON(r)
-	}},
-	{"mq", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.MQScaling(s)
-		return r.String(), mqJSON(r)
-	}},
-	{"kv", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.KV(s)
-		return r.String(), kvJSON(r)
-	}},
-	{"kvcluster", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.KVCluster(s)
-		return r.String(), kvclusterJSON(r)
-	}},
-	{"faults", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.Faults(s)
-		return r.String(), faultsJSON(r)
-	}},
-	{"whyslow", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.WhySlow(s)
-		return r.String(), whyslowJSON(r)
-	}},
-	{"crash", func(s experiments.Scale) (string, []map[string]any) {
-		return crashReport(s)
-	}},
-	{"crashmc", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.CrashMC(s)
-		return r.String(), crashmcJSON(r)
-	}},
-	{"rebalance", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.Rebalance(s)
-		return r.String(), rebalanceJSON(r)
-	}},
-	{"fsreplay", func(s experiments.Scale) (string, []map[string]any) {
-		r := experiments.FSReplay(s, replayTrace)
-		return r.String(), fsreplayJSON(r)
-	}},
-}
-
-// replayTrace is the -trace recording handed to the replay experiments
-// (nil: they fall back to a deterministic synthetic recording).
-var replayTrace *workload.Trace
-
 func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
@@ -181,7 +92,7 @@ func main() {
 		tr, err := workload.ReadTrace(f)
 		f.Close()
 		exitOn(err)
-		replayTrace = tr
+		experiments.ReplayTrace = tr
 	}
 	exitOn(run(runOpts{
 		quick: *quick, parallel: *parallel,
@@ -206,18 +117,44 @@ type runOpts struct {
 	cpuProfile, memProfile string
 }
 
+// resolve maps the command line's experiment names onto the registry
+// before anything runs, so a misspelt last name cannot throw away the
+// minutes of simulation (and the -json report) in front of it.
+func resolve(args []string) ([]experiments.Experiment, error) {
+	if len(args) == 0 {
+		args = []string{"all"}
+	}
+	var exps []experiments.Experiment
+	for _, name := range args {
+		if name == "all" {
+			exps = append(exps, experiments.Registry...)
+		} else if e, ok := experiments.Lookup(name); ok {
+			exps = append(exps, e)
+		} else {
+			var names []string
+			for _, e := range experiments.Registry {
+				names = append(names, e.Name)
+			}
+			return nil, fmt.Errorf("unknown experiment %q (have: %s all)", name, strings.Join(names, " "))
+		}
+	}
+	return exps, nil
+}
+
 func run(opts runOpts, args []string) error {
-	quick, parallel := opts.quick, opts.parallel
-	jsonPath, cpuProfile, memProfile := opts.jsonPath, opts.cpuProfile, opts.memProfile
+	exps, err := resolve(args)
+	if err != nil {
+		return err
+	}
 	scale := experiments.Full
 	scaleName := "full"
-	if quick {
+	if opts.quick {
 		scale = experiments.Quick
 		scaleName = "quick"
 	}
-	par.SetEnabled(parallel)
-	if cpuProfile != "" {
-		f, err := os.Create(cpuProfile)
+	par.SetEnabled(opts.parallel)
+	if opts.cpuProfile != "" {
+		f, err := os.Create(opts.cpuProfile)
 		if err != nil {
 			return err
 		}
@@ -226,9 +163,6 @@ func run(opts runOpts, args []string) error {
 			return err
 		}
 		defer pprof.StopCPUProfile()
-	}
-	if len(args) == 0 {
-		args = []string{"all"}
 	}
 	if opts.liveEvery > 0 || opts.liveHTTP != "" {
 		ls, err := startLive(opts.liveEvery, opts.liveHTTP)
@@ -242,37 +176,26 @@ func run(opts runOpts, args []string) error {
 	}
 	report := jsonReport{
 		Scale:      scaleName,
-		Parallel:   parallel,
+		Parallel:   opts.parallel,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Commit:     gitCommit(),
 		GoVersion:  runtime.Version(),
 		Host:       hostInfo(),
 	}
 	start := time.Now()
-	for _, name := range args {
-		all := name == "all"
-		ran := false
-		for _, r := range runners {
-			if !all && r.name != name {
-				continue
-			}
-			t0 := time.Now()
-			text, rows := r.run(scale)
-			fmt.Println(text)
-			report.Experiments = append(report.Experiments, jsonExperiment{
-				Name:        r.name,
-				WallSeconds: time.Since(t0).Seconds(),
-				Rows:        rows,
-			})
-			ran = true
-		}
-		if !ran {
-			return fmt.Errorf("unknown experiment %q", name)
-		}
+	for _, e := range exps {
+		t0 := time.Now()
+		o := e.Run(scale)
+		fmt.Println(e.Text(o))
+		report.Experiments = append(report.Experiments, jsonExperiment{
+			Name:        e.Name,
+			WallSeconds: time.Since(t0).Seconds(),
+			Rows:        e.JSONRows(o),
+		})
 	}
 	report.WallSeconds = time.Since(start).Seconds()
-	if memProfile != "" {
-		f, err := os.Create(memProfile)
+	if opts.memProfile != "" {
+		f, err := os.Create(opts.memProfile)
 		if err != nil {
 			return err
 		}
@@ -282,11 +205,11 @@ func run(opts runOpts, args []string) error {
 			return err
 		}
 	}
-	if jsonPath != "" {
-		if err := writeJSON(jsonPath, report); err != nil {
+	if opts.jsonPath != "" {
+		if err := writeJSON(opts.jsonPath, report); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "repro: wrote %s\n", jsonPath)
+		fmt.Fprintf(os.Stderr, "repro: wrote %s\n", opts.jsonPath)
 	}
 	if opts.spansPath != "" {
 		f, err := os.Create(opts.spansPath)

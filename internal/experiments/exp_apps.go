@@ -15,12 +15,12 @@ import (
 // Fig14Row is one SQLite configuration. P50/P99 are per-transaction
 // latency percentiles in msec from the shared internal/metrics histogram.
 type Fig14Row struct {
-	Device   string
-	Config   string
-	Mode     sqlmini.JournalMode
-	TxPerSec float64
-	P50      float64
-	P99      float64
+	Device   string              `col:"device,device,%-12s"`
+	Config   string              `col:"config,config,%-8s"`
+	Mode     sqlmini.JournalMode `col:"journal_mode,journal,%-8s"`
+	TxPerSec float64             `col:"tx_per_s,Tx/s,%12.0f"`
+	P50      float64             `col:"p50_ms,p50(ms),%9.3f"`
+	P99      float64             `col:"p99_ms,p99(ms),%9.3f"`
 }
 
 // Fig14Result is the SQLite matrix.
@@ -75,26 +75,16 @@ func Fig14(scale Scale) Fig14Result {
 	return Fig14Result{Rows: rows}
 }
 
-func (r Fig14Result) String() string {
-	t := newTable("Fig 14: SQLite inserts/s")
-	t.row("%-12s %-8s %-8s %12s %9s %9s", "device", "config", "journal", "Tx/s", "p50(ms)", "p99(ms)")
-	for _, row := range r.Rows {
-		t.row("%-12s %-8s %-8s %12.0f %9.3f %9.3f",
-			row.Device, row.Config, row.Mode, row.TxPerSec, row.P50, row.P99)
-	}
-	return t.String()
-}
-
 // Fig15Row is one (device, workload, configuration) bar of Fig. 15.
 // P50/P99 are per-operation latency percentiles in msec where the workload
-// reports them (OLTP-insert; varmail rows leave them zero).
+// reports them (OLTP-insert; varmail rows leave them zero and print "-").
 type Fig15Row struct {
-	Device   string
-	Workload string
-	Config   string
-	PerSec   float64
-	P50      float64
-	P99      float64
+	Device   string  `col:"device,device,%-14s"`
+	Workload string  `col:"workload,workload,%-12s"`
+	Config   string  `col:"config,config,%-8s"`
+	PerSec   float64 `col:"per_s,per-sec,%12.0f"`
+	P50      float64 `col:"p50_ms,p50(ms),%9.3f,dash"`
+	P99      float64 `col:"p99_ms,p99(ms),%9.3f,dash"`
 }
 
 // Fig15Result is the server-workload matrix.
@@ -146,19 +136,4 @@ func Fig15(scale Scale) Fig15Result {
 		}
 	})
 	return Fig15Result{Rows: rows}
-}
-
-func (r Fig15Result) String() string {
-	t := newTable("Fig 15: server workloads (varmail ops/s, OLTP-insert Tx/s)")
-	t.row("%-14s %-12s %-8s %12s %9s %9s", "device", "workload", "config", "per-sec", "p50(ms)", "p99(ms)")
-	for _, row := range r.Rows {
-		lat50, lat99 := "-", "-"
-		if row.P50 > 0 {
-			lat50 = fmt.Sprintf("%.3f", row.P50)
-			lat99 = fmt.Sprintf("%.3f", row.P99)
-		}
-		t.row("%-14s %-12s %-8s %12.0f %9s %9s",
-			row.Device, row.Workload, row.Config, row.PerSec, lat50, lat99)
-	}
-	return t.String()
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -12,11 +13,11 @@ import (
 
 // Fig1Row is one device of the Fig. 1 sweep.
 type Fig1Row struct {
-	Device       string
-	Channels     int
-	BufferedIOPS float64 // plain write()
-	OrderedIOPS  float64 // write() + fdatasync()
-	RatioPercent float64
+	Device       string  `col:"device,device,%-24s"`
+	Channels     int     `col:"channels,channels,%8d,axis"`
+	BufferedIOPS float64 `col:"buffered_iops,buffered IOPS,%14.0f"` // plain write()
+	OrderedIOPS  float64 `col:"ordered_iops,ordered IOPS,%14.0f"`   // write() + fdatasync()
+	RatioPercent float64 `col:"ratio_percent,ratio,%7.1f%%"`
 }
 
 // Fig1Result is the ordered-vs-buffered ratio sweep.
@@ -50,16 +51,6 @@ func fig1Device(i int, dur sim.Duration) Fig1Row {
 	}
 }
 
-func (r Fig1Result) String() string {
-	t := newTable("Fig 1: Ordered write() vs Orderless write()")
-	t.row("%-24s %8s %14s %14s %8s", "device", "channels", "buffered IOPS", "ordered IOPS", "ratio")
-	for _, row := range r.Rows {
-		t.row("%-24s %8d %14.0f %14.0f %7.1f%%", row.Device, row.Channels,
-			row.BufferedIOPS, row.OrderedIOPS, row.RatioPercent)
-	}
-	return t.String()
-}
-
 // Fig1Device runs a single device of the Fig. 1 sweep at Quick scale
 // (bench helper).
 func Fig1Device(i int) Fig1Row {
@@ -79,8 +70,11 @@ func runRandPolicy(prof core.Profile, po workload.Policy, dur sim.Duration) work
 
 // Fig9Row is one (device, policy) cell of Fig. 9.
 type Fig9Row struct {
-	Device string
-	Result workload.RandWriteResult
+	Device string          `col:"device,device,%-14s"`
+	Policy workload.Policy `col:"policy,mode,%-4s"`
+	IOPS   float64         `col:"iops,IOPS,%10.0f"`
+	MeanQD float64         `col:"mean_qd,meanQD,%8.1f"`
+	PeakQD float64         `col:"peak_qd,peakQD,%8.0f"`
 }
 
 // Fig9Result is the 4KB random-write matrix.
@@ -95,7 +89,8 @@ func Fig9(scale Scale) Fig9Result {
 	rows := make([]Fig9Row, len(devices)*len(policies))
 	par.For(len(rows), func(i int) {
 		dev, po := devices[i/len(policies)](), policies[i%len(policies)]
-		rows[i] = Fig9Row{Device: dev.Name, Result: runRandPolicy(profileForPolicy(po, dev), po, dur)}
+		r := runRandPolicy(profileForPolicy(po, dev), po, dur)
+		rows[i] = Fig9Row{Device: dev.Name, Policy: r.Policy, IOPS: r.IOPS, MeanQD: r.MeanQD, PeakQD: r.PeakQD}
 	})
 	return Fig9Result{Rows: rows}
 }
@@ -114,23 +109,13 @@ func profileForPolicy(po workload.Policy, cfg device.Config) core.Profile {
 	}
 }
 
-func (r Fig9Result) String() string {
-	t := newTable("Fig 9: 4KB random write IOPS and queue depth")
-	t.row("%-14s %-4s %10s %8s %8s", "device", "mode", "IOPS", "meanQD", "peakQD")
-	for _, row := range r.Rows {
-		t.row("%-14s %-4s %10.0f %8.1f %8.0f", row.Device, row.Result.Policy,
-			row.Result.IOPS, row.Result.MeanQD, row.Result.PeakQD)
-	}
-	return t.String()
-}
-
 // Fig10Result is a pair of queue-depth traces.
 type Fig10Result struct {
-	Device  string
+	Device  string `col:"device"`
 	XTrace  string
 	BTrace  string
-	XMeanQD float64
-	BMeanQD float64
+	XMeanQD float64 `col:"wot_mean_qd"`
+	BMeanQD float64 `col:"barrier_mean_qd"`
 }
 
 // Fig10 reproduces Fig. 10: the queue-depth timeline under Wait-on-Transfer
@@ -164,15 +149,14 @@ func Fig10(scale Scale) []Fig10Result {
 	return out
 }
 
-// RenderFig10 renders the trace pair.
-func RenderFig10(rs []Fig10Result) string {
-	t := newTable("Fig 10: queue depth, Wait-on-Transfer vs Barrier")
+// fig10Plots prints the trace pair of every device. Not a generated table:
+// the cells are multi-line ASCII plots.
+func fig10Plots(rs []Fig10Result) string {
+	var b strings.Builder
 	for _, r := range rs {
-		t.row("-- %s --", r.Device)
-		t.row("Wait-on-Transfer (mean QD %.2f):\n%s", r.XMeanQD, r.XTrace)
-		t.row("Barrier (mean QD %.2f):\n%s", r.BMeanQD, r.BTrace)
+		fmt.Fprintf(&b, "-- %s --\n", r.Device)
+		fmt.Fprintf(&b, "Wait-on-Transfer (mean QD %.2f):\n%s\n", r.XMeanQD, r.XTrace)
+		fmt.Fprintf(&b, "Barrier (mean QD %.2f):\n%s\n", r.BMeanQD, r.BTrace)
 	}
-	return t.String()
+	return b.String()
 }
-
-var _ = fmt.Sprintf // fmt used by sibling files in this package

@@ -1,4 +1,4 @@
-package main
+package experiments
 
 import (
 	"fmt"
@@ -6,24 +6,31 @@ import (
 	"repro/internal/core"
 	"repro/internal/crashtest"
 	"repro/internal/device"
-	"repro/internal/experiments"
 	"repro/internal/sim"
 )
 
-// crashReport runs the filesystem-level crash-consistency sweep: durability
+// CrashRow is one (stack, audit) case of the filesystem-level crash sweep.
+type CrashRow struct {
+	Case       string `col:"case,,%-52s"`
+	Kind       string `col:"kind"`
+	Trials     int    `col:"trials"`
+	Violations int    `col:"violations,,%s"`
+}
+
+// cellText prints the violation count against the trials it is out of.
+func (r CrashRow) cellText() (key, text string) {
+	return "violations", fmt.Sprintf("%d/%d crash points violated", r.Violations, r.Trials)
+}
+
+// Crash runs the filesystem-level crash-consistency sweep: durability
 // audits on the -DR stacks, ordering audits on the -OD stacks, and the
 // legacy-device control that is expected to violate ordering.
-func crashReport(scale experiments.Scale) (string, []map[string]any) {
-	n := 6
-	if scale == experiments.Full {
-		n = 20
-	}
+func Crash(scale Scale) []CrashRow {
 	var times []sim.Time
-	for i := 1; i <= n; i++ {
+	for i := 1; i <= scale.n(6, 20); i++ {
 		times = append(times, sim.Time(sim.Duration(i*i)*500*sim.Microsecond))
 	}
-	out := "== Crash consistency sweep ==\n"
-	var rows []map[string]any
+	var rows []CrashRow
 	for _, c := range []struct {
 		label string
 		prof  core.Profile
@@ -35,16 +42,13 @@ func crashReport(scale experiments.Scale) (string, []map[string]any) {
 		{"EXT4-DR durability (plain-SSD)", core.EXT4DR(device.PlainSSD()), "durability"},
 		{"EXT4-OD ordering (legacy dev; EXPECTED to violate)", core.EXT4OD(device.LegacySSD()), "ordering"},
 	} {
-		fails := 0
+		row := CrashRow{Case: c.label, Kind: c.kind, Trials: len(times)}
 		for _, rep := range crashtest.Sweep(c.prof, c.kind, times) {
 			if !rep.Ok() {
-				fails++
+				row.Violations++
 			}
 		}
-		out += fmt.Sprintf("%-52s %d/%d crash points violated\n", c.label, fails, len(times))
-		rows = append(rows, map[string]any{
-			"case": c.label, "kind": c.kind, "trials": len(times), "violations": fails,
-		})
+		rows = append(rows, row)
 	}
-	return out, rows
+	return rows
 }

@@ -27,45 +27,34 @@ import (
 
 // CrashMCRow is one (profile, crash instant) model-checking cell.
 type CrashMCRow struct {
-	Config     string
-	CrashAtUs  int64
-	Volatile   int
-	Streams    int
-	States     int
-	Images     int
-	Capped     bool
-	Sampled    int
-	Durability int
-	Ordering   int
+	Config     string `col:"config,config,%-16s"`
+	CrashAtUs  int64  `col:"crash_at_us,crash(us),%9d,axis"`
+	Volatile   int    `col:"volatile,volatile,%9d"`
+	Streams    int    `col:"streams,streams,%8d,axis"`
+	States     int    `col:"states_explored,states,%8d"`
+	Images     int    `col:"images_checked,images,%8d"`
+	Capped     bool   `col:"capped,capped,%10s"`
+	Sampled    int    `col:"sampled"`
+	Durability int    `col:"durability_violations,dur.viol,%9d"`
+	Ordering   int    `col:"ordering_violations,ord.viol,%9d"`
 	// Consistency counts fs metadata self-consistency breaches (expected
 	// zero everywhere: journal atomicity protects even nobarrier mounts).
-	Consistency     int
-	ViolationStates int
+	Consistency     int `col:"consistency_violations,cons.viol,%10d"`
+	ViolationStates int `col:"violation_states,badimg,%7d"`
+}
+
+// cellText prints the capped flag with the sample count it implies.
+func (r CrashMCRow) cellText() (key, text string) {
+	if r.Capped {
+		return "capped", fmt.Sprintf("yes(+%d)", r.Sampled)
+	}
+	return "capped", "no"
 }
 
 // CrashMCResult is the model-checking sweep outcome.
 type CrashMCResult struct {
 	Rows  []CrashMCRow
 	Notes []string // cap/sampling notices (never silent)
-}
-
-func (r CrashMCResult) String() string {
-	t := newTable("Crash-state model checking (states explored / violations per profile)")
-	t.row("%-16s %9s %9s %8s %8s %8s %10s %9s %9s %10s %7s", "config", "crash(us)", "volatile",
-		"streams", "states", "images", "capped", "dur.viol", "ord.viol", "cons.viol", "badimg")
-	for _, row := range r.Rows {
-		capped := "no"
-		if row.Capped {
-			capped = fmt.Sprintf("yes(+%d)", row.Sampled)
-		}
-		t.row("%-16s %9d %9d %8d %8d %8d %10s %9d %9d %10d %7d",
-			row.Config, row.CrashAtUs, row.Volatile, row.Streams, row.States, row.Images,
-			capped, row.Durability, row.Ordering, row.Consistency, row.ViolationStates)
-	}
-	for _, n := range r.Notes {
-		t.row("note: %s", n)
-	}
-	return t.String()
 }
 
 // crashMCCase is one profile under test.

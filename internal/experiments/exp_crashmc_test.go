@@ -43,7 +43,7 @@ func TestCrashMCShape(t *testing.T) {
 	if ordering == 0 {
 		t.Error("EXT4-nobarrier never exposed an ordering violation across the sweep")
 	}
-	if !strings.Contains(res.String(), "Crash-state model checking") {
+	if !strings.Contains(textOf(t, "crashmc", rows(res.Rows)), "Crash-state model checking") {
 		t.Error("render broken")
 	}
 }

@@ -21,19 +21,19 @@ import (
 // that escaped the budget, and the reads the cluster failed over and
 // repaired.
 type FaultsRow struct {
-	Config      string
-	Mix         string
-	Shards      int
-	Replicas    int
-	OfferedPerS float64
-	GoodputPerS float64
-	SLOPct      float64
-	ShedPct     float64
-	P99         float64 // msec
-	Retries     int64
-	IOErrors    int64
-	Failovers   int64
-	ReadRepairs int64
+	Config      string  `col:"config,config,%-10s"`
+	Mix         string  `col:"mix,mix,%-9s"`
+	Shards      int     `col:"shards,sh,%3d,axis"`
+	Replicas    int     `col:"replicas,r,%2d,axis"`
+	OfferedPerS float64 `col:"offered_per_s,offered/s,%9.0f"`
+	GoodputPerS float64 `col:"goodput_per_s,goodput/s,%11.0f"`
+	SLOPct      float64 `col:"slo_pct,slo%,%6.1f%%"`
+	ShedPct     float64 `col:"shed_pct,shed%,%5.1f%%"`
+	P99         float64 `col:"p99_ms,p99ms,%8.3f"` // msec
+	Retries     int64   `col:"retries,retries,%8d"`
+	IOErrors    int64   `col:"io_errors,ioerrs,%7d"`
+	Failovers   int64   `col:"failovers,failovers,%9d"`
+	ReadRepairs int64   `col:"read_repairs,repairs,%8d"`
 }
 
 // FaultsResult is the fault-injection experiment.
@@ -144,15 +144,11 @@ func Faults(scale Scale) FaultsResult {
 			Duration:  dur,
 		}
 		res := kvcluster.RunReplicated(rc, tr)
-		shedPct := 0.0
-		if res.Offered > 0 {
-			shedPct = 100 * float64(res.Shed) / float64(res.Offered)
-		}
 		out.Rows[i] = FaultsRow{
 			Config: res.Engine, Mix: mix.name,
 			Shards: rc.Shards, Replicas: rc.Replicas,
 			OfferedPerS: res.OfferedPerS, GoodputPerS: res.GoodputPerS,
-			SLOPct: res.SLOPct, ShedPct: shedPct, P99: res.Latency.P99,
+			SLOPct: res.SLOPct, ShedPct: shedPct(res), P99: res.Latency.P99,
 			Retries:     reg.Counter("block/retries").Value(),
 			IOErrors:    reg.Counter("block/io.errors").Value(),
 			Failovers:   reg.Counter("kvcluster/failovers").Value(),
@@ -160,18 +156,4 @@ func Faults(scale Scale) FaultsResult {
 		}
 	})
 	return out
-}
-
-func (r FaultsResult) String() string {
-	t := newTable(fmt.Sprintf("faults: replicated KV cluster under device fault personalities (SLO %.1fms)", r.SLOms))
-	t.row("%-10s %-9s %3s %2s %9s %11s %7s %6s %8s %8s %7s %9s %8s",
-		"config", "mix", "sh", "r", "offered/s", "goodput/s", "slo%", "shed%", "p99ms",
-		"retries", "ioerrs", "failovers", "repairs")
-	for _, row := range r.Rows {
-		t.row("%-10s %-9s %3d %2d %9.0f %11.0f %6.1f%% %5.1f%% %8.3f %8d %7d %9d %8d",
-			row.Config, row.Mix, row.Shards, row.Replicas,
-			row.OfferedPerS, row.GoodputPerS, row.SLOPct, row.ShedPct, row.P99,
-			row.Retries, row.IOErrors, row.Failovers, row.ReadRepairs)
-	}
-	return t.String()
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/kvcluster"
@@ -13,15 +11,15 @@ import (
 
 // FSReplayRow is one engine's outcome replaying the recorded trace.
 type FSReplayRow struct {
-	Config      string
-	Shards      int
-	TraceRows   int
-	OfferedPerS float64
-	GoodputPerS float64
-	SLOPct      float64
-	ShedPct     float64
-	P50         float64 // msec
-	P99         float64 // msec
+	Config      string  `col:"config,config,%-10s"`
+	Shards      int     `col:"shards,shards,%6d,axis"`
+	TraceRows   int     `col:"trace_rows,rows,%9d"`
+	OfferedPerS float64 `col:"offered_per_s,offered/s,%9.0f"`
+	GoodputPerS float64 `col:"goodput_per_s,goodput/s,%11.0f"`
+	SLOPct      float64 `col:"slo_pct,slo%,%6.1f%%"`
+	ShedPct     float64 `col:"shed_pct,shed%,%5.1f%%"`
+	P50         float64 `col:"p50_ms,p50ms,%8.3f"` // msec
+	P99         float64 `col:"p99_ms,p99ms,%8.3f"` // msec
 }
 
 // FSReplayResult is the trace-replay experiment.
@@ -70,28 +68,12 @@ func FSReplay(scale Scale, trace *workload.Trace) FSReplayResult {
 			Duration: dur,
 		}
 		res := kvcluster.Run(cfg, tr)
-		shedPct := 0.0
-		if res.Offered > 0 {
-			shedPct = 100 * float64(res.Shed) / float64(res.Offered)
-		}
 		out.Rows[i] = FSReplayRow{
 			Config: res.Engine, Shards: res.Shards, TraceRows: len(trace.Rows),
 			OfferedPerS: res.OfferedPerS, GoodputPerS: res.GoodputPerS,
-			SLOPct: res.SLOPct, ShedPct: shedPct,
+			SLOPct: res.SLOPct, ShedPct: shedPct(res),
 			P50: res.Latency.Median, P99: res.Latency.P99,
 		}
 	})
 	return out
-}
-
-func (r FSReplayResult) String() string {
-	t := newTable(fmt.Sprintf("fsreplay: trace replay through the fs-backed KV service (%s, SLO %.1fms)", r.Source, r.SLOms))
-	t.row("%-10s %6s %9s %9s %11s %7s %6s %8s %8s",
-		"config", "shards", "rows", "offered/s", "goodput/s", "slo%", "shed%", "p50ms", "p99ms")
-	for _, row := range r.Rows {
-		t.row("%-10s %6d %9d %9.0f %11.0f %6.1f%% %5.1f%% %8.3f %8.3f",
-			row.Config, row.Shards, row.TraceRows,
-			row.OfferedPerS, row.GoodputPerS, row.SLOPct, row.ShedPct, row.P50, row.P99)
-	}
-	return t.String()
 }

@@ -14,9 +14,13 @@ import (
 
 // Table1Row is one (device, filesystem) row of Table 1.
 type Table1Row struct {
-	Device  string
-	FS      string
-	Summary metrics.Summary
+	Device string  `col:"device,device,%-14s"`
+	FS     string  `col:"fs,fs,%-5s"`
+	Mean   float64 `col:"mean_ms,mean,%9.3f"`
+	Median float64 `col:"p50_ms,median,%9.3f"`
+	P99    float64 `col:"p99_ms,p99,%9.3f"`
+	P999   float64 `col:"p999_ms,p99.9,%9.3f"`
+	P9999  float64 `col:"p9999_ms,p99.99,%9.3f"`
 }
 
 // Table1Result is the fsync latency statistics table.
@@ -38,8 +42,8 @@ func Table1(scale Scale) Table1Result {
 	rows := make([]Table1Row, len(devices)*len(fses))
 	par.For(len(rows), func(i int) {
 		dev, f := devices[i/len(fses)](), fses[i%len(fses)]
-		rec := fsyncLatencies(f.mk(dev), n)
-		rows[i] = Table1Row{Device: dev.Name, FS: f.name, Summary: rec.Summarize()}
+		s := fsyncLatencies(f.mk(dev), n).Summarize()
+		rows[i] = Table1Row{dev.Name, f.name, s.Mean, s.Median, s.P99, s.P999, s.P9999}
 	})
 	return Table1Result{Rows: rows}
 }
@@ -69,22 +73,11 @@ func fsyncLatencies(prof core.Profile, n int) *metrics.LatencyRecorder {
 	return rec
 }
 
-func (r Table1Result) String() string {
-	t := newTable("Table 1: fsync() latency statistics (msec)")
-	t.row("%-14s %-5s %9s %9s %9s %9s %9s", "device", "fs", "mean", "median", "p99", "p99.9", "p99.99")
-	for _, row := range r.Rows {
-		s := row.Summary
-		t.row("%-14s %-5s %9.3f %9.3f %9.3f %9.3f %9.3f",
-			row.Device, row.FS, s.Mean, s.Median, s.P99, s.P999, s.P9999)
-	}
-	return t.String()
-}
-
 // Fig11Row is one (device, configuration) bar of Fig. 11.
 type Fig11Row struct {
-	Device   string
-	Config   string
-	Switches float64 // voluntary context switches per sync call
+	Device   string  `col:"device,device,%-14s"`
+	Config   string  `col:"config,config,%-8s"`
+	Switches float64 `col:"switches_per_sync,switches,%10.2f"` // voluntary context switches per sync call
 }
 
 // Fig11Result is the context-switch census.
@@ -142,19 +135,11 @@ func switchesPerSync(prof core.Profile, n int) float64 {
 	return meter.PerOp()
 }
 
-func (r Fig11Result) String() string {
-	t := newTable("Fig 11: context switches per fsync()/fbarrier()")
-	t.row("%-14s %-8s %10s", "device", "config", "switches")
-	for _, row := range r.Rows {
-		t.row("%-14s %-8s %10.2f", row.Device, row.Config, row.Switches)
-	}
-	return t.String()
-}
-
-// Fig12Result holds the BarrierFS queue-depth traces for fsync vs fbarrier.
+// Fig12Result holds the BarrierFS queue-depth traces for fsync vs fbarrier;
+// it is also the experiment's one -json row.
 type Fig12Result struct {
-	FsyncPeakQD    float64
-	FbarrierPeakQD float64
+	FsyncPeakQD    float64 `col:"fsync_peak_qd"`
+	FbarrierPeakQD float64 `col:"fbarrier_peak_qd"`
 	FsyncTrace     string
 	FbarrierTrace  string
 }
@@ -199,19 +184,19 @@ func Fig12(scale Scale) Fig12Result {
 	return out
 }
 
-func (r Fig12Result) String() string {
-	t := newTable("Fig 12: BarrierFS queue depth, fsync vs fbarrier (UFS)")
-	t.row("fsync peak QD    = %.0f\n%s", r.FsyncPeakQD, r.FsyncTrace)
-	t.row("fbarrier peak QD = %.0f\n%s", r.FbarrierPeakQD, r.FbarrierTrace)
-	return t.String()
+// plots prints the two traces. Not a generated table: the cells are
+// multi-line ASCII plots.
+func (r Fig12Result) plots() string {
+	return fmt.Sprintf("fsync peak QD    = %.0f\n%s\nfbarrier peak QD = %.0f\n%s\n",
+		r.FsyncPeakQD, r.FsyncTrace, r.FbarrierPeakQD, r.FbarrierTrace)
 }
 
 // Fig13Row is one point of the journaling-scalability curves.
 type Fig13Row struct {
-	Device  string
-	FS      string
-	Threads int
-	OpsPerS float64
+	Device  string  `col:"device,device,%-14s"`
+	FS      string  `col:"fs,fs,%-8s"`
+	Threads int     `col:"threads,threads,%8d,axis"`
+	OpsPerS float64 `col:"ops_per_s,ops/s,%12.0f"`
 }
 
 // Fig13Result is the DWSL scalability sweep.
@@ -250,20 +235,11 @@ func Fig13(scale Scale) Fig13Result {
 	return Fig13Result{Rows: rows}
 }
 
-func (r Fig13Result) String() string {
-	t := newTable("Fig 13: fxmark DWSL journaling scalability (ops/s)")
-	t.row("%-14s %-8s %8s %12s", "device", "fs", "threads", "ops/s")
-	for _, row := range r.Rows {
-		t.row("%-14s %-8s %8d %12.0f", row.Device, row.FS, row.Threads, row.OpsPerS)
-	}
-	return t.String()
-}
-
 // Fig8Row is one journaling mode's inter-commit interval.
 type Fig8Row struct {
-	Mode       string
-	IntervalUs float64
-	CommitsPS  float64
+	Mode       string  `col:"mode,mode,%-30s"`
+	IntervalUs float64 `col:"interval_us,interval (µs),%14.1f"`
+	CommitsPS  float64 `col:"commits_per_s,commits/s,%12.0f"`
 }
 
 // Fig8Result is the commit-interval comparison.
@@ -328,14 +304,3 @@ func Fig8(scale Scale) Fig8Result {
 	})
 	return Fig8Result{Rows: rows}
 }
-
-func (r Fig8Result) String() string {
-	t := newTable("Fig 8: interval between successive journal commits")
-	t.row("%-30s %14s %12s", "mode", "interval (µs)", "commits/s")
-	for _, row := range r.Rows {
-		t.row("%-30s %14.1f %12.0f", row.Mode, row.IntervalUs, row.CommitsPS)
-	}
-	return t.String()
-}
-
-var _ = fmt.Sprintf

@@ -15,20 +15,29 @@ import (
 // mutations per second and client-observed commit-latency percentiles for
 // one (stack profile, client count) pair.
 type KVRow struct {
-	Config    string
-	Clients   int
-	OpsPerS   float64
-	GroupMean float64 // mutations amortized per group commit
-	P50       float64 // msec
-	P99       float64
-	P999      float64
+	Config    string  `col:"config,config,%-8s"`
+	Clients   int     `col:"clients,clients,%8d,axis"`
+	OpsPerS   float64 `col:"ops_per_s,ops/s,%10.0f"`
+	GroupMean float64 `col:"ops_per_group,grp,%8.1f"` // mutations amortized per group commit
+	P50       float64 `col:"p50_ms,p50(ms),%9.3f"`    // msec
+	P99       float64 `col:"p99_ms,p99(ms),%9.3f"`
+	P999      float64 `col:"p999_ms,p99.9(ms),%9.3f"`
 }
 
-// KVCrashRow is one profile's crash sweep outcome.
+// KVCrashRow is one profile's crash sweep outcome. The trailing space in
+// the trials format makes the two-space gap before the verdict.
 type KVCrashRow struct {
-	Config     string
-	Trials     int
-	Violations int
+	Config     string `col:"config,,%-8s"`
+	Trials     int    `col:"crash_trials,,%d crash points "`
+	Violations int    `col:"crash_violations,,%s"`
+}
+
+// cellText prints the violation count as a verdict.
+func (r KVCrashRow) cellText() (key, text string) {
+	if r.Violations > 0 {
+		return "crash_violations", fmt.Sprintf("FAIL (%d violated)", r.Violations)
+	}
+	return "crash_violations", "OK"
 }
 
 // KVResult is the kvwal application experiment: the throughput/latency
@@ -90,22 +99,4 @@ func KV(scale Scale) KVResult {
 		out.Crash = append(out.Crash, row)
 	}
 	return out
-}
-
-func (r KVResult) String() string {
-	t := newTable("KV: WAL group commit, barrier vs transfer-and-flush (NVMe-SSD)")
-	t.row("%-8s %8s %10s %8s %9s %9s %9s", "config", "clients", "ops/s", "grp", "p50(ms)", "p99(ms)", "p99.9(ms)")
-	for _, row := range r.Rows {
-		t.row("%-8s %8d %10.0f %8.1f %9.3f %9.3f %9.3f",
-			row.Config, row.Clients, row.OpsPerS, row.GroupMean, row.P50, row.P99, row.P999)
-	}
-	t.row("-- crash sweep: acknowledged-durable keys must survive every crash point --")
-	for _, c := range r.Crash {
-		verdict := "OK"
-		if c.Violations > 0 {
-			verdict = fmt.Sprintf("FAIL (%d violated)", c.Violations)
-		}
-		t.row("%-8s %d crash points  %s", c.Config, c.Trials, verdict)
-	}
-	return t.String()
 }

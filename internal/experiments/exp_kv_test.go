@@ -47,7 +47,7 @@ func TestKVShape(t *testing.T) {
 			t.Errorf("%s: %d/%d crash points violated", c.Config, c.Violations, c.Trials)
 		}
 	}
-	if !strings.Contains(res.String(), "KV") {
+	if !strings.Contains(textOf(t, "kv", Outcome{Rows: []any{res.Rows, res.Crash}}), "KV") {
 		t.Error("render broken")
 	}
 }

@@ -14,17 +14,25 @@ import (
 // KVClusterRow is one cell of the kvcluster sweep: one (engine, offered
 // load) pair's measured-window goodput and latency tail.
 type KVClusterRow struct {
-	Config      string
-	Mode        string
-	Shards      int
-	OfferedKops int // offered load identity, kreq/s
-	OfferedPerS float64
-	GoodputPerS float64
-	SLOPct      float64
-	ShedPct     float64
-	P50         float64 // msec
-	P99         float64
-	P999        float64
+	Config      string  `col:"config,config,%-8s"`
+	Mode        string  `col:"mode,mode,%-10s"`
+	Shards      int     `col:"shards,shards,%6d,axis"`
+	OfferedKops int     `col:"offered_kops,,,axis"` // offered load identity, kreq/s
+	OfferedPerS float64 `col:"offered_per_s,offered/s,%9.0f"`
+	GoodputPerS float64 `col:"goodput_per_s,goodput/s,%11.0f"`
+	SLOPct      float64 `col:"slo_pct,slo%,%6.1f%%"`
+	ShedPct     float64 `col:"shed_pct,shed%,%5.1f%%"`
+	P50         float64 `col:"p50_ms,p50ms,%8.3f"` // msec
+	P99         float64 `col:"p99_ms,p99ms,%8.3f"`
+	P999        float64 `col:"p999_ms,p999ms,%8.3f"`
+}
+
+// shedPct is the share of offered requests that admission control shed.
+func shedPct(res kvcluster.Result) float64 {
+	if res.Offered == 0 {
+		return 0
+	}
+	return 100 * float64(res.Shed) / float64(res.Offered)
 }
 
 // KVClusterResult is the sharded KV service experiment.
@@ -89,28 +97,12 @@ func KVCluster(scale Scale) KVClusterResult {
 			Duration:  dur,
 		}
 		res := kvcluster.Run(cfg, tr)
-		shedPct := 0.0
-		if res.Offered > 0 {
-			shedPct = 100 * float64(res.Shed) / float64(res.Offered)
-		}
 		out.Rows[i] = KVClusterRow{
 			Config: res.Engine, Mode: res.Mode.String(), Shards: res.Shards,
 			OfferedKops: kops, OfferedPerS: res.OfferedPerS,
-			GoodputPerS: res.GoodputPerS, SLOPct: res.SLOPct, ShedPct: shedPct,
+			GoodputPerS: res.GoodputPerS, SLOPct: res.SLOPct, ShedPct: shedPct(res),
 			P50: res.Latency.Median, P99: res.Latency.P99, P999: res.Latency.P999,
 		}
 	})
 	return out
-}
-
-func (r KVClusterResult) String() string {
-	t := newTable(fmt.Sprintf("kvcluster: sharded KV service, open-loop Zipfian traffic (SLO %.1fms)", r.SLOms))
-	t.row("%-8s %-10s %6s %9s %11s %7s %6s %8s %8s %8s",
-		"config", "mode", "shards", "offered/s", "goodput/s", "slo%", "shed%", "p50ms", "p99ms", "p999ms")
-	for _, row := range r.Rows {
-		t.row("%-8s %-10s %6d %9.0f %11.0f %6.1f%% %5.1f%% %8.3f %8.3f %8.3f",
-			row.Config, row.Mode, row.Shards, row.OfferedPerS,
-			row.GoodputPerS, row.SLOPct, row.ShedPct, row.P50, row.P99, row.P999)
-	}
-	return t.String()
 }

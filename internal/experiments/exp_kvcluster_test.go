@@ -7,7 +7,7 @@ import "testing"
 // deterministic simulated sweep.
 func TestKVClusterBarrierGoodputWins(t *testing.T) {
 	res := KVCluster(Quick)
-	t.Log("\n" + res.String())
+	t.Log("\n" + textOf(t, "kvcluster", rows(res.Rows, res.SLOms)))
 	byCell := func(config string, kops int) (KVClusterRow, bool) {
 		for _, r := range res.Rows {
 			if r.Config == config && r.OfferedKops == kops {

@@ -17,20 +17,20 @@ import (
 // single-queue layer (global total order, the seed design) or the blkmq
 // layer with one hardware queue per stream (per-stream epochs, §8).
 type MQScalingRow struct {
-	Streams      int
-	HWQueues     int // 0 = single-queue block.Layer
-	Config       string
-	IOPS         float64
-	EpochsClosed int64
-	Speedup      float64 // blkmq IOPS over the same-stream single-queue row
+	Streams      int     `col:"streams,streams,%8d,axis"`
+	HWQueues     int     `col:"hw_queues,hw-queues,%9d,axis"` // 0 = single-queue block.Layer
+	Config       string  `col:"layer,layer,%-14s"`
+	IOPS         float64 `col:"iops,IOPS,%10.0f"`
+	EpochsClosed int64   `col:"epochs_closed,epochs,%8d"`
+	Speedup      float64 `col:"speedup,speedup,%7.2fx,dash"` // blkmq IOPS over the same-stream single-queue row
 }
 
 // MQFSRow is one filesystem-level comparison point: sustained fdatasync
 // throughput of one foreground thread while bulk writers flood the layer
 // with background writeback.
 type MQFSRow struct {
-	Config  string
-	OpsPerS float64 // foreground fdatasync calls per second
+	Config  string  `col:"config,,%-14s"`
+	OpsPerS float64 `col:"fg_fdatasync_per_s,,%10.0f syncs/s"` // foreground fdatasync calls per second
 }
 
 // MQScalingResult is the multi-queue scaling experiment.
@@ -210,22 +210,4 @@ func mqFSPoint(prof core.Profile, dur sim.Duration) float64 {
 	k.RunUntil(start.Add(dur))
 	measuring = false
 	return metrics.Rate(syncs, sim.Duration(k.Now()-start))
-}
-
-func (r MQScalingResult) String() string {
-	t := newTable("MQ: per-stream epochs vs global order (NVMe-SSD, barrier every 8 writes)")
-	t.row("%8s %9s %-14s %10s %8s %8s", "streams", "hw-queues", "layer", "IOPS", "epochs", "speedup")
-	for _, row := range r.Rows {
-		speed := "-"
-		if row.Speedup > 0 {
-			speed = fmt.Sprintf("%.2fx", row.Speedup)
-		}
-		t.row("%8d %9d %-14s %10.0f %8d %8s", row.Streams, row.HWQueues, row.Config,
-			row.IOPS, row.EpochsClosed, speed)
-	}
-	t.row("-- foreground fdatasync under background writeback --")
-	for _, row := range r.FS {
-		t.row("%-14s %10.0f syncs/s", row.Config, row.OpsPerS)
-	}
-	return t.String()
 }

@@ -52,7 +52,7 @@ func TestMQScalingShape(t *testing.T) {
 		t.Errorf("BFS-MQ (%.0f) not above BFS-DR (%.0f) under background load",
 			get("BFS-MQ"), get("BFS-DR"))
 	}
-	if !strings.Contains(res.String(), "blkmq") {
+	if !strings.Contains(textOf(t, "mq", Outcome{Rows: []any{res.Rows, res.FS}}), "blkmq") {
 		t.Error("render broken")
 	}
 }

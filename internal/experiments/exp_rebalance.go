@@ -20,20 +20,20 @@ import (
 // (zero acked-write loss) is carried per row so the recorded cells assert
 // it too.
 type RebalanceRow struct {
-	Config      string
-	Scenario    string // resize | rebuild
-	Phase       string // before | during | after
-	Shards      int
-	Replicas    int
-	GoodputPerS float64
-	P99         float64 // msec (worst bin in the phase)
-	ShedPct     float64 // whole-run shed (open-loop admission)
-	KeysMoved   int64
-	DualWrites  int64
-	Cutovers    int64
-	Aborts      int64
-	AckedKeys   int
-	AckedLost   int
+	Config      string  `col:"config,config,%-14s"`
+	Scenario    string  `col:"scenario,scenario,%-8s"` // resize | rebuild
+	Phase       string  `col:"phase,phase,%-7s"`       // before | during | after
+	Shards      int     `col:"shards,sh,%3d,axis"`
+	Replicas    int     `col:"replicas,r,%2d,axis"`
+	GoodputPerS float64 `col:"goodput_per_s,goodput/s,%11.0f"`
+	P99         float64 `col:"p99_ms,p99ms,%8.3f"`     // msec (worst bin in the phase)
+	ShedPct     float64 `col:"shed_pct,shed%,%5.1f%%"` // whole-run shed (open-loop admission)
+	KeysMoved   int64   `col:"keys_moved,keysmoved,%9d"`
+	DualWrites  int64   `col:"dual_writes,dualwr,%9d"`
+	Cutovers    int64   `col:"cutovers,cutovers,%8d"`
+	Aborts      int64   `col:"aborts,abort,%6d"`
+	AckedKeys   int     `col:"acked_keys,acked,%8d"`
+	AckedLost   int     `col:"acked_lost,lost,%5d"`
 }
 
 // RebalanceResult is the live-rebalancing experiment.
@@ -99,10 +99,7 @@ func Rebalance(scale Scale) RebalanceResult {
 			spec.ReplaceAt = sim.Time(tr.Warmup + dur/4)
 		}
 		res := kvcluster.RunResize(rc, tr, spec)
-		shedPct := 0.0
-		if res.Offered > 0 {
-			shedPct = 100 * float64(res.Shed) / float64(res.Offered)
-		}
+		shed := shedPct(res.Result)
 		for _, ph := range res.Phases {
 			if ph.WindowMs == 0 {
 				continue
@@ -110,7 +107,7 @@ func Rebalance(scale Scale) RebalanceResult {
 			rows[i] = append(rows[i], RebalanceRow{
 				Config: res.Engine, Scenario: scenario, Phase: ph.Phase,
 				Shards: rc.Shards, Replicas: rc.Replicas,
-				GoodputPerS: ph.GoodputPerS, P99: ph.P99, ShedPct: shedPct,
+				GoodputPerS: ph.GoodputPerS, P99: ph.P99, ShedPct: shed,
 				KeysMoved:  res.Migration.KeysCopied,
 				DualWrites: res.Migration.DualWrites,
 				Cutovers:   res.Migration.Cutovers,
@@ -124,19 +121,4 @@ func Rebalance(scale Scale) RebalanceResult {
 		out.Rows = append(out.Rows, rs...)
 	}
 	return out
-}
-
-func (r RebalanceResult) String() string {
-	t := newTable(fmt.Sprintf("rebalance: live ring resize under open-loop traffic (SLO %.1fms)", r.SLOms))
-	t.row("%-14s %-8s %-7s %3s %2s %11s %8s %6s %9s %9s %8s %6s %8s %5s",
-		"config", "scenario", "phase", "sh", "r", "goodput/s", "p99ms", "shed%",
-		"keysmoved", "dualwr", "cutovers", "abort", "acked", "lost")
-	for _, row := range r.Rows {
-		t.row("%-14s %-8s %-7s %3d %2d %11.0f %8.3f %5.1f%% %9d %9d %8d %6d %8d %5d",
-			row.Config, row.Scenario, row.Phase, row.Shards, row.Replicas,
-			row.GoodputPerS, row.P99, row.ShedPct,
-			row.KeysMoved, row.DualWrites, row.Cutovers, row.Aborts,
-			row.AckedKeys, row.AckedLost)
-	}
-	return t.String()
 }

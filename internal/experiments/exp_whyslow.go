@@ -19,15 +19,15 @@ import (
 // durability, ack); "durability" splits the durability window by the deeper
 // pipeline boundaries (prep, journal, blockq, devq, device, residual).
 type WhySlowRow struct {
-	Config      string
-	OfferedKops int
-	Level       string // top | durability
-	Stage       string
-	MeanMs      float64
-	P50Ms       float64
-	P99Ms       float64
-	SharePct    float64
-	Exemplars   int
+	Config      string  `col:"config,config,%-10s"`
+	OfferedKops int     `col:"offered_kops,offered,%6dk,axis"`
+	Level       string  `col:"level,level,%-10s"` // top | durability
+	Stage       string  `col:"stage,stage,%-10s"`
+	MeanMs      float64 `col:"mean_ms,mean_ms,%9.4f"`
+	P50Ms       float64 `col:"p50_ms,p50_ms,%9.4f"`
+	P99Ms       float64 `col:"p99_ms,p99_ms,%9.4f"`
+	SharePct    float64 `col:"share_pct,share,%6.1f%%"`
+	Exemplars   int     `col:"exemplars,n,%5d"`
 }
 
 // WhySlowResult is the tail-latency attribution experiment.
@@ -146,16 +146,4 @@ func dumpExemplars(label string, exs []reqtrace.Exemplar, k int) {
 		}
 	}
 	RecordSpans(label, st)
-}
-
-func (r WhySlowResult) String() string {
-	t := newTable(fmt.Sprintf("whyslow: tail-latency attribution across the IO stack (SLO %.1fms)", r.SLOms))
-	t.row("%-10s %7s %-10s %-10s %9s %9s %9s %7s %5s",
-		"config", "offered", "level", "stage", "mean_ms", "p50_ms", "p99_ms", "share", "n")
-	for _, row := range r.Rows {
-		t.row("%-10s %6dk %-10s %-10s %9.4f %9.4f %9.4f %6.1f%% %5d",
-			row.Config, row.OfferedKops, row.Level, row.Stage,
-			row.MeanMs, row.P50Ms, row.P99Ms, row.SharePct, row.Exemplars)
-	}
-	return t.String()
 }

@@ -18,6 +18,16 @@ func skipIfShort(t *testing.T) {
 	}
 }
 
+// textOf renders an outcome through the named experiment's declared table.
+func textOf(t *testing.T, name string, o Outcome) string {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("experiment %q is not registered", name)
+	}
+	return e.Text(o)
+}
+
 func TestFig1Shape(t *testing.T) {
 	skipIfShort(t)
 	res := Fig1(Quick)
@@ -36,7 +46,7 @@ func TestFig1Shape(t *testing.T) {
 		t.Errorf("flash array (%.0f) not much faster than eMMC (%.0f)",
 			last.BufferedIOPS, first.BufferedIOPS)
 	}
-	if !strings.Contains(res.String(), "Fig 1") {
+	if !strings.Contains(textOf(t, "fig1", rows(res.Rows)), "Fig 1") {
 		t.Error("render broken")
 	}
 }
@@ -50,8 +60,8 @@ func TestFig9Shape(t *testing.T) {
 	byKey := map[string]float64{}
 	qd := map[string]float64{}
 	for _, r := range res.Rows {
-		byKey[r.Device+"/"+r.Result.Policy.String()] = r.Result.IOPS
-		qd[r.Device+"/"+r.Result.Policy.String()] = r.Result.MeanQD
+		byKey[r.Device+"/"+r.Policy.String()] = r.IOPS
+		qd[r.Device+"/"+r.Policy.String()] = r.MeanQD
 	}
 	for _, dev := range []string{"UFS", "plain-SSD", "supercap-SSD"} {
 		xnf, x, b, p := byKey[dev+"/XnF"], byKey[dev+"/X"], byKey[dev+"/B"], byKey[dev+"/P"]
@@ -90,7 +100,7 @@ func TestFig10Traces(t *testing.T) {
 			t.Errorf("%s: barrier mean QD %.1f, want deep", r.Device, r.BMeanQD)
 		}
 	}
-	if !strings.Contains(RenderFig10(rs), "Barrier") {
+	if !strings.Contains(fig10Plots(rs), "Barrier") {
 		t.Error("render broken")
 	}
 }
@@ -104,7 +114,7 @@ func TestTable1Shape(t *testing.T) {
 	get := func(dev, fsName string) float64 {
 		for _, r := range res.Rows {
 			if r.Device == dev && r.FS == fsName {
-				return r.Summary.Mean
+				return r.Mean
 			}
 		}
 		t.Fatalf("missing %s/%s", dev, fsName)
@@ -125,7 +135,7 @@ func TestTable1Shape(t *testing.T) {
 	}
 	// Tail behaviour: p99.99 >= p99 >= median for every row.
 	for _, r := range res.Rows {
-		s := r.Summary
+		s := r
 		if !(s.Median <= s.P99 && s.P99 <= s.P999 && s.P999 <= s.P9999) {
 			t.Errorf("%s/%s: non-monotone percentiles %+v", r.Device, r.FS, s)
 		}
@@ -278,7 +288,7 @@ func TestFig15Shape(t *testing.T) {
 
 func TestRenderers(t *testing.T) {
 	skipIfShort(t)
-	if !strings.Contains(Table1(Quick).String(), "Table 1") {
+	if !strings.Contains(textOf(t, "table1", rows(Table1(Quick).Rows)), "Table 1") {
 		t.Error("table1 render")
 	}
 }
