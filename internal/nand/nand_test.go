@@ -185,6 +185,49 @@ func TestEraseResetsBlock(t *testing.T) {
 	k.Run()
 }
 
+// Every page's content lives in two slices shared by the whole array: a
+// program must land in its own slot and an erase must wipe its own block
+// only, at the corners of the index space as in the middle.
+func TestPagesKeepToTheirSlots(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	g := testGeo()
+	a := New(k, g, testTiming())
+	type loc struct{ chip, block int }
+	locs := []loc{{0, 0}, {0, 1}, {1, 0}, {2, 5}, {g.Chips() - 1, g.BlocksPerChip - 1}}
+	k.Spawn("host", func(p *sim.Proc) {
+		c := sim.NewCond(k)
+		signal := func(sim.Time, *Request) { c.Signal() }
+		for i, l := range locs {
+			for pg := 0; pg < g.PagesPerBlock; pg++ {
+				a.Submit(&Request{Kind: OpProgram, Chip: l.chip, Block: l.block, Page: pg,
+					Meta: PageMeta{LPA: uint64(i), Seq: uint64(pg + 1)}, Data: i*100 + pg, Done: signal})
+				c.Wait(p)
+			}
+		}
+		a.Submit(&Request{Kind: OpErase, Chip: 0, Block: 1, Done: signal})
+		c.Wait(p)
+	})
+	k.Run()
+	for i, l := range locs {
+		for pg := 0; pg < g.PagesPerBlock; pg++ {
+			ok, meta, data := a.PageInfo(l.chip, l.block, pg)
+			if l == (loc{0, 1}) {
+				if ok || meta != (PageMeta{}) || data != nil {
+					t.Fatalf("erased chip 0 block 1 page %d: %v %+v %v", pg, ok, meta, data)
+				}
+				continue
+			}
+			if want := (PageMeta{LPA: uint64(i), Seq: uint64(pg + 1)}); !ok || meta != want || data != i*100+pg {
+				t.Fatalf("chip %d block %d page %d: %v %+v %v, want %+v %d", l.chip, l.block, pg, ok, meta, data, want, i*100+pg)
+			}
+		}
+	}
+	if ok, _, _ := a.PageInfo(1, 1, 0); ok {
+		t.Error("a page nobody programmed reads as programmed")
+	}
+}
+
 func TestPowerFailureLosesInflight(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
