@@ -8,7 +8,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/crashtest"
+	"repro/internal/crashmc"
 	"repro/internal/device"
 	"repro/internal/sim"
 )
@@ -29,8 +29,8 @@ func main() {
 	}
 	for _, c := range cases {
 		violated := 0
-		for _, rep := range crashtest.Sweep(c.prof, "ordering", times) {
-			if !rep.Ok() {
+		for _, res := range crashmc.Sweep(crashmc.OrderingSweep(c.prof), times) {
+			if !res.Ok() {
 				violated++
 			}
 		}

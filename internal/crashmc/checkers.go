@@ -9,11 +9,10 @@ import (
 	"repro/internal/kvwal"
 )
 
-// The stock checkers. DurabilityChecker and OrderingChecker are the
-// crashtest trial audits re-expressed against the Checker interface: the
-// sampled trials and the model checker now run the identical invariant
-// logic, so a crashmc pass is the exhaustive form of the same statement a
-// crashtest sweep makes pointwise.
+// The stock checkers. Each states one invariant against the Checker
+// interface, so a sample and an enumeration run the identical logic: an
+// Enumerate pass is the exhaustive form of the statement a Sweep makes
+// pointwise.
 
 // AckedWrite is one page write acknowledged durable (fsync returned) in
 // the workload's history.
@@ -208,14 +207,19 @@ type KVChecker struct {
 // Name implements Checker.
 func (c *KVChecker) Name() string { return "kvwal" }
 
-// Check implements Checker.
+// Check implements Checker. A nil Store means the crash landed inside
+// Open: nothing was ever acknowledged, so every image is trivially clean.
 func (c *KVChecker) Check(st *State) []Violation {
+	if c.Store == nil {
+		return nil
+	}
 	return c.CheckRecovered(c.Store.Recover(st.View))
 }
 
-// CheckRecovered audits an already-reconstructed store image. Callers that
-// need the Recovered value themselves (crashtest.KVTrial reports
-// WALApplied) use this to avoid running the recovery scan twice.
+// CheckRecovered audits an already-reconstructed store image. Checkers
+// that read the Recovered value themselves (ClusterChecker's routing
+// audit, RebalanceChecker's coverage audit) use this to avoid running the
+// recovery scan twice.
 func (c *KVChecker) CheckRecovered(rec kvwal.Recovered) []Violation {
 	durability, ordering := c.Store.Audit(rec)
 	out := make([]Violation, 0, len(durability)+len(ordering))

@@ -36,8 +36,12 @@ type ClusterChecker struct {
 // Name implements Checker.
 func (c *ClusterChecker) Name() string { return "kvcluster" }
 
-// Check implements Checker.
+// Check implements Checker. A nil Store means the crash landed inside
+// Open: nothing was ever acknowledged (see KVChecker).
 func (c *ClusterChecker) Check(st *State) []Violation {
+	if c.Store == nil {
+		return nil
+	}
 	rec := c.Store.Recover(st.View)
 	kv := &KVChecker{Store: c.Store}
 	out := kv.CheckRecovered(rec)
@@ -56,33 +60,19 @@ func (c *ClusterChecker) Check(st *State) []Violation {
 	return out
 }
 
-// ClusterResult is the outcome of a ClusterScenario: one model-checking
-// Result per killed shard plus cluster-wide violation totals.
+// ClusterResult is the outcome of a clusterScenario: the cluster-wide
+// totals (the embedded Result) over one enumeration per killed shard.
 type ClusterResult struct {
-	Profile  string
+	Result
 	Shards   int
 	Killed   int
 	PerShard []Result
-
-	StatesExplored int
-	ImagesChecked  int
-	Durability     int
-	Ordering       int
-	Consistency    int
 }
 
-// Ok reports whether no killed shard violated any invariant in any
-// admissible crash state.
-func (r ClusterResult) Ok() bool { return r.Durability+r.Ordering+r.Consistency == 0 }
-
 func (r ClusterResult) String() string {
-	status := "OK: every admissible crash state recovers clean"
-	if !r.Ok() {
-		status = fmt.Sprintf("VIOLATIONS: %d durability / %d ordering / %d consistency",
-			r.Durability, r.Ordering, r.Consistency)
-	}
 	return fmt.Sprintf("%s cluster %d/%d shards killed: %d states / %d images — %s",
-		r.Profile, r.Killed, r.Shards, r.StatesExplored, r.ImagesChecked, status)
+		r.Profile, r.Killed, r.Shards, r.StatesExplored, r.ImagesChecked,
+		r.verdict("every admissible crash state recovers clean"))
 }
 
 // clusterTraffic is the deterministic routed request stream the scenario
@@ -101,91 +91,59 @@ func clusterTraffic(shards int) (*kvcluster.Ring, [][]kvcluster.Request) {
 	return ring, kvcluster.Partition(tr.Generate(), ring)
 }
 
-// ClusterScenario builds an N-shard kvcluster (ShardedStacks shape: one
+// clusterScenario takes an N-shard kvcluster (ShardedStacks shape: one
 // stack per shard), drives each of the first `kill` shards with its routed
 // slice of the cluster traffic to the crash instant, crashes it, and
-// model-checks every admissible crash state with the ClusterChecker plus
-// the journal and fs invariants. Surviving shards never crash, so they
-// have nothing to enumerate (see the factorization note above).
-func ClusterScenario(prof core.Profile, shards, kill int, cfg Config) ClusterResult {
-	cfg = cfg.withDefaults()
+// enumerates every admissible crash state. Surviving shards never crash,
+// so they have nothing to enumerate (see the factorization note above).
+func clusterScenario(prof core.Profile, shards, kill int, cfg Config) ClusterResult {
 	if kill > shards {
 		kill = shards
 	}
 	ring, parts := clusterTraffic(shards)
-	out := ClusterResult{Profile: prof.Name, Shards: shards, Killed: kill}
+	out := ClusterResult{Result: Result{Profile: prof.Name}, Shards: shards, Killed: kill}
 	for i := 0; i < kill; i++ {
-		res := clusterShardCheck(prof, ring, i, parts[i], cfg)
+		res := Enumerate(OnStack(prof, clusterShard(ring, i, parts[i])), cfg)
 		out.PerShard = append(out.PerShard, res)
-		out.StatesExplored += res.StatesExplored
-		out.ImagesChecked += res.ImagesChecked
-		out.Durability += res.Durability
-		out.Ordering += res.Ordering
-		out.Consistency += res.Consistency
+		out.add(res)
 	}
 	return out
 }
 
-// clusterShardCheck crashes one shard mid-replay and model-checks it.
-func clusterShardCheck(prof core.Profile, ring *kvcluster.Ring, shard int,
-	reqs []kvcluster.Request, cfg Config) Result {
-	k := sim.NewKernel()
-	s := core.NewStack(k, prof)
-	var st *kvwal.Store
-	k.Spawn("kvc/setup", func(p *sim.Proc) {
-		scfg := kvwal.Config{WALPages: 128, MemtableCap: 32, CompactFanIn: 3, CheckpointEvery: 8}
-		opened, err := kvwal.Open(p, s, scfg)
-		if err != nil {
-			panic(err)
-		}
-		st = opened
-	})
-	k.Spawn("kvc/client", func(p *sim.Proc) {
-		for st == nil {
-			p.Sleep(sim.Millisecond)
-		}
-		if len(reqs) == 0 {
-			for {
-				p.Suspend()
+// clusterShard is one shard of the cluster as a workload part: a
+// closed-loop replay of the shard's routed slice, cycling so the stream
+// outlasts any crash instant, audited by the ClusterChecker for position
+// shard of ring plus the journal and fs invariants.
+func clusterShard(ring *kvcluster.Ring, shard int, reqs []kvcluster.Request) Part {
+	return func(k *sim.Kernel, s *core.Stack) []Checker {
+		chk := &ClusterChecker{Ring: ring, Shard: shard}
+		openStore(k, s, "kvc/setup", &chk.Store)
+		k.Spawn("kvc/client", func(p *sim.Proc) {
+			if !awaitStore(p, s, &chk.Store) {
+				return
 			}
-		}
-		// Closed-loop replay of the shard's routed slice, cycling so the
-		// stream outlasts any crash instant.
-		var batch []kvwal.Op
-		for n := 0; ; n++ {
-			r := reqs[n%len(reqs)]
-			switch r.Class {
-			case workload.ClassGet:
-				st.Get(p, r.Key)
-			case workload.ClassDelete:
-				batch = append(batch, kvwal.Op{Kind: kvwal.Delete, Key: r.Key})
-			default:
-				batch = append(batch, kvwal.Op{Kind: kvwal.Put, Key: r.Key})
+			if len(reqs) == 0 {
+				for {
+					p.Suspend()
+				}
 			}
-			if len(batch) >= 3 {
-				st.Apply(p, batch)
-				batch = nil
+			var batch []kvwal.Op
+			for n := 0; ; n++ {
+				r := reqs[n%len(reqs)]
+				switch r.Class {
+				case workload.ClassGet:
+					chk.Store.Get(p, r.Key)
+				case workload.ClassDelete:
+					batch = append(batch, kvwal.Op{Kind: kvwal.Delete, Key: r.Key})
+				default:
+					batch = append(batch, kvwal.Op{Kind: kvwal.Put, Key: r.Key})
+				}
+				if len(batch) >= 3 {
+					chk.Store.Apply(p, batch)
+					batch = nil
+				}
 			}
-		}
-	})
-	k.RunUntil(cfg.CrashAt)
-	cons := s.Dev.CaptureConstraints()
-	s.Crash()
-	if st == nil {
-		// Crash inside Open: nothing acknowledged, trivially consistent.
-		k.Close()
-		return Result{Profile: prof.Name, CrashAt: cfg.CrashAt}
+		})
+		return append([]Checker{chk}, journalAndFS(s)...)
 	}
-	base := recoverBase(k, s)
-	defer k.Close()
-
-	checkers := []Checker{
-		&ClusterChecker{Ring: ring, Shard: shard, Store: st},
-		&JournalChecker{J: s.FS.Journal()},
-		&FSChecker{FS: s.FS},
-	}
-	res := ModelCheck(cons, base, prof.FS.Journal, checkers, cfg)
-	res.Profile = prof.Name
-	res.CrashAt = cfg.CrashAt
-	return res
 }

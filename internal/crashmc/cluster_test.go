@@ -25,7 +25,7 @@ func TestClusterScenarioBarrierEnginesClean(t *testing.T) {
 		small(core.BFSDR(device.PlainSSD())),
 		small(core.BFSMQ(device.PlainSSD())),
 	} {
-		res := ClusterScenario(prof, 3, 2, cfg)
+		res := clusterScenario(prof, 3, 2, cfg)
 		t.Log(res.String())
 		if res.Killed != 2 || len(res.PerShard) != 2 {
 			t.Fatalf("%s: expected 2 killed shards, got %+v", prof.Name, res)
@@ -53,11 +53,10 @@ func TestClusterCheckerFlagsMisroutedKeys(t *testing.T) {
 	}
 	prof := CompactJournal(core.BFSDR(device.PlainSSD()), 512)
 	cfg := Config{CrashAt: at(20000), MaxStates: 200, Samples: 16}
-	cfg = cfg.withDefaults()
 	ring, parts := clusterTraffic(3)
 	// Replay shard 0's slice but audit it as if it were shard 1: every
 	// durable key now "routes elsewhere".
-	res := clusterShardCheck(prof, ring, 1, parts[0], cfg)
+	res := Enumerate(OnStack(prof, clusterShard(ring, 1, parts[0])), cfg)
 	if res.Consistency == 0 {
 		t.Fatal("expected misrouting consistency violations, got none")
 	}

@@ -1,31 +1,40 @@
-// Package crashmc is a systematic crash-state model checker for the
-// order-preserving IO stack. Where internal/crashtest samples crash
-// instants and audits the single persisted state the simulator happens to
-// produce, crashmc fixes one crash instant and reasons about *every*
-// persisted state the device's semantics admit there:
+// Package crashmc is the crash harness of the order-preserving IO stack:
+// one driver that runs a declared workload to a crash instant, cuts the
+// power and audits what the device may have kept, under either of two
+// quantifiers.
 //
-//  1. internal/device's CaptureConstraints records the volatile
-//     writeback-cache contents plus the partial persistence order the
-//     device contract imposes on them — per-stream epoch chains on barrier
-//     devices (FUA and flush ordering fold into the durable base: a
-//     completed FUA or flushed write is durable by definition), nothing at
-//     all on legacy devices, a single full state under power-loss
-//     protection.
-//  2. The enumerator walks every downward-closed cut of that constraint
-//     DAG (subset-hash dedup; image-level pruning collapses cuts that
-//     materialize the same disk image). Above a configurable state cap it
+// A Workload is a value declared once (workloads.go, cluster.go,
+// rebalance.go): what it builds and spawns, which stack loses power, and
+// the Checkers that carry its host-side history — acknowledged writes,
+// issue order, store shadows. The driver (harness.go) owns the only
+// CaptureConstraints → Crash → device.Recover sequence in the tree and
+// answers one of two questions about the recovered device:
+//
+//   - Enumerate: does *every* persisted state the device's contract admits
+//     at this instant satisfy the checkers? internal/device's
+//     CaptureConstraints records the volatile writeback-cache contents plus
+//     the partial persistence order imposed on them — per-stream epoch
+//     chains on barrier devices (FUA and flush ordering fold into the
+//     durable base: a completed FUA or flushed write is durable by
+//     definition), nothing at all on legacy devices, a single full state
+//     under power-loss protection. The enumerator walks every
+//     downward-closed cut of that DAG (subset-hash dedup; cuts that
+//     materialize the same disk image are checked once), overlays each on
+//     the recovered durable base, rebuilds the filesystem view (journal
+//     replay included) and runs the checkers. Above Config.MaxStates it
 //     falls back to deterministic seeded sampling and says so via
 //     Config.Log — never silently.
-//  3. Each candidate image is materialized as a read overlay on the
-//     recovered durable base, a filesystem view is rebuilt over it
-//     (journal replay included), and pluggable Checkers audit the
-//     invariants: fsync durability, barrier ordering, journal-replay
-//     reach, fs metadata consistency, kvwal's durability/prefix audit.
+//   - Sample: does the *one* state the simulator produced satisfy them?
+//     That state is the enumeration's own empty cut — the recovered base
+//     with nothing overlaid — so a sampled trial is the one-state case of
+//     the model check, not a second tool. Sweep fans samples out over many
+//     crash instants.
 //
-// The payoff is the quantifier. crashtest concludes "we did not observe a
-// violation"; crashmc concludes "no admissible crash state violates the
-// invariant" — and on EXT4-nobarrier it reproduces the paper's motivating
-// result as a positive finding: ordering-violation states are reachable.
+// The payoff is the quantifier. A clean Sample says "we did not observe a
+// violation"; a clean Enumerate says "no admissible crash state violates
+// the invariant" — and on EXT4-nobarrier it reproduces the paper's
+// motivating result as a positive finding: ordering-violation states are
+// reachable, including at instants where the sample happens to pass.
 package crashmc
 
 import (
@@ -44,14 +53,14 @@ import (
 // State is one candidate post-crash disk image under audit.
 type State struct {
 	// Read returns the durable contents of an LPA in this state. May be
-	// nil when the caller audits an already-materialized view (the sampled
-	// crashtest trials).
+	// nil when a caller outside the harness audits an already-materialized
+	// view.
 	Read jbd.ReadFn
 	// View is the filesystem recovered over Read (journal replay overlaid
 	// on in-place state).
 	View *fs.View
-	// ID compactly identifies the persisted volatile-write subset (hex
-	// bitmask of write indices; "sampled" for crashtest's single state).
+	// ID compactly identifies the persisted volatile-write subset: a hex
+	// bitmask of write indices, "base" for the empty cut and for a sample.
 	ID string
 }
 
@@ -78,11 +87,12 @@ type Checker interface {
 	Check(st *State) []Violation
 }
 
-// Config tunes a model-checking run.
+// Config is the crash instant and the enumeration budget of one run.
 type Config struct {
-	// CrashAt is the virtual crash instant (scenario harnesses).
+	// CrashAt is the virtual time at which power fails, unless a workload
+	// proc stops the kernel first (see Workload).
 	CrashAt sim.Time
-	// Writes bounds the scenario workload's barrier-separated writes
+	// Writes bounds the ordering codelet's barrier-separated writes
 	// (0 = keep writing until the crash). Bounding the workload keeps the
 	// unconstrained (nobarrier) state space exhaustively enumerable.
 	Writes int
@@ -92,14 +102,17 @@ type Config struct {
 	// Samples is the number of seeded random cuts probed after the cap is
 	// hit. Default 512.
 	Samples int
-	// Seed drives the sampling fallback (deterministic across runs).
-	Seed int64
 	// Log receives the capped-state-space notice. Default log.Printf.
 	Log func(format string, args ...any)
-	// MaxViolationDetails bounds the retained Violation records (counts
-	// are always exact). Default 64.
-	MaxViolationDetails int
 }
+
+const (
+	// sampleSeed drives the sampling fallback (deterministic across runs).
+	sampleSeed = 0
+	// maxViolationDetails bounds the Violation records a Result retains
+	// (the counts are always exact).
+	maxViolationDetails = 64
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxStates == 0 {
@@ -111,13 +124,10 @@ func (c Config) withDefaults() Config {
 	if c.Log == nil {
 		c.Log = log.Printf
 	}
-	if c.MaxViolationDetails == 0 {
-		c.MaxViolationDetails = 64
-	}
 	return c
 }
 
-// Result is the outcome of model-checking one crash instant.
+// Result is the outcome of auditing one crash instant.
 type Result struct {
 	Profile string
 	CrashAt sim.Time
@@ -125,7 +135,7 @@ type Result struct {
 	Volatile int // volatile writes captured at the crash instant
 	Streams  int // distinct streams among them
 
-	StatesExplored int  // distinct downward-closed cuts visited
+	StatesExplored int  // distinct downward-closed cuts visited (1 for a sample)
 	ImagesChecked  int  // distinct disk images audited (after pruning)
 	Capped         bool // exhaustive enumeration hit MaxStates
 	Sampled        int  // additional cuts reached by the sampling fallback
@@ -134,7 +144,7 @@ type Result struct {
 	Ordering        int
 	Consistency     int
 	ViolationStates int         // images exhibiting at least one violation
-	Violations      []Violation // first MaxViolationDetails records
+	Violations      []Violation // first maxViolationDetails records
 }
 
 // Ok reports whether no state violated any invariant.
@@ -145,33 +155,69 @@ func (r Result) String() string {
 	if r.Capped {
 		mode = fmt.Sprintf("capped+%d sampled", r.Sampled)
 	}
-	status := "OK: no admissible crash state violates the invariants"
-	if !r.Ok() {
-		status = fmt.Sprintf("VIOLATIONS: %d durability / %d ordering / %d consistency in %d states",
-			r.Durability, r.Ordering, r.Consistency, r.ViolationStates)
-	}
 	return fmt.Sprintf("%s crash@%v: %d volatile writes (%d streams), %d states / %d images (%s) — %s",
-		r.Profile, r.CrashAt, r.Volatile, r.Streams, r.StatesExplored, r.ImagesChecked, mode, status)
+		r.Profile, r.CrashAt, r.Volatile, r.Streams, r.StatesExplored, r.ImagesChecked, mode,
+		r.verdict("no admissible crash state violates the invariants"))
 }
 
-// ModelCheck enumerates the admissible crash states of a captured
-// constraint, materializes each distinct disk image over the durable base,
-// and runs every checker against it. base is the recovered device's
-// durable read function (device.Recover + DurableData); jcfg locates the
-// journal for the per-image replay.
-func ModelCheck(cons device.Constraint, base jbd.ReadFn, jcfg jbd.Config, checkers []Checker, cfg Config) Result {
-	cfg = cfg.withDefaults()
+// verdict renders the violation counts, or clean when there are none.
+func (r Result) verdict(clean string) string {
+	if r.Ok() {
+		return "OK: " + clean
+	}
+	return fmt.Sprintf("VIOLATIONS: %d durability / %d ordering / %d consistency in %d states",
+		r.Durability, r.Ordering, r.Consistency, r.ViolationStates)
+}
+
+// add folds another crash instant's outcome into r: a cluster or a resize
+// is audited one victim at a time, and its totals are the sums.
+func (r *Result) add(o Result) {
+	r.StatesExplored += o.StatesExplored
+	r.ImagesChecked += o.ImagesChecked
+	r.Durability += o.Durability
+	r.Ordering += o.Ordering
+	r.Consistency += o.Consistency
+	r.ViolationStates += o.ViolationStates
+}
+
+// audit materializes one disk image — read over the journal located by
+// jcfg — and runs every checker against it.
+func (r *Result) audit(read jbd.ReadFn, jcfg jbd.Config, id string, checkers []Checker) {
+	r.ImagesChecked++
+	st := &State{Read: read, View: fs.Recover(read, jcfg), ID: id}
+	bad := false
+	for _, c := range checkers {
+		for _, v := range c.Check(st) {
+			v.Checker = c.Name()
+			v.State = st.ID
+			bad = true
+			switch v.Kind {
+			case KindOrdering:
+				r.Ordering++
+			case KindConsistency:
+				r.Consistency++
+			default:
+				r.Durability++
+			}
+			if len(r.Violations) < maxViolationDetails {
+				r.Violations = append(r.Violations, v)
+			}
+		}
+	}
+	if bad {
+		r.ViolationStates++
+	}
+}
+
+// enumerate walks the admissible crash states of a captured constraint,
+// materializes each distinct disk image over the durable base (the
+// recovered device's read function) and audits it.
+func (r *Result) enumerate(cons device.Constraint, base jbd.ReadFn, jcfg jbd.Config, checkers []Checker, cfg Config) {
 	// Live-stats progress: a long crashmc sweep reports its enumeration
 	// through the process-wide registry (nil-safe when none is installed).
 	reg := metrics.Resolve(nil)
 	obsStates := reg.Counter("crashmc/states")
 	obsImages := reg.Counter("crashmc/images")
-	res := Result{Volatile: len(cons.Writes)}
-	streams := make(map[uint64]struct{})
-	for _, w := range cons.Writes {
-		streams[w.Stream] = struct{}{}
-	}
-	res.Streams = len(streams)
 
 	n := len(cons.Writes)
 	images := make(map[string]struct{})
@@ -215,39 +261,15 @@ func ModelCheck(cons device.Constraint, base jbd.ReadFn, jcfg jbd.Config, checke
 			}
 			return base(lpa)
 		}
-		st := &State{Read: read, View: fs.Recover(read, jcfg), ID: cut.id()}
-		bad := false
-		for _, c := range checkers {
-			for _, v := range c.Check(st) {
-				v.Checker = c.Name()
-				v.State = st.ID
-				bad = true
-				switch v.Kind {
-				case KindOrdering:
-					res.Ordering++
-				case KindConsistency:
-					res.Consistency++
-				default:
-					res.Durability++
-				}
-				if len(res.Violations) < cfg.MaxViolationDetails {
-					res.Violations = append(res.Violations, v)
-				}
-			}
-		}
-		if bad {
-			res.ViolationStates++
-		}
+		r.audit(read, jcfg, cut.id(), checkers)
 	}
 
 	seen, capped := enumerate(n, cons.Preds, cfg.MaxStates, check)
-	res.Capped = capped
+	r.Capped = capped
 	if capped {
 		cfg.Log("crashmc: state space exceeds the %d-state cap (%d volatile writes); probing %d sampled cuts (seed %d)",
-			cfg.MaxStates, n, cfg.Samples, cfg.Seed)
-		res.Sampled = sample(n, cons.Preds, cfg.Samples, cfg.Seed, seen, check)
+			cfg.MaxStates, n, cfg.Samples, sampleSeed)
+		r.Sampled = sample(n, cons.Preds, cfg.Samples, sampleSeed, seen, check)
 	}
-	res.StatesExplored = len(seen)
-	res.ImagesChecked = len(images)
-	return res
+	r.StatesExplored = len(seen)
 }

@@ -147,7 +147,7 @@ func TestKVScenarioBarrierEnginesClean(t *testing.T) {
 		Samples:   64,
 		Log:       func(f string, a ...any) { t.Logf(f, a...) },
 	}
-	res := KVScenario(small(core.BFSDR(device.PlainSSD())), 2, cfg)
+	res := Enumerate(OnStack(small(core.BFSDR(device.PlainSSD())), KV(2)), cfg)
 	t.Log(res.String())
 	if !res.Ok() {
 		for _, v := range res.Violations {
@@ -160,7 +160,7 @@ func TestKVScenarioBarrierEnginesClean(t *testing.T) {
 	}
 
 	cfg.CrashAt = at(60000)
-	mq := KVScenario(small(core.BFSMQ(device.PlainSSD())), 2, cfg)
+	mq := Enumerate(OnStack(small(core.BFSMQ(device.PlainSSD())), KV(2)), cfg)
 	t.Log(mq.String())
 	if !mq.Ok() {
 		t.Fatalf("BFS-MQ kv: %d violations", mq.Durability+mq.Ordering+mq.Consistency)

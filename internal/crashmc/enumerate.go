@@ -39,9 +39,12 @@ func (b bitset) key() string {
 	return string(buf)
 }
 
+// baseID names the empty cut: the recovered durable base with nothing
+// overlaid, which is also the one state a sample audits.
+const baseID = "base"
+
 // id renders the subset as a compact hex bitmask (index 0 = least
-// significant bit) for violation reports. The empty cut is the recovered
-// durable base with nothing overlaid.
+// significant bit) for violation reports.
 func (b bitset) id() string {
 	empty := true
 	for _, w := range b {
@@ -51,7 +54,7 @@ func (b bitset) id() string {
 		}
 	}
 	if empty {
-		return "base"
+		return baseID
 	}
 	hex := make([]byte, 0, 16*len(b))
 	for i := len(b) - 1; i >= 0; i-- {

@@ -15,14 +15,14 @@ import (
 // one of them.
 
 func TestPLPPartialDrainConstraintIsChain(t *testing.T) {
-	dev := PLPFailureDevice(device.SupercapSSD(), 11)
+	dev := plpFailureDevice(device.SupercapSSD(), 11)
 	// Lazy writeback keeps the workload's writes cache-resident, so the
 	// captured chain is non-trivial.
 	dev.EagerWriteback = false
 	k := sim.NewKernel()
 	defer k.Close()
 	s := core.NewStack(k, smallJournal(core.BFSDR(dev)))
-	SpawnOrderingWorkload(k, s, OrderingPages, 0)
+	Ordering(0)(k, s)
 	k.RunUntil(at(2500))
 	cons := s.Dev.CaptureConstraints()
 	if !cons.PLPPartial || cons.PLP {
@@ -51,7 +51,7 @@ func TestPLPPartialDrainProtectedStacksClean(t *testing.T) {
 	// ordering. Dozens of writes are still volatile (the recent tail), so
 	// the clean verdict covers a real state space, not an empty one.
 	for _, mk := range []func(device.Config) core.Profile{core.BFSDR, core.EXT4DR} {
-		res := OrderingScenario(smallJournal(mk(PLPFailureDevice(device.SupercapSSD(), 11))),
+		res := OrderingScenario(smallJournal(mk(plpFailureDevice(device.SupercapSSD(), 11))),
 			cfgAt(t, 2500, 0))
 		requireClean(t, res)
 		if res.StatesExplored < 2 {
@@ -62,7 +62,7 @@ func TestPLPPartialDrainProtectedStacksClean(t *testing.T) {
 	// supercap dies — the barrier stack's *ordering* contract survives every
 	// prefix: the drain follows transfer order, and the stack transfers in
 	// issue order. Only PLP-backed durability is exposed.
-	early := OrderingScenario(smallJournal(core.BFSDR(PLPFailureDevice(device.SupercapSSD(), 11))),
+	early := OrderingScenario(smallJournal(core.BFSDR(plpFailureDevice(device.SupercapSSD(), 11))),
 		cfgAt(t, 300, 0))
 	t.Log(early.String())
 	if early.Ordering != 0 || early.Consistency != 0 {
@@ -76,7 +76,7 @@ func TestPLPPartialDrainNobarrierLosesAckedData(t *testing.T) {
 	// while the acknowledged preallocation is still cache-resident, short
 	// drain prefixes lose acked data — the audit must surface durability
 	// violations (and, prefix drains being ordered, nothing else).
-	dev := PLPFailureDevice(device.SupercapSSD(), 11)
+	dev := plpFailureDevice(device.SupercapSSD(), 11)
 	dev.Name = "supercap-lazy"
 	dev.EagerWriteback = false
 	res := OrderingScenario(smallJournal(core.EXT4OD(dev)), cfgAt(t, 300, 6))

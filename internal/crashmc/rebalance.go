@@ -27,7 +27,7 @@ import (
 //     replica, or recovered live in the victim's image. A key readable from
 //     neither owner is an acked-write loss.
 //
-// Unlike ClusterScenario, replication makes invariants span shards — but
+// Unlike clusterScenario, replication makes invariants span shards — but
 // only one shard crashes, so the surviving shards' state is the host-side
 // truth (their stores never lose anything) and the state space is still the
 // victim's enumeration alone. The dual-write window is exactly what this
@@ -35,7 +35,7 @@ import (
 // on the destination, and crashing the destination inside those phases
 // would surface it as a coverage violation in some admissible image.
 
-// RebalancePhases are the migration phases a RebalanceScenario crashes in.
+// RebalancePhases are the migration phases a rebalanceScenario crashes in.
 var RebalancePhases = []kvcluster.MigrationState{
 	kvcluster.MigCopying, kvcluster.MigCatchUp, kvcluster.MigCutover,
 }
@@ -118,18 +118,12 @@ func hasShard(owners []int, s int) bool {
 	return false
 }
 
-// RebalanceResult is the outcome of a RebalanceScenario: one model-checking
-// Result per (phase, victim) crash point plus totals.
+// RebalanceResult is the outcome of a rebalanceScenario: the totals (the
+// embedded Result) over one enumeration per (phase, victim) crash point.
 type RebalanceResult struct {
-	Profile string
-	Shards  int
-	Points  []RebalancePoint
-
-	StatesExplored int
-	ImagesChecked  int
-	Durability     int
-	Ordering       int
-	Consistency    int
+	Result
+	Shards int
+	Points []RebalancePoint
 }
 
 // RebalancePoint is one (phase, victim) crash point's result.
@@ -139,162 +133,135 @@ type RebalancePoint struct {
 	Result
 }
 
-// Ok reports whether no crash point violated any invariant in any
-// admissible state.
-func (r RebalanceResult) Ok() bool { return r.Durability+r.Ordering+r.Consistency == 0 }
-
 func (r RebalanceResult) String() string {
-	status := "OK: every admissible crash state recovers clean"
-	if !r.Ok() {
-		status = fmt.Sprintf("VIOLATIONS: %d durability / %d ordering / %d consistency",
-			r.Durability, r.Ordering, r.Consistency)
-	}
 	return fmt.Sprintf("%s resize %d->%d: %d crash points, %d states / %d images — %s",
-		r.Profile, r.Shards, r.Shards+1, len(r.Points), r.StatesExplored, r.ImagesChecked, status)
+		r.Profile, r.Shards, r.Shards+1, len(r.Points), r.StatesExplored, r.ImagesChecked,
+		r.verdict("every admissible crash state recovers clean"))
 }
 
-// RebalanceScenario grows an N-shard replicated cluster to N+1 under a
+// rebalanceDeadline is the virtual time by which every migration phase
+// has come and gone; a crash point not reached by then never will be.
+const rebalanceDeadline = sim.Time(200 * sim.Millisecond)
+
+// rebalanceScenario grows an N-shard replicated cluster to N+1 under a
 // deterministic write stream, and for every phase in RebalancePhases
 // crashes each of {a source shard, the new destination shard} at the
-// moment the migration first occupies that phase, model-checking the
-// victim's admissible images with the RebalanceChecker plus the journal
-// and fs invariants. Each crash point is an independent sim, so the
+// moment the migration first occupies that phase, enumerating the victim's
+// admissible images. Each crash point is an independent sim, so the
 // enumeration per point stays the victim's own state space.
-func RebalanceScenario(prof func(device.Config) core.Profile, shards int, cfg Config) RebalanceResult {
-	cfg = cfg.withDefaults()
-	var name string
+func rebalanceScenario(prof func(device.Config) core.Profile, shards int, cfg Config) RebalanceResult {
+	cfg.CrashAt = rebalanceDeadline
 	out := RebalanceResult{Shards: shards}
 	for _, phase := range RebalancePhases {
 		for _, victim := range []int{0, shards} { // a source and the new shard
-			res, profName := rebalancePoint(prof, shards, phase, victim, cfg, "")
-			name = profName
+			res := Enumerate(rebalancePoint(prof, shards, phase, victim, ""), cfg)
 			out.Points = append(out.Points, RebalancePoint{Phase: phase, Victim: victim, Result: res})
-			out.StatesExplored += res.StatesExplored
-			out.ImagesChecked += res.ImagesChecked
-			out.Durability += res.Durability
-			out.Ordering += res.Ordering
-			out.Consistency += res.Consistency
+			out.add(res)
+			out.Profile = res.Profile
 		}
 	}
-	out.Profile = name
 	return out
 }
 
-// rebalancePoint runs one fresh cluster to the first instant the migration
-// occupies phase with no client write in flight, crashes victim there, and
-// model-checks it. phantom, if non-empty, is injected into the acked set
-// without ever being written — a self-test that the coverage audit bites.
+// rebalancePoint is the workload of one crash point: a fresh cluster runs
+// to the first instant the migration occupies phase with no client write
+// in flight, and victim loses power there. phantom, if non-empty, is
+// injected into the acked set without ever being written — a self-test
+// that the coverage audit bites.
 func rebalancePoint(prof func(device.Config) core.Profile, shards int,
-	phase kvcluster.MigrationState, victim int, cfg Config, phantom string) (Result, string) {
-	k := sim.NewKernel()
-	defer k.Close()
-
-	// Compact journal + tiny memtable + small chunks keep the victim's
-	// volatile write set — and with it the enumerated state space — small
-	// enough for exhaustive coverage.
-	rc := kvcluster.ReplicaConfig{
-		Shards:   shards,
-		Replicas: 2,
-		Profile: func(d device.Config) core.Profile {
-			return CompactJournal(prof(d), 512)
-		},
-		Store: kvwal.Config{
-			WALPages: 128, MemtableCap: 8, CompactFanIn: 3, CheckpointEvery: 4,
-		},
-		Migrate: kvcluster.MigrateConfig{
-			ChunkKeys: 6, ChunkEvery: 120 * sim.Microsecond,
-		},
-	}
-	profName := rc.Profile(device.PlainSSD()).Name
-
-	var cl *kvcluster.Cluster
-	var mig *kvcluster.Migration
-	acked := make(map[string]bool)
-	stop := false
-	idle := true
-	k.Spawn("reb/client", func(p *sim.Proc) {
-		c, err := kvcluster.OpenCluster(p, rc)
-		if err != nil {
-			panic(err)
+	phase kvcluster.MigrationState, victim int, phantom string) Workload {
+	return func(k *sim.Kernel) func() (*core.Stack, []Checker) {
+		// Compact journal + tiny memtable + small chunks keep the victim's
+		// volatile write set — and with it the enumerated state space —
+		// small enough for exhaustive coverage.
+		rc := kvcluster.ReplicaConfig{
+			Shards:   shards,
+			Replicas: 2,
+			Profile: func(d device.Config) core.Profile {
+				return CompactJournal(prof(d), 512)
+			},
+			Store: kvwal.Config{
+				WALPages: 128, MemtableCap: 8, CompactFanIn: 3, CheckpointEvery: 4,
+			},
+			Migrate: kvcluster.MigrateConfig{
+				ChunkKeys: 6, ChunkEvery: 120 * sim.Microsecond,
+			},
 		}
-		cl = c
-		// Deterministic write stream: small Zipf-free keyspace so
-		// overwrites and deletes collide across the migrating ranges.
-		for n := 0; !stop; n++ {
-			idle = false
-			key := fmt.Sprintf("mk%03d", n%96)
-			if n%7 == 3 {
-				if err := c.Delete(p, key, kvcluster.ReqCtx{}); err == nil {
-					delete(acked, key)
+
+		var cl *kvcluster.Cluster
+		var mig *kvcluster.Migration
+		acked := make(map[string]bool)
+		stop := false
+		idle := true
+		k.Spawn("reb/client", func(p *sim.Proc) {
+			c, err := kvcluster.OpenCluster(p, rc)
+			if err != nil {
+				panic(err)
+			}
+			cl = c
+			// Deterministic write stream: small Zipf-free keyspace so
+			// overwrites and deletes collide across the migrating ranges.
+			for n := 0; !stop; n++ {
+				idle = false
+				key := fmt.Sprintf("mk%03d", n%96)
+				if n%7 == 3 {
+					if err := c.Delete(p, key, kvcluster.ReqCtx{}); err == nil {
+						delete(acked, key)
+					}
+				} else {
+					if err := c.Put(p, key, kvcluster.ReqCtx{}); err == nil {
+						acked[key] = true
+					}
 				}
-			} else {
-				if err := c.Put(p, key, kvcluster.ReqCtx{}); err == nil {
-					acked[key] = true
+				idle = true
+				p.Sleep(40 * sim.Microsecond)
+			}
+		})
+		k.Spawn("reb/resize", func(p *sim.Proc) {
+			for cl == nil {
+				p.Sleep(50 * sim.Microsecond)
+			}
+			p.Sleep(800 * sim.Microsecond) // preload before the ring grows
+			m, err := cl.Resize(p, shards+1)
+			if err != nil {
+				panic(err)
+			}
+			mig = m
+		})
+		// The crash instant is a polled condition: look every 2us until the
+		// migration occupies the target phase at an instant with no client
+		// write mid-commit (a write wedged on the crashed victim would
+		// otherwise stall the audit), and stop the kernel there.
+		k.Spawn("reb/watch", func(p *sim.Proc) {
+			for mig == nil || (!mig.Done() && !(idle && mig.InState(phase))) {
+				p.Sleep(2 * sim.Microsecond)
+			}
+			k.Stop()
+		})
+
+		return func() (*core.Stack, []Checker) {
+			if mig == nil || !mig.InState(phase) {
+				panic(fmt.Sprintf("crashmc: rebalance: migration never reached %v (now %v)", phase, k.Now()))
+			}
+			stop = true
+			if phantom != "" {
+				acked[phantom] = true
+			}
+			survivors := make([]*kvwal.Store, shards+1)
+			for s := 0; s <= shards; s++ {
+				if s != victim {
+					survivors[s] = cl.Store(s)
 				}
 			}
-			idle = true
-			p.Sleep(40 * sim.Microsecond)
-		}
-	})
-	k.Spawn("reb/resize", func(p *sim.Proc) {
-		for cl == nil {
-			p.Sleep(50 * sim.Microsecond)
-		}
-		p.Sleep(800 * sim.Microsecond) // preload before the ring grows
-		m, err := cl.Resize(p, shards+1)
-		if err != nil {
-			panic(err)
-		}
-		mig = m
-	})
-
-	// Step the sim in fine increments until the migration occupies the
-	// target phase at an instant with no client write mid-commit (a write
-	// wedged on the crashed victim would otherwise stall the audit).
-	deadline := sim.Time(200 * sim.Millisecond)
-	for k.Now() < deadline {
-		k.RunUntil(k.Now() + sim.Time(2*sim.Microsecond))
-		if mig != nil && idle && mig.InState(phase) {
-			break
-		}
-		if mig != nil && mig.Done() {
-			break
+			stack := cl.Stack(victim)
+			// The rings are read now: recovery runs the kernel idle, which
+			// lets the migration finish and swaps the cluster ring to the
+			// target.
+			return stack, append([]Checker{&RebalanceChecker{
+				Old: cl.Ring(), New: mig.Target(), Replicas: rc.Replicas,
+				Victim: victim, Store: cl.Store(victim),
+				Survivor: survivors, Acked: acked,
+			}}, journalAndFS(stack)...)
 		}
 	}
-	if mig == nil || !mig.InState(phase) {
-		panic(fmt.Sprintf("crashmc: rebalance: migration never reached %v (now %v)", phase, k.Now()))
-	}
-	stop = true
-	if phantom != "" {
-		acked[phantom] = true
-	}
-	// Snapshot the rings now: recoverBase's k.Run lets the migration finish,
-	// which swaps the cluster ring to the target.
-	oldRing, newRing := cl.Ring(), mig.Target()
-
-	stack := cl.Stack(victim)
-	cons := stack.Dev.CaptureConstraints()
-	stack.Crash()
-	base := recoverBase(k, stack)
-
-	survivors := make([]*kvwal.Store, shards+1)
-	for s := 0; s <= shards; s++ {
-		if s != victim {
-			survivors[s] = cl.Store(s)
-		}
-	}
-	checkers := []Checker{
-		&RebalanceChecker{
-			Old: oldRing, New: newRing, Replicas: rc.Replicas,
-			Victim: victim, Store: cl.Store(victim),
-			Survivor: survivors, Acked: acked,
-		},
-		&JournalChecker{J: stack.FS.Journal()},
-		&FSChecker{FS: stack.FS},
-	}
-	profile := rc.Profile(device.PlainSSD())
-	res := ModelCheck(cons, base, profile.FS.Journal, checkers, cfg)
-	res.Profile = profName
-	res.CrashAt = k.Now()
-	return res, profName
 }

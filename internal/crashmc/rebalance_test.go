@@ -24,7 +24,7 @@ func TestRebalanceScenarioBarrierEnginesClean(t *testing.T) {
 	for _, prof := range []func(device.Config) core.Profile{
 		core.BFSDR, core.BFSMQ,
 	} {
-		res := RebalanceScenario(prof, 3, cfg)
+		res := rebalanceScenario(prof, 3, cfg)
 		t.Log(res.String())
 		if len(res.Points) != 2*len(RebalancePhases) {
 			t.Fatalf("%s: expected %d crash points, got %d",
@@ -57,9 +57,9 @@ func TestRebalanceCheckerFlagsUncoveredKeys(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rebalance model checking in -short mode")
 	}
-	cfg := Config{MaxStates: 500, Samples: 16,
+	cfg := Config{CrashAt: rebalanceDeadline, MaxStates: 500, Samples: 16,
 		Log: func(f string, a ...any) { t.Logf(f, a...) }}
-	res, _ := rebalancePoint(core.BFSDR, 3, kvcluster.MigCatchUp, 3, cfg, "phantom-key")
+	res := Enumerate(rebalancePoint(core.BFSDR, 3, kvcluster.MigCatchUp, 3, "phantom-key"), cfg)
 	if res.Durability == 0 {
 		t.Fatal("fabricated uncovered acked key produced no durability violations")
 	}

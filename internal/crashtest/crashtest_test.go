@@ -1,10 +1,15 @@
+// Package crashtest holds no code of its own: it is the black-box
+// regression suite of the crash harness in internal/crashmc, reaching a
+// crash state only through that package's exported driver (Sweep, Sample,
+// Enumerate over declared Workloads). The profiles and crash instants are
+// those of the sampled harness that used to live at this import path.
 package crashtest
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/crashmc"
 	"repro/internal/device"
 	"repro/internal/sim"
 )
@@ -17,71 +22,56 @@ func times(us ...int) []sim.Time {
 	return out
 }
 
-func TestDurabilityEXT4(t *testing.T) {
-	for _, rep := range Sweep(core.EXT4DR(device.PlainSSD()), "durability",
-		times(500, 2500, 9000, 30000)) {
-		if !rep.Ok() {
-			t.Errorf("%v: %v", rep, rep.DurabilityErrors)
+func durability(prof core.Profile) crashmc.Workload {
+	return crashmc.OnStack(prof, crashmc.Durability())
+}
+
+// sweepClean samples w at every crash instant and requires each state
+// clean, and each result to carry its crash time through.
+func sweepClean(t *testing.T, w crashmc.Workload, ts []sim.Time) {
+	t.Helper()
+	for i, res := range crashmc.Sweep(w, ts) {
+		if !res.Ok() {
+			t.Errorf("%v: %v", res, res.Violations)
+		}
+		if res.CrashAt != ts[i] {
+			t.Errorf("result %d: crash time %v, want %v", i, res.CrashAt, ts[i])
 		}
 	}
+}
+
+func TestDurabilityEXT4(t *testing.T) {
+	sweepClean(t, durability(core.EXT4DR(device.PlainSSD())), times(500, 2500, 9000, 30000))
 }
 
 func TestDurabilityBarrierFS(t *testing.T) {
-	for _, rep := range Sweep(core.BFSDR(device.PlainSSD()), "durability",
-		times(500, 2500, 9000, 30000)) {
-		if !rep.Ok() {
-			t.Errorf("%v: %v", rep, rep.DurabilityErrors)
-		}
-	}
+	sweepClean(t, durability(core.BFSDR(device.PlainSSD())), times(500, 2500, 9000, 30000))
 }
 
 func TestDurabilityBarrierFSOnUFS(t *testing.T) {
-	for _, rep := range Sweep(core.BFSDR(device.UFS()), "durability",
-		times(1000, 5000, 20000)) {
-		if !rep.Ok() {
-			t.Errorf("%v: %v", rep, rep.DurabilityErrors)
-		}
-	}
+	sweepClean(t, durability(core.BFSDR(device.UFS())), times(1000, 5000, 20000))
 }
 
 func TestDurabilitySupercap(t *testing.T) {
-	for _, rep := range Sweep(core.BFSDR(device.SupercapSSD()), "durability",
-		times(500, 2500, 9000)) {
-		if !rep.Ok() {
-			t.Errorf("%v: %v", rep, rep.DurabilityErrors)
-		}
-	}
+	sweepClean(t, durability(core.BFSDR(device.SupercapSSD())), times(500, 2500, 9000))
 }
 
 func TestOrderingBarrierFS(t *testing.T) {
 	// fdatabarrier on a barrier-enabled stack: epoch prefix must hold at
 	// every crash point.
-	for _, rep := range Sweep(core.BFSOD(device.PlainSSD()), "ordering",
-		times(300, 900, 2000, 4500, 9000, 15000, 25000, 40000)) {
-		if !rep.Ok() {
-			t.Errorf("%v: %v", rep, rep.OrderingErrors)
-		}
-	}
+	sweepClean(t, crashmc.OrderingSweep(core.BFSOD(device.PlainSSD())),
+		times(300, 900, 2000, 4500, 9000, 15000, 25000, 40000))
 }
 
 func TestOrderingBarrierFSOnUFS(t *testing.T) {
-	for _, rep := range Sweep(core.BFSOD(device.UFS()), "ordering",
-		times(1000, 3000, 8000, 20000, 50000)) {
-		if !rep.Ok() {
-			t.Errorf("%v: %v", rep, rep.OrderingErrors)
-		}
-	}
+	sweepClean(t, crashmc.OrderingSweep(core.BFSOD(device.UFS())),
+		times(1000, 3000, 8000, 20000, 50000))
 }
 
 func TestOrderingEXT4DRHoldsViaFlush(t *testing.T) {
 	// EXT4-DR's fdatabarrier degrades to fdatasync (transfer-and-flush), so
 	// ordering must hold there too — just expensively.
-	for _, rep := range Sweep(core.EXT4DR(device.PlainSSD()), "ordering",
-		times(2000, 9000, 30000)) {
-		if !rep.Ok() {
-			t.Errorf("%v: %v", rep, rep.OrderingErrors)
-		}
-	}
+	sweepClean(t, crashmc.OrderingSweep(core.EXT4DR(device.PlainSSD())), times(2000, 9000, 30000))
 }
 
 func TestOrderingEXT4NobarrierCanViolate(t *testing.T) {
@@ -89,11 +79,10 @@ func TestOrderingEXT4NobarrierCanViolate(t *testing.T) {
 	// provides NO ordering guarantee. At least one crash point across the
 	// sweep should expose a violation; all-pass would mean our legacy model
 	// is too kind.
-	prof := core.EXT4OD(device.LegacySSD())
 	violations := 0
-	for _, rep := range Sweep(prof, "ordering",
+	for _, res := range crashmc.Sweep(crashmc.OrderingSweep(core.EXT4OD(device.LegacySSD())),
 		times(1500, 3000, 5000, 8000, 12000, 20000, 30000, 45000, 70000, 100000)) {
-		violations += len(rep.OrderingErrors)
+		violations += res.Ordering
 	}
 	if violations == 0 {
 		t.Error("EXT4-OD on a legacy device never violated ordering across 10 crash points; " +
@@ -101,68 +90,17 @@ func TestOrderingEXT4NobarrierCanViolate(t *testing.T) {
 	}
 }
 
-func TestReportString(t *testing.T) {
-	r := Report{SyncedOps: 3}
-	if r.String() == "" || !r.Ok() {
-		t.Error("empty report should be ok")
-	}
-	r.OrderingErrors = append(r.OrderingErrors, "x")
-	if r.Ok() {
-		t.Error("report with errors is not ok")
-	}
-}
-
 func TestSweepEmptyTimes(t *testing.T) {
 	// An empty crash-time slice is a no-op sweep, not a panic: zero
-	// reports, for both trial kinds and the kv sweep.
+	// results, whatever the workload.
 	prof := core.EXT4DR(device.PlainSSD())
-	if got := Sweep(prof, "durability", nil); len(got) != 0 {
-		t.Fatalf("empty durability sweep returned %d reports", len(got))
+	if got := crashmc.Sweep(durability(prof), nil); len(got) != 0 {
+		t.Fatalf("empty durability sweep returned %d results", len(got))
 	}
-	if got := Sweep(prof, "ordering", []sim.Time{}); len(got) != 0 {
-		t.Fatalf("empty ordering sweep returned %d reports", len(got))
+	if got := crashmc.Sweep(crashmc.OrderingSweep(prof), []sim.Time{}); len(got) != 0 {
+		t.Fatalf("empty ordering sweep returned %d results", len(got))
 	}
-	if got := KVSweep(prof, 1, nil); len(got) != 0 {
-		t.Fatalf("empty kv sweep returned %d reports", len(got))
-	}
-}
-
-func TestSweepAllOkRendering(t *testing.T) {
-	// Every report of a clean sweep must render as OK and carry its crash
-	// time through.
-	ts := times(500, 2500)
-	reps := Sweep(core.BFSDR(device.PlainSSD()), "durability", ts)
-	if len(reps) != len(ts) {
-		t.Fatalf("got %d reports for %d times", len(reps), len(ts))
-	}
-	for i, rep := range reps {
-		if !rep.Ok() {
-			t.Fatalf("%v: unexpected failure %v %v", rep, rep.DurabilityErrors, rep.OrderingErrors)
-		}
-		if rep.CrashAt != ts[i] {
-			t.Errorf("report %d: crash time %v, want %v", i, rep.CrashAt, ts[i])
-		}
-		if s := rep.String(); !strings.Contains(s, "OK") || strings.Contains(s, "FAIL") {
-			t.Errorf("all-ok report renders as %q", s)
-		}
-	}
-}
-
-func TestReportStringMixedErrors(t *testing.T) {
-	r := Report{
-		CrashAt:          sim.Time(3 * sim.Millisecond),
-		SyncedOps:        7,
-		RecoveredTxns:    2,
-		DurabilityErrors: []string{"lost page"},
-		OrderingErrors:   []string{"reordered", "reordered again"},
-	}
-	if r.Ok() {
-		t.Fatal("mixed-error report must not be ok")
-	}
-	s := r.String()
-	for _, want := range []string{"FAIL (1 durability, 2 ordering)", "synced=7", "txns=2"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("mixed report %q missing %q", s, want)
-		}
+	if got := crashmc.Sweep(crashmc.OnStack(prof, crashmc.KV(1)), nil); len(got) != 0 {
+		t.Fatalf("empty kv sweep returned %d results", len(got))
 	}
 }

@@ -4,24 +4,19 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/crashmc"
 	"repro/internal/device"
 )
 
-// TestKVCrashSweep enumerates crash points on all four kv stack profiles
-// with concurrent group-committing clients: zero acknowledged-but-lost
-// keys, and (on the barrier engines) group-prefix ordering.
+// TestKVCrashSweep samples crash points on all four kv stack profiles with
+// concurrent group-committing clients: zero acknowledged-but-lost keys,
+// and (on the barrier engines) group-prefix ordering.
 func TestKVCrashSweep(t *testing.T) {
 	pts := times(700, 2000, 4500, 9000, 20000, 45000)
 	for _, mk := range []func(device.Config) core.Profile{
 		core.EXT4DR, core.BFSDR, core.EXT4MQ, core.BFSMQ,
 	} {
-		prof := mk(device.NVMeSSD())
-		for _, rep := range KVSweep(prof, 4, pts) {
-			if !rep.Ok() {
-				t.Errorf("%s %v: durability=%v ordering=%v",
-					prof.Name, rep, rep.DurabilityErrors, rep.OrderingErrors)
-			}
-		}
+		sweepClean(t, crashmc.OnStack(mk(device.NVMeSSD()), crashmc.KV(4)), pts)
 	}
 }
 
@@ -29,12 +24,6 @@ func TestKVCrashSweep(t *testing.T) {
 // is its own group) across crash points on both engines.
 func TestKVCrashSingleClient(t *testing.T) {
 	for _, mk := range []func(device.Config) core.Profile{core.EXT4DR, core.BFSDR} {
-		prof := mk(device.PlainSSD())
-		for _, rep := range KVSweep(prof, 1, times(1500, 8000, 30000)) {
-			if !rep.Ok() {
-				t.Errorf("%s %v: durability=%v ordering=%v",
-					prof.Name, rep, rep.DurabilityErrors, rep.OrderingErrors)
-			}
-		}
+		sweepClean(t, crashmc.OnStack(mk(device.PlainSSD()), crashmc.KV(1)), times(1500, 8000, 30000))
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/crashtest"
+	"repro/internal/crashmc"
 	"repro/internal/device"
 	"repro/internal/sim"
 )
@@ -33,18 +33,18 @@ func Crash(scale Scale) []CrashRow {
 	var rows []CrashRow
 	for _, c := range []struct {
 		label string
-		prof  core.Profile
 		kind  string
+		w     crashmc.Workload
 	}{
-		{"BFS-DR durability (plain-SSD)", core.BFSDR(device.PlainSSD()), "durability"},
-		{"BFS-OD ordering (plain-SSD)", core.BFSOD(device.PlainSSD()), "ordering"},
-		{"BFS-OD ordering (UFS)", core.BFSOD(device.UFS()), "ordering"},
-		{"EXT4-DR durability (plain-SSD)", core.EXT4DR(device.PlainSSD()), "durability"},
-		{"EXT4-OD ordering (legacy dev; EXPECTED to violate)", core.EXT4OD(device.LegacySSD()), "ordering"},
+		{"BFS-DR durability (plain-SSD)", "durability", crashmc.OnStack(core.BFSDR(device.PlainSSD()), crashmc.Durability())},
+		{"BFS-OD ordering (plain-SSD)", "ordering", crashmc.OrderingSweep(core.BFSOD(device.PlainSSD()))},
+		{"BFS-OD ordering (UFS)", "ordering", crashmc.OrderingSweep(core.BFSOD(device.UFS()))},
+		{"EXT4-DR durability (plain-SSD)", "durability", crashmc.OnStack(core.EXT4DR(device.PlainSSD()), crashmc.Durability())},
+		{"EXT4-OD ordering (legacy dev; EXPECTED to violate)", "ordering", crashmc.OrderingSweep(core.EXT4OD(device.LegacySSD()))},
 	} {
 		row := CrashRow{Case: c.label, Kind: c.kind, Trials: len(times)}
-		for _, rep := range crashtest.Sweep(c.prof, c.kind, times) {
-			if !rep.Ok() {
+		for _, res := range crashmc.Sweep(c.w, times) {
+			if !res.Ok() {
 				row.Violations++
 			}
 		}

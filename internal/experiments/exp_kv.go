@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/crashtest"
+	"repro/internal/crashmc"
 	"repro/internal/device"
 	"repro/internal/kvwal"
 	"repro/internal/par"
@@ -82,7 +82,7 @@ func KV(scale Scale) KVResult {
 		}
 	})
 	// Crash sweep: enumerated crash points per profile, concurrent clients.
-	// KVSweep fans its trials out itself, so the profile loop stays serial.
+	// Sweep fans its samples out itself, so the profile loop stays serial.
 	n := scale.n(4, 10)
 	var times []sim.Time
 	for i := 1; i <= n; i++ {
@@ -91,8 +91,8 @@ func KV(scale Scale) KVResult {
 	for _, mk := range profiles {
 		prof := mk(device.NVMeSSD())
 		row := KVCrashRow{Config: prof.Name, Trials: len(times)}
-		for _, rep := range crashtest.KVSweep(prof, 4, times) {
-			if !rep.Ok() {
+		for _, res := range crashmc.Sweep(crashmc.OnStack(prof, crashmc.KV(4)), times) {
+			if !res.Ok() {
 				row.Violations++
 			}
 		}

@@ -255,7 +255,8 @@ func (k *Kernel) Stop() { k.stopped = true }
 func (k *Kernel) Run() Time { return k.RunUntil(MaxTime) }
 
 // RunUntil processes events with timestamps <= t, then sets the clock to t
-// if any events remain beyond it. It returns the final virtual time.
+// if any events remain beyond it. A Stop ends it early with the clock left
+// at the stopping process's instant. It returns the final virtual time.
 func (k *Kernel) RunUntil(t Time) Time {
 	if k.closed {
 		panic("sim: RunUntil on closed kernel")
@@ -264,7 +265,7 @@ func (k *Kernel) RunUntil(t Time) Time {
 	k.until = t
 	k.next()
 	<-k.done
-	if k.qlen() == 0 && t != MaxTime && t > k.now {
+	if !k.stopped && k.qlen() == 0 && t != MaxTime && t > k.now {
 		k.now = t
 	}
 	return k.now

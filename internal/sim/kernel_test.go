@@ -168,6 +168,20 @@ func TestStop(t *testing.T) {
 	}
 }
 
+func TestStopKeepsClockUnderRunUntil(t *testing.T) {
+	// A proc that stops the kernel and exits leaves the queue empty; the
+	// clock must stay at the stopping instant, not jump to the limit.
+	k := NewKernel()
+	defer k.Close()
+	k.Spawn("once", func(p *Proc) {
+		p.Sleep(7 * Microsecond)
+		p.Kernel().Stop()
+	})
+	if now := k.RunUntil(Time(Second)); now != Time(7*Microsecond) {
+		t.Errorf("now = %v after Stop, want 7µs", now)
+	}
+}
+
 func TestCloseReapsDaemons(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue[int](k)
