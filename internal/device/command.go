@@ -118,6 +118,3 @@ const (
 	cmdReady
 	cmdInService
 )
-
-// Seq returns the device arrival sequence number (set by Submit).
-func (c *Command) Seq() uint64 { return c.seq }

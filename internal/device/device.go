@@ -197,10 +197,6 @@ func (d *Device) Array() *nand.Array { return d.arr }
 // FTL exposes the translation layer (verification hooks).
 func (d *Device) FTL() *ftl.FTL { return d.f }
 
-// FaultInjector exposes the device's fault injector (nil when the config
-// has no fault plan), for fault-delivery counters in tests and experiments.
-func (d *Device) FaultInjector() *fault.Injector { return d.inj }
-
 // Stats returns cumulative statistics.
 func (d *Device) Stats() Stats { return d.stats }
 

@@ -64,11 +64,6 @@ func (f *FS) Write(p *sim.Proc, i *Inode, idx int64) {
 	}
 }
 
-// WriteAt is Write for a byte offset.
-func (f *FS) WriteAt(p *sim.Proc, i *Inode, off int64) {
-	f.Write(p, i, off/PageSize)
-}
-
 // PageVer returns the in-cache content version of a page without issuing
 // IO or charging syscall cost. Instrumentation for applications that keep
 // host-side shadows of what they wrote (e.g. internal/kvwal); a cache miss

@@ -49,13 +49,6 @@ func (v *View) Root(f *FS) (InodeMeta, bool) {
 	return v.metaAt(f.root.home)
 }
 
-// LookupHome resolves a name in a recovered directory to the child's home
-// LPA.
-func (v *View) LookupHome(dir InodeMeta, name string) (uint64, bool) {
-	h, ok := dir.Entries[name]
-	return h, ok
-}
-
 // Lookup resolves a name in a recovered directory to the child's metadata.
 func (v *View) Lookup(dir InodeMeta, name string) (InodeMeta, bool) {
 	h, ok := dir.Entries[name]

@@ -7,9 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Engine returns the journaling engine in use.
-func (f *FS) Engine() jbd.Mode { return f.opts.Journal.Mode }
-
 // noopSpanEnd is the shared free closer syncSpan hands out with spans off,
 // so the disabled path allocates nothing.
 var noopSpanEnd = func() {}

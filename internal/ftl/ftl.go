@@ -139,9 +139,6 @@ func (f *FTL) Stats() Stats { return f.stats }
 // < DurableIdx are on the storage surface.
 func (f *FTL) DurableIdx() uint64 { return f.durableIdx }
 
-// AppendIdx returns the next append index to be assigned.
-func (f *FTL) AppendIdx() uint64 { return f.appendIdx }
-
 // MappedPages returns the number of live logical pages.
 func (f *FTL) MappedPages() int { return len(f.mapping) }
 

@@ -335,9 +335,6 @@ func (j *Journal) Stats() Stats { return j.stats }
 // FreePages returns the free journal slots.
 func (j *Journal) FreePages() int { return j.freePages }
 
-// Committing returns the number of transactions currently in flight.
-func (j *Journal) Committing() int { return len(j.committing) }
-
 // RunningBuffers returns the number of buffers in the running transaction.
 func (j *Journal) RunningBuffers() int { return len(j.running.buffers) }
 

@@ -308,9 +308,6 @@ var live atomic.Pointer[Registry]
 // SetLive installs r as the process-wide default registry (nil to disable).
 func SetLive(r *Registry) { live.Store(r) }
 
-// Live returns the process-wide default registry, or nil.
-func Live() *Registry { return live.Load() }
-
 // Resolve returns explicit if non-nil, else the live registry (may be nil).
 func Resolve(explicit *Registry) *Registry {
 	if explicit != nil {

@@ -40,9 +40,6 @@ func (s *Series) Record(at sim.Time, v float64) {
 	s.points = append(s.points, Point{At: at, Value: v})
 }
 
-// Points returns the raw transition list.
-func (s *Series) Points() []Point { return s.points }
-
 // Len returns the number of recorded transitions.
 func (s *Series) Len() int { return len(s.points) }
 

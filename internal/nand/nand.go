@@ -244,9 +244,6 @@ func (a *Array) Timing() Timing { return a.timing }
 // Stats returns cumulative operation counts.
 func (a *Array) Stats() Stats { return a.stats }
 
-// QueueDepth returns the number of jobs queued for chip id.
-func (a *Array) QueueDepth(chipID int) int { return a.chips[chipID].q.Len() }
-
 // Submit enqueues a job on its chip. Submissions during a power failure are
 // dropped silently, like DMA into a dead device.
 func (a *Array) Submit(r *Request) {

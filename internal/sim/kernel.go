@@ -41,10 +41,8 @@ type Kernel struct {
 	closing  bool
 	callback bool // components should use run-to-completion handlers
 
-	until      Time          // RunUntil limit, read by next()
-	single     bool          // Step mode: return the baton after one dispatch
-	singleDone bool          // Step mode: an event was dispatched
-	done       chan struct{} // baton handoff back to the Run/Step/Close caller
+	until Time          // RunUntil limit, read by next()
+	done  chan struct{} // baton handoff back to the Run/Close caller
 
 	pool       []*worker // parked worker goroutines ready for reuse
 	goroutines atomic.Int64
@@ -83,23 +81,11 @@ func NewReferenceKernel() *Kernel {
 // switch per event.
 func (k *Kernel) CallbackMode() bool { return k.callback }
 
-// SetCallbackMode overrides the component process model. It only affects
-// components constructed afterwards; tests use it to cross kernel and
-// process-model combinations.
-func (k *Kernel) SetCallbackMode(on bool) { k.callback = on }
-
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Cur returns the currently running process, or nil when called from outside
-// the simulation (before Run or between Run calls).
-func (k *Kernel) Cur() *Proc { return k.cur }
-
 // Live returns the number of processes that have not yet terminated.
 func (k *Kernel) Live() int { return k.live }
-
-// Procs returns all processes ever spawned, including dead ones.
-func (k *Kernel) Procs() []*Proc { return k.procs }
 
 // Goroutines returns the number of worker goroutines currently alive,
 // including pooled idle ones. After Close it is zero; the leak regression
@@ -271,17 +257,6 @@ func (k *Kernel) RunUntil(t Time) Time {
 	return k.now
 }
 
-// Step processes exactly one event, returning false when none remain.
-func (k *Kernel) Step() bool {
-	k.until = MaxTime
-	k.single = true
-	k.singleDone = false
-	k.next()
-	<-k.done
-	k.single = false
-	return k.singleDone
-}
-
 // next pops and dispatches the next runnable event. It is the heart of the
 // single-handoff scheduler: it executes on whichever goroutine is yielding
 // (a blocking or finishing process, or the Run caller entering the
@@ -290,12 +265,7 @@ func (k *Kernel) Step() bool {
 // baton goes home to the Run caller via k.done instead.
 func (k *Kernel) next() {
 	for {
-		if k.single {
-			if k.singleDone {
-				k.home()
-				return
-			}
-		} else if k.stopped {
+		if k.stopped {
 			k.home()
 			return
 		}
@@ -336,7 +306,6 @@ func (k *Kernel) next() {
 		wasPending := p.state == statePending
 		p.state = stateRunning
 		p.wakeups++
-		k.singleDone = true
 		if p.step != nil {
 			// Run-to-completion handler: execute inline and keep dispatching.
 			// Mirrors the goroutine proc's wake path: the token bump matches

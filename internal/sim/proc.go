@@ -126,9 +126,6 @@ func (p *Proc) Name() string {
 	return p.name
 }
 
-// Handler reports whether the proc is a run-to-completion handler.
-func (p *Proc) Handler() bool { return p.step != nil }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
@@ -230,15 +227,6 @@ func (k *Kernel) Resume(target *Proc) {
 	}
 	target.state = stateScheduled
 	k.schedule(k.now, target)
-}
-
-// ResumeAt schedules a suspended process to run at time at.
-func (k *Kernel) ResumeAt(target *Proc, at Time) {
-	if target.state != stateSuspended {
-		panic("sim: ResumeAt of non-suspended process " + target.Name() + " in state " + target.state.String())
-	}
-	target.state = stateScheduled
-	k.schedule(at, target)
 }
 
 // Join blocks until target terminates. Joining a dead process returns

@@ -25,8 +25,8 @@ type SpanTrace struct {
 	dispatches bool
 }
 
-// StartSpans begins span recording on the kernel and returns the trace,
-// which stays valid after StopSpans. With dispatches set, every kernel
+// StartSpans begins span recording on the kernel and returns the trace.
+// With dispatches set, every kernel
 // dispatch additionally records an instant event (one allocation per event —
 // only for close-up looks at scheduling).
 func (k *Kernel) StartSpans(dispatches bool) *SpanTrace {
@@ -34,9 +34,6 @@ func (k *Kernel) StartSpans(dispatches bool) *SpanTrace {
 	k.sp = st
 	return st
 }
-
-// StopSpans detaches the current span trace from the kernel.
-func (k *Kernel) StopSpans() { k.sp = nil }
 
 // Spans returns the attached span trace, or nil when disabled.
 func (k *Kernel) Spans() *SpanTrace { return k.sp }
@@ -57,14 +54,6 @@ func (k *Kernel) SpanEnd(cat, name string, id uint64) {
 		return
 	}
 	k.sp.recs = append(k.sp.recs, spanRec{at: k.now, ph: 'e', cat: cat, name: name, id: id})
-}
-
-// SpanInstant marks a point event at the current virtual time.
-func (k *Kernel) SpanInstant(cat, name string) {
-	if k.sp == nil {
-		return
-	}
-	k.sp.recs = append(k.sp.recs, spanRec{at: k.now, ph: 'i', cat: cat, name: name})
 }
 
 // NewSpanTrace builds a detached span trace for hand-assembled dumps —

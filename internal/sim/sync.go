@@ -35,20 +35,6 @@ func (q *Queue[T]) Put(x T) {
 	q.wakeOne()
 }
 
-// PutFront prepends x (used for requeueing) and wakes one waiting getter.
-func (q *Queue[T]) PutFront(x T) {
-	if q.closed {
-		panic("sim: PutFront on closed queue")
-	}
-	if q.ihead > 0 {
-		q.ihead--
-		q.items[q.ihead] = x
-	} else {
-		q.items = append([]T{x}, q.items...)
-	}
-	q.wakeOne()
-}
-
 func (q *Queue[T]) wakeOne() {
 	for {
 		w, ok := q.waiters.pop()
@@ -334,6 +320,3 @@ func (s *Semaphore) Avail() int { return s.avail }
 
 // InUse returns the number of held slots.
 func (s *Semaphore) InUse() int { return s.cap - s.avail }
-
-// Cap returns the semaphore capacity.
-func (s *Semaphore) Cap() int { return s.cap }

@@ -29,15 +29,11 @@ const (
 // StartTrace begins recording the kernel's dispatch sequence. With keep set,
 // every record is retained (for diffing divergent runs); otherwise only the
 // count and rolling hash are kept, so tracing adds no allocation per event.
-// The returned Trace stays valid after StopTrace.
 func (k *Kernel) StartTrace(keep bool) *Trace {
 	t := &Trace{hash: fnvOffset64, keep: keep}
 	k.tr = t
 	return t
 }
-
-// StopTrace detaches the current trace from the kernel.
-func (k *Kernel) StopTrace() { k.tr = nil }
 
 func (t *Trace) record(e event) {
 	t.n++
