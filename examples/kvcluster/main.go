@@ -102,5 +102,5 @@ func resizeWalkthrough() {
 			ph.Phase, ph.WindowMs, ph.GoodputPerS, ph.P99)
 	}
 	fmt.Println("\nthe copier paces itself (REQ_BACKGROUND chunks), so foreground p99 stays bounded")
-	fmt.Println("while ownership moves; crashmc's RebalanceScenario audits the same machine under crashes.")
+	fmt.Println("while ownership moves; crashmc's rebalance workload audits the same machine under crashes.")
 }

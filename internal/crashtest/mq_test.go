@@ -72,8 +72,14 @@ func underBoth(t *testing.T, prof core.Profile, at sim.Time, parts ...crashmc.Pa
 	w := crashmc.OnStack(prof, append(parts, log.part)...)
 	sampled = crashmc.Sample(w, at)
 	one := log.images
-	all = crashmc.Enumerate(w, crashmc.Config{CrashAt: at, MaxStates: 256, Samples: 32,
-		Log: func(f string, a ...any) { t.Logf(prof.Name+": "+f, a...) }})
+	budget := crashmc.Config{CrashAt: at, MaxStates: 256, Samples: 32,
+		Log: func(f string, a ...any) { t.Logf(prof.Name+": "+f, a...) }}
+	if testing.Short() {
+		// Every image pays a scan of the full-size journal these profiles
+		// keep; -short (CI's -race run) looks at a quarter as many.
+		budget.MaxStates, budget.Samples = 64, 8
+	}
+	all = crashmc.Enumerate(w, budget)
 	t.Logf("sampled: %v", sampled)
 	t.Logf("enumerated: %v", all)
 	if sampled.CrashAt != all.CrashAt || sampled.Volatile != all.Volatile {

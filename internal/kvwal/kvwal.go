@@ -30,8 +30,8 @@
 // Page contents are modelled as version stamps (see internal/fs), so the
 // store keeps a host-side shadow of what each WAL slot and segment page
 // holds; recovery reads the *versions* that survived on the device and
-// maps them back through the shadow, the same technique internal/crashtest
-// uses.
+// maps them back through the shadow, the same technique internal/crashmc's
+// checkers use.
 package kvwal
 
 import (
