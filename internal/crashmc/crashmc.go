@@ -209,10 +209,10 @@ func (r *Result) audit(read jbd.ReadFn, jcfg jbd.Config, id string, checkers []C
 	}
 }
 
-// enumerate walks the admissible crash states of a captured constraint,
+// auditAll walks the admissible crash states of a captured constraint,
 // materializes each distinct disk image over the durable base (the
 // recovered device's read function) and audits it.
-func (r *Result) enumerate(cons device.Constraint, base jbd.ReadFn, jcfg jbd.Config, checkers []Checker, cfg Config) {
+func (r *Result) auditAll(cons device.Constraint, base jbd.ReadFn, jcfg jbd.Config, checkers []Checker, cfg Config) {
 	// Live-stats progress: a long crashmc sweep reports its enumeration
 	// through the process-wide registry (nil-safe when none is installed).
 	reg := metrics.Resolve(nil)

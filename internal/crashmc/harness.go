@@ -81,7 +81,7 @@ func crash(w Workload, cfg Config, every bool) Result {
 	}
 	res.Streams = len(streams)
 	if every {
-		res.enumerate(cons, base, s.Profile.FS.Journal, checkers, cfg)
+		res.auditAll(cons, base, s.Profile.FS.Journal, checkers, cfg)
 		return res
 	}
 	// Live-stats progress: every sampled state in the process bumps the

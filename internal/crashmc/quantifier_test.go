@@ -97,7 +97,7 @@ func TestQuantifiersAgree(t *testing.T) {
 		us    int
 		parts []Part
 	}{
-		{"durability", 2500, []Part{Durability()}},
+		{"durability", 2500, []Part{Durability}},
 		{"ordering", 2500, []Part{Ordering(0)}},
 		{"kv", 20000, []Part{KV(2)}},
 		{"cluster shard", 20000, []Part{clusterShard(ring, 0, slices[0])}},
@@ -129,7 +129,7 @@ func TestSamplesCounted(t *testing.T) {
 		name string
 		w    Workload
 	}{
-		{"durability", OnStack(prof, Durability())},
+		{"durability", OnStack(prof, Durability)},
 		{"ordering sweep", OrderingSweep(core.BFSOD(device.PlainSSD()))},
 		{"ordering", OnStack(prof, Ordering(0))},
 		{"kv", OnStack(prof, KV(2))},

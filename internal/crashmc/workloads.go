@@ -38,26 +38,24 @@ func journalAndFS(s *core.Stack) []Checker {
 	return []Checker{&JournalChecker{J: s.FS.Journal()}, &FSChecker{FS: s.FS}}
 }
 
-// Durability is the fsync loop: write one page, fsync, record the
+// Durability is the fsync loop, a Part: write one page, fsync, record the
 // acknowledged version, next page — until the crash. Every acknowledged
 // write must survive.
-func Durability() Part {
-	return func(k *sim.Kernel, s *core.Stack) []Checker {
-		chk := &DurabilityChecker{FS: s.FS, File: "durable.dat"}
-		k.Spawn("writer", func(p *sim.Proc) {
-			f, err := s.FS.Create(p, s.FS.Root(), chk.File)
-			if err != nil {
-				panic(err)
-			}
-			for i := int64(0); ; i++ {
-				s.FS.Write(p, f, i)
-				s.FS.Fsync(p, f)
-				ver, _ := s.FS.Read(p, f, i)
-				chk.Synced = append(chk.Synced, AckedWrite{Idx: i, Ver: ver})
-			}
-		})
-		return append([]Checker{chk}, journalAndFS(s)...)
-	}
+func Durability(k *sim.Kernel, s *core.Stack) []Checker {
+	chk := &DurabilityChecker{FS: s.FS, File: "durable.dat"}
+	k.Spawn("writer", func(p *sim.Proc) {
+		f, err := s.FS.Create(p, s.FS.Root(), chk.File)
+		if err != nil {
+			panic(err)
+		}
+		for i := int64(0); ; i++ {
+			s.FS.Write(p, f, i)
+			s.FS.Fsync(p, f)
+			ver, _ := s.FS.Read(p, f, i)
+			chk.Synced = append(chk.Synced, AckedWrite{Idx: i, Ver: ver})
+		}
+	})
+	return append([]Checker{chk}, journalAndFS(s)...)
 }
 
 // spawnOrdering starts the paper's "Hello"/"World" codelet (§4.1) at
@@ -120,7 +118,7 @@ func OrderingScenario(prof core.Profile, cfg Config) Result {
 // OrderingSweep is the §4.1 codelet as the sampled sweeps run it (the
 // crash experiment's ordering rows, examples/crashsafety). It differs from
 // Ordering in two ways, both deliberate. It audits the ordering contract
-// *only*: these sweeps run on the -OD profiles, where the preallocation
+// *only*: these sweeps exist for the -OD profiles, where the preallocation
 // fsync makes no honest durability promise and JournalChecker fires by
 // design (a nobarrier mount acknowledges at transfer), so the other three
 // audits would report what those profiles never claimed. And it writes an
@@ -146,9 +144,8 @@ func plpFailureDevice(dev device.Config, seed uint64) device.Config {
 	return dev
 }
 
-// kvStoreConfig sizes the store of every kv crash workload: a WAL and
-// memtable small enough that flush, compaction and checkpoint all run
-// before the crash.
+// kvStoreConfig is the store every single-stack kv crash workload opens:
+// a deliberately small WAL and memtable.
 var kvStoreConfig = kvwal.Config{WALPages: 128, MemtableCap: 32, CompactFanIn: 3, CheckpointEvery: 8}
 
 // openStore opens the workload's store from a setup proc and hands it to

@@ -23,7 +23,7 @@ func times(us ...int) []sim.Time {
 }
 
 func durability(prof core.Profile) crashmc.Workload {
-	return crashmc.OnStack(prof, crashmc.Durability())
+	return crashmc.OnStack(prof, crashmc.Durability)
 }
 
 // sweepClean samples w at every crash instant and requires each state

@@ -36,10 +36,10 @@ func Crash(scale Scale) []CrashRow {
 		kind  string
 		w     crashmc.Workload
 	}{
-		{"BFS-DR durability (plain-SSD)", "durability", crashmc.OnStack(core.BFSDR(device.PlainSSD()), crashmc.Durability())},
+		{"BFS-DR durability (plain-SSD)", "durability", crashmc.OnStack(core.BFSDR(device.PlainSSD()), crashmc.Durability)},
 		{"BFS-OD ordering (plain-SSD)", "ordering", crashmc.OrderingSweep(core.BFSOD(device.PlainSSD()))},
 		{"BFS-OD ordering (UFS)", "ordering", crashmc.OrderingSweep(core.BFSOD(device.UFS()))},
-		{"EXT4-DR durability (plain-SSD)", "durability", crashmc.OnStack(core.EXT4DR(device.PlainSSD()), crashmc.Durability())},
+		{"EXT4-DR durability (plain-SSD)", "durability", crashmc.OnStack(core.EXT4DR(device.PlainSSD()), crashmc.Durability)},
 		{"EXT4-OD ordering (legacy dev; EXPECTED to violate)", "ordering", crashmc.OrderingSweep(core.EXT4OD(device.LegacySSD()))},
 	} {
 		row := CrashRow{Case: c.label, Kind: c.kind, Trials: len(times)}
