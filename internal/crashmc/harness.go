@@ -16,10 +16,10 @@ import (
 // history up to that instant.
 //
 // Power fails when the kernel stops: at Config.CrashAt, or earlier at the
-// point where a workload proc calls k.Stop() (and then parks). A virtual
-// time, a program point inside the workload ("the instant fdatasync's
-// promise is made") and a polled condition (a watcher proc that sleeps
-// until it holds) are therefore the same thing to the driver.
+// point where a workload proc calls k.Stop() (and then parks or returns).
+// A virtual time, a program point inside the workload ("the instant
+// fdatasync's promise is made") and a polled condition (a watcher proc
+// that sleeps until it holds) are therefore the same thing to the driver.
 type Workload func(k *sim.Kernel) (victim func() (*core.Stack, []Checker))
 
 // A Part is one writer of a single-stack workload: it spawns its procs on
