@@ -131,8 +131,8 @@ func (o *queueOracle) check(when string) {
 }
 
 // fail reports a failed check and stops the simulation. Checks run inside
-// simulated procs, where t.Fatal would kill the goroutine holding the
-// kernel's baton and hang the run.
+// simulated procs; t.Fatal there would end the test just as well (it
+// surfaces on the Run caller), Stop lets the caller report where it stood.
 func (o *queueOracle) fail(format string, args ...any) {
 	o.t.Helper()
 	o.t.Errorf(format, args...)

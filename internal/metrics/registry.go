@@ -291,7 +291,6 @@ func (r *Registry) Snapshot() []Sample {
 			Sample{Name: "sim/events.stale", Kind: "counter", Value: float64(ks.StaleEvents.Load())},
 			Sample{Name: "sim/spawns.proc", Kind: "counter", Value: float64(ks.Spawns.Load())},
 			Sample{Name: "sim/spawns.handler", Kind: "counter", Value: float64(ks.HandlerSpawns.Load())},
-			Sample{Name: "sim/pool.hits", Kind: "counter", Value: float64(ks.PoolHits.Load())},
 			Sample{Name: "sim/pool.misses", Kind: "counter", Value: float64(ks.PoolMisses.Load())},
 		)
 	}

@@ -67,14 +67,5 @@ func (p *Proc) Park() {
 // impossible.
 func (p *Proc) Complete() {
 	p.mustArm()
-	p.state = stateDead
-	p.token++
-	p.k.live--
-	for _, w := range p.doneWaiters {
-		if w.state == stateSuspended {
-			w.state = stateScheduled
-			p.k.schedule(p.k.now, w)
-		}
-	}
-	p.doneWaiters = nil
+	p.finish()
 }

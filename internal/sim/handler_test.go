@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -200,9 +201,10 @@ func TestHandlerTimerAndJoin(t *testing.T) {
 	}
 }
 
-// TestHandlerZeroGoroutines pins the point of the exercise: handler-only
-// kernels run without any worker goroutines.
+// TestHandlerZeroGoroutines pins the point of the exercise: a handler-only
+// kernel starts no goroutine (or coroutine) at all, by the runtime's count.
 func TestHandlerZeroGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
 	k := NewKernel()
 	defer k.Close()
 	n := 0
@@ -215,8 +217,8 @@ func TestHandlerZeroGoroutines(t *testing.T) {
 		h.Complete()
 	})
 	k.Run()
-	if g := k.Goroutines(); g != 0 {
-		t.Fatalf("worker goroutines = %d, want 0 for a handler-only kernel", g)
+	if g := runtime.NumGoroutine() - base; g != 0 {
+		t.Fatalf("goroutines started = %d, want 0 for a handler-only kernel", g)
 	}
 	if n != 100 {
 		t.Fatalf("activations = %d", n)
@@ -226,6 +228,7 @@ func TestHandlerZeroGoroutines(t *testing.T) {
 // TestCloseRetiresParkedHandlers pins Close reaping handlers parked in
 // every reachable state alongside goroutine procs.
 func TestCloseRetiresParkedHandlers(t *testing.T) {
+	base := runtime.NumGoroutine()
 	k := NewKernel()
 	cond := NewCond(k)
 	q := NewQueue[int](k)
@@ -247,8 +250,8 @@ func TestCloseRetiresParkedHandlers(t *testing.T) {
 	if got := k.Live(); got != 0 {
 		t.Errorf("live procs after Close = %d, want 0", got)
 	}
-	if got := k.Goroutines(); got != 0 {
-		t.Errorf("worker goroutines after Close = %d, want 0", got)
+	if got := runtime.NumGoroutine() - base; got != 0 {
+		t.Errorf("goroutines left after Close = %d, want 0", got)
 	}
 }
 

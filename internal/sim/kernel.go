@@ -2,8 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"iter"
 )
 
 // event is a scheduled wake-up for a process. token guards against stale
@@ -21,13 +20,12 @@ type event struct {
 // single Kernel; exactly one process runs at any moment, so process code can
 // freely mutate shared simulation state without locks.
 //
-// Scheduling uses a single-handoff baton: the dispatch loop (next) runs on
-// whichever goroutine is giving up control, which hands the baton directly
-// to the next runnable process's goroutine and then parks. One goroutine
-// switch per simulated event, instead of the seed's two (yield to the
-// kernel goroutine, then resume from it). The baton returns to the Run
-// caller only when no runnable event remains, the time limit is reached, or
-// Stop was called.
+// There is one dispatch loop, and it runs on the goroutine that called
+// RunUntil: a handler's step executes inline, a blocking proc's body is an
+// iter.Pull coroutine the loop resumes, and control comes back to the loop
+// when the body blocks or ends. A coroutine switch stays on one OS thread, so
+// an event costs the same at any GOMAXPROCS, and a panic or runtime.Goexit
+// (t.Fatal) inside a body surfaces on the RunUntil caller.
 type Kernel struct {
 	now      Time
 	seq      uint64
@@ -38,15 +36,7 @@ type Kernel struct {
 	cur      *Proc
 	stopped  bool
 	closed   bool
-	closing  bool
 	callback bool // components should use run-to-completion handlers
-
-	until Time          // RunUntil limit, read by next()
-	done  chan struct{} // baton handoff back to the Run/Close caller
-
-	pool       []*worker // parked worker goroutines ready for reuse
-	goroutines atomic.Int64
-	wg         sync.WaitGroup
 
 	tr *Trace
 	sp *SpanTrace
@@ -57,7 +47,7 @@ type Kernel struct {
 // on it use run-to-completion handler procs for their reactive leaves (see
 // CallbackMode); this is the fast configuration.
 func NewKernel() *Kernel {
-	return &Kernel{done: make(chan struct{}, 1), callback: true}
+	return &Kernel{callback: true}
 }
 
 // NewReferenceKernel returns a kernel whose event queue is the seed's
@@ -77,7 +67,7 @@ func NewReferenceKernel() *Kernel {
 // CallbackMode reports whether components should register their reactive
 // leaf loops as run-to-completion handlers (SpawnHandler) instead of
 // blocking goroutine procs (Spawn). Both implementations must produce
-// byte-identical dispatch traces; the handler form just skips the goroutine
+// byte-identical dispatch traces; the handler form just skips the coroutine
 // switch per event.
 func (k *Kernel) CallbackMode() bool { return k.callback }
 
@@ -86,11 +76,6 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Live returns the number of processes that have not yet terminated.
 func (k *Kernel) Live() int { return k.live }
-
-// Goroutines returns the number of worker goroutines currently alive,
-// including pooled idle ones. After Close it is zero; the leak regression
-// test pins that.
-func (k *Kernel) Goroutines() int { return int(k.goroutines.Load()) }
 
 func (k *Kernel) schedule(at Time, p *Proc) {
 	if at < k.now {
@@ -126,29 +111,6 @@ func (k *Kernel) qpop() event {
 	return k.q.pop()
 }
 
-// getWorker reuses a pooled worker goroutine or starts a new one. Pooling
-// means short-lived spawned procs (group-commit leaders, per-request
-// writeback procs) stop paying goroutine and channel setup per spawn.
-func (k *Kernel) getWorker() *worker {
-	if n := len(k.pool); n > 0 {
-		w := k.pool[n-1]
-		k.pool[n-1] = nil
-		k.pool = k.pool[:n-1]
-		if k.ks != nil {
-			k.ks.PoolHits.Add(1)
-		}
-		return w
-	}
-	if k.ks != nil {
-		k.ks.PoolMisses.Add(1)
-	}
-	w := &worker{k: k, resume: make(chan resumeMsg, 1)}
-	k.goroutines.Add(1)
-	k.wg.Add(1)
-	go w.loop()
-	return w
-}
-
 // Spawn creates a new process named name running fn and schedules it to
 // start at the current virtual time. It may be called before Run or from
 // inside a running process.
@@ -169,7 +131,6 @@ func (k *Kernel) spawn(prefix string, idx int, fn func(p *Proc)) *Proc {
 	if k.closed {
 		panic("sim: Spawn on closed kernel")
 	}
-	w := k.getWorker()
 	p := &Proc{
 		k:       k,
 		id:      len(k.procs),
@@ -177,10 +138,7 @@ func (k *Kernel) spawn(prefix string, idx int, fn func(p *Proc)) *Proc {
 		nameIdx: idx,
 		fn:      fn,
 		state:   statePending,
-		w:       w,
-		resume:  w.resume,
 	}
-	w.p = p
 	k.procs = append(k.procs, p)
 	k.live++
 	if k.ks != nil {
@@ -191,8 +149,8 @@ func (k *Kernel) spawn(prefix string, idx int, fn func(p *Proc)) *Proc {
 }
 
 // SpawnHandler registers a run-to-completion event handler: a process whose
-// step function executes inline on the dispatching goroutine every time one
-// of its events fires — zero channel handoffs, zero goroutine switches.
+// step function executes inline in the dispatch loop every time one of its
+// events fires — no coroutine switch.
 //
 // A handler must never call the blocking APIs (Sleep, Advance, Suspend,
 // Cond.Wait, Queue.Get, Semaphore.Acquire, Join); instead it arms exactly
@@ -243,41 +201,23 @@ func (k *Kernel) Run() Time { return k.RunUntil(MaxTime) }
 // RunUntil processes events with timestamps <= t, then sets the clock to t
 // if any events remain beyond it. A Stop ends it early with the clock left
 // at the stopping process's instant. It returns the final virtual time.
+//
+// This is the dispatch loop: it pops the next live event and runs its
+// process on the calling goroutine — a handler's step inline, a blocking
+// proc by resuming its coroutine until the body blocks or ends.
 func (k *Kernel) RunUntil(t Time) Time {
 	if k.closed {
 		panic("sim: RunUntil on closed kernel")
 	}
 	k.stopped = false
-	k.until = t
-	k.next()
-	<-k.done
-	if !k.stopped && k.qlen() == 0 && t != MaxTime && t > k.now {
-		k.now = t
-	}
-	return k.now
-}
-
-// next pops and dispatches the next runnable event. It is the heart of the
-// single-handoff scheduler: it executes on whichever goroutine is yielding
-// (a blocking or finishing process, or the Run caller entering the
-// simulation), wakes the next process's goroutine directly, and returns so
-// the caller can park on its own channel. When nothing is dispatchable the
-// baton goes home to the Run caller via k.done instead.
-func (k *Kernel) next() {
-	for {
-		if k.stopped {
-			k.home()
-			return
-		}
+	for !k.stopped {
 		e, ok := k.qpeek()
 		if !ok {
-			k.home()
-			return
+			break
 		}
-		if e.at > k.until {
-			k.now = k.until
-			k.home()
-			return
+		if e.at > t {
+			k.now = t
+			break
 		}
 		k.qpop()
 		if e.p.state == stateDead || e.token != e.p.token {
@@ -307,10 +247,10 @@ func (k *Kernel) next() {
 		p.state = stateRunning
 		p.wakeups++
 		if p.step != nil {
-			// Run-to-completion handler: execute inline and keep dispatching.
-			// Mirrors the goroutine proc's wake path: the token bump matches
-			// block()'s invalidate-on-wake (first dispatches of goroutine
-			// procs skip it too, since they enter fn directly).
+			// Run-to-completion handler. Mirrors the blocking proc's wake
+			// path: the token bump matches block()'s invalidate-on-wake
+			// (first dispatches of blocking procs skip it too, since they
+			// enter fn directly).
 			if !wasPending {
 				p.token++
 			}
@@ -321,46 +261,42 @@ func (k *Kernel) next() {
 			}
 			continue
 		}
-		p.resume <- resumeMsg{} // buffered: hand off without blocking
-		return
+		if wasPending {
+			// The body gets its coroutine at its first dispatch, so a proc
+			// that never runs never has one to unwind.
+			if k.ks != nil {
+				k.ks.PoolMisses.Add(1)
+			}
+			p.resume, p.stop = iter.Pull(p.body)
+		}
+		p.resume()
 	}
-}
-
-// home returns the baton to the goroutine that entered the simulation.
-func (k *Kernel) home() {
 	k.cur = nil
-	k.done <- struct{}{}
+	if !k.stopped && k.qlen() == 0 && t != MaxTime && t > k.now {
+		k.now = t
+	}
+	return k.now
 }
 
-// Close terminates every live process and every pooled worker goroutine,
-// then waits for all of them to exit. The kernel must not be used
-// afterwards. It is safe to call Close multiple times.
+// Close terminates every live process: a parked body is unwound (its
+// deferred calls run), a handler or a proc that never started is retired in
+// place. The kernel must not be used afterwards. It is safe to call Close
+// multiple times.
 func (k *Kernel) Close() {
 	if k.closed {
 		return
 	}
 	k.closed = true
-	k.closing = true
 	for _, p := range k.procs {
 		if p.state == stateDead {
 			continue
 		}
-		if p.step != nil {
-			// Handlers have no goroutine to unwind: retire in place.
-			p.state = stateDead
-			p.token++
-			p.doneWaiters = nil
-			k.live--
+		if p.stop == nil {
+			p.finish() // nothing to unwind
 			continue
 		}
-		p.resume <- resumeMsg{kill: true}
-		<-k.done // finish acks through the baton channel while closing
+		p.stop() // block() panics errKilled; body recovers it and finishes
 	}
-	for _, w := range k.pool {
-		w.resume <- resumeMsg{kill: true}
-	}
-	k.pool = nil
-	k.wg.Wait()
 	if k.live != 0 {
 		panic(fmt.Sprintf("sim: %d processes survived Close", k.live))
 	}

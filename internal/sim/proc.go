@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"strconv"
 )
 
@@ -31,63 +33,17 @@ func (s procState) String() string {
 	return "invalid"
 }
 
-type resumeMsg struct{ kill bool }
-
-// errKilled unwinds a process goroutine when the kernel is closed.
+// errKilled unwinds a parked process body when the kernel is closed.
 var errKilled = errors.New("sim: process killed")
-
-// worker is a pooled goroutine that executes process bodies. A worker is
-// bound to one Proc at a time; when the proc terminates the worker parks on
-// its resume channel and returns to the kernel's free pool, so the next
-// Spawn reuses the goroutine and its channel instead of creating fresh
-// ones. The channel is buffered (capacity 1) so a handoff never blocks the
-// sender — the core of the single-switch dispatch protocol.
-type worker struct {
-	k      *Kernel
-	resume chan resumeMsg
-	p      *Proc // the proc this worker currently embodies; nil when pooled
-	exit   bool  // set by finish (on this worker's goroutine) during Close
-}
-
-func (w *worker) loop() {
-	defer func() {
-		w.k.goroutines.Add(-1)
-		w.k.wg.Done()
-	}()
-	for {
-		msg := <-w.resume
-		if msg.kill {
-			if p := w.p; p != nil && p.state != stateDead {
-				p.finish() // killed before its first dispatch
-			}
-			return
-		}
-		w.run(w.p)
-		if w.exit {
-			return
-		}
-	}
-}
-
-func (w *worker) run(p *Proc) {
-	defer func() {
-		if r := recover(); r != nil {
-			if r != errKilled { //nolint:errorlint // sentinel identity check
-				panic(r)
-			}
-		}
-		p.finish()
-	}()
-	p.fn(p)
-}
 
 // Proc is a simulated thread of control, in one of two flavors:
 //
-//   - goroutine procs (Spawn): fn is the whole process body, running on a
-//     pooled worker goroutine and blocking through Sleep/Suspend/Wait;
-//   - run-to-completion handlers (SpawnHandler): step is invoked inline on
-//     the dispatching goroutine at every activation and arms the next
-//     continuation explicitly (WakeIn, Park, Cond.Park, Complete, ...).
+//   - blocking procs (Spawn; the "goroutine procs" of KernelStats): fn is
+//     the whole process body, a coroutine that the dispatch loop resumes and
+//     that yields back to it inside Sleep/Suspend/Wait;
+//   - run-to-completion handlers (SpawnHandler): step is invoked inline by
+//     the dispatch loop at every activation and arms the next continuation
+//     explicitly (WakeIn, Park, Cond.Park, Complete, ...).
 //
 // Methods must only be called while the proc is the running process, except
 // where noted.
@@ -97,12 +53,15 @@ type Proc struct {
 	name    string // full name, or the prefix while nameIdx >= 0
 	nameIdx int    // lazy-name suffix; -1 once rendered (or when absent)
 	fn      func(*Proc)
-	step    func(*Proc) // handler step fn; nil for goroutine procs
+	step    func(*Proc) // handler step fn; nil for blocking procs
 	state   procState
 	armed   bool // handler armed its continuation this activation
-	w       *worker
-	resume  chan resumeMsg // w.resume, cached to keep the hot path short
 	token   uint64
+
+	// The body's coroutine (iter.Pull), nil until the first dispatch.
+	resume func() (struct{}, bool) // run the body until it next blocks or ends
+	yield  func(struct{}) bool     // return to the dispatch loop; false = killed
+	stop   func()                  // make the parked yield return false
 
 	wakeups   int64 // times this process was dispatched
 	volSwitch int64 // voluntary context switches (blocking waits)
@@ -142,9 +101,24 @@ func (p *Proc) Wakeups() int64 { return p.wakeups }
 // count: it models computation, not blocking.
 func (p *Proc) VoluntarySwitches() int64 { return p.volSwitch }
 
-// finish retires a terminated process: waiters are woken, the worker
-// returns to the pool, and the baton moves on. During Close the baton goes
-// home to acknowledge the kill instead.
+// body is the coroutine a blocking proc runs as. finish runs however fn
+// ends — return, Close's errKilled, a real panic, or runtime.Goexit — so the
+// proc is dead and Close still works; the last two then carry on to the
+// RunUntil caller, by iter.Pull's contract.
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		p.finish()
+		if r := recover(); r != nil && r != errKilled { //nolint:errorlint // sentinel identity check
+			// iter.Pull re-raises on the RunUntil caller, whose stack does
+			// not show where the body was: carry the body's stack along.
+			panic(fmt.Sprintf("%v [in sim proc %s]\n%s", r, p.Name(), debug.Stack()))
+		}
+	}()
+	p.fn(p)
+}
+
+// finish retires a terminated process and wakes the processes joined on it.
 func (p *Proc) finish() {
 	p.state = stateDead
 	p.token++
@@ -156,21 +130,10 @@ func (p *Proc) finish() {
 		}
 	}
 	p.doneWaiters = nil
-	w := p.w
-	p.w = nil
-	w.p = nil
-	if p.k.closing {
-		w.exit = true
-		p.k.done <- struct{}{}
-		return
-	}
-	p.k.pool = append(p.k.pool, w)
-	p.k.next()
 }
 
-// block parks the process in the given state and hands control directly to
-// the next runnable process (or back to the Run caller). It returns when
-// this process is next dispatched.
+// block parks the process in the given state and yields to the dispatch
+// loop. It returns when this process is next dispatched.
 func (p *Proc) block(next procState, voluntary bool) {
 	if p.step != nil {
 		panic("sim: blocking call from run-to-completion handler " + p.Name())
@@ -182,10 +145,9 @@ func (p *Proc) block(next procState, voluntary bool) {
 	if voluntary {
 		p.volSwitch++
 	}
-	p.k.next()
-	msg := <-p.resume
+	alive := p.yield(struct{}{})
 	p.token++ // invalidate any other outstanding wake-ups
-	if msg.kill {
+	if !alive {
 		panic(errKilled)
 	}
 	p.state = stateRunning

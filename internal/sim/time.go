@@ -1,6 +1,6 @@
 // Package sim implements a deterministic, process-oriented discrete-event
-// simulation kernel. Simulated threads (processes) are goroutines that are
-// scheduled strictly one at a time on a virtual clock, so simulation state
+// simulation kernel. Simulated threads (processes) are coroutines that one
+// loop resumes strictly one at a time on a virtual clock, so simulation state
 // needs no locking and every run with the same seed is bit-for-bit
 // reproducible.
 //
