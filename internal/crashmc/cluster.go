@@ -80,7 +80,7 @@ func (r ClusterResult) String() string {
 // collide, a write-heavy mix, enough volume to cycle until any crash
 // instant.
 func clusterTraffic(shards int) (*kvcluster.Ring, [][]kvcluster.Request) {
-	ring := kvcluster.NewRing(shards, 64)
+	ring := kvcluster.NewRing(shards)
 	tr := kvcluster.Traffic{
 		Arrivals:  workload.ArrivalConfig{RatePerS: 200_000, Seed: 23},
 		Mix:       workload.Mix{ReadPct: 10, DeletePct: 15},

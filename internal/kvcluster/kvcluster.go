@@ -88,9 +88,6 @@ type Config struct {
 	Device func() device.Config
 	// Store is the per-shard kvwal configuration.
 	Store kvwal.Config
-	// VNodes is the consistent-hash virtual node count per shard
-	// (default 64).
-	VNodes int
 	// InflightCap is the admission controller's per-shard outstanding
 	// request bound; arrivals beyond it are shed and counted (default 64).
 	InflightCap int
@@ -124,9 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Store.WALPages == 0 {
 		c.Store = kvwal.DefaultConfig()
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
 	}
 	if c.InflightCap <= 0 {
 		c.InflightCap = 64
@@ -248,7 +242,7 @@ func Run(cfg Config, tr Traffic) Result {
 	}
 	cfg = cfg.withDefaults()
 	tr = tr.withDefaults()
-	parts := Partition(tr.Generate(), NewRing(cfg.Shards, cfg.VNodes))
+	parts := Partition(tr.Generate(), NewRing(cfg.Shards))
 	runs := make([]*runner, cfg.Shards)
 	end := sim.Time(tr.Warmup + tr.Duration)
 

@@ -11,7 +11,7 @@ import (
 )
 
 func TestRingDeterministicAndBalanced(t *testing.T) {
-	a, b := NewRing(4, 64), NewRing(4, 64)
+	a, b := NewRing(4), NewRing(4)
 	counts := make([]int, 4)
 	for i := 0; i < 10_000; i++ {
 		key := fmt.Sprintf("u%07d", i)
@@ -30,7 +30,7 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 // Consistent hashing's point: dropping one shard must remap only roughly
 // that shard's share of the keyspace, not reshuffle everything.
 func TestRingStabilityUnderResize(t *testing.T) {
-	big, small := NewRing(8, 64), NewRing(7, 64)
+	big, small := NewRing(8), NewRing(7)
 	moved := 0
 	const keys = 10_000
 	for i := 0; i < keys; i++ {
@@ -66,7 +66,7 @@ func TestTrafficGenerateAndPartition(t *testing.T) {
 			t.Fatalf("request %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	ring := NewRing(4, 64)
+	ring := NewRing(4)
 	parts := Partition(a, ring)
 	total := 0
 	for s, part := range parts {

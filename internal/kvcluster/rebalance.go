@@ -45,14 +45,16 @@ type MigrateConfig struct {
 	ChunkKeys int
 	// ChunkEvery is the pacing gap between chunks (default 150µs).
 	ChunkEvery sim.Duration
-	// ReadRetries is how many full passes over the live source owners the
-	// copier makes for an unreadable key before skipping it (default 3).
-	ReadRetries int
-	// RetryBackoff is the base backoff between those passes, doubling per
-	// attempt; also the delay before restarting an aborted range (default
-	// 100µs).
-	RetryBackoff sim.Duration
 }
+
+const (
+	// readRetries is how many full passes over the live source owners the
+	// copier makes for an unreadable key before skipping it.
+	readRetries = 3
+	// retryBackoff is the base backoff between those passes, doubling per
+	// attempt; also the delay before restarting an aborted range.
+	retryBackoff = 100 * sim.Microsecond
+)
 
 func (m MigrateConfig) withDefaults() MigrateConfig {
 	if m.ChunkKeys <= 0 {
@@ -60,12 +62,6 @@ func (m MigrateConfig) withDefaults() MigrateConfig {
 	}
 	if m.ChunkEvery <= 0 {
 		m.ChunkEvery = 150 * sim.Microsecond
-	}
-	if m.ReadRetries <= 0 {
-		m.ReadRetries = 3
-	}
-	if m.RetryBackoff <= 0 {
-		m.RetryBackoff = 100 * sim.Microsecond
 	}
 	return m
 }
@@ -199,7 +195,7 @@ func (c *Cluster) Resize(p *sim.Proc, newN int) (*Migration, error) {
 	if newN <= 0 {
 		return nil, errors.New("kvcluster: resize to zero shards")
 	}
-	target := NewRing(newN, c.cfg.VNodes)
+	target := NewRing(newN)
 	for i := len(c.nodes); i < newN; i++ {
 		if err := c.addNode(p, i); err != nil {
 			return nil, err
@@ -459,7 +455,7 @@ func (rm *rangeMig) retarget(h *sim.Proc) {
 		return
 	}
 	rm.setState(h.Now(), MigCopying)
-	h.WakeIn(m.cfg.RetryBackoff)
+	h.WakeIn(retryBackoff)
 }
 
 func (rm *rangeMig) finish(h *sim.Proc, s MigrationState) {
@@ -627,10 +623,10 @@ func (rm *rangeMig) readSource(p *sim.Proc, key string) (alive, readable bool) {
 				return ok, true
 			}
 		}
-		if attempt >= m.cfg.ReadRetries {
+		if attempt >= readRetries {
 			break
 		}
-		p.Sleep(m.cfg.RetryBackoff << uint(attempt))
+		p.Sleep(retryBackoff << uint(attempt))
 	}
 	m.stats.CopySkipped++
 	m.c.obs.rebSkipped.Inc()

@@ -14,8 +14,8 @@ import (
 // successor list changes between the rings lies inside a move carrying
 // exactly those lists, and every key inside a move actually changes owners.
 func TestRingDiffMatchesOwnerLists(t *testing.T) {
-	old := NewRing(3, 64)
-	target := NewRing(4, 64)
+	old := NewRing(3)
+	target := NewRing(4)
 	moves := old.Diff(target, 2)
 	if len(moves) == 0 {
 		t.Fatal("growing 3->4 moved no ranges")
@@ -54,7 +54,7 @@ func TestRingDiffMatchesOwnerLists(t *testing.T) {
 }
 
 func TestRingReplacePlanCoversShard(t *testing.T) {
-	r := NewRing(4, 64)
+	r := NewRing(4)
 	plan := r.ReplacePlan(2, 2)
 	if len(plan) == 0 {
 		t.Fatal("replace plan for an owner shard is empty")

@@ -23,8 +23,7 @@ import (
 //     commit in parallel, each with its own shard-local group commit;
 //   - reads try the primary and fail over down the replica list on a hard
 //     media error (fault.ErrUNC past the block layer's retry budget) or a
-//     killed shard, with read-repair re-priming the failed replica and
-//     optional hedged reads cutting the tail under latency faults.
+//     killed shard, with read-repair re-priming the failed replica.
 //
 // Placement is the ring's successor list (Ring.ShardsFor): deterministic
 // per key, stable under shard death — marking a shard down only promotes
@@ -48,14 +47,9 @@ type ReplicaConfig struct {
 	Device func(i int) device.Config
 	// Store is the per-shard kvwal configuration.
 	Store kvwal.Config
-	// VNodes is the consistent-hash virtual node count (default 64).
-	VNodes int
 	// Retry is the block-layer retry policy armed on every shard stack
 	// (nil: errors propagate on first completion).
 	Retry *block.RetryPolicy
-	// HedgeAfter fires a hedged read on the next replica when the primary
-	// read has not completed after this long; 0 disables hedging.
-	HedgeAfter sim.Duration
 	// TenantFailovers is the per-tenant failover budget: after this many
 	// read failovers a tenant's failing reads are shed immediately instead
 	// of retried on replicas — graceful degradation under a sick shard
@@ -103,9 +97,6 @@ func (c ReplicaConfig) withDefaults() ReplicaConfig {
 	if c.Store.WALPages == 0 {
 		c.Store = kvwal.DefaultConfig()
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.InflightCap <= 0 {
 		c.InflightCap = 64
 	}
@@ -125,14 +116,13 @@ type ClusterStats struct {
 	Reads          int64
 	Failovers      int64 // reads redirected past a dead/erroring replica
 	ReadRepairs    int64 // async re-puts priming a replica that failed a read
-	HedgedReads    int64 // secondary reads fired by the hedge timer
 	DegradedSheds  int64 // reads shed by an exhausted tenant failover budget
 	DegradedWrites int64 // writes committed on fewer than R live replicas
 	Unavailable    int64 // operations with no live replica
 }
 
 type clusterObs struct {
-	failovers, repairs, hedged, shed, repWrites *metrics.Counter
+	failovers, repairs, shed, repWrites *metrics.Counter
 	// rebalance counters/gauge (kvcluster/rebalance/*)
 	rebKeys, rebDual, rebCutovers, rebAborts, rebSkipped *metrics.Counter
 	rebRanges                                            *metrics.Gauge
@@ -167,7 +157,7 @@ func OpenCluster(p *sim.Proc, cfg ReplicaConfig) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		k: p.Kernel(), cfg: cfg,
-		ring:    NewRing(cfg.Shards, cfg.VNodes),
+		ring:    NewRing(cfg.Shards),
 		budgets: make(map[int]int64),
 		wild:    make(map[int]int),
 	}
@@ -175,7 +165,6 @@ func OpenCluster(p *sim.Proc, cfg ReplicaConfig) (*Cluster, error) {
 	c.obs = clusterObs{
 		failovers:   reg.Counter("kvcluster/failovers"),
 		repairs:     reg.Counter("kvcluster/read.repairs"),
-		hedged:      reg.Counter("kvcluster/hedged.reads"),
 		shed:        reg.Counter("kvcluster/degraded.shed"),
 		repWrites:   reg.Counter("kvcluster/replica.writes"),
 		rebKeys:     reg.Counter("kvcluster/rebalance/keys.copied"),
@@ -445,7 +434,7 @@ func (c *Cluster) Get(p *sim.Proc, key string, rc ReqCtx) (uint64, bool, error) 
 		if n.down {
 			continue
 		}
-		seq, ok, err := c.readNode(p, n, tried, owners, key)
+		seq, ok, err := n.store.GetE(p, key)
 		if err != nil {
 			errShards = append(errShards, s)
 			lastErr = err
@@ -483,84 +472,6 @@ func (c *Cluster) chargeFailover(tenant int) bool {
 	c.stats.Failovers++
 	c.obs.failovers.Inc()
 	return true
-}
-
-// readNode reads key from n, hedging onto the next live replica when the
-// primary read outlives the hedge timer (GC-interference latency spikes).
-func (c *Cluster) readNode(p *sim.Proc, n *node, tried int, owners []int, key string) (uint64, bool, error) {
-	if c.cfg.HedgeAfter <= 0 || tried != 0 {
-		return n.store.GetE(p, key)
-	}
-	var backup *node
-	for _, s := range owners[1:] {
-		if !c.nodes[s].down {
-			backup = c.nodes[s]
-			break
-		}
-	}
-	if backup == nil {
-		return n.store.GetE(p, key)
-	}
-	return c.hedgedGet(p, n, backup, key)
-}
-
-// hedgeRace is the client/helper rendezvous of one hedged read.
-type hedgeRace struct {
-	client  *sim.Proc
-	settled bool
-	timeout bool
-	seq     uint64
-	ok      bool
-	err     error
-}
-
-func (hr *hedgeRace) settle(k *sim.Kernel, seq uint64, ok bool, err error) {
-	if hr.settled {
-		return // the other leg won; drop this result
-	}
-	hr.settled = true
-	hr.seq, hr.ok, hr.err = seq, ok, err
-	if hr.client != nil {
-		k.Resume(hr.client)
-	}
-}
-
-// hedgedGet races a primary read against a timer; if the timer fires
-// first, a second read starts on the backup replica and the first
-// completion wins. Losing legs run to completion and drop their results.
-func (c *Cluster) hedgedGet(p *sim.Proc, primary, backup *node, key string) (uint64, bool, error) {
-	hr := &hedgeRace{client: p}
-	c.k.Spawn("kvc/hedge-primary", func(hp *sim.Proc) {
-		seq, ok, err := primary.store.GetE(hp, key)
-		hr.settle(c.k, seq, ok, err)
-	})
-	c.k.Spawn("kvc/hedge-timer", func(tp *sim.Proc) {
-		tp.Advance(c.cfg.HedgeAfter)
-		if hr.settled {
-			return
-		}
-		hr.timeout = true
-		if hr.client != nil {
-			c.k.Resume(hr.client)
-		}
-	})
-	for !hr.settled && !hr.timeout {
-		p.Suspend()
-	}
-	if !hr.settled {
-		// Timer fired first: hedge onto the backup.
-		c.stats.HedgedReads++
-		c.obs.hedged.Inc()
-		c.k.Spawn("kvc/hedge-backup", func(bp *sim.Proc) {
-			seq, ok, err := backup.store.GetE(bp, key)
-			hr.settle(c.k, seq, ok, err)
-		})
-		for !hr.settled {
-			p.Suspend()
-		}
-	}
-	hr.client = nil
-	return hr.seq, hr.ok, hr.err
 }
 
 // readRepair re-primes the replicas that failed the read with an async

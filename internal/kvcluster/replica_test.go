@@ -13,7 +13,7 @@ import (
 )
 
 func TestShardsForPlacement(t *testing.T) {
-	r := NewRing(5, 64)
+	r := NewRing(5)
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("u%07d", i)
 		owners := r.ShardsFor(key, 3)
@@ -31,7 +31,7 @@ func TestShardsForPlacement(t *testing.T) {
 			seen[s] = true
 		}
 		// Deterministic across rings.
-		again := NewRing(5, 64).ShardsFor(key, 3)
+		again := NewRing(5).ShardsFor(key, 3)
 		for j := range owners {
 			if owners[j] != again[j] {
 				t.Fatalf("key %s: placement not deterministic: %v vs %v", key, owners, again)
@@ -48,7 +48,7 @@ func TestShardsForPlacement(t *testing.T) {
 // it served; every other key's replica list is untouched — the consistent
 // hashing stability property carried over to failover routing.
 func TestShardsForUpStableUnderShardDeath(t *testing.T) {
-	r := NewRing(5, 64)
+	r := NewRing(5)
 	const dead = 2
 	down := func(s int) bool { return s == dead }
 	for i := 0; i < 2000; i++ {

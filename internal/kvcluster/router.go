@@ -6,7 +6,7 @@ import (
 	"sort"
 )
 
-// Consistent-hash routing. Each shard owns VNodes points on a 64-bit hash
+// Consistent-hash routing. Each shard owns vnodes points on a 64-bit hash
 // ring; a key routes to the shard owning the first point at or after the
 // key's hash. Virtual nodes keep the per-shard key share within a few
 // percent of uniform, and — the property consistent hashing is for —
@@ -44,13 +44,13 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
-// NewRing builds a ring of shards * vnodes points (vnodes <= 0 means 64).
-func NewRing(shards, vnodes int) *Ring {
+// vnodes is the consistent-hash virtual node count per shard.
+const vnodes = 64
+
+// NewRing builds a ring of shards * vnodes points.
+func NewRing(shards int) *Ring {
 	if shards <= 0 {
 		shards = 1
-	}
-	if vnodes <= 0 {
-		vnodes = 64
 	}
 	r := &Ring{shards: shards, points: make([]ringPoint, 0, shards*vnodes)}
 	for s := 0; s < shards; s++ {
