@@ -557,7 +557,8 @@ func TestFsyncHostBytesFlatInFileSize(t *testing.T) {
 
 // BenchmarkSimKernel measures raw simulator event throughput (ablation: the
 // substrate's own cost). allocs/op is the headline: the by-value event
-// queue schedules with zero allocations per event in steady state.
+// queue schedules with zero allocations per event in steady state. ns/op is
+// one blocking proc's round trip through the dispatch loop and back.
 func BenchmarkSimKernel(b *testing.B) {
 	k := sim.NewKernel()
 	defer k.Close()
@@ -596,9 +597,37 @@ func BenchmarkSimKernelMixedHorizons(b *testing.B) {
 	k.Run()
 }
 
+// BenchmarkSimKernelDepth measures the event queue at a fixed depth: procs
+// handlers, each always holding one pending timer 1-500µs out (the stack's
+// horizon), so ns/op is one push and one pop with that many events queued.
+// It is the measurement behind eventq.go's "why the timer wheel stays":
+// stackbench's workloads hold 7 to 88 events on average, 265 at most.
+func BenchmarkSimKernelDepth(b *testing.B) {
+	for _, procs := range []int{8, 64, 256, 1024} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			k := sim.NewKernel()
+			defer k.Close()
+			n := 0
+			for i := 0; i < procs; i++ {
+				d := sim.Microsecond + sim.Duration(i*7919%499)*sim.Microsecond
+				k.SpawnHandlerIdx("timer", i, func(h *sim.Proc) {
+					if n++; n >= b.N {
+						k.Stop()
+						return
+					}
+					h.WakeIn(d)
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			k.Run()
+		})
+	}
+}
+
 // BenchmarkSimHandlerEvent measures run-to-completion dispatch: a handler
-// rescheduling itself via WakeIn, one event per op with zero goroutine
-// switches and zero allocations — the fast path the device/NAND-side
+// rescheduling itself via WakeIn, one event per op with no coroutine
+// switch and zero allocations — the fast path the device/NAND-side
 // components run on.
 func BenchmarkSimHandlerEvent(b *testing.B) {
 	k := sim.NewKernel()
@@ -619,7 +648,7 @@ func BenchmarkSimHandlerEvent(b *testing.B) {
 
 // BenchmarkSimHandlerPingPong measures two handlers waking each other
 // through a Cond — the handler analogue of BenchmarkSimHandoff, with the
-// channel handoffs and goroutine switches gone.
+// coroutine switches gone.
 func BenchmarkSimHandlerPingPong(b *testing.B) {
 	k := sim.NewKernel()
 	defer k.Close()
@@ -644,8 +673,9 @@ func BenchmarkSimHandlerPingPong(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkSimHandoff measures the single-handoff context switch: two procs
-// ping-ponging through Suspend/Resume, two dispatches per op.
+// BenchmarkSimHandoff measures the blocking-proc context switch: two procs
+// ping-ponging through Suspend/Resume, two dispatches per op, each a yield
+// to the dispatch loop and a resume from it.
 func BenchmarkSimHandoff(b *testing.B) {
 	k := sim.NewKernel()
 	defer k.Close()
@@ -669,8 +699,9 @@ func BenchmarkSimHandoff(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkSimSpawnChurn measures short-lived proc churn — the group-commit
-// leader pattern — which the pooled worker goroutines make cheap.
+// BenchmarkSimSpawnChurn measures short-lived proc churn: each op spawns,
+// starts (one coroutine, 12 allocations), runs and joins a proc. Nothing in
+// the stack spawns at run time, so nothing pools them.
 func BenchmarkSimSpawnChurn(b *testing.B) {
 	k := sim.NewKernel()
 	defer k.Close()

@@ -20,6 +20,16 @@ import "math/bits"
 //     in the IO-stack workloads — land in level 0 with an O(1) append.
 //   - overflow: 4-ary heap for events beyond the wheel horizon (~1.07s).
 //
+// Why the wheel stays, when the whole queue is only tens of events deep: on
+// stackbench it holds 7 (fsync-journal), 48 (both kv workloads) and 88
+// (blk-ordered) events on average, 265 at most, and a bare d4heap in the
+// wheel's place (goldens green) was measured at those depths. It wins below
+// 8 pending events (one self-waking handler 14 vs 24 ns/event), ties at 8
+// (32 vs 33) and loses from 64 up (75 vs 57 ns/event at 64 timers spread
+// over 1-500µs, 124 vs 88 at 256, 155 vs 110 at 1024), which made
+// kv-service's host CPU per op worse in 7 of 8 alternating pairs (+6 % at
+// the median). BenchmarkSimKernelDepth re-measures the crossover.
+//
 // Correctness does not depend on the cursor being tight: a slot's start time
 // lower-bounds every event in it, and the pop path cascades any slot whose
 // start is <= the heap tops before trusting a heap pop. Ties on the slot
@@ -50,7 +60,7 @@ func evLess(a, b event) bool {
 // d4heap is a by-value 4-ary min-heap of events. Four-way fan-out halves the
 // tree depth of a binary heap and keeps parent/child pairs on the same cache
 // line, which measurably cuts sift costs for the small heaps this kernel
-// runs (tens of pending events).
+// runs: the wheel leaves near with one granule's events at a time.
 type d4heap []event
 
 func (h *d4heap) push(e event) {
