@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -81,6 +82,35 @@ func goldenCases() []goldenCase {
 				}
 			})
 			k.RunUntil(sim.Time(short))
+		}},
+		// pdflush on a data-journaling mount: once every page has been
+		// synced, OptFS journals its overwrites, so the daemon's writeback
+		// goes through the journal's conflict rules instead of the block
+		// layer. A vacuous run (pdflush idle, nothing journaled) panics.
+		{"pdflush/OptFS-datajournal", func(k *sim.Kernel) {
+			prof := core.OptFS(device.UFS())
+			prof.FS.PdflushInterval = 300 * sim.Microsecond
+			s := core.NewStack(k, prof)
+			k.Spawn("app", func(p *sim.Proc) {
+				f, err := s.FS.Create(p, s.FS.Root(), "journaled.dat")
+				if err != nil {
+					panic(err)
+				}
+				for i := 0; i < 64; i++ {
+					s.FS.Write(p, f, int64(i))
+				}
+				s.FS.Fbarrier(p, f)
+				for i := 0; ; i++ {
+					s.FS.Write(p, f, int64(i%64))
+					if i%16 == 15 {
+						p.Sleep(50 * sim.Microsecond)
+					}
+				}
+			})
+			k.RunUntil(sim.Time(short))
+			if st := s.FS.Stats(); st.PdflushRuns == 0 || st.DataJournaled == 0 {
+				panic(fmt.Sprintf("vacuous case: PdflushRuns=%d DataJournaled=%d", st.PdflushRuns, st.DataJournaled))
+			}
 		}},
 		// GC + OptFS delayed-flush coverage: a deliberately tiny, fast array
 		// so the log wraps within the run and the GC/erase machinery and the
