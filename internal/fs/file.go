@@ -223,8 +223,7 @@ func (i *Inode) keepDirty(dirty []*page) {
 }
 
 // dataRequest builds the in-place write request for one dirty page,
-// marking the page clean. Shared by the blocking writeback and the pdflush
-// handler so the two stay statement-identical.
+// marking the page clean.
 func (f *FS) dataRequest(i *Inode, pg *page, flags block.Flags, pid int) *block.Request {
 	r := f.reqPool.Get()
 	r.Op, r.LPA, r.Flags, r.PID, r.Stream = block.OpWrite, i.blocks[pg.idx], flags, pid, f.stream

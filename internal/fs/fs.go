@@ -233,7 +233,6 @@ type FS struct {
 	inodes      map[Ino]*Inode
 	inodeList   []*Inode // ascending ino; deterministic whole-FS iteration
 	pdflushCond *sim.Cond
-	pd          pdflushSM // handler-mode pdflush state (pdflush.go)
 	byHome      map[uint64]*Inode
 	root        *Inode
 	nextIno     Ino
@@ -291,22 +290,16 @@ func New(k *sim.Kernel, layer block.Submitter, opts Options) *FS {
 	f.root = f.newInode(RootIno, true)
 	if opts.PdflushInterval > 0 {
 		f.pdflushCond = sim.NewCond(k)
-		// Data-journaling modes route pdflush pages through the journal,
-		// whose conflict rules block arbitrarily deep — those mounts keep
-		// the blocking daemon even on callback kernels.
-		journals := opts.Mode == DataJournal || opts.SelectiveDataJournal
-		if k.CallbackMode() && !journals {
-			k.SpawnHandler("fs/pdflush", f.pdflushStep)
-		} else {
-			k.Spawn("fs/pdflush", f.pdflush)
-		}
+		k.Spawn("fs/pdflush", f.pdflush)
 	}
 	return f
 }
 
 // pdflush periodically writes back dirty pages of every inode as orderless
 // requests. It sleeps only while dirty pages exist, so an idle filesystem
-// generates no events.
+// generates no events. A blocking proc on every kernel: it wakes once per
+// PdflushInterval, and on data-journaling mounts writeback blocks in the
+// journal's conflict rules, which only a blocking body can follow.
 func (f *FS) pdflush(p *sim.Proc) {
 	for {
 		if !f.anyDirty() {

@@ -6,12 +6,13 @@ import (
 )
 
 // This file holds the run-to-completion (handler) form of the FTL's
-// blocking machinery: step-wise append and read primitives for handler
-// clients (the device's writeback and worker handlers), and the GC daemon
-// as a state machine. Each function mirrors its blocking original statement
-// for statement — one Mesa-loop iteration per activation, identical stat
-// bumps and waitlist appends — so the dispatch trace is byte-identical to
-// the goroutine code the reference kernel runs.
+// blocking entry points: step-wise append and read primitives for handler
+// clients (the device's writeback and worker handlers, which carry the
+// traffic). Each function mirrors its blocking original statement for
+// statement — one Mesa-loop iteration per activation, identical stat bumps
+// and waitlist appends — so the dispatch trace is byte-identical to the
+// blocking code the reference kernel runs. The GC daemon has no handler
+// form: it is a blocking proc on every kernel (see gcLoop).
 
 // ensureSM tracks progress through the handler form of ensureActive.
 type ensureSM int
@@ -114,10 +115,7 @@ type readCtx struct {
 }
 
 func (c *readCtx) done(at sim.Time, r *nand.Request) {
-	*c.out = r.Data
-	if c.errOut != nil {
-		*c.errOut = r.Err
-	}
+	*c.out, *c.errOut = r.Data, r.Err
 	h := c.h
 	f := c.f
 	c.h, c.out, c.errOut = nil, nil, nil
@@ -139,11 +137,6 @@ func (f *FTL) ReadStart(h *sim.Proc, lpa uint64, out *any, errOut *error) bool {
 	if !mapped {
 		return false
 	}
-	f.readTo(h, ref, out, errOut, false)
-	return true
-}
-
-func (f *FTL) readTo(h *sim.Proc, ref slotRef, out *any, errOut *error, internal bool) {
 	var c *readCtx
 	if n := len(f.readFree); n > 0 {
 		c = f.readFree[n-1]
@@ -156,130 +149,6 @@ func (f *FTL) readTo(h *sim.Proc, ref slotRef, out *any, errOut *error, internal
 	c.req.Kind = nand.OpRead
 	c.req.Chip, c.req.Block, c.req.Page = f.chipOf(ref.slot), ref.seg, f.pageOf(ref.slot)
 	c.req.Err = nil
-	c.req.NoFault = internal
 	f.arr.Submit(&c.req)
-}
-
-// GC handler phases.
-const (
-	gcIdle      = iota // waiting for free segments to run low
-	gcScan             // walking victim slots, issuing copy reads
-	gcRead             // copy read in flight
-	gcEnsure           // ensureActive for the re-append
-	gcWaitDur          // waiting for moved copies to become durable
-	gcEraseWait        // per-chip erases in flight
-)
-
-// gcSM is the GC daemon's state between activations.
-type gcSM struct {
-	phase   int
-	victim  *segment
-	slot    int
-	data    any
-	lastIdx uint64
-	es      ensureSM
-	pending int // outstanding erase ops
-}
-
-// gcStep is the run-to-completion GC daemon, mirroring
-// gcLoop/collect/eraseSegment blocking point for blocking point.
-func (f *FTL) gcStep(h *sim.Proc) {
-	g := &f.gc
-	for {
-		switch g.phase {
-		case gcIdle:
-			if len(f.free) > f.cfg.GCLowWater {
-				f.gcCond.Park(h)
-				return
-			}
-			victim := f.pickVictim()
-			if victim == nil {
-				// Nothing reclaimable; wait for invalidations.
-				f.gcCond.Park(h)
-				return
-			}
-			f.gcBusy = true
-			g.victim, g.slot, g.lastIdx = victim, 0, 0
-			g.phase = gcScan
-
-		case gcScan:
-			v := g.victim
-			for g.slot < v.nextSlot {
-				lpa := v.lpas[g.slot]
-				if lpa >= SealLPA {
-					g.slot++
-					continue
-				}
-				ref, ok := f.mapping[lpa]
-				if !ok || ref.seg != v.id || ref.slot != g.slot {
-					g.slot++ // overwritten since; garbage
-					continue
-				}
-				// Read the page, then re-append (gcRead on completion).
-				// GC relocation reads are device-internal: exempt from
-				// media-error injection (see FTL.Read).
-				f.readTo(h, ref, &g.data, nil, true)
-				g.phase = gcRead
-				h.Park()
-				return
-			}
-			// The copies must be durable before the originals are destroyed.
-			g.phase = gcWaitDur
-
-		case gcRead:
-			v := g.victim
-			lpa := v.lpas[g.slot]
-			// Re-check validity: the host may have overwritten during the read.
-			ref, ok := f.mapping[lpa]
-			if !ok || ref.seg != v.id || ref.slot != g.slot {
-				g.slot++
-				g.phase = gcScan
-				continue
-			}
-			g.es = esStart
-			g.phase = gcEnsure
-
-		case gcEnsure:
-			if !f.ensureStep(h, &g.es) {
-				return
-			}
-			v := g.victim
-			g.lastIdx = f.gcAppendSlot(v, v.lpas[g.slot], g.data)
-			g.data = nil
-			g.slot++
-			g.phase = gcScan
-
-		case gcWaitDur:
-			if f.durableIdx < g.lastIdx {
-				f.durableCond.Park(h)
-				return
-			}
-			g.pending = f.geo.Chips()
-			for chip := 0; chip < f.geo.Chips(); chip++ {
-				f.arr.Submit(&nand.Request{
-					Kind: nand.OpErase, Chip: chip, Block: g.victim.id,
-					Done: func(at sim.Time, r *nand.Request) {
-						g.pending--
-						if g.pending == 0 {
-							f.k.Resume(f.gcProc)
-						}
-					},
-				})
-			}
-			g.phase = gcEraseWait
-			h.Park()
-			return
-
-		case gcEraseWait:
-			seg := g.victim
-			*seg = segment{id: seg.id}
-			f.free = append(f.free, seg.id)
-			f.stats.SegsErased++
-			g.victim = nil
-			f.gcBusy = false
-			f.stats.GCRuns++
-			f.spaceCond.Broadcast()
-			g.phase = gcIdle
-		}
-	}
+	return true
 }

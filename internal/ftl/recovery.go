@@ -68,7 +68,7 @@ func Mount(p *sim.Proc, arr *nand.Array, cfg Config) *FTL {
 	}
 
 	f.durableIdx = f.appendIdx
-	f.spawnGC()
+	k.Spawn("ftl/gc", f.gcLoop)
 	return f
 }
 

@@ -313,7 +313,8 @@ func (j *Journal) optfsCommitThread(p *sim.Proc) {
 // optfsDelayedFlush provides OptFS's delayed durability: committed
 // transactions are made durable by a flush no later than FlushInterval
 // after they commit. The timer is armed only while work is pending, so an
-// idle journal generates no events.
+// idle journal generates no events. A blocking proc on every kernel: it
+// fires once per FlushInterval by design.
 func (j *Journal) optfsDelayedFlush(p *sim.Proc) {
 	for {
 		pending := j.committedNotDurable()
@@ -323,80 +324,6 @@ func (j *Journal) optfsDelayedFlush(p *sim.Proc) {
 		}
 		p.Sleep(j.cfg.FlushInterval)
 		j.retireCommitted(p)
-	}
-}
-
-// Run-to-completion form of the delayed-durability flush daemon (see
-// optfsDelayedFlush for the blocking original). Its blocking points — the
-// idle wait, the FlushInterval sleep, the flush request's congestion and
-// completion waits, and the post-wake scheduler latency — each become one
-// phase; the retire bookkeeping mirrors retireCommitted exactly.
-const (
-	dfIdle      = iota // no committed-not-durable transactions
-	dfSleep            // FlushInterval timer armed
-	dfSubmit           // flush request submission (congestion retries)
-	dfFlushWait        // flush request in flight
-	dfWake             // post-flush scheduler latency elapsed
-)
-
-type delayFlushSM struct {
-	phase   int
-	pending []*Txn
-	req     *block.Request
-}
-
-func (j *Journal) delayedFlushStep(h *sim.Proc) {
-	s := &j.df
-	for {
-		switch s.phase {
-		case dfIdle:
-			if len(j.committedNotDurable()) == 0 {
-				j.optfsCond.Park(h)
-				return
-			}
-			s.phase = dfSleep
-			h.WakeAt(h.Now().Add(j.cfg.FlushInterval))
-			return
-		case dfSleep:
-			s.pending = j.committedNotDurable()
-			if len(s.pending) == 0 {
-				s.phase = dfIdle
-				continue
-			}
-			s.req = j.newReq()
-			s.req.Op = block.OpFlush
-			s.phase = dfSubmit
-		case dfSubmit:
-			if !j.layer.SubmitOrPark(h, s.req) {
-				return
-			}
-			s.phase = dfFlushWait
-			if !s.req.WaitOrPark(h) {
-				return
-			}
-		case dfFlushWait:
-			s.req.Release()
-			s.req = nil
-			s.phase = dfWake
-			if j.cfg.WakeLatency > 0 {
-				h.WakeIn(j.cfg.WakeLatency)
-				return
-			}
-		case dfWake:
-			j.stats.Flushes++
-			for _, c := range s.pending {
-				// Same re-check as retireCommitted: a concurrent retirer may
-				// have finished c while the flush was in flight.
-				if c.state != StateCommitted {
-					continue
-				}
-				c.state = StateDurable
-				c.wakeDurable()
-				j.finishTxn(c)
-			}
-			s.pending = nil
-			s.phase = dfIdle
-		}
 	}
 }
 

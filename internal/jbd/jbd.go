@@ -249,7 +249,6 @@ type Journal struct {
 	spaceCond *sim.Cond
 	confCond  *sim.Cond
 	optfsCond *sim.Cond
-	df        delayFlushSM // handler-mode delayed flush state (engines.go)
 
 	// reqPool recycles the journal's own block requests (JD/JC chunks,
 	// checkpoint writes).
@@ -312,13 +311,7 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 		k.Spawn("jbd/flush", j.dualFlushThread)
 	case ModeOptFS:
 		k.Spawn("jbd/commit", j.optfsCommitThread)
-		if k.CallbackMode() {
-			// The delayed-durability timer is pure reactive work: run it as
-			// a run-to-completion handler on callback kernels.
-			k.SpawnHandler("jbd/delayflush", j.delayedFlushStep)
-		} else {
-			k.Spawn("jbd/delayflush", j.optfsDelayedFlush)
-		}
+		k.Spawn("jbd/delayflush", j.optfsDelayedFlush)
 	default:
 		k.Spawn("jbd/jbd2", j.jbd2Thread)
 	}
