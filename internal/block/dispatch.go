@@ -62,7 +62,9 @@ type Submitter interface {
 	// iteration: it either admits r (true) or parks the run-to-completion
 	// handler h on the congestion condition exactly where Submit would have
 	// blocked (false; re-invoke with the same request on the next
-	// activation).
+	// activation). No proc in the stack is a handler that submits today;
+	// it stays because the frozen bench/trace.go shim forwards it through
+	// this interface and two dispatch_golden.json shapes submit through it.
 	SubmitOrPark(h *sim.Proc, r *Request) bool
 }
 

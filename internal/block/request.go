@@ -109,7 +109,7 @@ type Request struct {
 // per-shard ordering domains a multi-tenant filesystem stack claims on a
 // multi-queue device (one journal+foreground stream per shard, see
 // jbd.Config.Stream). The range sits far above the data streams the
-// multi-queue layer's background spreading uses (1..DataStreams), so the
+// multi-queue layer's background spreading uses (1..HWQueues-1), so the
 // two can never collide; and because OrderStreamBase is a multiple of
 // every realistic hardware-queue count, OrderStream(i) still lands on
 // hardware queue i mod M — shard ordering domains spread across dispatch
@@ -166,20 +166,6 @@ func (r *Request) Wait(p *sim.Proc) {
 		p.Suspend()
 	}
 	r.Release()
-}
-
-// WaitOrPark is the handler analogue of Wait — one Mesa iteration: true if
-// the request already completed, otherwise the run-to-completion handler h
-// joins the waiter list (woken by complete) and is left parked. A handler
-// keeps the pointer in its own state to call again, so unlike Wait it must
-// hold the request itself until WaitOrPark has returned true.
-func (r *Request) WaitOrPark(h *sim.Proc) bool {
-	if r.completed {
-		return true
-	}
-	r.waiters = append(r.waiters, h)
-	h.Park()
-	return false
 }
 
 // complete marks the request done, wakes waiters, and runs OnComplete and

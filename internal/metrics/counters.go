@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"repro/internal/sim"
@@ -56,20 +55,6 @@ func Rate(events int64, window sim.Duration) float64 {
 		return 0
 	}
 	return float64(events) / window.Seconds()
-}
-
-// Throughput couples a counter with the window it was observed over.
-type Throughput struct {
-	Name   string
-	Events int64
-	Window sim.Duration
-}
-
-// PerSecond returns the rate in events/second.
-func (t Throughput) PerSecond() float64 { return Rate(t.Events, t.Window) }
-
-func (t Throughput) String() string {
-	return fmt.Sprintf("%-14s %10.0f /s (%d events over %v)", t.Name, t.PerSecond(), t.Events, t.Window)
 }
 
 // SwitchMeter measures voluntary context switches attributed to an

@@ -197,10 +197,6 @@ func TestCounterAndRate(t *testing.T) {
 	if got := Rate(5, 0); got != 0 {
 		t.Errorf("rate with zero window = %v", got)
 	}
-	tp := Throughput{Name: "iops", Events: 1000, Window: sim.Second}
-	if tp.PerSecond() != 1000 {
-		t.Errorf("throughput = %v", tp.PerSecond())
-	}
 	c.Reset()
 	if c.Value() != 0 {
 		t.Error("reset failed")

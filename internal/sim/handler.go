@@ -6,7 +6,7 @@ package sim
 // returns. The explicit Schedule/Park/Complete forms mirror the blocking
 // primitives one-to-one:
 //
-//	goroutine proc             handler equivalent
+//	blocking proc              handler equivalent
 //	p.Sleep(d) / p.Advance(d)  h.WakeIn(d)                (one activation later)
 //	p.Suspend()                h.Park() or bare return
 //	cond.Wait(p)               cond.Park(h)               (one Mesa iteration)
@@ -18,6 +18,12 @@ package sim
 // waitlist and schedule effects, a component rewritten as a handler state
 // machine produces the byte-identical dispatch trace of its blocking
 // original — which the golden trace tests pin.
+//
+// The rule: a proc is a handler only if a named workload spends events in
+// it; everything else is a blocking proc, written once. A handler with a
+// blocking twin (Kernel.CallbackMode selects, so the reference kernel runs
+// the original) is a second copy to keep statement-identical, and pays only
+// where the events are: NAND chips, device workers, writeback and reaper.
 
 // mustArm validates a continuation call: the proc must be a handler, must be
 // the running process, and must not have armed a continuation already this
@@ -35,22 +41,16 @@ func (p *Proc) mustArm() {
 	p.armed = true
 }
 
-// WakeAt schedules the handler's next activation at time at — the handler
-// analogue of sleeping until at. Must be the activation's last effect.
-func (p *Proc) WakeAt(at Time) {
-	p.mustArm()
-	p.state = stateScheduled
-	p.k.schedule(at, p)
-}
-
 // WakeIn schedules the handler's next activation d from now — the handler
 // analogue of Sleep/Advance. d must be positive: Advance(d<=0) is a no-op
-// in a goroutine proc, so state machines skip the phase instead.
+// in a blocking proc, so state machines skip the phase instead.
 func (p *Proc) WakeIn(d Duration) {
 	if d <= 0 {
 		panic("sim: WakeIn of non-positive duration (mirror Advance by skipping the phase)")
 	}
-	p.WakeAt(p.k.now.Add(d))
+	p.mustArm()
+	p.state = stateScheduled
+	p.k.schedule(p.k.now.Add(d), p)
 }
 
 // Park leaves the handler suspended awaiting an external Resume — the

@@ -167,7 +167,7 @@ func TestQueueMixedConsumers(t *testing.T) {
 	}
 }
 
-// TestHandlerTimerAndJoin pins WakeIn/WakeAt pacing, Complete, and Join on
+// TestHandlerTimerAndJoin pins WakeIn pacing, Complete, and Join on
 // a handler from a goroutine proc.
 func TestHandlerTimerAndJoin(t *testing.T) {
 	k := NewKernel()

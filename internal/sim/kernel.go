@@ -66,9 +66,9 @@ func NewReferenceKernel() *Kernel {
 
 // CallbackMode reports whether components should register their reactive
 // leaf loops as run-to-completion handlers (SpawnHandler) instead of
-// blocking goroutine procs (Spawn). Both implementations must produce
-// byte-identical dispatch traces; the handler form just skips the coroutine
-// switch per event.
+// blocking procs (Spawn). Both forms must produce byte-identical dispatch
+// traces; the handler just skips the coroutine switch per event. Only nand
+// and device read it (CI checks): see the rule in handler.go.
 func (k *Kernel) CallbackMode() bool { return k.callback }
 
 // Now returns the current virtual time.
@@ -154,7 +154,7 @@ func (k *Kernel) spawn(prefix string, idx int, fn func(p *Proc)) *Proc {
 //
 // A handler must never call the blocking APIs (Sleep, Advance, Suspend,
 // Cond.Wait, Queue.Get, Semaphore.Acquire, Join); instead it arms exactly
-// one continuation before returning: WakeIn/WakeAt (timer), Park (await an
+// one continuation before returning: WakeIn (timer), Park (await an
 // external Resume), Cond.Park / Queue.GetOrPark / Semaphore.AcquireOrPark
 // (waitlists, one Mesa iteration each), or Complete (terminate). Returning
 // without arming is equivalent to Park. Like Spawn, the handler's first
