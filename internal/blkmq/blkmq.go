@@ -56,13 +56,11 @@ type Config struct {
 	// orderless) arriving on stream 0 onto per-PID data streams, so bulk
 	// traffic never sits in front of foreground syncs and barriers.
 	// Foreground requests — ordered, barrier, or simply awaited — are never
-	// moved: their stream is part of their semantics.
+	// moved: their stream is part of their semantics. The data streams are
+	// 1..HWQueues-1, so they land on hardware queues of their own and never
+	// share hardware queue 0 with the foreground stream (one data stream
+	// when there is only one hardware queue).
 	SpreadOrderless bool
-	// DataStreams is the number of data streams SpreadOrderless scatters
-	// over. 0 means HWQueues-1 (so the data streams 1..DataStreams land on
-	// hardware queues 1..DataStreams and never share hardware queue 0 with
-	// the foreground stream), or 1 when there is only one hardware queue.
-	DataStreams int
 	// BarrierAsCommand dispatches epoch boundaries as standalone barrier
 	// commands instead of write flags — the §3.2 alternative the paper
 	// rejects, kept for ablation parity with the single-queue layer.
@@ -111,9 +109,6 @@ func New(k *sim.Kernel, dev *device.Device, cfg Config) *MQ {
 	}
 	if cfg.BaseSched == nil {
 		cfg.BaseSched = func() block.Scheduler { return block.NewNOOP() }
-	}
-	if cfg.DataStreams <= 0 {
-		cfg.DataStreams = max(cfg.HWQueues-1, 1)
 	}
 	m := &MQ{cfg: cfg, scheds: make(map[uint64]*block.EpochScheduler)}
 	shape := block.PerStream{HWQueues: cfg.HWQueues, Daemon: "blkmq/hwq", OpenStream: m.openStream}
@@ -211,7 +206,7 @@ func (m *MQ) spreadOrderless(r *block.Request) {
 	if (r.Stream == 0 || block.IsOrderStream(r.Stream)) && !r.Ordered() &&
 		r.Op == block.OpWrite && r.Flags.Has(block.FlagBackground) &&
 		r.Flags&(block.FlagFlush|block.FlagFUA) == 0 {
-		r.Stream = 1 + r.LPA%uint64(m.cfg.DataStreams)
+		r.Stream = 1 + r.LPA%uint64(max(m.cfg.HWQueues-1, 1))
 		m.spread++
 		m.spreadCtr.Inc()
 	}

@@ -32,9 +32,8 @@ type RetryPolicy struct {
 	ReadBudget  int
 	WriteBudget int
 	// Backoff is the delay before the first re-submission; each further
-	// attempt multiplies it by BackoffMult (default 2).
-	Backoff     sim.Duration
-	BackoffMult float64
+	// attempt doubles it.
+	Backoff sim.Duration
 }
 
 // DefaultRetryPolicy mirrors a conservative host stack: three read
@@ -44,7 +43,6 @@ func DefaultRetryPolicy() RetryPolicy {
 		ReadBudget:  3,
 		WriteBudget: 1,
 		Backoff:     100 * sim.Microsecond,
-		BackoffMult: 2,
 	}
 }
 
@@ -63,12 +61,8 @@ func (p RetryPolicy) backoff(attempt int) sim.Duration {
 	if d <= 0 {
 		d = 100 * sim.Microsecond
 	}
-	mult := p.BackoffMult
-	if mult <= 0 {
-		mult = 2
-	}
 	for i := 1; i < attempt; i++ {
-		d = d.Scale(mult)
+		d = d.Scale(2)
 	}
 	return d
 }

@@ -60,10 +60,6 @@ type Options struct {
 	Journal jbd.Config
 	// Mode is the data journaling mode.
 	Mode JournalMode
-	// Jiffy is the timer-interrupt granularity of inode timestamps; writes
-	// within one jiffy do not re-dirty the inode (the effect behind the
-	// paper's Fig. 11 fsync-degrades-to-fdatasync behaviour).
-	Jiffy sim.Duration
 	// SyscallCPU is the on-CPU cost charged per filesystem call.
 	SyscallCPU sim.Duration
 	// WakeLatency is the scheduler latency charged after blocking waits.
@@ -86,12 +82,16 @@ type Options struct {
 	Metrics *metrics.Registry
 }
 
+// jiffy is the timer-interrupt granularity of inode timestamps; writes
+// within one jiffy do not re-dirty the inode (the effect behind the paper's
+// Fig. 11 fsync-degrades-to-fdatasync behaviour).
+const jiffy = 10 * sim.Millisecond
+
 // DefaultOptions returns the standard configuration for an engine.
 func DefaultOptions(mode jbd.Mode) Options {
 	o := Options{
 		Journal:    jbd.DefaultConfig(mode),
 		Mode:       Ordered,
-		Jiffy:      10 * sim.Millisecond,
 		SyscallCPU: 2 * sim.Microsecond,
 	}
 	o.WakeLatency = o.Journal.WakeLatency
@@ -259,9 +259,6 @@ type fsObs struct {
 // New formats and mounts a filesystem over a block-layer front-end (the
 // single-queue block.Layer or the multi-queue blkmq.MQ).
 func New(k *sim.Kernel, layer block.Submitter, opts Options) *FS {
-	if opts.Jiffy <= 0 {
-		opts.Jiffy = 10 * sim.Millisecond
-	}
 	f := &FS{
 		k: k, layer: layer, opts: opts,
 		stream:  opts.Journal.Stream,
@@ -390,7 +387,7 @@ func (f *FS) wake(p *sim.Proc) {
 
 // jiffies returns the current time in jiffy units.
 func (f *FS) jiffies(p *sim.Proc) int64 {
-	return int64(p.Now() / sim.Time(f.opts.Jiffy))
+	return int64(p.Now() / sim.Time(jiffy))
 }
 
 // touchMeta marks the inode's metadata dirty in the running transaction.

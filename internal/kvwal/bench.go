@@ -16,15 +16,10 @@ type BenchConfig struct {
 	Store Config
 	// Clients is the number of concurrent committing clients.
 	Clients int
-	// BatchSize is the number of mutations per client batch.
-	BatchSize int
 	// KeySpace is the size of the key universe.
 	KeySpace int
 	// DeletePct is the percentage of mutations that are deletes.
 	DeletePct int
-	// GetEvery issues one read per client every GetEvery batches (0 = no
-	// reads).
-	GetEvery int
 	// ZipfTheta, when positive, draws keys with Zipfian popularity of that
 	// skew from the shared open-loop generator (workload.NewZipf) instead of
 	// uniformly — the YCSB-style hot-key regime.
@@ -37,15 +32,18 @@ type BenchConfig struct {
 	Trace *reqtrace.Sampler
 }
 
+const (
+	benchBatchSize = 4 // mutations per client batch
+	benchGetEvery  = 8 // one read per client every benchGetEvery batches
+)
+
 // DefaultBenchConfig returns the standard many-client commit workload.
 func DefaultBenchConfig(clients int) BenchConfig {
 	return BenchConfig{
 		Store:     DefaultConfig(),
 		Clients:   clients,
-		BatchSize: 4,
 		KeySpace:  4096,
 		DeletePct: 10,
-		GetEvery:  8,
 		Seed:      17,
 	}
 }
@@ -104,7 +102,7 @@ func Bench(k *sim.Kernel, s *core.Stack, cfg BenchConfig, duration sim.Duration)
 				p.Sleep(sim.Millisecond)
 			}
 			for n := 0; ; n++ {
-				batch := make([]Op, cfg.BatchSize)
+				batch := make([]Op, benchBatchSize)
 				for i := range batch {
 					kind := Put
 					if rng.Intn(100) < cfg.DeletePct {
@@ -120,7 +118,7 @@ func Bench(k *sim.Kernel, s *core.Stack, cfg BenchConfig, duration sim.Duration)
 					ops += int64(len(batch))
 					rec.Record(sim.Duration(p.Now() - t0))
 				}
-				if cfg.GetEvery > 0 && n%cfg.GetEvery == cfg.GetEvery-1 {
+				if n%benchGetEvery == benchGetEvery-1 {
 					st.Get(p, key())
 				}
 			}

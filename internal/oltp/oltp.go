@@ -21,15 +21,15 @@ import (
 type Config struct {
 	Clients    int
 	TablePages int
-	// FlushEvery batches table-page flushes once this many transactions
-	// have committed (background checkpointing).
-	FlushEvery int
 	Seed       int64
 }
 
+// flushEvery is the background checkpoint: commits per table-page flush.
+const flushEvery = 64
+
 // DefaultConfig returns the Fig. 15 OLTP-insert setup.
 func DefaultConfig() Config {
-	return Config{Clients: 8, TablePages: 512, FlushEvery: 64, Seed: 3}
+	return Config{Clients: 8, TablePages: 512, Seed: 3}
 }
 
 // Stats are cumulative engine statistics.
@@ -95,7 +95,7 @@ func (e *Engine) Insert(p *sim.Proc, rng *rand.Rand) {
 	e.stats.LogSyncs++
 	e.stats.Commits++
 	e.sinceFlush++
-	if e.sinceFlush >= e.cfg.FlushEvery {
+	if e.sinceFlush >= flushEvery {
 		e.sinceFlush = 0
 		fsys.WritebackAsync(p, e.table)
 		e.stats.PageFlushs++

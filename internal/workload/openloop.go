@@ -29,8 +29,8 @@ const (
 	// mean offered load.
 	ArrivalBursty
 	// ArrivalDiurnal is a sinusoidally modulated Poisson process:
-	// rate(t) = RatePerS * (1 + Amplitude*sin(2*pi*t/Period)), the classic
-	// day/night traffic curve compressed to Period.
+	// rate(t) = RatePerS * (1 + diurnalAmplitude*sin(2*pi*t/Period)), the
+	// classic day/night traffic curve compressed to Period.
 	ArrivalDiurnal
 )
 
@@ -44,6 +44,10 @@ func (k ArrivalKind) String() string {
 	return "poisson"
 }
 
+// diurnalAmplitude is the diurnal modulation depth, in [0, 1]. Typed, so
+// folded constants round as float64 arithmetic does: seeded arrivals repeat.
+const diurnalAmplitude float64 = 0.8
+
 // ArrivalConfig parameterizes one arrival process.
 type ArrivalConfig struct {
 	Kind ArrivalKind
@@ -56,8 +60,6 @@ type ArrivalConfig struct {
 	// Duty is the fraction of a bursty period spent at the peak rate
 	// (0 < Duty < 1; default 0.25).
 	Duty float64
-	// Amplitude is the diurnal modulation depth in [0, 1] (default 0.8).
-	Amplitude float64
 	// Seed makes the generated arrival sequence deterministic.
 	Seed int64
 }
@@ -72,9 +74,6 @@ func (c ArrivalConfig) withDefaults() ArrivalConfig {
 	if c.Duty <= 0 || c.Duty >= 1 {
 		c.Duty = 0.25
 	}
-	if c.Amplitude <= 0 || c.Amplitude > 1 {
-		c.Amplitude = 0.8
-	}
 	return c
 }
 
@@ -85,7 +84,7 @@ func (c ArrivalConfig) peakRate() float64 {
 	case ArrivalBursty:
 		return c.RatePerS * c.BurstFactor
 	case ArrivalDiurnal:
-		return c.RatePerS * (1 + c.Amplitude)
+		return c.RatePerS * (1 + diurnalAmplitude)
 	}
 	return c.RatePerS
 }
@@ -106,7 +105,7 @@ func (c ArrivalConfig) rateAt(t sim.Duration) float64 {
 		return low
 	case ArrivalDiurnal:
 		phase := float64(t%c.Period) / float64(c.Period)
-		return c.RatePerS * (1 + c.Amplitude*math.Sin(2*math.Pi*phase))
+		return c.RatePerS * (1 + diurnalAmplitude*math.Sin(2*math.Pi*phase))
 	}
 	return c.RatePerS
 }

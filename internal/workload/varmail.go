@@ -13,23 +13,24 @@ import (
 // mail-server pattern of create/append/fsync/read/append/fsync/delete over
 // a directory of small files, with heavy fsync traffic from many threads.
 type VarmailConfig struct {
-	Threads   int
-	Files     int // per-thread working set of mail files
-	AppendPgs int // pages appended per delivery
-	Duration  sim.Duration
-	Warmup    sim.Duration
-	Seed      int64
+	Threads  int
+	Files    int // per-thread working set of mail files
+	Duration sim.Duration
+	Warmup   sim.Duration
+	Seed     int64
 }
+
+// varmailAppendPgs is the number of pages appended per delivery.
+const varmailAppendPgs = 2
 
 // DefaultVarmail returns the Fig. 15 setup.
 func DefaultVarmail() VarmailConfig {
 	return VarmailConfig{
-		Threads:   16,
-		Files:     64,
-		AppendPgs: 2,
-		Duration:  300 * sim.Millisecond,
-		Warmup:    30 * sim.Millisecond,
-		Seed:      7,
+		Threads:  16,
+		Files:    64,
+		Duration: 300 * sim.Millisecond,
+		Warmup:   30 * sim.Millisecond,
+		Seed:     7,
 	}
 }
 
@@ -75,7 +76,7 @@ func Varmail(k *sim.Kernel, s *core.Stack, cfg VarmailConfig) VarmailResult {
 					continue
 				}
 				count()
-				for pg := 0; pg < cfg.AppendPgs; pg++ {
+				for pg := 0; pg < varmailAppendPgs; pg++ {
 					s.FS.Write(p, f, int64(pg))
 					count()
 				}
@@ -88,7 +89,7 @@ func Varmail(k *sim.Kernel, s *core.Stack, cfg VarmailConfig) VarmailResult {
 					if vf, ok := s.FS.Lookup(dir, victim); ok {
 						s.FS.Read(p, vf, 0)
 						count()
-						s.FS.Write(p, vf, int64(cfg.AppendPgs))
+						s.FS.Write(p, vf, int64(varmailAppendPgs))
 						count()
 						s.Sync(p, vf)
 						count()
