@@ -62,7 +62,7 @@ func (p RetryPolicy) backoff(attempt int) sim.Duration {
 		d = 100 * sim.Microsecond
 	}
 	for i := 1; i < attempt; i++ {
-		d = d.Scale(2)
+		d *= 2
 	}
 	return d
 }
