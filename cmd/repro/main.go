@@ -4,7 +4,7 @@
 // Usage:
 //
 //	repro [-quick] [-parallel=false] [-json out.json] [-spans trace.json]
-//	      [-live 2s] [-live-http :8080]
+//	      [-live 2s] [-live-http :8080] [-trace run.jsonl]
 //	      [-cpuprofile cpu.prof] [-memprofile mem.prof] [experiment ...]
 //	repro record [-db bench.db] [-label NAME] [-commit HASH] run.json ...
 //	repro trend  [-db bench.db] [-cell GLOB] [-last N] [-band]
