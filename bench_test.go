@@ -62,7 +62,7 @@ func BenchmarkFig9(b *testing.B) {
 				for n := 0; n < b.N; n++ {
 					last = randWriteOnce(dev(), po)
 				}
-				b.ReportMetric(last.IOPS, "IOPS")
+				b.ReportMetric(last.PerS, "IOPS")
 				b.ReportMetric(last.MeanQD, "meanQD")
 			})
 		}
@@ -220,7 +220,7 @@ func BenchmarkFig13(b *testing.B) {
 					cfg := workload.DefaultDWSL(th)
 					cfg.Duration = 60 * sim.Millisecond
 					cfg.Warmup = 10 * sim.Millisecond
-					ops = workload.DWSL(k, s, cfg).OpsPerS
+					ops = workload.DWSL(k, s, cfg).PerS
 					k.Close()
 				}
 				b.ReportMetric(ops, "ops/s")
@@ -253,7 +253,7 @@ func BenchmarkFig14(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				k := sim.NewKernel()
 				s := core.NewStack(k, c.prof)
-				tx = sqlmini.Bench(k, s, sqlmini.DefaultConfig(c.mode, c.dur), 60*sim.Millisecond).TxPerSec
+				tx = sqlmini.Bench(k, s, sqlmini.DefaultConfig(c.mode, c.dur), 60*sim.Millisecond).PerS
 				k.Close()
 			}
 			b.ReportMetric(tx, "Tx/s")
@@ -280,7 +280,7 @@ func BenchmarkFig15(b *testing.B) {
 				cfg := workload.DefaultVarmail()
 				cfg.Threads, cfg.Files = 8, 32
 				cfg.Duration, cfg.Warmup = 60*sim.Millisecond, 10*sim.Millisecond
-				ops = workload.Varmail(k, s, cfg).OpsPerS
+				ops = workload.Varmail(k, s, cfg).PerS
 				k.Close()
 			}
 			b.ReportMetric(ops, "ops/s")
@@ -292,7 +292,7 @@ func BenchmarkFig15(b *testing.B) {
 				s := core.NewStack(k, pr.mk(device.PlainSSD()))
 				cfg := oltp.DefaultConfig()
 				cfg.Clients = 4
-				tx = oltp.Bench(k, s, cfg, 60*sim.Millisecond).TxPerSec
+				tx = oltp.Bench(k, s, cfg, 60*sim.Millisecond).PerS
 				k.Close()
 			}
 			b.ReportMetric(tx, "Tx/s")
@@ -345,10 +345,10 @@ func BenchmarkKV(b *testing.B) {
 				for n := 0; n < b.N; n++ {
 					k := sim.NewKernel()
 					s := core.NewStack(k, mk.prof(device.NVMeSSD()))
-					res = kvwal.Bench(k, s, kvwal.DefaultBenchConfig(clients), 40*sim.Millisecond)
+					res = kvwal.Bench(k, s, clients, 40*sim.Millisecond)
 					k.Close()
 				}
-				b.ReportMetric(res.OpsPerS, "ops/s")
+				b.ReportMetric(res.PerS, "ops/s")
 				b.ReportMetric(res.Latency.P99, "p99-ms")
 				b.ReportMetric(res.GroupMean, "ops/group")
 			})
@@ -735,7 +735,7 @@ func BenchmarkAblationBarrierCommand(b *testing.B) {
 				s := core.NewStack(k, prof)
 				cfg := workload.DefaultRandWrite(workload.PolicyB)
 				cfg.Duration, cfg.Warmup, cfg.FilePages = 60*sim.Millisecond, 10*sim.Millisecond, 512
-				iops = workload.RandWrite(k, s, cfg).IOPS
+				iops = workload.RandWrite(k, s, cfg).PerS
 				k.Close()
 			}
 			b.ReportMetric(iops, "IOPS")
@@ -760,7 +760,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 				s := core.NewStack(k, prof)
 				cfg := workload.DefaultDWSL(4)
 				cfg.Duration, cfg.Warmup = 60*sim.Millisecond, 10*sim.Millisecond
-				ops = workload.DWSL(k, s, cfg).OpsPerS
+				ops = workload.DWSL(k, s, cfg).PerS
 				k.Close()
 			}
 			b.ReportMetric(ops, "ops/s")
@@ -786,7 +786,7 @@ func BenchmarkAblationDualVsSingleFlush(b *testing.B) {
 				s := core.NewStack(k, mk.prof)
 				cfg := workload.DefaultDWSL(8)
 				cfg.Duration, cfg.Warmup = 60*sim.Millisecond, 10*sim.Millisecond
-				ops = workload.DWSL(k, s, cfg).OpsPerS
+				ops = workload.DWSL(k, s, cfg).PerS
 				k.Close()
 			}
 			b.ReportMetric(ops, "ops/s")

@@ -34,9 +34,9 @@ func main() {
 		res := sqlmini.Bench(k, s, sqlmini.DefaultConfig(sqlmini.Persist, c.dur), window)
 		k.Close()
 		if baseline == 0 {
-			baseline = res.TxPerSec
+			baseline = res.PerS
 		}
 		fmt.Printf("  %-44s %8.0f Tx/s  (%5.1fx vs EXT4-DR)\n",
-			c.label, res.TxPerSec, res.TxPerSec/baseline)
+			c.label, res.PerS, res.PerS/baseline)
 	}
 }

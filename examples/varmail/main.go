@@ -31,9 +31,9 @@ func main() {
 		res := workload.Varmail(k, s, cfg)
 		k.Close()
 		if baseline == 0 {
-			baseline = res.OpsPerS
+			baseline = res.PerS
 		}
 		fmt.Printf("  %-8s %9.0f ops/s  (%4.1fx vs EXT4-DR)\n",
-			prof.Name, res.OpsPerS, res.OpsPerS/baseline)
+			prof.Name, res.PerS, res.PerS/baseline)
 	}
 }

@@ -68,7 +68,7 @@ func Fig14(scale Scale) Fig14Result {
 		s := core.NewStack(k, c.prof)
 		res := sqlmini.Bench(k, s, sqlmini.DefaultConfig(c.mode, c.d), dur)
 		rows[i] = Fig14Row{
-			Device: c.dev, Config: c.cfg, Mode: c.mode, TxPerSec: res.TxPerSec,
+			Device: c.dev, Config: c.cfg, Mode: c.mode, TxPerSec: res.PerS,
 			P50: res.Latency.Median, P99: res.Latency.P99,
 		}
 	})
@@ -121,7 +121,7 @@ func Fig15(scale Scale) Fig15Result {
 			}
 			res := workload.Varmail(k, s, cfg)
 			rows[i] = Fig15Row{
-				Device: dev.Name, Workload: "varmail", Config: pr.name, PerSec: res.OpsPerS,
+				Device: dev.Name, Workload: "varmail", Config: pr.name, PerSec: res.PerS,
 			}
 		} else { // OLTP-insert
 			cfg := oltp.DefaultConfig()
@@ -130,7 +130,7 @@ func Fig15(scale Scale) Fig15Result {
 			}
 			res := oltp.Bench(k, s, cfg, dur)
 			rows[i] = Fig15Row{
-				Device: dev.Name, Workload: "OLTP-insert", Config: pr.name, PerSec: res.TxPerSec,
+				Device: dev.Name, Workload: "OLTP-insert", Config: pr.name, PerSec: res.PerS,
 				P50: res.Latency.Median, P99: res.Latency.P99,
 			}
 		}

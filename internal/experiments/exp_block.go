@@ -39,14 +39,14 @@ func fig1Device(i int, dur sim.Duration) Fig1Row {
 	buffered := runRandPolicy(core.EXT4OD(cfg), workload.PolicyP, dur)
 	ordered := runRandPolicy(core.EXT4DR(cfg), workload.PolicyXnF, dur)
 	ratio := 0.0
-	if buffered.IOPS > 0 {
-		ratio = ordered.IOPS / buffered.IOPS * 100
+	if buffered.PerS > 0 {
+		ratio = ordered.PerS / buffered.PerS * 100
 	}
 	return Fig1Row{
 		Device:       cfg.Name,
 		Channels:     cfg.Geometry.Channels,
-		BufferedIOPS: buffered.IOPS,
-		OrderedIOPS:  ordered.IOPS,
+		BufferedIOPS: buffered.PerS,
+		OrderedIOPS:  ordered.PerS,
 		RatioPercent: ratio,
 	}
 }
@@ -90,7 +90,7 @@ func Fig9(scale Scale) Fig9Result {
 	par.For(len(rows), func(i int) {
 		dev, po := devices[i/len(policies)](), policies[i%len(policies)]
 		r := runRandPolicy(profileForPolicy(po, dev), po, dur)
-		rows[i] = Fig9Row{Device: dev.Name, Policy: r.Policy, IOPS: r.IOPS, MeanQD: r.MeanQD, PeakQD: r.PeakQD}
+		rows[i] = Fig9Row{Device: dev.Name, Policy: po, IOPS: r.PerS, MeanQD: r.MeanQD, PeakQD: r.PeakQD}
 	})
 	return Fig9Result{Rows: rows}
 }

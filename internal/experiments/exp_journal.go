@@ -230,7 +230,7 @@ func Fig13(scale Scale) Fig13Result {
 		cfg.Duration = dur
 		cfg.Warmup = dur / 8
 		res := workload.DWSL(k, s, cfg)
-		rows[i] = Fig13Row{Device: dev.Name, FS: mk.name, Threads: th, OpsPerS: res.OpsPerS}
+		rows[i] = Fig13Row{Device: dev.Name, FS: mk.name, Threads: th, OpsPerS: res.PerS}
 	})
 	return Fig13Result{Rows: rows}
 }

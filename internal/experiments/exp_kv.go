@@ -74,10 +74,10 @@ func KV(scale Scale) KVResult {
 		k := newKernel(fmt.Sprintf("kv/%s/c%d", prof.Name, clients))
 		defer k.Close()
 		s := core.NewStack(k, prof)
-		res := kvwal.Bench(k, s, kvwal.DefaultBenchConfig(clients), dur)
+		res := kvwal.Bench(k, s, clients, dur)
 		out.Rows[i] = KVRow{
 			Config: prof.Name, Clients: clients,
-			OpsPerS: res.OpsPerS, GroupMean: res.GroupMean,
+			OpsPerS: res.PerS, GroupMean: res.GroupMean,
 			P50: res.Latency.Median, P99: res.Latency.P99, P999: res.Latency.P999,
 		}
 	})

@@ -7,9 +7,9 @@ import (
 	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/metrics"
 	"repro/internal/par"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // MQScalingRow is one point of the multi-queue scaling sweep: raw ordered
@@ -66,13 +66,8 @@ func MQPoint(streams, hwq int, dur sim.Duration) (iops float64, epochs int64) {
 		front = m
 		epochsClosed = m.EpochsClosed
 	}
-	var ops int64
-	measuring := false
-	done := func(sim.Time, *block.Request) {
-		if measuring {
-			ops++
-		}
-	}
+	var m workload.Meter
+	done := func(sim.Time, *block.Request) { m.Done(1) }
 	for s := 0; s < streams; s++ {
 		s := s
 		k.Spawn("mq/writer", func(p *sim.Proc) {
@@ -97,13 +92,10 @@ func MQPoint(streams, hwq int, dur sim.Duration) (iops float64, epochs int64) {
 			}
 		})
 	}
-	k.RunUntil(k.Now().Add(dur / 4)) // warmup
-	measuring = true
+	workload.Warm(k, dur/4, nil)
 	e0 := epochsClosed()
-	start := k.Now()
-	k.RunUntil(start.Add(dur))
-	measuring = false
-	return metrics.Rate(ops, sim.Duration(k.Now()-start)), epochsClosed() - e0
+	w := m.Measure(k, dur)
+	return w.PerS, epochsClosed() - e0
 }
 
 // MQScaling runs the queue-count/stream-count scaling sweep: for each
@@ -180,8 +172,7 @@ func mqFSPoint(prof core.Profile, dur sim.Duration) float64 {
 			}
 		})
 	}
-	var syncs int64
-	measuring := false
+	var m workload.Meter
 	ready := false
 	k.Spawn("mq/syncer", func(p *sim.Proc) {
 		f, err := s.FS.Create(p, s.FS.Root(), "fg.dat")
@@ -196,18 +187,9 @@ func mqFSPoint(prof core.Profile, dur sim.Duration) float64 {
 		for i := int64(0); ; i++ {
 			s.FS.Write(p, f, i%4)
 			s.FS.Fdatasync(p, f)
-			if measuring {
-				syncs++
-			}
+			m.Done(1)
 		}
 	})
-	k.RunUntil(k.Now().Add(dur / 4))
-	for !ready {
-		k.RunUntil(k.Now().Add(5 * sim.Millisecond))
-	}
-	measuring = true
-	start := k.Now()
-	k.RunUntil(start.Add(dur))
-	measuring = false
-	return metrics.Rate(syncs, sim.Duration(k.Now()-start))
+	workload.Warm(k, dur/4, &ready)
+	return m.Measure(k, dur).PerS
 }

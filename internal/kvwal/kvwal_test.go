@@ -242,7 +242,7 @@ func TestRecoverAfterCompaction(t *testing.T) {
 func TestBenchSmoke(t *testing.T) {
 	k, s := newStack(t, core.BFSDR(device.NVMeSSD()))
 	defer k.Close()
-	res := Bench(k, s, DefaultBenchConfig(4), 20*sim.Millisecond)
+	res := Bench(k, s, 4, 20*sim.Millisecond)
 	if res.Ops == 0 {
 		t.Fatal("no ops acknowledged")
 	}

@@ -4,32 +4,32 @@
 // a binlog record and fsyncs that too (sync_binlog=1), while dirty table
 // pages flush in the background through a doublewrite-style batch. With 90%
 // of TPC-C IO being fsync-driven log writes (§5), the sync primitive
-// dominates throughput.
+// dominates throughput. Bench's warm-up and window are workload.Meter's.
 package oltp
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/fs"
-	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
-// Config parameterizes the engine.
+// Config parameterizes Bench.
 type Config struct {
-	Clients    int
-	TablePages int
-	Seed       int64
+	Clients int
 }
 
-// flushEvery is the background checkpoint: commits per table-page flush.
-const flushEvery = 64
+const (
+	flushEvery = 64  // the background checkpoint: commits per table-page flush
+	tablePages = 512 // table size an insert dirties one page of
+	benchSeed  = 3   // Bench's client c draws pages from seed benchSeed+c
+)
 
 // DefaultConfig returns the Fig. 15 OLTP-insert setup.
 func DefaultConfig() Config {
-	return Config{Clients: 8, TablePages: 512, Seed: 3}
+	return Config{Clients: 8}
 }
 
 // Stats are cumulative engine statistics.
@@ -41,8 +41,7 @@ type Stats struct {
 
 // Engine is one database instance.
 type Engine struct {
-	s   *core.Stack
-	cfg Config
+	s *core.Stack
 
 	redo    *fs.Inode
 	binlog  *fs.Inode
@@ -55,8 +54,8 @@ type Engine struct {
 }
 
 // Open creates the database files.
-func Open(p *sim.Proc, s *core.Stack, cfg Config) (*Engine, error) {
-	e := &Engine{s: s, cfg: cfg}
+func Open(p *sim.Proc, s *core.Stack) (*Engine, error) {
+	e := &Engine{s: s}
 	var err error
 	if e.redo, err = s.FS.Create(p, s.FS.Root(), "ib_logfile0"); err != nil {
 		return nil, err
@@ -67,7 +66,7 @@ func Open(p *sim.Proc, s *core.Stack, cfg Config) (*Engine, error) {
 	if e.table, err = s.FS.Create(p, s.FS.Root(), "sbtest.ibd"); err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.TablePages; i++ {
+	for i := 0; i < tablePages; i++ {
 		s.FS.Write(p, e.table, int64(i))
 	}
 	s.FS.SyncFS(p)
@@ -87,7 +86,7 @@ func (e *Engine) Insert(p *sim.Proc, rng *rand.Rand) {
 	e.s.Sync(p, e.redo) // fsync or fbarrier per profile
 	e.stats.LogSyncs++
 	// Dirty a table page (stays in cache until background flush).
-	fsys.Write(p, e.table, int64(rng.Intn(e.cfg.TablePages)))
+	fsys.Write(p, e.table, int64(rng.Intn(tablePages)))
 	// Binlog: append + sync.
 	fsys.Write(p, e.binlog, e.binPos%2048)
 	e.binPos++
@@ -102,33 +101,16 @@ func (e *Engine) Insert(p *sim.Proc, rng *rand.Rand) {
 	}
 }
 
-// BenchResult is the outcome of one OLTP run.
-type BenchResult struct {
-	Clients  int
-	Commits  int64
-	Window   sim.Duration
-	TxPerSec float64
-	// Latency summarizes per-transaction commit latency on the shared
-	// internal/metrics histogram, so oltp rows compare directly with
-	// sqlmini and kvwal output.
-	Latency metrics.Summary
-}
-
-func (r BenchResult) String() string {
-	return fmt.Sprintf("oltp-insert %2d clients %9.0f Tx/s p50=%.3fms p99=%.3fms",
-		r.Clients, r.TxPerSec, r.Latency.Median, r.Latency.P99)
-}
-
-// Bench drives concurrent insert clients for the given duration.
-func Bench(k *sim.Kernel, s *core.Stack, cfg Config, duration sim.Duration) BenchResult {
+// Bench drives concurrent insert clients for the given duration. Ops counts
+// commits; Latency is per-transaction commit latency from the shared meter,
+// so oltp rows compare directly with sqlmini and kvwal output.
+func Bench(k *sim.Kernel, s *core.Stack, cfg Config, duration sim.Duration) workload.Window {
 	var eng *Engine
 	ready := false
-	commits := int64(0)
-	measuring := false
-	rec := metrics.NewLatencyRecorder("oltp/" + s.Profile.Name)
+	var m workload.Meter
 	k.Spawn("oltp/setup", func(p *sim.Proc) {
 		var err error
-		eng, err = Open(p, s, cfg)
+		eng, err = Open(p, s)
 		if err != nil {
 			panic(err)
 		}
@@ -137,31 +119,17 @@ func Bench(k *sim.Kernel, s *core.Stack, cfg Config, duration sim.Duration) Benc
 	for c := 0; c < cfg.Clients; c++ {
 		c := c
 		k.SpawnIdx("oltp/client", c, func(p *sim.Proc) {
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(c)))
+			rng := rand.New(rand.NewSource(benchSeed + int64(c)))
 			for !ready {
 				p.Sleep(sim.Millisecond)
 			}
 			for {
 				t0 := p.Now()
 				eng.Insert(p, rng)
-				if measuring {
-					commits++
-					rec.Record(sim.Duration(p.Now() - t0))
-				}
+				m.Timed(p, t0, 1)
 			}
 		})
 	}
-	k.RunUntil(k.Now().Add(50 * sim.Millisecond))
-	measuring = true
-	start := k.Now()
-	k.RunUntil(start.Add(duration))
-	measuring = false
-	end := k.Now()
-	return BenchResult{
-		Clients:  cfg.Clients,
-		Commits:  commits,
-		Window:   sim.Duration(end - start),
-		TxPerSec: float64(commits) / sim.Duration(end-start).Seconds(),
-		Latency:  rec.Summarize(),
-	}
+	workload.Warm(k, 50*sim.Millisecond, nil)
+	return m.Measure(k, duration)
 }

@@ -7,9 +7,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
-func benchOn(t *testing.T, prof core.Profile) BenchResult {
+func benchOn(t *testing.T, prof core.Profile) workload.Window {
 	t.Helper()
 	k := sim.NewKernel()
 	defer k.Close()
@@ -24,7 +25,7 @@ func TestInsertAccounting(t *testing.T) {
 	defer k.Close()
 	s := core.NewStack(k, core.EXT4DR(device.PlainSSD()))
 	k.Spawn("app", func(p *sim.Proc) {
-		eng, err := Open(p, s, DefaultConfig())
+		eng, err := Open(p, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,16 +50,16 @@ func TestFig15OLTPShape(t *testing.T) {
 	extOD := benchOn(t, core.EXT4OD(device.PlainSSD()))
 	bfsOD := benchOn(t, core.BFSOD(device.PlainSSD()))
 	t.Logf("EXT4-DR=%v EXT4-OD=%v BFS-OD=%v", extDR, extOD, bfsOD)
-	if extDR.Commits == 0 {
+	if extDR.Ops == 0 {
 		t.Fatal("no progress")
 	}
 	// Fig. 15: BFS-OD prevails over EXT4-OD, and the fsync->fbarrier switch
 	// vs EXT4-DR is dramatic (paper: 43x).
-	if bfsOD.TxPerSec < extOD.TxPerSec {
-		t.Errorf("BFS-OD (%.0f) below EXT4-OD (%.0f)", bfsOD.TxPerSec, extOD.TxPerSec)
+	if bfsOD.PerS < extOD.PerS {
+		t.Errorf("BFS-OD (%.0f) below EXT4-OD (%.0f)", bfsOD.PerS, extOD.PerS)
 	}
-	if bfsOD.TxPerSec < extDR.TxPerSec*5 {
-		t.Errorf("BFS-OD (%.0f) should dwarf EXT4-DR (%.0f)", bfsOD.TxPerSec, extDR.TxPerSec)
+	if bfsOD.PerS < extDR.PerS*5 {
+		t.Errorf("BFS-OD (%.0f) should dwarf EXT4-DR (%.0f)", bfsOD.PerS, extDR.PerS)
 	}
 }
 
@@ -68,9 +69,9 @@ func TestSupercapNarrowsDurabilityGap(t *testing.T) {
 	dr := benchOn(t, core.EXT4DR(device.SupercapSSD()))
 	od := benchOn(t, core.EXT4OD(device.SupercapSSD()))
 	t.Logf("supercap EXT4-DR=%v EXT4-OD=%v", dr, od)
-	if dr.TxPerSec < od.TxPerSec*0.5 {
+	if dr.PerS < od.PerS*0.5 {
 		t.Errorf("supercap EXT4-DR (%.0f) too far below EXT4-OD (%.0f); flush should be cheap",
-			dr.TxPerSec, od.TxPerSec)
+			dr.PerS, od.PerS)
 	}
 }
 

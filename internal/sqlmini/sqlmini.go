@@ -6,17 +6,17 @@
 // the database update, the update before the header reset. Those three can
 // become fdatabarrier() without weakening transaction durability; relaxing
 // the fourth too gives the ordering-only configurations (BFS-OD, EXT4-OD).
-// WAL mode appends log frames and issues one sync per commit.
+// WAL mode appends log frames and issues one sync per commit. Bench's
+// warm-up and window are workload.Meter's.
 package sqlmini
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/fs"
-	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // JournalMode selects the SQLite journaling strategy.
@@ -56,14 +56,16 @@ const (
 type Config struct {
 	Mode       JournalMode
 	Durability Durability
-	// TablePages is the size of the b-tree page pool an insert touches.
-	TablePages int
-	Seed       int64
 }
+
+const (
+	tablePages = 128 // size of the b-tree page pool an insert touches
+	seed       = 11  // seeds a DB's victim-page stream
+)
 
 // DefaultConfig returns the paper's SQLite setup.
 func DefaultConfig(mode JournalMode, dur Durability) Config {
-	return Config{Mode: mode, Durability: dur, TablePages: 128, Seed: 11}
+	return Config{Mode: mode, Durability: dur}
 }
 
 // Stats are cumulative database statistics.
@@ -88,7 +90,7 @@ type DB struct {
 
 // Open creates the database files and prepares the page pool.
 func Open(p *sim.Proc, s *core.Stack, name string, cfg Config) (*DB, error) {
-	db := &DB{s: s, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	db := &DB{s: s, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
 	var err error
 	if db.dbFile, err = s.FS.Create(p, s.FS.Root(), name+".db"); err != nil {
 		return nil, err
@@ -101,7 +103,7 @@ func Open(p *sim.Proc, s *core.Stack, name string, cfg Config) (*DB, error) {
 		return nil, err
 	}
 	// Lay down the table pages (page 0 is the database header).
-	for i := 0; i <= cfg.TablePages; i++ {
+	for i := 0; i <= tablePages; i++ {
 		s.FS.Write(p, db.dbFile, int64(i))
 	}
 	// Reserve journal space: header + a few record pages.
@@ -151,7 +153,7 @@ func (db *DB) Insert(p *sim.Proc) {
 
 func (db *DB) insertPersist(p *sim.Proc) {
 	fsys := db.s.FS
-	victim := int64(1 + db.rng.Intn(db.cfg.TablePages))
+	victim := int64(1 + db.rng.Intn(tablePages))
 	// 1. Write the undo image of the victim page into the journal, then
 	//    order it before the journal header.
 	fsys.Write(p, db.journal, 1)
@@ -187,61 +189,27 @@ func (db *DB) insertWAL(p *sim.Proc) {
 func (db *DB) checkpointWAL(p *sim.Proc) {
 	fsys := db.s.FS
 	for i := 0; i < 16; i++ {
-		fsys.Write(p, db.dbFile, int64(1+db.rng.Intn(db.cfg.TablePages)))
+		fsys.Write(p, db.dbFile, int64(1+db.rng.Intn(tablePages)))
 	}
 	db.commitSync(p, db.dbFile)
 	db.walHead = 0
 }
 
-// BenchResult is the outcome of one insert-throughput run.
-type BenchResult struct {
-	Mode     JournalMode
-	Inserts  int64
-	Window   sim.Duration
-	TxPerSec float64
-	// Latency summarizes per-transaction latency on the shared
-	// internal/metrics histogram, comparable with oltp and kvwal output.
-	Latency metrics.Summary
-}
-
-func (r BenchResult) String() string {
-	return fmt.Sprintf("sqlite/%-7s %9.0f Tx/s (%d inserts) p50=%.3fms p99=%.3fms",
-		r.Mode, r.TxPerSec, r.Inserts, r.Latency.Median, r.Latency.P99)
-}
-
-// Bench drives inserts from a single connection for the given duration.
-func Bench(k *sim.Kernel, s *core.Stack, cfg Config, duration sim.Duration) BenchResult {
-	var db *DB
-	inserts := int64(0)
-	measuring := false
-	rec := metrics.NewLatencyRecorder("sqlite/" + s.Profile.Name)
+// Bench drives inserts from a single connection for the given duration: Ops
+// counts inserts, Latency is per transaction, comparable with oltp and kvwal.
+func Bench(k *sim.Kernel, s *core.Stack, cfg Config, duration sim.Duration) workload.Window {
+	var m workload.Meter
 	k.Spawn("sqlite", func(p *sim.Proc) {
-		var err error
-		db, err = Open(p, s, "bench", cfg)
+		db, err := Open(p, s, "bench", cfg)
 		if err != nil {
 			panic(err)
 		}
 		for {
 			t0 := p.Now()
 			db.Insert(p)
-			if measuring {
-				inserts++
-				rec.Record(sim.Duration(p.Now() - t0))
-			}
+			m.Timed(p, t0, 1)
 		}
 	})
-	// Warm up through Open plus a few transactions.
-	k.RunUntil(k.Now().Add(30 * sim.Millisecond))
-	measuring = true
-	start := k.Now()
-	k.RunUntil(start.Add(duration))
-	measuring = false
-	end := k.Now()
-	return BenchResult{
-		Mode:     cfg.Mode,
-		Inserts:  inserts,
-		Window:   sim.Duration(end - start),
-		TxPerSec: float64(inserts) / sim.Duration(end-start).Seconds(),
-		Latency:  rec.Summarize(),
-	}
+	workload.Warm(k, 30*sim.Millisecond, nil) // through Open plus a few transactions
+	return m.Measure(k, duration)
 }

@@ -6,9 +6,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
-func benchOn(t *testing.T, prof core.Profile, mode JournalMode, d Durability) BenchResult {
+func benchOn(t *testing.T, prof core.Profile, mode JournalMode, d Durability) workload.Window {
 	t.Helper()
 	k := sim.NewKernel()
 	defer k.Close()
@@ -18,7 +19,7 @@ func benchOn(t *testing.T, prof core.Profile, mode JournalMode, d Durability) Be
 
 func TestInsertMakesProgress(t *testing.T) {
 	res := benchOn(t, core.EXT4DR(device.UFS()), Persist, Durable)
-	if res.Inserts == 0 {
+	if res.Ops == 0 {
 		t.Fatal("no inserts completed")
 	}
 }
@@ -79,9 +80,9 @@ func TestFig14ShapePersistUFS(t *testing.T) {
 	ext := benchOn(t, core.EXT4DR(device.UFS()), Persist, Durable)
 	bfs := benchOn(t, core.BFSDR(device.UFS()), Persist, Durable)
 	t.Logf("EXT4-DR=%v BFS-DR=%v", ext, bfs)
-	if bfs.TxPerSec < ext.TxPerSec*1.3 {
+	if bfs.PerS < ext.PerS*1.3 {
 		t.Errorf("BFS-DR (%.0f) should clearly beat EXT4-DR (%.0f) in PERSIST mode",
-			bfs.TxPerSec, ext.TxPerSec)
+			bfs.PerS, ext.PerS)
 	}
 }
 
@@ -92,12 +93,12 @@ func TestFig14ShapeOrderingPlainSSD(t *testing.T) {
 	extOD := benchOn(t, core.EXT4OD(device.PlainSSD()), Persist, OrderingOnly)
 	bfsOD := benchOn(t, core.BFSOD(device.PlainSSD()), Persist, OrderingOnly)
 	t.Logf("EXT4-DR=%v EXT4-OD=%v BFS-OD=%v", extDR, extOD, bfsOD)
-	if bfsOD.TxPerSec < extDR.TxPerSec*8 {
+	if bfsOD.PerS < extDR.PerS*8 {
 		t.Errorf("BFS-OD (%.0f) should dwarf EXT4-DR (%.0f); paper reports 73x",
-			bfsOD.TxPerSec, extDR.TxPerSec)
+			bfsOD.PerS, extDR.PerS)
 	}
-	if bfsOD.TxPerSec < extOD.TxPerSec {
-		t.Errorf("BFS-OD (%.0f) below EXT4-OD (%.0f)", bfsOD.TxPerSec, extOD.TxPerSec)
+	if bfsOD.PerS < extOD.PerS {
+		t.Errorf("BFS-OD (%.0f) below EXT4-OD (%.0f)", bfsOD.PerS, extOD.PerS)
 	}
 }
 
@@ -107,16 +108,16 @@ func TestWALvsPersistGapNarrow(t *testing.T) {
 	extWAL := benchOn(t, core.EXT4DR(device.UFS()), WAL, Durable)
 	bfsWAL := benchOn(t, core.BFSDR(device.UFS()), WAL, Durable)
 	t.Logf("EXT4 WAL=%v BFS WAL=%v", extWAL, bfsWAL)
-	ratio := bfsWAL.TxPerSec / extWAL.TxPerSec
+	ratio := bfsWAL.PerS / extWAL.PerS
 	if ratio < 0.9 {
 		t.Errorf("BFS-DR WAL regressed vs EXT4 (%.2fx)", ratio)
 	}
 	// The PERSIST-mode gain should exceed the WAL-mode gain.
 	extP := benchOn(t, core.EXT4DR(device.UFS()), Persist, Durable)
 	bfsP := benchOn(t, core.BFSDR(device.UFS()), Persist, Durable)
-	if bfsP.TxPerSec/extP.TxPerSec < ratio {
+	if bfsP.PerS/extP.PerS < ratio {
 		t.Errorf("PERSIST gain (%.2fx) should exceed WAL gain (%.2fx)",
-			bfsP.TxPerSec/extP.TxPerSec, ratio)
+			bfsP.PerS/extP.PerS, ratio)
 	}
 }
 

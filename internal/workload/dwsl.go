@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -27,22 +26,9 @@ func DefaultDWSL(threads int) DWSLConfig {
 	}
 }
 
-// DWSLResult is the outcome of one DWSL run.
-type DWSLResult struct {
-	Threads int
-	Ops     int64
-	Window  sim.Duration
-	OpsPerS float64
-}
-
-func (r DWSLResult) String() string {
-	return fmt.Sprintf("%2d threads %9.0f ops/s", r.Threads, r.OpsPerS)
-}
-
 // DWSL runs the workload: one writer process per simulated core.
-func DWSL(k *sim.Kernel, s *core.Stack, cfg DWSLConfig) DWSLResult {
-	var ops int64
-	measuring := false
+func DWSL(k *sim.Kernel, s *core.Stack, cfg DWSLConfig) Window {
+	var m Meter
 	for t := 0; t < cfg.Threads; t++ {
 		t := t
 		k.SpawnIdx("dwsl/", t, func(p *sim.Proc) {
@@ -53,22 +39,10 @@ func DWSL(k *sim.Kernel, s *core.Stack, cfg DWSLConfig) DWSLResult {
 			for idx := int64(0); ; idx++ {
 				s.FS.Write(p, f, idx) // allocating write: metadata always dirty
 				s.Sync(p, f)
-				if measuring {
-					ops++
-				}
+				m.Done(1)
 			}
 		})
 	}
-	k.RunUntil(k.Now().Add(cfg.Warmup))
-	measuring = true
-	start := k.Now()
-	k.RunUntil(start.Add(cfg.Duration))
-	measuring = false
-	end := k.Now()
-	return DWSLResult{
-		Threads: cfg.Threads,
-		Ops:     ops,
-		Window:  sim.Duration(end - start),
-		OpsPerS: metrics.Rate(ops, sim.Duration(end-start)),
-	}
+	Warm(k, cfg.Warmup, nil)
+	return m.Measure(k, cfg.Duration)
 }

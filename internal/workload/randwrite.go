@@ -1,16 +1,16 @@
 // Package workload implements the paper's workload generators: 4KB random
 // write with four ordering policies (Figs. 1, 9, 10), the fxmark DWSL
 // journaling-scalability workload (Fig. 13), and the filebench varmail
-// mail-server workload (Fig. 15).
+// mail-server workload (Fig. 15). It also owns the closed-loop measurement
+// window (closed.go: Meter, Warm, Window) that these drivers and the
+// application benchmarks (kvwal, oltp, sqlmini, the mq experiment) share.
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/fs"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -47,22 +47,13 @@ func (po Policy) String() string {
 	return "invalid"
 }
 
-// RandWriteResult is the outcome of one random-write run.
+// RandWriteResult is the outcome of one random-write run: the window (PerS
+// is IOPS; Start and End also bound queue-depth plots) plus the device
+// queue depth over it.
 type RandWriteResult struct {
-	Policy Policy
-	Ops    int64
-	Window sim.Duration
-	IOPS   float64
+	Window
 	MeanQD float64
 	PeakQD float64
-	// Start and End bound the measured phase in virtual time (for plotting
-	// queue-depth traces over the right window).
-	Start, End sim.Time
-}
-
-func (r RandWriteResult) String() string {
-	return fmt.Sprintf("%-4s %8.0f IOPS  meanQD=%5.1f peakQD=%3.0f",
-		r.Policy, r.IOPS, r.MeanQD, r.PeakQD)
 }
 
 // RandWriteConfig parameterizes the random-write workload.
@@ -71,8 +62,10 @@ type RandWriteConfig struct {
 	FilePages int          // working-set size in 4KB pages
 	Duration  sim.Duration // measurement window
 	Warmup    sim.Duration
-	Seed      int64
 }
+
+// randWriteSeed seeds the page-index stream.
+const randWriteSeed = 1
 
 // DefaultRandWrite returns the Fig. 9 setup for a policy.
 func DefaultRandWrite(po Policy) RandWriteConfig {
@@ -81,7 +74,6 @@ func DefaultRandWrite(po Policy) RandWriteConfig {
 		FilePages: 2048,
 		Duration:  400 * sim.Millisecond,
 		Warmup:    50 * sim.Millisecond,
-		Seed:      1,
 	}
 }
 
@@ -89,12 +81,11 @@ func DefaultRandWrite(po Policy) RandWriteConfig {
 // reports IOPS and queue-depth statistics. It spawns the writer, runs the
 // kernel for warmup+duration, and measures only the post-warmup window.
 func RandWrite(k *sim.Kernel, s *core.Stack, cfg RandWriteConfig) RandWriteResult {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(randWriteSeed))
 	qd := s.Dev.QDSeries() // taken before the run: the device records from here on
 	var file *fs.Inode
 	ready := false
-	var ops int64
-	measuring := false
+	var m Meter
 
 	k.Spawn("randwrite/writer", func(p *sim.Proc) {
 		f, err := s.FS.Create(p, s.FS.Root(), "bench.dat")
@@ -122,34 +113,11 @@ func RandWrite(k *sim.Kernel, s *core.Stack, cfg RandWriteConfig) RandWriteResul
 				// throttling.
 				s.FS.WritebackAsync(p, file)
 			}
-			if measuring {
-				ops++
-			}
+			m.Done(1)
 		}
 	})
 
-	k.RunUntil(k.Now().Add(cfg.Warmup))
-	if !ready {
-		// Preallocation outlasted the warmup; extend until it finishes.
-		for !ready {
-			k.RunUntil(k.Now().Add(10 * sim.Millisecond))
-		}
-		k.RunUntil(k.Now().Add(cfg.Warmup))
-	}
-	measuring = true
-	start := k.Now()
-	k.RunUntil(start.Add(cfg.Duration))
-	measuring = false
-	end := k.Now()
-
-	return RandWriteResult{
-		Policy: cfg.Policy,
-		Ops:    ops,
-		Window: sim.Duration(end - start),
-		IOPS:   metrics.Rate(ops, sim.Duration(end-start)),
-		MeanQD: qd.Mean(start, end),
-		PeakQD: qd.Peak(start, end),
-		Start:  start,
-		End:    end,
-	}
+	Warm(k, cfg.Warmup, &ready) // preallocation can outlast the warm-up
+	w := m.Measure(k, cfg.Duration)
+	return RandWriteResult{Window: w, MeanQD: qd.Mean(w.Start, w.End), PeakQD: qd.Peak(w.Start, w.End)}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -17,11 +16,12 @@ type VarmailConfig struct {
 	Files    int // per-thread working set of mail files
 	Duration sim.Duration
 	Warmup   sim.Duration
-	Seed     int64
 }
 
-// varmailAppendPgs is the number of pages appended per delivery.
-const varmailAppendPgs = 2
+const (
+	varmailAppendPgs = 2 // pages appended per delivery
+	varmailSeed      = 7 // thread t picks victims from seed varmailSeed+t
+)
 
 // DefaultVarmail returns the Fig. 15 setup.
 func DefaultVarmail() VarmailConfig {
@@ -30,37 +30,18 @@ func DefaultVarmail() VarmailConfig {
 		Files:    64,
 		Duration: 300 * sim.Millisecond,
 		Warmup:   30 * sim.Millisecond,
-		Seed:     7,
 	}
-}
-
-// VarmailResult is the outcome of one varmail run. Ops counts filebench
-// flowops (each create/append/sync/read/delete counts as one).
-type VarmailResult struct {
-	Threads int
-	Ops     int64
-	Window  sim.Duration
-	OpsPerS float64
-}
-
-func (r VarmailResult) String() string {
-	return fmt.Sprintf("varmail %2d thr %9.0f ops/s", r.Threads, r.OpsPerS)
 }
 
 // Varmail runs the workload. Sync calls go through the stack profile
-// (fsync for -DR, fbarrier for -OD / OptFS).
-func Varmail(k *sim.Kernel, s *core.Stack, cfg VarmailConfig) VarmailResult {
-	var ops int64
-	measuring := false
-	count := func() {
-		if measuring {
-			ops++
-		}
-	}
+// (fsync for -DR, fbarrier for -OD / OptFS). Ops counts filebench flowops
+// (each create/append/sync/read/delete counts as one).
+func Varmail(k *sim.Kernel, s *core.Stack, cfg VarmailConfig) Window {
+	var m Meter
 	for t := 0; t < cfg.Threads; t++ {
 		t := t
 		k.SpawnIdx("varmail/", t, func(p *sim.Proc) {
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(t)))
+			rng := rand.New(rand.NewSource(varmailSeed + int64(t)))
 			dir, err := s.FS.Mkdir(p, s.FS.Root(), fmt.Sprintf("mbox%d", t))
 			if err != nil {
 				panic(err)
@@ -75,24 +56,24 @@ func Varmail(k *sim.Kernel, s *core.Stack, cfg VarmailConfig) VarmailResult {
 				if err != nil {
 					continue
 				}
-				count()
+				m.Done(1)
 				for pg := 0; pg < varmailAppendPgs; pg++ {
 					s.FS.Write(p, f, int64(pg))
-					count()
+					m.Done(1)
 				}
 				s.Sync(p, f)
-				count()
+				m.Done(1)
 				live = append(live, name)
 				// Read a random mail and append to it (mailbox update).
 				if len(live) > 1 {
 					victim := live[rng.Intn(len(live))]
 					if vf, ok := s.FS.Lookup(dir, victim); ok {
 						s.FS.Read(p, vf, 0)
-						count()
+						m.Done(1)
 						s.FS.Write(p, vf, int64(varmailAppendPgs))
-						count()
+						m.Done(1)
 						s.Sync(p, vf)
-						count()
+						m.Done(1)
 					}
 				}
 				// Expire old mail to bound the working set.
@@ -100,22 +81,12 @@ func Varmail(k *sim.Kernel, s *core.Stack, cfg VarmailConfig) VarmailResult {
 					old := live[0]
 					live = live[1:]
 					if err := s.FS.Unlink(p, dir, old); err == nil {
-						count()
+						m.Done(1)
 					}
 				}
 			}
 		})
 	}
-	k.RunUntil(k.Now().Add(cfg.Warmup))
-	measuring = true
-	start := k.Now()
-	k.RunUntil(start.Add(cfg.Duration))
-	measuring = false
-	end := k.Now()
-	return VarmailResult{
-		Threads: cfg.Threads,
-		Ops:     ops,
-		Window:  sim.Duration(end - start),
-		OpsPerS: metrics.Rate(ops, sim.Duration(end-start)),
-	}
+	Warm(k, cfg.Warmup, nil)
+	return m.Measure(k, cfg.Duration)
 }

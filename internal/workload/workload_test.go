@@ -35,14 +35,14 @@ func TestRandWritePolicies(t *testing.T) {
 	t.Logf("B  =%v", b)
 	t.Logf("P  =%v", pp)
 	// The Fig. 9 shape: XnF < X < B, and B within striking distance of P.
-	if !(xnf.IOPS < x.IOPS) {
-		t.Errorf("XnF (%.0f) should be slower than X (%.0f)", xnf.IOPS, x.IOPS)
+	if !(xnf.PerS < x.PerS) {
+		t.Errorf("XnF (%.0f) should be slower than X (%.0f)", xnf.PerS, x.PerS)
 	}
-	if !(x.IOPS*2 <= b.IOPS) {
-		t.Errorf("B (%.0f) should be at least 2x X (%.0f) per §6.2", b.IOPS, x.IOPS)
+	if !(x.PerS*2 <= b.PerS) {
+		t.Errorf("B (%.0f) should be at least 2x X (%.0f) per §6.2", b.PerS, x.PerS)
 	}
-	if b.IOPS > pp.IOPS*1.1 {
-		t.Errorf("B (%.0f) implausibly faster than P (%.0f)", b.IOPS, pp.IOPS)
+	if b.PerS > pp.PerS*1.1 {
+		t.Errorf("B (%.0f) implausibly faster than P (%.0f)", b.PerS, pp.PerS)
 	}
 	// Queue depth: X stays near 1; B drives the queue deep (§6.2).
 	if x.MeanQD > 2 {
@@ -54,7 +54,7 @@ func TestRandWritePolicies(t *testing.T) {
 }
 
 func TestDWSLScalesWithThreads(t *testing.T) {
-	run := func(prof core.Profile, threads int) DWSLResult {
+	run := func(prof core.Profile, threads int) Window {
 		k := sim.NewKernel()
 		defer k.Close()
 		s := core.NewStack(k, prof)
@@ -69,17 +69,17 @@ func TestDWSLScalesWithThreads(t *testing.T) {
 	t.Logf("EXT4 1thr=%v", ext1)
 	t.Logf("EXT4 4thr=%v", ext4)
 	t.Logf("BFS  4thr=%v", bfs4)
-	if ext4.OpsPerS < ext1.OpsPerS {
-		t.Errorf("EXT4 DWSL got slower with threads: %.0f -> %.0f", ext1.OpsPerS, ext4.OpsPerS)
+	if ext4.PerS < ext1.PerS {
+		t.Errorf("EXT4 DWSL got slower with threads: %.0f -> %.0f", ext1.PerS, ext4.PerS)
 	}
 	// Fig. 13: BFS-DR roughly 2x EXT4-DR on plain-SSD.
-	if bfs4.OpsPerS < ext4.OpsPerS*1.3 {
-		t.Errorf("BFS-DR (%.0f) not clearly above EXT4-DR (%.0f)", bfs4.OpsPerS, ext4.OpsPerS)
+	if bfs4.PerS < ext4.PerS*1.3 {
+		t.Errorf("BFS-DR (%.0f) not clearly above EXT4-DR (%.0f)", bfs4.PerS, ext4.PerS)
 	}
 }
 
 func TestVarmailRunsAndOrders(t *testing.T) {
-	run := func(prof core.Profile) VarmailResult {
+	run := func(prof core.Profile) Window {
 		k := sim.NewKernel()
 		defer k.Close()
 		s := core.NewStack(k, prof)
@@ -99,11 +99,11 @@ func TestVarmailRunsAndOrders(t *testing.T) {
 	if extDR.Ops == 0 || bfsDR.Ops == 0 {
 		t.Fatal("varmail made no progress")
 	}
-	if bfsDR.OpsPerS < extDR.OpsPerS {
-		t.Errorf("BFS-DR (%.0f) below EXT4-DR (%.0f); Fig. 15 expects a gain", bfsDR.OpsPerS, extDR.OpsPerS)
+	if bfsDR.PerS < extDR.PerS {
+		t.Errorf("BFS-DR (%.0f) below EXT4-DR (%.0f); Fig. 15 expects a gain", bfsDR.PerS, extDR.PerS)
 	}
-	if bfsOD.OpsPerS < bfsDR.OpsPerS {
-		t.Errorf("BFS-OD (%.0f) below BFS-DR (%.0f)", bfsOD.OpsPerS, bfsDR.OpsPerS)
+	if bfsOD.PerS < bfsDR.PerS {
+		t.Errorf("BFS-OD (%.0f) below BFS-DR (%.0f)", bfsOD.PerS, bfsDR.PerS)
 	}
 }
 

@@ -61,7 +61,7 @@ func goldenCases() []goldenCase {
 		}},
 		{"kvwal/BFS-MQ-groupcommit", func(k *sim.Kernel) {
 			s := core.NewStack(k, core.BFSMQ(device.NVMeSSD()))
-			kvwal.Bench(k, s, kvwal.DefaultBenchConfig(4), short)
+			kvwal.Bench(k, s, 4, short)
 		}},
 		// pdflush coverage: an app that only dirties pages, so every
 		// writeback is the pdflush daemon's, including its congestion parks.
