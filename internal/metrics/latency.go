@@ -74,21 +74,23 @@ func (r *LatencyRecorder) sortSamples() {
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100) using the
-// nearest-rank method, or 0 with no samples. Out-of-range and NaN p clamp
+// nearest-rank method, or 0 with no samples or NaN p. Out-of-range p clamps
 // to the valid range, so a single-sample recorder answers every percentile
-// with its one sample instead of indexing out of bounds.
+// with its one sample instead of indexing out of bounds. The rank ⌈p/100·n⌉
+// is computed in integers with p taken to four decimals: in float64
+// 99.9/100*1000 is 999.0000000000001, one rank high at every multiple of
+// 1000 samples (at n = 1000, the maximum). kvcluster's p99ms and
+// bench/stats.go's pct, asked only for p50 and p99, follow the same rule.
 func (r *LatencyRecorder) Percentile(p float64) sim.Duration {
 	n := len(r.samples)
 	if n == 0 || math.IsNaN(p) {
 		return 0
 	}
 	r.sortSamples()
-	rank := int(math.Ceil(p / 100 * float64(n)))
+	q := int64(math.Round(math.Min(math.Max(p, 0), 100) * 1e4))
+	rank := (q*int64(n) + 999_999) / 1_000_000
 	if rank < 1 {
 		rank = 1
-	}
-	if rank > n {
-		rank = n
 	}
 	return r.samples[rank-1]
 }
