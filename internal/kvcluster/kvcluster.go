@@ -221,7 +221,8 @@ func (c Config) spawnShard(k *sim.Kernel, idx int, reqs []Request, tr Traffic,
 		return func(p *sim.Proc, r Request) error {
 			switch r.Class {
 			case workload.ClassGet:
-				st.Get(p, r.Key)
+				_, _, err := st.GetE(p, r.Key) // a hard media error fails the request
+				return err
 			case workload.ClassDelete:
 				st.ApplyT(p, []kvwal.Op{{Kind: kvwal.Delete, Key: r.Key}}, r.Trace)
 			default:

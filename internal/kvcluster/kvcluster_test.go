@@ -6,6 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/device"
+	"repro/internal/fault"
+	"repro/internal/kvwal"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -169,4 +173,38 @@ func TestRunRejectsReplicatedMode(t *testing.T) {
 		}
 	}()
 	Run(Config{Shards: 2, Mode: Replicated}, smallTraffic(10_000))
+}
+
+// A read whose segment page fails hard is a failed request, not a good one:
+// on a device that corrupts nine host reads in ten, with segments evicted so
+// reads face the medium, the unreplicated service must report Good < Done.
+func TestShardedRunCountsFailedReads(t *testing.T) {
+	reg := metrics.NewRegistry()
+	store := kvwal.DefaultConfig()
+	store.MemtableCap = 16
+	store.EvictSegments = true
+	res := Run(Config{
+		Shards: 2,
+		Mode:   ShardedStacks,
+		Device: func() device.Config {
+			d := device.NVMeSSD()
+			d.Fault = &fault.Plan{Seed: 101, ReadUNCProb: 0.9}
+			return d
+		},
+		Store:   store,
+		Metrics: reg,
+	}, Traffic{
+		Arrivals: workload.ArrivalConfig{RatePerS: 40_000, Seed: 1},
+		Mix:      workload.Mix{ReadPct: 60},
+		KeySpace: 256, // small, so most reads find their key in a segment
+		Duration: 10 * sim.Millisecond,
+	})
+	errs := reg.Counter("device/read.errors").Value()
+	t.Logf("device/read.errors = %d, done = %d, good = %d", errs, res.Done, res.Good)
+	if errs == 0 {
+		t.Fatal("the fault plan surfaced no read error; the probe tests nothing")
+	}
+	if res.Done == 0 || res.Good >= res.Done {
+		t.Errorf("done = %d, good = %d: hard read errors counted as successes", res.Done, res.Good)
+	}
 }
