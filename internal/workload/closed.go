@@ -45,10 +45,10 @@ func (m *Meter) Timed(p *sim.Proc, t0 sim.Time, n int) {
 // Warm runs the warm-up. If ready is non-nil and still false afterwards,
 // set-up outlasted the warm-up: run on in 10 ms steps until it holds, then
 // warm up once more so the window never opens on the first operations after
-// set-up. The second warm-up is what cells depend on: RandWrite's
-// preallocation outlasts its warm-up in 6 of 30 full-scale and 22 of 30
-// -quick runs of `repro all` (96 and 182 steps), while kvwal.Bench's and
-// mqFSPoint's set-up never does (0 of 16 and 8, 0 of 4 and 4).
+// set-up. Cells depend on it: in `repro all` RandWrite's preallocation
+// outlasts the warm-up in 6 of 30 full-scale runs (96 steps) and 22 of 30
+// -quick runs (182 steps); kvwal.Bench's and mqFSPoint's set-up never does
+// (0 of 16 + 8 and 0 of 4 + 4 runs), so they take the rule without moving.
 func Warm(k *sim.Kernel, warmup sim.Duration, ready *bool) {
 	k.RunUntil(k.Now().Add(warmup))
 	if ready == nil || *ready {
