@@ -27,6 +27,47 @@ func TestNOOPFIFO(t *testing.T) {
 	}
 }
 
+// TestFIFOAcrossCompaction drives a NOOP queue that never empties past the
+// point where its fifo compacts the dead prefix: order and Pending must not
+// notice.
+func TestFIFOAcrossCompaction(t *testing.T) {
+	s := NewNOOP()
+	next, want := uint64(0), uint64(0)
+	push := func(n int) {
+		for ; n > 0; n-- {
+			s.Add(mkReq(next, 0))
+			next++
+		}
+	}
+	pop := func(n int) {
+		for ; n > 0; n-- {
+			if r := s.Next(); r == nil || r.LPA != want {
+				t.Fatalf("pop %d: got %v", want, r)
+			}
+			want++
+			if got := s.Pending(); got != int(next-want) {
+				t.Fatalf("after pop %d: Pending %d, want %d", want, got, next-want)
+			}
+		}
+	}
+	push(100)
+	pop(49)
+	if s.q.head != 49 {
+		t.Fatalf("head %d before the compaction boundary, want 49", s.q.head)
+	}
+	pop(1) // head 50 of 100: the dead half dominates
+	if s.q.head != 0 || len(s.q.s) != 50 {
+		t.Fatalf("no compaction at the boundary: head %d, len %d", s.q.head, len(s.q.s))
+	}
+	push(70)
+	pop(100)
+	push(5)
+	pop(25)
+	if s.Next() != nil || s.Pending() != 0 {
+		t.Error("drained queue not empty")
+	}
+}
+
 func TestDeadlineReadsFirst(t *testing.T) {
 	now := sim.Time(0)
 	s := NewDeadline(func() sim.Time { return now }, 5*sim.Millisecond)

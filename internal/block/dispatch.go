@@ -103,12 +103,12 @@ type PerStream struct {
 // condition its submitters wait on.
 type swQueue struct {
 	sched   Scheduler
-	staged  []*Request
+	staged  fifo[*Request]
 	congest *sim.Cond
 	hw      *hwQueue
 }
 
-func (q *swQueue) queued() int { return q.sched.Pending() + len(q.staged) }
+func (q *swQueue) queued() int { return q.sched.Pending() + q.staged.len() }
 
 // hwQueue is one hardware dispatch context: a daemon draining its software
 // queues round-robin into the device.
@@ -253,8 +253,8 @@ func (l *Layer) admit(q *swQueue, r *Request) {
 	if l.ps.Depth != nil {
 		l.ps.Depth[q.hw.id].Inc()
 	}
-	if len(q.staged) > 0 || !q.sched.Add(r) {
-		q.staged = append(q.staged, r)
+	if q.staged.len() > 0 || !q.sched.Add(r) {
+		q.staged.push(r)
 		l.staged++
 		if l.staged > l.stats.StagedPeak {
 			l.stats.StagedPeak = l.staged
@@ -288,11 +288,11 @@ func (l *Layer) FlushT(p *sim.Proc, tc reqtrace.Ctx) {
 // feedStaged moves a queue's staged requests into its scheduler in
 // submission order while admission is open.
 func (l *Layer) feedStaged(q *swQueue) {
-	for len(q.staged) > 0 && q.sched.Accepting() {
-		if !q.sched.Add(q.staged[0]) {
+	for q.staged.len() > 0 && q.sched.Accepting() {
+		if !q.sched.Add(q.staged.peek()) {
 			break
 		}
-		q.staged = q.staged[1:]
+		q.staged.pop()
 		l.staged--
 	}
 }

@@ -85,7 +85,7 @@ type retrier struct {
 	// a later-queued item due earlier than the head; the daemon still
 	// drains in queue order (the head's sleep bounds the extra delay),
 	// keeping the schedule deterministic and the structure trivial.
-	q       []retryItem
+	q       fifo[retryItem]
 	cond    *sim.Cond
 	running bool
 
@@ -107,7 +107,7 @@ func (pl *cmdPool) enableRetry(k *sim.Kernel, dev *device.Device, pol RetryPolic
 // enqueue schedules one re-submission of r (interrupt context: no blocking).
 func (rt *retrier) enqueue(r *Request) {
 	rt.retries.Inc()
-	rt.q = append(rt.q, retryItem{r: r, due: rt.k.Now().Add(rt.pol.backoff(r.attempts))})
+	rt.q.push(retryItem{r: r, due: rt.k.Now().Add(rt.pol.backoff(r.attempts))})
 	if !rt.running {
 		rt.running = true
 		rt.k.Spawn("block/retry", rt.daemon)
@@ -117,12 +117,11 @@ func (rt *retrier) enqueue(r *Request) {
 
 func (rt *retrier) daemon(p *sim.Proc) {
 	for {
-		if len(rt.q) == 0 {
+		if rt.q.len() == 0 {
 			rt.cond.Wait(p)
 			continue
 		}
-		it := rt.q[0]
-		rt.q = rt.q[1:]
+		it := rt.q.pop()
 		if now := p.Now(); it.due > now {
 			p.Advance(sim.Duration(it.due - now))
 		}

@@ -24,7 +24,7 @@ type Scheduler interface {
 // NOOP is the no-op scheduler: plain FIFO, no reordering. With NOOP (or an
 // NVMe-style direct path) the dispatch order equals the issue order (§2.1).
 type NOOP struct {
-	q []*Request
+	q fifo[*Request]
 }
 
 // NewNOOP returns a NOOP scheduler.
@@ -34,20 +34,18 @@ func NewNOOP() *NOOP { return &NOOP{} }
 func (s *NOOP) Name() string { return "noop" }
 
 // Add implements Scheduler.
-func (s *NOOP) Add(r *Request) bool { s.q = append(s.q, r); return true }
+func (s *NOOP) Add(r *Request) bool { s.q.push(r); return true }
 
 // Next implements Scheduler.
 func (s *NOOP) Next() *Request {
-	if len(s.q) == 0 {
+	if s.q.len() == 0 {
 		return nil
 	}
-	r := s.q[0]
-	s.q = s.q[1:]
-	return r
+	return s.q.pop()
 }
 
 // Pending implements Scheduler.
-func (s *NOOP) Pending() int { return len(s.q) }
+func (s *NOOP) Pending() int { return s.q.len() }
 
 // Accepting implements Scheduler.
 func (s *NOOP) Accepting() bool { return true }
@@ -55,8 +53,8 @@ func (s *NOOP) Accepting() bool { return true }
 // Deadline approximates the kernel's deadline scheduler: reads are served
 // before writes unless a write has waited past its deadline.
 type Deadline struct {
-	reads    []*Request
-	writes   []*Request
+	reads    fifo[*Request]
+	writes   fifo[*Request]
 	now      func() sim.Time
 	deadline sim.Duration
 }
@@ -76,37 +74,29 @@ func (s *Deadline) Name() string { return "deadline" }
 // Add implements Scheduler.
 func (s *Deadline) Add(r *Request) bool {
 	if r.Op == OpRead {
-		s.reads = append(s.reads, r)
+		s.reads.push(r)
 	} else {
-		s.writes = append(s.writes, r)
+		s.writes.push(r)
 	}
 	return true
 }
 
 // Next implements Scheduler.
 func (s *Deadline) Next() *Request {
-	if len(s.writes) > 0 && sim.Duration(s.now()-s.writes[0].issued) > s.deadline {
-		return s.popWrite()
+	if s.writes.len() > 0 && sim.Duration(s.now()-s.writes.peek().issued) > s.deadline {
+		return s.writes.pop()
 	}
-	if len(s.reads) > 0 {
-		r := s.reads[0]
-		s.reads = s.reads[1:]
-		return r
+	if s.reads.len() > 0 {
+		return s.reads.pop()
 	}
-	return s.popWrite()
-}
-
-func (s *Deadline) popWrite() *Request {
-	if len(s.writes) == 0 {
-		return nil
+	if s.writes.len() > 0 {
+		return s.writes.pop()
 	}
-	r := s.writes[0]
-	s.writes = s.writes[1:]
-	return r
+	return nil
 }
 
 // Pending implements Scheduler.
-func (s *Deadline) Pending() int { return len(s.reads) + len(s.writes) }
+func (s *Deadline) Pending() int { return s.reads.len() + s.writes.len() }
 
 // Accepting implements Scheduler.
 func (s *Deadline) Accepting() bool { return true }
@@ -116,14 +106,14 @@ func (s *Deadline) Accepting() bool { return true }
 // builds the epoch scheduler on ("currently, the Epoch based IO scheduler is
 // implemented on top of existing CFQ scheduler", §3.3).
 type CFQ struct {
-	queues  map[int][]*Request
+	queues  map[int]*fifo[*Request]
 	order   []int // round-robin order of PIDs with queued requests
 	nextIdx int
 	n       int
 }
 
 // NewCFQ returns a CFQ scheduler.
-func NewCFQ() *CFQ { return &CFQ{queues: make(map[int][]*Request)} }
+func NewCFQ() *CFQ { return &CFQ{queues: make(map[int]*fifo[*Request])} }
 
 // Name implements Scheduler.
 func (s *CFQ) Name() string { return "cfq" }
@@ -131,10 +121,14 @@ func (s *CFQ) Name() string { return "cfq" }
 // Add implements Scheduler.
 func (s *CFQ) Add(r *Request) bool {
 	q, ok := s.queues[r.PID]
-	if !ok || len(q) == 0 {
+	if !ok {
+		q = &fifo[*Request]{}
+		s.queues[r.PID] = q
+	}
+	if q.len() == 0 {
 		s.order = append(s.order, r.PID)
 	}
-	s.queues[r.PID] = append(q, r)
+	q.push(r)
 	s.n++
 	return true
 }
@@ -147,14 +141,13 @@ func (s *CFQ) Next() *Request {
 		}
 		pid := s.order[s.nextIdx]
 		q := s.queues[pid]
-		if len(q) == 0 {
+		if q.len() == 0 {
 			s.order = append(s.order[:s.nextIdx], s.order[s.nextIdx+1:]...)
 			continue
 		}
-		r := q[0]
-		s.queues[pid] = q[1:]
+		r := q.pop()
 		s.n--
-		if len(q) == 1 {
+		if q.len() == 0 {
 			s.order = append(s.order[:s.nextIdx], s.order[s.nextIdx+1:]...)
 		} else {
 			s.nextIdx++

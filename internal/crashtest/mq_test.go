@@ -272,7 +272,9 @@ func TestMQFsyncCoversSpreadWriteback(t *testing.T) {
 // power fails there. The versions of A the barrier ordered before the
 // marker are promised by the durable marker as an fsync would promise
 // them. With mq set it also asserts the direct contract on the scattered
-// requests; *reached counts the runs that got to the marker sync.
+// writeback — the requests themselves are recycled at completion, so it is
+// asked of the filesystem: Fdatawait right after Fdatabarrier finds nothing
+// left to wait for. *reached counts the runs that got to the marker sync.
 func spreadFdatabarrier(mq *testing.T, reached *int) crashmc.Part {
 	const pages = 64
 	return func(k *sim.Kernel, s *core.Stack) []crashmc.Checker {
@@ -298,23 +300,24 @@ func spreadFdatabarrier(mq *testing.T, reached *int) crashmc.Part {
 			for i := int64(0); i < pages; i++ {
 				s.FS.Write(p, f, i)
 			}
-			reqs := s.FS.WritebackAsync(p, f)
-			spread := 0
-			for _, r := range reqs {
-				if r.Stream != 0 {
-					spread++
-				}
+			var spread0 int64
+			if mq != nil {
+				spread0 = s.MQ.Stats().Spread
 			}
-			if mq != nil && spread == 0 {
+			s.FS.WritebackAsync(p, f)
+			if mq != nil && s.MQ.Stats().Spread == spread0 {
 				mq.Error("background writeback was not scattered off stream 0; test is vacuous")
 			}
 			s.FS.Fdatabarrier(p, f)
 			// The direct contract: nothing the barrier cannot order may still be
-			// in flight when it returns.
-			for _, r := range reqs {
-				if mq != nil && r.Stream != 0 && !r.Completed() {
-					mq.Errorf("request LPA %d still in flight on stream %d after Fdatabarrier returned",
-						r.LPA, r.Stream)
+			// in flight when it returns. SpreadOrderless moves every background
+			// write off stream 0, so none of the writeback is the barrier's to
+			// order, and draining what is left must take no time at all.
+			if mq != nil {
+				returned := p.Now()
+				s.FS.Fdatawait(p, f)
+				if p.Now() != returned {
+					mq.Errorf("scattered writeback drained at %v, Fdatabarrier returned at %v", p.Now(), returned)
 				}
 			}
 			ackAll(p, s, f, pages, chk)
@@ -337,8 +340,8 @@ func spreadFdatabarrier(mq *testing.T, reached *int) crashmc.Part {
 // epochs cannot order them — when fdatabarrier is called. fdatabarrierDual
 // must Wait-on-Transfer for exactly that in-flight cross-stream writeback
 // (waitCrossStream) before the barrier means anything, so the test asserts
-// the scattered requests have completed the moment Fdatabarrier returns,
-// then crash-checks end to end against a second file: the barrier ordered
+// Fdatawait finds the scattered writeback drained the moment Fdatabarrier
+// returns, then crash-checks end to end against a second file: the barrier ordered
 // file A's writeback before file B's marker, so a durable marker with lost
 // A-pages is an ordering violation.
 func TestMQFdatabarrierCoversSpreadWriteback(t *testing.T) {

@@ -19,8 +19,7 @@ func (f *FS) Write(p *sim.Proc, i *Inode, idx int64) {
 	f.writeVer++
 	pg := i.pages[idx]
 	if pg == nil {
-		pg = &page{idx: idx}
-		i.pages[idx] = pg
+		pg = f.newPage(i, page{idx: idx})
 	}
 	pg.ver = f.writeVer
 	if !pg.dirty {
@@ -86,7 +85,8 @@ func (f *FS) Read(p *sim.Proc, i *Inode, idx int64) (int64, bool) {
 // ReadE is Read with the IO error surfaced: when the device fails the page
 // read hard (uncorrectable sector with the block layer's retry budget
 // exhausted, block.Request.Err), ReadE caches nothing and returns the
-// error so the application can fail over to a replica.
+// error so the application can fail over to a replica. The read request is
+// pooled: ReadE copies its result out and releases it.
 func (f *FS) ReadE(p *sim.Proc, i *Inode, idx int64) (int64, bool, error) {
 	f.cpu(p)
 	f.stats.Reads++
@@ -96,18 +96,21 @@ func (f *FS) ReadE(p *sim.Proc, i *Inode, idx int64) (int64, bool, error) {
 	if idx >= int64(len(i.blocks)) || i.blocks[idx] == 0 {
 		return 0, false, nil
 	}
-	r := &block.Request{Op: block.OpRead, LPA: i.blocks[idx], PID: p.ID(), Stream: f.stream}
+	r := f.reqPool.Get()
+	r.Op, r.LPA, r.PID, r.Stream = block.OpRead, i.blocks[idx], p.ID(), f.stream
 	f.layer.SubmitAndWait(p, r)
+	err, data := r.Err, r.Data
+	r.Release()
 	f.wake(p)
-	if r.Err != nil {
+	if err != nil {
 		f.stats.ReadErrors++
-		return 0, false, r.Err
+		return 0, false, err
 	}
 	ver := int64(0)
-	if pd, ok := r.Data.(PageData); ok {
+	if pd, ok := data.(*PageData); ok {
 		ver = pd.Ver
 	}
-	i.pages[idx] = &page{idx: idx, ver: ver, everSynced: true}
+	f.newPage(i, page{idx: idx, ver: ver, everSynced: true})
 	return ver, true, nil
 }
 
@@ -143,8 +146,7 @@ type writebackPlan struct {
 // selective data journaling, for overwrites) applies. The requests are
 // submitted; the caller decides whether to wait. The plan owns the hold
 // dataRequest drew each request with until the caller releases it (release,
-// waitAll); an escaping plan (WritebackAsync) never does, leaving its
-// requests to the collector. tc, when active, tags each submitted request so
+// waitAll). tc, when active, tags each submitted request so
 // the block layer's queue/dispatch stamps land on the originating sync
 // call's trace record.
 func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast bool, tc reqtrace.Ctx) writebackPlan {
@@ -164,7 +166,7 @@ func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast boo
 			if pg.buf == nil {
 				pg.buf = &jbd.Buffer{Home: i.blocks[pg.idx], Name: "data"}
 			}
-			f.j.DirtyBuffer(p, pg.buf, PageData{Ino: i.ino, Idx: pg.idx, Ver: pg.ver})
+			f.j.DirtyBuffer(p, pg.buf, f.stamp(i, pg))
 			pg.dirty = false
 			pg.everSynced = true
 			f.stats.DataJournaled++
@@ -227,7 +229,7 @@ func (i *Inode) keepDirty(dirty []*page) {
 func (f *FS) dataRequest(i *Inode, pg *page, flags block.Flags, pid int) *block.Request {
 	r := f.reqPool.Get()
 	r.Op, r.LPA, r.Flags, r.PID, r.Stream = block.OpWrite, i.blocks[pg.idx], flags, pid, f.stream
-	r.Data = PageData{Ino: i.ino, Idx: pg.idx, Ver: pg.ver}
+	r.Data = f.stamp(i, pg)
 	pg.dirty = false
 	pg.everSynced = true
 	f.stats.PagesWritten++
@@ -277,12 +279,23 @@ func (f *FS) waitCrossStream(p *sim.Proc, i *Inode) {
 }
 
 // WritebackAsync pushes the file's dirty pages to the device as orderless
-// background writes without waiting, returning the submitted requests. It
-// models pdflush-style background writeback (the paper's buffered-write
-// baseline); backpressure comes from the block layer's queue limit.
-func (f *FS) WritebackAsync(p *sim.Proc, i *Inode) []*block.Request {
-	plan := f.writeback(p, i, block.FlagBackground, false, reqtrace.Ctx{})
-	return plan.reqs
+// background writes without waiting. It models pdflush-style background
+// writeback (the paper's buffered-write baseline); backpressure comes from
+// the block layer's queue limit. It releases its plan at submission: the
+// block layer holds each request until it completes and then recycles it,
+// so a caller that must see the writes land waits with Fdatawait.
+func (f *FS) WritebackAsync(p *sim.Proc, i *Inode) {
+	f.release(i, f.writeback(p, i, block.FlagBackground, false, reqtrace.Ctx{}))
+}
+
+// Fdatawait blocks until the inode has no writeback in flight, waiting on
+// the oldest request first — the kernel's filemap_fdatawait. It charges no
+// syscall CPU and no wake-up latency, and with nothing in flight it returns
+// without a kernel event. Unlike waitCrossStream it waits on every stream.
+func (f *FS) Fdatawait(p *sim.Proc, i *Inode) {
+	for len(i.inflight) > 0 {
+		i.inflight[0].Wait(p)
+	}
 }
 
 // waitAll blocks until every request in the plan completes, charging one

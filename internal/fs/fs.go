@@ -8,7 +8,21 @@
 // Data page contents are modelled as PageData{Ino, Idx, Ver} version stamps
 // rather than byte payloads: every behaviour the paper measures (ordering,
 // durability, latency, context switches) depends only on identity and
-// recency, which the stamps capture exactly and cheaply.
+// recency, which the stamps capture exactly and cheaply. A file page's
+// stamp travels as a *PageData — in block.Request.Data, in the journal's
+// log blocks, in the device cache and the NAND array — and is immutable: a
+// rewrite carves a new one, so a stamp handed to the device is never written
+// again.
+//
+// Stamps and page-cache entries come from per-filesystem slabs (slab.go):
+// one allocation per 64 entries, never reused. Their retention bound is one
+// slab per live entry: a stamp the NAND array still holds, or one cached
+// page, keeps its whole slab reachable.
+//
+// Data-writeback requests are pooled (block.ReqPool). WritebackAsync hands
+// its holds to the block layer, which recycles each request at completion;
+// a caller that must see the writes land waits with Fdatawait. A pooled
+// request is never read after its last Release.
 package fs
 
 import (
@@ -102,7 +116,8 @@ func DefaultOptions(mode jbd.Mode) Options {
 	return o
 }
 
-// PageData is the content stamp stored for a file data page.
+// PageData is the content stamp stored for a file data page. It travels as
+// an immutable *PageData (see the package comment).
 type PageData struct {
 	Ino Ino
 	Idx int64
@@ -241,9 +256,13 @@ type FS struct {
 	allocGrps   []*jbd.Buffer
 	writeVer    int64
 
-	// reqPool recycles data-writeback requests, each when the last of {sync
-	// call's plan, transaction's ordered data, the block layer} releases it.
+	// reqPool recycles data-writeback and page-read requests, each when the
+	// last of {sync call's plan or reader, transaction's ordered data, the
+	// block layer} releases it.
 	reqPool block.ReqPool
+	// stamps and pageSlab carve content stamps and page-cache entries.
+	stamps   slab[PageData]
+	pageSlab slab[page]
 
 	stats Stats
 	obs   fsObs
@@ -371,6 +390,21 @@ func (f *FS) newInode(ino Ino, dir bool) *Inode {
 	f.inodeList = append(f.inodeList, i) // ino is monotonic: stays sorted
 	f.byHome[i.home] = i
 	return i
+}
+
+// newPage carves a page-cache entry for page idx of i and caches it.
+func (f *FS) newPage(i *Inode, pg page) *page {
+	e := f.pageSlab.new()
+	*e = pg
+	i.pages[pg.idx] = e
+	return e
+}
+
+// stamp carves the immutable content stamp of pg's current version.
+func (f *FS) stamp(i *Inode, pg *page) *PageData {
+	d := f.stamps.new()
+	*d = PageData{Ino: i.ino, Idx: pg.idx, Ver: pg.ver}
+	return d
 }
 
 func (f *FS) cpu(p *sim.Proc) {

@@ -70,7 +70,7 @@ func (v *View) PageVersion(m InodeMeta, idx int64) (int64, bool) {
 	}
 	lpa := m.Blocks[idx]
 	if d, ok := v.journal.State[lpa]; ok {
-		if pd, ok := d.(PageData); ok {
+		if pd, ok := d.(*PageData); ok {
 			return pd.Ver, true
 		}
 	}
@@ -78,7 +78,7 @@ func (v *View) PageVersion(m InodeMeta, idx int64) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	pd, ok := d.(PageData)
+	pd, ok := d.(*PageData)
 	if !ok {
 		return 0, false
 	}

@@ -88,11 +88,17 @@ func (t Traffic) Generate() []Request {
 	zipf := workload.NewZipf(t.Arrivals.Seed+1, t.KeySpace, t.ZipfTheta)
 	rng := rand.New(rand.NewSource(t.Arrivals.Seed + 2))
 	reqs := make([]Request, len(times))
+	names := make([]string, t.KeySpace) // each key's name, formatted at first draw
 	for i, at := range times {
+		class := t.Mix.Pick(rng) // draw order: class, key, tenant
+		k := zipf.Next()
+		if names[k] == "" {
+			names[k] = fmt.Sprintf("u%07d", k)
+		}
 		reqs[i] = Request{
 			At:     at,
-			Class:  t.Mix.Pick(rng),
-			Key:    fmt.Sprintf("u%07d", zipf.Next()),
+			Class:  class,
+			Key:    names[k],
 			ReqCtx: ReqCtx{Tenant: rng.Intn(t.Tenants)},
 		}
 	}

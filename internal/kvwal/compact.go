@@ -3,7 +3,6 @@ package kvwal
 import (
 	"sort"
 
-	"repro/internal/block"
 	"repro/internal/sim"
 )
 
@@ -69,7 +68,6 @@ func (st *Store) writeSegment(p *sim.Proc, ents []segEnt) *segment {
 	if err != nil {
 		panic("kvwal: " + err.Error())
 	}
-	var inflight []*block.Request
 	for i := range ents {
 		ents[i].page = int64(i)
 		st.fs.Write(p, f, int64(i))
@@ -79,19 +77,15 @@ func (st *Store) writeSegment(p *sim.Proc, ents []segEnt) *segment {
 		// Push pages out in background-sized clumps rather than one giant
 		// dirty set, to keep the writeback stream busy while we fill.
 		if i%16 == 15 {
-			inflight = append(inflight, st.fs.WritebackAsync(p, f)...)
+			st.fs.WritebackAsync(p, f)
 		}
 	}
-	inflight = append(inflight, st.fs.WritebackAsync(p, f)...)
+	st.fs.WritebackAsync(p, f)
 	// filemap_fdatawait: background writeback is marked clean at submission
 	// and carries no ordering promise, so the coming fdatasync cannot see or
 	// cover what is still queued. A background thread can afford the
 	// Wait-on-Transfer the foreground commit path avoids.
-	for _, r := range inflight {
-		if !r.Completed() {
-			r.Wait(p)
-		}
-	}
+	st.fs.Fdatawait(p, f)
 	st.fs.Fdatasync(p, f) // allocation metadata + cache flush: durable
 	if st.cfg.EvictSegments {
 		st.fs.EvictClean(f)

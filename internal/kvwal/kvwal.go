@@ -173,7 +173,8 @@ type kvObs struct {
 
 // batch is one client submission waiting for the group-commit leader.
 type batch struct {
-	ops      []Op
+	ops      []Op  // the batch's own copy of the caller's ops
+	one      [1]Op // ops' storage when the batch holds a single op
 	enqueued sim.Time
 	trace    reqtrace.Ctx // request-trace context (zero when untraced)
 	lastSeq  uint64       // sequence number of the batch's final op, set at commit
@@ -324,7 +325,7 @@ func (st *Store) ApplyT(p *sim.Proc, ops []Op, tc reqtrace.Ctx) uint64 {
 // Batch is an in-flight asynchronous submission (ApplyAsync).
 type Batch struct {
 	st *Store
-	b  *batch
+	batch
 }
 
 // ApplyAsync enqueues a batch for the group-commit leader without waiting.
@@ -339,14 +340,26 @@ func (st *Store) ApplyAsync(now sim.Time, ops []Op) *Batch {
 // ApplyAsyncT is ApplyAsync carrying a request-trace context. The enqueue
 // boundary is stamped here; the group-commit leader stamps the durability
 // window when it drains the batch.
+//
+// The batch copies ops, so the caller may reuse its slice as soon as the
+// call returns. A single op lands in the batch's inline slot, which keeps a
+// caller's one-element literal on its stack; a multi-op batch pays one copy.
 func (st *Store) ApplyAsyncT(now sim.Time, ops []Op, tc reqtrace.Ctx) *Batch {
-	bt := &Batch{st: st, b: &batch{ops: ops, enqueued: now, trace: tc}}
-	if len(ops) == 0 {
-		bt.b.done = true
+	bt := &Batch{st: st}
+	b := &bt.batch
+	b.enqueued, b.trace = now, tc
+	switch len(ops) {
+	case 0:
+		b.done = true
 		return bt
+	case 1:
+		b.one[0] = ops[0]
+		b.ops = b.one[:]
+	default:
+		b.ops = append([]Op(nil), ops...)
 	}
 	tc.Stamp(reqtrace.StageGCEnqueue, now)
-	st.q.Put(bt.b)
+	st.q.Put(b)
 	return bt
 }
 
@@ -354,7 +367,7 @@ func (st *Store) ApplyAsyncT(now sim.Time, ops []Op, tc reqtrace.Ctx) *Batch {
 // number of its last operation (the store's committed sequence for an
 // empty batch).
 func (bt *Batch) Wait(p *sim.Proc) uint64 {
-	b := bt.b
+	b := &bt.batch
 	for !b.done {
 		b.waiter = p
 		p.Suspend()
@@ -367,7 +380,7 @@ func (bt *Batch) Wait(p *sim.Proc) uint64 {
 }
 
 // Done reports whether the batch's group commit finished (non-blocking).
-func (bt *Batch) Done() bool { return bt.b.done }
+func (bt *Batch) Done() bool { return bt.done }
 
 // PutKey submits a single Put.
 func (st *Store) PutKey(p *sim.Proc, key string) uint64 {
@@ -452,14 +465,15 @@ func (st *Store) maxGroupOps() int {
 // committer is the group-commit leader: it drains every waiting batch,
 // appends their WAL records, issues one durability/ordering call for the
 // whole group, applies the mutations to the memtable and releases the
-// clients.
+// clients. One group slice serves every group.
 func (st *Store) committer(p *sim.Proc) {
+	var group []*batch
 	for {
 		b, ok := st.q.Get(p)
 		if !ok {
 			return
 		}
-		group := []*batch{b}
+		group = append(group[:0], b)
 		groupOps := len(b.ops)
 		for groupOps < st.maxGroupOps() {
 			b2, ok := st.q.TryGet()
@@ -530,6 +544,7 @@ func (st *Store) committer(p *sim.Proc) {
 				st.k.Resume(b.waiter)
 			}
 		}
+		clear(group) // the acked batches belong to their waiters now
 		// Periodic durability checkpoint on barrier engines.
 		if st.barrierCommit && st.groupsSince >= st.cfg.CheckpointEvery {
 			st.ForceCheckpoint(p)

@@ -49,6 +49,41 @@ func TestPutGetDelete(t *testing.T) {
 	k.Run()
 }
 
+// TestApplyAsyncCopiesOps: a batch owns a copy of its ops, so the caller may
+// reuse its slice — single-op or multi-op — as soon as ApplyAsync returns.
+func TestApplyAsyncCopiesOps(t *testing.T) {
+	k, s := newStack(t, core.BFSDR(device.PlainSSD()))
+	defer k.Close()
+	k.Spawn("app", func(p *sim.Proc) {
+		st, err := Open(p, s, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		one := []Op{{Kind: Put, Key: "one"}}
+		many := []Op{{Kind: Put, Key: "a"}, {Kind: Put, Key: "b"}}
+		b1 := st.ApplyAsync(p.Now(), one)
+		b2 := st.ApplyAsync(p.Now(), many)
+		one[0] = Op{Kind: Put, Key: "reused-one"}
+		many[0], many[1] = Op{Kind: Delete, Key: "one"}, Op{Kind: Put, Key: "reused-b"}
+		b1.Wait(p)
+		if last := b2.Wait(p); last != 3 {
+			t.Errorf("multi-op batch's last seq %d, want 3", last)
+		}
+		for _, key := range []string{"one", "a", "b"} {
+			if _, ok := st.Get(p, key); !ok {
+				t.Errorf("%s: applied op lost to the caller's reuse of its slice", key)
+			}
+		}
+		for _, key := range []string{"reused-one", "reused-b"} {
+			if _, ok := st.Get(p, key); ok {
+				t.Errorf("%s: the caller's later write to its slice was applied", key)
+			}
+		}
+		k.Stop()
+	})
+	k.Run()
+}
+
 // TestGroupCommitAmortizes checks that concurrent clients' batches merge
 // into shared group commits: with many clients there must be fewer sync
 // calls than batches.
