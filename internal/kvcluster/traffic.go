@@ -106,9 +106,19 @@ func (t Traffic) Generate() []Request {
 }
 
 // Partition splits a request stream across the ring's shards by key. Each
-// slice stays ascending in arrival time.
+// slice stays ascending in arrival time. A first pass counts each shard's
+// share, so every slice is allocated once, at its final size.
 func Partition(reqs []Request, ring *Ring) [][]Request {
-	parts := make([][]Request, ring.Shards())
+	counts := make([]int, ring.Shards())
+	for _, r := range reqs {
+		counts[ring.Shard(r.Key)]++
+	}
+	parts := make([][]Request, len(counts))
+	for s, n := range counts {
+		if n > 0 {
+			parts[s] = make([]Request, 0, n)
+		}
+	}
 	for _, r := range reqs {
 		s := ring.Shard(r.Key)
 		parts[s] = append(parts[s], r)
