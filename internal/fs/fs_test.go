@@ -456,3 +456,26 @@ func TestManyFilesManyCommits(t *testing.T) {
 		t.Errorf("journal space exhausted: %d", e.fs.Journal().FreePages())
 	}
 }
+
+// TestFdatabarrierJBD2ChargesOnce: on a JBD2 mount Fdatabarrier falls back
+// to fdatasync's semantics, but it stays one fdatabarrier call — one
+// SyscallCPU charge, and Stats().Fdatasyncs untouched.
+func TestFdatabarrierJBD2ChargesOnce(t *testing.T) {
+	const syscall = 100 * sim.Millisecond // dwarfs the IO
+	e := newEnvOpts(jbd.ModeJBD2, true, func(o *Options) { o.SyscallCPU = syscall })
+	defer e.close()
+	e.run(func(p *sim.Proc) {
+		f, _ := e.fs.Create(p, e.fs.Root(), "f")
+		e.fs.Write(p, f, 0)
+		before, t0 := e.fs.Stats(), p.Now()
+		e.fs.Fdatabarrier(p, f)
+		d, after := p.Now().Sub(t0), e.fs.Stats()
+		if after.Fdatasyncs != before.Fdatasyncs || after.Fdatabarriers != before.Fdatabarriers+1 {
+			t.Errorf("fdatasyncs %d -> %d, fdatabarriers %d -> %d: want one fdatabarrier only",
+				before.Fdatasyncs, after.Fdatasyncs, before.Fdatabarriers, after.Fdatabarriers)
+		}
+		if d < syscall || d >= 2*syscall {
+			t.Errorf("Fdatabarrier took %v: want one %v syscall charge plus the IO", d, syscall)
+		}
+	})
+}

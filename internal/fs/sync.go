@@ -168,8 +168,8 @@ func (f *FS) FdatabarrierT(p *sim.Proc, i *Inode, tc reqtrace.Ctx) {
 		f.waitAll(p, i, plan)
 		f.j.CommitOrderingT(p, false, tc)
 	default:
-		f.FdatasyncT(p, i, tc)
-		f.stats.Fdatasyncs--
+		// fdatasync's semantics under this call's one syscall charge and span.
+		f.sync(p, i, i.allocDirty && i.MetaPending(), tc)
 	}
 }
 
