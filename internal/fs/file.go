@@ -238,7 +238,8 @@ func (f *FS) dataRequest(i *Inode, pg *page, flags block.Flags, pid int) *block.
 
 // trackInflight records a writeback request about to be submitted on the
 // inode until it completes, so sync calls can wait on it (see
-// waitCrossStream). Its creator, then the block layer, hold it meanwhile.
+// waitCrossStream, Fdatawait). Its creator, then the block layer, hold it
+// meanwhile.
 func (i *Inode) trackInflight(r *block.Request) {
 	i.inflight = append(i.inflight, r)
 	r.OnComplete = i.onDone
