@@ -24,7 +24,7 @@ type Scheduler interface {
 // NOOP is the no-op scheduler: plain FIFO, no reordering. With NOOP (or an
 // NVMe-style direct path) the dispatch order equals the issue order (§2.1).
 type NOOP struct {
-	q fifo[*Request]
+	q sim.FIFO[*Request]
 }
 
 // NewNOOP returns a NOOP scheduler.
@@ -34,18 +34,18 @@ func NewNOOP() *NOOP { return &NOOP{} }
 func (s *NOOP) Name() string { return "noop" }
 
 // Add implements Scheduler.
-func (s *NOOP) Add(r *Request) bool { s.q.push(r); return true }
+func (s *NOOP) Add(r *Request) bool { s.q.Push(r); return true }
 
 // Next implements Scheduler.
 func (s *NOOP) Next() *Request {
-	if s.q.len() == 0 {
+	if s.q.Len() == 0 {
 		return nil
 	}
-	return s.q.pop()
+	return s.q.Pop()
 }
 
 // Pending implements Scheduler.
-func (s *NOOP) Pending() int { return s.q.len() }
+func (s *NOOP) Pending() int { return s.q.Len() }
 
 // Accepting implements Scheduler.
 func (s *NOOP) Accepting() bool { return true }
@@ -53,8 +53,8 @@ func (s *NOOP) Accepting() bool { return true }
 // Deadline approximates the kernel's deadline scheduler: reads are served
 // before writes unless a write has waited past its deadline.
 type Deadline struct {
-	reads    fifo[*Request]
-	writes   fifo[*Request]
+	reads    sim.FIFO[*Request]
+	writes   sim.FIFO[*Request]
 	now      func() sim.Time
 	deadline sim.Duration
 }
@@ -74,29 +74,29 @@ func (s *Deadline) Name() string { return "deadline" }
 // Add implements Scheduler.
 func (s *Deadline) Add(r *Request) bool {
 	if r.Op == OpRead {
-		s.reads.push(r)
+		s.reads.Push(r)
 	} else {
-		s.writes.push(r)
+		s.writes.Push(r)
 	}
 	return true
 }
 
 // Next implements Scheduler.
 func (s *Deadline) Next() *Request {
-	if s.writes.len() > 0 && sim.Duration(s.now()-s.writes.peek().issued) > s.deadline {
-		return s.writes.pop()
+	if s.writes.Len() > 0 && sim.Duration(s.now()-s.writes.Peek().issued) > s.deadline {
+		return s.writes.Pop()
 	}
-	if s.reads.len() > 0 {
-		return s.reads.pop()
+	if s.reads.Len() > 0 {
+		return s.reads.Pop()
 	}
-	if s.writes.len() > 0 {
-		return s.writes.pop()
+	if s.writes.Len() > 0 {
+		return s.writes.Pop()
 	}
 	return nil
 }
 
 // Pending implements Scheduler.
-func (s *Deadline) Pending() int { return s.reads.len() + s.writes.len() }
+func (s *Deadline) Pending() int { return s.reads.Len() + s.writes.Len() }
 
 // Accepting implements Scheduler.
 func (s *Deadline) Accepting() bool { return true }
@@ -106,14 +106,14 @@ func (s *Deadline) Accepting() bool { return true }
 // builds the epoch scheduler on ("currently, the Epoch based IO scheduler is
 // implemented on top of existing CFQ scheduler", §3.3).
 type CFQ struct {
-	queues  map[int]*fifo[*Request]
+	queues  map[int]*sim.FIFO[*Request]
 	order   []int // round-robin order of PIDs with queued requests
 	nextIdx int
 	n       int
 }
 
 // NewCFQ returns a CFQ scheduler.
-func NewCFQ() *CFQ { return &CFQ{queues: make(map[int]*fifo[*Request])} }
+func NewCFQ() *CFQ { return &CFQ{queues: make(map[int]*sim.FIFO[*Request])} }
 
 // Name implements Scheduler.
 func (s *CFQ) Name() string { return "cfq" }
@@ -122,13 +122,13 @@ func (s *CFQ) Name() string { return "cfq" }
 func (s *CFQ) Add(r *Request) bool {
 	q, ok := s.queues[r.PID]
 	if !ok {
-		q = &fifo[*Request]{}
+		q = &sim.FIFO[*Request]{}
 		s.queues[r.PID] = q
 	}
-	if q.len() == 0 {
+	if q.Len() == 0 {
 		s.order = append(s.order, r.PID)
 	}
-	q.push(r)
+	q.Push(r)
 	s.n++
 	return true
 }
@@ -141,13 +141,13 @@ func (s *CFQ) Next() *Request {
 		}
 		pid := s.order[s.nextIdx]
 		q := s.queues[pid]
-		if q.len() == 0 {
+		if q.Len() == 0 {
 			s.order = append(s.order[:s.nextIdx], s.order[s.nextIdx+1:]...)
 			continue
 		}
-		r := q.pop()
+		r := q.Pop()
 		s.n--
-		if q.len() == 0 {
+		if q.Len() == 0 {
 			s.order = append(s.order[:s.nextIdx], s.order[s.nextIdx+1:]...)
 		} else {
 			s.nextIdx++

@@ -56,7 +56,7 @@ type Device struct {
 	readMap                map[uint64]any
 	epochs                 map[uint64]uint64 // per-stream write epoch (barrier count)
 
-	dmaBus *sim.Semaphore
+	dmaBus *sim.Mutex
 
 	pickCond  *sim.Cond // workers: a command may have become eligible
 	spaceCond *sim.Cond // host: a queue slot may have freed
@@ -137,7 +137,7 @@ func newDevice(k *sim.Kernel, cfg Config, arr *nand.Array) *Device {
 		order0:    newStreamOrder(),
 		readMap:   make(map[uint64]any),
 		epochs:    make(map[uint64]uint64),
-		dmaBus:    sim.NewSemaphore(k, 1),
+		dmaBus:    sim.NewMutex(k),
 		pickCond:  sim.NewCond(k),
 		spaceCond: sim.NewCond(k),
 		wbCond:    sim.NewCond(k),
@@ -339,9 +339,9 @@ func (d *Device) doWrite(p *sim.Proc, c *Command) {
 		p.Advance(d.cfg.BarrierCmdCost)
 	}
 	// DMA the page from host memory into the cache.
-	d.dmaBus.Acquire(p, 1)
+	d.dmaBus.Lock(p)
 	p.Advance(d.cfg.DMAPerPage)
-	d.dmaBus.Release(1)
+	d.dmaBus.Unlock()
 	if d.dead {
 		return
 	}
@@ -379,9 +379,9 @@ func (d *Device) doRead(p *sim.Proc, c *Command) {
 			return
 		}
 	}
-	d.dmaBus.Acquire(p, 1)
+	d.dmaBus.Lock(p)
 	p.Advance(d.cfg.DMAPerPage)
-	d.dmaBus.Release(1)
+	d.dmaBus.Unlock()
 	c.Data = data
 	d.stats.Reads++
 }

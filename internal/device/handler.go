@@ -172,7 +172,7 @@ func (d *Device) workerStep(h *sim.Proc, w *workerSM) {
 				return
 			}
 		case wWriteDMA:
-			if !d.dmaBus.AcquireOrPark(h, 1) {
+			if !d.dmaBus.LockOrPark(h) {
 				return
 			}
 			w.phase = wWriteXfer
@@ -181,7 +181,7 @@ func (d *Device) workerStep(h *sim.Proc, w *workerSM) {
 				return
 			}
 		case wWriteXfer:
-			d.dmaBus.Release(1)
+			d.dmaBus.Unlock()
 			if d.dead {
 				w.abort()
 				continue
@@ -234,7 +234,7 @@ func (d *Device) workerStep(h *sim.Proc, w *workerSM) {
 			}
 			w.phase = wReadDMA
 		case wReadDMA:
-			if !d.dmaBus.AcquireOrPark(h, 1) {
+			if !d.dmaBus.LockOrPark(h) {
 				return
 			}
 			w.phase = wReadXfer
@@ -243,7 +243,7 @@ func (d *Device) workerStep(h *sim.Proc, w *workerSM) {
 				return
 			}
 		case wReadXfer:
-			d.dmaBus.Release(1)
+			d.dmaBus.Unlock()
 			w.c.Data = w.rdata
 			w.rdata = nil
 			d.stats.Reads++

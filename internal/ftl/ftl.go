@@ -72,7 +72,7 @@ type FTL struct {
 
 	mapping map[uint64]slotRef
 	segs    []*segment
-	free    []int
+	free    sim.FIFO[int]
 	active  *segment
 
 	appendSeq  uint64 // per-page log sequence number
@@ -104,7 +104,7 @@ func New(k *sim.Kernel, arr *nand.Array, cfg Config) *FTL {
 	}
 	for s := 0; s < f.geo.BlocksPerChip; s++ {
 		f.segs = append(f.segs, &segment{id: s})
-		f.free = append(f.free, s)
+		f.free.Push(s)
 	}
 	f.durableCond = sim.NewCond(k)
 	f.spaceCond = sim.NewCond(k)
@@ -117,7 +117,7 @@ func New(k *sim.Kernel, arr *nand.Array, cfg Config) *FTL {
 func (f *FTL) SegmentSlots() int { return f.caps }
 
 // FreeSegments returns the number of free (erased) segments.
-func (f *FTL) FreeSegments() int { return len(f.free) }
+func (f *FTL) FreeSegments() int { return f.free.Len() }
 
 // Stats returns cumulative statistics.
 func (f *FTL) Stats() Stats { return f.stats }
@@ -181,7 +181,7 @@ func (f *FTL) ensureActive(p *sim.Proc) {
 			f.durableCond.Wait(p)
 		}
 	}
-	for len(f.free) == 0 {
+	for f.free.Len() == 0 {
 		f.stats.Stalls++
 		f.maybeTriggerGC()
 		f.spaceCond.Wait(p)
@@ -193,8 +193,7 @@ func (f *FTL) ensureActive(p *sim.Proc) {
 // programs its summary page. The caller must have ensured the free list is
 // non-empty.
 func (f *FTL) openSegment() {
-	id := f.free[0]
-	f.free = f.free[1:]
+	id := f.free.Pop()
 	f.allocSeq++
 	seg := f.segs[id]
 	*seg = segment{
@@ -338,7 +337,7 @@ func (f *FTL) read(p *sim.Proc, lpa uint64, internal bool) (data any, ok bool, e
 // --- garbage collection ---
 
 func (f *FTL) maybeTriggerGC() {
-	if len(f.free) <= f.cfg.GCLowWater && !f.gcBusy {
+	if f.free.Len() <= f.cfg.GCLowWater && !f.gcBusy {
 		f.gcCond.Broadcast()
 	}
 }
@@ -349,7 +348,7 @@ func (f *FTL) maybeTriggerGC() {
 // save and a second copy to keep statement-identical.
 func (f *FTL) gcLoop(p *sim.Proc) {
 	for {
-		for len(f.free) > f.cfg.GCLowWater {
+		for f.free.Len() > f.cfg.GCLowWater {
 			f.gcCond.Wait(p)
 		}
 		victim := f.pickVictim()
@@ -453,7 +452,7 @@ func (f *FTL) eraseSegment(p *sim.Proc, seg *segment) {
 		done.Wait(p)
 	}
 	*seg = segment{id: seg.id}
-	f.free = append(f.free, seg.id)
+	f.free.Push(seg.id)
 	f.stats.SegsErased++
 }
 

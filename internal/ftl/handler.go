@@ -48,7 +48,7 @@ func (f *FTL) ensureStep(h *sim.Proc, s *ensureSM) bool {
 			}
 			*s = esSpace
 		case esSpace:
-			if len(f.free) == 0 {
+			if f.free.Len() == 0 {
 				f.stats.Stalls++
 				f.maybeTriggerGC()
 				f.spaceCond.Park(h)

@@ -48,7 +48,7 @@ func Mount(p *sim.Proc, arr *nand.Array, cfg Config) *FTL {
 		case f.segmentHasAnyPage(s):
 			garbage = append(garbage, s) // data without a summary: crashed before the summary landed
 		default:
-			f.free = append(f.free, s)
+			f.free.Push(s)
 		}
 	}
 	f.sortedByAlloc(withSummary, alloc)

@@ -112,10 +112,7 @@ func releaseDone(_ sim.Time, r *block.Request) { r.Release() }
 
 func (j *Journal) jbd2Thread(p *sim.Proc) {
 	for {
-		t, ok := j.commitQ.Get(p)
-		if !ok {
-			return
-		}
+		t := j.commitQ.Get(p)
 		j.k.SpanBegin("jbd", "commit", t.id)
 		j.wake(p)
 		// Ordered mode: D must be fully transferred before JD is issued.
@@ -169,10 +166,7 @@ func (j *Journal) jbd2Thread(p *sim.Proc) {
 // concurrently. {D, JD} form one epoch; {JC} forms the next (Eq. 3).
 func (j *Journal) dualCommitThread(p *sim.Proc) {
 	for {
-		t, ok := j.commitQ.Get(p)
-		if !ok {
-			return
-		}
+		t := j.commitQ.Get(p)
 		j.k.SpanBegin("jbd", "commit", t.id)
 		j.wake(p)
 		// The running transaction may not commit while the conflict-page
@@ -238,10 +232,7 @@ func (j *Journal) dualCommitThread(p *sim.Proc) {
 // without a flush.
 func (j *Journal) dualFlushThread(p *sim.Proc) {
 	for {
-		t, ok := j.flushQ.Get(p)
-		if !ok {
-			return
-		}
+		t := j.flushQ.Get(p)
 		j.wake(p)
 		if t.state >= StateDurable {
 			continue
@@ -274,10 +265,7 @@ func (j *Journal) dualFlushThread(p *sim.Proc) {
 
 func (j *Journal) optfsCommitThread(p *sim.Proc) {
 	for {
-		t, ok := j.commitQ.Get(p)
-		if !ok {
-			return
-		}
+		t := j.commitQ.Get(p)
 		j.k.SpanBegin("jbd", "commit", t.id)
 		j.wake(p)
 		for _, d := range t.dataDeps {

@@ -133,10 +133,7 @@ func (run *runner) spawn(k *sim.Kernel, reg *metrics.Registry,
 	for w := 0; w < run.cap; w++ {
 		k.SpawnIdx("kvc/worker", max(run.idx, 0)*run.cap+w, func(p *sim.Proc) {
 			for {
-				r, ok := q.Get(p)
-				if !ok {
-					return
-				}
+				r := q.Get(p)
 				err := serve(p, r)
 				lat := sim.Duration(p.Now() - r.At)
 				run.smp.Finish(r.Trace, p.Now())

@@ -103,7 +103,7 @@ func (st *Store) writeSegment(p *sim.Proc, ents []segEnt) *segment {
 // interleave, one stamping the other's page version and losing its state
 // — and with it the durable-manifest invariant WAL slot recycling rests on.
 func (st *Store) writeManifest(p *sim.Proc, checkpoint uint64) {
-	st.manifestSem.Acquire(p, 1)
+	st.manifestMu.Lock(p)
 	if st.checkpointSeq > checkpoint {
 		// The caller's checkpoint was captured before the lock wait; never
 		// republish an older one (WAL slots may already be recycled past it).
@@ -117,7 +117,7 @@ func (st *Store) writeManifest(p *sim.Proc, checkpoint uint64) {
 	ver, _ := st.fs.PageVer(st.manifest, 0)
 	st.manifestHist[ver] = manifestState{checkpoint: checkpoint, segIDs: ids}
 	st.fs.Fdatasync(p, st.manifest)
-	st.manifestSem.Release(1)
+	st.manifestMu.Unlock()
 }
 
 // compactor merges all live segments into one when the flusher signals

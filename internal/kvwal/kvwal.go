@@ -196,7 +196,7 @@ type Store struct {
 	spaceCond   *sim.Cond // leader waits here for WAL ring space
 	flushCond   *sim.Cond
 	compactCond *sim.Cond
-	manifestSem *sim.Semaphore // serializes manifest publication
+	manifestMu  *sim.Mutex // serializes manifest publication
 
 	mem  map[string]memEnt
 	imm  map[string]memEnt // frozen memtable being flushed (nil when idle)
@@ -250,7 +250,7 @@ func OpenFS(p *sim.Proc, fsys *fs.FS, barrier bool, cfg Config) (*Store, error) 
 		spaceCond:     sim.NewCond(p.Kernel()),
 		flushCond:     sim.NewCond(p.Kernel()),
 		compactCond:   sim.NewCond(p.Kernel()),
-		manifestSem:   sim.NewSemaphore(p.Kernel(), 1),
+		manifestMu:    sim.NewMutex(p.Kernel()),
 		mem:           make(map[string]memEnt),
 		segByID:       make(map[int]*segment),
 		manifestHist:  make(map[int64]manifestState),
@@ -469,10 +469,7 @@ func (st *Store) maxGroupOps() int {
 func (st *Store) committer(p *sim.Proc) {
 	var group []*batch
 	for {
-		b, ok := st.q.Get(p)
-		if !ok {
-			return
-		}
+		b := st.q.Get(p)
 		group = append(group[:0], b)
 		groupOps := len(b.ops)
 		for groupOps < st.maxGroupOps() {

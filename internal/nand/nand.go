@@ -156,7 +156,7 @@ type Array struct {
 	k      *sim.Kernel
 	geo    Geometry
 	timing Timing
-	buses  []*sim.Semaphore
+	buses  []*sim.Mutex
 	chips  []*chip
 	gen    uint64 // incremented on every power failure
 	failed bool
@@ -195,9 +195,9 @@ func New(k *sim.Kernel, geo Geometry, timing Timing) *Array {
 	a := &Array{k: k, geo: geo, timing: timing, ProgramScale: 1.0}
 	a.meta = make([]PageMeta, geo.TotalPages())
 	a.data = make([]any, geo.TotalPages())
-	a.buses = make([]*sim.Semaphore, geo.Channels)
+	a.buses = make([]*sim.Mutex, geo.Channels)
 	for i := range a.buses {
-		a.buses[i] = sim.NewSemaphore(k, 1)
+		a.buses[i] = sim.NewMutex(k)
 	}
 	for id := 0; id < geo.Chips(); id++ {
 		c := &chip{id: id, ch: id % geo.Channels, q: sim.NewQueue[*Request](k)}
@@ -264,10 +264,7 @@ func (a *Array) Submit(r *Request) {
 // their dispatch sequences byte-identical.
 func (a *Array) serve(p *sim.Proc, c *chip) {
 	for {
-		r, ok := c.q.Get(p)
-		if !ok {
-			return
-		}
+		r := c.q.Get(p)
 		if r.gen != a.gen || a.failed {
 			a.stats.LostJobs++
 			continue
@@ -326,9 +323,9 @@ func (a *Array) doProgram(p *sim.Proc, c *chip, r *Request) {
 		return
 	}
 	bus := a.buses[c.ch]
-	bus.Acquire(p, 1)
+	bus.Lock(p)
 	p.Advance(a.timing.BusXfer)
-	bus.Release(1)
+	bus.Unlock()
 	p.Advance(a.programLatency(p.Now()))
 	if r.gen != a.gen || a.failed {
 		// Power failed mid-program: the page is lost, not half-written in
@@ -350,9 +347,9 @@ func (a *Array) doRead(p *sim.Proc, c *chip, r *Request) {
 	r.Err = ferr
 	p.Advance(d)
 	bus := a.buses[c.ch]
-	bus.Acquire(p, 1)
+	bus.Lock(p)
 	p.Advance(a.timing.BusXfer)
-	bus.Release(1)
+	bus.Unlock()
 	if r.gen != a.gen || a.failed {
 		a.stats.LostJobs++
 		return
@@ -385,18 +382,14 @@ func (a *Array) doErase(p *sim.Proc, c *chip, r *Request) {
 // chipStep is the run-to-completion chip service handler: one blocking
 // point of serve per phase, everything in between executed inline on the
 // dispatching goroutine. It mirrors serve/doProgram/doRead/doErase
-// statement for statement — same queue waits, same bus semaphore
+// statement for statement — same queue waits, same bus mutex
 // iterations, same timing advances, same generation checks — so its
 // dispatch trace is byte-identical to the goroutine loop's.
 func (a *Array) chipStep(h *sim.Proc, c *chip) {
 	for {
 		switch c.phase {
 		case chipIdle:
-			r, got, closed := c.q.GetOrPark(h)
-			if closed {
-				h.Complete()
-				return
-			}
+			r, got := c.q.GetOrPark(h)
 			if !got {
 				return // parked on the queue
 			}
@@ -436,7 +429,7 @@ func (a *Array) chipStep(h *sim.Proc, c *chip) {
 			}
 
 		case chipPgmBus:
-			if !a.buses[c.ch].AcquireOrPark(h, 1) {
+			if !a.buses[c.ch].LockOrPark(h) {
 				return // parked on the bus
 			}
 			c.phase = chipPgmXfer
@@ -445,7 +438,7 @@ func (a *Array) chipStep(h *sim.Proc, c *chip) {
 				return
 			}
 		case chipPgmXfer:
-			a.buses[c.ch].Release(1)
+			a.buses[c.ch].Unlock()
 			c.phase = chipPgmCell
 			if d := a.programLatency(h.Now()); d > 0 {
 				h.WakeIn(d)
@@ -471,7 +464,7 @@ func (a *Array) chipStep(h *sim.Proc, c *chip) {
 		case chipReadCell:
 			c.phase = chipReadBus
 		case chipReadBus:
-			if !a.buses[c.ch].AcquireOrPark(h, 1) {
+			if !a.buses[c.ch].LockOrPark(h) {
 				return
 			}
 			c.phase = chipReadXfer
@@ -480,7 +473,7 @@ func (a *Array) chipStep(h *sim.Proc, c *chip) {
 				return
 			}
 		case chipReadXfer:
-			a.buses[c.ch].Release(1)
+			a.buses[c.ch].Unlock()
 			r := c.cur
 			c.cur = nil
 			c.phase = chipIdle

@@ -11,7 +11,7 @@ package sim
 //	p.Suspend()                h.Park() or bare return
 //	cond.Wait(p)               cond.Park(h)               (one Mesa iteration)
 //	queue.Get(p)               queue.GetOrPark(h)         (one Mesa iteration)
-//	sem.Acquire(p, n)          sem.AcquireOrPark(h, n)    (one Mesa iteration)
+//	mu.Lock(p)                 mu.LockOrPark(h)           (one Mesa iteration)
 //	return (proc body ends)    h.Complete()
 //
 // Because each blocking call maps to one continuation with identical
@@ -54,9 +54,10 @@ func (p *Proc) WakeIn(d Duration) {
 }
 
 // Park leaves the handler suspended awaiting an external Resume — the
-// handler analogue of Suspend. Waitlist primitives (Cond.Park, GetOrPark,
-// AcquireOrPark) call it internally; call it directly when the wake-up
-// comes from a completion callback that will Resume this proc.
+// handler analogue of Suspend. The waitlist primitives (Cond.Park,
+// Queue.GetOrPark, Mutex.LockOrPark) call it internally; call it directly
+// when the wake-up comes from a completion callback that will Resume this
+// proc.
 func (p *Proc) Park() {
 	p.mustArm()
 	p.state = stateSuspended

@@ -74,45 +74,44 @@ func TestCondBroadcastMixed(t *testing.T) {
 	}
 }
 
-// TestSemaphoreMixedWaiters drives a single-slot semaphore contended by a
-// handler and a goroutine proc: FIFO release order must hold across kinds,
-// and a handler's AcquireOrPark must re-contend exactly like a woken
-// Acquire loop.
-func TestSemaphoreMixedWaiters(t *testing.T) {
+// TestMutexMixedWaiters drives a mutex contended by a handler and a
+// goroutine proc: FIFO wake order must hold across kinds, and a handler's
+// LockOrPark must re-contend exactly like a woken Lock loop.
+func TestMutexMixedWaiters(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
-	sem := NewSemaphore(k, 1)
+	mu := NewMutex(k)
 	var order []string
 
 	k.Spawn("holder", func(p *Proc) {
-		sem.Acquire(p, 1)
+		mu.Lock(p)
 		p.Sleep(2 * Millisecond)
-		sem.Release(1)
+		mu.Unlock()
 	})
 	// After holder has the slot, queue a handler then a goroutine waiter.
 	k.Spawn("setup", func(p *Proc) {
 		p.Sleep(Millisecond)
 		k.SpawnHandler("hand", func(h *Proc) {
-			if !sem.AcquireOrPark(h, 1) {
+			if !mu.LockOrPark(h) {
 				return
 			}
 			order = append(order, "hand")
-			sem.Release(1)
+			mu.Unlock()
 			h.Complete()
 		})
 		k.Spawn("gor", func(p2 *Proc) {
 			p2.Sleep(Microsecond) // arrive after the handler
-			sem.Acquire(p2, 1)
+			mu.Lock(p2)
 			order = append(order, "gor")
-			sem.Release(1)
+			mu.Unlock()
 		})
 	})
 	k.Run()
 	if got := strings.Join(order, ","); got != "hand,gor" {
-		t.Fatalf("acquisition order = %q, want hand,gor", got)
+		t.Fatalf("lock order = %q, want hand,gor", got)
 	}
-	if sem.Avail() != 1 {
-		t.Fatalf("avail = %d, want 1", sem.Avail())
+	if mu.held {
+		t.Fatal("mutex still held after every holder unlocked")
 	}
 }
 
@@ -120,44 +119,39 @@ func TestSemaphoreMixedWaiters(t *testing.T) {
 // goroutine proc; every item must be delivered exactly once and the parked
 // consumer of either kind must be woken by Put.
 func TestQueueMixedConsumers(t *testing.T) {
+	const items = 100
 	k := NewKernel()
 	defer k.Close()
 	q := NewQueue[int](k)
 	got := make(map[int]int)
+	delivered := 0
 	k.SpawnHandler("hand", func(h *Proc) {
-		for {
-			x, ok, closed := q.GetOrPark(h)
-			if closed {
-				h.Complete()
-				return
-			}
+		for delivered < items {
+			x, ok := q.GetOrPark(h)
 			if !ok {
 				return // parked
 			}
 			got[x]++
+			delivered++
 		}
+		h.Complete()
 	})
 	k.Spawn("gor", func(p *Proc) {
-		for {
-			x, ok := q.Get(p)
-			if !ok {
-				return
-			}
-			got[x]++
+		for delivered < items {
+			got[q.Get(p)]++
+			delivered++
 		}
 	})
 	k.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 100; i++ {
+		for i := 0; i < items; i++ {
 			q.Put(i)
 			if i%3 == 0 {
 				p.Sleep(Microsecond)
 			}
 		}
-		p.Sleep(Millisecond)
-		q.Close()
 	})
 	k.Run()
-	if len(got) != 100 {
+	if len(got) != items {
 		t.Fatalf("delivered %d distinct items, want 100", len(got))
 	}
 	for i, n := range got {
@@ -232,15 +226,15 @@ func TestCloseRetiresParkedHandlers(t *testing.T) {
 	k := NewKernel()
 	cond := NewCond(k)
 	q := NewQueue[int](k)
-	sem := NewSemaphore(k, 1)
+	mu := NewMutex(k)
 	k.SpawnHandler("parked", func(h *Proc) { cond.Park(h) })
 	k.SpawnHandler("queued", func(h *Proc) { q.GetOrPark(h) })
-	k.SpawnHandler("sem", func(h *Proc) {
-		if sem.AcquireOrPark(h, 1) {
+	k.SpawnHandler("mutex", func(h *Proc) {
+		if mu.LockOrPark(h) {
 			h.WakeIn(Second)
 		}
 	})
-	k.SpawnHandler("semwait", func(h *Proc) { sem.AcquireOrPark(h, 1) })
+	k.SpawnHandler("mutexwait", func(h *Proc) { mu.LockOrPark(h) })
 	k.SpawnHandler("sleeper", func(h *Proc) { h.WakeIn(Second) })
 	k.Spawn("gor", func(p *Proc) { cond.Wait(p) })
 	k.RunUntil(Time(10 * Millisecond))
@@ -291,11 +285,13 @@ func TestHandlerTraceParity(t *testing.T) {
 	run := func(k *Kernel) *Trace {
 		defer k.Close()
 		tr := k.StartTrace(false)
+		const items = 50
 		q := NewQueue[int](k)
-		sem := NewSemaphore(k, 2)
+		mu := NewMutex(k)
 		cond := NewCond(k)
-		done := 0
-		// Consumer: take an item, hold a slot for 3µs, signal.
+		done, taken := 0, 0
+		// Consumer: take an item, hold the mutex for 3µs, signal. Consumers
+		// stop once every item is taken; the rest stay parked in Get.
 		if k.CallbackMode() {
 			type sm struct{ phase, item int }
 			for c := 0; c < 3; c++ {
@@ -304,25 +300,26 @@ func TestHandlerTraceParity(t *testing.T) {
 					for {
 						switch s.phase {
 						case 0:
-							x, ok, closed := q.GetOrPark(h)
-							if closed {
+							if taken == items {
 								h.Complete()
 								return
 							}
+							x, ok := q.GetOrPark(h)
 							if !ok {
 								return
 							}
+							taken++
 							s.item = x
 							s.phase = 1
 						case 1:
-							if !sem.AcquireOrPark(h, 1) {
+							if !mu.LockOrPark(h) {
 								return
 							}
 							s.phase = 2
 							h.WakeIn(3 * Microsecond)
 							return
 						case 2:
-							sem.Release(1)
+							mu.Unlock()
 							done += s.item
 							cond.Signal()
 							s.phase = 0
@@ -333,14 +330,12 @@ func TestHandlerTraceParity(t *testing.T) {
 		} else {
 			for c := 0; c < 3; c++ {
 				k.SpawnIdx("consumer", c, func(p *Proc) {
-					for {
-						x, ok := q.Get(p)
-						if !ok {
-							return
-						}
-						sem.Acquire(p, 1)
+					for taken < items {
+						x := q.Get(p)
+						taken++
+						mu.Lock(p)
 						p.Advance(3 * Microsecond)
-						sem.Release(1)
+						mu.Unlock()
 						done += x
 						cond.Signal()
 					}
@@ -348,17 +343,16 @@ func TestHandlerTraceParity(t *testing.T) {
 			}
 		}
 		k.Spawn("producer", func(p *Proc) {
-			for i := 1; i <= 50; i++ {
+			for i := 1; i <= items; i++ {
 				q.Put(i)
 				if i%5 == 0 {
 					p.Sleep(Microsecond)
 				}
 			}
-			q.Close()
 		})
 		k.Run()
-		if done != 50*51/2 {
-			t.Fatalf("done = %d, want %d", done, 50*51/2)
+		if done != items*(items+1)/2 {
+			t.Fatalf("done = %d, want %d", done, items*(items+1)/2)
 		}
 		return tr
 	}

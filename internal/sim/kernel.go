@@ -153,12 +153,12 @@ func (k *Kernel) spawn(prefix string, idx int, fn func(p *Proc)) *Proc {
 // events fires — no coroutine switch.
 //
 // A handler must never call the blocking APIs (Sleep, Advance, Suspend,
-// Cond.Wait, Queue.Get, Semaphore.Acquire, Join); instead it arms exactly
-// one continuation before returning: WakeIn (timer), Park (await an
-// external Resume), Cond.Park / Queue.GetOrPark / Semaphore.AcquireOrPark
-// (waitlists, one Mesa iteration each), or Complete (terminate). Returning
-// without arming is equivalent to Park. Like Spawn, the handler's first
-// activation is scheduled at the current virtual time.
+// Cond.Wait, Queue.Get, Mutex.Lock, Join); instead it arms exactly one
+// continuation before returning: WakeIn (timer), Park (await an external
+// Resume), Cond.Park / Queue.GetOrPark / Mutex.LockOrPark (one Mesa
+// iteration each on the primitive's waitlist), or Complete (terminate).
+// Returning without arming is equivalent to Park. Like Spawn, the handler's
+// first activation is scheduled at the current virtual time.
 func (k *Kernel) SpawnHandler(name string, step func(h *Proc)) *Proc {
 	return k.spawnHandler(name, -1, step)
 }

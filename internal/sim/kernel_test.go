@@ -188,9 +188,7 @@ func TestCloseReapsDaemons(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		k.Spawn("daemon", func(p *Proc) {
 			for {
-				if _, ok := q.Get(p); !ok {
-					return
-				}
+				q.Get(p)
 			}
 		})
 	}
@@ -239,7 +237,7 @@ func TestDeterminism(t *testing.T) {
 		}
 		k.Spawn("consumer", func(p *Proc) {
 			for n := 0; n < 15; n++ {
-				v, _ := q.Get(p)
+				v := q.Get(p)
 				log = append(log, fmt.Sprintf("%d@%d", v, p.Now()))
 			}
 		})

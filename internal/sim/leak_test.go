@@ -12,7 +12,7 @@ import (
 // TestCloseReapsEveryGoroutine is the goroutine-leak regression test: it
 // parks processes in every reachable state — pending (spawned, never
 // dispatched), scheduled (sleeping), suspended (queue waiters, cond
-// waiters, semaphore waiters, joiners), dead (finished) — then closes the
+// waiters, mutex waiters, joiners), dead (finished) — then closes the
 // kernel and asserts, by the runtime's own count rather than the kernel's,
 // that no goroutine outlives it and that every parked body was unwound.
 func TestCloseReapsEveryGoroutine(t *testing.T) {
@@ -20,7 +20,7 @@ func TestCloseReapsEveryGoroutine(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue[int](k)
 	cond := NewCond(k)
-	sem := NewSemaphore(k, 1)
+	mu := NewMutex(k)
 
 	unwound := 0
 	parked := func(name string, fn func(p *Proc)) *Proc {
@@ -40,8 +40,8 @@ func TestCloseReapsEveryGoroutine(t *testing.T) {
 	// Suspended on every primitive.
 	parked("q-waiter", func(p *Proc) { q.Get(p) })
 	parked("cond-waiter", func(p *Proc) { cond.Wait(p) })
-	parked("sem-holder", func(p *Proc) { sem.Acquire(p, 1); p.Sleep(Second) })
-	parked("sem-waiter", func(p *Proc) { sem.Acquire(p, 1) })
+	parked("mutex-holder", func(p *Proc) { mu.Lock(p); p.Sleep(Second) })
+	parked("mutex-waiter", func(p *Proc) { mu.Lock(p) })
 	joinee := parked("joinee", func(p *Proc) { p.Suspend() })
 	parked("joiner", func(p *Proc) { p.Join(joinee) })
 

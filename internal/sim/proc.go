@@ -97,7 +97,7 @@ func (p *Proc) Dead() bool { return p.state == stateDead }
 func (p *Proc) Wakeups() int64 { return p.wakeups }
 
 // VoluntarySwitches returns the number of times the process has voluntarily
-// blocked (Sleep, Suspend, queue/cond/semaphore waits). Advance does not
+// blocked (Sleep, Suspend, queue/cond/mutex waits). Advance does not
 // count: it models computation, not blocking.
 func (p *Proc) VoluntarySwitches() int64 { return p.volSwitch }
 
@@ -163,7 +163,7 @@ func (p *Proc) Sleep(d Duration) {
 
 // Advance moves the process d of virtual time forward, modelling on-CPU
 // computation. Other processes may run in the meantime (the simulated CPU
-// is not a contended resource unless wrapped in a Semaphore), but the wait
+// is not a contended resource unless wrapped in a Mutex), but the wait
 // is not counted as a context switch.
 func (p *Proc) Advance(d Duration) {
 	if d <= 0 {

@@ -18,12 +18,7 @@ func TestQueueFIFO(t *testing.T) {
 	})
 	k.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			v, ok := q.Get(p)
-			if !ok {
-				t.Error("queue closed unexpectedly")
-				return
-			}
-			got = append(got, v)
+			got = append(got, q.Get(p))
 		}
 	})
 	k.Run()
@@ -40,8 +35,7 @@ func TestQueueBlocksWhenEmpty(t *testing.T) {
 	q := NewQueue[string](k)
 	var gotAt Time
 	k.Spawn("consumer", func(p *Proc) {
-		v, _ := q.Get(p)
-		if v != "hello" {
+		if v := q.Get(p); v != "hello" {
 			t.Errorf("got %q", v)
 		}
 		gotAt = p.Now()
@@ -56,37 +50,6 @@ func TestQueueBlocksWhenEmpty(t *testing.T) {
 	}
 }
 
-func TestQueueClose(t *testing.T) {
-	k := NewKernel()
-	defer k.Close()
-	q := NewQueue[int](k)
-	drained := make([]int, 0)
-	closedSeen := false
-	k.Spawn("consumer", func(p *Proc) {
-		for {
-			v, ok := q.Get(p)
-			if !ok {
-				closedSeen = true
-				return
-			}
-			drained = append(drained, v)
-		}
-	})
-	k.Spawn("producer", func(p *Proc) {
-		q.Put(1)
-		q.Put(2)
-		p.Sleep(Microsecond)
-		q.Close()
-	})
-	k.Run()
-	if !closedSeen {
-		t.Error("consumer did not observe close")
-	}
-	if len(drained) != 2 {
-		t.Errorf("drained %v, want [1 2]", drained)
-	}
-}
-
 func TestQueueMultipleConsumersNoLostItems(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
@@ -95,10 +58,8 @@ func TestQueueMultipleConsumersNoLostItems(t *testing.T) {
 	var count int
 	for c := 0; c < 4; c++ {
 		k.Spawn("consumer", func(p *Proc) {
-			for {
-				if _, ok := q.Get(p); !ok {
-					return
-				}
+			for count < items {
+				q.Get(p)
 				count++
 				p.Sleep(3 * Microsecond)
 			}
@@ -111,8 +72,6 @@ func TestQueueMultipleConsumersNoLostItems(t *testing.T) {
 				p.Sleep(Microsecond)
 			}
 		}
-		p.Sleep(Millisecond)
-		q.Close()
 	})
 	k.Run()
 	if count != items {
@@ -146,64 +105,43 @@ func TestCondSignalBroadcast(t *testing.T) {
 	}
 }
 
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
+func TestMutexLimitsConcurrency(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
-	sem := NewSemaphore(k, 2)
-	inside, maxInside := 0, 0
+	mu := NewMutex(k)
+	inside, maxInside, served := 0, 0, 0
 	for i := 0; i < 6; i++ {
 		k.Spawn("worker", func(p *Proc) {
-			sem.Acquire(p, 1)
+			mu.Lock(p)
 			inside++
 			if inside > maxInside {
 				maxInside = inside
 			}
 			p.Sleep(10 * Microsecond)
 			inside--
-			sem.Release(1)
+			served++
+			mu.Unlock()
 		})
 	}
 	k.Run()
-	if maxInside != 2 {
-		t.Errorf("max concurrent holders = %d, want 2", maxInside)
+	if maxInside != 1 || served != 6 {
+		t.Errorf("max concurrent holders = %d, served %d; want 1, 6", maxInside, served)
 	}
 }
 
-func TestSemaphoreTryAcquire(t *testing.T) {
+func TestMutexFIFOFairnessEventually(t *testing.T) {
+	// All lockers must eventually get the mutex (no starvation).
 	k := NewKernel()
 	defer k.Close()
-	sem := NewSemaphore(k, 1)
-	k.Spawn("p", func(p *Proc) {
-		if !sem.TryAcquire(1) {
-			t.Error("first TryAcquire failed")
-		}
-		if sem.TryAcquire(1) {
-			t.Error("second TryAcquire succeeded on full semaphore")
-		}
-		if sem.InUse() != 1 || sem.Avail() != 0 {
-			t.Errorf("InUse=%d Avail=%d, want 1,0", sem.InUse(), sem.Avail())
-		}
-		sem.Release(1)
-		if sem.Avail() != 1 {
-			t.Errorf("Avail after release = %d, want 1", sem.Avail())
-		}
-	})
-	k.Run()
-}
-
-func TestSemaphoreFIFOFairnessEventually(t *testing.T) {
-	// All acquirers must eventually get the semaphore (no starvation).
-	k := NewKernel()
-	defer k.Close()
-	sem := NewSemaphore(k, 1)
+	mu := NewMutex(k)
 	served := 0
 	const n = 20
 	for i := 0; i < n; i++ {
 		k.Spawn("w", func(p *Proc) {
-			sem.Acquire(p, 1)
+			mu.Lock(p)
 			p.Sleep(Microsecond)
 			served++
-			sem.Release(1)
+			mu.Unlock()
 		})
 	}
 	k.Run()
@@ -231,11 +169,7 @@ func TestQueueDeliveryProperty(t *testing.T) {
 		})
 		k.Spawn("consumer", func(p *Proc) {
 			for range delays {
-				v, ok := q.Get(p)
-				if !ok {
-					return
-				}
-				got = append(got, v)
+				got = append(got, q.Get(p))
 			}
 		})
 		k.Run()
@@ -277,32 +211,80 @@ func TestTimeFormatting(t *testing.T) {
 	}
 }
 
-func TestSemaphoreReleaseSkipsOversizedWaiter(t *testing.T) {
-	k := NewKernel()
-	defer k.Close()
-	sem := NewSemaphore(k, 2)
-	var got []string
-	k.Spawn("holder", func(p *Proc) {
-		sem.Acquire(p, 2)
-		p.Sleep(10 * Microsecond)
-		sem.Release(1) // one slot free: big(2) cannot run, small(1) can
-		p.Sleep(10 * Microsecond)
-		sem.Release(1)
+// TestMutexUnlockOfUnlockedPanics pins the one check a one-slot resource
+// keeps: releasing what nobody holds is a caller bug.
+func TestMutexUnlockOfUnlockedPanics(t *testing.T) {
+	mu := NewMutex(NewKernel())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Unlock of an unlocked mutex did not panic")
+		}
+	}()
+	mu.Unlock()
+}
+
+// TestFIFOAcrossCompaction drives a FIFO that never empties past the point
+// where it compacts the dead prefix, then drains it: order and Len must not
+// notice, and the array is reused in place.
+func TestFIFOAcrossCompaction(t *testing.T) {
+	var f FIFO[int]
+	next, want := 0, 0
+	push := func(n int) {
+		for ; n > 0; n-- {
+			f.Push(next)
+			next++
+		}
+	}
+	pop := func(n int) {
+		for ; n > 0; n-- {
+			if got := f.Peek(); got != want {
+				t.Fatalf("Peek = %d, want %d", got, want)
+			}
+			if got := f.Pop(); got != want {
+				t.Fatalf("Pop = %d, want %d", got, want)
+			}
+			want++
+			if got := f.Len(); got != next-want {
+				t.Fatalf("after pop %d: Len %d, want %d", want, got, next-want)
+			}
+		}
+	}
+	push(100)
+	pop(49)
+	if f.head != 49 {
+		t.Fatalf("head %d before the compaction boundary, want 49", f.head)
+	}
+	pop(1) // head 50 of 100: the dead half dominates
+	if f.head != 0 || len(f.s) != 50 {
+		t.Fatalf("no compaction at the boundary: head %d, len %d", f.head, len(f.s))
+	}
+	push(70)
+	pop(100)
+	push(5)
+	pop(25)
+	if f.Len() != 0 || f.head != 0 || len(f.s) != 0 {
+		t.Fatalf("drained FIFO: Len %d head %d len %d, want all 0", f.Len(), f.head, len(f.s))
+	}
+	push(3)
+	pop(3)
+}
+
+// TestFIFOZeroAllocSteadyState pins that a push/pop cycle reuses the array.
+func TestFIFOZeroAllocSteadyState(t *testing.T) {
+	var f FIFO[*Proc]
+	p := &Proc{}
+	for i := 0; i < 64; i++ {
+		f.Push(p)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		for i := 0; i < 48; i++ {
+			f.Push(p)
+		}
+		for i := 0; i < 48; i++ {
+			f.Pop()
+		}
 	})
-	k.Spawn("big", func(p *Proc) {
-		p.Sleep(Microsecond)
-		sem.Acquire(p, 2)
-		got = append(got, "big")
-		sem.Release(2)
-	})
-	k.Spawn("small", func(p *Proc) {
-		p.Sleep(2 * Microsecond)
-		sem.Acquire(p, 1)
-		got = append(got, "small")
-		sem.Release(1)
-	})
-	k.Run()
-	if len(got) != 2 || got[0] != "small" || got[1] != "big" {
-		t.Fatalf("acquisition order = %v, want [small big] (single free slot must not starve behind the oversized head waiter)", got)
+	if allocs != 0 {
+		t.Fatalf("allocs per push/pop cycle = %v, want 0", allocs)
 	}
 }

@@ -9,8 +9,8 @@
 // journaling threads and application threads are all sim processes.
 //
 // Discipline: a process must only block through the primitives of this
-// package (Sleep, Advance, Suspend, Queue.Get, Cond.Wait, Semaphore.Acquire,
-// Join). Blocking on ordinary Go channels or mutexes from inside a process
+// package (Sleep, Advance, Suspend, Queue.Get, Cond.Wait, Mutex.Lock, Join).
+// Blocking on ordinary Go channels or sync mutexes from inside a process
 // deadlocks the kernel.
 package sim
 

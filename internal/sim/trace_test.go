@@ -13,15 +13,15 @@ func traceWorkload(newK func() *Kernel, keep bool) *Trace {
 	defer k.Close()
 	tr := k.StartTrace(keep)
 	q := NewQueue[int](k)
-	sem := NewSemaphore(k, 2)
+	mu := NewMutex(k)
 	for i := 0; i < 4; i++ {
 		i := i
 		k.Spawn(fmt.Sprintf("producer%d", i), func(p *Proc) {
 			for j := 0; j < 40; j++ {
 				p.Sleep(Duration(3+i) * Microsecond)
-				sem.Acquire(p, 1)
+				mu.Lock(p)
 				p.Advance(Duration(j%5) * 100 * Nanosecond)
-				sem.Release(1)
+				mu.Unlock()
 				q.Put(i*1000 + j)
 				if j%8 == 0 {
 					child := p.Kernel().Spawn("burst", func(c *Proc) {
