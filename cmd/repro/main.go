@@ -4,16 +4,16 @@
 // Usage:
 //
 //	repro [-quick] [-parallel=false] [-json out.json] [-spans trace.json]
-//	      [-live 2s] [-live-http :8080] [-trace run.jsonl]
-//	      [-cpuprofile cpu.prof] [-memprofile mem.prof] [experiment ...]
+//	      [-live 2s] [-live-http :8080] [-cpuprofile cpu.prof]
+//	      [-memprofile mem.prof] [experiment ...]
 //	repro record [-db bench.db] [-label NAME] [-commit HASH] run.json ...
 //	repro trend  [-db bench.db] [-cell GLOB] [-last N] [-band]
 //
 // Experiments: fig1 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 table1
-// mq kv kvcluster faults whyslow crash crashmc rebalance fsreplay all. With
-// no arguments, runs `all`. The
-// `mq` experiment is the multi-queue scaling table (per-stream epochs vs
-// the global total order) added on top of the paper's evaluation; `kv` is
+// mq kv kvcluster faults whyslow crash crashmc rebalance all. With no
+// arguments, runs `all`. The `mq` experiment is the multi-queue scaling
+// table (per-stream epochs vs the global total order) added on top of the
+// paper's evaluation; `kv` is
 // the barrier-enabled key-value store (internal/kvwal): group-commit
 // throughput and latency across stacks plus its crash-consistency sweep;
 // `kvcluster` is the sharded KV service (internal/kvcluster) under
@@ -30,8 +30,7 @@
 // violations as the positive control; `rebalance` resizes the live ring
 // under open-loop traffic (N->N+1 and kill+rebuild) and reports the
 // goodput/p99 timeline around the migration with the zero-acked-loss
-// audit; `fsreplay` replays a recorded JSONL request trace (-trace, or a
-// deterministic synthetic recording) through the fs-backed KV service.
+// audit.
 //
 // Independent sweep cells run one simulation kernel per CPU (disable with
 // -parallel=false, e.g. when profiling a single kernel). -json emits the
@@ -62,7 +61,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/par"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -84,16 +82,7 @@ func main() {
 	liveHTTP := flag.String("live-http", "", "serve live stats as JSON on this address (e.g. :8080)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path")
-	tracePath := flag.String("trace", "", "replay this recorded JSONL request trace (fsreplay experiment)")
 	flag.Parse()
-	if *tracePath != "" {
-		f, err := os.Open(*tracePath)
-		exitOn(err)
-		tr, err := workload.ReadTrace(f)
-		f.Close()
-		exitOn(err)
-		experiments.ReplayTrace = tr
-	}
 	exitOn(run(runOpts{
 		quick: *quick, parallel: *parallel,
 		jsonPath: *jsonPath, spansPath: *spansPath,

@@ -1,11 +1,5 @@
 package experiments
 
-import "repro/internal/workload"
-
-// ReplayTrace is the recording `fsreplay` replays (`repro -trace`); nil
-// falls back to a deterministic synthetic recording.
-var ReplayTrace *workload.Trace
-
 // Registry lists every experiment in the order `repro all` runs them. To
 // add one: a row type whose fields carry col tags, and a line here.
 var Registry = []Experiment{
@@ -47,8 +41,6 @@ var Registry = []Experiment{
 		func(s Scale) Outcome { r := CrashMC(s); return Outcome{Rows: []any{r.Rows}, Notes: r.Notes} }},
 	{"rebalance", "rebalance: live ring resize under open-loop traffic (SLO %.1fms)", of(RebalanceRow{}),
 		func(s Scale) Outcome { r := Rebalance(s); return rows(r.Rows, r.SLOms) }},
-	{"fsreplay", "fsreplay: trace replay through the fs-backed KV service (%s, SLO %.1fms)", of(FSReplayRow{}),
-		func(s Scale) Outcome { r := FSReplay(s, ReplayTrace); return rows(r.Rows, r.Source, r.SLOms) }},
 }
 
 // Lookup finds a registered experiment by name.

@@ -17,12 +17,6 @@ import (
 type Traffic struct {
 	// Arrivals is the arrival process (rate, shape, seed).
 	Arrivals workload.ArrivalConfig
-	// Replay, when non-nil, substitutes a recorded trace for the synthetic
-	// generators: arrival instants, op classes and keys all come from the
-	// trace (wrapped cyclically to fill the window, mean rate preserved —
-	// see workload.Trace.Times). Mix, KeySpace and ZipfTheta are ignored;
-	// tenants are still drawn from the seeded stream.
-	Replay *workload.Trace
 	// Mix is the operation class mix.
 	Mix workload.Mix
 	// KeySpace is the key universe size (default 16384).
@@ -72,18 +66,6 @@ func (r Request) measured(t Traffic) bool { return r.At >= sim.Time(t.Warmup) }
 // ascending by arrival time, deterministic under the arrival seed.
 func (t Traffic) Generate() []Request {
 	t = t.withDefaults()
-	if t.Replay != nil && len(t.Replay.Rows) > 0 {
-		times := t.Replay.Times(t.Warmup + t.Duration)
-		rng := rand.New(rand.NewSource(t.Arrivals.Seed + 2))
-		reqs := make([]Request, len(times))
-		for i, at := range times {
-			row := t.Replay.Row(i)
-			reqs[i] = Request{
-				At: at, Class: row.Op, Key: row.Key, ReqCtx: ReqCtx{Tenant: rng.Intn(t.Tenants)},
-			}
-		}
-		return reqs
-	}
 	times := t.Arrivals.Times(t.Warmup + t.Duration)
 	zipf := workload.NewZipf(t.Arrivals.Seed+1, t.KeySpace, t.ZipfTheta)
 	rng := rand.New(rand.NewSource(t.Arrivals.Seed + 2))
