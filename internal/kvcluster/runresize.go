@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -236,14 +237,14 @@ func binTimeline(samples []latSample, tr Traffic, bins int, migStart, migEnd sim
 	if width <= 0 {
 		return nil
 	}
-	byBin := make([][]sim.Duration, bins)
+	byBin := make([]metrics.LatencyRecorder, bins)
 	good := make([]int64, bins)
 	for _, s := range samples {
 		i := int(sim.Duration(s.at-start) / width)
 		if i < 0 || i >= bins {
 			continue
 		}
-		byBin[i] = append(byBin[i], s.d)
+		byBin[i].Record(s.d)
 		if s.good {
 			good[i]++
 		}
@@ -262,26 +263,13 @@ func binTimeline(samples []latSample, tr Traffic, bins int, migStart, migEnd sim
 		}
 		b := TimelineBin{
 			StartMs: ms(lo), EndMs: ms(hi), Phase: phase,
-			Done: int64(len(byBin[i])), Good: good[i],
+			Done: int64(byBin[i].Count()), Good: good[i],
 		}
 		b.GoodputPerS = float64(good[i]) / (float64(width) / float64(sim.Second))
-		b.P99 = p99ms(byBin[i])
+		b.P99 = byBin[i].Percentile(99).Millis()
 		outBins[i] = b
 	}
 	return outBins
-}
-
-func p99ms(d []sim.Duration) float64 {
-	if len(d) == 0 {
-		return 0
-	}
-	sorted := append([]sim.Duration(nil), d...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := (99*len(sorted) + 99) / 100
-	if i > len(sorted) {
-		i = len(sorted)
-	}
-	return float64(sorted[i-1]) / float64(sim.Millisecond)
 }
 
 // phaseAggs folds the timeline into one aggregate per phase.

@@ -79,8 +79,8 @@ func (r *LatencyRecorder) sortSamples() {
 // with its one sample instead of indexing out of bounds. The rank ⌈p/100·n⌉
 // is computed in integers with p taken to four decimals: in float64
 // 99.9/100*1000 is 999.0000000000001, one rank high at every multiple of
-// 1000 samples (at n = 1000, the maximum). kvcluster's p99ms and
-// bench/stats.go's pct, asked only for p50 and p99, follow the same rule.
+// 1000 samples (at n = 1000, the maximum). bench/stats.go's pct, asked
+// only for p50 and p99, follows the same rule.
 func (r *LatencyRecorder) Percentile(p float64) sim.Duration {
 	n := len(r.samples)
 	if n == 0 || math.IsNaN(p) {
