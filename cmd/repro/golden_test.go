@@ -100,7 +100,7 @@ func quickAll(t *testing.T) (text, rows, cells []byte) {
 	return text, rows, cells
 }
 
-// TestQuickAllGolden pins all 19 experiments at Quick scale: stdout byte
+// TestQuickAllGolden pins all 18 experiments at Quick scale: stdout byte
 // for byte, every -json row, every bench.db cell name. The simulation is
 // seeded, so a refactor of how experiments are declared, rendered or
 // recorded leaves the three files alone; they are regenerated only by
@@ -108,7 +108,7 @@ func quickAll(t *testing.T) (text, rows, cells []byte) {
 // behaviour or a table is meant to change.
 func TestQuickAllGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs all 19 experiments (~3 s); skipped in -short mode")
+		t.Skip("runs all 18 experiments (~3 s); skipped in -short mode")
 	}
 	text, rows, cells := quickAll(t)
 	got := map[string][]byte{

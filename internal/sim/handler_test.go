@@ -152,7 +152,7 @@ func TestQueueMixedConsumers(t *testing.T) {
 	})
 	k.Run()
 	if len(got) != items {
-		t.Fatalf("delivered %d distinct items, want 100", len(got))
+		t.Fatalf("delivered %d distinct items, want %d", len(got), items)
 	}
 	for i, n := range got {
 		if n != 1 {
