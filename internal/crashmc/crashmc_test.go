@@ -136,6 +136,56 @@ func TestCapFallsBackToSamplingWithNotice(t *testing.T) {
 	}
 }
 
+// allocRidesCommit creates and writes file A, then lets a second proc's
+// fsync of file B freeze the running transaction — A's inode, directory
+// entry and allocation with it — and calls A's Fdatasync while that commit
+// is still in flight. Power fails the instant Fdatasync returns. *reached
+// counts the runs that got there.
+func allocRidesCommit(reached *int) Part {
+	return func(k *sim.Kernel, s *core.Stack) []Checker {
+		chk := &DurabilityChecker{FS: s.FS, File: "a.dat"}
+		k.Spawn("app", func(p *sim.Proc) {
+			a, err := s.FS.Create(p, s.FS.Root(), chk.File)
+			if err != nil {
+				panic(err)
+			}
+			b, err := s.FS.Create(p, s.FS.Root(), "b.dat")
+			if err != nil {
+				panic(err)
+			}
+			s.FS.Write(p, a, 0)
+			s.FS.Write(p, b, 0)
+			k.Spawn("fsync-b", func(q *sim.Proc) { s.FS.Fsync(q, b) })
+			for a.MetaPending() {
+				p.Sleep(sim.Microsecond) // until B's commit freezes A's metadata
+			}
+			s.FS.Fdatasync(p, a)
+			ver, _ := s.FS.Read(p, a, 0)
+			chk.Synced = append(chk.Synced, AckedWrite{Idx: 0, Ver: ver})
+			*reached++
+			k.Stop()
+		})
+		return []Checker{chk}
+	}
+}
+
+// TestFdatasyncWaitsForFrozenAllocation pins fdatasync's contract when the
+// file's allocation rides another caller's commit: the metadata is no longer
+// pending in the running transaction, but it is not durable either, so
+// fdatasync must wait for the transaction that froze it (ext4 waits on
+// i_datasync_tid). A crash the instant it returns may not lose the file.
+func TestFdatasyncWaitsForFrozenAllocation(t *testing.T) {
+	for _, mk := range []func(device.Config) core.Profile{core.EXT4DR, core.EXT4MQ, core.BFSDR, core.BFSMQ} {
+		prof := mk(device.NVMeSSD())
+		reached := 0
+		res := Enumerate(OnStack(prof, allocRidesCommit(&reached)), Config{CrashAt: at(1000000)})
+		requireClean(t, res)
+		if reached != 1 {
+			t.Fatalf("%s: Fdatasync never returned", prof.Name)
+		}
+	}
+}
+
 func TestKVScenarioBarrierEnginesClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kv model checking in -short mode")

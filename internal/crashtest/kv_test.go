@@ -12,7 +12,7 @@ import (
 // concurrent group-committing clients: zero acknowledged-but-lost keys,
 // and (on the barrier engines) group-prefix ordering.
 func TestKVCrashSweep(t *testing.T) {
-	pts := times(700, 2000, 4500, 9000, 20000, 45000)
+	pts := times(700, 2000, 4500, 9000, 10800, 20000, 38400, 45000)
 	for _, mk := range []func(device.Config) core.Profile{
 		core.EXT4DR, core.BFSDR, core.EXT4MQ, core.BFSMQ,
 	} {

@@ -97,7 +97,10 @@ func (f *FS) sync(p *sim.Proc, i *Inode, commitMeta bool, tc reqtrace.Ctx) {
 	default: // JBD2 / EXT4
 		plan := f.writeback(p, i, 0, false, tc)
 		f.waitAll(p, i, plan) // Wait-on-Transfer (wake-up #1)
-		if commitMeta {
+		// Allocation frozen into another caller's in-flight commit is no
+		// longer pending, but not durable either: wait for that transaction
+		// too (ext4's wait on i_datasync_tid).
+		if commitMeta || (i.allocDirty && i.buf.Frozen()) {
 			f.j.CommitAndWaitT(p, tc) // transfer-and-flush commit (wake-up #2)
 			i.allocDirty = false
 			return

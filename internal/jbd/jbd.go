@@ -141,6 +141,11 @@ type Buffer struct {
 // the running transaction or on the conflict-page list).
 func (b *Buffer) Pending() bool { return b.inRunning || b.conflict }
 
+// Frozen reports whether a committing transaction that has not finished yet
+// holds the buffer: its last changes are no longer pending, and not durable
+// either.
+func (b *Buffer) Frozen() bool { return b.owner != nil }
+
 // txnScratch is a transaction's slice storage: the checkpointer hands it to
 // newTxn once the transaction is dead, so a steady-state commit grows no slice.
 type txnScratch struct {
