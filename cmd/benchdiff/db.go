@@ -12,7 +12,7 @@ import (
 // the repro perf-trajectory database (see `repro record`) against the run
 // before it, over every cell matching -cell. -direction says which way is
 // a regression: "up" for metrics where growth is bad (ns/op, p99, allocs),
-// "down" for metrics where shrinkage is bad (IOPS, crashmc states
+// "down" for metrics where shrinkage is bad (IOPS, crash states
 // explored). Fewer than two recorded runs reports and passes, so a fresh
 // database cannot fail CI.
 

@@ -26,7 +26,7 @@
 //
 //	benchdiff -db bench.db -cell 'kv/*/ops_per_s' -direction down -threshold 10
 //	benchdiff -db bench.db -cell 'kv/*/p99_ms' -direction up -threshold 25
-//	benchdiff -db bench.db -cell 'crashmc/*/states_explored' -direction down -threshold 0
+//	benchdiff -db bench.db -cell 'crash/*/states_explored' -direction down -threshold 0
 package main
 
 import (

@@ -18,20 +18,20 @@ func TestFlattenCells(t *testing.T) {
 				{"config": "EXT4-DR", "clients": 4.0, "ops_per_s": 31200.0, "p99_ms": 0.9},
 			},
 		}, {
-			Name: "crashmc",
+			Name: "crash",
 			Rows: []map[string]any{
-				{"config": "BFS-OD", "crash_at_us": 1200.0, "states_explored": 65.0, "capped": false},
+				{"workload": "ordering", "config": "BFS-DR", "crash_at_us": 2500.0, "states_explored": 65.0, "capped": false},
 			},
 		}},
 	}
 	cells := flattenCells(rep)
 	want := map[string]float64{
-		"kv//wall_seconds":                                       1.5,
-		"crashmc//wall_seconds":                                  0,
-		"kv/clients=4,config=BFS-DR/ops_per_s":                   54000,
-		"kv/clients=4,config=EXT4-DR/p99_ms":                     0.9,
-		"crashmc/config=BFS-OD,crash_at_us=1200/states_explored": 65,
-		"crashmc/config=BFS-OD,crash_at_us=1200/capped":          0,
+		"kv//wall_seconds":                     1.5,
+		"crash//wall_seconds":                  0,
+		"kv/clients=4,config=BFS-DR/ops_per_s": 54000,
+		"kv/clients=4,config=EXT4-DR/p99_ms":   0.9,
+		"crash/config=BFS-DR,crash_at_us=2500,workload=ordering/states_explored": 65,
+		"crash/config=BFS-DR,crash_at_us=2500,workload=ordering/capped":          0,
 	}
 	for name, v := range want {
 		got, ok := cells[name]

@@ -33,7 +33,7 @@ type liveStats struct {
 var headline = []string{
 	"device/writes", "blkmq/dispatched", "jbd/commits",
 	"fs/pdflush.runs", "kvwal/group.commits",
-	"crashmc/states", "crashmc/samples",
+	"crashmc/states",
 }
 
 func startLive(interval time.Duration, httpAddr string) (*liveStats, error) {

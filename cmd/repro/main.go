@@ -10,12 +10,11 @@
 //	repro trend  [-db bench.db] [-cell GLOB] [-last N] [-band]
 //
 // Experiments: fig1 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 table1
-// mq kv kvcluster faults whyslow crash crashmc rebalance all. With no
-// arguments, runs `all`. The `mq` experiment is the multi-queue scaling
-// table (per-stream epochs vs the global total order) added on top of the
-// paper's evaluation; `kv` is
-// the barrier-enabled key-value store (internal/kvwal): group-commit
-// throughput and latency across stacks plus its crash-consistency sweep;
+// mq kv kvcluster faults whyslow crash rebalance all. With no arguments,
+// runs `all`. The `mq` experiment is the multi-queue scaling table
+// (per-stream epochs vs the global total order) added on top of the
+// paper's evaluation; `kv` is the barrier-enabled key-value store
+// (internal/kvwal): group-commit throughput and latency across stacks;
 // `kvcluster` is the sharded KV service (internal/kvcluster) under
 // open-loop Zipfian traffic: goodput and latency tail per (engine,
 // offered-load) cell at a fixed p99 SLO; `faults` drives the replicated
@@ -24,10 +23,12 @@
 // `whyslow` runs the service with request-scoped causal tracing on and
 // attributes tail latency to stack stages (queue, batch, durability, ack,
 // plus the durability window's pipeline sub-stages), per (engine,
-// offered-load) cell; `crashmc` is the crash-state
-// model checker (internal/crashmc): states-explored and violation counts
-// per stack configuration, with EXT4-nobarrier's reachable ordering
-// violations as the positive control; `rebalance` resizes the live ring
+// offered-load) cell; `crash` is the crash-state model checker
+// (internal/crashmc): for the ordering codelet, the fsync durability loop
+// and the kv store, every admissible crash state per (workload, stack
+// configuration, crash instant) cell is enumerated and its violations
+// counted, with EXT4-nobarrier's reachable ordering violations as the
+// positive control; `rebalance` resizes the live ring
 // under open-loop traffic (N->N+1 and kill+rebuild) and reports the
 // goodput/p99 timeline around the migration with the zero-acked-loss
 // audit.
@@ -41,8 +42,8 @@
 // `record` appends -json run files to the append-only bench.db database
 // and `trend` prints the cross-history table over it (see db.go).
 // -live/-live-http install a process-wide metrics registry and stream
-// periodic snapshots — sweep cells done/total, per-layer counters, crashmc
-// states — to stderr or an HTTP endpoint while the run is in flight.
+// periodic snapshots — sweep cells done/total, per-layer counters, crash
+// states explored — to stderr or an HTTP endpoint while the run is in flight.
 // -spans records kernel trace spans for every experiment cell and dumps
 // them as Chrome trace_event JSON (load via chrome://tracing or
 // https://ui.perfetto.dev).

@@ -10,9 +10,7 @@ import (
 )
 
 // The stock checkers. Each states one invariant against the Checker
-// interface, so a sample and an enumeration run the identical logic: an
-// Enumerate pass is the exhaustive form of the statement a Sweep makes
-// pointwise.
+// interface; Enumerate runs it on every admissible crash state.
 
 // AckedWrite is one page write acknowledged durable (fsync returned) in
 // the workload's history.

@@ -1,40 +1,33 @@
 // Package crashmc is the crash harness of the order-preserving IO stack:
 // one driver that runs a declared workload to a crash instant, cuts the
-// power and audits what the device may have kept, under either of two
-// quantifiers.
+// power and audits every state the device may have kept.
 //
 // A Workload is a value declared once (workloads.go, cluster.go,
 // rebalance.go): what it builds and spawns, which stack loses power, and
 // the Checkers that carry its host-side history — acknowledged writes,
-// issue order, store shadows. The driver (harness.go) owns the only
-// CaptureConstraints → Crash → device.Recover sequence in the tree and
-// answers one of two questions about the recovered device:
+// issue order, store shadows. Enumerate (harness.go) owns the only
+// CaptureConstraints → Crash → device.Recover sequence in the tree and asks
+// one question of the recovered device: does *every* persisted state the
+// device's contract admits at this instant satisfy the checkers?
 //
-//   - Enumerate: does *every* persisted state the device's contract admits
-//     at this instant satisfy the checkers? internal/device's
-//     CaptureConstraints records the volatile writeback-cache contents plus
-//     the partial persistence order imposed on them — per-stream epoch
-//     chains on barrier devices (FUA and flush ordering fold into the
-//     durable base: a completed FUA or flushed write is durable by
-//     definition), nothing at all on legacy devices, a single full state
-//     under power-loss protection. The enumerator walks every
-//     downward-closed cut of that DAG (subset-hash dedup; cuts that
-//     materialize the same disk image are checked once), overlays each on
-//     the recovered durable base, rebuilds the filesystem view (journal
-//     replay included) and runs the checkers. Above Config.MaxStates it
-//     falls back to deterministic seeded sampling and says so via
-//     Config.Log — never silently.
-//   - Sample: does the *one* state the simulator produced satisfy them?
-//     That state is the enumeration's own empty cut — the recovered base
-//     with nothing overlaid — so a sampled trial is the one-state case of
-//     the model check, not a second tool. Sweep fans samples out over many
-//     crash instants.
+// internal/device's CaptureConstraints records the volatile writeback-cache
+// contents plus the partial persistence order imposed on them — per-stream
+// epoch chains on barrier devices (FUA and flush ordering fold into the
+// durable base: a completed FUA or flushed write is durable by definition),
+// nothing at all on legacy devices, a single full state under power-loss
+// protection. The enumerator walks every downward-closed cut of that DAG
+// (subset-hash dedup; cuts that materialize the same disk image are checked
+// once), overlays each on the recovered durable base, rebuilds the
+// filesystem view (journal replay included) and runs the checkers. The
+// empty cut — the base with nothing overlaid — is the state the simulator
+// itself produced, so it is always audited. Above Config.MaxStates the walk
+// falls back to deterministic seeded sampling and says so via Config.Log —
+// never silently.
 //
-// The payoff is the quantifier. A clean Sample says "we did not observe a
-// violation"; a clean Enumerate says "no admissible crash state violates
-// the invariant" — and on EXT4-nobarrier it reproduces the paper's
-// motivating result as a positive finding: ordering-violation states are
-// reachable, including at instants where the sample happens to pass.
+// A clean result therefore says "no admissible crash state violates the
+// invariant", not "we did not observe a violation" — and on EXT4-nobarrier
+// it reproduces the paper's motivating result as a positive finding:
+// ordering-violation states are reachable at every instant.
 package crashmc
 
 import (
@@ -60,7 +53,7 @@ type State struct {
 	// on in-place state).
 	View *fs.View
 	// ID compactly identifies the persisted volatile-write subset: a hex
-	// bitmask of write indices, "base" for the empty cut and for a sample.
+	// bitmask of write indices, "base" for the empty cut.
 	ID string
 }
 
@@ -81,7 +74,8 @@ const (
 
 // Checker audits one candidate crash state. Implementations carry the
 // host-side history (acknowledged writes, issue order, store shadows) they
-// audit against; Check must be read-only and safe to call for many states.
+// audit against; Check must be read-only and safe to call for many states,
+// and must not keep st past the call (its Read is reused by the next image).
 type Checker interface {
 	Name() string
 	Check(st *State) []Violation
@@ -92,10 +86,6 @@ type Config struct {
 	// CrashAt is the virtual time at which power fails, unless a workload
 	// proc stops the kernel first (see Workload).
 	CrashAt sim.Time
-	// Writes bounds the ordering codelet's barrier-separated writes
-	// (0 = keep writing until the crash). Bounding the workload keeps the
-	// unconstrained (nobarrier) state space exhaustively enumerable.
-	Writes int
 	// MaxStates caps exhaustive enumeration; above it the checker falls
 	// back to sampling. Default 1<<16.
 	MaxStates int
@@ -135,7 +125,7 @@ type Result struct {
 	Volatile int // volatile writes captured at the crash instant
 	Streams  int // distinct streams among them
 
-	StatesExplored int  // distinct downward-closed cuts visited (1 for a sample)
+	StatesExplored int  // distinct downward-closed cuts visited
 	ImagesChecked  int  // distinct disk images audited (after pruning)
 	Capped         bool // exhaustive enumeration hit MaxStates
 	Sampled        int  // additional cuts reached by the sampling fallback
@@ -219,6 +209,22 @@ func (r *Result) auditAll(cons device.Constraint, base jbd.ReadFn, jcfg jbd.Conf
 	obsStates := reg.Counter("crashmc/states")
 	obsImages := reg.Counter("crashmc/images")
 
+	// Every image replays the whole journal window over the same base, so
+	// the window is read from the device once and each image overlays its
+	// winners on this copy, then puts the base pages back.
+	type page struct {
+		data any
+		ok   bool
+	}
+	win := make([]page, jcfg.Pages)
+	for off := range win {
+		win[off].data, win[off].ok = base(jcfg.Start + uint64(off))
+	}
+	inWin := func(lpa uint64) (uint64, bool) {
+		off := lpa - jcfg.Start
+		return off, off < uint64(len(win))
+	}
+
 	n := len(cons.Writes)
 	images := make(map[string]struct{})
 	check := func(cut bitset) {
@@ -253,15 +259,27 @@ func (r *Result) auditAll(cons device.Constraint, base jbd.ReadFn, jcfg jbd.Conf
 
 		overlay := make(map[uint64]any, len(winners))
 		for lpa, i := range winners {
-			overlay[lpa] = cons.Writes[i].Data
+			if off, ok := inWin(lpa); ok {
+				win[off] = page{cons.Writes[i].Data, true}
+			} else {
+				overlay[lpa] = cons.Writes[i].Data
+			}
 		}
 		read := func(lpa uint64) (any, bool) {
+			if off, ok := inWin(lpa); ok {
+				return win[off].data, win[off].ok
+			}
 			if d, ok := overlay[lpa]; ok {
 				return d, true
 			}
 			return base(lpa)
 		}
 		r.audit(read, jcfg, cut.id(), checkers)
+		for lpa := range winners {
+			if off, ok := inWin(lpa); ok {
+				win[off].data, win[off].ok = base(lpa)
+			}
+		}
 	}
 
 	seen, capped := enumerate(n, cons.Preds, cfg.MaxStates, check)

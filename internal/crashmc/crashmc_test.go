@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -15,26 +16,74 @@ func smallJournal(p core.Profile) core.Profile { return CompactJournal(p, 128) }
 
 func at(us int) sim.Time { return sim.Time(sim.Duration(us) * sim.Microsecond) }
 
-func cfgAt(t *testing.T, us int, writes int) Config {
-	return Config{
-		CrashAt: at(us),
-		Writes:  writes,
-		Log:     func(f string, a ...any) { t.Logf(f, a...) },
+func times(us ...int) []sim.Time {
+	var out []sim.Time
+	for _, u := range us {
+		out = append(out, at(u))
 	}
+	return out
 }
 
-func requireClean(t *testing.T, res Result) {
+// logTo routes the capped-state-space notice into the test log.
+func logTo(t *testing.T) func(string, ...any) {
+	return func(f string, a ...any) { t.Logf(f, a...) }
+}
+
+// ordering is the bounded-replay §4.1 codelet on prof: the Ordering part,
+// its journal window shrunk to 128 pages.
+func ordering(prof core.Profile, writes int) Workload {
+	return OnStack(smallJournal(prof), Ordering(writes))
+}
+
+// orderingAt enumerates ordering(prof, writes) at crash instant us. The
+// canonical scenario is exhaustive: a capped enumeration fails the test.
+func orderingAt(t *testing.T, prof core.Profile, us, writes int) Result {
 	t.Helper()
+	res := Enumerate(ordering(prof, writes), Config{CrashAt: at(us), Log: logTo(t)})
 	t.Log(res.String())
 	if res.Capped {
 		t.Fatalf("%s: enumeration capped; the canonical workload must be exhaustive", res.Profile)
 	}
-	if !res.Ok() {
-		for _, v := range res.Violations {
-			t.Errorf("%s: [%s/%s] %s %s", res.Profile, v.Checker, v.Kind, v.State, v.Detail)
+	return res
+}
+
+// budget is the suite's enumeration budget for workloads on full-size
+// journals: 256 states, then 32 sampled cuts past the cap. Every image pays
+// a scan of the journal window, so -short (CI's -race run) looks at a
+// quarter as many.
+func budget(t *testing.T, at sim.Time) Config {
+	cfg := Config{CrashAt: at, MaxStates: 256, Samples: 32, Log: logTo(t)}
+	if testing.Short() {
+		cfg.MaxStates, cfg.Samples = 64, 8
+	}
+	return cfg
+}
+
+// sweepClean enumerates w at every crash instant within the suite's budget,
+// the instants fanned out across CPUs, and requires every state clean and
+// every result to carry its crash time through.
+func sweepClean(t *testing.T, w Workload, ts []sim.Time) {
+	t.Helper()
+	results := make([]Result, len(ts))
+	par.For(len(ts), func(i int) { results[i] = Enumerate(w, budget(t, ts[i])) })
+	requireClean(t, results...)
+	for i, res := range results {
+		if res.CrashAt != ts[i] {
+			t.Errorf("result %d: crash time %v, want %v", i, res.CrashAt, ts[i])
 		}
-		t.Fatalf("%s: %d durability / %d ordering / %d consistency violations in %d states",
-			res.Profile, res.Durability, res.Ordering, res.Consistency, res.ViolationStates)
+	}
+}
+
+// requireClean fails the test on any violation in results.
+func requireClean(t *testing.T, results ...Result) {
+	t.Helper()
+	for _, res := range results {
+		if !res.Ok() {
+			for _, v := range res.Violations {
+				t.Errorf("%s: [%s/%s] %s %s", res.Profile, v.Checker, v.Kind, v.State, v.Detail)
+			}
+			t.Errorf("%v", res)
+		}
 	}
 }
 
@@ -43,8 +92,7 @@ func TestOrderingEXT4DRNoViolationInAnyState(t *testing.T) {
 	// barrier-separated write is ever volatile, so the admissible state
 	// space is tiny — and every state must audit clean.
 	for _, us := range []int{1200, 2500, 6000} {
-		res := OrderingScenario(smallJournal(core.EXT4DR(device.PlainSSD())), cfgAt(t, us, 0))
-		requireClean(t, res)
+		requireClean(t, orderingAt(t, core.EXT4DR(device.PlainSSD()), us, 0))
 	}
 }
 
@@ -53,7 +101,7 @@ func TestOrderingBFSDRNoViolationInAnyState(t *testing.T) {
 	// volatile at once — but every write closes an epoch, so the constraint
 	// DAG is a chain and the admissible states are exactly its prefixes:
 	// states = volatile + 1, *linear* where nobarrier is exponential.
-	res := OrderingScenario(smallJournal(core.BFSDR(device.PlainSSD())), cfgAt(t, 2500, 0))
+	res := orderingAt(t, core.BFSDR(device.PlainSSD()), 2500, 0)
 	requireClean(t, res)
 	if res.Volatile == 0 {
 		t.Fatal("BFS-DR: expected volatile writes at the crash instant")
@@ -69,7 +117,7 @@ func TestOrderingMQProfilesNoViolationInAnyState(t *testing.T) {
 		core.EXT4MQ(device.PlainSSD()),
 		core.BFSMQ(device.PlainSSD()),
 	} {
-		res := OrderingScenario(smallJournal(prof), cfgAt(t, 2500, 0))
+		res := orderingAt(t, prof, 2500, 0)
 		requireClean(t, res)
 		if prof.Name == "BFS-MQ" && res.Volatile == 0 {
 			// The clean verdict is only meaningful if the run exercised
@@ -85,11 +133,7 @@ func TestNobarrierOrderingViolationReachable(t *testing.T) {
 	// barrier-separated write persists while an earlier one is lost. The
 	// bounded workload keeps the unconstrained state space exhaustively
 	// enumerable: every admissible state is visited, no sampling.
-	res := OrderingScenario(smallJournal(core.EXT4OD(device.LegacySSD())), cfgAt(t, 2500, 3))
-	t.Log(res.String())
-	if res.Capped {
-		t.Fatal("EXT4-nobarrier canonical workload must enumerate exhaustively")
-	}
+	res := orderingAt(t, core.EXT4OD(device.LegacySSD()), 2500, 3)
 	if res.StatesExplored != 1<<res.Volatile {
 		t.Fatalf("unconstrained DAG: %d states for %d volatile writes, want 2^%d=%d",
 			res.StatesExplored, res.Volatile, res.Volatile, 1<<res.Volatile)
@@ -103,9 +147,9 @@ func TestNobarrierOrderingViolationReachable(t *testing.T) {
 }
 
 func TestNobarrierDeterministic(t *testing.T) {
-	cfg := Config{CrashAt: at(2500), Writes: 3, Log: func(string, ...any) {}}
-	a := OrderingScenario(smallJournal(core.EXT4OD(device.LegacySSD())), cfg)
-	b := OrderingScenario(smallJournal(core.EXT4OD(device.LegacySSD())), cfg)
+	w := ordering(core.EXT4OD(device.LegacySSD()), 3)
+	cfg := Config{CrashAt: at(2500), Log: func(string, ...any) {}}
+	a, b := Enumerate(w, cfg), Enumerate(w, cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("model checking is not deterministic across runs:\n%+v\nvs\n%+v", a, b)
 	}
@@ -120,7 +164,7 @@ func TestCapFallsBackToSamplingWithNotice(t *testing.T) {
 		Log:       func(f string, a ...any) { logged++; t.Logf(f, a...) },
 	}
 	// Unbounded nobarrier workload: far beyond the cap.
-	res := OrderingScenario(smallJournal(core.EXT4OD(device.LegacySSD())), cfg)
+	res := Enumerate(ordering(core.EXT4OD(device.LegacySSD()), 0), cfg)
 	t.Log(res.String())
 	if !res.Capped {
 		t.Fatal("expected the state cap to trip")
@@ -179,6 +223,7 @@ func TestFdatasyncWaitsForFrozenAllocation(t *testing.T) {
 		prof := mk(device.NVMeSSD())
 		reached := 0
 		res := Enumerate(OnStack(prof, allocRidesCommit(&reached)), Config{CrashAt: at(1000000)})
+		t.Log(res.String())
 		requireClean(t, res)
 		if reached != 1 {
 			t.Fatalf("%s: Fdatasync never returned", prof.Name)
@@ -191,20 +236,10 @@ func TestKVScenarioBarrierEnginesClean(t *testing.T) {
 		t.Skip("kv model checking in -short mode")
 	}
 	small := func(p core.Profile) core.Profile { return CompactJournal(p, 512) }
-	cfg := Config{
-		CrashAt:   at(20000),
-		MaxStates: 2000,
-		Samples:   64,
-		Log:       func(f string, a ...any) { t.Logf(f, a...) },
-	}
+	cfg := Config{CrashAt: at(20000), MaxStates: 2000, Samples: 64, Log: logTo(t)}
 	res := Enumerate(OnStack(small(core.BFSDR(device.PlainSSD())), KV(2)), cfg)
 	t.Log(res.String())
-	if !res.Ok() {
-		for _, v := range res.Violations {
-			t.Errorf("[%s/%s] %s %s", v.Checker, v.Kind, v.State, v.Detail)
-		}
-		t.Fatal("BFS-DR kv: violations in admissible crash states")
-	}
+	requireClean(t, res)
 	if res.Volatile == 0 {
 		t.Fatal("BFS-DR kv: expected volatile writes at the crash instant")
 	}
@@ -212,9 +247,7 @@ func TestKVScenarioBarrierEnginesClean(t *testing.T) {
 	cfg.CrashAt = at(60000)
 	mq := Enumerate(OnStack(small(core.BFSMQ(device.PlainSSD())), KV(2)), cfg)
 	t.Log(mq.String())
-	if !mq.Ok() {
-		t.Fatalf("BFS-MQ kv: %d violations", mq.Durability+mq.Ordering+mq.Consistency)
-	}
+	requireClean(t, mq)
 	if mq.Streams < 2 {
 		t.Fatalf("BFS-MQ kv: expected cross-stream volatile writes (spread writeback), got %d streams", mq.Streams)
 	}

@@ -40,7 +40,7 @@ func (b bitset) key() string {
 }
 
 // baseID names the empty cut: the recovered durable base with nothing
-// overlaid, which is also the one state a sample audits.
+// overlaid, which is the state the simulator itself produced.
 const baseID = "base"
 
 // id renders the subset as a compact hex bitmask (index 0 = least

@@ -1,22 +1,24 @@
-package crashtest
+package crashmc
 
 import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/crashmc"
 	"repro/internal/device"
 )
 
-// TestKVCrashSweep samples crash points on all four kv stack profiles with
-// concurrent group-committing clients: zero acknowledged-but-lost keys,
-// and (on the barrier engines) group-prefix ordering.
+// TestKVCrashSweep enumerates crash points on all four kv stack profiles
+// with concurrent group-committing clients: zero acknowledged-but-lost
+// keys, and (on the barrier engines) group-prefix ordering. 10.8 ms on
+// EXT4-DR and 38.4 ms on EXT4-MQ are the instants where fdatasync once
+// returned before the commit holding a new segment's allocation was
+// durable.
 func TestKVCrashSweep(t *testing.T) {
 	pts := times(700, 2000, 4500, 9000, 10800, 20000, 38400, 45000)
 	for _, mk := range []func(device.Config) core.Profile{
 		core.EXT4DR, core.BFSDR, core.EXT4MQ, core.BFSMQ,
 	} {
-		sweepClean(t, crashmc.OnStack(mk(device.NVMeSSD()), crashmc.KV(4)), pts)
+		sweepClean(t, OnStack(mk(device.NVMeSSD()), KV(4)), pts)
 	}
 }
 
@@ -24,6 +26,6 @@ func TestKVCrashSweep(t *testing.T) {
 // is its own group) across crash points on both engines.
 func TestKVCrashSingleClient(t *testing.T) {
 	for _, mk := range []func(device.Config) core.Profile{core.EXT4DR, core.BFSDR} {
-		sweepClean(t, crashmc.OnStack(mk(device.PlainSSD()), crashmc.KV(1)), times(1500, 8000, 30000))
+		sweepClean(t, OnStack(mk(device.PlainSSD()), KV(1)), times(1500, 8000, 30000))
 	}
 }

@@ -1,111 +1,25 @@
-package crashtest
+package crashmc
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/crashmc"
 	"repro/internal/device"
 	"repro/internal/fs"
 	"repro/internal/jbd"
 	"repro/internal/sim"
 )
 
-// The multi-queue regressions. Each workload is declared once, as a
-// crashmc.Part, and audited under both quantifiers at the same crash
-// instant: the one state the simulator produced (the regression as first
-// written) and then every state the device may legally expose there, up to
-// a cap that is logged when it trips.
+// The multi-queue regressions. Each workload is declared once, as a Part,
+// and enumerated at its crash instant: every state the device may legally
+// expose there — the one the simulator produced among them — up to the
+// suite's budget, whose cap is logged when it trips.
 
 // pointDeadline bounds the workloads whose crash instant is a program
 // point: power fails where the app proc stops the kernel, and a run that
 // has not got there by this virtual time has hung.
 const pointDeadline = sim.Time(sim.Second)
-
-// imageLog is a checker that reports nothing and remembers every state it
-// is shown by what survived in it: the replayed journal transactions and
-// the recovered page versions of every file.
-type imageLog struct {
-	fs     *fs.FS
-	images map[string]bool
-}
-
-func (l *imageLog) part(_ *sim.Kernel, s *core.Stack) []crashmc.Checker {
-	l.fs, l.images = s.FS, make(map[string]bool)
-	return []crashmc.Checker{l}
-}
-
-func (l *imageLog) Name() string { return "image-log" }
-
-func (l *imageLog) Check(st *crashmc.State) []crashmc.Violation {
-	var b strings.Builder
-	fmt.Fprint(&b, st.View.Journal().Applied)
-	if root, ok := st.View.Root(l.fs); ok {
-		names := make([]string, 0, len(root.Entries))
-		for name := range root.Entries {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			meta, ok := st.View.Lookup(root, name)
-			fmt.Fprintf(&b, " %s/%v:", name, ok)
-			for idx := range meta.Blocks {
-				ver, _ := st.View.PageVersion(meta, int64(idx))
-				fmt.Fprintf(&b, "%d,", ver)
-			}
-		}
-	}
-	l.images[b.String()] = true
-	return nil
-}
-
-// underBoth runs parts on prof to the crash instant twice — sampled, then
-// enumerated — and checks the quantifiers agree: same instant, the sampled
-// image is one of the enumerated images, and every violation the sample
-// reports the enumeration reports too.
-func underBoth(t *testing.T, prof core.Profile, at sim.Time, parts ...crashmc.Part) (sampled, all crashmc.Result) {
-	t.Helper()
-	var log imageLog
-	w := crashmc.OnStack(prof, append(parts, log.part)...)
-	sampled = crashmc.Sample(w, at)
-	one := log.images
-	budget := crashmc.Config{CrashAt: at, MaxStates: 256, Samples: 32,
-		Log: func(f string, a ...any) { t.Logf(prof.Name+": "+f, a...) }}
-	if testing.Short() {
-		// Every image pays a scan of the full-size journal these profiles
-		// keep; -short (CI's -race run) looks at a quarter as many.
-		budget.MaxStates, budget.Samples = 64, 8
-	}
-	all = crashmc.Enumerate(w, budget)
-	t.Logf("sampled: %v", sampled)
-	t.Logf("enumerated: %v", all)
-	if sampled.CrashAt != all.CrashAt || sampled.Volatile != all.Volatile {
-		t.Errorf("%s: the quantifiers crashed at different instants: %v vs %v", prof.Name, sampled, all)
-	}
-	for image := range one {
-		if len(one) != 1 || !log.images[image] {
-			t.Errorf("%s crash@%v: the sampled image (%d audited) is not among the %d enumerated ones",
-				prof.Name, sampled.CrashAt, len(one), len(log.images))
-		}
-	}
-	if sampled.Durability > all.Durability || sampled.Ordering > all.Ordering || sampled.Consistency > all.Consistency {
-		t.Errorf("%s crash@%v: the sample reports violations the enumeration does not: %v vs %v",
-			prof.Name, sampled.CrashAt, sampled, all)
-	}
-	return sampled, all
-}
-
-func requireClean(t *testing.T, results ...crashmc.Result) {
-	t.Helper()
-	for _, res := range results {
-		if !res.Ok() {
-			t.Errorf("%v: %v", res, res.Violations)
-		}
-	}
-}
 
 // orderedData audits the ordered-mode contract on files written through
 // background writeback: any block their recovered (journal-committed)
@@ -117,12 +31,12 @@ type orderedData struct {
 
 func (c *orderedData) Name() string { return "ordered-data" }
 
-func (c *orderedData) Check(st *crashmc.State) []crashmc.Violation {
+func (c *orderedData) Check(st *State) []Violation {
 	root, ok := st.View.Root(c.fs)
 	if !ok {
 		return nil
 	}
-	var out []crashmc.Violation
+	var out []Violation
 	for _, name := range c.files {
 		meta, ok := st.View.Lookup(root, name)
 		if !ok {
@@ -133,7 +47,7 @@ func (c *orderedData) Check(st *crashmc.State) []crashmc.Violation {
 				continue
 			}
 			if _, ok := st.View.PageVersion(meta, idx); !ok {
-				out = append(out, crashmc.Violation{Kind: crashmc.KindOrdering, Detail: fmt.Sprintf(
+				out = append(out, Violation{Kind: KindOrdering, Detail: fmt.Sprintf(
 					"%s page %d: committed metadata references a block with no durable data (ordered-mode violation)", name, idx)})
 			}
 		}
@@ -160,7 +74,7 @@ func (c *orderedData) Check(st *crashmc.State) []crashmc.Violation {
 // that was never submitted — a pre-existing single-queue window (EXT4-DR
 // exhibits it on this very workload) that the multi-queue layer neither
 // causes nor widens.
-func mqBackground(k *sim.Kernel, s *core.Stack) []crashmc.Checker {
+func mqBackground(k *sim.Kernel, s *core.Stack) []Checker {
 	bulk := &orderedData{fs: s.FS}
 	for b := 0; b < 2; b++ {
 		name := fmt.Sprintf("bulk%d.dat", b)
@@ -178,7 +92,7 @@ func mqBackground(k *sim.Kernel, s *core.Stack) []crashmc.Checker {
 			}
 		})
 	}
-	fg := &crashmc.DurabilityChecker{FS: s.FS, File: "fg.dat"}
+	fg := &DurabilityChecker{FS: s.FS, File: "fg.dat"}
 	k.Spawn("foreground", func(p *sim.Proc) {
 		f, err := s.FS.Create(p, s.FS.Root(), fg.File)
 		if err != nil {
@@ -188,42 +102,39 @@ func mqBackground(k *sim.Kernel, s *core.Stack) []crashmc.Checker {
 			s.FS.Write(p, f, i)
 			s.FS.Fsync(p, f)
 			ver, _ := s.FS.Read(p, f, i)
-			fg.Synced = append(fg.Synced, crashmc.AckedWrite{Idx: i, Ver: ver})
+			fg.Synced = append(fg.Synced, AckedWrite{Idx: i, Ver: ver})
 		}
 	})
 	if s.Profile.FS.Journal.Mode != jbd.ModeDual {
-		return []crashmc.Checker{fg}
+		return []Checker{fg}
 	}
-	return []crashmc.Checker{fg, bulk}
+	return []Checker{fg, bulk}
 }
 
 // TestMQCrashUnderBackgroundLoad sweeps crash points on both multi-queue
 // stacks while background writeback is being scattered across streams.
 func TestMQCrashUnderBackgroundLoad(t *testing.T) {
 	for _, mk := range []func(device.Config) core.Profile{core.EXT4DR, core.EXT4MQ, core.BFSMQ} {
-		for _, at := range times(800, 2500, 7000, 16000, 30000) {
-			sampled, all := underBoth(t, mk(device.NVMeSSD()), at, mqBackground)
-			requireClean(t, sampled, all)
-		}
+		sweepClean(t, OnStack(mk(device.NVMeSSD()), mqBackground), times(800, 2500, 7000, 16000, 30000))
 	}
 }
 
 // ackAll records the current version of pages 0..pages-1 of f as
 // acknowledged.
-func ackAll(p *sim.Proc, s *core.Stack, f *fs.Inode, pages int64, chk *crashmc.DurabilityChecker) {
+func ackAll(p *sim.Proc, s *core.Stack, f *fs.Inode, pages int64, chk *DurabilityChecker) {
 	for i := int64(0); i < pages; i++ {
 		ver, _ := s.FS.Read(p, f, i)
-		chk.Synced = append(chk.Synced, crashmc.AckedWrite{Idx: i, Ver: ver})
+		chk.Synced = append(chk.Synced, AckedWrite{Idx: i, Ver: ver})
 	}
 }
 
 // spreadFsync overwrites a settled file, pushes the pages through
 // background writeback and fdatasyncs; power fails the instant fdatasync's
 // promise is made. *reached counts the runs that got there.
-func spreadFsync(reached *int) crashmc.Part {
+func spreadFsync(reached *int) Part {
 	const pages = 64
-	return func(k *sim.Kernel, s *core.Stack) []crashmc.Checker {
-		chk := &crashmc.DurabilityChecker{FS: s.FS, File: "spread.dat"}
+	return func(k *sim.Kernel, s *core.Stack) []Checker {
+		chk := &DurabilityChecker{FS: s.FS, File: "spread.dat"}
 		k.Spawn("app", func(p *sim.Proc) {
 			f, err := s.FS.Create(p, s.FS.Root(), chk.File)
 			if err != nil {
@@ -245,7 +156,7 @@ func spreadFsync(reached *int) crashmc.Part {
 			*reached++
 			k.Stop() // power fails the instant fdatasync's promise is made
 		})
-		return []crashmc.Checker{chk}
+		return []Checker{chk}
 	}
 }
 
@@ -259,10 +170,9 @@ func TestMQFsyncCoversSpreadWriteback(t *testing.T) {
 	for _, mk := range []func(device.Config) core.Profile{core.EXT4MQ, core.BFSMQ} {
 		prof := mk(device.NVMeSSD())
 		reached := 0
-		sampled, all := underBoth(t, prof, pointDeadline, spreadFsync(&reached))
-		requireClean(t, sampled, all)
-		if reached != 2 {
-			t.Errorf("%s: %d of 2 runs returned from fdatasync", prof.Name, reached)
+		requireClean(t, Enumerate(OnStack(prof, spreadFsync(&reached)), budget(t, pointDeadline)))
+		if reached != 1 {
+			t.Errorf("%s: fdatasync never returned", prof.Name)
 		}
 	}
 }
@@ -275,10 +185,10 @@ func TestMQFsyncCoversSpreadWriteback(t *testing.T) {
 // writeback — the requests themselves are recycled at completion, so it is
 // asked of the filesystem: Fdatawait right after Fdatabarrier finds nothing
 // left to wait for. *reached counts the runs that got to the marker sync.
-func spreadFdatabarrier(mq *testing.T, reached *int) crashmc.Part {
+func spreadFdatabarrier(mq *testing.T, reached *int) Part {
 	const pages = 64
-	return func(k *sim.Kernel, s *core.Stack) []crashmc.Checker {
-		chk := &crashmc.DurabilityChecker{FS: s.FS, File: "barrier.dat"}
+	return func(k *sim.Kernel, s *core.Stack) []Checker {
+		chk := &DurabilityChecker{FS: s.FS, File: "barrier.dat"}
 		k.Spawn("app", func(p *sim.Proc) {
 			f, err := s.FS.Create(p, s.FS.Root(), chk.File)
 			if err != nil {
@@ -328,7 +238,7 @@ func spreadFdatabarrier(mq *testing.T, reached *int) crashmc.Part {
 			*reached++
 			k.Stop()
 		})
-		return []crashmc.Checker{chk}
+		return []Checker{chk}
 	}
 }
 
@@ -346,10 +256,10 @@ func spreadFdatabarrier(mq *testing.T, reached *int) crashmc.Part {
 // A-pages is an ordering violation.
 func TestMQFdatabarrierCoversSpreadWriteback(t *testing.T) {
 	reached := 0
-	sampled, all := underBoth(t, core.BFSMQ(device.NVMeSSD()), pointDeadline, spreadFdatabarrier(t, &reached))
-	requireClean(t, sampled, all)
-	if reached != 2 {
-		t.Fatalf("%d of 2 runs reached the marker sync", reached)
+	w := OnStack(core.BFSMQ(device.NVMeSSD()), spreadFdatabarrier(t, &reached))
+	requireClean(t, Enumerate(w, budget(t, pointDeadline)))
+	if reached != 1 {
+		t.Fatal("the run never reached the marker sync")
 	}
 }
 
@@ -363,7 +273,7 @@ func TestDurabilityMQ(t *testing.T) {
 }
 
 func TestOrderingMQ(t *testing.T) {
-	sweepClean(t, crashmc.OrderingSweep(core.BFSMQ(device.NVMeSSD())),
+	sweepClean(t, ordering(core.BFSMQ(device.NVMeSSD()), 0),
 		times(300, 900, 2000, 4500, 9000, 15000, 25000))
 }
 
@@ -371,11 +281,11 @@ func TestOrderingMQ(t *testing.T) {
 // writing back underneath, so background writes are in flight under every
 // fsync; power fails after the last. *reached counts the runs in which
 // every fsync returned; *stack is left at the last run's stack.
-func pdflushFsync(reached *int, stack **core.Stack) crashmc.Part {
+func pdflushFsync(reached *int, stack **core.Stack) Part {
 	const pages, rounds = 256, 8
-	return func(k *sim.Kernel, s *core.Stack) []crashmc.Checker {
+	return func(k *sim.Kernel, s *core.Stack) []Checker {
 		*stack = s
-		chk := &crashmc.DurabilityChecker{FS: s.FS, File: "pdflush.dat"}
+		chk := &DurabilityChecker{FS: s.FS, File: "pdflush.dat"}
 		k.Spawn("app", func(p *sim.Proc) {
 			f, err := s.FS.Create(p, s.FS.Root(), chk.File)
 			if err != nil {
@@ -391,7 +301,7 @@ func pdflushFsync(reached *int, stack **core.Stack) crashmc.Part {
 			*reached++
 			k.Stop()
 		})
-		return []crashmc.Checker{chk}
+		return []Checker{chk}
 	}
 }
 
@@ -414,9 +324,8 @@ func TestMQFsyncCoversPdflushWriteback(t *testing.T) {
 		prof := pdflushEvery(mk(device.NVMeSSD()))
 		reached := 0
 		var stack *core.Stack
-		sampled, all := underBoth(t, prof, pointDeadline, pdflushFsync(&reached, &stack))
-		requireClean(t, sampled, all)
-		if reached != 2 {
+		requireClean(t, Enumerate(OnStack(prof, pdflushFsync(&reached, &stack)), budget(t, pointDeadline)))
+		if reached != 1 {
 			t.Fatalf("%s: fsync never returned (a waiter parked on a recycled request)", prof.Name)
 		}
 		if stack.FS.Stats().PdflushRuns == 0 {
@@ -427,9 +336,8 @@ func TestMQFsyncCoversPdflushWriteback(t *testing.T) {
 
 // TestMQWorkloadsViolateOnLegacy is the positive control of the four
 // workloads above: on a nobarrier mount over a legacy device, where fsync
-// acknowledges at transfer and the cache persists in any order, each of
-// them must find the loss — under enumeration, and wherever the sample
-// does too the enumeration agrees (underBoth).
+// acknowledges at transfer and the cache persists in any order, some
+// admissible state of each must lose acknowledged data.
 func TestMQWorkloadsViolateOnLegacy(t *testing.T) {
 	legacy := core.EXT4OD(device.LegacySSD())
 	var reached int
@@ -438,14 +346,14 @@ func TestMQWorkloadsViolateOnLegacy(t *testing.T) {
 		name string
 		prof core.Profile
 		at   sim.Time
-		part crashmc.Part
+		part Part
 	}{
-		{"mq-background", legacy, times(2500)[0], mqBackground},
+		{"mq-background", legacy, at(2500), mqBackground},
 		{"spread-writeback fsync", legacy, pointDeadline, spreadFsync(&reached)},
 		{"spread-writeback fdatabarrier", legacy, pointDeadline, spreadFdatabarrier(nil, &reached)},
 		{"pdflush fsync", pdflushEvery(legacy), pointDeadline, pdflushFsync(&reached, &stack)},
 	} {
-		if _, all := underBoth(t, c.prof, c.at, c.part); all.Durability == 0 {
+		if all := Enumerate(OnStack(c.prof, c.part), budget(t, c.at)); all.Durability == 0 {
 			t.Errorf("%s: no admissible state of the unsafe stack loses acknowledged data: %v", c.name, all)
 		}
 	}

@@ -51,8 +51,7 @@ func TestPLPPartialDrainProtectedStacksClean(t *testing.T) {
 	// ordering. Dozens of writes are still volatile (the recent tail), so
 	// the clean verdict covers a real state space, not an empty one.
 	for _, mk := range []func(device.Config) core.Profile{core.BFSDR, core.EXT4DR} {
-		res := OrderingScenario(smallJournal(mk(plpFailureDevice(device.SupercapSSD(), 11))),
-			cfgAt(t, 2500, 0))
+		res := orderingAt(t, mk(plpFailureDevice(device.SupercapSSD(), 11)), 2500, 0)
 		requireClean(t, res)
 		if res.StatesExplored < 2 {
 			t.Fatalf("%s: trivial state space: %s", res.Profile, res.String())
@@ -62,9 +61,7 @@ func TestPLPPartialDrainProtectedStacksClean(t *testing.T) {
 	// supercap dies — the barrier stack's *ordering* contract survives every
 	// prefix: the drain follows transfer order, and the stack transfers in
 	// issue order. Only PLP-backed durability is exposed.
-	early := OrderingScenario(smallJournal(core.BFSDR(plpFailureDevice(device.SupercapSSD(), 11))),
-		cfgAt(t, 300, 0))
-	t.Log(early.String())
+	early := orderingAt(t, core.BFSDR(plpFailureDevice(device.SupercapSSD(), 11)), 300, 0)
 	if early.Ordering != 0 || early.Consistency != 0 {
 		t.Fatalf("BFS-DR mid-drain: ordering/consistency must survive every prefix: %s", early.String())
 	}
@@ -79,11 +76,7 @@ func TestPLPPartialDrainNobarrierLosesAckedData(t *testing.T) {
 	dev := plpFailureDevice(device.SupercapSSD(), 11)
 	dev.Name = "supercap-lazy"
 	dev.EagerWriteback = false
-	res := OrderingScenario(smallJournal(core.EXT4OD(dev)), cfgAt(t, 300, 6))
-	t.Log(res.String())
-	if res.Capped {
-		t.Fatal("partial-drain chain must enumerate exhaustively")
-	}
+	res := orderingAt(t, core.EXT4OD(dev), 300, 6)
 	if res.Durability == 0 {
 		t.Fatalf("dying supercap on a nobarrier stack hid acked-data loss: %s", res.String())
 	}

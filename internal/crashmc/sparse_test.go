@@ -48,7 +48,7 @@ func sparseWriter(acked **DurabilityChecker) Part {
 
 // TestSparseFileCleanInEveryState runs the ordering codelet with the sparse
 // writer beside it under enumeration, the cells fanned out by par.For as the
-// crashmc experiment does (so -race sees the shared-snapshot path on
+// crash experiment does (so -race sees the shared-snapshot path on
 // concurrent kernels). The writer rides beside Ordering rather than inside
 // it because that workload's states are recorded cells.
 func TestSparseFileCleanInEveryState(t *testing.T) {

@@ -12,9 +12,9 @@ import (
 )
 
 // The single-stack workloads. Callers that need exhaustive enumeration on
-// unconstrained (nobarrier) profiles should bound the workload
-// (Config.Writes) and shrink the journal window in the profile (jbd scan
-// cost is paid once per candidate image).
+// unconstrained (nobarrier) profiles should bound the workload (Ordering's
+// writes) and shrink the journal window in the profile (jbd scan cost is
+// paid once per candidate image).
 
 // OrderingPages is the file size (in pages) of the enumerated ordering
 // scenario; page 0 is left untouched as a recovery anchor.
@@ -58,78 +58,50 @@ func Durability(k *sim.Kernel, s *core.Stack) []Checker {
 	return append([]Checker{chk}, journalAndFS(s)...)
 }
 
-// spawnOrdering starts the paper's "Hello"/"World" codelet (§4.1) at
-// scale: preallocate pages 0..pages-1 of a file, fsync (recording the
-// acknowledged versions), then overwrite pages 1..pages-1 round-robin with
-// an fdatabarrier between consecutive writes, recording issue order. After
-// a crash the recovered image must correspond to a *prefix* of the write
-// sequence: writing wk after wj with a barrier between them means wk
-// durable implies wj durable (unless a later surviving write superseded
-// wj's page). writes bounds the overwrites (0 = keep writing until the
-// crash).
-func spawnOrdering(k *sim.Kernel, s *core.Stack, pages int64, writes int) (*DurabilityChecker, *OrderingChecker) {
-	dur := &DurabilityChecker{FS: s.FS, File: "ordered.dat"}
-	ord := &OrderingChecker{FS: s.FS, File: dur.File, Pages: pages}
-	k.Spawn("writer", func(p *sim.Proc) {
-		f, err := s.FS.Create(p, s.FS.Root(), dur.File)
-		if err != nil {
-			panic(err)
-		}
-		for i := int64(0); i < pages; i++ {
-			s.FS.Write(p, f, i)
-		}
-		s.FS.Fsync(p, f)
-		for i := int64(0); i < pages; i++ {
-			ver, _ := s.FS.Read(p, f, i)
-			dur.Synced = append(dur.Synced, AckedWrite{Idx: i, Ver: ver})
-		}
-		for n := int64(0); ; n++ {
-			if writes > 0 && n == int64(writes) {
-				for {
-					p.Suspend() // workload bounded: idle until the crash
-				}
-			}
-			idx := 1 + n%(pages-1)
-			s.FS.Write(p, f, idx)
-			ver, _ := s.FS.Read(p, f, idx)
-			ord.Issued = append(ord.Issued, IssuedWrite{Page: idx, Ver: ver})
-			s.FS.Fdatabarrier(p, f)
-		}
-	})
-	return dur, ord
-}
-
-// Ordering is the §4.1 codelet on an OrderingPages file with its full
-// audit: fsync durability of the preallocation, barrier ordering of the
-// overwrites, journal-replay reach and fs metadata consistency.
+// Ordering is the paper's "Hello"/"World" codelet (§4.1) at scale:
+// preallocate pages 0..OrderingPages-1 of a file, fsync (recording the
+// acknowledged versions), then overwrite pages 1..OrderingPages-1
+// round-robin with an fdatabarrier between consecutive writes, recording
+// issue order. After a crash the recovered image must correspond to a
+// *prefix* of the write sequence: writing wk after wj with a barrier between
+// them means wk durable implies wj durable (unless a later surviving write
+// superseded wj's page). It audits fsync durability of the preallocation,
+// barrier ordering of the overwrites, journal-replay reach and fs metadata
+// consistency. writes bounds the overwrites (0 = keep writing until the
+// crash); bounding them keeps the unconstrained (nobarrier) state space
+// exhaustively enumerable.
 func Ordering(writes int) Part {
 	return func(k *sim.Kernel, s *core.Stack) []Checker {
-		dur, ord := spawnOrdering(k, s, OrderingPages, writes)
+		dur := &DurabilityChecker{FS: s.FS, File: "ordered.dat"}
+		ord := &OrderingChecker{FS: s.FS, File: dur.File, Pages: OrderingPages}
+		k.Spawn("writer", func(p *sim.Proc) {
+			f, err := s.FS.Create(p, s.FS.Root(), dur.File)
+			if err != nil {
+				panic(err)
+			}
+			for i := int64(0); i < OrderingPages; i++ {
+				s.FS.Write(p, f, i)
+			}
+			s.FS.Fsync(p, f)
+			for i := int64(0); i < OrderingPages; i++ {
+				ver, _ := s.FS.Read(p, f, i)
+				dur.Synced = append(dur.Synced, AckedWrite{Idx: i, Ver: ver})
+			}
+			for n := int64(0); ; n++ {
+				if writes > 0 && n == int64(writes) {
+					for {
+						p.Suspend() // workload bounded: idle until the crash
+					}
+				}
+				idx := 1 + n%(OrderingPages-1)
+				s.FS.Write(p, f, idx)
+				ver, _ := s.FS.Read(p, f, idx)
+				ord.Issued = append(ord.Issued, IssuedWrite{Page: idx, Ver: ver})
+				s.FS.Fdatabarrier(p, f)
+			}
+		})
 		return append([]Checker{dur, ord}, journalAndFS(s)...)
 	}
-}
-
-// OrderingScenario enumerates the §4.1 codelet on prof: the cell of the
-// crashmc experiment.
-func OrderingScenario(prof core.Profile, cfg Config) Result {
-	return Enumerate(OnStack(prof, Ordering(cfg.Writes)), cfg)
-}
-
-// OrderingSweep is the §4.1 codelet as the sampled sweeps run it (the
-// crash experiment's ordering rows, examples/crashsafety). It differs from
-// Ordering in two ways, both deliberate. It audits the ordering contract
-// *only*: these sweeps exist for the -OD profiles, where the preallocation
-// fsync makes no honest durability promise and JournalChecker fires by
-// design (a nobarrier mount acknowledges at transfer), so the other three
-// audits would report what those profiles never claimed. And it writes an
-// 8-page file, unbounded: the sweeps' recorded cells and verdict lines are
-// those of that history, while the enumerated scenario keeps the file at
-// OrderingPages so its state space stays enumerable.
-func OrderingSweep(prof core.Profile) Workload {
-	return OnStack(prof, func(k *sim.Kernel, s *core.Stack) []Checker {
-		_, ord := spawnOrdering(k, s, 8, 0)
-		return []Checker{ord}
-	})
 }
 
 // plpFailureDevice installs the PLP-failure fault plan on a supercap

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/crashmc"
 	"repro/internal/device"
 	"repro/internal/kvwal"
 	"repro/internal/par"
@@ -24,27 +23,10 @@ type KVRow struct {
 	P999      float64 `col:"p999_ms,p99.9(ms),%9.3f"`
 }
 
-// KVCrashRow is one profile's crash sweep outcome. The trailing space in
-// the trials format makes the two-space gap before the verdict.
-type KVCrashRow struct {
-	Config     string `col:"config,,%-8s"`
-	Trials     int    `col:"crash_trials,,%d crash points "`
-	Violations int    `col:"crash_violations,,%s"`
-}
-
-// cellText prints the violation count as a verdict.
-func (r KVCrashRow) cellText() (key, text string) {
-	if r.Violations > 0 {
-		return "crash_violations", fmt.Sprintf("FAIL (%d violated)", r.Violations)
-	}
-	return "crash_violations", "OK"
-}
-
 // KVResult is the kvwal application experiment: the throughput/latency
-// matrix plus the crash-consistency sweep.
+// matrix. Its crash audit is the crash experiment's kv workload.
 type KVResult struct {
-	Rows  []KVRow
-	Crash []KVCrashRow
+	Rows []KVRow
 }
 
 // KV runs the barrier-enabled KV store experiment: concurrent clients
@@ -54,9 +36,6 @@ type KVResult struct {
 // ordered with one fdatabarrier and durability rides the periodic
 // checkpoint — the application-level payoff of §4's dual-mode journaling,
 // measured end to end through group commit, memtable flush and compaction.
-// The crash sweep then audits that the cheap commits gave nothing away:
-// zero acknowledged-but-lost keys, and group-prefix ordering on the
-// barrier engines.
 func KV(scale Scale) KVResult {
 	dur := scale.dur(30*sim.Millisecond, 150*sim.Millisecond)
 	clientCounts := []int{2, 8}
@@ -81,22 +60,5 @@ func KV(scale Scale) KVResult {
 			P50: res.Latency.Median, P99: res.Latency.P99, P999: res.Latency.P999,
 		}
 	})
-	// Crash sweep: enumerated crash points per profile, concurrent clients.
-	// Sweep fans its samples out itself, so the profile loop stays serial.
-	n := scale.n(4, 10)
-	var times []sim.Time
-	for i := 1; i <= n; i++ {
-		times = append(times, sim.Time(sim.Duration(i*i)*600*sim.Microsecond))
-	}
-	for _, mk := range profiles {
-		prof := mk(device.NVMeSSD())
-		row := KVCrashRow{Config: prof.Name, Trials: len(times)}
-		for _, res := range crashmc.Sweep(crashmc.OnStack(prof, crashmc.KV(4)), times) {
-			if !res.Ok() {
-				row.Violations++
-			}
-		}
-		out.Crash = append(out.Crash, row)
-	}
 	return out
 }

@@ -38,16 +38,7 @@ func TestKVShape(t *testing.T) {
 				r.Config, r.Clients, r.P50, r.P99, r.P999)
 		}
 	}
-	// Crash sweep: zero violations on every profile.
-	if len(res.Crash) != 4 {
-		t.Fatalf("crash rows = %d", len(res.Crash))
-	}
-	for _, c := range res.Crash {
-		if c.Violations != 0 {
-			t.Errorf("%s: %d/%d crash points violated", c.Config, c.Violations, c.Trials)
-		}
-	}
-	if !strings.Contains(textOf(t, "kv", Outcome{Rows: []any{res.Rows, res.Crash}}), "KV") {
+	if !strings.Contains(textOf(t, "kv", rows(res.Rows)), "KV") {
 		t.Error("render broken")
 	}
 }

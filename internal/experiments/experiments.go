@@ -91,10 +91,9 @@ func rows(rs any, titleArgs ...any) Outcome {
 // of declares the common case, one unheaded section of row's type.
 func of(row any) []Section { return []Section{{Row: row}} }
 
-// cellTexter is implemented by the few row types that print one cell as
-// something other than its value (crashmc's capped flag as "yes(+N)", a
-// crash sweep's violation count as a verdict): the column's key and the
-// text to print there.
+// cellTexter is implemented by a row type that prints one cell as
+// something other than its value (the crash table's capped flag as
+// "yes(+N)"): the column's key and the text to print there.
 type cellTexter interface {
 	cellText() (key, text string)
 }

@@ -26,19 +26,16 @@ var Registry = []Experiment{
 	{"mq", "MQ: per-stream epochs vs global order (NVMe-SSD, barrier every 8 writes)",
 		[]Section{{Row: MQScalingRow{}}, {"-- foreground fdatasync under background writeback --", MQFSRow{}}},
 		func(s Scale) Outcome { r := MQScaling(s); return Outcome{Rows: []any{r.Rows, r.FS}} }},
-	{"kv", "KV: WAL group commit, barrier vs transfer-and-flush (NVMe-SSD)",
-		[]Section{{Row: KVRow{}}, {"-- crash sweep: acknowledged-durable keys must survive every crash point --", KVCrashRow{}}},
-		func(s Scale) Outcome { r := KV(s); return Outcome{Rows: []any{r.Rows, r.Crash}} }},
+	{"kv", "KV: WAL group commit, barrier vs transfer-and-flush (NVMe-SSD)", of(KVRow{}),
+		func(s Scale) Outcome { return rows(KV(s).Rows) }},
 	{"kvcluster", "kvcluster: sharded KV service, open-loop Zipfian traffic (SLO %.1fms)", of(KVClusterRow{}),
 		func(s Scale) Outcome { r := KVCluster(s); return rows(r.Rows, r.SLOms) }},
 	{"faults", "faults: replicated KV cluster under device fault personalities (SLO %.1fms)", of(FaultsRow{}),
 		func(s Scale) Outcome { r := Faults(s); return rows(r.Rows, r.SLOms) }},
 	{"whyslow", "whyslow: tail-latency attribution across the IO stack (SLO %.1fms)", of(WhySlowRow{}),
 		func(s Scale) Outcome { r := WhySlow(s); return rows(r.Rows, r.SLOms) }},
-	{"crash", "Crash consistency sweep", of(CrashRow{}),
-		func(s Scale) Outcome { return rows(Crash(s)) }},
-	{"crashmc", "Crash-state model checking (states explored / violations per profile)", of(CrashMCRow{}),
-		func(s Scale) Outcome { r := CrashMC(s); return Outcome{Rows: []any{r.Rows}, Notes: r.Notes} }},
+	{"crash", "Crash-state model checking (states explored / violations per workload, profile and crash instant)", of(CrashMCRow{}),
+		func(s Scale) Outcome { r := Crash(s); return Outcome{Rows: []any{r.Rows}, Notes: r.Notes} }},
 	{"rebalance", "rebalance: live ring resize under open-loop traffic (SLO %.1fms)", of(RebalanceRow{}),
 		func(s Scale) Outcome { r := Rebalance(s); return rows(r.Rows, r.SLOms) }},
 }

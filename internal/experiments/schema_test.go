@@ -104,15 +104,15 @@ func TestRenderGenerated(t *testing.T) {
 		t.Errorf("mq rows = %v", js)
 	}
 
-	mc, _ := Lookup("crashmc")
+	mc, _ := Lookup("crash")
 	text := mc.Text(Outcome{
-		Rows:  []any{[]CrashMCRow{{Config: "EXT4-DR", CrashAtUs: 1200, Capped: true, Sampled: 128}}},
+		Rows:  []any{[]CrashMCRow{{Workload: "kv", Config: "EXT4-DR", CrashAtUs: 1200, Capped: true, Sampled: 128}}},
 		Notes: []string{"capped"},
 	})
 	if !strings.Contains(text, "  yes(+128) ") || !strings.HasSuffix(text, "note: capped\n") {
-		t.Errorf("crashmc text:\n%s", text)
+		t.Errorf("crash text:\n%s", text)
 	}
 	if row := mc.JSONRows(Outcome{Rows: []any{[]CrashMCRow{{Capped: true, Sampled: 128}}}})[0]; row["capped"] != true || row["sampled"] != 128 {
-		t.Errorf("crashmc row = %v", row)
+		t.Errorf("crash row = %v", row)
 	}
 }

@@ -162,7 +162,7 @@ func TestSeriesPeakAndSample(t *testing.T) {
 	if got := s.Peak(0, 100); got != 9 {
 		t.Errorf("peak = %v", got)
 	}
-	pts := s.Sample(0, 100, 11)
+	pts := s.sample(0, 100, 11)
 	if len(pts) != 11 {
 		t.Fatalf("samples = %d", len(pts))
 	}

@@ -93,9 +93,9 @@ func (s *Series) Peak(from, to sim.Time) float64 {
 	return peak
 }
 
-// Sample reduces the series to n evenly spaced samples over [from, to],
+// sample reduces the series to n evenly spaced samples over [from, to],
 // suitable for plotting the Fig. 10 / Fig. 12 queue-depth timelines as text.
-func (s *Series) Sample(from, to sim.Time, n int) []Point {
+func (s *Series) sample(from, to sim.Time, n int) []Point {
 	if n < 2 || to <= from {
 		return nil
 	}
@@ -117,7 +117,7 @@ func (s *Series) AsciiPlot(from, to sim.Time, rows int, maxVal float64) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (time %v .. %v)\n", s.name, from, to)
-	for _, p := range s.Sample(from, to, rows) {
+	for _, p := range s.sample(from, to, rows) {
 		bar := int(p.Value / maxVal * 50)
 		if bar < 0 {
 			bar = 0
