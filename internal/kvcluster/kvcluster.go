@@ -254,14 +254,15 @@ func Run(cfg Config, tr Traffic) Result {
 		par.For(cfg.Shards, func(i int) {
 			runs[i] = runShardStack(cfg, tr, i, parts[i], end)
 			if !par.Enabled() {
-				// One after another, each shard's machine (about 30 MB, half
-				// of it the flash array) is garbage the moment its kernel
-				// closes. Collect it here, not when the pacer next fires: a
-				// collection still marking at this instant counts the dead
-				// machine and the next one's arrays as live together, the
-				// heap goal stays half again as high for the whole next
-				// shard, and the peak memory of identical runs reads 47, 55
-				// or 70 MB depending on a few milliseconds of timing.
+				// One after another: the flash page store of a closed shard
+				// is the next shard's (nand recycles it), but the rest of the
+				// machine — stack, caches, store, traces — is garbage the
+				// moment its kernel closes. Collect it here, not when the
+				// pacer next fires: a collection still marking at this
+				// instant counts the dead machine and the next one as live
+				// together, the heap goal stays that much higher for the
+				// whole next shard, and kv-service's peak memory reads 56 MB
+				// rather than 42.
 				runtime.GC()
 			}
 		})

@@ -2,6 +2,8 @@ package kvcluster
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/kvwal"
 	"repro/internal/metrics"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -127,6 +130,57 @@ func TestClusterShardedStacksRuns(t *testing.T) {
 	res2 := Run(cfg, smallTraffic(40_000))
 	if res.Good != res2.Good || res.Done != res2.Done || res.Shed != res2.Shed {
 		t.Errorf("run not deterministic: %+v vs %+v", res, res2)
+	}
+}
+
+var recycleRuns int
+
+// A closed shard's flash page store is the next shard's: two back-to-back
+// runs of the kv-service shape, the first on fresh arrays and the second on
+// the recycled ones, must report the same Result. The shards run on par.For
+// goroutines that share the nand free list, so run this under -race too.
+func TestRecycledArraysKeepRunsIdentical(t *testing.T) {
+	defer par.SetEnabled(par.Enabled())
+	par.SetEnabled(true)
+	// More blocks per chip than any other test's (or an earlier -count
+	// repeat's) NVMe array, so the first run cannot find a store of its
+	// size already free.
+	recycleRuns++
+	dev := func() device.Config {
+		c := device.NVMeSSD()
+		c.Geometry.BlocksPerChip += recycleRuns
+		return c
+	}
+	cfg := Config{Shards: 2, Mode: ShardedStacks, Profile: core.BFSDR, Device: dev,
+		Store: kvwal.DefaultConfig(), InflightCap: 64, SLO: 2 * sim.Millisecond}
+	tr := Traffic{
+		Arrivals:  workload.ArrivalConfig{Kind: workload.ArrivalPoisson, RatePerS: 30_000, Seed: 1},
+		Mix:       workload.Mix{ReadPct: 20, DeletePct: 12},
+		KeySpace:  8192,
+		ZipfTheta: 0.99,
+		Tenants:   2,
+		Warmup:    5 * sim.Millisecond,
+		Duration:  20 * sim.Millisecond,
+	}
+	run := func() (Result, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := Run(cfg, tr)
+		runtime.ReadMemStats(&after)
+		return res, after.TotalAlloc - before.TotalAlloc
+	}
+	fresh, freshAlloc := run()
+	recycled, recycledAlloc := run()
+	if fresh.Done == 0 {
+		t.Fatalf("no measured traffic: %+v", fresh)
+	}
+	if !reflect.DeepEqual(fresh, recycled) {
+		t.Errorf("recycled arrays changed the result:\nfresh    %+v\nrecycled %+v", fresh, recycled)
+	}
+	store := uint64(dev().Geometry.TotalPages()) * 32 // PageMeta + interface word pair
+	if freshAlloc < recycledAlloc+store {
+		t.Errorf("second run allocated %d B against the first's %d B: no %d B store recycled",
+			recycledAlloc, freshAlloc, store)
 	}
 }
 

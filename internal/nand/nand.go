@@ -13,6 +13,7 @@ package nand
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/sim"
@@ -167,7 +168,8 @@ type Array struct {
 	// a pointer-bearing slice per block (8192 on the NVMe geometry) it takes
 	// the collector tens of milliseconds to mark, long enough to span one
 	// machine's tear-down and the next one's build, count both as live, and
-	// make the peak memory of identical runs differ by half.
+	// make the peak memory of identical runs differ by half. They are
+	// recycled through freeStores when the kernel closes.
 	meta []PageMeta
 	data []any
 
@@ -187,14 +189,17 @@ type Array struct {
 // runs; nil disables injection.
 func (a *Array) SetFault(in *fault.Injector) { a.fault = in }
 
-// New builds the array and spawns one service process per chip.
+// New builds the array and spawns one service process per chip. A device
+// lives until its kernel closes: Close hands its page store to the next New
+// of the same size, and any later use of the Array panics.
 func New(k *sim.Kernel, geo Geometry, timing Timing) *Array {
 	if err := geo.Validate(); err != nil {
 		panic(err)
 	}
 	a := &Array{k: k, geo: geo, timing: timing, ProgramScale: 1.0}
-	a.meta = make([]PageMeta, geo.TotalPages())
-	a.data = make([]any, geo.TotalPages())
+	st := takeStore(geo.TotalPages())
+	a.meta, a.data = st.meta, st.data
+	k.OnClose(a.release)
 	a.buses = make([]*sim.Mutex, geo.Channels)
 	for i := range a.buses {
 		a.buses[i] = sim.NewMutex(k)
@@ -210,6 +215,60 @@ func New(k *sim.Kernel, geo Geometry, timing Timing) *Array {
 		}
 	}
 	return a
+}
+
+// freeStores holds the page stores of closed arrays. An NVMe-class store is
+// 16.8 MB (524 288 pages × 32 B) of which a run programs a few percent, so
+// the next New of the same size clears far less by taking it than by
+// allocating. Kernels close and build on several goroutines at once
+// (par.For), hence the mutex; a sync.Pool would not do, since the collection
+// between one run and the next empties it.
+var freeStores struct {
+	sync.Mutex
+	list []pageStore
+}
+
+// pageStore is one array's page content, indexed by slot().
+type pageStore struct {
+	meta []PageMeta
+	data []any
+}
+
+// takeStore returns a blank page store of n pages, recycled if one is free.
+func takeStore(n int) pageStore {
+	freeStores.Lock()
+	for i, st := range freeStores.list {
+		if len(st.meta) == n {
+			last := len(freeStores.list) - 1
+			freeStores.list[i] = freeStores.list[last]
+			freeStores.list = freeStores.list[:last]
+			freeStores.Unlock()
+			return st
+		}
+	}
+	freeStores.Unlock()
+	return pageStore{make([]PageMeta, n), make([]any, n)}
+}
+
+// release ends the array's life when its kernel closes: it blanks the page
+// store and frees it for the next New. Clearing each block's [0, next) is
+// enough because a slot at or past its block's next is always zero — store
+// writes only at next, an erase wipes the block, a lost program never stores
+// — so pages no run touched stay untouched and non-resident. The Array's
+// slices go nil, so a closed device panics on use rather than reading
+// another device's pages.
+func (a *Array) release() {
+	for _, c := range a.chips {
+		for b, blk := range c.blocks {
+			lo := a.slot(c.id, b, 0)
+			clear(a.meta[lo : lo+blk.next])
+			clear(a.data[lo : lo+blk.next])
+		}
+	}
+	freeStores.Lock()
+	freeStores.list = append(freeStores.list, pageStore{a.meta, a.data})
+	freeStores.Unlock()
+	a.meta, a.data, a.chips = nil, nil, nil
 }
 
 // slot returns the index of a page in meta and data.

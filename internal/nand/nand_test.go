@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -317,6 +318,77 @@ func TestProgramScaleSlowsPrograms(t *testing.T) {
 	if doneAt != want {
 		t.Errorf("scaled program at %v, want %v", doneAt, want)
 	}
+}
+
+// A closed kernel's array hands its page store to the next New of the same
+// size, which must find it blank — after programs across blocks, an erase
+// and a program lost to power failure — and must not allocate a second one.
+func TestRecycledArrayIsBlank(t *testing.T) {
+	// The NVMe-class size: 128 chips × 64 blocks × 64 pages, 16.8 MB of store.
+	g := Geometry{Channels: 16, WaysPerChannel: 8, BlocksPerChip: 64, PagesPerBlock: 64, PageSize: 4096}
+	k := sim.NewKernel()
+	a := New(k, g, testTiming())
+	k.Spawn("host", func(p *sim.Proc) {
+		c := sim.NewCond(k)
+		signal := func(sim.Time, *Request) { c.Signal() }
+		for i, l := range []struct{ chip, block, pages int }{
+			{0, 0, 3}, {5, 2, 7}, {g.Chips() - 1, g.BlocksPerChip - 1, g.PagesPerBlock},
+		} {
+			for pg := 0; pg < l.pages; pg++ {
+				a.Submit(&Request{Kind: OpProgram, Chip: l.chip, Block: l.block, Page: pg,
+					Meta: PageMeta{LPA: uint64(i + 1), Seq: uint64(pg + 1)}, Data: pg, Done: signal})
+				c.Wait(p)
+			}
+		}
+		a.Submit(&Request{Kind: OpErase, Chip: 5, Block: 2, Done: signal})
+		c.Wait(p)
+		a.Submit(&Request{Kind: OpProgram, Chip: 3, Block: 1, Page: 0,
+			Meta: PageMeta{LPA: 9, Seq: 9}, Data: "lost", Done: signal})
+		p.Sleep(testTiming().BusXfer + testTiming().Program/2) // mid-program
+		a.Fail()
+	})
+	k.Run()
+	if got := a.Stats(); got.Programs != 3+7+64 || got.Erases != 1 || got.LostJobs != 1 {
+		t.Fatalf("stats = %+v", got)
+	}
+	k.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	k2 := sim.NewKernel()
+	defer k2.Close()
+	b := New(k2, g, testTiming())
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("second New allocated %d B, want < 1 MB (the store is recycled)", d)
+	}
+	for chip := 0; chip < g.Chips(); chip++ {
+		for blk := 0; blk < g.BlocksPerChip; blk++ {
+			if n := b.NextPage(chip, blk); n != 0 {
+				t.Fatalf("chip %d block %d: next = %d", chip, blk, n)
+			}
+			for pg := 0; pg < g.PagesPerBlock; pg++ {
+				if ok, meta, data := b.PageInfo(chip, blk, pg); ok || meta != (PageMeta{}) || data != nil {
+					t.Fatalf("chip %d block %d page %d: %v %+v %v", chip, blk, pg, ok, meta, data)
+				}
+			}
+		}
+	}
+	// PageInfo answers unprogrammed from the program pointer alone; the
+	// store behind it must be blank too, or the next program would be the
+	// only thing hiding the last device's pages.
+	for i := range b.meta {
+		if b.meta[i] != (PageMeta{}) || b.data[i] != nil {
+			t.Fatalf("slot %d holds %+v %v", i, b.meta[i], b.data[i])
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("PageInfo on a closed array did not panic")
+		}
+	}()
+	a.PageInfo(0, 0, 0)
 }
 
 func TestOpKindString(t *testing.T) {

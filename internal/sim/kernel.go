@@ -37,6 +37,7 @@ type Kernel struct {
 	stopped  bool
 	closed   bool
 	callback bool // components should use run-to-completion handlers
+	onClose  []func()
 
 	tr *Trace
 	sp *SpanTrace
@@ -278,10 +279,20 @@ func (k *Kernel) RunUntil(t Time) Time {
 	return k.now
 }
 
+// OnClose registers fn to run when the kernel closes, after every process
+// has retired: the end of life of whatever the kernel's components hold.
+// Hooks run in registration order.
+func (k *Kernel) OnClose(fn func()) {
+	if k.closed {
+		panic("sim: OnClose on closed kernel")
+	}
+	k.onClose = append(k.onClose, fn)
+}
+
 // Close terminates every live process: a parked body is unwound (its
 // deferred calls run), a handler or a proc that never started is retired in
-// place. The kernel must not be used afterwards. It is safe to call Close
-// multiple times.
+// place. Then it runs the OnClose hooks. The kernel must not be used
+// afterwards. It is safe to call Close multiple times.
 func (k *Kernel) Close() {
 	if k.closed {
 		return
@@ -300,4 +311,8 @@ func (k *Kernel) Close() {
 	if k.live != 0 {
 		panic(fmt.Sprintf("sim: %d processes survived Close", k.live))
 	}
+	for _, fn := range k.onClose {
+		fn()
+	}
+	k.onClose = nil
 }

@@ -202,6 +202,26 @@ func TestCloseReapsDaemons(t *testing.T) {
 	}
 }
 
+// OnClose hooks run once, in registration order, after the last process has
+// retired — a parked daemon's deferred calls included.
+func TestOnCloseRunsAfterProcsRetire(t *testing.T) {
+	k := NewKernel()
+	q := NewQueue[int](k)
+	var log []string
+	k.Spawn("daemon", func(p *Proc) {
+		defer func() { log = append(log, "daemon") }()
+		q.Get(p)
+	})
+	k.OnClose(func() { log = append(log, fmt.Sprintf("hook1 live=%d", k.Live())) })
+	k.OnClose(func() { log = append(log, "hook2") })
+	k.Run()
+	k.Close()
+	k.Close()
+	if got, want := fmt.Sprint(log), "[daemon hook1 live=0 hook2]"; got != want {
+		t.Errorf("log = %s, want %s", got, want)
+	}
+}
+
 func TestAdvanceDoesNotCountAsSwitch(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
