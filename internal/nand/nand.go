@@ -162,16 +162,16 @@ type Array struct {
 	gen    uint64 // incremented on every power failure
 	failed bool
 
-	// meta and data hold every page's content, indexed by slot(): two flat
-	// slices for the whole array, meta pointer-free so the collector never
-	// scans it. A fresh array is most of a simulated machine's heap; held as
-	// a pointer-bearing slice per block (8192 on the NVMe geometry) it takes
-	// the collector tens of milliseconds to mark, long enough to span one
-	// machine's tear-down and the next one's build, count both as live, and
-	// make the peak memory of identical runs differ by half. They are
-	// recycled through freeStores when the kernel closes.
-	meta []PageMeta
-	data []any
+	// pageStore's meta and data hold every page's content, indexed by
+	// slot(): two flat slices for the whole array, meta pointer-free so the
+	// collector never scans it. A fresh array is most of a simulated
+	// machine's heap; held as a pointer-bearing slice per block (8192 on the
+	// NVMe geometry) it takes the collector tens of milliseconds to mark,
+	// long enough to span one machine's tear-down and the next one's build,
+	// count both as live, and make the peak memory of identical runs differ
+	// by half. The pair is recycled through freeStores when the kernel
+	// closes.
+	pageStore
 
 	// ProgramScale inflates program latency; the device layer uses it to
 	// model the 5% barrier-overhead penalty of the paper's plain-SSD setup.
@@ -197,8 +197,7 @@ func New(k *sim.Kernel, geo Geometry, timing Timing) *Array {
 		panic(err)
 	}
 	a := &Array{k: k, geo: geo, timing: timing, ProgramScale: 1.0}
-	st := takeStore(geo.TotalPages())
-	a.meta, a.data = st.meta, st.data
+	a.pageStore = takeStore(geo.TotalPages())
 	k.OnClose(a.release)
 	a.buses = make([]*sim.Mutex, geo.Channels)
 	for i := range a.buses {
@@ -266,9 +265,9 @@ func (a *Array) release() {
 		}
 	}
 	freeStores.Lock()
-	freeStores.list = append(freeStores.list, pageStore{a.meta, a.data})
+	freeStores.list = append(freeStores.list, a.pageStore)
 	freeStores.Unlock()
-	a.meta, a.data, a.chips = nil, nil, nil
+	a.pageStore, a.chips = pageStore{}, nil
 }
 
 // slot returns the index of a page in meta and data.
