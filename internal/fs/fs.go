@@ -14,10 +14,12 @@
 // rewrite carves a new one, so a stamp handed to the device is never written
 // again.
 //
-// Stamps and page-cache entries come from per-filesystem slabs (slab.go):
-// one allocation per 64 entries, never reused. Their retention bound is one
-// slab per live entry: a stamp the NAND array still holds, or one cached
-// page, keeps its whole slab reachable.
+// Journaled metadata travels the same way, as the *InodeMeta and *AllocMeta
+// records a journal freeze carves. Stamps, records and page-cache entries
+// come from per-filesystem slabs (sim.Slab): one allocation per 64 entries,
+// never reused. Their retention bound is one slab per live entry: a stamp or
+// record the NAND array still holds, or one cached page, keeps its whole
+// slab reachable.
 //
 // Data-writeback requests are pooled (block.ReqPool). WritebackAsync hands
 // its holds to the block layer, which recycles each request at completion;
@@ -204,10 +206,10 @@ func (i *Inode) DirtyPages() int { return len(i.dirtyPg) }
 // (see frozenLen), cap-clamped so a holder's append cannot reach the live tail.
 func (i *Inode) snapshot() any {
 	i.frozenLen = len(i.blocks)
-	m := InodeMeta{
+	m := i.fs.metas.New(InodeMeta{
 		Ino: i.ino, Dir: i.dir, Size: i.size, MTimeJiffy: i.mtimeJiffy,
 		Blocks: i.blocks[:i.frozenLen:i.frozenLen],
-	}
+	})
 	if i.entries != nil {
 		m.Entries = make(map[string]uint64, len(i.entries))
 		for k, v := range i.entries {
@@ -260,9 +262,11 @@ type FS struct {
 	// last of {sync call's plan or reader, transaction's ordered data, the
 	// block layer} releases it.
 	reqPool block.ReqPool
-	// stamps and pageSlab carve content stamps and page-cache entries.
-	stamps   slab[PageData]
-	pageSlab slab[page]
+	// The slabs carve content stamps, frozen metadata and page-cache entries.
+	stamps   sim.Slab[PageData]
+	metas    sim.Slab[InodeMeta]
+	allocs   sim.Slab[AllocMeta]
+	pageSlab sim.Slab[page]
 
 	stats Stats
 	obs   fsObs
@@ -299,8 +303,7 @@ func New(k *sim.Kernel, layer block.Submitter, opts Options) *FS {
 	// contending on one global block (which would serialize every commit
 	// through the multi-transaction page-conflict machinery).
 	for g := 0; g < allocGroups; g++ {
-		buf := &jbd.Buffer{Home: f.allocLPARaw(), Name: fmt.Sprintf("alloc-group-%d", g)}
-		buf.Snapshot = func() any { return AllocMeta{NextLPA: f.nextLPA, NFree: f.nFree} }
+		buf := &jbd.Buffer{Home: f.allocLPARaw(), Name: fmt.Sprintf("alloc-group-%d", g), Snapshot: f.allocSnapshot}
 		f.allocGrps = append(f.allocGrps, buf)
 	}
 	f.root = f.newInode(RootIno, true)
@@ -346,6 +349,9 @@ func (f *FS) anyDirty() bool {
 
 // allocGroups is the number of allocation-bitmap shards.
 const allocGroups = 16
+
+// allocSnapshot freezes the allocator for an allocation-group buffer.
+func (f *FS) allocSnapshot() any { return f.allocs.New(AllocMeta{NextLPA: f.nextLPA, NFree: f.nFree}) }
 
 // allocBufFor returns the allocation-group buffer covering an inode.
 func (f *FS) allocBufFor(ino Ino) *jbd.Buffer {
@@ -394,17 +400,14 @@ func (f *FS) newInode(ino Ino, dir bool) *Inode {
 
 // newPage carves a page-cache entry for page idx of i and caches it.
 func (f *FS) newPage(i *Inode, pg page) *page {
-	e := f.pageSlab.new()
-	*e = pg
+	e := f.pageSlab.New(pg)
 	i.pages[pg.idx] = e
 	return e
 }
 
 // stamp carves the immutable content stamp of pg's current version.
 func (f *FS) stamp(i *Inode, pg *page) *PageData {
-	d := f.stamps.new()
-	*d = PageData{Ino: i.ino, Idx: pg.idx, Ver: pg.ver}
-	return d
+	return f.stamps.New(PageData{Ino: i.ino, Idx: pg.idx, Ver: pg.ver})
 }
 
 func (f *FS) cpu(p *sim.Proc) {

@@ -28,16 +28,16 @@ func Recover(read jbd.ReadFn, jcfg jbd.Config) *View {
 func (v *View) Journal() jbd.Recovered { return v.journal }
 
 // metaAt returns the effective metadata for an inode home LPA: the newest
-// replayed journal copy, else the in-place copy.
+// replayed journal copy, else the in-place copy, copied out of the record.
 func (v *View) metaAt(home uint64) (InodeMeta, bool) {
 	if d, ok := v.journal.State[home]; ok {
-		if m, ok := d.(InodeMeta); ok {
-			return m, true
+		if m, ok := d.(*InodeMeta); ok {
+			return *m, true
 		}
 	}
 	if d, ok := v.read(home); ok {
-		if m, ok := d.(InodeMeta); ok {
-			return m, true
+		if m, ok := d.(*InodeMeta); ok {
+			return *m, true
 		}
 	}
 	return InodeMeta{}, false

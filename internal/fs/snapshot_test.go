@@ -26,42 +26,59 @@ func copyMeta(m InodeMeta) InodeMeta {
 	return c
 }
 
-// frozenPair is one journal freeze: the InodeMeta the journal received and a
-// deep copy taken at the same instant.
-type frozenPair struct{ got, want InodeMeta }
+// frozenPair is one journal freeze: the carved record the journal received
+// (*InodeMeta or *AllocMeta) and a deep copy of it taken at the same instant.
+type frozenPair struct{ got, want any }
 
-// snapshotLog records every freeze of the inodes it watches.
+// snapshotLog records every freeze of the buffers it watches.
 type snapshotLog struct{ pairs []frozenPair }
 
-func (l *snapshotLog) watch(i *Inode) {
-	freeze := i.buf.Snapshot
-	i.buf.Snapshot = func() any {
-		m := freeze().(InodeMeta)
-		l.pairs = append(l.pairs, frozenPair{got: m, want: copyMeta(m)})
-		return m
+func (l *snapshotLog) watch(b *jbd.Buffer) {
+	freeze := b.Snapshot
+	b.Snapshot = func() any {
+		d := freeze()
+		var want any
+		switch m := d.(type) {
+		case *InodeMeta:
+			want = copyMeta(*m)
+		case *AllocMeta:
+			want = *m
+		}
+		l.pairs = append(l.pairs, frozenPair{got: d, want: want})
+		return d
 	}
 }
 
-// check fails for every snapshot that no longer equals its deep copy: some
-// later write reached through the shared block map.
+// check fails for every record that no longer equals its deep copy: some
+// later write reached it, through the shared block map or the pointer.
 func (l *snapshotLog) check(t *testing.T, when string) {
 	t.Helper()
 	for n, pr := range l.pairs {
-		if !reflect.DeepEqual(pr.got, pr.want) {
-			t.Errorf("%s: snapshot %d of inode %d changed after the freeze:\n got %v\nwant %v",
-				when, n, pr.want.Ino, pr.got.Blocks, pr.want.Blocks)
+		if got := reflect.ValueOf(pr.got).Elem().Interface(); !reflect.DeepEqual(got, pr.want) {
+			t.Errorf("%s: record %d changed after the freeze:\n got %+v\nwant %+v", when, n, got, pr.want)
 			return
 		}
 	}
 }
 
+// handed reports whether d is a record the journal was handed.
+func (l *snapshotLog) handed(d any) bool {
+	for _, pr := range l.pairs {
+		if pr.got == d {
+			return true
+		}
+	}
+	return false
+}
+
 // TestSnapshotsImmutable interleaves appends (some leaving holes), hole
 // fills, overwrites, the three sync calls and unlink + re-create on three
-// files, and requires every InodeMeta the journal was handed to still equal
-// the deep copy taken when it was frozen — at the end of the run, and again
-// after a crash, when recovery has read the same arrays back through the
-// device. It fails on aliasing: without Write's copy-on-write a hole fill
-// shows through every earlier snapshot of the file.
+// files, and requires every *InodeMeta and *AllocMeta the journal was handed
+// to still equal the deep copy taken when it was frozen — at the end of the
+// run, and again after a crash, when recovery has read the same records back
+// through the device. It fails on aliasing: without Write's copy-on-write a
+// hole fill shows through every earlier snapshot of the file, and a record
+// carved twice changes under a later allocation.
 func TestSnapshotsImmutable(t *testing.T) {
 	for _, mode := range []jbd.Mode{jbd.ModeJBD2, jbd.ModeDual, jbd.ModeOptFS} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -76,7 +93,10 @@ func testSnapshotsImmutable(t *testing.T, mode jbd.Mode, seed int64) {
 	e := newEnv(mode, true)
 	defer e.close()
 	log := &snapshotLog{}
-	log.watch(e.fs.Root())
+	log.watch(e.fs.Root().buf)
+	for _, b := range e.fs.allocGrps {
+		log.watch(b)
+	}
 	fills := 0
 	for c := 0; c < 3; c++ {
 		name := fmt.Sprintf("f%d", c)
@@ -91,7 +111,7 @@ func testSnapshotsImmutable(t *testing.T, mode jbd.Mode, seed int64) {
 					t.Errorf("create %s: %v", name, err)
 					e.k.Stop()
 				}
-				log.watch(f)
+				log.watch(f.buf)
 				next, holes = 0, nil
 			}
 			create()
@@ -142,20 +162,13 @@ func testSnapshotsImmutable(t *testing.T, mode jbd.Mode, seed int64) {
 	})
 	e.k.Run()
 	log.check(t, "after crash and recovery")
-	// What replay read back is what was frozen, array and all.
+	// What replay read back is the very record that was frozen.
 	for home, d := range view.Journal().State {
-		m, ok := d.(InodeMeta)
-		if !ok {
-			continue
-		}
-		frozen := false
-		for _, pr := range log.pairs {
-			if frozen = reflect.DeepEqual(m, pr.want); frozen {
-				break
+		switch d.(type) {
+		case *InodeMeta, *AllocMeta:
+			if !log.handed(d) {
+				t.Errorf("replayed record at home %d is no record the journal was handed: %+v", home, d)
 			}
-		}
-		if !frozen {
-			t.Errorf("replayed inode %d (home %d) matches no snapshot the journal was handed: %v", m.Ino, home, m.Blocks)
 		}
 	}
 }
@@ -182,7 +195,7 @@ func TestUnlinkSparseFileFreesAllocatedBlocksOnly(t *testing.T) {
 	e.run(func(p *sim.Proc) {
 		view = Recover(device.Recover(p, e.dev).DurableData, e.fs.opts.Journal)
 	})
-	am, ok := view.Journal().State[allocHome].(AllocMeta)
+	am, ok := view.Journal().State[allocHome].(*AllocMeta)
 	if !ok {
 		t.Fatalf("allocator block %d not replayed: %v", allocHome, view.Journal().State[allocHome])
 	}

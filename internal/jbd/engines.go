@@ -6,7 +6,8 @@ import (
 	"repro/internal/sim"
 )
 
-// On-disk journal record payloads (stored as page data).
+// On-disk journal record payloads (stored as page data). Journal pages hold
+// DescBlock, LogBlock and CommitBlock by pointer, carved and never rewritten.
 
 // DescBlock is a journal descriptor block.
 type DescBlock struct {
@@ -14,9 +15,8 @@ type DescBlock struct {
 	N     int // number of log blocks
 }
 
-// LogBlock is one journaled metadata block copy. Journal pages hold it by
-// pointer (*LogBlock) into the owning transaction's slab; Scan reads either
-// form.
+// LogBlock is one journaled metadata block copy. Journal pages hold it as a
+// *LogBlock into the owning transaction's frozen run.
 type LogBlock struct {
 	TxnID    uint64
 	Index    int
@@ -35,28 +35,27 @@ type SuperBlock struct {
 	TailTxn uint64
 }
 
-// submitWaitAll submits every request and blocks until all complete,
-// costing the caller a single wake-up (the requests form one logical chunk,
-// like JBD2's coalesced descriptor+logs write).
-func (j *Journal) submitWaitAll(p *sim.Proc, reqs []*block.Request) {
-	if len(reqs) == 0 {
-		return
-	}
-	n := len(reqs)
-	waiting := false
-	for _, r := range reqs {
-		r.OnComplete = func(at sim.Time, _ *block.Request) {
-			n--
-			if n == 0 && waiting {
-				j.k.Resume(p)
-			}
+// chunkWaiter returns p's submitWaitAll, which submits every request and
+// blocks until all complete, costing p a single wake-up (the requests form
+// one logical chunk, like JBD2's coalesced descriptor+logs write). Each proc
+// owns its counter: the commit engine and the checkpointer can both wait.
+func (j *Journal) chunkWaiter(p *sim.Proc) func([]*block.Request) {
+	n := 0
+	done := func(sim.Time, *block.Request) {
+		if n--; n == 0 {
+			j.k.Resume(p)
 		}
-		j.layer.Submit(p, r)
 	}
-	if n > 0 {
-		waiting = true
-		p.Suspend()
-		j.wake(p)
+	return func(reqs []*block.Request) {
+		n = len(reqs) + 1 // p's own count, dropped once all are submitted
+		for _, r := range reqs {
+			r.OnComplete = done
+			j.layer.Submit(p, r)
+		}
+		if n--; n > 0 {
+			p.Suspend()
+			j.wake(p)
+		}
 	}
 }
 
@@ -78,7 +77,7 @@ func (j *Journal) buildJD(t *Txn) (jd []*block.Request, jc *block.Request) {
 	n := len(t.frozen)
 	desc := j.newReq()
 	desc.Op, desc.LPA = block.OpWrite, j.slotLPA(j.head)
-	desc.Data = DescBlock{TxnID: t.id, N: n}
+	desc.Data = j.descs.New(DescBlock{TxnID: t.id, N: n})
 	j.head++
 	jd = append(t.jd[:0], desc)
 	for i := range t.frozen {
@@ -91,7 +90,7 @@ func (j *Journal) buildJD(t *Txn) (jd []*block.Request, jc *block.Request) {
 	t.jd = jd
 	jc = j.newReq()
 	jc.Op, jc.LPA = block.OpWrite, j.slotLPA(j.head)
-	jc.Data = CommitBlock{TxnID: t.id, N: n}
+	jc.Data = j.commits.New(CommitBlock{TxnID: t.id, N: n})
 	j.head++
 	j.stats.PagesLogged += int64(n + 2)
 	return jd, jc
@@ -108,9 +107,23 @@ func (j *Journal) releaseReqs(reqs []*block.Request) {
 // ends the journal's use of it.
 func releaseDone(_ sim.Time, r *block.Request) { r.Release() }
 
+// jcDone is every Dual-Mode JC's OnComplete. Its commit record names the
+// transaction, which stays committing until the flush this queues it for.
+func (j *Journal) jcDone(_ sim.Time, r *block.Request) {
+	id := r.Data.(*CommitBlock).TxnID
+	for _, t := range j.committing {
+		if t.id == id {
+			t.jcTransferred = true
+			j.flushQ.Put(t)
+		}
+	}
+	r.Release()
+}
+
 // --- JBD2: the EXT4 transfer-and-flush engine (§2.3) ---
 
 func (j *Journal) jbd2Thread(p *sim.Proc) {
+	submitWaitAll := j.chunkWaiter(p)
 	for {
 		t := j.commitQ.Get(p)
 		j.k.SpanBegin("jbd", "commit", t.id)
@@ -131,7 +144,7 @@ func (j *Journal) jbd2Thread(p *sim.Proc) {
 		}
 		jc.Trace = t.trace
 		// JD: write and Wait-on-Transfer.
-		j.submitWaitAll(p, jd)
+		submitWaitAll(jd)
 		// JC: FLUSH|FUA compresses flush→JC→flush (§2.3); completion means
 		// the transaction is durable. Under nobarrier, a plain write whose
 		// completion only means "transferred".
@@ -139,7 +152,7 @@ func (j *Journal) jbd2Thread(p *sim.Proc) {
 			jc.Flags |= block.FlagFlush | block.FlagFUA
 			j.stats.Flushes++
 		}
-		j.submitWaitAll(p, []*block.Request{jc})
+		submitWaitAll([]*block.Request{jc})
 		j.releaseReqs(jd)
 		jc.Release()
 		t.jcTransferred = true
@@ -165,6 +178,7 @@ func (j *Journal) jbd2Thread(p *sim.Proc) {
 // barrier writes and immediately moves on, so multiple transactions commit
 // concurrently. {D, JD} form one epoch; {JC} forms the next (Eq. 3).
 func (j *Journal) dualCommitThread(p *sim.Proc) {
+	onJC := j.jcDone // every JC's OnComplete, bound once
 	for {
 		t := j.commitQ.Get(p)
 		j.k.SpanBegin("jbd", "commit", t.id)
@@ -206,12 +220,7 @@ func (j *Journal) dualCommitThread(p *sim.Proc) {
 			j.layer.Submit(p, r)
 		}
 		jc.Flags |= block.FlagOrdered | block.FlagBarrier
-		txn := t
-		jc.OnComplete = func(at sim.Time, _ *block.Request) {
-			txn.jcTransferred = true
-			j.flushQ.Put(txn)
-			jc.Release()
-		}
+		jc.OnComplete = onJC
 		j.layer.Submit(p, jc)
 		// Ordering is established at dispatch: fbarrier callers resume here,
 		// before any DMA completes.
@@ -264,6 +273,7 @@ func (j *Journal) dualFlushThread(p *sim.Proc) {
 // --- OptFS: osync() via Wait-on-Transfer (§7) ---
 
 func (j *Journal) optfsCommitThread(p *sim.Proc) {
+	submitWaitAll := j.chunkWaiter(p)
 	for {
 		t := j.commitQ.Get(p)
 		j.k.SpanBegin("jbd", "commit", t.id)
@@ -284,8 +294,8 @@ func (j *Journal) optfsCommitThread(p *sim.Proc) {
 		jc.Trace = t.trace
 		// OptFS preserves the JD→JC order with Wait-on-Transfer, not
 		// barriers, and never flushes on the commit path.
-		j.submitWaitAll(p, jd)
-		j.submitWaitAll(p, []*block.Request{jc})
+		submitWaitAll(jd)
+		submitWaitAll([]*block.Request{jc})
 		j.releaseReqs(jd)
 		jc.Release()
 		t.jcTransferred = true
@@ -305,8 +315,7 @@ func (j *Journal) optfsCommitThread(p *sim.Proc) {
 // fires once per FlushInterval by design.
 func (j *Journal) optfsDelayedFlush(p *sim.Proc) {
 	for {
-		pending := j.committedNotDurable()
-		if len(pending) == 0 {
+		if j.newestCommitted() == 0 {
 			j.optfsCond.Wait(p)
 			continue
 		}
@@ -319,19 +328,21 @@ func (j *Journal) optfsDelayedFlush(p *sim.Proc) {
 // transaction: the delayed-durability step of OptFS, also invoked directly
 // under journal-space pressure and by dsync-style waiters.
 func (j *Journal) retireCommitted(p *sim.Proc) {
-	pending := j.committedNotDurable()
-	if len(pending) == 0 {
+	last := j.newestCommitted()
+	if last == 0 {
 		return
 	}
 	j.layer.Flush(p)
 	j.wake(p)
 	j.stats.Flushes++
-	for _, c := range pending {
-		// Re-check: another retirer (space-pressured reserve, a dsync
-		// waiter, the delayed-flush daemon) may have retired c while this
-		// one was blocked in the flush; finishing it twice would double-
-		// credit its journal pages and duplicate it in the checkpoint queue.
-		if c.state != StateCommitted {
+	// finishTxn unlinks c: step only past those left. Re-check each: another
+	// retirer (reserve, a dsync waiter, the delayed-flush daemon) may have
+	// retired c during the flush, and finishing it twice would double-credit
+	// its pages; one that committed during the flush is not covered by it.
+	for n := 0; n < len(j.committing); {
+		c := j.committing[n]
+		if c.state != StateCommitted || c.id > last {
+			n++
 			continue
 		}
 		c.state = StateDurable
@@ -340,14 +351,15 @@ func (j *Journal) retireCommitted(p *sim.Proc) {
 	}
 }
 
-func (j *Journal) committedNotDurable() []*Txn {
-	var out []*Txn
+// newestCommitted returns the newest committed, not durable transaction id
+// (0: none). Commits go in id order, so a flush now covers those up to it.
+func (j *Journal) newestCommitted() (id uint64) {
 	for _, c := range j.committing {
 		if c.state == StateCommitted {
-			out = append(out, c)
+			id = c.id
 		}
 	}
-	return out
+	return id
 }
 
 // --- shared transaction retirement and checkpointing ---
@@ -398,13 +410,18 @@ func (j *Journal) finishTxn(t *Txn) {
 // checkpointThread writes committed metadata to its home location and
 // advances the journal tail, reclaiming journal space.
 func (j *Journal) checkpointThread(p *sim.Proc) {
+	submitWaitAll := j.chunkWaiter(p)
+	// Reused by every batch: the queue alternates between batch and spare.
+	homes := make(map[uint64]*block.Request)
+	var spare []*Txn
+	var reqs []*block.Request
 	for {
 		for len(j.ckptQ) == 0 || (j.freePages >= j.cfg.CheckpointLow && len(j.ckptQ) < 64) {
 			j.ckptCond.Wait(p)
 			j.wake(p)
 		}
 		batch := j.ckptQ
-		j.ckptQ = nil
+		j.ckptQ = spare
 		j.obs.ckptBacklog.Set(0)
 		// 1. The journal copies must be durable before homes are
 		//    overwritten, or a crash could destroy the only good copy.
@@ -417,23 +434,21 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 			}
 		}
 		// 2. In-place writes: one per home, newest snapshot wins.
-		homes := make(map[uint64]any)
-		var order []uint64
+		clear(homes)
+		reqs = reqs[:0]
 		for _, t := range batch {
 			for _, l := range t.frozen {
-				if _, seen := homes[l.Home]; !seen {
-					order = append(order, l.Home)
+				r := homes[l.Home]
+				if r == nil {
+					r = j.newReq()
+					r.Op, r.LPA = block.OpWrite, l.Home
+					homes[l.Home] = r
+					reqs = append(reqs, r)
 				}
-				homes[l.Home] = l.Snapshot
+				r.Data = l.Snapshot
 			}
 		}
-		var reqs []*block.Request
-		for _, h := range order {
-			r := j.newReq()
-			r.Op, r.LPA, r.Data = block.OpWrite, h, homes[h]
-			reqs = append(reqs, r)
-		}
-		j.submitWaitAll(p, reqs)
+		submitWaitAll(reqs)
 		j.releaseReqs(reqs)
 		// 3. Make the in-place copies durable, then advance the tail.
 		j.layer.Flush(p)
@@ -443,7 +458,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		sb.Op, sb.LPA = block.OpWrite, j.cfg.SuperLPA
 		sb.Data = SuperBlock{TailTxn: j.tailTxn}
 		sb.Flags = block.FlagFUA
-		j.submitWaitAll(p, []*block.Request{sb})
+		submitWaitAll([]*block.Request{sb})
 		sb.Release()
 		for _, t := range batch {
 			j.freePages += t.pagesUsed
@@ -452,6 +467,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 			j.spare = append(j.spare, t.txnScratch)
 			t.txnScratch = txnScratch{}
 		}
+		spare = batch[:0]
 		j.stats.Checkpoints++
 		j.obs.checkpoints.Inc()
 		j.spaceCond.Broadcast()

@@ -127,9 +127,10 @@ type Buffer struct {
 	Name string // for diagnostics
 
 	// Snapshot, if set, is called once when the buffer is frozen into a
-	// committing transaction and must return an immutable copy of the
-	// block's current contents. This mirrors JBD2's frozen-buffer copy and
-	// lets owners avoid building a full snapshot on every dirtying write.
+	// committing transaction. It returns the block's current contents as a
+	// pointer the device may hold forever, and nothing writes through it
+	// again. Like JBD2's frozen-buffer copy, it spares owners a snapshot on
+	// every dirtying write.
 	Snapshot func() any
 
 	owner     *Txn // committing transaction currently freezing this buffer
@@ -163,7 +164,7 @@ type txnScratch struct {
 type Txn struct {
 	id uint64
 	txnScratch
-	// frozen is the log blocks, one slab filled by freeze. JD requests carry
+	// frozen is the log blocks, one run carved by freeze. JD requests carry
 	// pointers into it: it lives on as journal page contents, never reused.
 	frozen []LogBlock
 	state  TxnState
@@ -258,6 +259,12 @@ type Journal struct {
 	// reqPool recycles the journal's own block requests (JD/JC chunks,
 	// checkpoint writes).
 	reqPool block.ReqPool
+	// The slabs carve transactions and the records their JD/JC chunks write.
+	// A Txn is never recycled, so a caller may hold one across WaitTxn.
+	txns    sim.Slab[Txn]
+	logs    sim.Slab[LogBlock]
+	descs   sim.Slab[DescBlock]
+	commits sim.Slab[CommitBlock]
 
 	head      uint64 // next journal slot sequence number
 	freePages int
@@ -337,7 +344,7 @@ func (j *Journal) FreePages() int { return j.freePages }
 func (j *Journal) RunningBuffers() int { return len(j.running.buffers) }
 
 func (j *Journal) newTxn() *Txn {
-	t := &Txn{id: j.nextTxnID, state: StateRunning, k: j.k}
+	t := j.txns.New(Txn{id: j.nextTxnID, state: StateRunning, k: j.k})
 	j.nextTxnID++
 	if n := len(j.spare); n > 0 {
 		t.txnScratch, j.spare = j.spare[n-1], j.spare[:n-1]
@@ -407,7 +414,7 @@ func (j *Journal) RegisterOrderedData(r *block.Request) {
 // is empty, so every buffer destined for this transaction has joined it.
 func (j *Journal) freeze(t *Txn) {
 	t.state = StateCommitting
-	t.frozen = make([]LogBlock, len(t.buffers))
+	t.frozen = j.logs.Take(len(t.buffers))
 	for i, b := range t.buffers {
 		data := b.Data
 		if b.Snapshot != nil {

@@ -1,6 +1,7 @@
 package jbd
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/block"
@@ -291,16 +292,16 @@ func TestRecoveryStopsAtIncompleteTxn(t *testing.T) {
 	img := map[uint64]any{
 		cfg.SuperLPA: SuperBlock{TailTxn: 1},
 		// txn 1: complete.
-		cfg.Start + 0: DescBlock{TxnID: 1, N: 1},
+		cfg.Start + 0: &DescBlock{TxnID: 1, N: 1},
 		cfg.Start + 1: &LogBlock{TxnID: 1, Index: 0, Home: 500, Snapshot: "a"},
-		cfg.Start + 2: CommitBlock{TxnID: 1, N: 1},
+		cfg.Start + 2: &CommitBlock{TxnID: 1, N: 1},
 		// txn 2: missing its log block (crash mid-commit).
-		cfg.Start + 3: DescBlock{TxnID: 2, N: 1},
-		cfg.Start + 5: CommitBlock{TxnID: 2, N: 1},
+		cfg.Start + 3: &DescBlock{TxnID: 2, N: 1},
+		cfg.Start + 5: &CommitBlock{TxnID: 2, N: 1},
 		// txn 3: complete, but must NOT be applied (ordering).
-		cfg.Start + 6: DescBlock{TxnID: 3, N: 1},
+		cfg.Start + 6: &DescBlock{TxnID: 3, N: 1},
 		cfg.Start + 7: &LogBlock{TxnID: 3, Index: 0, Home: 500, Snapshot: "c"},
-		cfg.Start + 8: CommitBlock{TxnID: 3, N: 1},
+		cfg.Start + 8: &CommitBlock{TxnID: 3, N: 1},
 	}
 	read := func(lpa uint64) (any, bool) { v, ok := img[lpa]; return v, ok }
 	rec := Scan(read, cfg)
@@ -318,17 +319,15 @@ func TestRecoveryStopsAtIncompleteTxn(t *testing.T) {
 func TestRecoveryRespectsTail(t *testing.T) {
 	cfg := DefaultConfig(ModeJBD2)
 	cfg.Pages = 16
-	// Log blocks by value here, by pointer (as commits write them) in
-	// TestRecoveryStopsAtIncompleteTxn: Scan must read both.
 	img := map[uint64]any{
 		cfg.SuperLPA: SuperBlock{TailTxn: 2},
 		// Stale txn 1 (already checkpointed): must be ignored.
-		cfg.Start + 0: DescBlock{TxnID: 1, N: 1},
-		cfg.Start + 1: LogBlock{TxnID: 1, Index: 0, Home: 500, Snapshot: "stale"},
-		cfg.Start + 2: CommitBlock{TxnID: 1, N: 1},
-		cfg.Start + 3: DescBlock{TxnID: 2, N: 1},
-		cfg.Start + 4: LogBlock{TxnID: 2, Index: 0, Home: 500, Snapshot: "fresh"},
-		cfg.Start + 5: CommitBlock{TxnID: 2, N: 1},
+		cfg.Start + 0: &DescBlock{TxnID: 1, N: 1},
+		cfg.Start + 1: &LogBlock{TxnID: 1, Index: 0, Home: 500, Snapshot: "stale"},
+		cfg.Start + 2: &CommitBlock{TxnID: 1, N: 1},
+		cfg.Start + 3: &DescBlock{TxnID: 2, N: 1},
+		cfg.Start + 4: &LogBlock{TxnID: 2, Index: 0, Home: 500, Snapshot: "fresh"},
+		cfg.Start + 5: &CommitBlock{TxnID: 2, N: 1},
 	}
 	read := func(lpa uint64) (any, bool) { v, ok := img[lpa]; return v, ok }
 	rec := Scan(read, cfg)
@@ -337,6 +336,61 @@ func TestRecoveryRespectsTail(t *testing.T) {
 	}
 	if len(rec.Applied) != 1 || rec.Applied[0] != 2 {
 		t.Errorf("applied = %v", rec.Applied)
+	}
+}
+
+// TestCarvedRecordsImmutable copies the descriptor, log and commit records
+// one commit wrote, then requires the records themselves to still equal the
+// copies after 200 more commits and a checkpoint: a carved record is never
+// handed out twice, so the device may hold it forever.
+func TestCarvedRecordsImmutable(t *testing.T) {
+	for _, mode := range []Mode{ModeJBD2, ModeDual, ModeOptFS} {
+		t.Run(mode.String(), func(t *testing.T) {
+			h := newHarness(mode, true)
+			defer h.close()
+			cfg := h.j.Config()
+			type record struct{ got, want any }
+			var recs []record
+			h.run(func(p *sim.Proc) {
+				commit := func(i int) *Txn {
+					h.j.DirtyBuffer(p, &Buffer{Home: uint64(2000 + i%4)}, i)
+					h.j.DirtyBuffer(p, &Buffer{Home: uint64(3000 + i%4)}, -i)
+					return h.j.CommitAndWait(p)
+				}
+				id := commit(0).ID()
+				for lpa := cfg.Start; lpa < cfg.Start+uint64(cfg.Pages); lpa++ {
+					d, _ := h.dev.DurableData(lpa)
+					switch rec := d.(type) {
+					case *DescBlock:
+						if rec.TxnID == id {
+							recs = append(recs, record{d, *rec})
+						}
+					case *LogBlock:
+						if rec.TxnID == id {
+							recs = append(recs, record{d, *rec})
+						}
+					case *CommitBlock:
+						if rec.TxnID == id {
+							recs = append(recs, record{d, *rec})
+						}
+					}
+				}
+				for i := 1; i <= 200; i++ {
+					commit(i)
+				}
+			})
+			if len(recs) != 4 {
+				t.Fatalf("commit wrote %d records, want desc + 2 logs + commit", len(recs))
+			}
+			if h.j.Stats().Checkpoints == 0 {
+				t.Fatal("200 commits on a 128-page journal ran no checkpoint")
+			}
+			for _, r := range recs {
+				if got := reflect.ValueOf(r.got).Elem().Interface(); !reflect.DeepEqual(got, r.want) {
+					t.Errorf("record changed after later commits: got %+v, want %+v", got, r.want)
+				}
+			}
+		})
 	}
 }
 

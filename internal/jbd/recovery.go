@@ -25,7 +25,7 @@ type ReadFn func(lpa uint64) (any, bool)
 
 type scannedTxn struct {
 	desc   *DescBlock
-	logs   map[int]LogBlock
+	logs   map[int]*LogBlock
 	commit *CommitBlock
 }
 
@@ -41,7 +41,7 @@ func Scan(read ReadFn, cfg Config) Recovered {
 	get := func(id uint64) *scannedTxn {
 		t := txns[id]
 		if t == nil {
-			t = &scannedTxn{logs: make(map[int]LogBlock)}
+			t = &scannedTxn{logs: make(map[int]*LogBlock)}
 			txns[id] = t
 		}
 		return t
@@ -52,16 +52,12 @@ func Scan(read ReadFn, cfg Config) Recovered {
 			continue
 		}
 		switch rec := data.(type) {
-		case DescBlock:
-			r := rec
-			get(rec.TxnID).desc = &r
-		case *LogBlock: // what commits write: a pointer into the slab
-			get(rec.TxnID).logs[rec.Index] = *rec
-		case LogBlock:
+		case *DescBlock:
+			get(rec.TxnID).desc = rec
+		case *LogBlock:
 			get(rec.TxnID).logs[rec.Index] = rec
-		case CommitBlock:
-			r := rec
-			get(rec.TxnID).commit = &r
+		case *CommitBlock:
+			get(rec.TxnID).commit = rec
 		}
 	}
 	valid := func(t *scannedTxn) bool {

@@ -39,6 +39,36 @@ func (f *FIFO[T]) Pop() T {
 	return x
 }
 
+// slabChunk is the number of entries one Slab allocation carves.
+const slabChunk = 64
+
+// Slab carves entries from arrays of slabChunk, so slabChunk small objects
+// cost one allocation; the zero value is ready. An entry is
+// never handed out twice: whoever holds the pointer may keep it forever,
+// which is what lets a record ride into the device cache and the NAND array
+// with no copy. The price is retention: one live entry pins its whole array.
+type Slab[T any] struct {
+	free []T
+}
+
+// New carves one entry holding v.
+func (s *Slab[T]) New(v T) *T {
+	x := &s.Take(1)[0]
+	*x = v
+	return x
+}
+
+// Take carves n contiguous zeroed entries. A run longer than a chunk gets an
+// array of its own.
+func (s *Slab[T]) Take(n int) []T {
+	if n > len(s.free) {
+		s.free = make([]T, max(n, slabChunk))
+	}
+	x := s.free[:n:n]
+	s.free = s.free[n:]
+	return x
+}
+
 // waitlist is the FIFO of parked processes behind every wait primitive.
 // Entries go stale when their proc was woken some other way or reaped; the
 // wake calls skip them.
