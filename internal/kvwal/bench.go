@@ -42,16 +42,23 @@ func Bench(k *sim.Kernel, s *core.Stack, clients int, duration sim.Duration) Ben
 		}
 		ready = true
 	})
+	names := make([]string, benchKeySpace) // each key's name, formatted at first draw
 	for c := 0; c < clients; c++ {
 		c := c
 		k.SpawnIdx("kv/client", c, func(p *sim.Proc) {
 			rng := rand.New(rand.NewSource(benchSeed + int64(c)))
-			key := func() string { return fmt.Sprintf("k%05d", rng.Intn(benchKeySpace)) }
+			key := func() string {
+				i := rng.Intn(benchKeySpace)
+				if names[i] == "" {
+					names[i] = fmt.Sprintf("k%05d", i)
+				}
+				return names[i]
+			}
 			for !ready {
 				p.Sleep(sim.Millisecond)
 			}
+			batch := make([]Op, benchBatchSize) // Apply copies it, so one serves every batch
 			for n := 0; ; n++ {
-				batch := make([]Op, benchBatchSize)
 				for i := range batch {
 					kind := Put
 					if rng.Intn(100) < benchDeletePct {

@@ -1,7 +1,8 @@
 package kvwal
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -33,14 +34,13 @@ func (st *Store) flusher(p *sim.Proc) {
 // flushOnce freezes the current memtable and writes it out as one segment.
 func (st *Store) flushOnce(p *sim.Proc) {
 	freezeSeq := st.committedSeq
-	st.imm = st.mem
-	st.mem = make(map[string]memEnt)
+	st.imm, st.mem, st.spare = st.mem, st.spare, nil
 
-	var ents []segEnt
+	ents := make([]segEnt, 0, len(st.imm))
 	for key, e := range st.imm {
 		ents = append(ents, segEnt{key: key, seq: e.seq, del: e.del})
 	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].key < ents[j].key })
+	slices.SortFunc(ents, bySegKey)
 
 	if len(ents) > 0 {
 		seg := st.writeSegment(p, ents)
@@ -53,9 +53,12 @@ func (st *Store) flushOnce(p *sim.Proc) {
 		// Everything up to the freeze point now lives in durable segments.
 		st.durableSeq = freezeSeq
 	}
-	st.imm = nil
+	clear(st.imm)
+	st.imm, st.spare = nil, st.imm
 	st.stats.Flushes++
 }
+
+func bySegKey(a, b segEnt) int { return strings.Compare(a.key, b.key) }
 
 // writeSegment creates a new segment file, writes one page per entry as
 // background writeback, makes it durable, and returns the registered
@@ -137,25 +140,17 @@ func (st *Store) compactor(p *sim.Proc) {
 // the inputs. Tombstones are dropped — nothing older than the merged run
 // remains.
 func (st *Store) compactOnce(p *sim.Proc) {
-	inputs := append([]*segment(nil), st.segs...)
-	newest := make(map[string]segEnt)
-	for _, seg := range inputs { // oldest first: later entries overwrite
+	st.compIn = append(st.compIn[:0], st.segs...)
+	inputs := st.compIn
+	for _, seg := range inputs { // oldest first
 		f := st.fileOf(seg)
 		for _, e := range seg.entries {
 			st.fs.Read(p, f, e.page)
-			if cur, ok := newest[e.key]; !ok || e.seq > cur.seq {
-				newest[e.key] = e
-			}
 		}
 	}
-	var ents []segEnt
-	for key, e := range newest {
-		if e.del {
-			continue
-		}
-		ents = append(ents, segEnt{key: key, seq: e.seq})
-	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].key < ents[j].key })
+	st.compPos = slices.Grow(st.compPos[:0], len(inputs))[:len(inputs)]
+	ents := make([]segEnt, mergeRuns(inputs, st.compPos, nil))
+	mergeRuns(inputs, st.compPos, ents)
 
 	var merged *segment
 	if len(ents) > 0 {
@@ -177,4 +172,36 @@ func (st *Store) compactOnce(p *sim.Proc) {
 	}
 	st.stats.Compactions++
 	st.obs.compactions.Inc()
+}
+
+// mergeRuns k-way merges segs' sorted runs (oldest first) into out, or only
+// counts when out is nil, and returns the entry count. Per key the newest
+// seq wins, the oldest run on a tie; a winning tombstone drops the key.
+func mergeRuns(segs []*segment, pos []int, out []segEnt) int {
+	clear(pos)
+	for n := 0; ; {
+		var win *segEnt // the smallest head key's winner
+		for i, seg := range segs {
+			if pos[i] < len(seg.entries) {
+				e := &seg.entries[pos[i]]
+				if win == nil || e.key < win.key || e.key == win.key && e.seq > win.seq {
+					win = e
+				}
+			}
+		}
+		if win == nil {
+			return n
+		}
+		for i, seg := range segs { // step every run past the key
+			if pos[i] < len(seg.entries) && seg.entries[pos[i]].key == win.key {
+				pos[i]++
+			}
+		}
+		if !win.del {
+			if out != nil {
+				out[n] = segEnt{key: win.key, seq: win.seq}
+			}
+			n++
+		}
+	}
 }

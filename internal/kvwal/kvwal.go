@@ -21,11 +21,11 @@
 // granularity), so replay never observes a later group without its
 // predecessors.
 //
-// Background work — memtable flushes into sorted segment files and
-// multi-segment compaction — runs as separate sim.Procs whose writes are
-// submitted as REQ_BACKGROUND writeback: on the multi-queue profiles they
-// scatter onto data streams and never queue in front of the commit
-// stream's barriers (the blkmq scenario, end to end).
+// Background work — memtable flushes into sorted segments, and compaction,
+// a k-way merge of their sorted runs — runs as separate sim.Procs whose
+// writes are submitted as REQ_BACKGROUND writeback: on the multi-queue
+// profiles they scatter onto data streams and never queue in front of the
+// commit stream's barriers (the blkmq scenario, end to end).
 //
 // Page contents are modelled as version stamps (see internal/fs), so the
 // store keeps a host-side shadow of what each WAL slot and segment page
@@ -127,15 +127,12 @@ type memEnt struct {
 	del bool
 }
 
-// walRec is the host-side shadow of one WAL record: which slot it occupies,
-// the page version stamp it was written with, and the group commit that
-// covered it.
+// walRec is the host-side shadow of one WAL record, walHist[seq-1] in ring
+// slot (seq-1) % WALPages: its page version and the group that covered it.
 type walRec struct {
-	seq   uint64
 	group uint64
 	kind  OpKind
 	key   string
-	slot  int64
 	ver   int64
 }
 
@@ -175,6 +172,7 @@ type kvObs struct {
 type batch struct {
 	ops      []Op  // the batch's own copy of the caller's ops
 	one      [1]Op // ops' storage when the batch holds a single op
+	buf      []Op  // ops' storage for a multi-op batch, kept across reuse
 	enqueued sim.Time
 	trace    reqtrace.Ctx // request-trace context (zero when untraced)
 	lastSeq  uint64       // sequence number of the batch's final op, set at commit
@@ -198,9 +196,13 @@ type Store struct {
 	compactCond *sim.Cond
 	manifestMu  *sim.Mutex // serializes manifest publication
 
-	mem  map[string]memEnt
-	imm  map[string]memEnt // frozen memtable being flushed (nil when idle)
-	segs []*segment        // live segments, oldest first
+	free    []*Batch // waited batches, reused LIFO by ApplyAsyncT
+	mem     map[string]memEnt
+	imm     map[string]memEnt // frozen memtable being flushed (nil when idle)
+	spare   map[string]memEnt // the last flushed memtable, cleared for reuse
+	segs    []*segment        // live segments, oldest first
+	compIn  []*segment        // compaction scratch: the merged inputs
+	compPos []int             // compaction scratch: each input's merge position
 
 	segByID      map[int]*segment        // every segment ever written (recovery shadow)
 	manifestHist map[int64]manifestState // manifest page ver -> state
@@ -252,6 +254,7 @@ func OpenFS(p *sim.Proc, fsys *fs.FS, barrier bool, cfg Config) (*Store, error) 
 		compactCond:   sim.NewCond(p.Kernel()),
 		manifestMu:    sim.NewMutex(p.Kernel()),
 		mem:           make(map[string]memEnt),
+		spare:         make(map[string]memEnt),
 		segByID:       make(map[int]*segment),
 		manifestHist:  make(map[int64]manifestState),
 		nextSeq:       1,
@@ -322,7 +325,8 @@ func (st *Store) ApplyT(p *sim.Proc, ops []Op, tc reqtrace.Ctx) uint64 {
 	return st.ApplyAsyncT(p.Now(), ops, tc).Wait(p)
 }
 
-// Batch is an in-flight asynchronous submission (ApplyAsync).
+// Batch is an in-flight ApplyAsync submission, recycled: call Wait exactly
+// once, after which it belongs to the store; an unwaited batch is dropped.
 type Batch struct {
 	st *Store
 	batch
@@ -332,7 +336,7 @@ type Batch struct {
 // It lets one client drive several stores at once — a replicated write
 // submits to every replica's leader and then waits on all the batches, so
 // the replicas commit in parallel instead of serially (internal/kvcluster's
-// write-both path).
+// write-both path). The batch is the caller's until its one Wait returns.
 func (st *Store) ApplyAsync(now sim.Time, ops []Op) *Batch {
 	return st.ApplyAsyncT(now, ops, reqtrace.Ctx{})
 }
@@ -342,12 +346,16 @@ func (st *Store) ApplyAsync(now sim.Time, ops []Op) *Batch {
 // window when it drains the batch.
 //
 // The batch copies ops, so the caller may reuse its slice as soon as the
-// call returns. A single op lands in the batch's inline slot, which keeps a
-// caller's one-element literal on its stack; a multi-op batch pays one copy.
+// call returns. A single op lands in the batch's inline slot; a multi-op
+// batch copies into an array it keeps across reuse.
 func (st *Store) ApplyAsyncT(now sim.Time, ops []Op, tc reqtrace.Ctx) *Batch {
-	bt := &Batch{st: st}
+	if len(st.free) == 0 {
+		st.free = append(st.free, &Batch{st: st})
+	}
+	bt := st.free[len(st.free)-1]
+	st.free = st.free[:len(st.free)-1]
 	b := &bt.batch
-	b.enqueued, b.trace = now, tc
+	*b = batch{buf: b.buf, enqueued: now, trace: tc}
 	switch len(ops) {
 	case 0:
 		b.done = true
@@ -356,7 +364,8 @@ func (st *Store) ApplyAsyncT(now sim.Time, ops []Op, tc reqtrace.Ctx) *Batch {
 		b.one[0] = ops[0]
 		b.ops = b.one[:]
 	default:
-		b.ops = append([]Op(nil), ops...)
+		b.buf = append(b.buf[:0], ops...)
+		b.ops = b.buf
 	}
 	tc.Stamp(reqtrace.StageGCEnqueue, now)
 	st.q.Put(b)
@@ -365,22 +374,20 @@ func (st *Store) ApplyAsyncT(now sim.Time, ops []Op, tc reqtrace.Ctx) *Batch {
 
 // Wait blocks until the batch's group commit and returns the sequence
 // number of its last operation (the store's committed sequence for an
-// empty batch).
+// empty batch). Call it once: on return the batch is the store's again.
 func (bt *Batch) Wait(p *sim.Proc) uint64 {
 	b := &bt.batch
 	for !b.done {
 		b.waiter = p
 		p.Suspend()
 	}
-	b.waiter = nil
+	seq := b.lastSeq
 	if len(b.ops) == 0 {
-		return bt.st.committedSeq
+		seq = bt.st.committedSeq
 	}
-	return b.lastSeq
+	bt.st.free = append(bt.st.free, bt)
+	return seq
 }
-
-// Done reports whether the batch's group commit finished (non-blocking).
-func (bt *Batch) Done() bool { return bt.done }
 
 // PutKey submits a single Put.
 func (st *Store) PutKey(p *sim.Proc, key string) uint64 {
@@ -541,7 +548,7 @@ func (st *Store) committer(p *sim.Proc) {
 				st.k.Resume(b.waiter)
 			}
 		}
-		clear(group) // the acked batches belong to their waiters now
+		clear(group) // before any yield: the acked batches are their waiters' now
 		// Periodic durability checkpoint on barrier engines.
 		if st.barrierCommit && st.groupsSince >= st.cfg.CheckpointEvery {
 			st.ForceCheckpoint(p)
@@ -566,9 +573,7 @@ func (st *Store) appendWAL(p *sim.Proc, op Op) {
 	slot := int64((seq - 1) % uint64(st.cfg.WALPages))
 	st.fs.Write(p, st.wal, slot)
 	ver, _ := st.fs.PageVer(st.wal, slot)
-	st.walHist = append(st.walHist, walRec{
-		seq: seq, group: st.groupID, kind: op.Kind, key: op.Key, slot: slot, ver: ver,
-	})
+	st.walHist = append(st.walHist, walRec{group: st.groupID, kind: op.Kind, key: op.Key, ver: ver})
 	st.stats.WALRecords++
 	st.obs.walBytes.Add(4096)
 }

@@ -84,6 +84,78 @@ func TestApplyAsyncCopiesOps(t *testing.T) {
 	k.Run()
 }
 
+// TestBatchesRecycle: a waited batch goes back to its store and is the next
+// ApplyAsync's batch; clients sharing group commits each get the last
+// sequence number of their own ops, never a recycled neighbour's; and the
+// store recovers clean afterwards.
+func TestBatchesRecycle(t *testing.T) {
+	k, s := newStack(t, core.BFSDR(device.NVMeSSD()))
+	defer k.Close()
+	var st *Store
+	ready := false
+	k.Spawn("setup", func(p *sim.Proc) {
+		var err error
+		if st, err = Open(p, s, DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		b1 := st.ApplyAsync(p.Now(), []Op{{Kind: Put, Key: "first"}})
+		b1.Wait(p)
+		b2 := st.ApplyAsync(p.Now(), []Op{{Kind: Put, Key: "x"}, {Kind: Put, Key: "y"}})
+		if b2 != b1 {
+			t.Error("the next ApplyAsync after Wait did not reuse the waited batch")
+		}
+		if last := b2.Wait(p); last != 3 {
+			t.Errorf("recycled batch's last seq %d, want 3", last)
+		}
+		ready = true
+	})
+	const clients, batches = 8, 20
+	for c := 0; c < clients; c++ {
+		c := c
+		k.Spawn(fmt.Sprintf("client%d", c), func(p *sim.Proc) {
+			for !ready {
+				p.Sleep(sim.Millisecond)
+			}
+			ops := make([]Op, 0, 4)
+			for n := 0; n < batches; n++ {
+				ops = ops[:0]
+				for i := 0; i <= (c+n)%4; i++ {
+					ops = append(ops, Op{Kind: Put, Key: fmt.Sprintf("c%d-n%d-i%d", c, n, i)})
+				}
+				last := st.Apply(p, ops)
+				for i, op := range ops {
+					if seq, ok := st.Peek(op.Key); !ok || seq != last-uint64(len(ops)-1-i) {
+						t.Errorf("client %d batch %d op %d: seq (%d,%v), Apply returned last %d",
+							c, n, i, seq, ok, last)
+					}
+				}
+			}
+		})
+	}
+	k.Run()
+	stats := st.Stats()
+	if stats.GroupCommits >= stats.Batches {
+		t.Errorf("group commits (%d) not shared: %d batches", stats.GroupCommits, stats.Batches)
+	}
+	if len(st.free) > clients {
+		t.Errorf("%d batches allocated for %d clients: waited batches are not reused", len(st.free), clients)
+	}
+	var rec Recovered
+	k.Spawn("crash", func(p *sim.Proc) {
+		st.ForceCheckpoint(p)
+		s.Crash()
+		view, _ := s.RecoverView(p)
+		rec = st.Recover(view)
+	})
+	k.Run()
+	if dur, ord := st.Audit(rec); len(dur) > 0 || len(ord) > 0 {
+		t.Errorf("violations after recycled batches: dur=%v ord=%v", dur, ord)
+	}
+	if rec.Keys["c7-n19-i2"].Seq == 0 {
+		t.Error("the last client's last batch is missing from the recovered image")
+	}
+}
+
 // TestGroupCommitAmortizes checks that concurrent clients' batches merge
 // into shared group commits: with many clients there must be fewer sync
 // calls than batches.

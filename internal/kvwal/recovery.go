@@ -97,7 +97,8 @@ func (st *Store) Recover(view *fs.View) Recovered {
 		r := st.walHist[seq-1]
 		survived := false
 		if walOK {
-			if got, ok := view.PageVersion(walMeta, r.slot); ok && got == r.ver {
+			slot := int64((seq - 1) % uint64(st.cfg.WALPages))
+			if got, ok := view.PageVersion(walMeta, slot); ok && got == r.ver {
 				survived = true
 			}
 		}

@@ -1,7 +1,7 @@
 package kvwal
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -41,7 +41,7 @@ func (st *Store) LiveKeys() []string {
 			keys = append(keys, k)
 		}
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }
 
@@ -92,7 +92,7 @@ func (st *Store) Ingest(p *sim.Proc, keys []string) {
 			ents = append(ents, segEnt{key: k})
 		}
 	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].key < ents[j].key })
+	slices.SortFunc(ents, bySegKey)
 	seg := st.writeSegment(p, ents)
 	st.segs = append(st.segs, seg)
 	st.writeManifest(p, st.checkpointSeq)
