@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/block"
@@ -432,28 +433,55 @@ func TestJournalModeStrings(t *testing.T) {
 
 func TestManyFilesManyCommits(t *testing.T) {
 	// Exercise journal wraparound + checkpointing under a varmail-like
-	// create/write/fsync/unlink churn.
-	e := newEnv(jbd.ModeDual, true)
-	defer e.close()
-	e.run(func(p *sim.Proc) {
-		for i := 0; i < 120; i++ {
-			name := string(rune('a'+i%26)) + string(rune('0'+i%10))
-			f, err := e.fs.Create(p, e.fs.Root(), name)
-			if err != nil { // name collision: reuse
-				f, _ = e.fs.Lookup(e.fs.Root(), name)
-			}
-			e.fs.Write(p, f, 0)
-			e.fs.Fsync(p, f)
-			if i%3 == 2 {
-				_ = e.fs.Unlink(p, e.fs.Root(), name)
-			}
-		}
-	})
-	if e.fs.Journal().Stats().Checkpoints == 0 {
-		t.Error("no checkpoints under churn")
+	// create/write/fsync/unlink churn. The 64-page journals leave a commit's
+	// reservation larger than the space above the checkpoint low-water mark:
+	// the reserver must wake the checkpointer, or every fsync after the
+	// journal fills waits for space forever.
+	cases := []struct {
+		name        string
+		mode        jbd.Mode
+		pages, low  int
+		files       int
+		unlinkEvery int // unlink every nth file (0: never)
+	}{
+		{"BFS-churn", jbd.ModeDual, 256, 32, 120, 3},
+		{"EXT4-64-pages", jbd.ModeJBD2, 64, 4, 200, 0},
+		{"BFS-64-pages", jbd.ModeDual, 64, 4, 200, 0},
 	}
-	if e.fs.Journal().FreePages() <= 0 {
-		t.Errorf("journal space exhausted: %d", e.fs.Journal().FreePages())
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := newEnvOpts(c.mode, true, func(o *Options) {
+				o.Journal.Pages, o.Journal.CheckpointLow = c.pages, c.low
+			})
+			defer e.close()
+			synced := 0
+			e.run(func(p *sim.Proc) {
+				for i := 0; i < c.files; i++ {
+					name := fmt.Sprintf("f%03d", i)
+					f, err := e.fs.Create(p, e.fs.Root(), name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					e.fs.Write(p, f, 0)
+					e.fs.Fsync(p, f)
+					synced++
+					if c.unlinkEvery > 0 && i%c.unlinkEvery == c.unlinkEvery-1 {
+						_ = e.fs.Unlink(p, e.fs.Root(), name)
+					}
+				}
+			})
+			st := e.fs.Journal().Stats()
+			if synced != c.files {
+				t.Fatalf("%d of %d fsyncs returned (checkpoints %d, free pages %d)",
+					synced, c.files, st.Checkpoints, e.fs.Journal().FreePages())
+			}
+			if st.Checkpoints == 0 {
+				t.Error("no checkpoints under churn")
+			}
+			if e.fs.Journal().FreePages() <= 0 {
+				t.Errorf("journal space exhausted: %d", e.fs.Journal().FreePages())
+			}
+		})
 	}
 }
 

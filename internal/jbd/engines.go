@@ -416,7 +416,10 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 	var spare []*Txn
 	var reqs []*block.Request
 	for {
-		for len(j.ckptQ) == 0 || (j.freePages >= j.cfg.CheckpointLow && len(j.ckptQ) < 64) {
+		// Sleep while free space clears both the low-water mark and any
+		// reservation waiting in reserve: one larger than the space above the
+		// mark would otherwise wait forever.
+		for len(j.ckptQ) == 0 || (j.freePages >= max(j.cfg.CheckpointLow, j.short) && len(j.ckptQ) < 64) {
 			j.ckptCond.Wait(p)
 			j.wake(p)
 		}

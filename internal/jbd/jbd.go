@@ -268,6 +268,7 @@ type Journal struct {
 
 	head      uint64 // next journal slot sequence number
 	freePages int
+	short     int    // pages a commit waits for in reserve (0: none waits)
 	tailTxn   uint64 // oldest un-checkpointed txn id
 
 	// ackedDurable is the newest transaction id a durability wait has
@@ -584,7 +585,8 @@ func (j *Journal) slotLPA(seq uint64) uint64 {
 
 // reserve takes n journal pages. Dropping below the checkpoint low-water
 // kicks the checkpointer early; the reservation itself only blocks when the
-// journal is actually out of space.
+// journal is actually out of space, and then the checkpointer runs until it
+// is not, even above the low-water mark (see checkpointThread).
 func (j *Journal) reserve(p *sim.Proc, n int) {
 	if j.freePages-n < j.cfg.CheckpointLow {
 		j.ckptCond.Broadcast()
@@ -596,9 +598,11 @@ func (j *Journal) reserve(p *sim.Proc, n int) {
 			// reserver forces the retirement so the checkpointer has work.
 			j.retireCommitted(p)
 		}
+		j.short = n
 		j.ckptCond.Broadcast()
 		j.spaceCond.Wait(p)
 		j.wake(p)
 	}
+	j.short = 0
 	j.freePages -= n
 }
