@@ -54,9 +54,8 @@ type Submitter interface {
 	SubmitAndWait(p *sim.Proc, r *Request)
 	// Flush issues a standalone cache flush and waits for it.
 	Flush(p *sim.Proc)
-	// FlushT is Flush carrying a trace context: the flush command's
-	// completion is the real durability point on transfer-and-flush
-	// stacks, so the context rides it into the device.
+	// FlushT is Flush; the layer ignores tc and takes the caller's trace
+	// context from p. It stays while bench/trace.go's shim implements it.
 	FlushT(p *sim.Proc, tc reqtrace.Ctx)
 	// SubmitOrPark is the handler analogue of Submit — one congestion Mesa
 	// iteration: it either admits r (true) or parks the run-to-completion
@@ -273,17 +272,19 @@ func (l *Layer) SubmitAndWait(p *sim.Proc, r *Request) {
 // Flush issues a standalone cache-flush request on stream 0 and waits for
 // it. The device flushes its whole cache regardless of stream, so pages a
 // caller transferred (and waited for) on any stream are covered. The request
-// is pooled: after SubmitAndWait returns nothing else can hold it.
-func (l *Layer) Flush(p *sim.Proc) { l.FlushT(p, reqtrace.Ctx{}) }
-
-// FlushT is Flush with a trace context attached to the flush request.
-func (l *Layer) FlushT(p *sim.Proc, tc reqtrace.Ctx) {
+// is pooled: after SubmitAndWait returns nothing else can hold it. It carries
+// the caller's trace context (reqtrace.Of) to the device.
+func (l *Layer) Flush(p *sim.Proc) {
 	r := l.flushes.Get()
 	r.Op = OpFlush
-	r.Trace = tc
+	r.Trace = reqtrace.Of(p)
 	l.SubmitAndWait(p, r)
 	r.Release()
 }
+
+// FlushT is Flush; its context argument is ignored, the caller's is taken
+// from p. It stays while bench/trace.go's Submitter shim implements it.
+func (l *Layer) FlushT(p *sim.Proc, _ reqtrace.Ctx) { l.Flush(p) }
 
 // feedStaged moves a queue's staged requests into its scheduler in
 // submission order while admission is open.

@@ -146,10 +146,10 @@ type writebackPlan struct {
 // selective data journaling, for overwrites) applies. The requests are
 // submitted; the caller decides whether to wait. The plan owns the hold
 // dataRequest drew each request with until the caller releases it (release,
-// waitAll). tc, when active, tags each submitted request so
-// the block layer's queue/dispatch stamps land on the originating sync
-// call's trace record.
-func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast bool, tc reqtrace.Ctx) writebackPlan {
+// waitAll). The calling proc's trace context (reqtrace.Of) tags each
+// submitted request, so the block layer's queue/dispatch stamps land on the
+// originating sync call's trace record.
+func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast bool) writebackPlan {
 	plan := writebackPlan{reqs: i.wbReqs[:0]}
 	i.wbReqs = nil
 	dirty := i.takeDirty()
@@ -178,6 +178,7 @@ func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast boo
 	if barrierLast && len(plan.reqs) > 0 {
 		plan.reqs[len(plan.reqs)-1].Flags |= block.FlagBarrier | block.FlagOrdered
 	}
+	tc := reqtrace.Of(p)
 	for _, r := range plan.reqs {
 		r.Trace = tc
 		// Ordered mode: the journal must not commit the inode before the
@@ -286,7 +287,7 @@ func (f *FS) waitCrossStream(p *sim.Proc, i *Inode) {
 // block layer holds each request until it completes and then recycles it,
 // so a caller that must see the writes land waits with Fdatawait.
 func (f *FS) WritebackAsync(p *sim.Proc, i *Inode) {
-	f.release(i, f.writeback(p, i, block.FlagBackground, false, reqtrace.Ctx{}))
+	f.release(i, f.writeback(p, i, block.FlagBackground, false))
 }
 
 // Fdatawait blocks until the inode has no writeback in flight, waiting on

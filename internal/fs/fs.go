@@ -33,7 +33,6 @@ import (
 	"repro/internal/block"
 	"repro/internal/jbd"
 	"repro/internal/metrics"
-	"repro/internal/reqtrace"
 	"repro/internal/sim"
 )
 
@@ -330,7 +329,7 @@ func (f *FS) pdflush(p *sim.Proc) {
 		// run-to-run nondeterminism into the writeback submission order.
 		for _, i := range f.inodeList {
 			if i.DirtyPages() > 0 {
-				f.release(i, f.writeback(p, i, block.FlagBackground, false, reqtrace.Ctx{}))
+				f.release(i, f.writeback(p, i, block.FlagBackground, false))
 				f.stats.PdflushRuns++
 				f.obs.pdflushRuns.Inc()
 			}

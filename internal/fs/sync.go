@@ -3,17 +3,19 @@ package fs
 import (
 	"repro/internal/block"
 	"repro/internal/jbd"
-	"repro/internal/reqtrace"
 	"repro/internal/sim"
 )
 
-// noopSpanEnd is the shared free closer syncSpan hands out with spans off,
+// noopSpanEnd is the shared free closer syncCall hands out with spans off,
 // so the disabled path allocates nothing.
 var noopSpanEnd = func() {}
 
-// syncSpan opens a trace span for one sync-family call and returns its
-// closer, correlating begin and end through a per-FS call sequence.
-func (f *FS) syncSpan(name string) func() {
+// syncCall charges one sync-family syscall, counts it in *n, and opens its
+// trace span, returning the span's closer; a per-FS call sequence
+// correlates begin and end.
+func (f *FS) syncCall(p *sim.Proc, n *int64, name string) func() {
+	f.cpu(p)
+	*n++
 	if f.k.Spans() == nil {
 		return noopSpanEnd
 	}
@@ -34,28 +36,20 @@ func (f *FS) syncSpan(name string) func() {
 //   - when the inode has no uncommitted metadata, fsync degrades to
 //     fdatasync (the Fig. 11 jiffy effect).
 func (f *FS) Fsync(p *sim.Proc, i *Inode) {
-	f.cpu(p)
-	f.stats.Fsyncs++
-	defer f.syncSpan("fsync")()
-	f.sync(p, i, i.MetaPending(), reqtrace.Ctx{})
+	defer f.syncCall(p, &f.stats.Fsyncs, "fsync")()
+	f.sync(p, i, i.MetaPending())
 }
 
 // Fdatasync is fsync without the timestamp-only metadata commit: it commits
 // the journal only when block allocation or size changed.
-func (f *FS) Fdatasync(p *sim.Proc, i *Inode) { f.FdatasyncT(p, i, reqtrace.Ctx{}) }
-
-// FdatasyncT is Fdatasync carrying a request-trace context: the context
-// rides the data writes, the journal transaction and any flush so the
-// durability window can be attributed stage by stage. A zero context makes
-// this identical to Fdatasync.
-func (f *FS) FdatasyncT(p *sim.Proc, i *Inode, tc reqtrace.Ctx) {
-	f.cpu(p)
-	f.stats.Fdatasyncs++
-	defer f.syncSpan("fdatasync")()
-	f.sync(p, i, i.allocDirty && i.MetaPending(), tc)
+func (f *FS) Fdatasync(p *sim.Proc, i *Inode) {
+	defer f.syncCall(p, &f.stats.Fdatasyncs, "fdatasync")()
+	f.sync(p, i, i.allocDirty && i.MetaPending())
 }
 
-func (f *FS) sync(p *sim.Proc, i *Inode, commitMeta bool, tc reqtrace.Ctx) {
+// sync is the durability path of the sync calls. The caller's trace context
+// (reqtrace.Of) rides its data writes, journal transaction and flush.
+func (f *FS) sync(p *sim.Proc, i *Inode, commitMeta bool) {
 	// Background writeback that the multi-queue layer moved off stream 0 is
 	// outside the flush/barrier ordering domain: wait on it explicitly.
 	f.waitCrossStream(p, i)
@@ -64,49 +58,49 @@ func (f *FS) sync(p *sim.Proc, i *Inode, commitMeta bool, tc reqtrace.Ctx) {
 		if commitMeta {
 			// D as ordered writes — no Wait-on-Transfer. The commit thread's
 			// JD closes the {D, JD} epoch (Eq. 3).
-			f.release(i, f.writeback(p, i, block.FlagOrdered, false, tc))
-			f.j.CommitAndWaitT(p, tc)
+			f.release(i, f.writeback(p, i, block.FlagOrdered, false))
+			f.j.CommitAndWait(p)
 			i.allocDirty = false
 			return
 		}
 		// fdatasync path: D closed by a barrier, then a device flush. If
 		// there is nothing dirty at all, force an (empty) journal commit to
 		// delimit an epoch (§4.2) and wait for it durably.
-		plan := f.writeback(p, i, block.FlagOrdered, true, tc)
+		plan := f.writeback(p, i, block.FlagOrdered, true)
 		if len(plan.reqs) == 0 {
 			f.release(i, plan)
-			t := f.j.CommitOrderingT(p, true, tc)
+			t := f.j.CommitOrdering(p, true)
 			if t != nil {
 				f.j.WaitTxn(p, t)
 			}
 			return
 		}
 		f.waitAll(p, i, plan)
-		f.layer.FlushT(p, tc)
+		f.layer.Flush(p)
 		f.wake(p)
 	case jbd.ModeOptFS:
-		plan := f.writeback(p, i, 0, false, tc)
+		plan := f.writeback(p, i, 0, false)
 		f.waitAll(p, i, plan)
 		if commitMeta {
-			f.j.CommitOrderingT(p, false, tc)
+			f.j.CommitOrdering(p, false)
 			i.allocDirty = false
 		}
 		// Durability on OptFS: an explicit flush (dsync-like).
-		f.layer.FlushT(p, tc)
+		f.layer.Flush(p)
 		f.wake(p)
 	default: // JBD2 / EXT4
-		plan := f.writeback(p, i, 0, false, tc)
+		plan := f.writeback(p, i, 0, false)
 		f.waitAll(p, i, plan) // Wait-on-Transfer (wake-up #1)
 		// Allocation frozen into another caller's in-flight commit is no
 		// longer pending, but not durable either: wait for that transaction
 		// too (ext4's wait on i_datasync_tid).
 		if commitMeta || (i.allocDirty && i.buf.Frozen()) {
-			f.j.CommitAndWaitT(p, tc) // transfer-and-flush commit (wake-up #2)
+			f.j.CommitAndWait(p) // transfer-and-flush commit (wake-up #2)
 			i.allocDirty = false
 			return
 		}
 		if f.opts.Journal.BarrierMount {
-			f.layer.FlushT(p, tc) // wake-up #2
+			f.layer.Flush(p) // wake-up #2
 			f.wake(p)
 		}
 	}
@@ -117,30 +111,28 @@ func (f *FS) sync(p *sim.Proc, i *Inode, commitMeta bool, tc reqtrace.Ctx) {
 // On the OptFS engine this is osync(). On a JBD2 mount it falls back to
 // fsync with the mount's durability semantics.
 func (f *FS) Fbarrier(p *sim.Proc, i *Inode) {
-	f.cpu(p)
-	f.stats.Fbarriers++
-	defer f.syncSpan("fbarrier")()
+	defer f.syncCall(p, &f.stats.Fbarriers, "fbarrier")()
 	f.waitCrossStream(p, i)
 	switch f.opts.Journal.Mode {
 	case jbd.ModeDual:
 		if i.MetaPending() {
-			f.release(i, f.writeback(p, i, block.FlagOrdered, false, reqtrace.Ctx{}))
+			f.release(i, f.writeback(p, i, block.FlagOrdered, false))
 			f.j.CommitOrdering(p, false) // returns at JC dispatch
 			i.allocDirty = false
 			return
 		}
 		// No metadata: serviced as fdatabarrier (usually zero wake-ups).
-		f.fdatabarrierDual(p, i, reqtrace.Ctx{})
+		f.fdatabarrierDual(p, i)
 	case jbd.ModeOptFS:
 		// osync(): ordering via Wait-on-Transfer, no flush.
-		plan := f.writeback(p, i, 0, false, reqtrace.Ctx{})
+		plan := f.writeback(p, i, 0, false)
 		f.waitAll(p, i, plan)
 		if i.MetaPending() {
 			f.j.CommitOrdering(p, false)
 			i.allocDirty = false
 		}
 	default:
-		f.sync(p, i, i.MetaPending(), reqtrace.Ctx{})
+		f.sync(p, i, i.MetaPending())
 	}
 }
 
@@ -149,39 +141,31 @@ func (f *FS) Fbarrier(p *sim.Proc, i *Inode) {
 // storage analogue of a memory barrier (§4.1). Only meaningful on the
 // Dual-Mode engine; other engines approximate it with their strongest
 // cheap primitive.
-func (f *FS) Fdatabarrier(p *sim.Proc, i *Inode) { f.FdatabarrierT(p, i, reqtrace.Ctx{}) }
-
-// FdatabarrierT is Fdatabarrier carrying a request-trace context. On the
-// Dual-Mode engine the call returns at dispatch, so the context's
-// device-side stamps land later, when the order-preserving writes are
-// serviced. A zero context makes this identical to Fdatabarrier.
-func (f *FS) FdatabarrierT(p *sim.Proc, i *Inode, tc reqtrace.Ctx) {
-	f.cpu(p)
-	f.stats.Fdatabarriers++
-	defer f.syncSpan("fdatabarrier")()
+func (f *FS) Fdatabarrier(p *sim.Proc, i *Inode) {
+	defer f.syncCall(p, &f.stats.Fdatabarriers, "fdatabarrier")()
 	f.waitCrossStream(p, i)
 	switch f.opts.Journal.Mode {
 	case jbd.ModeDual:
-		f.fdatabarrierDual(p, i, tc)
+		f.fdatabarrierDual(p, i)
 	case jbd.ModeOptFS:
 		// osync: write data (Wait-on-Transfer) and commit the journal —
 		// journaled pages (selective data journaling) only reach the device
 		// through the commit.
-		plan := f.writeback(p, i, 0, false, tc)
+		plan := f.writeback(p, i, 0, false)
 		f.waitAll(p, i, plan)
-		f.j.CommitOrderingT(p, false, tc)
+		f.j.CommitOrdering(p, false)
 	default:
 		// fdatasync's semantics under this call's one syscall charge and span.
-		f.sync(p, i, i.allocDirty && i.MetaPending(), tc)
+		f.sync(p, i, i.allocDirty && i.MetaPending())
 	}
 }
 
-func (f *FS) fdatabarrierDual(p *sim.Proc, i *Inode, tc reqtrace.Ctx) {
-	plan := f.writeback(p, i, block.FlagOrdered, true, tc)
+func (f *FS) fdatabarrierDual(p *sim.Proc, i *Inode) {
+	plan := f.writeback(p, i, block.FlagOrdered, true)
 	if len(plan.reqs) == 0 {
 		// Delimit the epoch through a forced (possibly empty) commit; do
 		// not wait for anything beyond the commit dispatch.
-		f.j.CommitOrderingT(p, true, tc)
+		f.j.CommitOrdering(p, true)
 	}
 	f.release(i, plan)
 }
@@ -193,7 +177,7 @@ func (f *FS) SyncFS(p *sim.Proc) {
 	// writeback order — and the whole dispatch trace — nondeterministic.
 	for _, i := range f.inodeList {
 		f.waitCrossStream(p, i)
-		plan := f.writeback(p, i, 0, false, reqtrace.Ctx{})
+		plan := f.writeback(p, i, 0, false)
 		f.waitAll(p, i, plan)
 	}
 	f.j.CommitAndWait(p)

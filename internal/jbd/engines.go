@@ -247,7 +247,9 @@ func (j *Journal) dualFlushThread(p *sim.Proc) {
 			continue
 		}
 		if t.wantDurable {
-			j.layer.FlushT(p, t.trace)
+			prev := reqtrace.With(p, t.trace)
+			j.layer.Flush(p)
+			reqtrace.With(p, prev)
 			j.wake(p)
 			j.stats.Flushes++
 			// The flush persisted every transfer before it: all transactions
@@ -416,9 +418,8 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 	var spare []*Txn
 	var reqs []*block.Request
 	for {
-		// Sleep while free space clears both the low-water mark and any
-		// reservation waiting in reserve: one larger than the space above the
-		// mark would otherwise wait forever.
+		// Sleep while free space clears the low-water mark and any waiting
+		// reservation (see reserve).
 		for len(j.ckptQ) == 0 || (j.freePages >= max(j.cfg.CheckpointLow, j.short) && len(j.ckptQ) < 64) {
 			j.ckptCond.Wait(p)
 			j.wake(p)

@@ -190,10 +190,12 @@ type Txn struct {
 	k *sim.Kernel
 }
 
-// attachTrace attaches tc to the transaction, first-wins.
-func (t *Txn) attachTrace(tc reqtrace.Ctx) {
-	if t != nil && !t.trace.Active() {
-		t.trace = tc
+// attachTrace attaches p's trace context (reqtrace.Of) to the transaction
+// the caller waits on, first-wins, so the commit engine's dispatch stamps
+// land on the caller's trace.
+func (t *Txn) attachTrace(p *sim.Proc) {
+	if !t.trace.Active() {
+		t.trace = reqtrace.Of(p)
 	}
 }
 
@@ -473,12 +475,7 @@ func (j *Journal) closeRunning(p *sim.Proc, force bool) *Txn {
 // (CommitOrdering) deliberately keep the lazy path: their parked pages ride
 // a later commit, which preserves the deep fbarrier commit pipeline
 // (Fig. 12) at no durability cost.
-func (j *Journal) CommitAndWait(p *sim.Proc) *Txn { return j.CommitAndWaitT(p, reqtrace.Ctx{}) }
-
-// CommitAndWaitT is CommitAndWait carrying a trace context; the context is
-// attached to the transaction the caller ends up waiting on (first-wins),
-// so the commit engine's dispatch stamps land on the caller's trace.
-func (j *Journal) CommitAndWaitT(p *sim.Proc, tc reqtrace.Ctx) *Txn {
+func (j *Journal) CommitAndWait(p *sim.Proc) *Txn {
 	t := j.closeRunning(p, len(j.conflictList) > 0)
 	if t == nil {
 		// Nothing dirty: wait on the newest in-flight transaction, if any,
@@ -488,7 +485,7 @@ func (j *Journal) CommitAndWaitT(p *sim.Proc, tc reqtrace.Ctx) *Txn {
 		}
 		t = j.committing[len(j.committing)-1]
 	}
-	t.attachTrace(tc)
+	t.attachTrace(p)
 	t.wantDurable = true
 	j.WaitTxn(p, t)
 	return t
@@ -553,12 +550,6 @@ func (j *Journal) WaitTxn(p *sim.Proc, t *Txn) {
 // dispatched the transaction; in OptFS mode once JD/JC are transferred.
 // force commits an empty transaction as an epoch delimiter.
 func (j *Journal) CommitOrdering(p *sim.Proc, force bool) *Txn {
-	return j.CommitOrderingT(p, force, reqtrace.Ctx{})
-}
-
-// CommitOrderingT is CommitOrdering carrying a trace context (see
-// CommitAndWaitT).
-func (j *Journal) CommitOrderingT(p *sim.Proc, force bool, tc reqtrace.Ctx) *Txn {
 	t := j.closeRunning(p, force)
 	if t == nil {
 		// OptFS: the caller's metadata rides an in-flight commit; osync
@@ -569,7 +560,7 @@ func (j *Journal) CommitOrderingT(p *sim.Proc, force bool, tc reqtrace.Ctx) *Txn
 			return nil
 		}
 	}
-	t.attachTrace(tc)
+	t.attachTrace(p)
 	for t.state < StateCommitted {
 		t.committedWaiters = append(t.committedWaiters, p)
 		p.Suspend()

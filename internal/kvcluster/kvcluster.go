@@ -224,9 +224,9 @@ func (c Config) spawnShard(k *sim.Kernel, idx int, reqs []Request, tr Traffic,
 				_, _, err := st.GetE(p, r.Key) // a hard media error fails the request
 				return err
 			case workload.ClassDelete:
-				st.ApplyT(p, []kvwal.Op{{Kind: kvwal.Delete, Key: r.Key}}, r.Trace)
+				st.Apply(p, []kvwal.Op{{Kind: kvwal.Delete, Key: r.Key}})
 			default:
-				st.ApplyT(p, []kvwal.Op{{Kind: kvwal.Put, Key: r.Key}}, r.Trace)
+				st.Apply(p, []kvwal.Op{{Kind: kvwal.Put, Key: r.Key}})
 			}
 			return nil
 		}, nil

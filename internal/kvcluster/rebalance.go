@@ -596,7 +596,7 @@ func (rm *rangeMig) copyDelta(p *sim.Proc, keys []string) {
 			if n.down {
 				return
 			}
-			batches = append(batches, n.store.ApplyAsync(p.Now(), []kvwal.Op{{Kind: kind, Key: key}}))
+			batches = append(batches, n.store.ApplyAsync(p, []kvwal.Op{{Kind: kind, Key: key}}))
 		}
 		for _, b := range batches {
 			b.Wait(p)

@@ -260,14 +260,14 @@ type ReqCtx struct {
 }
 
 // Put writes key to every live replica and returns once all of their
-// group commits acknowledged (write-both).
+// group commits acknowledged (write-both), traced under reqtrace.Of(p).
 func (c *Cluster) Put(p *sim.Proc, key string, rc ReqCtx) error {
-	return c.apply(p, kvwal.Op{Kind: kvwal.Put, Key: key}, rc.Trace)
+	return c.apply(p, kvwal.Op{Kind: kvwal.Put, Key: key})
 }
 
 // Delete submits a tombstone to every live replica.
 func (c *Cluster) Delete(p *sim.Proc, key string, rc ReqCtx) error {
-	return c.apply(p, kvwal.Op{Kind: kvwal.Delete, Key: key}, rc.Trace)
+	return c.apply(p, kvwal.Op{Kind: kvwal.Delete, Key: key})
 }
 
 // serve executes one generated request: the runner's serveFunc.
@@ -307,7 +307,7 @@ func (c *Cluster) ownersForWrite(key string) (owners []int, rm *rangeMig, dual b
 	return c.ring.ShardsForUp(key, c.cfg.Replicas, c.downFn()), nil, false
 }
 
-func (c *Cluster) apply(p *sim.Proc, op kvwal.Op, tc reqtrace.Ctx) error {
+func (c *Cluster) apply(p *sim.Proc, op kvwal.Op) error {
 	owners, rm, dual := c.ownersForWrite(op.Key)
 	var gen, epoch int
 	if rm != nil {
@@ -329,20 +329,18 @@ func (c *Cluster) apply(p *sim.Proc, op kvwal.Op, tc reqtrace.Ctx) error {
 	}
 	// Fan the write out to every live owner first, then wait: the replica
 	// group commits overlap instead of serializing.
+	// Only the first live owner carries the trace context: each store's
+	// leader chains the contexts of its own group, so handing one context to
+	// two leaders would cross-link two independent chains.
+	defer reqtrace.With(p, reqtrace.Of(p))
 	batches := make([]*kvwal.Batch, 0, len(owners))
 	for _, s := range owners {
 		n := c.nodes[s]
 		if n.down {
 			continue
 		}
-		// Only the first live owner carries the trace context: each store's
-		// leader chains the contexts of its own group, so handing one
-		// context to two leaders would cross-link two independent chains.
-		btc := tc
-		if len(batches) > 0 {
-			btc = reqtrace.Ctx{}
-		}
-		batches = append(batches, n.store.ApplyAsyncT(p.Now(), []kvwal.Op{op}, btc))
+		batches = append(batches, n.store.ApplyAsync(p, []kvwal.Op{op}))
+		reqtrace.With(p, reqtrace.Ctx{})
 	}
 	if len(batches) == 0 {
 		if rm != nil {
@@ -484,7 +482,7 @@ func (c *Cluster) readRepair(p *sim.Proc, key string, shards []int) {
 		if n.down {
 			continue
 		}
-		n.store.ApplyAsync(p.Now(), []kvwal.Op{{Kind: kvwal.Put, Key: key}})
+		n.store.ApplyAsync(p, []kvwal.Op{{Kind: kvwal.Put, Key: key}})
 		c.stats.ReadRepairs++
 		c.obs.repairs.Inc()
 	}

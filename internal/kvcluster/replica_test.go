@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/kvwal"
 	"repro/internal/metrics"
+	"repro/internal/reqtrace"
 	"repro/internal/sim"
 )
 
@@ -377,5 +379,58 @@ func TestRunReplicatedTraffic(t *testing.T) {
 	if res.Good != res2.Good || res.Done != res2.Done {
 		t.Errorf("replicated run not deterministic: good %d vs %d, done %d vs %d",
 			res.Good, res2.Good, res.Done, res2.Done)
+	}
+}
+
+// A replicated write carries its trace context to the first live owner
+// only: with R = 2 the secondary's store commits untraced. The secondary
+// sits on a far slower device, so a stamp from its commit would push the
+// last device completion past the primary's durability return.
+func TestTraceRidesFirstOwnerOnly(t *testing.T) {
+	cfg := ReplicaConfig{
+		Shards: 2, Replicas: 2, Profile: core.EXT4DR,
+		Device: func(i int) device.Config {
+			if i == 1 {
+				return device.UFS()
+			}
+			return device.NVMeSSD()
+		},
+	}
+	key := "k0"
+	for i := 1; NewRing(2).Shard(key) != 0; i++ {
+		key = fmt.Sprintf("k%d", i)
+	}
+	smp := reqtrace.NewSampler(reqtrace.Config{Uniform: 1})
+	k := sim.NewKernel()
+	defer k.Close()
+	k.Spawn("client", func(p *sim.Proc) {
+		cl, err := OpenCluster(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := smp.Admit(p.Now())
+		reqtrace.With(p, c)
+		if err := cl.Put(p, key, ReqCtx{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := reqtrace.Of(p); got != c {
+			t.Fatalf("Put left the slot at %+v, want the caller's %+v", got, c)
+		}
+		smp.Finish(c, p.Now())
+	})
+	k.Run()
+	exs := smp.Take()
+	if len(exs) != 1 {
+		t.Fatalf("kept %d exemplars, want 1", len(exs))
+	}
+	e := exs[0]
+	for _, s := range []reqtrace.Stage{reqtrace.StageGCEnqueue, reqtrace.StageDurDone, reqtrace.StageDevDone} {
+		if !e.Has(s) {
+			t.Fatalf("primary's commit left no %v stamp", s)
+		}
+	}
+	if done, dur := e.At(reqtrace.StageDevDone), e.At(reqtrace.StageDurDone); done > dur {
+		t.Fatalf("last device completion %v after the primary's durability return %v: the secondary's commit was traced",
+			done, dur)
 	}
 }

@@ -134,7 +134,10 @@ func (run *runner) spawn(k *sim.Kernel, reg *metrics.Registry,
 		k.SpawnIdx("kvc/worker", max(run.idx, 0)*run.cap+w, func(p *sim.Proc) {
 			for {
 				r := q.Get(p)
+				// The request's trace context is the worker's while it serves.
+				prev := reqtrace.With(p, r.Trace)
 				err := serve(p, r)
+				reqtrace.With(p, prev)
 				lat := sim.Duration(p.Now() - r.At)
 				run.smp.Finish(r.Trace, p.Now())
 				run.outstanding--

@@ -196,7 +196,7 @@ type Store struct {
 	compactCond *sim.Cond
 	manifestMu  *sim.Mutex // serializes manifest publication
 
-	free    []*Batch // waited batches, reused LIFO by ApplyAsyncT
+	free    []*Batch // waited batches, reused LIFO by ApplyAsync
 	mem     map[string]memEnt
 	imm     map[string]memEnt // frozen memtable being flushed (nil when idle)
 	spare   map[string]memEnt // the last flushed memtable, cleared for reuse
@@ -315,14 +315,7 @@ func (st *Store) BarrierCommit() bool { return st.barrierCommit }
 // — see ForceCheckpoint). It returns the sequence number of the batch's
 // last operation.
 func (st *Store) Apply(p *sim.Proc, ops []Op) uint64 {
-	return st.ApplyAsync(p.Now(), ops).Wait(p)
-}
-
-// ApplyT is Apply carrying a request-trace context: the context records the
-// group-commit enqueue and the leader's durability window so tail latency
-// can be attributed per stage. A zero context makes this identical to Apply.
-func (st *Store) ApplyT(p *sim.Proc, ops []Op, tc reqtrace.Ctx) uint64 {
-	return st.ApplyAsyncT(p.Now(), ops, tc).Wait(p)
+	return st.ApplyAsync(p, ops).Wait(p)
 }
 
 // Batch is an in-flight ApplyAsync submission, recycled: call Wait exactly
@@ -337,18 +330,14 @@ type Batch struct {
 // submits to every replica's leader and then waits on all the batches, so
 // the replicas commit in parallel instead of serially (internal/kvcluster's
 // write-both path). The batch is the caller's until its one Wait returns.
-func (st *Store) ApplyAsync(now sim.Time, ops []Op) *Batch {
-	return st.ApplyAsyncT(now, ops, reqtrace.Ctx{})
-}
-
-// ApplyAsyncT is ApplyAsync carrying a request-trace context. The enqueue
-// boundary is stamped here; the group-commit leader stamps the durability
-// window when it drains the batch.
+// It carries p's trace context (reqtrace.Of): stamped at enqueue here, and
+// over the durability window by the leader.
 //
 // The batch copies ops, so the caller may reuse its slice as soon as the
 // call returns. A single op lands in the batch's inline slot; a multi-op
 // batch copies into an array it keeps across reuse.
-func (st *Store) ApplyAsyncT(now sim.Time, ops []Op, tc reqtrace.Ctx) *Batch {
+func (st *Store) ApplyAsync(p *sim.Proc, ops []Op) *Batch {
+	now, tc := p.Now(), reqtrace.Of(p)
 	if len(st.free) == 0 {
 		st.free = append(st.free, &Batch{st: st})
 	}
@@ -499,26 +488,21 @@ func (st *Store) committer(p *sim.Proc) {
 		// (recorded through the head's chain) describes every traced member.
 		var tch reqtrace.Ctx
 		for _, b := range group {
-			if !b.trace.Active() {
-				continue
-			}
-			if !tch.Active() {
-				tch = b.trace
-			} else {
-				reqtrace.Chain(tch, b.trace)
-			}
+			tch = reqtrace.Chain(tch, b.trace)
 		}
 		// One sync for the whole group: the amortization that makes group
 		// commit worth it. The DurIssue→DurDone window brackets the leader's
 		// stall — the full transfer-and-flush round trip on fdatasync
 		// engines, dispatch cost only on fdatabarrier engines.
 		tch.StampChain(reqtrace.StageDurIssue, p.Now())
+		prev := reqtrace.With(p, tch)
 		if st.barrierCommit {
-			st.fs.FdatabarrierT(p, st.wal, tch)
+			st.fs.Fdatabarrier(p, st.wal)
 			st.groupsSince++
 		} else {
-			st.fs.FdatasyncT(p, st.wal, tch)
+			st.fs.Fdatasync(p, st.wal)
 		}
+		reqtrace.With(p, prev)
 		tch.StampChain(reqtrace.StageDurDone, p.Now())
 		st.stats.GroupCommits++
 		st.obs.groupCommits.Inc()

@@ -61,8 +61,8 @@ func TestApplyAsyncCopiesOps(t *testing.T) {
 		}
 		one := []Op{{Kind: Put, Key: "one"}}
 		many := []Op{{Kind: Put, Key: "a"}, {Kind: Put, Key: "b"}}
-		b1 := st.ApplyAsync(p.Now(), one)
-		b2 := st.ApplyAsync(p.Now(), many)
+		b1 := st.ApplyAsync(p, one)
+		b2 := st.ApplyAsync(p, many)
 		one[0] = Op{Kind: Put, Key: "reused-one"}
 		many[0], many[1] = Op{Kind: Delete, Key: "one"}, Op{Kind: Put, Key: "reused-b"}
 		b1.Wait(p)
@@ -98,9 +98,9 @@ func TestBatchesRecycle(t *testing.T) {
 		if st, err = Open(p, s, DefaultConfig()); err != nil {
 			t.Fatal(err)
 		}
-		b1 := st.ApplyAsync(p.Now(), []Op{{Kind: Put, Key: "first"}})
+		b1 := st.ApplyAsync(p, []Op{{Kind: Put, Key: "first"}})
 		b1.Wait(p)
-		b2 := st.ApplyAsync(p.Now(), []Op{{Kind: Put, Key: "x"}, {Kind: Put, Key: "y"}})
+		b2 := st.ApplyAsync(p, []Op{{Kind: Put, Key: "x"}, {Kind: Put, Key: "y"}})
 		if b2 != b1 {
 			t.Error("the next ApplyAsync after Wait did not reuse the waited batch")
 		}

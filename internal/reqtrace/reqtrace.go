@@ -1,12 +1,12 @@
-// Package reqtrace is the request-scoped causal tracing layer: a
-// per-request trace context allocated at admission and propagated by value
-// through the whole IO stack (router -> replica write -> kvwal group
-// commit -> jbd transaction -> block/blkmq queueing -> device service),
-// recording virtual-time stage boundaries into a pooled, sampling-gated
-// record.
+// Package reqtrace is the request-scoped causal tracing layer: a trace
+// context allocated at admission rides the proc doing the request's work
+// (With, Of), and the batch, transaction, block request and device command
+// that carry it across procs (router -> replica write -> kvwal group commit
+// -> jbd transaction -> block/blkmq queueing -> device service), recording
+// virtual-time stage boundaries into a pooled, sampling-gated record.
 //
 // The zero Ctx is the disabled tracer: every method is a one-branch no-op,
-// so threading a Ctx through hot paths costs nothing when tracing is off
+// so carrying a Ctx through hot paths costs nothing when tracing is off
 // and golden dispatch traces stay bit-identical. Records are pooled and
 // generation-validated — recycling a record bumps its generation, turning
 // every stale Ctx that still points at it into a no-op instead of a
@@ -104,6 +104,23 @@ func (c Ctx) Stamp(s Stage, at sim.Time) {
 		return
 	}
 	c.rec.stamp(s, at)
+}
+
+// With makes c the trace context of p's work, which the layers below read
+// with Of, and returns the one it replaces: a writer sets it around exactly
+// the call it traces, then restores the previous one.
+func With(p *sim.Proc, c Ctx) (prev Ctx) {
+	prev = Of(p)
+	p.SetTraceSlot(c.rec, c.gen)
+	return prev
+}
+
+// Of returns p's trace context: the zero Ctx unless a caller set one with
+// With.
+func Of(p *sim.Proc) Ctx {
+	ref, gen := p.TraceSlot()
+	rec, _ := ref.(*Rec)
+	return Ctx{rec: rec, gen: gen}
 }
 
 // maxChain bounds the group-commit chain walk. Group commits are bounded

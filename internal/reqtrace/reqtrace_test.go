@@ -233,6 +233,59 @@ func TestSamplerMaxCap(t *testing.T) {
 	}
 }
 
+// onProc runs body as the one proc of a fresh kernel.
+func onProc(t *testing.T, body func(p *sim.Proc)) {
+	t.Helper()
+	k := sim.NewKernel()
+	defer k.Close()
+	ran := false
+	k.Spawn("p", func(p *sim.Proc) { body(p); ran = true })
+	k.Run()
+	if !ran {
+		t.Fatal("proc body did not finish")
+	}
+}
+
+func TestProcSlot(t *testing.T) {
+	onProc(t, func(p *sim.Proc) {
+		if got := Of(p); got != (Ctx{}) {
+			t.Fatalf("fresh proc reads %+v, want the zero Ctx", got)
+		}
+		s := NewSampler(Config{Uniform: 1})
+		c := s.Admit(us(1))
+		if prev := With(p, c); prev != (Ctx{}) {
+			t.Fatalf("With replaced %+v, want the zero Ctx", prev)
+		}
+		if got := Of(p); got != c || !got.Active() {
+			t.Fatalf("Of = %+v, want the active %+v", got, c)
+		}
+		if prev := With(p, Ctx{}); prev != c {
+			t.Fatalf("With replaced %+v, want %+v", prev, c)
+		}
+		if got := Of(p); got.Active() {
+			t.Fatal("cleared slot reads an active Ctx")
+		}
+		With(p, c)
+		s.Finish(c, us(2))
+		if Of(p).Active() {
+			t.Fatal("slot context still active after Finish recycled its record")
+		}
+	})
+}
+
+func TestProcSlotAllocatesNothing(t *testing.T) {
+	onProc(t, func(p *sim.Proc) {
+		c := NewSampler(Config{}).Admit(us(1))
+		if n := testing.AllocsPerRun(100, func() {
+			With(p, c)
+			_ = Of(p)
+			With(p, Ctx{})
+		}); n != 0 {
+			t.Fatalf("With+Of allocate %v times per run, want 0", n)
+		}
+	})
+}
+
 func TestSamplerPoolsRecords(t *testing.T) {
 	s := NewSampler(Config{})
 	c1 := s.Admit(us(1))

@@ -67,7 +67,19 @@ type Proc struct {
 	volSwitch int64 // voluntary context switches (blocking waits)
 
 	doneWaiters []*Proc
+
+	// The request-trace context of the work the proc is doing, the way pprof
+	// labels belong to a goroutine. sim does not interpret it; ref holds a
+	// pointer, which an interface stores without allocating.
+	traceRef any
+	traceGen uint32
 }
+
+// TraceSlot returns the proc's trace slot. Only reqtrace.Of calls it.
+func (p *Proc) TraceSlot() (ref any, gen uint32) { return p.traceRef, p.traceGen }
+
+// SetTraceSlot replaces the proc's trace slot. Only reqtrace.With calls it.
+func (p *Proc) SetTraceSlot(ref any, gen uint32) { p.traceRef, p.traceGen = ref, gen }
 
 // Kernel returns the kernel this process belongs to.
 func (p *Proc) Kernel() *Kernel { return p.k }
