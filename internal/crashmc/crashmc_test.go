@@ -1,11 +1,13 @@
 package crashmc
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/fs"
 	"repro/internal/par"
 	"repro/internal/sim"
 )
@@ -180,25 +182,35 @@ func TestCapFallsBackToSamplingWithNotice(t *testing.T) {
 	}
 }
 
-// allocRidesCommit creates and writes file A, then lets a second proc's
-// fsync of file B freeze the running transaction — A's inode, directory
-// entry and allocation with it — and calls A's Fdatasync while that commit
-// is still in flight. Power fails the instant Fdatasync returns. *reached
-// counts the runs that got there.
-func allocRidesCommit(reached *int) Part {
+// rideRun is what one allocRidesCommit run reached: how many times A's
+// Fdatasync returned, and how many commits had waited for journal space by
+// then.
+type rideRun struct {
+	reached int
+	forced  int64
+}
+
+// allocRidesCommit first fsyncs prefill files of its own, filling a small
+// journal, then creates and writes file A and lets a second proc's fsync of
+// file B freeze the running transaction — A's inode, directory entry and
+// allocation with it — and calls A's Fdatasync while that commit is still in
+// flight. Power fails the instant Fdatasync returns.
+func allocRidesCommit(run *rideRun, prefill int) Part {
 	return func(k *sim.Kernel, s *core.Stack) []Checker {
 		chk := &DurabilityChecker{FS: s.FS, File: "a.dat"}
+		create := func(p *sim.Proc, name string) *fs.Inode {
+			f, err := s.FS.Create(p, s.FS.Root(), name)
+			if err != nil {
+				panic(err)
+			}
+			s.FS.Write(p, f, 0)
+			return f
+		}
 		k.Spawn("app", func(p *sim.Proc) {
-			a, err := s.FS.Create(p, s.FS.Root(), chk.File)
-			if err != nil {
-				panic(err)
+			for n := 0; n < prefill; n++ {
+				s.FS.Fsync(p, create(p, fmt.Sprintf("fill%d.dat", n)))
 			}
-			b, err := s.FS.Create(p, s.FS.Root(), "b.dat")
-			if err != nil {
-				panic(err)
-			}
-			s.FS.Write(p, a, 0)
-			s.FS.Write(p, b, 0)
+			a, b := create(p, chk.File), create(p, "b.dat")
 			k.Spawn("fsync-b", func(q *sim.Proc) { s.FS.Fsync(q, b) })
 			for a.MetaPending() {
 				p.Sleep(sim.Microsecond) // until B's commit freezes A's metadata
@@ -206,7 +218,8 @@ func allocRidesCommit(reached *int) Part {
 			s.FS.Fdatasync(p, a)
 			ver, _ := s.FS.Read(p, a, 0)
 			chk.Synced = append(chk.Synced, AckedWrite{Idx: 0, Ver: ver})
-			*reached++
+			run.reached++
+			run.forced = s.FS.Journal().Stats().CheckpointForce
 			k.Stop()
 		})
 		return []Checker{chk}
@@ -218,15 +231,36 @@ func allocRidesCommit(reached *int) Part {
 // pending in the running transaction, but it is not durable either, so
 // fdatasync must wait for the transaction that froze it (ext4 waits on
 // i_datasync_tid). A crash the instant it returns may not lose the file.
+//
+// The 16-page journals pre-filled by a few fsyncs make B's commit wait in
+// reserve for a checkpoint after it froze A's allocation; on OptFS the
+// commit waits for its own transfers before sending JC. Either way the
+// commit is not on the device when A's data and flush are.
 func TestFdatasyncWaitsForFrozenAllocation(t *testing.T) {
-	for _, mk := range []func(device.Config) core.Profile{core.EXT4DR, core.EXT4MQ, core.BFSDR, core.BFSMQ} {
-		prof := mk(device.NVMeSSD())
-		reached := 0
-		res := Enumerate(OnStack(prof, allocRidesCommit(&reached)), Config{CrashAt: at(1000000)})
-		t.Log(res.String())
+	nvme := device.NVMeSSD()
+	small := func(p core.Profile) core.Profile { return CompactJournal(p, 16) }
+	for _, c := range []struct {
+		prof    core.Profile
+		prefill int
+	}{
+		{core.EXT4DR(nvme), 0},
+		{core.EXT4MQ(nvme), 0},
+		{core.BFSDR(nvme), 0},
+		{core.BFSMQ(nvme), 0},
+		{small(core.EXT4DR(nvme)), 2},
+		{small(core.BFSDR(nvme)), 2},
+		{small(core.BFSMQ(nvme)), 3},
+		{core.OptFS(nvme), 0},
+	} {
+		var run rideRun
+		res := Enumerate(OnStack(c.prof, allocRidesCommit(&run, c.prefill)), Config{CrashAt: at(1000000)})
+		t.Logf("prefill %d, %d commits waited for space: %s", c.prefill, run.forced, res.String())
 		requireClean(t, res)
-		if reached != 1 {
-			t.Fatalf("%s: Fdatasync never returned", prof.Name)
+		if run.reached != 1 {
+			t.Fatalf("%s (prefill %d): Fdatasync never returned", c.prof.Name, c.prefill)
+		}
+		if c.prefill > 0 && run.forced == 0 {
+			t.Errorf("%s (prefill %d): no commit waited for journal space", c.prof.Name, c.prefill)
 		}
 	}
 }

@@ -37,19 +37,24 @@ func (f *FS) syncCall(p *sim.Proc, n *int64, name string) func() {
 //     fdatasync (the Fig. 11 jiffy effect).
 func (f *FS) Fsync(p *sim.Proc, i *Inode) {
 	defer f.syncCall(p, &f.stats.Fsyncs, "fsync")()
-	f.sync(p, i, i.MetaPending())
+	f.sync(p, i, false)
 }
 
 // Fdatasync is fsync without the timestamp-only metadata commit: it commits
 // the journal only when block allocation or size changed.
 func (f *FS) Fdatasync(p *sim.Proc, i *Inode) {
 	defer f.syncCall(p, &f.stats.Fdatasyncs, "fdatasync")()
-	f.sync(p, i, i.allocDirty && i.MetaPending())
+	f.sync(p, i, true)
 }
 
-// sync is the durability path of the sync calls. The caller's trace context
-// (reqtrace.Of) rides its data writes, journal transaction and flush.
-func (f *FS) sync(p *sim.Proc, i *Inode, commitMeta bool) {
+// sync is the durability path of the sync calls; datasync skips a commit of
+// timestamp-only metadata. The caller's trace context (reqtrace.Of) rides
+// its data writes, journal transaction and flush.
+func (f *FS) sync(p *sim.Proc, i *Inode, datasync bool) {
+	// The one commit decision. An allocation frozen into another caller's
+	// commit is no longer pending, but that commit may not have reached the
+	// device yet: wait for it too (ext4's wait on i_datasync_tid).
+	commitMeta := (i.MetaPending() && (!datasync || i.allocDirty)) || (i.allocDirty && i.buf.Frozen())
 	// Background writeback that the multi-queue layer moved off stream 0 is
 	// outside the flush/barrier ordering domain: wait on it explicitly.
 	f.waitCrossStream(p, i)
@@ -91,10 +96,7 @@ func (f *FS) sync(p *sim.Proc, i *Inode, commitMeta bool) {
 	default: // JBD2 / EXT4
 		plan := f.writeback(p, i, 0, false)
 		f.waitAll(p, i, plan) // Wait-on-Transfer (wake-up #1)
-		// Allocation frozen into another caller's in-flight commit is no
-		// longer pending, but not durable either: wait for that transaction
-		// too (ext4's wait on i_datasync_tid).
-		if commitMeta || (i.allocDirty && i.buf.Frozen()) {
+		if commitMeta {
 			f.j.CommitAndWait(p) // transfer-and-flush commit (wake-up #2)
 			i.allocDirty = false
 			return
@@ -132,7 +134,7 @@ func (f *FS) Fbarrier(p *sim.Proc, i *Inode) {
 			i.allocDirty = false
 		}
 	default:
-		f.sync(p, i, i.MetaPending())
+		f.sync(p, i, false)
 	}
 }
 
@@ -156,7 +158,7 @@ func (f *FS) Fdatabarrier(p *sim.Proc, i *Inode) {
 		f.j.CommitOrdering(p, false)
 	default:
 		// fdatasync's semantics under this call's one syscall charge and span.
-		f.sync(p, i, i.allocDirty && i.MetaPending())
+		f.sync(p, i, true)
 	}
 }
 
