@@ -100,10 +100,9 @@ func (c Ctx) Active() bool { return c.rec != nil && c.rec.gen == c.gen }
 
 // Stamp records stage s at virtual time at on this request only.
 func (c Ctx) Stamp(s Stage, at sim.Time) {
-	if c.rec == nil || c.rec.gen != c.gen {
-		return
+	if c.Active() {
+		c.rec.stamp(s, at)
 	}
-	c.rec.stamp(s, at)
 }
 
 // With makes c the trace context of p's work, which the layers below read
