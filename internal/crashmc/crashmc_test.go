@@ -183,19 +183,22 @@ func TestCapFallsBackToSamplingWithNotice(t *testing.T) {
 }
 
 // rideRun is what one allocRidesCommit run reached: how many times A's
-// Fdatasync returned, and how many commits had waited for journal space by
-// then.
+// Fdatasync returned, how many commits had waited for journal space by then,
+// and whether B's fsync returned before a flush of its commit was seen.
 type rideRun struct {
 	reached int
 	forced  int64
+	missed  bool
 }
 
 // allocRidesCommit first fsyncs prefill files of its own, filling a small
 // journal, then creates and writes file A and lets a second proc's fsync of
 // file B freeze the running transaction — A's inode, directory entry and
 // allocation with it — and calls A's Fdatasync while that commit is still in
-// flight. Power fails the instant Fdatasync returns.
-func allocRidesCommit(run *rideRun, prefill int) Part {
+// flight. With inFlush, A's Fdatasync starts only once the device has begun
+// the flush that makes B's commit durable, so A's data reaches the device
+// after that flush. Power fails the instant Fdatasync returns.
+func allocRidesCommit(run *rideRun, prefill int, inFlush bool) Part {
 	return func(k *sim.Kernel, s *core.Stack) []Checker {
 		chk := &DurabilityChecker{FS: s.FS, File: "a.dat"}
 		create := func(p *sim.Proc, name string) *fs.Inode {
@@ -211,9 +214,16 @@ func allocRidesCommit(run *rideRun, prefill int) Part {
 				s.FS.Fsync(p, create(p, fmt.Sprintf("fill%d.dat", n)))
 			}
 			a, b := create(p, chk.File), create(p, "b.dat")
-			k.Spawn("fsync-b", func(q *sim.Proc) { s.FS.Fsync(q, b) })
+			bDone := false
+			k.Spawn("fsync-b", func(q *sim.Proc) { s.FS.Fsync(q, b); bDone = true })
 			for a.MetaPending() {
 				p.Sleep(sim.Microsecond) // until B's commit freezes A's metadata
+			}
+			if inFlush {
+				for flushes := s.Dev.Stats().Flushes; s.Dev.Stats().Flushes == flushes && !bDone; {
+					p.Sleep(sim.Microsecond) // until B's commit flush starts
+				}
+				run.missed = bDone
 			}
 			s.FS.Fdatasync(p, a)
 			ver, _ := s.FS.Read(p, a, 0)
@@ -235,32 +245,43 @@ func allocRidesCommit(run *rideRun, prefill int) Part {
 // The 16-page journals pre-filled by a few fsyncs make B's commit wait in
 // reserve for a checkpoint after it froze A's allocation; on OptFS the
 // commit waits for its own transfers before sending JC. Either way the
-// commit is not on the device when A's data and flush are.
+// commit is not on the device when A's data and flush are. The inFlush rows
+// take the other side of the window: B's commit is on the device and its
+// flush has begun, so that flush cannot cover A's data.
 func TestFdatasyncWaitsForFrozenAllocation(t *testing.T) {
 	nvme := device.NVMeSSD()
 	small := func(p core.Profile) core.Profile { return CompactJournal(p, 16) }
 	for _, c := range []struct {
 		prof    core.Profile
 		prefill int
+		inFlush bool
 	}{
-		{core.EXT4DR(nvme), 0},
-		{core.EXT4MQ(nvme), 0},
-		{core.BFSDR(nvme), 0},
-		{core.BFSMQ(nvme), 0},
-		{small(core.EXT4DR(nvme)), 2},
-		{small(core.BFSDR(nvme)), 2},
-		{small(core.BFSMQ(nvme)), 3},
-		{core.OptFS(nvme), 0},
+		{core.EXT4DR(nvme), 0, false},
+		{core.EXT4MQ(nvme), 0, false},
+		{core.BFSDR(nvme), 0, false},
+		{core.BFSMQ(nvme), 0, false},
+		{small(core.EXT4DR(nvme)), 2, false},
+		{small(core.BFSDR(nvme)), 2, false},
+		{small(core.BFSMQ(nvme)), 3, false},
+		{core.OptFS(nvme), 0, false},
+		{core.EXT4DR(nvme), 0, true},
+		{core.EXT4MQ(nvme), 0, true},
+		{core.BFSDR(nvme), 0, true},
+		{core.BFSMQ(nvme), 0, true},
+		{core.OptFS(nvme), 0, true},
 	} {
 		var run rideRun
-		res := Enumerate(OnStack(c.prof, allocRidesCommit(&run, c.prefill)), Config{CrashAt: at(1000000)})
-		t.Logf("prefill %d, %d commits waited for space: %s", c.prefill, run.forced, res.String())
+		res := Enumerate(OnStack(c.prof, allocRidesCommit(&run, c.prefill, c.inFlush)), Config{CrashAt: at(1000000)})
+		t.Logf("prefill %d, in flush %v, %d commits waited for space: %s", c.prefill, c.inFlush, run.forced, res.String())
 		requireClean(t, res)
 		if run.reached != 1 {
 			t.Fatalf("%s (prefill %d): Fdatasync never returned", c.prof.Name, c.prefill)
 		}
 		if c.prefill > 0 && run.forced == 0 {
 			t.Errorf("%s (prefill %d): no commit waited for journal space", c.prof.Name, c.prefill)
+		}
+		if run.missed {
+			t.Errorf("%s: B's fsync returned before its commit flush was seen", c.prof.Name)
 		}
 	}
 }

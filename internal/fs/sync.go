@@ -60,9 +60,9 @@ func (f *FS) sync(p *sim.Proc, i *Inode, datasync bool) {
 	f.waitCrossStream(p, i)
 	switch f.opts.Journal.Mode {
 	case jbd.ModeDual:
-		if commitMeta {
-			// D as ordered writes — no Wait-on-Transfer. The commit thread's
-			// JD closes the {D, JD} epoch (Eq. 3).
+		if commitMeta && i.MetaPending() {
+			// D as ordered writes — no Wait-on-Transfer. The JD of the
+			// transaction this commits closes the {D, JD} epoch (Eq. 3).
 			f.release(i, f.writeback(p, i, block.FlagOrdered, false))
 			f.j.CommitAndWait(p)
 			i.allocDirty = false
@@ -74,15 +74,21 @@ func (f *FS) sync(p *sim.Proc, i *Inode, datasync bool) {
 		plan := f.writeback(p, i, block.FlagOrdered, true)
 		if len(plan.reqs) == 0 {
 			f.release(i, plan)
-			t := f.j.CommitOrdering(p, true)
-			if t != nil {
+			if t := f.j.CommitOrdering(p, true); t != nil {
 				f.j.WaitTxn(p, t)
 			}
-			return
+		} else {
+			f.waitAll(p, i, plan)
+			f.layer.Flush(p)
+			f.wake(p)
 		}
-		f.waitAll(p, i, plan)
-		f.layer.Flush(p)
-		f.wake(p)
+		if commitMeta {
+			// The allocation rides a commit that may already be past its JD
+			// and flush, so neither covers D: D took the path above, and
+			// the sync waits for that commit on top.
+			f.j.WaitFrozen(p, i.buf)
+			i.allocDirty = false
+		}
 	case jbd.ModeOptFS:
 		plan := f.writeback(p, i, 0, false)
 		f.waitAll(p, i, plan)

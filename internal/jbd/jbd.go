@@ -545,6 +545,16 @@ func (j *Journal) WaitTxn(p *sim.Proc, t *Txn) {
 	j.ackDurable(t)
 }
 
+// WaitFrozen blocks until the committing transaction that holds b, if any,
+// is durable: fdatasync's wait for the commit that froze its allocation
+// (ext4's i_datasync_tid).
+func (j *Journal) WaitFrozen(p *sim.Proc, b *Buffer) {
+	if t := b.owner; t != nil {
+		t.attachTrace(p)
+		j.WaitTxn(p, t)
+	}
+}
+
 // CommitOrdering closes the running transaction for an ordering-only caller
 // (fbarrier / osync). In Dual mode it returns once the commit thread has
 // dispatched the transaction; in OptFS mode once JD/JC are transferred.
