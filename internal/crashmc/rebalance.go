@@ -205,11 +205,11 @@ func rebalancePoint(prof func(device.Config) core.Profile, shards int,
 				idle = false
 				key := fmt.Sprintf("mk%03d", n%96)
 				if n%7 == 3 {
-					if err := c.Delete(p, key, kvcluster.ReqCtx{}); err == nil {
+					if err := c.Delete(p, key); err == nil {
 						delete(acked, key)
 					}
 				} else {
-					if err := c.Put(p, key, kvcluster.ReqCtx{}); err == nil {
+					if err := c.Put(p, key); err == nil {
 						acked[key] = true
 					}
 				}

@@ -194,7 +194,7 @@ func TestConcurrentOpsDuringResize(t *testing.T) {
 			}
 			for i := 0; i < perWorker; i++ {
 				key := fmt.Sprintf("w%d-%05d", w, i)
-				if err := cl.Put(p, key, ReqCtx{}); err != nil {
+				if err := cl.Put(p, key); err != nil {
 					continue
 				}
 				acked[w] = append(acked[w], key)
@@ -262,7 +262,7 @@ func TestReplaceShardRebuildsDeadShard(t *testing.T) {
 		}
 		for i := 0; i < 128; i++ {
 			key := fmt.Sprintf("r%05d", i)
-			if err := cl.Put(p, key, ReqCtx{}); err == nil {
+			if err := cl.Put(p, key); err == nil {
 				keys = append(keys, key)
 			}
 		}
@@ -325,7 +325,7 @@ func TestResizeRetargetsWhenDestinationDies(t *testing.T) {
 		var keys []string
 		for i := 0; i < 256; i++ {
 			key := fmt.Sprintf("d%05d", i)
-			if err := cl.Put(p, key, ReqCtx{}); err == nil {
+			if err := cl.Put(p, key); err == nil {
 				keys = append(keys, key)
 			}
 		}
@@ -371,19 +371,19 @@ func TestAllReplicasDeadShedsDegraded(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := cl.Put(p, "alive", ReqCtx{}); err != nil {
+		if err := cl.Put(p, "alive"); err != nil {
 			t.Errorf("healthy put failed: %v", err)
 		}
 		cl.KillShard(0)
 		// One survivor: writes commit degraded (capped below R) and count.
-		if err := cl.Put(p, "degraded", ReqCtx{}); err != nil {
+		if err := cl.Put(p, "degraded"); err != nil {
 			t.Errorf("degraded put refused with a live replica: %v", err)
 		}
 		if got := cl.Stats().DegradedWrites; got == 0 {
 			t.Error("capped-replication write not counted as degraded")
 		}
 		cl.KillShard(1)
-		if err := cl.Put(p, "dead", ReqCtx{}); err != ErrUnavailable {
+		if err := cl.Put(p, "dead"); err != ErrUnavailable {
 			t.Errorf("put with all replicas dead: got %v, want ErrUnavailable", err)
 		}
 		if _, _, err := cl.Get(p, "alive", ReqCtx{}); err != ErrUnavailable {

@@ -253,7 +253,9 @@ func (c *Cluster) KillShard(i int) { c.nodes[i].down = true }
 
 // ReqCtx is the by-value context word every request carries: the tenant it
 // is accounted to (failover budgets, per-tenant SLO rows) and its
-// request-trace context. The zero value is tenant 0, untraced.
+// request-trace context. Trace only carries the admission context across
+// the dispatch queue: the worker sets it on its proc around serve, and every
+// call below reads reqtrace.Of(p). The zero value is tenant 0, untraced.
 type ReqCtx struct {
 	Tenant int
 	Trace  reqtrace.Ctx
@@ -261,12 +263,13 @@ type ReqCtx struct {
 
 // Put writes key to every live replica and returns once all of their
 // group commits acknowledged (write-both), traced under reqtrace.Of(p).
-func (c *Cluster) Put(p *sim.Proc, key string, rc ReqCtx) error {
+func (c *Cluster) Put(p *sim.Proc, key string) error {
 	return c.apply(p, kvwal.Op{Kind: kvwal.Put, Key: key})
 }
 
-// Delete submits a tombstone to every live replica.
-func (c *Cluster) Delete(p *sim.Proc, key string, rc ReqCtx) error {
+// Delete submits a tombstone to every live replica, traced under
+// reqtrace.Of(p).
+func (c *Cluster) Delete(p *sim.Proc, key string) error {
 	return c.apply(p, kvwal.Op{Kind: kvwal.Delete, Key: key})
 }
 
@@ -277,9 +280,9 @@ func (c *Cluster) serve(p *sim.Proc, r Request) error {
 		_, _, err := c.Get(p, r.Key, r.ReqCtx)
 		return err
 	case workload.ClassDelete:
-		return c.Delete(p, r.Key, r.ReqCtx)
+		return c.Delete(p, r.Key)
 	}
-	return c.Put(p, r.Key, r.ReqCtx)
+	return c.Put(p, r.Key)
 }
 
 // ownersForWrite resolves a key's write set. Under an active migration the

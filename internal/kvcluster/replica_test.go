@@ -151,7 +151,7 @@ func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 		const n = 64
 		for i := 0; i < n; i++ {
 			key := fmt.Sprintf("k%05d", i)
-			if err := cl.Put(p, key, ReqCtx{}); err != nil {
+			if err := cl.Put(p, key); err != nil {
 				t.Errorf("put %s: %v", key, err)
 				return
 			}
@@ -209,7 +209,7 @@ func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 		}
 		const n = 64
 		for i := 0; i < n; i++ {
-			cl.Put(p, fmt.Sprintf("k%05d", i), ReqCtx{})
+			cl.Put(p, fmt.Sprintf("k%05d", i))
 		}
 		p.Sleep(5 * sim.Millisecond)
 		for i := 0; i < n; i++ {
@@ -257,7 +257,7 @@ func TestClusterConcurrentOpsDuringFailover(t *testing.T) {
 			}
 			for i := 0; i < perWorker; i++ {
 				key := fmt.Sprintf("w%d-%05d", w, i)
-				if err := cl.Put(p, key, ReqCtx{}); err != nil {
+				if err := cl.Put(p, key); err != nil {
 					continue // no live replica pair — not acked, no promise
 				}
 				acked[w] = append(acked[w], key)
@@ -325,7 +325,7 @@ func TestTenantFailoverBudgetSheds(t *testing.T) {
 		}
 		const n = 48
 		for i := 0; i < n; i++ {
-			cl.Put(p, fmt.Sprintf("k%05d", i), ReqCtx{})
+			cl.Put(p, fmt.Sprintf("k%05d", i))
 		}
 		p.Sleep(5 * sim.Millisecond)
 		for i := 0; i < n; i++ {
@@ -410,7 +410,7 @@ func TestTraceRidesFirstOwnerOnly(t *testing.T) {
 		}
 		c := smp.Admit(p.Now())
 		reqtrace.With(p, c)
-		if err := cl.Put(p, key, ReqCtx{}); err != nil {
+		if err := cl.Put(p, key); err != nil {
 			t.Fatal(err)
 		}
 		if got := reqtrace.Of(p); got != c {
