@@ -149,7 +149,7 @@ func BenchmarkFig11(b *testing.B) {
 			k := sim.NewKernel()
 			defer k.Close()
 			s := core.NewStack(k, c.prof)
-			meter := metrics.NewSwitchMeter(c.name)
+			var meter metrics.SwitchMeter
 			k.Spawn("app", func(p *sim.Proc) {
 				f, err := s.FS.Create(p, s.FS.Root(), "bench.dat")
 				if err != nil {

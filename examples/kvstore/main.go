@@ -29,15 +29,17 @@ func main() {
 		// A first batch of mail: committed, then explicitly checkpointed, so
 		// it is durably acknowledged.
 		for i := 0; i < 32; i++ {
-			st.PutKey(p, fmt.Sprintf("inbox/%04d", i))
+			st.Apply(p, []kvwal.Op{{Kind: kvwal.Put, Key: fmt.Sprintf("inbox/%04d", i)}})
 		}
-		st.DeleteKey(p, "inbox/0007")
+		st.Apply(p, []kvwal.Op{{Kind: kvwal.Delete, Key: "inbox/0007"}})
 		st.ForceCheckpoint(p)
 		fmt.Printf("checkpointed: committed=%d durable=%d\n", st.CommittedSeq(), st.DurableSeq())
-		if seq, ok := st.Get(p, "inbox/0003"); ok {
+		// GetE's error is a hard media failure; this device has no fault
+		// plan, so none can occur.
+		if seq, ok, _ := st.GetE(p, "inbox/0003"); ok {
 			fmt.Printf("get inbox/0003 -> seq %d\n", seq)
 		}
-		if _, ok := st.Get(p, "inbox/0007"); !ok {
+		if _, ok, _ := st.GetE(p, "inbox/0007"); !ok {
 			fmt.Println("get inbox/0007 -> deleted")
 		}
 		// Three clients keep committing; the power fails while their groups

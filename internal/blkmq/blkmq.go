@@ -27,8 +27,6 @@ package blkmq
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"repro/internal/block"
 	"repro/internal/device"
@@ -158,35 +156,6 @@ func (m *MQ) EpochsClosed() int64 {
 		n += es.EpochsClosed()
 	}
 	return n
-}
-
-// Reassigned returns the number of barrier reassignments, summed over all
-// streams.
-func (m *MQ) Reassigned() int64 {
-	var n int64
-	for _, es := range m.scheds {
-		n += es.Reassigned()
-	}
-	return n
-}
-
-// Streams returns the ids of every stream opened so far, ascending. Stream
-// 0 is the ordered/journal domain; data streams appear once spreading has
-// routed background writeback onto them. Together with StreamEpoch this
-// describes the layer's per-stream ordering state, e.g. for correlating a
-// crash-time device capture (device.CaptureConstraints) with the streams
-// the layer actually opened.
-func (m *MQ) Streams() []uint64 {
-	return slices.Sorted(maps.Keys(m.scheds))
-}
-
-// StreamEpoch returns the epoch a stream's scheduler is currently
-// assigning.
-func (m *MQ) StreamEpoch(id uint64) uint64 {
-	if es, ok := m.scheds[id]; ok {
-		return es.CurrentEpoch()
-	}
-	return 0
 }
 
 // Verify checks the recorded dispatch trace against the per-stream epoch

@@ -103,11 +103,15 @@ func (sh goldenShape) run() dispatchGolden {
 		front, log = m, m.DispatchLog
 		stats = func() map[string]int64 {
 			s := m.Stats()
+			var reassigned int64
+			for _, es := range m.scheds {
+				reassigned += es.Reassigned()
+			}
 			return map[string]int64{"Submitted": s.Submitted, "Dispatched": s.Dispatched,
 				"Completed": s.Completed, "StagedPeak": int64(s.StagedPeak),
 				"Streams": int64(s.Streams), "Spread": s.Spread,
-				"EpochsClosed": m.EpochsClosed(), "Reassigned": m.Reassigned(),
-				"OpenStreams": int64(len(m.Streams()))}
+				"EpochsClosed": m.EpochsClosed(), "Reassigned": reassigned,
+				"OpenStreams": int64(len(m.scheds))}
 		}
 	} else {
 		cfg := sh.layer

@@ -154,8 +154,8 @@ func TestEpochBarrierReassignment(t *testing.T) {
 	if !s.Accepting() {
 		t.Error("not accepting after epoch drained")
 	}
-	if s.CurrentEpoch() != 1 {
-		t.Errorf("epoch = %d, want 1", s.CurrentEpoch())
+	if s.epoch != 1 {
+		t.Errorf("epoch = %d, want 1", s.epoch)
 	}
 }
 

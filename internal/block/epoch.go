@@ -38,10 +38,6 @@ func (s *EpochScheduler) Accepting() bool { return s.accepting }
 // Pending implements Scheduler.
 func (s *EpochScheduler) Pending() int { return s.base.Pending() }
 
-// CurrentEpoch returns the epoch being assigned to incoming ordered
-// requests.
-func (s *EpochScheduler) CurrentEpoch() uint64 { return s.epoch }
-
 // Reassigned returns how many barrier tags landed on a different request
 // than the one that carried them in.
 func (s *EpochScheduler) Reassigned() int64 { return s.reassigned }

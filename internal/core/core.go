@@ -136,13 +136,6 @@ func tune(p Profile) Profile {
 	return p
 }
 
-// Profiles returns the standard five configurations over a device.
-func Profiles(dev func() device.Config) []Profile {
-	return []Profile{
-		EXT4DR(dev()), BFSDR(dev()), OptFS(dev()), EXT4OD(dev()), BFSOD(dev()),
-	}
-}
-
 // Stack is a fully wired IO stack.
 type Stack struct {
 	Profile Profile

@@ -36,9 +36,6 @@ func TestProfileConstructors(t *testing.T) {
 			t.Errorf("%s: relaxed = %v", c.name, c.prof.Relaxed)
 		}
 	}
-	if got := len(Profiles(device.PlainSSD)); got != 5 {
-		t.Errorf("Profiles() = %d entries", got)
-	}
 }
 
 func TestMobileTuning(t *testing.T) {

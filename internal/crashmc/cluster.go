@@ -132,7 +132,9 @@ func clusterShard(ring *kvcluster.Ring, shard int, reqs []kvcluster.Request) Par
 				r := reqs[n%len(reqs)]
 				switch r.Class {
 				case workload.ClassGet:
-					chk.Store.Get(p, r.Key)
+					// Reads only shape the traffic: the checker audits
+					// acknowledged writes, and a failed read acknowledges none.
+					_, _, _ = chk.Store.GetE(p, r.Key)
 				case workload.ClassDelete:
 					batch = append(batch, kvwal.Op{Kind: kvwal.Delete, Key: r.Key})
 				default:

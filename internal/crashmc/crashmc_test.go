@@ -226,7 +226,7 @@ func allocRidesCommit(run *rideRun, prefill int, inFlush bool) Part {
 				run.missed = bDone
 			}
 			s.FS.Fdatasync(p, a)
-			ver, _ := s.FS.Read(p, a, 0)
+			ver, _, _ := s.FS.Read(p, a, 0)
 			chk.Synced = append(chk.Synced, AckedWrite{Idx: 0, Ver: ver})
 			run.reached++
 			run.forced = s.FS.Journal().Stats().CheckpointForce

@@ -125,7 +125,7 @@ func (d *Device) oldestPending() uint64 {
 // --- writeback path ---
 
 func (d *Device) highWater() int {
-	return int(float64(d.cfg.CachePages) * d.cfg.WritebackHighWater)
+	return int(float64(d.cfg.CachePages) * writebackHighWater)
 }
 
 func (d *Device) lowWater() int {

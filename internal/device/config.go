@@ -48,10 +48,6 @@ type Config struct {
 	// command.
 	CmdOverhead sim.Duration
 
-	// PLPFlushLatency is the flush-command round trip on a power-loss-
-	// protected device (the paper's tε: small but not negligible).
-	PLPFlushLatency sim.Duration
-
 	// EagerWriteback makes the cache append pages to the FTL as they
 	// arrive instead of batching to a low-water mark. Log-structured
 	// barrier devices do this naturally (appends are sequential anyway),
@@ -64,10 +60,9 @@ type Config struct {
 	// deficiency of §6.2.
 	BarrierCmdCost sim.Duration
 
-	// WritebackLowWater / HighWater control the background writeback
-	// daemon, as fractions of CachePages.
-	WritebackLowWater  float64
-	WritebackHighWater float64
+	// WritebackLowWater is the cache fill, as a fraction of CachePages, the
+	// background writeback daemon drains down to (see writebackHighWater).
+	WritebackLowWater float64
 
 	Geometry nand.Geometry
 	Timing   nand.Timing
@@ -111,9 +106,6 @@ func defaults(c Config) Config {
 	if c.WritebackLowWater == 0 {
 		c.WritebackLowWater = 0.25
 	}
-	if c.WritebackHighWater == 0 {
-		c.WritebackHighWater = 0.5
-	}
 	if c.FTL.GCLowWater == 0 {
 		c.FTL = ftl.DefaultConfig()
 	}
@@ -123,11 +115,16 @@ func defaults(c Config) Config {
 	if c.BarrierSupport {
 		c.EagerWriteback = true
 	}
-	if c.PLP && c.PLPFlushLatency == 0 {
-		c.PLPFlushLatency = 25 * sim.Microsecond
-	}
 	return c
 }
+
+// plpFlushLatency is the flush-command round trip on a power-loss-protected
+// device (the paper's tε: small but not negligible).
+const plpFlushLatency = 25 * sim.Microsecond
+
+// writebackHighWater is the cache fill, as a fraction of CachePages, that
+// wakes the background writeback daemon.
+const writebackHighWater = 0.5
 
 // mlcTiming approximates a mature MLC NAND part.
 func mlcTiming() nand.Timing {

@@ -13,16 +13,15 @@ import (
 
 // Stats are cumulative device statistics.
 type Stats struct {
-	Writes       int64
-	Reads        int64
-	Flushes      int64
-	Barriers     int64 // writes carrying the barrier flag
-	FUAWrites    int64
-	BusyRejects  int64 // submissions rejected with a full queue
-	FutileWakes  int64 // workers woken for a command that found none to pick
-	CacheHits    int64
-	EpochCrosses int64 // writeback order checks (barrier devices)
-	ReadErrors   int64 // reads completed with an uncorrectable media error
+	Writes      int64
+	Reads       int64
+	Flushes     int64
+	Barriers    int64 // writes carrying the barrier flag
+	FUAWrites   int64
+	BusyRejects int64 // submissions rejected with a full queue
+	FutileWakes int64 // workers woken for a command that found none to pick
+	CacheHits   int64
+	ReadErrors  int64 // reads completed with an uncorrectable media error
 }
 
 // Device is the simulated storage device.
@@ -188,9 +187,6 @@ func (d *Device) start() {
 	d.k.Spawn(d.cfg.Name+"/reaper", d.reaperLoop)
 }
 
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
-
 // Array exposes the NAND array (verification hooks).
 func (d *Device) Array() *nand.Array { return d.arr }
 
@@ -210,10 +206,6 @@ func (d *Device) QDSeries() *metrics.Series {
 	}
 	return d.qdSeries
 }
-
-// Occupancy returns the number of commands in the device (queued + in
-// service).
-func (d *Device) Occupancy() int { return d.occupancy }
 
 // CurEpoch returns the write epoch of stream 0 (the only stream a
 // single-queue host uses), i.e. the device-global barrier count.
@@ -364,7 +356,7 @@ func (d *Device) doRead(p *sim.Proc, c *Command) {
 		d.stats.CacheHits++
 	} else {
 		var err error
-		data, _, err = d.f.ReadE(p, c.LPA)
+		data, _, err = d.f.Read(p, c.LPA)
 		if d.dead {
 			return
 		}
@@ -391,7 +383,7 @@ func (d *Device) doRead(p *sim.Proc, c *Command) {
 // tε).
 func (d *Device) doFlush(p *sim.Proc) {
 	if d.cfg.PLP {
-		p.Advance(d.cfg.PLPFlushLatency)
+		p.Advance(plpFlushLatency)
 		return
 	}
 	target := d.entrySeq

@@ -61,12 +61,9 @@ func (w *workerSM) abort() {
 // wait); false when the flush finished inline.
 func (w *workerSM) flushEnter(h *sim.Proc, d *Device) bool {
 	if d.cfg.PLP {
-		if d.cfg.PLPFlushLatency > 0 {
-			w.phase = wFlushPLP
-			h.WakeIn(d.cfg.PLPFlushLatency)
-			return true
-		}
-		return false
+		w.phase = wFlushPLP
+		h.WakeIn(plpFlushLatency)
+		return true
 	}
 	w.flushTarget = d.entrySeq
 	d.wantDrain = true

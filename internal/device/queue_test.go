@@ -82,8 +82,8 @@ func (o *queueOracle) check(when string) {
 	if d.dead || o.failed {
 		return
 	}
-	if d.Occupancy() != len(o.held) {
-		o.fail("%s @%v: occupancy %d, oracle holds %d", when, now, d.Occupancy(), len(o.held))
+	if d.occupancy != len(o.held) {
+		o.fail("%s @%v: occupancy %d, oracle holds %d", when, now, d.occupancy, len(o.held))
 		return
 	}
 	want, hoq := 0, 0
@@ -262,7 +262,7 @@ func TestCrashMidRunStandsDown(t *testing.T) {
 				if completed != before {
 					t.Errorf("%d commands completed on a dead device", completed-before)
 				}
-				if d.Submit(&Command{Kind: CmdWrite}) || d.Occupancy() != 0 {
+				if d.Submit(&Command{Kind: CmdWrite}) || d.occupancy != 0 {
 					t.Error("dead device accepted a command or still reports occupancy")
 				}
 				k.Close() // panics if a proc survives

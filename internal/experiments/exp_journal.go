@@ -115,7 +115,7 @@ func switchesPerSync(prof core.Profile, n int) float64 {
 	k := newKernel("fig11/" + prof.Device.Name + "/" + prof.Name)
 	defer k.Close()
 	s := core.NewStack(k, prof)
-	meter := metrics.NewSwitchMeter(prof.Name)
+	var meter metrics.SwitchMeter
 	k.Spawn("app", func(p *sim.Proc) {
 		f, err := s.FS.Create(p, s.FS.Root(), "t.dat")
 		if err != nil {

@@ -61,7 +61,7 @@ func newKernel(label string) *sim.Kernel {
 	spanCap.Lock()
 	if spanCap.on {
 		spanCap.traces = append(spanCap.traces,
-			sim.LabeledSpans{Label: label, Spans: k.StartSpans(false)})
+			sim.LabeledSpans{Label: label, Spans: k.StartSpans()})
 	}
 	spanCap.Unlock()
 	return k

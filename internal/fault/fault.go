@@ -74,15 +74,6 @@ type Plan struct {
 	PLPDrainFrac float64
 }
 
-// Enabled reports whether the plan injects anything at all.
-func (p *Plan) Enabled() bool {
-	if p == nil {
-		return false
-	}
-	return p.ReadUNCProb > 0 || p.ReadRetryProb > 0 || p.ProgramTransientProb > 0 ||
-		(p.GCPeriod > 0 && p.GCDuration > 0) || p.PLPFailure
-}
-
 // Stats counts the faults an injector has delivered.
 type Stats struct {
 	ReadUNCs       int64 // read attempts that returned ErrUNC
@@ -110,22 +101,6 @@ func New(plan *Plan) *Injector {
 		p.ProgramMaxRetries = 1
 	}
 	return &Injector{plan: p}
-}
-
-// Plan returns the injector's plan (zero Plan on nil).
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
-}
-
-// Stats returns cumulative fault counts.
-func (in *Injector) Stats() Stats {
-	if in == nil {
-		return Stats{}
-	}
-	return in.stats
 }
 
 // splitmix64 finalizer: the counter-based draw primitive.

@@ -75,19 +75,12 @@ func (f *FS) PageVer(i *Inode, idx int64) (int64, bool) {
 }
 
 // Read returns the version of a page, fetching it from the device on a
-// cache miss. A hard media failure reads as an absent page; callers that
-// must distinguish the two use ReadE.
-func (f *FS) Read(p *sim.Proc, i *Inode, idx int64) (int64, bool) {
-	ver, ok, _ := f.ReadE(p, i, idx)
-	return ver, ok
-}
-
-// ReadE is Read with the IO error surfaced: when the device fails the page
-// read hard (uncorrectable sector with the block layer's retry budget
-// exhausted, block.Request.Err), ReadE caches nothing and returns the
-// error so the application can fail over to a replica. The read request is
-// pooled: ReadE copies its result out and releases it.
-func (f *FS) ReadE(p *sim.Proc, i *Inode, idx int64) (int64, bool, error) {
+// cache miss; a hole reads as absent. When the device fails the page read
+// hard (uncorrectable sector with the block layer's retry budget exhausted,
+// block.Request.Err), Read caches nothing and returns the error so the
+// application can fail over to a replica. The read request is pooled: Read
+// copies its result out and releases it.
+func (f *FS) Read(p *sim.Proc, i *Inode, idx int64) (int64, bool, error) {
 	f.cpu(p)
 	f.stats.Reads++
 	if pg, ok := i.pages[idx]; ok {
@@ -158,10 +151,11 @@ func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast boo
 		journalIt := f.opts.Mode == DataJournal ||
 			(f.opts.SelectiveDataJournal && pg.everSynced)
 		if journalIt {
-			// The page goes through the journal as a logged block; charge
-			// the scan/checksum CPU this costs (OptFS's §6.5 penalty).
-			if f.opts.JournalScanCPU > 0 {
-				p.Advance(f.opts.JournalScanCPU)
+			// The page goes through the journal as a logged block; selective
+			// journaling charges the scan/checksum CPU this costs (OptFS's
+			// §6.5 penalty).
+			if f.opts.SelectiveDataJournal {
+				p.Advance(journalScanCPU)
 			}
 			if pg.buf == nil {
 				pg.buf = &jbd.Buffer{Home: i.blocks[pg.idx], Name: "data"}

@@ -25,6 +25,10 @@
 // its holds to the block layer, which recycles each request at completion;
 // a caller that must see the writes land waits with Fdatawait. A pooled
 // request is never read after its last Release.
+//
+// A page is read with one call, Read, which returns a hard media error
+// instead of reporting the page absent; each caller handles the error or
+// says at the call site why it cannot occur.
 package fs
 
 import (
@@ -86,10 +90,6 @@ type Options struct {
 	// given period (0 = off). Its writes are orderless, so they interleave
 	// with epochs exactly as the pdflush traffic in the paper's Fig. 5.
 	PdflushInterval sim.Duration
-	// JournalScanCPU is the per-page CPU cost of routing a data page
-	// through the journal (checksum + dirty-page scan). The paper blames
-	// exactly this for OptFS's poor showing on flash (§6.5).
-	JournalScanCPU sim.Duration
 	// Metrics is an explicit observability registry; nil falls back to the
 	// process-wide live registry, and a nil resolution disables the
 	// filesystem's instruments. It is forwarded to the journal unless the
@@ -102,18 +102,20 @@ type Options struct {
 // Fig. 11 fsync-degrades-to-fdatasync behaviour).
 const jiffy = 10 * sim.Millisecond
 
+// journalScanCPU is the per-page CPU cost of routing a data page through
+// the journal under selective data journaling (checksum + dirty-page scan).
+// The paper blames exactly this for OptFS's poor showing on flash (§6.5).
+const journalScanCPU = 25 * sim.Microsecond
+
 // DefaultOptions returns the standard configuration for an engine.
 func DefaultOptions(mode jbd.Mode) Options {
 	o := Options{
-		Journal:    jbd.DefaultConfig(mode),
-		Mode:       Ordered,
-		SyscallCPU: 2 * sim.Microsecond,
+		Journal:              jbd.DefaultConfig(mode),
+		Mode:                 Ordered,
+		SyscallCPU:           2 * sim.Microsecond,
+		SelectiveDataJournal: mode == jbd.ModeOptFS,
 	}
 	o.WakeLatency = o.Journal.WakeLatency
-	if mode == jbd.ModeOptFS {
-		o.SelectiveDataJournal = true
-		o.JournalScanCPU = 25 * sim.Microsecond
-	}
 	return o
 }
 
@@ -188,15 +190,6 @@ type Inode struct {
 	// release hands it back, so concurrent sync calls never share one.
 	wbReqs []*block.Request
 }
-
-// Ino returns the inode number.
-func (i *Inode) Ino() Ino { return i.ino }
-
-// Size returns the file size in bytes.
-func (i *Inode) Size() int64 { return i.size }
-
-// IsDir reports whether the inode is a directory.
-func (i *Inode) IsDir() bool { return i.dir }
 
 // DirtyPages returns the number of dirty page-cache entries.
 func (i *Inode) DirtyPages() int { return len(i.dirtyPg) }
@@ -359,12 +352,6 @@ func (f *FS) allocBufFor(ino Ino) *jbd.Buffer {
 
 // Journal exposes the journal (instrumentation).
 func (f *FS) Journal() *jbd.Journal { return f.j }
-
-// Layer exposes the block-layer front-end.
-func (f *FS) Layer() block.Submitter { return f.layer }
-
-// Options returns the mount options.
-func (f *FS) Options() Options { return f.opts }
 
 // Stats returns cumulative statistics.
 func (f *FS) Stats() Stats { return f.stats }

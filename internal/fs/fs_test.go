@@ -56,7 +56,7 @@ func TestCreateLookupUnlink(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.IsDir() {
+		if f.dir {
 			t.Error("file is a dir")
 		}
 		if got, ok := e.fs.Lookup(e.fs.Root(), "a.txt"); !ok || got != f {
@@ -85,7 +85,7 @@ func TestMkdirNesting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !d.IsDir() {
+		if !d.dir {
 			t.Fatal("mkdir made a file")
 		}
 		f, err := e.fs.Create(p, d, "nested")
@@ -108,8 +108,8 @@ func TestWriteExtendsSizeAndAllocates(t *testing.T) {
 		f, _ := e.fs.Create(p, e.fs.Root(), "f")
 		e.fs.Write(p, f, 0)
 		e.fs.Write(p, f, 3) // sparse
-		if f.Size() != 4*PageSize {
-			t.Errorf("size = %d", f.Size())
+		if f.size != 4*PageSize {
+			t.Errorf("size = %d", f.size)
 		}
 		if f.DirtyPages() != 2 {
 			t.Errorf("dirty = %d", f.DirtyPages())
@@ -126,15 +126,15 @@ func TestReadBackAfterSync(t *testing.T) {
 	e.run(func(p *sim.Proc) {
 		f, _ := e.fs.Create(p, e.fs.Root(), "f")
 		e.fs.Write(p, f, 0)
-		wantVer, _ := e.fs.Read(p, f, 0)
+		wantVer, _, _ := e.fs.Read(p, f, 0)
 		e.fs.Fsync(p, f)
 		// Evict by reaching through a fresh page read: drop the cache entry.
 		delete(f.pages, 0)
-		gotVer, ok := e.fs.Read(p, f, 0)
-		if !ok || gotVer != wantVer {
-			t.Errorf("read after sync = %d,%v want %d", gotVer, ok, wantVer)
+		gotVer, ok, err := e.fs.Read(p, f, 0)
+		if !ok || err != nil || gotVer != wantVer {
+			t.Errorf("read after sync = %d,%v,%v want %d", gotVer, ok, err, wantVer)
 		}
-		if _, ok := e.fs.Read(p, f, 9); ok {
+		if _, ok, _ := e.fs.Read(p, f, 9); ok {
 			t.Error("read of a hole succeeded")
 		}
 	})
@@ -158,7 +158,7 @@ func testFsyncDurableAcrossCrash(t *testing.T, mode jbd.Mode) {
 		e.fs.Write(p, f, 0)
 		e.fs.Write(p, f, 1)
 		e.fs.Fsync(p, f)
-		ver, _ = e.fs.Read(p, f, 1)
+		ver, _, _ = e.fs.Read(p, f, 1)
 	})
 	e.dev.Crash()
 	var view *View
@@ -182,7 +182,7 @@ func testFsyncDurableAcrossCrash(t *testing.T, mode jbd.Mode) {
 	if got, ok := view.PageVersion(meta, 1); !ok || got != ver {
 		t.Errorf("page 1 version = %d,%v want %d", got, ok, ver)
 	}
-	if _, ok := view.MetaByHome(home); !ok {
+	if _, ok := view.metaAt(home); !ok {
 		t.Error("inode home unreachable")
 	}
 }

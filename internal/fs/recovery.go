@@ -13,15 +13,12 @@ import (
 type View struct {
 	read    jbd.ReadFn
 	journal jbd.Recovered
-	metas   map[uint64]InodeMeta // home LPA -> effective metadata
 }
 
 // Recover scans the journal and reconstructs the filesystem image.
 // read must return durable page contents (e.g. device.DurableData).
 func Recover(read jbd.ReadFn, jcfg jbd.Config) *View {
-	v := &View{read: read, metas: make(map[uint64]InodeMeta)}
-	v.journal = jbd.Scan(read, jcfg)
-	return v
+	return &View{read: read, journal: jbd.Scan(read, jcfg)}
 }
 
 // Journal returns the journal scan outcome.
@@ -57,9 +54,6 @@ func (v *View) Lookup(dir InodeMeta, name string) (InodeMeta, bool) {
 	}
 	return v.metaAt(h)
 }
-
-// MetaByHome returns the recovered metadata for an inode home LPA.
-func (v *View) MetaByHome(home uint64) (InodeMeta, bool) { return v.metaAt(home) }
 
 // PageVersion returns the durable content version of a file page, checking
 // the journal overlay first (data-journal mode logs data pages), then the

@@ -181,7 +181,7 @@ func TestUnlinkSparseFileFreesAllocatedBlocksOnly(t *testing.T) {
 	var allocHome uint64
 	e.run(func(p *sim.Proc) {
 		f, _ := e.fs.Create(p, e.fs.Root(), "sparse")
-		allocHome = e.fs.allocBufFor(f.Ino()).Home
+		allocHome = e.fs.allocBufFor(f.ino).Home
 		e.fs.Write(p, f, 0)
 		e.fs.Write(p, f, 9)
 		e.fs.Fsync(p, f)

@@ -7,6 +7,10 @@
 // always a prefix of the append order, the device can flush its cache with
 // full parallelism and still honor barrier ordering — the core trick that
 // makes "cache barrier" cheap.
+//
+// The host reads through one call, Read, which takes part in media-error
+// injection and returns the error; GC relocation reads internally and is
+// exempt, like reads protected by on-die parity.
 package ftl
 
 import (
@@ -113,21 +117,12 @@ func New(k *sim.Kernel, arr *nand.Array, cfg Config) *FTL {
 	return f
 }
 
-// SegmentSlots returns the number of page slots per segment.
-func (f *FTL) SegmentSlots() int { return f.caps }
-
-// FreeSegments returns the number of free (erased) segments.
-func (f *FTL) FreeSegments() int { return f.free.Len() }
-
 // Stats returns cumulative statistics.
 func (f *FTL) Stats() Stats { return f.stats }
 
 // DurableIdx returns the current durable watermark: all appends with index
 // < DurableIdx are on the storage surface.
 func (f *FTL) DurableIdx() uint64 { return f.durableIdx }
-
-// MappedPages returns the number of live logical pages.
-func (f *FTL) MappedPages() int { return len(f.mapping) }
 
 func (f *FTL) chipOf(slot int) int { return slot % f.geo.Chips() }
 func (f *FTL) pageOf(slot int) int { return slot / f.geo.Chips() }
@@ -280,10 +275,6 @@ func (f *FTL) invalidate(lpa uint64) {
 	}
 }
 
-// Trim discards a logical page (e.g. freed filesystem block), making its
-// flash page garbage.
-func (f *FTL) Trim(lpa uint64) { f.invalidate(lpa) }
-
 // WaitDurable blocks until every append with index < idx is durable.
 func (f *FTL) WaitDurable(p *sim.Proc, idx uint64) {
 	for f.durableIdx < idx {
@@ -294,25 +285,18 @@ func (f *FTL) WaitDurable(p *sim.Proc, idx uint64) {
 // Sync blocks until everything appended so far is durable.
 func (f *FTL) Sync(p *sim.Proc) { f.WaitDurable(p, f.appendIdx) }
 
-// Read returns the data most recently appended for lpa, issuing a NAND read
-// and blocking for its latency. ok is false for unmapped pages. This is the
-// device-internal variant (GC relocation): it is exempt from media-error
-// injection, like reads protected by on-die parity. Host reads that must
-// observe injected media errors use ReadE.
-func (f *FTL) Read(p *sim.Proc, lpa uint64) (data any, ok bool) {
-	data, ok, _ = f.read(p, lpa, true)
-	return data, ok
-}
-
-// ReadE is the host read: identical to Read, but the request participates
-// in media-error injection, so err carries fault.ErrUNC when the device's
-// internal read-retry ladder could not correct the page. ok is still true
-// for mapped pages that erred — the data simply could not be returned on
-// this attempt.
-func (f *FTL) ReadE(p *sim.Proc, lpa uint64) (data any, ok bool, err error) {
+// Read is the host read: it returns the data most recently appended for
+// lpa, issuing a NAND read and blocking for its latency. ok is false for
+// unmapped pages. The request participates in media-error injection, so err
+// carries fault.ErrUNC when the device's internal read-retry ladder could
+// not correct the page; ok is still true for a mapped page that erred — the
+// data simply could not be returned on this attempt.
+func (f *FTL) Read(p *sim.Proc, lpa uint64) (data any, ok bool, err error) {
 	return f.read(p, lpa, false)
 }
 
+// read issues one NAND page read. An internal read (GC relocation) is exempt
+// from media-error injection, like reads protected by on-die parity.
 func (f *FTL) read(p *sim.Proc, lpa uint64, internal bool) (data any, ok bool, err error) {
 	ref, mapped := f.mapping[lpa]
 	if !mapped {
@@ -396,7 +380,7 @@ func (f *FTL) collect(p *sim.Proc, victim *segment) {
 			continue // overwritten since; garbage
 		}
 		// Read the page, then re-append.
-		data, _ := f.Read(p, lpa)
+		data, _, _ := f.read(p, lpa, true) // internal: cannot fail
 		// Re-check validity: the host may have overwritten during the read.
 		ref, ok = f.mapping[lpa]
 		if !ok || ref.seg != victim.id || ref.slot != slot {
@@ -454,15 +438,6 @@ func (f *FTL) eraseSegment(p *sim.Proc, seg *segment) {
 	*seg = segment{id: seg.id}
 	f.free.Push(seg.id)
 	f.stats.SegsErased++
-}
-
-// Utilization returns live pages / total data capacity.
-func (f *FTL) Utilization() float64 {
-	total := f.geo.BlocksPerChip * (f.caps - 1)
-	if total == 0 {
-		return 0
-	}
-	return float64(len(f.mapping)) / float64(total)
 }
 
 // sortSegmentsByAlloc is used by recovery (see recovery.go) but lives here

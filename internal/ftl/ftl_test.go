@@ -38,13 +38,13 @@ func TestAppendReadBack(t *testing.T) {
 		f.Append(p, 10, "ten")
 		f.Append(p, 20, "twenty")
 		f.Sync(p)
-		if d, ok := f.Read(p, 10); !ok || d != "ten" {
+		if d, ok, _ := f.Read(p, 10); !ok || d != "ten" {
 			t.Errorf("Read(10) = %v,%v", d, ok)
 		}
-		if d, ok := f.Read(p, 20); !ok || d != "twenty" {
+		if d, ok, _ := f.Read(p, 20); !ok || d != "twenty" {
 			t.Errorf("Read(20) = %v,%v", d, ok)
 		}
-		if _, ok := f.Read(p, 99); ok {
+		if _, ok, _ := f.Read(p, 99); ok {
 			t.Error("unmapped LPA readable")
 		}
 	})
@@ -55,11 +55,11 @@ func TestOverwriteInvalidatesOld(t *testing.T) {
 		f.Append(p, 5, "v1")
 		f.Append(p, 5, "v2")
 		f.Sync(p)
-		if d, _ := f.Read(p, 5); d != "v2" {
+		if d, _, _ := f.Read(p, 5); d != "v2" {
 			t.Errorf("Read = %v, want v2", d)
 		}
-		if f.MappedPages() != 1 {
-			t.Errorf("mapped = %d, want 1", f.MappedPages())
+		if len(f.mapping) != 1 {
+			t.Errorf("mapped = %d, want 1", len(f.mapping))
 		}
 	})
 }
@@ -80,23 +80,9 @@ func TestWaitDurable(t *testing.T) {
 	})
 }
 
-func TestTrim(t *testing.T) {
-	run(t, func(p *sim.Proc, f *FTL, arr *nand.Array) {
-		f.Append(p, 7, "gone")
-		f.Sync(p)
-		f.Trim(7)
-		if _, ok := f.Read(p, 7); ok {
-			t.Error("trimmed page still mapped")
-		}
-		if f.MappedPages() != 0 {
-			t.Errorf("mapped = %d", f.MappedPages())
-		}
-	})
-}
-
 func TestSegmentRollAndSealBarrier(t *testing.T) {
 	run(t, func(p *sim.Proc, f *FTL, arr *nand.Array) {
-		slots := f.SegmentSlots() // 4 chips * 8 pages = 32
+		slots := f.caps // 4 chips * 8 pages = 32
 		// Fill two data segments worth (each has slots-1 data pages).
 		n := 2 * (slots - 1)
 		for i := 0; i < n; i++ {
@@ -104,7 +90,7 @@ func TestSegmentRollAndSealBarrier(t *testing.T) {
 		}
 		f.Sync(p)
 		for i := 0; i < n; i++ {
-			if d, ok := f.Read(p, uint64(i)); !ok || d != i {
+			if d, ok, _ := f.Read(p, uint64(i)); !ok || d != i {
 				t.Fatalf("Read(%d) = %v,%v", i, d, ok)
 			}
 		}
@@ -116,7 +102,7 @@ func TestSegmentRollAndSealBarrier(t *testing.T) {
 
 func TestGCReclaimsSpace(t *testing.T) {
 	run(t, func(p *sim.Proc, f *FTL, arr *nand.Array) {
-		slots := f.SegmentSlots()
+		slots := f.caps
 		// Working set of 8 LPAs, overwritten many times: most segments
 		// become garbage and must be reclaimed for the writes to finish.
 		total := 14 * slots
@@ -126,7 +112,7 @@ func TestGCReclaimsSpace(t *testing.T) {
 		f.Sync(p)
 		for lpa := 0; lpa < 8; lpa++ {
 			want := total - 8 + lpa
-			if d, ok := f.Read(p, uint64(lpa)); !ok || d != want {
+			if d, ok, _ := f.Read(p, uint64(lpa)); !ok || d != want {
 				t.Fatalf("Read(%d) = %v,%v, want %d", lpa, d, ok, want)
 			}
 		}
@@ -145,30 +131,15 @@ func TestGCPreservesColdData(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			f.Append(p, uint64(1000+i), 1000+i)
 		}
-		slots := f.SegmentSlots()
+		slots := f.caps
 		for i := 0; i < 13*slots; i++ {
 			f.Append(p, uint64(i%4), i)
 		}
 		f.Sync(p)
 		for i := 0; i < 20; i++ {
-			if d, ok := f.Read(p, uint64(1000+i)); !ok || d != 1000+i {
+			if d, ok, _ := f.Read(p, uint64(1000+i)); !ok || d != 1000+i {
 				t.Fatalf("cold page %d = %v,%v after GC", 1000+i, d, ok)
 			}
-		}
-	})
-}
-
-func TestUtilization(t *testing.T) {
-	run(t, func(p *sim.Proc, f *FTL, arr *nand.Array) {
-		if f.Utilization() != 0 {
-			t.Error("fresh FTL not empty")
-		}
-		for i := 0; i < 31; i++ {
-			f.Append(p, uint64(i), i)
-		}
-		f.Sync(p)
-		if u := f.Utilization(); u <= 0 || u > 0.1 {
-			t.Errorf("utilization = %v", u)
 		}
 	})
 }
@@ -179,12 +150,12 @@ func TestMountEmptyArray(t *testing.T) {
 	arr := nand.New(k, smallGeo(), fastTiming())
 	k.Spawn("host", func(p *sim.Proc) {
 		f := Mount(p, arr, DefaultConfig())
-		if f.MappedPages() != 0 || f.FreeSegments() != smallGeo().BlocksPerChip {
-			t.Errorf("mount of empty array: mapped=%d free=%d", f.MappedPages(), f.FreeSegments())
+		if len(f.mapping) != 0 || f.free.Len() != smallGeo().BlocksPerChip {
+			t.Errorf("mount of empty array: mapped=%d free=%d", len(f.mapping), f.free.Len())
 		}
 		f.Append(p, 3, "post-mount")
 		f.Sync(p)
-		if d, _ := f.Read(p, 3); d != "post-mount" {
+		if d, _, _ := f.Read(p, 3); d != "post-mount" {
 			t.Error("append after empty mount failed")
 		}
 	})
@@ -272,12 +243,12 @@ func TestCrashRecoveryPrefixProperty(t *testing.T) {
 			return true
 		}
 		matched := false
-		if len(f2.DurableLPAs()) == 0 && len(state) == 0 {
+		if len(f2.mapping) == 0 && len(state) == 0 {
 			matched = true // empty prefix
 		}
 		for i := 0; i < len(appendLog) && !matched; i++ {
 			state[appendLog[i].lpa] = appendLog[i].ver
-			if len(f2.DurableLPAs()) == countKeys(state) && consistentAt() {
+			if len(f2.mapping) == countKeys(state) && consistentAt() {
 				matched = true
 			}
 		}
@@ -298,7 +269,7 @@ func TestCrashMidGCLosesNothingDurable(t *testing.T) {
 	f := New(k, arr, DefaultConfig())
 	written := map[uint64]int{}
 	k.Spawn("writer", func(p *sim.Proc) {
-		slots := f.SegmentSlots()
+		slots := f.caps
 		for i := 0; i < 13*slots; i++ {
 			lpa := uint64(i % 24)
 			f.Append(p, lpa, i)
@@ -312,7 +283,7 @@ func TestCrashMidGCLosesNothingDurable(t *testing.T) {
 	// Crash somewhere in the middle of the workload (GC will be active).
 	k.RunUntil(sim.Time(30 * sim.Millisecond))
 	durableBefore := map[uint64]any{}
-	for _, lpa := range f.DurableLPAs() {
+	for lpa := range f.mapping {
 		if d, ok := f.DurableData(lpa); ok {
 			durableBefore[lpa] = d
 		}
@@ -355,13 +326,13 @@ func TestRecoveryDropCountsTail(t *testing.T) {
 	k.Run()
 	defer k.Close()
 	// Whatever survived must be the 0..n-1 prefix.
-	for _, lpa := range f2.DurableLPAs() {
+	for lpa := range f2.mapping {
 		d, _ := f2.DurableData(lpa)
 		if d != int(lpa) {
 			t.Errorf("LPA %d has value %v", lpa, d)
 		}
 	}
-	n := len(f2.DurableLPAs())
+	n := len(f2.mapping)
 	for i := 0; i < n; i++ {
 		if _, ok := f2.DurableData(uint64(i)); !ok {
 			t.Errorf("hole in recovered prefix at %d (recovered %d pages)", i, n)

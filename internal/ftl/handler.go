@@ -126,7 +126,7 @@ func (c *readCtx) done(at sim.Time, r *nand.Request) {
 	f.k.Resume(h)
 }
 
-// ReadStart is the handler analogue of ReadE: it reports false for an
+// ReadStart is the handler analogue of Read: it reports false for an
 // unmapped page (no IO, no wait), or issues the NAND read and arranges for
 // h to be resumed with the result stored in *out and the attempt's media
 // error (if any) in *errOut. The caller parks after a true return. Reads

@@ -198,12 +198,3 @@ func (f *FTL) DurableData(lpa uint64) (any, bool) {
 	}
 	return data, true
 }
-
-// DurableLPAs returns every mapped logical page address. Verification hook.
-func (f *FTL) DurableLPAs() []uint64 {
-	out := make([]uint64, 0, len(f.mapping))
-	for lpa := range f.mapping {
-		out = append(out, lpa)
-	}
-	return out
-}

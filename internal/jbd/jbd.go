@@ -199,12 +199,6 @@ func (t *Txn) attachTrace(p *sim.Proc) {
 	}
 }
 
-// ID returns the transaction id.
-func (t *Txn) ID() uint64 { return t.id }
-
-// State returns the transaction state.
-func (t *Txn) State() TxnState { return t.state }
-
 // Empty reports whether the transaction has no frozen buffers and is not a
 // forced epoch delimiter.
 func (t *Txn) Empty() bool { return len(t.buffers) == 0 && len(t.frozen) == 0 && !t.forced }
@@ -334,17 +328,11 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 	return j
 }
 
-// Config returns the journal configuration.
-func (j *Journal) Config() Config { return j.cfg }
-
 // Stats returns cumulative statistics.
 func (j *Journal) Stats() Stats { return j.stats }
 
 // FreePages returns the free journal slots.
 func (j *Journal) FreePages() int { return j.freePages }
-
-// RunningBuffers returns the number of buffers in the running transaction.
-func (j *Journal) RunningBuffers() int { return len(j.running.buffers) }
 
 func (j *Journal) newTxn() *Txn {
 	t := j.txns.New(Txn{id: j.nextTxnID, state: StateRunning, k: j.k})

@@ -49,8 +49,8 @@ func TestJBD2CommitDurable(t *testing.T) {
 	h.run(func(p *sim.Proc) {
 		h.j.DirtyBuffer(p, buf, "v1")
 		txn := h.j.CommitAndWait(p)
-		if txn == nil || txn.State() != StateDurable {
-			t.Fatalf("txn state = %v", txn.State())
+		if txn == nil || txn.state != StateDurable {
+			t.Fatalf("txn state = %v", txn.state)
 		}
 	})
 	if h.j.Stats().Commits != 1 {
@@ -60,7 +60,7 @@ func TestJBD2CommitDurable(t *testing.T) {
 		t.Error("JBD2 barrier commit should flush")
 	}
 	// The journal records must be durable on the device.
-	rec := Scan(h.dev.DurableData, h.j.Config())
+	rec := Scan(h.dev.DurableData, h.j.cfg)
 	if len(rec.Applied) != 1 {
 		t.Fatalf("recovered %d txns, want 1", len(rec.Applied))
 	}
@@ -76,8 +76,8 @@ func TestJBD2NobarrierDoesNotFlush(t *testing.T) {
 	h.run(func(p *sim.Proc) {
 		h.j.DirtyBuffer(p, buf, "v1")
 		txn := h.j.CommitAndWait(p)
-		if txn.State() != StateCommitted {
-			t.Errorf("nobarrier txn state = %v, want committed", txn.State())
+		if txn.state != StateCommitted {
+			t.Errorf("nobarrier txn state = %v, want committed", txn.state)
 		}
 	})
 	if h.j.Stats().Flushes != 0 {
@@ -155,10 +155,10 @@ func TestDualFsyncDurable(t *testing.T) {
 		buf := &Buffer{Home: 2000}
 		h.j.DirtyBuffer(p, buf, "precious")
 		txn := h.j.CommitAndWait(p)
-		if txn.State() != StateDurable {
-			t.Fatalf("state = %v", txn.State())
+		if txn.state != StateDurable {
+			t.Fatalf("state = %v", txn.state)
 		}
-		rec := Scan(h.dev.DurableData, h.j.Config())
+		rec := Scan(h.dev.DurableData, h.j.cfg)
 		if rec.State[2000] != "precious" {
 			t.Errorf("journal content not durable after dual fsync: %v", rec.State[2000])
 		}
@@ -209,13 +209,13 @@ func TestDualConflictParksWithoutBlocking(t *testing.T) {
 		// The conflicted buffer lands in the running txn once the committing
 		// transaction retires; committing it must produce v2 in the journal.
 		h.j.CommitAndWait(p)
-		if h.j.RunningBuffers() != 0 {
+		if len(h.j.running.buffers) != 0 {
 			// Buffer should have been committed by now (conflict resolved
 			// before the second commit closed).
 			t.Logf("note: buffer still running; conflict resolved later")
 		}
 		h.j.CommitAndWait(p)
-		rec := Scan(h.dev.DurableData, h.j.Config())
+		rec := Scan(h.dev.DurableData, h.j.cfg)
 		if rec.State[2000] != "v2" {
 			t.Errorf("final recovered value = %v, want v2", rec.State[2000])
 		}
@@ -259,8 +259,8 @@ func TestOptFSCommitNoFlush(t *testing.T) {
 		buf := &Buffer{Home: 2000}
 		h.j.DirtyBuffer(p, buf, "opt")
 		txn := h.j.CommitOrdering(p, false)
-		if txn.State() != StateCommitted {
-			t.Errorf("state = %v", txn.State())
+		if txn.state != StateCommitted {
+			t.Errorf("state = %v", txn.state)
 		}
 		// No flush on the commit path; the delayed-durability flush fires
 		// much later (500ms), after this check.
@@ -280,8 +280,8 @@ func TestOptFSDelayedDurability(t *testing.T) {
 		txn = h.j.CommitOrdering(p, false)
 	})
 	h.k.RunUntil(sim.Time(2 * sim.Second)) // beyond the delayed-flush interval
-	if txn.State() != StateDurable {
-		t.Errorf("state after delayed flush window = %v", txn.State())
+	if txn.state != StateDurable {
+		t.Errorf("state after delayed flush window = %v", txn.state)
 	}
 }
 
@@ -348,7 +348,7 @@ func TestCarvedRecordsImmutable(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			h := newHarness(mode, true)
 			defer h.close()
-			cfg := h.j.Config()
+			cfg := h.j.cfg
 			type record struct{ got, want any }
 			var recs []record
 			h.run(func(p *sim.Proc) {
@@ -357,7 +357,7 @@ func TestCarvedRecordsImmutable(t *testing.T) {
 					h.j.DirtyBuffer(p, &Buffer{Home: uint64(3000 + i%4)}, -i)
 					return h.j.CommitAndWait(p)
 				}
-				id := commit(0).ID()
+				id := commit(0).id
 				for lpa := cfg.Start; lpa < cfg.Start+uint64(cfg.Pages); lpa++ {
 					d, _ := h.dev.DurableData(lpa)
 					switch rec := d.(type) {
@@ -412,7 +412,7 @@ func TestJournalCrashRecoveryEndToEnd(t *testing.T) {
 	var rec Recovered
 	h.k.Spawn("recover", func(p *sim.Proc) {
 		d2 := device.Recover(p, h.dev)
-		rec = Scan(d2.DurableData, h.j.Config())
+		rec = Scan(d2.DurableData, h.j.cfg)
 	})
 	h.k.Run()
 	defer h.close()

@@ -51,7 +51,7 @@ func TestRecoveryMatchesCommittedHistoryProperty(t *testing.T) {
 				}
 				h.l.Flush(p)
 			})
-			rec := Scan(h.dev.DurableData, h.j.Config())
+			rec := Scan(h.dev.DurableData, h.j.cfg)
 			for home, want := range lastCommitted {
 				got := rec.State[home]
 				if got == nil {
@@ -124,8 +124,8 @@ func TestDurabilityFollowsCommitOrder(t *testing.T) {
 		h.j.CommitAndWait(p)
 		h.l.Flush(p)
 		for _, tx := range txns {
-			if tx.State() >= StateDurable {
-				durableOrder = append(durableOrder, tx.ID())
+			if tx.state >= StateDurable {
+				durableOrder = append(durableOrder, tx.id)
 			}
 		}
 	})
@@ -157,7 +157,7 @@ func TestCrashPrefixProperty(t *testing.T) {
 				h.j.DirtyBuffer(p, b, i)
 				tx := h.j.CommitAndWait(p)
 				if tx != nil {
-					committed = append(committed, rec{txn: tx.ID(), home: home, val: i})
+					committed = append(committed, rec{txn: tx.id, home: home, val: i})
 				}
 			}
 		})
@@ -166,7 +166,7 @@ func TestCrashPrefixProperty(t *testing.T) {
 		var scanned Recovered
 		h.k.Spawn("recover", func(p *sim.Proc) {
 			d2 := device.Recover(p, h.dev)
-			scanned = Scan(d2.DurableData, h.j.Config())
+			scanned = Scan(d2.DurableData, h.j.cfg)
 		})
 		h.k.Run()
 		// Every acknowledged (CommitAndWait returned) txn must be recovered

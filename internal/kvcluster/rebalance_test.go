@@ -125,7 +125,15 @@ func TestResizeUnderLoadNoAckedLoss(t *testing.T) {
 	if mig.DualWrites == 0 {
 		t.Errorf("no dual-writes recorded during CatchUp: %+v", mig)
 	}
-	before, during := res.PhaseFor("before"), res.PhaseFor("during")
+	phase := func(name string) PhaseAgg {
+		for _, ph := range res.Phases {
+			if ph.Phase == name {
+				return ph
+			}
+		}
+		return PhaseAgg{Phase: name}
+	}
+	before, during := phase("before"), phase("during")
 	if before.Done == 0 || during.Done == 0 {
 		t.Fatalf("timeline phases empty: before %+v during %+v", before, during)
 	}
@@ -379,7 +387,7 @@ func TestAllReplicasDeadShedsDegraded(t *testing.T) {
 		if err := cl.Put(p, "degraded"); err != nil {
 			t.Errorf("degraded put refused with a live replica: %v", err)
 		}
-		if got := cl.Stats().DegradedWrites; got == 0 {
+		if got := cl.stats.DegradedWrites; got == 0 {
 			t.Error("capped-replication write not counted as degraded")
 		}
 		cl.KillShard(1)
@@ -389,7 +397,7 @@ func TestAllReplicasDeadShedsDegraded(t *testing.T) {
 		if _, _, err := cl.Get(p, "alive", ReqCtx{}); err != ErrUnavailable {
 			t.Errorf("get with all replicas dead: got %v, want ErrUnavailable", err)
 		}
-		st := cl.Stats()
+		st := cl.stats
 		if st.Unavailable < 2 || st.DegradedSheds == 0 {
 			t.Errorf("mass failure not accounted: %+v", st)
 		}

@@ -233,9 +233,6 @@ func (c *Cluster) downFn() func(int) bool {
 	return func(s int) bool { return c.nodes[s].down }
 }
 
-// Stats returns cumulative statistics.
-func (c *Cluster) Stats() ClusterStats { return c.stats }
-
 // Ring returns the placement ring.
 func (c *Cluster) Ring() *Ring { return c.ring }
 

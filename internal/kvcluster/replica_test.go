@@ -167,7 +167,7 @@ func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 				t.Errorf("acked key %s lost: ok=%v err=%v", key, ok, err)
 			}
 		}
-		stats = cl.Stats()
+		stats = cl.stats
 	})
 	k.Run()
 
@@ -293,7 +293,7 @@ func TestClusterConcurrentOpsDuringFailover(t *testing.T) {
 	if !k3 {
 		t.Fatal("audit proc never ran")
 	}
-	if cl.Stats().Failovers == 0 {
+	if cl.stats.Failovers == 0 {
 		t.Error("no failovers recorded despite shard death")
 	}
 }
@@ -331,7 +331,7 @@ func TestTenantFailoverBudgetSheds(t *testing.T) {
 		for i := 0; i < n; i++ {
 			cl.Get(p, fmt.Sprintf("k%05d", i), ReqCtx{})
 		}
-		stats = cl.Stats()
+		stats = cl.stats
 	})
 	k.Run()
 	if stats.Failovers == 0 {

@@ -90,16 +90,6 @@ type ResizeResult struct {
 	AckedLost int     // acked puts readable from no owner (must be 0)
 }
 
-// PhaseFor returns the named phase aggregate (zero value if absent).
-func (r ResizeResult) PhaseFor(name string) PhaseAgg {
-	for _, ph := range r.Phases {
-		if ph.Phase == name {
-			return ph
-		}
-	}
-	return PhaseAgg{Phase: name}
-}
-
 // clusterRun is one replicated run: the kernel, the cluster the runner's
 // opener builds on it, and the cluster-wide runner serving from it.
 type clusterRun struct {

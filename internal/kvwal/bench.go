@@ -70,7 +70,10 @@ func Bench(k *sim.Kernel, s *core.Stack, clients int, duration sim.Duration) Ben
 				st.Apply(p, batch)
 				m.Timed(p, t0, len(batch))
 				if n%benchGetEvery == benchGetEvery-1 {
-					st.Get(p, key())
+					// Reads are load only: the window counts mutations, so a
+					// failed read (possible only under a fault plan) changes
+					// nothing it reports.
+					_, _, _ = st.GetE(p, key())
 				}
 			}
 		})

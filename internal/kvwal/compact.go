@@ -145,7 +145,13 @@ func (st *Store) compactOnce(p *sim.Proc) {
 	for _, seg := range inputs { // oldest first
 		f := st.fileOf(seg)
 		for _, e := range seg.entries {
-			st.fs.Read(p, f, e.page)
+			// The merge runs from seg.entries, so these reads charge the IO
+			// and nothing reads their result. A media error is dropped on
+			// purpose, and the inputs are unlinked below regardless: aborting
+			// the merge to keep them would change the faults experiment's
+			// cells, so it waits for the work that makes IO errors reach
+			// their callers.
+			_, _, _ = st.fs.Read(p, f, e.page)
 		}
 	}
 	st.compPos = slices.Grow(st.compPos[:0], len(inputs))[:len(inputs)]

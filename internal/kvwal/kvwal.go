@@ -27,6 +27,10 @@
 // profiles they scatter onto data streams and never queue in front of the
 // commit stream's barriers (the blkmq scenario, end to end).
 //
+// Clients mutate through Apply (or ApplyAsync, to drive several stores at
+// once) and read through GetE, which returns a hard media error so the
+// caller can fail over to a replica.
+//
 // Page contents are modelled as version stamps (see internal/fs), so the
 // store keeps a host-side shadow of what each WAL slot and segment page
 // holds; recovery reads the *versions* that survived on the device and
@@ -305,10 +309,6 @@ func (st *Store) CommittedSeq() uint64 { return st.committedSeq }
 // it advances at fdatasync checkpoints and flushes.
 func (st *Store) DurableSeq() uint64 { return st.durableSeq }
 
-// BarrierCommit reports whether the store commits groups with fdatabarrier
-// (Dual engine) rather than fdatasync.
-func (st *Store) BarrierCommit() bool { return st.barrierCommit }
-
 // Apply submits a batch of mutations and blocks until the group-commit
 // leader has committed it: on flush engines the batch is then durable; on
 // barrier engines it is ordered (durable no later than the next checkpoint
@@ -378,29 +378,13 @@ func (bt *Batch) Wait(p *sim.Proc) uint64 {
 	return seq
 }
 
-// PutKey submits a single Put.
-func (st *Store) PutKey(p *sim.Proc, key string) uint64 {
-	return st.Apply(p, []Op{{Kind: Put, Key: key}})
-}
-
-// DeleteKey submits a single Delete.
-func (st *Store) DeleteKey(p *sim.Proc, key string) uint64 {
-	return st.Apply(p, []Op{{Kind: Delete, Key: key}})
-}
-
-// Get returns the sequence number of the newest committed Put for key, or
+// GetE returns the sequence number of the newest committed Put for key, or
 // false if the key is absent or deleted. Lookups walk memtable, frozen
 // memtable, then segments newest-first; a segment hit charges the read IO
-// of its page. A hard media failure reads as an absent key; callers that
-// must distinguish the two use GetE.
-func (st *Store) Get(p *sim.Proc, key string) (uint64, bool) {
-	seq, ok, _ := st.GetE(p, key)
-	return seq, ok
-}
-
-// GetE is Get with the IO error surfaced: when the segment page backing
-// the key fails hard (uncorrectable sector, retry budget exhausted), GetE
-// returns the error so the caller can fail over to a replica.
+// of its page. When that page fails hard (uncorrectable sector, retry
+// budget exhausted), GetE returns the error so the caller can fail over to
+// a replica. It is the store's one read; the name keeps the E that bench/
+// calls it by.
 func (st *Store) GetE(p *sim.Proc, key string) (uint64, bool, error) {
 	st.stats.Gets++
 	if e, ok := st.mem[key]; ok {
@@ -415,7 +399,7 @@ func (st *Store) GetE(p *sim.Proc, key string) (uint64, bool, error) {
 		seg := st.segs[i]
 		if n, ok := seg.byKey[key]; ok {
 			e := seg.entries[n]
-			if _, _, err := st.fs.ReadE(p, st.fileOf(seg), e.page); err != nil {
+			if _, _, err := st.fs.Read(p, st.fileOf(seg), e.page); err != nil {
 				return 0, false, err
 			}
 			return e.seq, !e.del, nil

@@ -15,6 +15,24 @@ func newStack(t *testing.T, prof core.Profile) (*sim.Kernel, *core.Stack) {
 	return k, core.NewStack(k, prof)
 }
 
+// put, del and get drive the store one key at a time through Apply and
+// GetE; get fails the test on a read error.
+func put(p *sim.Proc, st *Store, key string) uint64 {
+	return st.Apply(p, []Op{{Kind: Put, Key: key}})
+}
+
+func del(p *sim.Proc, st *Store, key string) uint64 {
+	return st.Apply(p, []Op{{Kind: Delete, Key: key}})
+}
+
+func get(t *testing.T, p *sim.Proc, st *Store, key string) (uint64, bool) {
+	seq, ok, err := st.GetE(p, key)
+	if err != nil {
+		t.Fatalf("get %s: %v", key, err)
+	}
+	return seq, ok
+}
+
 func TestPutGetDelete(t *testing.T) {
 	k, s := newStack(t, core.BFSDR(device.PlainSSD()))
 	defer k.Close()
@@ -23,25 +41,25 @@ func TestPutGetDelete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqA := st.PutKey(p, "alpha")
-		seqB := st.PutKey(p, "beta")
-		if got, ok := st.Get(p, "alpha"); !ok || got != seqA {
+		seqA := put(p, st, "alpha")
+		seqB := put(p, st, "beta")
+		if got, ok := get(t, p, st, "alpha"); !ok || got != seqA {
 			t.Errorf("alpha: got (%d,%v), want seq %d", got, ok, seqA)
 		}
 		if seqA == 0 || seqB != seqA+1 {
 			t.Errorf("Apply seqs not per-op: alpha=%d beta=%d", seqA, seqB)
 		}
-		st.DeleteKey(p, "alpha")
-		if _, ok := st.Get(p, "alpha"); ok {
+		del(p, st, "alpha")
+		if _, ok := get(t, p, st, "alpha"); ok {
 			t.Error("alpha still visible after delete")
 		}
-		if _, ok := st.Get(p, "beta"); !ok {
+		if _, ok := get(t, p, st, "beta"); !ok {
 			t.Error("beta lost")
 		}
-		if _, ok := st.Get(p, "never"); ok {
+		if _, ok := get(t, p, st, "never"); ok {
 			t.Error("phantom key")
 		}
-		if !st.BarrierCommit() {
+		if !st.barrierCommit {
 			t.Error("Dual engine should commit with barriers")
 		}
 		k.Stop()
@@ -70,12 +88,12 @@ func TestApplyAsyncCopiesOps(t *testing.T) {
 			t.Errorf("multi-op batch's last seq %d, want 3", last)
 		}
 		for _, key := range []string{"one", "a", "b"} {
-			if _, ok := st.Get(p, key); !ok {
+			if _, ok := get(t, p, st, key); !ok {
 				t.Errorf("%s: applied op lost to the caller's reuse of its slice", key)
 			}
 		}
 		for _, key := range []string{"reused-one", "reused-b"} {
-			if _, ok := st.Get(p, key); ok {
+			if _, ok := get(t, p, st, key); ok {
 				t.Errorf("%s: the caller's later write to its slice was applied", key)
 			}
 		}
@@ -221,10 +239,10 @@ func TestFlushCompactionAndWALWrap(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			key := fmt.Sprintf("k%03d", i%100)
 			if i%7 == 3 {
-				st.DeleteKey(p, key)
+				del(p, st, key)
 				model[key] = false
 			} else {
-				st.PutKey(p, key)
+				put(p, st, key)
 				model[key] = true
 			}
 		}
@@ -242,7 +260,7 @@ func TestFlushCompactionAndWALWrap(t *testing.T) {
 			t.Errorf("wal records = %d", stats.WALRecords)
 		}
 		for key, present := range model {
-			_, ok := st.Get(p, key)
+			_, ok := get(t, p, st, key)
 			if ok != present {
 				t.Errorf("key %s: present=%v, model says %v", key, ok, present)
 			}
@@ -273,9 +291,9 @@ func TestRecoverCleanImage(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 40; i++ {
-				st.PutKey(p, fmt.Sprintf("k%03d", i))
+				put(p, st, fmt.Sprintf("k%03d", i))
 			}
-			st.DeleteKey(p, "k005")
+			del(p, st, "k005")
 			st.ForceCheckpoint(p)
 			s.Crash()
 		})
@@ -314,7 +332,7 @@ func TestRecoverAfterCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 120; i++ {
-			st.PutKey(p, fmt.Sprintf("k%03d", i%40))
+			put(p, st, fmt.Sprintf("k%03d", i%40))
 		}
 		st.ForceCheckpoint(p)
 		// Let background flush/compaction quiesce before the crash so the

@@ -47,7 +47,7 @@ func (st *Store) LiveKeys() []string {
 
 // Peek reports a key's live state (its sequence number and whether the
 // newest mutation is a put) from the host-side shadow, without a proc and
-// without charging IO. It is the audit-time analogue of Get: crash-audit
+// without charging IO. It is the audit-time analogue of GetE: crash-audit
 // checkers use it to ask surviving shards what they hold while the crashed
 // shard answers from its recovered image.
 func (st *Store) Peek(key string) (uint64, bool) {

@@ -25,14 +25,14 @@ func TestLiveKeysShadowsAllTiers(t *testing.T) {
 		want := map[string]bool{}
 		for i := 0; i < 20; i++ {
 			key := fmt.Sprintf("k%03d", i)
-			st.PutKey(p, key)
+			put(p, st, key)
 			want[key] = true
 		}
-		st.DeleteKey(p, "k003")
+		del(p, st, "k003")
 		delete(want, "k003")
-		st.PutKey(p, "k003") // resurrect: newest state wins
+		put(p, st, "k003") // resurrect: newest state wins
 		want["k003"] = true
-		st.DeleteKey(p, "k007")
+		del(p, st, "k007")
 		delete(want, "k007")
 
 		got := st.LiveKeys()
@@ -82,11 +82,11 @@ func TestIngestDurableAndLosesToRealWrites(t *testing.T) {
 			t.Errorf("Ingests = %d, want 1", st.Stats().Ingests)
 		}
 		// A real write beats the ingested placeholder.
-		seqB := st.PutKey(p, "b")
+		seqB := put(p, st, "b")
 		if got, ok := st.Peek("b"); !ok || got != seqB {
 			t.Errorf("real write lost to ingest: (%d,%v), want seq %d", got, ok, seqB)
 		}
-		st.DeleteKey(p, "c")
+		del(p, st, "c")
 		if _, ok := st.Peek("c"); ok {
 			t.Error("delete lost to ingest")
 		}

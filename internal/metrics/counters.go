@@ -41,12 +41,6 @@ func (c *Counter) Value() int64 {
 	return c.n.Load()
 }
 
-// Name returns the counter label.
-func (c *Counter) Name() string { return c.name }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n.Store(0) }
-
 // Rate converts an event count over a virtual-time window to events/second.
 // It is the IOPS / ops-per-second / Tx-per-second calculation used by every
 // throughput figure in the paper.
@@ -60,16 +54,13 @@ func Rate(events int64, window sim.Duration) float64 {
 // SwitchMeter measures voluntary context switches attributed to an
 // operation, reproducing the per-fsync context-switch counts of Fig. 11.
 // Usage: Begin before the operation on the calling process, End after; the
-// meter accumulates the per-op switch deltas.
+// meter accumulates the per-op switch deltas. The zero value is ready to
+// use.
 type SwitchMeter struct {
-	name  string
 	ops   int64
 	total int64
 	start int64
 }
-
-// NewSwitchMeter returns an empty meter labelled name.
-func NewSwitchMeter(name string) *SwitchMeter { return &SwitchMeter{name: name} }
 
 // Begin snapshots the process's voluntary-switch count.
 func (m *SwitchMeter) Begin(p *sim.Proc) { m.start = p.VoluntarySwitches() }
@@ -87,9 +78,3 @@ func (m *SwitchMeter) PerOp() float64 {
 	}
 	return float64(m.total) / float64(m.ops)
 }
-
-// Ops returns the number of measured operations.
-func (m *SwitchMeter) Ops() int64 { return m.ops }
-
-// Name returns the meter label.
-func (m *SwitchMeter) Name() string { return m.name }

@@ -27,9 +27,6 @@ func NewLatencyRecorder(name string) *LatencyRecorder {
 	return &LatencyRecorder{name: name}
 }
 
-// Name returns the recorder's label.
-func (r *LatencyRecorder) Name() string { return r.name }
-
 // Record adds one sample.
 func (r *LatencyRecorder) Record(d sim.Duration) {
 	r.samples = append(r.samples, d)
@@ -55,15 +52,6 @@ func (r *LatencyRecorder) Max() sim.Duration {
 	}
 	r.sortSamples()
 	return r.samples[len(r.samples)-1]
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (r *LatencyRecorder) Min() sim.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	r.sortSamples()
-	return r.samples[0]
 }
 
 func (r *LatencyRecorder) sortSamples() {
@@ -138,11 +126,4 @@ func finite(v float64) float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("%-14s n=%-7d µ=%.3fms med=%.3fms p99=%.3fms p99.9=%.3fms p99.99=%.3fms",
 		s.Name, s.Count, s.Mean, s.Median, s.P99, s.P999, s.P9999)
-}
-
-// Reset discards all samples.
-func (r *LatencyRecorder) Reset() {
-	r.samples = r.samples[:0]
-	r.sum = 0
-	r.sorted = false
 }

@@ -50,9 +50,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Name returns the gauge label.
-func (g *Gauge) Name() string { return g.name }
-
 // Hist is a lock-free log2-bucket histogram for values a live reader must be
 // able to summarize mid-run (group-commit sizes, latencies in ns). Bucket i
 // holds values whose bit length is i, so quantiles are exact to a factor of
@@ -158,9 +155,6 @@ func (h *Hist) Quantile(q float64) float64 {
 	}
 	return float64(h.max.Load())
 }
-
-// Name returns the histogram label.
-func (h *Hist) Name() string { return h.name }
 
 // Registry is the stack-wide instrument namespace: every layer get-or-creates
 // its counters/gauges/histograms by slash-separated name ("device/flushes",

@@ -24,9 +24,6 @@ type Series struct {
 // NewSeries returns an empty series labelled name.
 func NewSeries(name string) *Series { return &Series{name: name} }
 
-// Name returns the series label.
-func (s *Series) Name() string { return s.name }
-
 // Record appends an observation; consecutive equal values are coalesced. A
 // nil series records nothing, so an owner can leave the series unallocated
 // until someone asks for it.
@@ -39,9 +36,6 @@ func (s *Series) Record(at sim.Time, v float64) {
 	}
 	s.points = append(s.points, Point{At: at, Value: v})
 }
-
-// Len returns the number of recorded transitions.
-func (s *Series) Len() int { return len(s.points) }
 
 // ValueAt returns the series value at time t (0 before the first point).
 func (s *Series) ValueAt(t sim.Time) float64 {
@@ -129,6 +123,3 @@ func (s *Series) AsciiPlot(from, to sim.Time, rows int, maxVal float64) string {
 	}
 	return b.String()
 }
-
-// Reset discards all points.
-func (s *Series) Reset() { s.points = s.points[:0] }

@@ -296,9 +296,6 @@ func (a *Array) wipe(chipID, block int) {
 // Geometry returns the array geometry.
 func (a *Array) Geometry() Geometry { return a.geo }
 
-// Timing returns the array timing.
-func (a *Array) Timing() Timing { return a.timing }
-
 // Stats returns cumulative operation counts.
 func (a *Array) Stats() Stats { return a.stats }
 
@@ -592,11 +589,6 @@ func (a *Array) PageInfo(chipID, block, page int) (programmed bool, meta PageMet
 	}
 	meta, data = a.load(chipID, block, page)
 	return true, meta, data
-}
-
-// BlockErases returns how many times a block has been erased (wear).
-func (a *Array) BlockErases(chipID, block int) int {
-	return a.chips[chipID].blocks[block].erases
 }
 
 // NextPage returns the in-order program pointer of a block.

@@ -175,8 +175,8 @@ func TestEraseResetsBlock(t *testing.T) {
 		if ok, _, _ := a.PageInfo(0, 0, 0); ok {
 			t.Error("page survived erase")
 		}
-		if a.BlockErases(0, 0) != 1 {
-			t.Errorf("erases = %d", a.BlockErases(0, 0))
+		if got := a.chips[0].blocks[0].erases; got != 1 {
+			t.Errorf("erases = %d", got)
 		}
 		// Block is programmable again from page 0.
 		a.Submit(&Request{Kind: OpProgram, Chip: 0, Block: 0, Page: 0,

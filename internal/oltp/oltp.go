@@ -73,9 +73,6 @@ func Open(p *sim.Proc, s *core.Stack) (*Engine, error) {
 	return e, nil
 }
 
-// Stats returns cumulative statistics.
-func (e *Engine) Stats() Stats { return e.stats }
-
 // Insert runs one insert transaction: redo-log append + sync, table page
 // dirtying, binlog append + sync, periodic background page flush.
 func (e *Engine) Insert(p *sim.Proc, rng *rand.Rand) {

@@ -33,7 +33,7 @@ func TestInsertAccounting(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			eng.Insert(p, rng)
 		}
-		st := eng.Stats()
+		st := eng.stats
 		if st.Commits != 10 {
 			t.Errorf("commits = %d", st.Commits)
 		}

@@ -23,7 +23,7 @@ func TestCondMixedWakeups(t *testing.T) {
 	k.SpawnHandler("hand", func(h *Proc) {
 		if len(order) == 0 || order[len(order)-1] != "hand" {
 			// First activation parks; the wake-up records and completes.
-			if h.Wakeups() == 1 {
+			if h.wakeups == 1 {
 				cond.Park(h)
 				return
 			}
@@ -53,7 +53,7 @@ func TestCondBroadcastMixed(t *testing.T) {
 	cond := NewCond(k)
 	woken := 0
 	k.SpawnHandler("hand", func(h *Proc) {
-		if h.Wakeups() == 1 {
+		if h.wakeups == 1 {
 			cond.Park(h)
 			return
 		}
@@ -187,11 +187,11 @@ func TestHandlerTimerAndJoin(t *testing.T) {
 	if ticks != 5 || !joined {
 		t.Fatalf("ticks=%d joined=%v", ticks, joined)
 	}
-	if !hand.Dead() {
+	if hand.state != stateDead {
 		t.Fatal("handler not dead after Complete")
 	}
-	if k.Live() != 0 {
-		t.Fatalf("live = %d, want 0", k.Live())
+	if k.live != 0 {
+		t.Fatalf("live = %d, want 0", k.live)
 	}
 }
 
@@ -241,7 +241,7 @@ func TestCloseRetiresParkedHandlers(t *testing.T) {
 	// A handler spawned but never dispatched (pending).
 	k.SpawnHandler("pending", func(h *Proc) { panic("pending handler must never run") })
 	k.Close()
-	if got := k.Live(); got != 0 {
+	if got := k.live; got != 0 {
 		t.Errorf("live procs after Close = %d, want 0", got)
 	}
 	if got := runtime.NumGoroutine() - base; got != 0 {

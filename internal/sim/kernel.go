@@ -75,9 +75,6 @@ func (k *Kernel) CallbackMode() bool { return k.callback }
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Live returns the number of processes that have not yet terminated.
-func (k *Kernel) Live() int { return k.live }
-
 func (k *Kernel) schedule(at Time, p *Proc) {
 	if at < k.now {
 		at = k.now
@@ -237,10 +234,6 @@ func (k *Kernel) RunUntil(t Time) Time {
 			} else {
 				k.ks.GoroutineDispatches.Add(1)
 			}
-		}
-		if k.sp != nil && k.sp.dispatches {
-			k.sp.recs = append(k.sp.recs,
-				spanRec{at: e.at, ph: 'i', cat: "sim", name: e.p.Name()})
 		}
 		p := e.p
 		k.cur = p

@@ -193,12 +193,12 @@ func TestCloseReapsDaemons(t *testing.T) {
 		})
 	}
 	k.RunUntil(Time(Millisecond))
-	if k.Live() != 4 {
-		t.Fatalf("live = %d, want 4", k.Live())
+	if k.live != 4 {
+		t.Fatalf("live = %d, want 4", k.live)
 	}
 	k.Close()
-	if k.Live() != 0 {
-		t.Errorf("live after Close = %d, want 0", k.Live())
+	if k.live != 0 {
+		t.Errorf("live after Close = %d, want 0", k.live)
 	}
 }
 
@@ -212,7 +212,7 @@ func TestOnCloseRunsAfterProcsRetire(t *testing.T) {
 		defer func() { log = append(log, "daemon") }()
 		q.Get(p)
 	})
-	k.OnClose(func() { log = append(log, fmt.Sprintf("hook1 live=%d", k.Live())) })
+	k.OnClose(func() { log = append(log, fmt.Sprintf("hook1 live=%d", k.live)) })
 	k.OnClose(func() { log = append(log, "hook2") })
 	k.Run()
 	k.Close()
@@ -235,8 +235,8 @@ func TestAdvanceDoesNotCountAsSwitch(t *testing.T) {
 	if proc.VoluntarySwitches() != 1 {
 		t.Errorf("voluntary switches = %d, want 1 (two Advances + one Sleep)", proc.VoluntarySwitches())
 	}
-	if proc.Wakeups() != 4 {
-		t.Errorf("wakeups = %d, want 4 (start + 2 advances + 1 sleep)", proc.Wakeups())
+	if proc.wakeups != 4 {
+		t.Errorf("wakeups = %d, want 4 (start + 2 advances + 1 sleep)", proc.wakeups)
 	}
 }
 
@@ -302,8 +302,8 @@ func TestWakeupCounting(t *testing.T) {
 	})
 	k.Run()
 	// 1 initial dispatch + 3 sleep wake-ups.
-	if worker.Wakeups() != 4 {
-		t.Errorf("wakeups = %d, want 4", worker.Wakeups())
+	if worker.wakeups != 4 {
+		t.Errorf("wakeups = %d, want 4", worker.wakeups)
 	}
 	if worker.VoluntarySwitches() != 3 {
 		t.Errorf("voluntary switches = %d, want 3", worker.VoluntarySwitches())

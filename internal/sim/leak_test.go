@@ -60,7 +60,7 @@ func TestCloseReapsEveryGoroutine(t *testing.T) {
 	if unwound != 10 {
 		t.Errorf("parked bodies unwound by Close = %d, want 10", unwound)
 	}
-	if got := k.Live(); got != 0 {
+	if got := k.live; got != 0 {
 		t.Errorf("live procs after Close = %d, want 0", got)
 	}
 }
@@ -155,7 +155,7 @@ func TestPanicInProcReachesRunCaller(t *testing.T) {
 		t.Error("Run returned past a panicking proc")
 	}()
 	k.Close()
-	if got := k.Live(); got != 0 {
+	if got := k.live; got != 0 {
 		t.Errorf("live procs after Close = %d, want 0", got)
 	}
 }

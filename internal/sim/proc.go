@@ -100,14 +100,6 @@ func (p *Proc) Name() string {
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// Dead reports whether the process has terminated. Callable from anywhere.
-func (p *Proc) Dead() bool { return p.state == stateDead }
-
-// Wakeups returns the number of times the process has been dispatched by the
-// kernel. The delta across an operation approximates the number of times the
-// thread was switched in.
-func (p *Proc) Wakeups() int64 { return p.wakeups }
-
 // VoluntarySwitches returns the number of times the process has voluntarily
 // blocked (Sleep, Suspend, queue/cond/mutex waits). Advance does not
 // count: it models computation, not blocking.

@@ -21,18 +21,13 @@ type spanRec struct {
 // chrome://tracing (or Perfetto) loads directly, with device commands,
 // journal commits, sync calls and group commits as async span tracks.
 type SpanTrace struct {
-	recs       []spanRec
-	dispatches bool
+	recs []spanRec
 }
 
 // StartSpans begins span recording on the kernel and returns the trace.
-// With dispatches set, every kernel
-// dispatch additionally records an instant event (one allocation per event —
-// only for close-up looks at scheduling).
-func (k *Kernel) StartSpans(dispatches bool) *SpanTrace {
-	st := &SpanTrace{dispatches: dispatches}
-	k.sp = st
-	return st
+func (k *Kernel) StartSpans() *SpanTrace {
+	k.sp = &SpanTrace{}
+	return k.sp
 }
 
 // Spans returns the attached span trace, or nil when disabled.

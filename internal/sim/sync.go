@@ -110,9 +110,6 @@ func NewQueue[T any](k *Kernel) *Queue[T] {
 	return &Queue[T]{k: k}
 }
 
-// Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return q.items.Len() }
-
 // Put appends x and wakes one waiting getter, if any.
 func (q *Queue[T]) Put(x T) {
 	q.items.Push(x)

@@ -86,19 +86,3 @@ func (t *Trace) Hash() uint64 { return t.hash }
 
 // Records returns the retained records (empty unless keep was set).
 func (t *Trace) Records() []TraceRec { return t.recs }
-
-// FirstDivergence returns the index of the first record where the two kept
-// traces differ, or -1 if one is a prefix of the other (or they are equal).
-// Both traces must have been started with keep.
-func (t *Trace) FirstDivergence(o *Trace) int {
-	n := len(t.recs)
-	if len(o.recs) < n {
-		n = len(o.recs)
-	}
-	for i := 0; i < n; i++ {
-		if t.recs[i] != o.recs[i] {
-			return i
-		}
-	}
-	return -1
-}

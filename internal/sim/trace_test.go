@@ -70,9 +70,20 @@ func TestTraceMatchesReferenceKernel(t *testing.T) {
 	if opt.Len() == ref.Len() && opt.Hash() == ref.Hash() {
 		return
 	}
-	i := opt.FirstDivergence(ref)
+	i := firstDivergence(opt, ref)
 	t.Fatalf("optimized kernel diverges from reference at record %d: opt(n=%d) %+v, ref(n=%d) %+v",
 		i, opt.Len(), rec(opt, i), ref.Len(), rec(ref, i))
+}
+
+// firstDivergence returns the index of the first record where two kept
+// traces differ, or -1 if one is a prefix of the other (or they are equal).
+func firstDivergence(a, b *Trace) int {
+	for i := range min(len(a.recs), len(b.recs)) {
+		if a.recs[i] != b.recs[i] {
+			return i
+		}
+	}
+	return -1
 }
 
 func rec(tr *Trace, i int) TraceRec {

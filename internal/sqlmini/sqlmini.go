@@ -114,9 +114,6 @@ func Open(p *sim.Proc, s *core.Stack, name string, cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// Stats returns cumulative statistics.
-func (db *DB) Stats() Stats { return db.stats }
-
 // orderSync issues an ordering-only sync: the paper's replacement for the
 // first three fdatasync calls of a PERSIST transaction. On BarrierFS this
 // is fdatabarrier (regardless of the durability profile — the paper keeps

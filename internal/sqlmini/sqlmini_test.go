@@ -37,7 +37,7 @@ func TestPersistSyncAccounting(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			db.Insert(p)
 		}
-		st := db.Stats()
+		st := db.stats
 		if st.Inserts != 5 {
 			t.Errorf("inserts = %d", st.Inserts)
 		}
@@ -64,11 +64,11 @@ func TestWALFewerSyncs(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			db.Insert(p)
 		}
-		if db.Stats().BarrierCalls != 0 {
-			t.Errorf("WAL should not issue ordering syncs, got %d", db.Stats().BarrierCalls)
+		if db.stats.BarrierCalls != 0 {
+			t.Errorf("WAL should not issue ordering syncs, got %d", db.stats.BarrierCalls)
 		}
-		if db.Stats().SyncCalls != 5 {
-			t.Errorf("WAL syncs = %d, want 5", db.Stats().SyncCalls)
+		if db.stats.SyncCalls != 5 {
+			t.Errorf("WAL syncs = %d, want 5", db.stats.SyncCalls)
 		}
 		k.Stop()
 	})

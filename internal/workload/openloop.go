@@ -24,13 +24,13 @@ const (
 	// inter-arrival times at RatePerS.
 	ArrivalPoisson ArrivalKind = iota
 	// ArrivalBursty is a square-wave modulated Poisson process: within each
-	// Period, the first Duty fraction runs at BurstFactor times the base
-	// rate and the remainder at a compensating low rate, preserving the
-	// mean offered load.
+	// arrivalPeriod, the first burstDuty fraction runs at burstFactor times
+	// the base rate and the remainder at a compensating low rate, preserving
+	// the mean offered load.
 	ArrivalBursty
 	// ArrivalDiurnal is a sinusoidally modulated Poisson process:
-	// rate(t) = RatePerS * (1 + diurnalAmplitude*sin(2*pi*t/Period)), the
-	// classic day/night traffic curve compressed to Period.
+	// rate(t) = RatePerS * (1 + diurnalAmplitude*sin(2*pi*t/arrivalPeriod)),
+	// the classic day/night traffic curve compressed to arrivalPeriod.
 	ArrivalDiurnal
 )
 
@@ -44,37 +44,27 @@ func (k ArrivalKind) String() string {
 	return "poisson"
 }
 
-// diurnalAmplitude is the diurnal modulation depth, in [0, 1]. Typed, so
-// folded constants round as float64 arithmetic does: seeded arrivals repeat.
-const diurnalAmplitude float64 = 0.8
+// The modulated processes' shape. The float constants are typed, so folded
+// constants round as float64 arithmetic does: seeded arrivals repeat.
+const (
+	// arrivalPeriod is the bursty and diurnal cycle length.
+	arrivalPeriod = 10 * sim.Millisecond
+	// burstFactor is the bursty peak-rate multiplier and burstDuty the
+	// fraction of a period spent at the peak. Their product is at most 1,
+	// so the trough rate is never negative and the cycle mean is RatePerS.
+	burstFactor float64 = 4
+	burstDuty   float64 = 0.25
+	// diurnalAmplitude is the diurnal modulation depth, in [0, 1].
+	diurnalAmplitude float64 = 0.8
+)
 
 // ArrivalConfig parameterizes one arrival process.
 type ArrivalConfig struct {
 	Kind ArrivalKind
 	// RatePerS is the mean offered rate in requests per second.
 	RatePerS float64
-	// BurstFactor is the bursty peak-rate multiplier (>= 1; default 4).
-	BurstFactor float64
-	// Period is the bursty/diurnal cycle length (default 10ms).
-	Period sim.Duration
-	// Duty is the fraction of a bursty period spent at the peak rate
-	// (0 < Duty < 1; default 0.25).
-	Duty float64
 	// Seed makes the generated arrival sequence deterministic.
 	Seed int64
-}
-
-func (c ArrivalConfig) withDefaults() ArrivalConfig {
-	if c.BurstFactor < 1 {
-		c.BurstFactor = 4
-	}
-	if c.Period <= 0 {
-		c.Period = 10 * sim.Millisecond
-	}
-	if c.Duty <= 0 || c.Duty >= 1 {
-		c.Duty = 0.25
-	}
-	return c
 }
 
 // peakRate returns the maximum instantaneous rate, the envelope the
@@ -82,7 +72,7 @@ func (c ArrivalConfig) withDefaults() ArrivalConfig {
 func (c ArrivalConfig) peakRate() float64 {
 	switch c.Kind {
 	case ArrivalBursty:
-		return c.RatePerS * c.BurstFactor
+		return c.RatePerS * burstFactor
 	case ArrivalDiurnal:
 		return c.RatePerS * (1 + diurnalAmplitude)
 	}
@@ -93,18 +83,14 @@ func (c ArrivalConfig) peakRate() float64 {
 func (c ArrivalConfig) rateAt(t sim.Duration) float64 {
 	switch c.Kind {
 	case ArrivalBursty:
-		phase := float64(t%c.Period) / float64(c.Period)
-		if phase < c.Duty {
-			return c.RatePerS * c.BurstFactor
+		phase := float64(t%arrivalPeriod) / float64(arrivalPeriod)
+		if phase < burstDuty {
+			return c.RatePerS * burstFactor
 		}
 		// Compensating trough rate so the cycle mean stays RatePerS.
-		low := c.RatePerS * (1 - c.Duty*c.BurstFactor) / (1 - c.Duty)
-		if low < 0 {
-			low = 0
-		}
-		return low
+		return c.RatePerS * (1 - burstDuty*burstFactor) / (1 - burstDuty)
 	case ArrivalDiurnal:
-		phase := float64(t%c.Period) / float64(c.Period)
+		phase := float64(t%arrivalPeriod) / float64(arrivalPeriod)
 		return c.RatePerS * (1 + diurnalAmplitude*math.Sin(2*math.Pi*phase))
 	}
 	return c.RatePerS
@@ -115,7 +101,6 @@ func (c ArrivalConfig) rateAt(t sim.Duration) float64 {
 // envelope, so every kind reduces to exponential draws from one seeded
 // source and the sequence is reproducible.
 func (c ArrivalConfig) Times(window sim.Duration) []sim.Time {
-	c = c.withDefaults()
 	if c.RatePerS <= 0 || window <= 0 {
 		return nil
 	}

@@ -46,7 +46,7 @@ func TestPoissonInterArrivalMoments(t *testing.T) {
 }
 
 // The modulated processes must preserve the configured mean rate and
-// actually modulate: the bursty duty phase must carry BurstFactor times the
+// actually modulate: the bursty duty phase must carry burstFactor times the
 // trough traffic density.
 func TestModulatedArrivalsPreserveMeanRate(t *testing.T) {
 	for _, kind := range []ArrivalKind{ArrivalBursty, ArrivalDiurnal} {
@@ -61,13 +61,12 @@ func TestModulatedArrivalsPreserveMeanRate(t *testing.T) {
 }
 
 func TestBurstyDutyCycleShape(t *testing.T) {
-	cfg := ArrivalConfig{Kind: ArrivalBursty, RatePerS: 200_000, BurstFactor: 4,
-		Period: 10 * sim.Millisecond, Duty: 0.25, Seed: 3}
+	cfg := ArrivalConfig{Kind: ArrivalBursty, RatePerS: 200_000, Seed: 3}
 	times := cfg.Times(sim.Second)
 	inBurst := 0
 	for _, at := range times {
-		phase := float64(sim.Duration(at)%cfg.Period) / float64(cfg.Period)
-		if phase < cfg.Duty {
+		phase := float64(sim.Duration(at)%arrivalPeriod) / float64(arrivalPeriod)
+		if phase < burstDuty {
 			inBurst++
 		}
 	}

@@ -21,7 +21,7 @@ import (
 func traceOfObserved(c goldenCase) (*sim.Trace, *sim.SpanTrace) {
 	k := sim.NewKernel()
 	defer k.Close()
-	sp := k.StartSpans(true)
+	sp := k.StartSpans()
 	tr := k.StartTrace(false)
 	c.run(k)
 	return tr, sp
