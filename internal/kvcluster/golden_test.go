@@ -143,7 +143,7 @@ func goldenShapes() map[string]shapeGolden {
 				return d
 			},
 			Metrics:   metrics.NewRegistry(),
-			Trace:     reqtrace.NewSampler(*trace),
+			Trace:     trace,
 			NewKernel: tk.newKernel,
 		}
 		// A small, read-heavy key space: keys are re-read after their
@@ -162,7 +162,7 @@ func goldenShapes() map[string]shapeGolden {
 	{
 		var tk traceKernels
 		rc := ReplicaConfig{Shards: 3, Replicas: 2, Store: smallStore(),
-			Trace: reqtrace.NewSampler(*trace), NewKernel: tk.newKernel}
+			Trace: trace, NewKernel: tk.newKernel}
 		spec := ResizeSpec{ResizeAt: sim.Time(6 * sim.Millisecond), NewShards: 4, Bins: 12}
 		out["resize"] = tk.resizeShape(RunResize(rc, resizeTraffic(40_000), spec))
 	}

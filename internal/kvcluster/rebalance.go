@@ -20,15 +20,14 @@ import (
 //	           (MigrateConfig), while client writes still go old-only and
 //	           queue for catch-up;
 //	CatchUp  → client writes dual-write old+new through each shard's
-//	           group commit while the copier drains the queued keys;
+//	           group commit while the range drains the queued keys;
 //	Cutover  → the new owners force a durability checkpoint, so every
 //	           copied key and catch-up delta is durable before the flip;
 //	Done     → reads and writes route to the new owners (old kept as
 //	           failover tail until the whole migration lands).
 //
-// Each range's driver is a run-to-completion handler proc; its blocking IO
-// (source reads, destination ingests, checkpoints) runs on a paired copier
-// goroutine proc, rendezvousing a chunk at a time. If a destination dies
+// Each range is one blocking proc that does its own IO (source reads,
+// destination ingests, checkpoints) a chunk at a time. If a destination dies
 // mid-migration the range aborts and rolls back at the next chunk boundary,
 // then re-replicates onto the next live successor of the target ring —
 // source data is never deleted, so rollback is always safe. The cluster
@@ -49,7 +48,7 @@ type MigrateConfig struct {
 
 const (
 	// readRetries is how many full passes over the live source owners the
-	// copier makes for an unreadable key before skipping it.
+	// range makes for an unreadable key before skipping it.
 	readRetries = 3
 	// retryBackoff is the base backoff between those passes, doubling per
 	// attempt; also the delay before restarting an aborted range.
@@ -288,33 +287,12 @@ func (m *Migration) rangeDone(now sim.Time) {
 	}
 }
 
-// copy jobs handed from a range driver (handler) to its copier (goroutine).
-type copyKind int
-
-const (
-	jobCopy       copyKind = iota // bulk-copy keys as a segment ingest
-	jobDelta                      // re-apply caught-up keys as normal writes
-	jobCheckpoint                 // force destination durability checkpoint
-	jobQuit                       // range finished; copier exits
-)
-
-type copyJob struct {
-	kind copyKind
-	keys []string
-}
-
 // rangeMig drives one RangeMove through the state machine.
 type rangeMig struct {
 	m     *Migration
 	idx   int
 	mv    RangeMove
 	state MigrationState
-
-	driver *sim.Proc // run-to-completion handler: the state machine
-	copier *sim.Proc // goroutine proc: the blocking IO
-	cond   *sim.Cond
-	job    *copyJob // dispatched, not yet picked up
-	done   *copyJob // finished, not yet absorbed by the driver
 
 	snapshot []string // sorted live keys to bulk-copy
 	pos      int
@@ -326,11 +304,8 @@ type rangeMig struct {
 }
 
 func (rm *rangeMig) start(now sim.Time) {
-	k := rm.m.c.k
-	rm.cond = sim.NewCond(k)
 	rm.setState(now, MigCopying)
-	rm.copier = k.SpawnIdx("kvc/mig-copy", rm.idx, rm.copyLoop)
-	rm.driver = k.SpawnHandlerIdx("kvc/mig-range", rm.idx, rm.step)
+	rm.m.c.k.SpawnIdx("kvc/mig-range", rm.idx, rm.run)
 }
 
 func (rm *rangeMig) setState(at sim.Time, s MigrationState) {
@@ -359,70 +334,59 @@ func (rm *rangeMig) destDown() bool {
 	return false
 }
 
-// step is the driver handler: each activation absorbs at most one finished
-// copy job, resolves destination death, and arms exactly one continuation —
-// a dispatched job (parked until the copier resumes us), a pacing timer, or
-// completion.
-func (rm *rangeMig) step(h *sim.Proc) {
+// run is the range's proc. Each pass is one chunk boundary: resolve a dead
+// destination, then copy a chunk, drain caught-up keys, or checkpoint the
+// destinations, then sleep ChunkEvery — the pacing gap is the migration
+// bandwidth bound that protects the foreground SLO.
+func (rm *rangeMig) run(p *sim.Proc) {
 	m := rm.m
-	if j := rm.done; j != nil {
-		rm.done = nil
-		if j.kind != jobCheckpoint {
-			// Chunk landed: pace before the next one — this gap is the
-			// migration bandwidth bound that protects the foreground SLO.
-			h.WakeIn(m.cfg.ChunkEvery)
-			return
-		}
-	}
-	if rm.destDown() {
-		rm.retarget(h)
-		return
-	}
-	switch rm.state {
-	case MigCopying:
-		if rm.snapshot == nil {
-			rm.buildSnapshot()
-		}
-		if rm.pos < len(rm.snapshot) {
-			end := rm.pos + m.cfg.ChunkKeys
-			if end > len(rm.snapshot) {
-				end = len(rm.snapshot)
+	for {
+		if rm.destDown() {
+			if rm.retarget(p.Now()) {
+				return
 			}
-			keys := rm.snapshot[rm.pos:end]
-			rm.pos = end
-			rm.dispatch(&copyJob{kind: jobCopy, keys: keys})
+			p.Sleep(retryBackoff)
+			continue
+		}
+		switch rm.state {
+		case MigCopying:
+			if rm.snapshot == nil {
+				rm.buildSnapshot()
+			}
+			if rm.pos < len(rm.snapshot) {
+				end := min(rm.pos+m.cfg.ChunkKeys, len(rm.snapshot))
+				keys := rm.snapshot[rm.pos:end]
+				rm.pos = end
+				rm.copyChunk(p, keys)
+			} else {
+				// Bulk copy done: open the dual-write window, then drain the
+				// keys that arrived old-only while we copied.
+				rm.setState(p.Now(), MigCatchUp)
+			}
+		case MigCatchUp:
+			if keys := rm.drainPending(m.cfg.ChunkKeys); len(keys) > 0 {
+				rm.copyDelta(p, keys)
+			} else if rm.inflight == 0 && m.c.wildBefore(m.epoch) == 0 {
+				// No client write is still committing: neither a tracked one
+				// on this range nor a straggler admitted before the
+				// migration began (invisible both to the snapshot and to
+				// tracking). Their keys join pending as they complete, so
+				// the gate outwaits both. Writes admitted after the
+				// migration opened never gate: on a migrating range they
+				// are tracked, elsewhere they are irrelevant to this
+				// cutover. Every write is now on both owner sets; make the
+				// destination durable before anything flips.
+				rm.setState(p.Now(), MigCutover)
+				rm.checkpointDests(p)
+				continue
+			}
+		case MigCutover:
+			// Checkpoint landed: everything copied is at least as durable
+			// on the destination as its ack promised. Flip the range.
+			rm.cutover(p.Now())
 			return
 		}
-		// Bulk copy done: open the dual-write window, then drain the keys
-		// that arrived old-only while we copied.
-		rm.setState(h.Now(), MigCatchUp)
-		h.WakeIn(m.cfg.ChunkEvery)
-	case MigCatchUp:
-		if keys := rm.drainPending(m.cfg.ChunkKeys); len(keys) > 0 {
-			rm.dispatch(&copyJob{kind: jobDelta, keys: keys})
-			return
-		}
-		if rm.inflight > 0 || m.c.wildBefore(m.epoch) > 0 {
-			// Client writes are still committing — tracked ones on this
-			// range, or stragglers admitted before the migration began
-			// (invisible both to the snapshot and to tracking). Their keys
-			// join pending as they complete, so the gate must outwait both.
-			// Writes admitted after the migration opened never gate: on a
-			// migrating range they are tracked, elsewhere they are
-			// irrelevant to this cutover.
-			h.WakeIn(m.cfg.ChunkEvery)
-			return
-		}
-		// Every write is on both owner sets; make the destination durable
-		// before anything flips.
-		rm.setState(h.Now(), MigCutover)
-		rm.dispatch(&copyJob{kind: jobCheckpoint})
-	case MigCutover:
-		// Checkpoint landed: everything copied is at least as durable on
-		// the destination as its ack promised. Flip the range.
-		m.stats.Cutovers++
-		m.c.obs.rebCutovers.Inc()
-		rm.finish(h, MigDone)
+		p.Sleep(m.cfg.ChunkEvery)
 	}
 }
 
@@ -432,7 +396,8 @@ func (rm *rangeMig) step(h *sim.Proc) {
 // would compute with the dead shard marked down. Source data was never
 // deleted, so rollback is always safe; writes that dual-wrote during the
 // aborted attempt are still on the old owners and re-enter the snapshot.
-func (rm *rangeMig) retarget(h *sim.Proc) {
+// It reports whether the range finished instead of restarting.
+func (rm *rangeMig) retarget(now sim.Time) bool {
 	m := rm.m
 	m.stats.Aborts++
 	m.c.obs.rebAborts.Inc()
@@ -440,40 +405,34 @@ func (rm *rangeMig) retarget(h *sim.Proc) {
 	rm.snapshot, rm.pos = nil, 0
 	rm.dualSeen = make(map[string]bool)
 	rm.gen++ // in-flight dual-writes re-queue for the new destination
-	if len(rm.destShards()) == 0 {
-		if len(rm.mv.New) > 0 {
-			// The promoted successors all hold the data already (they are
-			// old owners): the range lands without copying a byte.
-			m.stats.Cutovers++
-			m.c.obs.rebCutovers.Inc()
-			rm.finish(h, MigDone)
-			return
-		}
+	switch {
+	case len(rm.destShards()) > 0:
+		rm.setState(now, MigCopying)
+		return false
+	case len(rm.mv.New) > 0:
+		// The promoted successors all hold the data already (they are old
+		// owners): the range lands without copying a byte.
+		rm.cutover(now)
+	default:
 		// No live shard left to re-replicate onto: the range aborts for
 		// good and keeps its old owners.
-		rm.finish(h, MigAborted)
-		return
+		rm.finish(now, MigAborted)
 	}
-	rm.setState(h.Now(), MigCopying)
-	h.WakeIn(retryBackoff)
+	return true
 }
 
-func (rm *rangeMig) finish(h *sim.Proc, s MigrationState) {
-	rm.setState(h.Now(), s)
+func (rm *rangeMig) cutover(now sim.Time) {
+	rm.m.stats.Cutovers++
+	rm.m.c.obs.rebCutovers.Inc()
+	rm.finish(now, MigDone)
+}
+
+func (rm *rangeMig) finish(now sim.Time, s MigrationState) {
+	rm.setState(now, s)
 	if s == MigAborted {
 		rm.m.failed = true
 	}
-	rm.job = &copyJob{kind: jobQuit}
-	rm.cond.Signal()
-	rm.m.rangeDone(h.Now())
-	h.Complete()
-}
-
-func (rm *rangeMig) dispatch(j *copyJob) {
-	rm.job = j
-	rm.cond.Signal()
-	// Returning without arming parks the handler; the copier resumes it
-	// when the job lands.
+	rm.m.rangeDone(now)
 }
 
 // drainPending pops up to max pending keys in sorted order (map iteration
@@ -498,7 +457,7 @@ func (rm *rangeMig) drainPending(max int) []string {
 
 // buildSnapshot enumerates the live keys of the first up old owner that
 // hash into the arc — the bulk-copy work list. Host-side shadow walk, no
-// IO; the copier pays real reads per key as it copies.
+// IO; the range pays real reads per key as it copies.
 func (rm *rangeMig) buildSnapshot() {
 	rm.snapshot = []string{}
 	var src *node
@@ -515,31 +474,6 @@ func (rm *rangeMig) buildSnapshot() {
 		if rm.mv.Contains(fnv1a(key)) {
 			rm.snapshot = append(rm.snapshot, key)
 		}
-	}
-}
-
-// copyLoop is the copier goroutine: it executes the driver's jobs — the
-// blocking half of the state machine — and resumes the driver after each.
-func (rm *rangeMig) copyLoop(p *sim.Proc) {
-	for {
-		for rm.job == nil {
-			rm.cond.Wait(p)
-		}
-		j := rm.job
-		rm.job = nil
-		if j.kind == jobQuit {
-			return
-		}
-		switch j.kind {
-		case jobCopy:
-			rm.copyChunk(p, j.keys)
-		case jobDelta:
-			rm.copyDelta(p, j.keys)
-		case jobCheckpoint:
-			rm.checkpointDests(p)
-		}
-		rm.done = j
-		rm.m.c.k.Resume(rm.driver)
 	}
 }
 
@@ -561,7 +495,7 @@ func (rm *rangeMig) copyChunk(p *sim.Proc, keys []string) {
 	for _, d := range rm.destShards() {
 		n := m.c.nodes[d]
 		if n.down {
-			return // resolved at the chunk boundary by the driver
+			return // resolved at the next chunk boundary
 		}
 		n.store.Ingest(p, live)
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -318,7 +319,7 @@ func TestReplaceShardRebuildsDeadShard(t *testing.T) {
 func TestResizeRetargetsWhenDestinationDies(t *testing.T) {
 	cfg := ReplicaConfig{
 		Shards: 3, Replicas: 2, Store: smallStore(),
-		// Slow the copier down so the kill lands mid-Copying.
+		// Slow the copy down so the kill lands mid-Copying.
 		Migrate: MigrateConfig{ChunkKeys: 4, ChunkEvery: 300 * sim.Microsecond},
 	}
 	k := sim.NewKernel()
@@ -369,7 +370,9 @@ func TestResizeRetargetsWhenDestinationDies(t *testing.T) {
 // The all-replicas-dead path: capped replication sheds and counts instead
 // of panicking or misrouting.
 func TestAllReplicasDeadShedsDegraded(t *testing.T) {
-	cfg := ReplicaConfig{Shards: 2, Replicas: 2, Store: smallStore()}
+	reg := metrics.NewRegistry()
+	shed := reg.Counter("kvcluster/degraded.shed")
+	cfg := ReplicaConfig{Shards: 2, Replicas: 2, Store: smallStore(), Metrics: reg}
 	k := sim.NewKernel()
 	defer k.Close()
 	done := false
@@ -387,8 +390,8 @@ func TestAllReplicasDeadShedsDegraded(t *testing.T) {
 		if err := cl.Put(p, "degraded"); err != nil {
 			t.Errorf("degraded put refused with a live replica: %v", err)
 		}
-		if got := cl.stats.DegradedWrites; got == 0 {
-			t.Error("capped-replication write not counted as degraded")
+		if got := shed.Value(); got != 1 {
+			t.Errorf("capped-replication write counted %d sheds, want 1", got)
 		}
 		cl.KillShard(1)
 		if err := cl.Put(p, "dead"); err != ErrUnavailable {
@@ -397,9 +400,9 @@ func TestAllReplicasDeadShedsDegraded(t *testing.T) {
 		if _, _, err := cl.Get(p, "alive", ReqCtx{}); err != ErrUnavailable {
 			t.Errorf("get with all replicas dead: got %v, want ErrUnavailable", err)
 		}
-		st := cl.stats
-		if st.Unavailable < 2 || st.DegradedSheds == 0 {
-			t.Errorf("mass failure not accounted: %+v", st)
+		// The unavailable put and get shed one each.
+		if got := shed.Value(); got != 3 {
+			t.Errorf("mass failure not accounted: %d sheds, want 3", got)
 		}
 		done = true
 	})

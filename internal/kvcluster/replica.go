@@ -70,12 +70,10 @@ type ReplicaConfig struct {
 	// NewKernel builds the cluster kernel (default sim.NewKernel); the
 	// experiment driver injects its span-capturing choke point here.
 	NewKernel func(label string) *sim.Kernel
-	// Trace, when non-nil, is a caller-owned request-trace sampler: the
-	// replicated runners stamp admission/ack against it and thread each
-	// write's context through the first live replica's store. The cluster
-	// runs in one kernel, so a concurrent observer may Snapshot the sampler
-	// while the run is live. Nil disables tracing.
-	Trace *reqtrace.Sampler
+	// Trace, when non-nil, samples per-request causal traces as Config.Trace
+	// does: the runner's sampler stamps admission/ack and each write's
+	// context rides the first live replica's store. Nil disables tracing.
+	Trace *reqtrace.Config
 }
 
 func (c ReplicaConfig) withDefaults() ReplicaConfig {
@@ -109,18 +107,8 @@ func (c ReplicaConfig) withDefaults() ReplicaConfig {
 	return c
 }
 
-// ClusterStats are cumulative replicated-cluster statistics.
-type ClusterStats struct {
-	Writes         int64 // acknowledged write operations
-	ReplicaWrites  int64 // per-replica commits those writes fanned into
-	Reads          int64
-	Failovers      int64 // reads redirected past a dead/erroring replica
-	ReadRepairs    int64 // async re-puts priming a replica that failed a read
-	DegradedSheds  int64 // reads shed by an exhausted tenant failover budget
-	DegradedWrites int64 // writes committed on fewer than R live replicas
-	Unavailable    int64 // operations with no live replica
-}
-
+// clusterObs are the cluster's registry instruments: the one count of each
+// failover, read repair, degraded shed and replica write.
 type clusterObs struct {
 	failovers, repairs, shed, repWrites *metrics.Counter
 	// rebalance counters/gauge (kvcluster/rebalance/*)
@@ -146,7 +134,6 @@ type Cluster struct {
 	mig     *Migration    // active (or failed-and-pinned) migration
 	epoch   int           // bumped when a migration starts
 	wild    map[int]int   // admission epoch -> in-flight writes outside any migrating range
-	stats   ClusterStats
 	obs     clusterObs
 }
 
@@ -348,15 +335,12 @@ func (c *Cluster) apply(p *sim.Proc, op kvwal.Op) error {
 		} else {
 			c.wildDone(epoch)
 		}
-		c.stats.Unavailable++
-		c.stats.DegradedWrites++
 		c.obs.shed.Inc()
 		return ErrUnavailable
 	}
 	if len(batches) < c.cfg.Replicas {
 		// Fewer than R live replicas could take the write: committed
 		// degraded rather than refused, and counted.
-		c.stats.DegradedWrites++
 		c.obs.shed.Inc()
 	}
 	for _, b := range batches {
@@ -382,8 +366,6 @@ func (c *Cluster) apply(p *sim.Proc, op kvwal.Op) error {
 			}
 		}
 	}
-	c.stats.Writes++
-	c.stats.ReplicaWrites += int64(len(batches))
 	c.obs.repWrites.Add(int64(len(batches)))
 	return nil
 }
@@ -415,7 +397,6 @@ func (c *Cluster) ownersForRead(key string) (owners []int, primary int) {
 // sequence for the key and whether the key is live. The tenant's failover
 // budget throttles how often its reads may be retried on replicas.
 func (c *Cluster) Get(p *sim.Proc, key string, rc ReqCtx) (uint64, bool, error) {
-	c.stats.Reads++
 	owners, primary := c.ownersForRead(key)
 	var errShards []int
 	var lastErr error
@@ -445,8 +426,6 @@ func (c *Cluster) Get(p *sim.Proc, key string, rc ReqCtx) (uint64, bool, error) 
 	}
 	// No live replica could serve the key (mass failure, or every owner
 	// errored): shed it as degraded rather than panicking or misrouting.
-	c.stats.Unavailable++
-	c.stats.DegradedSheds++
 	c.obs.shed.Inc()
 	return 0, false, lastErrOr(lastErr)
 }
@@ -462,12 +441,10 @@ func lastErrOr(err error) error {
 // reporting false — shed the read — once it is exhausted.
 func (c *Cluster) chargeFailover(tenant int) bool {
 	if c.cfg.TenantFailovers > 0 && c.budgets[tenant] >= c.cfg.TenantFailovers {
-		c.stats.DegradedSheds++
 		c.obs.shed.Inc()
 		return false
 	}
 	c.budgets[tenant]++
-	c.stats.Failovers++
 	c.obs.failovers.Inc()
 	return true
 }
@@ -483,7 +460,6 @@ func (c *Cluster) readRepair(p *sim.Proc, key string, shards []int) {
 			continue
 		}
 		n.store.ApplyAsync(p, []kvwal.Op{{Kind: kvwal.Put, Key: key}})
-		c.stats.ReadRepairs++
 		c.obs.repairs.Inc()
 	}
 }

@@ -141,7 +141,6 @@ func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 	defer k.Close()
 	acked := map[string]uint64{}
 	var lost, readErrs int
-	var stats ClusterStats
 	k.Spawn("client", func(p *sim.Proc) {
 		cl, err := OpenCluster(p, cfg)
 		if err != nil {
@@ -167,30 +166,26 @@ func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 				t.Errorf("acked key %s lost: ok=%v err=%v", key, ok, err)
 			}
 		}
-		stats = cl.stats
 	})
 	k.Run()
 
 	if lost != 0 {
 		t.Fatalf("%d acknowledged keys lost", lost)
 	}
-	if stats.Writes == 0 || stats.ReplicaWrites != 2*stats.Writes {
-		t.Errorf("write-both accounting: %+v", stats)
+	if got, want := reg.Counter("kvcluster/replica.writes").Value(), 2*int64(len(acked)); len(acked) == 0 || got != want {
+		t.Errorf("write-both accounting: %d replica writes for %d acked puts, want %d", got, len(acked), want)
 	}
-	if stats.Failovers == 0 {
-		t.Errorf("expected read failovers on the faulty primary: %+v", stats)
+	if reg.Counter("kvcluster/failovers").Value() == 0 {
+		t.Error("expected read failovers on the faulty primary")
 	}
-	if stats.ReadRepairs == 0 {
-		t.Errorf("expected read repairs after failover: %+v", stats)
+	if reg.Counter("kvcluster/read.repairs").Value() == 0 {
+		t.Error("expected read repairs after failover")
 	}
 	if got := reg.Counter("block/retries").Value(); got == 0 {
 		t.Errorf("block-layer retries not visible in metrics")
 	}
 	if got := reg.Counter("block/io.errors").Value(); got == 0 {
 		t.Errorf("hard IO errors not visible in metrics")
-	}
-	if got := reg.Counter("kvcluster/failovers").Value(); got != stats.Failovers {
-		t.Errorf("failover counter %d != stats %d", got, stats.Failovers)
 	}
 
 	// Unreplicated baseline, same fault plan: hard read errors reach the
@@ -229,10 +224,12 @@ func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 // had a live replica remain readable. Run under -race in CI: many client
 // procs mutate through the cluster while the killer marks a shard down.
 func TestClusterConcurrentOpsDuringFailover(t *testing.T) {
+	reg := metrics.NewRegistry()
 	cfg := ReplicaConfig{
 		Shards:   3,
 		Replicas: 2,
 		Store:    smallStore(),
+		Metrics:  reg,
 	}
 	k := sim.NewKernel()
 	defer k.Close()
@@ -293,7 +290,7 @@ func TestClusterConcurrentOpsDuringFailover(t *testing.T) {
 	if !k3 {
 		t.Fatal("audit proc never ran")
 	}
-	if cl.stats.Failovers == 0 {
+	if reg.Counter("kvcluster/failovers").Value() == 0 {
 		t.Error("no failovers recorded despite shard death")
 	}
 }
@@ -313,10 +310,10 @@ func TestTenantFailoverBudgetSheds(t *testing.T) {
 		Store:           smallStore(),
 		Retry:           &pol,
 		TenantFailovers: 4,
+		Metrics:         metrics.NewRegistry(),
 	}
 	k := sim.NewKernel()
 	defer k.Close()
-	var stats ClusterStats
 	k.Spawn("client", func(p *sim.Proc) {
 		cl, err := OpenCluster(p, cfg)
 		if err != nil {
@@ -331,17 +328,17 @@ func TestTenantFailoverBudgetSheds(t *testing.T) {
 		for i := 0; i < n; i++ {
 			cl.Get(p, fmt.Sprintf("k%05d", i), ReqCtx{})
 		}
-		stats = cl.stats
 	})
 	k.Run()
-	if stats.Failovers == 0 {
-		t.Fatalf("expected failovers before the budget bit: %+v", stats)
+	failovers := cfg.Metrics.Counter("kvcluster/failovers").Value()
+	if failovers == 0 {
+		t.Fatal("expected failovers before the budget bit")
 	}
-	if stats.Failovers > cfg.TenantFailovers {
-		t.Errorf("budget not enforced: %d failovers > budget %d", stats.Failovers, cfg.TenantFailovers)
+	if failovers > cfg.TenantFailovers {
+		t.Errorf("budget not enforced: %d failovers > budget %d", failovers, cfg.TenantFailovers)
 	}
-	if stats.DegradedSheds == 0 {
-		t.Errorf("expected degraded sheds once the budget ran out: %+v", stats)
+	if cfg.Metrics.Counter("kvcluster/degraded.shed").Value() == 0 {
+		t.Error("expected degraded sheds once the budget ran out")
 	}
 }
 

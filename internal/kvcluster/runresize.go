@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/metrics"
+	"repro/internal/reqtrace"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -112,7 +113,10 @@ func newClusterRun(rc ReplicaConfig, tr Traffic, label string) *clusterRun {
 	}
 	cr.run = &runner{
 		reqs: tr.Generate(), tr: tr, idx: -1, instruments: "kvcluster/cluster/",
-		cap: rc.InflightCap, slo: rc.SLO, smp: rc.Trace,
+		cap: rc.InflightCap, slo: rc.SLO,
+	}
+	if rc.Trace != nil {
+		cr.run.smp = reqtrace.NewSampler(*rc.Trace)
 	}
 	return cr
 }

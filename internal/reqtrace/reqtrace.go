@@ -13,11 +13,7 @@
 // use-after-recycle.
 package reqtrace
 
-import (
-	"sync"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Stage is one virtual-time boundary a request crosses on its way through
 // the stack. Stamps are first-wins (the earliest crossing is the
@@ -214,15 +210,12 @@ func (c Config) withDefaults() Config {
 // Sampler owns a pool of trace records and decides, at ack time, which
 // finished requests to keep as exemplars: always the K slowest per
 // virtual-time window (tail-biased) plus an optional 1-in-N uniform
-// stream. Admit/Finish must be called from the owning simulation kernel's
-// goroutine; Snapshot and Dropped are safe to call concurrently from other
-// goroutines (live observers, -race tests).
+// stream. Only its kernel's procs touch it (Take and Dropped also run once
+// the kernel has stopped), so it needs no lock.
 type Sampler struct {
-	cfg  Config
-	free []*Rec
-	n    uint64 // finished requests seen
-
-	mu     sync.Mutex
+	cfg    Config
+	free   []*Rec
+	n      uint64     // finished requests seen
 	window []Exemplar // current window's slowest-first candidates (≤ TopK)
 	winEnd sim.Time
 	kept   []Exemplar
@@ -271,17 +264,14 @@ func (s *Sampler) Finish(c Ctx, at sim.Time) {
 	s.free = append(s.free, r)
 	s.n++
 
-	uniform := s.cfg.Uniform > 0 && s.n%uint64(s.cfg.Uniform) == 0
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if uniform {
+	if s.cfg.Uniform > 0 && s.n%uint64(s.cfg.Uniform) == 0 {
 		// A uniform keep is already reported; keeping it as a tail
 		// candidate too would double-count it in the analyzer.
-		s.keepLocked(ex)
+		s.keep(ex)
 		return
 	}
 	if at >= s.winEnd {
-		s.flushWindowLocked()
+		s.flushWindow()
 		s.winEnd = at + sim.Time(s.cfg.Window)
 	}
 	// Insert into the window's slowest-first candidate list.
@@ -299,7 +289,7 @@ func (s *Sampler) Finish(c Ctx, at sim.Time) {
 	}
 }
 
-func (s *Sampler) keepLocked(ex Exemplar) {
+func (s *Sampler) keep(ex Exemplar) {
 	if len(s.kept) >= s.cfg.Max {
 		s.lost++
 		return
@@ -307,10 +297,10 @@ func (s *Sampler) keepLocked(ex Exemplar) {
 	s.kept = append(s.kept, ex)
 }
 
-func (s *Sampler) flushWindowLocked() {
+func (s *Sampler) flushWindow() {
 	for _, ex := range s.window {
 		ex.Tail = true
-		s.keepLocked(ex)
+		s.keep(ex)
 	}
 	s.window = s.window[:0]
 }
@@ -320,24 +310,9 @@ func (s *Sampler) Take() []Exemplar {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushWindowLocked()
+	s.flushWindow()
 	out := s.kept
 	s.kept = nil
-	return out
-}
-
-// Snapshot copies the exemplars kept so far. Safe to call concurrently
-// with a running simulation (Finish publishes under the same lock).
-func (s *Sampler) Snapshot() []Exemplar {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Exemplar, len(s.kept))
-	copy(out, s.kept)
 	return out
 }
 
@@ -346,7 +321,5 @@ func (s *Sampler) Dropped() int {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.lost
 }

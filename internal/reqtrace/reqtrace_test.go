@@ -20,7 +20,7 @@ func TestZeroCtxIsNoOp(t *testing.T) {
 		t.Fatal("nil sampler Admit returned active ctx")
 	}
 	s.Finish(Ctx{}, us(2))
-	if s.Take() != nil || s.Snapshot() != nil || s.Dropped() != 0 {
+	if s.Take() != nil || s.Dropped() != 0 {
 		t.Fatal("nil sampler leaked state")
 	}
 }
@@ -225,7 +225,7 @@ func TestSamplerMaxCap(t *testing.T) {
 		c := s.Admit(us(int64(i)))
 		s.Finish(c, us(int64(i)+1))
 	}
-	if got := len(s.Snapshot()); got != 5 {
+	if got := len(s.Take()); got != 5 {
 		t.Fatalf("kept %d exemplars, want capped 5", got)
 	}
 	if s.Dropped() == 0 {
