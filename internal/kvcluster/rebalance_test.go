@@ -367,6 +367,57 @@ func TestResizeRetargetsWhenDestinationDies(t *testing.T) {
 	}
 }
 
+// A read of a migrating range whose first old owner is dead fails over once:
+// the dead owner is skipped, and serving from the live old owner is the one
+// failover charged to the tenant. With a budget of one the read is served.
+func TestDeadOldOwnerChargesOneFailover(t *testing.T) {
+	reg := metrics.NewRegistry()
+	cfg := ReplicaConfig{
+		Shards: 3, Replicas: 2, Store: smallStore(), TenantFailovers: 1, Metrics: reg,
+		Migrate: MigrateConfig{ChunkKeys: 1, ChunkEvery: sim.Second},
+	}
+	k := sim.NewKernel()
+	defer k.Close()
+	done := false
+	k.Spawn("client", func(p *sim.Proc) {
+		defer k.Stop()
+		cl, err := OpenCluster(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for i := 0; i < 256; i++ {
+			key := fmt.Sprintf("f%05d", i)
+			if err := cl.Put(p, key); err != nil {
+				t.Fatalf("put %s: %v", key, err)
+			}
+			keys = append(keys, key)
+		}
+		mig, err := cl.Resize(p, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(keys, func(key string) bool { return mig.rangeOf(key) != nil })
+		if i < 0 {
+			t.Fatal("no key inside a migrating range")
+		}
+		rm := mig.rangeOf(keys[i])
+		cl.KillShard(rm.mv.Old[0])
+		if _, ok, err := cl.Get(p, keys[i], ReqCtx{}); err != nil || !ok {
+			t.Errorf("get %s past dead old owner %d (range %v -> %v): ok=%v err=%v",
+				keys[i], rm.mv.Old[0], rm.mv.Old, rm.mv.New, ok, err)
+		}
+		if got := reg.Counter("kvcluster/failovers").Value(); got != 1 {
+			t.Errorf("%d failovers charged, want 1", got)
+		}
+		done = true
+	})
+	k.Run()
+	if !done {
+		t.Fatal("client proc never finished")
+	}
+}
+
 // The all-replicas-dead path: capped replication sheds and counts instead
 // of panicking or misrouting.
 func TestAllReplicasDeadShedsDegraded(t *testing.T) {

@@ -400,18 +400,15 @@ func (c *Cluster) Get(p *sim.Proc, key string, rc ReqCtx) (uint64, bool, error) 
 	owners, primary := c.ownersForRead(key)
 	var errShards []int
 	var lastErr error
-	for tried, s := range owners {
+	for _, s := range owners {
 		n := c.nodes[s]
-		if tried > 0 || n.down || s != primary {
-			// Moving past the first choice — or serving a key away from its
-			// natural primary (dead, or promoted around) — is a failover;
-			// charge the tenant's budget.
-			if !c.chargeFailover(rc.Tenant) {
-				return 0, false, lastErrOr(lastErr)
-			}
-		}
 		if n.down {
 			continue
+		}
+		// Serving a key away from its natural primary (dead, erroring, or
+		// promoted around) is one failover; charge the tenant's budget.
+		if s != primary && !c.chargeFailover(rc.Tenant) {
+			return 0, false, lastErrOr(lastErr)
 		}
 		seq, ok, err := n.store.GetE(p, key)
 		if err != nil {
