@@ -235,16 +235,6 @@ func (c *Cluster) Stack(i int) *core.Stack { return c.nodes[i].stack }
 // remaining replica set.
 func (c *Cluster) KillShard(i int) { c.nodes[i].down = true }
 
-// ReqCtx is the by-value context word every request carries: the tenant it
-// is accounted to (failover budgets, per-tenant SLO rows) and its
-// request-trace context. Trace only carries the admission context across
-// the dispatch queue: the worker sets it on its proc around serve, and every
-// call below reads reqtrace.Of(p). The zero value is tenant 0, untraced.
-type ReqCtx struct {
-	Tenant int
-	Trace  reqtrace.Ctx
-}
-
 // Put writes key to every live replica and returns once all of their
 // group commits acknowledged (write-both), traced under reqtrace.Of(p).
 func (c *Cluster) Put(p *sim.Proc, key string) error {
@@ -261,7 +251,7 @@ func (c *Cluster) Delete(p *sim.Proc, key string) error {
 func (c *Cluster) serve(p *sim.Proc, r Request) error {
 	switch r.Class {
 	case workload.ClassGet:
-		_, _, err := c.Get(p, r.Key, r.ReqCtx)
+		_, _, err := c.Get(p, r.Key, r.Tenant)
 		return err
 	case workload.ClassDelete:
 		return c.Delete(p, r.Key)
@@ -396,7 +386,7 @@ func (c *Cluster) ownersForRead(key string) (owners []int, primary int) {
 // dead shard or a hard media error. It reports the newest committed
 // sequence for the key and whether the key is live. The tenant's failover
 // budget throttles how often its reads may be retried on replicas.
-func (c *Cluster) Get(p *sim.Proc, key string, rc ReqCtx) (uint64, bool, error) {
+func (c *Cluster) Get(p *sim.Proc, key string, tenant int) (uint64, bool, error) {
 	owners, primary := c.ownersForRead(key)
 	var errShards []int
 	var lastErr error
@@ -407,7 +397,7 @@ func (c *Cluster) Get(p *sim.Proc, key string, rc ReqCtx) (uint64, bool, error) 
 		}
 		// Serving a key away from its natural primary (dead, erroring, or
 		// promoted around) is one failover; charge the tenant's budget.
-		if s != primary && !c.chargeFailover(rc.Tenant) {
+		if s != primary && !c.chargeFailover(tenant) {
 			return 0, false, lastErrOr(lastErr)
 		}
 		seq, ok, err := n.store.GetE(p, key)

@@ -160,7 +160,7 @@ func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 		// Let flushes push keys into segment files on all shards.
 		p.Sleep(5 * sim.Millisecond)
 		for key := range acked {
-			_, ok, err := cl.Get(p, key, ReqCtx{})
+			_, ok, err := cl.Get(p, key, 0)
 			if err != nil || !ok {
 				lost++
 				t.Errorf("acked key %s lost: ok=%v err=%v", key, ok, err)
@@ -208,7 +208,7 @@ func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 		}
 		p.Sleep(5 * sim.Millisecond)
 		for i := 0; i < n; i++ {
-			if _, _, err := cl.Get(p, fmt.Sprintf("k%05d", i), ReqCtx{}); err != nil {
+			if _, _, err := cl.Get(p, fmt.Sprintf("k%05d", i), 0); err != nil {
 				readErrs++
 			}
 		}
@@ -258,7 +258,7 @@ func TestClusterConcurrentOpsDuringFailover(t *testing.T) {
 					continue // no live replica pair — not acked, no promise
 				}
 				acked[w] = append(acked[w], key)
-				if _, _, err := cl.Get(p, key, ReqCtx{}); err != nil {
+				if _, _, err := cl.Get(p, key, 0); err != nil {
 					t.Errorf("read-your-write %s: %v", key, err)
 				}
 			}
@@ -279,7 +279,7 @@ func TestClusterConcurrentOpsDuringFailover(t *testing.T) {
 	k.Spawn("audit", func(p *sim.Proc) {
 		for w := range acked {
 			for _, key := range acked[w] {
-				if _, ok, err := cl.Get(p, key, ReqCtx{}); err != nil || !ok {
+				if _, ok, err := cl.Get(p, key, 0); err != nil || !ok {
 					t.Errorf("acked key %s unreadable after shard death: ok=%v err=%v", key, ok, err)
 				}
 			}
@@ -326,7 +326,7 @@ func TestTenantFailoverBudgetSheds(t *testing.T) {
 		}
 		p.Sleep(5 * sim.Millisecond)
 		for i := 0; i < n; i++ {
-			cl.Get(p, fmt.Sprintf("k%05d", i), ReqCtx{})
+			cl.Get(p, fmt.Sprintf("k%05d", i), 0)
 		}
 	})
 	k.Run()

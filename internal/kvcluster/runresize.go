@@ -195,7 +195,7 @@ func RunResize(rc ReplicaConfig, tr Traffic, spec ResizeSpec) ResizeResult {
 		}
 		sort.Strings(keys)
 		for _, key := range keys {
-			if _, ok, err := cr.cl.Get(p, key, ReqCtx{}); err != nil || !ok {
+			if _, ok, err := cr.cl.Get(p, key, 0); err != nil || !ok {
 				lost++
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/reqtrace"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -49,14 +50,17 @@ func (t Traffic) withDefaults() Traffic {
 	return t
 }
 
-// Request is one generated client request. Its ReqCtx carries the tenant;
-// Trace is zero in the generated stream and filled by the dispatcher at
-// admission when the run samples request traces.
+// Request is one generated client request, accounted to Tenant (failover
+// budgets, per-tenant SLO rows). Trace is zero in the generated stream; the
+// dispatcher fills it at admission when the run samples request traces, and
+// it only carries that context across the dispatch queue: the worker sets it
+// on its proc around serve.
 type Request struct {
-	At    sim.Time
-	Class workload.OpClass
-	Key   string
-	ReqCtx
+	At     sim.Time
+	Class  workload.OpClass
+	Key    string
+	Tenant int
+	Trace  reqtrace.Ctx
 }
 
 // measured reports whether the request arrives inside the measuring window.
@@ -77,12 +81,7 @@ func (t Traffic) Generate() []Request {
 		if names[k] == "" {
 			names[k] = fmt.Sprintf("u%07d", k)
 		}
-		reqs[i] = Request{
-			At:     at,
-			Class:  class,
-			Key:    names[k],
-			ReqCtx: ReqCtx{Tenant: rng.Intn(t.Tenants)},
-		}
+		reqs[i] = Request{At: at, Class: class, Key: names[k], Tenant: rng.Intn(t.Tenants)}
 	}
 	return reqs
 }
