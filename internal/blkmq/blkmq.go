@@ -69,10 +69,10 @@ type Config struct {
 	// process-wide live registry, and a nil resolution disables the layer's
 	// instruments.
 	Metrics *metrics.Registry
-	// Retry, when non-nil, arms bounded per-class command retry with
-	// backoff (see block.RetryPolicy). Nil — the default — propagates
-	// device errors to Request.Err on first completion.
-	Retry *block.RetryPolicy
+	// Retry arms bounded per-class command retry with backoff (see
+	// block.LayerConfig). Off — the default — propagates device errors to
+	// Request.Err on first completion.
+	Retry bool
 }
 
 // Stats are cumulative layer statistics.

@@ -46,7 +46,6 @@ type goldenShape struct {
 }
 
 func goldenShapes() []goldenShape {
-	pol := block.DefaultRetryPolicy()
 	unc := func(c *device.Config) {
 		c.Fault = &fault.Plan{Seed: 7, ReadUNCProb: 0.5,
 			ReadRetryLadder: []sim.Duration{20 * sim.Microsecond}, ReadRetryProb: 0.5}
@@ -70,9 +69,9 @@ func goldenShapes() []goldenShape {
 		{name: "mq/barrier-cmd", streams: 4,
 			mq: &Config{HWQueues: 2, DispatchOverhead: tD, BarrierAsCommand: true}},
 		{name: "single/retry", streams: 2, reads: true, dev: unc,
-			layer: block.LayerConfig{DispatchOverhead: tD, Retry: &pol}},
+			layer: block.LayerConfig{DispatchOverhead: tD, Retry: true}},
 		{name: "mq/retry", streams: 2, reads: true, dev: unc,
-			mq: &Config{HWQueues: 2, DispatchOverhead: tD, Retry: &pol}},
+			mq: &Config{HWQueues: 2, DispatchOverhead: tD, Retry: true}},
 		{name: "single/no-overhead", streams: 2, noReg: true, layer: block.LayerConfig{}},
 		{name: "mq/no-overhead", streams: 2, noReg: true, mq: &Config{HWQueues: 1}},
 	}

@@ -22,10 +22,10 @@ type LayerConfig struct {
 	BarrierAsCommand bool
 	// Trace records the dispatch order for verification.
 	Trace bool
-	// Retry, when non-nil, arms bounded per-class command retry with
-	// backoff (see RetryPolicy). Nil — the default — propagates device
-	// errors to Request.Err on first completion.
-	Retry *RetryPolicy
+	// Retry arms bounded per-class command retry with backoff (see
+	// retry.go). Off — the default — propagates device errors to
+	// Request.Err on first completion.
+	Retry bool
 	// Metrics resolves the registry for the retry counters; nil falls back
 	// to the process-wide live registry.
 	Metrics *metrics.Registry
@@ -169,8 +169,8 @@ func newLayer(k *sim.Kernel, dev *device.Device, cfg LayerConfig, hwQueues int) 
 	}
 	l := &Layer{k: k, dev: dev, cfg: cfg}
 	l.cmds = &cmdPool{onDone: func(sim.Time, *Request) { l.stats.Completed++ }}
-	if cfg.Retry != nil {
-		l.cmds.enableRetry(k, dev, *cfg.Retry, metrics.Resolve(cfg.Metrics))
+	if cfg.Retry {
+		l.cmds.enableRetry(k, dev, metrics.Resolve(cfg.Metrics))
 	}
 	for i := 0; i < hwQueues; i++ {
 		l.hw = append(l.hw, &hwQueue{id: i, kick: sim.NewCond(k)})

@@ -75,7 +75,7 @@ func (c *cmdCtx) done(at sim.Time, cc *device.Command) {
 	c.cmd.Data = nil
 	pl.free = append(pl.free, c)
 	if cc.Err != nil {
-		if rt := pl.retry; rt != nil && r.attempts < rt.pol.budget(r.Op) {
+		if rt := pl.retry; rt != nil && r.attempts < budget(r.Op) {
 			// Within budget: re-drive the command after backoff instead of
 			// completing the request. The ctx is already recycled; the
 			// retry daemon builds a fresh command at submission time.

@@ -97,7 +97,7 @@ type Request struct {
 
 	issued    sim.Time
 	completed bool
-	attempts  int    // re-submissions consumed (bounded by RetryPolicy)
+	attempts  int    // re-submissions consumed (bounded by the retry budget)
 	epoch     uint64 // set by the epoch scheduler
 	waiters   []*sim.Proc
 	k         *sim.Kernel

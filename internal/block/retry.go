@@ -15,52 +15,33 @@ import (
 // *hard* failures, with the retry traffic visible as metrics counters
 // ("block/retries", "block/io.errors").
 //
-// With no RetryPolicy configured (the default everywhere), the machinery is
-// entirely absent: no daemon is spawned, no counters registered, and a
-// command error propagates to Request.Err on first completion.
+// With retry off (the default everywhere), the machinery is entirely
+// absent: no daemon is spawned, no counters registered, and a command error
+// propagates to Request.Err on first completion.
 
-// RetryPolicy bounds re-submission per request class. The zero value of a
-// field selects its default; a nil *RetryPolicy in a layer config disables
-// retry entirely.
-type RetryPolicy struct {
-	// ReadBudget / WriteBudget are the maximum re-submissions per request
-	// of that class before the error propagates to the caller. Reads are
-	// where retries pay off (read-retry voltage ladders make a repeat
-	// attempt genuinely independent); writes never carry media errors in
-	// this model (transient program failures retry inside the chip), so
-	// the write budget exists for symmetry and future fault classes.
-	ReadBudget  int
-	WriteBudget int
-	// Backoff is the delay before the first re-submission; each further
-	// attempt doubles it.
-	Backoff sim.Duration
-}
+// The retry policy mirrors a conservative host stack. Reads are where
+// retries pay off (read-retry voltage ladders make a repeat attempt
+// genuinely independent); writes never carry media errors in this model
+// (transient program failures retry inside the chip), so the write budget
+// exists for symmetry and future fault classes.
+const (
+	readBudget   = 3                     // re-submissions of a read before its error propagates
+	writeBudget  = 1                     // re-submissions of a write
+	retryBackoff = 100 * sim.Microsecond // delay before the first re-submission; doubles per attempt
+)
 
-// DefaultRetryPolicy mirrors a conservative host stack: three read
-// retries, one write retry, 100µs initial backoff doubling per attempt.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		ReadBudget:  3,
-		WriteBudget: 1,
-		Backoff:     100 * sim.Microsecond,
-	}
-}
-
-func (p RetryPolicy) budget(op Op) int {
+func budget(op Op) int {
 	switch op {
 	case OpRead:
-		return p.ReadBudget
+		return readBudget
 	case OpWrite:
-		return p.WriteBudget
+		return writeBudget
 	}
 	return 0
 }
 
-func (p RetryPolicy) backoff(attempt int) sim.Duration {
-	d := p.Backoff
-	if d <= 0 {
-		d = 100 * sim.Microsecond
-	}
+func backoff(attempt int) sim.Duration {
+	d := retryBackoff
 	for i := 1; i < attempt; i++ {
 		d *= 2
 	}
@@ -78,7 +59,6 @@ type retryItem struct {
 type retrier struct {
 	k    *sim.Kernel
 	dev  *device.Device
-	pol  RetryPolicy
 	pool *cmdPool
 
 	// FIFO of requests awaiting re-submission. Exponential backoff can put
@@ -95,9 +75,9 @@ type retrier struct {
 
 // enableRetry arms the pool's bounded retry engine against dev. reg may be
 // nil (counters become no-ops). Call once, before traffic.
-func (pl *cmdPool) enableRetry(k *sim.Kernel, dev *device.Device, pol RetryPolicy, reg *metrics.Registry) {
+func (pl *cmdPool) enableRetry(k *sim.Kernel, dev *device.Device, reg *metrics.Registry) {
 	pl.retry = &retrier{
-		k: k, dev: dev, pol: pol, pool: pl,
+		k: k, dev: dev, pool: pl,
 		cond:    sim.NewCond(k),
 		retries: reg.Counter("block/retries"),
 		errors:  reg.Counter("block/io.errors"),
@@ -107,7 +87,7 @@ func (pl *cmdPool) enableRetry(k *sim.Kernel, dev *device.Device, pol RetryPolic
 // enqueue schedules one re-submission of r (interrupt context: no blocking).
 func (rt *retrier) enqueue(r *Request) {
 	rt.retries.Inc()
-	rt.q.Push(retryItem{r: r, due: rt.k.Now().Add(rt.pol.backoff(r.attempts))})
+	rt.q.Push(retryItem{r: r, due: rt.k.Now().Add(backoff(r.attempts))})
 	if !rt.running {
 		rt.running = true
 		rt.k.Spawn("block/retry", rt.daemon)

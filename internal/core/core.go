@@ -57,9 +57,9 @@ type Profile struct {
 	// the kernel's dispatch stats to it.
 	Metrics *metrics.Registry
 	// Retry arms the block layer's bounded command retry (media-fault
-	// tolerance); nil — the default — propagates device errors to the
+	// tolerance); off — the default — propagates device errors to the
 	// filesystem on first completion.
-	Retry *block.RetryPolicy
+	Retry bool
 }
 
 // EXT4DR is plain EXT4 with full durability (transfer-and-flush).
@@ -129,7 +129,6 @@ func OptFS(dev device.Config) Profile {
 func tune(p Profile) Profile {
 	if p.Device.Mobile {
 		p.FS.SyscallCPU = 6 * sim.Microsecond
-		p.FS.WakeLatency = 60 * sim.Microsecond
 		p.FS.Journal.WakeLatency = 60 * sim.Microsecond
 		p.DispatchOverhead = 6 * sim.Microsecond
 	}

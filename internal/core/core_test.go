@@ -41,7 +41,7 @@ func TestProfileConstructors(t *testing.T) {
 func TestMobileTuning(t *testing.T) {
 	ufs := BFSDR(device.UFS())
 	ssd := BFSDR(device.PlainSSD())
-	if ufs.FS.WakeLatency <= ssd.FS.WakeLatency {
+	if ufs.FS.Journal.WakeLatency <= ssd.FS.Journal.WakeLatency {
 		t.Error("mobile profile should charge higher wake latency")
 	}
 	if ufs.DispatchOverhead <= ssd.DispatchOverhead {

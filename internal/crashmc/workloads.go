@@ -107,10 +107,9 @@ func Ordering(writes int) Part {
 // plpFailureDevice installs the PLP-failure fault plan on a supercap
 // device: at power loss the cache drains only a transfer-order prefix, so
 // CaptureConstraints hands the model checker a partial-drain chain (every
-// prefix admissible) instead of PLP's single fully-drained state. The
-// concrete drain fraction is left at zero on purpose — a nonzero drain
-// would fold one arbitrary prefix into the recovered base and silently
-// shrink the state space the checker audits.
+// prefix admissible) instead of PLP's single fully-drained state. A
+// concrete Crash drains nothing, so the recovered base is the empty prefix
+// and the checker audits every drain.
 func plpFailureDevice(dev device.Config, seed uint64) device.Config {
 	dev.Fault = &fault.Plan{Seed: seed, PLPFailure: true}
 	return dev

@@ -54,12 +54,6 @@ type Config struct {
 	// which is what keeps their flush latency low.
 	EagerWriteback bool
 
-	// BarrierCmdCost is the extra controller work per barrier-flagged write
-	// (epoch bookkeeping in the FTL); together with BarrierPenalty it makes
-	// barrier-mode IO slightly costlier than plain buffered IO, the 1-25%
-	// deficiency of §6.2.
-	BarrierCmdCost sim.Duration
-
 	// WritebackLowWater is the cache fill, as a fraction of CachePages, the
 	// background writeback daemon drains down to (see writebackHighWater).
 	WritebackLowWater float64
@@ -109,14 +103,17 @@ func defaults(c Config) Config {
 	if c.FTL.GCLowWater == 0 {
 		c.FTL = ftl.DefaultConfig()
 	}
-	if c.BarrierSupport && c.BarrierCmdCost == 0 {
-		c.BarrierCmdCost = 2 * sim.Microsecond
-	}
 	if c.BarrierSupport {
 		c.EagerWriteback = true
 	}
 	return c
 }
+
+// barrierCmdCost is the extra controller work per barrier-flagged write on a
+// device with BarrierSupport (epoch bookkeeping in the FTL); together with
+// BarrierPenalty it makes barrier-mode IO slightly costlier than plain
+// buffered IO, the 1-25% deficiency of §6.2.
+const barrierCmdCost = 2 * sim.Microsecond
 
 // plpFlushLatency is the flush-command round trip on a power-loss-protected
 // device (the paper's tε: small but not negligible).
@@ -240,7 +237,6 @@ func LegacySSD() Config {
 	c.Name = "legacy-SSD"
 	c.BarrierSupport = false
 	c.BarrierPenalty = 0
-	c.BarrierCmdCost = 0
 	// Legacy controllers batch writeback and choose victims freely — the
 	// cache-scrambling behaviour that makes flush mandatory.
 	c.EagerWriteback = false

@@ -327,8 +327,8 @@ func (d *Device) doWrite(p *sim.Proc, c *Command) {
 	if d.dead {
 		return
 	}
-	if c.Barrier && d.cfg.BarrierCmdCost > 0 {
-		p.Advance(d.cfg.BarrierCmdCost)
+	if c.Barrier && d.cfg.BarrierSupport {
+		p.Advance(barrierCmdCost)
 	}
 	// DMA the page from host memory into the cache.
 	d.dmaBus.Lock(p)
@@ -475,18 +475,14 @@ func (d *Device) Crash() {
 		return
 	}
 	d.dead = true
-	if d.cfg.PLP {
-		// The supercap drains the cache to flash; equivalently, the cache
-		// image survives and is replayed at next power-on.
+	// The supercap drains the cache to flash; equivalently, the cache image
+	// survives and is replayed at next power-on. A dying supercap
+	// (fault.Plan.PLPFailure) drains nothing here: the cache is lost exactly
+	// as on an unprotected device, and CaptureConstraints hands the model
+	// checker every transfer-order prefix it might have drained.
+	if d.cfg.PLP && !d.inj.PLPFailure() {
 		for e := d.cacheHead; e != nil; e = e.next {
 			d.plpSnapshot = append(d.plpSnapshot, plpPage{e.lpa, e.data})
-		}
-		if d.inj.PLPFailure() {
-			// PLP-failure model: the supercap dies mid-drain, persisting
-			// only a seeded prefix of the pending entries in transfer
-			// order. Everything beyond the prefix is lost exactly as on an
-			// unprotected device.
-			d.plpSnapshot = d.plpSnapshot[:d.inj.PLPDrain(len(d.plpSnapshot))]
 		}
 	}
 	d.occupancy = 0

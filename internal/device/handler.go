@@ -164,8 +164,8 @@ func (d *Device) workerStep(h *sim.Proc, w *workerSM) {
 				continue
 			}
 			w.phase = wWriteDMA
-			if w.c.Barrier && d.cfg.BarrierCmdCost > 0 {
-				h.WakeIn(d.cfg.BarrierCmdCost)
+			if w.c.Barrier && d.cfg.BarrierSupport {
+				h.WakeIn(barrierCmdCost)
 				return
 			}
 		case wWriteDMA:

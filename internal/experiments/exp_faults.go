@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fault"
@@ -105,7 +104,6 @@ func Faults(scale Scale) FaultsResult {
 		prof := profiles[i/len(mixes)]
 		mix := mixes[i%len(mixes)]
 		reg := metrics.NewRegistry()
-		pol := block.DefaultRetryPolicy()
 		store := kvwal.DefaultConfig()
 		store.MemtableCap = 16
 		// Segment reads must face the medium, not the page cache, or the
@@ -114,7 +112,11 @@ func Faults(scale Scale) FaultsResult {
 		rc := kvcluster.ReplicaConfig{
 			Shards:   3,
 			Replicas: 2,
-			Profile:  prof,
+			Profile: func(d device.Config) core.Profile {
+				p := prof(d)
+				p.Retry = true
+				return p
+			},
 			Device: func(sh int) device.Config {
 				d := device.NVMeSSD()
 				if sh == 0 && mix.sick != nil {
@@ -125,7 +127,6 @@ func Faults(scale Scale) FaultsResult {
 				return d
 			},
 			Store:   store,
-			Retry:   &pol,
 			SLO:     slo,
 			Metrics: reg,
 			NewKernel: func(label string) *sim.Kernel {

@@ -2,8 +2,8 @@
 // device stack. A Plan declares which failure modes a device personality
 // exhibits — media read errors (UNC sectors with a read-retry latency
 // ladder), transient program failures, GC-interference latency spikes,
-// and a PLP-failure model where the writeback cache drains only a prefix
-// at power loss. The device/nand/ftl layers consume the plan through an
+// and a PLP-failure model where the writeback cache may drain only a
+// prefix at power loss. The device/nand/ftl layers consume the plan through an
 // Injector whose draws come from a counter-based splitmix64 stream, so a
 // given (plan, seed) produces the identical fault sequence on every run
 // and on every kernel flavor.
@@ -66,12 +66,9 @@ type Plan struct {
 	// writeback cache persists only a prefix of its entries in transfer
 	// order, instead of PLP's all-or-nothing guarantee. The crash-state
 	// model checker sees a *chain* constraint DAG (every transfer-order
-	// prefix is admissible); a concrete Crash() drains the seeded
-	// PLPDrainFrac prefix.
+	// prefix is admissible); a concrete Crash() drains the empty prefix,
+	// so the recovered base is the state with nothing drained.
 	PLPFailure bool
-	// PLPDrainFrac is the fraction (0..1) of pending cache entries the
-	// dying supercap manages to drain, in transfer order.
-	PLPDrainFrac float64
 }
 
 // Stats counts the faults an injector has delivered.
@@ -180,23 +177,3 @@ func (in *Injector) GCProgramScale(now sim.Time) float64 {
 
 // PLPFailure reports whether the plan models a dying supercap.
 func (in *Injector) PLPFailure() bool { return in != nil && in.plan.PLPFailure }
-
-// PLPDrain returns how many of n pending cache entries the dying supercap
-// drains, in transfer order. Only meaningful when PLPFailure is set.
-func (in *Injector) PLPDrain(n int) int {
-	if in == nil || !in.plan.PLPFailure {
-		return n
-	}
-	f := in.plan.PLPDrainFrac
-	if f < 0 {
-		f = 0
-	}
-	if f > 1 {
-		f = 1
-	}
-	d := int(f * float64(n))
-	if d > n {
-		d = n
-	}
-	return d
-}

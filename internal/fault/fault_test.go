@@ -23,9 +23,6 @@ func TestNilInjectorIsNoFault(t *testing.T) {
 	if in.PLPFailure() {
 		t.Fatal("nil injector claims PLP failure")
 	}
-	if got := in.PLPDrain(7); got != 7 {
-		t.Fatalf("nil PLPDrain(7) = %d, want full drain", got)
-	}
 }
 
 // Same (plan, seed) must produce the identical fault sequence — the
@@ -90,21 +87,10 @@ func TestGCWindowsAndPLPDrain(t *testing.T) {
 		t.Fatal("GC window did not recur on the next period")
 	}
 
-	plp := New(&Plan{PLPFailure: true, PLPDrainFrac: 0.5})
-	if !plp.PLPFailure() {
+	if !New(&Plan{PLPFailure: true}).PLPFailure() {
 		t.Fatal("PLPFailure not reported")
 	}
-	if got := plp.PLPDrain(8); got != 4 {
-		t.Fatalf("PLPDrain(8) at frac 0.5 = %d, want 4", got)
-	}
-	if got := New(&Plan{PLPFailure: true, PLPDrainFrac: 2}).PLPDrain(8); got != 8 {
-		t.Fatalf("PLPDrain clamp high = %d, want 8", got)
-	}
-	if got := New(&Plan{PLPFailure: true, PLPDrainFrac: -1}).PLPDrain(8); got != 0 {
-		t.Fatalf("PLPDrain clamp low = %d, want 0", got)
-	}
-	healthy := New(&Plan{ReadUNCProb: 0.1})
-	if got := healthy.PLPDrain(8); got != 8 {
-		t.Fatalf("non-PLP plan PLPDrain(8) = %d, want full drain", got)
+	if New(&Plan{ReadUNCProb: 0.1}).PLPFailure() {
+		t.Fatal("non-PLP plan claims PLP failure")
 	}
 }

@@ -135,8 +135,8 @@ type writebackPlan struct {
 }
 
 // writeback turns the file's dirty pages into block requests with the given
-// flags, journaling pages instead when the data-journal mode (or OptFS
-// selective data journaling, for overwrites) applies. The requests are
+// flags, journaling pages instead where OptFS's selective data journaling
+// applies (an overwrite of a page synced before). The requests are
 // submitted; the caller decides whether to wait. The plan owns the hold
 // dataRequest drew each request with until the caller releases it (release,
 // waitAll). The calling proc's trace context (reqtrace.Of) tags each
@@ -148,15 +148,10 @@ func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast boo
 	dirty := i.takeDirty()
 	f.obs.dirtyPages.Add(-int64(len(dirty)))
 	for _, pg := range dirty {
-		journalIt := f.opts.Mode == DataJournal ||
-			(f.opts.SelectiveDataJournal && pg.everSynced)
-		if journalIt {
-			// The page goes through the journal as a logged block; selective
-			// journaling charges the scan/checksum CPU this costs (OptFS's
-			// §6.5 penalty).
-			if f.opts.SelectiveDataJournal {
-				p.Advance(journalScanCPU)
-			}
+		if pg.everSynced && f.opts.Journal.Mode == jbd.ModeOptFS {
+			// The page goes through the journal as a logged block, paying
+			// the scan/checksum CPU this costs (OptFS's §6.5 penalty).
+			p.Advance(journalScanCPU)
 			if pg.buf == nil {
 				pg.buf = &jbd.Buffer{Home: i.blocks[pg.idx], Name: "data"}
 			}
@@ -177,7 +172,7 @@ func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast boo
 		r.Trace = tc
 		// Ordered mode: the journal must not commit the inode before the
 		// data lands (EXT4's ordered-mode rule).
-		if f.opts.Mode == Ordered && i.MetaPending() {
+		if i.MetaPending() {
 			f.j.RegisterOrderedData(r)
 		}
 		i.trackInflight(r)

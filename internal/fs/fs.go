@@ -46,46 +46,14 @@ type Ino uint64
 // RootIno is the root directory's inode number.
 const RootIno Ino = 1
 
-// JournalMode is the EXT4 data journaling mode.
-type JournalMode int
-
-// Journal modes.
-const (
-	// Ordered: data blocks are written in place, and must reach the device
-	// before the transaction that references them commits (EXT4 default).
-	Ordered JournalMode = iota
-	// Writeback: metadata is journaled with no data ordering.
-	Writeback
-	// DataJournal: data blocks are journaled too.
-	DataJournal
-)
-
-func (m JournalMode) String() string {
-	switch m {
-	case Ordered:
-		return "ordered"
-	case Writeback:
-		return "writeback"
-	case DataJournal:
-		return "data"
-	}
-	return "invalid"
-}
-
 // Options configures a filesystem instance.
 type Options struct {
 	// Journal configures the journaling engine (mode, layout, barrier
-	// mount option).
+	// mount option). Its WakeLatency is charged after the filesystem's own
+	// blocking waits too.
 	Journal jbd.Config
-	// Mode is the data journaling mode.
-	Mode JournalMode
 	// SyscallCPU is the on-CPU cost charged per filesystem call.
 	SyscallCPU sim.Duration
-	// WakeLatency is the scheduler latency charged after blocking waits.
-	WakeLatency sim.Duration
-	// SelectiveDataJournal enables OptFS-style journaling of overwritten
-	// data pages.
-	SelectiveDataJournal bool
 	// PdflushInterval enables a background dirty-page flusher with the
 	// given period (0 = off). Its writes are orderless, so they interleave
 	// with epochs exactly as the pdflush traffic in the paper's Fig. 5.
@@ -109,14 +77,7 @@ const journalScanCPU = 25 * sim.Microsecond
 
 // DefaultOptions returns the standard configuration for an engine.
 func DefaultOptions(mode jbd.Mode) Options {
-	o := Options{
-		Journal:              jbd.DefaultConfig(mode),
-		Mode:                 Ordered,
-		SyscallCPU:           2 * sim.Microsecond,
-		SelectiveDataJournal: mode == jbd.ModeOptFS,
-	}
-	o.WakeLatency = o.Journal.WakeLatency
-	return o
+	return Options{Journal: jbd.DefaultConfig(mode), SyscallCPU: 2 * sim.Microsecond}
 }
 
 // PageData is the content stamp stored for a file data page. It travels as
@@ -222,7 +183,7 @@ type Stats struct {
 	Creates       int64
 	Unlinks       int64
 	PagesWritten  int64
-	DataJournaled int64 // pages routed through the journal (data/selective)
+	DataJournaled int64 // pages routed through the journal (OptFS overwrites)
 	PdflushRuns   int64
 	ReadErrors    int64 // page reads failed hard (retry budget exhausted)
 }
@@ -309,8 +270,8 @@ func New(k *sim.Kernel, layer block.Submitter, opts Options) *FS {
 // pdflush periodically writes back dirty pages of every inode as orderless
 // requests. It sleeps only while dirty pages exist, so an idle filesystem
 // generates no events. A blocking proc on every kernel: it wakes once per
-// PdflushInterval, and on data-journaling mounts writeback blocks in the
-// journal's conflict rules, which only a blocking body can follow.
+// PdflushInterval, and on OptFS, writeback of overwritten pages blocks in
+// the journal's conflict rules, which only a blocking body can follow.
 func (f *FS) pdflush(p *sim.Proc) {
 	for {
 		if !f.anyDirty() {
@@ -403,8 +364,8 @@ func (f *FS) cpu(p *sim.Proc) {
 }
 
 func (f *FS) wake(p *sim.Proc) {
-	if f.opts.WakeLatency > 0 {
-		p.Advance(f.opts.WakeLatency)
+	if f.opts.Journal.WakeLatency > 0 {
+		p.Advance(f.opts.Journal.WakeLatency)
 	}
 }
 

@@ -411,26 +411,6 @@ func TestOptFSSelectiveDataJournaling(t *testing.T) {
 	})
 }
 
-func TestDataJournalMode(t *testing.T) {
-	e := newEnv(jbd.ModeJBD2, true)
-	e.fs.opts.Mode = DataJournal
-	defer e.close()
-	e.run(func(p *sim.Proc) {
-		f, _ := e.fs.Create(p, e.fs.Root(), "f")
-		e.fs.Write(p, f, 0)
-		e.fs.Fsync(p, f)
-		if e.fs.Stats().DataJournaled != 1 {
-			t.Errorf("data mode did not journal the page: %d", e.fs.Stats().DataJournaled)
-		}
-	})
-}
-
-func TestJournalModeStrings(t *testing.T) {
-	if Ordered.String() != "ordered" || Writeback.String() != "writeback" || DataJournal.String() != "data" {
-		t.Error("mode strings")
-	}
-}
-
 func TestManyFilesManyCommits(t *testing.T) {
 	// Exercise journal wraparound + checkpointing under a varmail-like
 	// create/write/fsync/unlink churn. The 64-page journals leave a commit's

@@ -56,7 +56,7 @@ func (v *View) Lookup(dir InodeMeta, name string) (InodeMeta, bool) {
 }
 
 // PageVersion returns the durable content version of a file page, checking
-// the journal overlay first (data-journal mode logs data pages), then the
+// the journal overlay first (OptFS logs overwritten data pages), then the
 // in-place block.
 func (v *View) PageVersion(m InodeMeta, idx int64) (int64, bool) {
 	if idx >= int64(len(m.Blocks)) || m.Blocks[idx] == 0 {

@@ -67,13 +67,13 @@ func TestFdatawaitIdle(t *testing.T) {
 // TestWritebackAsyncRecyclesRequests: WritebackAsync hands its requests to
 // the block layer, which recycles them at completion, so a second round of
 // background writeback allocates no request, no plan slice and no waiter
-// array — well under one object per page. The mount journals no data
-// ordering (in ordered mode the running transaction would hold every request
-// until it commits), and an fsync between the rounds drains the device cache
-// so the device's own pools are warm too.
+// array — well under one object per page. The second round overwrites pages
+// already allocated, so no metadata is pending and no request joins a
+// transaction's ordered data; an fsync between the rounds drains the device
+// cache so the device's own pools are warm too.
 func TestWritebackAsyncRecyclesRequests(t *testing.T) {
 	const pages = 64
-	e := newEnvOpts(jbd.ModeDual, true, func(o *Options) { o.Mode = Writeback })
+	e := newEnv(jbd.ModeDual, true)
 	defer e.close()
 	e.run(func(p *sim.Proc) {
 		f, _ := e.fs.Create(p, e.fs.Root(), "f")

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/metrics"
@@ -132,9 +131,8 @@ func goldenShapes() map[string]shapeGolden {
 	}
 	{
 		var tk traceKernels
-		pol := block.DefaultRetryPolicy()
 		rc := ReplicaConfig{
-			Shards: 3, Replicas: 2, Store: smallStore(), Retry: &pol,
+			Shards: 3, Replicas: 2, Store: smallStore(), Profile: retrying,
 			Device: func(i int) device.Config {
 				d := device.NVMeSSD()
 				if i == 0 {

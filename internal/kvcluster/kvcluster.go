@@ -14,8 +14,8 @@
 //     reads over past media errors and dead shards, and rebalances live
 //     (Resize, ReplaceShard).
 //
-// Traffic is open loop: arrivals are offered at their own pace (Poisson,
-// bursty or diurnal), keys are Zipfian, and an admission controller bounds
+// Traffic is open loop: arrivals are offered at their own pace (Poisson or
+// bursty), keys are Zipfian, and an admission controller bounds
 // inflight requests, shedding (and counting) the excess instead of letting
 // the closed-loop illusion hide queueing collapse. One runner (runner.go)
 // plays that loop for every shape — per shard for the first two, cluster

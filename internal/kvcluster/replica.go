@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/kvwal"
@@ -47,9 +46,6 @@ type ReplicaConfig struct {
 	Device func(i int) device.Config
 	// Store is the per-shard kvwal configuration.
 	Store kvwal.Config
-	// Retry is the block-layer retry policy armed on every shard stack
-	// (nil: errors propagate on first completion).
-	Retry *block.RetryPolicy
 	// TenantFailovers is the per-tenant failover budget: after this many
 	// read failovers a tenant's failing reads are shed immediately instead
 	// of retried on replicas — graceful degradation under a sick shard
@@ -178,9 +174,6 @@ func (c *Cluster) addNode(p *sim.Proc, i int) error {
 	prof.Name = fmt.Sprintf("%s/replica%d", prof.Name, i)
 	if prof.Metrics == nil {
 		prof.Metrics = c.cfg.Metrics
-	}
-	if prof.Retry == nil {
-		prof.Retry = c.cfg.Retry
 	}
 	st := core.NewStack(c.k, prof)
 	store, err := kvwal.Open(p, st, c.cfg.Store)

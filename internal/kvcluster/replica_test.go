@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fault"
@@ -104,6 +103,14 @@ func uncPlan(seed uint64) *fault.Plan {
 	}
 }
 
+// retrying is the default shard profile with the block layer's bounded
+// command retry armed.
+func retrying(d device.Config) core.Profile {
+	prof := core.BFSDR(d)
+	prof.Retry = true
+	return prof
+}
+
 // smallStore keeps the memtable tiny so keys reach segment files (where
 // media-error injection bites reads) quickly.
 func smallStore() kvwal.Config {
@@ -121,7 +128,6 @@ func smallStore() kvwal.Config {
 // baseline surfaces hard read errors for the same plan.
 func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 	reg := metrics.NewRegistry()
-	pol := block.DefaultRetryPolicy()
 	cfg := ReplicaConfig{
 		Shards:   3,
 		Replicas: 2,
@@ -132,8 +138,8 @@ func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 			}
 			return d
 		},
+		Profile: retrying,
 		Store:   smallStore(),
-		Retry:   &pol,
 		Metrics: reg,
 	}
 
@@ -298,7 +304,6 @@ func TestClusterConcurrentOpsDuringFailover(t *testing.T) {
 // Tenant budgets: a tenant hammering a certainly-failing primary exhausts
 // its failover allowance and gets shed instead of endlessly retried.
 func TestTenantFailoverBudgetSheds(t *testing.T) {
-	pol := block.RetryPolicy{ReadBudget: 1, WriteBudget: 1, Backoff: 10 * sim.Microsecond}
 	cfg := ReplicaConfig{
 		Shards:   3,
 		Replicas: 2,
@@ -307,8 +312,8 @@ func TestTenantFailoverBudgetSheds(t *testing.T) {
 			d.Fault = uncPlan(uint64(7 + i)) // every shard's reads fail
 			return d
 		},
+		Profile:         retrying,
 		Store:           smallStore(),
-		Retry:           &pol,
 		TenantFailovers: 4,
 		Metrics:         metrics.NewRegistry(),
 	}

@@ -183,23 +183,20 @@ type Config struct {
 	// Uniform keeps every Nth finished request (0 disables uniform
 	// sampling; the tail sampler still runs).
 	Uniform int
-	// TopK is how many of the slowest exemplars to keep per window
+	// TopK is how many of the slowest exemplars to keep per tailWindow
 	// (default 4).
 	TopK int
-	// Window is the virtual-time width of a tail-exemplar window
-	// (default 1ms).
-	Window sim.Duration
 	// Max caps the total kept exemplars per sampler; past it new keeps
 	// are dropped and counted (default 4096).
 	Max int
 }
 
+// tailWindow is the virtual-time width of a tail-exemplar window.
+const tailWindow = sim.Millisecond
+
 func (c Config) withDefaults() Config {
 	if c.TopK <= 0 {
 		c.TopK = 4
-	}
-	if c.Window <= 0 {
-		c.Window = sim.Millisecond
 	}
 	if c.Max <= 0 {
 		c.Max = 4096
@@ -272,7 +269,7 @@ func (s *Sampler) Finish(c Ctx, at sim.Time) {
 	}
 	if at >= s.winEnd {
 		s.flushWindow()
-		s.winEnd = at + sim.Time(s.cfg.Window)
+		s.winEnd = at + sim.Time(tailWindow)
 	}
 	// Insert into the window's slowest-first candidate list.
 	if len(s.window) < s.cfg.TopK || ex.Total > s.window[len(s.window)-1].Total {

@@ -170,15 +170,16 @@ func TestAttributeSubSumsToDurability(t *testing.T) {
 }
 
 func TestSamplerTailKeepsSlowest(t *testing.T) {
-	s := NewSampler(Config{TopK: 2, Window: 100 * sim.Microsecond})
+	s := NewSampler(Config{TopK: 2})
 	// One window of ten requests with distinct latencies 1..10us.
 	for i := 1; i <= 10; i++ {
 		c := s.Admit(us(0))
 		s.Finish(c, us(int64(i)))
 	}
 	// Cross into the next window to flush, then drain.
-	c := s.Admit(us(200))
-	s.Finish(c, us(201))
+	next := sim.Time(2 * tailWindow)
+	c := s.Admit(next)
+	s.Finish(c, next+us(1))
 	exs := s.Take()
 	var tails []sim.Duration
 	for _, e := range exs {
@@ -202,7 +203,8 @@ func TestSamplerTailKeepsSlowest(t *testing.T) {
 }
 
 func TestSamplerUniform(t *testing.T) {
-	s := NewSampler(Config{Uniform: 4, TopK: 1, Window: sim.Duration(us(1_000_000))})
+	// Forty requests inside one tailWindow.
+	s := NewSampler(Config{Uniform: 4, TopK: 1})
 	for i := 0; i < 40; i++ {
 		c := s.Admit(us(int64(i)))
 		s.Finish(c, us(int64(i)+1))
@@ -220,7 +222,7 @@ func TestSamplerUniform(t *testing.T) {
 }
 
 func TestSamplerMaxCap(t *testing.T) {
-	s := NewSampler(Config{Uniform: 1, Max: 5, TopK: 1, Window: sim.Duration(us(1_000_000))})
+	s := NewSampler(Config{Uniform: 1, Max: 5, TopK: 1})
 	for i := 0; i < 20; i++ {
 		c := s.Admit(us(int64(i)))
 		s.Finish(c, us(int64(i)+1))

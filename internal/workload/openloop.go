@@ -28,34 +28,25 @@ const (
 	// the base rate and the remainder at a compensating low rate, preserving
 	// the mean offered load.
 	ArrivalBursty
-	// ArrivalDiurnal is a sinusoidally modulated Poisson process:
-	// rate(t) = RatePerS * (1 + diurnalAmplitude*sin(2*pi*t/arrivalPeriod)),
-	// the classic day/night traffic curve compressed to arrivalPeriod.
-	ArrivalDiurnal
 )
 
 func (k ArrivalKind) String() string {
-	switch k {
-	case ArrivalBursty:
+	if k == ArrivalBursty {
 		return "bursty"
-	case ArrivalDiurnal:
-		return "diurnal"
 	}
 	return "poisson"
 }
 
-// The modulated processes' shape. The float constants are typed, so folded
+// The bursty process's shape. The float constants are typed, so folded
 // constants round as float64 arithmetic does: seeded arrivals repeat.
 const (
-	// arrivalPeriod is the bursty and diurnal cycle length.
+	// arrivalPeriod is the bursty cycle length.
 	arrivalPeriod = 10 * sim.Millisecond
 	// burstFactor is the bursty peak-rate multiplier and burstDuty the
 	// fraction of a period spent at the peak. Their product is at most 1,
 	// so the trough rate is never negative and the cycle mean is RatePerS.
 	burstFactor float64 = 4
 	burstDuty   float64 = 0.25
-	// diurnalAmplitude is the diurnal modulation depth, in [0, 1].
-	diurnalAmplitude float64 = 0.8
 )
 
 // ArrivalConfig parameterizes one arrival process.
@@ -70,34 +61,27 @@ type ArrivalConfig struct {
 // peakRate returns the maximum instantaneous rate, the envelope the
 // thinning sampler draws candidate arrivals at.
 func (c ArrivalConfig) peakRate() float64 {
-	switch c.Kind {
-	case ArrivalBursty:
+	if c.Kind == ArrivalBursty {
 		return c.RatePerS * burstFactor
-	case ArrivalDiurnal:
-		return c.RatePerS * (1 + diurnalAmplitude)
 	}
 	return c.RatePerS
 }
 
 // rateAt returns the instantaneous rate at time t from the window start.
 func (c ArrivalConfig) rateAt(t sim.Duration) float64 {
-	switch c.Kind {
-	case ArrivalBursty:
-		phase := float64(t%arrivalPeriod) / float64(arrivalPeriod)
-		if phase < burstDuty {
-			return c.RatePerS * burstFactor
-		}
-		// Compensating trough rate so the cycle mean stays RatePerS.
-		return c.RatePerS * (1 - burstDuty*burstFactor) / (1 - burstDuty)
-	case ArrivalDiurnal:
-		phase := float64(t%arrivalPeriod) / float64(arrivalPeriod)
-		return c.RatePerS * (1 + diurnalAmplitude*math.Sin(2*math.Pi*phase))
+	if c.Kind != ArrivalBursty {
+		return c.RatePerS
 	}
-	return c.RatePerS
+	phase := float64(t%arrivalPeriod) / float64(arrivalPeriod)
+	if phase < burstDuty {
+		return c.RatePerS * burstFactor
+	}
+	// Compensating trough rate so the cycle mean stays RatePerS.
+	return c.RatePerS * (1 - burstDuty*burstFactor) / (1 - burstDuty)
 }
 
 // Times generates the arrival instants within [0, window), ascending. The
-// modulated processes use Lewis-Shedler thinning against the peak-rate
+// bursty process uses Lewis-Shedler thinning against the peak-rate
 // envelope, so every kind reduces to exponential draws from one seeded
 // source and the sequence is reproducible.
 func (c ArrivalConfig) Times(window sim.Duration) []sim.Time {

@@ -45,18 +45,15 @@ func TestPoissonInterArrivalMoments(t *testing.T) {
 	}
 }
 
-// The modulated processes must preserve the configured mean rate and
-// actually modulate: the bursty duty phase must carry burstFactor times the
-// trough traffic density.
+// The bursty process must preserve the configured mean rate
+// (TestBurstyDutyCycleShape checks that it actually modulates).
 func TestModulatedArrivalsPreserveMeanRate(t *testing.T) {
-	for _, kind := range []ArrivalKind{ArrivalBursty, ArrivalDiurnal} {
-		cfg := ArrivalConfig{Kind: kind, RatePerS: 100_000, Seed: 11}
-		window := 2 * sim.Second
-		times := cfg.Times(window)
-		got := float64(len(times)) / window.Seconds()
-		if r := got / cfg.RatePerS; r < 0.97 || r > 1.03 {
-			t.Errorf("%v: offered %.0f/s, want %.0f/s (ratio %.3f)", kind, got, cfg.RatePerS, r)
-		}
+	cfg := ArrivalConfig{Kind: ArrivalBursty, RatePerS: 100_000, Seed: 11}
+	window := 2 * sim.Second
+	times := cfg.Times(window)
+	got := float64(len(times)) / window.Seconds()
+	if r := got / cfg.RatePerS; r < 0.97 || r > 1.03 {
+		t.Errorf("offered %.0f/s, want %.0f/s (ratio %.3f)", got, cfg.RatePerS, r)
 	}
 }
 
@@ -130,7 +127,7 @@ func TestZipfThetaZeroIsUniform(t *testing.T) {
 
 // Everything must be bit-deterministic under a fixed seed.
 func TestGeneratorsDeterministicUnderSeed(t *testing.T) {
-	for _, kind := range []ArrivalKind{ArrivalPoisson, ArrivalBursty, ArrivalDiurnal} {
+	for _, kind := range []ArrivalKind{ArrivalPoisson, ArrivalBursty} {
 		cfg := ArrivalConfig{Kind: kind, RatePerS: 50_000, Seed: 42}
 		a, b := cfg.Times(100*sim.Millisecond), cfg.Times(100*sim.Millisecond)
 		if len(a) != len(b) {
