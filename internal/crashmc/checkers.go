@@ -214,10 +214,9 @@ func (c *KVChecker) Check(st *State) []Violation {
 	return c.CheckRecovered(c.Store.Recover(st.View))
 }
 
-// CheckRecovered audits an already-reconstructed store image. Checkers
-// that read the Recovered value themselves (ClusterChecker's routing
-// audit, RebalanceChecker's coverage audit) use this to avoid running the
-// recovery scan twice.
+// CheckRecovered audits an already-reconstructed store image. A checker
+// that reads the Recovered value itself (RebalanceChecker's coverage
+// audit) uses this to avoid running the recovery scan twice.
 func (c *KVChecker) CheckRecovered(rec kvwal.Recovered) []Violation {
 	durability, ordering := c.Store.Audit(rec)
 	out := make([]Violation, 0, len(durability)+len(ordering))

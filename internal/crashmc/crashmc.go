@@ -2,8 +2,7 @@
 // one driver that runs a declared workload to a crash instant, cuts the
 // power and audits every state the device may have kept.
 //
-// A Workload is a value declared once (workloads.go, cluster.go,
-// rebalance.go): what it builds and spawns, which stack loses power, and
+// A Workload is a value declared once (workloads.go, rebalance.go): what it builds and spawns, which stack loses power, and
 // the Checkers that carry its host-side history — acknowledged writes,
 // issue order, store shadows. Enumerate (harness.go) owns the only
 // CaptureConstraints → Crash → device.Recover sequence in the tree and asks

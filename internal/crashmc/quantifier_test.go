@@ -16,9 +16,8 @@ import (
 // finds the loss.
 func TestQuantifiersAgree(t *testing.T) {
 	if testing.Short() {
-		t.Skip("kv and cluster model checking in -short mode")
+		t.Skip("kv model checking in -short mode")
 	}
-	ring, slices := clusterTraffic(3)
 	for _, c := range []struct {
 		name  string
 		us    int
@@ -27,7 +26,6 @@ func TestQuantifiersAgree(t *testing.T) {
 		{"durability", 2500, []Part{Durability}},
 		{"ordering", 2500, []Part{Ordering(0)}},
 		{"kv", 20000, []Part{KV(2)}},
-		{"cluster shard", 20000, []Part{clusterShard(ring, 0, slices[0])}},
 		{"ordering+sparse", 4000, []Part{Ordering(0), sparseWriter(nil)}},
 	} {
 		safe := Enumerate(OnStack(CompactJournal(core.BFSDR(device.PlainSSD()), 512), c.parts...), budget(t, at(c.us)))
