@@ -1,19 +1,13 @@
 // Command benchdiff compares two `go test -bench` output files and fails
 // when a benchmark's metric regressed beyond a threshold. CI uses it to
-// gate the simulator's wall-clock trajectory: the previous run's artifact
-// is the baseline, and a >15% regression in BenchmarkKV ns/op fails the
-// job, while improvements and missing baselines only report.
-//
-// Usage:
+// gate the simulator's trajectory: the previous run's artifact is the
+// baseline, and a regression beyond the threshold fails the job, while
+// improvements and missing baselines only report. One call gates one
+// metric; CI gates BenchmarkKV twice, on wall clock and on allocations,
+// which are exact counts and so take a much tighter threshold:
 //
 //	benchdiff -bench BenchmarkKV -metric ns/op -threshold 15 old.txt new.txt
-//
-// -gate-allocs additionally gates allocs/op (off by default): the
-// steady-state command path is allocation-free by design, so CI can
-// tighten the allocation wins once the baseline artifact carries
-// -benchmem numbers. Allocation counts are exact and noise-free, so the
-// allocs gate supports a much tighter threshold (-allocs-threshold,
-// default 1%).
+//	benchdiff -bench BenchmarkKV -metric allocs/op -threshold 2 old.txt new.txt
 //
 // Benchmarks present in only one file are reported and ignored by the
 // gate. A missing or empty baseline file reports and exits 0, so the first
@@ -85,9 +79,8 @@ func fmtValue(v float64) string {
 // gate compares one metric across the two files and reports whether any
 // benchmark regressed beyond the threshold. A missing baseline for the
 // metric reports and passes (first runs and baselines without -benchmem
-// cannot fail). Benchmark-set mismatches are metric-independent, so only
-// the first gate of a run prints them (reportSets).
-func gate(oldPath, newPath, bench, metric string, threshold float64, reportSets bool) bool {
+// cannot fail).
+func gate(oldPath, newPath, bench, metric string, threshold float64) bool {
 	old, err := parse(oldPath, bench, metric)
 	if err != nil || len(old) == 0 {
 		fmt.Printf("benchdiff: no baseline %s %s in %s (%v) — report-only run\n",
@@ -117,9 +110,7 @@ func gate(oldPath, newPath, bench, metric string, threshold float64, reportSets 
 		ov := old[name]
 		nv, ok := cur[name]
 		if !ok {
-			if reportSets {
-				fmt.Printf("%-45s baseline-only (%s %s)\n", name, fmtValue(ov), metric)
-			}
+			fmt.Printf("%-45s baseline-only (%s %s)\n", name, fmtValue(ov), metric)
 			continue
 		}
 		delta := 0.0
@@ -142,17 +133,15 @@ func gate(oldPath, newPath, bench, metric string, threshold float64, reportSets 
 		fmt.Printf("%-45s %14s -> %14s %s  %+7.1f%%  %s\n",
 			name, fmtValue(ov), fmtValue(nv), metric, delta, mark)
 	}
-	if reportSets {
-		added := make([]string, 0, len(cur))
-		for name := range cur {
-			if _, ok := old[name]; !ok {
-				added = append(added, name)
-			}
+	added := make([]string, 0, len(cur))
+	for name := range cur {
+		if _, ok := old[name]; !ok {
+			added = append(added, name)
 		}
-		sort.Strings(added)
-		for _, name := range added {
-			fmt.Printf("%-45s new benchmark (%s %s)\n", name, fmtValue(cur[name]), metric)
-		}
+	}
+	sort.Strings(added)
+	for _, name := range added {
+		fmt.Printf("%-45s new benchmark (%s %s)\n", name, fmtValue(cur[name]), metric)
 	}
 	if failed {
 		fmt.Printf("benchdiff: %s %s regressed beyond %.0f%%\n", bench, metric, threshold)
@@ -164,8 +153,6 @@ func main() {
 	bench := flag.String("bench", "BenchmarkKV", "benchmark name prefix to compare")
 	metric := flag.String("metric", "ns/op", "metric unit to compare")
 	threshold := flag.Float64("threshold", 15, "max regression percent before failing")
-	gateAllocs := flag.Bool("gate-allocs", false, "additionally gate allocs/op")
-	allocsThreshold := flag.Float64("allocs-threshold", 1, "max allocs/op regression percent before failing (with -gate-allocs)")
 	dbPath := flag.String("db", "", "gate against this repro results database instead of two bench files")
 	cellGlob := flag.String("cell", "*", "database cells to gate ('*' matches anything; with -db)")
 	direction := flag.String("direction", "up", "which way is a regression: up or down (with -db)")
@@ -184,11 +171,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff [flags] old.txt new.txt")
 		os.Exit(2)
 	}
-	failed := gate(flag.Arg(0), flag.Arg(1), *bench, *metric, *threshold, true)
-	if *gateAllocs {
-		failed = gate(flag.Arg(0), flag.Arg(1), *bench, "allocs/op", *allocsThreshold, false) || failed
-	}
-	if failed {
+	if gate(flag.Arg(0), flag.Arg(1), *bench, *metric, *threshold) {
 		os.Exit(1)
 	}
 }
