@@ -114,6 +114,10 @@ func crashWorkloads(scale Scale) []crashWorkload {
 		k := mk(device.NVMeSSD())
 		kv.cases = append(kv.cases, crashCase{k.Name, k, crashmc.KV(4)})
 	}
+	// OptFS's fsync is durable like the others'; its osync (Fbarrier) is
+	// ordering only, so it joins the fsync loop alone.
+	optfs := small(core.OptFS(device.PlainSSD()))
+	durability.cases = append(durability.cases, crashCase{optfs.Name, optfs, crashmc.Durability})
 	return []crashWorkload{ordering, durability, kv}
 }
 

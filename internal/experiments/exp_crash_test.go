@@ -33,7 +33,7 @@ func TestCrashMCShape(t *testing.T) {
 				where, row.CrashAtUs, row.Durability, row.Ordering)
 		}
 	}
-	if want := map[string]int{"ordering": 5 * 2, "durability": 4 * 6, "kv": 4 * 6}; !reflect.DeepEqual(perWorkload, want) {
+	if want := map[string]int{"ordering": 5 * 2, "durability": 5 * 6, "kv": 4 * 6}; !reflect.DeepEqual(perWorkload, want) {
 		t.Errorf("cells per workload = %v, want %v", perWorkload, want)
 	}
 	if !strings.Contains(textOf(t, "crash", rows(res.Rows)), "Crash-state model checking") {
