@@ -3,10 +3,10 @@
 // exhibits — media read errors (UNC sectors with a read-retry latency
 // ladder), transient program failures, GC-interference latency spikes,
 // and a PLP-failure model where the writeback cache may drain only a
-// prefix at power loss. The device/nand/ftl layers consume the plan through an
-// Injector whose draws come from a counter-based splitmix64 stream, so a
-// given (plan, seed) produces the identical fault sequence on every run
-// and on every kernel flavor.
+// prefix at power loss. The device/nand/ftl layers consume the plan
+// through an Injector whose draws come from a counter-based splitmix64
+// stream, so a given (plan, seed) produces the identical fault sequence on
+// every run and on every kernel flavor.
 //
 // Every Injector method is nil-safe and returns the no-fault answer on a
 // nil receiver: a stack built without a plan makes zero draws and zero
