@@ -45,6 +45,7 @@ func (st *Store) flushOnce(p *sim.Proc) {
 	if len(ents) > 0 {
 		seg := st.writeSegment(p, ents)
 		st.segs = append(st.segs, seg)
+		st.indexSegment(seg)
 	}
 	// The segment (if any) is durable: publish it and release WAL space.
 	st.writeManifest(p, freezeSeq)
@@ -64,7 +65,7 @@ func bySegKey(a, b segEnt) int { return strings.Compare(a.key, b.key) }
 // background writeback, makes it durable, and returns the registered
 // segment. The entries' page and version shadows are filled in.
 func (st *Store) writeSegment(p *sim.Proc, ents []segEnt) *segment {
-	seg := &segment{id: st.nextSegID, byKey: make(map[string]int, len(ents))}
+	seg := &segment{id: st.nextSegID}
 	st.nextSegID++
 	seg.name = segName(seg.id)
 	f, err := st.fs.Create(p, st.fs.Root(), seg.name)
@@ -76,7 +77,6 @@ func (st *Store) writeSegment(p *sim.Proc, ents []segEnt) *segment {
 		st.fs.Write(p, f, int64(i))
 		ver, _ := st.fs.PageVer(f, int64(i))
 		ents[i].ver = ver
-		seg.byKey[ents[i].key] = i
 		// Push pages out in background-sized clumps rather than one giant
 		// dirty set, to keep the writeback stream busy while we fill.
 		if i%16 == 15 {
@@ -170,6 +170,23 @@ func (st *Store) compactOnce(p *sim.Proc) {
 		st.segs = append(st.segs, merged)
 	}
 	st.segs = append(st.segs, tail...)
+	// Repoint the index: a key whose newest copy was an input now lives in
+	// the merged run, unless a tail segment holds a newer copy or its
+	// tombstone was dropped.
+	for _, seg := range inputs {
+		for _, e := range seg.entries {
+			if st.index[e.key].seg == seg {
+				delete(st.index, e.key)
+			}
+		}
+	}
+	if merged != nil {
+		for i, e := range merged.entries {
+			if _, newer := st.index[e.key]; !newer {
+				st.index[e.key] = segRef{merged, i}
+			}
+		}
+	}
 	st.writeManifest(p, st.checkpointSeq)
 	for _, seg := range inputs {
 		if err := st.fs.Unlink(p, st.fs.Root(), seg.name); err != nil {

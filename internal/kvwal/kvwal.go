@@ -154,7 +154,12 @@ type segment struct {
 	id      int
 	name    string
 	entries []segEnt // sorted by key
-	byKey   map[string]int
+}
+
+// segRef locates one segment entry: seg.entries[n].
+type segRef struct {
+	seg *segment
+	n   int
 }
 
 // manifestState is the shadow of one manifest page version: the durable
@@ -205,6 +210,7 @@ type Store struct {
 	imm     map[string]memEnt // frozen memtable being flushed (nil when idle)
 	spare   map[string]memEnt // the last flushed memtable, cleared for reuse
 	segs    []*segment        // live segments, oldest first
+	index   map[string]segRef // key -> its entry in the newest live segment holding it
 	compIn  []*segment        // compaction scratch: the merged inputs
 	compPos []int             // compaction scratch: each input's merge position
 
@@ -259,6 +265,7 @@ func OpenFS(p *sim.Proc, fsys *fs.FS, barrier bool, cfg Config) (*Store, error) 
 		manifestMu:    sim.NewMutex(p.Kernel()),
 		mem:           make(map[string]memEnt),
 		spare:         make(map[string]memEnt),
+		index:         make(map[string]segRef),
 		segByID:       make(map[int]*segment),
 		manifestHist:  make(map[int64]manifestState),
 		nextSeq:       1,
@@ -379,12 +386,12 @@ func (bt *Batch) Wait(p *sim.Proc) uint64 {
 }
 
 // GetE returns the sequence number of the newest committed Put for key, or
-// false if the key is absent or deleted. Lookups walk memtable, frozen
-// memtable, then segments newest-first; a segment hit charges the read IO
-// of its page. When that page fails hard (uncorrectable sector, retry
-// budget exhausted), GetE returns the error so the caller can fail over to
-// a replica. It is the store's one read; the name keeps the E that bench/
-// calls it by.
+// false if the key is absent or deleted. Lookups try the memtable, the
+// frozen memtable, then the segment index, which names the newest live
+// segment holding the key; a segment hit charges the read IO of its page.
+// When that page fails hard (uncorrectable sector, retry budget exhausted),
+// GetE returns the error so the caller can fail over to a replica. It is
+// the store's one read; the name keeps the E that bench/ calls it by.
 func (st *Store) GetE(p *sim.Proc, key string) (uint64, bool, error) {
 	st.stats.Gets++
 	if e, ok := st.mem[key]; ok {
@@ -395,17 +402,23 @@ func (st *Store) GetE(p *sim.Proc, key string) (uint64, bool, error) {
 			return e.seq, !e.del, nil
 		}
 	}
-	for i := len(st.segs) - 1; i >= 0; i-- {
-		seg := st.segs[i]
-		if n, ok := seg.byKey[key]; ok {
-			e := seg.entries[n]
-			if _, _, err := st.fs.Read(p, st.fileOf(seg), e.page); err != nil {
-				return 0, false, err
-			}
-			return e.seq, !e.del, nil
-		}
+	r, ok := st.index[key]
+	if !ok {
+		return 0, false, nil
 	}
-	return 0, false, nil
+	e := r.seg.entries[r.n]
+	if _, _, err := st.fs.Read(p, st.fileOf(r.seg), e.page); err != nil {
+		return 0, false, err
+	}
+	return e.seq, !e.del, nil
+}
+
+// indexSegment points every key of seg, just appended as the newest live
+// segment, at its entry there.
+func (st *Store) indexSegment(seg *segment) {
+	for i := range seg.entries {
+		st.index[seg.entries[i].key] = segRef{seg, i}
+	}
 }
 
 // fileOf resolves a segment's inode by name (segments can be recreated by

@@ -246,6 +246,7 @@ func TestFlushCompactionAndWALWrap(t *testing.T) {
 				model[key] = true
 			}
 		}
+		checkIndex(t, st)
 		// Let in-flight background flush/compaction settle before auditing
 		// the steady state.
 		p.Sleep(20 * sim.Millisecond)
@@ -273,6 +274,27 @@ func TestFlushCompactionAndWALWrap(t *testing.T) {
 		k.Stop()
 	})
 	k.Run()
+}
+
+// checkIndex requires the segment index to name, for every key, the entry
+// a newest-first walk of the live segments finds.
+func checkIndex(t *testing.T, st *Store) {
+	t.Helper()
+	want := make(map[string]segRef)
+	for _, seg := range st.segs { // oldest first; newer segments overwrite
+		for i, e := range seg.entries {
+			want[e.key] = segRef{seg, i}
+		}
+	}
+	if len(st.index) != len(want) {
+		t.Fatalf("index holds %d keys, the live segments %d", len(st.index), len(want))
+	}
+	for key, r := range want {
+		if st.index[key] != r {
+			t.Fatalf("index[%s] = segment %d entry %d, want segment %d entry %d",
+				key, st.index[key].seg.id, st.index[key].n, r.seg.id, r.n)
+		}
+	}
 }
 
 // TestRecoverCleanImage crashes after an explicit durability checkpoint:

@@ -57,11 +57,9 @@ func (st *Store) Peek(key string) (uint64, bool) {
 	if e, ok := st.imm[key]; ok {
 		return e.seq, !e.del
 	}
-	for i := len(st.segs) - 1; i >= 0; i-- {
-		if n, ok := st.segs[i].byKey[key]; ok {
-			e := st.segs[i].entries[n]
-			return e.seq, !e.del
-		}
+	if r, ok := st.index[key]; ok {
+		e := r.seg.entries[r.n]
+		return e.seq, !e.del
 	}
 	return 0, false
 }
@@ -95,6 +93,7 @@ func (st *Store) Ingest(p *sim.Proc, keys []string) {
 	slices.SortFunc(ents, bySegKey)
 	seg := st.writeSegment(p, ents)
 	st.segs = append(st.segs, seg)
+	st.indexSegment(seg)
 	st.writeManifest(p, st.checkpointSeq)
 	st.stats.Ingests++
 }
