@@ -11,9 +11,10 @@ import (
 // as their own sim.Procs and push their pages through WritebackAsync, so
 // the writes carry REQ_BACKGROUND — on the multi-queue profiles they
 // scatter onto data streams and stay out of the commit stream's way. Each
-// finishes with an explicit fdatasync on the file it wrote (segment data
-// must be durable before the manifest may reference it, and the manifest
-// must be durable before WAL records may be recycled).
+// finishes with an explicit fdatasync on the segment it wrote (segment data
+// must be durable before the manifest may reference it). The manifest must
+// reach storage before WAL records may be recycled: flush engines make it
+// durable, barrier engines only order it before the recycling writes.
 
 // flusher freezes the memtable when the leader signals and turns it into a
 // sorted segment, then advances the WAL checkpoint.
@@ -99,12 +100,17 @@ func (st *Store) writeSegment(p *sim.Proc, ents []segEnt) *segment {
 }
 
 // writeManifest publishes the current live segment set and checkpoint:
-// one overwrite of the manifest page followed by fdatasync. The version
-// stamp of that page is the commit point recovery pivots on. Flusher and
-// compactor both publish, and every filesystem call yields, so the whole
-// write-stamp-sync sequence holds a lock: without it two writers can
+// one overwrite of the manifest page followed by the engine's publish call.
+// The version stamp of that page is the commit point recovery pivots on.
+// Flush engines fdatasync it. Barrier engines fdatabarrier it: the WAL slot
+// overwrites that the new checkpoint allows are dispatched after that
+// barrier, so a crash that loses the manifest loses them too and recovery
+// replays from the previous durable one, whose segments stay readable
+// because the fs never reuses a freed LPA. Flusher, compactor and Ingest
+// all publish, and every filesystem call yields, so the whole
+// write-stamp-publish sequence holds a lock: without it two writers can
 // interleave, one stamping the other's page version and losing its state
-// — and with it the durable-manifest invariant WAL slot recycling rests on.
+// — and with it the manifest-before-recycling order WAL slot reuse rests on.
 func (st *Store) writeManifest(p *sim.Proc, checkpoint uint64) {
 	st.manifestMu.Lock(p)
 	if st.checkpointSeq > checkpoint {
@@ -119,7 +125,11 @@ func (st *Store) writeManifest(p *sim.Proc, checkpoint uint64) {
 	st.fs.Write(p, st.manifest, 0)
 	ver, _ := st.fs.PageVer(st.manifest, 0)
 	st.manifestHist[ver] = manifestState{checkpoint: checkpoint, segIDs: ids}
-	st.fs.Fdatasync(p, st.manifest)
+	if st.barrierCommit {
+		st.fs.Fdatabarrier(p, st.manifest)
+	} else {
+		st.fs.Fdatasync(p, st.manifest)
+	}
 	st.manifestMu.Unlock()
 }
 

@@ -15,6 +15,11 @@
 //     *ordered* at dispatch cost, clients are released immediately, and a
 //     periodic fdatasync checkpoint bounds the durability window.
 //
+// The same switch picks how memtable flushes, compactions and ingests
+// publish the manifest: fdatasync on EXT4, fdatabarrier on BarrierFS, where
+// the manifest only has to be ordered before the WAL slots it frees are
+// overwritten.
+//
 // Ordering makes recovery prefix-consistent: because every group is
 // separated from the next by a barrier, the WAL records that survive a
 // crash are always a prefix of the committed history (at group

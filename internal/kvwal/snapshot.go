@@ -66,9 +66,11 @@ func (st *Store) Peek(key string) (uint64, bool) {
 
 // Ingest bulk-loads keys copied from another shard as one sorted segment,
 // written through the background writeback path (REQ_BACKGROUND clumps, then
-// fdatawait + fdatasync) and published in the manifest — so an ingested
-// chunk is durable the moment Ingest returns, without touching the WAL or
-// the group-commit path.
+// fdatawait + fdatasync) and published in the manifest, without touching
+// the WAL or the group-commit path. On flush engines the chunk is durable
+// the moment Ingest returns; on barrier engines the manifest that names it
+// is ordered, and durable at the store's next fdatasync (kvcluster's
+// cutover gate forces one with ForceCheckpoint).
 //
 // Ingested entries carry sequence number 0: they consume no WAL sequence
 // space (recovery's walHist indexing stays intact) and lose to any real
