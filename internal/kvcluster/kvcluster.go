@@ -35,7 +35,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fs"
-	"repro/internal/jbd"
 	"repro/internal/kvwal"
 	"repro/internal/metrics"
 	"repro/internal/par"
@@ -214,7 +213,7 @@ func (c Config) spawnShard(k *sim.Kernel, idx int, reqs []Request, tr Traffic,
 		run.smp = reqtrace.NewSampler(*c.Trace)
 	}
 	run.spawn(k, c.Metrics, func(p *sim.Proc) (serveFunc, error) {
-		st, err := kvwal.OpenFS(p, mount, prof.FS.Journal.Mode == jbd.ModeDual, c.Store)
+		st, err := kvwal.OpenFS(p, mount, prof, c.Store)
 		if err != nil {
 			return nil, err
 		}

@@ -10,11 +10,18 @@ import (
 // The background path: memtable flushes and segment compaction. Both run
 // as their own sim.Procs and push their pages through WritebackAsync, so
 // the writes carry REQ_BACKGROUND — on the multi-queue profiles they
-// scatter onto data streams and stay out of the commit stream's way. Each
-// finishes with an explicit fdatasync on the segment it wrote (segment data
-// must be durable before the manifest may reference it). The manifest must
-// reach storage before WAL records may be recycled: flush engines make it
-// durable, barrier engines only order it before the recycling writes.
+// scatter onto data streams and stay out of the commit stream's way. A
+// segment must reach storage before the manifest may reference it, and the
+// manifest before WAL records may be recycled. Flush engines make each
+// durable in turn. Barrier engines on one queue only order them: the
+// segment's pages, its allocation commit, the manifest and the recycling
+// writes persist in that order, and all of them are durable at the next
+// checkpoint. Until then a crash may keep the previous manifest, so
+// compaction's inputs must stay readable until the merged run's allocation
+// is durable. They do, because the fs never reuses a freed LPA: unlinking
+// an input frees its blocks but never overwrites them. On the multi-queue
+// layer the scattered pages escape the barriers, so there the segment is
+// fdatasynced before the manifest is ordered behind it.
 
 // flusher freezes the memtable when the leader signals and turns it into a
 // sorted segment, then advances the WAL checkpoint.
@@ -48,11 +55,12 @@ func (st *Store) flushOnce(p *sim.Proc) {
 		st.segs = append(st.segs, seg)
 		st.indexSegment(seg)
 	}
-	// The segment (if any) is durable: publish it and release WAL space.
+	// Publish the segment (if any) and release WAL space.
 	st.writeManifest(p, freezeSeq)
 	st.checkpointSeq = freezeSeq
-	if freezeSeq > st.durableSeq {
-		// Everything up to the freeze point now lives in durable segments.
+	if !st.orderSegments && freezeSeq > st.durableSeq {
+		// The segment's fdatasync made everything up to the freeze point
+		// durable. An ordered segment waits for the next checkpoint.
 		st.durableSeq = freezeSeq
 	}
 	clear(st.imm)
@@ -63,8 +71,14 @@ func (st *Store) flushOnce(p *sim.Proc) {
 func bySegKey(a, b segEnt) int { return strings.Compare(a.key, b.key) }
 
 // writeSegment creates a new segment file, writes one page per entry as
-// background writeback, makes it durable, and returns the registered
-// segment. The entries' page and version shadows are filled in.
+// background writeback, waits for the transfers, and then stores it: an
+// fdatasync makes it durable, or, where segments are ordered, an
+// fdatabarrier on the now-clean file forces an ordering-only journal
+// commit. That commit drains the conflict-page list before it freezes, so
+// it carries even allocation metadata parked behind an in-flight commit;
+// fbarrier would not, since its parked path commits nothing. The segment is
+// durable at the next checkpoint. It returns the registered segment, with
+// the entries' page and version shadows filled in.
 func (st *Store) writeSegment(p *sim.Proc, ents []segEnt) *segment {
 	seg := &segment{id: st.nextSegID}
 	st.nextSegID++
@@ -86,11 +100,15 @@ func (st *Store) writeSegment(p *sim.Proc, ents []segEnt) *segment {
 	}
 	st.fs.WritebackAsync(p, f)
 	// filemap_fdatawait: background writeback is marked clean at submission
-	// and carries no ordering promise, so the coming fdatasync cannot see or
-	// cover what is still queued. A background thread can afford the
+	// and carries no ordering promise, so the coming sync cannot see or cover
+	// what is still queued. A background thread can afford the
 	// Wait-on-Transfer the foreground commit path avoids.
 	st.fs.Fdatawait(p, f)
-	st.fs.Fdatasync(p, f) // allocation metadata + cache flush: durable
+	if st.orderSegments {
+		st.fs.Fdatabarrier(p, f)
+	} else {
+		st.fs.Fdatasync(p, f) // allocation metadata + cache flush: durable
+	}
 	if st.cfg.EvictSegments {
 		st.fs.EvictClean(f)
 	}
@@ -105,12 +123,12 @@ func (st *Store) writeSegment(p *sim.Proc, ents []segEnt) *segment {
 // Flush engines fdatasync it. Barrier engines fdatabarrier it: the WAL slot
 // overwrites that the new checkpoint allows are dispatched after that
 // barrier, so a crash that loses the manifest loses them too and recovery
-// replays from the previous durable one, whose segments stay readable
-// because the fs never reuses a freed LPA. Flusher, compactor and Ingest
-// all publish, and every filesystem call yields, so the whole
-// write-stamp-publish sequence holds a lock: without it two writers can
-// interleave, one stamping the other's page version and losing its state
-// — and with it the manifest-before-recycling order WAL slot reuse rests on.
+// replays from the previous one, whose segments stay readable because the
+// fs never reuses a freed LPA. Flusher, compactor and Ingest all publish,
+// and every filesystem call yields, so the whole write-stamp-publish
+// sequence holds a lock: without it two writers can interleave, one
+// stamping the other's page version and losing its state — and with it the
+// manifest-before-recycling order WAL slot reuse rests on.
 func (st *Store) writeManifest(p *sim.Proc, checkpoint uint64) {
 	st.manifestMu.Lock(p)
 	if st.checkpointSeq > checkpoint {

@@ -16,9 +16,14 @@
 //     periodic fdatasync checkpoint bounds the durability window.
 //
 // The same switch picks how memtable flushes, compactions and ingests
-// publish the manifest: fdatasync on EXT4, fdatabarrier on BarrierFS, where
-// the manifest only has to be ordered before the WAL slots it frees are
-// overwritten.
+// land a segment and publish the manifest. EXT4 fdatasyncs both. BarrierFS
+// orders both: the segment's pages, then a forced ordering-only journal
+// commit carrying its allocation, then the manifest, then the WAL slots the
+// manifest frees — and the segment becomes durable at the next checkpoint,
+// like any group. The exception is BarrierFS on the multi-queue block
+// layer, whose background writeback rides data streams that no barrier
+// orders: there a segment is still fdatasynced before its fdatabarrier
+// publish.
 //
 // Ordering makes recovery prefix-consistent: because every group is
 // separated from the next by a barrier, the WAL records that survive a
@@ -91,7 +96,8 @@ type Config struct {
 	// live: all live segments merge into one.
 	CompactFanIn int
 	// CheckpointEvery bounds the durability window on barrier engines: after
-	// this many barrier-committed groups the leader issues one fdatasync.
+	// this many barrier-committed groups the leader issues one fdatasync,
+	// which also makes the segments and manifest published since durable.
 	// Ignored on flush engines (every group commit is already durable).
 	CheckpointEvery int
 	// Metrics is an explicit observability registry; nil falls back to the
@@ -125,7 +131,7 @@ type Stats struct {
 	WALRecords          int64
 	Flushes             int64
 	Compactions         int64
-	CheckpointSyncs     int64 // periodic fdatasyncs on barrier engines
+	CheckpointSyncs     int64 // ForceCheckpoint fdatasyncs: the only durability points of ordered segments
 	Ingests             int64 // bulk-copied segments landed by rebalancing
 	SegmentsLive        int
 }
@@ -232,6 +238,7 @@ type Store struct {
 	nextSegID     int
 
 	barrierCommit bool // Dual engine: barrier group commit + periodic sync
+	orderSegments bool // Dual on one queue: segments ordered, durable at the checkpoint
 	stats         Stats
 }
 
@@ -244,17 +251,19 @@ const (
 func segName(id int) string { return fmt.Sprintf("kv.seg-%d", id) }
 
 // Open creates the store's files on the stack and starts the group-commit
-// leader, flusher and compactor daemons. The engine choice (fdatabarrier vs
-// fdatasync group commit) follows the stack's journaling mode.
+// leader, flusher and compactor daemons.
 func Open(p *sim.Proc, s *core.Stack, cfg Config) (*Store, error) {
-	return OpenFS(p, s.FS, s.Profile.FS.Journal.Mode == jbd.ModeDual, cfg)
+	return OpenFS(p, s.FS, s.Profile, cfg)
 }
 
-// OpenFS opens a store directly on a mounted filesystem. barrier selects
-// fdatabarrier group commit (Dual-engine mounts); flush engines pass false.
-// Multi-tenant stacks (internal/kvcluster's MQ-streams mode) mount several
-// filesystems on one device and open one store per mount.
-func OpenFS(p *sim.Proc, fsys *fs.FS, barrier bool, cfg Config) (*Store, error) {
+// OpenFS opens a store directly on a filesystem mounted on a stack of
+// profile prof, whose journaling mode picks the engine (fdatabarrier vs
+// fdatasync group commit) and whose block layer decides whether a segment
+// can be ordered rather than synced. Multi-tenant stacks (internal/
+// kvcluster's MQ-streams mode) mount several filesystems on one device and
+// open one store per mount.
+func OpenFS(p *sim.Proc, fsys *fs.FS, prof core.Profile, cfg Config) (*Store, error) {
+	barrier := prof.FS.Journal.Mode == jbd.ModeDual
 	if cfg.WALPages <= 0 || cfg.MemtableCap <= 0 || cfg.CompactFanIn <= 0 {
 		return nil, fmt.Errorf("kvwal: non-positive config %+v", cfg)
 	}
@@ -275,6 +284,7 @@ func OpenFS(p *sim.Proc, fsys *fs.FS, barrier bool, cfg Config) (*Store, error) 
 		manifestHist:  make(map[int64]manifestState),
 		nextSeq:       1,
 		barrierCommit: barrier,
+		orderSegments: barrier && prof.MQQueues == 0,
 	}
 	if reg := metrics.Resolve(cfg.Metrics); reg != nil {
 		st.obs = kvObs{
@@ -318,7 +328,9 @@ func (st *Store) CommittedSeq() uint64 { return st.committedSeq }
 
 // DurableSeq returns the newest sequence number the store has acknowledged
 // as durable: on flush engines it tracks CommittedSeq; on barrier engines
-// it advances at fdatasync checkpoints and flushes.
+// it advances at ForceCheckpoint's fdatasync (and, on the multi-queue
+// layer, at the memtable flush that fdatasyncs a segment), never when a
+// segment is only ordered. It is not the WAL checkpoint.
 func (st *Store) DurableSeq() uint64 { return st.durableSeq }
 
 // Apply submits a batch of mutations and blocks until the group-commit
@@ -439,7 +451,12 @@ func (st *Store) fileOf(seg *segment) *fs.Inode {
 // ForceCheckpoint makes everything committed so far durable: one fdatasync
 // on the WAL. Clients that need read-your-durability semantics on barrier
 // engines call this explicitly; on flush engines it is a cheap no-op-ish
-// extra sync.
+// extra sync. On barrier engines it is also where ordered segments and the
+// manifest that names them become durable: on a clean WAL the fdatasync is
+// a forced journal commit waited durably, and on a WAL with a group
+// mid-append it flushes the cache once the dirty slots, which follow the
+// publish in dispatch order, have transferred. Either way the flush covers
+// everything dispatched before it.
 func (st *Store) ForceCheckpoint(p *sim.Proc) {
 	target := st.committedSeq
 	st.fs.Fdatasync(p, st.wal)

@@ -65,12 +65,13 @@ func (st *Store) Peek(key string) (uint64, bool) {
 }
 
 // Ingest bulk-loads keys copied from another shard as one sorted segment,
-// written through the background writeback path (REQ_BACKGROUND clumps, then
-// fdatawait + fdatasync) and published in the manifest, without touching
-// the WAL or the group-commit path. On flush engines the chunk is durable
-// the moment Ingest returns; on barrier engines the manifest that names it
-// is ordered, and durable at the store's next fdatasync (kvcluster's
-// cutover gate forces one with ForceCheckpoint).
+// written like a memtable flush's (REQ_BACKGROUND clumps, fdatawait, then
+// the store's segment sync) and published in the manifest, without
+// touching the WAL or the group-commit path. On flush engines the chunk is
+// durable the moment Ingest returns; on barrier engines the segment (on one
+// queue) and the manifest that names it are only ordered, and durable at
+// the store's next checkpoint (kvcluster's cutover gate forces one with
+// ForceCheckpoint).
 //
 // Ingested entries carry sequence number 0: they consume no WAL sequence
 // space (recovery's walHist indexing stays intact) and lose to any real
