@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/fs"
 	"repro/internal/kvwal"
 	"repro/internal/sim"
 )
@@ -39,15 +40,39 @@ func TestKVCrashSingleClient(t *testing.T) {
 // flushes nothing flushes the device cache.
 var kvWindowStore = kvwal.Config{WALPages: 16, MemtableCap: 4, CompactFanIn: 3, CheckpointEvery: 1 << 20}
 
-// windowSettle is how long kvManifestWindow keeps the window open after the
-// overwrites commit, so they reach the device cache before power fails.
-const windowSettle = 30 * sim.Microsecond
+// kvCheckpointStore checkpoints every other group, and its memtable flushes
+// write segments long enough for a checkpoint to land inside one.
+var kvCheckpointStore = kvwal.Config{WALPages: 64, MemtableCap: 16, CompactFanIn: 3, CheckpointEvery: 2}
 
-// manifestWindow is where kvManifestWindow cut the power: the checkpoints
-// of the manifest before the last publish and of the last one.
-type manifestWindow struct {
-	reached  bool
-	old, cur uint64
+// kvRow is where kvWindow cuts the power. rowPublish and rowMidAppend
+// first open the window the barrier engines' relaxed publish leaves: a
+// memtable flush published its manifest, committed records have
+// overwritten WAL slots the previous manifest replays, the device cache
+// holds the new manifest page and a page written after it, and the cache
+// has not flushed since the publish. On BFS-DR the segment the manifest
+// names is only ordered too.
+type kvRow int
+
+const (
+	// rowSegment crashes as soon as the first manifest that names a segment
+	// is in the device cache. On BFS-MQ the segment's background writeback
+	// rides data streams that no barrier orders, so only its fdatasync
+	// keeps it ahead of the manifest.
+	rowSegment kvRow = iota
+	// rowPublish crashes inside the window.
+	rowPublish
+	// rowCheckpoint crashes once a manifest is cached whose segment a
+	// periodic checkpoint (a clean-WAL fdatasync: a forced journal commit
+	// waited durably) landed inside.
+	rowCheckpoint
+	// rowMidAppend crashes after a ForceCheckpoint issued inside the window
+	// while a group is mid-append: a dirty-WAL fdatasync, the data-only
+	// flush.
+	rowMidAppend
+)
+
+func (r kvRow) String() string {
+	return [...]string{"segment", "publish", "checkpoint", "mid-append"}[r]
 }
 
 // checkpointChecker is the kv audit that also records the checkpoint of the
@@ -66,28 +91,31 @@ func (c *checkpointChecker) Check(st *State) []Violation {
 	return c.CheckRecovered(rec)
 }
 
-// kvManifestWindow runs two clients against a kvWindowStore and cuts the
-// power inside the barrier engines' relaxed manifest publish: a flush has
-// published its manifest, the WAL slots past the previous checkpoint have
-// been overwritten by committed records, and the device has not flushed
-// since the publish.
-func kvManifestWindow(w *manifestWindow, seen map[uint64]bool) Part {
+// kvWindow runs two clients against a small store and cuts the power at
+// row; *reached reports that it got there, and seen collects the checkpoint
+// of the manifest each audited image recovered from.
+func kvWindow(row kvRow, reached *bool, seen map[uint64]bool) Part {
 	return func(k *sim.Kernel, s *core.Stack) []Checker {
 		chk := &checkpointChecker{seen: seen}
 		k.Spawn("kv/setup", func(p *sim.Proc) {
-			st, err := kvwal.Open(p, s, kvWindowStore)
+			cfg := kvWindowStore
+			if row == rowCheckpoint {
+				cfg = kvCheckpointStore
+			}
+			st, err := kvwal.Open(p, s, cfg)
 			if err != nil {
 				panic(err)
 			}
 			chk.Store = st
 		})
+		hold := false // the clients stop writing
 		for c := 0; c < 2; c++ {
 			k.SpawnIdx("kv/client", c, func(p *sim.Proc) {
 				rng := rand.New(rand.NewSource(int64(7 + c)))
 				if !awaitStore(p, s, &chk.Store) {
 					return
 				}
-				for {
+				for !hold {
 					chk.Store.Apply(p, []kvwal.Op{{Kind: kvwal.Put, Key: fmt.Sprintf("k%03d", rng.Intn(64))}})
 				}
 			})
@@ -97,59 +125,133 @@ func kvManifestWindow(w *manifestWindow, seen map[uint64]bool) Part {
 				return
 			}
 			st := chk.Store
-			var flushes int64
-			var overwritten sim.Time // when the overwrites were first committed
-			devFlushes := s.Dev.Stats().Flushes
-			armed := false
-			for {
-				p.Sleep(sim.Microsecond)
-				if f := st.Stats().Flushes; f != flushes {
-					flushes = f
-					w.old, w.cur = w.cur, st.DurableSeq() // no checkpoint fires: durable == checkpoint
-					devFlushes, armed, overwritten = s.Dev.Stats().Flushes, true, 0
+			switch row {
+			case rowSegment:
+				// No WAL write after the first segment's: its pages, their
+				// commit and the manifest are all the cache holds.
+				awaitSegment(p, s, 0)
+				hold = true
+				for st.Stats().Flushes == 0 {
+					p.Sleep(100 * sim.Nanosecond)
 				}
-				if s.Dev.Stats().Flushes != devFlushes {
-					armed = false // the cache flushed: the manifest is durable
+				awaitManifestCached(p, s)
+			case rowPublish:
+				openWindow(p, s, st)
+			case rowCheckpoint:
+				// What the segment allocates after the checkpoint's commit
+				// froze parks behind that commit (§4.3); the segment's own
+				// ordering commit must still carry it before the manifest.
+				for id := 0; ; id++ {
+					awaitSegment(p, s, id)
+					flushes, parked := st.Stats().Flushes, s.FS.Journal().Stats().ConflictParked
+					syncs := st.Stats().CheckpointSyncs
+					for st.Stats().Flushes == flushes {
+						p.Sleep(100 * sim.Nanosecond)
+					}
+					if st.Stats().CheckpointSyncs > syncs && s.FS.Journal().Stats().ConflictParked > parked {
+						awaitManifestCached(p, s)
+						break
+					}
 				}
-				if !armed || st.CommittedSeq() <= w.old+uint64(kvWindowStore.WALPages) {
-					continue
+			case rowMidAppend:
+				// Records appended but not yet committed: the WAL is dirty.
+				openWindow(p, s, st)
+				for int64(st.CommittedSeq()) == st.Stats().WALRecords {
+					p.Sleep(100 * sim.Nanosecond)
 				}
-				if overwritten == 0 {
-					overwritten = p.Now()
-				}
-				// Give the dispatched writes time to reach the device's cache.
-				if p.Now().Sub(overwritten) >= windowSettle {
-					w.reached = true
-					k.Stop()
-					return
-				}
+				st.ForceCheckpoint(p)
 			}
+			*reached = true
+			k.Stop()
 		})
 		return append([]Checker{chk}, journalAndFS(s)...)
 	}
 }
 
-// TestKVManifestPublishWindow crashes the barrier engines inside the window
-// their fdatabarrier manifest publish opens and enumerates every state,
-// uncapped: some image must recover from the older manifest, and none may
-// lose a durable-acknowledged write (the overwritten slots are ordered
-// after the manifest, so they vanish with it).
+// awaitManifestCached returns once the device cache holds the current
+// manifest page.
+func awaitManifestCached(p *sim.Proc, s *core.Stack) {
+	manifest, _ := s.FS.Lookup(s.FS.Root(), "kv.manifest")
+	for cached, _ := manifestCached(s, manifest); !cached; cached, _ = manifestCached(s, manifest) {
+		p.Sleep(100 * sim.Nanosecond)
+	}
+}
+
+// manifestCached reports whether the device cache holds the manifest's
+// current page, and whether it holds a page written after it.
+func manifestCached(s *core.Stack, manifest *fs.Inode) (cached, after bool) {
+	ver, _ := s.FS.PageVer(manifest, 0)
+	for _, w := range s.Dev.CaptureConstraints().Writes {
+		if d, ok := w.Data.(*fs.PageData); ok {
+			cached = cached || d.Ver == ver
+			after = after || d.Ver > ver
+		}
+	}
+	return cached, after
+}
+
+// awaitSegment returns once segment file kv.seg-id holds a written page.
+func awaitSegment(p *sim.Proc, s *core.Stack, id int) {
+	for {
+		if f, ok := s.FS.Lookup(s.FS.Root(), fmt.Sprintf("kv.seg-%d", id)); ok && f.DirtyPages() > 0 {
+			return
+		}
+		p.Sleep(100 * sim.Nanosecond)
+	}
+}
+
+// openWindow returns once the window is open. It cannot read a manifest's
+// checkpoint, but the committed sequence seen when a flush finishes bounds
+// it from above (the flush froze the memtable earlier), so committing past
+// the previous flush's bound by a whole ring proves the slots that manifest
+// replays are overwritten.
+func openWindow(p *sim.Proc, s *core.Stack, st *kvwal.Store) {
+	manifest, _ := s.FS.Lookup(s.FS.Root(), "kv.manifest")
+	var flushes int64
+	var prev, cur uint64 // bounds on the checkpoints of the last two manifests
+	devFlushes := s.Dev.Stats().Flushes
+	for {
+		p.Sleep(sim.Microsecond)
+		if f := st.Stats().Flushes; f != flushes {
+			flushes = f
+			prev, cur = cur, st.CommittedSeq()
+			devFlushes = s.Dev.Stats().Flushes
+		}
+		if s.Dev.Stats().Flushes != devFlushes || st.CommittedSeq() <= prev+uint64(kvWindowStore.WALPages) {
+			continue // the manifest is durable, or no slot it needs is overwritten
+		}
+		if cached, after := manifestCached(s, manifest); cached && after {
+			return
+		}
+	}
+}
+
+// TestKVManifestPublishWindow crashes the barrier engines at each kvRow and
+// enumerates every state, uncapped. No image may lose a
+// durable-acknowledged write or name a segment it cannot read. Inside the
+// window some image must also recover from an older manifest (the
+// overwritten slots are ordered after the new one, so they vanish with it).
+// After a checkpoint every record it acknowledged must survive, whichever
+// manifest an image recovers from. Writing a BFS-DR segment with fbarrier,
+// whose parked path commits nothing, fails the checkpoint row; so does a
+// clean-WAL checkpoint that skips its journal commit.
 func TestKVManifestPublishWindow(t *testing.T) {
-	for _, mk := range []func(device.Config) core.Profile{core.BFSDR, core.BFSMQ} {
-		var w manifestWindow
-		seen := make(map[uint64]bool)
-		prof := CompactJournal(mk(device.NVMeSSD()), 512)
-		res := Enumerate(OnStack(prof, kvManifestWindow(&w, seen)), Config{CrashAt: at(1000000), Log: logTo(t)})
-		t.Logf("checkpoints: old %d, new %d; images recovered from %v: %s", w.old, w.cur, seen, res.String())
-		if !w.reached {
-			t.Fatalf("%s: the window never opened", res.Profile)
-		}
-		if res.Capped {
-			t.Fatalf("%s: enumeration capped; the directed row must be exhaustive", res.Profile)
-		}
-		requireClean(t, res)
-		if w.cur <= w.old || !seen[w.old] {
-			t.Errorf("%s: no image recovered from the older manifest (checkpoint %d)", res.Profile, w.old)
+	for _, row := range []kvRow{rowSegment, rowPublish, rowCheckpoint, rowMidAppend} {
+		for _, mk := range []func(device.Config) core.Profile{core.BFSDR, core.BFSMQ} {
+			reached, seen := false, make(map[uint64]bool)
+			prof := CompactJournal(mk(device.NVMeSSD()), 512)
+			res := Enumerate(OnStack(prof, kvWindow(row, &reached, seen)), Config{CrashAt: at(1000000), Log: logTo(t)})
+			t.Logf("%s: images recovered from checkpoints %v: %s", row, seen, res.String())
+			if !reached {
+				t.Fatalf("%s %s: the crash point was never reached", res.Profile, row)
+			}
+			if res.Capped {
+				t.Fatalf("%s %s: enumeration capped; the directed row must be exhaustive", res.Profile, row)
+			}
+			requireClean(t, res)
+			if row == rowPublish && len(seen) < 2 {
+				t.Errorf("%s: no image recovered from an older manifest", res.Profile)
+			}
 		}
 	}
 }

@@ -168,84 +168,50 @@ func rebalanceScenario(prof func(device.Config) core.Profile, shards int, cfg Co
 // in flight, and victim loses power there. phantom, if non-empty, is
 // injected into the acked set without ever being written — a self-test
 // that the coverage audit bites.
+//
+// Copying can be shorter than one client write (a write may wait out a
+// replica's checkpoint flush), so it may hold no such instant at all. A
+// dry run of the same scenario therefore names the first write not started
+// before the migration opens, and the crash run holds that one write:
+// until the opening for the later phases, and to the crash for Copying.
+// Everything before the opening is the dry run's history.
 func rebalancePoint(prof func(device.Config) core.Profile, shards int,
 	phase kvcluster.MigrationState, victim int, phantom string) Workload {
-	return func(k *sim.Kernel) func() (*core.Stack, []Checker) {
-		// Compact journal + tiny memtable + small chunks keep the victim's
-		// volatile write set — and with it the enumerated state space —
-		// small enough for exhaustive coverage.
-		rc := kvcluster.ReplicaConfig{
-			Shards:   shards,
-			Replicas: 2,
-			Profile: func(d device.Config) core.Profile {
-				return CompactJournal(prof(d), 512)
-			},
-			Store: kvwal.Config{
-				WALPages: 128, MemtableCap: 8, CompactFanIn: 3, CheckpointEvery: 4,
-			},
-			Migrate: kvcluster.MigrateConfig{
-				ChunkKeys: 6, ChunkEvery: 120 * sim.Microsecond,
-			},
+	// Compact journal + tiny memtable + small chunks keep the victim's
+	// volatile write set — and with it the enumerated state space — small
+	// enough for exhaustive coverage.
+	rc := kvcluster.ReplicaConfig{
+		Shards:   shards,
+		Replicas: 2,
+		Profile: func(d device.Config) core.Profile {
+			return CompactJournal(prof(d), 512)
+		},
+		Store: kvwal.Config{
+			WALPages: 128, MemtableCap: 8, CompactFanIn: 3, CheckpointEvery: 4,
+		},
+		Migrate: kvcluster.MigrateConfig{
+			ChunkKeys: 6, ChunkEvery: 120 * sim.Microsecond,
+		},
+	}
+	hold := -1
+	{
+		k := sim.NewKernel()
+		r := startRebalance(k, rc, kvcluster.MigCopying, -1)
+		k.RunUntil(rebalanceDeadline)
+		if hold = r.writes; !r.idle {
+			hold--
 		}
-
-		var cl *kvcluster.Cluster
-		var mig *kvcluster.Migration
-		acked := make(map[string]bool)
-		stop := false
-		idle := true
-		k.Spawn("reb/client", func(p *sim.Proc) {
-			c, err := kvcluster.OpenCluster(p, rc)
-			if err != nil {
-				panic(err)
-			}
-			cl = c
-			// Deterministic write stream: small Zipf-free keyspace so
-			// overwrites and deletes collide across the migrating ranges.
-			for n := 0; !stop; n++ {
-				idle = false
-				key := fmt.Sprintf("mk%03d", n%96)
-				if n%7 == 3 {
-					if err := c.Delete(p, key); err == nil {
-						delete(acked, key)
-					}
-				} else {
-					if err := c.Put(p, key); err == nil {
-						acked[key] = true
-					}
-				}
-				idle = true
-				p.Sleep(40 * sim.Microsecond)
-			}
-		})
-		k.Spawn("reb/resize", func(p *sim.Proc) {
-			for cl == nil {
-				p.Sleep(50 * sim.Microsecond)
-			}
-			p.Sleep(800 * sim.Microsecond) // preload before the ring grows
-			m, err := cl.Resize(p, shards+1)
-			if err != nil {
-				panic(err)
-			}
-			mig = m
-		})
-		// The crash instant is a polled condition: look every 2us until the
-		// migration occupies the target phase at an instant with no client
-		// write mid-commit (a write wedged on the crashed victim would
-		// otherwise stall the audit), and stop the kernel there.
-		k.Spawn("reb/watch", func(p *sim.Proc) {
-			for mig == nil || (!mig.Done() && !(idle && mig.InState(phase))) {
-				p.Sleep(2 * sim.Microsecond)
-			}
-			k.Stop()
-		})
-
+		k.Close()
+	}
+	return func(k *sim.Kernel) func() (*core.Stack, []Checker) {
+		r := startRebalance(k, rc, phase, hold)
 		return func() (*core.Stack, []Checker) {
-			if mig == nil || !mig.InState(phase) {
-				panic(fmt.Sprintf("crashmc: rebalance: migration never reached %v (now %v)", phase, k.Now()))
+			cl, mig := r.cl, r.mig
+			if mig == nil || !mig.InState(phase) || !r.idle {
+				panic(fmt.Sprintf("crashmc: rebalance: migration never reached %v between client writes (now %v)", phase, k.Now()))
 			}
-			stop = true
 			if phantom != "" {
-				acked[phantom] = true
+				r.acked[phantom] = true
 			}
 			survivors := make([]*kvwal.Store, shards+1)
 			for s := 0; s <= shards; s++ {
@@ -260,8 +226,98 @@ func rebalancePoint(prof func(device.Config) core.Profile, shards int,
 			return stack, append([]Checker{&RebalanceChecker{
 				Old: cl.Ring(), New: mig.Target(), Replicas: rc.Replicas,
 				Victim: victim, Store: cl.Store(victim),
-				Survivor: survivors, Acked: acked,
+				Survivor: survivors, Acked: r.acked,
 			}}, journalAndFS(stack)...)
 		}
 	}
+}
+
+// rebalanceRun is one run of the rebalance scenario: the host-side truth
+// its client and watcher keep.
+type rebalanceRun struct {
+	cl      *kvcluster.Cluster
+	mig     *kvcluster.Migration
+	acked   map[string]bool // cluster-acked live keys
+	writes  int             // client writes started
+	idle    bool            // no client write in flight
+	crashed bool            // the kernel stopped at the crash instant
+}
+
+// startRebalance spawns the scenario on k: a client writing one key every
+// 40us into a fresh cluster, and a resize to one more shard 800us after it
+// opens. The client holds write number hold as rebalancePoint says; a dry
+// run (hold -1) stops the kernel at the opening. Otherwise the kernel
+// stops, for the power to fail, at the first 2us tick at which the
+// migration occupies phase with no client write in flight (a write wedged
+// on the crashed victim would otherwise stall the audit).
+func startRebalance(k *sim.Kernel, rc kvcluster.ReplicaConfig, phase kvcluster.MigrationState, hold int) *rebalanceRun {
+	r := &rebalanceRun{acked: make(map[string]bool), idle: true}
+	opened := sim.NewCond(k)
+	crashIf := func(now bool) {
+		if now && !r.crashed {
+			r.crashed = true
+			k.Stop()
+		}
+	}
+	k.Spawn("reb/client", func(p *sim.Proc) {
+		c, err := kvcluster.OpenCluster(p, rc)
+		if err != nil {
+			panic(err)
+		}
+		r.cl = c
+		// Deterministic write stream: small Zipf-free keyspace so
+		// overwrites and deletes collide across the migrating ranges.
+		for n := 0; ; n++ {
+			for n == hold && (r.mig == nil || phase == kvcluster.MigCopying) {
+				opened.Wait(p)
+			}
+			if r.crashed {
+				return
+			}
+			r.writes++
+			r.idle = false
+			key := fmt.Sprintf("mk%03d", n%96)
+			if n%7 == 3 {
+				if err := c.Delete(p, key); err == nil {
+					delete(r.acked, key)
+				}
+			} else {
+				if err := c.Put(p, key); err == nil {
+					r.acked[key] = true
+				}
+			}
+			r.idle = true
+			p.Sleep(40 * sim.Microsecond)
+		}
+	})
+	k.Spawn("reb/resize", func(p *sim.Proc) {
+		for r.cl == nil {
+			p.Sleep(50 * sim.Microsecond)
+		}
+		p.Sleep(800 * sim.Microsecond) // preload before the ring grows
+		m, err := r.cl.Resize(p, rc.Shards+1)
+		if err != nil {
+			panic(err)
+		}
+		r.mig = m
+		crashIf(hold < 0) // the dry run ends at the opening
+		opened.Broadcast()
+	})
+	k.Spawn("reb/watch", func(p *sim.Proc) {
+		for !r.crashed && (r.mig == nil || !r.mig.Done() && !(r.idle && r.occupied(phase))) {
+			p.Sleep(2 * sim.Microsecond)
+		}
+		crashIf(true)
+	})
+	return r
+}
+
+// occupied reports whether the migration is where phase's crash point
+// wants it. Copying's is mid-copy, once the destination has ingested a
+// chunk.
+func (r *rebalanceRun) occupied(phase kvcluster.MigrationState) bool {
+	if phase == kvcluster.MigCopying && r.mig.Stats().KeysCopied == 0 {
+		return false
+	}
+	return r.mig.InState(phase)
 }
