@@ -193,16 +193,14 @@ func rebalancePoint(prof func(device.Config) core.Profile, shards int,
 			ChunkKeys: 6, ChunkEvery: 120 * sim.Microsecond,
 		},
 	}
-	hold := -1
-	{
-		k := sim.NewKernel()
-		r := startRebalance(k, rc, kvcluster.MigCopying, -1)
-		k.RunUntil(rebalanceDeadline)
-		if hold = r.writes; !r.idle {
-			hold--
-		}
-		k.Close()
+	dry := sim.NewKernel()
+	r := startRebalance(dry, rc, kvcluster.MigCopying, -1)
+	dry.RunUntil(rebalanceDeadline)
+	hold := r.writes // the first write not started before the opening
+	if !r.idle {
+		hold-- // the one in flight there
 	}
+	dry.Close()
 	return func(k *sim.Kernel) func() (*core.Stack, []Checker) {
 		r := startRebalance(k, rc, phase, hold)
 		return func() (*core.Stack, []Checker) {
