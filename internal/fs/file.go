@@ -129,9 +129,12 @@ func (f *FS) EvictClean(i *Inode) int {
 	return n
 }
 
-// writebackPlan is the set of in-place data writes produced by writeback.
+// writebackPlan is the set of in-place data writes produced by writeback;
+// journaled marks a writeback that routed a page through the journal
+// instead, which only a commit carries to the device.
 type writebackPlan struct {
-	reqs []*block.Request
+	reqs      []*block.Request
+	journaled bool
 }
 
 // writeback turns the file's dirty pages into block requests with the given
@@ -159,6 +162,7 @@ func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast boo
 			pg.dirty = false
 			pg.everSynced = true
 			f.stats.DataJournaled++
+			plan.journaled = true
 			continue
 		}
 		plan.reqs = append(plan.reqs, f.dataRequest(i, pg, flags, p.ID()))

@@ -92,7 +92,9 @@ func (f *FS) sync(p *sim.Proc, i *Inode, datasync bool) {
 	case jbd.ModeOptFS:
 		plan := f.writeback(p, i, 0, false)
 		f.waitAll(p, i, plan)
-		if commitMeta {
+		if commitMeta || plan.journaled {
+			// A journaled overwrite reaches the device only through the
+			// commit, so it needs one even with no metadata to commit.
 			f.j.CommitOrdering(p, false)
 			i.allocDirty = false
 		}
