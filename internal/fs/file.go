@@ -129,9 +129,8 @@ func (f *FS) EvictClean(i *Inode) int {
 	return n
 }
 
-// writebackPlan is the set of in-place data writes produced by writeback;
-// journaled marks a writeback that routed a page through the journal
-// instead, which only a commit carries to the device.
+// writebackPlan is the set of in-place data writes produced by writeback,
+// and whether it journaled a page instead (only a commit carries that).
 type writebackPlan struct {
 	reqs      []*block.Request
 	journaled bool
@@ -151,7 +150,7 @@ func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast boo
 	dirty := i.takeDirty()
 	f.obs.dirtyPages.Add(-int64(len(dirty)))
 	for _, pg := range dirty {
-		if pg.everSynced && f.opts.Journal.Mode == jbd.ModeOptFS {
+		if pg.everSynced && f.j.JournalsOverwrites() {
 			// The page goes through the journal as a logged block, paying
 			// the scan/checksum CPU this costs (OptFS's §6.5 penalty).
 			p.Advance(journalScanCPU)
@@ -181,6 +180,7 @@ func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast boo
 		}
 		i.trackInflight(r)
 		f.layer.Submit(p, r)
+		i.offStream = i.offStream || r.Stream != f.stream
 	}
 	return plan
 }

@@ -142,6 +142,9 @@ type Inode struct {
 	// marked clean at submission, so the sync calls must be able to wait on
 	// writeback they did not plan themselves (filemap_fdatawait).
 	inflight []*block.Request
+	// offStream marks writeback moved off the order stream since the last
+	// durable sync: no barrier orders it (see Fdatabarrier).
+	offStream bool
 	// onDone is writebackDone, bound once: every data write's OnComplete.
 	onDone func(sim.Time, *block.Request)
 	// dirtyPg lists the dirty pages (append-on-dirty), so writeback and the

@@ -25,6 +25,21 @@ func (f *FS) syncCall(p *sim.Proc, n *int64, name string) func() {
 	return func() { f.k.SpanEnd("fs", name, id) }
 }
 
+// Delivered is what a sync call guaranteed for the file's writes when it
+// returned: Durable (served as fdatasync or fsync, with the mount's
+// durability), Ordered (they persist before anything submitted after the
+// call, and are durable at a later durable sync) or Transferred (they
+// reached the device in transfer order, but a volatile cache may persist
+// them in any order: OptFS's osync).
+type Delivered int
+
+// What a sync call delivered.
+const (
+	Durable Delivered = iota
+	Ordered
+	Transferred
+)
+
 // Fsync makes the file durable: data, then the journal transaction that
 // covers its metadata. The blocking structure differs per engine exactly as
 // in the paper's Fig. 7:
@@ -37,83 +52,14 @@ func (f *FS) syncCall(p *sim.Proc, n *int64, name string) func() {
 //     fdatasync (the Fig. 11 jiffy effect).
 func (f *FS) Fsync(p *sim.Proc, i *Inode) {
 	defer f.syncCall(p, &f.stats.Fsyncs, "fsync")()
-	f.sync(p, i, false)
+	f.sync(p, i, true, false)
 }
 
 // Fdatasync is fsync without the timestamp-only metadata commit: it commits
 // the journal only when block allocation or size changed.
 func (f *FS) Fdatasync(p *sim.Proc, i *Inode) {
 	defer f.syncCall(p, &f.stats.Fdatasyncs, "fdatasync")()
-	f.sync(p, i, true)
-}
-
-// sync is the durability path of the sync calls; datasync skips a commit of
-// timestamp-only metadata. The caller's trace context (reqtrace.Of) rides
-// its data writes, journal transaction and flush.
-func (f *FS) sync(p *sim.Proc, i *Inode, datasync bool) {
-	// The one commit decision. An allocation frozen into another caller's
-	// commit is no longer pending, but that commit may not have reached the
-	// device yet: wait for it too (ext4's wait on i_datasync_tid).
-	commitMeta := (i.MetaPending() && (!datasync || i.allocDirty)) || (i.allocDirty && i.buf.Frozen())
-	// Background writeback that the multi-queue layer moved off stream 0 is
-	// outside the flush/barrier ordering domain: wait on it explicitly.
-	f.waitCrossStream(p, i)
-	switch f.opts.Journal.Mode {
-	case jbd.ModeDual:
-		if commitMeta && i.MetaPending() {
-			// D as ordered writes — no Wait-on-Transfer. The JD of the
-			// transaction this commits closes the {D, JD} epoch (Eq. 3).
-			f.release(i, f.writeback(p, i, block.FlagOrdered, false))
-			f.j.CommitAndWait(p)
-			i.allocDirty = false
-			return
-		}
-		// fdatasync path: D closed by a barrier, then a device flush. If
-		// there is nothing dirty at all, force an (empty) journal commit to
-		// delimit an epoch (§4.2) and wait for it durably.
-		plan := f.writeback(p, i, block.FlagOrdered, true)
-		if len(plan.reqs) == 0 {
-			f.release(i, plan)
-			if t := f.j.CommitOrdering(p, true); t != nil {
-				f.j.WaitTxn(p, t)
-			}
-		} else {
-			f.waitAll(p, i, plan)
-			f.layer.Flush(p)
-			f.wake(p)
-		}
-		if commitMeta {
-			// The allocation rides a commit that may already be past its JD
-			// and flush, so neither covers D: D took the path above, and
-			// the sync waits for that commit on top.
-			f.j.WaitFrozen(p, i.buf)
-			i.allocDirty = false
-		}
-	case jbd.ModeOptFS:
-		plan := f.writeback(p, i, 0, false)
-		f.waitAll(p, i, plan)
-		if commitMeta || plan.journaled {
-			// A journaled overwrite reaches the device only through the
-			// commit, so it needs one even with no metadata to commit.
-			f.j.CommitOrdering(p, false)
-			i.allocDirty = false
-		}
-		// Durability on OptFS: an explicit flush (dsync-like).
-		f.layer.Flush(p)
-		f.wake(p)
-	default: // JBD2 / EXT4
-		plan := f.writeback(p, i, 0, false)
-		f.waitAll(p, i, plan) // Wait-on-Transfer (wake-up #1)
-		if commitMeta {
-			f.j.CommitAndWait(p) // transfer-and-flush commit (wake-up #2)
-			i.allocDirty = false
-			return
-		}
-		if f.opts.Journal.BarrierMount {
-			f.layer.Flush(p) // wake-up #2
-			f.wake(p)
-		}
-	}
+	f.sync(p, i, false, false)
 }
 
 // Fbarrier is the ordering-guarantee-only fsync (§4.1): it writes dirty
@@ -122,62 +68,109 @@ func (f *FS) sync(p *sim.Proc, i *Inode, datasync bool) {
 // fsync with the mount's durability semantics.
 func (f *FS) Fbarrier(p *sim.Proc, i *Inode) {
 	defer f.syncCall(p, &f.stats.Fbarriers, "fbarrier")()
-	f.waitCrossStream(p, i)
-	switch f.opts.Journal.Mode {
-	case jbd.ModeDual:
-		if i.MetaPending() {
-			f.release(i, f.writeback(p, i, block.FlagOrdered, false))
-			f.j.CommitOrdering(p, false) // returns at JC dispatch
-			i.allocDirty = false
-			return
-		}
-		// No metadata: serviced as fdatabarrier (usually zero wake-ups).
-		f.fdatabarrierDual(p, i)
-	case jbd.ModeOptFS:
-		// osync(): ordering via Wait-on-Transfer, no flush.
-		plan := f.writeback(p, i, 0, false)
-		f.waitAll(p, i, plan)
-		if i.MetaPending() {
-			f.j.CommitOrdering(p, false)
-			i.allocDirty = false
-		}
-	default:
-		f.sync(p, i, false)
-	}
+	f.sync(p, i, true, true)
 }
 
 // Fdatabarrier enforces the storage order between preceding and following
 // writes with no durability wait, no flush, and no Wait-on-Transfer — the
-// storage analogue of a memory barrier (§4.1). Only meaningful on the
-// Dual-Mode engine; other engines approximate it with their strongest
-// cheap primitive.
-func (f *FS) Fdatabarrier(p *sim.Proc, i *Inode) {
+// storage analogue of a memory barrier (§4.1) — and returns what it
+// delivered. Only BarrierFS delivers Ordered, and only while the file's
+// writes since its last durable sync stayed on the filesystem's order
+// stream: writeback the multi-queue layer moved to a data stream is
+// outside every barrier, so the call is then served as fdatasync. JBD2
+// serves it as fdatasync too, and OptFS as osync.
+func (f *FS) Fdatabarrier(p *sim.Proc, i *Inode) Delivered {
 	defer f.syncCall(p, &f.stats.Fdatabarriers, "fdatabarrier")()
+	return f.sync(p, i, false, true)
+}
+
+// sync is the one body of the four sync calls and the one place the
+// engine is picked: meta also commits timestamp-only metadata (fsync,
+// fbarrier), ordered asks for ordering alone (fbarrier, fdatabarrier). The
+// caller's trace context (reqtrace.Of) rides its data writes, journal
+// transaction and flush.
+func (f *FS) sync(p *sim.Proc, i *Inode, meta, ordered bool) Delivered {
+	// The one commit decision. An allocation frozen into another caller's
+	// commit is no longer pending, but that commit may not have reached the
+	// device yet: wait for it too (ext4's wait on i_datasync_tid).
+	commitMeta := (i.MetaPending() && (meta || i.allocDirty)) || (i.allocDirty && i.buf.Frozen())
+	// Background writeback that the multi-queue layer moved off the order
+	// stream is outside the flush/barrier ordering domain: wait on it
+	// explicitly.
 	f.waitCrossStream(p, i)
 	switch f.opts.Journal.Mode {
 	case jbd.ModeDual:
-		f.fdatabarrierDual(p, i)
+		ordered = ordered && !i.offStream
+		got := Ordered
+		if !ordered {
+			got, i.offStream = Durable, false
+		}
+		if i.MetaPending() && (ordered && meta || !ordered && commitMeta) {
+			// D as ordered writes — no Wait-on-Transfer. The JD of the
+			// transaction this commits closes the {D, JD} epoch (Eq. 3).
+			f.release(i, f.writeback(p, i, block.FlagOrdered, false))
+			if ordered {
+				f.j.CommitOrdering(p, false) // returns at JC dispatch
+			} else {
+				f.j.CommitAndWait(p)
+			}
+			i.allocDirty = false
+			return got
+		}
+		// D closed by a barrier; a durable sync then flushes. With nothing
+		// dirty at all, a forced (possibly empty) journal commit delimits
+		// the epoch (§4.2), waited durably by a durable sync.
+		plan := f.writeback(p, i, block.FlagOrdered, true)
+		switch {
+		case len(plan.reqs) == 0:
+			f.release(i, plan)
+			if t := f.j.CommitOrdering(p, true); t != nil && !ordered {
+				f.j.WaitTxn(p, t)
+			}
+		case ordered:
+			f.release(i, plan)
+		default:
+			f.waitAll(p, i, plan)
+			f.layer.Flush(p)
+			f.wake(p)
+		}
+		if !ordered && commitMeta {
+			// The allocation rides a commit that may already be past its JD
+			// and flush, so neither covers D: D took the path above, and
+			// the sync waits for that commit on top.
+			f.j.WaitFrozen(p, i.buf)
+			i.allocDirty = false
+		}
+		return got
 	case jbd.ModeOptFS:
-		// osync: write data (Wait-on-Transfer) and commit the journal —
-		// journaled pages (selective data journaling) only reach the device
-		// through the commit.
+		// osync orders by Wait-on-Transfer; a durable sync adds an explicit
+		// flush (dsync-like).
 		plan := f.writeback(p, i, 0, false)
 		f.waitAll(p, i, plan)
-		f.j.CommitOrdering(p, false)
-	default:
-		// fdatasync's semantics under this call's one syscall charge and span.
-		f.sync(p, i, true)
+		// A journaled overwrite reaches the device only through a commit:
+		// fdatabarrier always commits, fbarrier only pending metadata.
+		if ordered && (!meta || i.MetaPending()) || !ordered && (commitMeta || plan.journaled) {
+			f.j.CommitOrdering(p, false)
+			i.allocDirty = false
+		}
+		if ordered {
+			return Transferred
+		}
+		f.layer.Flush(p)
+		f.wake(p)
+		return Durable
+	default: // JBD2 / EXT4: every call is served durably
+		plan := f.writeback(p, i, 0, false)
+		f.waitAll(p, i, plan) // Wait-on-Transfer (wake-up #1)
+		if commitMeta {
+			f.j.CommitAndWait(p) // transfer-and-flush commit (wake-up #2)
+			i.allocDirty = false
+		} else if f.opts.Journal.BarrierMount {
+			f.layer.Flush(p) // wake-up #2
+			f.wake(p)
+		}
+		return Durable
 	}
-}
-
-func (f *FS) fdatabarrierDual(p *sim.Proc, i *Inode) {
-	plan := f.writeback(p, i, block.FlagOrdered, true)
-	if len(plan.reqs) == 0 {
-		// Delimit the epoch through a forced (possibly empty) commit; do
-		// not wait for anything beyond the commit dispatch.
-		f.j.CommitOrdering(p, true)
-	}
-	f.release(i, plan)
 }
 
 // SyncFS flushes everything: all dirty files, a journal commit and a device

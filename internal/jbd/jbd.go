@@ -331,6 +331,11 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 // Stats returns cumulative statistics.
 func (j *Journal) Stats() Stats { return j.stats }
 
+// JournalsOverwrites reports whether the engine routes an overwrite of a
+// page already on the device through the journal (OptFS's selective data
+// journaling).
+func (j *Journal) JournalsOverwrites() bool { return j.cfg.Mode == ModeOptFS }
+
 // FreePages returns the free journal slots.
 func (j *Journal) FreePages() int { return j.freePages }
 
