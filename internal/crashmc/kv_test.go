@@ -12,25 +12,26 @@ import (
 	"repro/internal/sim"
 )
 
-// TestKVCrashSweep enumerates crash points on all four kv stack profiles
-// with concurrent group-committing clients: zero acknowledged-but-lost
-// keys, and (on the barrier engines) group-prefix ordering. 10.8 ms on
-// EXT4-DR and 38.4 ms on EXT4-MQ are the instants where fdatasync once
-// returned before the commit holding a new segment's allocation was
-// durable.
+// TestKVCrashSweep enumerates crash points on the four kv stack profiles
+// and OptFS with concurrent group-committing clients: zero
+// acknowledged-but-lost keys, and group-prefix ordering. 10.8 ms on EXT4-DR
+// and 38.4 ms on EXT4-MQ are the instants where fdatasync once returned
+// before the commit holding a new segment's allocation was durable. OptFS
+// pins the store's answer to a Transferred fdatabarrier: the fdatasync it
+// adds.
 func TestKVCrashSweep(t *testing.T) {
 	pts := times(700, 2000, 4500, 9000, 10800, 20000, 38400, 45000)
 	for _, mk := range []func(device.Config) core.Profile{
-		core.EXT4DR, core.BFSDR, core.EXT4MQ, core.BFSMQ,
+		core.EXT4DR, core.BFSDR, core.EXT4MQ, core.BFSMQ, core.OptFS,
 	} {
 		sweepClean(t, OnStack(mk(device.NVMeSSD()), KV(4)), pts)
 	}
 }
 
 // TestKVCrashSingleClient pins the degenerate no-grouping case (every batch
-// is its own group) across crash points on both engines.
+// is its own group) across crash points on each answer fs gives.
 func TestKVCrashSingleClient(t *testing.T) {
-	for _, mk := range []func(device.Config) core.Profile{core.EXT4DR, core.BFSDR} {
+	for _, mk := range []func(device.Config) core.Profile{core.EXT4DR, core.BFSDR, core.OptFS} {
 		sweepClean(t, OnStack(mk(device.PlainSSD()), KV(1)), times(1500, 8000, 30000))
 	}
 }

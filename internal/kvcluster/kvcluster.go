@@ -200,11 +200,8 @@ func (r Result) Report() string {
 }
 
 // spawnShard wires shard idx's runner into k, serving from a kvwal store
-// opened on mount; the engine choice (fdatabarrier vs fdatasync group
-// commit) follows the profile's journaling mode. Shards sample traces into
-// a sampler each.
-func (c Config) spawnShard(k *sim.Kernel, idx int, reqs []Request, tr Traffic,
-	mount *fs.FS, prof core.Profile) *runner {
+// opened on mount. Shards sample traces into a sampler each.
+func (c Config) spawnShard(k *sim.Kernel, idx int, reqs []Request, tr Traffic, mount *fs.FS) *runner {
 	run := &runner{
 		reqs: reqs, tr: tr, idx: idx, instruments: fmt.Sprintf("kvcluster/shard=%d/", idx),
 		cap: c.InflightCap, slo: c.SLO,
@@ -213,7 +210,7 @@ func (c Config) spawnShard(k *sim.Kernel, idx int, reqs []Request, tr Traffic,
 		run.smp = reqtrace.NewSampler(*c.Trace)
 	}
 	run.spawn(k, c.Metrics, func(p *sim.Proc) (serveFunc, error) {
-		st, err := kvwal.OpenFS(p, mount, prof, c.Store)
+		st, err := kvwal.OpenFS(p, mount, c.Store)
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +275,7 @@ func runShardStack(cfg Config, tr Traffic, idx int, reqs []Request, end sim.Time
 	}
 	k := cfg.NewKernel(fmt.Sprintf("kvcluster/%s/shard%d", prof.Name, idx))
 	defer k.Close()
-	run := cfg.spawnShard(k, idx, reqs, tr, core.NewStack(k, prof).FS, prof)
+	run := cfg.spawnShard(k, idx, reqs, tr, core.NewStack(k, prof).FS)
 	drive(k, []*runner{run}, end)
 	return run
 }
@@ -308,7 +305,7 @@ func runMQStreams(cfg Config, tr Traffic, parts [][]Request, runs []*runner, end
 			opts.Journal.Stream = block.OrderStream(i)
 			mount = fs.New(k, s.Front, opts)
 		}
-		runs[i] = cfg.spawnShard(k, i, parts[i], tr, mount, prof)
+		runs[i] = cfg.spawnShard(k, i, parts[i], tr, mount)
 	}
 	drive(k, runs, end)
 }

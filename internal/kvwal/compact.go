@@ -12,16 +12,16 @@ import (
 // the writes carry REQ_BACKGROUND — on the multi-queue profiles they
 // scatter onto data streams and stay out of the commit stream's way. A
 // segment must reach storage before the manifest may reference it, and the
-// manifest before WAL records may be recycled. Flush engines make each
-// durable in turn. Barrier engines on one queue only order them: the
-// segment's pages, its allocation commit, the manifest and the recycling
-// writes persist in that order, and all of them are durable at the next
-// checkpoint. Until then a crash may keep the previous manifest, so
-// compaction's inputs must stay readable until the merged run's allocation
-// is durable. They do, because the fs never reuses a freed LPA: unlinking
-// an input frees its blocks but never overwrites them. On the multi-queue
-// layer the scattered pages escape the barriers, so there the segment is
-// fdatasynced before the manifest is ordered behind it.
+// manifest before WAL records may be recycled. Each is an ordering point
+// (order): where fs makes them durable, they are durable in turn. Where it
+// only orders them, the segment's pages, its allocation commit, the
+// manifest and the recycling writes persist in that order, and all of them
+// are durable at the next checkpoint. Until then a crash may keep the
+// previous manifest, so compaction's inputs must stay readable until the
+// merged run's allocation is durable. They do, because the fs never reuses
+// a freed LPA: unlinking an input frees its blocks but never overwrites
+// them. On the multi-queue layer the scattered pages escape the barriers,
+// and fs answers the segment's fdatabarrier with a durable fdatasync.
 
 // flusher freezes the memtable when the leader signals and turns it into a
 // sorted segment, then advances the WAL checkpoint.
@@ -50,16 +50,15 @@ func (st *Store) flushOnce(p *sim.Proc) {
 	}
 	slices.SortFunc(ents, bySegKey)
 
-	if len(ents) > 0 {
-		seg := st.writeSegment(p, ents)
-		st.segs = append(st.segs, seg)
-		st.indexSegment(seg)
-	}
-	// Publish the segment (if any) and release WAL space.
+	// needFlush saw a non-empty memtable, so there is a segment to write.
+	seg, durable := st.writeSegment(p, ents)
+	st.segs = append(st.segs, seg)
+	st.indexSegment(seg)
+	// Publish the segment and release WAL space.
 	st.writeManifest(p, freezeSeq)
 	st.checkpointSeq = freezeSeq
-	if !st.orderSegments && freezeSeq > st.durableSeq {
-		// The segment's fdatasync made everything up to the freeze point
+	if durable && freezeSeq > st.durableSeq {
+		// The segment's durable sync made everything up to the freeze point
 		// durable. An ordered segment waits for the next checkpoint.
 		st.durableSeq = freezeSeq
 	}
@@ -71,15 +70,15 @@ func (st *Store) flushOnce(p *sim.Proc) {
 func bySegKey(a, b segEnt) int { return strings.Compare(a.key, b.key) }
 
 // writeSegment creates a new segment file, writes one page per entry as
-// background writeback, waits for the transfers, and then stores it: an
-// fdatasync makes it durable, or, where segments are ordered, an
-// fdatabarrier on the now-clean file forces an ordering-only journal
-// commit. That commit drains the conflict-page list before it freezes, so
-// it carries even allocation metadata parked behind an in-flight commit;
-// fbarrier would not, since its parked path commits nothing. The segment is
-// durable at the next checkpoint. It returns the registered segment, with
-// the entries' page and version shadows filled in.
-func (st *Store) writeSegment(p *sim.Proc, ents []segEnt) *segment {
+// background writeback, waits for the transfers, and then orders it. On
+// BarrierFS the fdatabarrier on the now-clean file forces an ordering-only
+// journal commit, which drains the conflict-page list before it freezes,
+// so it carries even allocation metadata parked behind an in-flight
+// commit; fbarrier would not, since its parked path commits nothing. An
+// ordered segment is durable at the next checkpoint. It returns the
+// registered segment, with the entries' page and version shadows filled
+// in, and whether fs made it durable.
+func (st *Store) writeSegment(p *sim.Proc, ents []segEnt) (*segment, bool) {
 	seg := &segment{id: st.nextSegID}
 	st.nextSegID++
 	seg.name = segName(seg.id)
@@ -104,27 +103,22 @@ func (st *Store) writeSegment(p *sim.Proc, ents []segEnt) *segment {
 	// what is still queued. A background thread can afford the
 	// Wait-on-Transfer the foreground commit path avoids.
 	st.fs.Fdatawait(p, f)
-	if st.orderSegments {
-		st.fs.Fdatabarrier(p, f)
-	} else {
-		st.fs.Fdatasync(p, f) // allocation metadata + cache flush: durable
-	}
+	durable := st.order(p, f)
 	if st.cfg.EvictSegments {
 		st.fs.EvictClean(f)
 	}
 	seg.entries = ents
 	st.segByID[seg.id] = seg
-	return seg
+	return seg, durable
 }
 
 // writeManifest publishes the current live segment set and checkpoint:
-// one overwrite of the manifest page followed by the engine's publish call.
+// one overwrite of the manifest page followed by an ordering point (order).
 // The version stamp of that page is the commit point recovery pivots on.
-// Flush engines fdatasync it. Barrier engines fdatabarrier it: the WAL slot
-// overwrites that the new checkpoint allows are dispatched after that
-// barrier, so a crash that loses the manifest loses them too and recovery
-// replays from the previous one, whose segments stay readable because the
-// fs never reuses a freed LPA. Flusher, compactor and Ingest all publish,
+// Where fs only orders it, the WAL slot overwrites that the new checkpoint
+// allows are dispatched after that barrier, so a crash that loses the
+// manifest loses them too and recovery replays from the previous one, whose
+// segments stay readable because the fs never reuses a freed LPA. Flusher, compactor and Ingest all publish,
 // and every filesystem call yields, so the whole write-stamp-publish
 // sequence holds a lock: without it two writers can interleave, one
 // stamping the other's page version and losing its state — and with it the
@@ -143,11 +137,7 @@ func (st *Store) writeManifest(p *sim.Proc, checkpoint uint64) {
 	st.fs.Write(p, st.manifest, 0)
 	ver, _ := st.fs.PageVer(st.manifest, 0)
 	st.manifestHist[ver] = manifestState{checkpoint: checkpoint, segIDs: ids}
-	if st.barrierCommit {
-		st.fs.Fdatabarrier(p, st.manifest)
-	} else {
-		st.fs.Fdatasync(p, st.manifest)
-	}
+	st.order(p, st.manifest)
 	st.manifestMu.Unlock()
 }
 
@@ -188,7 +178,7 @@ func (st *Store) compactOnce(p *sim.Proc) {
 
 	var merged *segment
 	if len(ents) > 0 {
-		merged = st.writeSegment(p, ents)
+		merged, _ = st.writeSegment(p, ents)
 	}
 	// Splice: replace the input prefix with the merged run, keeping any
 	// segments the flusher added while we merged.

@@ -6,29 +6,31 @@
 // durability call, amortizing the sync across every queued client exactly
 // like InnoDB/RocksDB group commit.
 //
-// The durability call is chosen per journaling engine, which is the
-// paper's application-level thesis in one switch statement:
+// The store asks the filesystem for ordering and reads the answer, which
+// is the paper's application-level thesis in one helper (order). Each
+// ordering point — a group commit, a segment, a manifest publish — calls
+// fdatabarrier, and fs says what it delivered:
 //
-//   - EXT4 (JBD2) engines: fdatasync() per group — Transfer-and-Flush, the
-//     leader stalls for the full flush round trip;
-//   - BarrierFS (Dual) engines: fdatabarrier() per group — the group is
-//     *ordered* at dispatch cost, clients are released immediately, and a
-//     periodic fdatasync checkpoint bounds the durability window.
+//   - Durable on EXT4 (JBD2), which serves it as fdatasync: the leader
+//     stalls for the full Transfer-and-Flush round trip;
+//   - Ordered on BarrierFS (Dual): the group is ordered at dispatch cost,
+//     clients are released immediately, and a periodic fdatasync checkpoint
+//     bounds the durability window;
+//   - Transferred on OptFS, whose osync order a volatile cache may break:
+//     the store adds an fdatasync, and the point is durable.
 //
-// The same switch picks how memtable flushes, compactions and ingests
-// land a segment and publish the manifest. EXT4 fdatasyncs both. BarrierFS
-// orders both: the segment's pages, then a forced ordering-only journal
-// commit carrying its allocation, then the manifest, then the WAL slots the
-// manifest frees — and the segment becomes durable at the next checkpoint,
-// like any group. The exception is BarrierFS on the multi-queue block
-// layer, whose background writeback rides data streams that no barrier
-// orders: there a segment is still fdatasynced before its fdatabarrier
-// publish.
+// Memtable flushes, compactions and ingests land a segment and publish the
+// manifest the same way. On BarrierFS the segment's pages, a forced
+// ordering-only journal commit carrying its allocation, the manifest and
+// the WAL slots the manifest frees persist in that order, durable at the
+// next checkpoint like any group. On the multi-queue block layer a
+// segment's background writeback rides data streams no barrier orders, so
+// fs serves the segment's fdatabarrier as fdatasync.
 //
 // Ordering makes recovery prefix-consistent: because every group is
-// separated from the next by a barrier, the WAL records that survive a
-// crash are always a prefix of the committed history (at group
-// granularity), so replay never observes a later group without its
+// separated from the next by a barrier or a durable sync, the WAL records
+// that survive a crash are always a prefix of the committed history (at
+// group granularity), so replay never observes a later group without its
 // predecessors.
 //
 // Background work — memtable flushes into sorted segments, and compaction,
@@ -53,7 +55,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fs"
-	"repro/internal/jbd"
 	"repro/internal/metrics"
 	"repro/internal/reqtrace"
 	"repro/internal/sim"
@@ -95,10 +96,10 @@ type Config struct {
 	// CompactFanIn triggers compaction when more than this many segments are
 	// live: all live segments merge into one.
 	CompactFanIn int
-	// CheckpointEvery bounds the durability window on barrier engines: after
-	// this many barrier-committed groups the leader issues one fdatasync,
-	// which also makes the segments and manifest published since durable.
-	// Ignored on flush engines (every group commit is already durable).
+	// CheckpointEvery bounds the durability window of ordered group
+	// commits: after this many the leader issues one fdatasync, which also
+	// makes the segments and manifest published since durable. Unused where
+	// fs answers Durable (every group commit already is).
 	CheckpointEvery int
 	// Metrics is an explicit observability registry; nil falls back to the
 	// process-wide live registry, and a nil resolution disables the store's
@@ -236,9 +237,6 @@ type Store struct {
 	groupID       uint64
 	groupsSince   int // group commits since the last durability checkpoint
 	nextSegID     int
-
-	barrierCommit bool // Dual engine: barrier group commit + periodic sync
-	orderSegments bool // Dual on one queue: segments ordered, durable at the checkpoint
 	stats         Stats
 }
 
@@ -253,17 +251,14 @@ func segName(id int) string { return fmt.Sprintf("kv.seg-%d", id) }
 // Open creates the store's files on the stack and starts the group-commit
 // leader, flusher and compactor daemons.
 func Open(p *sim.Proc, s *core.Stack, cfg Config) (*Store, error) {
-	return OpenFS(p, s.FS, s.Profile, cfg)
+	return OpenFS(p, s.FS, cfg)
 }
 
-// OpenFS opens a store directly on a filesystem mounted on a stack of
-// profile prof, whose journaling mode picks the engine (fdatabarrier vs
-// fdatasync group commit) and whose block layer decides whether a segment
-// can be ordered rather than synced. Multi-tenant stacks (internal/
-// kvcluster's MQ-streams mode) mount several filesystems on one device and
-// open one store per mount.
-func OpenFS(p *sim.Proc, fsys *fs.FS, prof core.Profile, cfg Config) (*Store, error) {
-	barrier := prof.FS.Journal.Mode == jbd.ModeDual
+// OpenFS opens a store directly on a mounted filesystem. It needs nothing
+// else of the stack: every ordering point asks fs and reads the answer
+// (order). Multi-tenant stacks (internal/kvcluster's MQ-streams mode) mount
+// several filesystems on one device and open one store per mount.
+func OpenFS(p *sim.Proc, fsys *fs.FS, cfg Config) (*Store, error) {
 	if cfg.WALPages <= 0 || cfg.MemtableCap <= 0 || cfg.CompactFanIn <= 0 {
 		return nil, fmt.Errorf("kvwal: non-positive config %+v", cfg)
 	}
@@ -272,19 +267,17 @@ func OpenFS(p *sim.Proc, fsys *fs.FS, prof core.Profile, cfg Config) (*Store, er
 	}
 	st := &Store{
 		fs: fsys, k: p.Kernel(), cfg: cfg,
-		q:             sim.NewQueue[*batch](p.Kernel()),
-		spaceCond:     sim.NewCond(p.Kernel()),
-		flushCond:     sim.NewCond(p.Kernel()),
-		compactCond:   sim.NewCond(p.Kernel()),
-		manifestMu:    sim.NewMutex(p.Kernel()),
-		mem:           make(map[string]memEnt),
-		spare:         make(map[string]memEnt),
-		index:         make(map[string]segRef),
-		segByID:       make(map[int]*segment),
-		manifestHist:  make(map[int64]manifestState),
-		nextSeq:       1,
-		barrierCommit: barrier,
-		orderSegments: barrier && prof.MQQueues == 0,
+		q:            sim.NewQueue[*batch](p.Kernel()),
+		spaceCond:    sim.NewCond(p.Kernel()),
+		flushCond:    sim.NewCond(p.Kernel()),
+		compactCond:  sim.NewCond(p.Kernel()),
+		manifestMu:   sim.NewMutex(p.Kernel()),
+		mem:          make(map[string]memEnt),
+		spare:        make(map[string]memEnt),
+		index:        make(map[string]segRef),
+		segByID:      make(map[int]*segment),
+		manifestHist: make(map[int64]manifestState),
+		nextSeq:      1,
 	}
 	if reg := metrics.Resolve(cfg.Metrics); reg != nil {
 		st.obs = kvObs{
@@ -327,16 +320,16 @@ func (st *Store) Stats() Stats {
 func (st *Store) CommittedSeq() uint64 { return st.committedSeq }
 
 // DurableSeq returns the newest sequence number the store has acknowledged
-// as durable: on flush engines it tracks CommittedSeq; on barrier engines
-// it advances at ForceCheckpoint's fdatasync (and, on the multi-queue
-// layer, at the memtable flush that fdatasyncs a segment), never when a
-// segment is only ordered. It is not the WAL checkpoint.
+// as durable. It advances to CommittedSeq when fs answers a group commit
+// Durable, to the freeze point when it answers a memtable flush's segment
+// Durable, and at ForceCheckpoint's fdatasync; an ordered group or segment
+// moves it only at the next checkpoint. It is not the WAL checkpoint.
 func (st *Store) DurableSeq() uint64 { return st.durableSeq }
 
 // Apply submits a batch of mutations and blocks until the group-commit
-// leader has committed it: on flush engines the batch is then durable; on
-// barrier engines it is ordered (durable no later than the next checkpoint
-// — see ForceCheckpoint). It returns the sequence number of the batch's
+// leader has committed it: the batch is then durable, or, where fs only
+// ordered the group, durable no later than the next checkpoint (see
+// ForceCheckpoint). It returns the sequence number of the batch's
 // last operation.
 func (st *Store) Apply(p *sim.Proc, ops []Op) uint64 {
 	return st.ApplyAsync(p, ops).Wait(p)
@@ -449,9 +442,9 @@ func (st *Store) fileOf(seg *segment) *fs.Inode {
 }
 
 // ForceCheckpoint makes everything committed so far durable: one fdatasync
-// on the WAL. Clients that need read-your-durability semantics on barrier
-// engines call this explicitly; on flush engines it is a cheap no-op-ish
-// extra sync. On barrier engines it is also where ordered segments and the
+// on the WAL. Clients that need read-your-durability semantics where fs
+// only orders call this explicitly; where group commits are durable it is
+// a cheap no-op-ish extra sync. It is also where ordered segments and the
 // manifest that names them become durable: on a clean WAL the fdatasync is
 // a forced journal commit waited durably, and on a WAL with a group
 // mid-append it flushes the cache once the dirty slots, which follow the
@@ -465,6 +458,21 @@ func (st *Store) ForceCheckpoint(p *sim.Proc) {
 		st.durableSeq = target
 	}
 	st.groupsSince = 0
+}
+
+// order is the store's one ordering point: it asks fs to order f's writes
+// before everything that follows (fdatabarrier) and reports whether they are
+// also durable. Transferred writes reached the device in transfer order,
+// but a volatile cache may persist them in any order, so there it adds the
+// fdatasync.
+func (st *Store) order(p *sim.Proc, f *fs.Inode) (durable bool) {
+	switch st.fs.Fdatabarrier(p, f) {
+	case fs.Ordered:
+		return false
+	case fs.Transferred:
+		st.fs.Fdatasync(p, f)
+	}
+	return true
 }
 
 // maxGroupOps bounds one group commit so it can never occupy the whole WAL
@@ -511,16 +519,11 @@ func (st *Store) committer(p *sim.Proc) {
 		}
 		// One sync for the whole group: the amortization that makes group
 		// commit worth it. The DurIssue→DurDone window brackets the leader's
-		// stall — the full transfer-and-flush round trip on fdatasync
-		// engines, dispatch cost only on fdatabarrier engines.
+		// stall — the full transfer-and-flush round trip where fs serves it
+		// durably, dispatch cost only where it orders.
 		tch.StampChain(reqtrace.StageDurIssue, p.Now())
 		prev := reqtrace.With(p, tch)
-		if st.barrierCommit {
-			st.fs.Fdatabarrier(p, st.wal)
-			st.groupsSince++
-		} else {
-			st.fs.Fdatasync(p, st.wal)
-		}
+		durable := st.order(p, st.wal)
 		reqtrace.With(p, prev)
 		tch.StampChain(reqtrace.StageDurDone, p.Now())
 		st.stats.GroupCommits++
@@ -528,8 +531,10 @@ func (st *Store) committer(p *sim.Proc) {
 		st.obs.groupSize.Observe(int64(groupOps))
 		st.k.SpanEnd("kvwal", "group-commit", st.groupID)
 		st.committedSeq = st.nextSeq - 1
-		if !st.barrierCommit {
+		if durable {
 			st.durableSeq = st.committedSeq
+		} else {
+			st.groupsSince++
 		}
 		// Apply to the memtable (the ops' sequence numbers were assigned in
 		// appendWAL in this same order) and ack the clients.
@@ -552,8 +557,8 @@ func (st *Store) committer(p *sim.Proc) {
 			}
 		}
 		clear(group) // before any yield: the acked batches are their waiters' now
-		// Periodic durability checkpoint on barrier engines.
-		if st.barrierCommit && st.groupsSince >= st.cfg.CheckpointEvery {
+		// Periodic durability checkpoint of ordered groups.
+		if st.groupsSince >= st.cfg.CheckpointEvery {
 			st.ForceCheckpoint(p)
 		}
 		if st.needFlush() {

@@ -127,11 +127,11 @@ func (st *Store) Recover(view *fs.View) Recovered {
 // acknowledged op. A key may legitimately be newer (a later unacknowledged
 // op survived), but it must never be older or absent.
 //
-// Ordering (barrier engines): the surviving WAL records must form a prefix
-// of the committed history at *group* granularity — a surviving record from
-// group g with any missing record in a group before g means the device
-// persisted across a barrier out of order. Flush engines make no promise
-// beyond the durable watermark, so stragglers there are legal.
+// Ordering: the surviving WAL records must form a prefix of the committed
+// history at *group* granularity — a surviving record from group g with any
+// missing record in a group before g means the device persisted across a
+// barrier out of order. Where group commits are durable the rule cannot
+// fire: group g+1 is dispatched only after g's durable sync returned.
 func (st *Store) Audit(rec Recovered) (durability, ordering []string) {
 	durability = append(durability, rec.SegmentHoles...)
 
@@ -166,21 +166,19 @@ func (st *Store) Audit(rec Recovered) (durability, ordering []string) {
 		}
 	}
 
-	if st.barrierCommit {
-		// Group-granularity prefix rule. PrefixSeq's group may be partially
-		// persisted (no barrier inside a group); any straggler in a LATER
-		// group than a missing record's group is a violation.
-		for _, seq := range rec.StragglerSeqs {
-			sg := st.walHist[seq-1].group
-			// The first missing record is PrefixSeq+1.
-			missing := rec.PrefixSeq + 1
-			if missing <= uint64(len(st.walHist)) {
-				mg := st.walHist[missing-1].group
-				if sg > mg {
-					ordering = append(ordering,
-						fmt.Sprintf("wal record seq %d (group %d) survived while seq %d (group %d) was lost across a barrier",
-							seq, sg, missing, mg))
-				}
+	// Group-granularity prefix rule. PrefixSeq's group may be partially
+	// persisted (no barrier inside a group); any straggler in a LATER group
+	// than a missing record's group is a violation.
+	for _, seq := range rec.StragglerSeqs {
+		sg := st.walHist[seq-1].group
+		// The first missing record is PrefixSeq+1.
+		missing := rec.PrefixSeq + 1
+		if missing <= uint64(len(st.walHist)) {
+			mg := st.walHist[missing-1].group
+			if sg > mg {
+				ordering = append(ordering,
+					fmt.Sprintf("wal record seq %d (group %d) survived while seq %d (group %d) was lost across a barrier",
+						seq, sg, missing, mg))
 			}
 		}
 	}

@@ -66,11 +66,11 @@ func (st *Store) Peek(key string) (uint64, bool) {
 
 // Ingest bulk-loads keys copied from another shard as one sorted segment,
 // written like a memtable flush's (REQ_BACKGROUND clumps, fdatawait, then
-// the store's segment sync) and published in the manifest, without
-// touching the WAL or the group-commit path. On flush engines the chunk is
-// durable the moment Ingest returns; on barrier engines the segment (on one
-// queue) and the manifest that names it are only ordered, and durable at
-// the store's next checkpoint (kvcluster's cutover gate forces one with
+// the store's segment ordering point) and published in the manifest,
+// without touching the WAL or the group-commit path. Where fs answers
+// Durable the chunk is durable the moment Ingest returns; where it only
+// orders, the segment and the manifest that names it are durable at the
+// store's next checkpoint (kvcluster's cutover gate forces one with
 // ForceCheckpoint).
 //
 // Ingested entries carry sequence number 0: they consume no WAL sequence
@@ -94,7 +94,7 @@ func (st *Store) Ingest(p *sim.Proc, keys []string) {
 		}
 	}
 	slices.SortFunc(ents, bySegKey)
-	seg := st.writeSegment(p, ents)
+	seg, _ := st.writeSegment(p, ents)
 	st.segs = append(st.segs, seg)
 	st.indexSegment(seg)
 	st.writeManifest(p, st.checkpointSeq)
