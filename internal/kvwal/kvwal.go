@@ -143,13 +143,37 @@ type memEnt struct {
 	del bool
 }
 
-// walRec is the host-side shadow of one WAL record, walHist[seq-1] in ring
+// walRec is the host-side shadow of one WAL record, walHist.at(seq) in ring
 // slot (seq-1) % WALPages: its page version and the group that covered it.
 type walRec struct {
 	group uint64
 	kind  OpKind
 	key   string
 	ver   int64
+}
+
+// walChunk is the number of records one walHist chunk holds.
+const walChunk = 4096
+
+// walHist is the shadow of every WAL record ever appended, indexed by
+// sequence number. It grows in fixed chunks, so an append never copies the
+// records already held.
+type walHist struct {
+	chunks []*[walChunk]walRec
+	n      uint64 // records held: sequence numbers 1..n
+}
+
+func (h *walHist) append(r walRec) {
+	if h.n%walChunk == 0 {
+		h.chunks = append(h.chunks, new([walChunk]walRec))
+	}
+	h.chunks[h.n/walChunk][h.n%walChunk] = r
+	h.n++
+}
+
+// at returns the record of sequence number seq, 1 <= seq <= h.n.
+func (h *walHist) at(seq uint64) *walRec {
+	return &h.chunks[(seq-1)/walChunk][(seq-1)%walChunk]
 }
 
 // segEnt is the host-side shadow of one segment page.
@@ -228,7 +252,7 @@ type Store struct {
 
 	segByID      map[int]*segment        // every segment ever written (recovery shadow)
 	manifestHist map[int64]manifestState // manifest page ver -> state
-	walHist      []walRec                // indexed by seq-1
+	walHist      walHist                 // every WAL record, by sequence number
 
 	nextSeq       uint64 // next op sequence number (1-based)
 	committedSeq  uint64 // newest op covered by a group commit (ordering ack)
@@ -581,7 +605,7 @@ func (st *Store) appendWAL(p *sim.Proc, op Op) {
 	slot := int64((seq - 1) % uint64(st.cfg.WALPages))
 	st.fs.Write(p, st.wal, slot)
 	ver, _ := st.fs.PageVer(st.wal, slot)
-	st.walHist = append(st.walHist, walRec{group: st.groupID, kind: op.Kind, key: op.Key, ver: ver})
+	st.walHist.append(walRec{group: st.groupID, kind: op.Kind, key: op.Key, ver: ver})
 	st.stats.WALRecords++
 	st.obs.walBytes.Add(4096)
 }

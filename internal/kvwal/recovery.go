@@ -93,8 +93,8 @@ func (st *Store) Recover(view *fs.View) Recovered {
 	walMeta, walOK := view.Lookup(root, walName)
 	rec.PrefixSeq = state.checkpoint
 	inPrefix := true
-	for seq := state.checkpoint + 1; seq <= uint64(len(st.walHist)); seq++ {
-		r := st.walHist[seq-1]
+	for seq := state.checkpoint + 1; seq <= st.walHist.n; seq++ {
+		r := st.walHist.at(seq)
 		survived := false
 		if walOK {
 			slot := int64((seq - 1) % uint64(st.cfg.WALPages))
@@ -137,8 +137,8 @@ func (st *Store) Audit(rec Recovered) (durability, ordering []string) {
 
 	// Expected state at the durable watermark.
 	expected := make(map[string]RecEnt)
-	for seq := uint64(1); seq <= st.durableSeq && seq <= uint64(len(st.walHist)); seq++ {
-		r := st.walHist[seq-1]
+	for seq := uint64(1); seq <= st.durableSeq && seq <= st.walHist.n; seq++ {
+		r := st.walHist.at(seq)
 		expected[r.key] = RecEnt{Seq: seq, Del: r.kind == Delete}
 	}
 	keys := make([]string, 0, len(expected))
@@ -170,11 +170,11 @@ func (st *Store) Audit(rec Recovered) (durability, ordering []string) {
 	// persisted (no barrier inside a group); any straggler in a LATER group
 	// than a missing record's group is a violation.
 	for _, seq := range rec.StragglerSeqs {
-		sg := st.walHist[seq-1].group
+		sg := st.walHist.at(seq).group
 		// The first missing record is PrefixSeq+1.
 		missing := rec.PrefixSeq + 1
-		if missing <= uint64(len(st.walHist)) {
-			mg := st.walHist[missing-1].group
+		if missing <= st.walHist.n {
+			mg := st.walHist.at(missing).group
 			if sg > mg {
 				ordering = append(ordering,
 					fmt.Sprintf("wal record seq %d (group %d) survived while seq %d (group %d) was lost across a barrier",
