@@ -200,6 +200,37 @@ func TestOrderedPriorityBlocksLaterSimple(t *testing.T) {
 	}
 }
 
+func TestReadPassesOrderedCommands(t *testing.T) {
+	// On one stream: an ordered barrier write, then a flush, then a read and
+	// a simple write. The read is eligible on arrival and completes while
+	// the flush still drains; the simple write waits for the flush.
+	k := sim.NewKernel()
+	defer k.Close()
+	d := New(k, tinyConfig())
+	done := map[string]sim.Time{}
+	mk := func(name string, c *Command) *Command {
+		c.Done = func(at sim.Time, _ *Command) { done[name] = at }
+		return c
+	}
+	k.Spawn("host", func(p *sim.Proc) {
+		submitWait(p, d, &Command{Kind: CmdWrite, LPA: 9, Data: 9})
+		d.Submit(mk("barrier", &Command{Kind: CmdWrite, LPA: 1, Data: 1, Prio: PrioOrdered, Barrier: true}))
+		d.Submit(mk("flush", &Command{Kind: CmdFlush, Prio: PrioOrdered}))
+		d.Submit(mk("read", &Command{Kind: CmdRead, LPA: 9}))
+		d.Submit(mk("write", &Command{Kind: CmdWrite, LPA: 2, Data: 2}))
+	})
+	k.Run()
+	if len(done) != 4 {
+		t.Fatalf("completions = %v", done)
+	}
+	if done["read"] >= done["flush"] {
+		t.Errorf("read completed at %v, not before the flush at %v", done["read"], done["flush"])
+	}
+	if done["write"] <= done["flush"] {
+		t.Errorf("simple write completed at %v, not after the flush at %v", done["write"], done["flush"])
+	}
+}
+
 func TestSimpleCommandsMayReorder(t *testing.T) {
 	// With many simple commands in the queue the controller may pick any;
 	// over many trials we should observe at least one out-of-submission-order

@@ -2,7 +2,19 @@ package device
 
 // The command queue. SCSI ordering (§3.4) is scoped per stream: a command
 // waits only for earlier commands of its own stream, which is what lets
-// independent streams proceed through their own barriers concurrently. The
+// independent streams proceed through their own barriers concurrently.
+//
+// Reads are the exception: a read is eligible on arrival, whatever its
+// stream holds. A read is an orderless request, which the epoch rules let
+// cross epochs (§3.3), and it changes nothing persistent, so no crash state
+// depends on where it is serviced. It could already pass every simple
+// write; passing an ordered one or a flush too is safe because the fs never
+// reads a page whose writeback is in flight (EvictClean keeps such a page
+// cached), so no read can overtake the write it would observe. Holding
+// reads behind ordered commands only made every read wait out a flush's
+// whole drain and the barrier writes queued behind it.
+//
+// The
 // device keeps, per stream, an index of the incomplete commands and, for the
 // whole device, the ready set — the queued commands that may begin service
 // now. Both are maintained incrementally: a submit or a completion touches
@@ -54,11 +66,12 @@ func (l *cmdList) remove(c *Command) {
 // service). The list heads answer the SCSI eligibility questions in O(1).
 //
 // Within a stream the blocked commands form a suffix of the arrivals that
-// are not head-of-queue: whatever holds a command back — an earlier
-// incomplete ordered command, or for an ordered command any earlier
-// incomplete one — holds back every later arrival too. Eligibility is
-// monotone (only earlier commands matter and they only complete), so a
-// completion releases a run of commands starting at the first blocked one.
+// are neither head-of-queue commands nor reads: whatever holds a command
+// back — an earlier incomplete ordered command, or for an ordered command
+// any earlier incomplete one — holds back every later such arrival too.
+// Eligibility is monotone (only earlier commands matter and they only
+// complete), so a completion releases a run of commands starting at the
+// first blocked one.
 type streamOrder struct {
 	all     cmdList  // every incomplete command
 	ord     cmdList  // incomplete ordered/head-of-queue commands
@@ -83,8 +96,11 @@ func (d *Device) streamOrderFor(stream uint64) *streamOrder {
 
 // eligible reports whether queued command c may begin service under the SCSI
 // ordering rules, given every incomplete command of its stream that arrived
-// before it.
+// before it. A read is eligible on arrival (see the top of this file).
 func (so *streamOrder) eligible(c *Command) bool {
+	if c.Kind == CmdRead {
+		return true
+	}
 	switch c.Prio {
 	case PrioHeadOfQueue:
 		return true
@@ -128,7 +144,8 @@ func (d *Device) retire(c *Command) {
 	for b != nil && so.eligible(b) {
 		d.makeReady(b)
 		// The next blocked command follows in arrival order; only
-		// head-of-queue commands (ready on arrival) can sit in between.
+		// head-of-queue commands and reads (ready on arrival) can sit in
+		// between.
 		b = b.links[linkAll].next
 		for b != nil && b.state != cmdBlocked {
 			b = b.links[linkAll].next

@@ -11,8 +11,12 @@ import (
 // rescanEligible is the seed's eligibility predicate, kept as the oracle for
 // the incremental ready set: it decides whether c may begin service by
 // rescanning every command the device holds (queued or in service) for an
-// earlier one of the same stream that the SCSI rules make c wait for.
+// earlier one of the same stream that the SCSI rules make c wait for. A
+// read waits for nothing.
 func rescanEligible(c *Command, held []*Command) bool {
+	if c.Kind == CmdRead {
+		return true
+	}
 	for _, o := range held {
 		if o.Stream != c.Stream || o.seq >= c.seq {
 			continue
@@ -61,12 +65,14 @@ func (o *queueOracle) completed(c *Command) {
 		}
 	}
 	// SCSI order, observed from outside: when c completes, every earlier
-	// command of its stream that c had to wait for has completed.
+	// command of its stream that c had to wait for has completed (a read
+	// waits for none).
 	for _, e := range o.byStream[c.Stream] {
 		if e.seq >= c.seq {
 			break
 		}
-		waits := c.Prio == PrioOrdered || (c.Prio == PrioSimple && e.Prio != PrioSimple)
+		waits := c.Kind != CmdRead &&
+			(c.Prio == PrioOrdered || (c.Prio == PrioSimple && e.Prio != PrioSimple))
 		if waits && !o.done[e] {
 			o.t.Errorf("stream %d: %v seq %d completed before earlier %v seq %d",
 				c.Stream, c.Prio, c.seq, e.Prio, e.seq)
