@@ -15,7 +15,9 @@
 //     stalls for the full Transfer-and-Flush round trip;
 //   - Ordered on BarrierFS (Dual): the group is ordered at dispatch cost,
 //     clients are released immediately, and a periodic fdatasync checkpoint
-//     bounds the durability window;
+//     bounds the durability window. The checkpoint runs on its own proc
+//     (kv/sync), so the leader never waits on its flush: commit and flush
+//     are split the way Dual-Mode journaling splits them;
 //   - Transferred on OptFS, whose osync order a volatile cache may break:
 //     the store adds an fdatasync, and the point is durable.
 //
@@ -97,9 +99,12 @@ type Config struct {
 	// live: all live segments merge into one.
 	CompactFanIn int
 	// CheckpointEvery bounds the durability window of ordered group
-	// commits: after this many the leader issues one fdatasync, which also
-	// makes the segments and manifest published since durable. Unused where
-	// fs answers Durable (every group commit already is).
+	// commits: after this many the leader wakes the checkpointer, whose one
+	// fdatasync also makes the segments and manifest published before it
+	// durable. The leader does not wait for it, so the window is at most
+	// CheckpointEvery groups plus those ordered during one in-flight
+	// checkpoint. Unused where fs answers Durable (every group commit
+	// already is).
 	CheckpointEvery int
 	// Metrics is an explicit observability registry; nil falls back to the
 	// process-wide live registry, and a nil resolution disables the store's
@@ -132,9 +137,11 @@ type Stats struct {
 	WALRecords          int64
 	Flushes             int64
 	Compactions         int64
-	CheckpointSyncs     int64 // ForceCheckpoint fdatasyncs: the only durability points of ordered segments
-	Ingests             int64 // bulk-copied segments landed by rebalancing
-	SegmentsLive        int
+	// CheckpointSyncs counts ForceCheckpoint fdatasyncs, the checkpointer's
+	// and external callers': the only durability points of ordered segments.
+	CheckpointSyncs int64
+	Ingests         int64 // bulk-copied segments landed by rebalancing
+	SegmentsLive    int
 }
 
 // memEnt is one memtable entry: the newest mutation of a key.
@@ -237,6 +244,7 @@ type Store struct {
 
 	q           *sim.Queue[*batch]
 	spaceCond   *sim.Cond // leader waits here for WAL ring space
+	ckptCond    *sim.Cond // the checkpointer waits here for CheckpointEvery groups
 	flushCond   *sim.Cond
 	compactCond *sim.Cond
 	manifestMu  *sim.Mutex // serializes manifest publication
@@ -273,7 +281,7 @@ const (
 func segName(id int) string { return fmt.Sprintf("kv.seg-%d", id) }
 
 // Open creates the store's files on the stack and starts the group-commit
-// leader, flusher and compactor daemons.
+// leader, checkpointer, flusher and compactor daemons.
 func Open(p *sim.Proc, s *core.Stack, cfg Config) (*Store, error) {
 	return OpenFS(p, s.FS, cfg)
 }
@@ -293,6 +301,7 @@ func OpenFS(p *sim.Proc, fsys *fs.FS, cfg Config) (*Store, error) {
 		fs: fsys, k: p.Kernel(), cfg: cfg,
 		q:            sim.NewQueue[*batch](p.Kernel()),
 		spaceCond:    sim.NewCond(p.Kernel()),
+		ckptCond:     sim.NewCond(p.Kernel()),
 		flushCond:    sim.NewCond(p.Kernel()),
 		compactCond:  sim.NewCond(p.Kernel()),
 		manifestMu:   sim.NewMutex(p.Kernel()),
@@ -327,6 +336,7 @@ func OpenFS(p *sim.Proc, fsys *fs.FS, cfg Config) (*Store, error) {
 	fsys.Write(p, st.manifest, 0)
 	fsys.SyncFS(p)
 	st.k.Spawn("kv/commit", st.committer)
+	st.k.Spawn("kv/sync", st.checkpointer)
 	st.k.Spawn("kv/flush", st.flusher)
 	st.k.Spawn("kv/compact", st.compactor)
 	return st, nil
@@ -352,8 +362,8 @@ func (st *Store) DurableSeq() uint64 { return st.durableSeq }
 
 // Apply submits a batch of mutations and blocks until the group-commit
 // leader has committed it: the batch is then durable, or, where fs only
-// ordered the group, durable no later than the next checkpoint (see
-// ForceCheckpoint). It returns the sequence number of the batch's
+// ordered the group, durable no later than the first checkpoint that starts
+// after it returns (see ForceCheckpoint). It returns the sequence number of the batch's
 // last operation.
 func (st *Store) Apply(p *sim.Proc, ops []Op) uint64 {
 	return st.ApplyAsync(p, ops).Wait(p)
@@ -465,8 +475,12 @@ func (st *Store) fileOf(seg *segment) *fs.Inode {
 	return f
 }
 
-// ForceCheckpoint makes everything committed so far durable: one fdatasync
-// on the WAL. Clients that need read-your-durability semantics where fs
+// ForceCheckpoint makes everything committed when it is called durable: one
+// fdatasync on the WAL, synchronous for the caller. It is the checkpointer's
+// body too. DurableSeq advances to the CommittedSeq read at the call, never
+// to one read on return: groups the leader orders while the fdatasync is in
+// flight may have dispatched after its flush, so they wait for the next
+// checkpoint. Clients that need read-your-durability semantics where fs
 // only orders call this explicitly; where group commits are durable it is
 // a cheap no-op-ish extra sync. It is also where ordered segments and the
 // manifest that names them become durable: on a clean WAL the fdatasync is
@@ -476,12 +490,26 @@ func (st *Store) fileOf(seg *segment) *fs.Inode {
 // everything dispatched before it.
 func (st *Store) ForceCheckpoint(p *sim.Proc) {
 	target := st.committedSeq
+	st.groupsSince = 0
 	st.fs.Fdatasync(p, st.wal)
 	st.stats.CheckpointSyncs++
 	if target > st.durableSeq {
 		st.durableSeq = target
 	}
-	st.groupsSince = 0
+}
+
+// checkpointer is the periodic durability checkpoint of ordered groups, on
+// its own proc so the leader never waits on its flush: the application
+// twin of the Dual-Mode journal's flush thread. The leader signals it
+// once CheckpointEvery groups are ordered and goes on ordering the next.
+func (st *Store) checkpointer(p *sim.Proc) {
+	for {
+		if st.groupsSince < st.cfg.CheckpointEvery {
+			st.ckptCond.Wait(p)
+			continue
+		}
+		st.ForceCheckpoint(p)
+	}
 }
 
 // order is the store's one ordering point: it asks fs to order f's writes
@@ -557,8 +585,8 @@ func (st *Store) committer(p *sim.Proc) {
 		st.committedSeq = st.nextSeq - 1
 		if durable {
 			st.durableSeq = st.committedSeq
-		} else {
-			st.groupsSince++
+		} else if st.groupsSince++; st.groupsSince >= st.cfg.CheckpointEvery {
+			st.ckptCond.Signal()
 		}
 		// Apply to the memtable (the ops' sequence numbers were assigned in
 		// appendWAL in this same order) and ack the clients.
@@ -581,10 +609,6 @@ func (st *Store) committer(p *sim.Proc) {
 			}
 		}
 		clear(group) // before any yield: the acked batches are their waiters' now
-		// Periodic durability checkpoint of ordered groups.
-		if st.groupsSince >= st.cfg.CheckpointEvery {
-			st.ForceCheckpoint(p)
-		}
 		if st.needFlush() {
 			st.flushCond.Signal()
 		}

@@ -226,6 +226,69 @@ func TestGroupCommitAmortizes(t *testing.T) {
 	}
 }
 
+// TestCheckpointOffTheCommitPath: on BarrierFS the periodic checkpoint runs
+// beside the group-commit leader, so CommittedSeq advances while the
+// checkpoint's fdatasync is in flight, and the checkpoint makes durable only
+// what was committed when it started: on return DurableSeq is at most the
+// CommittedSeq seen once the fdatasync was under way, and below the
+// CommittedSeq of the return. A monitor polls every microsecond; on
+// BarrierFS a checkpoint is the store's only fdatasync.
+func TestCheckpointOffTheCommitPath(t *testing.T) {
+	k, s := newStack(t, core.BFSDR(device.NVMeSSD()))
+	defer k.Close()
+	cfg := DefaultConfig()
+	cfg.CheckpointEvery = 4
+	var st *Store
+	stop := false
+	k.Spawn("setup", func(p *sim.Proc) {
+		var err error
+		if st, err = Open(p, s, cfg); err != nil {
+			t.Fatal(err)
+		}
+		base := s.FS.Stats().Fdatasyncs
+		inFlight := func() bool { return s.FS.Stats().Fdatasyncs-base > st.Stats().CheckpointSyncs }
+		var started, advanced, checked int
+		var atStart uint64 // CommittedSeq once the in-flight fdatasync was seen
+		flying, syncs := false, int64(0)
+		for p.Now() < sim.Time(20*sim.Millisecond) {
+			p.Advance(sim.Microsecond)
+			if n := st.Stats().CheckpointSyncs; n != syncs {
+				syncs, flying = n, false
+				if d, c := st.DurableSeq(), st.CommittedSeq(); d > atStart || d >= c {
+					t.Errorf("checkpoint %d returned: durable seq %d, committed seq %d at its start and %d now",
+						n, d, atStart, c)
+				}
+				checked++
+			}
+			switch {
+			case !flying && inFlight():
+				flying, atStart = true, st.CommittedSeq()
+				started++
+			case flying && st.CommittedSeq() > atStart:
+				advanced++
+			}
+		}
+		stop = true
+		if started < 3 || checked < 3 || advanced == 0 {
+			t.Errorf("%d checkpoints started, %d checked, committed seq advanced at %d polls in flight: want >= 3, >= 3, > 0",
+				started, checked, advanced)
+		}
+		k.Stop()
+	})
+	for c := 0; c < 4; c++ {
+		c := c
+		k.Spawn(fmt.Sprintf("client%d", c), func(p *sim.Proc) {
+			for st == nil {
+				p.Sleep(sim.Millisecond)
+			}
+			for n := 0; !stop; n++ {
+				put(p, st, fmt.Sprintf("c%d-k%d", c, n%64))
+			}
+		})
+	}
+	k.Run()
+}
+
 // TestFlushCompactionAndWALWrap drives enough distinct keys through a tiny
 // configuration to force memtable flushes, WAL ring wrap-around and at
 // least one compaction, then verifies reads against a model.
