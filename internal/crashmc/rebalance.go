@@ -174,7 +174,11 @@ func rebalanceScenario(prof func(device.Config) core.Profile, shards int, cfg Co
 // dry run of the same scenario therefore names the first write not started
 // before the migration opens, and the crash run holds that one write:
 // until the opening for the later phases, and to the crash for Copying.
-// Everything before the opening is the dry run's history.
+// Everything before the opening is the dry run's history. CatchUp opens at
+// the opening itself on every range with nothing to copy, before any
+// client write reaches the destination; its crash point waits for the
+// first dual-write to complete and holds the client's next write to the
+// crash, so the destination always holds a write of the dual-write window.
 func rebalancePoint(prof func(device.Config) core.Profile, shards int,
 	phase kvcluster.MigrationState, victim int, phantom string) Workload {
 	// Compact journal + tiny memtable + small chunks keep the victim's
@@ -238,13 +242,15 @@ type rebalanceRun struct {
 	acked   map[string]bool // cluster-acked live keys
 	writes  int             // client writes started
 	idle    bool            // no client write in flight
+	dual    bool            // a client dual-write has completed
 	crashed bool            // the kernel stopped at the crash instant
 }
 
 // startRebalance spawns the scenario on k: a client writing one key every
 // 40us into a fresh cluster, and a resize to one more shard 800us after it
-// opens. The client holds write number hold as rebalancePoint says; a dry
-// run (hold -1) stops the kernel at the opening. Otherwise the kernel
+// opens. The client holds write number hold as rebalancePoint says, and in
+// CatchUp every write after the first dual-write; a dry run (hold -1) stops
+// the kernel at the opening. Otherwise the kernel
 // stops, for the power to fail, at the first 2us tick at which the
 // migration occupies phase with no client write in flight (a write wedged
 // on the crashed victim would otherwise stall the audit).
@@ -266,7 +272,8 @@ func startRebalance(k *sim.Kernel, rc kvcluster.ReplicaConfig, phase kvcluster.M
 		// Deterministic write stream: small Zipf-free keyspace so
 		// overwrites and deletes collide across the migrating ranges.
 		for n := 0; ; n++ {
-			for n == hold && (r.mig == nil || phase == kvcluster.MigCopying) {
+			for n == hold && (r.mig == nil || phase == kvcluster.MigCopying) ||
+				r.dual && phase == kvcluster.MigCatchUp {
 				opened.Wait(p)
 			}
 			if r.crashed {
@@ -285,6 +292,7 @@ func startRebalance(k *sim.Kernel, rc kvcluster.ReplicaConfig, phase kvcluster.M
 				}
 			}
 			r.idle = true
+			r.dual = r.mig != nil && r.mig.Stats().DualWrites > 0
 			p.Sleep(40 * sim.Microsecond)
 		}
 	})
@@ -312,10 +320,17 @@ func startRebalance(k *sim.Kernel, rc kvcluster.ReplicaConfig, phase kvcluster.M
 
 // occupied reports whether the migration is where phase's crash point
 // wants it. Copying's is mid-copy, once the destination has ingested a
-// chunk.
+// chunk; CatchUp's once a client dual-write has completed.
 func (r *rebalanceRun) occupied(phase kvcluster.MigrationState) bool {
-	if phase == kvcluster.MigCopying && r.mig.Stats().KeysCopied == 0 {
-		return false
+	switch phase {
+	case kvcluster.MigCopying:
+		if r.mig.Stats().KeysCopied == 0 {
+			return false
+		}
+	case kvcluster.MigCatchUp:
+		if !r.dual {
+			return false
+		}
 	}
 	return r.mig.InState(phase)
 }
