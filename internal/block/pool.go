@@ -61,7 +61,9 @@ func (pl *cmdPool) get(r *Request) *device.Command {
 	case OpFlush:
 		cmd.Kind = device.CmdFlush
 		// Ordered, not head-of-queue: the flush must drain everything
-		// received before it into the cache first, then flush.
+		// received before it into the cache first, then flush. Later
+		// writes of its stream wait for it; reads do not (the device lets
+		// a read begin on arrival).
 		cmd.Prio = device.PrioOrdered
 	}
 	return cmd

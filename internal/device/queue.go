@@ -10,17 +10,14 @@ package device
 // depends on where it is serviced. It could already pass every simple
 // write; passing an ordered one or a flush too is safe because the fs never
 // reads a page whose writeback is in flight (EvictClean keeps such a page
-// cached), so no read can overtake the write it would observe. Holding
-// reads behind ordered commands only made every read wait out a flush's
-// whole drain and the barrier writes queued behind it.
+// cached), so no read can overtake the write it would observe.
 //
-// The
-// device keeps, per stream, an index of the incomplete commands and, for the
-// whole device, the ready set — the queued commands that may begin service
-// now. Both are maintained incrementally: a submit or a completion touches
-// one stream's index, moves exactly the commands it made eligible into the
-// ready set and wakes exactly as many parked workers as there are ready
-// commands nobody is on the way to pick. No path scans the queue.
+// The device keeps, per stream, an index of the incomplete commands and, for
+// the whole device, the ready set — the queued commands that may begin
+// service now. Both are maintained incrementally: a submit or a completion
+// touches one stream's index, moves exactly the commands it made eligible
+// into the ready set and wakes exactly as many parked workers as there are
+// ready commands nobody is on the way to pick. No path scans the queue.
 
 // cmdLink is a command's position in one of its stream's two lists.
 type cmdLink struct{ prev, next *Command }
