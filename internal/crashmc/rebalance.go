@@ -250,10 +250,10 @@ type rebalanceRun struct {
 // 40us into a fresh cluster, and a resize to one more shard 800us after it
 // opens. The client holds write number hold as rebalancePoint says, and in
 // CatchUp every write after the first dual-write; a dry run (hold -1) stops
-// the kernel at the opening. Otherwise the kernel
-// stops, for the power to fail, at the first 2us tick at which the
-// migration occupies phase with no client write in flight (a write wedged
-// on the crashed victim would otherwise stall the audit).
+// the kernel at the opening. Otherwise the kernel stops, for the power to
+// fail, at the first 2us tick at which the migration occupies phase with no
+// client write in flight (a write wedged on the crashed victim would
+// otherwise stall the audit).
 func startRebalance(k *sim.Kernel, rc kvcluster.ReplicaConfig, phase kvcluster.MigrationState, hold int) *rebalanceRun {
 	r := &rebalanceRun{acked: make(map[string]bool), idle: true}
 	opened := sim.NewCond(k)

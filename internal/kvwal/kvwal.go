@@ -137,11 +137,9 @@ type Stats struct {
 	WALRecords          int64
 	Flushes             int64
 	Compactions         int64
-	// CheckpointSyncs counts ForceCheckpoint fdatasyncs, the checkpointer's
-	// and external callers': the only durability points of ordered segments.
-	CheckpointSyncs int64
-	Ingests         int64 // bulk-copied segments landed by rebalancing
-	SegmentsLive    int
+	CheckpointSyncs     int64 // ForceCheckpoint fdatasyncs, kv/sync's and callers': ordered segments' only durability points
+	Ingests             int64 // bulk-copied segments landed by rebalancing
+	SegmentsLive        int
 }
 
 // memEnt is one memtable entry: the newest mutation of a key.

@@ -239,7 +239,6 @@ func TestCheckpointOffTheCommitPath(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CheckpointEvery = 4
 	var st *Store
-	stop := false
 	k.Spawn("setup", func(p *sim.Proc) {
 		var err error
 		if st, err = Open(p, s, cfg); err != nil {
@@ -268,7 +267,6 @@ func TestCheckpointOffTheCommitPath(t *testing.T) {
 				advanced++
 			}
 		}
-		stop = true
 		if started < 3 || checked < 3 || advanced == 0 {
 			t.Errorf("%d checkpoints started, %d checked, committed seq advanced at %d polls in flight: want >= 3, >= 3, > 0",
 				started, checked, advanced)
@@ -281,7 +279,7 @@ func TestCheckpointOffTheCommitPath(t *testing.T) {
 			for st == nil {
 				p.Sleep(sim.Millisecond)
 			}
-			for n := 0; !stop; n++ {
+			for n := 0; ; n++ {
 				put(p, st, fmt.Sprintf("c%d-k%d", c, n%64))
 			}
 		})
