@@ -3,11 +3,16 @@
 // byte-identical to the seed's container/heap event queue. Each case runs a
 // real workload twice on the optimized kernel (run-to-run determinism) and
 // once on sim.NewReferenceKernel (the container/heap oracle), comparing the
-// (time, seq, proc) dispatch sequences via sim.Trace.
+// (time, seq, proc) dispatch sequences via sim.Trace. Each case's trace is
+// also frozen in testdata/stack_golden.json, so a change to fs, jbd or kvwal
+// event order shows across commits, not only across kernels.
 package repro_test
 
 import (
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -138,6 +143,17 @@ func goldenCases() []goldenCase {
 	}
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/stack_golden.json from this run")
+
+const stackGoldenPath = "testdata/stack_golden.json"
+
+// stackGolden is one case's dispatch trace: two runs dispatched the same
+// events in the same order iff (Len, Hash) are equal.
+type stackGolden struct {
+	Len  int
+	Hash string
+}
+
 func traceOf(newK func() *sim.Kernel, c goldenCase) *sim.Trace {
 	k := newK()
 	defer k.Close()
@@ -147,12 +163,30 @@ func traceOf(newK func() *sim.Kernel, c goldenCase) *sim.Trace {
 }
 
 // TestGoldenDispatchTraces pins (a) run-to-run determinism of the optimized
-// kernel and (b) byte-identical dispatch order against the reference
-// container/heap kernel, across the paper's workload families: buffered and
-// barrier random writes (Figs. 1/9), SQLite (Fig. 14), OLTP (Fig. 15), the
-// multi-queue block layer, and the kvwal group-commit store.
+// kernel, (b) byte-identical dispatch order against the reference
+// container/heap kernel and (c) each trace against testdata/stack_golden.json,
+// across the paper's workload families: buffered and barrier random writes
+// (Figs. 1/9), SQLite (Fig. 14), OLTP (Fig. 15), the multi-queue block layer,
+// the kvwal group-commit store, and the journal's own branches. The file is
+// rewritten only by `go test -run TestGoldenDispatchTraces -update .`; a
+// refactor leaves it alone.
 func TestGoldenDispatchTraces(t *testing.T) {
-	for _, c := range goldenCases() {
+	var want map[string]stackGolden
+	if !*updateGolden {
+		b, err := os.ReadFile(stackGoldenPath)
+		if err != nil {
+			t.Fatalf("%v (record it with -update)", err)
+		}
+		if err := json.Unmarshal(b, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := goldenCases()
+	if want != nil && len(want) != len(cases) {
+		t.Errorf("golden file has %d cases, the test runs %d", len(want), len(cases))
+	}
+	got := make(map[string]stackGolden)
+	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			a := traceOf(sim.NewKernel, c)
@@ -169,6 +203,26 @@ func TestGoldenDispatchTraces(t *testing.T) {
 			if a.Len() == 0 {
 				t.Fatal("empty trace: workload did not run")
 			}
+			g := stackGolden{Len: a.Len(), Hash: fmt.Sprintf("%016x", a.Hash())}
+			got[c.name] = g
+			if w, ok := want[c.name]; want != nil && !ok {
+				t.Errorf("not in %s (record it with -update)", stackGoldenPath)
+			} else if want != nil && g != w {
+				t.Errorf("trace moved: got (n=%d h=%s), %s has (n=%d h=%s)", g.Len, g.Hash, stackGoldenPath, w.Len, w.Hash)
+			}
 		})
+	}
+	if *updateGolden && !t.Failed() {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(stackGoldenPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", stackGoldenPath)
 	}
 }
