@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/fs"
 	"repro/internal/kvwal"
 	"repro/internal/nand"
 	"repro/internal/oltp"
@@ -140,7 +141,116 @@ func goldenCases() []goldenCase {
 			wcfg.Duration, wcfg.Warmup, wcfg.FilePages = 24*sim.Millisecond, 6*sim.Millisecond, 32
 			workload.RandWrite(k, s, wcfg)
 		}},
+		// The journal's branches, one small-journal multi-writer case per
+		// engine: reservations wait for checkpoints, writers meet buffers
+		// frozen in a committing transaction, and several transactions are
+		// in flight at once.
+		{"jbd/EXT4-DR-smalljournal-fsync", func(k *sim.Kernel) {
+			s := core.NewStack(k, smallJournal(core.EXT4DR(device.NVMeSSD())))
+			k.Spawn("epoch", func(p *sim.Proc) {
+				s.FS.Journal().CommitAndWait(p)        // nothing to commit or wait on
+				s.FS.Journal().CommitOrdering(p, true) // an empty JBD2 commit
+			})
+			syncWriters(k, s, 4, true, short, func(p *sim.Proc, f *fs.Inode, _, _ int) { s.FS.Fsync(p, f) })
+		}},
+		// Two fsync writers and two fbarrier writers: ordering commits are
+		// dispatched while a durable commit's flush is in flight.
+		{"jbd/BFS-DR-mixed", func(k *sim.Kernel) {
+			s := core.NewStack(k, core.BFSDR(device.NVMeSSD()))
+			syncWriters(k, s, 4, false, short, func(p *sim.Proc, f *fs.Inode, w, _ int) {
+				if w < 2 {
+					s.FS.Fsync(p, f)
+					return
+				}
+				s.FS.Fbarrier(p, f)
+				p.Sleep(sim.Duration(w) * 37 * sim.Microsecond)
+			})
+		}},
+		{"jbd/OptFS-smalljournal-fsync", func(k *sim.Kernel) {
+			prof := smallJournal(core.OptFS(device.UFS()))
+			prof.FS.Journal.FlushInterval = sim.Millisecond
+			s := core.NewStack(k, prof)
+			syncWriters(k, s, 4, true, short, func(p *sim.Proc, f *fs.Inode, _, i int) {
+				if i%2 == 1 {
+					s.FS.Fbarrier(p, f)
+					return
+				}
+				s.FS.Fsync(p, f)
+			})
+		}},
+		// BarrierFS's ordering-only paths, one at a time: an fdatasync whose
+		// allocation rides another caller's commit stuck in reserve, fbarriers
+		// whose metadata stays parked behind the previous commit, and a forced
+		// ordering commit waited durably only after the flush thread retired
+		// it.
+		{"jbd/BFS-DR-create-fbarrier", func(k *sim.Kernel) {
+			s := core.NewStack(k, smallJournal(core.BFSDR(device.NVMeSSD())))
+			j := s.FS.Journal()
+			k.Spawn("app", func(p *sim.Proc) {
+				create := func(name string) *fs.Inode {
+					f, err := s.FS.Create(p, s.FS.Root(), name)
+					if err != nil {
+						panic(err)
+					}
+					s.FS.Write(p, f, 0)
+					return f
+				}
+				for n := 0; n < 2; n++ {
+					s.FS.Fsync(p, create(fmt.Sprintf("fill%d.dat", n)))
+				}
+				a, b := create("a.dat"), create("b.dat")
+				k.Spawn("fsync-b", func(q *sim.Proc) { s.FS.Fsync(q, b) })
+				for a.MetaPending() {
+					p.Sleep(sim.Microsecond)
+				}
+				s.FS.Fdatasync(p, a)
+				for i := int64(1); ; i++ {
+					s.FS.Write(p, a, i)
+					s.FS.Fbarrier(p, a)
+					if i%8 == 0 {
+						t := j.CommitOrdering(p, true)
+						p.Sleep(100 * sim.Microsecond)
+						j.WaitTxn(p, t)
+					}
+				}
+			})
+			k.RunUntil(sim.Time(short))
+		}},
 	}
+}
+
+// smallJournal shrinks the profile's journal to 16 pages, so a few commits
+// fill it and reservations wait for the checkpointer.
+func smallJournal(prof core.Profile) core.Profile {
+	prof.FS.Journal.Pages = 16
+	prof.FS.Journal.CheckpointLow = 1
+	return prof
+}
+
+// syncWriters runs n writer procs until d. Writer w writes one page and
+// calls sync(p, f, w, i) on its file, over and over: the first page of a
+// new file when create is set, else page i of the one file it created.
+func syncWriters(k *sim.Kernel, s *core.Stack, n int, create bool, d sim.Duration, sync func(p *sim.Proc, f *fs.Inode, w, i int)) {
+	for w := 0; w < n; w++ {
+		k.SpawnIdx("app", w, func(p *sim.Proc) {
+			var f *fs.Inode
+			for i := 0; ; i++ {
+				if create || f == nil {
+					var err error
+					if f, err = s.FS.Create(p, s.FS.Root(), fmt.Sprintf("w%d-%d.dat", w, i)); err != nil {
+						panic(err)
+					}
+				}
+				pg := int64(i)
+				if create {
+					pg = 0
+				}
+				s.FS.Write(p, f, pg)
+				sync(p, f, w, i)
+			}
+		})
+	}
+	k.RunUntil(sim.Time(d))
 }
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/stack_golden.json from this run")
