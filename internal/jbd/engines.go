@@ -70,11 +70,13 @@ func (j *Journal) newReq() *block.Request {
 }
 
 // buildJD allocates journal slots and builds the descriptor+log requests
-// (the paper's JD chunk) and the commit request (JC) for t. The requests
-// come from the journal's pool; each engine releases them at its last use
-// (after the commit wait, or at completion for Dual-Mode's unwaited JD).
-func (j *Journal) buildJD(t *Txn) (jd []*block.Request, jc *block.Request) {
+// (the paper's JD chunk) and the commit request (JC) for t, tagged with t's
+// trace, whose journal-dispatch stage starts now. The requests come from
+// the journal's pool; the engine releases them at its last use (after the
+// commit wait, or at completion for Dual-Mode's unwaited writes).
+func (j *Journal) buildJD(p *sim.Proc, t *Txn) (jd []*block.Request, jc *block.Request) {
 	n := len(t.frozen)
+	t.trace.StampChain(reqtrace.StageJournalDispatch, p.Now())
 	desc := j.newReq()
 	desc.Op, desc.LPA = block.OpWrite, j.slotLPA(j.head)
 	desc.Data = j.descs.New(DescBlock{TxnID: t.id, N: n})
@@ -92,6 +94,10 @@ func (j *Journal) buildJD(t *Txn) (jd []*block.Request, jc *block.Request) {
 	jc.Op, jc.LPA = block.OpWrite, j.slotLPA(j.head)
 	jc.Data = j.commits.New(CommitBlock{TxnID: t.id, N: n})
 	j.head++
+	for _, r := range jd {
+		r.Trace = t.trace
+	}
+	jc.Trace = t.trace
 	j.stats.PagesLogged += int64(n + 2)
 	return jd, jc
 }
@@ -120,47 +126,78 @@ func (j *Journal) jcDone(_ sim.Time, r *block.Request) {
 	r.Release()
 }
 
-// --- JBD2: the EXT4 transfer-and-flush engine (§2.3) ---
+// --- the control plane: one commit loop for every engine ---
 
-func (j *Journal) jbd2Thread(p *sim.Proc) {
+// commitThread commits transactions in queue order. Everything but the
+// dispatch of JD and JC is the same for every engine: freeze, the
+// ordered-mode data wait, the journal-space reservation and the Committed
+// transition. The engine then decides when a committed transaction becomes
+// durable: a barrier-mounted JBD2 at once, Dual-Mode at its flush thread's
+// flush, OptFS at its delayed flush or a dsync-style waiter's.
+func (j *Journal) commitThread(p *sim.Proc) {
 	submitWaitAll := j.chunkWaiter(p)
+	onJC := j.jcDone // every Dual-Mode JC's OnComplete, bound once
+	dual := j.cfg.Mode == ModeDual
 	for {
 		t := j.commitQ.Get(p)
 		j.k.SpanBegin("jbd", "commit", t.id)
 		j.wake(p)
-		// Ordered mode: D must be fully transferred before JD is issued.
+		if t.state == StateRunning {
+			// Dual-Mode freezes here, not in closeRunning: the transaction
+			// may not commit while the conflict-page list is non-empty
+			// (§4.3), and resolved buffers join it while we wait.
+			for len(j.conflictList) > 0 {
+				j.confCond.Wait(p)
+				j.wake(p)
+			}
+			j.freeze(t)
+		}
+		// Ordered mode: D must be transferred before JD is issued. Dual-Mode
+		// needs no wait for data on the journal's own stream, which the
+		// {D, JD} epoch orders (Eq. 3); data the multi-queue layer spread to
+		// another stream is outside that epoch and is waited on like JBD2's.
 		for _, d := range t.dataDeps {
-			if !d.Completed() {
+			if !d.Completed() && !(dual && d.Stream == j.cfg.Stream) {
 				d.Wait(p)
 				j.wake(p)
 			}
 		}
 		t.pagesUsed = len(t.frozen) + 2
 		j.reserve(p, t.pagesUsed)
-		jd, jc := j.buildJD(t)
-		t.trace.StampChain(reqtrace.StageJournalDispatch, p.Now())
-		for _, r := range jd {
-			r.Trace = t.trace
+		jd, jc := j.buildJD(p, t)
+		durable := j.cfg.Mode == ModeJBD2 && j.cfg.BarrierMount
+		if dual {
+			// {D, JD} form one epoch and {JC} the next, as ordered barrier
+			// writes nothing waits on: completion is their last reference.
+			// Ordering is established at dispatch, so fbarrier callers
+			// resume before any DMA completes.
+			jd[len(jd)-1].Flags |= block.FlagBarrier
+			for _, r := range jd {
+				r.Flags |= block.FlagOrdered
+				r.OnComplete = releaseDone
+				j.layer.Submit(p, r)
+			}
+			jc.Flags |= block.FlagOrdered | block.FlagBarrier
+			jc.OnComplete = onJC
+			j.layer.Submit(p, jc)
+		} else {
+			// Wait-on-Transfer orders JD before JC. A barrier-mounted JBD2
+			// sends JC with FLUSH|FUA, compressing flush→JC→flush (§2.3), so
+			// its completion means durable; under nobarrier and on OptFS it
+			// only means transferred, and nothing flushes on this path.
+			submitWaitAll(jd)
+			if durable {
+				jc.Flags |= block.FlagFlush | block.FlagFUA
+				j.stats.Flushes++
+			}
+			submitWaitAll([]*block.Request{jc})
+			j.releaseReqs(jd)
+			jc.Release()
+			t.jcTransferred = true
 		}
-		jc.Trace = t.trace
-		// JD: write and Wait-on-Transfer.
-		submitWaitAll(jd)
-		// JC: FLUSH|FUA compresses flush→JC→flush (§2.3); completion means
-		// the transaction is durable. Under nobarrier, a plain write whose
-		// completion only means "transferred".
-		if j.cfg.BarrierMount {
-			jc.Flags |= block.FlagFlush | block.FlagFUA
-			j.stats.Flushes++
-		}
-		submitWaitAll([]*block.Request{jc})
-		j.releaseReqs(jd)
-		jc.Release()
-		t.jcTransferred = true
-		t.state = StateCommitted
-		t.wakeCommitted()
-		if j.cfg.BarrierMount {
-			t.state = StateDurable
-			t.wakeDurable()
+		t.reach(StateCommitted)
+		if durable {
+			t.reach(StateDurable)
 		}
 		j.stats.Commits++
 		j.obs.commits.Inc()
@@ -168,77 +205,44 @@ func (j *Journal) jbd2Thread(p *sim.Proc) {
 		if t.forced && len(t.frozen) == 0 {
 			j.stats.EmptyCommits++
 		}
-		j.finishTxn(t)
-	}
-}
-
-// --- Dual-Mode journaling: BarrierFS (§4.2) ---
-
-// dualCommitThread is the control plane: it dispatches JD and JC as ordered
-// barrier writes and immediately moves on, so multiple transactions commit
-// concurrently. {D, JD} form one epoch; {JC} forms the next (Eq. 3).
-func (j *Journal) dualCommitThread(p *sim.Proc) {
-	onJC := j.jcDone // every JC's OnComplete, bound once
-	for {
-		t := j.commitQ.Get(p)
-		j.k.SpanBegin("jbd", "commit", t.id)
-		j.wake(p)
-		// The running transaction may not commit while the conflict-page
-		// list is non-empty (§4.3); resolved buffers join t while we wait.
-		for len(j.conflictList) > 0 {
-			j.confCond.Wait(p)
-			j.wake(p)
-		}
-		j.freeze(t)
-		// Ordered-mode data riding another stream (background writeback the
-		// multi-queue layer spread off the journal's stream) is outside this
-		// journal's ordering domain: the {D, JD} epoch cannot cover it, so
-		// fall back to Wait-on-Transfer for exactly those requests. Data on
-		// the journal's own stream stays wait-free — the JD barrier orders
-		// it (Eq. 3), which is the single-queue behaviour unchanged.
-		for _, d := range t.dataDeps {
-			if d.Stream != j.cfg.Stream && !d.Completed() {
-				d.Wait(p)
-				j.wake(p)
-			}
-		}
-		t.pagesUsed = len(t.frozen) + 2
-		j.reserve(p, t.pagesUsed)
-		jd, jc := j.buildJD(t)
-		t.trace.StampChain(reqtrace.StageJournalDispatch, p.Now())
-		jc.Trace = t.trace
-		for i, r := range jd {
-			r.Trace = t.trace
-			r.Flags |= block.FlagOrdered
-			if i == len(jd)-1 {
-				// The tail of the JD chunk closes the {D, JD} epoch.
-				r.Flags |= block.FlagBarrier
-			}
-			// Nothing waits on a Dual-Mode JD write: completion is its last
-			// reference, so it recycles itself there.
-			r.OnComplete = releaseDone
-			j.layer.Submit(p, r)
-		}
-		jc.Flags |= block.FlagOrdered | block.FlagBarrier
-		jc.OnComplete = onJC
-		j.layer.Submit(p, jc)
-		// Ordering is established at dispatch: fbarrier callers resume here,
-		// before any DMA completes.
-		t.state = StateCommitted
-		t.wakeCommitted()
-		j.stats.Commits++
-		j.obs.commits.Inc()
-		j.k.SpanEnd("jbd", "commit", t.id)
-		if t.forced && len(t.frozen) == 0 {
-			j.stats.EmptyCommits++
+		switch j.cfg.Mode {
+		case ModeJBD2:
+			j.finishTxn(t)
+		case ModeOptFS:
+			j.optfsCond.Broadcast()
 		}
 	}
 }
 
-// dualFlushThread is the data plane: triggered as each JC finishes its
-// transfer. It issues the flush for durability-seeking transactions and
-// resolves page conflicts (§4.3). Ordering-only transactions pass through
-// without a flush.
+// --- the data planes: when a committed transaction becomes durable ---
+
+// retire flushes the device and retires every committed transaction that
+// flush covers: one whose JC had been transferred when the flush completed
+// and whose id is at most last.
+func (j *Journal) retire(p *sim.Proc, last uint64) {
+	j.layer.Flush(p)
+	j.wake(p)
+	j.stats.Flushes++
+	// finishTxn unlinks c: step only past those left. Re-check each: another
+	// retirer (reserve, a dsync waiter, the delayed-flush daemon) may have
+	// retired c during the flush, and finishing it twice would double-credit
+	// its pages.
+	for n := 0; n < len(j.committing); {
+		c := j.committing[n]
+		if !c.jcTransferred || c.state != StateCommitted || c.id > last {
+			n++
+			continue
+		}
+		c.reach(StateDurable)
+		j.finishTxn(c)
+	}
+}
+
+// dualFlushThread is Dual-Mode's data plane, triggered as each JC finishes
+// its transfer. A durability-seeking transaction gets a flush, which makes
+// durable every transaction whose JC was transferred before it completed;
+// an ordering-only one leaves the committing list without a flush, and
+// either resolves its page conflicts (§4.3).
 func (j *Journal) dualFlushThread(p *sim.Proc) {
 	for {
 		t := j.flushQ.Get(p)
@@ -246,67 +250,13 @@ func (j *Journal) dualFlushThread(p *sim.Proc) {
 		if t.state >= StateDurable {
 			continue
 		}
-		if t.wantDurable {
-			prev := reqtrace.With(p, t.trace)
-			j.layer.Flush(p)
-			reqtrace.With(p, prev)
-			j.wake(p)
-			j.stats.Flushes++
-			// The flush persisted every transfer before it: all transactions
-			// whose JC was transferred are now durable. finishTxn unlinks c
-			// from the committing list: step only past those left there.
-			for n := 0; n < len(j.committing); {
-				c := j.committing[n]
-				if !c.jcTransferred || c.state >= StateDurable {
-					n++
-					continue
-				}
-				c.state = StateDurable
-				c.wakeDurable()
-				j.finishTxn(c)
-			}
-		} else {
-			// fbarrier: remove from the committing list without flushing.
+		if !t.wantDurable {
 			j.finishTxn(t)
+			continue
 		}
-	}
-}
-
-// --- OptFS: osync() via Wait-on-Transfer (§7) ---
-
-func (j *Journal) optfsCommitThread(p *sim.Proc) {
-	submitWaitAll := j.chunkWaiter(p)
-	for {
-		t := j.commitQ.Get(p)
-		j.k.SpanBegin("jbd", "commit", t.id)
-		j.wake(p)
-		for _, d := range t.dataDeps {
-			if !d.Completed() {
-				d.Wait(p)
-				j.wake(p)
-			}
-		}
-		t.pagesUsed = len(t.frozen) + 2
-		j.reserve(p, t.pagesUsed)
-		jd, jc := j.buildJD(t)
-		t.trace.StampChain(reqtrace.StageJournalDispatch, p.Now())
-		for _, r := range jd {
-			r.Trace = t.trace
-		}
-		jc.Trace = t.trace
-		// OptFS preserves the JD→JC order with Wait-on-Transfer, not
-		// barriers, and never flushes on the commit path.
-		submitWaitAll(jd)
-		submitWaitAll([]*block.Request{jc})
-		j.releaseReqs(jd)
-		jc.Release()
-		t.jcTransferred = true
-		t.state = StateCommitted
-		t.wakeCommitted()
-		j.stats.Commits++
-		j.obs.commits.Inc()
-		j.k.SpanEnd("jbd", "commit", t.id)
-		j.optfsCond.Broadcast()
+		prev := reqtrace.With(p, t.trace)
+		j.retire(p, ^uint64(0))
+		reqtrace.With(p, prev)
 	}
 }
 
@@ -326,30 +276,13 @@ func (j *Journal) optfsDelayedFlush(p *sim.Proc) {
 	}
 }
 
-// retireCommitted flushes the device and retires every committed
-// transaction: the delayed-durability step of OptFS, also invoked directly
-// under journal-space pressure and by dsync-style waiters.
+// retireCommitted retires every transaction committed so far, the
+// delayed-durability step of OptFS, also invoked directly under
+// journal-space pressure and by dsync-style waiters. One that commits
+// during the flush is not covered by it.
 func (j *Journal) retireCommitted(p *sim.Proc) {
-	last := j.newestCommitted()
-	if last == 0 {
-		return
-	}
-	j.layer.Flush(p)
-	j.wake(p)
-	j.stats.Flushes++
-	// finishTxn unlinks c: step only past those left. Re-check each: another
-	// retirer (reserve, a dsync waiter, the delayed-flush daemon) may have
-	// retired c during the flush, and finishing it twice would double-credit
-	// its pages; one that committed during the flush is not covered by it.
-	for n := 0; n < len(j.committing); {
-		c := j.committing[n]
-		if c.state != StateCommitted || c.id > last {
-			n++
-			continue
-		}
-		c.state = StateDurable
-		c.wakeDurable()
-		j.finishTxn(c)
+	if last := j.newestCommitted(); last != 0 {
+		j.retire(p, last)
 	}
 }
 
@@ -433,8 +366,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		j.wake(p)
 		for _, t := range batch {
 			if t.state < StateDurable {
-				t.state = StateDurable
-				t.wakeDurable()
+				t.reach(StateDurable)
 			}
 		}
 		// 2. In-place writes: one per home, newest snapshot wins.

@@ -1,16 +1,21 @@
 // Package jbd implements filesystem journaling over the order-preserving
-// block layer, in three flavors:
+// block layer. One control plane, a commit thread, serves the paper's three
+// engines: it freezes each transaction, waits for its ordered-mode data,
+// reserves journal space and dispatches JD and JC. The engines differ only
+// in that dispatch rule and in the data plane that makes a committed
+// transaction durable:
 //
-//   - ModeJBD2: the EXT4 baseline (§2.3). A single JBD thread commits one
-//     transaction at a time, interleaving D, JD and JC with
-//     transfer-and-flush (Eq. 2: D→xfer→JD→xfer→flush→JC(FLUSH|FUA)).
-//   - ModeDual: BarrierFS Dual-Mode journaling (§4.2). A commit thread
-//     dispatches JD and JC as ordered barrier writes without waiting; a
-//     flush thread handles durability. Multiple transactions commit
-//     concurrently; the conflict-page list handles multi-transaction page
-//     conflicts (§4.3).
-//   - ModeOptFS: OptFS's osync() (§7): ordering-only commits that still use
-//     Wait-on-Transfer, plus selective data journaling.
+//   - ModeJBD2: the EXT4 baseline (§2.3). Wait-on-Transfer for D, JD and JC
+//     (Eq. 2: D→xfer→JD→xfer→flush→JC(FLUSH|FUA)), one transaction at a
+//     time; JC's FLUSH|FUA makes it durable at completion, so there is no
+//     data plane. A nobarrier mount drops the FLUSH|FUA.
+//   - ModeDual: BarrierFS Dual-Mode journaling (§4.2). JD and JC go as
+//     ordered barrier writes nothing waits on, so several transactions
+//     commit concurrently and the conflict-page list resolves their page
+//     conflicts (§4.3). A flush thread flushes for durability-seeking ones.
+//   - ModeOptFS: OptFS's osync() (§7), plus selective data journaling.
+//     Wait-on-Transfer without a flush; a delayed flush, or a dsync-style
+//     waiter's own, makes committed transactions durable.
 //
 // The journal occupies a fixed LPA window [Start, Start+Pages) used as a
 // circular log; a superblock at LPA SuperLPA records the checkpoint tail
@@ -156,8 +161,9 @@ type txnScratch struct {
 	dataDeps []*block.Request
 	jd       []*block.Request // buildJD's descriptor+log chunk
 
-	committedWaiters []*sim.Proc
-	durableWaiters   []*sim.Proc
+	// waiters[s-StateCommitted] are the procs parked until the transaction
+	// reaches state s (StateCommitted or StateDurable).
+	waiters [2][]*sim.Proc
 }
 
 // Txn is a journal transaction.
@@ -171,9 +177,9 @@ type Txn struct {
 
 	forced bool // committed even if empty (epoch delimiter)
 
-	// commitRequested marks a running transaction already queued to the
-	// Dual-Mode commit thread (which freezes it after the conflict-page
-	// list drains).
+	// commitRequested marks a Dual-Mode running transaction already queued
+	// to the commit thread, which freezes it after the conflict-page list
+	// drains.
 	commitRequested bool
 
 	wantDurable   bool
@@ -182,9 +188,9 @@ type Txn struct {
 	pagesUsed     int
 
 	// trace is the causal trace context of the first traced caller that
-	// committed this transaction (the chain head of its group). The
-	// commit engines stamp StageJournalDispatch through it and tag the
-	// JD/JC block requests with it.
+	// committed this transaction (the chain head of its group). buildJD
+	// stamps StageJournalDispatch through it and tags the JD/JC block
+	// requests with it.
 	trace reqtrace.Ctx
 
 	k *sim.Kernel
@@ -203,19 +209,15 @@ func (t *Txn) attachTrace(p *sim.Proc) {
 // forced epoch delimiter.
 func (t *Txn) Empty() bool { return len(t.buffers) == 0 && len(t.frozen) == 0 && !t.forced }
 
-// Resume only schedules the waiter, so neither list grows while it is walked.
-func (t *Txn) wakeCommitted() {
-	for _, w := range t.committedWaiters {
+// reach moves t to state s and resumes the procs waiting for it. Resume
+// only schedules a waiter, so the list does not grow while it is walked.
+func (t *Txn) reach(s TxnState) {
+	t.state = s
+	ws := &t.waiters[s-StateCommitted]
+	for _, w := range *ws {
 		t.k.Resume(w)
 	}
-	t.committedWaiters = t.committedWaiters[:0]
-}
-
-func (t *Txn) wakeDurable() {
-	for _, w := range t.durableWaiters {
-		t.k.Resume(w)
-	}
-	t.durableWaiters = t.durableWaiters[:0]
+	*ws = (*ws)[:0]
 }
 
 // Stats are cumulative journal statistics.
@@ -316,13 +318,13 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 	j.running = j.newTxn()
 	switch cfg.Mode {
 	case ModeDual:
-		k.Spawn("jbd/commit", j.dualCommitThread)
+		k.Spawn("jbd/commit", j.commitThread)
 		k.Spawn("jbd/flush", j.dualFlushThread)
 	case ModeOptFS:
-		k.Spawn("jbd/commit", j.optfsCommitThread)
+		k.Spawn("jbd/commit", j.commitThread)
 		k.Spawn("jbd/delayflush", j.optfsDelayedFlush)
 	default:
-		k.Spawn("jbd/jbd2", j.jbd2Thread)
+		k.Spawn("jbd/jbd2", j.commitThread)
 	}
 	k.Spawn("jbd/checkpoint", j.checkpointThread)
 	return j
@@ -381,15 +383,8 @@ func (j *Journal) DirtyBuffer(p *sim.Proc, buf *Buffer, snapshot any) {
 			// durability (its commit *is* transfer-and-flush).
 			target = StateCommitted
 		}
-		for buf.owner != nil && buf.owner.state < target {
-			t := buf.owner
-			if target == StateDurable {
-				t.durableWaiters = append(t.durableWaiters, p)
-			} else {
-				t.committedWaiters = append(t.committedWaiters, p)
-			}
-			p.Suspend()
-			j.wake(p)
+		for t := buf.owner; t != nil && t.state < target; t = buf.owner {
+			j.await(p, t, target)
 		}
 	}
 	buf.owner = nil
@@ -490,12 +485,6 @@ func (j *Journal) CommitAndWait(p *sim.Proc) *Txn {
 // told its transaction was durable when it was not.
 func (j *Journal) AckedDurable() uint64 { return j.ackedDurable }
 
-func (j *Journal) ackDurable(t *Txn) {
-	if t.id > j.ackedDurable {
-		j.ackedDurable = t.id
-	}
-}
-
 // WaitTxn blocks until t reaches the mount's durability target. When the
 // transaction is committed but no engine path will flush it (OptFS's
 // delayed-durability window, or a Dual-Mode ordering transaction that
@@ -507,35 +496,31 @@ func (j *Journal) WaitTxn(p *sim.Proc, t *Txn) {
 		target = StateCommitted
 	}
 	t.wantDurable = true
-	for t.state < target {
+	optfs := j.cfg.Mode == ModeOptFS
+	if optfs && target == StateDurable {
 		// OptFS: durability waiters first wait for the commit (osync's
 		// transfer wait), then flush directly below rather than stalling on
 		// the delayed-durability timer.
-		if j.cfg.Mode == ModeOptFS && target == StateDurable && t.state < StateCommitted {
-			t.committedWaiters = append(t.committedWaiters, p)
-			p.Suspend()
-			j.wake(p)
-			continue
+		j.await(p, t, StateCommitted)
+	}
+	if t.state == StateCommitted && target == StateDurable && (optfs || t.retired) {
+		j.retireCommitted(p)
+		if t.state < StateDurable {
+			t.reach(StateDurable)
 		}
-		if t.state == StateCommitted && target == StateDurable &&
-			(j.cfg.Mode == ModeOptFS || t.retired) {
-			j.retireCommitted(p)
-			if t.state < StateDurable {
-				t.state = StateDurable
-				t.wakeDurable()
-			}
-			j.ackDurable(t)
-			return
-		}
-		if target == StateDurable {
-			t.durableWaiters = append(t.durableWaiters, p)
-		} else {
-			t.committedWaiters = append(t.committedWaiters, p)
-		}
+	}
+	j.await(p, t, target)
+	j.ackedDurable = max(j.ackedDurable, t.id)
+}
+
+// await parks p until t reaches state s (StateCommitted or StateDurable),
+// charging a wake-up after each park.
+func (j *Journal) await(p *sim.Proc, t *Txn, s TxnState) {
+	for t.state < s {
+		t.waiters[s-StateCommitted] = append(t.waiters[s-StateCommitted], p)
 		p.Suspend()
 		j.wake(p)
 	}
-	j.ackDurable(t)
 }
 
 // WaitFrozen blocks until the committing transaction that holds b, if any,
@@ -557,18 +542,13 @@ func (j *Journal) CommitOrdering(p *sim.Proc, force bool) *Txn {
 	if t == nil {
 		// OptFS: the caller's metadata rides an in-flight commit; osync
 		// still waits for that commit's transfers (Wait-on-Transfer, §7).
-		if j.cfg.Mode == ModeOptFS && len(j.committing) > 0 {
-			t = j.committing[len(j.committing)-1]
-		} else {
+		if j.cfg.Mode != ModeOptFS || len(j.committing) == 0 {
 			return nil
 		}
+		t = j.committing[len(j.committing)-1]
 	}
 	t.attachTrace(p)
-	for t.state < StateCommitted {
-		t.committedWaiters = append(t.committedWaiters, p)
-		p.Suspend()
-		j.wake(p)
-	}
+	j.await(p, t, StateCommitted)
 	return t
 }
 
