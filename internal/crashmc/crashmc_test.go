@@ -247,7 +247,11 @@ func allocRidesCommit(run *rideRun, prefill int, inFlush bool) Part {
 // commit waits for its own transfers before sending JC. Either way the
 // commit is not on the device when A's data and flush are. The inFlush rows
 // take the other side of the window: B's commit is on the device and its
-// flush has begun, so that flush cannot cover A's data.
+// flush has begun, so that flush cannot cover A's data. On the legacy
+// device, whose cache writes back out of order, JC's FUA does not carry it
+// either: JBD2's fdatasync flushes after its wait because B's commit had
+// sent its preflush before A's data transferred (ext4's
+// jbd2_trans_will_send_data_barrier).
 func TestFdatasyncWaitsForFrozenAllocation(t *testing.T) {
 	nvme := device.NVMeSSD()
 	small := func(p core.Profile) core.Profile { return CompactJournal(p, 16) }
@@ -265,6 +269,7 @@ func TestFdatasyncWaitsForFrozenAllocation(t *testing.T) {
 		{small(core.BFSMQ(nvme)), 3, false},
 		{core.OptFS(nvme), 0, false},
 		{core.EXT4DR(nvme), 0, true},
+		{core.EXT4DR(device.LegacySSD()), 0, true},
 		{core.EXT4MQ(nvme), 0, true},
 		{core.BFSDR(nvme), 0, true},
 		{core.BFSMQ(nvme), 0, true},

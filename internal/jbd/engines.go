@@ -189,6 +189,7 @@ func (j *Journal) commitThread(p *sim.Proc) {
 			if durable {
 				jc.Flags |= block.FlagFlush | block.FlagFUA
 				j.stats.Flushes++
+				t.preflushed = true
 			}
 			submitWaitAll([]*block.Request{jc})
 			j.releaseReqs(jd)

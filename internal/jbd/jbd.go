@@ -183,6 +183,7 @@ type Txn struct {
 	commitRequested bool
 
 	wantDurable   bool
+	preflushed    bool // JC went out with FLUSH|FUA (a barrier-mounted JBD2)
 	jcTransferred bool
 	retired       bool // removed from the committing list (finishTxn ran)
 	pagesUsed     int
@@ -473,9 +474,19 @@ func (j *Journal) CommitAndWait(p *sim.Proc) *Txn {
 		}
 		t = j.committing[len(j.committing)-1]
 	}
+	// ext4's jbd2_trans_will_send_data_barrier: the caller's data was
+	// transferred before this call, so a commit that has already sent its
+	// preflush does not cover it, and a cache that writes back out of order
+	// may persist JC without it. Flush once that commit is durable.
+	flush := t.preflushed
 	t.attachTrace(p)
 	t.wantDurable = true
 	j.WaitTxn(p, t)
+	if flush {
+		j.layer.Flush(p)
+		j.wake(p)
+		j.stats.Flushes++
+	}
 	return t
 }
 
