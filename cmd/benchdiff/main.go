@@ -3,11 +3,12 @@
 // gate the simulator's trajectory: the previous run's artifact is the
 // baseline, and a regression beyond the threshold fails the job, while
 // improvements and missing baselines only report. One call gates one
-// metric; CI gates BenchmarkKV twice, on wall clock and on allocations,
-// which are exact counts and so take a much tighter threshold:
+// metric; CI gates BenchmarkKV twice, on wall clock and on allocations per
+// simulated op, which are near-exact counts and so take a much tighter
+// threshold:
 //
 //	benchdiff -bench BenchmarkKV -metric ns/op -threshold 15 old.txt new.txt
-//	benchdiff -bench BenchmarkKV -metric allocs/op -threshold 2 old.txt new.txt
+//	benchdiff -bench BenchmarkKV -metric allocs/simop -threshold 2 old.txt new.txt
 //
 // Benchmarks present in only one file are reported and ignored by the
 // gate. A missing or empty baseline file reports and exits 0, so the first
