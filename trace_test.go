@@ -141,10 +141,10 @@ func goldenCases() []goldenCase {
 			wcfg.Duration, wcfg.Warmup, wcfg.FilePages = 24*sim.Millisecond, 6*sim.Millisecond, 32
 			workload.RandWrite(k, s, wcfg)
 		}},
-		// The journal's branches, one small-journal multi-writer case per
-		// engine: reservations wait for checkpoints, writers meet buffers
-		// frozen in a committing transaction, and several transactions are
-		// in flight at once.
+		// The journal's branches, one multi-writer case per engine: on the
+		// small journals reservations wait for checkpoints, writers meet
+		// buffers frozen in a committing transaction, and on BarrierFS
+		// several transactions are in flight at once.
 		{"jbd/EXT4-DR-smalljournal-fsync", func(k *sim.Kernel) {
 			s := core.NewStack(k, smallJournal(core.EXT4DR(device.NVMeSSD())))
 			k.Spawn("epoch", func(p *sim.Proc) {
