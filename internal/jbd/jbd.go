@@ -515,7 +515,13 @@ func (j *Journal) WaitTxn(p *sim.Proc, t *Txn) {
 		j.await(p, t, StateCommitted)
 	}
 	if t.state == StateCommitted && target == StateDurable && (optfs || t.retired) {
-		j.retireCommitted(p)
+		if t.retired {
+			// Dual-Mode ordering-only: off the committing list, so only the
+			// caller's own flush covers it.
+			j.retire(p, t.id)
+		} else {
+			j.retireCommitted(p)
+		}
 		if t.state < StateDurable {
 			t.reach(StateDurable)
 		}

@@ -165,6 +165,30 @@ func TestDualFsyncDurable(t *testing.T) {
 	})
 }
 
+// A durability wait on a Dual-Mode ordering-only transaction that already
+// left the committing list must flush: no engine flush will cover it, and
+// with nothing else committed the wait has no other flush to ride.
+func TestDualWaitOnRetiredOrderingTxnFlushes(t *testing.T) {
+	h := newHarness(ModeDual, true)
+	defer h.close()
+	h.run(func(p *sim.Proc) {
+		h.j.DirtyBuffer(p, &Buffer{Home: 2000}, "v1")
+		txn := h.j.CommitOrdering(p, false)
+		p.Sleep(100 * sim.Microsecond) // JC completes; the flush thread retires txn
+		if !txn.jcTransferred || !txn.retired || txn.state != StateCommitted {
+			t.Fatalf("precondition: jc=%v retired=%v state=%v", txn.jcTransferred, txn.retired, txn.state)
+		}
+		before := h.dev.Stats().Flushes
+		h.j.WaitTxn(p, txn)
+		if got := h.dev.Stats().Flushes; got == before {
+			t.Errorf("WaitTxn acknowledged txn %d durable without a flush (device flushes stayed %d)", txn.id, got)
+		}
+		if h.j.AckedDurable() != txn.id {
+			t.Errorf("acked durable = %d, want %d", h.j.AckedDurable(), txn.id)
+		}
+	})
+}
+
 func TestJBD2ConflictBlocksWriter(t *testing.T) {
 	h := newHarness(ModeJBD2, true)
 	defer h.close()
