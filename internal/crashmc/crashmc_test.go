@@ -184,21 +184,36 @@ func TestCapFallsBackToSamplingWithNotice(t *testing.T) {
 
 // rideRun is what one allocRidesCommit run reached: how many times A's
 // Fdatasync returned, how many commits had waited for journal space by then,
-// and whether B's fsync returned before a flush of its commit was seen.
+// whether B's fsync returned before a flush of its commit was seen, and
+// whether B's commit was dispatched before A's Fdatasync began.
 type rideRun struct {
-	reached int
-	forced  int64
-	missed  bool
+	reached    int
+	forced     int64
+	missed     bool
+	dispatched bool
 }
+
+// rideStart is the instant A's Fdatasync begins, once B's commit froze A's
+// allocation.
+type rideStart int
+
+const (
+	atFreeze rideStart = iota
+	// inFlush: once the device has begun the flush that makes B's commit
+	// durable, so A's data reaches the device after that flush.
+	inFlush
+	// inSuper: once the checkpointer's superblock write, which B's commit
+	// waits behind in reserve, is in the device cache. A's own flush is then
+	// queued ahead of B's JD and JC, which transfer right behind it.
+	inSuper
+)
 
 // allocRidesCommit first fsyncs prefill files of its own, filling a small
 // journal, then creates and writes file A and lets a second proc's fsync of
 // file B freeze the running transaction — A's inode, directory entry and
-// allocation with it — and calls A's Fdatasync while that commit is still in
-// flight. With inFlush, A's Fdatasync starts only once the device has begun
-// the flush that makes B's commit durable, so A's data reaches the device
-// after that flush. Power fails the instant Fdatasync returns.
-func allocRidesCommit(run *rideRun, prefill int, inFlush bool) Part {
+// allocation with it — and calls A's Fdatasync at start, while that commit
+// is still in flight. Power fails the instant Fdatasync returns.
+func allocRidesCommit(run *rideRun, prefill int, start rideStart) Part {
 	return func(k *sim.Kernel, s *core.Stack) []Checker {
 		chk := &DurabilityChecker{FS: s.FS, File: "a.dat"}
 		create := func(p *sim.Proc, name string) *fs.Inode {
@@ -219,11 +234,18 @@ func allocRidesCommit(run *rideRun, prefill int, inFlush bool) Part {
 			for a.MetaPending() {
 				p.Sleep(sim.Microsecond) // until B's commit freezes A's metadata
 			}
-			if inFlush {
+			commits := s.FS.Journal().Stats().Commits
+			switch start {
+			case inFlush:
 				for flushes := s.Dev.Stats().Flushes; s.Dev.Stats().Flushes == flushes && !bDone; {
 					p.Sleep(sim.Microsecond) // until B's commit flush starts
 				}
 				run.missed = bDone
+			case inSuper:
+				for fua := s.Dev.Stats().FUAWrites; s.Dev.Stats().FUAWrites == fua; {
+					p.Sleep(sim.Microsecond) // until the superblock write is cached
+				}
+				run.dispatched = s.FS.Journal().Stats().Commits != commits
 			}
 			s.FS.Fdatasync(p, a)
 			ver, _, _ := s.FS.Read(p, a, 0)
@@ -252,32 +274,49 @@ func allocRidesCommit(run *rideRun, prefill int, inFlush bool) Part {
 // either: JBD2's fdatasync flushes after its wait because B's commit had
 // sent its preflush before A's data transferred (ext4's
 // jbd2_trans_will_send_data_barrier).
+//
+// The inSuper rows hold the capture rule: a Dual-Mode commit lets go of its
+// buffers when its JC is transferred, before its flush. A's fdatasync
+// decides to wait on B's commit while that commit waits in reserve, queues
+// its own flush ahead of B's JD and JC, and reaches its wait after B's JC
+// has transferred but long before B's flush. A 50 µs wake-up latency
+// outlasts the JD/JC transfers queued behind A's flush (the default 15 µs
+// does not), which is what opens the window: an fdatasync that re-read the
+// buffer's owner when it waits would find none and return with B's JC
+// still volatile.
 func TestFdatasyncWaitsForFrozenAllocation(t *testing.T) {
 	nvme := device.NVMeSSD()
 	small := func(p core.Profile) core.Profile { return CompactJournal(p, 16) }
+	slowWake := func(p core.Profile) core.Profile {
+		p = small(p)
+		p.FS.Journal.WakeLatency = 50 * sim.Microsecond
+		return p
+	}
 	for _, c := range []struct {
 		prof    core.Profile
 		prefill int
-		inFlush bool
+		start   rideStart
 	}{
-		{core.EXT4DR(nvme), 0, false},
-		{core.EXT4MQ(nvme), 0, false},
-		{core.BFSDR(nvme), 0, false},
-		{core.BFSMQ(nvme), 0, false},
-		{small(core.EXT4DR(nvme)), 2, false},
-		{small(core.BFSDR(nvme)), 2, false},
-		{small(core.BFSMQ(nvme)), 3, false},
-		{core.OptFS(nvme), 0, false},
-		{core.EXT4DR(nvme), 0, true},
-		{core.EXT4DR(device.LegacySSD()), 0, true},
-		{core.EXT4MQ(nvme), 0, true},
-		{core.BFSDR(nvme), 0, true},
-		{core.BFSMQ(nvme), 0, true},
-		{core.OptFS(nvme), 0, true},
+		{core.EXT4DR(nvme), 0, atFreeze},
+		{core.EXT4MQ(nvme), 0, atFreeze},
+		{core.BFSDR(nvme), 0, atFreeze},
+		{core.BFSMQ(nvme), 0, atFreeze},
+		{small(core.EXT4DR(nvme)), 2, atFreeze},
+		{small(core.BFSDR(nvme)), 2, atFreeze},
+		{small(core.BFSMQ(nvme)), 3, atFreeze},
+		{core.OptFS(nvme), 0, atFreeze},
+		{core.EXT4DR(nvme), 0, inFlush},
+		{core.EXT4DR(device.LegacySSD()), 0, inFlush},
+		{core.EXT4MQ(nvme), 0, inFlush},
+		{core.BFSDR(nvme), 0, inFlush},
+		{core.BFSMQ(nvme), 0, inFlush},
+		{core.OptFS(nvme), 0, inFlush},
+		{slowWake(core.BFSDR(nvme)), 2, inSuper},
+		{slowWake(core.BFSMQ(nvme)), 2, inSuper},
 	} {
 		var run rideRun
-		res := Enumerate(OnStack(c.prof, allocRidesCommit(&run, c.prefill, c.inFlush)), Config{CrashAt: at(1000000)})
-		t.Logf("prefill %d, in flush %v, %d commits waited for space: %s", c.prefill, c.inFlush, run.forced, res.String())
+		res := Enumerate(OnStack(c.prof, allocRidesCommit(&run, c.prefill, c.start)), Config{CrashAt: at(1000000)})
+		t.Logf("prefill %d, start %d, %d commits waited for space: %s", c.prefill, c.start, run.forced, res.String())
 		requireClean(t, res)
 		if run.reached != 1 {
 			t.Fatalf("%s (prefill %d): Fdatasync never returned", c.prof.Name, c.prefill)
@@ -287,6 +326,9 @@ func TestFdatasyncWaitsForFrozenAllocation(t *testing.T) {
 		}
 		if run.missed {
 			t.Errorf("%s: B's fsync returned before its commit flush was seen", c.prof.Name)
+		}
+		if run.dispatched {
+			t.Errorf("%s: B's commit was dispatched before A's Fdatasync began", c.prof.Name)
 		}
 	}
 }

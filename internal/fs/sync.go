@@ -92,8 +92,11 @@ func (f *FS) Fdatabarrier(p *sim.Proc, i *Inode) Delivered {
 func (f *FS) sync(p *sim.Proc, i *Inode, meta, ordered bool) Delivered {
 	// The one commit decision. An allocation frozen into another caller's
 	// commit is no longer pending, but that commit may not have reached the
-	// device yet: wait for it too (ext4's wait on i_datasync_tid).
-	commitMeta := (i.MetaPending() && (meta || i.allocDirty)) || (i.allocDirty && i.buf.Frozen())
+	// device yet: wait for it too (ext4's wait on i_datasync_tid). The
+	// commit is captured now: a Dual-Mode one lets go of the buffer at its
+	// JC transfer, which may come after this call's own flush was queued.
+	held := i.buf.Frozen()
+	commitMeta := (i.MetaPending() && (meta || i.allocDirty)) || (i.allocDirty && held != nil)
 	// Background writeback that the multi-queue layer moved off the order
 	// stream is outside the flush/barrier ordering domain: wait on it
 	// explicitly.
@@ -138,7 +141,7 @@ func (f *FS) sync(p *sim.Proc, i *Inode, meta, ordered bool) Delivered {
 			// The allocation rides a commit that may already be past its JD
 			// and flush, so neither covers D: D took the path above, and
 			// the sync waits for that commit on top.
-			f.j.WaitFrozen(p, i.buf)
+			f.j.WaitTxn(p, held)
 			i.allocDirty = false
 		}
 		return got

@@ -114,12 +114,16 @@ func (j *Journal) releaseReqs(reqs []*block.Request) {
 func releaseDone(_ sim.Time, r *block.Request) { r.Release() }
 
 // jcDone is every Dual-Mode JC's OnComplete. Its commit record names the
-// transaction, which stays committing until the flush this queues it for.
+// transaction, which releases its frozen buffers now and stays committing
+// until the flush thread, which this queues it for, retires it. The
+// release is safe before the flush: freeze copied every buffer into the
+// JD, and the next transaction's JD and JC are epoch-ordered after this JC.
 func (j *Journal) jcDone(_ sim.Time, r *block.Request) {
 	id := r.Data.(*CommitBlock).TxnID
 	for _, t := range j.committing {
 		if t.id == id {
 			t.jcTransferred = true
+			j.releaseBuffers(t)
 			j.flushQ.Put(t)
 		}
 	}
@@ -146,9 +150,13 @@ func (j *Journal) commitThread(p *sim.Proc) {
 			// Dual-Mode freezes here, not in closeRunning: the transaction
 			// may not commit while the conflict-page list is non-empty
 			// (§4.3), and resolved buffers join it while we wait.
-			for len(j.conflictList) > 0 {
-				j.confCond.Wait(p)
-				j.wake(p)
+			if len(j.conflictList) > 0 {
+				t0 := p.Now()
+				for len(j.conflictList) > 0 {
+					j.confCond.Wait(p)
+					j.wake(p)
+				}
+				j.obs.conflictWait.Add(int64(p.Now().Sub(t0)))
 			}
 			j.freeze(t)
 		}
@@ -242,8 +250,9 @@ func (j *Journal) retire(p *sim.Proc, last uint64) {
 // dualFlushThread is Dual-Mode's data plane, triggered as each JC finishes
 // its transfer. A durability-seeking transaction gets a flush, which makes
 // durable every transaction whose JC was transferred before it completed;
-// an ordering-only one leaves the committing list without a flush, and
-// either resolves its page conflicts (§4.3).
+// an ordering-only one leaves the committing list without a flush. Neither
+// gates the next commit: jcDone already resolved their page conflicts
+// (§4.3).
 func (j *Journal) dualFlushThread(p *sim.Proc) {
 	for {
 		t := j.flushQ.Get(p)
@@ -300,9 +309,10 @@ func (j *Journal) newestCommitted() (id uint64) {
 
 // --- shared transaction retirement and checkpointing ---
 
-// finishTxn removes t from the committing list, releases its frozen
-// buffers (resolving Dual-Mode conflict pages into the running
-// transaction), and queues it for checkpointing.
+// finishTxn removes t from the committing list, drops its data
+// dependencies and queues it for checkpointing. JBD2 and OptFS release its
+// frozen buffers here; Dual-Mode released them at its JC transfer (jcDone),
+// so its flush thread no longer gates the next commit (§4.3).
 func (j *Journal) finishTxn(t *Txn) {
 	t.retired = true
 	for i, c := range j.committing {
@@ -311,16 +321,26 @@ func (j *Journal) finishTxn(t *Txn) {
 			break
 		}
 	}
+	if j.cfg.Mode != ModeDual {
+		j.releaseBuffers(t)
+	}
+	for _, d := range t.dataDeps {
+		d.Release()
+	}
+	j.ckptQ = append(j.ckptQ, t)
+	j.obs.ckptBacklog.Set(int64(len(j.ckptQ)))
+	j.ckptCond.Broadcast()
+}
+
+// releaseBuffers ends t's hold on its frozen buffers and moves the buffers
+// parked on the conflict-page list while t held them to the running
+// transaction (§4.3).
+func (j *Journal) releaseBuffers(t *Txn) {
 	for _, b := range t.buffers {
 		if b.owner == t {
 			b.owner = nil
 		}
 	}
-	for _, d := range t.dataDeps {
-		d.Release()
-	}
-	// Conflict-page list: buffers parked while t held them move to the
-	// running transaction now (§4.3).
 	if len(j.conflictList) > 0 {
 		kept := j.conflictList[:0]
 		for _, b := range j.conflictList {
@@ -338,9 +358,6 @@ func (j *Journal) finishTxn(t *Txn) {
 			j.confCond.Broadcast()
 		}
 	}
-	j.ckptQ = append(j.ckptQ, t)
-	j.obs.ckptBacklog.Set(int64(len(j.ckptQ)))
-	j.ckptCond.Broadcast()
 }
 
 // checkpointThread writes committed metadata to its home location and

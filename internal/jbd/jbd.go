@@ -147,10 +147,12 @@ type Buffer struct {
 // the running transaction or on the conflict-page list).
 func (b *Buffer) Pending() bool { return b.inRunning || b.conflict }
 
-// Frozen reports whether a committing transaction that has not finished yet
-// holds the buffer: its last changes are no longer pending, and not durable
-// either.
-func (b *Buffer) Frozen() bool { return b.owner != nil }
+// Frozen returns the committing transaction that holds the buffer, nil if
+// none: the buffer's last changes are no longer pending, and not durable
+// either. A Dual-Mode transaction holds its buffers until its JC is
+// transferred, not until it is durable, so a caller that must wait for the
+// commit captures the transaction when it decides to, not when it waits.
+func (b *Buffer) Frozen() *Txn { return b.owner }
 
 // txnScratch is a transaction's slice storage: the checkpointer hands it to
 // newTxn once the transaction is dead, so a steady-state commit grows no slice.
@@ -287,6 +289,7 @@ type Journal struct {
 type jbdObs struct {
 	commits, checkpoints          *metrics.Counter
 	conflictParks, conflictBlocks *metrics.Counter
+	conflictWait                  *metrics.Counter // ns the commit thread waited for the conflict-page list
 	ckptBacklog                   *metrics.Gauge
 }
 
@@ -313,6 +316,7 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 			checkpoints:    reg.Counter("jbd/checkpoints"),
 			conflictParks:  reg.Counter("jbd/conflict.parks"),
 			conflictBlocks: reg.Counter("jbd/conflict.blocks"),
+			conflictWait:   reg.Counter("jbd/conflict.wait_ns"),
 			ckptBacklog:    reg.Gauge("jbd/ckpt.backlog"),
 		}
 	}
@@ -479,7 +483,6 @@ func (j *Journal) CommitAndWait(p *sim.Proc) *Txn {
 	// preflush does not cover it, and a cache that writes back out of order
 	// may persist JC without it. Flush once that commit is durable.
 	flush := t.preflushed
-	t.attachTrace(p)
 	t.wantDurable = true
 	j.WaitTxn(p, t)
 	if flush {
@@ -500,8 +503,10 @@ func (j *Journal) AckedDurable() uint64 { return j.ackedDurable }
 // transaction is committed but no engine path will flush it (OptFS's
 // delayed-durability window, or a Dual-Mode ordering transaction that
 // already left the committing list), the caller issues the flush itself —
-// the dsync behaviour.
+// the dsync behaviour. fdatasync waits here for the commit that froze its
+// allocation (ext4's i_datasync_tid).
 func (j *Journal) WaitTxn(p *sim.Proc, t *Txn) {
+	t.attachTrace(p)
 	target := StateDurable
 	if !j.cfg.BarrierMount {
 		target = StateCommitted
@@ -537,16 +542,6 @@ func (j *Journal) await(p *sim.Proc, t *Txn, s TxnState) {
 		t.waiters[s-StateCommitted] = append(t.waiters[s-StateCommitted], p)
 		p.Suspend()
 		j.wake(p)
-	}
-}
-
-// WaitFrozen blocks until the committing transaction that holds b, if any,
-// is durable: fdatasync's wait for the commit that froze its allocation
-// (ext4's i_datasync_tid).
-func (j *Journal) WaitFrozen(p *sim.Proc, b *Buffer) {
-	if t := b.owner; t != nil {
-		t.attachTrace(p)
-		j.WaitTxn(p, t)
 	}
 }
 

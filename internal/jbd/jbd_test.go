@@ -246,6 +246,46 @@ func TestDualConflictParksWithoutBlocking(t *testing.T) {
 	})
 }
 
+// Dual-Mode's commit thread waits for the conflict-page list only until the
+// holder's JC is transferred, never for its flush: a buffer frozen in a
+// durability-seeking T1 and dirtied again parks, and T2 freezes it once T1's
+// JC completes, while T1's flush is still running.
+func TestDualConflictResolvesAtJCTransfer(t *testing.T) {
+	h := newHarness(ModeDual, true)
+	defer h.close()
+	buf := &Buffer{Home: 2000}
+	h.run(func(p *sim.Proc) {
+		h.j.DirtyBuffer(p, buf, "v1")
+		t1 := h.j.running
+		durable := h.k.Spawn("fsync", func(q *sim.Proc) { h.j.CommitAndWait(q) })
+		for t1.state == StateRunning {
+			p.Sleep(sim.Microsecond)
+		}
+		h.j.DirtyBuffer(p, buf, "v2")
+		if !buf.conflict {
+			t.Fatal("precondition: v2 did not park behind T1")
+		}
+		t2 := h.j.CommitOrdering(p, true) // forced: v2 is parked, not running
+		if t2 == nil || t2 == t1 || t2.state < StateCommitted {
+			t.Fatalf("T2 did not commit: %+v", t2)
+		}
+		if !t1.jcTransferred {
+			t.Error("T2 froze before T1's JC was transferred")
+		}
+		if t1.state >= StateDurable {
+			t.Errorf("T2 committed only after T1's flush (T1 %v): the flush gated the next commit", t1.state)
+		}
+		if len(t2.frozen) != 1 || t2.frozen[0].Snapshot != "v2" {
+			t.Errorf("T2 froze %v, want v2 of the parked buffer", t2.frozen)
+		}
+		p.Join(durable)
+		h.j.CommitAndWait(p)
+		if rec := Scan(h.dev.DurableData, h.j.cfg); rec.State[2000] != "v2" {
+			t.Errorf("recovered %v, want v2", rec.State[2000])
+		}
+	})
+}
+
 func TestCheckpointReclaimsJournalSpace(t *testing.T) {
 	h := newHarness(ModeJBD2, true)
 	defer h.close()
