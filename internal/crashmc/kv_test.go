@@ -64,7 +64,8 @@ const (
 	rowPublish
 	// rowCheckpoint crashes once a manifest is cached whose segment a
 	// periodic checkpoint (a clean-WAL fdatasync: a forced journal commit
-	// waited durably) landed inside.
+	// waited durably) landed inside, and is the oldest write the cache
+	// holds.
 	rowCheckpoint
 	// rowMidAppend crashes after a ForceCheckpoint issued inside the window
 	// while a group is mid-append: a dirty-WAL fdatasync, the data-only
@@ -151,6 +152,14 @@ func kvWindow(row kvRow, reached *bool, seen map[uint64]bool) Part {
 					}
 					if st.Stats().CheckpointSyncs > syncs && s.FS.Journal().Stats().ConflictParked > parked {
 						awaitManifestCached(p, s)
+						// The segment's commit no longer waits for the
+						// checkpoint's flush, so the cache still holds the
+						// segment when the manifest arrives: crash once
+						// that flush has taken everything older.
+						manifest, _ := s.FS.Lookup(s.FS.Root(), "kv.manifest")
+						for cachedBefore(s, manifest) {
+							p.Sleep(100 * sim.Nanosecond)
+						}
 						break
 					}
 				}
@@ -189,6 +198,18 @@ func manifestCached(s *core.Stack, manifest *fs.Inode) (cached, after bool) {
 		}
 	}
 	return cached, after
+}
+
+// cachedBefore reports whether the device cache holds a write transferred
+// before the manifest's current page: its oldest cached write is another.
+func cachedBefore(s *core.Stack, manifest *fs.Inode) bool {
+	ws := s.Dev.CaptureConstraints().Writes
+	if len(ws) == 0 {
+		return false
+	}
+	ver, _ := s.FS.PageVer(manifest, 0)
+	d, ok := ws[0].Data.(*fs.PageData)
+	return !ok || d.Ver != ver
 }
 
 // awaitSegment returns once segment file kv.seg-id holds a written page.
@@ -233,9 +254,12 @@ func openWindow(p *sim.Proc, s *core.Stack, st *kvwal.Store) {
 // window some image must also recover from an older manifest (the
 // overwritten slots are ordered after the new one, so they vanish with it).
 // After a checkpoint every record it acknowledged must survive, whichever
-// manifest an image recovers from. Writing a BFS-DR segment with fbarrier,
-// whose parked path commits nothing, fails the checkpoint row; so does a
-// clean-WAL checkpoint that skips its journal commit.
+// manifest an image recovers from. A clean-WAL checkpoint that skips its
+// journal commit fails the checkpoint row. Writing a BFS-DR segment with
+// fbarrier, whose parked path commits nothing, no longer does: a Dual
+// commit resolves its conflict pages at JC transfer, so the segment's
+// metadata has left the conflict-page list before the segment's ordering
+// call.
 func TestKVManifestPublishWindow(t *testing.T) {
 	for _, row := range []kvRow{rowSegment, rowPublish, rowCheckpoint, rowMidAppend} {
 		for _, mk := range []func(device.Config) core.Profile{core.BFSDR, core.BFSMQ} {
