@@ -3,6 +3,7 @@ package fs
 import (
 	"repro/internal/block"
 	"repro/internal/jbd"
+	"repro/internal/reqtrace"
 	"repro/internal/sim"
 )
 
@@ -134,8 +135,7 @@ func (f *FS) sync(p *sim.Proc, i *Inode, meta, ordered bool) Delivered {
 			f.release(i, plan)
 		default:
 			f.waitAll(p, i, plan)
-			f.layer.Flush(p)
-			f.wake(p)
+			f.flush(p)
 		}
 		if !ordered && commitMeta {
 			// The allocation rides a commit that may already be past its JD
@@ -159,8 +159,7 @@ func (f *FS) sync(p *sim.Proc, i *Inode, meta, ordered bool) Delivered {
 		if ordered {
 			return Transferred
 		}
-		f.layer.Flush(p)
-		f.wake(p)
+		f.flush(p)
 		return Durable
 	default: // JBD2 / EXT4: every call is served durably
 		plan := f.writeback(p, i, 0, false)
@@ -169,8 +168,7 @@ func (f *FS) sync(p *sim.Proc, i *Inode, meta, ordered bool) Delivered {
 			f.j.CommitAndWait(p) // transfer-and-flush commit (wake-up #2)
 			i.allocDirty = false
 		} else if f.opts.Journal.BarrierMount {
-			f.layer.Flush(p) // wake-up #2
-			f.wake(p)
+			f.flush(p) // wake-up #2
 		}
 		return Durable
 	}
@@ -187,6 +185,18 @@ func (f *FS) SyncFS(p *sim.Proc) {
 		f.waitAll(p, i, plan)
 	}
 	f.j.CommitAndWait(p)
-	f.layer.Flush(p)
+	f.flush(p)
+}
+
+// flush issues a cache flush on the filesystem's order stream and waits for
+// it, charging the wake-up. The device flushes its whole cache whatever the
+// stream, so the stream only decides which ordered commands the flush
+// waits behind: the caller's own, not stream 0's. The request carries the
+// caller's trace context (reqtrace.Of) to the device.
+func (f *FS) flush(p *sim.Proc) {
+	r := f.reqPool.Get()
+	r.Op, r.Stream, r.Trace = block.OpFlush, f.stream, reqtrace.Of(p)
+	f.layer.SubmitAndWait(p, r)
+	r.Release()
 	f.wake(p)
 }

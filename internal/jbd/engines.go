@@ -69,6 +69,18 @@ func (j *Journal) newReq() *block.Request {
 	return r
 }
 
+// flush issues a cache flush on the journal's order stream and waits for
+// it, charging the wake-up. The device flushes its whole cache whatever the
+// stream; the stream only decides which ordered commands the flush waits
+// behind. The request carries the caller's trace context (reqtrace.Of).
+func (j *Journal) flush(p *sim.Proc) {
+	r := j.newReq()
+	r.Op, r.Trace = block.OpFlush, reqtrace.Of(p)
+	j.layer.SubmitAndWait(p, r)
+	r.Release()
+	j.wake(p)
+}
+
 // buildJD allocates journal slots and builds the descriptor+log requests
 // (the paper's JD chunk) and the commit request (JC) for t, tagged with t's
 // trace, whose journal-dispatch stage starts now. The requests come from
@@ -229,8 +241,7 @@ func (j *Journal) commitThread(p *sim.Proc) {
 // flush covers: one whose JC had been transferred when the flush completed
 // and whose id is at most last.
 func (j *Journal) retire(p *sim.Proc, last uint64) {
-	j.layer.Flush(p)
-	j.wake(p)
+	j.flush(p)
 	j.stats.Flushes++
 	// finishTxn unlinks c: step only past those left. Re-check each: another
 	// retirer (reserve, a dsync waiter, the delayed-flush daemon) may have
@@ -380,8 +391,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		j.obs.ckptBacklog.Set(0)
 		// 1. The journal copies must be durable before homes are
 		//    overwritten, or a crash could destroy the only good copy.
-		j.layer.Flush(p)
-		j.wake(p)
+		j.flush(p)
 		for _, t := range batch {
 			if t.state < StateDurable {
 				t.reach(StateDurable)
@@ -405,8 +415,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		submitWaitAll(reqs)
 		j.releaseReqs(reqs)
 		// 3. Make the in-place copies durable, then advance the tail.
-		j.layer.Flush(p)
-		j.wake(p)
+		j.flush(p)
 		j.tailTxn = batch[len(batch)-1].id + 1
 		sb := j.newReq()
 		sb.Op, sb.LPA = block.OpWrite, j.cfg.SuperLPA

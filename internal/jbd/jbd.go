@@ -486,8 +486,7 @@ func (j *Journal) CommitAndWait(p *sim.Proc) *Txn {
 	t.wantDurable = true
 	j.WaitTxn(p, t)
 	if flush {
-		j.layer.Flush(p)
-		j.wake(p)
+		j.flush(p)
 		j.stats.Flushes++
 	}
 	return t
