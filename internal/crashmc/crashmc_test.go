@@ -346,9 +346,8 @@ func TestKVScenarioBarrierEnginesClean(t *testing.T) {
 		t.Fatal("BFS-DR kv: expected volatile writes at the crash instant")
 	}
 
-	// 58 ms: a spread-writeback burst is in the cache (at 60 ms the cache
-	// holds only order-stream writes since the Dual commit stopped waiting
-	// on the previous commit's flush).
+	// At 58 ms a spread-writeback burst is in the cache; at 60 ms it holds
+	// only order-stream writes.
 	cfg.CrashAt = at(58000)
 	mq := Enumerate(OnStack(small(core.BFSMQ(device.PlainSSD())), KV(2)), cfg)
 	t.Log(mq.String())

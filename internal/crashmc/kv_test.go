@@ -152,7 +152,7 @@ func kvWindow(row kvRow, reached *bool, seen map[uint64]bool) Part {
 					}
 					if st.Stats().CheckpointSyncs > syncs && s.FS.Journal().Stats().ConflictParked > parked {
 						awaitManifestCached(p, s)
-						// The segment's commit no longer waits for the
+						// The segment's commit does not wait for the
 						// checkpoint's flush, so the cache still holds the
 						// segment when the manifest arrives: crash once
 						// that flush has taken everything older.

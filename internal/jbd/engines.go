@@ -323,7 +323,7 @@ func (j *Journal) newestCommitted() (id uint64) {
 // finishTxn removes t from the committing list, drops its data
 // dependencies and queues it for checkpointing. JBD2 and OptFS release its
 // frozen buffers here; Dual-Mode released them at its JC transfer (jcDone),
-// so its flush thread no longer gates the next commit (§4.3).
+// so its flush thread does not gate the next commit (§4.3).
 func (j *Journal) finishTxn(t *Txn) {
 	t.retired = true
 	for i, c := range j.committing {

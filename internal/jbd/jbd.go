@@ -12,7 +12,8 @@
 //   - ModeDual: BarrierFS Dual-Mode journaling (§4.2). JD and JC go as
 //     ordered barrier writes nothing waits on, so several transactions
 //     commit concurrently and the conflict-page list resolves their page
-//     conflicts (§4.3). A flush thread flushes for durability-seeking ones.
+//     conflicts (§4.3) as each JC is transferred. A flush thread flushes
+//     for durability-seeking ones and never gates the next commit.
 //   - ModeOptFS: OptFS's osync() (§7), plus selective data journaling.
 //     Wait-on-Transfer without a flush; a delayed flush, or a dsync-style
 //     waiter's own, makes committed transactions durable.
@@ -138,7 +139,7 @@ type Buffer struct {
 	// every dirtying write.
 	Snapshot func() any
 
-	owner     *Txn // committing transaction currently freezing this buffer
+	owner     *Txn // committing transaction holding it: on Dual until its JC transfer, else until finishTxn
 	inRunning bool
 	conflict  bool // parked on the conflict-page list
 }
@@ -365,7 +366,8 @@ func (j *Journal) wake(p *sim.Proc) {
 // It implements the page-conflict rules of §4.3: if the buffer belongs to a
 // committing transaction, a JBD2 writer blocks until that transaction
 // finishes, while a Dual-Mode writer parks the buffer on the conflict-page
-// list and continues.
+// list and continues. The parked buffer joins the running transaction when
+// the holder's JC is transferred, before the holder's flush.
 func (j *Journal) DirtyBuffer(p *sim.Proc, buf *Buffer, snapshot any) {
 	buf.Data = snapshot
 	if buf.inRunning || buf.conflict {

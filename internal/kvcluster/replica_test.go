@@ -350,8 +350,7 @@ func TestTenantFailoverBudgetSheds(t *testing.T) {
 func TestRunReplicatedTraffic(t *testing.T) {
 	reg := metrics.NewRegistry()
 	rc := ReplicaConfig{Shards: 2, Replicas: 2, Store: smallStore(), InflightCap: 6, Metrics: reg}
-	// 80k offered: at 60k, with a Dual commit no longer waiting for the
-	// previous commit's flush, six requests are never in flight at once.
+	// At 60k offered six requests are never in flight at once.
 	tr := smallTraffic(80_000)
 	res := RunReplicated(rc, tr)
 	if res.Offered == 0 || res.Done == 0 {
