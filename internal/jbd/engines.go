@@ -162,14 +162,12 @@ func (j *Journal) commitThread(p *sim.Proc) {
 			// Dual-Mode freezes here, not in closeRunning: the transaction
 			// may not commit while the conflict-page list is non-empty
 			// (§4.3), and resolved buffers join it while we wait.
-			if len(j.conflictList) > 0 {
-				t0 := p.Now()
-				for len(j.conflictList) > 0 {
-					j.confCond.Wait(p)
-					j.wake(p)
-				}
-				j.obs.conflictWait.Add(int64(p.Now().Sub(t0)))
+			t0 := p.Now()
+			for len(j.conflictList) > 0 {
+				j.confCond.Wait(p)
+				j.wake(p)
 			}
+			j.obs.conflictWait.Add(int64(p.Now().Sub(t0)))
 			j.freeze(t)
 		}
 		// Ordered mode: D must be transferred before JD is issued. Dual-Mode

@@ -485,7 +485,6 @@ func (j *Journal) CommitAndWait(p *sim.Proc) *Txn {
 	// preflush does not cover it, and a cache that writes back out of order
 	// may persist JC without it. Flush once that commit is durable.
 	flush := t.preflushed
-	t.wantDurable = true
 	j.WaitTxn(p, t)
 	if flush {
 		j.flush(p)
