@@ -333,6 +333,82 @@ func TestFdatasyncWaitsForFrozenAllocation(t *testing.T) {
 	}
 }
 
+// crossRun is what one syncAfterBackground run reached: whether A's sync
+// returned, and whether B's commit had frozen A's metadata by then.
+type crossRun struct {
+	reached, frozeFirst bool
+}
+
+// syncAfterBackground creates file A with pages new pages and file B, hands
+// A's pages to background writeback, which the multi-queue layer moves off
+// the order stream, and syncs A (fsync with meta, else fdatasync) while a
+// second proc fbarriers B. B's commit freezes the running transaction, and
+// A's new allocation with it, while A's sync waits for that writeback.
+// Power fails the instant A's sync returns.
+func syncAfterBackground(run *crossRun, pages int, meta bool) Part {
+	return func(k *sim.Kernel, s *core.Stack) []Checker {
+		chk := &DurabilityChecker{FS: s.FS, File: "a.dat"}
+		k.Spawn("app", func(p *sim.Proc) {
+			a, err := s.FS.Create(p, s.FS.Root(), chk.File)
+			if err != nil {
+				panic(err)
+			}
+			b, err := s.FS.Create(p, s.FS.Root(), "b.dat")
+			if err != nil {
+				panic(err)
+			}
+			for n := 0; n < pages; n++ {
+				s.FS.Write(p, a, int64(n))
+			}
+			s.FS.Write(p, b, 0)
+			s.FS.WritebackAsync(p, a)
+			done := false
+			k.Spawn("fbarrier-b", func(q *sim.Proc) {
+				s.FS.Fbarrier(q, b)
+				run.frozeFirst = !done && !a.MetaPending()
+			})
+			if meta {
+				s.FS.Fsync(p, a)
+			} else {
+				s.FS.Fdatasync(p, a)
+			}
+			done = true
+			for n := 0; n < pages; n++ {
+				ver, _ := s.FS.PageVer(a, int64(n))
+				chk.Synced = append(chk.Synced, AckedWrite{Idx: int64(n), Ver: ver})
+			}
+			run.reached = true
+			k.Stop()
+		})
+		return []Checker{chk}
+	}
+}
+
+// TestSyncAfterCrossStreamWriteback pins the order of fs.sync's first two
+// steps: wait for the file's writeback on other streams, then decide what
+// to commit. The wait blocks, and another caller's commit may freeze the
+// file's metadata meanwhile: a decision taken before the wait finds the
+// metadata pending, no commit holding it, and after the wait no path that
+// covers it (an fsync that then waits on the commit it captured, none,
+// panics). BFS-DR and EXT4-MQ are controls.
+func TestSyncAfterCrossStreamWriteback(t *testing.T) {
+	nvme := device.NVMeSSD()
+	for _, prof := range []core.Profile{core.BFSMQ(nvme), core.BFSDR(nvme), core.EXT4MQ(nvme)} {
+		for _, meta := range []bool{true, false} {
+			var run crossRun
+			res := Enumerate(OnStack(prof, syncAfterBackground(&run, 32, meta)), Config{CrashAt: at(1000000), Log: logTo(t)})
+			t.Logf("meta %v: %s", meta, res.String())
+			requireClean(t, res)
+			if !run.reached {
+				t.Fatalf("%s (meta %v): A's sync never returned", prof.Name, meta)
+			}
+			if !run.frozeFirst {
+				t.Errorf("%s (meta %v): B's commit did not freeze A's metadata before A's sync returned", prof.Name, meta)
+			}
+		}
+	}
+}
+
 func TestKVScenarioBarrierEnginesClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kv model checking in -short mode")

@@ -91,17 +91,20 @@ func (f *FS) Fdatabarrier(p *sim.Proc, i *Inode) Delivered {
 // caller's trace context (reqtrace.Of) rides its data writes, journal
 // transaction and flush.
 func (f *FS) sync(p *sim.Proc, i *Inode, meta, ordered bool) Delivered {
+	// Background writeback that the multi-queue layer moved off the order
+	// stream is outside the flush/barrier ordering domain: wait on it
+	// explicitly. The wait blocks, and another caller's commit may freeze
+	// the metadata meanwhile, so it comes before the decision below.
+	f.waitCrossStream(p, i)
 	// The one commit decision. An allocation frozen into another caller's
 	// commit is no longer pending, but that commit may not have reached the
 	// device yet: wait for it too (ext4's wait on i_datasync_tid). The
 	// commit is captured now: a Dual-Mode one lets go of the buffer at its
 	// JC transfer, which may come after this call's own flush was queued.
+	// Nothing blocks between here and the Dual-Mode branch's MetaPending
+	// test, so the two agree.
 	held := i.buf.Frozen()
 	commitMeta := (i.MetaPending() && (meta || i.allocDirty)) || (i.allocDirty && held != nil)
-	// Background writeback that the multi-queue layer moved off the order
-	// stream is outside the flush/barrier ordering domain: wait on it
-	// explicitly.
-	f.waitCrossStream(p, i)
 	switch f.opts.Journal.Mode {
 	case jbd.ModeDual:
 		ordered = ordered && !i.offStream
