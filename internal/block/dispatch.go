@@ -274,11 +274,16 @@ func (l *Layer) SubmitAndWait(p *sim.Proc, r *Request) {
 // caller transferred (and waited for) on any stream are covered. The request
 // is pooled: after SubmitAndWait returns nothing else can hold it. It carries
 // the caller's trace context (reqtrace.Of) to the device.
-func (l *Layer) Flush(p *sim.Proc) {
-	r := l.flushes.Get()
-	r.Op = OpFlush
-	r.Trace = reqtrace.Of(p)
-	l.SubmitAndWait(p, r)
+func (l *Layer) Flush(p *sim.Proc) { FlushOn(p, l, l.flushes.Get()) }
+
+// FlushOn issues r through s as a standalone cache flush and waits for it.
+// The caller draws r from its own pool and tags its stream: the device
+// flushes its whole cache whatever the stream, so the stream only decides
+// which ordered commands the flush waits behind. r carries the caller's
+// trace context (reqtrace.Of) and is released on return.
+func FlushOn(p *sim.Proc, s Submitter, r *Request) {
+	r.Op, r.Trace = OpFlush, reqtrace.Of(p)
+	s.SubmitAndWait(p, r)
 	r.Release()
 }
 

@@ -3,7 +3,6 @@ package fs
 import (
 	"repro/internal/block"
 	"repro/internal/jbd"
-	"repro/internal/reqtrace"
 	"repro/internal/sim"
 )
 
@@ -192,14 +191,11 @@ func (f *FS) SyncFS(p *sim.Proc) {
 }
 
 // flush issues a cache flush on the filesystem's order stream and waits for
-// it, charging the wake-up. The device flushes its whole cache whatever the
-// stream, so the stream only decides which ordered commands the flush
-// waits behind: the caller's own, not stream 0's. The request carries the
-// caller's trace context (reqtrace.Of) to the device.
+// it, charging the wake-up: the flush waits behind the caller's own ordered
+// commands, not stream 0's.
 func (f *FS) flush(p *sim.Proc) {
 	r := f.reqPool.Get()
-	r.Op, r.Stream, r.Trace = block.OpFlush, f.stream, reqtrace.Of(p)
-	f.layer.SubmitAndWait(p, r)
-	r.Release()
+	r.Stream = f.stream
+	block.FlushOn(p, f.layer, r)
 	f.wake(p)
 }

@@ -70,14 +70,9 @@ func (j *Journal) newReq() *block.Request {
 }
 
 // flush issues a cache flush on the journal's order stream and waits for
-// it, charging the wake-up. The device flushes its whole cache whatever the
-// stream; the stream only decides which ordered commands the flush waits
-// behind. The request carries the caller's trace context (reqtrace.Of).
+// it, charging the wake-up.
 func (j *Journal) flush(p *sim.Proc) {
-	r := j.newReq()
-	r.Op, r.Trace = block.OpFlush, reqtrace.Of(p)
-	j.layer.SubmitAndWait(p, r)
-	r.Release()
+	block.FlushOn(p, j.layer, j.newReq())
 	j.wake(p)
 }
 
@@ -318,10 +313,11 @@ func (j *Journal) newestCommitted() (id uint64) {
 
 // --- shared transaction retirement and checkpointing ---
 
-// finishTxn removes t from the committing list, drops its data
-// dependencies and queues it for checkpointing. JBD2 and OptFS release its
-// frozen buffers here; Dual-Mode released them at its JC transfer (jcDone),
-// so its flush thread does not gate the next commit (§4.3).
+// finishTxn removes t from the committing list, releases its frozen
+// buffers, drops its data dependencies and queues it for checkpointing.
+// Dual-Mode already released the buffers at its JC transfer (jcDone), so
+// its flush thread does not gate the next commit (§4.3) and the release
+// here finds nothing left to do.
 func (j *Journal) finishTxn(t *Txn) {
 	t.retired = true
 	for i, c := range j.committing {
@@ -330,9 +326,7 @@ func (j *Journal) finishTxn(t *Txn) {
 			break
 		}
 	}
-	if j.cfg.Mode != ModeDual {
-		j.releaseBuffers(t)
-	}
+	j.releaseBuffers(t)
 	for _, d := range t.dataDeps {
 		d.Release()
 	}
