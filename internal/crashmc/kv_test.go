@@ -71,10 +71,18 @@ const (
 	// while a group is mid-append: a dirty-WAL fdatasync, the data-only
 	// flush.
 	rowMidAppend
+	// rowParked crashes once the manifest published after a segment is
+	// cached, where the segment's metadata was still parked on the
+	// conflict-page list when its last page went to writeback. The row's
+	// 16-page journal keeps the commit that holds the metadata waiting in
+	// reserve, so its JC is not transferred when the segment's ordering
+	// call runs, and the running transaction is empty: the one case where
+	// fbarrier's parked path commits nothing.
+	rowParked
 )
 
 func (r kvRow) String() string {
-	return [...]string{"segment", "publish", "checkpoint", "mid-append"}[r]
+	return [...]string{"segment", "publish", "checkpoint", "mid-append", "parked"}[r]
 }
 
 // checkpointChecker is the kv audit that also records the checkpoint of the
@@ -163,6 +171,24 @@ func kvWindow(row kvRow, reached *bool, seen map[uint64]bool) Part {
 						break
 					}
 				}
+			case rowParked:
+				manifest, _ := s.FS.Lookup(s.FS.Root(), "kv.manifest")
+				for id := 0; ; id++ {
+					id = awaitSegmentFrom(p, s, id)
+					seg, _ := s.FS.Lookup(s.FS.Root(), fmt.Sprintf("kv.seg-%d", id))
+					for seg.DirtyPages() > 0 {
+						p.Sleep(100 * sim.Nanosecond)
+					}
+					if !seg.MetaParked() {
+						continue
+					}
+					ver, _ := s.FS.PageVer(manifest, 0)
+					for cur := ver; cur == ver; cur, _ = s.FS.PageVer(manifest, 0) {
+						p.Sleep(100 * sim.Nanosecond)
+					}
+					awaitManifestCached(p, s)
+					break
+				}
 			case rowMidAppend:
 				// Records appended but not yet committed: the WAL is dirty.
 				openWindow(p, s, st)
@@ -222,6 +248,20 @@ func awaitSegment(p *sim.Proc, s *core.Stack, id int) {
 	}
 }
 
+// awaitSegmentFrom returns the id of the first segment file from kv.seg-id
+// on that holds a written page. Compaction may unlink a segment before it
+// is seen, so it looks a few ids ahead.
+func awaitSegmentFrom(p *sim.Proc, s *core.Stack, id int) int {
+	for {
+		for n := id; n < id+4; n++ {
+			if f, ok := s.FS.Lookup(s.FS.Root(), fmt.Sprintf("kv.seg-%d", n)); ok && f.DirtyPages() > 0 {
+				return n
+			}
+		}
+		p.Sleep(100 * sim.Nanosecond)
+	}
+}
+
 // openWindow returns once the window is open. It cannot read a manifest's
 // checkpoint, but the committed sequence seen when a flush finishes bounds
 // it from above (the flush froze the memtable earlier), so committing past
@@ -256,15 +296,17 @@ func openWindow(p *sim.Proc, s *core.Stack, st *kvwal.Store) {
 // After a checkpoint every record it acknowledged must survive, whichever
 // manifest an image recovers from. A clean-WAL checkpoint that skips its
 // journal commit fails the checkpoint row. Writing a BFS-DR segment with
-// fbarrier, whose parked path commits nothing, no longer does: a Dual
-// commit resolves its conflict pages at JC transfer, so the segment's
-// metadata has left the conflict-page list before the segment's ordering
-// call.
+// fbarrier, whose parked path commits nothing, fails the parked row: the
+// manifest then reaches the device ahead of the segment's metadata.
 func TestKVManifestPublishWindow(t *testing.T) {
-	for _, row := range []kvRow{rowSegment, rowPublish, rowCheckpoint, rowMidAppend} {
+	for _, row := range []kvRow{rowSegment, rowPublish, rowCheckpoint, rowMidAppend, rowParked} {
+		pages := 512
+		if row == rowParked {
+			pages = 16
+		}
 		for _, mk := range []func(device.Config) core.Profile{core.BFSDR, core.BFSMQ} {
 			reached, seen := false, make(map[uint64]bool)
-			prof := CompactJournal(mk(device.NVMeSSD()), 512)
+			prof := CompactJournal(mk(device.NVMeSSD()), pages)
 			res := Enumerate(OnStack(prof, kvWindow(row, &reached, seen)), Config{CrashAt: at(1000000), Log: logTo(t)})
 			t.Logf("%s: images recovered from checkpoints %v: %s", row, seen, res.String())
 			if !reached {

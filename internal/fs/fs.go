@@ -385,6 +385,11 @@ func (f *FS) touchMeta(p *sim.Proc, i *Inode) {
 // MetaPending reports whether the inode has uncommitted metadata.
 func (i *Inode) MetaPending() bool { return i.buf.Pending() }
 
+// MetaParked reports whether the inode's uncommitted metadata waits on the
+// journal's conflict-page list: a committing transaction still holds its
+// previous version, so the running transaction does not carry it yet.
+func (i *Inode) MetaParked() bool { return i.buf.Parked() }
+
 // --- namespace operations ---
 
 // Create makes a new regular file under dir. It dirties the directory, the

@@ -148,6 +148,10 @@ type Buffer struct {
 // the running transaction or on the conflict-page list).
 func (b *Buffer) Pending() bool { return b.inRunning || b.conflict }
 
+// Parked reports whether the buffer waits on the conflict-page list for the
+// committing transaction that holds it to transfer its JC (Dual-Mode, §4.3).
+func (b *Buffer) Parked() bool { return b.conflict }
+
 // Frozen returns the committing transaction that holds the buffer, nil if
 // none: the buffer's last changes are no longer pending, and not durable
 // either. A Dual-Mode transaction holds its buffers until its JC is
