@@ -152,7 +152,7 @@ func kvWindow(row kvRow, reached *bool, seen map[uint64]bool) Part {
 				// froze parks behind that commit (§4.3); the segment's own
 				// ordering commit must still carry it before the manifest.
 				for id := 0; ; id++ {
-					awaitSegment(p, s, id)
+					id = awaitSegment(p, s, id)
 					flushes, parked := st.Stats().Flushes, s.FS.Journal().Stats().ConflictParked
 					syncs := st.Stats().CheckpointSyncs
 					for st.Stats().Flushes == flushes {
@@ -174,7 +174,7 @@ func kvWindow(row kvRow, reached *bool, seen map[uint64]bool) Part {
 			case rowParked:
 				manifest, _ := s.FS.Lookup(s.FS.Root(), "kv.manifest")
 				for id := 0; ; id++ {
-					id = awaitSegmentFrom(p, s, id)
+					id = awaitSegment(p, s, id)
 					seg, _ := s.FS.Lookup(s.FS.Root(), fmt.Sprintf("kv.seg-%d", id))
 					for seg.DirtyPages() > 0 {
 						p.Sleep(100 * sim.Nanosecond)
@@ -238,20 +238,10 @@ func cachedBefore(s *core.Stack, manifest *fs.Inode) bool {
 	return !ok || d.Ver != ver
 }
 
-// awaitSegment returns once segment file kv.seg-id holds a written page.
-func awaitSegment(p *sim.Proc, s *core.Stack, id int) {
-	for {
-		if f, ok := s.FS.Lookup(s.FS.Root(), fmt.Sprintf("kv.seg-%d", id)); ok && f.DirtyPages() > 0 {
-			return
-		}
-		p.Sleep(100 * sim.Nanosecond)
-	}
-}
-
-// awaitSegmentFrom returns the id of the first segment file from kv.seg-id
-// on that holds a written page. Compaction may unlink a segment before it
-// is seen, so it looks a few ids ahead.
-func awaitSegmentFrom(p *sim.Proc, s *core.Stack, id int) int {
+// awaitSegment returns the id of the first segment file from kv.seg-id on
+// that holds a written page. Compaction may unlink a segment before it is
+// seen, so it looks a few ids ahead.
+func awaitSegment(p *sim.Proc, s *core.Stack, id int) int {
 	for {
 		for n := id; n < id+4; n++ {
 			if f, ok := s.FS.Lookup(s.FS.Root(), fmt.Sprintf("kv.seg-%d", n)); ok && f.DirtyPages() > 0 {
