@@ -2,6 +2,7 @@ package jbd
 
 import (
 	"repro/internal/block"
+	"repro/internal/metrics"
 	"repro/internal/reqtrace"
 	"repro/internal/sim"
 )
@@ -70,10 +71,45 @@ func (j *Journal) newReq() *block.Request {
 }
 
 // flush issues a cache flush on the journal's order stream and waits for
-// it, charging the wake-up.
-func (j *Journal) flush(p *sim.Proc) {
-	block.FlushOn(p, j.layer, j.newReq())
+// it, charging the wake-up; why counts it by trigger.
+func (j *Journal) flush(p *sim.Proc, why *metrics.Counter) {
+	r := j.newReq()
+	j.countBesideCkpt(r)
+	block.FlushOn(p, j.layer, r)
+	why.Inc()
 	j.wake(p)
+}
+
+// ckptReq draws a pooled request tagged with the checkpointer's stream.
+func (j *Journal) ckptReq() *block.Request {
+	r := j.reqPool.Get()
+	r.Stream = j.ckptStream
+	return r
+}
+
+// ckptFlush is one of the checkpointer's two flushes per batch, timed into
+// jbd/ckpt.flush_ns.
+func (j *Journal) ckptFlush(p *sim.Proc) {
+	t0 := p.Now()
+	block.FlushOn(p, j.layer, j.ckptReq())
+	j.wake(p)
+	j.obs.flushCkpt.Inc()
+	j.obs.ckptFlushWait.Add(int64(p.Now().Sub(t0)))
+}
+
+// countBesideCkpt tallies a commit-path request, a JC or a flush, issued
+// while the checkpointer has IO in flight: behind it on its stream, where
+// the device holds the request until that IO completes (a flush and a FUA
+// write are ordered after everything before them), or beside it on
+// another.
+func (j *Journal) countBesideCkpt(r *block.Request) {
+	if j.ckptBusy {
+		if r.Stream == j.ckptStream {
+			j.obs.behindCkpt.Inc()
+		} else {
+			j.obs.besideCkpt.Inc()
+		}
+	}
 }
 
 // buildJD allocates journal slots and builds the descriptor+log requests
@@ -192,6 +228,7 @@ func (j *Journal) commitThread(p *sim.Proc) {
 			}
 			jc.Flags |= block.FlagOrdered | block.FlagBarrier
 			jc.OnComplete = onJC
+			j.countBesideCkpt(jc)
 			j.layer.Submit(p, jc)
 		} else {
 			// Wait-on-Transfer orders JD before JC. A barrier-mounted JBD2
@@ -202,8 +239,10 @@ func (j *Journal) commitThread(p *sim.Proc) {
 			if durable {
 				jc.Flags |= block.FlagFlush | block.FlagFUA
 				j.stats.Flushes++
+				j.obs.flushCommit.Inc()
 				t.preflushed = true
 			}
+			j.countBesideCkpt(jc)
 			submitWaitAll([]*block.Request{jc})
 			j.releaseReqs(jd)
 			jc.Release()
@@ -232,9 +271,9 @@ func (j *Journal) commitThread(p *sim.Proc) {
 
 // retire flushes the device and retires every committed transaction that
 // flush covers: one whose JC had been transferred when the flush completed
-// and whose id is at most last.
-func (j *Journal) retire(p *sim.Proc, last uint64) {
-	j.flush(p)
+// and whose id is at most last. why counts the flush by trigger.
+func (j *Journal) retire(p *sim.Proc, last uint64, why *metrics.Counter) {
+	j.flush(p, why)
 	j.stats.Flushes++
 	// finishTxn unlinks c: step only past those left. Re-check each: another
 	// retirer (reserve, a dsync waiter, the delayed-flush daemon) may have
@@ -269,7 +308,7 @@ func (j *Journal) dualFlushThread(p *sim.Proc) {
 			continue
 		}
 		prev := reqtrace.With(p, t.trace)
-		j.retire(p, ^uint64(0))
+		j.retire(p, ^uint64(0), j.obs.flushRetire)
 		reqtrace.With(p, prev)
 	}
 }
@@ -296,7 +335,7 @@ func (j *Journal) optfsDelayedFlush(p *sim.Proc) {
 // during the flush is not covered by it.
 func (j *Journal) retireCommitted(p *sim.Proc) {
 	if last := j.newestCommitted(); last != 0 {
-		j.retire(p, last)
+		j.retire(p, last, j.obs.flushRetire)
 	}
 }
 
@@ -383,7 +422,8 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		j.obs.ckptBacklog.Set(0)
 		// 1. The journal copies must be durable before homes are
 		//    overwritten, or a crash could destroy the only good copy.
-		j.flush(p)
+		j.ckptBusy = true
+		j.ckptFlush(p)
 		for _, t := range batch {
 			if t.state < StateDurable {
 				t.reach(StateDurable)
@@ -396,7 +436,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 			for _, l := range t.frozen {
 				r := homes[l.Home]
 				if r == nil {
-					r = j.newReq()
+					r = j.ckptReq()
 					r.Op, r.LPA = block.OpWrite, l.Home
 					homes[l.Home] = r
 					reqs = append(reqs, r)
@@ -407,14 +447,15 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		submitWaitAll(reqs)
 		j.releaseReqs(reqs)
 		// 3. Make the in-place copies durable, then advance the tail.
-		j.flush(p)
+		j.ckptFlush(p)
 		j.tailTxn = batch[len(batch)-1].id + 1
-		sb := j.newReq()
+		sb := j.ckptReq()
 		sb.Op, sb.LPA = block.OpWrite, j.cfg.SuperLPA
 		sb.Data = SuperBlock{TailTxn: j.tailTxn}
 		sb.Flags = block.FlagFUA
 		submitWaitAll([]*block.Request{sb})
 		sb.Release()
+		j.ckptBusy = false
 		for _, t := range batch {
 			j.freePages += t.pagesUsed
 			// Nothing reads a checkpointed transaction's lists again.

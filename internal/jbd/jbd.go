@@ -286,6 +286,13 @@ type Journal struct {
 	// false ack as a positive finding).
 	ackedDurable uint64
 
+	// ckptStream is the ordering domain of every checkpoint request.
+	ckptStream uint64
+	// ckptBusy is set from a checkpoint's first flush to its superblock
+	// write's completion; only the jbd/ckpt.behind and jbd/ckpt.beside
+	// counters read it.
+	ckptBusy bool
+
 	stats Stats
 	obs   jbdObs
 }
@@ -296,6 +303,16 @@ type jbdObs struct {
 	conflictParks, conflictBlocks *metrics.Counter
 	conflictWait                  *metrics.Counter // ns the commit thread waited for the conflict-page list
 	ckptBacklog                   *metrics.Gauge
+
+	// Flushes by trigger: retire (the Dual flush thread and OptFS's
+	// retirers), WaitTxn on a retired Dual transaction, a barrier-mounted
+	// JBD2 commit's FLUSH|FUA JC, CommitAndWait's flush after a preflushed
+	// commit, and the checkpointer's two per batch.
+	flushRetire, flushWaitTxn, flushCommit, flushFsync, flushCkpt *metrics.Counter
+	ckptFlushWait                                                 *metrics.Counter // ns the checkpointer spent in its flushes
+	// Commit-path requests (JCs and flushes) issued while checkpoint IO
+	// was in flight: behind it on its own stream, or beside it on another.
+	behindCkpt, besideCkpt *metrics.Counter
 }
 
 // New creates a journal and starts its engine threads.
@@ -305,15 +322,16 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 	}
 	j := &Journal{
 		k: k, layer: layer, cfg: cfg,
-		commitQ:   sim.NewQueue[*Txn](k),
-		flushQ:    sim.NewQueue[*Txn](k),
-		ckptCond:  sim.NewCond(k),
-		spaceCond: sim.NewCond(k),
-		confCond:  sim.NewCond(k),
-		optfsCond: sim.NewCond(k),
-		freePages: cfg.Pages,
-		nextTxnID: 1,
-		tailTxn:   1,
+		commitQ:    sim.NewQueue[*Txn](k),
+		flushQ:     sim.NewQueue[*Txn](k),
+		ckptCond:   sim.NewCond(k),
+		spaceCond:  sim.NewCond(k),
+		confCond:   sim.NewCond(k),
+		optfsCond:  sim.NewCond(k),
+		freePages:  cfg.Pages,
+		ckptStream: cfg.Stream,
+		nextTxnID:  1,
+		tailTxn:    1,
 	}
 	if reg := metrics.Resolve(cfg.Metrics); reg != nil {
 		j.obs = jbdObs{
@@ -323,6 +341,14 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 			conflictBlocks: reg.Counter("jbd/conflict.blocks"),
 			conflictWait:   reg.Counter("jbd/conflict.wait_ns"),
 			ckptBacklog:    reg.Gauge("jbd/ckpt.backlog"),
+			flushRetire:    reg.Counter("jbd/flush.retire"),
+			flushWaitTxn:   reg.Counter("jbd/flush.waittxn"),
+			flushCommit:    reg.Counter("jbd/flush.commit"),
+			flushFsync:     reg.Counter("jbd/flush.fsync"),
+			flushCkpt:      reg.Counter("jbd/flush.checkpoint"),
+			ckptFlushWait:  reg.Counter("jbd/ckpt.flush_ns"),
+			behindCkpt:     reg.Counter("jbd/ckpt.behind"),
+			besideCkpt:     reg.Counter("jbd/ckpt.beside"),
 		}
 	}
 	j.running = j.newTxn()
@@ -491,7 +517,7 @@ func (j *Journal) CommitAndWait(p *sim.Proc) *Txn {
 	flush := t.preflushed
 	j.WaitTxn(p, t)
 	if flush {
-		j.flush(p)
+		j.flush(p, j.obs.flushFsync)
 		j.stats.Flushes++
 	}
 	return t
@@ -527,7 +553,7 @@ func (j *Journal) WaitTxn(p *sim.Proc, t *Txn) {
 		if t.retired {
 			// Dual-Mode ordering-only: off the committing list, so only the
 			// caller's own flush covers it.
-			j.retire(p, t.id)
+			j.retire(p, t.id, j.obs.flushWaitTxn)
 		} else {
 			j.retireCommitted(p)
 		}
