@@ -8,7 +8,8 @@ import (
 )
 
 // On-disk journal record payloads (stored as page data). Journal pages hold
-// DescBlock, LogBlock and CommitBlock by pointer, carved and never rewritten.
+// DescBlock, LogBlock and CommitBlock by pointer, and the superblock page a
+// SuperBlock, all carved and never rewritten.
 
 // DescBlock is a journal descriptor block.
 type DescBlock struct {
@@ -31,7 +32,8 @@ type CommitBlock struct {
 	N     int
 }
 
-// SuperBlock records the checkpoint tail.
+// SuperBlock records the checkpoint tail. The superblock page holds it as a
+// *SuperBlock.
 type SuperBlock struct {
 	TailTxn uint64
 }
@@ -451,7 +453,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		j.tailTxn = batch[len(batch)-1].id + 1
 		sb := j.ckptReq()
 		sb.Op, sb.LPA = block.OpWrite, j.cfg.SuperLPA
-		sb.Data = SuperBlock{TailTxn: j.tailTxn}
+		sb.Data = j.supers.New(SuperBlock{TailTxn: j.tailTxn})
 		sb.Flags = block.FlagFUA
 		submitWaitAll([]*block.Request{sb})
 		sb.Release()

@@ -265,12 +265,14 @@ type Journal struct {
 	// reqPool recycles the journal's own block requests (JD/JC chunks,
 	// checkpoint writes).
 	reqPool block.ReqPool
-	// The slabs carve transactions and the records their JD/JC chunks write.
+	// The slabs carve transactions, the records their JD/JC chunks write
+	// and the checkpointer's superblocks.
 	// A Txn is never recycled, so a caller may hold one across WaitTxn.
 	txns    sim.Slab[Txn]
 	logs    sim.Slab[LogBlock]
 	descs   sim.Slab[DescBlock]
 	commits sim.Slab[CommitBlock]
+	supers  sim.Slab[SuperBlock]
 
 	head      uint64 // next journal slot sequence number
 	freePages int

@@ -354,7 +354,7 @@ func TestRecoveryStopsAtIncompleteTxn(t *testing.T) {
 	cfg := DefaultConfig(ModeJBD2)
 	cfg.Pages = 32
 	img := map[uint64]any{
-		cfg.SuperLPA: SuperBlock{TailTxn: 1},
+		cfg.SuperLPA: &SuperBlock{TailTxn: 1},
 		// txn 1: complete.
 		cfg.Start + 0: &DescBlock{TxnID: 1, N: 1},
 		cfg.Start + 1: &LogBlock{TxnID: 1, Index: 0, Home: 500, Snapshot: "a"},
@@ -384,7 +384,7 @@ func TestRecoveryRespectsTail(t *testing.T) {
 	cfg := DefaultConfig(ModeJBD2)
 	cfg.Pages = 16
 	img := map[uint64]any{
-		cfg.SuperLPA: SuperBlock{TailTxn: 2},
+		cfg.SuperLPA: &SuperBlock{TailTxn: 2},
 		// Stale txn 1 (already checkpointed): must be ignored.
 		cfg.Start + 0: &DescBlock{TxnID: 1, N: 1},
 		cfg.Start + 1: &LogBlock{TxnID: 1, Index: 0, Home: 500, Snapshot: "stale"},
@@ -404,9 +404,10 @@ func TestRecoveryRespectsTail(t *testing.T) {
 }
 
 // TestCarvedRecordsImmutable copies the descriptor, log and commit records
-// one commit wrote, then requires the records themselves to still equal the
-// copies after 200 more commits and a checkpoint: a carved record is never
-// handed out twice, so the device may hold it forever.
+// one commit wrote, and the superblock the checkpoints of 200 more commits
+// left, then requires the records themselves to still equal the copies
+// after 200 commits and a checkpoint more: a carved record is never handed
+// out twice, so the device may hold it forever.
 func TestCarvedRecordsImmutable(t *testing.T) {
 	for _, mode := range []Mode{ModeJBD2, ModeDual, ModeOptFS} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -439,16 +440,32 @@ func TestCarvedRecordsImmutable(t *testing.T) {
 						}
 					}
 				}
+				if len(recs) != 4 {
+					t.Fatalf("commit wrote %d records, want desc + 2 logs + commit", len(recs))
+				}
 				for i := 1; i <= 200; i++ {
 					commit(i)
 				}
+				if h.j.Stats().Checkpoints == 0 {
+					t.Fatal("200 commits on a 128-page journal ran no checkpoint")
+				}
+				d, _ := h.dev.DurableData(cfg.SuperLPA)
+				sb, ok := d.(*SuperBlock)
+				if !ok {
+					t.Fatalf("superblock page holds %T, want *SuperBlock", d)
+				}
+				recs = append(recs, record{d, *sb})
+				ckpts := h.j.Stats().Checkpoints
+				for i := 201; i <= 400; i++ {
+					commit(i)
+				}
+				if h.j.Stats().Checkpoints == ckpts {
+					t.Fatal("200 more commits ran no checkpoint")
+				}
+				if d, _ := h.dev.DurableData(cfg.SuperLPA); d == any(sb) {
+					t.Fatal("a later checkpoint left the same superblock record")
+				}
 			})
-			if len(recs) != 4 {
-				t.Fatalf("commit wrote %d records, want desc + 2 logs + commit", len(recs))
-			}
-			if h.j.Stats().Checkpoints == 0 {
-				t.Fatal("200 commits on a 128-page journal ran no checkpoint")
-			}
 			for _, r := range recs {
 				if got := reflect.ValueOf(r.got).Elem().Interface(); !reflect.DeepEqual(got, r.want) {
 					t.Errorf("record changed after later commits: got %+v, want %+v", got, r.want)

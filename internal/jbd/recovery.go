@@ -33,7 +33,7 @@ type scannedTxn struct {
 func Scan(read ReadFn, cfg Config) Recovered {
 	out := Recovered{TailTxn: 1, State: make(map[uint64]any)}
 	if sb, ok := read(cfg.SuperLPA); ok {
-		if s, ok := sb.(SuperBlock); ok {
+		if s, ok := sb.(*SuperBlock); ok {
 			out.TailTxn = s.TailTxn
 		}
 	}
