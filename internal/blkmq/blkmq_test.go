@@ -238,6 +238,56 @@ func TestMQSpreadOrderless(t *testing.T) {
 	}
 }
 
+// TestCheckpointStreamRules holds block.CheckpointStream to its three
+// rules for journals on stream 0 and on per-shard order streams: it is no
+// data stream and no order stream, it lands on its journal stream's
+// hardware queue, and background spreading never moves its requests, even
+// ones flagged as background writeback.
+func TestCheckpointStreamRules(t *testing.T) {
+	const hwq = 4
+	k := sim.NewKernel()
+	defer k.Close()
+	m := New(k, testDevice(k), Config{HWQueues: hwq, SpreadOrderless: true, Trace: true})
+	journals := []uint64{0, block.OrderStream(1), block.OrderStream(2), block.OrderStream(7)}
+	for _, s := range journals {
+		c := block.CheckpointStream(s)
+		if c < hwq || block.IsOrderStream(c) || !block.IsCheckpointStream(c) {
+			t.Errorf("CheckpointStream(%d) = %d: a data or order stream", s, c)
+		}
+		for i := 0; i < 1024; i++ {
+			if c == block.OrderStream(i) {
+				t.Errorf("CheckpointStream(%d) = OrderStream(%d)", s, i)
+			}
+		}
+		for _, n := range []uint64{1, 2, 4, 8, 16, 64} {
+			if c%n != s%n {
+				t.Errorf("CheckpointStream(%d) = %d is not congruent to it mod %d", s, c, n)
+			}
+		}
+	}
+	k.Spawn("host", func(p *sim.Proc) {
+		for i, s := range journals {
+			m.Submit(p, background(block.CheckpointStream(s), uint64(i)))
+			m.Submit(p, orderless(block.CheckpointStream(s), uint64(100+i)))
+		}
+	})
+	k.Run()
+	if m.Stats().Spread != 0 {
+		t.Errorf("spread moved %d checkpoint-stream requests", m.Stats().Spread)
+	}
+	for _, rec := range m.DispatchLog() {
+		if !block.IsCheckpointStream(rec.Stream) {
+			t.Errorf("LPA %d dispatched on stream %d, off its checkpoint stream", rec.LPA, rec.Stream)
+		}
+		if want := int(rec.Stream % hwq); rec.HWQueue != want {
+			t.Errorf("LPA %d on hardware queue %d, want its journal's %d", rec.LPA, rec.HWQueue, want)
+		}
+	}
+	if err := m.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMQStreamsMatchesDeviceCapture spreads background writeback, then
 // checks the streams the layer opened against both the dispatch trace and
 // the device's crash-time constraint capture: every stream the device saw a

@@ -127,7 +127,26 @@ func OrderStream(i int) uint64 {
 }
 
 // IsOrderStream reports whether id names a non-default order domain.
-func IsOrderStream(id uint64) bool { return id >= OrderStreamBase }
+func IsOrderStream(id uint64) bool { return id >= OrderStreamBase && !IsCheckpointStream(id) }
+
+// checkpointStreamBit tags a checkpoint stream. It sits above every order
+// stream and, like OrderStreamBase, is a multiple of every realistic
+// hardware-queue count.
+const checkpointStreamBit uint64 = 1 << 63
+
+// CheckpointStream returns the ordering domain of the checkpoint IO of a
+// journal whose commits ride stream s: its flushes, in-place home writes
+// and superblock write. A flush or FUA write is ordered after everything
+// its stream sent before it, so on s it would hold back the next commit's
+// writes for a whole program; on a stream of its own it holds back only
+// the checkpoint's own IO, whose phases each wait for the one before. The
+// stream is no data stream and no order stream, it lands on s's hardware
+// queue (it is congruent to s modulo the queue count), and background
+// spreading never moves its requests.
+func CheckpointStream(s uint64) uint64 { return s | checkpointStreamBit }
+
+// IsCheckpointStream reports whether id names a checkpoint stream.
+func IsCheckpointStream(id uint64) bool { return id&checkpointStreamBit != 0 }
 
 // Ordered reports whether the request is order-preserving (ordered or
 // barrier).

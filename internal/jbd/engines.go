@@ -63,9 +63,9 @@ func (j *Journal) chunkWaiter(p *sim.Proc) func([]*block.Request) {
 }
 
 // newReq draws a pooled request tagged with the journal's order stream.
-// Every request the journal issues goes through here so the whole journal
-// (JD/JC, delayed flushes, checkpoint copies, superblock) stays inside its
-// configured ordering domain.
+// Every commit-path request goes through here: JD and JC, and the flushes
+// of the flush thread, of WaitTxn, of CommitAndWait and of OptFS's
+// retirers. Checkpoint IO rides its own stream (ckptReq).
 func (j *Journal) newReq() *block.Request {
 	r := j.reqPool.Get()
 	r.Stream = j.cfg.Stream
@@ -82,7 +82,13 @@ func (j *Journal) flush(p *sim.Proc, why *metrics.Counter) {
 	j.wake(p)
 }
 
-// ckptReq draws a pooled request tagged with the checkpointer's stream.
+// ckptReq draws a pooled request tagged with the checkpointer's stream,
+// derived from the journal's (block.CheckpointStream). Each checkpoint
+// phase waits for the one before it, and the batch's JD and JC completed
+// before the checkpoint began, so no phase relies on stream order; and a
+// flush covers the whole cache whatever its stream. On the journal's
+// stream the checkpoint's flushes and FUA superblock write would hold back
+// every later commit-path write for a whole program.
 func (j *Journal) ckptReq() *block.Request {
 	r := j.reqPool.Get()
 	r.Stream = j.ckptStream
@@ -405,7 +411,8 @@ func (j *Journal) releaseBuffers(t *Txn) {
 }
 
 // checkpointThread writes committed metadata to its home location and
-// advances the journal tail, reclaiming journal space.
+// advances the journal tail, reclaiming journal space. All its IO rides the
+// checkpoint stream (ckptReq).
 func (j *Journal) checkpointThread(p *sim.Proc) {
 	submitWaitAll := j.chunkWaiter(p)
 	// Reused by every batch: the queue alternates between batch and spare.

@@ -20,7 +20,9 @@
 //
 // The journal occupies a fixed LPA window [Start, Start+Pages) used as a
 // circular log; a superblock at LPA SuperLPA records the checkpoint tail
-// for recovery.
+// for recovery. The checkpointer writes the logged blocks home and the
+// superblock on an ordering domain of its own (block.CheckpointStream), so
+// its flushes never hold back the next commit.
 package jbd
 
 import (
@@ -71,9 +73,10 @@ type Config struct {
 	WakeLatency sim.Duration
 	// FlushInterval, for ModeOptFS, is the delayed-durability flush period.
 	FlushInterval sim.Duration
-	// Stream is the block-layer ordering domain every journal request rides
-	// (block.Request.Stream). 0 — the default — is the global ordering
-	// domain of the single-queue layer. A multi-tenant stack on one
+	// Stream is the block-layer ordering domain every commit-path request
+	// rides (block.Request.Stream); checkpoint IO rides the stream derived
+	// from it (block.CheckpointStream). 0 — the default — is the global
+	// ordering domain of the single-queue layer. A multi-tenant stack on one
 	// multi-queue device gives each mounted filesystem its own order stream
 	// (block.OrderStream) so the tenants' barriers never drain each other's
 	// traffic; the filesystem layer tags its foreground data and reads with
@@ -288,7 +291,9 @@ type Journal struct {
 	// false ack as a positive finding).
 	ackedDurable uint64
 
-	// ckptStream is the ordering domain of every checkpoint request.
+	// ckptStream is the ordering domain of every checkpoint request, derived
+	// from cfg.Stream (block.CheckpointStream): the checkpointer's flushes
+	// and FUA superblock write never hold back the commit path.
 	ckptStream uint64
 	// ckptBusy is set from a checkpoint's first flush to its superblock
 	// write's completion; only the jbd/ckpt.behind and jbd/ckpt.beside
@@ -331,7 +336,7 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 		confCond:   sim.NewCond(k),
 		optfsCond:  sim.NewCond(k),
 		freePages:  cfg.Pages,
-		ckptStream: cfg.Stream,
+		ckptStream: block.CheckpointStream(cfg.Stream),
 		nextTxnID:  1,
 		tailTxn:    1,
 	}
