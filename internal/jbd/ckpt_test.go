@@ -8,11 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// ioRec is one request a journal submitted: its record and the instants it
-// was submitted and completed.
+// ioRec is one request a journal submitted: its payload and the instants
+// it was submitted and completed.
 type ioRec struct {
-	op        block.Op
-	stream    uint64
 	data      any
 	sub, done sim.Time
 }
@@ -29,7 +27,7 @@ type recorder struct {
 }
 
 func (s *recorder) rec(r *block.Request) *ioRec {
-	e := &ioRec{op: r.Op, stream: r.Stream, data: r.Data, sub: s.k.Now()}
+	e := &ioRec{data: r.Data, sub: s.k.Now()}
 	s.log = append(s.log, e)
 	return e
 }

@@ -82,13 +82,8 @@ func (j *Journal) flush(p *sim.Proc, why *metrics.Counter) {
 	j.wake(p)
 }
 
-// ckptReq draws a pooled request tagged with the checkpointer's stream,
-// derived from the journal's (block.CheckpointStream). Each checkpoint
-// phase waits for the one before it, and the batch's JD and JC completed
-// before the checkpoint began, so no phase relies on stream order; and a
-// flush covers the whole cache whatever its stream. On the journal's
-// stream the checkpoint's flushes and FUA superblock write would hold back
-// every later commit-path write for a whole program.
+// ckptReq draws a pooled request tagged with the checkpointer's stream
+// (see checkpointThread).
 func (j *Journal) ckptReq() *block.Request {
 	r := j.reqPool.Get()
 	r.Stream = j.ckptStream
@@ -412,7 +407,12 @@ func (j *Journal) releaseBuffers(t *Txn) {
 
 // checkpointThread writes committed metadata to its home location and
 // advances the journal tail, reclaiming journal space. All its IO rides the
-// checkpoint stream (ckptReq).
+// stream derived from the journal's (block.CheckpointStream): on the
+// journal's stream its flushes and FUA superblock write would hold back
+// every later commit-path write for up to a whole program. No phase relies
+// on stream order: each waits for the one before it, the batch's JD and JC
+// completed before the checkpoint began, and a flush covers the whole
+// cache whatever its stream.
 func (j *Journal) checkpointThread(p *sim.Proc) {
 	submitWaitAll := j.chunkWaiter(p)
 	// Reused by every batch: the queue alternates between batch and spare.

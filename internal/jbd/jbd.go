@@ -291,9 +291,8 @@ type Journal struct {
 	// false ack as a positive finding).
 	ackedDurable uint64
 
-	// ckptStream is the ordering domain of every checkpoint request, derived
-	// from cfg.Stream (block.CheckpointStream): the checkpointer's flushes
-	// and FUA superblock write never hold back the commit path.
+	// ckptStream is the ordering domain of every checkpoint request:
+	// block.CheckpointStream(cfg.Stream).
 	ckptStream uint64
 	// ckptBusy is set from a checkpoint's first flush to its superblock
 	// write's completion; only the jbd/ckpt.behind and jbd/ckpt.beside
