@@ -70,7 +70,7 @@ func (d *Device) cacheInsert(c *Command) *cacheEntry {
 	if d.live != nil {
 		d.live[e.lpa]++
 	}
-	d.readMap[c.LPA] = c.Data
+	d.readMap.Set(c.LPA, c.Data)
 	d.stats.Writes++
 	d.obs.cache.Set(int64(d.cachePages))
 	if c.Barrier {

@@ -49,10 +49,10 @@ type Device struct {
 	freeEntries            *cacheEntry
 	cachePages             int // entries in the cache list
 	entrySeq               uint64
-	dirtyN                 int              // entries not yet handed to the FTL appender
-	urgentN                int              // dirty entries with FUA urgency
-	live                   map[uint64]int32 // fault campaigns only: cache entries per LPA
-	readMap                map[uint64]any
+	dirtyN                 int               // entries not yet handed to the FTL appender
+	urgentN                int               // dirty entries with FUA urgency
+	live                   map[uint64]int32  // fault campaigns only: cache entries per LPA
+	readMap                ftl.Table[any]    // newest data written per LPA
 	epochs                 map[uint64]uint64 // per-stream write epoch (barrier count)
 
 	dmaBus *sim.Mutex
@@ -134,7 +134,6 @@ func newDevice(k *sim.Kernel, cfg Config, arr *nand.Array) *Device {
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 		order:     make(map[uint64]*streamOrder),
 		order0:    newStreamOrder(),
-		readMap:   make(map[uint64]any),
 		epochs:    make(map[uint64]uint64),
 		dmaBus:    sim.NewMutex(k),
 		pickCond:  sim.NewCond(k),
@@ -346,7 +345,7 @@ func (d *Device) doWrite(p *sim.Proc, c *Command) {
 }
 
 func (d *Device) doRead(p *sim.Proc, c *Command) {
-	data, hit := d.readMap[c.LPA]
+	data, hit := d.readMap.Get(c.LPA)
 	if hit && d.cfg.Fault != nil && !d.cacheLive(c.LPA) {
 		// Fault campaign: the page left the cache, so the read must face
 		// the medium (and its injected errors), not the DRAM shadow.

@@ -198,7 +198,7 @@ func (d *Device) workerStep(h *sim.Proc, w *workerSM) {
 
 		case wRead:
 			c := w.c
-			if data, hit := d.readMap[c.LPA]; hit &&
+			if data, hit := d.readMap.Get(c.LPA); hit &&
 				(d.cfg.Fault == nil || d.cacheLive(c.LPA)) {
 				d.stats.CacheHits++
 				w.rdata = data

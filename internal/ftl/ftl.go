@@ -74,7 +74,7 @@ type FTL struct {
 	geo  nand.Geometry
 	caps int // slots per segment (chips * pagesPerBlock)
 
-	mapping map[uint64]slotRef
+	mapping Table[slotRef]
 	segs    []*segment
 	free    sim.FIFO[int]
 	active  *segment
@@ -103,8 +103,7 @@ func New(k *sim.Kernel, arr *nand.Array, cfg Config) *FTL {
 	}
 	f := &FTL{
 		k: k, arr: arr, cfg: cfg, geo: arr.Geometry(),
-		caps:    arr.Geometry().Chips() * arr.Geometry().PagesPerBlock,
-		mapping: make(map[uint64]slotRef),
+		caps: arr.Geometry().Chips() * arr.Geometry().PagesPerBlock,
 	}
 	for s := 0; s < f.geo.BlocksPerChip; s++ {
 		f.segs = append(f.segs, &segment{id: s})
@@ -155,7 +154,7 @@ func (f *FTL) appendSlot(lpa uint64, data any) uint64 {
 		seg.sealed = true
 	}
 	f.invalidate(lpa)
-	f.mapping[lpa] = slotRef{seg: seg.id, slot: slot}
+	f.mapping.Set(lpa, slotRef{seg: seg.id, slot: slot})
 	seg.valid++
 	f.stats.HostAppends++
 	f.program(seg, slot, nand.PageMeta{LPA: lpa, Seq: f.appendSeq}, data)
@@ -269,9 +268,9 @@ func (f *FTL) programDone(seg *segment, slot int) {
 // invalidate drops the current mapping for lpa, if any, decrementing the
 // owning segment's valid count.
 func (f *FTL) invalidate(lpa uint64) {
-	if ref, ok := f.mapping[lpa]; ok {
+	if ref, ok := f.mapping.Get(lpa); ok {
 		f.segs[ref.seg].valid--
-		delete(f.mapping, lpa)
+		f.mapping.Delete(lpa)
 	}
 }
 
@@ -298,7 +297,7 @@ func (f *FTL) Read(p *sim.Proc, lpa uint64) (data any, ok bool, err error) {
 // read issues one NAND page read. An internal read (GC relocation) is exempt
 // from media-error injection, like reads protected by on-die parity.
 func (f *FTL) read(p *sim.Proc, lpa uint64, internal bool) (data any, ok bool, err error) {
-	ref, mapped := f.mapping[lpa]
+	ref, mapped := f.mapping.Get(lpa)
 	if !mapped {
 		return nil, false, nil
 	}
@@ -375,14 +374,14 @@ func (f *FTL) collect(p *sim.Proc, victim *segment) {
 		if lpa >= SealLPA {
 			continue
 		}
-		ref, ok := f.mapping[lpa]
+		ref, ok := f.mapping.Get(lpa)
 		if !ok || ref.seg != victim.id || ref.slot != slot {
 			continue // overwritten since; garbage
 		}
 		// Read the page, then re-append.
 		data, _, _ := f.read(p, lpa, true) // internal: cannot fail
 		// Re-check validity: the host may have overwritten during the read.
-		ref, ok = f.mapping[lpa]
+		ref, ok = f.mapping.Get(lpa)
 		if !ok || ref.seg != victim.id || ref.slot != slot {
 			continue
 		}
@@ -411,7 +410,7 @@ func (f *FTL) gcAppendSlot(victim *segment, lpa uint64, data any) uint64 {
 		seg.sealed = true
 	}
 	victim.valid--
-	f.mapping[lpa] = slotRef{seg: seg.id, slot: ns}
+	f.mapping.Set(lpa, slotRef{seg: seg.id, slot: ns})
 	seg.valid++
 	f.stats.GCAppends++
 	f.program(seg, ns, nand.PageMeta{LPA: lpa, Seq: f.appendSeq}, data)

@@ -58,8 +58,8 @@ func TestOverwriteInvalidatesOld(t *testing.T) {
 		if d, _, _ := f.Read(p, 5); d != "v2" {
 			t.Errorf("Read = %v, want v2", d)
 		}
-		if len(f.mapping) != 1 {
-			t.Errorf("mapped = %d, want 1", len(f.mapping))
+		if f.mapping.count() != 1 {
+			t.Errorf("mapped = %d, want 1", f.mapping.count())
 		}
 	})
 }
@@ -150,8 +150,8 @@ func TestMountEmptyArray(t *testing.T) {
 	arr := nand.New(k, smallGeo(), fastTiming())
 	k.Spawn("host", func(p *sim.Proc) {
 		f := Mount(p, arr, DefaultConfig())
-		if len(f.mapping) != 0 || f.free.Len() != smallGeo().BlocksPerChip {
-			t.Errorf("mount of empty array: mapped=%d free=%d", len(f.mapping), f.free.Len())
+		if f.mapping.count() != 0 || f.free.Len() != smallGeo().BlocksPerChip {
+			t.Errorf("mount of empty array: mapped=%d free=%d", f.mapping.count(), f.free.Len())
 		}
 		f.Append(p, 3, "post-mount")
 		f.Sync(p)
@@ -243,12 +243,12 @@ func TestCrashRecoveryPrefixProperty(t *testing.T) {
 			return true
 		}
 		matched := false
-		if len(f2.mapping) == 0 && len(state) == 0 {
+		if f2.mapping.count() == 0 && len(state) == 0 {
 			matched = true // empty prefix
 		}
 		for i := 0; i < len(appendLog) && !matched; i++ {
 			state[appendLog[i].lpa] = appendLog[i].ver
-			if len(f2.mapping) == countKeys(state) && consistentAt() {
+			if f2.mapping.count() == countKeys(state) && consistentAt() {
 				matched = true
 			}
 		}
@@ -283,7 +283,7 @@ func TestCrashMidGCLosesNothingDurable(t *testing.T) {
 	// Crash somewhere in the middle of the workload (GC will be active).
 	k.RunUntil(sim.Time(30 * sim.Millisecond))
 	durableBefore := map[uint64]any{}
-	for lpa := range f.mapping {
+	for lpa := range f.mapping.all() {
 		if d, ok := f.DurableData(lpa); ok {
 			durableBefore[lpa] = d
 		}
@@ -326,13 +326,13 @@ func TestRecoveryDropCountsTail(t *testing.T) {
 	k.Run()
 	defer k.Close()
 	// Whatever survived must be the 0..n-1 prefix.
-	for lpa := range f2.mapping {
+	for lpa := range f2.mapping.all() {
 		d, _ := f2.DurableData(lpa)
 		if d != int(lpa) {
 			t.Errorf("LPA %d has value %v", lpa, d)
 		}
 	}
-	n := len(f2.mapping)
+	n := f2.mapping.count()
 	for i := 0; i < n; i++ {
 		if _, ok := f2.DurableData(uint64(i)); !ok {
 			t.Errorf("hole in recovered prefix at %d (recovered %d pages)", i, n)

@@ -133,7 +133,7 @@ func (c *readCtx) done(at sim.Time, r *nand.Request) {
 // lost to a power failure never resume the handler, matching the blocking
 // Read's lost wake-up.
 func (f *FTL) ReadStart(h *sim.Proc, lpa uint64, out *any, errOut *error) bool {
-	ref, mapped := f.mapping[lpa]
+	ref, mapped := f.mapping.Get(lpa)
 	if !mapped {
 		return false
 	}

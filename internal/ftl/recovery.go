@@ -27,8 +27,7 @@ func Mount(p *sim.Proc, arr *nand.Array, cfg Config) *FTL {
 	k := p.Kernel()
 	f := &FTL{
 		k: k, arr: arr, cfg: cfg, geo: arr.Geometry(),
-		caps:    arr.Geometry().Chips() * arr.Geometry().PagesPerBlock,
-		mapping: make(map[uint64]slotRef),
+		caps: arr.Geometry().Chips() * arr.Geometry().PagesPerBlock,
 	}
 	f.durableCond = sim.NewCond(k)
 	f.spaceCond = sim.NewCond(k)
@@ -127,7 +126,7 @@ func (f *FTL) replaySegment(p *sim.Proc, id int, allocSeq uint64, last bool) {
 			f.appendSeq = meta.Seq
 		}
 		f.invalidate(meta.LPA)
-		f.mapping[meta.LPA] = slotRef{seg: id, slot: slot}
+		f.mapping.Set(meta.LPA, slotRef{seg: id, slot: slot})
 		seg.valid++
 	}
 
@@ -188,7 +187,7 @@ func (f *FTL) writeSeal(p *sim.Proc, seg *segment, slot int) {
 // without simulated latency. It is a verification hook for crash tests, not
 // part of the host-visible device interface.
 func (f *FTL) DurableData(lpa uint64) (any, bool) {
-	ref, ok := f.mapping[lpa]
+	ref, ok := f.mapping.Get(lpa)
 	if !ok {
 		return nil, false
 	}
