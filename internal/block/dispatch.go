@@ -26,8 +26,8 @@ type LayerConfig struct {
 	// retry.go). Off — the default — propagates device errors to
 	// Request.Err on first completion.
 	Retry bool
-	// Metrics resolves the registry for the retry counters; nil falls back
-	// to the process-wide live registry.
+	// Metrics resolves the registry for the read-path and retry counters;
+	// nil falls back to the process-wide live registry.
 	Metrics *metrics.Registry
 }
 
@@ -141,6 +141,11 @@ type Layer struct {
 
 	trace []DispatchRecord
 	stats LayerStats
+
+	// readQueueNS counts the virtual ns foreground reads spent in the layer,
+	// from submit until the device accepted their command; readCongested
+	// counts the reads that waited on QueueLimit. Nil without a registry.
+	readQueueNS, readCongested *metrics.Counter
 }
 
 // NewLayer builds a single-queue block layer over dev using sched and starts
@@ -167,10 +172,14 @@ func newLayer(k *sim.Kernel, dev *device.Device, cfg LayerConfig, hwQueues int) 
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = 128
 	}
-	l := &Layer{k: k, dev: dev, cfg: cfg}
+	reg := metrics.Resolve(cfg.Metrics)
+	l := &Layer{k: k, dev: dev, cfg: cfg,
+		readQueueNS:   reg.Counter("block/read.queue_ns"),
+		readCongested: reg.Counter("block/read.congested"),
+	}
 	l.cmds = &cmdPool{onDone: func(sim.Time, *Request) { l.stats.Completed++ }}
 	if cfg.Retry {
-		l.cmds.enableRetry(k, dev, metrics.Resolve(cfg.Metrics))
+		l.cmds.enableRetry(k, dev, reg)
 	}
 	for i := 0; i < hwQueues; i++ {
 		l.hw = append(l.hw, &hwQueue{id: i, kick: sim.NewCond(k)})
@@ -228,6 +237,9 @@ func (l *Layer) DispatchLog() []DispatchRecord { return l.trace }
 // the per-stream shape only that stream's submitters ever do.
 func (l *Layer) Submit(p *sim.Proc, r *Request) {
 	q := l.route(r)
+	if q.queued() >= l.cfg.QueueLimit && r.Op == OpRead {
+		l.readCongested.Inc()
+	}
 	for q.queued() >= l.cfg.QueueLimit {
 		q.congest.Wait(p)
 	}
@@ -238,12 +250,19 @@ func (l *Layer) Submit(p *sim.Proc, r *Request) {
 func (l *Layer) SubmitOrPark(h *sim.Proc, r *Request) bool {
 	q := l.route(r)
 	if q.queued() >= l.cfg.QueueLimit {
+		if r.Op == OpRead {
+			l.readCongested.Inc()
+		}
 		q.congest.Park(h)
 		return false
 	}
 	l.admit(q, r)
 	return true
 }
+
+// foreground reports whether r is a read a caller is waiting on: OpRead
+// without FlagBackground.
+func foreground(r *Request) bool { return r.Op == OpRead && !r.Flags.Has(FlagBackground) }
 
 func (l *Layer) admit(q *swQueue, r *Request) {
 	r.bind(l.k, l.k.Now())
@@ -348,6 +367,9 @@ func (l *Layer) dispatcher(p *sim.Proc, h *hwQueue) {
 		}
 		if !l.issue(p, cmd) {
 			return
+		}
+		if foreground(r) {
+			l.readQueueNS.Add(int64(p.Now().Sub(r.issued)))
 		}
 		if trailer != nil {
 			p.Advance(l.cfg.DispatchOverhead)
