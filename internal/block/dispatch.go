@@ -109,11 +109,13 @@ type swQueue struct {
 
 func (q *swQueue) queued() int { return q.sched.Pending() + q.staged.Len() }
 
-// hwQueue is one hardware dispatch context: a daemon draining its software
-// queues round-robin into the device.
+// hwQueue is one hardware dispatch context: a daemon draining its
+// foreground reads and then its software queues, round-robin, into the
+// device.
 type hwQueue struct {
 	id     int
 	queues []*swQueue
+	reads  sim.FIFO[*Request] // foreground reads, served before queues
 	kick   *sim.Cond
 	rr     int
 }
@@ -125,6 +127,17 @@ type hwQueue struct {
 // never blocked on a transfer. It comes in two shapes: NewLayer, the paper's
 // stack, has one queue shared by every stream and one daemon, so epochs are
 // ordered device-wide; NewPerStreamLayer orders them within a stream only.
+//
+// A foreground read (OpRead without FlagBackground) is an orderless request,
+// which the epoch rules let cross epochs freely (§3.3, rule 3), and a caller
+// waits on it. It skips the software queues — scheduler, staging and the
+// congestion limit — and waits in its hardware queue's read FIFO, which the
+// daemon serves before the software queues; while the daemon holds a
+// command the device refused, every slot that frees goes to queued reads
+// first, as Linux blk-mq serves sync reads ahead of async writes. This is
+// safe for the reason the device lets a read begin on arrival
+// (device/queue.go): the fs never reads a page whose write is queued or in
+// flight. Background reads (compaction input) keep the software queues.
 type Layer struct {
 	k   *sim.Kernel
 	dev *device.Device
@@ -234,8 +247,13 @@ func (l *Layer) DispatchLog() []DispatchRecord { return l.trace }
 // it reopens. When the queue holds QueueLimit requests (nr_requests
 // congestion), Submit blocks the caller until a dispatcher drains it — the
 // only situation in which the barrier-enabled submission path blocks, and on
-// the per-stream shape only that stream's submitters ever do.
+// the per-stream shape only that stream's submitters ever do. A foreground
+// read never blocks: it joins its hardware queue's read FIFO.
 func (l *Layer) Submit(p *sim.Proc, r *Request) {
+	if foreground(r) {
+		l.admitRead(r)
+		return
+	}
 	q := l.route(r)
 	if q.queued() >= l.cfg.QueueLimit && r.Op == OpRead {
 		l.readCongested.Inc()
@@ -248,6 +266,10 @@ func (l *Layer) Submit(p *sim.Proc, r *Request) {
 
 // SubmitOrPark is the handler-path Submit: one congestion Mesa iteration.
 func (l *Layer) SubmitOrPark(h *sim.Proc, r *Request) bool {
+	if foreground(r) {
+		l.admitRead(r)
+		return true
+	}
 	q := l.route(r)
 	if q.queued() >= l.cfg.QueueLimit {
 		if r.Op == OpRead {
@@ -264,13 +286,33 @@ func (l *Layer) SubmitOrPark(h *sim.Proc, r *Request) bool {
 // without FlagBackground.
 func foreground(r *Request) bool { return r.Op == OpRead && !r.Flags.Has(FlagBackground) }
 
-func (l *Layer) admit(q *swQueue, r *Request) {
+// enter takes r into the layer on hardware queue h.
+func (l *Layer) enter(h *hwQueue, r *Request) {
 	r.bind(l.k, l.k.Now())
 	l.stats.Submitted++
 	l.ps.Submitted.Inc()
 	if l.ps.Depth != nil {
-		l.ps.Depth[q.hw.id].Inc()
+		l.ps.Depth[h.id].Inc()
 	}
+}
+
+// admitRead queues foreground read r on the read FIFO of the hardware queue
+// its stream's software queue drains into.
+func (l *Layer) admitRead(r *Request) {
+	h := l.hw[0]
+	if l.shared == nil {
+		if l.ps.Route != nil {
+			l.ps.Route(r)
+		}
+		h = l.hw[r.Stream%uint64(len(l.hw))]
+	}
+	l.enter(h, r)
+	h.reads.Push(r)
+	h.kick.Broadcast()
+}
+
+func (l *Layer) admit(q *swQueue, r *Request) {
+	l.enter(q.hw, r)
 	if q.staged.Len() > 0 || !q.sched.Add(r) {
 		q.staged.Push(r)
 		l.staged++
@@ -339,52 +381,78 @@ func (l *Layer) next(h *hwQueue) (*Request, *swQueue) {
 
 func (l *Layer) dispatcher(p *sim.Proc, h *hwQueue) {
 	for {
+		if h.reads.Len() > 0 {
+			if !l.dispatch(p, h, h.reads.Pop()) {
+				return
+			}
+			continue
+		}
 		r, q := l.next(h)
 		if r == nil {
 			h.kick.Wait(p)
 			continue
 		}
-		if l.ps.Depth != nil {
-			l.ps.Depth[h.id].Dec()
-		}
-		p.Advance(l.cfg.DispatchOverhead)
-		if l.cfg.Trace {
-			l.trace = append(l.trace, DispatchRecord{
-				At: p.Now(), LPA: r.LPA, Op: r.Op, Flags: r.Flags, Epoch: r.epoch,
-				Stream: r.Stream, HWQueue: h.id,
-			})
-		}
-		r.Trace.StampChain(reqtrace.StageBlockDispatch, p.Now())
-		cmd := l.cmds.get(r)
-		var trailer *device.Command
-		if l.cfg.BarrierAsCommand && cmd.Kind == device.CmdWrite && cmd.Barrier {
-			// §3.2 ablation: strip the flag; an explicit barrier command
-			// follows the write on the same stream, paying one more queue
-			// slot and dispatch.
-			cmd.Barrier = false
-			trailer = &device.Command{Kind: device.CmdBarrier,
-				Prio: device.PrioOrdered, Stream: r.Stream}
-		}
-		if !l.issue(p, cmd) {
+		if !l.dispatch(p, h, r) {
 			return
-		}
-		if foreground(r) {
-			l.readQueueNS.Add(int64(p.Now().Sub(r.issued)))
-		}
-		if trailer != nil {
-			p.Advance(l.cfg.DispatchOverhead)
-			if !l.issue(p, trailer) {
-				return
-			}
 		}
 		q.congest.Broadcast()
 	}
 }
 
-// issue feeds one command to the device and counts the dispatch.
-func (l *Layer) issue(p *sim.Proc, cmd *device.Command) bool {
-	if !feed(p, l.dev, cmd) {
+// dispatch hands r, taken off hardware queue h, to the device. False means
+// the device died first and the daemon stands down.
+func (l *Layer) dispatch(p *sim.Proc, h *hwQueue, r *Request) bool {
+	if l.ps.Depth != nil {
+		l.ps.Depth[h.id].Dec()
+	}
+	p.Advance(l.cfg.DispatchOverhead)
+	if l.cfg.Trace {
+		l.trace = append(l.trace, DispatchRecord{
+			At: p.Now(), LPA: r.LPA, Op: r.Op, Flags: r.Flags, Epoch: r.epoch,
+			Stream: r.Stream, HWQueue: h.id,
+		})
+	}
+	r.Trace.StampChain(reqtrace.StageBlockDispatch, p.Now())
+	read := foreground(r)
+	cmd := l.cmds.get(r)
+	var trailer *device.Command
+	if l.cfg.BarrierAsCommand && cmd.Kind == device.CmdWrite && cmd.Barrier {
+		// §3.2 ablation: strip the flag; an explicit barrier command
+		// follows the write on the same stream, paying one more queue
+		// slot and dispatch.
+		cmd.Barrier = false
+		trailer = &device.Command{Kind: device.CmdBarrier,
+			Prio: device.PrioOrdered, Stream: r.Stream}
+	}
+	if !l.issue(p, h, cmd, !read) {
 		return false
+	}
+	if read {
+		// r cannot have completed: the device completes in a later event.
+		l.readQueueNS.Add(int64(p.Now().Sub(r.issued)))
+	}
+	if trailer != nil {
+		p.Advance(l.cfg.DispatchOverhead)
+		return l.issue(p, h, trailer, true)
+	}
+	return true
+}
+
+// issue feeds one command to the device and counts the dispatch. While the
+// device refuses it (§3.4, Fig. 6b), each freed slot goes to h's queued
+// foreground reads first when yield is set; a foreground read does not
+// yield, so reads leave in arrival order.
+func (l *Layer) issue(p *sim.Proc, h *hwQueue, cmd *device.Command, yield bool) bool {
+	for !l.dev.Submit(cmd) {
+		if l.dev.Dead() {
+			return false
+		}
+		l.dev.WaitSpace(p)
+		for yield && h.reads.Len() > 0 {
+			if !l.dispatch(p, h, h.reads.Pop()) {
+				return false
+			}
+		}
 	}
 	l.stats.Dispatched++
 	l.ps.Dispatched.Inc()
@@ -393,7 +461,8 @@ func (l *Layer) issue(p *sim.Proc, cmd *device.Command) bool {
 
 // feed hands cmd to dev, waiting for a slot while the command queue is full
 // (§3.4, Fig. 6b). False means the device died first: a crash drops queued
-// commands without completing them, and the calling daemon stands down.
+// commands without completing them, and the calling daemon stands down. The
+// retry daemon feeds through it; the dispatch daemons through issue.
 func feed(p *sim.Proc, dev *device.Device, cmd *device.Command) bool {
 	for !dev.Submit(cmd) {
 		if dev.Dead() {

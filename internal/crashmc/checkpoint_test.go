@@ -51,7 +51,7 @@ func appendIntoCheckpoint(run *ckptRun, reg *metrics.Registry, at ckptInstant) P
 			for i := int64(0); flushes.Value() == 0; i++ {
 				s.FS.Write(p, f, i)
 				s.FS.Fsync(p, f)
-				ver, _, _ := s.FS.Read(p, f, i) // just written: a page-cache hit, no IO to fail
+				ver, _, _ := s.FS.Read(p, f, i, 0) // just written: a page-cache hit, no IO to fail
 				chk.Synced = append(chk.Synced, AckedWrite{Idx: i, Ver: ver})
 			}
 		})

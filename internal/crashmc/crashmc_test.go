@@ -248,7 +248,7 @@ func allocRidesCommit(run *rideRun, prefill int, start rideStart) Part {
 				run.dispatched = s.FS.Journal().Stats().Commits != commits
 			}
 			s.FS.Fdatasync(p, a)
-			ver, _, _ := s.FS.Read(p, a, 0)
+			ver, _, _ := s.FS.Read(p, a, 0, 0)
 			chk.Synced = append(chk.Synced, AckedWrite{Idx: 0, Ver: ver})
 			run.reached++
 			run.forced = s.FS.Journal().Stats().CheckpointForce

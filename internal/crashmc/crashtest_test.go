@@ -84,7 +84,7 @@ func overwriteSync(sync func(f *fs.FS, p *sim.Proc, i *fs.Inode)) Part {
 					s.FS.Write(p, f, idx)
 					sync(s.FS, p, f)
 				}
-				ver, _, _ := s.FS.Read(p, f, idx) // a page-cache hit, no IO to fail
+				ver, _, _ := s.FS.Read(p, f, idx, 0) // a page-cache hit, no IO to fail
 				chk.Synced = append(chk.Synced, AckedWrite{Idx: idx, Ver: ver})
 			}
 		})

@@ -101,7 +101,7 @@ func mqBackground(k *sim.Kernel, s *core.Stack) []Checker {
 		for i := int64(0); ; i++ {
 			s.FS.Write(p, f, i)
 			s.FS.Fsync(p, f)
-			ver, _, _ := s.FS.Read(p, f, i)
+			ver, _, _ := s.FS.Read(p, f, i, 0)
 			fg.Synced = append(fg.Synced, AckedWrite{Idx: i, Ver: ver})
 		}
 	})
@@ -123,7 +123,7 @@ func TestMQCrashUnderBackgroundLoad(t *testing.T) {
 // acknowledged.
 func ackAll(p *sim.Proc, s *core.Stack, f *fs.Inode, pages int64, chk *DurabilityChecker) {
 	for i := int64(0); i < pages; i++ {
-		ver, _, _ := s.FS.Read(p, f, i)
+		ver, _, _ := s.FS.Read(p, f, i, 0)
 		chk.Synced = append(chk.Synced, AckedWrite{Idx: i, Ver: ver})
 	}
 }

@@ -51,7 +51,7 @@ func Durability(k *sim.Kernel, s *core.Stack) []Checker {
 		for i := int64(0); ; i++ {
 			s.FS.Write(p, f, i)
 			s.FS.Fsync(p, f)
-			ver, _, _ := s.FS.Read(p, f, i) // just written: a page-cache hit, no IO to fail
+			ver, _, _ := s.FS.Read(p, f, i, 0) // just written: a page-cache hit, no IO to fail
 			chk.Synced = append(chk.Synced, AckedWrite{Idx: i, Ver: ver})
 		}
 	})
@@ -84,7 +84,7 @@ func Ordering(writes int) Part {
 			}
 			s.FS.Fsync(p, f)
 			for i := int64(0); i < OrderingPages; i++ {
-				ver, _, _ := s.FS.Read(p, f, i) // just written: a page-cache hit, no IO to fail
+				ver, _, _ := s.FS.Read(p, f, i, 0) // just written: a page-cache hit, no IO to fail
 				dur.Synced = append(dur.Synced, AckedWrite{Idx: i, Ver: ver})
 			}
 			for n := int64(0); ; n++ {
@@ -95,7 +95,7 @@ func Ordering(writes int) Part {
 				}
 				idx := 1 + n%(OrderingPages-1)
 				s.FS.Write(p, f, idx)
-				ver, _, _ := s.FS.Read(p, f, idx) // just written: a page-cache hit, no IO to fail
+				ver, _, _ := s.FS.Read(p, f, idx, 0) // just written: a page-cache hit, no IO to fail
 				ord.Issued = append(ord.Issued, IssuedWrite{Page: idx, Ver: ver})
 				s.FS.Fdatabarrier(p, f)
 			}

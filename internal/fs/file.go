@@ -75,12 +75,15 @@ func (f *FS) PageVer(i *Inode, idx int64) (int64, bool) {
 }
 
 // Read returns the version of a page, fetching it from the device on a
-// cache miss; a hole reads as absent. When the device fails the page read
-// hard (uncorrectable sector with the block layer's retry budget exhausted,
+// cache miss; a hole reads as absent. class is the read request's class: 0
+// for a read its caller waits on, which passes queued writes in the block
+// layer, or block.FlagBackground for best-effort IO such as compaction
+// input, which queues behind them. When the device fails the page read hard
+// (uncorrectable sector with the block layer's retry budget exhausted,
 // block.Request.Err), Read caches nothing and returns the error so the
 // application can fail over to a replica. The read request is pooled: Read
 // copies its result out and releases it.
-func (f *FS) Read(p *sim.Proc, i *Inode, idx int64) (int64, bool, error) {
+func (f *FS) Read(p *sim.Proc, i *Inode, idx int64, class block.Flags) (int64, bool, error) {
 	f.cpu(p)
 	f.stats.Reads++
 	if pg, ok := i.pages[idx]; ok {
@@ -90,7 +93,7 @@ func (f *FS) Read(p *sim.Proc, i *Inode, idx int64) (int64, bool, error) {
 		return 0, false, nil
 	}
 	r := f.reqPool.Get()
-	r.Op, r.LPA, r.PID, r.Stream = block.OpRead, i.blocks[idx], p.ID(), f.stream
+	r.Op, r.LPA, r.Flags, r.PID, r.Stream = block.OpRead, i.blocks[idx], class, p.ID(), f.stream
 	f.layer.SubmitAndWait(p, r)
 	err, data := r.Err, r.Data
 	r.Release()

@@ -126,15 +126,15 @@ func TestReadBackAfterSync(t *testing.T) {
 	e.run(func(p *sim.Proc) {
 		f, _ := e.fs.Create(p, e.fs.Root(), "f")
 		e.fs.Write(p, f, 0)
-		wantVer, _, _ := e.fs.Read(p, f, 0)
+		wantVer, _, _ := e.fs.Read(p, f, 0, 0)
 		e.fs.Fsync(p, f)
 		// Evict by reaching through a fresh page read: drop the cache entry.
 		delete(f.pages, 0)
-		gotVer, ok, err := e.fs.Read(p, f, 0)
+		gotVer, ok, err := e.fs.Read(p, f, 0, 0)
 		if !ok || err != nil || gotVer != wantVer {
 			t.Errorf("read after sync = %d,%v,%v want %d", gotVer, ok, err, wantVer)
 		}
-		if _, ok, _ := e.fs.Read(p, f, 9); ok {
+		if _, ok, _ := e.fs.Read(p, f, 9, 0); ok {
 			t.Error("read of a hole succeeded")
 		}
 	})
@@ -158,7 +158,7 @@ func testFsyncDurableAcrossCrash(t *testing.T, mode jbd.Mode) {
 		e.fs.Write(p, f, 0)
 		e.fs.Write(p, f, 1)
 		e.fs.Fsync(p, f)
-		ver, _, _ = e.fs.Read(p, f, 1)
+		ver, _, _ = e.fs.Read(p, f, 1, 0)
 	})
 	e.dev.Crash()
 	var view *View

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/block"
 	"repro/internal/sim"
 )
 
@@ -164,12 +165,15 @@ func (st *Store) compactOnce(p *sim.Proc) {
 		f := st.fileOf(seg)
 		for _, e := range seg.entries {
 			// The merge runs from seg.entries, so these reads charge the IO
-			// and nothing reads their result. A media error is dropped on
-			// purpose, and the inputs are unlinked below regardless: aborting
-			// the merge to keep them would change the faults experiment's
-			// cells, so it waits for the work that makes IO errors reach
-			// their callers.
-			_, _, _ = st.fs.Read(p, f, e.page)
+			// and nothing reads their result. They are background IO, as
+			// RocksDB reads compaction input at low IO priority: they queue
+			// behind the writes instead of passing them like a get's read,
+			// so the merge does not race ahead of the flushes. A media
+			// error is dropped on purpose, and the inputs are unlinked
+			// below regardless: aborting the merge to keep them would
+			// change the faults experiment's cells, so it waits for the
+			// work that makes IO errors reach their callers.
+			_, _, _ = st.fs.Read(p, f, e.page, block.FlagBackground)
 		}
 	}
 	st.compPos = slices.Grow(st.compPos[:0], len(inputs))[:len(inputs)]

@@ -449,7 +449,7 @@ func (st *Store) GetE(p *sim.Proc, key string) (uint64, bool, error) {
 		return 0, false, nil
 	}
 	e := r.seg.entries[r.n]
-	if _, _, err := st.fs.Read(p, st.fileOf(r.seg), e.page); err != nil {
+	if _, _, err := st.fs.Read(p, st.fileOf(r.seg), e.page, 0); err != nil {
 		return 0, false, err
 	}
 	return e.seq, !e.del, nil

@@ -70,7 +70,7 @@ func Varmail(k *sim.Kernel, s *core.Stack, cfg VarmailConfig) Window {
 					if vf, ok := s.FS.Lookup(dir, victim); ok {
 						// The mail was written by this loop and the page cache
 						// never evicts, so the read is a cache hit and cannot fail.
-						_, _, _ = s.FS.Read(p, vf, 0)
+						_, _, _ = s.FS.Read(p, vf, 0, 0)
 						m.Done(1)
 						s.FS.Write(p, vf, int64(varmailAppendPgs))
 						m.Done(1)
