@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -445,5 +446,142 @@ func TestFlagsHas(t *testing.T) {
 	}
 	if OpWrite.String() != "write" || OpRead.String() != "read" || OpFlush.String() != "flush" {
 		t.Error("op strings")
+	}
+}
+
+// TestForegroundReadPassesWriteBacklog drives both shapes into the state a
+// read finds behind a flush: the device's queue full of writes held behind
+// an ordered flush, the dispatcher holding one more write the device
+// refused, and the software queue at QueueLimit. A foreground read
+// submitted then must not wait on congestion, must reach the device at the
+// first slot that frees, and must dispatch ahead of every queued write. A
+// background read keeps the FIFO path: it waits on congestion and
+// dispatches after every write submitted before it.
+func TestForegroundReadPassesWriteBacklog(t *testing.T) {
+	const (
+		tD    = sim.Microsecond
+		limit = 4
+		qd    = 8
+		at    = sim.Time(100 * sim.Microsecond) // the flush is still programming
+	)
+	shapes := []struct {
+		name  string
+		build func(*sim.Kernel, *device.Device, LayerConfig) (*Layer, func() *swQueue)
+	}{
+		{"single", func(k *sim.Kernel, d *device.Device, cfg LayerConfig) (*Layer, func() *swQueue) {
+			l := NewLayer(k, d, NewEpochScheduler(NewNOOP()), cfg)
+			return l, func() *swQueue { return l.shared }
+		}},
+		{"per-stream", func(k *sim.Kernel, d *device.Device, cfg LayerConfig) (*Layer, func() *swQueue) {
+			l := NewPerStreamLayer(k, d, PerStream{HWQueues: 1, Daemon: "mq/dispatch",
+				OpenStream: func(uint64) Scheduler { return NewEpochScheduler(NewNOOP()) }}, cfg)
+			return l, func() *swQueue { return l.queues[0] }
+		}},
+	}
+	for _, sh := range shapes {
+		for _, bg := range []bool{false, true} {
+			name := sh.name + "/foreground"
+			if bg {
+				name = sh.name + "/background"
+			}
+			t.Run(name, func(t *testing.T) {
+				k := sim.NewKernel()
+				defer k.Close()
+				dc := device.UFS()
+				dc.QueueDepth, dc.DMAPerPage, dc.CmdOverhead = qd, 10*sim.Microsecond, 2*sim.Microsecond
+				reg := metrics.NewRegistry()
+				l, sw := sh.build(k, device.New(k, dc), LayerConfig{DispatchOverhead: tD, QueueLimit: limit, Trace: true, Metrics: reg})
+
+				// Completion instants of everything written, to find the
+				// first slot that frees after the read arrives.
+				var done []sim.Time
+				mk := func(op Op, lpa uint64) *Request {
+					r := &Request{Op: op, LPA: lpa, Data: lpa}
+					r.OnComplete = func(at sim.Time, _ *Request) { done = append(done, at) }
+					return r
+				}
+				const writes = 2 + qd - 1 + 1 + limit // before the flush, in the device, held, queued
+				k.Spawn("writer", func(p *sim.Proc) {
+					l.Submit(p, mk(OpWrite, 0))
+					l.Submit(p, mk(OpWrite, 1))
+					l.Submit(p, mk(OpFlush, 0))
+					for lpa := uint64(2); lpa < writes; lpa++ {
+						l.Submit(p, mk(OpWrite, lpa))
+					}
+				})
+				rd := &Request{Op: OpRead, LPA: 0}
+				if bg {
+					rd.Flags = FlagBackground
+				}
+				var submitted, returned sim.Time
+				k.Spawn("reader", func(p *sim.Proc) {
+					p.Sleep(sim.Duration(at))
+					st := l.Stats()
+					if occ := st.Dispatched - st.Completed; occ != qd {
+						t.Fatalf("device holds %d commands at the read, want %d", occ, qd)
+					}
+					if held := int64(len(l.DispatchLog())) - st.Dispatched; held != 1 {
+						t.Fatalf("dispatcher holds %d refused commands at the read, want 1", held)
+					}
+					if n := sw().queued(); n != limit {
+						t.Fatalf("software queue holds %d requests at the read, want QueueLimit %d", n, limit)
+					}
+					submitted = p.Now()
+					l.Submit(p, rd)
+					returned = p.Now()
+					rd.Wait(p)
+				})
+				k.Run()
+
+				if rd.Data != uint64(0) {
+					t.Fatalf("read returned %v, want 0", rd.Data)
+				}
+				log := l.DispatchLog()
+				ri := -1
+				for i, rec := range log {
+					if rec.Op == OpRead {
+						ri = i
+					}
+				}
+				congested := reg.Counter("block/read.congested").Value()
+				queueNS := reg.Counter("block/read.queue_ns").Value()
+				if bg {
+					if returned == submitted || congested != 1 {
+						t.Errorf("background read: Submit returned after %v with %d congested reads, want a congestion wait", returned.Sub(submitted), congested)
+					}
+					for i, rec := range log[ri+1:] {
+						if rec.Op == OpWrite {
+							t.Errorf("background read dispatched ahead of write %d (record %d)", rec.LPA, ri+1+i)
+						}
+					}
+					if queueNS != 0 {
+						t.Errorf("block/read.queue_ns = %d counts a background read", queueNS)
+					}
+					return
+				}
+				if returned != submitted || congested != 0 {
+					t.Errorf("foreground read: Submit blocked %v with %d congested reads", returned.Sub(submitted), congested)
+				}
+				firstFree := sim.Time(-1)
+				for _, c := range done {
+					if c >= submitted && (firstFree < 0 || c < firstFree) {
+						firstFree = c
+					}
+				}
+				if got, want := submitted.Add(sim.Duration(queueNS)), firstFree.Add(tD); got != want {
+					t.Errorf("read reached the device at %v, want %v: the first slot to free (%v) plus one dispatch", got, want, firstFree)
+				}
+				for _, rec := range log[ri+1:] {
+					if rec.Op != OpWrite {
+						t.Errorf("record after the read is a %v, want only writes", rec.Op)
+					}
+				}
+				// The held write was logged before it met the full device; the
+				// timing check above shows the read reached the device first.
+				if after := writes - (ri - 1); after != limit { // ri-1 writes and the flush went before
+					t.Errorf("read dispatched ahead of %d writes, want the %d queued ones", after, limit)
+				}
+			})
+		}
 	}
 }
