@@ -28,7 +28,12 @@
 //
 // A page is read with one call, Read, which returns a hard media error
 // instead of reporting the page absent; each caller handles the error or
-// says at the call site why it cannot occur.
+// says at the call site why it cannot occur. Read takes the request's
+// class: a read its caller waits on (class 0) passes queued writes in the
+// block layer and the device, while block.FlagBackground, for best-effort
+// reads such as compaction input, queues behind them. Passing is safe
+// because a page whose write is queued or in flight never leaves the page
+// cache (EvictClean), so no read can overtake the write it would observe.
 package fs
 
 import (
