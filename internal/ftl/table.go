@@ -1,13 +1,10 @@
 package ftl
 
-import "iter"
-
-// tableShift sizes a Table chunk: 1<<tableShift entries.
-const tableShift = 9
-
+// A Table chunk holds 1<<tableShift entries.
 const (
-	chunkLen  = 1 << tableShift
-	chunkMask = chunkLen - 1
+	tableShift = 9
+	chunkLen   = 1 << tableShift
+	chunkMask  = chunkLen - 1
 )
 
 // Table maps logical page addresses to values of type V. The filesystem
@@ -18,7 +15,6 @@ const (
 // LPA touched. The zero Table is empty and ready to use.
 type Table[V any] struct {
 	chunks []*tableChunk[V]
-	n      int
 }
 
 type tableChunk[V any] struct {
@@ -56,42 +52,15 @@ func (t *Table[V]) Set(lpa uint64, v V) {
 		t.chunks[c] = ch
 	}
 	i := lpa & chunkMask
-	if bit := uint64(1) << (i & 63); ch.present[i>>6]&bit == 0 {
-		ch.present[i>>6] |= bit
-		t.n++
-	}
+	ch.present[i>>6] |= 1 << (i & 63)
 	ch.vals[i] = v
 }
 
 // Delete removes lpa's value, if any.
 func (t *Table[V]) Delete(lpa uint64) {
-	ch, i := t.slot(lpa)
-	if ch == nil {
-		return
-	}
-	if bit := uint64(1) << (i & 63); ch.present[i>>6]&bit != 0 {
-		ch.present[i>>6] &^= bit
+	if ch, i := t.slot(lpa); ch != nil {
+		ch.present[i>>6] &^= 1 << (i & 63)
 		var zero V
 		ch.vals[i] = zero
-		t.n--
-	}
-}
-
-// count returns the number of LPAs with a value.
-func (t *Table[V]) count() int { return t.n }
-
-// all yields every LPA with a value, in LPA order.
-func (t *Table[V]) all() iter.Seq2[uint64, V] {
-	return func(yield func(uint64, V) bool) {
-		for c, ch := range t.chunks {
-			if ch == nil {
-				continue
-			}
-			for i := range uint64(chunkLen) {
-				if ch.present[i>>6]&(1<<(i&63)) != 0 && !yield(uint64(c)<<tableShift|i, ch.vals[i]) {
-					return
-				}
-			}
-		}
 	}
 }

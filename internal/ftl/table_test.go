@@ -1,9 +1,35 @@
 package ftl
 
 import (
+	"iter"
 	"math/rand"
 	"testing"
 )
+
+// all yields every LPA of t with a value, in LPA order.
+func (t *Table[V]) all() iter.Seq2[uint64, V] {
+	return func(yield func(uint64, V) bool) {
+		for c, ch := range t.chunks {
+			if ch == nil {
+				continue
+			}
+			for i := range uint64(chunkLen) {
+				if ch.present[i>>6]&(1<<(i&63)) != 0 && !yield(uint64(c)<<tableShift|i, ch.vals[i]) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// count returns the number of LPAs of t with a value.
+func (t *Table[V]) count() int {
+	n := 0
+	for range t.all() {
+		n++
+	}
+	return n
+}
 
 // TestTableMatchesMap drives a Table and a map with the same random
 // sets and deletes, across chunk boundaries and with zero values stored,
