@@ -17,7 +17,7 @@ const PageSize = 4096
 func (f *FS) Write(p *sim.Proc, i *Inode, idx int64) {
 	f.cpu(p)
 	f.writeVer++
-	pg := i.pages[idx]
+	pg := i.cached(idx)
 	if pg == nil {
 		pg = f.newPage(i, page{idx: idx})
 	}
@@ -68,7 +68,7 @@ func (f *FS) Write(p *sim.Proc, i *Inode, idx int64) {
 // host-side shadows of what they wrote (e.g. internal/kvwal); a cache miss
 // reports false rather than reading the device.
 func (f *FS) PageVer(i *Inode, idx int64) (int64, bool) {
-	if pg, ok := i.pages[idx]; ok {
+	if pg := i.cached(idx); pg != nil {
 		return pg.ver, true
 	}
 	return 0, false
@@ -86,7 +86,7 @@ func (f *FS) PageVer(i *Inode, idx int64) (int64, bool) {
 func (f *FS) Read(p *sim.Proc, i *Inode, idx int64, class block.Flags) (int64, bool, error) {
 	f.cpu(p)
 	f.stats.Reads++
-	if pg, ok := i.pages[idx]; ok {
+	if pg := i.cached(idx); pg != nil {
 		return pg.ver, true, nil
 	}
 	if idx >= int64(len(i.blocks)) || i.blocks[idx] == 0 {
@@ -123,10 +123,10 @@ func (f *FS) EvictClean(i *Inode) int {
 	}
 	n := 0
 	for idx, pg := range i.pages {
-		if pg.dirty || (pg.buf != nil && pg.buf.Pending()) {
+		if pg == nil || pg.dirty || (pg.buf != nil && pg.buf.Pending()) {
 			continue
 		}
-		delete(i.pages, idx)
+		i.pages[idx] = nil
 		n++
 	}
 	return n

@@ -112,12 +112,13 @@ type AllocMeta struct {
 	NFree   int
 }
 
-// page is one page-cache entry.
+// page is one page-cache entry. The word-sized fields come first, so the
+// two flags share one word and an entry is 32 B.
 type page struct {
 	idx   int64
 	ver   int64
-	dirty bool
 	buf   *jbd.Buffer // set when the page itself is journaled (data mode / selective)
+	dirty bool
 	// everSynced marks pages that have reached the device at least once;
 	// OptFS journals overwrites of such pages (selective data journaling).
 	everSynced bool
@@ -136,9 +137,10 @@ type Inode struct {
 	// below it are immutable; Write clones the map before filling a hole
 	// there, and appends land beyond it.
 	frozenLen int
-	pages     map[int64]*page
-	entries   map[string]uint64 // dirs: name -> child home LPA
-	buf       *jbd.Buffer
+	// pages is the page cache, indexed by page number; nil: not cached.
+	pages   []*page
+	entries map[string]uint64 // dirs: name -> child home LPA
+	buf     *jbd.Buffer
 	// allocDirty marks metadata changes that fdatasync must commit (size or
 	// block allocation), as opposed to timestamp-only changes.
 	allocDirty bool
@@ -338,7 +340,6 @@ func (f *FS) newInode(ino Ino, dir bool) *Inode {
 	i := &Inode{
 		fs: f, ino: ino, dir: dir,
 		home:  f.allocLPARaw(),
-		pages: make(map[int64]*page),
 		nlink: 1,
 	}
 	if dir {
@@ -356,8 +357,19 @@ func (f *FS) newInode(ino Ino, dir bool) *Inode {
 // newPage carves a page-cache entry for page idx of i and caches it.
 func (f *FS) newPage(i *Inode, pg page) *page {
 	e := f.pageSlab.New(pg)
+	if n := pg.idx + 1 - int64(len(i.pages)); n > 0 {
+		i.pages = append(i.pages, make([]*page, n)...)
+	}
 	i.pages[pg.idx] = e
 	return e
+}
+
+// cached returns page idx of i's page cache, nil if it is not cached.
+func (i *Inode) cached(idx int64) *page {
+	if idx < int64(len(i.pages)) {
+		return i.pages[idx]
+	}
+	return nil
 }
 
 // stamp carves the immutable content stamp of pg's current version.

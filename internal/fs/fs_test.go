@@ -3,6 +3,7 @@ package fs
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/block"
 	"repro/internal/device"
@@ -120,6 +121,14 @@ func TestWriteExtendsSizeAndAllocates(t *testing.T) {
 	})
 }
 
+// TestPageEntrySize pins the page-cache entry at 32 B: a field order that
+// pads the flags apart costs 8 B on every cached page.
+func TestPageEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(page{}); n != 32 {
+		t.Errorf("page is %d B, want 32", n)
+	}
+}
+
 func TestReadBackAfterSync(t *testing.T) {
 	e := newEnv(jbd.ModeJBD2, true)
 	defer e.close()
@@ -129,7 +138,7 @@ func TestReadBackAfterSync(t *testing.T) {
 		wantVer, _, _ := e.fs.Read(p, f, 0, 0)
 		e.fs.Fsync(p, f)
 		// Evict by reaching through a fresh page read: drop the cache entry.
-		delete(f.pages, 0)
+		f.pages[0] = nil
 		gotVer, ok, err := e.fs.Read(p, f, 0, 0)
 		if !ok || err != nil || gotVer != wantVer {
 			t.Errorf("read after sync = %d,%v,%v want %d", gotVer, ok, err, wantVer)
