@@ -464,3 +464,49 @@ func TestBenchSmoke(t *testing.T) {
 		t.Errorf("group mean = %.2f", res.GroupMean)
 	}
 }
+
+// TestAuditDeleteReflectedAfterCompaction: a durably acked put followed by
+// a delete the recovered image reflects (the delete is at or below the
+// recovered checkpoint) leaves the key absent once compaction drops the
+// tombstone. That is the delete, not a lost put.
+func TestAuditDeleteReflectedAfterCompaction(t *testing.T) {
+	k, s := newStack(t, core.BFSDR(device.NVMeSSD()))
+	defer k.Close()
+	cfg := Config{WALPages: 64, MemtableCap: 4, CompactFanIn: 2, CheckpointEvery: 1 << 20}
+	var st *Store
+	var delSeq uint64
+	k.Spawn("app", func(p *sim.Proc) {
+		var err error
+		if st, err = Open(p, s, cfg); err != nil {
+			t.Fatal(err)
+		}
+		put(p, st, "k")
+		st.ForceCheckpoint(p)
+		delSeq = del(p, st, "k")
+		for i := 0; st.Stats().Compactions == 0; i++ {
+			if i == 200 {
+				t.Fatal("no compaction after 200 puts")
+			}
+			put(p, st, fmt.Sprintf("o%03d", i))
+			p.Sleep(sim.Millisecond)
+		}
+		s.FS.SyncFS(p)
+		s.Crash()
+	})
+	k.Run()
+	var rec Recovered
+	k.Spawn("recover", func(p *sim.Proc) {
+		view, _ := s.RecoverView(p)
+		rec = st.Recover(view)
+	})
+	k.Run()
+	if max(rec.Checkpoint, rec.PrefixSeq) < delSeq {
+		t.Fatalf("recovered image ends at seq %d, before the delete (seq %d)", max(rec.Checkpoint, rec.PrefixSeq), delSeq)
+	}
+	if e, ok := rec.Keys["k"]; ok {
+		t.Fatalf("key recovered as %+v: compaction kept its tombstone, so the case is not covered", e)
+	}
+	if dur, ord := st.Audit(rec); len(dur) > 0 || len(ord) > 0 {
+		t.Errorf("violations: dur=%v ord=%v", dur, ord)
+	}
+}

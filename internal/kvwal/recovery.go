@@ -125,7 +125,10 @@ func (st *Store) Recover(view *fs.View) Recovered {
 // Durability: every operation acknowledged durable (seq <= DurableSeq) must
 // be reflected: its key's recovered state must be at least as new as the
 // acknowledged op. A key may legitimately be newer (a later unacknowledged
-// op survived), but it must never be older or absent.
+// op survived), but it must never be older. It may be absent only where it
+// was deleted: by a durably acked delete, or by a later one the recovered
+// image reflects (at or below its checkpoint or WAL prefix), whose
+// tombstone compaction may have dropped.
 //
 // Ordering: the surviving WAL records must form a prefix of the committed
 // history at *group* granularity — a surviving record from group g with any
@@ -135,11 +138,17 @@ func (st *Store) Recover(view *fs.View) Recovered {
 func (st *Store) Audit(rec Recovered) (durability, ordering []string) {
 	durability = append(durability, rec.SegmentHoles...)
 
-	// Expected state at the durable watermark.
+	// Expected state at the durable watermark, then the deletes of those
+	// keys the recovered image reflects beyond it.
 	expected := make(map[string]RecEnt)
-	for seq := uint64(1); seq <= st.durableSeq && seq <= st.walHist.n; seq++ {
+	reflected := max(st.durableSeq, rec.Checkpoint, rec.PrefixSeq)
+	for seq := uint64(1); seq <= reflected && seq <= st.walHist.n; seq++ {
 		r := st.walHist.at(seq)
-		expected[r.key] = RecEnt{Seq: seq, Del: r.kind == Delete}
+		if seq <= st.durableSeq {
+			expected[r.key] = RecEnt{Seq: seq, Del: r.kind == Delete}
+		} else if _, acked := expected[r.key]; acked && r.kind == Delete {
+			expected[r.key] = RecEnt{Seq: seq, Del: true}
+		}
 	}
 	keys := make([]string, 0, len(expected))
 	for k := range expected {
@@ -151,8 +160,8 @@ func (st *Store) Audit(rec Recovered) (durability, ordering []string) {
 		got, ok := rec.Keys[key]
 		switch {
 		case want.Del:
-			// A durably acknowledged delete: the key must not resurface with
-			// an *older* put. A newer surviving put is legal.
+			// A durably acknowledged or reflected delete: the key must not
+			// resurface with an *older* put. A newer surviving put is legal.
 			if ok && !got.Del && got.Seq < want.Seq {
 				durability = append(durability,
 					fmt.Sprintf("key %s: deleted at seq %d but recovered stale put seq %d", key, want.Seq, got.Seq))
