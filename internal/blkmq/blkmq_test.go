@@ -238,46 +238,61 @@ func TestMQSpreadOrderless(t *testing.T) {
 	}
 }
 
-// TestCheckpointStreamRules holds block.CheckpointStream to its three
-// rules for journals on stream 0 and on per-shard order streams: it is no
-// data stream and no order stream, it lands on its journal stream's
-// hardware queue, and background spreading never moves its requests, even
-// ones flagged as background writeback.
+// TestCheckpointStreamRules holds the streams derived from a journal's,
+// block.CheckpointStream and block.FlushStream, to their rules for
+// journals on stream 0 and on per-shard order streams: each is no data
+// stream and no order stream, the two differ from each other and from
+// every journal's, each lands on its journal stream's hardware queue, and
+// background spreading never moves their requests, even ones flagged as
+// background writeback.
 func TestCheckpointStreamRules(t *testing.T) {
 	const hwq = 4
 	k := sim.NewKernel()
 	defer k.Close()
 	m := New(k, testDevice(k), Config{HWQueues: hwq, SpreadOrderless: true, Trace: true})
 	journals := []uint64{0, block.OrderStream(1), block.OrderStream(2), block.OrderStream(7)}
+	derived := map[uint64]bool{}
 	for _, s := range journals {
-		c := block.CheckpointStream(s)
-		if c < hwq || block.IsOrderStream(c) || !block.IsCheckpointStream(c) {
-			t.Errorf("CheckpointStream(%d) = %d: a data or order stream", s, c)
+		c, f := block.CheckpointStream(s), block.FlushStream(s)
+		if !block.IsCheckpointStream(c) || block.IsCheckpointStream(f) {
+			t.Errorf("IsCheckpointStream: CheckpointStream(%d) = %d, FlushStream(%d) = %d", s, c, s, f)
 		}
-		for i := 0; i < 1024; i++ {
-			if c == block.OrderStream(i) {
-				t.Errorf("CheckpointStream(%d) = OrderStream(%d)", s, i)
+		for _, d := range []uint64{c, f} {
+			if d < hwq || block.IsOrderStream(d) {
+				t.Errorf("stream %d derived from %d: a data or order stream", d, s)
 			}
-		}
-		for _, n := range []uint64{1, 2, 4, 8, 16, 64} {
-			if c%n != s%n {
-				t.Errorf("CheckpointStream(%d) = %d is not congruent to it mod %d", s, c, n)
+			for i := 0; i < 1024; i++ {
+				if d == block.OrderStream(i) {
+					t.Errorf("stream %d derived from %d = OrderStream(%d)", d, s, i)
+				}
 			}
+			for _, n := range []uint64{1, 2, 4, 8, 16, 64} {
+				if d%n != s%n {
+					t.Errorf("stream %d derived from %d is not congruent to it mod %d", d, s, n)
+				}
+			}
+			if derived[d] {
+				t.Errorf("stream %d derived twice", d)
+			}
+			derived[d] = true
 		}
 	}
 	k.Spawn("host", func(p *sim.Proc) {
 		for i, s := range journals {
-			m.Submit(p, background(block.CheckpointStream(s), uint64(i)))
-			m.Submit(p, orderless(block.CheckpointStream(s), uint64(100+i)))
+			for j, d := range []uint64{block.CheckpointStream(s), block.FlushStream(s)} {
+				lpa := uint64(10*i + 2*j)
+				m.Submit(p, background(d, lpa))
+				m.Submit(p, orderless(d, lpa+1))
+			}
 		}
 	})
 	k.Run()
 	if m.Stats().Spread != 0 {
-		t.Errorf("spread moved %d checkpoint-stream requests", m.Stats().Spread)
+		t.Errorf("spread moved %d derived-stream requests", m.Stats().Spread)
 	}
 	for _, rec := range m.DispatchLog() {
-		if !block.IsCheckpointStream(rec.Stream) {
-			t.Errorf("LPA %d dispatched on stream %d, off its checkpoint stream", rec.LPA, rec.Stream)
+		if !derived[rec.Stream] {
+			t.Errorf("LPA %d dispatched on stream %d, off its derived stream", rec.LPA, rec.Stream)
 		}
 		if want := int(rec.Stream % hwq); rec.HWQueue != want {
 			t.Errorf("LPA %d on hardware queue %d, want its journal's %d", rec.LPA, rec.HWQueue, want)

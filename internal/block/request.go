@@ -127,12 +127,17 @@ func OrderStream(i int) uint64 {
 }
 
 // IsOrderStream reports whether id names a non-default order domain.
-func IsOrderStream(id uint64) bool { return id >= OrderStreamBase && !IsCheckpointStream(id) }
+func IsOrderStream(id uint64) bool {
+	return id >= OrderStreamBase && id&(checkpointStreamBit|flushStreamBit) == 0
+}
 
-// checkpointStreamBit tags a checkpoint stream. It sits above every order
-// stream and, like OrderStreamBase, is a multiple of every realistic
-// hardware-queue count.
-const checkpointStreamBit uint64 = 1 << 63
+// The tags of the streams derived from a journal's stream (CheckpointStream,
+// FlushStream). Each sits above every order stream and, like
+// OrderStreamBase, is a multiple of every realistic hardware-queue count.
+const (
+	checkpointStreamBit uint64 = 1 << 63
+	flushStreamBit      uint64 = 1 << 62
+)
 
 // CheckpointStream returns the ordering domain of the checkpoint IO of a
 // journal whose commits ride stream s: its flushes, in-place home writes
@@ -147,6 +152,18 @@ func CheckpointStream(s uint64) uint64 { return s | checkpointStreamBit }
 
 // IsCheckpointStream reports whether id names a checkpoint stream.
 func IsCheckpointStream(id uint64) bool { return id&checkpointStreamBit != 0 }
+
+// FlushStream returns the ordering domain of the durability flushes of a
+// journal whose commits ride stream s (Dual-Mode's flush thread and the
+// retirers that share its body). On s such a flush would hold back every
+// later command of s, the next commit's JD and JC and the application's
+// ordered writes, until it has drained the cache; on a stream of its own
+// it holds back only the next such flush, and the journal waits for the
+// transfers it must cover before it issues it. Like CheckpointStream it is
+// no data stream and no order stream, lands on s's hardware queue and is
+// never spread; it is not the checkpoint stream, where it would queue
+// behind checkpoint home writes.
+func FlushStream(s uint64) uint64 { return s | flushStreamBit }
 
 // Ordered reports whether the request is order-preserving (ordered or
 // barrier).

@@ -62,20 +62,20 @@ func (j *Journal) chunkWaiter(p *sim.Proc) func([]*block.Request) {
 	}
 }
 
-// newReq draws a pooled request tagged with the journal's order stream.
-// Every commit-path request goes through here: JD and JC, and the flushes
-// of the flush thread, of WaitTxn, of CommitAndWait and of OptFS's
-// retirers. Checkpoint IO rides its own stream (ckptReq).
+// newReq draws a pooled request tagged with the journal's order stream:
+// JD and JC. Checkpoint IO rides its own stream (ckptReq), and so do
+// retire's flushes (block.FlushStream).
 func (j *Journal) newReq() *block.Request {
 	r := j.reqPool.Get()
 	r.Stream = j.cfg.Stream
 	return r
 }
 
-// flush issues a cache flush on the journal's order stream and waits for
-// it, charging the wake-up; why counts it by trigger.
-func (j *Journal) flush(p *sim.Proc, why *metrics.Counter) {
-	r := j.newReq()
+// flush issues a cache flush on stream and waits for it, charging the
+// wake-up; why counts it by trigger.
+func (j *Journal) flush(p *sim.Proc, stream uint64, why *metrics.Counter) {
+	r := j.reqPool.Get()
+	r.Stream = stream
 	j.countBesideCkpt(r)
 	block.FlushOn(p, j.layer, r)
 	why.Inc()
@@ -173,6 +173,7 @@ func (j *Journal) jcDone(_ sim.Time, r *block.Request) {
 			j.flushQ.Put(t)
 		}
 	}
+	j.jcCond.Broadcast()
 	r.Release()
 }
 
@@ -250,7 +251,9 @@ func (j *Journal) commitThread(p *sim.Proc) {
 			j.releaseReqs(jd)
 			jc.Release()
 			t.jcTransferred = true
+			j.jcCond.Broadcast()
 		}
+		j.lastCommitted = t.id
 		t.reach(StateCommitted)
 		if durable {
 			t.reach(StateDurable)
@@ -272,11 +275,26 @@ func (j *Journal) commitThread(p *sim.Proc) {
 
 // --- the data planes: when a committed transaction becomes durable ---
 
-// retire flushes the device and retires every committed transaction that
-// flush covers: one whose JC had been transferred when the flush completed
-// and whose id is at most last. why counts the flush by trigger.
+// retire makes durable the committed transactions up to last, with one
+// flush: the Dual-Mode flush thread's, WaitTxn's on a retired transaction
+// and OptFS's retirers'. Its coverage is fixed when it is called: last
+// drops to the newest transaction committed by then (a Dual-Mode one is
+// committed once its JC is submitted). It waits until every committing
+// transaction up to last has its JC transferred, then flushes on the
+// journal's flush stream (block.FlushStream), so the flush never holds
+// back the next commit's JD and JC or the application's ordered writes
+// while the cache drains. A JC that transfers during the flush rides
+// beside it, maybe not covered, so retire credits exactly the transactions
+// up to last. why counts the flush by trigger.
 func (j *Journal) retire(p *sim.Proc, last uint64, why *metrics.Counter) {
-	j.flush(p, why)
+	last = min(last, j.lastCommitted)
+	t0 := p.Now()
+	for j.jcPending(last) {
+		j.jcCond.Wait(p)
+		j.wake(p)
+	}
+	j.obs.retireWait.Add(int64(p.Now().Sub(t0)))
+	j.flush(p, block.FlushStream(j.cfg.Stream), why)
 	j.stats.Flushes++
 	// finishTxn unlinks c: step only past those left. Re-check each: another
 	// retirer (reserve, a dsync waiter, the delayed-flush daemon) may have
@@ -284,21 +302,33 @@ func (j *Journal) retire(p *sim.Proc, last uint64, why *metrics.Counter) {
 	// its pages.
 	for n := 0; n < len(j.committing); {
 		c := j.committing[n]
-		if !c.jcTransferred || c.state != StateCommitted || c.id > last {
+		if c.state != StateCommitted || c.id > last {
 			n++
 			continue
 		}
 		c.reach(StateDurable)
 		j.finishTxn(c)
+		j.obs.retireTxns.Inc()
 	}
 }
 
+// jcPending reports whether a committing transaction up to last still
+// waits for its JC's transfer.
+func (j *Journal) jcPending(last uint64) bool {
+	for _, c := range j.committing {
+		if c.id <= last && !c.jcTransferred {
+			return true
+		}
+	}
+	return false
+}
+
 // dualFlushThread is Dual-Mode's data plane, triggered as each JC finishes
-// its transfer. A durability-seeking transaction gets a flush, which makes
-// durable every transaction whose JC was transferred before it completed;
-// an ordering-only one leaves the committing list without a flush. Neither
+// its transfer. A durability-seeking transaction gets a flush (retire),
+// which makes durable every transaction committed when it was issued; an
+// ordering-only one leaves the committing list without a flush. Neither
 // gates the next commit: jcDone already resolved their page conflicts
-// (§4.3).
+// (§4.3), and the flush rides a stream of its own.
 func (j *Journal) dualFlushThread(p *sim.Proc) {
 	for {
 		t := j.flushQ.Get(p)

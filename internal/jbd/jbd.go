@@ -264,6 +264,7 @@ type Journal struct {
 	spaceCond *sim.Cond
 	confCond  *sim.Cond
 	optfsCond *sim.Cond
+	jcCond    *sim.Cond // a JC was transferred (retire's wait)
 
 	// reqPool recycles the journal's own block requests (JD/JC chunks,
 	// checkpoint writes).
@@ -277,10 +278,11 @@ type Journal struct {
 	commits sim.Slab[CommitBlock]
 	supers  sim.Slab[SuperBlock]
 
-	head      uint64 // next journal slot sequence number
-	freePages int
-	short     int    // pages a commit waits for in reserve (0: none waits)
-	tailTxn   uint64 // oldest un-checkpointed txn id
+	head          uint64 // next journal slot sequence number
+	lastCommitted uint64 // newest transaction id that reached StateCommitted
+	freePages     int
+	short         int    // pages a commit waits for in reserve (0: none waits)
+	tailTxn       uint64 // oldest un-checkpointed txn id
 
 	// ackedDurable is the newest transaction id a durability wait has
 	// acknowledged to a caller — the journal-level fsync contract the
@@ -319,6 +321,10 @@ type jbdObs struct {
 	// Commit-path requests (JCs and flushes) issued while checkpoint IO
 	// was in flight: behind it on its own stream, or beside it on another.
 	behindCkpt, besideCkpt *metrics.Counter
+	// retire's wait for the JC transfers its flush covers (virtual ns), and
+	// the transactions its flushes make durable; per flush, divide by
+	// jbd/flush.retire + jbd/flush.waittxn.
+	retireWait, retireTxns *metrics.Counter
 }
 
 // New creates a journal and starts its engine threads.
@@ -334,6 +340,7 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 		spaceCond:  sim.NewCond(k),
 		confCond:   sim.NewCond(k),
 		optfsCond:  sim.NewCond(k),
+		jcCond:     sim.NewCond(k),
 		freePages:  cfg.Pages,
 		ckptStream: block.CheckpointStream(cfg.Stream),
 		nextTxnID:  1,
@@ -355,6 +362,8 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 			ckptFlushWait:  reg.Counter("jbd/ckpt.flush_ns"),
 			behindCkpt:     reg.Counter("jbd/ckpt.behind"),
 			besideCkpt:     reg.Counter("jbd/ckpt.beside"),
+			retireWait:     reg.Counter("jbd/retire.wait_ns"),
+			retireTxns:     reg.Counter("jbd/retire.txns"),
 		}
 	}
 	j.running = j.newTxn()
@@ -523,7 +532,7 @@ func (j *Journal) CommitAndWait(p *sim.Proc) *Txn {
 	flush := t.preflushed
 	j.WaitTxn(p, t)
 	if flush {
-		j.flush(p, j.obs.flushFsync)
+		j.flush(p, j.cfg.Stream, j.obs.flushFsync)
 		j.stats.Flushes++
 	}
 	return t
@@ -565,6 +574,7 @@ func (j *Journal) WaitTxn(p *sim.Proc, t *Txn) {
 		}
 		if t.state < StateDurable {
 			t.reach(StateDurable)
+			j.obs.retireTxns.Inc()
 		}
 	}
 	j.await(p, t, target)

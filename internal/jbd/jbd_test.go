@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/device"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -522,5 +523,106 @@ func TestModeAndStateStrings(t *testing.T) {
 	}
 	if StateRunning.String() != "running" || StateDurable.String() != "durable" {
 		t.Error("state strings")
+	}
+}
+
+// TestRetireCoversExactlyItsTransactions pins retire's coverage now that
+// its flush rides a stream of its own and later JCs pass it. T1 seeks
+// durability; T2 commits right behind it with a large JD, so T2's JC is
+// still queued when T1's JC transfers and the flush thread calls retire;
+// T3 commits after that call, and its JC transfers while the flush drains
+// the cache. At the instant a transaction is made durable, its JC must be
+// transferred and no longer volatile in the device cache. Retire must
+// cover T2 (it was committed when retire was called) and must not credit
+// T3.
+func TestRetireCoversExactlyItsTransactions(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	cfg := device.UFS()
+	cfg.DMAPerPage = 10 * sim.Microsecond
+	cfg.CmdOverhead = 2 * sim.Microsecond
+	dev := device.New(k, cfg)
+	l := block.NewLayer(k, dev, block.NewEpochScheduler(block.NewNOOP()), block.LayerConfig{
+		DispatchOverhead: sim.Microsecond,
+	})
+	reg := metrics.NewRegistry()
+	jcfg := DefaultConfig(ModeDual)
+	jcfg.Metrics = reg
+	j := New(k, l, jcfg)
+	// volatileJC reports whether id's commit record is still in the cache.
+	volatileJC := func(id uint64) bool {
+		for _, w := range dev.CaptureConstraints().Writes {
+			if cb, ok := w.Data.(*CommitBlock); ok && cb.TxnID == id {
+				return true
+			}
+		}
+		return false
+	}
+	// onDurable checks t at the instant retire makes it durable: the
+	// watcher parks on t's durable waiters directly, so it runs without a
+	// wake-up charge, before the device can program anything more.
+	var t1, t2, t3 *Txn
+	var t3AtT1 TxnState = -1 // T3's state when T1 is made durable; -1: T3 not committed yet
+	onDurable := func(x *Txn, name string) {
+		k.Spawn("watch", func(p *sim.Proc) {
+			ws := &x.waiters[StateDurable-StateCommitted]
+			for x.state < StateDurable {
+				*ws = append(*ws, p)
+				p.Suspend()
+			}
+			if !x.jcTransferred || volatileJC(x.id) {
+				t.Errorf("%s (txn %d) made durable at %v with its JC not on the storage surface (transferred %v)",
+					name, x.id, p.Now(), x.jcTransferred)
+			}
+			if x == t1 && t3 != nil {
+				t3AtT1 = t3.state
+			}
+		})
+	}
+	k.Spawn("app", func(p *sim.Proc) {
+		j.DirtyBuffer(p, &Buffer{Home: 2000}, "t1")
+		t1 = j.running
+		onDurable(t1, "T1")
+		k.Spawn("fsync", func(q *sim.Proc) { j.CommitAndWait(q) })
+		for t1.state < StateCommitted {
+			p.Sleep(sim.Microsecond)
+		}
+		for i := 0; i < 24; i++ {
+			j.DirtyBuffer(p, &Buffer{Home: uint64(3000 + i)}, i)
+		}
+		t2 = j.CommitOrdering(p, false)
+		onDurable(t2, "T2")
+		for !t1.jcTransferred {
+			p.Sleep(sim.Microsecond)
+		}
+		if t2.jcTransferred {
+			t.Fatal("precondition: T2's JC transferred before T1's flush was issued")
+		}
+		// The flush thread has called retire once its wake-up has passed.
+		p.Sleep(jcfg.WakeLatency + sim.Microsecond)
+		for i := 0; i < 4; i++ {
+			j.DirtyBuffer(p, &Buffer{Home: uint64(4000 + i)}, i)
+		}
+		t3 = j.CommitOrdering(p, false)
+		onDurable(t3, "T3")
+	})
+	k.Run()
+	if t1.state != StateDurable || t2.state != StateDurable {
+		t.Fatalf("T1 %v, T2 %v: retire did not cover the transaction committed when it was called", t1.state, t2.state)
+	}
+	if t3AtT1 < 0 {
+		t.Fatal("precondition: T3 not committed before T1's flush completed")
+	}
+	if t3AtT1 >= StateDurable {
+		t.Error("T3, committed after retire was called, was credited by its flush")
+	}
+	if !t3.jcTransferred || t3.state == StateDurable {
+		t.Errorf("T3: JC transferred %v, state %v; want an ordering-only transaction left committed", t3.jcTransferred, t3.state)
+	}
+	if got := reg.Counter("jbd/retire.wait_ns").Value(); got == 0 {
+		t.Error("jbd/retire.wait_ns = 0: retire never waited for T2's JC")
+	}
+	if got := reg.Counter("jbd/retire.txns").Value(); got != 2 {
+		t.Errorf("jbd/retire.txns = %d, want T1 and T2", got)
 	}
 }
