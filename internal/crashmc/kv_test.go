@@ -160,6 +160,11 @@ func kvWindow(row kvRow, reached *bool, seen map[uint64]bool) Part {
 					}
 					if st.Stats().CheckpointSyncs > syncs && s.FS.Journal().Stats().ConflictParked > parked {
 						awaitManifestCached(p, s)
+						// The clients stop once the manifest is cached:
+						// their writes do not queue behind the checkpoint's
+						// flush, so otherwise the cache behind the manifest
+						// keeps growing until the enumeration is capped.
+						hold = true
 						// The segment's commit does not wait for the
 						// checkpoint's flush, so the cache still holds the
 						// segment when the manifest arrives: crash once
