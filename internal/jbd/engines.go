@@ -253,7 +253,6 @@ func (j *Journal) commitThread(p *sim.Proc) {
 			t.jcTransferred = true
 			j.jcCond.Broadcast()
 		}
-		j.lastCommitted = t.id
 		t.reach(StateCommitted)
 		if durable {
 			t.reach(StateDurable)
@@ -287,7 +286,7 @@ func (j *Journal) commitThread(p *sim.Proc) {
 // beside it, maybe not covered, so retire credits exactly the transactions
 // up to last. why counts the flush by trigger.
 func (j *Journal) retire(p *sim.Proc, last uint64, why *metrics.Counter) {
-	last = min(last, j.lastCommitted)
+	last = min(last, j.newestCommitted())
 	t0 := p.Now()
 	for j.jcPending(last) {
 		j.jcCond.Wait(p)

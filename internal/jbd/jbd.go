@@ -13,7 +13,9 @@
 //     ordered barrier writes nothing waits on, so several transactions
 //     commit concurrently and the conflict-page list resolves their page
 //     conflicts (§4.3) as each JC is transferred. A flush thread flushes
-//     for durability-seeking ones and never gates the next commit.
+//     for durability-seeking ones and never gates the next commit: its
+//     flush rides a stream of its own (block.FlushStream), so the device
+//     does not hold the next JD and JC behind it.
 //   - ModeOptFS: OptFS's osync() (§7), plus selective data journaling.
 //     Wait-on-Transfer without a flush; a delayed flush, or a dsync-style
 //     waiter's own, makes committed transactions durable.
@@ -74,9 +76,10 @@ type Config struct {
 	// FlushInterval, for ModeOptFS, is the delayed-durability flush period.
 	FlushInterval sim.Duration
 	// Stream is the block-layer ordering domain every commit-path request
-	// rides (block.Request.Stream); checkpoint IO rides the stream derived
-	// from it (block.CheckpointStream). 0 — the default — is the global
-	// ordering domain of the single-queue layer. A multi-tenant stack on one
+	// rides (block.Request.Stream); checkpoint IO and retire's durability
+	// flushes ride the streams derived from it (block.CheckpointStream,
+	// block.FlushStream). 0 — the default — is the global ordering domain
+	// of the single-queue layer. A multi-tenant stack on one
 	// multi-queue device gives each mounted filesystem its own order stream
 	// (block.OrderStream) so the tenants' barriers never drain each other's
 	// traffic; the filesystem layer tags its foreground data and reads with
@@ -278,11 +281,10 @@ type Journal struct {
 	commits sim.Slab[CommitBlock]
 	supers  sim.Slab[SuperBlock]
 
-	head          uint64 // next journal slot sequence number
-	lastCommitted uint64 // newest transaction id that reached StateCommitted
-	freePages     int
-	short         int    // pages a commit waits for in reserve (0: none waits)
-	tailTxn       uint64 // oldest un-checkpointed txn id
+	head      uint64 // next journal slot sequence number
+	freePages int
+	short     int    // pages a commit waits for in reserve (0: none waits)
+	tailTxn   uint64 // oldest un-checkpointed txn id
 
 	// ackedDurable is the newest transaction id a durability wait has
 	// acknowledged to a caller — the journal-level fsync contract the

@@ -485,7 +485,8 @@ func (st *Store) fileOf(seg *segment) *fs.Inode {
 // a forced journal commit waited durably, and on a WAL with a group
 // mid-append it flushes the cache once the dirty slots, which follow the
 // publish in dispatch order, have transferred. Either way the flush covers
-// everything dispatched before it.
+// everything dispatched before the fdatasync: the journal's flush waits
+// for the forced commit's JC, which follows it all on the order stream.
 func (st *Store) ForceCheckpoint(p *sim.Proc) {
 	target := st.committedSeq
 	st.groupsSince = 0
