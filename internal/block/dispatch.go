@@ -157,8 +157,11 @@ type Layer struct {
 
 	// readQueueNS counts the virtual ns foreground reads spent in the layer,
 	// from submit until the device accepted their command; readCongested
-	// counts the reads that waited on QueueLimit. Nil without a registry.
-	readQueueNS, readCongested *metrics.Counter
+	// counts the reads that waited on QueueLimit. congestWaitNS and
+	// congestIdleWaitNS count the virtual ns submitters waited on
+	// QueueLimit, other than idle ones and idle ones. Nil without a registry.
+	readQueueNS, readCongested       *metrics.Counter
+	congestWaitNS, congestIdleWaitNS *metrics.Counter
 }
 
 // NewLayer builds a single-queue block layer over dev using sched and starts
@@ -187,8 +190,10 @@ func newLayer(k *sim.Kernel, dev *device.Device, cfg LayerConfig, hwQueues int) 
 	}
 	reg := metrics.Resolve(cfg.Metrics)
 	l := &Layer{k: k, dev: dev, cfg: cfg,
-		readQueueNS:   reg.Counter("block/read.queue_ns"),
-		readCongested: reg.Counter("block/read.congested"),
+		readQueueNS:       reg.Counter("block/read.queue_ns"),
+		readCongested:     reg.Counter("block/read.congested"),
+		congestWaitNS:     reg.Counter("block/congest.wait_ns"),
+		congestIdleWaitNS: reg.Counter("block/congest.idle_wait_ns"),
 	}
 	l.cmds = &cmdPool{onDone: func(sim.Time, *Request) { l.stats.Completed++ }}
 	if cfg.Retry {
@@ -255,11 +260,15 @@ func (l *Layer) Submit(p *sim.Proc, r *Request) {
 		return
 	}
 	q := l.route(r)
-	if q.queued() >= l.cfg.QueueLimit && r.Op == OpRead {
-		l.readCongested.Inc()
-	}
-	for q.queued() >= l.cfg.QueueLimit {
-		q.congest.Wait(p)
+	if q.queued() >= l.cfg.QueueLimit {
+		if r.Op == OpRead {
+			l.readCongested.Inc()
+		}
+		from := p.Now()
+		for q.queued() >= l.cfg.QueueLimit {
+			q.congest.Wait(p)
+		}
+		l.congestWaitNS.Add(int64(p.Now().Sub(from)))
 	}
 	l.admit(q, r)
 }
@@ -272,11 +281,18 @@ func (l *Layer) SubmitOrPark(h *sim.Proc, r *Request) bool {
 	}
 	q := l.route(r)
 	if q.queued() >= l.cfg.QueueLimit {
-		if r.Op == OpRead {
-			l.readCongested.Inc()
+		if !r.parked {
+			if r.Op == OpRead {
+				l.readCongested.Inc()
+			}
+			r.parked, r.parkedAt = true, h.Now()
 		}
 		q.congest.Park(h)
 		return false
+	}
+	if r.parked {
+		r.parked = false
+		l.congestWaitNS.Add(int64(h.Now().Sub(r.parkedAt)))
 	}
 	l.admit(q, r)
 	return true

@@ -96,6 +96,8 @@ type Request struct {
 	Err error
 
 	issued    sim.Time
+	parkedAt  sim.Time // when a handler's SubmitOrPark first parked on congestion
+	parked    bool     // SubmitOrPark has parked the request and not admitted it yet
 	completed bool
 	attempts  int    // re-submissions consumed (bounded by the retry budget)
 	epoch     uint64 // set by the epoch scheduler

@@ -215,6 +215,7 @@ type kvObs struct {
 	groupCommits *metrics.Counter
 	walBytes     *metrics.Counter
 	compactions  *metrics.Counter
+	ringStallNS  *metrics.Counter // virtual ns the leader waited for WAL ring space
 	groupSize    *metrics.Hist
 }
 
@@ -315,6 +316,7 @@ func OpenFS(p *sim.Proc, fsys *fs.FS, cfg Config) (*Store, error) {
 			groupCommits: reg.Counter("kvwal/group.commits"),
 			walBytes:     reg.Counter("kvwal/wal.bytes"),
 			compactions:  reg.Counter("kvwal/compactions"),
+			ringStallNS:  reg.Counter("kvwal/ring.stall_ns"),
 			groupSize:    reg.Hist("kvwal/group.size"),
 		}
 	}
@@ -618,11 +620,15 @@ func (st *Store) committer(p *sim.Proc) {
 // slot still holds a live (un-checkpointed) record.
 func (st *Store) appendWAL(p *sim.Proc, op Op) {
 	seq := st.nextSeq
-	for seq > st.checkpointSeq+uint64(st.cfg.WALPages) {
-		// Ring full: the record seq-WALPages in this slot is not yet
-		// captured in a segment. Kick the flusher and wait.
-		st.flushCond.Signal()
-		st.spaceCond.Wait(p)
+	if seq > st.checkpointSeq+uint64(st.cfg.WALPages) {
+		from := p.Now()
+		for seq > st.checkpointSeq+uint64(st.cfg.WALPages) {
+			// Ring full: the record seq-WALPages in this slot is not yet
+			// captured in a segment. Kick the flusher and wait.
+			st.flushCond.Signal()
+			st.spaceCond.Wait(p)
+		}
+		st.obs.ringStallNS.Add(int64(p.Now().Sub(from)))
 	}
 	st.nextSeq++
 	slot := int64((seq - 1) % uint64(st.cfg.WALPages))
