@@ -585,3 +585,144 @@ func TestForegroundReadPassesWriteBacklog(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleYieldsCongestion drives both shapes, through Submit and through a
+// handler's SubmitOrPark, into the state compaction leaves behind: the
+// device full behind an ordered flush, the dispatcher holding a refused
+// write, and the software queue holding QueueLimit idle writes (FlagIdle).
+// A submitter of one more idle write must wait, and is admitted as the
+// first of them leaves the queue. Then a foreground ordered write and a
+// plain background write must both be admitted at once: idle requests do
+// not count against them. After the drain the queue counts no idle request.
+func TestIdleYieldsCongestion(t *testing.T) {
+	const (
+		tD    = sim.Microsecond
+		limit = 4
+		qd    = 8
+		at    = sim.Time(100 * sim.Microsecond) // the flush is still programming
+	)
+	shapes := []struct {
+		name  string
+		build func(*sim.Kernel, *device.Device, LayerConfig) (*Layer, func() *swQueue)
+	}{
+		{"single", func(k *sim.Kernel, d *device.Device, cfg LayerConfig) (*Layer, func() *swQueue) {
+			l := NewLayer(k, d, NewEpochScheduler(NewNOOP()), cfg)
+			return l, func() *swQueue { return l.shared }
+		}},
+		{"per-stream", func(k *sim.Kernel, d *device.Device, cfg LayerConfig) (*Layer, func() *swQueue) {
+			l := NewPerStreamLayer(k, d, PerStream{HWQueues: 1, Daemon: "mq/dispatch",
+				OpenStream: func(uint64) Scheduler { return NewEpochScheduler(NewNOOP()) }}, cfg)
+			return l, func() *swQueue { return l.queues[0] }
+		}},
+	}
+	for _, sh := range shapes {
+		for _, handler := range []bool{false, true} {
+			name := sh.name + "/submit"
+			if handler {
+				name = sh.name + "/park"
+			}
+			t.Run(name, func(t *testing.T) {
+				k := sim.NewKernel()
+				defer k.Close()
+				dc := device.UFS()
+				dc.QueueDepth, dc.DMAPerPage, dc.CmdOverhead = qd, 10*sim.Microsecond, 2*sim.Microsecond
+				reg := metrics.NewRegistry()
+				l, sw := sh.build(k, device.New(k, dc), LayerConfig{DispatchOverhead: tD, QueueLimit: limit, Trace: true, Metrics: reg})
+				idleWait := reg.Counter("block/congest.idle_wait_ns")
+				wait := reg.Counter("block/congest.wait_ns")
+
+				const plain = 2 + qd - 1 + 1 // before the flush, in the device, held
+				k.Spawn("writer", func(p *sim.Proc) {
+					l.Submit(p, mkReq(0, 0))
+					l.Submit(p, mkReq(1, 0))
+					l.Submit(p, &Request{Op: OpFlush})
+					for lpa := uint64(2); lpa < plain; lpa++ {
+						l.Submit(p, mkReq(lpa, 0))
+					}
+					for lpa := uint64(plain); lpa < plain+limit; lpa++ {
+						l.Submit(p, mkReq(lpa, FlagBackground|FlagIdle))
+					}
+				})
+
+				idle := mkReq(100, FlagBackground|FlagIdle)
+				fg := []*Request{mkReq(101, FlagOrdered), mkReq(102, FlagBackground)}
+				var dispatched int64
+				var idleFrom, waitFrom int64
+				state := func(when string, queued, idleN int) {
+					t.Helper()
+					if q := sw(); q.queued() != queued || q.idle != idleN {
+						t.Fatalf("%s: software queue holds %d requests, %d idle; want %d, %d idle",
+							when, q.queued(), q.idle, queued, idleN)
+					}
+				}
+				start := func() {
+					st := l.Stats()
+					if occ := st.Dispatched - st.Completed; occ != qd {
+						t.Fatalf("device holds %d commands, want %d", occ, qd)
+					}
+					if held := int64(len(l.DispatchLog())) - st.Dispatched; held != 1 {
+						t.Fatalf("dispatcher holds %d refused commands, want 1", held)
+					}
+					state("before the idle write", limit, limit)
+					dispatched = st.Dispatched
+					idleFrom, waitFrom = idleWait.Value(), wait.Value()
+				}
+				admitted := func(p *sim.Proc) {
+					// The held write reaching the device frees the daemon to take
+					// the first queued idle write, which is what admits this one.
+					if n := l.Stats().Dispatched - dispatched; n != 1 {
+						t.Errorf("idle write admitted after %d dispatches, want 1", n)
+					}
+					if waited := idleWait.Value() - idleFrom; waited <= 0 || sim.Time(waited) != p.Now()-at {
+						t.Errorf("block/congest.idle_wait_ns moved %d for a wait of %v", waited, p.Now().Sub(at))
+					}
+					state("after the idle write", limit, limit)
+				}
+				passed := func(p *sim.Proc) {
+					state("after the foreground writes", limit+2, limit)
+					if n := wait.Value() - waitFrom; n != 0 {
+						t.Errorf("block/congest.wait_ns moved %d for writes that never waited", n)
+					}
+				}
+
+				k.Spawn("submitter", func(p *sim.Proc) {
+					p.Sleep(sim.Duration(at))
+					start()
+					if !handler {
+						l.Submit(p, idle)
+						admitted(p)
+						now := p.Now()
+						for _, r := range fg {
+							if l.Submit(p, r); p.Now() != now {
+								t.Fatalf("write %d waited %v at submission", r.LPA, p.Now().Sub(now))
+							}
+						}
+						passed(p)
+						return
+					}
+					k.SpawnHandler("parker", func(h *sim.Proc) {
+						if !l.SubmitOrPark(h, idle) {
+							return
+						}
+						admitted(h)
+						for _, r := range fg {
+							if !l.SubmitOrPark(h, r) {
+								t.Fatalf("write %d parked on congestion", r.LPA)
+							}
+						}
+						passed(h)
+						h.Complete()
+					})
+				})
+				k.Run()
+
+				for _, r := range append(fg, idle) {
+					if !r.Completed() {
+						t.Errorf("write %d never completed", r.LPA)
+					}
+				}
+				state("after the drain", 0, 0)
+			})
+		}
+	}
+}

@@ -14,7 +14,8 @@ type LayerConfig struct {
 	DispatchOverhead sim.Duration
 	// QueueLimit bounds the requests buffered per software queue (scheduler +
 	// staging), like the kernel's nr_requests; that queue's submitters block
-	// beyond it. 0 or less means the default of 128.
+	// beyond it, where idle requests (FlagIdle) count only against idle
+	// submitters. 0 or less means the default of 128.
 	QueueLimit int
 	// BarrierAsCommand dispatches epoch boundaries as standalone barrier
 	// commands instead of write flags — the §3.2 alternative the paper
@@ -105,9 +106,21 @@ type swQueue struct {
 	staged  sim.FIFO[*Request]
 	congest *sim.Cond
 	hw      *hwQueue
+	idle    int // queued requests that carry FlagIdle
 }
 
 func (q *swQueue) queued() int { return q.sched.Pending() + q.staged.Len() }
+
+// full reports whether r's submitter must wait for q to drain: an idle
+// request counts every queued request against limit, any other request
+// only the non-idle ones.
+func (q *swQueue) full(r *Request, limit int) bool {
+	n := q.queued()
+	if !r.Flags.Has(FlagIdle) {
+		n -= q.idle
+	}
+	return n >= limit
+}
 
 // hwQueue is one hardware dispatch context: a daemon draining its
 // foreground reads and then its software queues, round-robin, into the
@@ -158,8 +171,8 @@ type Layer struct {
 	// readQueueNS counts the virtual ns foreground reads spent in the layer,
 	// from submit until the device accepted their command; readCongested
 	// counts the reads that waited on QueueLimit. congestWaitNS and
-	// congestIdleWaitNS count the virtual ns submitters waited on
-	// QueueLimit, other than idle ones and idle ones. Nil without a registry.
+	// congestIdleWaitNS count the virtual ns non-idle and idle submitters
+	// waited on QueueLimit (see congestWait). Nil without a registry.
 	readQueueNS, readCongested       *metrics.Counter
 	congestWaitNS, congestIdleWaitNS *metrics.Counter
 }
@@ -249,26 +262,29 @@ func (l *Layer) DispatchLog() []DispatchRecord { return l.trace }
 
 // Submit queues a request. Requests arriving while their queue's epoch
 // scheduler has admission closed are staged and fed in submission order once
-// it reopens. When the queue holds QueueLimit requests (nr_requests
-// congestion), Submit blocks the caller until a dispatcher drains it — the
-// only situation in which the barrier-enabled submission path blocks, and on
-// the per-stream shape only that stream's submitters ever do. A foreground
-// read never blocks: it joins its hardware queue's read FIFO.
+// it reopens. When the queue is full (nr_requests congestion), Submit blocks
+// the caller until a dispatcher drains it; on the per-stream shape only that
+// stream's submitters ever do. Full means QueueLimit requests of any class
+// for an idle request (FlagIdle), and QueueLimit non-idle ones for every
+// other, so idle IO never makes a commit wait: congestion by ordered and
+// plain background IO is then the only situation in which the
+// barrier-enabled submission path blocks. A foreground read never blocks:
+// it joins its hardware queue's read FIFO.
 func (l *Layer) Submit(p *sim.Proc, r *Request) {
 	if foreground(r) {
 		l.admitRead(r)
 		return
 	}
 	q := l.route(r)
-	if q.queued() >= l.cfg.QueueLimit {
+	if q.full(r, l.cfg.QueueLimit) {
 		if r.Op == OpRead {
 			l.readCongested.Inc()
 		}
 		from := p.Now()
-		for q.queued() >= l.cfg.QueueLimit {
+		for q.full(r, l.cfg.QueueLimit) {
 			q.congest.Wait(p)
 		}
-		l.congestWaitNS.Add(int64(p.Now().Sub(from)))
+		l.congestWait(r).Add(int64(p.Now().Sub(from)))
 	}
 	l.admit(q, r)
 }
@@ -280,7 +296,7 @@ func (l *Layer) SubmitOrPark(h *sim.Proc, r *Request) bool {
 		return true
 	}
 	q := l.route(r)
-	if q.queued() >= l.cfg.QueueLimit {
+	if q.full(r, l.cfg.QueueLimit) {
 		if !r.parked {
 			if r.Op == OpRead {
 				l.readCongested.Inc()
@@ -292,10 +308,19 @@ func (l *Layer) SubmitOrPark(h *sim.Proc, r *Request) bool {
 	}
 	if r.parked {
 		r.parked = false
-		l.congestWaitNS.Add(int64(h.Now().Sub(r.parkedAt)))
+		l.congestWait(r).Add(int64(h.Now().Sub(r.parkedAt)))
 	}
 	l.admit(q, r)
 	return true
+}
+
+// congestWait returns the counter of r's class for the ns its submitter
+// waited on QueueLimit.
+func (l *Layer) congestWait(r *Request) *metrics.Counter {
+	if r.Flags.Has(FlagIdle) {
+		return l.congestIdleWaitNS
+	}
+	return l.congestWaitNS
 }
 
 // foreground reports whether r is a read a caller is waiting on: OpRead
@@ -329,6 +354,9 @@ func (l *Layer) admitRead(r *Request) {
 
 func (l *Layer) admit(q *swQueue, r *Request) {
 	l.enter(q.hw, r)
+	if r.Flags.Has(FlagIdle) {
+		q.idle++
+	}
 	if q.staged.Len() > 0 || !q.sched.Add(r) {
 		q.staged.Push(r)
 		l.staged++
@@ -407,6 +435,9 @@ func (l *Layer) dispatcher(p *sim.Proc, h *hwQueue) {
 		if r == nil {
 			h.kick.Wait(p)
 			continue
+		}
+		if r.Flags.Has(FlagIdle) {
+			q.idle--
 		}
 		if !l.dispatch(p, h, r) {
 			return

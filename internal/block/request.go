@@ -34,6 +34,14 @@ const (
 	// never sit in front of foreground traffic; it is purely a host-side
 	// hint and never reaches the device.
 	FlagBackground
+	// FlagIdle marks idle-class IO (IOPRIO_CLASS_IDLE), set together with
+	// FlagBackground on work nobody waits on soon, such as an LSM store's
+	// compaction. It yields the congestion limit: an idle request waits at
+	// submission while its software queue holds QueueLimit requests of any
+	// class, and every other request counts only the non-idle ones, so a
+	// queue filled with idle IO never blocks a commit. Dispatch order is
+	// not touched. Like FlagBackground it never reaches the device.
+	FlagIdle
 )
 
 // Has reports whether all bits in f2 are set.

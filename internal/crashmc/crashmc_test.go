@@ -361,7 +361,7 @@ func syncAfterBackground(run *crossRun, pages int, meta bool) Part {
 				s.FS.Write(p, a, int64(n))
 			}
 			s.FS.Write(p, b, 0)
-			s.FS.WritebackAsync(p, a)
+			s.FS.WritebackAsync(p, a, 0)
 			done := false
 			k.Spawn("fbarrier-b", func(q *sim.Proc) {
 				s.FS.Fbarrier(q, b)

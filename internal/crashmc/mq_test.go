@@ -88,7 +88,7 @@ func mqBackground(k *sim.Kernel, s *core.Stack) []Checker {
 				for i := 0; i < 16; i++ {
 					s.FS.Write(p, f, n*16+int64(i))
 				}
-				s.FS.WritebackAsync(p, f)
+				s.FS.WritebackAsync(p, f, 0)
 			}
 		})
 	}
@@ -150,7 +150,7 @@ func spreadFsync(reached *int) Part {
 			for i := int64(0); i < pages; i++ {
 				s.FS.Write(p, f, i)
 			}
-			s.FS.WritebackAsync(p, f) // scattered onto data streams, pages now clean
+			s.FS.WritebackAsync(p, f, 0) // scattered onto data streams, pages now clean
 			s.FS.Fdatasync(p, f)
 			ackAll(p, s, f, pages, chk)
 			*reached++
@@ -214,7 +214,7 @@ func spreadFdatabarrier(mq *testing.T, reached *int) Part {
 			if mq != nil {
 				spread0 = s.MQ.Stats().Spread
 			}
-			s.FS.WritebackAsync(p, f)
+			s.FS.WritebackAsync(p, f, 0)
 			if mq != nil && s.MQ.Stats().Spread == spread0 {
 				mq.Error("background writeback was not scattered off stream 0; test is vacuous")
 			}

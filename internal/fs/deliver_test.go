@@ -44,7 +44,7 @@ func TestFdatabarrierAnswer(t *testing.T) {
 			s.FS.Fsync(p, f) // later writes are overwrites
 			s.FS.Write(p, f, 0)
 			if c.background {
-				s.FS.WritebackAsync(p, f)
+				s.FS.WritebackAsync(p, f, 0)
 				s.FS.Fdatawait(p, f)
 			}
 			first = s.FS.Fdatabarrier(p, f)

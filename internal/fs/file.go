@@ -77,8 +77,9 @@ func (f *FS) PageVer(i *Inode, idx int64) (int64, bool) {
 // Read returns the version of a page, fetching it from the device on a
 // cache miss; a hole reads as absent. class is the read request's class: 0
 // for a read its caller waits on, which passes queued writes in the block
-// layer, or block.FlagBackground for best-effort IO such as compaction
-// input, which queues behind them. When the device fails the page read hard
+// layer, or block.FlagBackground for best-effort IO, which queues behind
+// them, with block.FlagIdle added for idle-class IO such as compaction
+// input. When the device fails the page read hard
 // (uncorrectable sector with the block layer's retry budget exhausted,
 // block.Request.Err), Read caches nothing and returns the error so the
 // application can fail over to a replica. The read request is pooled: Read
@@ -279,11 +280,16 @@ func (f *FS) waitCrossStream(p *sim.Proc, i *Inode) {
 // WritebackAsync pushes the file's dirty pages to the device as orderless
 // background writes without waiting. It models pdflush-style background
 // writeback (the paper's buffered-write baseline); backpressure comes from
-// the block layer's queue limit. It releases its plan at submission: the
-// block layer holds each request until it completes and then recycles it,
-// so a caller that must see the writes land waits with Fdatawait.
-func (f *FS) WritebackAsync(p *sim.Proc, i *Inode) {
-	f.release(i, f.writeback(p, i, block.FlagBackground, false))
+// the block layer's queue limit. class is added to the writes' class, which
+// is always block.FlagBackground: 0 for plain background writeback, or
+// block.FlagIdle for idle-class IO such as compaction output, which waits
+// while the block queue is full of any IO but never makes other submitters
+// wait; a Read class means the same here. It releases its plan at
+// submission: the block layer holds each request until it completes and
+// then recycles it, so a caller that must see the writes land waits with
+// Fdatawait.
+func (f *FS) WritebackAsync(p *sim.Proc, i *Inode, class block.Flags) {
+	f.release(i, f.writeback(p, i, block.FlagBackground|class, false))
 }
 
 // Fdatawait blocks until the inode has no writeback in flight, waiting on

@@ -31,9 +31,14 @@
 // says at the call site why it cannot occur. Read takes the request's
 // class: a read its caller waits on (class 0) passes queued writes in the
 // block layer and the device, while block.FlagBackground, for best-effort
-// reads such as compaction input, queues behind them. Passing is safe
-// because a page whose write is queued or in flight never leaves the page
-// cache (EvictClean), so no read can overtake the write it would observe.
+// reads, queues behind them. Passing is safe because a page whose write is
+// queued or in flight never leaves the page cache (EvictClean), so no read
+// can overtake the write it would observe. WritebackAsync takes a class
+// too, added to block.FlagBackground, which its writes always carry.
+// block.FlagIdle in either makes the IO idle-class, as an LSM store's
+// compaction is: it waits at submission while the block queue holds its
+// limit of any IO, and never counts against the limit other submitters
+// wait on.
 package fs
 
 import (

@@ -21,7 +21,7 @@ func TestFdatawaitReturnsAtLastCompletion(t *testing.T) {
 		for i := int64(0); i < 8; i++ {
 			e.fs.Write(p, f, i)
 		}
-		e.fs.WritebackAsync(p, f)
+		e.fs.WritebackAsync(p, f, 0)
 		if len(f.inflight) != 8 {
 			t.Fatalf("%d requests in flight after WritebackAsync, want 8", len(f.inflight))
 		}
@@ -81,7 +81,7 @@ func TestWritebackAsyncRecyclesRequests(t *testing.T) {
 			for i := int64(0); i < pages; i++ {
 				e.fs.Write(p, f, i)
 			}
-			e.fs.WritebackAsync(p, f)
+			e.fs.WritebackAsync(p, f, 0)
 			e.fs.Fdatawait(p, f)
 		}
 		round()
@@ -112,12 +112,12 @@ func TestStampImmutable(t *testing.T) {
 		e.fs.Write(p, f, 0)
 		v1, _ = e.fs.PageVer(f, 0)
 		lpa = f.blocks[0]
-		e.fs.WritebackAsync(p, f)
+		e.fs.WritebackAsync(p, f, 0)
 		held = f.inflight[0].Data.(*PageData)
 		e.fs.Fdatawait(p, f)
 		e.fs.Fsync(p, f) // v1 and the allocation durable
 		e.fs.Write(p, f, 0)
-		e.fs.WritebackAsync(p, f)
+		e.fs.WritebackAsync(p, f, 0)
 		e.fs.Fdatawait(p, f) // v2 in the device cache, not flushed
 		if v2, _ := e.fs.PageVer(f, 0); v2 == v1 {
 			t.Fatalf("rewrite kept version %d", v1)

@@ -11,8 +11,15 @@ import (
 // The background path: memtable flushes and segment compaction. Both run
 // as their own sim.Procs and push their pages through WritebackAsync, so
 // the writes carry REQ_BACKGROUND — on the multi-queue profiles they
-// scatter onto data streams and stay out of the commit stream's way. A
-// segment must reach storage before the manifest may reference it, and the
+// scatter onto data streams and stay out of the commit stream's way.
+// Compaction's input reads and merged-run writes are idle-class IO too
+// (compactClass), as RocksDB runs compaction at the idle IO priority: a
+// merge waits while the block queue is full, and its requests never count
+// against the congestion limit the group-commit leader's WAL writes wait
+// on, so a merge burst never delays a group commit. The memtable flush
+// stays plain background IO: the WAL ring waits on it, and the queue limit
+// it shares with the leader is what throttles the leader at overload and
+// keeps group commits batching. A segment must reach storage before the manifest may reference it, and the
 // manifest before WAL records may be recycled. Each is an ordering point
 // (order): where fs makes them durable, they are durable in turn. Where it
 // only orders them, the segment's pages, its allocation commit, the
@@ -52,7 +59,7 @@ func (st *Store) flushOnce(p *sim.Proc) {
 	slices.SortFunc(ents, bySegKey)
 
 	// needFlush saw a non-empty memtable, so there is a segment to write.
-	seg, durable := st.writeSegment(p, ents)
+	seg, durable := st.writeSegment(p, ents, flushClass)
 	st.segs = append(st.segs, seg)
 	st.indexSegment(seg)
 	// Publish the segment and release WAL space.
@@ -70,8 +77,16 @@ func (st *Store) flushOnce(p *sim.Proc) {
 
 func bySegKey(a, b segEnt) int { return strings.Compare(a.key, b.key) }
 
+// The IO classes of the background path (block.FlagIdle): a memtable flush
+// writes as plain background IO, compaction reads and writes as idle IO.
+const (
+	flushClass   = block.FlagBackground
+	compactClass = block.FlagBackground | block.FlagIdle
+)
+
 // writeSegment creates a new segment file, writes one page per entry as
-// background writeback, waits for the transfers, and then orders it. On
+// background writeback of the given class, waits for the transfers, and
+// then orders it. On
 // BarrierFS the fdatabarrier on the now-clean file forces an ordering-only
 // journal commit, which drains the conflict-page list before it freezes,
 // so it carries even allocation metadata parked behind an in-flight
@@ -79,7 +94,7 @@ func bySegKey(a, b segEnt) int { return strings.Compare(a.key, b.key) }
 // ordered segment is durable at the next checkpoint. It returns the
 // registered segment, with the entries' page and version shadows filled
 // in, and whether fs made it durable.
-func (st *Store) writeSegment(p *sim.Proc, ents []segEnt) (*segment, bool) {
+func (st *Store) writeSegment(p *sim.Proc, ents []segEnt, class block.Flags) (*segment, bool) {
 	seg := &segment{id: st.nextSegID}
 	st.nextSegID++
 	seg.name = segName(seg.id)
@@ -95,10 +110,10 @@ func (st *Store) writeSegment(p *sim.Proc, ents []segEnt) (*segment, bool) {
 		// Push pages out in background-sized clumps rather than one giant
 		// dirty set, to keep the writeback stream busy while we fill.
 		if i%16 == 15 {
-			st.fs.WritebackAsync(p, f)
+			st.fs.WritebackAsync(p, f, class)
 		}
 	}
-	st.fs.WritebackAsync(p, f)
+	st.fs.WritebackAsync(p, f, class)
 	// filemap_fdatawait: background writeback is marked clean at submission
 	// and carries no ordering promise, so the coming sync cannot see or cover
 	// what is still queued. A background thread can afford the
@@ -165,15 +180,15 @@ func (st *Store) compactOnce(p *sim.Proc) {
 		f := st.fileOf(seg)
 		for _, e := range seg.entries {
 			// The merge runs from seg.entries, so these reads charge the IO
-			// and nothing reads their result. They are background IO, as
-			// RocksDB reads compaction input at low IO priority: they queue
-			// behind the writes instead of passing them like a get's read,
-			// so the merge does not race ahead of the flushes. A media
+			// and nothing reads their result. They are idle background IO:
+			// they queue behind the writes instead of passing them like a
+			// get's read, so the merge does not race ahead of the flushes,
+			// and never hold the leader at the congestion limit. A media
 			// error is dropped on purpose, and the inputs are unlinked
 			// below regardless: aborting the merge to keep them would
 			// change the faults experiment's cells, so it waits for the
 			// work that makes IO errors reach their callers.
-			_, _, _ = st.fs.Read(p, f, e.page, block.FlagBackground)
+			_, _, _ = st.fs.Read(p, f, e.page, compactClass)
 		}
 	}
 	st.compPos = slices.Grow(st.compPos[:0], len(inputs))[:len(inputs)]
@@ -182,7 +197,7 @@ func (st *Store) compactOnce(p *sim.Proc) {
 
 	var merged *segment
 	if len(ents) > 0 {
-		merged, _ = st.writeSegment(p, ents)
+		merged, _ = st.writeSegment(p, ents, compactClass)
 	}
 	// Splice: replace the input prefix with the merged run, keeping any
 	// segments the flusher added while we merged.

@@ -1,10 +1,18 @@
 package kvwal
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/block"
+	"repro/internal/core"
+	"repro/internal/device"
+	"repro/internal/fs"
+	"repro/internal/sim"
 )
 
 // foldCompact is the map-and-sort fold compaction used before it merged
@@ -90,4 +98,97 @@ func FuzzCompactMerge(f *testing.F) {
 			t.Fatalf("merge %v\nfold  %v", got, want)
 		}
 	})
+}
+
+// ioKey names a data request the way a dispatch record can be joined on:
+// the fs never reuses an LPA, so a segment page's write and its background
+// read each have one key.
+type ioKey struct {
+	lpa uint64
+	op  block.Op
+	bg  bool
+}
+
+func keyOf(lpa uint64, op block.Op, f block.Flags) ioKey {
+	return ioKey{lpa, op, f.Has(block.FlagBackground)}
+}
+
+// submitters sits between fs and the block layer and notes which proc
+// submitted each request.
+type submitters struct {
+	*block.Layer
+	by map[ioKey]string
+}
+
+func (s *submitters) Submit(p *sim.Proc, r *block.Request) {
+	s.by[keyOf(r.LPA, r.Op, r.Flags)] = p.Name()
+	s.Layer.Submit(p, r)
+}
+
+func (s *submitters) SubmitAndWait(p *sim.Proc, r *block.Request) {
+	s.by[keyOf(r.LPA, r.Op, r.Flags)] = p.Name()
+	s.Layer.SubmitAndWait(p, r)
+}
+
+// TestCompactionIsIdleIO reads the block layer's dispatch log of a store
+// that flushes and compacts with evicted segments: compaction's input reads
+// and merged-run writes carry block.FlagIdle, and nothing else does — not
+// the memtable flush's segment writes, nor the manifest, WAL and journal.
+func TestCompactionIsIdleIO(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	prof := core.BFSDR(device.NVMeSSD())
+	layer := block.NewLayer(k, device.New(k, prof.Device), block.NewEpochScheduler(block.NewNOOP()),
+		block.LayerConfig{DispatchOverhead: prof.DispatchOverhead, Trace: true})
+	front := &submitters{Layer: layer, by: make(map[ioKey]string)}
+	fsys := fs.New(k, front, prof.FS)
+	cfg := Config{WALPages: 64, MemtableCap: 16, CompactFanIn: 2, CheckpointEvery: 8, EvictSegments: true}
+	var compactions int64
+	k.Spawn("app", func(p *sim.Proc) {
+		st, err := OpenFS(p, fsys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			put(p, st, fmt.Sprintf("k%03d", i%100))
+		}
+		p.Sleep(20 * sim.Millisecond)
+		compactions = st.Stats().Compactions
+		k.Stop()
+	})
+	k.Run()
+	if compactions == 0 {
+		t.Fatal("no compactions")
+	}
+
+	counts := make(map[string]int)
+	for _, rec := range layer.DispatchLog() {
+		if rec.Op == block.OpFlush {
+			continue
+		}
+		who := front.by[keyOf(rec.LPA, rec.Op, rec.Flags)]
+		bg := rec.Flags.Has(block.FlagBackground)
+		var class string
+		switch {
+		case who == "kv/compact" && bg:
+			class = "compaction " + rec.Op.String()
+		case who == "kv/flush" && bg:
+			class = "flush segment " + rec.Op.String()
+		case who == "kv/compact" || who == "kv/flush":
+			class = "manifest " + rec.Op.String()
+		case who == "kv/commit":
+			class = "WAL " + rec.Op.String()
+		default:
+			class = "other (" + who + ") " + rec.Op.String()
+		}
+		counts[class]++
+		if want := strings.HasPrefix(class, "compaction "); rec.Flags.Has(block.FlagIdle) != want {
+			t.Errorf("%s of LPA %d carries flags %#x: FlagIdle %v, want %v", class, rec.LPA, rec.Flags, !want, want)
+		}
+	}
+	for _, class := range []string{"compaction read", "compaction write", "flush segment write", "manifest write", "WAL write"} {
+		if counts[class] == 0 {
+			t.Errorf("no %s in the dispatch log (%v)", class, counts)
+		}
+	}
 }

@@ -94,7 +94,7 @@ func (st *Store) Ingest(p *sim.Proc, keys []string) {
 		}
 	}
 	slices.SortFunc(ents, bySegKey)
-	seg, _ := st.writeSegment(p, ents)
+	seg, _ := st.writeSegment(p, ents, flushClass)
 	st.segs = append(st.segs, seg)
 	st.indexSegment(seg)
 	st.writeManifest(p, st.checkpointSeq)

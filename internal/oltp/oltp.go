@@ -93,7 +93,7 @@ func (e *Engine) Insert(p *sim.Proc, rng *rand.Rand) {
 	e.sinceFlush++
 	if e.sinceFlush >= flushEvery {
 		e.sinceFlush = 0
-		fsys.WritebackAsync(p, e.table)
+		fsys.WritebackAsync(p, e.table, 0)
 		e.stats.PageFlushs++
 	}
 }

@@ -111,7 +111,7 @@ func RandWrite(k *sim.Kernel, s *core.Stack, cfg RandWriteConfig) RandWriteResul
 				// Buffered write: push the page out asynchronously; the
 				// block layer's nr_requests limit provides the dirty
 				// throttling.
-				s.FS.WritebackAsync(p, file)
+				s.FS.WritebackAsync(p, file, 0)
 			}
 			m.Done(1)
 		}
