@@ -74,16 +74,15 @@ func (f *FS) PageVer(i *Inode, idx int64) (int64, bool) {
 	return 0, false
 }
 
-// Read returns the version of a page, fetching it from the device on a
-// cache miss; a hole reads as absent. class is the read request's class: 0
-// for a read its caller waits on, which passes queued writes in the block
-// layer, or block.FlagBackground for best-effort IO, which queues behind
-// them, with block.FlagIdle added for idle-class IO such as compaction
-// input. When the device fails the page read hard
-// (uncorrectable sector with the block layer's retry budget exhausted,
-// block.Request.Err), Read caches nothing and returns the error so the
-// application can fail over to a replica. The read request is pooled: Read
-// copies its result out and releases it.
+// Read returns the version of a page, fetching it from the device on a cache
+// miss; a hole reads as absent. class is the read request's class: 0 for a
+// read its caller waits on, which passes queued writes in the block layer,
+// or block.FlagBackground for best-effort IO, which queues behind them, with
+// block.FlagIdle added for idle-class IO such as compaction input. When the
+// device fails the page read hard (uncorrectable sector with the block
+// layer's retry budget exhausted, block.Request.Err), Read caches nothing
+// and returns the error so the application can fail over to a replica. The
+// read request is pooled: Read copies its result out and releases it.
 func (f *FS) Read(p *sim.Proc, i *Inode, idx int64, class block.Flags) (int64, bool, error) {
 	f.cpu(p)
 	f.stats.Reads++
@@ -284,10 +283,10 @@ func (f *FS) waitCrossStream(p *sim.Proc, i *Inode) {
 // is always block.FlagBackground: 0 for plain background writeback, or
 // block.FlagIdle for idle-class IO such as compaction output, which waits
 // while the block queue is full of any IO but never makes other submitters
-// wait; a Read class means the same here. It releases its plan at
-// submission: the block layer holds each request until it completes and
-// then recycles it, so a caller that must see the writes land waits with
-// Fdatawait.
+// wait. FlagBackground in class changes nothing, so a Read class can be
+// passed as is. It releases its plan at submission: the block layer holds
+// each request until it completes and then recycles it, so a caller that
+// must see the writes land waits with Fdatawait.
 func (f *FS) WritebackAsync(p *sim.Proc, i *Inode, class block.Flags) {
 	f.release(i, f.writeback(p, i, block.FlagBackground|class, false))
 }

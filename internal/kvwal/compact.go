@@ -8,28 +8,28 @@ import (
 	"repro/internal/sim"
 )
 
-// The background path: memtable flushes and segment compaction. Both run
-// as their own sim.Procs and push their pages through WritebackAsync, so
-// the writes carry REQ_BACKGROUND — on the multi-queue profiles they
-// scatter onto data streams and stay out of the commit stream's way.
-// Compaction's input reads and merged-run writes are idle-class IO too
-// (compactClass), as RocksDB runs compaction at the idle IO priority: a
-// merge waits while the block queue is full, and its requests never count
-// against the congestion limit the group-commit leader's WAL writes wait
-// on, so a merge burst never delays a group commit. The memtable flush
-// stays plain background IO: the WAL ring waits on it, and the queue limit
-// it shares with the leader is what throttles the leader at overload and
-// keeps group commits batching. A segment must reach storage before the manifest may reference it, and the
+// The background path: memtable flushes and segment compaction. Both run as
+// their own sim.Procs and push their pages through WritebackAsync, so the
+// writes carry REQ_BACKGROUND — on the multi-queue profiles they scatter
+// onto data streams and stay out of the commit stream's way. Compaction's
+// input reads and merged-run writes are idle-class IO too (compactClass), as
+// RocksDB runs compaction at the idle IO priority: a merge waits while the
+// block queue is full, and its requests never count against the congestion
+// limit the group-commit leader's WAL writes wait on, so a merge burst never
+// delays a group commit. The memtable flush stays plain background IO: the
+// WAL ring waits on it, and the queue limit it shares with the leader is
+// what throttles the leader at overload and keeps group commits batching. A
+// segment must reach storage before the manifest may reference it, and the
 // manifest before WAL records may be recycled. Each is an ordering point
 // (order): where fs makes them durable, they are durable in turn. Where it
-// only orders them, the segment's pages, its allocation commit, the
-// manifest and the recycling writes persist in that order, and all of them
-// are durable at the next checkpoint. Until then a crash may keep the
-// previous manifest, so compaction's inputs must stay readable until the
-// merged run's allocation is durable. They do, because the fs never reuses
-// a freed LPA: unlinking an input frees its blocks but never overwrites
-// them. On the multi-queue layer the scattered pages escape the barriers,
-// and fs answers the segment's fdatabarrier with a durable fdatasync.
+// only orders them, the segment's pages, its allocation commit, the manifest
+// and the recycling writes persist in that order, and all of them are
+// durable at the next checkpoint. Until then a crash may keep the previous
+// manifest, so compaction's inputs must stay readable until the merged run's
+// allocation is durable. They do, because the fs never reuses a freed LPA:
+// unlinking an input frees its blocks but never overwrites them. On the
+// multi-queue layer the scattered pages escape the barriers, and fs answers
+// the segment's fdatabarrier with a durable fdatasync.
 
 // flusher freezes the memtable when the leader signals and turns it into a
 // sorted segment, then advances the WAL checkpoint.
@@ -85,14 +85,13 @@ const (
 )
 
 // writeSegment creates a new segment file, writes one page per entry as
-// background writeback of the given class, waits for the transfers, and
-// then orders it. On
-// BarrierFS the fdatabarrier on the now-clean file forces an ordering-only
-// journal commit, which drains the conflict-page list before it freezes,
-// so it carries even allocation metadata parked behind an in-flight
-// commit; fbarrier would not, since its parked path commits nothing. An
-// ordered segment is durable at the next checkpoint. It returns the
-// registered segment, with the entries' page and version shadows filled
+// background writeback of the given class, waits for the transfers, and then
+// orders it. On BarrierFS the fdatabarrier on the now-clean file forces an
+// ordering-only journal commit, which drains the conflict-page list before
+// it freezes, so it carries even allocation metadata parked behind an
+// in-flight commit; fbarrier would not, since its parked path commits
+// nothing. An ordered segment is durable at the next checkpoint. It returns
+// the registered segment, with the entries' page and version shadows filled
 // in, and whether fs made it durable.
 func (st *Store) writeSegment(p *sim.Proc, ents []segEnt, class block.Flags) (*segment, bool) {
 	seg := &segment{id: st.nextSegID}
