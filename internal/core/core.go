@@ -75,7 +75,7 @@ func EXT4DR(dev device.Config) Profile {
 func EXT4OD(dev device.Config) Profile {
 	p := EXT4DR(dev)
 	p.Name = "EXT4-OD"
-	p.FS.Journal.BarrierMount = false
+	p.FS.Journal.Mode = jbd.ModeNobarrier
 	p.Relaxed = true
 	return p
 }

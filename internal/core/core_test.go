@@ -13,14 +13,15 @@ func TestProfileConstructors(t *testing.T) {
 		prof    Profile
 		name    string
 		mode    jbd.Mode
-		barrier bool
 		relaxed bool
 	}{
-		{EXT4DR(device.PlainSSD()), "EXT4-DR", jbd.ModeJBD2, true, false},
-		{EXT4OD(device.PlainSSD()), "EXT4-OD", jbd.ModeJBD2, false, true},
-		{BFSDR(device.PlainSSD()), "BFS-DR", jbd.ModeDual, true, false},
-		{BFSOD(device.PlainSSD()), "BFS-OD", jbd.ModeDual, true, true},
-		{OptFS(device.PlainSSD()), "OptFS", jbd.ModeOptFS, true, true},
+		{EXT4DR(device.PlainSSD()), "EXT4-DR", jbd.ModeJBD2, false},
+		{EXT4OD(device.PlainSSD()), "EXT4-OD", jbd.ModeNobarrier, true},
+		{BFSDR(device.PlainSSD()), "BFS-DR", jbd.ModeDual, false},
+		{BFSOD(device.PlainSSD()), "BFS-OD", jbd.ModeDual, true},
+		{EXT4MQ(device.PlainSSD()), "EXT4-MQ", jbd.ModeJBD2, false},
+		{BFSMQ(device.PlainSSD()), "BFS-MQ", jbd.ModeDual, false},
+		{OptFS(device.PlainSSD()), "OptFS", jbd.ModeOptFS, true},
 	}
 	for _, c := range cases {
 		if c.prof.Name != c.name {
@@ -28,9 +29,6 @@ func TestProfileConstructors(t *testing.T) {
 		}
 		if c.prof.FS.Journal.Mode != c.mode {
 			t.Errorf("%s: mode = %v, want %v", c.name, c.prof.FS.Journal.Mode, c.mode)
-		}
-		if c.prof.FS.Journal.BarrierMount != c.barrier {
-			t.Errorf("%s: barrier mount = %v", c.name, c.prof.FS.Journal.BarrierMount)
 		}
 		if c.prof.Relaxed != c.relaxed {
 			t.Errorf("%s: relaxed = %v", c.name, c.prof.Relaxed)

@@ -20,7 +20,7 @@ import (
 // written.
 func TestReadSeesNewestWriteUnderBacklog(t *testing.T) {
 	const pages = 8
-	e := newEnv(jbd.ModeDual, true)
+	e := newEnv(jbd.ModeDual)
 	defer e.close()
 	stop := false
 	e.k.Spawn("hog", func(p *sim.Proc) {

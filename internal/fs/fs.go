@@ -58,9 +58,8 @@ const RootIno Ino = 1
 
 // Options configures a filesystem instance.
 type Options struct {
-	// Journal configures the journaling engine (mode, layout, barrier
-	// mount option). Its WakeLatency is charged after the filesystem's own
-	// blocking waits too.
+	// Journal configures the journaling engine (mode and layout). Its
+	// WakeLatency is charged after the filesystem's own blocking waits too.
 	Journal jbd.Config
 	// SyscallCPU is the on-CPU cost charged per filesystem call.
 	SyscallCPU sim.Duration

@@ -18,10 +18,10 @@ type env struct {
 	fs  *FS
 }
 
-func newEnv(mode jbd.Mode, barrier bool) *env { return newEnvOpts(mode, barrier, nil) }
+func newEnv(mode jbd.Mode) *env { return newEnvOpts(mode, nil) }
 
 // newEnvOpts is newEnv with a hook to adjust the mount options.
-func newEnvOpts(mode jbd.Mode, barrier bool, tweak func(*Options)) *env {
+func newEnvOpts(mode jbd.Mode, tweak func(*Options)) *env {
 	k := sim.NewKernel()
 	cfg := device.UFS()
 	cfg.QueueDepth = 16
@@ -32,7 +32,6 @@ func newEnvOpts(mode jbd.Mode, barrier bool, tweak func(*Options)) *env {
 		DispatchOverhead: sim.Microsecond,
 	})
 	opts := DefaultOptions(mode)
-	opts.Journal.BarrierMount = barrier
 	opts.Journal.Pages = 256
 	opts.Journal.CheckpointLow = 32
 	if tweak != nil {
@@ -50,7 +49,7 @@ func (e *env) run(body func(p *sim.Proc)) {
 func (e *env) close() { e.k.Close() }
 
 func TestCreateLookupUnlink(t *testing.T) {
-	e := newEnv(jbd.ModeJBD2, true)
+	e := newEnv(jbd.ModeJBD2)
 	defer e.close()
 	e.run(func(p *sim.Proc) {
 		f, err := e.fs.Create(p, e.fs.Root(), "a.txt")
@@ -79,7 +78,7 @@ func TestCreateLookupUnlink(t *testing.T) {
 }
 
 func TestMkdirNesting(t *testing.T) {
-	e := newEnv(jbd.ModeJBD2, true)
+	e := newEnv(jbd.ModeJBD2)
 	defer e.close()
 	e.run(func(p *sim.Proc) {
 		d, err := e.fs.Mkdir(p, e.fs.Root(), "dir")
@@ -103,7 +102,7 @@ func TestMkdirNesting(t *testing.T) {
 }
 
 func TestWriteExtendsSizeAndAllocates(t *testing.T) {
-	e := newEnv(jbd.ModeJBD2, true)
+	e := newEnv(jbd.ModeJBD2)
 	defer e.close()
 	e.run(func(p *sim.Proc) {
 		f, _ := e.fs.Create(p, e.fs.Root(), "f")
@@ -130,7 +129,7 @@ func TestPageEntrySize(t *testing.T) {
 }
 
 func TestReadBackAfterSync(t *testing.T) {
-	e := newEnv(jbd.ModeJBD2, true)
+	e := newEnv(jbd.ModeJBD2)
 	defer e.close()
 	e.run(func(p *sim.Proc) {
 		f, _ := e.fs.Create(p, e.fs.Root(), "f")
@@ -158,7 +157,7 @@ func TestFsyncDurableAcrossCrashDual(t *testing.T) {
 }
 
 func testFsyncDurableAcrossCrash(t *testing.T, mode jbd.Mode) {
-	e := newEnv(mode, true)
+	e := newEnv(mode)
 	var ver int64
 	var home uint64
 	e.run(func(p *sim.Proc) {
@@ -197,7 +196,7 @@ func testFsyncDurableAcrossCrash(t *testing.T, mode jbd.Mode) {
 }
 
 func TestUnsyncedDataLostAfterCrash(t *testing.T) {
-	e := newEnv(jbd.ModeJBD2, true)
+	e := newEnv(jbd.ModeJBD2)
 	e.run(func(p *sim.Proc) {
 		f, _ := e.fs.Create(p, e.fs.Root(), "ghost")
 		e.fs.Write(p, f, 0)
@@ -222,7 +221,7 @@ func TestUnsyncedDataLostAfterCrash(t *testing.T) {
 func TestFsyncDegradesToFdatasyncWithinJiffy(t *testing.T) {
 	// Two writes to an allocated page within one jiffy: the second fsync
 	// must find clean metadata and skip the journal commit (Fig. 11).
-	e := newEnv(jbd.ModeDual, true)
+	e := newEnv(jbd.ModeDual)
 	defer e.close()
 	e.run(func(p *sim.Proc) {
 		f, _ := e.fs.Create(p, e.fs.Root(), "f")
@@ -241,7 +240,7 @@ func TestFsyncDegradesToFdatasyncWithinJiffy(t *testing.T) {
 }
 
 func TestWriteAcrossJiffyDirtiesMetadata(t *testing.T) {
-	e := newEnv(jbd.ModeDual, true)
+	e := newEnv(jbd.ModeDual)
 	defer e.close()
 	e.run(func(p *sim.Proc) {
 		f, _ := e.fs.Create(p, e.fs.Root(), "f")
@@ -271,7 +270,7 @@ func TestContextSwitchCounts(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			e := newEnv(c.mode, true)
+			e := newEnv(c.mode)
 			defer e.close()
 			e.run(func(p *sim.Proc) {
 				f, _ := e.fs.Create(p, e.fs.Root(), "f")
@@ -295,7 +294,7 @@ func TestFbarrierFasterThanFsync(t *testing.T) {
 	// fbarrier returns without waiting for any DMA or flush; its latency
 	// must be a small fraction of fsync's.
 	timeOf := func(mode jbd.Mode, call func(e *env, p *sim.Proc, f *Inode)) sim.Duration {
-		e := newEnv(mode, true)
+		e := newEnv(mode)
 		defer e.close()
 		var d sim.Duration
 		e.run(func(p *sim.Proc) {
@@ -315,7 +314,7 @@ func TestFbarrierFasterThanFsync(t *testing.T) {
 }
 
 func TestFdatasyncSkipsTimestampOnlyCommit(t *testing.T) {
-	e := newEnv(jbd.ModeJBD2, true)
+	e := newEnv(jbd.ModeJBD2)
 	defer e.close()
 	e.run(func(p *sim.Proc) {
 		f, _ := e.fs.Create(p, e.fs.Root(), "f")
@@ -338,7 +337,7 @@ func TestFdatabarrierOrderingAcrossCrash(t *testing.T) {
 	// The "Hello"/"World" codelet of §4.1: with fdatabarrier between two
 	// writes, a crash must never show the second write without the first.
 	for _, crashUs := range []int{50, 150, 400, 900, 2000, 5000, 12000} {
-		e := newEnv(jbd.ModeDual, true)
+		e := newEnv(jbd.ModeDual)
 		var f *Inode
 		e.k.Spawn("app", func(p *sim.Proc) {
 			f, _ = e.fs.Create(p, e.fs.Root(), "hw")
@@ -383,7 +382,7 @@ func TestFdatabarrierOrderingAcrossCrash(t *testing.T) {
 }
 
 func TestSyncFS(t *testing.T) {
-	e := newEnv(jbd.ModeDual, true)
+	e := newEnv(jbd.ModeDual)
 	defer e.close()
 	e.run(func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
@@ -403,7 +402,7 @@ func TestSyncFS(t *testing.T) {
 func TestOptFSSelectiveDataJournaling(t *testing.T) {
 	// Overwrites of previously synced pages must be journaled; fresh
 	// allocations must not.
-	e := newEnv(jbd.ModeOptFS, true)
+	e := newEnv(jbd.ModeOptFS)
 	defer e.close()
 	e.run(func(p *sim.Proc) {
 		f, _ := e.fs.Create(p, e.fs.Root(), "f")
@@ -439,7 +438,7 @@ func TestManyFilesManyCommits(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			e := newEnvOpts(c.mode, true, func(o *Options) {
+			e := newEnvOpts(c.mode, func(o *Options) {
 				o.Journal.Pages, o.Journal.CheckpointLow = c.pages, c.low
 			})
 			defer e.close()
@@ -479,7 +478,7 @@ func TestManyFilesManyCommits(t *testing.T) {
 // SyscallCPU charge, and Stats().Fdatasyncs untouched.
 func TestFdatabarrierJBD2ChargesOnce(t *testing.T) {
 	const syscall = 100 * sim.Millisecond // dwarfs the IO
-	e := newEnvOpts(jbd.ModeJBD2, true, func(o *Options) { o.SyscallCPU = syscall })
+	e := newEnvOpts(jbd.ModeJBD2, func(o *Options) { o.SyscallCPU = syscall })
 	defer e.close()
 	e.run(func(p *sim.Proc) {
 		f, _ := e.fs.Create(p, e.fs.Root(), "f")

@@ -14,7 +14,7 @@ import (
 // returns at the instant the inode's last in-flight writeback completes, and
 // charges nothing of its own.
 func TestFdatawaitReturnsAtLastCompletion(t *testing.T) {
-	e := newEnv(jbd.ModeDual, true)
+	e := newEnv(jbd.ModeDual)
 	defer e.close()
 	e.run(func(p *sim.Proc) {
 		f, _ := e.fs.Create(p, e.fs.Root(), "f")
@@ -46,7 +46,7 @@ func TestFdatawaitReturnsAtLastCompletion(t *testing.T) {
 // TestFdatawaitIdle: with nothing in flight Fdatawait returns at once,
 // without a kernel event.
 func TestFdatawaitIdle(t *testing.T) {
-	e := newEnv(jbd.ModeDual, true)
+	e := newEnv(jbd.ModeDual)
 	defer e.close()
 	ks := &sim.KernelStats{}
 	e.k.AttachStats(ks)
@@ -73,7 +73,7 @@ func TestFdatawaitIdle(t *testing.T) {
 // cache so the device's own pools are warm too.
 func TestWritebackAsyncRecyclesRequests(t *testing.T) {
 	const pages = 64
-	e := newEnv(jbd.ModeDual, true)
+	e := newEnv(jbd.ModeDual)
 	defer e.close()
 	e.run(func(p *sim.Proc) {
 		f, _ := e.fs.Create(p, e.fs.Root(), "f")
@@ -103,7 +103,7 @@ func TestWritebackAsyncRecyclesRequests(t *testing.T) {
 // keeps its version, and a crash before the rewrite is flushed recovers the
 // older version.
 func TestStampImmutable(t *testing.T) {
-	e := newEnv(jbd.ModeDual, true)
+	e := newEnv(jbd.ModeDual)
 	var held *PageData
 	var v1 int64
 	var lpa uint64

@@ -90,7 +90,7 @@ func TestSnapshotsImmutable(t *testing.T) {
 }
 
 func testSnapshotsImmutable(t *testing.T, mode jbd.Mode, seed int64) {
-	e := newEnv(mode, true)
+	e := newEnv(mode)
 	defer e.close()
 	log := &snapshotLog{}
 	log.watch(e.fs.Root().buf)
@@ -176,7 +176,7 @@ func testSnapshotsImmutable(t *testing.T, mode jbd.Mode, seed int64) {
 // TestUnlinkSparseFileFreesAllocatedBlocksOnly: a file with pages 0 and 9
 // owns two blocks, and unlinking it must journal two freed blocks, not ten.
 func TestUnlinkSparseFileFreesAllocatedBlocksOnly(t *testing.T) {
-	e := newEnv(jbd.ModeDual, true)
+	e := newEnv(jbd.ModeDual)
 	defer e.close()
 	var allocHome uint64
 	e.run(func(p *sim.Proc) {
@@ -208,7 +208,7 @@ func TestUnlinkSparseFileFreesAllocatedBlocksOnly(t *testing.T) {
 // dirty pages must leave the fs/dirty.pages gauge with it.
 func TestUnlinkDropsDirtyPages(t *testing.T) {
 	reg := metrics.NewRegistry()
-	e := newEnvOpts(jbd.ModeDual, true, func(o *Options) { o.Metrics = reg })
+	e := newEnvOpts(jbd.ModeDual, func(o *Options) { o.Metrics = reg })
 	defer e.close()
 	e.run(func(p *sim.Proc) {
 		keep, _ := e.fs.Create(p, e.fs.Root(), "keep")

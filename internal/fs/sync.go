@@ -104,7 +104,7 @@ func (f *FS) sync(p *sim.Proc, i *Inode, meta, ordered bool) Delivered {
 	// test, so the two agree.
 	held := i.buf.Frozen()
 	commitMeta := (i.MetaPending() && (meta || i.allocDirty)) || (i.allocDirty && held != nil)
-	switch f.opts.Journal.Mode {
+	switch mode := f.opts.Journal.Mode; mode {
 	case jbd.ModeDual:
 		ordered = ordered && !i.offStream
 		got := Ordered
@@ -163,14 +163,14 @@ func (f *FS) sync(p *sim.Proc, i *Inode, meta, ordered bool) Delivered {
 		}
 		f.flush(p)
 		return Durable
-	default: // JBD2 / EXT4: every call is served durably
+	default: // JBD2 / EXT4, barrier or nobarrier: every call is served durably
 		plan := f.writeback(p, i, 0, false)
 		f.waitAll(p, i, plan) // Wait-on-Transfer (wake-up #1)
 		if commitMeta {
 			f.j.CommitAndWait(p) // transfer-and-flush commit (wake-up #2)
 			i.allocDirty = false
-		} else if f.opts.Journal.BarrierMount {
-			f.flush(p) // wake-up #2
+		} else if mode == jbd.ModeJBD2 {
+			f.flush(p) // wake-up #2; a nobarrier mount never flushes
 		}
 		return Durable
 	}

@@ -62,39 +62,31 @@ func (j *Journal) chunkWaiter(p *sim.Proc) func([]*block.Request) {
 	}
 }
 
-// newReq draws a pooled request tagged with the journal's order stream:
-// JD and JC. Checkpoint IO rides its own stream (ckptReq), and so do
-// retire's flushes (block.FlushStream).
-func (j *Journal) newReq() *block.Request {
+// req draws a pooled request tagged with an ordering domain: the journal's
+// order stream for JD and JC, the checkpointer's for checkpoint IO (see
+// checkpointThread), block.FlushStream for retire's flushes.
+func (j *Journal) req(stream uint64) *block.Request {
 	r := j.reqPool.Get()
-	r.Stream = j.cfg.Stream
+	r.Stream = stream
 	return r
 }
 
 // flush issues a cache flush on stream and waits for it, charging the
-// wake-up; why counts it by trigger.
+// wake-up; it counts in Stats.Flushes, and why counts it by trigger.
 func (j *Journal) flush(p *sim.Proc, stream uint64, why *metrics.Counter) {
-	r := j.reqPool.Get()
-	r.Stream = stream
+	r := j.req(stream)
 	j.countBesideCkpt(r)
 	block.FlushOn(p, j.layer, r)
+	j.stats.Flushes++
 	why.Inc()
 	j.wake(p)
-}
-
-// ckptReq draws a pooled request tagged with the checkpointer's stream
-// (see checkpointThread).
-func (j *Journal) ckptReq() *block.Request {
-	r := j.reqPool.Get()
-	r.Stream = j.ckptStream
-	return r
 }
 
 // ckptFlush is one of the checkpointer's two flushes per batch, timed into
 // jbd/ckpt.flush_ns.
 func (j *Journal) ckptFlush(p *sim.Proc) {
 	t0 := p.Now()
-	block.FlushOn(p, j.layer, j.ckptReq())
+	block.FlushOn(p, j.layer, j.req(j.ckptStream))
 	j.wake(p)
 	j.obs.flushCkpt.Inc()
 	j.obs.ckptFlushWait.Add(int64(p.Now().Sub(t0)))
@@ -123,20 +115,20 @@ func (j *Journal) countBesideCkpt(r *block.Request) {
 func (j *Journal) buildJD(p *sim.Proc, t *Txn) (jd []*block.Request, jc *block.Request) {
 	n := len(t.frozen)
 	t.trace.StampChain(reqtrace.StageJournalDispatch, p.Now())
-	desc := j.newReq()
+	desc := j.req(j.cfg.Stream)
 	desc.Op, desc.LPA = block.OpWrite, j.slotLPA(j.head)
 	desc.Data = j.descs.New(DescBlock{TxnID: t.id, N: n})
 	j.head++
 	jd = append(t.jd[:0], desc)
 	for i := range t.frozen {
-		r := j.newReq()
+		r := j.req(j.cfg.Stream)
 		r.Op, r.LPA = block.OpWrite, j.slotLPA(j.head)
 		r.Data = &t.frozen[i]
 		jd = append(jd, r)
 		j.head++
 	}
 	t.jd = jd
-	jc = j.newReq()
+	jc = j.req(j.cfg.Stream)
 	jc.Op, jc.LPA = block.OpWrite, j.slotLPA(j.head)
 	jc.Data = j.commits.New(CommitBlock{TxnID: t.id, N: n})
 	j.head++
@@ -184,11 +176,11 @@ func (j *Journal) jcDone(_ sim.Time, r *block.Request) {
 // ordered-mode data wait, the journal-space reservation and the Committed
 // transition. The engine then decides when a committed transaction becomes
 // durable: a barrier-mounted JBD2 at once, Dual-Mode at its flush thread's
-// flush, OptFS at its delayed flush or a dsync-style waiter's.
+// flush, OptFS at its delayed flush or a dsync-style waiter's, a nobarrier
+// mount never (it retires at commit completion).
 func (j *Journal) commitThread(p *sim.Proc) {
 	submitWaitAll := j.chunkWaiter(p)
 	onJC := j.jcDone // every Dual-Mode JC's OnComplete, bound once
-	dual := j.cfg.Mode == ModeDual
 	for {
 		t := j.commitQ.Get(p)
 		j.k.SpanBegin("jbd", "commit", t.id)
@@ -210,7 +202,7 @@ func (j *Journal) commitThread(p *sim.Proc) {
 		// {D, JD} epoch orders (Eq. 3); data the multi-queue layer spread to
 		// another stream is outside that epoch and is waited on like JBD2's.
 		for _, d := range t.dataDeps {
-			if !d.Completed() && !(dual && d.Stream == j.cfg.Stream) {
+			if !d.Completed() && !(j.dual && d.Stream == j.cfg.Stream) {
 				d.Wait(p)
 				j.wake(p)
 			}
@@ -218,8 +210,7 @@ func (j *Journal) commitThread(p *sim.Proc) {
 		t.pagesUsed = len(t.frozen) + 2
 		j.reserve(p, t.pagesUsed)
 		jd, jc := j.buildJD(p, t)
-		durable := j.cfg.Mode == ModeJBD2 && j.cfg.BarrierMount
-		if dual {
+		if j.dual {
 			// {D, JD} form one epoch and {JC} the next, as ordered barrier
 			// writes nothing waits on: completion is their last reference.
 			// Ordering is established at dispatch, so fbarrier callers
@@ -240,7 +231,7 @@ func (j *Journal) commitThread(p *sim.Proc) {
 			// its completion means durable; under nobarrier and on OptFS it
 			// only means transferred, and nothing flushes on this path.
 			submitWaitAll(jd)
-			if durable {
+			if j.fuaCommit {
 				jc.Flags |= block.FlagFlush | block.FlagFUA
 				j.stats.Flushes++
 				j.obs.flushCommit.Inc()
@@ -254,7 +245,7 @@ func (j *Journal) commitThread(p *sim.Proc) {
 			j.jcCond.Broadcast()
 		}
 		t.reach(StateCommitted)
-		if durable {
+		if j.fuaCommit {
 			t.reach(StateDurable)
 		}
 		j.stats.Commits++
@@ -263,11 +254,11 @@ func (j *Journal) commitThread(p *sim.Proc) {
 		if t.forced && len(t.frozen) == 0 {
 			j.stats.EmptyCommits++
 		}
-		switch j.cfg.Mode {
-		case ModeJBD2:
-			j.finishTxn(t)
-		case ModeOptFS:
+		switch {
+		case j.lazy:
 			j.optfsCond.Broadcast()
+		case !j.dual:
+			j.finishTxn(t)
 		}
 	}
 }
@@ -294,7 +285,6 @@ func (j *Journal) retire(p *sim.Proc, last uint64, why *metrics.Counter) {
 	}
 	j.obs.retireWait.Add(int64(p.Now().Sub(t0)))
 	j.flush(p, block.FlushStream(j.cfg.Stream), why)
-	j.stats.Flushes++
 	// finishTxn unlinks c: step only past those left. Re-check each: another
 	// retirer (reserve, a dsync waiter, the delayed-flush daemon) may have
 	// retired c during the flush, and finishing it twice would double-credit
@@ -474,7 +464,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 			for _, l := range t.frozen {
 				r := homes[l.Home]
 				if r == nil {
-					r = j.ckptReq()
+					r = j.req(j.ckptStream)
 					r.Op, r.LPA = block.OpWrite, l.Home
 					homes[l.Home] = r
 					reqs = append(reqs, r)
@@ -487,7 +477,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		// 3. Make the in-place copies durable, then advance the tail.
 		j.ckptFlush(p)
 		j.tailTxn = batch[len(batch)-1].id + 1
-		sb := j.ckptReq()
+		sb := j.req(j.ckptStream)
 		sb.Op, sb.LPA = block.OpWrite, j.cfg.SuperLPA
 		sb.Data = j.supers.New(SuperBlock{TailTxn: j.tailTxn})
 		sb.Flags = block.FlagFUA

@@ -1,14 +1,17 @@
 // Package jbd implements filesystem journaling over the order-preserving
-// block layer. One control plane, a commit thread, serves the paper's three
-// engines: it freezes each transaction, waits for its ordered-mode data,
-// reserves journal space and dispatches JD and JC. The engines differ only
-// in that dispatch rule and in the data plane that makes a committed
-// transaction durable:
+// block layer. One control plane, a commit thread, serves the paper's four
+// engines, one per mount: it freezes each transaction, waits for its
+// ordered-mode data, reserves journal space and dispatches JD and JC. The
+// engines differ only in that dispatch rule and in the data plane that makes
+// a committed transaction durable. New fixes the engine's decisions from
+// Config.Mode once, and nothing reads the mode after it:
 //
 //   - ModeJBD2: the EXT4 baseline (§2.3). Wait-on-Transfer for D, JD and JC
 //     (Eq. 2: D→xfer→JD→xfer→flush→JC(FLUSH|FUA)), one transaction at a
 //     time; JC's FLUSH|FUA makes it durable at completion, so there is no
-//     data plane. A nobarrier mount drops the FLUSH|FUA.
+//     data plane.
+//   - ModeNobarrier: ModeJBD2 mounted nobarrier (EXT4-OD). It drops the
+//     FLUSH|FUA, and a durability wait returns at commit completion.
 //   - ModeDual: BarrierFS Dual-Mode journaling (§4.2). JD and JC go as
 //     ordered barrier writes nothing waits on, so several transactions
 //     commit concurrently and the conflict-page list resolves their page
@@ -37,32 +40,32 @@ import (
 // Mode selects the journaling engine.
 type Mode int
 
-// Journaling engines.
+// Journaling engines: the four mounts core's profiles run. The zero Mode is
+// a barrier-mounted JBD2.
 const (
-	ModeJBD2 Mode = iota
-	ModeDual
-	ModeOptFS
+	ModeJBD2      Mode = iota // EXT4-DR: transfer-and-flush commit
+	ModeDual                  // BarrierFS: Dual-Mode journaling
+	ModeOptFS                 // OptFS: osync and delayed durability
+	ModeNobarrier             // EXT4-OD: JBD2 without flush or FUA
 )
 
+// modeNames names the engines in Mode order.
+var modeNames = [...]string{"jbd2", "dual", "optfs", "nobarrier"}
+
+func (m Mode) valid() bool { return m >= 0 && int(m) < len(modeNames) }
+
 func (m Mode) String() string {
-	switch m {
-	case ModeJBD2:
-		return "jbd2"
-	case ModeDual:
-		return "dual"
-	case ModeOptFS:
-		return "optfs"
+	if !m.valid() {
+		return "invalid"
 	}
-	return "invalid"
+	return modeNames[m]
 }
 
-// Config tunes a journal instance.
+// Config tunes a journal instance. A zero Config (with a layout) is a
+// barrier-mounted JBD2 journal.
 type Config struct {
+	// Mode is the journaling engine, one of the four, fixed at New.
 	Mode Mode
-	// BarrierMount mirrors the EXT4 barrier/nobarrier mount option: when
-	// false, the JBD2 engine never issues flush or FUA, giving the paper's
-	// EXT4-OD (ordering-only) configuration.
-	BarrierMount bool
 	// SuperLPA, Start and Pages define the on-disk layout.
 	SuperLPA uint64
 	Start    uint64
@@ -95,7 +98,6 @@ type Config struct {
 func DefaultConfig(mode Mode) Config {
 	return Config{
 		Mode:          mode,
-		BarrierMount:  true,
 		SuperLPA:      0,
 		Start:         1,
 		Pages:         8192,
@@ -240,7 +242,7 @@ type Stats struct {
 	EmptyCommits    int64
 	PagesLogged     int64
 	Checkpoints     int64
-	ConflictBlocks  int64 // JBD2: times a writer blocked on a committing txn
+	ConflictBlocks  int64 // JBD2, nobarrier, OptFS: times a writer blocked on a committing txn
 	ConflictParked  int64 // Dual: buffers parked on the conflict-page list
 	Flushes         int64
 	MaxCommitting   int   // high-water mark of concurrently committing txns
@@ -303,6 +305,12 @@ type Journal struct {
 	// counters read it.
 	ckptBusy bool
 
+	// The engine's decisions, fixed by New; nothing reads cfg.Mode after it.
+	dual      bool     // Dual-Mode: JD and JC as epochs nothing waits on, conflicting buffers park (§4.3)
+	fuaCommit bool     // barrier JBD2: JC's FLUSH|FUA makes a commit durable at completion
+	lazy      bool     // OptFS: committed transactions retire lazily (delayed flush, dsync waiters, space pressure)
+	ackAt     TxnState // what a durability wait acknowledges: StateCommitted on a nobarrier mount
+
 	stats Stats
 	obs   jbdObs
 }
@@ -334,6 +342,9 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 	if cfg.Pages < 8 {
 		panic("jbd: journal too small")
 	}
+	if !cfg.Mode.valid() {
+		panic("jbd: invalid mode")
+	}
 	j := &Journal{
 		k: k, layer: layer, cfg: cfg,
 		commitQ:    sim.NewQueue[*Txn](k),
@@ -347,6 +358,13 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 		ckptStream: block.CheckpointStream(cfg.Stream),
 		nextTxnID:  1,
 		tailTxn:    1,
+		dual:       cfg.Mode == ModeDual,
+		fuaCommit:  cfg.Mode == ModeJBD2,
+		lazy:       cfg.Mode == ModeOptFS,
+		ackAt:      StateDurable,
+	}
+	if cfg.Mode == ModeNobarrier {
+		j.ackAt = StateCommitted
 	}
 	if reg := metrics.Resolve(cfg.Metrics); reg != nil {
 		j.obs = jbdObs{
@@ -369,11 +387,11 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 		}
 	}
 	j.running = j.newTxn()
-	switch cfg.Mode {
-	case ModeDual:
+	switch {
+	case j.dual:
 		k.Spawn("jbd/commit", j.commitThread)
 		k.Spawn("jbd/flush", j.dualFlushThread)
-	case ModeOptFS:
+	case j.lazy:
 		k.Spawn("jbd/commit", j.commitThread)
 		k.Spawn("jbd/delayflush", j.optfsDelayedFlush)
 	default:
@@ -387,9 +405,9 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 func (j *Journal) Stats() Stats { return j.stats }
 
 // JournalsOverwrites reports whether the engine routes an overwrite of a
-// page already on the device through the journal (OptFS's selective data
-// journaling).
-func (j *Journal) JournalsOverwrites() bool { return j.cfg.Mode == ModeOptFS }
+// page already on the device through the journal: OptFS's selective data
+// journaling, which goes with its lazy retirement.
+func (j *Journal) JournalsOverwrites() bool { return j.lazy }
 
 // FreePages returns the free journal slots.
 func (j *Journal) FreePages() int { return j.freePages }
@@ -411,17 +429,19 @@ func (j *Journal) wake(p *sim.Proc) {
 
 // DirtyBuffer records a new snapshot of buf into the running transaction.
 // It implements the page-conflict rules of §4.3: if the buffer belongs to a
-// committing transaction, a JBD2 writer blocks until that transaction
-// finishes, while a Dual-Mode writer parks the buffer on the conflict-page
-// list and continues. The parked buffer joins the running transaction when
-// the holder's JC is transferred, before the holder's flush.
+// committing transaction, a Dual-Mode writer parks the buffer on the
+// conflict-page list and continues; the parked buffer joins the running
+// transaction when the holder's JC is transferred, before the holder's
+// flush. On the other engines the writer blocks until the holder releases
+// the buffer: a barrier JBD2 at its durable commit (its commit *is*
+// transfer-and-flush), nobarrier and OptFS at commit completion.
 func (j *Journal) DirtyBuffer(p *sim.Proc, buf *Buffer, snapshot any) {
 	buf.Data = snapshot
 	if buf.inRunning || buf.conflict {
 		return
 	}
 	if buf.owner != nil {
-		if j.cfg.Mode == ModeDual {
+		if j.dual {
 			j.stats.ConflictParked++
 			j.obs.conflictParks.Inc()
 			buf.conflict = true
@@ -430,12 +450,9 @@ func (j *Journal) DirtyBuffer(p *sim.Proc, buf *Buffer, snapshot any) {
 		}
 		j.stats.ConflictBlocks++
 		j.obs.conflictBlocks.Inc()
-		target := StateDurable
-		if !j.cfg.BarrierMount || j.cfg.Mode == ModeOptFS {
-			// nobarrier mounts and OptFS release frozen buffers at commit
-			// completion; only a barrier-mounted JBD2 holds them to
-			// durability (its commit *is* transfer-and-flush).
-			target = StateCommitted
+		target := StateCommitted
+		if j.fuaCommit {
+			target = StateDurable
 		}
 		for t := buf.owner; t != nil && t.state < target; t = buf.owner {
 			j.await(p, t, target)
@@ -480,18 +497,18 @@ func (j *Journal) freeze(t *Txn) {
 // commits even an empty transaction (epoch delimiter). Returns nil if there
 // was nothing to commit.
 //
-// JBD2/OptFS freeze immediately: their conflict rule blocks writers, so the
-// conflict list is always empty here. Dual mode only *requests* the commit;
-// the commit thread freezes after the conflict-page list drains (§4.3), so
-// parked buffers — including the caller's own metadata — always land in
-// the transaction the caller waits on.
+// The blocking engines freeze immediately: their conflict rule blocks
+// writers, so the conflict list is always empty here. Dual mode only
+// *requests* the commit; the commit thread freezes after the conflict-page
+// list drains (§4.3), so parked buffers — including the caller's own
+// metadata — always land in the transaction the caller waits on.
 func (j *Journal) closeRunning(p *sim.Proc, force bool) *Txn {
 	t := j.running
 	if t.Empty() && !force {
 		return nil
 	}
 	t.forced = t.forced || force
-	if j.cfg.Mode == ModeDual {
+	if j.dual {
 		if !t.commitRequested {
 			t.commitRequested = true
 			j.commitQ.Put(t)
@@ -504,8 +521,8 @@ func (j *Journal) closeRunning(p *sim.Proc, force bool) *Txn {
 }
 
 // CommitAndWait closes the running transaction and blocks until it is
-// durable (or merely committed, under nobarrier mounts). This is the
-// fsync() journal path.
+// durable (or merely committed, on ModeNobarrier). This is the fsync()
+// journal path.
 //
 // A durability caller must commit even when the running transaction is
 // empty but the Dual-Mode conflict-page list is not: the caller's newest
@@ -535,7 +552,6 @@ func (j *Journal) CommitAndWait(p *sim.Proc) *Txn {
 	j.WaitTxn(p, t)
 	if flush {
 		j.flush(p, j.cfg.Stream, j.obs.flushFsync)
-		j.stats.Flushes++
 	}
 	return t
 }
@@ -554,19 +570,14 @@ func (j *Journal) AckedDurable() uint64 { return j.ackedDurable }
 // allocation (ext4's i_datasync_tid).
 func (j *Journal) WaitTxn(p *sim.Proc, t *Txn) {
 	t.attachTrace(p)
-	target := StateDurable
-	if !j.cfg.BarrierMount {
-		target = StateCommitted
-	}
 	t.wantDurable = true
-	optfs := j.cfg.Mode == ModeOptFS
-	if optfs && target == StateDurable {
+	if j.lazy {
 		// OptFS: durability waiters first wait for the commit (osync's
 		// transfer wait), then flush directly below rather than stalling on
 		// the delayed-durability timer.
 		j.await(p, t, StateCommitted)
 	}
-	if t.state == StateCommitted && target == StateDurable && (optfs || t.retired) {
+	if t.state == StateCommitted && j.ackAt == StateDurable && (j.lazy || t.retired) {
 		if t.retired {
 			// Dual-Mode ordering-only: off the committing list, so only the
 			// caller's own flush covers it.
@@ -579,7 +590,7 @@ func (j *Journal) WaitTxn(p *sim.Proc, t *Txn) {
 			j.obs.retireTxns.Inc()
 		}
 	}
-	j.await(p, t, target)
+	j.await(p, t, j.ackAt)
 	j.ackedDurable = max(j.ackedDurable, t.id)
 }
 
@@ -602,7 +613,7 @@ func (j *Journal) CommitOrdering(p *sim.Proc, force bool) *Txn {
 	if t == nil {
 		// OptFS: the caller's metadata rides an in-flight commit; osync
 		// still waits for that commit's transfers (Wait-on-Transfer, §7).
-		if j.cfg.Mode != ModeOptFS || len(j.committing) == 0 {
+		if !j.lazy || len(j.committing) == 0 {
 			return nil
 		}
 		t = j.committing[len(j.committing)-1]
@@ -627,7 +638,7 @@ func (j *Journal) reserve(p *sim.Proc, n int) {
 	}
 	for j.freePages < n {
 		j.stats.CheckpointForce++
-		if j.cfg.Mode == ModeOptFS {
+		if j.lazy {
 			// OptFS retires transactions lazily; under space pressure the
 			// reserver forces the retirement so the checkpointer has work.
 			j.retireCommitted(p)

@@ -18,7 +18,7 @@ type harness struct {
 	j   *Journal
 }
 
-func newHarness(mode Mode, barrier bool) *harness {
+func newHarness(mode Mode) *harness {
 	k := sim.NewKernel()
 	cfg := device.UFS()
 	cfg.QueueDepth = 16
@@ -29,7 +29,6 @@ func newHarness(mode Mode, barrier bool) *harness {
 		DispatchOverhead: sim.Microsecond,
 	})
 	jc := DefaultConfig(mode)
-	jc.BarrierMount = barrier
 	jc.Pages = 128
 	jc.CheckpointLow = 16
 	j := New(k, l, jc)
@@ -44,7 +43,7 @@ func (h *harness) run(body func(p *sim.Proc)) {
 func (h *harness) close() { h.k.Close() }
 
 func TestJBD2CommitDurable(t *testing.T) {
-	h := newHarness(ModeJBD2, true)
+	h := newHarness(ModeJBD2)
 	defer h.close()
 	buf := &Buffer{Home: 2000, Name: "inode-1"}
 	h.run(func(p *sim.Proc) {
@@ -71,7 +70,7 @@ func TestJBD2CommitDurable(t *testing.T) {
 }
 
 func TestJBD2NobarrierDoesNotFlush(t *testing.T) {
-	h := newHarness(ModeJBD2, false)
+	h := newHarness(ModeNobarrier)
 	defer h.close()
 	buf := &Buffer{Home: 2000}
 	h.run(func(p *sim.Proc) {
@@ -87,7 +86,7 @@ func TestJBD2NobarrierDoesNotFlush(t *testing.T) {
 }
 
 func TestEmptyCommitDelimitsEpoch(t *testing.T) {
-	h := newHarness(ModeDual, true)
+	h := newHarness(ModeDual)
 	defer h.close()
 	h.run(func(p *sim.Proc) {
 		txn := h.j.CommitOrdering(p, true)
@@ -104,7 +103,7 @@ func TestDualModeConcurrentCommits(t *testing.T) {
 	// fbarrier-style ordering commits must overlap: with 8 back-to-back
 	// ordering commits, more than one transaction must be in the committing
 	// state at once (Dual-Mode's defining property).
-	h := newHarness(ModeDual, true)
+	h := newHarness(ModeDual)
 	defer h.close()
 	h.run(func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
@@ -124,7 +123,7 @@ func TestDualModeConcurrentCommits(t *testing.T) {
 }
 
 func TestDualOrderingReturnsBeforeDurable(t *testing.T) {
-	h := newHarness(ModeDual, true)
+	h := newHarness(ModeDual)
 	defer h.close()
 	var orderingDone, jbd2Equivalent sim.Duration
 	h.run(func(p *sim.Proc) {
@@ -134,7 +133,7 @@ func TestDualOrderingReturnsBeforeDurable(t *testing.T) {
 		h.j.CommitOrdering(p, false)
 		orderingDone = sim.Duration(p.Now() - t0)
 	})
-	h2 := newHarness(ModeJBD2, true)
+	h2 := newHarness(ModeJBD2)
 	defer h2.close()
 	h2.run(func(p *sim.Proc) {
 		buf := &Buffer{Home: 2000}
@@ -150,7 +149,7 @@ func TestDualOrderingReturnsBeforeDurable(t *testing.T) {
 }
 
 func TestDualFsyncDurable(t *testing.T) {
-	h := newHarness(ModeDual, true)
+	h := newHarness(ModeDual)
 	defer h.close()
 	h.run(func(p *sim.Proc) {
 		buf := &Buffer{Home: 2000}
@@ -170,7 +169,7 @@ func TestDualFsyncDurable(t *testing.T) {
 // left the committing list must flush: no engine flush will cover it, and
 // with nothing else committed the wait has no other flush to ride.
 func TestDualWaitOnRetiredOrderingTxnFlushes(t *testing.T) {
-	h := newHarness(ModeDual, true)
+	h := newHarness(ModeDual)
 	defer h.close()
 	h.run(func(p *sim.Proc) {
 		h.j.DirtyBuffer(p, &Buffer{Home: 2000}, "v1")
@@ -190,34 +189,66 @@ func TestDualWaitOnRetiredOrderingTxnFlushes(t *testing.T) {
 	})
 }
 
+// On every engine but Dual-Mode, a writer that redirties a buffer frozen in
+// a committing transaction blocks until the holder releases it: a barrier
+// JBD2 at its durable commit, a nobarrier mount and OptFS at commit
+// completion, before any checkpoint or flush makes the holder durable.
 func TestJBD2ConflictBlocksWriter(t *testing.T) {
-	h := newHarness(ModeJBD2, true)
-	defer h.close()
-	buf := &Buffer{Home: 2000}
-	var redirtyAt, commitDone sim.Time
-	h.run(func(p *sim.Proc) {
-		h.j.DirtyBuffer(p, buf, "v1")
-		// Start a commit in the background.
-		committer := h.k.Spawn("committer", func(cp *sim.Proc) {
-			h.j.CommitAndWait(cp)
-			commitDone = cp.Now()
+	for _, c := range []struct {
+		mode Mode
+		at   TxnState // the holder's state when the writer resumes
+	}{
+		{ModeJBD2, StateDurable},
+		{ModeNobarrier, StateCommitted},
+		{ModeOptFS, StateCommitted},
+	} {
+		t.Run(c.mode.String(), func(t *testing.T) {
+			h := newHarness(c.mode)
+			defer h.close()
+			buf := &Buffer{Home: 2000}
+			var reachedAt, redirtyAt sim.Time
+			got := StateRunning // the holder's state when the writer resumed
+			h.run(func(p *sim.Proc) {
+				h.j.DirtyBuffer(p, buf, "v1")
+				committer := h.k.Spawn("committer", func(cp *sim.Proc) { h.j.CommitAndWait(cp) })
+				p.Sleep(5 * sim.Microsecond) // let the commit freeze the buffer
+				hold := buf.Frozen()
+				if hold == nil {
+					t.Error("precondition: the commit did not freeze the buffer")
+					return
+				}
+				// The watcher parks on the holder's waiters directly, so it
+				// wakes with no wake-up charge when the holder reaches c.at.
+				h.k.Spawn("watch", func(wp *sim.Proc) {
+					ws := &hold.waiters[c.at-StateCommitted]
+					for hold.state < c.at {
+						*ws = append(*ws, wp)
+						wp.Suspend()
+					}
+					reachedAt = wp.Now()
+				})
+				h.j.DirtyBuffer(p, buf, "v2")
+				redirtyAt, got = p.Now(), hold.state
+				p.Join(committer)
+			})
+			if redirtyAt == 0 {
+				t.Fatalf("writer never resumed; the holder reached %v at %v", c.at, reachedAt)
+			}
+			if got != c.at {
+				t.Errorf("writer resumed with the holder %v, want %v", got, c.at)
+			}
+			if want := reachedAt.Add(h.j.cfg.WakeLatency); redirtyAt != want {
+				t.Errorf("writer resumed at %v, want %v: one wake-up after the holder reached %v", redirtyAt, want, c.at)
+			}
+			if h.j.Stats().ConflictBlocks != 1 {
+				t.Errorf("conflict blocks = %d, want 1", h.j.Stats().ConflictBlocks)
+			}
 		})
-		p.Sleep(5 * sim.Microsecond) // let the commit freeze the buffer
-		h.j.DirtyBuffer(p, buf, "v2")
-		redirtyAt = p.Now()
-		p.Join(committer)
-	})
-	if redirtyAt < commitDone {
-		t.Errorf("JBD2 writer redirtied frozen buffer at %v, before commit finished at %v",
-			redirtyAt, commitDone)
-	}
-	if h.j.Stats().ConflictBlocks == 0 {
-		t.Error("conflict not counted")
 	}
 }
 
 func TestDualConflictParksWithoutBlocking(t *testing.T) {
-	h := newHarness(ModeDual, true)
+	h := newHarness(ModeDual)
 	defer h.close()
 	buf := &Buffer{Home: 2000}
 	h.run(func(p *sim.Proc) {
@@ -252,7 +283,7 @@ func TestDualConflictParksWithoutBlocking(t *testing.T) {
 // durability-seeking T1 and dirtied again parks, and T2 freezes it once T1's
 // JC completes, while T1's flush is still running.
 func TestDualConflictResolvesAtJCTransfer(t *testing.T) {
-	h := newHarness(ModeDual, true)
+	h := newHarness(ModeDual)
 	defer h.close()
 	buf := &Buffer{Home: 2000}
 	h.run(func(p *sim.Proc) {
@@ -288,7 +319,7 @@ func TestDualConflictResolvesAtJCTransfer(t *testing.T) {
 }
 
 func TestCheckpointReclaimsJournalSpace(t *testing.T) {
-	h := newHarness(ModeJBD2, true)
+	h := newHarness(ModeJBD2)
 	defer h.close()
 	h.run(func(p *sim.Proc) {
 		// Each commit logs 1 buffer = 3 pages; 128-page journal with
@@ -318,7 +349,7 @@ func TestCheckpointReclaimsJournalSpace(t *testing.T) {
 }
 
 func TestOptFSCommitNoFlush(t *testing.T) {
-	h := newHarness(ModeOptFS, true)
+	h := newHarness(ModeOptFS)
 	defer h.close()
 	h.run(func(p *sim.Proc) {
 		buf := &Buffer{Home: 2000}
@@ -336,7 +367,7 @@ func TestOptFSCommitNoFlush(t *testing.T) {
 }
 
 func TestOptFSDelayedDurability(t *testing.T) {
-	h := newHarness(ModeOptFS, true)
+	h := newHarness(ModeOptFS)
 	defer h.close()
 	var txn *Txn
 	h.k.Spawn("app", func(p *sim.Proc) {
@@ -412,7 +443,7 @@ func TestRecoveryRespectsTail(t *testing.T) {
 func TestCarvedRecordsImmutable(t *testing.T) {
 	for _, mode := range []Mode{ModeJBD2, ModeDual, ModeOptFS} {
 		t.Run(mode.String(), func(t *testing.T) {
-			h := newHarness(mode, true)
+			h := newHarness(mode)
 			defer h.close()
 			cfg := h.j.cfg
 			type record struct{ got, want any }
@@ -479,7 +510,7 @@ func TestCarvedRecordsImmutable(t *testing.T) {
 func TestJournalCrashRecoveryEndToEnd(t *testing.T) {
 	// Commit transactions, crash mid-stream, recover, and check that the
 	// set of recovered transactions is a prefix.
-	h := newHarness(ModeDual, true)
+	h := newHarness(ModeDual)
 	committed := 0
 	h.k.Spawn("app", func(p *sim.Proc) {
 		for i := 0; ; i++ {
@@ -517,8 +548,21 @@ func TestJournalCrashRecoveryEndToEnd(t *testing.T) {
 	}
 }
 
+// Only the four engines mount: any other Mode is refused at New.
+func TestNewRefusesInvalidMode(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("New mounted an invalid mode")
+		}
+	}()
+	k := sim.NewKernel()
+	defer k.Close()
+	New(k, nil, DefaultConfig(Mode(4)))
+}
+
 func TestModeAndStateStrings(t *testing.T) {
-	if ModeJBD2.String() != "jbd2" || ModeDual.String() != "dual" || ModeOptFS.String() != "optfs" {
+	if ModeJBD2.String() != "jbd2" || ModeDual.String() != "dual" || ModeOptFS.String() != "optfs" ||
+		ModeNobarrier.String() != "nobarrier" || Mode(4).String() != "invalid" {
 		t.Error("mode strings")
 	}
 	if StateRunning.String() != "running" || StateDurable.String() != "durable" {

@@ -18,7 +18,7 @@ func TestRecoveryMatchesCommittedHistoryProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + trial)))
 			mode := []Mode{ModeJBD2, ModeDual}[trial%2]
-			h := newHarness(mode, true)
+			h := newHarness(mode)
 			defer h.close()
 			const nbuf = 6
 			bufs := make([]*Buffer, nbuf)
@@ -74,7 +74,7 @@ func TestRecoveryMatchesCommittedHistoryProperty(t *testing.T) {
 // storms.
 func TestNoDoubleOwnershipProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	h := newHarness(ModeDual, true)
+	h := newHarness(ModeDual)
 	defer h.close()
 	const nbuf = 4
 	bufs := make([]*Buffer, nbuf)
@@ -102,7 +102,7 @@ func TestNoDoubleOwnershipProperty(t *testing.T) {
 // Property: transactions become durable in commit order, whatever mix of
 // ordering and durability commits drives them.
 func TestDurabilityFollowsCommitOrder(t *testing.T) {
-	h := newHarness(ModeDual, true)
+	h := newHarness(ModeDual)
 	defer h.close()
 	var durableOrder []uint64
 	h.run(func(p *sim.Proc) {
@@ -142,7 +142,7 @@ func TestDurabilityFollowsCommitOrder(t *testing.T) {
 func TestCrashPrefixProperty(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
-		h := newHarness(ModeDual, true)
+		h := newHarness(ModeDual)
 		crashAt := sim.Time(sim.Duration(500+rng.Intn(20000)) * sim.Microsecond)
 		type rec struct {
 			txn  uint64
