@@ -244,9 +244,9 @@ func (j *Journal) commitThread(p *sim.Proc) {
 			t.jcTransferred = true
 			j.jcCond.Broadcast()
 		}
-		t.reach(StateCommitted)
+		j.reach(t, StateCommitted)
 		if j.fuaCommit {
-			t.reach(StateDurable)
+			j.reach(t, StateDurable)
 		}
 		j.stats.Commits++
 		j.obs.commits.Inc()
@@ -295,7 +295,7 @@ func (j *Journal) retire(p *sim.Proc, last uint64, why *metrics.Counter) {
 			n++
 			continue
 		}
-		c.reach(StateDurable)
+		j.reach(c, StateDurable)
 		j.finishTxn(c)
 		j.obs.retireTxns.Inc()
 	}
@@ -375,10 +375,11 @@ func (j *Journal) newestCommitted() (id uint64) {
 // --- shared transaction retirement and checkpointing ---
 
 // finishTxn removes t from the committing list, releases its frozen
-// buffers, drops its data dependencies and queues it for checkpointing.
-// Dual-Mode already released the buffers at its JC transfer (jcDone), so
-// its flush thread does not gate the next commit (§4.3) and the release
-// here finds nothing left to do.
+// buffers, drops its data dependencies, hands its scratch to the next
+// transaction and queues it for checkpointing. Dual-Mode already released
+// the buffers at its JC transfer (jcDone), so its flush thread does not
+// gate the next commit (§4.3) and the release here finds nothing left to
+// do. t may not be durable yet; its waiters stay parked on the journal.
 func (j *Journal) finishTxn(t *Txn) {
 	t.retired = true
 	for i, c := range j.committing {
@@ -391,6 +392,9 @@ func (j *Journal) finishTxn(t *Txn) {
 	for _, d := range t.dataDeps {
 		d.Release()
 	}
+	t.buffers, t.dataDeps, t.jd = t.buffers[:0], t.dataDeps[:0], t.jd[:0]
+	j.spare = append(j.spare, t.txnScratch)
+	t.txnScratch = txnScratch{}
 	j.ckptQ = append(j.ckptQ, t)
 	j.obs.ckptBacklog.Set(int64(len(j.ckptQ)))
 	j.ckptCond.Broadcast()
@@ -454,7 +458,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		j.ckptFlush(p)
 		for _, t := range batch {
 			if t.state < StateDurable {
-				t.reach(StateDurable)
+				j.reach(t, StateDurable)
 			}
 		}
 		// 2. In-place writes: one per home, newest snapshot wins.
@@ -486,10 +490,6 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		j.ckptBusy = false
 		for _, t := range batch {
 			j.freePages += t.pagesUsed
-			// Nothing reads a checkpointed transaction's lists again.
-			t.buffers, t.dataDeps, t.jd = t.buffers[:0], t.dataDeps[:0], t.jd[:0]
-			j.spare = append(j.spare, t.txnScratch)
-			t.txnScratch = txnScratch{}
 		}
 		spare = batch[:0]
 		j.stats.Checkpoints++

@@ -167,18 +167,16 @@ func (b *Buffer) Parked() bool { return b.conflict }
 // commit captures the transaction when it decides to, not when it waits.
 func (b *Buffer) Frozen() *Txn { return b.owner }
 
-// txnScratch is a transaction's slice storage: the checkpointer hands it to
-// newTxn once the transaction is dead, so a steady-state commit grows no slice.
+// txnScratch is a transaction's slice storage: finishTxn hands it to newTxn
+// when the transaction retires, so a steady-state commit grows no slice.
+// Nothing reads the lists after retirement; the checkpointer reads only
+// Txn.frozen.
 type txnScratch struct {
 	buffers []*Buffer
 	// dataDeps are ordered-mode data writes that must be on their way to
 	// the device before JD is written; held (Request.Hold) until finishTxn.
 	dataDeps []*block.Request
 	jd       []*block.Request // buildJD's descriptor+log chunk
-
-	// waiters[s-StateCommitted] are the procs parked until the transaction
-	// reaches state s (StateCommitted or StateDurable).
-	waiters [2][]*sim.Proc
 }
 
 // Txn is a journal transaction.
@@ -208,8 +206,6 @@ type Txn struct {
 	// stamps StageJournalDispatch through it and tags the JD/JC block
 	// requests with it.
 	trace reqtrace.Ctx
-
-	k *sim.Kernel
 }
 
 // attachTrace attaches p's trace context (reqtrace.Of) to the transaction
@@ -225,15 +221,29 @@ func (t *Txn) attachTrace(p *sim.Proc) {
 // forced epoch delimiter.
 func (t *Txn) Empty() bool { return len(t.buffers) == 0 && len(t.frozen) == 0 && !t.forced }
 
-// reach moves t to state s and resumes the procs waiting for it. Resume
-// only schedules a waiter, so the list does not grow while it is walked.
-func (t *Txn) reach(s TxnState) {
+// waiter is a proc parked until transaction t reaches state s
+// (StateCommitted or StateDurable).
+type waiter struct {
+	t *Txn
+	s TxnState
+	p *sim.Proc
+}
+
+// reach moves t to state s and resumes, in park order, the procs waiting
+// for it. Resume only schedules a waiter, so the list does not grow while
+// it is walked.
+func (j *Journal) reach(t *Txn, s TxnState) {
 	t.state = s
-	ws := &t.waiters[s-StateCommitted]
-	for _, w := range *ws {
-		t.k.Resume(w)
+	kept := j.waiters[:0]
+	for _, w := range j.waiters {
+		if w.t == t && w.s <= s {
+			j.k.Resume(w.p)
+			continue
+		}
+		kept = append(kept, w)
 	}
-	*ws = (*ws)[:0]
+	clear(j.waiters[len(kept):])
+	j.waiters = kept
 }
 
 // Stats are cumulative journal statistics.
@@ -260,7 +270,13 @@ type Journal struct {
 	nextTxnID  uint64
 
 	conflictList []*Buffer
-	spare        []txnScratch // from checkpointed transactions, for newTxn
+	spare        []txnScratch // from retired transactions, for newTxn
+	// waiters are the procs parked on any transaction, in park order. They
+	// live on the journal, not in the transaction's scratch: a transaction
+	// can retire before it is durable (a Dual-Mode ordering-only one a
+	// caller later waits on, any nobarrier one until its checkpoint), and
+	// its scratch is recycled at retirement.
+	waiters []waiter
 
 	commitQ   *sim.Queue[*Txn]
 	flushQ    *sim.Queue[*Txn]
@@ -413,7 +429,7 @@ func (j *Journal) JournalsOverwrites() bool { return j.lazy }
 func (j *Journal) FreePages() int { return j.freePages }
 
 func (j *Journal) newTxn() *Txn {
-	t := j.txns.New(Txn{id: j.nextTxnID, state: StateRunning, k: j.k})
+	t := j.txns.New(Txn{id: j.nextTxnID, state: StateRunning})
 	j.nextTxnID++
 	if n := len(j.spare); n > 0 {
 		t.txnScratch, j.spare = j.spare[n-1], j.spare[:n-1]
@@ -586,7 +602,7 @@ func (j *Journal) WaitTxn(p *sim.Proc, t *Txn) {
 			j.retireCommitted(p)
 		}
 		if t.state < StateDurable {
-			t.reach(StateDurable)
+			j.reach(t, StateDurable)
 			j.obs.retireTxns.Inc()
 		}
 	}
@@ -598,7 +614,7 @@ func (j *Journal) WaitTxn(p *sim.Proc, t *Txn) {
 // charging a wake-up after each park.
 func (j *Journal) await(p *sim.Proc, t *Txn, s TxnState) {
 	for t.state < s {
-		t.waiters[s-StateCommitted] = append(t.waiters[s-StateCommitted], p)
+		j.waiters = append(j.waiters, waiter{t, s, p})
 		p.Suspend()
 		j.wake(p)
 	}

@@ -42,6 +42,15 @@ func (h *harness) run(body func(p *sim.Proc)) {
 
 func (h *harness) close() { h.k.Close() }
 
+// parkUntil parks p on t until t reaches s, as await does but with no
+// wake-up charge, so p runs the instant reach resumes it.
+func parkUntil(j *Journal, p *sim.Proc, t *Txn, s TxnState) {
+	for t.state < s {
+		j.waiters = append(j.waiters, waiter{t, s, p})
+		p.Suspend()
+	}
+}
+
 func TestJBD2CommitDurable(t *testing.T) {
 	h := newHarness(ModeJBD2)
 	defer h.close()
@@ -220,11 +229,7 @@ func TestJBD2ConflictBlocksWriter(t *testing.T) {
 				// The watcher parks on the holder's waiters directly, so it
 				// wakes with no wake-up charge when the holder reaches c.at.
 				h.k.Spawn("watch", func(wp *sim.Proc) {
-					ws := &hold.waiters[c.at-StateCommitted]
-					for hold.state < c.at {
-						*ws = append(*ws, wp)
-						wp.Suspend()
-					}
+					parkUntil(h.j, wp, hold, c.at)
 					reachedAt = wp.Now()
 				})
 				h.j.DirtyBuffer(p, buf, "v2")
@@ -609,11 +614,7 @@ func TestRetireCoversExactlyItsTransactions(t *testing.T) {
 	var t3AtT1 TxnState = -1 // T3's state when T1 is made durable; -1: T3 not committed yet
 	onDurable := func(x *Txn, name string) {
 		k.Spawn("watch", func(p *sim.Proc) {
-			ws := &x.waiters[StateDurable-StateCommitted]
-			for x.state < StateDurable {
-				*ws = append(*ws, p)
-				p.Suspend()
-			}
+			parkUntil(j, p, x, StateDurable)
 			if !x.jcTransferred || volatileJC(x.id) {
 				t.Errorf("%s (txn %d) made durable at %v with its JC not on the storage surface (transferred %v)",
 					name, x.id, p.Now(), x.jcTransferred)
