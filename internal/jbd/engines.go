@@ -494,6 +494,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		spare = batch[:0]
 		j.stats.Checkpoints++
 		j.obs.checkpoints.Inc()
+		j.obs.ckptTxns.Add(int64(len(batch)))
 		j.spaceCond.Broadcast()
 	}
 }

@@ -334,6 +334,8 @@ type Journal struct {
 // jbdObs holds the journal's registry instruments; all nil when disabled.
 type jbdObs struct {
 	commits, checkpoints          *metrics.Counter
+	ckptTxns                      *metrics.Counter // transactions checkpointed
+	ckptForce                     *metrics.Counter // commits that waited for journal space
 	conflictParks, conflictBlocks *metrics.Counter
 	conflictWait                  *metrics.Counter // ns the commit thread waited for the conflict-page list
 	ckptBacklog                   *metrics.Gauge
@@ -386,6 +388,8 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 		j.obs = jbdObs{
 			commits:        reg.Counter("jbd/commits"),
 			checkpoints:    reg.Counter("jbd/checkpoints"),
+			ckptTxns:       reg.Counter("jbd/ckpt.txns"),
+			ckptForce:      reg.Counter("jbd/ckpt.force"),
 			conflictParks:  reg.Counter("jbd/conflict.parks"),
 			conflictBlocks: reg.Counter("jbd/conflict.blocks"),
 			conflictWait:   reg.Counter("jbd/conflict.wait_ns"),
@@ -652,8 +656,11 @@ func (j *Journal) reserve(p *sim.Proc, n int) {
 	if j.freePages-n < j.cfg.CheckpointLow {
 		j.ckptCond.Broadcast()
 	}
-	for j.freePages < n {
+	if j.freePages < n {
 		j.stats.CheckpointForce++
+		j.obs.ckptForce.Inc()
+	}
+	for j.freePages < n {
 		if j.lazy {
 			// OptFS retires transactions lazily; under space pressure the
 			// reserver forces the retirement so the checkpointer has work.
