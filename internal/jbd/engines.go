@@ -433,10 +433,10 @@ func (j *Journal) releaseBuffers(t *Txn) {
 // only when the journal runs short of space: a reservation that takes free
 // pages below CheckpointLow, or a commit waiting in reserve for more than
 // is free, wakes it, and each run writes home every transaction retired by
-// then. A checkpoint costs two cache flushes, the home writes and a FUA
-// superblock, so on a device whose flush programs the cache it sets the
-// fsync tail: on the default journal a run comes every 2 000 or so
-// single-block commits, not every few dozen. All its IO rides the
+// then. A run costs two cache flushes, the home writes and a FUA
+// superblock, and on a device whose flush programs the cache it sets the
+// fsync tail; on the default journal one comes every 2 048 single-block
+// commits (TestCheckpointOnlyUnderSpacePressure). All its IO rides the
 // stream derived from the journal's (block.CheckpointStream): on the
 // journal's stream its flushes and FUA superblock write would hold back
 // every later commit-path write for up to a whole program. No phase relies
