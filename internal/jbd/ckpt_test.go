@@ -181,8 +181,10 @@ func TestCheckpointOnlyUnderSpacePressure(t *testing.T) {
 			cfg := DefaultConfig(mode)
 			cfg.Metrics = reg
 			j := New(k, l, cfg)
-			above := (cfg.Pages - cfg.CheckpointLow) / 3 // commits that leave free pages at or above the mark
-			steady := 3*above + 1 // commits above+1, 2*above+1 and 3*above+1 cross the mark
+			// above commits leave free pages at or above the mark; in the
+			// steady loop commits above+1, 2*above+1 and 3*above+1 cross it.
+			above := (cfg.Pages - cfg.CheckpointLow) / 3
+			steady := 3*above + 1
 			k.Spawn("fsync", func(p *sim.Proc) {
 				commit := func(i int) {
 					j.DirtyBuffer(p, &Buffer{Home: uint64(20000 + i%16)}, i)
