@@ -118,6 +118,17 @@ func goldenCases() []goldenCase {
 				panic(fmt.Sprintf("vacuous case: PdflushRuns=%d DataJournaled=%d", st.PdflushRuns, st.DataJournaled))
 			}
 		}},
+		// The legacy (non-eager) writeback cache under pressure: a write
+		// admitted to a full cache asks the writeback daemon to drain, and
+		// the daemon stops draining once nothing dirty is left.
+		{"legacy/EXT4-DR-fdatasync-smallcache", func(k *sim.Kernel) {
+			dev := device.LegacySSD()
+			dev.CachePages = 32
+			s := core.NewStack(k, core.EXT4DR(dev))
+			cfg := workload.DefaultRandWrite(workload.PolicyXnF)
+			cfg.Duration, cfg.Warmup, cfg.FilePages = short, short/4, 256
+			workload.RandWrite(k, s, cfg)
+		}},
 		// GC + OptFS delayed-flush coverage: a deliberately tiny, fast array
 		// so the log wraps within the run and the GC/erase machinery and the
 		// delayed-durability timer both fire.
