@@ -69,7 +69,7 @@ type Device struct {
 	dead        bool
 	plpSnapshot []plpPage // cache image the supercap saved at Crash
 
-	// Handler-mode state machines (see handler.go).
+	// Service-process state machines (see handler.go).
 	wb   wbSM
 	reap reapSM
 
@@ -164,26 +164,18 @@ func newDevice(k *sim.Kernel, cfg Config, arr *nand.Array) *Device {
 	return d
 }
 
-// start spawns the device's service processes in the kernel's process
-// model: run-to-completion handlers on callback kernels, the blocking
-// goroutine loops (the trace oracle) on the reference kernel.
+// start spawns the device's service processes as run-to-completion
+// handlers (handler.go): one command worker per queue slot, the writeback
+// daemon and the durability reaper.
 func (d *Device) start() {
 	prefix := d.cfg.Name + "/worker"
 	d.pickers = d.cfg.QueueDepth // every worker's first activation runs pick
-	if d.k.CallbackMode() {
-		for i := 0; i < d.cfg.QueueDepth; i++ {
-			w := &workerSM{}
-			d.k.SpawnHandlerIdx(prefix, i, func(h *sim.Proc) { d.workerStep(h, w) })
-		}
-		d.k.SpawnHandler(d.cfg.Name+"/writeback", d.writebackStep)
-		d.k.SpawnHandler(d.cfg.Name+"/reaper", d.reaperStep)
-		return
-	}
 	for i := 0; i < d.cfg.QueueDepth; i++ {
-		d.k.SpawnIdx(prefix, i, d.worker)
+		w := &workerSM{}
+		d.k.SpawnHandlerIdx(prefix, i, func(h *sim.Proc) { d.workerStep(h, w) })
 	}
-	d.k.Spawn(d.cfg.Name+"/writeback", d.writebackLoop)
-	d.k.Spawn(d.cfg.Name+"/reaper", d.reaperLoop)
+	d.k.SpawnHandler(d.cfg.Name+"/writeback", d.writebackStep)
+	d.k.SpawnHandler(d.cfg.Name+"/reaper", d.reaperStep)
 }
 
 // Array exposes the NAND array (verification hooks).
@@ -253,21 +245,9 @@ func (d *Device) WaitSpace(p *sim.Proc) {
 	}
 }
 
-// --- command servicing ---
+// --- command servicing (the workers' state machine is in handler.go) ---
 
-func (d *Device) worker(p *sim.Proc) {
-	for {
-		c := d.pick(false)
-		for c == nil {
-			d.pickCond.Wait(p)
-			c = d.pick(true)
-		}
-		d.service(p, c)
-	}
-}
-
-// barrierAdvance is the epoch-advance bookkeeping a barrier performs,
-// shared statement-for-statement by the blocking and handler service paths
+// barrierAdvance is the epoch-advance bookkeeping a barrier performs
 // (standalone barrier command and barrier-flagged write alike).
 func (d *Device) barrierAdvance(stream uint64) {
 	d.stats.Barriers++
@@ -283,113 +263,6 @@ func (d *Device) barrierAdvance(stream uint64) {
 	if d.cfg.BarrierPenalty > 0 && !d.barrierOn {
 		d.barrierOn = true
 		d.arr.ProgramScale = 1 + d.cfg.BarrierPenalty
-	}
-}
-
-func (d *Device) service(p *sim.Proc, c *Command) {
-	p.Advance(d.cfg.CmdOverhead)
-	if d.dead {
-		return
-	}
-	c.Trace.StampChain(reqtrace.StageDevStart, p.Now())
-	switch c.Kind {
-	case CmdFlush:
-		d.stats.Flushes++
-		d.doFlush(p)
-	case CmdBarrier:
-		d.barrierAdvance(c.Stream)
-	case CmdWrite:
-		if c.PreFlush {
-			d.stats.Flushes++
-			d.doFlush(p)
-			if d.dead {
-				return
-			}
-		}
-		d.doWrite(p, c)
-	case CmdRead:
-		d.doRead(p, c)
-	}
-	if d.dead {
-		return
-	}
-	d.complete(p, c)
-}
-
-func (d *Device) doWrite(p *sim.Proc, c *Command) {
-	// Cache admission: wait for a free page slot.
-	for !d.dead && d.cachePages >= d.cfg.CachePages {
-		d.wantDrain = true
-		d.wbCond.Broadcast()
-		d.doneCond.Wait(p)
-	}
-	if d.dead {
-		return
-	}
-	if c.Barrier && d.cfg.BarrierSupport {
-		p.Advance(barrierCmdCost)
-	}
-	// DMA the page from host memory into the cache.
-	d.dmaBus.Lock(p)
-	p.Advance(d.cfg.DMAPerPage)
-	d.dmaBus.Unlock()
-	if d.dead {
-		return
-	}
-	if e := d.cacheInsert(c); e != nil {
-		for !d.dead && !e.durable {
-			d.doneCond.Wait(p)
-		}
-		d.fuaRelease(e)
-	}
-}
-
-func (d *Device) doRead(p *sim.Proc, c *Command) {
-	data, hit := d.readMap.Get(c.LPA)
-	if hit && d.cfg.Fault != nil && !d.cacheLive(c.LPA) {
-		// Fault campaign: the page left the cache, so the read must face
-		// the medium (and its injected errors), not the DRAM shadow.
-		hit = false
-	}
-	if hit {
-		d.stats.CacheHits++
-	} else {
-		var err error
-		data, _, err = d.f.Read(p, c.LPA)
-		if d.dead {
-			return
-		}
-		if err != nil {
-			// Uncorrectable media error: the command completes with the
-			// error and transfers nothing. The host may retry — a later
-			// attempt re-enters the device's read-retry ladder.
-			c.Err = err
-			d.stats.Reads++
-			d.stats.ReadErrors++
-			d.obs.readErrs.Inc()
-			return
-		}
-	}
-	d.dmaBus.Lock(p)
-	p.Advance(d.cfg.DMAPerPage)
-	d.dmaBus.Unlock()
-	c.Data = data
-	d.stats.Reads++
-}
-
-// doFlush persists every page currently in the cache. With PLP the cache is
-// already durable, so only the command round trip is charged (the paper's
-// tε).
-func (d *Device) doFlush(p *sim.Proc) {
-	if d.cfg.PLP {
-		p.Advance(plpFlushLatency)
-		return
-	}
-	target := d.entrySeq
-	d.wantDrain = true
-	d.wbCond.Broadcast()
-	for !d.dead && d.oldestPending() <= target {
-		d.doneCond.Wait(p)
 	}
 }
 
@@ -423,43 +296,6 @@ func (d *Device) complete(p *sim.Proc, c *Command) {
 	d.wakePickers()
 	if c.Done != nil {
 		c.Done(p.Now(), c)
-	}
-}
-
-// --- writeback path (selection and bookkeeping in cache.go) ---
-
-func (d *Device) writebackLoop(p *sim.Proc) {
-	for {
-		for d.dead || !d.shouldWriteback() {
-			if !d.dead && d.dirtyN == 0 {
-				d.wantDrain = false
-			}
-			d.wbCond.Wait(p)
-		}
-		e := d.nextWriteback()
-		d.startWriteback(e)
-		idx := d.f.Append(p, e.lpa, e.data) // may block on FTL space
-		if d.dead {
-			return
-		}
-		d.appended(e, idx)
-	}
-}
-
-// reaperLoop retires cache entries as their NAND programs complete, freeing
-// cache slots and waking FUA/flush waiters.
-func (d *Device) reaperLoop(p *sim.Proc) {
-	for {
-		e := d.flightHead // the oldest outstanding append
-		if e == nil {
-			d.reapCond.Wait(p)
-			continue
-		}
-		d.f.WaitDurable(p, e.idx+1)
-		if d.dead {
-			return
-		}
-		d.retireDurable()
 	}
 }
 

@@ -6,14 +6,14 @@ import (
 	"repro/internal/sim"
 )
 
-// This file holds the run-to-completion (handler) form of the device's
-// service processes: the SCSI command workers, the writeback daemon and the
-// durability reaper. Each state machine mirrors its blocking original
-// (worker/service, writebackLoop, reaperLoop) blocking point for blocking
-// point — same Mesa-loop iterations, same waitlist appends, same stat
-// bumps, same RNG call sites — so its dispatch trace is byte-identical to
-// the goroutine code the reference kernel runs, while dispatching with zero
-// goroutine switches.
+// This file holds the device's service processes, each a run-to-completion
+// handler: the SCSI command workers, the writeback daemon and the
+// durability reaper. A state machine's phase names the one continuation it
+// armed before yielding, and every wait is a Mesa loop that runs one
+// iteration per activation, so the processes dispatch with zero goroutine
+// switches. The frozen dispatch-trace goldens pin every phase boundary,
+// waitlist append, stat bump and RNG call site across commits (README,
+// "golden traces").
 
 // Worker phases. Each value names the continuation the worker armed before
 // yielding; everything between two phases runs inline in one activation.
@@ -22,11 +22,11 @@ const (
 	wOverhead         // CmdOverhead elapsed → route by command kind
 	wFlushPLP         // PLP flush latency elapsed
 	wFlushWait        // waiting for the cache to drain to flushTarget
-	wWrite            // doWrite admission loop
+	wWrite            // cache admission loop
 	wWriteDMA         // acquiring the DMA bus (after any barrier cost)
 	wWriteXfer        // DMA transfer elapsed → cache insertion
 	wWriteFUA         // FUA durability wait
-	wRead             // doRead entry
+	wRead             // read entry: cache hit or FTL read
 	wReadWait         // FTL read in flight
 	wReadDMA          // acquiring the DMA bus for the read-out
 	wReadXfer         // read-out DMA elapsed
@@ -46,8 +46,7 @@ type workerSM struct {
 }
 
 // abort drops the in-service command without completing it (device died
-// mid-service) and returns the worker to the pick loop, mirroring the early
-// returns of the blocking service path.
+// mid-service) and returns the worker to the pick loop.
 func (w *workerSM) abort() {
 	w.c = nil
 	w.e = nil
@@ -56,7 +55,10 @@ func (w *workerSM) abort() {
 	w.phase = wPick
 }
 
-// flushEnter begins doFlush for the current command. It reports true when
+// flushEnter begins a cache flush for the current command. With PLP the
+// cache is already durable, so only the command round trip is charged (the
+// paper's tε); otherwise the writeback daemon drains every page cached so
+// far and the worker waits for them. It reports true when
 // the worker yielded (slept on the PLP latency or parked on the drain
 // wait); false when the flush finished inline.
 func (w *workerSM) flushEnter(h *sim.Proc, d *Device) bool {
@@ -77,8 +79,8 @@ func (w *workerSM) flushEnter(h *sim.Proc, d *Device) bool {
 }
 
 // flushDone routes control after a finished flush: a standalone CmdFlush
-// falls to the service tail; a PreFlush continues into the write path after
-// the same dead check the blocking code performs.
+// falls to the service tail; a PreFlush continues into the write path
+// unless the device died during the flush.
 func (w *workerSM) flushDone(d *Device) {
 	if !w.preflush {
 		w.phase = wTail
@@ -197,6 +199,8 @@ func (d *Device) workerStep(h *sim.Proc, w *workerSM) {
 			w.phase = wTail
 
 		case wRead:
+			// In a fault campaign a page that left the cache is read from
+			// the medium (and its injected errors), not the DRAM shadow.
 			c := w.c
 			if data, hit := d.readMap.Get(c.LPA); hit &&
 				(d.cfg.Fault == nil || d.cacheLive(c.LPA)) {
@@ -219,7 +223,8 @@ func (d *Device) workerStep(h *sim.Proc, w *workerSM) {
 			}
 			if w.rerr != nil {
 				// Uncorrectable media error: complete with the error and
-				// skip the read-out DMA, mirroring the blocking doRead.
+				// skip the read-out DMA. The host may retry: a later
+				// attempt re-enters the device's read-retry ladder.
 				w.c.Err = w.rerr
 				w.rerr = nil
 				w.rdata = nil
@@ -294,7 +299,7 @@ func (d *Device) writebackStep(h *sim.Proc) {
 			e := d.wb.e
 			d.wb.e = nil
 			if d.dead {
-				h.Complete() // the blocking loop returns (dies) here too
+				h.Complete() // a dead device's daemon stands down for good
 				return
 			}
 			d.appended(e, d.wb.op.Idx)
@@ -330,7 +335,7 @@ func (d *Device) reaperStep(h *sim.Proc) {
 				return
 			}
 			if d.dead {
-				h.Complete() // the blocking loop returns (dies) here too
+				h.Complete() // a dead device's daemon stands down for good
 				return
 			}
 			d.retireDurable()

@@ -202,6 +202,9 @@ func driveRandomStreams(k *sim.Kernel, d *Device, o *queueOracle, seed int64, pe
 	}
 }
 
+// propertyKernels runs each property on both event queues: "handler" is
+// sim.NewKernel's timer wheel, "reference" the container/heap queue of
+// sim.NewReferenceKernel. The device's processes are the same on both.
 func propertyKernels() map[string]func() *sim.Kernel {
 	return map[string]func() *sim.Kernel{"handler": sim.NewKernel, "reference": sim.NewReferenceKernel}
 }
@@ -219,7 +222,7 @@ func propertyConfig(seed int64) Config {
 // equals what the seed's rescanning predicate computes over the whole queue,
 // every ready command has a worker on its way and enters service within the
 // instant it became eligible, and completions respect SCSI order per stream
-// — on the handler kernel and on the blocking reference kernel alike.
+// — on both event queues alike.
 func TestReadySetMatchesRescanOracle(t *testing.T) {
 	const perHost = 120
 	for name, newKernel := range propertyKernels() {

@@ -8,9 +8,9 @@
 // full parallelism and still honor barrier ordering — the core trick that
 // makes "cache barrier" cheap.
 //
-// The host reads through one call, Read, which takes part in media-error
-// injection and returns the error; GC relocation reads internally and is
-// exempt, like reads protected by on-die parity.
+// The host reads through one call, ReadStart (handler.go), which takes part
+// in media-error injection and hands back the error; GC relocation reads
+// through read and is exempt, like reads protected by on-die parity.
 package ftl
 
 import (
@@ -284,37 +284,28 @@ func (f *FTL) WaitDurable(p *sim.Proc, idx uint64) {
 // Sync blocks until everything appended so far is durable.
 func (f *FTL) Sync(p *sim.Proc) { f.WaitDurable(p, f.appendIdx) }
 
-// Read is the host read: it returns the data most recently appended for
-// lpa, issuing a NAND read and blocking for its latency. ok is false for
-// unmapped pages. The request participates in media-error injection, so err
-// carries fault.ErrUNC when the device's internal read-retry ladder could
-// not correct the page; ok is still true for a mapped page that erred — the
-// data simply could not be returned on this attempt.
-func (f *FTL) Read(p *sim.Proc, lpa uint64) (data any, ok bool, err error) {
-	return f.read(p, lpa, false)
-}
-
-// read issues one NAND page read. An internal read (GC relocation) is exempt
-// from media-error injection, like reads protected by on-die parity.
-func (f *FTL) read(p *sim.Proc, lpa uint64, internal bool) (data any, ok bool, err error) {
+// read is GC relocation's page read: it returns the data most recently
+// appended for lpa (ok false for an unmapped page), issuing a NAND read and
+// blocking for its latency. It is exempt from media-error injection, like
+// reads protected by on-die parity, so it cannot fail.
+func (f *FTL) read(p *sim.Proc, lpa uint64) (data any, ok bool) {
 	ref, mapped := f.mapping.Get(lpa)
 	if !mapped {
-		return nil, false, nil
+		return nil, false
 	}
 	var out any
-	var rerr error
 	done := sim.NewCond(f.k)
 	f.arr.Submit(&nand.Request{
 		Kind: nand.OpRead,
 		Chip: f.chipOf(ref.slot), Block: ref.seg, Page: f.pageOf(ref.slot),
-		NoFault: internal,
+		NoFault: true,
 		Done: func(at sim.Time, r *nand.Request) {
-			out, rerr = r.Data, r.Err
+			out = r.Data
 			done.Signal()
 		},
 	})
 	done.Wait(p)
-	return out, true, rerr
+	return out, true
 }
 
 // --- garbage collection ---
@@ -327,8 +318,8 @@ func (f *FTL) maybeTriggerGC() {
 
 // gcLoop is the GC daemon, a blocking proc on every kernel: it wakes once
 // per reclaimed segment (96 erases in a full-scale `repro all`, none in any
-// benchmark workload), so a run-to-completion twin would have no events to
-// save and a second copy to keep statement-identical.
+// benchmark workload), so a run-to-completion state machine would have no
+// events to save.
 func (f *FTL) gcLoop(p *sim.Proc) {
 	for {
 		for f.free.Len() > f.cfg.GCLowWater {
@@ -379,7 +370,7 @@ func (f *FTL) collect(p *sim.Proc, victim *segment) {
 			continue // overwritten since; garbage
 		}
 		// Read the page, then re-append.
-		data, _, _ := f.read(p, lpa, true) // internal: cannot fail
+		data, _ := f.read(p, lpa)
 		// Re-check validity: the host may have overwritten during the read.
 		ref, ok = f.mapping.Get(lpa)
 		if !ok || ref.seg != victim.id || ref.slot != slot {

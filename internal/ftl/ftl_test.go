@@ -38,13 +38,13 @@ func TestAppendReadBack(t *testing.T) {
 		f.Append(p, 10, "ten")
 		f.Append(p, 20, "twenty")
 		f.Sync(p)
-		if d, ok, _ := f.Read(p, 10); !ok || d != "ten" {
+		if d, ok := f.read(p, 10); !ok || d != "ten" {
 			t.Errorf("Read(10) = %v,%v", d, ok)
 		}
-		if d, ok, _ := f.Read(p, 20); !ok || d != "twenty" {
+		if d, ok := f.read(p, 20); !ok || d != "twenty" {
 			t.Errorf("Read(20) = %v,%v", d, ok)
 		}
-		if _, ok, _ := f.Read(p, 99); ok {
+		if _, ok := f.read(p, 99); ok {
 			t.Error("unmapped LPA readable")
 		}
 	})
@@ -55,7 +55,7 @@ func TestOverwriteInvalidatesOld(t *testing.T) {
 		f.Append(p, 5, "v1")
 		f.Append(p, 5, "v2")
 		f.Sync(p)
-		if d, _, _ := f.Read(p, 5); d != "v2" {
+		if d, _ := f.read(p, 5); d != "v2" {
 			t.Errorf("Read = %v, want v2", d)
 		}
 		if f.mapping.count() != 1 {
@@ -90,7 +90,7 @@ func TestSegmentRollAndSealBarrier(t *testing.T) {
 		}
 		f.Sync(p)
 		for i := 0; i < n; i++ {
-			if d, ok, _ := f.Read(p, uint64(i)); !ok || d != i {
+			if d, ok := f.read(p, uint64(i)); !ok || d != i {
 				t.Fatalf("Read(%d) = %v,%v", i, d, ok)
 			}
 		}
@@ -112,7 +112,7 @@ func TestGCReclaimsSpace(t *testing.T) {
 		f.Sync(p)
 		for lpa := 0; lpa < 8; lpa++ {
 			want := total - 8 + lpa
-			if d, ok, _ := f.Read(p, uint64(lpa)); !ok || d != want {
+			if d, ok := f.read(p, uint64(lpa)); !ok || d != want {
 				t.Fatalf("Read(%d) = %v,%v, want %d", lpa, d, ok, want)
 			}
 		}
@@ -137,7 +137,7 @@ func TestGCPreservesColdData(t *testing.T) {
 		}
 		f.Sync(p)
 		for i := 0; i < 20; i++ {
-			if d, ok, _ := f.Read(p, uint64(1000+i)); !ok || d != 1000+i {
+			if d, ok := f.read(p, uint64(1000+i)); !ok || d != 1000+i {
 				t.Fatalf("cold page %d = %v,%v after GC", 1000+i, d, ok)
 			}
 		}
@@ -155,7 +155,7 @@ func TestMountEmptyArray(t *testing.T) {
 		}
 		f.Append(p, 3, "post-mount")
 		f.Sync(p)
-		if d, _, _ := f.Read(p, 3); d != "post-mount" {
+		if d, _ := f.read(p, 3); d != "post-mount" {
 			t.Error("append after empty mount failed")
 		}
 	})

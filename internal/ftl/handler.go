@@ -5,14 +5,14 @@ import (
 	"repro/internal/sim"
 )
 
-// This file holds the run-to-completion (handler) form of the FTL's
-// blocking entry points: step-wise append and read primitives for handler
-// clients (the device's writeback and worker handlers, which carry the
-// traffic). Each function mirrors its blocking original statement for
-// statement — one Mesa-loop iteration per activation, identical stat bumps
-// and waitlist appends — so the dispatch trace is byte-identical to the
-// blocking code the reference kernel runs. The GC daemon has no handler
-// form: it is a blocking proc on every kernel (see gcLoop).
+// This file holds the FTL's entry points for run-to-completion handlers:
+// step-wise append, durability and read primitives for the device's
+// writeback, reaper and worker handlers, which carry the traffic. A wait is
+// one Mesa-loop iteration per activation. AppendStep and DurableOrPark are
+// the handler forms of Append and WaitDurable, with the same stat bumps and
+// waitlist appends; the blocking forms remain for the GC daemon, a blocking
+// proc on every kernel (see gcLoop), and for device.Recover. The host read
+// has only the handler form, ReadStart.
 
 // ensureSM tracks progress through the handler form of ensureActive.
 type ensureSM int
@@ -122,16 +122,17 @@ func (c *readCtx) done(at sim.Time, r *nand.Request) {
 	c.req.Data = nil
 	c.req.Meta = nand.PageMeta{}
 	f.readFree = append(f.readFree, c)
-	// Same single wake-up the blocking Read's done.Signal would issue.
+	// One wake-up per read: the worker parked after ReadStart.
 	f.k.Resume(h)
 }
 
-// ReadStart is the handler analogue of Read: it reports false for an
-// unmapped page (no IO, no wait), or issues the NAND read and arranges for
-// h to be resumed with the result stored in *out and the attempt's media
-// error (if any) in *errOut. The caller parks after a true return. Reads
-// lost to a power failure never resume the handler, matching the blocking
-// Read's lost wake-up.
+// ReadStart is the host read: it reports false for an unmapped page (no IO,
+// no wait), or issues the NAND read of the data most recently appended for
+// lpa and arranges for h to be resumed with the result stored in *out and
+// the attempt's media error (if any) in *errOut. The caller parks after a
+// true return. The read takes part in media-error injection, so *errOut is
+// fault.ErrUNC when the device's read-retry ladder could not correct the
+// page. Reads lost to a power failure never resume the handler.
 func (f *FTL) ReadStart(h *sim.Proc, lpa uint64, out *any, errOut *error) bool {
 	ref, mapped := f.mapping.Get(lpa)
 	if !mapped {

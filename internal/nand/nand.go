@@ -117,9 +117,9 @@ type blockState struct {
 	erases int
 }
 
-// chip phases of the handler state machine. Each phase boundary is one
-// blocking point of the goroutine serve loop; everything between executes
-// run-to-completion inside a single activation.
+// chip phases of the service state machine. Each phase names the one
+// continuation the chip armed before yielding; everything between two
+// phases executes run-to-completion inside a single activation.
 const (
 	chipIdle     = iota // fetching the next job from the queue
 	chipPgmBus          // acquiring the channel bus for the data transfer
@@ -136,10 +136,9 @@ type chip struct {
 	ch     int
 	q      *sim.Queue[*Request]
 	blocks []blockState
-	proc   *sim.Proc
 
-	phase int      // handler state machine position
-	cur   *Request // job in service (handler mode)
+	phase int      // service state machine position
+	cur   *Request // job in service
 }
 
 // Stats are cumulative operation counts.
@@ -207,11 +206,7 @@ func New(k *sim.Kernel, geo Geometry, timing Timing) *Array {
 		c := &chip{id: id, ch: id % geo.Channels, q: sim.NewQueue[*Request](k)}
 		c.blocks = make([]blockState, geo.BlocksPerChip)
 		a.chips = append(a.chips, c)
-		if k.CallbackMode() {
-			c.proc = k.SpawnHandlerIdx("nand/chip", id, func(h *sim.Proc) { a.chipStep(h, c) })
-		} else {
-			c.proc = k.SpawnIdx("nand/chip", id, func(p *sim.Proc) { a.serve(p, c) })
-		}
+		k.SpawnHandlerIdx("nand/chip", id, func(h *sim.Proc) { a.chipStep(h, c) })
 	}
 	return a
 }
@@ -313,28 +308,6 @@ func (a *Array) Submit(r *Request) {
 	a.chips[r.Chip].q.Put(r)
 }
 
-// serve is the blocking (goroutine-proc) chip service loop. It is the
-// semantic oracle for chipStep: the reference kernel runs this code, the
-// optimized kernel runs the state machine, and the golden trace tests pin
-// their dispatch sequences byte-identical.
-func (a *Array) serve(p *sim.Proc, c *chip) {
-	for {
-		r := c.q.Get(p)
-		if r.gen != a.gen || a.failed {
-			a.stats.LostJobs++
-			continue
-		}
-		switch r.Kind {
-		case OpProgram:
-			a.doProgram(p, c, r)
-		case OpRead:
-			a.doRead(p, c, r)
-		case OpErase:
-			a.doErase(p, c, r)
-		}
-	}
-}
-
 // programLatency returns the cell-program time for one attempt starting
 // at now: the base tPROG (with the device's ProgramScale), inflated by
 // injected GC interference and transient in-chip retries (each retry
@@ -366,80 +339,11 @@ func (a *Array) readLatency(now sim.Time, r *Request) (sim.Duration, error) {
 	return (a.timing.Read + extra).Scale(a.fault.GCReadScale(now)), err
 }
 
-func (a *Array) doProgram(p *sim.Proc, c *chip, r *Request) {
-	blk := &c.blocks[r.Block]
-	if r.Page != blk.next {
-		r.Err = fmt.Errorf("nand: chip %d block %d: program page %d violates in-order rule (next=%d)",
-			c.id, r.Block, r.Page, blk.next)
-		a.stats.Faults++
-		if r.Done != nil {
-			r.Done(p.Now(), r)
-		}
-		return
-	}
-	bus := a.buses[c.ch]
-	bus.Lock(p)
-	p.Advance(a.timing.BusXfer)
-	bus.Unlock()
-	p.Advance(a.programLatency(p.Now()))
-	if r.gen != a.gen || a.failed {
-		// Power failed mid-program: the page is lost, not half-written in
-		// any observable way (we model clean page loss; the recovery scan
-		// treats it as unprogrammed).
-		a.stats.LostJobs++
-		return
-	}
-	a.store(c.id, r)
-	blk.next++
-	a.stats.Programs++
-	if r.Done != nil {
-		r.Done(p.Now(), r)
-	}
-}
-
-func (a *Array) doRead(p *sim.Proc, c *chip, r *Request) {
-	d, ferr := a.readLatency(p.Now(), r)
-	r.Err = ferr
-	p.Advance(d)
-	bus := a.buses[c.ch]
-	bus.Lock(p)
-	p.Advance(a.timing.BusXfer)
-	bus.Unlock()
-	if r.gen != a.gen || a.failed {
-		a.stats.LostJobs++
-		return
-	}
-	if r.Err == nil {
-		r.Meta, r.Data = a.load(c.id, r.Block, r.Page)
-	}
-	a.stats.Reads++
-	if r.Done != nil {
-		r.Done(p.Now(), r)
-	}
-}
-
-func (a *Array) doErase(p *sim.Proc, c *chip, r *Request) {
-	p.Advance(a.timing.Erase)
-	if r.gen != a.gen || a.failed {
-		a.stats.LostJobs++
-		return
-	}
-	blk := &c.blocks[r.Block]
-	blk.next = 0
-	blk.erases++
-	a.wipe(c.id, r.Block)
-	a.stats.Erases++
-	if r.Done != nil {
-		r.Done(p.Now(), r)
-	}
-}
-
-// chipStep is the run-to-completion chip service handler: one blocking
-// point of serve per phase, everything in between executed inline on the
-// dispatching goroutine. It mirrors serve/doProgram/doRead/doErase
-// statement for statement — same queue waits, same bus mutex
-// iterations, same timing advances, same generation checks — so its
-// dispatch trace is byte-identical to the goroutine loop's.
+// chipStep is the run-to-completion chip service handler: it takes the
+// next job from the chip's queue and serves it, one phase per wait (bus
+// acquisition, bus transfer, cell time), everything in between executed
+// inline on the dispatching goroutine. A job submitted before a power
+// failure is dropped at whichever phase first sees the new generation.
 func (a *Array) chipStep(h *sim.Proc, c *chip) {
 	for {
 		switch c.phase {
@@ -504,7 +408,9 @@ func (a *Array) chipStep(h *sim.Proc, c *chip) {
 			c.cur = nil
 			c.phase = chipIdle
 			if r.gen != a.gen || a.failed {
-				// Power failed mid-program: clean page loss, as in doProgram.
+				// Power failed mid-program: the page is lost, not half-written
+				// in any observable way (we model clean page loss; the
+				// recovery scan treats it as unprogrammed).
 				a.stats.LostJobs++
 				continue
 			}

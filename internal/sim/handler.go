@@ -17,13 +17,14 @@ package sim
 // Because each blocking call maps to one continuation with identical
 // waitlist and schedule effects, a component rewritten as a handler state
 // machine produces the byte-identical dispatch trace of its blocking
-// original — which the golden trace tests pin.
+// original (TestHandlerTraceParity checks that on a unit-scale network).
 //
 // The rule: a proc is a handler only if a named workload spends events in
-// it; everything else is a blocking proc, written once. A handler with a
-// blocking twin (Kernel.CallbackMode selects, so the reference kernel runs
-// the original) is a second copy to keep statement-identical, and pays only
-// where the events are: NAND chips, device workers, writeback and reaper.
+// it; everything else is a blocking proc. Either way each proc is written
+// once, and the frozen dispatch-trace goldens pin it across commits. The
+// handlers are where the events are: NAND chips, device workers, writeback
+// and reaper. A blocking proc converted to a handler replaces its original
+// in the same change, with the goldens showing it dispatches as before.
 
 // mustArm validates a continuation call: the proc must be a handler, must be
 // the running process, and must not have armed a continuation already this

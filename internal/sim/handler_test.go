@@ -279,10 +279,11 @@ func TestHandlerDoubleArmPanics(t *testing.T) {
 
 // TestHandlerTraceParity runs the same mixed producer/consumer network as
 // goroutine procs on the reference kernel and as handlers on the optimized
-// kernel and requires byte-identical dispatch traces — the unit-scale
-// version of the golden workload tests.
+// kernel and requires byte-identical dispatch traces: the contract of the
+// continuation API (handler.go), that a blocking proc rewritten as a handler
+// state machine dispatches as its original did.
 func TestHandlerTraceParity(t *testing.T) {
-	run := func(k *Kernel) *Trace {
+	run := func(k *Kernel, handlers bool) *Trace {
 		defer k.Close()
 		tr := k.StartTrace(false)
 		const items = 50
@@ -292,7 +293,7 @@ func TestHandlerTraceParity(t *testing.T) {
 		done, taken := 0, 0
 		// Consumer: take an item, hold the mutex for 3µs, signal. Consumers
 		// stop once every item is taken; the rest stay parked in Get.
-		if k.CallbackMode() {
+		if handlers {
 			type sm struct{ phase, item int }
 			for c := 0; c < 3; c++ {
 				s := &sm{}
@@ -356,8 +357,8 @@ func TestHandlerTraceParity(t *testing.T) {
 		}
 		return tr
 	}
-	opt := run(NewKernel())
-	ref := run(NewReferenceKernel())
+	opt := run(NewKernel(), true)
+	ref := run(NewReferenceKernel(), false)
 	if opt.Len() != ref.Len() || opt.Hash() != ref.Hash() {
 		t.Fatalf("handler net diverges from goroutine net: (n=%d h=%x) vs (n=%d h=%x)",
 			opt.Len(), opt.Hash(), ref.Len(), ref.Hash())

@@ -27,50 +27,38 @@ type event struct {
 // an event costs the same at any GOMAXPROCS, and a panic or runtime.Goexit
 // (t.Fatal) inside a body surfaces on the RunUntil caller.
 type Kernel struct {
-	now      Time
-	seq      uint64
-	q        eventQueue
-	ref      *refQueue // non-nil: use the container/heap oracle (testing)
-	procs    []*Proc
-	live     int
-	cur      *Proc
-	stopped  bool
-	closed   bool
-	callback bool // components should use run-to-completion handlers
-	onClose  []func()
+	now     Time
+	seq     uint64
+	q       eventQueue
+	ref     *refQueue // non-nil: use the container/heap oracle (testing)
+	procs   []*Proc
+	live    int
+	cur     *Proc
+	stopped bool
+	closed  bool
+	onClose []func()
 
 	tr *Trace
 	sp *SpanTrace
 	ks *KernelStats
 }
 
-// NewKernel returns an empty kernel at virtual time zero. Components built
-// on it use run-to-completion handler procs for their reactive leaves (see
-// CallbackMode); this is the fast configuration.
+// NewKernel returns an empty kernel at virtual time zero, dispatching
+// through the timer-wheel event queue.
 func NewKernel() *Kernel {
-	return &Kernel{callback: true}
+	return &Kernel{}
 }
 
 // NewReferenceKernel returns a kernel whose event queue is the seed's
-// container/heap implementation and whose components use blocking goroutine
-// procs everywhere (CallbackMode off). It exists as the dispatch-order
-// oracle for the golden trace tests: the optimized kernel running handler
-// state machines must dispatch the byte-identical event sequence this
-// kernel produces from the original blocking code. Use NewKernel everywhere
-// else.
+// container/heap implementation. Components built on it are the same as on
+// NewKernel. It exists as the dispatch-order oracle for the golden trace
+// tests: the timer-wheel queue must dispatch the byte-identical event
+// sequence this kernel produces. Use NewKernel everywhere else.
 func NewReferenceKernel() *Kernel {
 	k := NewKernel()
 	k.ref = &refQueue{}
-	k.callback = false
 	return k
 }
-
-// CallbackMode reports whether components should register their reactive
-// leaf loops as run-to-completion handlers (SpawnHandler) instead of
-// blocking procs (Spawn). Both forms must produce byte-identical dispatch
-// traces; the handler just skips the coroutine switch per event. Only nand
-// and device read it (CI checks): see the rule in handler.go.
-func (k *Kernel) CallbackMode() bool { return k.callback }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }

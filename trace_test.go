@@ -3,9 +3,11 @@
 // byte-identical to the seed's container/heap event queue. Each case runs a
 // real workload twice on the optimized kernel (run-to-run determinism) and
 // once on sim.NewReferenceKernel (the container/heap oracle), comparing the
-// (time, seq, proc) dispatch sequences via sim.Trace. Each case's trace is
-// also frozen in testdata/stack_golden.json, so a change to fs, jbd or kvwal
-// event order shows across commits, not only across kernels.
+// (time, seq, proc) dispatch sequences via sim.Trace; the two kernels run
+// the same components and differ only in their event queue. Each case's
+// trace is also frozen in testdata/stack_golden.json, so a change to the
+// event order of any layer (fs, jbd, kvwal, and the device and NAND
+// handlers, of which there is one copy) shows across commits.
 package repro_test
 
 import (
