@@ -12,8 +12,7 @@ import (
 // armed before yielding, and every wait is a Mesa loop that runs one
 // iteration per activation, so the processes dispatch with zero goroutine
 // switches. The frozen dispatch-trace goldens pin every phase boundary,
-// waitlist append, stat bump and RNG call site across commits (README,
-// "golden traces").
+// waitlist append, stat bump and RNG call site across commits.
 
 // Worker phases. Each value names the continuation the worker armed before
 // yielding; everything between two phases runs inline in one activation.

@@ -6,8 +6,8 @@
 // (time, seq, proc) dispatch sequences via sim.Trace; the two kernels run
 // the same components and differ only in their event queue. Each case's
 // trace is also frozen in testdata/stack_golden.json, so a change to the
-// event order of any layer (fs, jbd, kvwal, and the device and NAND
-// handlers, of which there is one copy) shows across commits.
+// event order of any layer (fs, jbd, kvwal, the device and NAND handlers)
+// shows across commits.
 package repro_test
 
 import (
