@@ -430,7 +430,7 @@ func BenchmarkBlockOrdered(b *testing.B) {
 						flags |= block.FlagBarrier
 					}
 					*r = block.Request{Op: block.OpWrite, LPA: uint64(i % 2048), Data: devicePayload,
-						Flags: flags, PID: p.ID(), OnComplete: recycle}
+						Flags: flags, OnComplete: recycle}
 					front.Submit(p, r)
 				}
 			})
@@ -753,31 +753,6 @@ func BenchmarkAblationBarrierCommand(b *testing.B) {
 				k.Close()
 			}
 			b.ReportMetric(iops, "IOPS")
-		})
-	}
-}
-
-// BenchmarkAblationScheduler compares base IO schedulers under the epoch
-// scheduler for the DWSL workload.
-func BenchmarkAblationScheduler(b *testing.B) {
-	for _, sc := range []struct {
-		name string
-		kind core.SchedKind
-	}{{"noop", core.SchedNOOP}, {"cfq", core.SchedCFQ}, {"deadline", core.SchedDeadline}} {
-		sc := sc
-		b.Run(sc.name, func(b *testing.B) {
-			var ops float64
-			for n := 0; n < b.N; n++ {
-				prof := core.BFSDR(device.PlainSSD())
-				prof.Sched = sc.kind
-				k := sim.NewKernel()
-				s := core.NewStack(k, prof)
-				cfg := workload.DefaultDWSL(4)
-				cfg.Duration, cfg.Warmup = 60*sim.Millisecond, 10*sim.Millisecond
-				ops = workload.DWSL(k, s, cfg).PerS
-				k.Close()
-			}
-			b.ReportMetric(ops, "ops/s")
 		})
 	}
 }

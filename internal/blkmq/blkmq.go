@@ -47,18 +47,6 @@ type Config struct {
 	// (the paper's tD), charged on the owning hardware queue's daemon —
 	// with M queues the cost parallelizes, the host half of the blk-mq win.
 	DispatchOverhead sim.Duration
-	// BaseSched builds the conventional scheduler each stream's epoch
-	// scheduler wraps. nil means NOOP.
-	BaseSched func() block.Scheduler
-	// SpreadOrderless routes background writeback (FlagBackground, always
-	// orderless) arriving on stream 0 onto per-PID data streams, so bulk
-	// traffic never sits in front of foreground syncs and barriers.
-	// Foreground requests — ordered, barrier, or simply awaited — are never
-	// moved: their stream is part of their semantics. The data streams are
-	// 1..HWQueues-1, so they land on hardware queues of their own and never
-	// share hardware queue 0 with the foreground stream (one data stream
-	// when there is only one hardware queue).
-	SpreadOrderless bool
 	// BarrierAsCommand dispatches epoch boundaries as standalone barrier
 	// commands instead of write flags — the §3.2 alternative the paper
 	// rejects, kept for ablation parity with the single-queue layer.
@@ -105,14 +93,9 @@ func New(k *sim.Kernel, dev *device.Device, cfg Config) *MQ {
 	if cfg.HWQueues <= 0 {
 		cfg.HWQueues = 1
 	}
-	if cfg.BaseSched == nil {
-		cfg.BaseSched = func() block.Scheduler { return block.NewNOOP() }
-	}
 	m := &MQ{cfg: cfg, scheds: make(map[uint64]*block.EpochScheduler)}
-	shape := block.PerStream{HWQueues: cfg.HWQueues, Daemon: "blkmq/hwq", OpenStream: m.openStream}
-	if cfg.SpreadOrderless {
-		shape.Route = m.spreadOrderless
-	}
+	shape := block.PerStream{HWQueues: cfg.HWQueues, Daemon: "blkmq/hwq",
+		OpenStream: m.openStream, Route: m.spreadOrderless}
 	// The per-queue depth gauges count requests buffered per hardware
 	// dispatch context (scheduler + staging), the blk-mq in-flight view.
 	if reg := metrics.Resolve(cfg.Metrics); reg != nil {
@@ -134,9 +117,10 @@ func New(k *sim.Kernel, dev *device.Device, cfg Config) *MQ {
 	return m
 }
 
-// openStream opens a stream's ordering domain: a private epoch scheduler.
+// openStream opens a stream's ordering domain: a private epoch scheduler
+// over NOOP.
 func (m *MQ) openStream(id uint64) block.Scheduler {
-	es := block.NewEpochScheduler(m.cfg.BaseSched())
+	es := block.NewEpochScheduler(block.NewNOOP())
 	m.scheds[id] = es
 	return es
 }
@@ -164,9 +148,13 @@ func (m *MQ) Verify() error { return VerifyTrace(m.DispatchLog()) }
 
 // spreadOrderless scatters background writeback arriving on an ordering
 // stream — stream 0 or a per-shard order stream (block.OrderStream) — over
-// the data streams. Background writeback carries no ordering promise and
-// nobody waits on it, so it bypasses the ordering stream's barriers and
-// congestion limit. Keyed by LPA, not submitter, so a single pdflush daemon
+// the data streams, 1..HWQueues-1 (one data stream when there is only one
+// hardware queue), so it never shares hardware queue 0 with the foreground
+// stream. Every multi-queue layer spreads. Background writeback carries no
+// ordering promise and nobody waits on it, so it bypasses the ordering
+// stream's barriers and congestion limit; foreground requests (ordered,
+// barrier, or simply awaited) never move, since their stream is part of
+// their semantics. Keyed by LPA, not submitter, so a single pdflush daemon
 // still spreads across every data stream; data streams are shared by every
 // tenant, which is safe precisely because spread writes are orderless. A
 // moved request sits on no ordering stream, so a parked handler's retry with

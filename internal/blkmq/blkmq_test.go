@@ -175,7 +175,6 @@ func TestMQConcurrentSubmittersOneStream(t *testing.T) {
 				default:
 					r = orderless(0, lpa)
 				}
-				r.PID = p.ID()
 				lpa++
 				m.Submit(p, r)
 				if rng.Intn(4) == 0 {
@@ -198,16 +197,10 @@ func TestMQConcurrentSubmittersOneStream(t *testing.T) {
 func TestMQSpreadOrderless(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	m := New(k, testDevice(k), Config{
-		HWQueues:        4,
-		SpreadOrderless: true,
-		Trace:           true,
-	})
+	m := New(k, testDevice(k), Config{HWQueues: 4, Trace: true})
 	k.Spawn("host", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
-			r := background(0, uint64(i))
-			r.PID = i
-			m.Submit(p, r)
+			m.Submit(p, background(0, uint64(i)))
 		}
 		m.Submit(p, orderless(0, 50)) // foreground orderless: stays on 0
 		m.Submit(p, ordered(0, 100))
@@ -249,7 +242,7 @@ func TestCheckpointStreamRules(t *testing.T) {
 	const hwq = 4
 	k := sim.NewKernel()
 	defer k.Close()
-	m := New(k, testDevice(k), Config{HWQueues: hwq, SpreadOrderless: true, Trace: true})
+	m := New(k, testDevice(k), Config{HWQueues: hwq, Trace: true})
 	journals := []uint64{0, block.OrderStream(1), block.OrderStream(2), block.OrderStream(7)}
 	derived := map[uint64]bool{}
 	for _, s := range journals {
@@ -310,16 +303,10 @@ func TestCheckpointStreamRules(t *testing.T) {
 func TestMQStreamsMatchesDeviceCapture(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
-	m := New(k, testDevice(k), Config{
-		HWQueues:        4,
-		SpreadOrderless: true,
-		Trace:           true,
-	})
+	m := New(k, testDevice(k), Config{HWQueues: 4, Trace: true})
 	k.Spawn("host", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
-			r := background(0, uint64(i))
-			r.PID = i
-			m.Submit(p, r)
+			m.Submit(p, background(0, uint64(i)))
 		}
 		m.Submit(p, ordered(0, 100))
 	})

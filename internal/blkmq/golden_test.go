@@ -56,11 +56,11 @@ func goldenShapes() []goldenShape {
 		{name: "single/4-streams", streams: 4, layer: block.LayerConfig{DispatchOverhead: tD}},
 		{name: "mq/4x4", streams: 4, mq: &Config{HWQueues: 4, DispatchOverhead: tD}},
 		{name: "mq/4x2-spread", streams: 4, bg: true,
-			mq: &Config{HWQueues: 2, DispatchOverhead: tD, SpreadOrderless: true}},
+			mq: &Config{HWQueues: 2, DispatchOverhead: tD}},
 		{name: "single/limit4", streams: 4, bg: true, handler: true,
 			layer: block.LayerConfig{DispatchOverhead: tD, QueueLimit: 4}},
 		{name: "mq/limit4", streams: 4, bg: true, handler: true,
-			mq: &Config{HWQueues: 2, DispatchOverhead: tD, QueueLimit: 4, SpreadOrderless: true}},
+			mq: &Config{HWQueues: 2, DispatchOverhead: tD, QueueLimit: 4}},
 		// Stream 0 only on the single-queue layer: the file was recorded when
 		// that layer's §3.2 trailer closed stream 0's epoch whatever stream the
 		// write rode, so other streams would pin the defect.

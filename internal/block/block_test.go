@@ -62,59 +62,22 @@ func TestFIFOAcrossCompaction(t *testing.T) {
 	}
 }
 
-func TestDeadlineReadsFirst(t *testing.T) {
-	now := sim.Time(0)
-	s := NewDeadline(func() sim.Time { return now }, 5*sim.Millisecond)
-	w := mkReq(1, 0)
-	s.Add(w)
-	r := &Request{Op: OpRead, LPA: 2}
-	s.Add(r)
-	if got := s.Next(); got.Op != OpRead {
-		t.Error("read not prioritized")
-	}
-	if got := s.Next(); got.Op != OpWrite {
-		t.Error("write lost")
-	}
-}
+// lifo is a reordering base scheduler for the epoch tests: it yields the
+// newest queued request first, so an epoch leaves its queue in reverse.
+type lifo struct{ q []*Request }
 
-func TestDeadlineWriteExpiry(t *testing.T) {
-	now := sim.Time(0)
-	s := NewDeadline(func() sim.Time { return now }, 5*sim.Millisecond)
-	w := mkReq(1, 0)
-	w.issued = 0
-	s.Add(w)
-	s.Add(&Request{Op: OpRead, LPA: 2})
-	now = sim.Time(10 * sim.Millisecond) // write is past deadline
-	if got := s.Next(); got.Op != OpWrite {
-		t.Error("expired write not prioritized over read")
+func (s *lifo) Name() string        { return "lifo" }
+func (s *lifo) Add(r *Request) bool { s.q = append(s.q, r); return true }
+func (s *lifo) Pending() int        { return len(s.q) }
+func (s *lifo) Accepting() bool     { return true }
+func (s *lifo) Next() *Request {
+	n := len(s.q)
+	if n == 0 {
+		return nil
 	}
-}
-
-func TestCFQRoundRobin(t *testing.T) {
-	s := NewCFQ()
-	for pid := 1; pid <= 3; pid++ {
-		for j := 0; j < 2; j++ {
-			r := mkReq(uint64(pid*10+j), 0)
-			r.PID = pid
-			s.Add(r)
-		}
-	}
-	var got []uint64
-	for r := s.Next(); r != nil; r = s.Next() {
-		got = append(got, r.LPA)
-	}
-	want := []uint64{10, 20, 30, 11, 21, 31}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CFQ order = %v, want %v", got, want)
-		}
-	}
-	if s.Pending() != 0 {
-		t.Error("pending != 0 after drain")
-	}
+	r := s.q[n-1]
+	s.q = s.q[:n-1]
+	return r
 }
 
 func TestEpochBarrierReassignment(t *testing.T) {
@@ -161,29 +124,31 @@ func TestEpochBarrierReassignment(t *testing.T) {
 }
 
 func TestEpochBarrierMovesToLastOrdered(t *testing.T) {
-	// With a CFQ base, the barrier-carrying request can leave early; the
-	// tag must move to whichever ordered request leaves last (w1 in Fig. 5).
-	s := NewEpochScheduler(NewCFQ())
+	// With a reordering base, the barrier-carrying request can leave early;
+	// the tag must move to whichever ordered request leaves last (w1 in
+	// Fig. 5).
+	s := NewEpochScheduler(&lifo{})
 	w1 := mkReq(1, FlagOrdered)
-	w1.PID = 1
 	w2 := mkReq(2, FlagOrdered)
-	w2.PID = 1
 	w4 := mkReq(4, FlagOrdered|FlagBarrier)
-	w4.PID = 2
 	s.Add(w1)
 	s.Add(w2)
 	s.Add(w4)
-	// CFQ round-robin yields w1 (pid1), w4 (pid2), w2 (pid1): the barrier
-	// carrier w4 leaves while ordered w2 is still queued.
+	// LIFO yields w4, w2, w1: the barrier carrier w4 leaves first, while
+	// ordered w2 and w1 are still queued.
 	got := []*Request{s.Next(), s.Next(), s.Next()}
-	if got[0].LPA != 1 || got[1].LPA != 4 || got[2].LPA != 2 {
-		t.Fatalf("unexpected CFQ order: %d, %d, %d", got[0].LPA, got[1].LPA, got[2].LPA)
+	if got[0].LPA != 4 || got[1].LPA != 2 || got[2].LPA != 1 {
+		t.Fatalf("unexpected LIFO order: %d, %d, %d", got[0].LPA, got[1].LPA, got[2].LPA)
 	}
-	if got[1].Flags.Has(FlagBarrier) {
-		t.Error("barrier left on original carrier despite later ordered request")
+	if got[0].Flags.Has(FlagBarrier) || got[1].Flags.Has(FlagBarrier) {
+		t.Error("barrier left before the last ordered request")
 	}
 	if !got[2].Flags.Has(FlagBarrier) {
-		t.Error("barrier not reassigned to the last ordered request out")
+		t.Error("barrier not reassigned to the last ordered request out (w1)")
+	}
+	if s.Reassigned() != 1 || s.EpochsClosed() != 1 || !s.Accepting() {
+		t.Errorf("reassigned %d, epochs closed %d, accepting %v after the epoch drained",
+			s.Reassigned(), s.EpochsClosed(), s.Accepting())
 	}
 }
 
@@ -211,7 +176,7 @@ func TestEpochSchedulerPropertyNoCrossEpochDispatch(t *testing.T) {
 	// epoch k+1 before the barrier of epoch k, for random workloads.
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
-		s := NewEpochScheduler(NewCFQ())
+		s := NewEpochScheduler(&lifo{})
 		var staged []*Request
 		submit := func(r *Request) {
 			if len(staged) > 0 || !s.Add(r) {
@@ -235,9 +200,7 @@ func TestEpochSchedulerPropertyNoCrossEpochDispatch(t *testing.T) {
 			case 1:
 				fl = FlagOrdered | FlagBarrier
 			}
-			r := mkReq(uint64(i), fl)
-			r.PID = rng.Intn(4)
-			submit(r)
+			submit(mkReq(uint64(i), fl))
 			feed()
 		}
 		// Drain fully.

@@ -1,9 +1,9 @@
 // Package block implements the order-preserving block device layer of the
 // paper (§3): request flags REQ_ORDERED and REQ_BARRIER, Epoch-based IO
-// scheduling with barrier reassignment on top of conventional schedulers
-// (NOOP, Deadline, CFQ), and a dispatch module that maps barrier writes to
-// SCSI "ordered" priority commands so transfer order is preserved without
-// Wait-on-Transfer.
+// scheduling with barrier reassignment on top of a conventional scheduler
+// (NOOP; the paper's prototype wraps CFQ, §3.3), and a dispatch module that
+// maps barrier writes to SCSI "ordered" priority commands so transfer order
+// is preserved without Wait-on-Transfer.
 package block
 
 import (
@@ -75,8 +75,8 @@ type Request struct {
 	LPA   uint64
 	Data  any
 	Flags Flags
-	// PID identifies the issuing thread; the CFQ scheduler keeps one queue
-	// per PID.
+	// PID is the issuing proc's ID. Nothing reads it; it stays while bench/
+	// sets it.
 	PID int
 	// Stream identifies the ordering domain of the request (§8's per-stream
 	// barriers). Ordering and barrier semantics hold only among requests of

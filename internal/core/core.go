@@ -21,22 +21,19 @@ import (
 	"repro/internal/sim"
 )
 
-// SchedKind selects the base IO scheduler under the epoch scheduler.
+// SchedKind names the epoch scheduler's base; it stays while bench/ uses it.
 type SchedKind int
 
-// Base schedulers.
-const (
-	SchedNOOP SchedKind = iota
-	SchedCFQ
-	SchedDeadline
-)
+// SchedNOOP, the NOOP base, is SchedKind's one value.
+const SchedNOOP SchedKind = 0
 
 // Profile names a complete stack configuration.
 type Profile struct {
 	Name   string
 	Device device.Config
 	FS     fs.Options
-	Sched  SchedKind
+	// Sched is always SchedNOOP; it stays while bench/ reads it.
+	Sched SchedKind
 	// Relaxed selects the ordering-only sync calls (fbarrier /
 	// fdatabarrier) in workloads that honor it: the "-OD" configurations.
 	Relaxed bool
@@ -48,8 +45,8 @@ type Profile struct {
 	// MQQueues selects the multi-queue block layer (internal/blkmq) with
 	// that many hardware dispatch queues; 0 keeps the single-queue Layer.
 	// With MQ, ordered/barrier traffic stays on stream 0 (the journal's
-	// ordering domain) while orderless writeback scatters over per-PID data
-	// streams, so background IO bypasses foreground barriers.
+	// ordering domain) while background writeback scatters over the data
+	// streams by LPA, so background IO bypasses foreground barriers.
 	MQQueues int
 	// Metrics is an explicit observability registry for the whole stack;
 	// nil falls back to the process-wide live registry (metrics.SetLive).
@@ -162,30 +159,18 @@ func NewStack(k *sim.Kernel, prof Profile) *Stack {
 		}
 	}
 	dev := device.New(k, prof.Device)
-	mkSched := func() block.Scheduler {
-		switch prof.Sched {
-		case SchedCFQ:
-			return block.NewCFQ()
-		case SchedDeadline:
-			return block.NewDeadline(func() sim.Time { return k.Now() }, 0)
-		default:
-			return block.NewNOOP()
-		}
-	}
 	s := &Stack{Profile: prof, K: k, Dev: dev}
 	if prof.MQQueues > 0 {
 		s.MQ = blkmq.New(k, dev, blkmq.Config{
 			HWQueues:         prof.MQQueues,
 			DispatchOverhead: prof.DispatchOverhead,
-			BaseSched:        mkSched,
-			SpreadOrderless:  true,
 			BarrierAsCommand: prof.BarrierAsCommand,
 			Metrics:          reg,
 			Retry:            prof.Retry,
 		})
 		s.Front = s.MQ
 	} else {
-		s.Layer = block.NewLayer(k, dev, block.NewEpochScheduler(mkSched()), block.LayerConfig{
+		s.Layer = block.NewLayer(k, dev, block.NewEpochScheduler(block.NewNOOP()), block.LayerConfig{
 			DispatchOverhead: prof.DispatchOverhead,
 			BarrierAsCommand: prof.BarrierAsCommand,
 			Metrics:          reg,

@@ -73,27 +73,6 @@ func TestStackEndToEnd(t *testing.T) {
 	}
 }
 
-func TestStackSchedulerSelection(t *testing.T) {
-	for _, sched := range []SchedKind{SchedNOOP, SchedCFQ, SchedDeadline} {
-		prof := BFSDR(device.UFS())
-		prof.Sched = sched
-		k := sim.NewKernel()
-		s := NewStack(k, prof)
-		ok := false
-		k.Spawn("app", func(p *sim.Proc) {
-			f, _ := s.FS.Create(p, s.FS.Root(), "x")
-			s.FS.Write(p, f, 0)
-			s.FS.Fsync(p, f)
-			ok = true
-		})
-		k.Run()
-		k.Close()
-		if !ok {
-			t.Errorf("scheduler %d: fsync did not complete", sched)
-		}
-	}
-}
-
 func TestStackCrashRecoverView(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()

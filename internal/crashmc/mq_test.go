@@ -220,9 +220,10 @@ func spreadFdatabarrier(mq *testing.T, reached *int) Part {
 			}
 			s.FS.Fdatabarrier(p, f)
 			// The direct contract: nothing the barrier cannot order may still be
-			// in flight when it returns. SpreadOrderless moves every background
-			// write off stream 0, so none of the writeback is the barrier's to
-			// order, and draining what is left must take no time at all.
+			// in flight when it returns. The multi-queue layer moves every
+			// background write off stream 0, so none of the writeback is the
+			// barrier's to order, and draining what is left must take no time
+			// at all.
 			if mq != nil {
 				returned := p.Now()
 				s.FS.Fdatawait(p, f)

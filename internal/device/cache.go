@@ -129,7 +129,7 @@ func (d *Device) highWater() int {
 }
 
 func (d *Device) lowWater() int {
-	return int(float64(d.cfg.CachePages) * d.cfg.WritebackLowWater)
+	return int(float64(d.cfg.CachePages) * writebackLowWater)
 }
 
 // nextWriteback chooses the next cache entry to append to the FTL. Barrier

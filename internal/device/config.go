@@ -54,10 +54,6 @@ type Config struct {
 	// which is what keeps their flush latency low.
 	EagerWriteback bool
 
-	// WritebackLowWater is the cache fill, as a fraction of CachePages, the
-	// background writeback daemon drains down to (see writebackHighWater).
-	WritebackLowWater float64
-
 	Geometry nand.Geometry
 	Timing   nand.Timing
 	FTL      ftl.Config
@@ -97,9 +93,6 @@ func (c Config) Validate() error {
 }
 
 func defaults(c Config) Config {
-	if c.WritebackLowWater == 0 {
-		c.WritebackLowWater = 0.25
-	}
 	if c.FTL.GCLowWater == 0 {
 		c.FTL = ftl.DefaultConfig()
 	}
@@ -120,8 +113,12 @@ const barrierCmdCost = 2 * sim.Microsecond
 const plpFlushLatency = 25 * sim.Microsecond
 
 // writebackHighWater is the cache fill, as a fraction of CachePages, that
-// wakes the background writeback daemon.
-const writebackHighWater = 0.5
+// wakes the background writeback daemon, and writebackLowWater the fill it
+// drains down to.
+const (
+	writebackHighWater = 0.5
+	writebackLowWater  = 0.25
+)
 
 // mlcTiming approximates a mature MLC NAND part.
 func mlcTiming() nand.Timing {

@@ -63,7 +63,6 @@ type Device struct {
 	reapCond  *sim.Cond // durability reaper kick
 	doneCond  *sim.Cond // cache entries became durable (flush/FUA waits)
 
-	flushing    bool
 	wantDrain   bool // writeback daemon should drain everything
 	barrierOn   bool // a barrier write has been seen; penalty active
 	dead        bool

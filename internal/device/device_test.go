@@ -377,7 +377,6 @@ func TestLegacyDeviceCanViolateOrderWithoutFlush(t *testing.T) {
 		cfg := LegacySSD()
 		cfg.QueueDepth = 32
 		cfg.CachePages = 64
-		cfg.WritebackLowWater = 0.05 // aggressive writeback to get reordering on flash
 		d := New(k, cfg)
 		const n = 48
 		k.Spawn("host", func(p *sim.Proc) {

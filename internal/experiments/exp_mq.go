@@ -84,7 +84,7 @@ func MQPoint(streams, hwq int, dur sim.Duration) (iops float64, epochs int64) {
 				}
 				r := &block.Request{
 					Op: block.OpWrite, LPA: base + n%2048, Data: n,
-					Flags: flags, Stream: stream, PID: p.ID(),
+					Flags: flags, Stream: stream,
 					OnComplete: done,
 				}
 				n++

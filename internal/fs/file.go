@@ -93,7 +93,7 @@ func (f *FS) Read(p *sim.Proc, i *Inode, idx int64, class block.Flags) (int64, b
 		return 0, false, nil
 	}
 	r := f.reqPool.Get()
-	r.Op, r.LPA, r.Flags, r.PID, r.Stream = block.OpRead, i.blocks[idx], class, p.ID(), f.stream
+	r.Op, r.LPA, r.Flags, r.Stream = block.OpRead, i.blocks[idx], class, f.stream
 	f.layer.SubmitAndWait(p, r)
 	err, data := r.Err, r.Data
 	r.Release()
@@ -167,7 +167,7 @@ func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast boo
 			plan.journaled = true
 			continue
 		}
-		plan.reqs = append(plan.reqs, f.dataRequest(i, pg, flags, p.ID()))
+		plan.reqs = append(plan.reqs, f.dataRequest(i, pg, flags))
 	}
 	i.keepDirty(dirty)
 	if barrierLast && len(plan.reqs) > 0 {
@@ -223,9 +223,9 @@ func (i *Inode) keepDirty(dirty []*page) {
 
 // dataRequest builds the in-place write request for one dirty page,
 // marking the page clean.
-func (f *FS) dataRequest(i *Inode, pg *page, flags block.Flags, pid int) *block.Request {
+func (f *FS) dataRequest(i *Inode, pg *page, flags block.Flags) *block.Request {
 	r := f.reqPool.Get()
-	r.Op, r.LPA, r.Flags, r.PID, r.Stream = block.OpWrite, i.blocks[pg.idx], flags, pid, f.stream
+	r.Op, r.LPA, r.Flags, r.Stream = block.OpWrite, i.blocks[pg.idx], flags, f.stream
 	r.Data = f.stamp(i, pg)
 	pg.dirty = false
 	pg.everSynced = true

@@ -207,7 +207,7 @@ func TestConcurrentOpsDuringResize(t *testing.T) {
 					continue
 				}
 				acked[w] = append(acked[w], key)
-				if _, _, err := cl.Get(p, key, 0); err != nil {
+				if _, _, err := cl.Get(p, key); err != nil {
 					t.Errorf("read-your-write %s during resize: %v", key, err)
 				}
 			}
@@ -236,7 +236,7 @@ func TestConcurrentOpsDuringResize(t *testing.T) {
 		mig.Wait(p)
 		for w := range acked {
 			for _, key := range acked[w] {
-				if _, ok, err := cl.Get(p, key, 0); err != nil || !ok {
+				if _, ok, err := cl.Get(p, key); err != nil || !ok {
 					t.Errorf("acked key %s unreadable after resize: ok=%v err=%v", key, ok, err)
 				}
 			}
@@ -301,7 +301,7 @@ func TestReplaceShardRebuildsDeadShard(t *testing.T) {
 			t.Error("rebuilt shard holds no keys after re-replication")
 		}
 		for _, key := range keys {
-			if _, ok, err := cl.Get(p, key, 0); err != nil || !ok {
+			if _, ok, err := cl.Get(p, key); err != nil || !ok {
 				t.Errorf("key %s unreadable after rebuild: ok=%v err=%v", key, ok, err)
 			}
 		}
@@ -355,7 +355,7 @@ func TestResizeRetargetsWhenDestinationDies(t *testing.T) {
 			t.Fatalf("migration pinned failed despite live successors: %+v", mig.Stats())
 		}
 		for _, key := range keys {
-			if _, ok, err := cl.Get(p, key, 0); err != nil || !ok {
+			if _, ok, err := cl.Get(p, key); err != nil || !ok {
 				t.Errorf("acked key %s lost after dest death: ok=%v err=%v", key, ok, err)
 			}
 		}
@@ -368,12 +368,12 @@ func TestResizeRetargetsWhenDestinationDies(t *testing.T) {
 }
 
 // A read of a migrating range whose first old owner is dead fails over once:
-// the dead owner is skipped, and serving from the live old owner is the one
-// failover charged to the tenant. With a budget of one the read is served.
+// the dead owner is skipped, the live old owner serves the read, and that is
+// the one failover counted.
 func TestDeadOldOwnerChargesOneFailover(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := ReplicaConfig{
-		Shards: 3, Replicas: 2, Store: smallStore(), TenantFailovers: 1, Metrics: reg,
+		Shards: 3, Replicas: 2, Store: smallStore(), Metrics: reg,
 		Migrate: MigrateConfig{ChunkKeys: 1, ChunkEvery: sim.Second},
 	}
 	k := sim.NewKernel()
@@ -403,12 +403,12 @@ func TestDeadOldOwnerChargesOneFailover(t *testing.T) {
 		}
 		rm := mig.rangeOf(keys[i])
 		cl.KillShard(rm.mv.Old[0])
-		if _, ok, err := cl.Get(p, keys[i], 0); err != nil || !ok {
+		if _, ok, err := cl.Get(p, keys[i]); err != nil || !ok {
 			t.Errorf("get %s past dead old owner %d (range %v -> %v): ok=%v err=%v",
 				keys[i], rm.mv.Old[0], rm.mv.Old, rm.mv.New, ok, err)
 		}
 		if got := reg.Counter("kvcluster/failovers").Value(); got != 1 {
-			t.Errorf("%d failovers charged, want 1", got)
+			t.Errorf("%d failovers counted, want 1", got)
 		}
 		done = true
 	})
@@ -448,7 +448,7 @@ func TestAllReplicasDeadShedsDegraded(t *testing.T) {
 		if err := cl.Put(p, "dead"); err != ErrUnavailable {
 			t.Errorf("put with all replicas dead: got %v, want ErrUnavailable", err)
 		}
-		if _, _, err := cl.Get(p, "alive", 0); err != ErrUnavailable {
+		if _, _, err := cl.Get(p, "alive"); err != ErrUnavailable {
 			t.Errorf("get with all replicas dead: got %v, want ErrUnavailable", err)
 		}
 		// The unavailable put and get shed one each.

@@ -46,11 +46,6 @@ type ReplicaConfig struct {
 	Device func(i int) device.Config
 	// Store is the per-shard kvwal configuration.
 	Store kvwal.Config
-	// TenantFailovers is the per-tenant failover budget: after this many
-	// read failovers a tenant's failing reads are shed immediately instead
-	// of retried on replicas — graceful degradation under a sick shard
-	// instead of retry storms. 0 means unlimited.
-	TenantFailovers int64
 	// Migrate bounds live-rebalancing copy bandwidth (see MigrateConfig).
 	Migrate MigrateConfig
 	// InflightCap is the runners' cluster-wide outstanding request bound;
@@ -122,15 +117,14 @@ type node struct {
 // Cluster is a live replicated deployment: Shards full stacks in one
 // kernel behind a consistent-hash ring with successor-list replication.
 type Cluster struct {
-	k       *sim.Kernel
-	cfg     ReplicaConfig
-	ring    *Ring
-	nodes   []*node
-	budgets map[int]int64 // tenant -> failovers consumed
-	mig     *Migration    // active (or failed-and-pinned) migration
-	epoch   int           // bumped when a migration starts
-	wild    map[int]int   // admission epoch -> in-flight writes outside any migrating range
-	obs     clusterObs
+	k     *sim.Kernel
+	cfg   ReplicaConfig
+	ring  *Ring
+	nodes []*node
+	mig   *Migration  // active (or failed-and-pinned) migration
+	epoch int         // bumped when a migration starts
+	wild  map[int]int // admission epoch -> in-flight writes outside any migrating range
+	obs   clusterObs
 }
 
 // OpenCluster builds the shard stacks and opens their stores. Call from a
@@ -140,9 +134,8 @@ func OpenCluster(p *sim.Proc, cfg ReplicaConfig) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		k: p.Kernel(), cfg: cfg,
-		ring:    NewRing(cfg.Shards),
-		budgets: make(map[int]int64),
-		wild:    make(map[int]int),
+		ring: NewRing(cfg.Shards),
+		wild: make(map[int]int),
 	}
 	reg := metrics.Resolve(cfg.Metrics) // nil registry: nil, no-op instruments
 	c.obs = clusterObs{
@@ -244,7 +237,7 @@ func (c *Cluster) Delete(p *sim.Proc, key string) error {
 func (c *Cluster) serve(p *sim.Proc, r Request) error {
 	switch r.Class {
 	case workload.ClassGet:
-		_, _, err := c.Get(p, r.Key, r.Tenant)
+		_, _, err := c.Get(p, r.Key)
 		return err
 	case workload.ClassDelete:
 		return c.Delete(p, r.Key)
@@ -377,9 +370,8 @@ func (c *Cluster) ownersForRead(key string) (owners []int, primary int) {
 
 // Get reads key from its primary, failing over down the replica list on a
 // dead shard or a hard media error. It reports the newest committed
-// sequence for the key and whether the key is live. The tenant's failover
-// budget throttles how often its reads may be retried on replicas.
-func (c *Cluster) Get(p *sim.Proc, key string, tenant int) (uint64, bool, error) {
+// sequence for the key and whether the key is live.
+func (c *Cluster) Get(p *sim.Proc, key string) (uint64, bool, error) {
 	owners, primary := c.ownersForRead(key)
 	var errShards []int
 	var lastErr error
@@ -389,9 +381,9 @@ func (c *Cluster) Get(p *sim.Proc, key string, tenant int) (uint64, bool, error)
 			continue
 		}
 		// Serving a key away from its natural primary (dead, erroring, or
-		// promoted around) is one failover; charge the tenant's budget.
-		if s != primary && !c.chargeFailover(tenant) {
-			return 0, false, lastErrOr(lastErr)
+		// promoted around) is one failover.
+		if s != primary {
+			c.obs.failovers.Inc()
 		}
 		seq, ok, err := n.store.GetE(p, key)
 		if err != nil {
@@ -407,26 +399,10 @@ func (c *Cluster) Get(p *sim.Proc, key string, tenant int) (uint64, bool, error)
 	// No live replica could serve the key (mass failure, or every owner
 	// errored): shed it as degraded rather than panicking or misrouting.
 	c.obs.shed.Inc()
-	return 0, false, lastErrOr(lastErr)
-}
-
-func lastErrOr(err error) error {
-	if err != nil {
-		return err
+	if lastErr == nil {
+		lastErr = ErrUnavailable
 	}
-	return ErrUnavailable
-}
-
-// chargeFailover consumes one unit of the tenant's failover budget,
-// reporting false — shed the read — once it is exhausted.
-func (c *Cluster) chargeFailover(tenant int) bool {
-	if c.cfg.TenantFailovers > 0 && c.budgets[tenant] >= c.cfg.TenantFailovers {
-		c.obs.shed.Inc()
-		return false
-	}
-	c.budgets[tenant]++
-	c.obs.failovers.Inc()
-	return true
+	return 0, false, lastErr
 }
 
 // readRepair re-primes the replicas that failed the read with an async

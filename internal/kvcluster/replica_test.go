@@ -166,7 +166,7 @@ func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 		// Let flushes push keys into segment files on all shards.
 		p.Sleep(5 * sim.Millisecond)
 		for key := range acked {
-			_, ok, err := cl.Get(p, key, 0)
+			_, ok, err := cl.Get(p, key)
 			if err != nil || !ok {
 				lost++
 				t.Errorf("acked key %s lost: ok=%v err=%v", key, ok, err)
@@ -214,7 +214,7 @@ func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 		}
 		p.Sleep(5 * sim.Millisecond)
 		for i := 0; i < n; i++ {
-			if _, _, err := cl.Get(p, fmt.Sprintf("k%05d", i), 0); err != nil {
+			if _, _, err := cl.Get(p, fmt.Sprintf("k%05d", i)); err != nil {
 				readErrs++
 			}
 		}
@@ -264,7 +264,7 @@ func TestClusterConcurrentOpsDuringFailover(t *testing.T) {
 					continue // no live replica pair — not acked, no promise
 				}
 				acked[w] = append(acked[w], key)
-				if _, _, err := cl.Get(p, key, 0); err != nil {
+				if _, _, err := cl.Get(p, key); err != nil {
 					t.Errorf("read-your-write %s: %v", key, err)
 				}
 			}
@@ -285,7 +285,7 @@ func TestClusterConcurrentOpsDuringFailover(t *testing.T) {
 	k.Spawn("audit", func(p *sim.Proc) {
 		for w := range acked {
 			for _, key := range acked[w] {
-				if _, ok, err := cl.Get(p, key, 0); err != nil || !ok {
+				if _, ok, err := cl.Get(p, key); err != nil || !ok {
 					t.Errorf("acked key %s unreadable after shard death: ok=%v err=%v", key, ok, err)
 				}
 			}
@@ -298,52 +298,6 @@ func TestClusterConcurrentOpsDuringFailover(t *testing.T) {
 	}
 	if reg.Counter("kvcluster/failovers").Value() == 0 {
 		t.Error("no failovers recorded despite shard death")
-	}
-}
-
-// Tenant budgets: a tenant hammering a certainly-failing primary exhausts
-// its failover allowance and gets shed instead of endlessly retried.
-func TestTenantFailoverBudgetSheds(t *testing.T) {
-	cfg := ReplicaConfig{
-		Shards:   3,
-		Replicas: 2,
-		Device: func(i int) device.Config {
-			d := device.NVMeSSD()
-			d.Fault = uncPlan(uint64(7 + i)) // every shard's reads fail
-			return d
-		},
-		Profile:         retrying,
-		Store:           smallStore(),
-		TenantFailovers: 4,
-		Metrics:         metrics.NewRegistry(),
-	}
-	k := sim.NewKernel()
-	defer k.Close()
-	k.Spawn("client", func(p *sim.Proc) {
-		cl, err := OpenCluster(p, cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		const n = 48
-		for i := 0; i < n; i++ {
-			cl.Put(p, fmt.Sprintf("k%05d", i))
-		}
-		p.Sleep(5 * sim.Millisecond)
-		for i := 0; i < n; i++ {
-			cl.Get(p, fmt.Sprintf("k%05d", i), 0)
-		}
-	})
-	k.Run()
-	failovers := cfg.Metrics.Counter("kvcluster/failovers").Value()
-	if failovers == 0 {
-		t.Fatal("expected failovers before the budget bit")
-	}
-	if failovers > cfg.TenantFailovers {
-		t.Errorf("budget not enforced: %d failovers > budget %d", failovers, cfg.TenantFailovers)
-	}
-	if cfg.Metrics.Counter("kvcluster/degraded.shed").Value() == 0 {
-		t.Error("expected degraded sheds once the budget ran out")
 	}
 }
 

@@ -50,8 +50,8 @@ func (t Traffic) withDefaults() Traffic {
 	return t
 }
 
-// Request is one generated client request, accounted to Tenant (failover
-// budgets, per-tenant SLO rows). Trace is zero in the generated stream; the
+// Request is one generated client request, accounted to Tenant (per-tenant
+// SLO rows). Trace is zero in the generated stream; the
 // dispatcher fills it at admission when the run samples request traces, and
 // it only carries that context across the dispatch queue: the worker sets it
 // on its proc around serve.
