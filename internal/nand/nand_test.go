@@ -302,6 +302,61 @@ func TestSubmitWhileFailedDropped(t *testing.T) {
 	}
 }
 
+// TestPowerCycleDropsReadAndErase: a read or an erase in service when the
+// power fails and comes back is dropped when its phase ends, by its stale
+// generation alone (the array is powered again by then). It fires no
+// completion, an erase wipes nothing, and the next job is served as usual.
+func TestPowerCycleDropsReadAndErase(t *testing.T) {
+	tm := testTiming()
+	for _, tc := range []struct {
+		kind OpKind
+		at   sim.Duration // the power cut, inside the job's cell time
+	}{
+		{OpRead, tm.Read / 2},
+		{OpErase, tm.Erase / 2},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			k := sim.NewKernel()
+			defer k.Close()
+			a := New(k, testGeo(), tm)
+			var before, after Stats
+			dropped := false
+			k.Spawn("host", func(p *sim.Proc) {
+				c := sim.NewCond(k)
+				signal := func(sim.Time, *Request) { c.Signal() }
+				a.Submit(&Request{Kind: OpProgram, Chip: 0, Block: 0, Page: 0, Data: "v", Done: signal})
+				c.Wait(p)
+				before = a.Stats()
+				a.Submit(&Request{Kind: tc.kind, Chip: 0, Block: 0, Page: 0,
+					Done: func(sim.Time, *Request) { dropped = true }})
+				p.Sleep(tc.at)
+				a.Fail()
+				p.Sleep(sim.Microsecond)
+				a.Restore()
+				p.Sleep(tm.Erase) // past the end of the job's every phase
+				after = a.Stats()
+				var got any
+				a.Submit(&Request{Kind: OpRead, Chip: 0, Block: 0, Page: 0,
+					Done: func(_ sim.Time, r *Request) { got = r.Data; c.Signal() }})
+				c.Wait(p)
+				if got != "v" {
+					t.Errorf("read after the power cycle = %v, want the programmed page", got)
+				}
+			})
+			k.Run()
+			if dropped {
+				t.Errorf("%v completed across a power cycle", tc.kind)
+			}
+			if after.LostJobs-before.LostJobs != 1 || after.Reads != before.Reads || after.Erases != before.Erases {
+				t.Errorf("stats across the power cycle: %+v -> %+v, want one lost job and nothing served", before, after)
+			}
+			if a.NextPage(0, 0) != 1 || a.chips[0].blocks[0].erases != 0 {
+				t.Errorf("block 0: next page %d, %d erases; want the page kept", a.NextPage(0, 0), a.chips[0].blocks[0].erases)
+			}
+		})
+	}
+}
+
 func TestProgramScaleSlowsPrograms(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
