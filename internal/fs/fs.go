@@ -43,6 +43,7 @@ package fs
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/block"
 	"repro/internal/jbd"
@@ -361,8 +362,11 @@ func (f *FS) newInode(ino Ino, dir bool) *Inode {
 // newPage carves a page-cache entry for page idx of i and caches it.
 func (f *FS) newPage(i *Inode, pg page) *page {
 	e := f.pageSlab.New(pg)
-	if n := pg.idx + 1 - int64(len(i.pages)); n > 0 {
-		i.pages = append(i.pages, make([]*page, n)...)
+	if old := int64(len(i.pages)); pg.idx >= old {
+		// Grow in place when capacity allows: append(make) allocates the
+		// temporary under -race instrumentation, once per new page.
+		i.pages = slices.Grow(i.pages, int(pg.idx+1-old))[:pg.idx+1]
+		clear(i.pages[old:])
 	}
 	i.pages[pg.idx] = e
 	return e
