@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -198,7 +197,7 @@ func TestHandlerTimerAndJoin(t *testing.T) {
 // TestHandlerZeroGoroutines pins the point of the exercise: a handler-only
 // kernel starts no goroutine (or coroutine) at all, by the runtime's count.
 func TestHandlerZeroGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := goroutines()
 	k := NewKernel()
 	defer k.Close()
 	n := 0
@@ -211,7 +210,7 @@ func TestHandlerZeroGoroutines(t *testing.T) {
 		h.Complete()
 	})
 	k.Run()
-	if g := runtime.NumGoroutine() - base; g != 0 {
+	if g := goroutines() - base; g != 0 {
 		t.Fatalf("goroutines started = %d, want 0 for a handler-only kernel", g)
 	}
 	if n != 100 {
@@ -222,7 +221,7 @@ func TestHandlerZeroGoroutines(t *testing.T) {
 // TestCloseRetiresParkedHandlers pins Close reaping handlers parked in
 // every reachable state alongside goroutine procs.
 func TestCloseRetiresParkedHandlers(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := goroutines()
 	k := NewKernel()
 	cond := NewCond(k)
 	q := NewQueue[int](k)
@@ -244,7 +243,7 @@ func TestCloseRetiresParkedHandlers(t *testing.T) {
 	if got := k.live; got != 0 {
 		t.Errorf("live procs after Close = %d, want 0", got)
 	}
-	if got := runtime.NumGoroutine() - base; got != 0 {
+	if got := goroutines() - base; got != 0 {
 		t.Errorf("goroutines left after Close = %d, want 0", got)
 	}
 }

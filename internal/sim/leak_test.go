@@ -7,7 +7,25 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
+
+// goroutines returns runtime.NumGoroutine() once the count has stopped
+// changing: three equal reads 1 ms apart. A goroutine an earlier test let go
+// of may still be exiting when a test takes its baseline (seen under -race),
+// so a single read can be off by one either way.
+func goroutines() int {
+	n, same := runtime.NumGoroutine(), 1
+	for same < 3 {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 1
+		}
+	}
+	return n
+}
 
 // TestCloseReapsEveryGoroutine is the goroutine-leak regression test: it
 // parks processes in every reachable state — pending (spawned, never
@@ -16,7 +34,7 @@ import (
 // kernel and asserts, by the runtime's own count rather than the kernel's,
 // that no goroutine outlives it and that every parked body was unwound.
 func TestCloseReapsEveryGoroutine(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := goroutines()
 	k := NewKernel()
 	q := NewQueue[int](k)
 	cond := NewCond(k)
@@ -46,7 +64,7 @@ func TestCloseReapsEveryGoroutine(t *testing.T) {
 	parked("joiner", func(p *Proc) { p.Join(joinee) })
 
 	k.RunUntil(Time(10 * Millisecond))
-	if got := runtime.NumGoroutine() - base; got != 10 {
+	if got := goroutines() - base; got != 10 {
 		t.Fatalf("goroutines for 10 parked bodies before Close = %d", got)
 	}
 
@@ -54,7 +72,7 @@ func TestCloseReapsEveryGoroutine(t *testing.T) {
 	k.Spawn("pending", func(p *Proc) { panic("pending proc must never run") })
 
 	k.Close()
-	if got := runtime.NumGoroutine() - base; got != 0 {
+	if got := goroutines() - base; got != 0 {
 		t.Errorf("goroutines left after Close = %d, want 0", got)
 	}
 	if unwound != 10 {
@@ -68,7 +86,7 @@ func TestCloseReapsEveryGoroutine(t *testing.T) {
 // TestSpawnChurnLeavesNoGoroutines verifies a body that ends takes its
 // goroutine with it: sequential spawn+join does not accumulate any.
 func TestSpawnChurnLeavesNoGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := goroutines()
 	k := NewKernel()
 	defer k.Close()
 	k.Spawn("driver", func(p *Proc) {
@@ -78,7 +96,7 @@ func TestSpawnChurnLeavesNoGoroutines(t *testing.T) {
 		}
 	})
 	k.Run()
-	if got := runtime.NumGoroutine() - base; got > 4 {
+	if got := goroutines() - base; got > 4 {
 		t.Errorf("goroutines after 1000 sequential spawns = %d, want <= 4", got)
 	}
 }
