@@ -173,19 +173,29 @@ func TestEpochOrderlessFloatFree(t *testing.T) {
 
 func TestEpochSchedulerPropertyNoCrossEpochDispatch(t *testing.T) {
 	// Property: the dispatch sequence never emits an ordered request of
-	// epoch k+1 before the barrier of epoch k, for random workloads.
+	// epoch k+1 before the barrier of epoch k, for random workloads. The
+	// trials must close epochs, move barriers and refuse Adds, or the
+	// property holds vacuously (every request in epoch 0).
 	rng := rand.New(rand.NewSource(11))
+	var closed, reassigned, refused int64
 	for trial := 0; trial < 40; trial++ {
 		s := NewEpochScheduler(&lifo{})
 		var staged []*Request
+		add := func(r *Request) bool {
+			ok := s.Add(r)
+			if !ok {
+				refused++
+			}
+			return ok
+		}
 		submit := func(r *Request) {
-			if len(staged) > 0 || !s.Add(r) {
+			if len(staged) > 0 || !add(r) {
 				staged = append(staged, r)
 			}
 		}
 		feed := func() {
 			for len(staged) > 0 && s.Accepting() {
-				if !s.Add(staged[0]) {
+				if !add(staged[0]) {
 					break
 				}
 				staged = staged[1:]
@@ -232,7 +242,14 @@ func TestEpochSchedulerPropertyNoCrossEpochDispatch(t *testing.T) {
 				barrierSeen[r.Epoch()] = true
 			}
 		}
+		closed += s.EpochsClosed()
+		reassigned += s.Reassigned()
 	}
+	if closed == 0 || reassigned == 0 || refused == 0 {
+		t.Fatalf("the trials closed %d epochs, moved %d barriers and had %d Adds refused; want each above zero",
+			closed, reassigned, refused)
+	}
+	t.Logf("%d epochs closed, %d barriers moved, %d Adds refused", closed, reassigned, refused)
 }
 
 // --- integrated layer tests (scheduler + dispatcher + device) ---
