@@ -202,13 +202,6 @@ func driveRandomStreams(k *sim.Kernel, d *Device, o *queueOracle, seed int64, pe
 	}
 }
 
-// propertyKernels runs each property on both event queues: "handler" is
-// sim.NewKernel's timer wheel, "reference" the container/heap queue of
-// sim.NewReferenceKernel. The device's processes are the same on both.
-func propertyKernels() map[string]func() *sim.Kernel {
-	return map[string]func() *sim.Kernel{"handler": sim.NewKernel, "reference": sim.NewReferenceKernel}
-}
-
 func propertyConfig(seed int64) Config {
 	cfg := tinyConfig()
 	cfg.QueueDepth = 8
@@ -222,33 +215,32 @@ func propertyConfig(seed int64) Config {
 // equals what the seed's rescanning predicate computes over the whole queue,
 // every ready command has a worker on its way and enters service within the
 // instant it became eligible, and completions respect SCSI order per stream
-// — on both event queues alike.
+// — with the device's procs run as handlers, as every stack runs them (hence
+// the subtests' handler/ prefix).
 func TestReadySetMatchesRescanOracle(t *testing.T) {
 	const perHost = 120
-	for name, newKernel := range propertyKernels() {
-		for _, seed := range []int64{1, 2, 3, 7, 11, 42} {
-			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				k := newKernel()
-				defer k.Close()
-				d := New(k, propertyConfig(seed))
-				o := newQueueOracle(t, d)
-				completed := 0
-				driveRandomStreams(k, d, o, seed, perHost, &completed)
-				k.Run()
-				if o.failed {
-					return
-				}
-				if completed != 4*perHost || len(o.held) != 0 {
-					t.Fatalf("completed %d of %d commands, %d still held", completed, 4*perHost, len(o.held))
-				}
-				// The one futile wake left: a worker completing in the same
-				// instant re-picks inline and takes the command a woken
-				// worker was on its way to.
-				if f := d.Stats().FutileWakes; f > 4*perHost/50 {
-					t.Errorf("%d futile worker wakes for %d commands, want at most 2%%", f, 4*perHost)
-				}
-			})
-		}
+	for _, seed := range []int64{1, 2, 3, 7, 11, 42} {
+		t.Run(fmt.Sprintf("handler/seed%d", seed), func(t *testing.T) {
+			k := sim.NewKernel()
+			defer k.Close()
+			d := New(k, propertyConfig(seed))
+			o := newQueueOracle(t, d)
+			completed := 0
+			driveRandomStreams(k, d, o, seed, perHost, &completed)
+			k.Run()
+			if o.failed {
+				return
+			}
+			if completed != 4*perHost || len(o.held) != 0 {
+				t.Fatalf("completed %d of %d commands, %d still held", completed, 4*perHost, len(o.held))
+			}
+			// The one futile wake left: a worker completing in the same
+			// instant re-picks inline and takes the command a woken
+			// worker was on its way to.
+			if f := d.Stats().FutileWakes; f > 4*perHost/50 {
+				t.Errorf("%d futile worker wakes for %d commands, want at most 2%%", f, 4*perHost)
+			}
+		})
 	}
 }
 
@@ -256,27 +248,25 @@ func TestReadySetMatchesRescanOracle(t *testing.T) {
 // mix: every worker, daemon and host must observe death and stand down (Run
 // returns with nothing runnable, Close reaps every parked proc).
 func TestCrashMidRunStandsDown(t *testing.T) {
-	for name, newKernel := range propertyKernels() {
-		for _, crashUs := range []int{150, 900, 2500} {
-			t.Run(fmt.Sprintf("%s/crash@%dus", name, crashUs), func(t *testing.T) {
-				k := newKernel()
-				d := New(k, propertyConfig(5))
-				o := newQueueOracle(t, d)
-				completed := 0
-				driveRandomStreams(k, d, o, 5, 200, &completed)
-				k.RunUntil(sim.Time(sim.Duration(crashUs) * sim.Microsecond))
-				before := completed
-				d.Crash()
-				k.Run()
-				if completed != before {
-					t.Errorf("%d commands completed on a dead device", completed-before)
-				}
-				if d.Submit(&Command{Kind: CmdWrite}) || d.occupancy != 0 {
-					t.Error("dead device accepted a command or still reports occupancy")
-				}
-				k.Close() // panics if a proc survives
-			})
-		}
+	for _, crashUs := range []int{150, 900, 2500} {
+		t.Run(fmt.Sprintf("handler/crash@%dus", crashUs), func(t *testing.T) {
+			k := sim.NewKernel()
+			d := New(k, propertyConfig(5))
+			o := newQueueOracle(t, d)
+			completed := 0
+			driveRandomStreams(k, d, o, 5, 200, &completed)
+			k.RunUntil(sim.Time(sim.Duration(crashUs) * sim.Microsecond))
+			before := completed
+			d.Crash()
+			k.Run()
+			if completed != before {
+				t.Errorf("%d commands completed on a dead device", completed-before)
+			}
+			if d.Submit(&Command{Kind: CmdWrite}) || d.occupancy != 0 {
+				t.Error("dead device accepted a command or still reports occupancy")
+			}
+			k.Close() // panics if a proc survives
+		})
 	}
 }
 
@@ -370,35 +360,33 @@ func TestCacheEntriesRecycled(t *testing.T) {
 // segment seal barrier at that moment. (The scanning reaper took an entry
 // whose append had not been issued yet for index 0 and retired it early.)
 func TestFUADurableAcrossSealStall(t *testing.T) {
-	for name, newKernel := range propertyKernels() {
-		k := newKernel()
-		cfg := tinyConfig()
-		cfg.CachePages = 1024
-		d := New(k, cfg)
-		early := 0
-		k.Spawn("host", func(p *sim.Proc) {
-			for i := 0; i < 2000; i++ {
-				lpa, val := uint64(i), i
-				c := &Command{Kind: CmdWrite, LPA: lpa, Data: val, FUA: i%3 == 0}
-				if c.FUA {
-					c.Done = func(sim.Time, *Command) {
-						if got, ok := d.FTL().DurableData(lpa); !ok || got != val {
-							early++
-						}
+	k := sim.NewKernel()
+	cfg := tinyConfig()
+	cfg.CachePages = 1024
+	d := New(k, cfg)
+	early := 0
+	k.Spawn("host", func(p *sim.Proc) {
+		for i := 0; i < 2000; i++ {
+			lpa, val := uint64(i), i
+			c := &Command{Kind: CmdWrite, LPA: lpa, Data: val, FUA: i%3 == 0}
+			if c.FUA {
+				c.Done = func(sim.Time, *Command) {
+					if got, ok := d.FTL().DurableData(lpa); !ok || got != val {
+						early++
 					}
 				}
-				for !d.Submit(c) {
-					d.WaitSpace(p)
-				}
 			}
-		})
-		k.Run()
-		if d.FTL().Stats().Stalls == 0 {
-			t.Errorf("%s: the run never stalled on the seal barrier; the test lost its subject", name)
+			for !d.Submit(c) {
+				d.WaitSpace(p)
+			}
 		}
-		if early > 0 {
-			t.Errorf("%s: %d FUA writes completed before their page was durable", name, early)
-		}
-		k.Close()
+	})
+	k.Run()
+	if d.FTL().Stats().Stalls == 0 {
+		t.Error("the run never stalled on the seal barrier; the test lost its subject")
 	}
+	if early > 0 {
+		t.Errorf("%d FUA writes completed before their page was durable", early)
+	}
+	k.Close()
 }

@@ -34,9 +34,8 @@ import "math/bits"
 // lower-bounds every event in it, and the pop path cascades any slot whose
 // start is <= the heap tops before trusting a heap pop. Ties on the slot
 // boundary cascade first, so the global (at, seq) order — and therefore the
-// kernel's dispatch order — is byte-identical to the reference
-// container/heap implementation (see refqueue.go and the golden trace
-// tests).
+// kernel's dispatch order — is byte-identical to a plain container/heap
+// queue (FuzzEventQueue in eventq_test.go compares the two).
 
 const (
 	granuleBits = 12 // level-0 granule: 4.096µs of virtual time

@@ -277,12 +277,13 @@ func TestHandlerDoubleArmPanics(t *testing.T) {
 }
 
 // TestHandlerTraceParity runs the same mixed producer/consumer network as
-// goroutine procs on the reference kernel and as handlers on the optimized
-// kernel and requires byte-identical dispatch traces: the contract of the
-// continuation API (handler.go), that a blocking proc rewritten as a handler
-// state machine dispatches as its original did.
+// goroutine procs and as handlers and requires byte-identical dispatch
+// traces: the contract of the continuation API (handler.go), that a
+// blocking proc rewritten as a handler state machine dispatches as its
+// original did.
 func TestHandlerTraceParity(t *testing.T) {
-	run := func(k *Kernel, handlers bool) *Trace {
+	run := func(handlers bool) *Trace {
+		k := NewKernel()
 		defer k.Close()
 		tr := k.StartTrace(false)
 		const items = 50
@@ -356,10 +357,10 @@ func TestHandlerTraceParity(t *testing.T) {
 		}
 		return tr
 	}
-	opt := run(NewKernel(), true)
-	ref := run(NewReferenceKernel(), false)
-	if opt.Len() != ref.Len() || opt.Hash() != ref.Hash() {
+	h := run(true)
+	g := run(false)
+	if h.Len() != g.Len() || h.Hash() != g.Hash() {
 		t.Fatalf("handler net diverges from goroutine net: (n=%d h=%x) vs (n=%d h=%x)",
-			opt.Len(), opt.Hash(), ref.Len(), ref.Hash())
+			h.Len(), h.Hash(), g.Len(), g.Hash())
 	}
 }

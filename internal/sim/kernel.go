@@ -30,7 +30,6 @@ type Kernel struct {
 	now     Time
 	seq     uint64
 	q       eventQueue
-	ref     *refQueue // non-nil: use the container/heap oracle (testing)
 	procs   []*Proc
 	live    int
 	cur     *Proc
@@ -49,17 +48,6 @@ func NewKernel() *Kernel {
 	return &Kernel{}
 }
 
-// NewReferenceKernel returns a kernel whose event queue is the seed's
-// container/heap implementation. Components built on it are the same as on
-// NewKernel. It exists as the dispatch-order oracle for the golden trace
-// tests: the timer-wheel queue must dispatch the byte-identical event
-// sequence this kernel produces. Use NewKernel everywhere else.
-func NewReferenceKernel() *Kernel {
-	k := NewKernel()
-	k.ref = &refQueue{}
-	return k
-}
-
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
@@ -68,33 +56,7 @@ func (k *Kernel) schedule(at Time, p *Proc) {
 		at = k.now
 	}
 	k.seq++
-	e := event{at: at, seq: k.seq, p: p, token: p.token}
-	if k.ref != nil {
-		k.ref.push(e)
-		return
-	}
-	k.q.push(e, k.now)
-}
-
-func (k *Kernel) qlen() int {
-	if k.ref != nil {
-		return k.ref.len()
-	}
-	return k.q.len()
-}
-
-func (k *Kernel) qpeek() (event, bool) {
-	if k.ref != nil {
-		return k.ref.peek()
-	}
-	return k.q.peek()
-}
-
-func (k *Kernel) qpop() event {
-	if k.ref != nil {
-		return k.ref.pop()
-	}
-	return k.q.pop()
+	k.q.push(event{at: at, seq: k.seq, p: p, token: p.token}, k.now)
 }
 
 // Spawn creates a new process named name running fn and schedules it to
@@ -197,7 +159,7 @@ func (k *Kernel) RunUntil(t Time) Time {
 	}
 	k.stopped = false
 	for !k.stopped {
-		e, ok := k.qpeek()
+		e, ok := k.q.peek()
 		if !ok {
 			break
 		}
@@ -205,7 +167,7 @@ func (k *Kernel) RunUntil(t Time) Time {
 			k.now = t
 			break
 		}
-		k.qpop()
+		k.q.pop()
 		if e.p.state == stateDead || e.token != e.p.token {
 			if k.ks != nil {
 				k.ks.StaleEvents.Add(1)
@@ -254,7 +216,7 @@ func (k *Kernel) RunUntil(t Time) Time {
 		p.resume()
 	}
 	k.cur = nil
-	if !k.stopped && k.qlen() == 0 && t != MaxTime && t > k.now {
+	if !k.stopped && k.q.len() == 0 && t != MaxTime && t > k.now {
 		k.now = t
 	}
 	return k.now

@@ -4,8 +4,8 @@ package sim
 // folded into a running FNV-1a hash of its (time, seq, proc-id, proc-name)
 // tuple, with the full record sequence optionally retained for diffing. Two
 // runs dispatch byte-identical event orders iff their traces have equal
-// (Len, Hash); this is the harness behind the golden determinism tests that
-// pin the optimized kernel to the container/heap reference kernel.
+// (Len, Hash); this is the harness behind the golden dispatch-trace tests,
+// which pin each workload's trace to a frozen file.
 type Trace struct {
 	n    int
 	hash uint64

@@ -7,11 +7,11 @@ import (
 
 // traceWorkload is a mixed producer/consumer/sleeper workload that
 // exercises sleeps across wheel levels, suspends, resumes, spawn churn and
-// joins. newK selects the kernel under test.
-func traceWorkload(newK func() *Kernel, keep bool) *Trace {
-	k := newK()
+// joins.
+func traceWorkload() *Trace {
+	k := NewKernel()
 	defer k.Close()
-	tr := k.StartTrace(keep)
+	tr := k.StartTrace(false)
 	q := NewQueue[int](k)
 	mu := NewMutex(k)
 	for i := 0; i < 4; i++ {
@@ -47,11 +47,12 @@ func traceWorkload(newK func() *Kernel, keep bool) *Trace {
 	return tr
 }
 
-// TestTraceDeterminism pins run-to-run determinism of the optimized kernel:
-// identical workloads dispatch identical (time, seq, proc) sequences.
+// TestTraceDeterminism pins run-to-run determinism of the kernel: identical
+// workloads dispatch identical (time, seq, proc) sequences. That the queue
+// dispatches in exact (time, seq) order is FuzzEventQueue's to check.
 func TestTraceDeterminism(t *testing.T) {
-	a := traceWorkload(NewKernel, false)
-	b := traceWorkload(NewKernel, false)
+	a := traceWorkload()
+	b := traceWorkload()
 	if a.Len() != b.Len() || a.Hash() != b.Hash() {
 		t.Fatalf("nondeterministic dispatch: run1 (n=%d h=%x), run2 (n=%d h=%x)",
 			a.Len(), a.Hash(), b.Len(), b.Hash())
@@ -59,36 +60,4 @@ func TestTraceDeterminism(t *testing.T) {
 	if a.Len() == 0 {
 		t.Fatal("empty trace")
 	}
-}
-
-// TestTraceMatchesReferenceKernel is the kernel-level golden test: the
-// wheel-based queue must dispatch the byte-identical event order realized
-// by the seed's container/heap queue.
-func TestTraceMatchesReferenceKernel(t *testing.T) {
-	opt := traceWorkload(NewKernel, true)
-	ref := traceWorkload(NewReferenceKernel, true)
-	if opt.Len() == ref.Len() && opt.Hash() == ref.Hash() {
-		return
-	}
-	i := firstDivergence(opt, ref)
-	t.Fatalf("optimized kernel diverges from reference at record %d: opt(n=%d) %+v, ref(n=%d) %+v",
-		i, opt.Len(), rec(opt, i), ref.Len(), rec(ref, i))
-}
-
-// firstDivergence returns the index of the first record where two kept
-// traces differ, or -1 if one is a prefix of the other (or they are equal).
-func firstDivergence(a, b *Trace) int {
-	for i := range min(len(a.recs), len(b.recs)) {
-		if a.recs[i] != b.recs[i] {
-			return i
-		}
-	}
-	return -1
-}
-
-func rec(tr *Trace, i int) TraceRec {
-	if i >= 0 && i < len(tr.Records()) {
-		return tr.Records()[i]
-	}
-	return TraceRec{}
 }

@@ -31,7 +31,7 @@ func TestGoldenTracesWithObservability(t *testing.T) {
 	for _, c := range goldenCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			bare := traceOf(sim.NewKernel, c)
+			bare := traceOf(c)
 
 			reg := metrics.NewRegistry()
 			metrics.SetLive(reg)

@@ -2,7 +2,7 @@
 // uses it. Every exported func, type, var, method and untagged struct field
 // declared there must be referenced by non-test code somewhere in the tree
 // (bench/, cmd/ and examples/ count) or by the tests of a different package,
-// which keeps harness exports such as sim.NewReferenceKernel. A name only its
+// which keeps harness exports such as sim.Kernel.StartTrace. A name only its
 // own package's tests reach is test scaffolding in the public surface:
 // delete it, unexport it, or have the test read the field. Exempt are
 // constants, embedded fields, fields with a struct tag (read by reflection),

@@ -1,13 +1,10 @@
-// Golden dispatch-trace tests: every optimization in the simulation kernel
-// must leave the dispatch order — and therefore every simulated result —
-// byte-identical to the seed's container/heap event queue. Each case runs a
-// real workload twice on the optimized kernel (run-to-run determinism) and
-// once on sim.NewReferenceKernel (the container/heap oracle), comparing the
-// (time, seq, proc) dispatch sequences via sim.Trace; the two kernels run
-// the same components and differ only in their event queue. Each case's
-// trace is also frozen in testdata/stack_golden.json, so a change to the
-// event order of any layer (fs, jbd, kvwal, the device and NAND handlers)
-// shows across commits.
+// Golden dispatch-trace tests: each case runs a real workload twice on
+// sim.NewKernel, requires the two (time, seq, proc) dispatch sequences to
+// match (run-to-run determinism), and compares the trace with its frozen
+// entry in testdata/stack_golden.json, so a change to the event order of any
+// layer (fs, jbd, kvwal, the device and NAND handlers) shows across commits.
+// That the kernel's queue dispatches in exact (time, seq) order is
+// internal/sim's FuzzEventQueue's to check.
 package repro_test
 
 import (
@@ -28,8 +25,7 @@ import (
 	"repro/internal/workload"
 )
 
-// goldenCase drives one workload on a kernel built by newK and returns its
-// dispatch trace.
+// goldenCase drives one workload on a kernel.
 type goldenCase struct {
 	name string
 	run  func(k *sim.Kernel)
@@ -277,22 +273,21 @@ type stackGolden struct {
 	Hash string
 }
 
-func traceOf(newK func() *sim.Kernel, c goldenCase) *sim.Trace {
-	k := newK()
+func traceOf(c goldenCase) *sim.Trace {
+	k := sim.NewKernel()
 	defer k.Close()
 	tr := k.StartTrace(false)
 	c.run(k)
 	return tr
 }
 
-// TestGoldenDispatchTraces pins (a) run-to-run determinism of the optimized
-// kernel, (b) byte-identical dispatch order against the reference
-// container/heap kernel and (c) each trace against testdata/stack_golden.json,
-// across the paper's workload families: buffered and barrier random writes
-// (Figs. 1/9), SQLite (Fig. 14), OLTP (Fig. 15), the multi-queue block layer,
-// the kvwal group-commit store, and the journal's own branches. The file is
-// rewritten only by `go test -run TestGoldenDispatchTraces -update .`; a
-// refactor leaves it alone.
+// TestGoldenDispatchTraces pins (a) run-to-run determinism of the kernel and
+// (b) each trace against testdata/stack_golden.json, across the paper's
+// workload families: buffered and barrier random writes (Figs. 1/9), SQLite
+// (Fig. 14), OLTP (Fig. 15), the multi-queue block layer, the kvwal
+// group-commit store, and the journal's own branches. The file is rewritten
+// only by `go test -run TestGoldenDispatchTraces -update .`; a refactor
+// leaves it alone.
 func TestGoldenDispatchTraces(t *testing.T) {
 	var want map[string]stackGolden
 	if !*updateGolden {
@@ -312,16 +307,11 @@ func TestGoldenDispatchTraces(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			a := traceOf(sim.NewKernel, c)
-			b := traceOf(sim.NewKernel, c)
+			a := traceOf(c)
+			b := traceOf(c)
 			if a.Len() != b.Len() || a.Hash() != b.Hash() {
 				t.Fatalf("run-to-run nondeterminism: (n=%d h=%x) vs (n=%d h=%x)",
 					a.Len(), a.Hash(), b.Len(), b.Hash())
-			}
-			ref := traceOf(sim.NewReferenceKernel, c)
-			if a.Len() != ref.Len() || a.Hash() != ref.Hash() {
-				t.Fatalf("optimized kernel diverges from container/heap reference: optimized (n=%d h=%x), reference (n=%d h=%x)",
-					a.Len(), a.Hash(), ref.Len(), ref.Hash())
 			}
 			if a.Len() == 0 {
 				t.Fatal("empty trace: workload did not run")
