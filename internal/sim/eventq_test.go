@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -122,16 +123,16 @@ func fuzzOp(op byte, v uint32) []byte {
 func FuzzEventQueue(f *testing.F) {
 	// The slot-start tie: X waits in a level-1 slot starting at 64
 	// granules; after an event at 5 000 ns is pushed and popped, Y lands in
-	// the level-0 slot with the same start. Cascading Y alone and popping it
-	// (a slot whose start equals the heap top left in the wheel) would pass
-	// X's smaller seq.
-	f.Add(append(append(append(append(append(
+	// the level-0 slot with the same start. Y cascades first, and a settle
+	// that stopped at a heap top equal to the next slot's start would pop Y
+	// before X, whose seq is smaller.
+	f.Add(slices.Concat(
 		fuzzOp(fuzzPushRaw, 64*uint32(granuleSize)),
-		fuzzOp(fuzzPushRaw, 5000)...),
-		fuzzOp(fuzzPop, 0)...),
-		fuzzOp(fuzzPushRaw, 64*uint32(granuleSize)-5000)...),
-		fuzzOp(fuzzPop, 0)...),
-		fuzzOp(fuzzPop, 0)...))
+		fuzzOp(fuzzPushRaw, 5000),
+		fuzzOp(fuzzPop, 0),
+		fuzzOp(fuzzPushRaw, 64*uint32(granuleSize)-5000),
+		fuzzOp(fuzzPop, 0),
+		fuzzOp(fuzzPop, 0)))
 	// One push at every horizon class, a pop after every third, then the
 	// same classes again from the advanced clock.
 	var classes []byte
