@@ -9,8 +9,7 @@ import (
 
 // The tests below crash the device at the one instant a dead-device branch
 // of a handler needs: no golden run reaches these branches, since a golden
-// never crashes a device mid-service. Each runs in a subtest named for the
-// device's handler procs.
+// never crashes a device mid-service. Each runs through propertyKernels.
 
 // workerRunsAfter reports the worker activations the trace holds after at.
 func workerRunsAfter(tr *sim.Trace, d *Device, at sim.Time) int {
@@ -27,10 +26,7 @@ func workerRunsAfter(tr *sim.Trace, d *Device, at sim.Time) int {
 // when the device dies are dropped at the crash instant. Their workers go
 // straight back to the pick loop, and none of them transfers a page.
 func TestCrashDuringCacheAdmissionDropsWrite(t *testing.T) {
-	t.Run("handler", func(t *testing.T) {
-		k := sim.NewKernel()
-		defer k.Close()
-		tr := k.StartTrace(true)
+	propertyKernels(t, "", func(t *testing.T, k *sim.Kernel, tr *sim.Trace) {
 		cfg := tinyConfig()
 		cfg.CachePages = 2
 		d := New(k, cfg)
@@ -70,9 +66,7 @@ func TestCrashDuringCacheAdmissionDropsWrite(t *testing.T) {
 // at the crash instant, with the worker resumed but not yet run, is dropped
 // without its read-out transfer.
 func TestCrashAsFlashReadCompletesDropsRead(t *testing.T) {
-	t.Run("handler", func(t *testing.T) {
-		k := sim.NewKernel()
-		defer k.Close()
+	propertyKernels(t, "", func(t *testing.T, k *sim.Kernel, _ *sim.Trace) {
 		cfg := tinyConfig()
 		d := New(k, cfg)
 		var d2 *Device
@@ -113,9 +107,7 @@ func TestCrashAsFlashReadCompletesDropsRead(t *testing.T) {
 // at the FTL's seal barrier resumes after the crash, finishes its append,
 // and stands down without handing the page to the reaper.
 func TestCrashDuringSealWaitStandsDownWriteback(t *testing.T) {
-	t.Run("handler", func(t *testing.T) {
-		k := sim.NewKernel()
-		defer k.Close()
+	propertyKernels(t, "", func(t *testing.T, k *sim.Kernel, _ *sim.Trace) {
 		cfg := tinyConfig()
 		cfg.Geometry.PagesPerBlock = 4
 		d := New(k, cfg)

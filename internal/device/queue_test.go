@@ -3,6 +3,7 @@ package device
 import (
 	"fmt"
 	"math/rand"
+	"path"
 	"testing"
 
 	"repro/internal/sim"
@@ -202,6 +203,34 @@ func driveRandomStreams(k *sim.Kernel, d *Device, o *queueOracle, seed int64, pe
 	}
 }
 
+// propertyKernels runs a device property in two subtests, each on fresh
+// sim.NewKernels with the dispatch trace kept and handed to body. "handler"
+// runs the property once. "reference" runs it twice and requires the second
+// run to dispatch exactly the events of the first, so that the property's
+// outcome rests on the kernel's event order and on nothing else (map order,
+// wall time, state left over from an earlier run). param names the case
+// below either subtest; it may be empty.
+func propertyKernels(t *testing.T, param string, body func(t *testing.T, k *sim.Kernel, tr *sim.Trace)) {
+	run := func(t *testing.T) *sim.Trace {
+		k := sim.NewKernel()
+		defer k.Close()
+		tr := k.StartTrace(true)
+		body(t, k, tr)
+		return tr
+	}
+	t.Run(path.Join("handler", param), func(t *testing.T) { run(t) })
+	t.Run(path.Join("reference", param), func(t *testing.T) {
+		a := run(t)
+		if t.Failed() {
+			return
+		}
+		if b := run(t); a.Len() != b.Len() || a.Hash() != b.Hash() {
+			t.Errorf("a second run dispatched %d events (hash %016x), the first %d (hash %016x)",
+				b.Len(), b.Hash(), a.Len(), a.Hash())
+		}
+	})
+}
+
 func propertyConfig(seed int64) Config {
 	cfg := tinyConfig()
 	cfg.QueueDepth = 8
@@ -214,15 +243,11 @@ func propertyConfig(seed int64) Config {
 // service: after every submit and every completion the incremental ready set
 // equals what the seed's rescanning predicate computes over the whole queue,
 // every ready command has a worker on its way and enters service within the
-// instant it became eligible, and completions respect SCSI order per stream
-// — with the device's procs run as handlers, as every stack runs them (hence
-// the subtests' handler/ prefix).
+// instant it became eligible, and completions respect SCSI order per stream.
 func TestReadySetMatchesRescanOracle(t *testing.T) {
 	const perHost = 120
 	for _, seed := range []int64{1, 2, 3, 7, 11, 42} {
-		t.Run(fmt.Sprintf("handler/seed%d", seed), func(t *testing.T) {
-			k := sim.NewKernel()
-			defer k.Close()
+		propertyKernels(t, fmt.Sprintf("seed%d", seed), func(t *testing.T, k *sim.Kernel, _ *sim.Trace) {
 			d := New(k, propertyConfig(seed))
 			o := newQueueOracle(t, d)
 			completed := 0
@@ -249,8 +274,7 @@ func TestReadySetMatchesRescanOracle(t *testing.T) {
 // returns with nothing runnable, Close reaps every parked proc).
 func TestCrashMidRunStandsDown(t *testing.T) {
 	for _, crashUs := range []int{150, 900, 2500} {
-		t.Run(fmt.Sprintf("handler/crash@%dus", crashUs), func(t *testing.T) {
-			k := sim.NewKernel()
+		propertyKernels(t, fmt.Sprintf("crash@%dus", crashUs), func(t *testing.T, k *sim.Kernel, _ *sim.Trace) {
 			d := New(k, propertyConfig(5))
 			o := newQueueOracle(t, d)
 			completed := 0
