@@ -22,6 +22,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/experiments"
 	"repro/internal/fs"
+	"repro/internal/kvcluster"
 	"repro/internal/kvwal"
 	"repro/internal/metrics"
 	"repro/internal/oltp"
@@ -363,6 +364,31 @@ func BenchmarkKV(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkKVCluster measures the host cost of the sharded KV service: one
+// kvcluster.Run of two stack-per-shard BFS-DR shards on the NVMe-class
+// device under Poisson arrivals at 30 000 req/s, Zipf 0.99 over 8 192 keys,
+// for a 100 ms window after 10 ms of warm-up. allocs/req is the host
+// allocations of the whole run per request offered in its window (CI gates
+// it at 2 %): the traffic is seeded, so it repeats to about three digits.
+func BenchmarkKVCluster(b *testing.B) {
+	cfg := kvcluster.Config{Shards: 2, Mode: kvcluster.ShardedStacks, Profile: core.BFSDR,
+		Device: device.NVMeSSD, Store: kvwal.DefaultConfig(), InflightCap: 64}
+	tr := kvcluster.Traffic{
+		Arrivals: workload.ArrivalConfig{Kind: workload.ArrivalPoisson, RatePerS: 30000, Seed: 1},
+		Mix:      workload.Mix{ReadPct: 20, DeletePct: 12},
+		KeySpace: 8192, ZipfTheta: 0.99, Tenants: 2,
+		Warmup: 10 * sim.Millisecond, Duration: 100 * sim.Millisecond,
+	}
+	var reqs int64
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for n := 0; n < b.N; n++ {
+		reqs += kvcluster.Run(cfg, tr).Offered
+	}
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(reqs), "allocs/req")
 }
 
 // BenchmarkDeviceOrdered drives the peel ladder's device rung — 4000 4 KB

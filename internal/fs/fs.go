@@ -142,30 +142,41 @@ type Inode struct {
 	// below it are immutable; Write clones the map before filling a hole
 	// there, and appends land beyond it.
 	frozenLen int
-	// pages is the page cache, indexed by page number; nil: not cached.
-	pages   []*page
+	inodeScratch
 	entries map[string]uint64 // dirs: name -> child home LPA
 	buf     *jbd.Buffer
 	// allocDirty marks metadata changes that fdatasync must commit (size or
 	// block allocation), as opposed to timestamp-only changes.
 	allocDirty bool
 	nlink      int
-	// inflight holds submitted-but-incomplete writeback requests. Pages are
-	// marked clean at submission, so the sync calls must be able to wait on
-	// writeback they did not plan themselves (filemap_fdatawait).
-	inflight []*block.Request
 	// offStream marks writeback moved off the order stream since the last
 	// durable sync: no barrier orders it (see Fdatabarrier).
 	offStream bool
 	// onDone is writebackDone, bound once: every data write's OnComplete.
 	onDone func(sim.Time, *block.Request)
+}
+
+// inodeScratch is an inode's page-cache and writeback slice storage. Unlink
+// hands it to the next newInode when the unlinked inode has no writeback in
+// flight, so a re-created file does not regrow its arrays page by page.
+// blocks stays out: journal snapshots alias it (see frozenLen).
+type inodeScratch struct {
+	// pages is the page cache, indexed by page number; nil: not cached.
+	pages []*page
 	// dirtyPg lists the dirty pages (append-on-dirty), so writeback and the
 	// dirty counters never re-scan the whole page cache.
 	dirtyPg []*page
+	// inflight holds submitted-but-incomplete writeback requests. Pages are
+	// marked clean at submission, so the sync calls must be able to wait on
+	// writeback they did not plan themselves (filemap_fdatawait).
+	inflight []*block.Request
 	// wbReqs is the spare writeback-plan slice; a writeback takes it and
 	// release hands it back, so concurrent sync calls never share one.
 	wbReqs []*block.Request
 }
+
+// maxSpareScratch bounds the scratch unlinked inodes leave for newInode.
+const maxSpareScratch = 4
 
 // DirtyPages returns the number of dirty page-cache entries.
 func (i *Inode) DirtyPages() int { return len(i.dirtyPg) }
@@ -235,6 +246,8 @@ type FS struct {
 	metas    sim.Slab[InodeMeta]
 	allocs   sim.Slab[AllocMeta]
 	pageSlab sim.Slab[page]
+	// spare is the scratch of unlinked inodes, for newInode.
+	spare []inodeScratch
 
 	stats Stats
 	obs   fsObs
@@ -350,7 +363,10 @@ func (f *FS) newInode(ino Ino, dir bool) *Inode {
 	if dir {
 		i.entries = make(map[string]uint64)
 	}
-	i.buf = &jbd.Buffer{Home: i.home, Name: fmt.Sprintf("inode-%d", ino)}
+	if n := len(f.spare); n > 0 {
+		i.inodeScratch, f.spare = f.spare[n-1], f.spare[:n-1]
+	}
+	i.buf = &jbd.Buffer{Home: i.home}
 	i.buf.Snapshot = i.snapshot
 	i.onDone = i.writebackDone
 	f.inodes[ino] = i
@@ -493,7 +509,16 @@ func (f *FS) Unlink(p *sim.Proc, dir *Inode, name string) error {
 			for _, pg := range child.dirtyPg {
 				pg.dirty = false
 			}
-			child.dirtyPg = nil
+			child.dirtyPg = child.dirtyPg[:0]
+			// Writeback in flight still edits the inode's inflight list as
+			// it completes, and Fdatawait on the inode waits on it: the
+			// scratch stays with the inode then.
+			if len(child.inflight) == 0 && len(f.spare) < maxSpareScratch {
+				clear(child.pages)
+				child.pages = child.pages[:0]
+				f.spare = append(f.spare, child.inodeScratch)
+				child.inodeScratch = inodeScratch{}
+			}
 			f.j.DirtyBuffer(p, f.allocBufFor(child.ino), nil)
 			delete(f.inodes, child.ino)
 			delete(f.byHome, child.home)

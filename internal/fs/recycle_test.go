@@ -3,6 +3,7 @@ package fs
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/block"
 	"repro/internal/device"
@@ -148,4 +149,114 @@ func TestStampImmutable(t *testing.T) {
 	if got, ok := view.PageVersion(meta, 0); !ok || got != v1 {
 		t.Errorf("recovered page version %d,%v, want the older %d", got, ok, v1)
 	}
+}
+
+// TestUnlinkHandsScratchToNextCreate: a file unlinked with no writeback in
+// flight hands its page-cache and writeback arrays to the next file created,
+// emptied, so a re-created file does not regrow them page by page.
+func TestUnlinkHandsScratchToNextCreate(t *testing.T) {
+	const pages = 64
+	e := newEnv(jbd.ModeJBD2)
+	defer e.close()
+	e.run(func(p *sim.Proc) {
+		old, _ := e.fs.Create(p, e.fs.Root(), "old")
+		for i := int64(0); i < pages; i++ {
+			e.fs.Write(p, old, i)
+		}
+		e.fs.Fsync(p, old)
+		arr := unsafe.SliceData(old.pages)
+		if err := e.fs.Unlink(p, e.fs.Root(), "old"); err != nil {
+			t.Fatal(err)
+		}
+		if old.pages != nil || old.dirtyPg != nil || old.inflight != nil {
+			t.Errorf("the unlinked inode kept its scratch")
+		}
+		nu, _ := e.fs.Create(p, e.fs.Root(), "new")
+		if len(nu.pages) != 0 || cap(nu.pages) < pages || unsafe.SliceData(nu.pages) != arr {
+			t.Fatalf("new file's page cache: len %d cap %d, not the unlinked file's array", len(nu.pages), cap(nu.pages))
+		}
+		for i := int64(0); i < pages; i++ {
+			if _, ok := e.fs.PageVer(nu, i); ok {
+				t.Fatalf("new file caches page %d before any write", i)
+			}
+			e.fs.Write(p, nu, i)
+		}
+		if unsafe.SliceData(nu.pages) != arr {
+			t.Error("writing the new file regrew its page cache")
+		}
+	})
+}
+
+// TestUnlinkDuringWritebackKeepsLists: a file unlinked while its writeback
+// is in flight keeps its lists, and a file created after it starts empty.
+// Its completions never touch the new file's lists: Fdatawait on the old
+// file returns once the old writes have completed, and on the new file
+// once the new writes have, with only the new file's requests on its list.
+func TestUnlinkDuringWritebackKeepsLists(t *testing.T) {
+	const pages = 8
+	e := newEnv(jbd.ModeDual)
+	defer e.close()
+	e.run(func(p *sim.Proc) {
+		// track counts f's in-flight writes as they complete and records
+		// the last completion instant.
+		track := func(f *Inode) (done *int, last *sim.Time) {
+			done, last = new(int), new(sim.Time)
+			for _, r := range f.inflight {
+				prev := r.OnComplete
+				r.OnComplete = func(at sim.Time, rr *block.Request) {
+					*done++
+					*last = at
+					prev(at, rr)
+				}
+			}
+			return done, last
+		}
+		// own reports whether every request on f's list writes f's pages.
+		own := func(f *Inode) bool {
+			for _, r := range f.inflight {
+				if r.Data.(*PageData).Ino != f.ino {
+					return false
+				}
+			}
+			return true
+		}
+		old, _ := e.fs.Create(p, e.fs.Root(), "old")
+		for i := int64(0); i < pages; i++ {
+			e.fs.Write(p, old, i)
+		}
+		e.fs.WritebackAsync(p, old, 0)
+		oldDone, oldLast := track(old)
+		if err := e.fs.Unlink(p, e.fs.Root(), "old"); err != nil {
+			t.Fatal(err)
+		}
+		nu, _ := e.fs.Create(p, e.fs.Root(), "new")
+		if len(nu.inflight) != 0 || len(nu.pages) != 0 || len(nu.dirtyPg) != 0 {
+			t.Fatalf("new file starts with %d in flight, %d cached, %d dirty",
+				len(nu.inflight), len(nu.pages), len(nu.dirtyPg))
+		}
+		for i := int64(0); i < pages; i++ {
+			e.fs.Write(p, nu, i)
+		}
+		e.fs.WritebackAsync(p, nu, 0)
+		if len(nu.inflight) != pages || !own(nu) {
+			t.Fatalf("new file's in-flight list holds %d requests, not only its own %d", len(nu.inflight), pages)
+		}
+		nuDone, nuLast := track(nu)
+		if *oldDone == pages {
+			t.Fatal("the old file's writeback completed before the new file's was submitted")
+		}
+		e.fs.Fdatawait(p, old)
+		if *oldDone != pages || p.Now() != *oldLast {
+			t.Errorf("Fdatawait on the unlinked file returned at %v with %d of %d writes done (last at %v)",
+				p.Now(), *oldDone, pages, *oldLast)
+		}
+		if !own(nu) {
+			t.Error("the old file's completions edited the new file's list")
+		}
+		e.fs.Fdatawait(p, nu)
+		if *nuDone != pages || p.Now() != *nuLast {
+			t.Errorf("Fdatawait on the new file returned at %v with %d of %d writes done (last at %v)",
+				p.Now(), *nuDone, pages, *nuLast)
+		}
+	})
 }

@@ -207,6 +207,10 @@ func (j *Journal) commitThread(p *sim.Proc) {
 				j.wake(p)
 			}
 		}
+		// Nothing reads the list past this wait: the block layer holds
+		// what is still in flight, so the transaction lets go of it now.
+		j.releaseReqs(t.dataDeps)
+		t.dataDeps = t.dataDeps[:0]
 		t.pagesUsed = len(t.frozen) + 2
 		j.reserve(p, t.pagesUsed)
 		jd, jc := j.buildJD(p, t)
@@ -375,11 +379,11 @@ func (j *Journal) newestCommitted() (id uint64) {
 // --- shared transaction retirement and checkpointing ---
 
 // finishTxn removes t from the committing list, releases its frozen
-// buffers, drops its data dependencies, hands its scratch to the next
-// transaction and queues it for checkpointing. Dual-Mode already released
-// the buffers at its JC transfer (jcDone), so its flush thread does not
-// gate the next commit (§4.3) and the release here finds nothing left to
-// do. t may not be durable yet; its waiters stay parked on the journal.
+// buffers, hands its scratch to the next transaction and queues it for
+// checkpointing. Dual-Mode already released the buffers at its JC transfer
+// (jcDone), so its flush thread does not gate the next commit (§4.3) and
+// the release here finds nothing left to do. t may not be durable yet; its
+// waiters stay parked on the journal.
 func (j *Journal) finishTxn(t *Txn) {
 	t.retired = true
 	for i, c := range j.committing {
@@ -389,10 +393,7 @@ func (j *Journal) finishTxn(t *Txn) {
 		}
 	}
 	j.releaseBuffers(t)
-	for _, d := range t.dataDeps {
-		d.Release()
-	}
-	t.buffers, t.dataDeps, t.jd = t.buffers[:0], t.dataDeps[:0], t.jd[:0]
+	t.buffers, t.jd = t.buffers[:0], t.jd[:0]
 	j.spare = append(j.spare, t.txnScratch)
 	t.txnScratch = txnScratch{}
 	j.ckptQ = append(j.ckptQ, t)

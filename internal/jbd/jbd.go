@@ -174,7 +174,8 @@ func (b *Buffer) Frozen() *Txn { return b.owner }
 type txnScratch struct {
 	buffers []*Buffer
 	// dataDeps are ordered-mode data writes that must be on their way to
-	// the device before JD is written; held (Request.Hold) until finishTxn.
+	// the device before JD is written; held (Request.Hold) until the commit
+	// has waited for them, or until RegisterOrderedData finds them completed.
 	dataDeps []*block.Request
 	jd       []*block.Request // buildJD's descriptor+log chunk
 }
@@ -486,9 +487,24 @@ func (j *Journal) DirtyBuffer(p *sim.Proc, buf *Buffer, snapshot any) {
 // RegisterOrderedData attaches an ordered-mode data write to the running
 // transaction: the commit must not write JD until this request has been
 // transferred (JBD2) or has been dispatched in an earlier epoch (Dual).
+// Before the list would grow, it drops the writes already transferred: no
+// commit waits on a completed request, so a transaction holds only the
+// ordered data still in flight, not every page it ever covered.
 func (j *Journal) RegisterOrderedData(r *block.Request) {
+	deps := j.running.dataDeps
+	if len(deps) == cap(deps) {
+		kept := deps[:0]
+		for _, d := range deps {
+			if d.Completed() {
+				d.Release()
+				continue
+			}
+			kept = append(kept, d)
+		}
+		deps = kept
+	}
 	r.Hold()
-	j.running.dataDeps = append(j.running.dataDeps, r)
+	j.running.dataDeps = append(deps, r)
 }
 
 // freeze snapshots the running transaction's buffers and replaces the

@@ -671,3 +671,55 @@ func TestRetireCoversExactlyItsTransactions(t *testing.T) {
 		t.Errorf("jbd/retire.txns = %d, want T1 and T2", got)
 	}
 }
+
+// TestJBD2CommitWaitsForOrderedDataInFlight pins ordered mode on JBD2: a
+// commit issues JD only once every ordered data write registered with its
+// transaction has transferred. The first write is registered but reaches
+// the device only after the commit has begun; eight more are registered
+// after it and complete before the commit, so the running transaction's
+// list grows past the first write while it is still in flight, the moment
+// RegisterOrderedData drops the completed ones.
+func TestJBD2CommitWaitsForOrderedDataInFlight(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	dev := device.New(k, device.NVMeSSD())
+	l := block.NewLayer(k, dev, block.NewEpochScheduler(block.NewNOOP()), block.LayerConfig{})
+	sh := &recorder{Submitter: l, k: k}
+	j := New(k, sh, DefaultConfig(ModeJBD2))
+	write := func(lpa uint64) *block.Request {
+		return &block.Request{Op: block.OpWrite, LPA: lpa, Data: lpa}
+	}
+	late := write(50000)
+	var lateDone sim.Time
+	late.OnComplete = func(at sim.Time, _ *block.Request) { lateDone = at }
+	var txn *Txn
+	k.Spawn("app", func(p *sim.Proc) {
+		j.RegisterOrderedData(late)
+		early := make([]*block.Request, 8)
+		for i := range early {
+			early[i] = write(uint64(50001 + i))
+			j.RegisterOrderedData(early[i])
+			l.Submit(p, early[i])
+		}
+		for _, r := range early {
+			r.Wait(p)
+		}
+		k.Spawn("late", func(p *sim.Proc) {
+			p.Sleep(200 * sim.Microsecond)
+			l.Submit(p, late)
+		})
+		j.DirtyBuffer(p, &Buffer{Home: 2000}, "meta")
+		txn = j.CommitAndWait(p)
+	})
+	k.Run()
+	if txn == nil || lateDone == 0 {
+		t.Fatalf("commit %v, late ordered write completed at %v", txn, lateDone)
+	}
+	jd := txnWrite(sh.log, txn.id, false)
+	if jd == nil {
+		t.Fatal("the commit wrote no JD")
+	}
+	if jd.sub < lateDone {
+		t.Errorf("JD issued at %v, before the ordered data write in flight transferred at %v", jd.sub, lateDone)
+	}
+}

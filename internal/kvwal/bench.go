@@ -1,8 +1,9 @@
 package kvwal
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -42,18 +43,12 @@ func Bench(k *sim.Kernel, s *core.Stack, clients int, duration sim.Duration) Ben
 		}
 		ready = true
 	})
-	names := make([]string, benchKeySpace) // each key's name, formatted at first draw
+	names := keyNames("k", 5, benchKeySpace)
 	for c := 0; c < clients; c++ {
 		c := c
 		k.SpawnIdx("kv/client", c, func(p *sim.Proc) {
 			rng := rand.New(rand.NewSource(benchSeed + int64(c)))
-			key := func() string {
-				i := rng.Intn(benchKeySpace)
-				if names[i] == "" {
-					names[i] = fmt.Sprintf("k%05d", i)
-				}
-				return names[i]
-			}
+			key := func() string { return names[rng.Intn(benchKeySpace)] }
 			for !ready {
 				p.Sleep(sim.Millisecond)
 			}
@@ -85,4 +80,25 @@ func Bench(k *sim.Kernel, s *core.Stack, clients int, duration sim.Duration) Ben
 		res.GroupMean = float64(st.stats.WALRecords-o0) / float64(groups)
 	}
 	return res
+}
+
+// keyNames returns fmt.Sprintf("%s%0*d", prefix, width, k) for every key k
+// below n, each a slice of one string built at once: the whole key space
+// costs the names slice and that string.
+func keyNames(prefix string, width, n int) []string {
+	var b strings.Builder
+	b.Grow(n * (len(prefix) + width))
+	var digits [20]byte
+	names := make([]string, n)
+	for k := range names {
+		start := b.Len()
+		b.WriteString(prefix)
+		d := strconv.AppendInt(digits[:0], int64(k), 10)
+		for range width - len(d) {
+			b.WriteByte('0')
+		}
+		b.Write(d)
+		names[k] = b.String()[start:] // a Builder never rewrites what it holds
+	}
+	return names
 }

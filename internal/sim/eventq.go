@@ -188,11 +188,17 @@ func (q *eventQueue) earliestSlot() (lvl, idx int, start Time, ok bool) {
 // event is at the top of near or overflow. A slot is due when its start time
 // is <= both heap tops (ties cascade: the slot may hold an equal-time event
 // with a smaller seq).
+//
+// Each cascade moves every event of its slot at least one level down, so a
+// settle needs at most wheelLevels cascades per event in the wheel at entry.
+// One past that bound means placement re-slotted events where they were:
+// settle panics rather than loop forever.
 func (q *eventQueue) settle() {
 	if q.settled {
 		return
 	}
 	q.settled = true
+	budget := wheelLevels * q.inWheel
 	for q.inWheel > 0 {
 		lvl, idx, start, ok := q.earliestSlot()
 		if !ok {
@@ -204,6 +210,10 @@ func (q *eventQueue) settle() {
 		if len(q.overflow) > 0 && q.overflow[0].at < start {
 			return
 		}
+		if budget == 0 {
+			panic("sim: event queue settle made no progress: a cascade re-placed events at their own wheel level")
+		}
+		budget--
 		// Advancing the cursor to the slot start before re-placing
 		// guarantees cascaded events land strictly below lvl (or in near),
 		// so the cascade terminates.
