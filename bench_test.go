@@ -369,9 +369,10 @@ func BenchmarkKV(b *testing.B) {
 // BenchmarkKVCluster measures the host cost of the sharded KV service: one
 // kvcluster.Run of two stack-per-shard BFS-DR shards on the NVMe-class
 // device under Poisson arrivals at 30 000 req/s, Zipf 0.99 over 8 192 keys,
-// for a 100 ms window after 10 ms of warm-up. allocs/req is the host
-// allocations of the whole run per request offered in its window (CI gates
-// it at 2 %): the traffic is seeded, so it repeats to about three digits.
+// for a 100 ms window after 10 ms of warm-up. allocs/req and B/req are the
+// host allocations and bytes of the whole run per request offered in its
+// window (CI gates them at 2 % and 5 %): the traffic is seeded, so they
+// repeat to about three digits.
 func BenchmarkKVCluster(b *testing.B) {
 	cfg := kvcluster.Config{Shards: 2, Mode: kvcluster.ShardedStacks, Profile: core.BFSDR,
 		Device: device.NVMeSSD, Store: kvwal.DefaultConfig(), InflightCap: 64}
@@ -389,6 +390,7 @@ func BenchmarkKVCluster(b *testing.B) {
 	}
 	runtime.ReadMemStats(&m1)
 	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(reqs), "allocs/req")
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(reqs), "B/req")
 }
 
 // BenchmarkDeviceOrdered drives the peel ladder's device rung — 4000 4 KB

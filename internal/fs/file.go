@@ -34,6 +34,9 @@ func (f *FS) Write(p *sim.Proc, i *Inode, idx int64) {
 
 	metaDirty := false
 	// Block allocation (allocating write).
+	if i.blocks == nil && i.blocksCap > 0 {
+		i.blocks = make([]uint64, 0, i.blocksCap)
+	}
 	for int64(len(i.blocks)) <= idx {
 		i.blocks = append(i.blocks, 0)
 	}
@@ -239,15 +242,22 @@ func (f *FS) dataRequest(i *Inode, pg *page, flags block.Flags) *block.Request {
 // meanwhile.
 func (i *Inode) trackInflight(r *block.Request) {
 	i.inflight = append(i.inflight, r)
-	r.OnComplete = i.onDone
+	r.OnComplete = i.fs.onDone
 }
 
-func (i *Inode) writebackDone(_ sim.Time, r *block.Request) {
+// writebackDone is every data write's OnComplete (bound once, as FS.onDone):
+// the request's page stamp names the inode whose in-flight list it leaves.
+// An unlinked inode leaves FS.inodes with its last writeback.
+func (f *FS) writebackDone(_ sim.Time, r *block.Request) {
+	i := f.inodes[r.Data.(*PageData).Ino]
 	for n, o := range i.inflight {
 		if o == r {
 			i.inflight = append(i.inflight[:n], i.inflight[n+1:]...)
 			break
 		}
+	}
+	if i.nlink == 0 && len(i.inflight) == 0 {
+		delete(f.inodes, i.ino)
 	}
 }
 

@@ -144,7 +144,7 @@ type Inode struct {
 	frozenLen int
 	inodeScratch
 	entries map[string]uint64 // dirs: name -> child home LPA
-	buf     *jbd.Buffer
+	buf     jbd.Buffer
 	// allocDirty marks metadata changes that fdatasync must commit (size or
 	// block allocation), as opposed to timestamp-only changes.
 	allocDirty bool
@@ -152,15 +152,18 @@ type Inode struct {
 	// offStream marks writeback moved off the order stream since the last
 	// durable sync: no barrier orders it (see Fdatabarrier).
 	offStream bool
-	// onDone is writebackDone, bound once: every data write's OnComplete.
-	onDone func(sim.Time, *block.Request)
 }
 
 // inodeScratch is an inode's page-cache and writeback slice storage. Unlink
 // hands it to the next newInode when the unlinked inode has no writeback in
 // flight, so a re-created file does not regrow its arrays page by page.
-// blocks stays out: journal snapshots alias it (see frozenLen).
+// blocks stays out: journal snapshots alias it (see frozenLen); only its
+// capacity is carried over, as blocksCap.
 type inodeScratch struct {
+	// blocksCap is the block-map capacity of the unlinked inode that left
+	// the scratch: the next file's first allocating Write starts its map
+	// there.
+	blocksCap int
 	// pages is the page cache, indexed by page number; nil: not cached.
 	pages []*page
 	// dirtyPg lists the dirty pages (append-on-dirty), so writeback and the
@@ -175,11 +178,17 @@ type inodeScratch struct {
 	wbReqs []*block.Request
 }
 
-// maxSpareScratch bounds the scratch unlinked inodes leave for newInode.
-const maxSpareScratch = 4
+// maxSpareScratch bounds the scratch unlinked inodes leave for newInode. A
+// kvwal compaction unlinks five segments at once; each of them serves a
+// later file.
+const maxSpareScratch = 8
 
 // DirtyPages returns the number of dirty page-cache entries.
 func (i *Inode) DirtyPages() int { return len(i.dirtyPg) }
+
+// snapshotInode is every inode buffer's Snapshot: the inode records itself
+// as the buffer's Data (see touchMeta).
+func snapshotInode(data any) any { return data.(*Inode).snapshot() }
 
 // snapshot freezes the inode for the journal in O(1): the block map is shared
 // (see frozenLen), cap-clamped so a holder's append cannot reach the live tail.
@@ -226,6 +235,8 @@ type FS struct {
 	// multi-tenant stack's shards in disjoint ordering domains.
 	stream uint64
 
+	// inodes holds every linked inode, and an unlinked one until its last
+	// writeback completes: writebackDone finds its inode here.
 	inodes      map[Ino]*Inode
 	inodeList   []*Inode // ascending ino; deterministic whole-FS iteration
 	pdflushCond *sim.Cond
@@ -248,6 +259,8 @@ type FS struct {
 	pageSlab sim.Slab[page]
 	// spare is the scratch of unlinked inodes, for newInode.
 	spare []inodeScratch
+	// onDone is writebackDone, bound once: every data write's OnComplete.
+	onDone func(sim.Time, *block.Request)
 
 	stats Stats
 	obs   fsObs
@@ -279,12 +292,14 @@ func New(k *sim.Kernel, layer block.Submitter, opts Options) *FS {
 		opts.Journal.Metrics = opts.Metrics
 	}
 	f.j = jbd.New(k, layer, opts.Journal)
+	f.onDone = f.writebackDone
 	// Allocation metadata is sharded into groups like EXT4's block-group
 	// bitmaps; concurrent writers dirty different group buffers instead of
 	// contending on one global block (which would serialize every commit
 	// through the multi-transaction page-conflict machinery).
+	snap := func(any) any { return f.allocSnapshot() }
 	for g := 0; g < allocGroups; g++ {
-		buf := &jbd.Buffer{Home: f.allocLPARaw(), Name: fmt.Sprintf("alloc-group-%d", g), Snapshot: f.allocSnapshot}
+		buf := &jbd.Buffer{Home: f.allocLPARaw(), Name: fmt.Sprintf("alloc-group-%d", g), Snapshot: snap}
 		f.allocGrps = append(f.allocGrps, buf)
 	}
 	f.root = f.newInode(RootIno, true)
@@ -366,9 +381,7 @@ func (f *FS) newInode(ino Ino, dir bool) *Inode {
 	if n := len(f.spare); n > 0 {
 		i.inodeScratch, f.spare = f.spare[n-1], f.spare[:n-1]
 	}
-	i.buf = &jbd.Buffer{Home: i.home}
-	i.buf.Snapshot = i.snapshot
-	i.onDone = i.writebackDone
+	i.buf = jbd.Buffer{Home: i.home, Snapshot: snapshotInode}
 	f.inodes[ino] = i
 	f.inodeList = append(f.inodeList, i) // ino is monotonic: stays sorted
 	f.byHome[i.home] = i
@@ -420,7 +433,7 @@ func (f *FS) jiffies(p *sim.Proc) int64 {
 
 // touchMeta marks the inode's metadata dirty in the running transaction.
 func (f *FS) touchMeta(p *sim.Proc, i *Inode) {
-	f.j.DirtyBuffer(p, i.buf, nil)
+	f.j.DirtyBuffer(p, &i.buf, i)
 }
 
 // MetaPending reports whether the inode has uncommitted metadata.
@@ -516,11 +529,14 @@ func (f *FS) Unlink(p *sim.Proc, dir *Inode, name string) error {
 			if len(child.inflight) == 0 && len(f.spare) < maxSpareScratch {
 				clear(child.pages)
 				child.pages = child.pages[:0]
+				child.blocksCap = cap(child.blocks)
 				f.spare = append(f.spare, child.inodeScratch)
 				child.inodeScratch = inodeScratch{}
 			}
 			f.j.DirtyBuffer(p, f.allocBufFor(child.ino), nil)
-			delete(f.inodes, child.ino)
+			if len(child.inflight) == 0 {
+				delete(f.inodes, child.ino)
+			}
 			delete(f.byHome, child.home)
 			for n, o := range f.inodeList {
 				if o == child {

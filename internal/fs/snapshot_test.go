@@ -35,8 +35,8 @@ type snapshotLog struct{ pairs []frozenPair }
 
 func (l *snapshotLog) watch(b *jbd.Buffer) {
 	freeze := b.Snapshot
-	b.Snapshot = func() any {
-		d := freeze()
+	b.Snapshot = func(data any) any {
+		d := freeze(data)
 		var want any
 		switch m := d.(type) {
 		case *InodeMeta:
@@ -93,7 +93,7 @@ func testSnapshotsImmutable(t *testing.T, mode jbd.Mode, seed int64) {
 	e := newEnv(mode)
 	defer e.close()
 	log := &snapshotLog{}
-	log.watch(e.fs.Root().buf)
+	log.watch(&e.fs.Root().buf)
 	for _, b := range e.fs.allocGrps {
 		log.watch(b)
 	}
@@ -111,7 +111,7 @@ func testSnapshotsImmutable(t *testing.T, mode jbd.Mode, seed int64) {
 					t.Errorf("create %s: %v", name, err)
 					e.k.Stop()
 				}
-				log.watch(f.buf)
+				log.watch(&f.buf)
 				next, holes = 0, nil
 			}
 			create()

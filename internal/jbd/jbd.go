@@ -141,11 +141,13 @@ type Buffer struct {
 	Name string // for diagnostics
 
 	// Snapshot, if set, is called once when the buffer is frozen into a
-	// committing transaction. It returns the block's current contents as a
-	// pointer the device may hold forever, and nothing writes through it
-	// again. Like JBD2's frozen-buffer copy, it spares owners a snapshot on
-	// every dirtying write.
-	Snapshot func() any
+	// committing transaction, with the Data the last DirtyBuffer recorded
+	// (an owner can record itself there, so one function serves all its
+	// buffers). It returns the block's current contents as a pointer the
+	// device may hold forever, and nothing writes through it again. Like
+	// JBD2's frozen-buffer copy, it spares owners a snapshot on every
+	// dirtying write.
+	Snapshot func(data any) any
 
 	owner     *Txn // committing transaction holding it: on Dual until its JC transfer, else until finishTxn
 	inRunning bool
@@ -516,7 +518,7 @@ func (j *Journal) freeze(t *Txn) {
 	for i, b := range t.buffers {
 		data := b.Data
 		if b.Snapshot != nil {
-			data = b.Snapshot()
+			data = b.Snapshot(data)
 		}
 		t.frozen[i] = LogBlock{TxnID: t.id, Index: i, Home: b.Home, Snapshot: data}
 		b.owner = t

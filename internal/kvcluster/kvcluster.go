@@ -29,6 +29,7 @@ package kvcluster
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 
 	"repro/internal/block"
@@ -201,10 +202,11 @@ func (r Result) Report() string {
 
 // spawnShard wires shard idx's runner into k, serving from a kvwal store
 // opened on mount. Shards sample traces into a sampler each.
-func (c Config) spawnShard(k *sim.Kernel, idx int, reqs []Request, tr Traffic, mount *fs.FS) *runner {
+func (c Config) spawnShard(k *sim.Kernel, idx int, reqs []Request, route []uint8, tr Traffic, mount *fs.FS) *runner {
 	run := &runner{
-		reqs: reqs, tr: tr, idx: idx, instruments: fmt.Sprintf("kvcluster/shard=%d/", idx),
-		cap: c.InflightCap, slo: c.SLO,
+		reqs: reqs, route: route, tr: tr, idx: idx,
+		instruments: "kvcluster/shard=" + strconv.Itoa(idx) + "/",
+		cap:         c.InflightCap, slo: c.SLO,
 	}
 	if c.Trace != nil {
 		run.smp = reqtrace.NewSampler(*c.Trace)
@@ -233,22 +235,24 @@ func (c Config) spawnShard(k *sim.Kernel, idx int, reqs []Request, tr Traffic, m
 // Run drives one unreplicated cluster (ShardedStacks or MQStreams) under one
 // traffic description and reports the measured-window outcome. Everything
 // is deterministic under the traffic seed: the request stream is
-// pre-generated, partitioned by the ring, and replayed open loop per shard.
+// pre-generated, routed by the ring, and replayed open loop per shard, each
+// shard skipping the requests routed elsewhere.
 func Run(cfg Config, tr Traffic) Result {
 	if cfg.Mode == Replicated {
 		panic("kvcluster: Run drives unreplicated shards only; use RunReplicated for Mode Replicated")
 	}
 	cfg = cfg.withDefaults()
 	tr = tr.withDefaults()
-	parts := Partition(tr.Generate(), NewRing(cfg.Shards))
+	reqs := tr.Generate()
+	route := routes(reqs, NewRing(cfg.Shards))
 	runs := make([]*runner, cfg.Shards)
 	end := sim.Time(tr.Warmup + tr.Duration)
 
 	if cfg.Mode == MQStreams {
-		runMQStreams(cfg, tr, parts, runs, end)
+		runMQStreams(cfg, tr, reqs, route, runs, end)
 	} else {
 		par.For(cfg.Shards, func(i int) {
-			runs[i] = runShardStack(cfg, tr, i, parts[i], end)
+			runs[i] = runShardStack(cfg, tr, i, reqs, route, end)
 			if !par.Enabled() {
 				// One after another: the flash page store of a closed shard
 				// is the next shard's (nand recycles it), but the rest of the
@@ -268,14 +272,14 @@ func Run(cfg Config, tr Traffic) Result {
 }
 
 // runShardStack runs one shard on its own device, stack and kernel.
-func runShardStack(cfg Config, tr Traffic, idx int, reqs []Request, end sim.Time) *runner {
+func runShardStack(cfg Config, tr Traffic, idx int, reqs []Request, route []uint8, end sim.Time) *runner {
 	prof := cfg.Profile(cfg.Device())
 	if prof.Metrics == nil {
 		prof.Metrics = cfg.Metrics
 	}
 	k := cfg.NewKernel(fmt.Sprintf("kvcluster/%s/shard%d", prof.Name, idx))
 	defer k.Close()
-	run := cfg.spawnShard(k, idx, reqs, tr, core.NewStack(k, prof).FS)
+	run := cfg.spawnShard(k, idx, reqs, route, tr, core.NewStack(k, prof).FS)
 	drive(k, []*runner{run}, end)
 	return run
 }
@@ -284,7 +288,7 @@ func runShardStack(cfg Config, tr Traffic, idx int, reqs []Request, end sim.Time
 // device: shard i's journal lives at LPA i*stride and rides order stream
 // block.OrderStream(i), so barriers order only their own shard's epochs
 // while all shards share the device's hardware queues.
-func runMQStreams(cfg Config, tr Traffic, parts [][]Request, runs []*runner, end sim.Time) {
+func runMQStreams(cfg Config, tr Traffic, reqs []Request, route []uint8, runs []*runner, end sim.Time) {
 	prof := cfg.Profile(cfg.Device())
 	if prof.MQQueues == 0 {
 		prof.MQQueues = 4
@@ -305,32 +309,45 @@ func runMQStreams(cfg Config, tr Traffic, parts [][]Request, runs []*runner, end
 			opts.Journal.Stream = block.OrderStream(i)
 			mount = fs.New(k, s.Front, opts)
 		}
-		runs[i] = cfg.spawnShard(k, i, parts[i], tr, mount)
+		runs[i] = cfg.spawnShard(k, i, reqs, route, tr, mount)
 	}
 	drive(k, runs, end)
 }
 
 // aggregate folds the runners' samples into res, which arrives carrying the
 // run's identity (Engine, Mode, Shards). The runners of one run share their
-// traffic description and SLO.
+// traffic description and SLO. A first pass counts every recorder's samples,
+// so each is filled at its final size.
 func aggregate(res Result, runs []*runner) Result {
 	tr := runs[0].tr
 	res.SLOms = float64(runs[0].slo) / float64(sim.Millisecond)
-	cluster := metrics.NewLatencyRecorder("kvcluster/latency")
 	tenantOffered := make([]int64, tr.Tenants)
+	tenantDone := make([]int, len(tenantOffered))
+	done := 0
+	for _, out := range runs {
+		for t, n := range out.offered {
+			tenantOffered[t] += n
+		}
+		for _, s := range out.samples {
+			tenantDone[s.tenant]++
+		}
+		done += len(out.samples)
+	}
+	cluster := metrics.NewLatencyRecorder("kvcluster/latency")
+	cluster.Grow(done)
 	tenantGood := make([]int64, len(tenantOffered))
 	tenantRec := make([]*metrics.LatencyRecorder, len(tenantOffered))
 	for i := range tenantRec {
-		tenantRec[i] = metrics.NewLatencyRecorder(fmt.Sprintf("kvcluster/tenant=%d", i))
+		tenantRec[i] = metrics.NewLatencyRecorder("kvcluster/tenant=" + strconv.Itoa(i))
+		tenantRec[i].Grow(tenantDone[i])
 	}
+	res.PerShard = make([]ShardStats, 0, len(runs))
 	for i, out := range runs {
-		shardRec := metrics.NewLatencyRecorder(fmt.Sprintf("kvcluster/shard=%d", i))
+		shardRec := metrics.NewLatencyRecorder("kvcluster/shard=" + strconv.Itoa(i))
+		shardRec.Grow(len(out.samples))
 		var offered, good int64
-		for _, r := range out.reqs {
-			if r.measured(tr) {
-				offered++
-				tenantOffered[r.Tenant]++
-			}
+		for _, n := range out.offered {
+			offered += n
 		}
 		for _, s := range out.samples {
 			cluster.Record(s.d)
@@ -360,6 +377,7 @@ func aggregate(res Result, runs []*runner) Result {
 	if res.Offered > 0 {
 		res.SLOPct = 100 * float64(res.Good) / float64(res.Offered)
 	}
+	res.PerTenant = make([]TenantStats, 0, len(tenantOffered))
 	for t := range tenantOffered {
 		sum := tenantRec[t].Summarize()
 		ts := TenantStats{

@@ -54,7 +54,7 @@ func TestRingStabilityUnderResize(t *testing.T) {
 	}
 }
 
-func TestTrafficGenerateAndPartition(t *testing.T) {
+func TestTrafficGenerate(t *testing.T) {
 	tr := Traffic{
 		Arrivals:  workload.ArrivalConfig{RatePerS: 100_000, Seed: 3},
 		Mix:       workload.Mix{ReadPct: 30, DeletePct: 10},
@@ -72,25 +72,97 @@ func TestTrafficGenerateAndPartition(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("request %d differs: %+v vs %+v", i, a[i], b[i])
 		}
-	}
-	ring := NewRing(4)
-	parts := Partition(a, ring)
-	total := 0
-	for s, part := range parts {
-		total += len(part)
-		prev := sim.Time(0)
-		for _, r := range part {
-			if ring.Shard(r.Key) != s {
-				t.Fatalf("request %+v misrouted to shard %d", r, s)
-			}
-			if r.At < prev {
-				t.Fatalf("shard %d slice not ascending", s)
-			}
-			prev = r.At
+		if i > 0 && a[i].At < a[i-1].At {
+			t.Fatalf("stream not ascending at request %d", i)
 		}
 	}
-	if total != len(a) {
-		t.Fatalf("partition dropped requests: %d of %d", total, len(a))
+}
+
+// Every shard replays the one generated stream and skips what the ring
+// routes elsewhere: each shard's runner must serve exactly its own requests,
+// in arrival order, and count exactly its own measured requests as offered.
+func TestShardRunnersServeTheirRoute(t *testing.T) {
+	const shards = 3
+	tr := smallTraffic(60_000).withDefaults()
+	reqs := tr.Generate()
+	ring := NewRing(shards)
+	route := routes(reqs, ring)
+	end := sim.Time(tr.Warmup + tr.Duration)
+
+	want := make([][]Request, shards)
+	wantOffered := make([]int64, shards)
+	for _, r := range reqs {
+		s := ring.Shard(r.Key)
+		want[s] = append(want[s], r)
+		if r.measured(tr) {
+			wantOffered[s]++
+		}
+	}
+	for s := range shards {
+		if len(want[s]) == 0 {
+			t.Fatalf("ring routes no request to shard %d", s)
+		}
+		k := sim.NewKernel()
+		var got []Request
+		run := &runner{reqs: reqs, route: route, tr: tr, idx: s, cap: 64, slo: sim.Millisecond}
+		run.spawn(k, nil, func(*sim.Proc) (serveFunc, error) {
+			return func(_ *sim.Proc, r Request) error {
+				got = append(got, r)
+				return nil
+			}, nil
+		})
+		drive(k, []*runner{run}, end)
+		k.Close()
+		if !reflect.DeepEqual(got, want[s]) {
+			t.Errorf("shard %d served %d requests, the ring routes it %d (or in another order)",
+				s, len(got), len(want[s]))
+		}
+		var offered int64
+		for _, n := range run.offered {
+			offered += n
+		}
+		if offered != wantOffered[s] || int64(cap(run.samples)) != wantOffered[s] {
+			t.Errorf("shard %d: offered %d, samples sized %d; the ring routes it %d measured requests",
+				s, offered, cap(run.samples), wantOffered[s])
+		}
+	}
+
+	for _, mode := range []Mode{ShardedStacks, MQStreams} {
+		prof := core.BFSDR
+		if mode == MQStreams {
+			prof = core.BFSMQ
+		}
+		res := Run(Config{Shards: shards, Mode: mode, Profile: prof}, tr)
+		for s, st := range res.PerShard {
+			if st.Offered != wantOffered[s] {
+				t.Errorf("%v shard %d: Offered %d, the ring routes it %d measured requests",
+					mode, s, st.Offered, wantOffered[s])
+			}
+		}
+	}
+}
+
+// aggregate sizes every recorder before it fills one, so its allocations do
+// not grow with the sample count.
+func TestAggregateAllocationsFlatInSamples(t *testing.T) {
+	tr := smallTraffic(10_000).withDefaults()
+	allocs := func(samples int) float64 {
+		runs := make([]*runner, 2)
+		for i := range runs {
+			run := &runner{tr: tr, slo: sim.Millisecond, offered: make([]int64, tr.Tenants)}
+			for n := range samples / len(runs) {
+				tenant := n % tr.Tenants
+				run.offered[tenant]++
+				run.samples = append(run.samples, latSample{
+					tenant: tenant, d: sim.Duration(n%997) * sim.Microsecond, good: n%3 != 0,
+				})
+			}
+			runs[i] = run
+		}
+		return testing.AllocsPerRun(5, func() { aggregate(Result{}, runs) })
+	}
+	if small, large := allocs(1_000), allocs(64_000); small != large {
+		t.Errorf("aggregate allocates %.0f times for 1 000 samples, %.0f for 64 000", small, large)
 	}
 }
 

@@ -1,9 +1,9 @@
 package kvcluster
 
 import (
-	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 )
 
 // Consistent-hash routing. Each shard owns vnodes points on a 64-bit hash
@@ -29,7 +29,7 @@ type ringPoint struct {
 // splitmix64-style finalizer: raw FNV over near-identical short strings
 // (vnode labels differ in one digit) clusters on the ring, and balance
 // needs the high bits well mixed.
-func fnv1a(s string) uint64 {
+func fnv1a[S ~string | ~[]byte](s S) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
 	for i := 0; i < len(s); i++ {
@@ -53,12 +53,12 @@ func NewRing(shards int) *Ring {
 		shards = 1
 	}
 	r := &Ring{shards: shards, points: make([]ringPoint, 0, shards*vnodes)}
+	var buf [48]byte
 	for s := 0; s < shards; s++ {
 		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, ringPoint{
-				hash:  fnv1a(fmt.Sprintf("shard-%d-vnode-%d", s, v)),
-				shard: s,
-			})
+			label := strconv.AppendInt(append(buf[:0], "shard-"...), int64(s), 10)
+			label = strconv.AppendInt(append(label, "-vnode-"...), int64(v), 10)
+			r.points = append(r.points, ringPoint{hash: fnv1a(label), shard: s})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {

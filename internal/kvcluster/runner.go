@@ -21,9 +21,12 @@ type serveFunc func(p *sim.Proc, r Request) error
 // The shapes differ only in the fields of the first group.
 type runner struct {
 	// reqs is the arrival slice to replay, ascending in time; tr bounds the
-	// measured window.
-	reqs []Request
-	tr   Traffic
+	// measured window. route, when non-nil, is each request's shard: the
+	// runner serves the requests routed to idx and skips the rest, so the
+	// shards of one cluster replay one stream (see routes).
+	reqs  []Request
+	route []uint8
+	tr    Traffic
 	// idx is the proc-name index: the shard for a per-shard runner, -1 for a
 	// cluster-wide one (SpawnIdx(name, -1, …) is Spawn(name, …)). Workers are
 	// numbered idx*cap+w, plain w cluster-wide.
@@ -46,7 +49,9 @@ type runner struct {
 	dispatched  bool
 	outstanding int
 
-	// Measured-window outcome.
+	// Measured-window outcome. offered counts, per tenant, the measured
+	// requests the runner serves; spawn sets it and sizes samples from it.
+	offered        []int64
 	admitted, shed int64
 	samples        []latSample
 }
@@ -58,6 +63,9 @@ type latSample struct {
 	d      sim.Duration
 	good   bool
 }
+
+// serves reports whether request n of the stream is the runner's.
+func (run *runner) serves(n int) bool { return run.route == nil || int(run.route[n]) == run.idx }
 
 // busy reports arrivals still to dispatch or admitted requests in flight.
 func (run *runner) busy() bool { return !run.dispatched || run.outstanding > 0 }
@@ -75,6 +83,18 @@ func sleepUntil(p *sim.Proc, at sim.Time) {
 func (run *runner) spawn(k *sim.Kernel, reg *metrics.Registry,
 	open func(p *sim.Proc) (serveFunc, error)) {
 	tr := run.tr
+	// Count the measured requests before the first event: each completes at
+	// most once, so samples never regrows.
+	run.offered = make([]int64, tr.Tenants)
+	measured := 0
+	for n, r := range run.reqs {
+		if run.serves(n) && r.measured(tr) {
+			run.offered[r.Tenant]++
+			measured++
+		}
+	}
+	run.samples = make([]latSample, 0, measured)
+
 	q := sim.NewQueue[Request](k)
 	var serve serveFunc
 	awaitOpen := func(p *sim.Proc) {
@@ -105,7 +125,12 @@ func (run *runner) spawn(k *sim.Kernel, reg *metrics.Registry,
 
 	k.SpawnIdx("kvc/dispatch", run.idx, func(p *sim.Proc) {
 		awaitOpen(p)
-		for _, r := range run.reqs {
+		for n := range run.reqs {
+			// Skip before sleeping: another shard's arrival is no event here.
+			if !run.serves(n) {
+				continue
+			}
+			r := run.reqs[n]
 			sleepUntil(p, r.At)
 			if run.outstanding >= run.cap {
 				shed.Inc()

@@ -1,6 +1,7 @@
 package kvcluster
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -13,7 +14,7 @@ import (
 // Traffic describes one open-loop offered load: an arrival process, a
 // Zipfian key popularity, a YCSB-style operation mix and a tenant
 // population. The whole request stream is pre-generated deterministically
-// and then partitioned across shards by the consistent-hash ring, which is
+// and then split across shards by the consistent-hash ring, which is
 // exactly Poisson splitting: each shard sees an open-loop process of its
 // own, replayable in its own kernel with no cross-kernel coordination.
 type Traffic struct {
@@ -105,23 +106,19 @@ func keyNames(prefix string, width, n int) []string {
 	return names
 }
 
-// Partition splits a request stream across the ring's shards by key. Each
-// slice stays ascending in arrival time. A first pass counts each shard's
-// share, so every slice is allocated once, at its final size.
-func Partition(reqs []Request, ring *Ring) [][]Request {
-	counts := make([]int, ring.Shards())
-	for _, r := range reqs {
-		counts[ring.Shard(r.Key)]++
+// maxRouted is the largest shard count routes can record: a byte per request.
+const maxRouted = 256
+
+// routes returns each request's shard under ring, one byte per request. The
+// shards' runners all replay the one stream and skip what the ring sends
+// elsewhere, so the stream is never copied per shard.
+func routes(reqs []Request, ring *Ring) []uint8 {
+	if ring.Shards() > maxRouted {
+		panic(fmt.Sprintf("kvcluster: %d shards, a routed stream holds at most %d", ring.Shards(), maxRouted))
 	}
-	parts := make([][]Request, len(counts))
-	for s, n := range counts {
-		if n > 0 {
-			parts[s] = make([]Request, 0, n)
-		}
+	shard := make([]uint8, len(reqs))
+	for n := range reqs {
+		shard[n] = uint8(ring.Shard(reqs[n].Key))
 	}
-	for _, r := range reqs {
-		s := ring.Shard(r.Key)
-		parts[s] = append(parts[s], r)
-	}
-	return parts
+	return shard
 }

@@ -54,6 +54,7 @@ package kvwal
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/fs"
@@ -277,7 +278,10 @@ const (
 	manifestName = "kv.manifest"
 )
 
-func segName(id int) string { return fmt.Sprintf("kv.seg-%d", id) }
+func segName(id int) string {
+	var b [32]byte
+	return string(strconv.AppendInt(append(b[:0], "kv.seg-"...), int64(id), 10))
+}
 
 // Open creates the store's files on the stack and starts the group-commit
 // leader, checkpointer, flusher and compactor daemons.

@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -33,6 +34,10 @@ func (r *LatencyRecorder) Record(d sim.Duration) {
 	r.sum += d
 	r.sorted = false
 }
+
+// Grow makes room for n more samples: a caller that knows its count
+// records them without regrowing the array.
+func (r *LatencyRecorder) Grow(n int) { r.samples = slices.Grow(r.samples, n) }
 
 // Count returns the number of samples.
 func (r *LatencyRecorder) Count() int { return len(r.samples) }

@@ -91,7 +91,7 @@ func (c ArrivalConfig) Times(window sim.Duration) []sim.Time {
 	rng := rand.New(rand.NewSource(c.Seed))
 	peak := c.peakRate()
 	meanGap := float64(sim.Second) / peak
-	var out []sim.Time
+	out := make([]sim.Time, 0, c.capacity(window))
 	for t := sim.Duration(0); ; {
 		t += sim.Duration(rng.ExpFloat64() * meanGap)
 		if t >= window {
@@ -102,6 +102,19 @@ func (c ArrivalConfig) Times(window sim.Duration) []sim.Time {
 		}
 		out = append(out, sim.Time(t))
 	}
+}
+
+// capacity sizes Times' slice: the mean arrival count in window plus four
+// standard deviations, so it is allocated once but for a rare draw. The
+// bursty process opens each period at its peak, so its count over a window
+// runs ahead of RatePerS × window by at most one burst's excess.
+func (c ArrivalConfig) capacity(window sim.Duration) int {
+	span := window.Seconds()
+	if c.Kind == ArrivalBursty {
+		span += (burstFactor - 1) * burstDuty * arrivalPeriod.Seconds()
+	}
+	mean := c.RatePerS * span
+	return int(mean+4*math.Sqrt(mean)) + 8
 }
 
 // Zipf draws key indices in [0, n) with Zipfian popularity: the rank-r key
