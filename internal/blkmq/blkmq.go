@@ -21,8 +21,9 @@
 // streams dispatch concurrently from separate daemons. Submission, staging,
 // congestion, flushing and the dispatch loop are the engine's; this package
 // owns what is multi-queue only — the Config defaults, the per-stream epoch
-// schedulers and their accessors, the spreading of background writeback,
-// the blkmq/* instruments and the per-stream trace verifier.
+// schedulers and their accessors, the blkmq/* instruments and the
+// per-stream trace verifier. Spreading background writeback over the data
+// streams is the per-stream shape's own rule, read off block's role table.
 package blkmq
 
 import (
@@ -70,7 +71,7 @@ type Stats struct {
 	Completed  int64
 	StagedPeak int   // high-water mark of requests parked behind closed epochs
 	Streams    int   // streams ever opened
-	Spread     int64 // orderless requests rerouted to data streams
+	Spread     int64 // background writes rerouted to data streams
 }
 
 // MQ is the multi-queue block layer front-end: the per-stream shape of
@@ -78,13 +79,10 @@ type Stats struct {
 // mounts on it exactly as on the single-queue layer.
 type MQ struct {
 	*block.Layer
-	cfg Config
 
 	// scheds holds the epoch scheduler of every stream opened so far; the
 	// layer's per-stream queues run on them.
-	scheds    map[uint64]*block.EpochScheduler
-	spread    int64
-	spreadCtr *metrics.Counter // nil when disabled
+	scheds map[uint64]*block.EpochScheduler
 }
 
 // New builds a multi-queue layer over dev and starts one dispatch daemon
@@ -93,15 +91,14 @@ func New(k *sim.Kernel, dev *device.Device, cfg Config) *MQ {
 	if cfg.HWQueues <= 0 {
 		cfg.HWQueues = 1
 	}
-	m := &MQ{cfg: cfg, scheds: make(map[uint64]*block.EpochScheduler)}
-	shape := block.PerStream{HWQueues: cfg.HWQueues, Daemon: "blkmq/hwq",
-		OpenStream: m.openStream, Route: m.spreadOrderless}
+	m := &MQ{scheds: make(map[uint64]*block.EpochScheduler)}
+	shape := block.PerStream{HWQueues: cfg.HWQueues, Daemon: "blkmq/hwq", OpenStream: m.openStream}
 	// The per-queue depth gauges count requests buffered per hardware
 	// dispatch context (scheduler + staging), the blk-mq in-flight view.
 	if reg := metrics.Resolve(cfg.Metrics); reg != nil {
 		shape.Submitted = reg.Counter("blkmq/submitted")
 		shape.Dispatched = reg.Counter("blkmq/dispatched")
-		m.spreadCtr = reg.Counter("blkmq/spread")
+		shape.Spread = reg.Counter("blkmq/spread")
 		for i := 0; i < cfg.HWQueues; i++ {
 			shape.Depth = append(shape.Depth, reg.Gauge(fmt.Sprintf("blkmq/hwq%d.depth", i)))
 		}
@@ -129,7 +126,7 @@ func (m *MQ) openStream(id uint64) block.Scheduler {
 func (m *MQ) Stats() Stats {
 	s := m.Layer.Stats()
 	return Stats{Submitted: s.Submitted, Dispatched: s.Dispatched, Completed: s.Completed,
-		StagedPeak: s.StagedPeak, Streams: len(m.scheds), Spread: m.spread}
+		StagedPeak: s.StagedPeak, Streams: len(m.scheds), Spread: s.Spread}
 }
 
 // EpochsClosed returns the number of epochs fully dispatched, summed over
@@ -145,26 +142,3 @@ func (m *MQ) EpochsClosed() int64 {
 // Verify checks the recorded dispatch trace against the per-stream epoch
 // invariants (requires cfg.Trace).
 func (m *MQ) Verify() error { return VerifyTrace(m.DispatchLog()) }
-
-// spreadOrderless scatters background writeback arriving on an ordering
-// stream — stream 0 or a per-shard order stream (block.OrderStream) — over
-// the data streams, 1..HWQueues-1 (one data stream when there is only one
-// hardware queue), so it never shares hardware queue 0 with the foreground
-// stream. Every multi-queue layer spreads. Background writeback carries no
-// ordering promise and nobody waits on it, so it bypasses the ordering
-// stream's barriers and congestion limit; foreground requests (ordered,
-// barrier, or simply awaited) never move, since their stream is part of
-// their semantics. Keyed by LPA, not submitter, so a single pdflush daemon
-// still spreads across every data stream; data streams are shared by every
-// tenant, which is safe precisely because spread writes are orderless. A
-// moved request sits on no ordering stream, so a parked handler's retry with
-// the same request keeps its data stream.
-func (m *MQ) spreadOrderless(r *block.Request) {
-	if (r.Stream == 0 || block.IsOrderStream(r.Stream)) && !r.Ordered() &&
-		r.Op == block.OpWrite && r.Flags.Has(block.FlagBackground) &&
-		r.Flags&(block.FlagFlush|block.FlagFUA) == 0 {
-		r.Stream = 1 + r.LPA%uint64(max(m.cfg.HWQueues-1, 1))
-		m.spread++
-		m.spreadCtr.Inc()
-	}
-}

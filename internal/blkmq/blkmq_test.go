@@ -2,6 +2,7 @@ package blkmq
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/block"
@@ -37,7 +38,7 @@ func orderless(stream, lpa uint64) *block.Request {
 
 func background(stream, lpa uint64) *block.Request {
 	r := orderless(stream, lpa)
-	r.Flags |= block.FlagBackground
+	r.Role = block.RoleBackground
 	return r
 }
 
@@ -212,7 +213,7 @@ func TestMQSpreadOrderless(t *testing.T) {
 	}
 	streams := map[uint64]bool{}
 	for _, rec := range m.DispatchLog() {
-		if rec.Flags.Has(block.FlagBackground) {
+		if rec.Role == block.RoleBackground {
 			if rec.Stream == 0 {
 				t.Error("background write left on stream 0")
 			}
@@ -231,68 +232,149 @@ func TestMQSpreadOrderless(t *testing.T) {
 	}
 }
 
-// TestCheckpointStreamRules holds the streams derived from a journal's,
-// block.CheckpointStream and block.FlushStream, to their rules for
-// journals on stream 0 and on per-shard order streams: each is no data
-// stream and no order stream, the two differ from each other and from
-// every journal's, each lands on its journal stream's hardware queue, and
-// background spreading never moves their requests, even ones flagged as
-// background writeback.
-func TestCheckpointStreamRules(t *testing.T) {
-	const hwq = 4
-	k := sim.NewKernel()
-	defer k.Close()
-	m := New(k, testDevice(k), Config{HWQueues: hwq, Trace: true})
+// TestRoleRules holds every role of block's role table to its rules, for
+// journals on stream 0 and on per-shard order streams, on 1 to 64 hardware
+// queues. It submits each kind of request in each role on each journal
+// stream and reads the dispatch log:
+//   - a role with a derived domain (RoleCheckpoint, RoleFlush) rides a
+//     stream that is neither a data stream nor an order stream, congruent
+//     to its journal stream (so it lands on that stream's hardware queue)
+//     and distinct per (role, stream); every other role rides its stream;
+//   - only orderless writes without FLUSH/FUA in a spreading role
+//     (RoleBackground, RoleIdle) leave the ordering stream, for a data
+//     stream;
+//   - only RoleIdle yields the congestion limit: QueueLimit requests of its
+//     role on a domain leave room for a sync submitter there.
+func TestRoleRules(t *testing.T) {
+	rules := []struct {
+		role                     block.Role
+		derived, spreads, yields bool
+	}{
+		{block.RoleSync, false, false, false},
+		{block.RoleBackground, false, true, false},
+		{block.RoleIdle, false, true, true},
+		{block.RoleCheckpoint, true, false, false},
+		{block.RoleFlush, true, false, false},
+	}
 	journals := []uint64{0, block.OrderStream(1), block.OrderStream(2), block.OrderStream(7)}
-	derived := map[uint64]bool{}
-	for _, s := range journals {
-		c, f := block.CheckpointStream(s), block.FlushStream(s)
-		if !block.IsCheckpointStream(c) || block.IsCheckpointStream(f) {
-			t.Errorf("IsCheckpointStream: CheckpointStream(%d) = %d, FlushStream(%d) = %d", s, c, s, f)
+	kinds := []struct {
+		op     block.Op
+		flags  block.Flags
+		leaves bool // in a spreading role
+	}{
+		{block.OpWrite, 0, true},
+		{block.OpWrite, block.FlagOrdered, false},
+		{block.OpWrite, block.FlagOrdered | block.FlagBarrier, false},
+		{block.OpWrite, block.FlagFlush, false},
+		{block.OpWrite, block.FlagFUA, false},
+		{block.OpRead, 0, false},
+		{block.OpFlush, 0, false},
+	}
+	type key struct {
+		rule    int
+		journal uint64
+	}
+	for _, hwq := range []int{1, 2, 4, 8, 16, 64} {
+		k := sim.NewKernel()
+		m := New(k, testDevice(k), Config{HWQueues: hwq, Trace: true})
+		type sub struct {
+			key
+			kind int
 		}
-		for _, d := range []uint64{c, f} {
-			if d < hwq || block.IsOrderStream(d) {
-				t.Errorf("stream %d derived from %d: a data or order stream", d, s)
+		var subs []sub // indexed by LPA
+		k.Spawn("host", func(p *sim.Proc) {
+			for ri, rule := range rules {
+				for _, s := range journals {
+					for ki, kind := range kinds {
+						lpa := uint64(len(subs))
+						subs = append(subs, sub{key{ri, s}, ki})
+						m.Submit(p, &block.Request{Op: kind.op, LPA: lpa, Data: lpa,
+							Flags: kind.flags, Role: rule.role, Stream: s})
+					}
+				}
+			}
+		})
+		k.Run()
+		k.Close()
+
+		domain := map[key]uint64{} // the stream each (role, journal) rode off spreading
+		owner := map[uint64]key{}  // which (role, journal) rode each derived domain
+		var leaving int64
+		for _, rec := range m.DispatchLog() {
+			sb := subs[rec.LPA]
+			rule, s, d := rules[sb.rule], sb.journal, rec.Stream
+			if rec.Role != rule.role {
+				t.Errorf("hwq %d: LPA %d dispatched in role %d, submitted in %d", hwq, rec.LPA, rec.Role, rule.role)
+			}
+			if rule.spreads && kinds[sb.kind].leaves {
+				leaving++
+				if d < 1 || d > uint64(max(hwq-1, 1)) || rec.HWQueue != int(d%uint64(hwq)) {
+					t.Errorf("hwq %d: role %d LPA %d from stream %d rode stream %d on hardware queue %d, want a data stream's",
+						hwq, rule.role, rec.LPA, s, d, rec.HWQueue)
+				}
+				continue
+			}
+			if rec.HWQueue != int(s%uint64(hwq)) {
+				t.Errorf("hwq %d: role %d LPA %d on hardware queue %d, want its journal's %d",
+					hwq, rule.role, rec.LPA, rec.HWQueue, s%uint64(hwq))
+			}
+			if prev, ok := domain[sb.key]; ok && prev != d {
+				t.Errorf("hwq %d: role %d on journal %d rode both %d and %d", hwq, rule.role, s, prev, d)
+			}
+			domain[sb.key] = d
+			if !rule.derived {
+				if d != s {
+					t.Errorf("hwq %d: role %d LPA %d moved from stream %d to %d", hwq, rule.role, rec.LPA, s, d)
+				}
+				continue
+			}
+			if d < 64 || slices.Contains(journals, d) {
+				t.Errorf("hwq %d: role %d on journal %d rides stream %d: a data or journal stream", hwq, rule.role, s, d)
 			}
 			for i := 0; i < 1024; i++ {
 				if d == block.OrderStream(i) {
-					t.Errorf("stream %d derived from %d = OrderStream(%d)", d, s, i)
+					t.Errorf("hwq %d: role %d on journal %d rides OrderStream(%d)", hwq, rule.role, s, i)
 				}
 			}
 			for _, n := range []uint64{1, 2, 4, 8, 16, 64} {
 				if d%n != s%n {
-					t.Errorf("stream %d derived from %d is not congruent to it mod %d", d, s, n)
+					t.Errorf("hwq %d: role %d on journal %d rides stream %d, not congruent to it mod %d", hwq, rule.role, s, d, n)
 				}
 			}
-			if derived[d] {
-				t.Errorf("stream %d derived twice", d)
+			if o, ok := owner[d]; ok && o != sb.key {
+				t.Errorf("hwq %d: stream %d derived for both %v and %v", hwq, d, o, sb.key)
 			}
-			derived[d] = true
+			owner[d] = sb.key
 		}
-	}
-	k.Spawn("host", func(p *sim.Proc) {
-		for i, s := range journals {
-			for j, d := range []uint64{block.CheckpointStream(s), block.FlushStream(s)} {
-				lpa := uint64(10*i + 2*j)
-				m.Submit(p, background(d, lpa))
-				m.Submit(p, orderless(d, lpa+1))
-			}
+		if n := m.Stats().Spread; n != leaving {
+			t.Errorf("hwq %d: Stats().Spread = %d, want %d", hwq, n, leaving)
 		}
-	})
-	k.Run()
-	if m.Stats().Spread != 0 {
-		t.Errorf("spread moved %d derived-stream requests", m.Stats().Spread)
-	}
-	for _, rec := range m.DispatchLog() {
-		if !derived[rec.Stream] {
-			t.Errorf("LPA %d dispatched on stream %d, off its derived stream", rec.LPA, rec.Stream)
+		if err := m.Verify(); err != nil {
+			t.Fatal(err)
 		}
-		if want := int(rec.Stream % hwq); rec.HWQueue != want {
-			t.Errorf("LPA %d on hardware queue %d, want its journal's %d", rec.LPA, rec.HWQueue, want)
+
+		// Congestion: with QueueLimit ordered writes of a role queued on its
+		// domain, a sync submitter there waits unless the role yields.
+		for ri, rule := range rules {
+			k := sim.NewKernel()
+			m := New(k, testDevice(k), Config{HWQueues: hwq, QueueLimit: 4, DispatchOverhead: sim.Microsecond})
+			k.Spawn("host", func(p *sim.Proc) {
+				for _, s := range journals {
+					for i := uint64(0); i < 4; i++ {
+						m.Submit(p, &block.Request{Op: block.OpWrite, LPA: i, Data: i,
+							Flags: block.FlagOrdered, Role: rule.role, Stream: s})
+					}
+					t0 := p.Now()
+					m.Submit(p, ordered(domain[key{ri, s}], 9))
+					if waited := p.Now() != t0; waited == rule.yields {
+						t.Errorf("hwq %d: a sync write behind 4 of role %d on journal %d waited %v",
+							hwq, rule.role, s, p.Now().Sub(t0))
+					}
+				}
+			})
+			k.Run()
+			k.Close()
 		}
-	}
-	if err := m.Verify(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -491,7 +491,7 @@ func TestForegroundReadPassesWriteBacklog(t *testing.T) {
 				})
 				rd := &Request{Op: OpRead, LPA: 0}
 				if bg {
-					rd.Flags = FlagBackground
+					rd.Role = RoleBackground
 				}
 				var submitted, returned sim.Time
 				k.Spawn("reader", func(p *sim.Proc) {
@@ -569,11 +569,14 @@ func TestForegroundReadPassesWriteBacklog(t *testing.T) {
 // TestIdleYieldsCongestion drives both shapes, through Submit and through a
 // handler's SubmitOrPark, into the state compaction leaves behind: the
 // device full behind an ordered flush, the dispatcher holding a refused
-// write, and the software queue holding QueueLimit idle writes (FlagIdle).
+// write, and the software queue holding QueueLimit idle writes (RoleIdle).
 // A submitter of one more idle write must wait, and is admitted as the
 // first of them leaves the queue. Then a foreground ordered write and a
 // plain background write must both be admitted at once: idle requests do
 // not count against them. After the drain the queue counts no idle request.
+// The per-stream shape runs it all on data stream 1, where compaction's idle
+// writes meet the memtable flush's plain background writes once both are
+// spread.
 func TestIdleYieldsCongestion(t *testing.T) {
 	const (
 		tD    = sim.Microsecond
@@ -582,17 +585,18 @@ func TestIdleYieldsCongestion(t *testing.T) {
 		at    = sim.Time(100 * sim.Microsecond) // the flush is still programming
 	)
 	shapes := []struct {
-		name  string
-		build func(*sim.Kernel, *device.Device, LayerConfig) (*Layer, func() *swQueue)
+		name   string
+		stream uint64
+		build  func(*sim.Kernel, *device.Device, LayerConfig) (*Layer, func() *swQueue)
 	}{
-		{"single", func(k *sim.Kernel, d *device.Device, cfg LayerConfig) (*Layer, func() *swQueue) {
+		{"single", 0, func(k *sim.Kernel, d *device.Device, cfg LayerConfig) (*Layer, func() *swQueue) {
 			l := NewLayer(k, d, NewEpochScheduler(NewNOOP()), cfg)
 			return l, func() *swQueue { return l.shared }
 		}},
-		{"per-stream", func(k *sim.Kernel, d *device.Device, cfg LayerConfig) (*Layer, func() *swQueue) {
+		{"per-stream", 1, func(k *sim.Kernel, d *device.Device, cfg LayerConfig) (*Layer, func() *swQueue) {
 			l := NewPerStreamLayer(k, d, PerStream{HWQueues: 1, Daemon: "mq/dispatch",
 				OpenStream: func(uint64) Scheduler { return NewEpochScheduler(NewNOOP()) }}, cfg)
-			return l, func() *swQueue { return l.queues[0] }
+			return l, func() *swQueue { return l.queues[1] }
 		}},
 	}
 	for _, sh := range shapes {
@@ -610,22 +614,27 @@ func TestIdleYieldsCongestion(t *testing.T) {
 				l, sw := sh.build(k, device.New(k, dc), LayerConfig{DispatchOverhead: tD, QueueLimit: limit, Trace: true, Metrics: reg})
 				idleWait := reg.Counter("block/congest.idle_wait_ns")
 				wait := reg.Counter("block/congest.wait_ns")
+				req := func(lpa uint64, flags Flags, role Role) *Request {
+					r := mkReq(lpa, flags)
+					r.Role, r.Stream = role, sh.stream
+					return r
+				}
 
 				const plain = 2 + qd - 1 + 1 // before the flush, in the device, held
 				k.Spawn("writer", func(p *sim.Proc) {
-					l.Submit(p, mkReq(0, 0))
-					l.Submit(p, mkReq(1, 0))
-					l.Submit(p, &Request{Op: OpFlush})
+					l.Submit(p, req(0, 0, RoleSync))
+					l.Submit(p, req(1, 0, RoleSync))
+					l.Submit(p, &Request{Op: OpFlush, Stream: sh.stream})
 					for lpa := uint64(2); lpa < plain; lpa++ {
-						l.Submit(p, mkReq(lpa, 0))
+						l.Submit(p, req(lpa, 0, RoleSync))
 					}
 					for lpa := uint64(plain); lpa < plain+limit; lpa++ {
-						l.Submit(p, mkReq(lpa, FlagBackground|FlagIdle))
+						l.Submit(p, req(lpa, 0, RoleIdle))
 					}
 				})
 
-				idle := mkReq(100, FlagBackground|FlagIdle)
-				fg := []*Request{mkReq(101, FlagOrdered), mkReq(102, FlagBackground)}
+				idle := req(100, 0, RoleIdle)
+				fg := []*Request{req(101, FlagOrdered, RoleSync), req(102, 0, RoleBackground)}
 				var dispatched int64
 				var idleFrom, waitFrom int64
 				state := func(when string, queued, idleN int) {

@@ -14,7 +14,7 @@ type LayerConfig struct {
 	DispatchOverhead sim.Duration
 	// QueueLimit bounds the requests buffered per software queue (scheduler +
 	// staging), like the kernel's nr_requests; that queue's submitters block
-	// beyond it, where idle requests (FlagIdle) count only against idle
+	// beyond it, where idle requests (RoleIdle) count only against idle
 	// submitters. 0 or less means the default of 128.
 	QueueLimit int
 	// BarrierAsCommand dispatches epoch boundaries as standalone barrier
@@ -38,6 +38,7 @@ type DispatchRecord struct {
 	LPA    uint64
 	Op     Op
 	Flags  Flags
+	Role   Role
 	Epoch  uint64
 	Stream uint64
 	// HWQueue is the hardware dispatch queue that issued the command (always
@@ -73,7 +74,8 @@ type LayerStats struct {
 	Submitted  int64
 	Dispatched int64
 	Completed  int64
-	StagedPeak int // high-water mark of requests parked behind a closed epoch
+	StagedPeak int   // high-water mark of requests parked behind a closed epoch
+	Spread     int64 // background writes the per-stream shape moved to a data stream
 }
 
 // PerStream describes the multi-queue shape of the layer (§8), which
@@ -87,15 +89,12 @@ type PerStream struct {
 	Daemon   string
 	// OpenStream builds a stream's scheduler, at the stream's first request.
 	OpenStream func(stream uint64) Scheduler
-	// Route, if set, may move a request to another stream before it is
-	// queued. A parked handler submits the same request again, so it must be
-	// idempotent.
-	Route func(r *Request)
-	// Submitted and Dispatched count admitted requests and issued commands;
-	// Depth, if non-nil, holds one gauge per hardware queue of the requests
-	// buffered behind it. Nil instruments are off.
-	Submitted, Dispatched *metrics.Counter
-	Depth                 []*metrics.Gauge
+	// Submitted, Dispatched and Spread count admitted requests, issued
+	// commands and spread writes; Depth, if non-nil, holds one gauge per
+	// hardware queue of the requests buffered behind it. Nil instruments
+	// are off.
+	Submitted, Dispatched, Spread *metrics.Counter
+	Depth                         []*metrics.Gauge
 }
 
 // swQueue is one software queue, an ordering domain: a scheduler, staging
@@ -106,7 +105,7 @@ type swQueue struct {
 	staged  sim.FIFO[*Request]
 	congest *sim.Cond
 	hw      *hwQueue
-	idle    int // queued requests that carry FlagIdle
+	idle    int // queued requests whose role yields
 }
 
 func (q *swQueue) queued() int { return q.sched.Pending() + q.staged.Len() }
@@ -116,7 +115,7 @@ func (q *swQueue) queued() int { return q.sched.Pending() + q.staged.Len() }
 // only the non-idle ones.
 func (q *swQueue) full(r *Request, limit int) bool {
 	n := q.queued()
-	if !r.Flags.Has(FlagIdle) {
+	if !r.yields() {
 		n -= q.idle
 	}
 	return n >= limit
@@ -141,7 +140,7 @@ type hwQueue struct {
 // stack, has one queue shared by every stream and one daemon, so epochs are
 // ordered device-wide; NewPerStreamLayer orders them within a stream only.
 //
-// A foreground read (OpRead without FlagBackground) is an orderless request,
+// A foreground read (OpRead of RoleSync) is an orderless request,
 // which the epoch rules let cross epochs freely (§3.3, rule 3), and a caller
 // waits on it. It skips the software queues — scheduler, staging and the
 // congestion limit — and waits in its hardware queue's read FIFO, which the
@@ -225,14 +224,26 @@ func (l *Layer) open(sched Scheduler, h *hwQueue) *swQueue {
 	return q
 }
 
-// route returns the software queue r rides: the shared one, or — after the
-// shape's Route hook has had its say — its stream's, opened at first use.
+// route applies r's role to its stream and returns the software queue r
+// rides: the shared one, or its stream's, opened at first use. The role's
+// domain tag is ORed in. On the per-stream shape a spreading role's
+// orderless write without FLUSH/FUA on an ordering stream (0 or an order
+// stream) moves by LPA to a data stream, 1..HWQueues-1 (1 on one hardware
+// queue): nobody waits on it and it promises no order, so it bypasses the
+// ordering stream's barriers and congestion limit, and one pdflush daemon
+// spreads over every data stream, which all tenants share. A parked
+// handler's retry routes the same request again to the same queue.
 func (l *Layer) route(r *Request) *swQueue {
+	rule := roles[r.Role]
+	r.Stream |= rule.domain
 	if l.shared != nil {
 		return l.shared
 	}
-	if l.ps.Route != nil {
-		l.ps.Route(r)
+	if rule.spreads && r.Op == OpWrite && !r.Ordered() && r.Flags&(FlagFlush|FlagFUA) == 0 &&
+		(r.Stream == 0 || r.Stream >= OrderStreamBase) {
+		r.Stream = 1 + r.LPA%uint64(max(len(l.hw)-1, 1))
+		l.stats.Spread++
+		l.ps.Spread.Inc()
 	}
 	q, ok := l.queues[r.Stream]
 	if !ok {
@@ -264,8 +275,8 @@ func (l *Layer) DispatchLog() []DispatchRecord { return l.trace }
 // scheduler has admission closed are staged and fed in submission order once
 // it reopens. When the queue is full (nr_requests congestion), Submit blocks
 // the caller until a dispatcher drains it; on the per-stream shape only that
-// stream's submitters ever do. Full means QueueLimit requests of any class
-// for an idle request (FlagIdle), and QueueLimit non-idle ones for every
+// stream's submitters ever do. Full means QueueLimit requests of any role
+// for an idle request (RoleIdle), and QueueLimit non-idle ones for every
 // other, so idle IO never makes a commit wait: congestion by ordered and
 // plain background IO is then the only situation in which the
 // barrier-enabled submission path blocks. A foreground read never blocks:
@@ -314,18 +325,21 @@ func (l *Layer) SubmitOrPark(h *sim.Proc, r *Request) bool {
 	return true
 }
 
-// congestWait returns the counter of r's class for the ns its submitter
+// congestWait returns the counter of r's role for the ns its submitter
 // waited on QueueLimit.
 func (l *Layer) congestWait(r *Request) *metrics.Counter {
-	if r.Flags.Has(FlagIdle) {
+	if r.yields() {
 		return l.congestIdleWaitNS
 	}
 	return l.congestWaitNS
 }
 
-// foreground reports whether r is a read a caller is waiting on: OpRead
-// without FlagBackground.
-func foreground(r *Request) bool { return r.Op == OpRead && !r.Flags.Has(FlagBackground) }
+// foreground reports whether r is a read a caller is waiting on: OpRead of
+// RoleSync.
+func foreground(r *Request) bool { return r.Op == OpRead && r.Role == RoleSync }
+
+// yields reports whether r's role yields the congestion limit.
+func (r *Request) yields() bool { return roles[r.Role].yields }
 
 // enter takes r into the layer on hardware queue h.
 func (l *Layer) enter(h *hwQueue, r *Request) {
@@ -340,13 +354,7 @@ func (l *Layer) enter(h *hwQueue, r *Request) {
 // admitRead queues foreground read r on the read FIFO of the hardware queue
 // its stream's software queue drains into.
 func (l *Layer) admitRead(r *Request) {
-	h := l.hw[0]
-	if l.shared == nil {
-		if l.ps.Route != nil {
-			l.ps.Route(r)
-		}
-		h = l.hw[r.Stream%uint64(len(l.hw))]
-	}
+	h := l.hw[r.Stream%uint64(len(l.hw))]
 	l.enter(h, r)
 	h.reads.Push(r)
 	h.kick.Broadcast()
@@ -354,7 +362,7 @@ func (l *Layer) admitRead(r *Request) {
 
 func (l *Layer) admit(q *swQueue, r *Request) {
 	l.enter(q.hw, r)
-	if r.Flags.Has(FlagIdle) {
+	if r.yields() {
 		q.idle++
 	}
 	if q.staged.Len() > 0 || !q.sched.Add(r) {
@@ -436,7 +444,7 @@ func (l *Layer) dispatcher(p *sim.Proc, h *hwQueue) {
 			h.kick.Wait(p)
 			continue
 		}
-		if r.Flags.Has(FlagIdle) {
+		if r.yields() {
 			q.idle--
 		}
 		if !l.dispatch(p, h, r) {
@@ -455,7 +463,7 @@ func (l *Layer) dispatch(p *sim.Proc, h *hwQueue, r *Request) bool {
 	p.Advance(l.cfg.DispatchOverhead)
 	if l.cfg.Trace {
 		l.trace = append(l.trace, DispatchRecord{
-			At: p.Now(), LPA: r.LPA, Op: r.Op, Flags: r.Flags, Epoch: r.epoch,
+			At: p.Now(), LPA: r.LPA, Op: r.Op, Flags: r.Flags, Role: r.Role, Epoch: r.epoch,
 			Stream: r.Stream, HWQueue: h.id,
 		})
 	}

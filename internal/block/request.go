@@ -28,24 +28,56 @@ const (
 	// FlagFUA forces the block to the storage surface before completion
 	// (REQ_FUA).
 	FlagFUA
-	// FlagBackground marks best-effort background writeback (REQ_BACKGROUND):
-	// no caller is waiting on the request and it carries no ordering promise.
-	// The multi-queue layer scatters such requests onto data streams so they
-	// never sit in front of foreground traffic; it is purely a host-side
-	// hint and never reaches the device.
-	FlagBackground
-	// FlagIdle marks idle-class IO (IOPRIO_CLASS_IDLE), set together with
-	// FlagBackground on work nobody waits on soon, such as an LSM store's
-	// compaction. It yields the congestion limit: an idle request waits at
-	// submission while its software queue holds QueueLimit requests of any
-	// class, and every other request counts only the non-idle ones, so a
-	// queue filled with idle IO never blocks a commit. Dispatch order is
-	// not touched. Like FlagBackground it never reaches the device.
-	FlagIdle
 )
 
 // Has reports whether all bits in f2 are set.
 func (f Flags) Has(f2 Flags) bool { return f&f2 == f2 }
+
+// Role is a request's IO class, after Linux's ioprio classes and blk-mq's
+// per-stream ordering domains: one row of the role table (roles), which
+// only this package reads. A role never reaches the device.
+type Role uint8
+
+// The roles.
+const (
+	// RoleSync — the zero value — is IO a caller waits on or orders; its
+	// reads skip the software queues for the hardware queue's read FIFO.
+	RoleSync Role = iota
+	// RoleBackground is best-effort background IO (REQ_BACKGROUND) that
+	// carries no ordering promise: its reads queue behind writes, and its
+	// orderless writes spread (see Layer.route).
+	RoleBackground
+	// RoleIdle is background IO of the idle class (IOPRIO_CLASS_IDLE), such
+	// as an LSM store's compaction. It yields the congestion limit: it
+	// waits while its software queue holds QueueLimit requests of any role,
+	// and no other request counts it, so idle IO never blocks a commit.
+	RoleIdle
+	// RoleCheckpoint is a journal's checkpoint IO and RoleFlush its
+	// durability flush. Each rides a domain derived from the journal's
+	// stream, so its flushes and FUA writes never hold back the commit
+	// path, nor each other (see jbd).
+	RoleCheckpoint
+	RoleFlush
+)
+
+// roleRule is one row of the role table.
+type roleRule struct {
+	// domain is ORed into the stream: a tag above every order stream and a
+	// multiple of every realistic hardware-queue count, so the derived
+	// domain is no data or order stream and shares its stream's hardware
+	// queue.
+	domain  uint64
+	yields  bool // waits behind any QueueLimit requests and counts against no one
+	spreads bool // orderless writes may leave an ordering stream for a data stream
+}
+
+var roles = [...]roleRule{
+	RoleSync:       {},
+	RoleBackground: {spreads: true},
+	RoleIdle:       {yields: true, spreads: true},
+	RoleCheckpoint: {domain: 1 << 63},
+	RoleFlush:      {domain: 1 << 62},
+}
 
 // Op is the request operation.
 type Op int
@@ -75,6 +107,7 @@ type Request struct {
 	LPA   uint64
 	Data  any
 	Flags Flags
+	Role  Role
 	// PID is the issuing proc's ID. Nothing reads it; it stays while bench/
 	// sets it.
 	PID int
@@ -83,7 +116,8 @@ type Request struct {
 	// the same stream; requests of different streams are mutually orderless.
 	// The single-queue Layer schedules every stream in one epoch sequence; the
 	// multi-queue layer (internal/blkmq) keys epochs on it. Either way the
-	// command carries it, scoping device-level ordering.
+	// command carries it, scoping device-level ordering. Submission applies
+	// the role's rules to it (Layer.route).
 	Stream uint64
 
 	// Trace is the request-scoped causal trace context (zero: tracing
@@ -135,45 +169,6 @@ func OrderStream(i int) uint64 {
 	}
 	return OrderStreamBase + uint64(i)
 }
-
-// IsOrderStream reports whether id names a non-default order domain.
-func IsOrderStream(id uint64) bool {
-	return id >= OrderStreamBase && id&(checkpointStreamBit|flushStreamBit) == 0
-}
-
-// The tags of the streams derived from a journal's stream (CheckpointStream,
-// FlushStream). Each sits above every order stream and, like
-// OrderStreamBase, is a multiple of every realistic hardware-queue count.
-const (
-	checkpointStreamBit uint64 = 1 << 63
-	flushStreamBit      uint64 = 1 << 62
-)
-
-// CheckpointStream returns the ordering domain of the checkpoint IO of a
-// journal whose commits ride stream s: its flushes, in-place home writes
-// and superblock write. A flush or FUA write is ordered after everything
-// its stream sent before it, so on s it would hold back the next commit's
-// writes for a whole program; on a stream of its own it holds back only
-// the checkpoint's own IO, whose phases each wait for the one before. The
-// stream is no data stream and no order stream, it lands on s's hardware
-// queue (it is congruent to s modulo the queue count), and background
-// spreading never moves its requests.
-func CheckpointStream(s uint64) uint64 { return s | checkpointStreamBit }
-
-// IsCheckpointStream reports whether id names a checkpoint stream.
-func IsCheckpointStream(id uint64) bool { return id&checkpointStreamBit != 0 }
-
-// FlushStream returns the ordering domain of the durability flushes of a
-// journal whose commits ride stream s (Dual-Mode's flush thread and the
-// retirers that share its body). On s such a flush would hold back every
-// later command of s, the next commit's JD and JC and the application's
-// ordered writes, until it has drained the cache; on a stream of its own
-// it holds back only the next such flush, and the journal waits for the
-// transfers it must cover before it issues it. Like CheckpointStream it is
-// no data stream and no order stream, lands on s's hardware queue and is
-// never spread; it is not the checkpoint stream, where it would queue
-// behind checkpoint home writes.
-func FlushStream(s uint64) uint64 { return s | flushStreamBit }
 
 // Ordered reports whether the request is order-preserving (ordered or
 // barrier).

@@ -3,7 +3,6 @@ package crashmc
 import (
 	"testing"
 
-	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/jbd"
@@ -68,7 +67,10 @@ func appendIntoCheckpoint(run *ckptRun, reg *metrics.Registry, at ckptInstant) P
 				// step after its home writes reaches the device, with the
 				// home writes still volatile. That step is the second flush
 				// beginning after the newest home write reached the cache,
-				// or any superblock write in the cache.
+				// or any superblock write in the cache. The home writes are
+				// the cached writes off the journal's stream: they ride the
+				// checkpoint's own domain (block.RoleCheckpoint), and every
+				// other write the journal's.
 				poll(func() bool { return flushes.Value() == 1 })
 				cached, begun := 0, s.Dev.Stats().Flushes
 				poll(func() bool {
@@ -80,7 +82,7 @@ func appendIntoCheckpoint(run *ckptRun, reg *metrics.Registry, at ckptInstant) P
 						switch {
 						case w.LPA == super:
 							superCached = true
-						case block.IsCheckpointStream(w.Stream):
+						case w.Stream != s.Profile.FS.Journal.Stream:
 							homes++
 						}
 					}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fs"
@@ -361,7 +362,7 @@ func syncAfterBackground(run *crossRun, pages int, meta bool) Part {
 				s.FS.Write(p, a, int64(n))
 			}
 			s.FS.Write(p, b, 0)
-			s.FS.WritebackAsync(p, a, 0)
+			s.FS.WritebackAsync(p, a, block.RoleBackground)
 			done := false
 			k.Spawn("fbarrier-b", func(q *sim.Proc) {
 				s.FS.Fbarrier(q, b)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fs"
@@ -88,7 +89,7 @@ func mqBackground(k *sim.Kernel, s *core.Stack) []Checker {
 				for i := 0; i < 16; i++ {
 					s.FS.Write(p, f, n*16+int64(i))
 				}
-				s.FS.WritebackAsync(p, f, 0)
+				s.FS.WritebackAsync(p, f, block.RoleBackground)
 			}
 		})
 	}
@@ -150,7 +151,7 @@ func spreadFsync(reached *int) Part {
 			for i := int64(0); i < pages; i++ {
 				s.FS.Write(p, f, i)
 			}
-			s.FS.WritebackAsync(p, f, 0) // scattered onto data streams, pages now clean
+			s.FS.WritebackAsync(p, f, block.RoleBackground) // scattered onto data streams, pages now clean
 			s.FS.Fdatasync(p, f)
 			ackAll(p, s, f, pages, chk)
 			*reached++
@@ -214,7 +215,7 @@ func spreadFdatabarrier(mq *testing.T, reached *int) Part {
 			if mq != nil {
 				spread0 = s.MQ.Stats().Spread
 			}
-			s.FS.WritebackAsync(p, f, 0)
+			s.FS.WritebackAsync(p, f, block.RoleBackground)
 			if mq != nil && s.MQ.Stats().Spread == spread0 {
 				mq.Error("background writeback was not scattered off stream 0; test is vacuous")
 			}

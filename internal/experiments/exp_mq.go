@@ -168,7 +168,7 @@ func mqFSPoint(prof core.Profile, dur sim.Duration) float64 {
 					s.FS.Write(p, f, n%1024)
 					n++
 				}
-				s.FS.WritebackAsync(p, f, 0)
+				s.FS.WritebackAsync(p, f, block.RoleBackground)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package fs_test
 import (
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/fs"
@@ -44,7 +45,7 @@ func TestFdatabarrierAnswer(t *testing.T) {
 			s.FS.Fsync(p, f) // later writes are overwrites
 			s.FS.Write(p, f, 0)
 			if c.background {
-				s.FS.WritebackAsync(p, f, 0)
+				s.FS.WritebackAsync(p, f, block.RoleBackground)
 				s.FS.Fdatawait(p, f)
 			}
 			first = s.FS.Fdatabarrier(p, f)

@@ -55,7 +55,7 @@ func TestReadSeesNewestWriteUnderBacklog(t *testing.T) {
 				e.fs.Write(p, f, idx)
 				want[idx], _ = e.fs.PageVer(f, idx)
 			case 1:
-				e.fs.WritebackAsync(p, f, 0)
+				e.fs.WritebackAsync(p, f, block.RoleBackground)
 			case 2:
 				inflight := len(f.inflight) > 0
 				if e.fs.EvictClean(f) == 0 && inflight {

@@ -78,15 +78,15 @@ func (f *FS) PageVer(i *Inode, idx int64) (int64, bool) {
 }
 
 // Read returns the version of a page, fetching it from the device on a cache
-// miss; a hole reads as absent. class is the read request's class: 0 for a
-// read its caller waits on, which passes queued writes in the block layer,
-// or block.FlagBackground for best-effort IO, which queues behind them, with
-// block.FlagIdle added for idle-class IO such as compaction input. When the
+// miss; a hole reads as absent. role is the read request's: block.RoleSync
+// for a read its caller waits on, which passes queued writes in the block
+// layer, or block.RoleIdle for idle-class IO such as compaction input,
+// which queues behind them. When the
 // device fails the page read hard (uncorrectable sector with the block
 // layer's retry budget exhausted, block.Request.Err), Read caches nothing
 // and returns the error so the application can fail over to a replica. The
 // read request is pooled: Read copies its result out and releases it.
-func (f *FS) Read(p *sim.Proc, i *Inode, idx int64, class block.Flags) (int64, bool, error) {
+func (f *FS) Read(p *sim.Proc, i *Inode, idx int64, role block.Role) (int64, bool, error) {
 	f.cpu(p)
 	f.stats.Reads++
 	if pg := i.cached(idx); pg != nil {
@@ -96,7 +96,7 @@ func (f *FS) Read(p *sim.Proc, i *Inode, idx int64, class block.Flags) (int64, b
 		return 0, false, nil
 	}
 	r := f.reqPool.Get()
-	r.Op, r.LPA, r.Flags, r.Stream = block.OpRead, i.blocks[idx], class, f.stream
+	r.Op, r.LPA, r.Role, r.Stream = block.OpRead, i.blocks[idx], role, f.stream
 	f.layer.SubmitAndWait(p, r)
 	err, data := r.Err, r.Data
 	r.Release()
@@ -143,14 +143,14 @@ type writebackPlan struct {
 }
 
 // writeback turns the file's dirty pages into block requests with the given
-// flags, journaling pages instead where OptFS's selective data journaling
-// applies (an overwrite of a page synced before). The requests are
+// flags and role, journaling pages instead where OptFS's selective data
+// journaling applies (an overwrite of a page synced before). The requests are
 // submitted; the caller decides whether to wait. The plan owns the hold
 // dataRequest drew each request with until the caller releases it (release,
 // waitAll). The calling proc's trace context (reqtrace.Of) tags each
 // submitted request, so the block layer's queue/dispatch stamps land on the
 // originating sync call's trace record.
-func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast bool) writebackPlan {
+func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, role block.Role, barrierLast bool) writebackPlan {
 	plan := writebackPlan{reqs: i.wbReqs[:0]}
 	i.wbReqs = nil
 	dirty := i.takeDirty()
@@ -170,7 +170,7 @@ func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, barrierLast boo
 			plan.journaled = true
 			continue
 		}
-		plan.reqs = append(plan.reqs, f.dataRequest(i, pg, flags))
+		plan.reqs = append(plan.reqs, f.dataRequest(i, pg, flags, role))
 	}
 	i.keepDirty(dirty)
 	if barrierLast && len(plan.reqs) > 0 {
@@ -226,9 +226,9 @@ func (i *Inode) keepDirty(dirty []*page) {
 
 // dataRequest builds the in-place write request for one dirty page,
 // marking the page clean.
-func (f *FS) dataRequest(i *Inode, pg *page, flags block.Flags) *block.Request {
+func (f *FS) dataRequest(i *Inode, pg *page, flags block.Flags, role block.Role) *block.Request {
 	r := f.reqPool.Get()
-	r.Op, r.LPA, r.Flags, r.Stream = block.OpWrite, i.blocks[pg.idx], flags, f.stream
+	r.Op, r.LPA, r.Flags, r.Role, r.Stream = block.OpWrite, i.blocks[pg.idx], flags, role, f.stream
 	r.Data = f.stamp(i, pg)
 	pg.dirty = false
 	pg.everSynced = true
@@ -289,16 +289,16 @@ func (f *FS) waitCrossStream(p *sim.Proc, i *Inode) {
 // WritebackAsync pushes the file's dirty pages to the device as orderless
 // background writes without waiting. It models pdflush-style background
 // writeback (the paper's buffered-write baseline); backpressure comes from
-// the block layer's queue limit. class is added to the writes' class, which
-// is always block.FlagBackground: 0 for plain background writeback, or
-// block.FlagIdle for idle-class IO such as compaction output, which waits
-// while the block queue is full of any IO but never makes other submitters
-// wait. FlagBackground in class changes nothing, so a Read class can be
-// passed as is. It releases its plan at submission: the block layer holds
+// the block layer's queue limit. role is block.RoleBackground, or
+// block.RoleIdle for idle-class IO such as compaction output; it panics on
+// block.RoleSync. It releases its plan at submission: the block layer holds
 // each request until it completes and then recycles it, so a caller that
 // must see the writes land waits with Fdatawait.
-func (f *FS) WritebackAsync(p *sim.Proc, i *Inode, class block.Flags) {
-	f.release(i, f.writeback(p, i, block.FlagBackground|class, false))
+func (f *FS) WritebackAsync(p *sim.Proc, i *Inode, role block.Role) {
+	if role == block.RoleSync {
+		panic("fs: WritebackAsync of sync IO")
+	}
+	f.release(i, f.writeback(p, i, 0, role, false))
 }
 
 // Fdatawait blocks until the inode has no writeback in flight, waiting on

@@ -28,17 +28,13 @@
 //
 // A page is read with one call, Read, which returns a hard media error
 // instead of reporting the page absent; each caller handles the error or
-// says at the call site why it cannot occur. Read takes the request's
-// class: a read its caller waits on (class 0) passes queued writes in the
-// block layer and the device, while block.FlagBackground, for best-effort
-// reads, queues behind them. Passing is safe because a page whose write is
-// queued or in flight never leaves the page cache (EvictClean), so no read
-// can overtake the write it would observe. WritebackAsync takes a class
-// too, added to block.FlagBackground, which its writes always carry.
-// block.FlagIdle in either makes the IO idle-class, as an LSM store's
-// compaction is: it waits at submission while the block queue holds its
-// limit of any IO, and never counts against the limit other submitters
-// wait on.
+// says at the call site why it cannot occur. Read and WritebackAsync take
+// the requests' block.Role. A read its caller waits on (block.RoleSync)
+// passes queued writes in the block layer and the device, while a
+// background read queues behind them. Passing is safe because a page whose
+// write is queued or in flight never leaves the page cache (EvictClean), so
+// no read can overtake the write it would observe. block.RoleIdle makes the
+// IO idle-class, as an LSM store's compaction is.
 package fs
 
 import (
@@ -326,7 +322,7 @@ func (f *FS) pdflush(p *sim.Proc) {
 		// run-to-run nondeterminism into the writeback submission order.
 		for _, i := range f.inodeList {
 			if i.DirtyPages() > 0 {
-				f.release(i, f.writeback(p, i, block.FlagBackground, false))
+				f.release(i, f.writeback(p, i, 0, block.RoleBackground, false))
 				f.stats.PdflushRuns++
 				f.obs.pdflushRuns.Inc()
 			}

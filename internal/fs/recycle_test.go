@@ -22,7 +22,7 @@ func TestFdatawaitReturnsAtLastCompletion(t *testing.T) {
 		for i := int64(0); i < 8; i++ {
 			e.fs.Write(p, f, i)
 		}
-		e.fs.WritebackAsync(p, f, 0)
+		e.fs.WritebackAsync(p, f, block.RoleBackground)
 		if len(f.inflight) != 8 {
 			t.Fatalf("%d requests in flight after WritebackAsync, want 8", len(f.inflight))
 		}
@@ -65,6 +65,29 @@ func TestFdatawaitIdle(t *testing.T) {
 	})
 }
 
+// TestWritebackAsyncRefusesSync: background writeback is never sync IO, so
+// WritebackAsync panics on block.RoleSync — what a literal 0 role would
+// silently compile to — before it writes anything back.
+func TestWritebackAsyncRefusesSync(t *testing.T) {
+	e := newEnv(jbd.ModeDual)
+	defer e.close()
+	e.run(func(p *sim.Proc) {
+		f, _ := e.fs.Create(p, e.fs.Root(), "f")
+		e.fs.Write(p, f, 0)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("WritebackAsync in block.RoleSync did not panic")
+				}
+			}()
+			e.fs.WritebackAsync(p, f, block.RoleSync)
+		}()
+		if n := f.DirtyPages(); n != 1 {
+			t.Errorf("%d dirty pages after the refused writeback, want 1", n)
+		}
+	})
+}
+
 // TestWritebackAsyncRecyclesRequests: WritebackAsync hands its requests to
 // the block layer, which recycles them at completion, so a second round of
 // background writeback allocates no request, no plan slice and no waiter
@@ -82,7 +105,7 @@ func TestWritebackAsyncRecyclesRequests(t *testing.T) {
 			for i := int64(0); i < pages; i++ {
 				e.fs.Write(p, f, i)
 			}
-			e.fs.WritebackAsync(p, f, 0)
+			e.fs.WritebackAsync(p, f, block.RoleBackground)
 			e.fs.Fdatawait(p, f)
 		}
 		round()
@@ -113,12 +136,12 @@ func TestStampImmutable(t *testing.T) {
 		e.fs.Write(p, f, 0)
 		v1, _ = e.fs.PageVer(f, 0)
 		lpa = f.blocks[0]
-		e.fs.WritebackAsync(p, f, 0)
+		e.fs.WritebackAsync(p, f, block.RoleBackground)
 		held = f.inflight[0].Data.(*PageData)
 		e.fs.Fdatawait(p, f)
 		e.fs.Fsync(p, f) // v1 and the allocation durable
 		e.fs.Write(p, f, 0)
-		e.fs.WritebackAsync(p, f, 0)
+		e.fs.WritebackAsync(p, f, block.RoleBackground)
 		e.fs.Fdatawait(p, f) // v2 in the device cache, not flushed
 		if v2, _ := e.fs.PageVer(f, 0); v2 == v1 {
 			t.Fatalf("rewrite kept version %d", v1)
@@ -224,7 +247,7 @@ func TestUnlinkDuringWritebackKeepsLists(t *testing.T) {
 		for i := int64(0); i < pages; i++ {
 			e.fs.Write(p, old, i)
 		}
-		e.fs.WritebackAsync(p, old, 0)
+		e.fs.WritebackAsync(p, old, block.RoleBackground)
 		oldDone, oldLast := track(old)
 		if err := e.fs.Unlink(p, e.fs.Root(), "old"); err != nil {
 			t.Fatal(err)
@@ -237,7 +260,7 @@ func TestUnlinkDuringWritebackKeepsLists(t *testing.T) {
 		for i := int64(0); i < pages; i++ {
 			e.fs.Write(p, nu, i)
 		}
-		e.fs.WritebackAsync(p, nu, 0)
+		e.fs.WritebackAsync(p, nu, block.RoleBackground)
 		if len(nu.inflight) != pages || !own(nu) {
 			t.Fatalf("new file's in-flight list holds %d requests, not only its own %d", len(nu.inflight), pages)
 		}

@@ -114,7 +114,7 @@ func (f *FS) sync(p *sim.Proc, i *Inode, meta, ordered bool) Delivered {
 		if i.MetaPending() && (ordered && meta || !ordered && commitMeta) {
 			// D as ordered writes — no Wait-on-Transfer. The JD of the
 			// transaction this commits closes the {D, JD} epoch (Eq. 3).
-			f.release(i, f.writeback(p, i, block.FlagOrdered, false))
+			f.release(i, f.writeback(p, i, block.FlagOrdered, block.RoleSync, false))
 			if ordered {
 				f.j.CommitOrdering(p, false) // returns at JC dispatch
 			} else {
@@ -126,7 +126,7 @@ func (f *FS) sync(p *sim.Proc, i *Inode, meta, ordered bool) Delivered {
 		// D closed by a barrier; a durable sync then flushes. With nothing
 		// dirty at all, a forced (possibly empty) journal commit delimits
 		// the epoch (§4.2), waited durably by a durable sync.
-		plan := f.writeback(p, i, block.FlagOrdered, true)
+		plan := f.writeback(p, i, block.FlagOrdered, block.RoleSync, true)
 		switch {
 		case len(plan.reqs) == 0:
 			f.release(i, plan)
@@ -150,7 +150,7 @@ func (f *FS) sync(p *sim.Proc, i *Inode, meta, ordered bool) Delivered {
 	case jbd.ModeOptFS:
 		// osync orders by Wait-on-Transfer; a durable sync adds an explicit
 		// flush (dsync-like).
-		plan := f.writeback(p, i, 0, false)
+		plan := f.writeback(p, i, 0, block.RoleSync, false)
 		f.waitAll(p, i, plan)
 		// A journaled overwrite reaches the device only through a commit:
 		// fdatabarrier always commits, fbarrier only pending metadata.
@@ -164,7 +164,7 @@ func (f *FS) sync(p *sim.Proc, i *Inode, meta, ordered bool) Delivered {
 		f.flush(p)
 		return Durable
 	default: // JBD2 / EXT4, barrier or nobarrier: every call is served durably
-		plan := f.writeback(p, i, 0, false)
+		plan := f.writeback(p, i, 0, block.RoleSync, false)
 		f.waitAll(p, i, plan) // Wait-on-Transfer (wake-up #1)
 		if commitMeta {
 			f.j.CommitAndWait(p) // transfer-and-flush commit (wake-up #2)
@@ -183,7 +183,7 @@ func (f *FS) SyncFS(p *sim.Proc) {
 	// writeback order — and the whole dispatch trace — nondeterministic.
 	for _, i := range f.inodeList {
 		f.waitCrossStream(p, i)
-		plan := f.writeback(p, i, 0, false)
+		plan := f.writeback(p, i, 0, block.RoleSync, false)
 		f.waitAll(p, i, plan)
 	}
 	f.j.CommitAndWait(p)

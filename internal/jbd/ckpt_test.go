@@ -88,8 +88,9 @@ func txnWrite(log []*ioRec, id uint64, jc bool) *ioRec {
 // On EXT4-DR the JC carries FLUSH|FUA, whose own flush drains the same
 // cache, so the request that must get past is the JD: its transfer
 // completes before the checkpoint flush does. The dispatch log shows every
-// checkpoint request, both flushes, the home writes and the superblock, on
-// the derived stream and none on the journal's.
+// checkpoint request, both flushes, the home writes and the superblock, in
+// block.RoleCheckpoint, on a domain other than the journal's stream, and
+// no other request in that role.
 func TestCheckpointOffCommitPath(t *testing.T) {
 	const homes, commits = 16, 64
 	for _, mode := range []Mode{ModeDual, ModeJBD2} {
@@ -102,7 +103,6 @@ func TestCheckpointOffCommitPath(t *testing.T) {
 			cfg := DefaultConfig(mode)
 			cfg.CheckpointLow = 16
 			cfg.Pages = cfg.CheckpointLow + 3*commits - 1
-			ckpt := block.CheckpointStream(cfg.Stream)
 			sh := &recorder{Submitter: l, k: k}
 			j := New(k, sh, cfg)
 			k.Spawn("fill", func(p *sim.Proc) {
@@ -144,19 +144,22 @@ func TestCheckpointOffCommitPath(t *testing.T) {
 			var flushes int
 			for _, d := range l.DispatchLog() {
 				ckptIO := d.Op == block.OpWrite && (d.LPA == cfg.SuperLPA || d.LPA >= 20000 && d.LPA < 20000+homes)
-				if ckptIO && d.Stream != ckpt {
-					t.Errorf("checkpoint write to LPA %d dispatched on stream %d, want %d", d.LPA, d.Stream, ckpt)
+				if ckptIO && d.Role != block.RoleCheckpoint {
+					t.Errorf("checkpoint write to LPA %d dispatched in role %d", d.LPA, d.Role)
 				}
-				if d.Stream == ckpt {
+				if d.Role == block.RoleCheckpoint {
+					if d.Stream == cfg.Stream {
+						t.Errorf("checkpoint %v to LPA %d rode the journal's stream", d.Op, d.LPA)
+					}
 					if d.Op == block.OpFlush {
 						flushes++
 					} else if !ckptIO {
-						t.Errorf("%v to LPA %d rode the checkpoint stream", d.Op, d.LPA)
+						t.Errorf("%v to LPA %d rode the checkpoint role", d.Op, d.LPA)
 					}
 				}
 			}
 			if flushes != 2 {
-				t.Errorf("%d flushes on the checkpoint stream, want the checkpoint's 2", flushes)
+				t.Errorf("%d checkpoint-role flushes, want the checkpoint's 2", flushes)
 			}
 		})
 	}

@@ -62,19 +62,20 @@ func (j *Journal) chunkWaiter(p *sim.Proc) func([]*block.Request) {
 	}
 }
 
-// req draws a pooled request tagged with an ordering domain: the journal's
-// order stream for JD and JC, the checkpointer's for checkpoint IO (see
-// checkpointThread), block.FlushStream for retire's flushes.
-func (j *Journal) req(stream uint64) *block.Request {
+// req draws a pooled request on the journal's stream in role: RoleSync for
+// JD and JC, RoleCheckpoint for checkpoint IO (see checkpointThread),
+// RoleFlush for retire's flushes. The block layer derives the latter two's
+// ordering domains from the stream.
+func (j *Journal) req(role block.Role) *block.Request {
 	r := j.reqPool.Get()
-	r.Stream = stream
+	r.Stream, r.Role = j.cfg.Stream, role
 	return r
 }
 
-// flush issues a cache flush on stream and waits for it, charging the
+// flush issues a cache flush in role and waits for it, charging the
 // wake-up; it counts in Stats.Flushes, and why counts it by trigger.
-func (j *Journal) flush(p *sim.Proc, stream uint64, why *metrics.Counter) {
-	r := j.req(stream)
+func (j *Journal) flush(p *sim.Proc, role block.Role, why *metrics.Counter) {
+	r := j.req(role)
 	j.countBesideCkpt(r)
 	block.FlushOn(p, j.layer, r)
 	j.stats.Flushes++
@@ -86,20 +87,20 @@ func (j *Journal) flush(p *sim.Proc, stream uint64, why *metrics.Counter) {
 // jbd/ckpt.flush_ns.
 func (j *Journal) ckptFlush(p *sim.Proc) {
 	t0 := p.Now()
-	block.FlushOn(p, j.layer, j.req(j.ckptStream))
+	block.FlushOn(p, j.layer, j.req(block.RoleCheckpoint))
 	j.wake(p)
 	j.obs.flushCkpt.Inc()
 	j.obs.ckptFlushWait.Add(int64(p.Now().Sub(t0)))
 }
 
 // countBesideCkpt tallies a commit-path request, a JC or a flush, issued
-// while the checkpointer has IO in flight: behind it on its stream, where
+// while the checkpointer has IO in flight: behind it on its domain, where
 // the device holds the request until that IO completes (a flush and a FUA
 // write are ordered after everything before them), or beside it on
 // another.
 func (j *Journal) countBesideCkpt(r *block.Request) {
 	if j.ckptBusy {
-		if r.Stream == j.ckptStream {
+		if r.Role == block.RoleCheckpoint {
 			j.obs.behindCkpt.Inc()
 		} else {
 			j.obs.besideCkpt.Inc()
@@ -115,20 +116,20 @@ func (j *Journal) countBesideCkpt(r *block.Request) {
 func (j *Journal) buildJD(p *sim.Proc, t *Txn) (jd []*block.Request, jc *block.Request) {
 	n := len(t.frozen)
 	t.trace.StampChain(reqtrace.StageJournalDispatch, p.Now())
-	desc := j.req(j.cfg.Stream)
+	desc := j.req(block.RoleSync)
 	desc.Op, desc.LPA = block.OpWrite, j.slotLPA(j.head)
 	desc.Data = j.descs.New(DescBlock{TxnID: t.id, N: n})
 	j.head++
 	jd = append(t.jd[:0], desc)
 	for i := range t.frozen {
-		r := j.req(j.cfg.Stream)
+		r := j.req(block.RoleSync)
 		r.Op, r.LPA = block.OpWrite, j.slotLPA(j.head)
 		r.Data = &t.frozen[i]
 		jd = append(jd, r)
 		j.head++
 	}
 	t.jd = jd
-	jc = j.req(j.cfg.Stream)
+	jc = j.req(block.RoleSync)
 	jc.Op, jc.LPA = block.OpWrite, j.slotLPA(j.head)
 	jc.Data = j.commits.New(CommitBlock{TxnID: t.id, N: n})
 	j.head++
@@ -275,7 +276,7 @@ func (j *Journal) commitThread(p *sim.Proc) {
 // drops to the newest transaction committed by then (a Dual-Mode one is
 // committed once its JC is submitted). It waits until every committing
 // transaction up to last has its JC transferred, then flushes on the
-// journal's flush stream (block.FlushStream), so the flush never holds
+// journal's flush domain (block.RoleFlush), so the flush never holds
 // back the next commit's JD and JC or the application's ordered writes
 // while the cache drains. A JC that transfers during the flush rides
 // beside it, maybe not covered, so retire credits exactly the transactions
@@ -288,7 +289,7 @@ func (j *Journal) retire(p *sim.Proc, last uint64, why *metrics.Counter) {
 		j.wake(p)
 	}
 	j.obs.retireWait.Add(int64(p.Now().Sub(t0)))
-	j.flush(p, block.FlushStream(j.cfg.Stream), why)
+	j.flush(p, block.RoleFlush, why)
 	// finishTxn unlinks c: step only past those left. Re-check each: another
 	// retirer (reserve, a dsync waiter, the delayed-flush daemon) may have
 	// retired c during the flush, and finishing it twice would double-credit
@@ -438,7 +439,7 @@ func (j *Journal) releaseBuffers(t *Txn) {
 // superblock, and on a device whose flush programs the cache it sets the
 // fsync tail; on the default journal one comes every 2 048 single-block
 // commits (TestCheckpointOnlyUnderSpacePressure). All its IO rides the
-// stream derived from the journal's (block.CheckpointStream): on the
+// domain derived from the journal's stream (block.RoleCheckpoint): on the
 // journal's stream its flushes and FUA superblock write would hold back
 // every later commit-path write for up to a whole program. No phase relies
 // on stream order: each waits for the one before it, the batch's JD and JC
@@ -476,7 +477,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 			for _, l := range t.frozen {
 				r := homes[l.Home]
 				if r == nil {
-					r = j.req(j.ckptStream)
+					r = j.req(block.RoleCheckpoint)
 					r.Op, r.LPA = block.OpWrite, l.Home
 					homes[l.Home] = r
 					reqs = append(reqs, r)
@@ -489,7 +490,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		// 3. Make the in-place copies durable, then advance the tail.
 		j.ckptFlush(p)
 		j.tailTxn = batch[len(batch)-1].id + 1
-		sb := j.req(j.ckptStream)
+		sb := j.req(block.RoleCheckpoint)
 		sb.Op, sb.LPA = block.OpWrite, j.cfg.SuperLPA
 		sb.Data = j.supers.New(SuperBlock{TailTxn: j.tailTxn})
 		sb.Flags = block.FlagFUA

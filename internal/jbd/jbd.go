@@ -17,7 +17,7 @@
 //     commit concurrently and the conflict-page list resolves their page
 //     conflicts (§4.3) as each JC is transferred. A flush thread flushes
 //     for durability-seeking ones and never gates the next commit: its
-//     flush rides a stream of its own (block.FlushStream), so the device
+//     flush rides a domain of its own (block.RoleFlush), so the device
 //     does not hold the next JD and JC behind it.
 //   - ModeOptFS: OptFS's osync() (§7), plus selective data journaling.
 //     Wait-on-Transfer without a flush; a delayed flush, or a dsync-style
@@ -26,7 +26,7 @@
 // The journal occupies a fixed LPA window [Start, Start+Pages) used as a
 // circular log; a superblock at LPA SuperLPA records the checkpoint tail
 // for recovery. The checkpointer writes the logged blocks home and the
-// superblock on an ordering domain of its own (block.CheckpointStream), so
+// superblock on an ordering domain of its own (block.RoleCheckpoint), so
 // its flushes never hold back the next commit.
 package jbd
 
@@ -80,13 +80,13 @@ type Config struct {
 	FlushInterval sim.Duration
 	// Stream is the block-layer ordering domain every commit-path request
 	// rides (block.Request.Stream); checkpoint IO and retire's durability
-	// flushes ride the streams derived from it (block.CheckpointStream,
-	// block.FlushStream). 0 — the default — is the global ordering domain
-	// of the single-queue layer. A multi-tenant stack on one
-	// multi-queue device gives each mounted filesystem its own order stream
-	// (block.OrderStream) so the tenants' barriers never drain each other's
-	// traffic; the filesystem layer tags its foreground data and reads with
-	// the same stream (see fs.Options).
+	// flushes ride the domains the block layer derives from it for their
+	// roles (block.RoleCheckpoint, block.RoleFlush). 0 — the default — is
+	// the global ordering domain of the single-queue layer. A multi-tenant
+	// stack on one multi-queue device gives each mounted filesystem its own
+	// order stream (block.OrderStream) so the tenants' barriers never drain
+	// each other's traffic; the filesystem layer tags its foreground data
+	// and reads with the same stream (see fs.Options).
 	Stream uint64
 	// Metrics is an explicit observability registry; nil falls back to the
 	// process-wide live registry, and a nil resolution disables the
@@ -316,9 +316,6 @@ type Journal struct {
 	// false ack as a positive finding).
 	ackedDurable uint64
 
-	// ckptStream is the ordering domain of every checkpoint request:
-	// block.CheckpointStream(cfg.Stream).
-	ckptStream uint64
 	// ckptBusy is set from a checkpoint's first flush to its superblock
 	// write's completion; only the jbd/ckpt.behind and jbd/ckpt.beside
 	// counters read it.
@@ -368,21 +365,20 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 	}
 	j := &Journal{
 		k: k, layer: layer, cfg: cfg,
-		commitQ:    sim.NewQueue[*Txn](k),
-		flushQ:     sim.NewQueue[*Txn](k),
-		ckptCond:   sim.NewCond(k),
-		spaceCond:  sim.NewCond(k),
-		confCond:   sim.NewCond(k),
-		optfsCond:  sim.NewCond(k),
-		jcCond:     sim.NewCond(k),
-		freePages:  cfg.Pages,
-		ckptStream: block.CheckpointStream(cfg.Stream),
-		nextTxnID:  1,
-		tailTxn:    1,
-		dual:       cfg.Mode == ModeDual,
-		fuaCommit:  cfg.Mode == ModeJBD2,
-		lazy:       cfg.Mode == ModeOptFS,
-		ackAt:      StateDurable,
+		commitQ:   sim.NewQueue[*Txn](k),
+		flushQ:    sim.NewQueue[*Txn](k),
+		ckptCond:  sim.NewCond(k),
+		spaceCond: sim.NewCond(k),
+		confCond:  sim.NewCond(k),
+		optfsCond: sim.NewCond(k),
+		jcCond:    sim.NewCond(k),
+		freePages: cfg.Pages,
+		nextTxnID: 1,
+		tailTxn:   1,
+		dual:      cfg.Mode == ModeDual,
+		fuaCommit: cfg.Mode == ModeJBD2,
+		lazy:      cfg.Mode == ModeOptFS,
+		ackAt:     StateDurable,
 	}
 	if cfg.Mode == ModeNobarrier {
 		j.ackAt = StateCommitted
@@ -589,7 +585,7 @@ func (j *Journal) CommitAndWait(p *sim.Proc) *Txn {
 	flush := t.preflushed
 	j.WaitTxn(p, t)
 	if flush {
-		j.flush(p, j.cfg.Stream, j.obs.flushFsync)
+		j.flush(p, block.RoleSync, j.obs.flushFsync)
 	}
 	return t
 }

@@ -9,27 +9,28 @@ import (
 )
 
 // The background path: memtable flushes and segment compaction. Both run as
-// their own sim.Procs and push their pages through WritebackAsync, so the
-// writes carry REQ_BACKGROUND — on the multi-queue profiles they scatter
-// onto data streams and stay out of the commit stream's way. Compaction's
-// input reads and merged-run writes are idle-class IO too (compactClass), as
-// RocksDB runs compaction at the idle IO priority: a merge waits while the
-// block queue is full, and its requests never count against the congestion
-// limit the group-commit leader's WAL writes wait on, so a merge burst never
-// delays a group commit. The memtable flush stays plain background IO: the
-// WAL ring waits on it, and the queue limit it shares with the leader is
-// what throttles the leader at overload and keeps group commits batching. A
-// segment must reach storage before the manifest may reference it, and the
-// manifest before WAL records may be recycled. Each is an ordering point
-// (order): where fs makes them durable, they are durable in turn. Where it
-// only orders them, the segment's pages, its allocation commit, the manifest
+// their own sim.Procs and push their pages through WritebackAsync in a
+// background role, which on the multi-queue profiles the block layer
+// spreads onto data streams, out of the commit stream's way. A memtable
+// flush writes as block.RoleBackground. Compaction's input reads and
+// merged-run writes are block.RoleIdle, as RocksDB runs compaction at the
+// idle IO priority: a merge waits while the block queue is full, and its
+// requests never count against the congestion limit the group-commit
+// leader's WAL writes wait on, so a merge burst never delays a group
+// commit. The memtable flush stays plain background IO: the WAL ring waits
+// on it, and the queue limit it shares with the leader is what throttles
+// the leader at overload and keeps group commits batching. A segment must
+// reach storage before the manifest may reference it, and the manifest
+// before WAL records may be recycled. Each is an ordering point (order):
+// where fs makes them durable, they are durable in turn. Where it only
+// orders them, the segment's pages, its allocation commit, the manifest
 // and the recycling writes persist in that order, and all of them are
 // durable at the next checkpoint. Until then a crash may keep the previous
-// manifest, so compaction's inputs must stay readable until the merged run's
-// allocation is durable. They do, because the fs never reuses a freed LPA:
-// unlinking an input frees its blocks but never overwrites them. On the
-// multi-queue layer the scattered pages escape the barriers, and fs answers
-// the segment's fdatabarrier with a durable fdatasync.
+// manifest, so compaction's inputs must stay readable until the merged
+// run's allocation is durable. They do, because the fs never reuses a
+// freed LPA: unlinking an input frees its blocks but never overwrites
+// them. On the multi-queue layer the scattered pages escape the barriers,
+// and fs answers the segment's fdatabarrier with a durable fdatasync.
 
 // flusher freezes the memtable when the leader signals and turns it into a
 // sorted segment, then advances the WAL checkpoint.
@@ -59,7 +60,7 @@ func (st *Store) flushOnce(p *sim.Proc) {
 	slices.SortFunc(ents, bySegKey)
 
 	// needFlush saw a non-empty memtable, so there is a segment to write.
-	seg, durable := st.writeSegment(p, ents, flushClass)
+	seg, durable := st.writeSegment(p, ents, block.RoleBackground)
 	st.segs = append(st.segs, seg)
 	st.indexSegment(seg)
 	// Publish the segment and release WAL space.
@@ -77,15 +78,8 @@ func (st *Store) flushOnce(p *sim.Proc) {
 
 func bySegKey(a, b segEnt) int { return strings.Compare(a.key, b.key) }
 
-// The IO classes of the background path (block.FlagIdle): a memtable flush
-// writes as plain background IO, compaction reads and writes as idle IO.
-const (
-	flushClass   = block.FlagBackground
-	compactClass = block.FlagBackground | block.FlagIdle
-)
-
 // writeSegment creates a new segment file, writes one page per entry as
-// background writeback of the given class, waits for the transfers, and then
+// background writeback in the given role, waits for the transfers, and then
 // orders it. On BarrierFS the fdatabarrier on the now-clean file forces an
 // ordering-only journal commit, which drains the conflict-page list before
 // it freezes, so it carries even allocation metadata parked behind an
@@ -93,7 +87,7 @@ const (
 // nothing. An ordered segment is durable at the next checkpoint. It returns
 // the registered segment, with the entries' page and version shadows filled
 // in, and whether fs made it durable.
-func (st *Store) writeSegment(p *sim.Proc, ents []segEnt, class block.Flags) (*segment, bool) {
+func (st *Store) writeSegment(p *sim.Proc, ents []segEnt, role block.Role) (*segment, bool) {
 	seg := &segment{id: st.nextSegID}
 	st.nextSegID++
 	seg.name = segName(seg.id)
@@ -109,10 +103,10 @@ func (st *Store) writeSegment(p *sim.Proc, ents []segEnt, class block.Flags) (*s
 		// Push pages out in background-sized clumps rather than one giant
 		// dirty set, to keep the writeback stream busy while we fill.
 		if i%16 == 15 {
-			st.fs.WritebackAsync(p, f, class)
+			st.fs.WritebackAsync(p, f, role)
 		}
 	}
-	st.fs.WritebackAsync(p, f, class)
+	st.fs.WritebackAsync(p, f, role)
 	// filemap_fdatawait: background writeback is marked clean at submission
 	// and carries no ordering promise, so the coming sync cannot see or cover
 	// what is still queued. A background thread can afford the
@@ -187,7 +181,7 @@ func (st *Store) compactOnce(p *sim.Proc) {
 			// below regardless: aborting the merge to keep them would
 			// change the faults experiment's cells, so it waits for the
 			// work that makes IO errors reach their callers.
-			_, _, _ = st.fs.Read(p, f, e.page, compactClass)
+			_, _, _ = st.fs.Read(p, f, e.page, block.RoleIdle)
 		}
 	}
 	st.compPos = slices.Grow(st.compPos[:0], len(inputs))[:len(inputs)]
@@ -196,7 +190,7 @@ func (st *Store) compactOnce(p *sim.Proc) {
 
 	var merged *segment
 	if len(ents) > 0 {
-		merged, _ = st.writeSegment(p, ents, compactClass)
+		merged, _ = st.writeSegment(p, ents, block.RoleIdle)
 	}
 	// Splice: replace the input prefix with the merged run, keeping any
 	// segments the flusher added while we merged.

@@ -109,8 +109,8 @@ type ioKey struct {
 	bg  bool
 }
 
-func keyOf(lpa uint64, op block.Op, f block.Flags) ioKey {
-	return ioKey{lpa, op, f.Has(block.FlagBackground)}
+func keyOf(lpa uint64, op block.Op, role block.Role) ioKey {
+	return ioKey{lpa, op, role != block.RoleSync}
 }
 
 // submitters sits between fs and the block layer and notes which proc
@@ -121,18 +121,18 @@ type submitters struct {
 }
 
 func (s *submitters) Submit(p *sim.Proc, r *block.Request) {
-	s.by[keyOf(r.LPA, r.Op, r.Flags)] = p.Name()
+	s.by[keyOf(r.LPA, r.Op, r.Role)] = p.Name()
 	s.Layer.Submit(p, r)
 }
 
 func (s *submitters) SubmitAndWait(p *sim.Proc, r *block.Request) {
-	s.by[keyOf(r.LPA, r.Op, r.Flags)] = p.Name()
+	s.by[keyOf(r.LPA, r.Op, r.Role)] = p.Name()
 	s.Layer.SubmitAndWait(p, r)
 }
 
 // TestCompactionIsIdleIO reads the block layer's dispatch log of a store
 // that flushes and compacts with evicted segments: compaction's input reads
-// and merged-run writes carry block.FlagIdle, and nothing else does — not
+// and merged-run writes carry block.RoleIdle, and nothing else does — not
 // the memtable flush's segment writes, nor the manifest, WAL and journal.
 func TestCompactionIsIdleIO(t *testing.T) {
 	k := sim.NewKernel()
@@ -166,8 +166,8 @@ func TestCompactionIsIdleIO(t *testing.T) {
 		if rec.Op == block.OpFlush {
 			continue
 		}
-		who := front.by[keyOf(rec.LPA, rec.Op, rec.Flags)]
-		bg := rec.Flags.Has(block.FlagBackground)
+		who := front.by[keyOf(rec.LPA, rec.Op, rec.Role)]
+		bg := rec.Role != block.RoleSync
 		var class string
 		switch {
 		case who == "kv/compact" && bg:
@@ -182,8 +182,8 @@ func TestCompactionIsIdleIO(t *testing.T) {
 			class = "other (" + who + ") " + rec.Op.String()
 		}
 		counts[class]++
-		if want := strings.HasPrefix(class, "compaction "); rec.Flags.Has(block.FlagIdle) != want {
-			t.Errorf("%s of LPA %d carries flags %#x: FlagIdle %v, want %v", class, rec.LPA, rec.Flags, !want, want)
+		if want := strings.HasPrefix(class, "compaction "); (rec.Role == block.RoleIdle) != want {
+			t.Errorf("%s of LPA %d carries role %d: RoleIdle %v, want %v", class, rec.LPA, rec.Role, !want, want)
 		}
 	}
 	for _, class := range []string{"compaction read", "compaction write", "flush segment write", "manifest write", "WAL write"} {

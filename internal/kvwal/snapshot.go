@@ -3,6 +3,7 @@ package kvwal
 import (
 	"slices"
 
+	"repro/internal/block"
 	"repro/internal/sim"
 )
 
@@ -94,7 +95,7 @@ func (st *Store) Ingest(p *sim.Proc, keys []string) {
 		}
 	}
 	slices.SortFunc(ents, bySegKey)
-	seg, _ := st.writeSegment(p, ents, flushClass)
+	seg, _ := st.writeSegment(p, ents, block.RoleBackground)
 	st.segs = append(st.segs, seg)
 	st.indexSegment(seg)
 	st.writeManifest(p, st.checkpointSeq)

@@ -10,6 +10,7 @@ package oltp
 import (
 	"math/rand"
 
+	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/sim"
@@ -93,7 +94,7 @@ func (e *Engine) Insert(p *sim.Proc, rng *rand.Rand) {
 	e.sinceFlush++
 	if e.sinceFlush >= flushEvery {
 		e.sinceFlush = 0
-		fsys.WritebackAsync(p, e.table, 0)
+		fsys.WritebackAsync(p, e.table, block.RoleBackground)
 		e.stats.PageFlushs++
 	}
 }

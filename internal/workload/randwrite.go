@@ -9,6 +9,7 @@ package workload
 import (
 	"math/rand"
 
+	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/sim"
@@ -111,7 +112,7 @@ func RandWrite(k *sim.Kernel, s *core.Stack, cfg RandWriteConfig) RandWriteResul
 				// Buffered write: push the page out asynchronously; the
 				// block layer's nr_requests limit provides the dirty
 				// throttling.
-				s.FS.WritebackAsync(p, file, 0)
+				s.FS.WritebackAsync(p, file, block.RoleBackground)
 			}
 			m.Done(1)
 		}
