@@ -8,9 +8,10 @@
 // full parallelism and still honor barrier ordering — the core trick that
 // makes "cache barrier" cheap.
 //
-// The host reads through one call, ReadStart (handler.go), which takes part
-// in media-error injection and hands back the error; GC relocation reads
-// through read and is exempt, like reads protected by on-die parity.
+// Every page read goes through one pooled NAND read (handler.go). The host's
+// call, ReadStart, takes part in media-error injection and hands back the
+// error; GC relocation issues the same read exempt from injection, like reads
+// protected by on-die parity, and suspends its proc on it.
 package ftl
 
 import (
@@ -90,7 +91,7 @@ type FTL struct {
 	gcBusy      bool
 
 	progFree []*progCtx // free list of pooled program ops (kernel-single-threaded)
-	readFree []*readCtx // free list of pooled handler read ops
+	readFree []*readCtx // free list of pooled read ops
 
 	stats Stats
 }
@@ -131,17 +132,25 @@ func (f *FTL) pageOf(slot int) int { return slot / f.geo.Chips() }
 // seal barrier is in effect; it returns as soon as the program command is
 // issued (durability comes later — see WaitDurable).
 func (f *FTL) Append(p *sim.Proc, lpa uint64, data any) uint64 {
+	f.ensureActive(p)
+	return f.hostAppend(lpa, data)
+}
+
+// hostAppend appends a host page once the active segment has a free slot.
+func (f *FTL) hostAppend(lpa uint64, data any) uint64 {
 	if lpa >= SealLPA {
 		panic("ftl: logical page address collides with reserved markers")
 	}
-	f.ensureActive(p)
 	idx := f.appendSlot(lpa, data)
+	f.stats.HostAppends++
 	f.maybeTriggerGC()
 	return idx
 }
 
-// appendSlot performs the non-blocking body of a host append: the caller
-// must have ensured the active segment has a free slot.
+// appendSlot is the one append body, for host appends and GC relocation
+// alike: it maps lpa to the next slot of the active segment, which the
+// caller must have ensured is free, issues the program and returns the
+// global append index. The caller counts the append.
 func (f *FTL) appendSlot(lpa uint64, data any) uint64 {
 	seg := f.active
 	slot := seg.nextSlot
@@ -156,7 +165,6 @@ func (f *FTL) appendSlot(lpa uint64, data any) uint64 {
 	f.invalidate(lpa)
 	f.mapping.Set(lpa, slotRef{seg: seg.id, slot: slot})
 	seg.valid++
-	f.stats.HostAppends++
 	f.program(seg, slot, nand.PageMeta{LPA: lpa, Seq: f.appendSeq}, data)
 	return idx
 }
@@ -284,30 +292,6 @@ func (f *FTL) WaitDurable(p *sim.Proc, idx uint64) {
 // Sync blocks until everything appended so far is durable.
 func (f *FTL) Sync(p *sim.Proc) { f.WaitDurable(p, f.appendIdx) }
 
-// read is GC relocation's page read: it returns the data most recently
-// appended for lpa (ok false for an unmapped page), issuing a NAND read and
-// blocking for its latency. It is exempt from media-error injection, like
-// reads protected by on-die parity, so it cannot fail.
-func (f *FTL) read(p *sim.Proc, lpa uint64) (data any, ok bool) {
-	ref, mapped := f.mapping.Get(lpa)
-	if !mapped {
-		return nil, false
-	}
-	var out any
-	done := sim.NewCond(f.k)
-	f.arr.Submit(&nand.Request{
-		Kind: nand.OpRead,
-		Chip: f.chipOf(ref.slot), Block: ref.seg, Page: f.pageOf(ref.slot),
-		NoFault: true,
-		Done: func(at sim.Time, r *nand.Request) {
-			out = r.Data
-			done.Signal()
-		},
-	})
-	done.Wait(p)
-	return out, true
-}
-
 // --- garbage collection ---
 
 func (f *FTL) maybeTriggerGC() {
@@ -370,42 +354,23 @@ func (f *FTL) collect(p *sim.Proc, victim *segment) {
 			continue // overwritten since; garbage
 		}
 		// Read the page, then re-append.
-		data, _ := f.read(p, lpa)
+		var data any
+		var err error
+		f.readSlot(p, ref, &data, &err, true)
+		p.Suspend()
 		// Re-check validity: the host may have overwritten during the read.
 		ref, ok = f.mapping.Get(lpa)
 		if !ok || ref.seg != victim.id || ref.slot != slot {
 			continue
 		}
 		f.ensureActive(p)
-		lastIdx = f.gcAppendSlot(victim, lpa, data)
+		lastIdx = f.appendSlot(lpa, data) + 1
+		f.stats.GCAppends++
 	}
 	// The copies must be durable before the originals are destroyed,
 	// otherwise a crash between erase and program would lose data.
 	f.WaitDurable(p, lastIdx)
 	f.eraseSegment(p, victim)
-}
-
-// gcAppendSlot moves one still-valid page of victim to the head of the
-// log: the non-blocking body of a GC re-append. The caller must have
-// ensured the active segment has a free slot. It returns the durability
-// watermark (append index + 1) of the moved copy.
-func (f *FTL) gcAppendSlot(victim *segment, lpa uint64, data any) uint64 {
-	seg := f.active
-	ns := seg.nextSlot
-	idx := f.appendIdx
-	f.appendIdx++
-	f.appendSeq++
-	seg.nextSlot++
-	seg.lpas[ns] = lpa
-	if seg.nextSlot == f.caps {
-		seg.sealed = true
-	}
-	victim.valid--
-	f.mapping.Set(lpa, slotRef{seg: seg.id, slot: ns})
-	seg.valid++
-	f.stats.GCAppends++
-	f.program(seg, ns, nand.PageMeta{LPA: lpa, Seq: f.appendSeq}, data)
-	return idx + 1
 }
 
 func (f *FTL) eraseSegment(p *sim.Proc, seg *segment) {

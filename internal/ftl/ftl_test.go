@@ -33,6 +33,18 @@ func run(t *testing.T, body func(p *sim.Proc, f *FTL, arr *nand.Array)) {
 	k.Run()
 }
 
+// read is the tests' blocking page read: ReadStart from a host proc that
+// suspends until the read completes. Tests arm no fault plan, so the read
+// cannot fail.
+func (f *FTL) read(p *sim.Proc, lpa uint64) (data any, ok bool) {
+	var err error
+	if !f.ReadStart(p, lpa, &data, &err) {
+		return nil, false
+	}
+	p.Suspend()
+	return data, true
+}
+
 func TestAppendReadBack(t *testing.T) {
 	run(t, func(p *sim.Proc, f *FTL, arr *nand.Array) {
 		f.Append(p, 10, "ten")

@@ -87,9 +87,8 @@ func (f *FTL) AppendStep(h *sim.Proc, op *AppendOp) bool {
 	if !f.ensureStep(h, &op.es) {
 		return false
 	}
-	op.Idx = f.appendSlot(op.lpa, op.data)
+	op.Idx = f.hostAppend(op.lpa, op.data)
 	op.data = nil
-	f.maybeTriggerGC()
 	return true
 }
 
@@ -104,8 +103,8 @@ func (f *FTL) DurableOrPark(h *sim.Proc, idx uint64) bool {
 	return true
 }
 
-// readCtx is a pooled handler read: the NAND request plus completion
-// plumbing, Done bound once at allocation.
+// readCtx is a pooled page read: the NAND request plus completion plumbing,
+// Done bound once at allocation.
 type readCtx struct {
 	f      *FTL
 	h      *sim.Proc
@@ -122,7 +121,7 @@ func (c *readCtx) done(at sim.Time, r *nand.Request) {
 	c.req.Data = nil
 	c.req.Meta = nand.PageMeta{}
 	f.readFree = append(f.readFree, c)
-	// One wake-up per read: the worker parked after ReadStart.
+	// One wake-up per read: the reader suspended after issuing it.
 	f.k.Resume(h)
 }
 
@@ -138,6 +137,14 @@ func (f *FTL) ReadStart(h *sim.Proc, lpa uint64, out *any, errOut *error) bool {
 	if !mapped {
 		return false
 	}
+	f.readSlot(h, ref, out, errOut, false)
+	return true
+}
+
+// readSlot issues the NAND read of ref and resumes h with its result: the
+// one read path, behind ReadStart and GC relocation. noFault exempts the
+// read from media-error injection.
+func (f *FTL) readSlot(h *sim.Proc, ref slotRef, out *any, errOut *error, noFault bool) {
 	var c *readCtx
 	if n := len(f.readFree); n > 0 {
 		c = f.readFree[n-1]
@@ -149,7 +156,7 @@ func (f *FTL) ReadStart(h *sim.Proc, lpa uint64, out *any, errOut *error) bool {
 	c.h, c.out, c.errOut = h, out, errOut
 	c.req.Kind = nand.OpRead
 	c.req.Chip, c.req.Block, c.req.Page = f.chipOf(ref.slot), ref.seg, f.pageOf(ref.slot)
+	c.req.NoFault = noFault
 	c.req.Err = nil
 	f.arr.Submit(&c.req)
-	return true
 }
