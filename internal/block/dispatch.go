@@ -231,8 +231,8 @@ func (l *Layer) open(sched Scheduler, h *hwQueue) *swQueue {
 // stream) moves by LPA to a data stream, 1..HWQueues-1 (1 on one hardware
 // queue): nobody waits on it and it promises no order, so it bypasses the
 // ordering stream's barriers and congestion limit, and one pdflush daemon
-// spreads over every data stream, which all tenants share. A parked
-// handler's retry routes the same request again to the same queue.
+// spreads over every data stream, which all tenants share. Routing a request
+// again, as a congested submitter's retry does, picks the same queue.
 func (l *Layer) route(r *Request) *swQueue {
 	rule := roles[r.Role]
 	r.Stream |= rule.domain
@@ -282,29 +282,29 @@ func (l *Layer) DispatchLog() []DispatchRecord { return l.trace }
 // barrier-enabled submission path blocks. A foreground read never blocks:
 // it joins its hardware queue's read FIFO.
 func (l *Layer) Submit(p *sim.Proc, r *Request) {
-	if foreground(r) {
-		l.admitRead(r)
-		return
+	for c := l.tryAdmit(r, p.Now()); c != nil; c = l.tryAdmit(r, p.Now()) {
+		c.Wait(p)
 	}
-	q := l.route(r)
-	if q.full(r, l.cfg.QueueLimit) {
-		if r.Op == OpRead {
-			l.readCongested.Inc()
-		}
-		from := p.Now()
-		for q.full(r, l.cfg.QueueLimit) {
-			q.congest.Wait(p)
-		}
-		l.congestWait(r).Add(int64(p.Now().Sub(from)))
-	}
-	l.admit(q, r)
 }
 
 // SubmitOrPark is the handler-path Submit: one congestion Mesa iteration.
 func (l *Layer) SubmitOrPark(h *sim.Proc, r *Request) bool {
+	if c := l.tryAdmit(r, h.Now()); c != nil {
+		c.Park(h)
+		return false
+	}
+	return true
+}
+
+// tryAdmit is the one admission decision of Submit and SubmitOrPark. It
+// admits r and returns nil, or returns the congestion condition r's
+// submitter waits on. The first refusal counts a congested read and starts
+// the wait's clock; the admission after it adds the wait to its role's
+// counter. A retry routes the same request again to the same queue.
+func (l *Layer) tryAdmit(r *Request, now sim.Time) *sim.Cond {
 	if foreground(r) {
 		l.admitRead(r)
-		return true
+		return nil
 	}
 	q := l.route(r)
 	if q.full(r, l.cfg.QueueLimit) {
@@ -312,17 +312,16 @@ func (l *Layer) SubmitOrPark(h *sim.Proc, r *Request) bool {
 			if r.Op == OpRead {
 				l.readCongested.Inc()
 			}
-			r.parked, r.parkedAt = true, h.Now()
+			r.parked, r.parkedAt = true, now
 		}
-		q.congest.Park(h)
-		return false
+		return q.congest
 	}
 	if r.parked {
 		r.parked = false
-		l.congestWait(r).Add(int64(h.Now().Sub(r.parkedAt)))
+		l.congestWait(r).Add(int64(now.Sub(r.parkedAt)))
 	}
 	l.admit(q, r)
-	return true
+	return nil
 }
 
 // congestWait returns the counter of r's role for the ns its submitter

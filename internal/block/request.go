@@ -138,8 +138,8 @@ type Request struct {
 	Err error
 
 	issued    sim.Time
-	parkedAt  sim.Time // when a handler's SubmitOrPark first parked on congestion
-	parked    bool     // SubmitOrPark has parked the request and not admitted it yet
+	parkedAt  sim.Time // when its submitter first waited on congestion
+	parked    bool     // refused for congestion and not admitted yet
 	completed bool
 	attempts  int    // re-submissions consumed (bounded by the retry budget)
 	epoch     uint64 // set by the epoch scheduler
