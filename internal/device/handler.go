@@ -1,7 +1,6 @@
 package device
 
 import (
-	"repro/internal/ftl"
 	"repro/internal/reqtrace"
 	"repro/internal/sim"
 )
@@ -272,7 +271,6 @@ const (
 type wbSM struct {
 	phase int
 	e     *cacheEntry
-	op    ftl.AppendOp
 }
 
 func (d *Device) writebackStep(h *sim.Proc) {
@@ -289,19 +287,19 @@ func (d *Device) writebackStep(h *sim.Proc) {
 			e := d.nextWriteback()
 			d.startWriteback(e)
 			d.wb.e = e
-			d.wb.op.Start(e.lpa, e.data)
 			d.wb.phase = wbAppend
 		case wbAppend:
-			if !d.f.AppendStep(h, &d.wb.op) {
+			e := d.wb.e
+			idx, ok := d.f.AppendStep(h, e.lpa, e.data)
+			if !ok {
 				return // parked on FTL seal barrier or free-segment wait
 			}
-			e := d.wb.e
 			d.wb.e = nil
 			if d.dead {
 				h.Complete() // a dead device's daemon stands down for good
 				return
 			}
-			d.appended(e, d.wb.op.Idx)
+			d.appended(e, idx)
 			d.wb.phase = wbCheck
 		}
 	}

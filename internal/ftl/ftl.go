@@ -169,32 +169,24 @@ func (f *FTL) appendSlot(lpa uint64, data any) uint64 {
 	return idx
 }
 
-// ensureActive guarantees f.active has a free slot, enforcing the seal
-// barrier: a new segment is opened only after every program of the previous
-// one has completed, so at most one segment is ever partially programmed.
+// ensureActive blocks until the active segment has a free slot (see
+// appendWait).
 func (f *FTL) ensureActive(p *sim.Proc) {
-	if f.active != nil && f.active.nextSlot < f.caps {
-		return
+	for c := f.appendWait(); c != nil; c = f.appendWait() {
+		c.Wait(p)
 	}
-	if f.active != nil {
-		// Seal barrier: wait for the full segment to finish programming.
-		for f.active.prefixOK < f.active.nextSlot {
-			f.stats.Stalls++
-			f.durableCond.Wait(p)
-		}
-	}
-	for f.free.Len() == 0 {
-		f.stats.Stalls++
-		f.maybeTriggerGC()
-		f.spaceCond.Wait(p)
-	}
-	f.openSegment()
 }
 
 // openSegment takes the head free segment as the new active segment and
 // programs its summary page. The caller must have ensured the free list is
-// non-empty.
+// non-empty. It panics unless the active segment is full and fully
+// programmed: the seal barrier, which keeps every segment but the active one
+// sealed and at most one segment partially programmed.
 func (f *FTL) openSegment() {
+	if a := f.active; a != nil && (a.nextSlot < f.caps || a.prefixOK < a.nextSlot) {
+		panic(fmt.Sprintf("ftl: segment opened while active segment %d has %d of %d slots appended, %d programmed",
+			a.id, a.nextSlot, f.caps, a.prefixOK))
+	}
 	id := f.free.Pop()
 	f.allocSeq++
 	seg := f.segs[id]

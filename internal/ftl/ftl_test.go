@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/nand"
 	"repro/internal/sim"
 )
@@ -112,6 +113,70 @@ func TestSegmentRollAndSealBarrier(t *testing.T) {
 	})
 }
 
+// Two appenders meet at the seal barrier: the one that wakes second must
+// append to the segment the first opened, not open another and leave the
+// first partially appended (unsealed, so GC never reclaims it).
+func TestAppendersWokenAtSealShareOneSegment(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	arr := nand.New(k, smallGeo(), fastTiming())
+	f := New(k, arr, DefaultConfig())
+	pages := f.caps // 32: one appender alone fills the first segment
+	for w := 0; w < 2; w++ {
+		base := uint64(w * pages)
+		k.Spawn("appender", func(p *sim.Proc) {
+			for i := 0; i < pages; i++ {
+				f.Append(p, base+uint64(i), i)
+			}
+		})
+	}
+	k.Run()
+	// 64 pages plus one summary per segment need three segments.
+	if f.allocSeq != 3 {
+		t.Errorf("segments allocated = %d, want 3", f.allocSeq)
+	}
+	for _, s := range f.segs {
+		if s.done != nil && !s.sealed && s != f.active {
+			t.Errorf("segment %d left unsealed with %d of %d slots appended", s.id, s.nextSlot, f.caps)
+		}
+	}
+	if got := f.mapping.count(); got != 2*pages {
+		t.Errorf("mapped = %d, want %d", got, 2*pages)
+	}
+}
+
+// GC relocation reads are exempt from media-error injection: on an array
+// where every injected read fails, moving a page must still copy its data.
+func TestGCRelocationIgnoresMediaErrors(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	arr := nand.New(k, smallGeo(), fastTiming())
+	arr.SetFault(fault.New(&fault.Plan{Seed: 1, ReadUNCProb: 1}))
+	f := New(k, arr, DefaultConfig())
+	// Every eighth append writes a page never overwritten, so each segment
+	// GC reclaims still holds valid pages it must move.
+	const total = 13 * 32
+	k.Spawn("host", func(p *sim.Proc) {
+		for i := 0; i < total; i++ {
+			lpa := uint64(i % 4)
+			if i%8 == 0 {
+				lpa = uint64(1000 + i)
+			}
+			f.Append(p, lpa, i)
+		}
+		f.Sync(p)
+	})
+	k.Run()
+	if f.Stats().GCAppends == 0 {
+		t.Fatal("GC moved no page")
+	}
+	for i := 0; i < total; i += 8 {
+		if d, ok := f.DurableData(uint64(1000 + i)); !ok || d != i {
+			t.Fatalf("cold page %d = %v,%v after GC", 1000+i, d, ok)
+		}
+	}
+}
+
 func TestGCReclaimsSpace(t *testing.T) {
 	run(t, func(p *sim.Proc, f *FTL, arr *nand.Array) {
 		slots := f.caps
@@ -135,6 +200,31 @@ func TestGCReclaimsSpace(t *testing.T) {
 			t.Error("no segments erased")
 		}
 	})
+}
+
+// On a log full of live pages GC has nothing to reclaim: the append after
+// the last free slot waits for a free segment instead of opening one.
+func TestAppendWaitsForFreeSegment(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	arr := nand.New(k, smallGeo(), fastTiming())
+	f := New(k, arr, DefaultConfig())
+	fits := smallGeo().BlocksPerChip * (f.caps - 1) // every slot but the summaries
+	appended := 0
+	k.Spawn("host", func(p *sim.Proc) {
+		for i := 0; i <= fits; i++ {
+			f.Append(p, uint64(i), i)
+			appended++
+		}
+	})
+	k.Run()
+	if appended != fits || f.free.Len() != 0 || f.spaceCond.Waiters() != 1 {
+		t.Fatalf("appended %d of %d, %d free segments, %d waiting for space; want %d, 0, 1",
+			appended, fits+1, f.free.Len(), f.spaceCond.Waiters(), fits)
+	}
+	if f.Stats().GCRuns != 0 {
+		t.Errorf("GC ran %d times on a log with no garbage", f.Stats().GCRuns)
+	}
 }
 
 func TestGCPreservesColdData(t *testing.T) {

@@ -5,91 +5,50 @@ import (
 	"repro/internal/sim"
 )
 
-// This file holds the FTL's entry points for run-to-completion handlers:
-// step-wise append, durability and read primitives for the device's
-// writeback, reaper and worker handlers, which carry the traffic. A wait is
-// one Mesa-loop iteration per activation. AppendStep and DurableOrPark are
-// the handler forms of Append and WaitDurable, with the same stat bumps and
-// waitlist appends; the blocking forms remain for the GC daemon, a blocking
-// proc on every kernel (see gcLoop), and for device.Recover. The host read
-// has only the handler form, ReadStart.
+// This file holds the FTL's entry points for run-to-completion handlers and
+// the decisions they share with blocking procs. The device's writeback,
+// reaper and worker handlers carry the traffic; the GC daemon (a blocking
+// proc on every kernel, see gcLoop) and device.Recover use the blocking
+// forms. appendWait decides every append wait once: Append loops on it,
+// AppendStep parks on it once per activation. DurableOrPark is one Mesa
+// iteration of WaitDurable. Every page read goes through readSlot; the host
+// calls it through ReadStart.
 
-// ensureSM tracks progress through the handler form of ensureActive.
-type ensureSM int
-
-const (
-	esStart ensureSM = iota // fast path / classify which wait applies
-	esSeal                  // seal barrier: previous segment still programming
-	esSpace                 // free-segment wait
-)
-
-// ensureStep is the handler analogue of ensureActive: it reports true when
-// the active segment has a free slot, or parks h on the same condition the
-// blocking version would wait on and reports false. The caller re-invokes
-// it with the same state on its next activation.
-func (f *FTL) ensureStep(h *sim.Proc, s *ensureSM) bool {
-	for {
-		switch *s {
-		case esStart:
-			if f.active != nil && f.active.nextSlot < f.caps {
-				return true
-			}
-			if f.active != nil {
-				*s = esSeal
-				continue
-			}
-			*s = esSpace
-		case esSeal:
-			// Seal barrier: wait for the full segment to finish programming.
-			if f.active.prefixOK < f.active.nextSlot {
-				f.stats.Stalls++
-				f.durableCond.Park(h)
-				return false
-			}
-			*s = esSpace
-		case esSpace:
-			if f.free.Len() == 0 {
-				f.stats.Stalls++
-				f.maybeTriggerGC()
-				f.spaceCond.Park(h)
-				return false
-			}
-			f.openSegment()
-			return true
+// appendWait returns nil once the active segment has a free slot, opening a
+// segment only when the seal barrier and the free list allow it. Otherwise
+// it counts the stall and returns the condition to wait on: durableCond
+// while the full active segment is still programming, spaceCond (with a GC
+// kick) while no segment is free. A woken appender calls it again, and the
+// active segment is re-checked first: another appender may have opened one
+// meanwhile, and opening a second would leave the first partially appended.
+func (f *FTL) appendWait() *sim.Cond {
+	if f.active != nil {
+		if f.active.nextSlot < f.caps {
+			return nil
+		}
+		if f.active.prefixOK < f.active.nextSlot {
+			f.stats.Stalls++
+			return f.durableCond
 		}
 	}
-}
-
-// AppendOp is an in-progress handler append — the run-to-completion
-// analogue of Append. Arm it with Start, then call FTL.AppendStep on every
-// activation until it reports done; Idx then holds the global append index.
-type AppendOp struct {
-	lpa  uint64
-	data any
-	es   ensureSM
-
-	// Idx is the global append index, valid once AppendStep returned true.
-	Idx uint64
-}
-
-// Start arms the op for one logical-page append.
-func (op *AppendOp) Start(lpa uint64, data any) {
-	if lpa >= SealLPA {
-		panic("ftl: logical page address collides with reserved markers")
+	if f.free.Len() == 0 {
+		f.stats.Stalls++
+		f.maybeTriggerGC()
+		return f.spaceCond
 	}
-	op.lpa, op.data, op.es = lpa, data, esStart
+	f.openSegment()
+	return nil
 }
 
-// AppendStep advances a handler append: it either completes the append
-// (true, op.Idx valid) or parks h exactly where the blocking Append would
-// have blocked (false; re-invoke on the next activation).
-func (f *FTL) AppendStep(h *sim.Proc, op *AppendOp) bool {
-	if !f.ensureStep(h, &op.es) {
-		return false
+// AppendStep is the handler form of Append: it appends lpa and returns the
+// global append index and true, or parks h on the condition appendWait
+// names and returns false; the caller calls it again on its next activation.
+func (f *FTL) AppendStep(h *sim.Proc, lpa uint64, data any) (uint64, bool) {
+	if c := f.appendWait(); c != nil {
+		c.Park(h)
+		return 0, false
 	}
-	op.Idx = f.hostAppend(op.lpa, op.data)
-	op.data = nil
-	return true
+	return f.hostAppend(lpa, data), true
 }
 
 // DurableOrPark is the handler analogue of one WaitDurable Mesa iteration:

@@ -53,9 +53,8 @@ func Mount(p *sim.Proc, arr *nand.Array, cfg Config) *FTL {
 	f.sortedByAlloc(withSummary, alloc)
 
 	// Phase 2: replay segments in allocation order, building the mapping.
-	for i, id := range withSummary {
-		last := i == len(withSummary)-1
-		f.replaySegment(p, id, alloc[id], last)
+	for _, id := range withSummary {
+		f.replaySegment(p, id, alloc[id])
 	}
 
 	// Phase 3: erase summary-less garbage so the segments are reusable.
@@ -83,7 +82,7 @@ func (f *FTL) segmentHasAnyPage(id int) bool {
 // replaySegment scans one segment in slot order, applying surviving pages to
 // the mapping. Only the newest segment may legitimately contain a hole; it
 // is crash-sealed there.
-func (f *FTL) replaySegment(p *sim.Proc, id int, allocSeq uint64, last bool) {
+func (f *FTL) replaySegment(p *sim.Proc, id int, allocSeq uint64) {
 	seg := f.segs[id]
 	*seg = segment{
 		id: id, allocSeq: allocSeq,
@@ -135,13 +134,12 @@ func (f *FTL) replaySegment(p *sim.Proc, id int, allocSeq uint64, last bool) {
 		seg.sealed = true
 		return
 	}
-	// The segment has a hole. For the newest segment that is the expected
-	// crash signature; for an older one it should be impossible (the seal
-	// barrier admits at most one partially programmed segment and prior
-	// mounts seal it), but the treatment is the same either way: discard the
-	// tail and seal. A cleanly-stopped partial segment is indistinguishable
-	// from a crashed one at scan time, so it too is sealed conservatively.
-	_ = last
+	// The segment has a hole, the crash signature of the newest segment.
+	// An older one has none: openSegment panics unless the active segment
+	// is full and fully programmed, so at most one segment is ever
+	// partially programmed, and prior mounts seal it. Discard the tail and
+	// seal. A cleanly-stopped partial segment is indistinguishable from a
+	// crashed one at scan time, so it too is sealed conservatively.
 	f.countDroppedTail(id, sealedAt)
 	f.writeSeal(p, seg, sealedAt)
 }
