@@ -76,7 +76,7 @@ func (j *Journal) req(role block.Role) *block.Request {
 // wake-up; it counts in Stats.Flushes, and why counts it by trigger.
 func (j *Journal) flush(p *sim.Proc, role block.Role, why *metrics.Counter) {
 	r := j.req(role)
-	j.countBesideCkpt(r)
+	j.countBesideCkpt()
 	block.FlushOn(p, j.layer, r)
 	j.stats.Flushes++
 	why.Inc()
@@ -94,17 +94,12 @@ func (j *Journal) ckptFlush(p *sim.Proc) {
 }
 
 // countBesideCkpt tallies a commit-path request, a JC or a flush, issued
-// while the checkpointer has IO in flight: behind it on its domain, where
-// the device holds the request until that IO completes (a flush and a FUA
-// write are ordered after everything before them), or beside it on
-// another.
-func (j *Journal) countBesideCkpt(r *block.Request) {
+// while the checkpointer has IO in flight. Commit-path requests ride the
+// sync or flush domain, never the checkpoint's, so each goes beside that IO
+// and the device does not hold it behind it.
+func (j *Journal) countBesideCkpt() {
 	if j.ckptBusy {
-		if r.Role == block.RoleCheckpoint {
-			j.obs.behindCkpt.Inc()
-		} else {
-			j.obs.besideCkpt.Inc()
-		}
+		j.obs.besideCkpt.Inc()
 	}
 }
 
@@ -228,7 +223,7 @@ func (j *Journal) commitThread(p *sim.Proc) {
 			}
 			jc.Flags |= block.FlagOrdered | block.FlagBarrier
 			jc.OnComplete = onJC
-			j.countBesideCkpt(jc)
+			j.countBesideCkpt()
 			j.layer.Submit(p, jc)
 		} else {
 			// Wait-on-Transfer orders JD before JC. A barrier-mounted JBD2
@@ -242,7 +237,7 @@ func (j *Journal) commitThread(p *sim.Proc) {
 				j.obs.flushCommit.Inc()
 				t.preflushed = true
 			}
-			j.countBesideCkpt(jc)
+			j.countBesideCkpt()
 			submitWaitAll([]*block.Request{jc})
 			j.releaseReqs(jd)
 			jc.Release()

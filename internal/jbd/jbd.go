@@ -317,8 +317,7 @@ type Journal struct {
 	ackedDurable uint64
 
 	// ckptBusy is set from a checkpoint's first flush to its superblock
-	// write's completion; only the jbd/ckpt.behind and jbd/ckpt.beside
-	// counters read it.
+	// write's completion; only the jbd/ckpt.beside counter reads it.
 	ckptBusy bool
 
 	// The engine's decisions, fixed by New; nothing reads cfg.Mode after it.
@@ -347,8 +346,8 @@ type jbdObs struct {
 	flushRetire, flushWaitTxn, flushCommit, flushFsync, flushCkpt *metrics.Counter
 	ckptFlushWait                                                 *metrics.Counter // ns the checkpointer spent in its flushes
 	// Commit-path requests (JCs and flushes) issued while checkpoint IO
-	// was in flight: behind it on its own stream, or beside it on another.
-	behindCkpt, besideCkpt *metrics.Counter
+	// was in flight, beside it on another domain.
+	besideCkpt *metrics.Counter
 	// retire's wait for the JC transfers its flush covers (virtual ns), and
 	// the transactions its flushes make durable; per flush, divide by
 	// jbd/flush.retire + jbd/flush.waittxn.
@@ -399,7 +398,6 @@ func New(k *sim.Kernel, layer block.Submitter, cfg Config) *Journal {
 			flushFsync:     reg.Counter("jbd/flush.fsync"),
 			flushCkpt:      reg.Counter("jbd/flush.checkpoint"),
 			ckptFlushWait:  reg.Counter("jbd/ckpt.flush_ns"),
-			behindCkpt:     reg.Counter("jbd/ckpt.behind"),
 			besideCkpt:     reg.Counter("jbd/ckpt.beside"),
 			retireWait:     reg.Counter("jbd/retire.wait_ns"),
 			retireTxns:     reg.Counter("jbd/retire.txns"),
