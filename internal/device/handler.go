@@ -269,8 +269,9 @@ const (
 )
 
 type wbSM struct {
-	phase int
-	e     *cacheEntry
+	phase  int
+	e      *cacheEntry
+	parked bool // e's append parked at least once (one FTL stall)
 }
 
 func (d *Device) writebackStep(h *sim.Proc) {
@@ -290,11 +291,12 @@ func (d *Device) writebackStep(h *sim.Proc) {
 			d.wb.phase = wbAppend
 		case wbAppend:
 			e := d.wb.e
-			idx, ok := d.f.AppendStep(h, e.lpa, e.data)
+			idx, ok := d.f.AppendStep(h, e.lpa, e.data, d.wb.parked)
 			if !ok {
+				d.wb.parked = true
 				return // parked on FTL seal barrier or free-segment wait
 			}
-			d.wb.e = nil
+			d.wb.e, d.wb.parked = nil, false
 			if d.dead {
 				h.Complete() // a dead device's daemon stands down for good
 				return

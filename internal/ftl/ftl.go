@@ -170,9 +170,13 @@ func (f *FTL) appendSlot(lpa uint64, data any) uint64 {
 }
 
 // ensureActive blocks until the active segment has a free slot (see
-// appendWait).
+// appendWait), counting one stall if it waits at all.
 func (f *FTL) ensureActive(p *sim.Proc) {
-	for c := f.appendWait(); c != nil; c = f.appendWait() {
+	c := f.appendWait()
+	if c != nil {
+		f.stats.Stalls++
+	}
+	for ; c != nil; c = f.appendWait() {
 		c.Wait(p)
 	}
 }

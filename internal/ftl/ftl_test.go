@@ -227,6 +227,47 @@ func TestAppendWaitsForFreeSegment(t *testing.T) {
 	}
 }
 
+// Stats.Stalls counts each append that blocked once, however often it is
+// woken: one appender writing ten segments stalls at the nine seal barriers
+// between them, on both the blocking and the handler path, while each
+// program of the sealed segment wakes it again.
+func TestStallsCountBlockedAppendsOnce(t *testing.T) {
+	for _, handler := range []bool{false, true} {
+		k := sim.NewKernel()
+		arr := nand.New(k, smallGeo(), fastTiming())
+		f := New(k, arr, DefaultConfig())
+		n := 10 * (f.caps - 1) // ten segments' data slots
+		if handler {
+			i, again := 0, false
+			k.SpawnHandler("appender", func(h *sim.Proc) {
+				for ; i < n; i++ {
+					if _, ok := f.AppendStep(h, uint64(i), i, again); !ok {
+						again = true
+						return
+					}
+					again = false
+				}
+				h.Complete()
+			})
+		} else {
+			k.Spawn("appender", func(p *sim.Proc) {
+				for i := 0; i < n; i++ {
+					f.Append(p, uint64(i), i)
+				}
+			})
+		}
+		k.Run()
+		k.Close()
+		st := f.Stats()
+		if st.HostAppends != int64(n) || f.allocSeq != 10 {
+			t.Fatalf("handler=%v: %d of %d appends in %d segments, want 10", handler, st.HostAppends, n, f.allocSeq)
+		}
+		if st.Stalls != 9 {
+			t.Errorf("handler=%v: %d stalls, want 9 (one per seal barrier)", handler, st.Stalls)
+		}
+	}
+}
+
 func TestGCPreservesColdData(t *testing.T) {
 	run(t, func(p *sim.Proc, f *FTL, arr *nand.Array) {
 		// Cold data written once, then heavy overwrite traffic elsewhere.

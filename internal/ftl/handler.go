@@ -16,23 +16,22 @@ import (
 
 // appendWait returns nil once the active segment has a free slot, opening a
 // segment only when the seal barrier and the free list allow it. Otherwise
-// it counts the stall and returns the condition to wait on: durableCond
-// while the full active segment is still programming, spaceCond (with a GC
-// kick) while no segment is free. A woken appender calls it again, and the
-// active segment is re-checked first: another appender may have opened one
-// meanwhile, and opening a second would leave the first partially appended.
+// it returns the condition to wait on: durableCond while the full active
+// segment is still programming, spaceCond (with a GC kick) while no segment
+// is free. A woken appender calls it again, and the active segment is
+// re-checked first: another appender may have opened one meanwhile, and
+// opening a second would leave the first partially appended. The caller
+// counts the stall, once per append however often it wakes.
 func (f *FTL) appendWait() *sim.Cond {
 	if f.active != nil {
 		if f.active.nextSlot < f.caps {
 			return nil
 		}
 		if f.active.prefixOK < f.active.nextSlot {
-			f.stats.Stalls++
 			return f.durableCond
 		}
 	}
 	if f.free.Len() == 0 {
-		f.stats.Stalls++
 		f.maybeTriggerGC()
 		return f.spaceCond
 	}
@@ -42,9 +41,13 @@ func (f *FTL) appendWait() *sim.Cond {
 
 // AppendStep is the handler form of Append: it appends lpa and returns the
 // global append index and true, or parks h on the condition appendWait
-// names and returns false; the caller calls it again on its next activation.
-func (f *FTL) AppendStep(h *sim.Proc, lpa uint64, data any) (uint64, bool) {
+// names and returns false; the caller calls it again on its next activation,
+// with again set, so the append counts as one stall however often it parks.
+func (f *FTL) AppendStep(h *sim.Proc, lpa uint64, data any, again bool) (uint64, bool) {
 	if c := f.appendWait(); c != nil {
+		if !again {
+			f.stats.Stalls++
+		}
 		c.Park(h)
 		return 0, false
 	}
