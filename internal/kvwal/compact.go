@@ -31,6 +31,16 @@ import (
 // freed LPA: unlinking an input frees its blocks but never overwrites
 // them. On the multi-queue layer the scattered pages escape the barriers,
 // and fs answers the segment's fdatabarrier with a durable fdatasync.
+//
+// Segment turnover allocates no entry array on the host. Recovery needs the
+// shadow of every manifest a crash may still recover and of the segments it
+// names, and no older one: a manifest is retired once a newer one is known
+// durable, not merely ordered (OptFS's osync/dsync split applied to host
+// memory). That is when its order answers Durable, or when a checkpoint's
+// fdatasync returns that began after its order returned. retire then drops
+// the older manifests and every segment no retained manifest, live segment
+// or compaction input names, and hands their entry arrays to flushOnce,
+// compactOnce and Ingest.
 
 // flusher freezes the memtable when the leader signals and turns it into a
 // sorted segment, then advances the WAL checkpoint.
@@ -53,7 +63,7 @@ func (st *Store) flushOnce(p *sim.Proc) {
 	freezeSeq := st.committedSeq
 	st.imm, st.mem, st.spare = st.mem, st.spare, nil
 
-	ents := make([]segEnt, 0, len(st.imm))
+	ents := st.takeRun(len(st.imm), len(st.imm))
 	for key, e := range st.imm {
 		ents = append(ents, segEnt{key: key, seq: e.seq, del: e.del})
 	}
@@ -117,7 +127,7 @@ func (st *Store) writeSegment(p *sim.Proc, ents []segEnt, role block.Role) (*seg
 		st.fs.EvictClean(f)
 	}
 	seg.entries = ents
-	st.segByID[seg.id] = seg
+	st.shadow = append(st.shadow, seg)
 	return seg, durable
 }
 
@@ -131,7 +141,9 @@ func (st *Store) writeSegment(p *sim.Proc, ents []segEnt, role block.Role) (*seg
 // and every filesystem call yields, so the whole write-stamp-publish
 // sequence holds a lock: without it two writers can interleave, one
 // stamping the other's page version and losing its state — and with it the
-// manifest-before-recycling order WAL slot reuse rests on.
+// manifest-before-recycling order WAL slot reuse rests on. The lock also
+// keeps page versions ascending in publication order, which the durable
+// manifest watermark relies on.
 func (st *Store) writeManifest(p *sim.Proc, checkpoint uint64) {
 	st.manifestMu.Lock(p)
 	if st.checkpointSeq > checkpoint {
@@ -139,15 +151,101 @@ func (st *Store) writeManifest(p *sim.Proc, checkpoint uint64) {
 		// republish an older one (WAL slots may already be recycled past it).
 		checkpoint = st.checkpointSeq
 	}
-	ids := make([]int, len(st.segs))
-	for i, s := range st.segs {
-		ids[i] = s.id
-	}
+	segs := slices.Clone(st.segs)
 	st.fs.Write(p, st.manifest, 0)
 	ver, _ := st.fs.PageVer(st.manifest, 0)
-	st.manifestHist[ver] = manifestState{checkpoint: checkpoint, segIDs: ids}
-	st.order(p, st.manifest)
+	st.manifestHist[ver] = manifestState{checkpoint: checkpoint, segs: segs}
+	durable := st.order(p, st.manifest)
+	st.orderedVer = ver
+	if durable {
+		st.retire(ver)
+	}
 	st.manifestMu.Unlock()
+}
+
+// retire advances the durable manifest watermark to ver, a manifest version
+// known durable, and drops the recovery shadow below it: no crash can
+// recover an older manifest. The manifests older than ver go, and so does
+// every segment that no retained manifest, live segment or compaction input
+// names; its entries go to the free list and are set to nil, so a stale
+// segRef panics instead of reading a recycled array. The segments' keep
+// marks are the one scratch set, so a call allocates nothing.
+func (st *Store) retire(ver int64) {
+	if ver <= st.durableVer {
+		return
+	}
+	st.durableVer = ver
+	mark := func(segs []*segment) {
+		for _, seg := range segs {
+			seg.keep = true
+		}
+	}
+	for v, m := range st.manifestHist {
+		if v < ver {
+			delete(st.manifestHist, v)
+		} else {
+			mark(m.segs)
+		}
+	}
+	mark(st.segs)
+	mark(st.compIn)
+	kept := st.shadow[:0]
+	for _, seg := range st.shadow {
+		if seg.keep {
+			seg.keep = false
+			kept = append(kept, seg)
+			continue
+		}
+		st.recycleRun(seg.entries)
+		seg.entries = nil
+	}
+	clear(st.shadow[len(kept):])
+	st.shadow = kept
+}
+
+// maxFreeRuns bounds the recycled entry arrays a store keeps. A compaction
+// retires its fan-in plus one arrays at once.
+const maxFreeRuns = 16
+
+// takeRun returns an empty entry array with room for n entries: the
+// smallest recycled one that fits, or a new one of capacity size >= n.
+func (st *Store) takeRun(n, size int) []segEnt {
+	best := -1
+	for i, r := range st.freeRuns {
+		if cap(r) >= n && (best < 0 || cap(r) < cap(st.freeRuns[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]segEnt, 0, size)
+	}
+	run := st.freeRuns[best]
+	st.dropRun(best)
+	return run[:0]
+}
+
+// recycleRun puts a retired segment's entry array on the free list, dropping
+// the smallest array there once the list is full.
+func (st *Store) recycleRun(ents []segEnt) {
+	st.freeRuns = append(st.freeRuns, ents)
+	if len(st.freeRuns) <= maxFreeRuns {
+		return
+	}
+	small := 0
+	for i, r := range st.freeRuns {
+		if cap(r) < cap(st.freeRuns[small]) {
+			small = i
+		}
+	}
+	st.dropRun(small)
+}
+
+// dropRun removes free-list entry i, moving the last into its place.
+func (st *Store) dropRun(i int) {
+	last := len(st.freeRuns) - 1
+	st.freeRuns[i] = st.freeRuns[last]
+	st.freeRuns[last] = nil
+	st.freeRuns = st.freeRuns[:last]
 }
 
 // compactor merges all live segments into one when the flusher signals
@@ -185,12 +283,21 @@ func (st *Store) compactOnce(p *sim.Proc) {
 		}
 	}
 	st.compPos = slices.Grow(st.compPos[:0], len(inputs))[:len(inputs)]
-	ents := make([]segEnt, mergeRuns(inputs, st.compPos, nil))
+	// A new array is sized at the inputs' total length, the most a merge
+	// can produce, so it can serve a later, larger merge once retired.
+	total := 0
+	for _, seg := range inputs {
+		total += len(seg.entries)
+	}
+	n := mergeRuns(inputs, st.compPos, nil)
+	ents := st.takeRun(n, total)[:n]
 	mergeRuns(inputs, st.compPos, ents)
 
 	var merged *segment
 	if len(ents) > 0 {
 		merged, _ = st.writeSegment(p, ents, block.RoleIdle)
+	} else {
+		st.recycleRun(ents)
 	}
 	// Splice: replace the input prefix with the merged run, keeping any
 	// segments the flusher added while we merged.
@@ -223,6 +330,10 @@ func (st *Store) compactOnce(p *sim.Proc) {
 			panic("kvwal: " + err.Error())
 		}
 	}
+	// The inputs are retired at the next durable manifest that no longer
+	// names them.
+	clear(st.compIn)
+	st.compIn = st.compIn[:0]
 	st.stats.Compactions++
 	st.obs.compactions.Inc()
 }
@@ -230,6 +341,7 @@ func (st *Store) compactOnce(p *sim.Proc) {
 // mergeRuns k-way merges segs' sorted runs (oldest first) into out, or only
 // counts when out is nil, and returns the entry count. Per key the newest
 // seq wins, the oldest run on a tie; a winning tombstone drops the key.
+// Entries of out beyond the count are left as they were.
 func mergeRuns(segs []*segment, pos []int, out []segEnt) int {
 	clear(pos)
 	for n := 0; ; {

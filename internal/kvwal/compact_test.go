@@ -76,7 +76,9 @@ func runsOf(data []byte) []*segment {
 
 // FuzzCompactMerge checks the k-way merge against the map fold it replaced,
 // over random sorted runs with keys shared across runs, tombstones, seq
-// ties and seq-0 ingested entries.
+// ties and seq-0 ingested entries. It counts, then merges twice: into a new
+// array, and into a recycled one, as compactOnce may, that is pre-filled
+// with stale entries and has spare capacity.
 func FuzzCompactMerge(f *testing.F) {
 	f.Add([]byte{1, 5 << 1, 0xFF, 1, 9<<1 | 1})             // a tombstone shadows an older put
 	f.Add([]byte{2, 0, 0xFF, 2, 0})                         // two ingests of one key
@@ -90,12 +92,20 @@ func FuzzCompactMerge(f *testing.F) {
 		if n != len(want) {
 			t.Fatalf("merge counts %d entries, the fold keeps %d", n, len(want))
 		}
-		got := make([]segEnt, n)
-		if m := mergeRuns(segs, pos, got); m != n {
-			t.Fatalf("merge filled %d entries after counting %d", m, n)
+		stale := make([]segEnt, n+7)
+		for i := range stale {
+			stale[i] = segEnt{key: "stale" + strconv.Itoa(i), seq: 1 << 40, del: i%2 == 0, page: int64(i), ver: -1}
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("merge %v\nfold  %v", got, want)
+		for _, out := range []struct {
+			name string
+			run  []segEnt
+		}{{"new", make([]segEnt, n)}, {"recycled", stale[:n]}} {
+			if m := mergeRuns(segs, pos, out.run); m != n {
+				t.Fatalf("merge into a %s array filled %d entries after counting %d", out.name, m, n)
+			}
+			if !slices.Equal(out.run, want) {
+				t.Fatalf("merge into a %s array %v\nfold %v", out.name, out.run, want)
+			}
 		}
 	})
 }

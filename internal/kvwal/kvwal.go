@@ -195,7 +195,8 @@ type segEnt struct {
 type segment struct {
 	id      int
 	name    string
-	entries []segEnt // sorted by key
+	entries []segEnt // sorted by key; nil once retired (its array recycled)
+	keep    bool     // retire's mark: a retained manifest, segs or compIn names it
 }
 
 // segRef locates one segment entry: seg.entries[n].
@@ -208,7 +209,7 @@ type segRef struct {
 // segment set and the WAL checkpoint at the time it was written.
 type manifestState struct {
 	checkpoint uint64
-	segIDs     []int
+	segs       []*segment
 }
 
 // kvObs holds the store's registry instruments; all nil when disabled.
@@ -258,9 +259,16 @@ type Store struct {
 	compIn  []*segment        // compaction scratch: the merged inputs
 	compPos []int             // compaction scratch: each input's merge position
 
-	segByID      map[int]*segment        // every segment ever written (recovery shadow)
+	// The recovery shadow, bounded at the durable manifest (see retire):
+	// shadow holds every segment a retained manifest, segs or compIn
+	// names, and manifestHist every manifest version from durableVer on.
+	// freeRuns holds the entry arrays of retired segments.
+	shadow       []*segment
 	manifestHist map[int64]manifestState // manifest page ver -> state
-	walHist      walHist                 // every WAL record, by sequence number
+	orderedVer   int64                   // newest manifest version whose ordering point returned
+	durableVer   int64                   // newest manifest version known durable
+	freeRuns     [][]segEnt
+	walHist      walHist // every WAL record, by sequence number
 
 	nextSeq       uint64 // next op sequence number (1-based)
 	committedSeq  uint64 // newest op covered by a group commit (ordering ack)
@@ -311,7 +319,6 @@ func OpenFS(p *sim.Proc, fsys *fs.FS, cfg Config) (*Store, error) {
 		mem:          make(map[string]memEnt),
 		spare:        make(map[string]memEnt),
 		index:        make(map[string]segRef),
-		segByID:      make(map[int]*segment),
 		manifestHist: make(map[int64]manifestState),
 		nextSeq:      1,
 	}
@@ -484,9 +491,11 @@ func (st *Store) fileOf(seg *segment) *fs.Inode {
 // body too. DurableSeq advances to the CommittedSeq read at the call, never
 // to one read on return: groups the leader orders while the fdatasync is in
 // flight may have dispatched after its flush, so they wait for the next
-// checkpoint. Clients that need read-your-durability semantics where fs
-// only orders call this explicitly; where group commits are durable it is
-// a cheap no-op-ish extra sync. It is also where ordered segments and the
+// checkpoint. The durable manifest watermark advances the same way, to the
+// newest manifest whose ordering point had returned at the call. Clients
+// that need read-your-durability semantics where fs only orders call this
+// explicitly; where group commits are durable it is a cheap no-op-ish
+// extra sync. It is also where ordered segments and the
 // manifest that names them become durable: on a clean WAL the fdatasync is
 // a forced journal commit waited durably, and on a WAL with a group
 // mid-append it flushes the cache once the dirty slots, which follow the
@@ -494,13 +503,14 @@ func (st *Store) fileOf(seg *segment) *fs.Inode {
 // everything dispatched before the fdatasync: the journal's flush waits
 // for the forced commit's JC, which follows it all on the order stream.
 func (st *Store) ForceCheckpoint(p *sim.Proc) {
-	target := st.committedSeq
+	target, manifest := st.committedSeq, st.orderedVer
 	st.groupsSince = 0
 	st.fs.Fdatasync(p, st.wal)
 	st.stats.CheckpointSyncs++
 	if target > st.durableSeq {
 		st.durableSeq = target
 	}
+	st.retire(manifest)
 }
 
 // checkpointer is the periodic durability checkpoint of ordered groups, on

@@ -35,8 +35,11 @@ type Recovered struct {
 	PrefixSeq uint64
 	// WALApplied counts the WAL records replayed (the contiguous prefix).
 	WALApplied int
-	// SegmentHoles lists manifest-referenced segment entries whose durable
-	// page version did not match: a durability violation by construction.
+	// SegmentHoles lists the holes in the recovered manifest state: a
+	// manifest older than one the store knew durable (its state was
+	// pruned, so none is folded), or manifest-referenced segment entries
+	// whose durable page version did not match. Each is a durability
+	// violation by construction.
 	SegmentHoles []string
 	// StragglerSeqs lists WAL records that survived *beyond* the prefix
 	// hole. Within the same group commit that is legal reordering; across a
@@ -55,20 +58,23 @@ func (st *Store) Recover(view *fs.View) Recovered {
 	}
 
 	// 1. Manifest: pick the durable {segments, checkpoint} state.
-	var state manifestState
+	var ver int64
 	if meta, ok := view.Lookup(root, manifestName); ok {
-		if ver, ok := view.PageVersion(meta, 0); ok {
-			if s, ok := st.manifestHist[ver]; ok {
-				state = s
-			}
-		}
+		ver, _ = view.PageVersion(meta, 0)
 	}
+	if ver < st.durableVer {
+		// Only a mount whose durable answers are false gets here (a
+		// nobarrier one), so it is reported, not folded as empty.
+		rec.SegmentHoles = append(rec.SegmentHoles,
+			fmt.Sprintf("manifest v%d recovered, older than v%d, which the store knew durable and pruned the shadow below",
+				ver, st.durableVer))
+	}
+	state := st.manifestHist[ver]
 	rec.Checkpoint = state.checkpoint
 
 	// 2. Fold the manifest's segments, oldest first. Every entry the
 	// durable manifest references must itself be durable.
-	for _, id := range state.segIDs {
-		seg := st.segByID[id]
+	for _, seg := range state.segs {
 		meta, ok := view.Lookup(root, seg.name)
 		if !ok {
 			rec.SegmentHoles = append(rec.SegmentHoles,

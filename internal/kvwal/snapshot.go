@@ -86,7 +86,7 @@ func (st *Store) Ingest(p *sim.Proc, keys []string) {
 	if len(keys) == 0 {
 		return
 	}
-	ents := make([]segEnt, 0, len(keys))
+	ents := st.takeRun(len(keys), len(keys))
 	seen := make(map[string]bool, len(keys))
 	for _, k := range keys {
 		if !seen[k] {
