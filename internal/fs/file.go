@@ -118,8 +118,8 @@ func (f *FS) Read(p *sim.Proc, i *Inode, idx int64, role block.Role) (int64, boo
 // application streams once (e.g. kvwal segments, which are immutable after
 // their closing fdatasync). Dirty pages, journal-pinned pages, and inodes
 // with writeback still in flight are left alone: eviction is only legal
-// once the device provably holds the page. Returns the number of pages
-// evicted.
+// once the device provably holds the page. The evicted entries are
+// recycled. Returns the number of pages evicted.
 func (f *FS) EvictClean(i *Inode) int {
 	if len(i.inflight) > 0 {
 		return 0
@@ -130,6 +130,7 @@ func (f *FS) EvictClean(i *Inode) int {
 			continue
 		}
 		i.pages[idx] = nil
+		f.recyclePage(pg)
 		n++
 	}
 	return n

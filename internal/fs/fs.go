@@ -16,10 +16,15 @@
 //
 // Journaled metadata travels the same way, as the *InodeMeta and *AllocMeta
 // records a journal freeze carves. Stamps, records and page-cache entries
-// come from per-filesystem slabs (sim.Slab): one allocation per 64 entries,
-// never reused. Their retention bound is one slab per live entry: a stamp or
-// record the NAND array still holds, or one cached page, keeps its whole
-// slab reachable.
+// come from per-filesystem slabs (sim.Slab): one allocation per 64 entries.
+// Stamps and records are never reused. Their retention bound is one slab
+// per live entry: a stamp or record the NAND array still holds, or one
+// cached page, keeps its whole slab reachable. Page-cache entries are
+// recycled: the clean pages of a file unlinked with no writeback in flight
+// (when it hands its scratch on), and the pages EvictClean drops, go on a
+// free list that newPage pops before it carves. A dirty page is never recycled: a writeback walk that
+// yields (OptFS journaling an overwrite) still holds the pages it has not
+// reached, and they are still dirty.
 //
 // Data-writeback requests are pooled (block.ReqPool). WritebackAsync hands
 // its holds to the block layer, which recycles each request at completion;
@@ -253,6 +258,8 @@ type FS struct {
 	metas    sim.Slab[InodeMeta]
 	allocs   sim.Slab[AllocMeta]
 	pageSlab sim.Slab[page]
+	// freePages holds recycled page-cache entries, for newPage.
+	freePages []*page
 	// spare is the scratch of unlinked inodes, for newInode.
 	spare []inodeScratch
 	// onDone is writebackDone, bound once: every data write's OnComplete.
@@ -384,9 +391,16 @@ func (f *FS) newInode(ino Ino, dir bool) *Inode {
 	return i
 }
 
-// newPage carves a page-cache entry for page idx of i and caches it.
+// newPage caches pg as page pg.idx of i, in a recycled entry when there is
+// one and in a newly carved one otherwise.
 func (f *FS) newPage(i *Inode, pg page) *page {
-	e := f.pageSlab.New(pg)
+	var e *page
+	if n := len(f.freePages); n > 0 {
+		e, f.freePages = f.freePages[n-1], f.freePages[:n-1]
+		*e = pg
+	} else {
+		e = f.pageSlab.New(pg)
+	}
 	if old := int64(len(i.pages)); pg.idx >= old {
 		// Grow in place when capacity allows: append(make) allocates the
 		// temporary under -race instrumentation, once per new page.
@@ -395,6 +409,15 @@ func (f *FS) newPage(i *Inode, pg page) *page {
 	}
 	i.pages[pg.idx] = e
 	return e
+}
+
+// recyclePage puts a page-cache entry no inode caches any longer on the
+// free list, unless it is dirty: a writeback walk that has not reached it
+// yet still holds it.
+func (f *FS) recyclePage(pg *page) {
+	if pg != nil && !pg.dirty {
+		f.freePages = append(f.freePages, pg)
+	}
 }
 
 // cached returns page idx of i's page cache, nil if it is not cached.
@@ -523,6 +546,9 @@ func (f *FS) Unlink(p *sim.Proc, dir *Inode, name string) error {
 			// it completes, and Fdatawait on the inode waits on it: the
 			// scratch stays with the inode then.
 			if len(child.inflight) == 0 && len(f.spare) < maxSpareScratch {
+				for _, pg := range child.pages {
+					f.recyclePage(pg)
+				}
 				clear(child.pages)
 				child.pages = child.pages[:0]
 				child.blocksCap = cap(child.blocks)

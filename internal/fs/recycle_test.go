@@ -2,6 +2,7 @@ package fs
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -280,6 +281,131 @@ func TestUnlinkDuringWritebackKeepsLists(t *testing.T) {
 		if *nuDone != pages || p.Now() != *nuLast {
 			t.Errorf("Fdatawait on the new file returned at %v with %d of %d writes done (last at %v)",
 				p.Now(), *nuDone, pages, *nuLast)
+		}
+	})
+}
+
+// onFreeList reports whether pg is on the filesystem's page free list.
+func (f *FS) onFreeList(pg *page) bool {
+	return slices.Contains(f.freePages, pg)
+}
+
+// TestUnlinkRecyclesPages: the pages of a file unlinked with no writeback in
+// flight, and the pages EvictClean drops, serve the next newPage instead of
+// new slab entries.
+func TestUnlinkRecyclesPages(t *testing.T) {
+	const pages = 8
+	e := newEnv(jbd.ModeJBD2)
+	defer e.close()
+	e.run(func(p *sim.Proc) {
+		old, _ := e.fs.Create(p, e.fs.Root(), "old")
+		evicted, _ := e.fs.Create(p, e.fs.Root(), "evicted")
+		for i := int64(0); i < pages; i++ {
+			e.fs.Write(p, old, i)
+			e.fs.Write(p, evicted, i)
+		}
+		e.fs.Fsync(p, old)
+		e.fs.Fsync(p, evicted)
+		held := slices.Clone(old.pages)
+		held = append(held, evicted.pages...)
+		if err := e.fs.Unlink(p, e.fs.Root(), "old"); err != nil {
+			t.Fatal(err)
+		}
+		if n := e.fs.EvictClean(evicted); n != pages {
+			t.Fatalf("EvictClean dropped %d of %d clean pages", n, pages)
+		}
+		for _, pg := range held {
+			if !e.fs.onFreeList(pg) {
+				t.Fatalf("page %d of the unlinked or evicted file is not on the free list", pg.idx)
+			}
+		}
+		nu, _ := e.fs.Create(p, e.fs.Root(), "new")
+		for i := int64(0); i < 2*pages; i++ {
+			e.fs.Write(p, nu, i)
+		}
+		if len(e.fs.freePages) != 0 {
+			t.Errorf("%d pages left on the free list after %d new pages", len(e.fs.freePages), 2*pages)
+		}
+		for idx, pg := range nu.pages {
+			if !slices.Contains(held, pg) {
+				t.Errorf("new page %d was carved, not recycled", idx)
+			}
+			if pg.idx != int64(idx) || !pg.dirty || pg.everSynced || pg.buf != nil {
+				t.Errorf("recycled page %d kept stale state: %+v", idx, *pg)
+			}
+		}
+	})
+}
+
+// TestUnlinkKeepsPagesOfParkedWriteback: on OptFS a writeback walk journals
+// overwrites of synced pages, and it parks when a page's journal buffer is
+// still held by a committing transaction. A file unlinked meanwhile, with no
+// writeback in flight, recycles the pages the walk has passed, never the
+// ones it has not reached: those are still dirty, and the walk cleans them
+// when it resumes.
+func TestUnlinkKeepsPagesOfParkedWriteback(t *testing.T) {
+	const pages = 8
+	e := newEnv(jbd.ModeOptFS)
+	defer e.close()
+	e.run(func(p *sim.Proc) {
+		f, _ := e.fs.Create(p, e.fs.Root(), "f")
+		for i := int64(0); i < pages; i++ {
+			e.fs.Write(p, f, i)
+		}
+		e.fs.Fsync(p, f)
+		// Journal overwrites of pages 2.. in a commit another proc waits on.
+		for i := int64(2); i < pages; i++ {
+			e.fs.Write(p, f, i)
+		}
+		e.k.Spawn("barrier", func(p *sim.Proc) { e.fs.Fdatabarrier(p, f) })
+		for f.pages[2].buf == nil || f.pages[2].buf.Frozen() == nil {
+			p.Sleep(sim.Microsecond)
+		}
+		for i := int64(0); i < pages; i++ {
+			e.fs.Write(p, f, i)
+		}
+		walked := slices.Clone(f.pages)
+		blocks := e.fs.Journal().Stats().ConflictBlocks
+		done := false
+		e.k.Spawn("writeback", func(p *sim.Proc) {
+			e.fs.WritebackAsync(p, f, block.RoleBackground)
+			done = true
+		})
+		for e.fs.Journal().Stats().ConflictBlocks == blocks && !done {
+			p.Sleep(sim.Microsecond)
+		}
+		reached := 0
+		for _, pg := range walked {
+			if !pg.dirty {
+				reached++
+			}
+		}
+		if done || len(f.inflight) != 0 || reached == 0 || reached == pages {
+			t.Fatalf("the walk did not park at a committing page with nothing in flight: done %v, %d in flight, %d of %d pages reached",
+				done, len(f.inflight), reached, pages)
+		}
+		if err := e.fs.Unlink(p, e.fs.Root(), "f"); err != nil {
+			t.Fatal(err)
+		}
+		unreached := 0
+		for _, pg := range walked {
+			if pg.dirty {
+				unreached++
+			}
+			if recycled := e.fs.onFreeList(pg); recycled == pg.dirty {
+				t.Errorf("page %d (dirty %v): on the free list %v", pg.idx, pg.dirty, recycled)
+			}
+		}
+		if unreached == 0 {
+			t.Fatal("the walk resumed during Unlink")
+		}
+		for !done {
+			p.Sleep(100 * sim.Microsecond)
+		}
+		for _, pg := range walked {
+			if pg.dirty {
+				t.Errorf("page %d still dirty after the walk resumed", pg.idx)
+			}
 		}
 	})
 }
