@@ -152,6 +152,7 @@ type writebackPlan struct {
 // submitted request, so the block layer's queue/dispatch stamps land on the
 // originating sync call's trace record.
 func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, role block.Role, barrierLast bool) writebackPlan {
+	i.walks++
 	plan := writebackPlan{reqs: i.wbReqs[:0]}
 	i.wbReqs = nil
 	dirty := i.takeDirty()
@@ -189,6 +190,8 @@ func (f *FS) writeback(p *sim.Proc, i *Inode, flags block.Flags, role block.Role
 		f.layer.Submit(p, r)
 		i.offStream = i.offStream || r.Stream != f.stream
 	}
+	i.walks--
+	f.forget(i)
 	return plan
 }
 
@@ -248,7 +251,6 @@ func (i *Inode) trackInflight(r *block.Request) {
 
 // writebackDone is every data write's OnComplete (bound once, as FS.onDone):
 // the request's page stamp names the inode whose in-flight list it leaves.
-// An unlinked inode leaves FS.inodes with its last writeback.
 func (f *FS) writebackDone(_ sim.Time, r *block.Request) {
 	i := f.inodes[r.Data.(*PageData).Ino]
 	for n, o := range i.inflight {
@@ -257,7 +259,14 @@ func (f *FS) writebackDone(_ sim.Time, r *block.Request) {
 			break
 		}
 	}
-	if i.nlink == 0 && len(i.inflight) == 0 {
+	f.forget(i)
+}
+
+// forget drops an unlinked inode from FS.inodes once no writeback walk is in
+// progress on it and none of its writeback is in flight: until then a
+// completion still looks it up there.
+func (f *FS) forget(i *Inode) {
+	if i.nlink == 0 && len(i.inflight) == 0 && i.walks == 0 {
 		delete(f.inodes, i.ino)
 	}
 }

@@ -153,6 +153,9 @@ type Inode struct {
 	// offStream marks writeback moved off the order stream since the last
 	// durable sync: no barrier orders it (see Fdatabarrier).
 	offStream bool
+	// walks counts writeback walks in progress. A walk tracks the requests
+	// it built only at its end, and an OptFS walk can park before that.
+	walks int
 }
 
 // inodeScratch is an inode's page-cache and writeback slice storage. Unlink
@@ -556,9 +559,7 @@ func (f *FS) Unlink(p *sim.Proc, dir *Inode, name string) error {
 				child.inodeScratch = inodeScratch{}
 			}
 			f.j.DirtyBuffer(p, f.allocBufFor(child.ino), nil)
-			if len(child.inflight) == 0 {
-				delete(f.inodes, child.ino)
-			}
+			f.forget(child)
 			delete(f.byHome, child.home)
 			for n, o := range f.inodeList {
 				if o == child {

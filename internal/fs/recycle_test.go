@@ -409,3 +409,71 @@ func TestUnlinkKeepsPagesOfParkedWriteback(t *testing.T) {
 		}
 	})
 }
+
+// TestUnlinkDuringParkedWalkKeepsInode: a writeback walk builds the in-place
+// requests of the pages it passes and tracks them only at its end. A file
+// unlinked while the walk is parked, with nothing tracked yet, stays in
+// FS.inodes until the walk has ended and its writes have landed: their
+// completions look the inode up there. A walk that journaled every page
+// tracks nothing, and its end drops the inode.
+func TestUnlinkDuringParkedWalkKeepsInode(t *testing.T) {
+	const pages = 8
+	for _, inPlace := range []bool{true, false} {
+		name := "journaled"
+		if inPlace {
+			name = "in-place"
+		}
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(jbd.ModeOptFS)
+			defer e.close()
+			e.run(func(p *sim.Proc) {
+				f, _ := e.fs.Create(p, e.fs.Root(), "f")
+				// A page never synced is written in place, a synced one journaled.
+				first := int64(0)
+				if inPlace {
+					first = 1
+				}
+				for i := first; i < pages; i++ {
+					e.fs.Write(p, f, i)
+				}
+				e.fs.Fsync(p, f)
+				for i := int64(2); i < pages; i++ {
+					e.fs.Write(p, f, i)
+				}
+				e.k.Spawn("barrier", func(p *sim.Proc) { e.fs.Fdatabarrier(p, f) })
+				for f.pages[2].buf == nil || f.pages[2].buf.Frozen() == nil {
+					p.Sleep(sim.Microsecond)
+				}
+				for i := int64(0); i < pages; i++ {
+					e.fs.Write(p, f, i)
+				}
+				blocks := e.fs.Journal().Stats().ConflictBlocks
+				done := false
+				e.k.Spawn("writeback", func(p *sim.Proc) {
+					e.fs.WritebackAsync(p, f, block.RoleBackground)
+					done = true
+				})
+				for e.fs.Journal().Stats().ConflictBlocks == blocks && !done {
+					p.Sleep(sim.Microsecond)
+				}
+				if done || len(f.inflight) != 0 || f.pages[0].dirty {
+					t.Fatalf("the walk did not park past page 0 with nothing tracked: done %v, %d in flight, page 0 dirty %v",
+						done, len(f.inflight), f.pages[0].dirty)
+				}
+				if err := e.fs.Unlink(p, e.fs.Root(), "f"); err != nil {
+					t.Fatal(err)
+				}
+				if e.fs.inodes[f.ino] != f {
+					t.Error("Unlink dropped the inode while a writeback walk was parked on it")
+				}
+				for !done {
+					p.Sleep(100 * sim.Microsecond)
+				}
+				e.fs.Fdatawait(p, f)
+				if _, ok := e.fs.inodes[f.ino]; ok {
+					t.Error("the unlinked inode outlived its walk and its last writeback")
+				}
+			})
+		})
+	}
+}
