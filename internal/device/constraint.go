@@ -71,27 +71,6 @@ func (d *Device) CaptureConstraints() Constraint {
 		// it into the durable base, so no write is at risk.
 		return c
 	}
-	if d.cfg.PLP {
-		// PLP-failure model: the supercap drains the cache in transfer
-		// order and may die after any number of entries. The admissible
-		// crash states are exactly the transfer-order prefixes, expressed
-		// as a single chain over all streams.
-		c.PLP, c.PLPPartial, c.Ordered = false, true, true
-		for e := d.cacheHead; e != nil; e = e.next {
-			if e.idx < d.f.DurableIdx() {
-				continue // already survives the recovery scan (see below)
-			}
-			c.Writes = append(c.Writes, VolatileWrite{
-				Seq: e.seq, LPA: e.lpa, Data: e.data,
-				Stream: e.stream, Epoch: e.epoch,
-			})
-		}
-		c.Preds = make([][]int, len(c.Writes))
-		for i := 1; i < len(c.Writes); i++ {
-			c.Preds[i] = []int{i - 1}
-		}
-		return c
-	}
 	// The cache list holds exactly the not-yet-retired pages; whatever the
 	// reaper retired is on the storage surface and part of the base.
 	for e := d.cacheHead; e != nil; e = e.next {
@@ -111,6 +90,17 @@ func (d *Device) CaptureConstraints() Constraint {
 		})
 	}
 	c.Preds = make([][]int, len(c.Writes))
+	if d.cfg.PLP {
+		// PLP-failure model: the supercap drains the cache in transfer
+		// order and may die after any number of entries. The admissible
+		// crash states are exactly the transfer-order prefixes, expressed
+		// as a single chain over all streams.
+		c.PLP, c.PLPPartial, c.Ordered = false, true, true
+		for i := 1; i < len(c.Writes); i++ {
+			c.Preds[i] = []int{i - 1}
+		}
+		return c
+	}
 	if !c.Ordered {
 		return c
 	}
