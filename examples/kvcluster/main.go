@@ -58,11 +58,12 @@ func main() {
 // under open-loop traffic and prints the goodput/p99 timeline around the
 // migration.
 func resizeWalkthrough() {
-	rc := kvcluster.ReplicaConfig{
+	rc := kvcluster.Config{
 		Shards:   3,
 		Replicas: 2,
 		Profile:  core.BFSDR,
-		// InflightCap (64) and SLO (2ms) take the same defaults as Config.
+		// InflightCap (64, cluster-wide in this shape) and SLO (2ms)
+		// take their defaults.
 	}
 	tr := kvcluster.Traffic{
 		Arrivals: workload.ArrivalConfig{

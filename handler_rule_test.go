@@ -40,7 +40,7 @@ func TestHandlersOnlyWhereTheEventsAre(t *testing.T) {
 	landed := false
 	k.Spawn("client", func(p *sim.Proc) {
 		defer k.Stop()
-		cl, err := kvcluster.OpenCluster(p, kvcluster.ReplicaConfig{Shards: 3})
+		cl, err := kvcluster.OpenCluster(p, kvcluster.Config{Shards: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

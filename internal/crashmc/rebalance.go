@@ -184,7 +184,7 @@ func rebalancePoint(prof func(device.Config) core.Profile, shards int,
 	// Compact journal + tiny memtable + small chunks keep the victim's
 	// volatile write set — and with it the enumerated state space — small
 	// enough for exhaustive coverage.
-	rc := kvcluster.ReplicaConfig{
+	rc := kvcluster.Config{
 		Shards:   shards,
 		Replicas: 2,
 		Profile: func(d device.Config) core.Profile {
@@ -254,7 +254,7 @@ type rebalanceRun struct {
 // fail, at the first 2us tick at which the migration occupies phase with no
 // client write in flight (a write wedged on the crashed victim would
 // otherwise stall the audit).
-func startRebalance(k *sim.Kernel, rc kvcluster.ReplicaConfig, phase kvcluster.MigrationState, hold int) *rebalanceRun {
+func startRebalance(k *sim.Kernel, rc kvcluster.Config, phase kvcluster.MigrationState, hold int) *rebalanceRun {
 	r := &rebalanceRun{acked: make(map[string]bool), idle: true}
 	opened := sim.NewCond(k)
 	crashIf := func(now bool) {

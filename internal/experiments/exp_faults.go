@@ -109,15 +109,16 @@ func Faults(scale Scale) FaultsResult {
 		// Segment reads must face the medium, not the page cache, or the
 		// fault personalities are invisible.
 		store.EvictSegments = true
-		rc := kvcluster.ReplicaConfig{
+		rc := kvcluster.Config{
 			Shards:   3,
+			Mode:     kvcluster.Replicated,
 			Replicas: 2,
 			Profile: func(d device.Config) core.Profile {
 				p := prof(d)
 				p.Retry = true
 				return p
 			},
-			Device: func(sh int) device.Config {
+			ShardDevice: func(sh int) device.Config {
 				d := device.NVMeSSD()
 				if sh == 0 && mix.sick != nil {
 					d.Fault = mix.sick(uint64(101 + sh))
@@ -144,7 +145,7 @@ func Faults(scale Scale) FaultsResult {
 			Warmup:    4 * sim.Millisecond,
 			Duration:  dur,
 		}
-		res := kvcluster.RunReplicated(rc, tr)
+		res := kvcluster.Run(rc, tr)
 		out.Rows[i] = FaultsRow{
 			Config: res.Engine, Mix: mix.name,
 			Shards: rc.Shards, Replicas: rc.Replicas,

@@ -66,7 +66,7 @@ func Rebalance(scale Scale) RebalanceResult {
 		reg := metrics.NewRegistry()
 		store := kvwal.DefaultConfig()
 		store.MemtableCap = 16
-		rc := kvcluster.ReplicaConfig{
+		rc := kvcluster.Config{
 			Shards:   3,
 			Replicas: 2,
 			Profile:  profFn,

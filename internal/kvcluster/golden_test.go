@@ -125,15 +125,15 @@ func goldenShapes() map[string]shapeGolden {
 	}
 	{
 		var tk traceKernels
-		rc := ReplicaConfig{Shards: 3, Replicas: 2, Store: smallStore(),
+		rc := Config{Shards: 3, Mode: Replicated, Replicas: 2, Store: smallStore(),
 			InflightCap: 12, SLO: 400 * sim.Microsecond, NewKernel: tk.newKernel}
-		out["replicated"] = tk.shape(RunReplicated(rc, smallTraffic(60_000)))
+		out["replicated"] = tk.shape(Run(rc, smallTraffic(60_000)))
 	}
 	{
 		var tk traceKernels
-		rc := ReplicaConfig{
-			Shards: 3, Replicas: 2, Store: smallStore(), Profile: retrying,
-			Device: func(i int) device.Config {
+		rc := Config{
+			Shards: 3, Mode: Replicated, Replicas: 2, Store: smallStore(), Profile: retrying,
+			ShardDevice: func(i int) device.Config {
 				d := device.NVMeSSD()
 				if i == 0 {
 					d.Fault = uncPlan(42)
@@ -149,7 +149,7 @@ func goldenShapes() map[string]shapeGolden {
 		tr := smallTraffic(30_000)
 		tr.Mix = workload.Mix{ReadPct: 50, DeletePct: 5}
 		tr.KeySpace = 256
-		g := tk.shape(RunReplicated(rc, tr))
+		g := tk.shape(Run(rc, tr))
 		g.Counters = make(map[string]int64)
 		for _, name := range []string{"kvcluster/failovers", "kvcluster/read.repairs",
 			"kvcluster/replica.writes"} {
@@ -159,14 +159,14 @@ func goldenShapes() map[string]shapeGolden {
 	}
 	{
 		var tk traceKernels
-		rc := ReplicaConfig{Shards: 3, Replicas: 2, Store: smallStore(),
+		rc := Config{Shards: 3, Replicas: 2, Store: smallStore(),
 			Trace: trace, NewKernel: tk.newKernel}
 		spec := ResizeSpec{ResizeAt: sim.Time(6 * sim.Millisecond), NewShards: 4, Bins: 12}
 		out["resize"] = tk.resizeShape(RunResize(rc, resizeTraffic(40_000), spec))
 	}
 	{
 		var tk traceKernels
-		rc := ReplicaConfig{Shards: 3, Replicas: 2, Store: smallStore(),
+		rc := Config{Shards: 3, Replicas: 2, Store: smallStore(),
 			InflightCap: 48, NewKernel: tk.newKernel}
 		spec := ResizeSpec{KillShard: 1, KillAt: sim.Time(6 * sim.Millisecond),
 			ReplaceAt: sim.Time(7 * sim.Millisecond)}

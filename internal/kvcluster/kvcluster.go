@@ -1,7 +1,7 @@
 // Package kvcluster is a sharded, barrier-enabled key-value service under
 // open-loop planetary traffic: N kvwal stores behind a consistent-hash
 // router, each shard group-committing on its own barrier-enabled IO stack.
-// Three deployment shapes map the shards onto hardware:
+// One Config describes the service; its Mode maps the shards onto hardware:
 //
 //   - ShardedStacks: one simulated device + stack per shard (one kernel
 //     each, fanned out with internal/par) — the scale-out rack.
@@ -10,20 +10,20 @@
 //     stream (block.OrderStream(i)), so per-shard barriers constrain only
 //     that shard's epoch stream — the paper's multi-stream SSD shape.
 //   - Replicated: every shard is a full stack in ONE kernel behind a
-//     Cluster that writes each key to R successor-list replicas, fails
-//     reads over past media errors and dead shards, and rebalances live
-//     (Resize, ReplaceShard).
+//     Cluster that writes each key to Replicas successor-list replicas,
+//     fails reads over past media errors and dead shards, and rebalances
+//     live (Resize, ReplaceShard).
 //
 // Traffic is open loop: arrivals are offered at their own pace (Poisson or
 // bursty), keys are Zipfian, and an admission controller bounds
 // inflight requests, shedding (and counting) the excess instead of letting
 // the closed-loop illusion hide queueing collapse. One runner (runner.go)
 // plays that loop for every shape — per shard for the first two, cluster
-// wide for the third; Run, RunReplicated and RunResize only build the
-// backend it serves from and fold its samples into a Result. The payoff
-// under test: at equal p99 SLO, barrier-engine shards sustain more goodput
-// than Transfer-and-Flush shards, because each group commit costs a
-// dispatch instead of a flush round trip.
+// wide for the third; Run and RunResize only build the backend it serves
+// from and fold its samples into a Result. The payoff under test: at equal
+// p99 SLO, barrier-engine shards sustain more goodput than
+// Transfer-and-Flush shards, because each group commit costs a dispatch
+// instead of a flush round trip.
 package kvcluster
 
 import (
@@ -55,9 +55,9 @@ const (
 	// MQStreams mounts every shard as a filesystem on one shared
 	// multi-queue device, each on its own order stream.
 	MQStreams
-	// Replicated runs every shard as a full stack in one kernel with R-way
-	// successor-list replication. It has its own configuration and entry
-	// points (ReplicaConfig, RunReplicated, RunResize); Run rejects it.
+	// Replicated runs every shard as a full stack in one kernel with
+	// Replicas-way successor-list replication, served through a Cluster
+	// (OpenCluster, RunResize).
 	Replicated
 )
 
@@ -76,37 +76,50 @@ func (m Mode) String() string {
 // grows within the stride (1M pages ≈ 4 GiB, far beyond any run here).
 const mqShardStride uint64 = 1 << 20
 
-// Config parameterizes a cluster.
+// Config parameterizes a cluster in any Mode.
 type Config struct {
 	// Shards is the shard count (default 4).
 	Shards int
 	// Mode is the deployment shape.
 	Mode Mode
+	// Replicas is the replication factor of the Replicated shape: each key
+	// lives on Replicas distinct shards, primary first (default 2, clamped
+	// to Shards).
+	Replicas int
 	// Profile builds the per-shard stack profile (default core.BFSDR; in
 	// MQStreams mode MQQueues is forced on if the profile leaves it 0).
 	Profile func(device.Config) core.Profile
 	// Device builds a device config (default device.NVMeSSD).
 	Device func() device.Config
+	// ShardDevice, when non-nil, builds shard i's device in the shapes where
+	// a shard owns one (ShardedStacks, Replicated) in place of Device, so
+	// fault personalities can differ — e.g. media errors on the primary only.
+	ShardDevice func(i int) device.Config
 	// Store is the per-shard kvwal configuration.
 	Store kvwal.Config
-	// InflightCap is the admission controller's per-shard outstanding
-	// request bound; arrivals beyond it are shed and counted (default 64).
+	// Migrate bounds live-rebalancing copy bandwidth (see MigrateConfig).
+	Migrate MigrateConfig
+	// InflightCap is the admission controller's outstanding request bound:
+	// per shard in the sharded shapes, cluster-wide in Replicated. Arrivals
+	// beyond it are shed and counted (default 64).
 	InflightCap int
 	// SLO is the per-request latency objective goodput is measured
 	// against (default 2ms).
 	SLO sim.Duration
 	// Metrics is an explicit observability registry; nil falls back to
 	// the process-wide live registry. Shards register their admission
-	// instruments under a "kvcluster/shard=<i>/" prefix.
+	// instruments under a "kvcluster/shard=<i>/" prefix, a Replicated
+	// cluster's runner under "kvcluster/cluster/".
 	Metrics *metrics.Registry
-	// NewKernel builds the shard kernels (default sim.NewKernel); the
+	// NewKernel builds the run's kernels (default sim.NewKernel); the
 	// experiment driver injects its span-capturing choke point here.
 	NewKernel func(label string) *sim.Kernel
-	// Trace, when non-nil, samples per-request causal traces: each shard's
+	// Trace, when non-nil, samples per-request causal traces: the
 	// dispatcher allocates a context at admission for write-class requests,
-	// the context rides the whole IO stack, and the shard's sampler keeps
-	// tail-biased exemplars (see internal/reqtrace). Nil disables tracing
-	// and compiles to the zero-context no-op paths.
+	// the context rides the whole IO stack (in Replicated, the first live
+	// replica's), and the runner's sampler keeps tail-biased exemplars (see
+	// internal/reqtrace). Nil disables tracing and compiles to the
+	// zero-context no-op paths.
 	Trace *reqtrace.Config
 }
 
@@ -114,6 +127,10 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
+	if c.Replicas <= 0 {
+		c.Replicas = 2
+	}
+	c.Replicas = min(c.Replicas, c.Shards)
 	if c.Profile == nil {
 		c.Profile = core.BFSDR
 	}
@@ -133,6 +150,14 @@ func (c Config) withDefaults() Config {
 		c.NewKernel = func(string) *sim.Kernel { return sim.NewKernel() }
 	}
 	return c
+}
+
+// shardDevice builds shard i's device: ShardDevice's when set, else Device's.
+func (c Config) shardDevice(i int) device.Config {
+	if c.ShardDevice != nil {
+		return c.ShardDevice(i)
+	}
+	return c.Device()
 }
 
 // ShardStats is one shard's measured-window admission and latency outcome.
@@ -211,8 +236,12 @@ func (c Config) spawnShard(k *sim.Kernel, idx int, reqs []Request, route []uint8
 	if c.Trace != nil {
 		run.smp = reqtrace.NewSampler(*c.Trace)
 	}
+	// The opener captures the store config alone: Config is larger than the
+	// 128 bytes a closure captures by value, so capturing c would move it
+	// to the heap.
+	store := c.Store
 	run.spawn(k, c.Metrics, func(p *sim.Proc) (serveFunc, error) {
-		st, err := kvwal.OpenFS(p, mount, c.Store)
+		st, err := kvwal.OpenFS(p, mount, store)
 		if err != nil {
 			return nil, err
 		}
@@ -232,14 +261,17 @@ func (c Config) spawnShard(k *sim.Kernel, idx int, reqs []Request, route []uint8
 	return run
 }
 
-// Run drives one unreplicated cluster (ShardedStacks or MQStreams) under one
-// traffic description and reports the measured-window outcome. Everything
-// is deterministic under the traffic seed: the request stream is
-// pre-generated, routed by the ring, and replayed open loop per shard, each
-// shard skipping the requests routed elsewhere.
+// Run drives one cluster under one traffic description and reports the
+// measured-window outcome. Everything is deterministic under the traffic
+// seed: the request stream is pre-generated and replayed open loop — per
+// shard in the sharded shapes, each shard skipping the requests the ring
+// routes elsewhere, and by one cluster-wide runner in Replicated.
 func Run(cfg Config, tr Traffic) Result {
 	if cfg.Mode == Replicated {
-		panic("kvcluster: Run drives unreplicated shards only; use RunReplicated for Mode Replicated")
+		cr := newClusterRun(cfg, tr, "replicated")
+		defer cr.k.Close()
+		cr.drive()
+		return cr.result()
 	}
 	cfg = cfg.withDefaults()
 	tr = tr.withDefaults()
@@ -273,7 +305,7 @@ func Run(cfg Config, tr Traffic) Result {
 
 // runShardStack runs one shard on its own device, stack and kernel.
 func runShardStack(cfg Config, tr Traffic, idx int, reqs []Request, route []uint8, end sim.Time) *runner {
-	prof := cfg.Profile(cfg.Device())
+	prof := cfg.Profile(cfg.shardDevice(idx))
 	if prof.Metrics == nil {
 		prof.Metrics = cfg.Metrics
 	}

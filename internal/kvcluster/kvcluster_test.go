@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -288,19 +287,6 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 }
 
-// Run drives unreplicated shards only: asked for Mode Replicated it used to
-// fall through to the sharded path and report an unreplicated run as
-// replicated. It must refuse and point at RunReplicated.
-func TestRunRejectsReplicatedMode(t *testing.T) {
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "RunReplicated") {
-			t.Fatalf("Run(Mode: Replicated) recovered %q, want a panic naming RunReplicated", msg)
-		}
-	}()
-	Run(Config{Shards: 2, Mode: Replicated}, smallTraffic(10_000))
-}
-
 // A read whose segment page fails hard is a failed request, not a good one:
 // on a device that corrupts nine host reads in ten, with segments evicted so
 // reads face the medium, the unreplicated service must report Good < Done.
@@ -332,24 +318,5 @@ func TestShardedRunCountsFailedReads(t *testing.T) {
 	}
 	if res.Done == 0 || res.Good >= res.Done {
 		t.Errorf("done = %d, good = %d: hard read errors counted as successes", res.Done, res.Good)
-	}
-}
-
-// TestKeyNames: every name in the one-string table equals the fmt.Sprintf
-// form it replaces, also past the padding width.
-func TestKeyNames(t *testing.T) {
-	for _, c := range []struct {
-		prefix   string
-		width, n int
-	}{{"u", 7, 4096}, {"u", 2, 150}, {"", 0, 11}} {
-		names := keyNames(c.prefix, c.width, c.n)
-		if len(names) != c.n {
-			t.Fatalf("%d names, want %d", len(names), c.n)
-		}
-		for k, got := range names {
-			if want := fmt.Sprintf("%s%0*d", c.prefix, c.width, k); got != want {
-				t.Fatalf("key %d: %q, want %q", k, got, want)
-			}
-		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // never perturb the run's outcome.
 func TestRegistryReaderDuringResizeRace(t *testing.T) {
 	reg := metrics.NewRegistry()
-	rc := ReplicaConfig{
+	rc := Config{
 		Shards: 3, Replicas: 2, Store: smallStore(),
 		Metrics: reg,
 		Trace:   &reqtrace.Config{Uniform: 16, TopK: 4},

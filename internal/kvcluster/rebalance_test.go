@@ -103,7 +103,7 @@ func resizeTraffic(rate float64) Traffic {
 // and keeps the worst during-migration p99 bin within a stated bound of
 // steady state.
 func TestResizeUnderLoadNoAckedLoss(t *testing.T) {
-	rc := ReplicaConfig{Shards: 3, Replicas: 2, Store: smallStore()}
+	rc := Config{Shards: 3, Replicas: 2, Store: smallStore()}
 	spec := ResizeSpec{ResizeAt: sim.Time(6 * sim.Millisecond), NewShards: 4, Bins: 12}
 	res := RunResize(rc, resizeTraffic(40_000), spec)
 
@@ -152,7 +152,7 @@ func TestResizeUnderLoadNoAckedLoss(t *testing.T) {
 // identical cells (the determinism contract bench.db rests on).
 func TestResizeDeterministicSchedule(t *testing.T) {
 	run := func() ResizeResult {
-		rc := ReplicaConfig{Shards: 3, Replicas: 2, Store: smallStore()}
+		rc := Config{Shards: 3, Replicas: 2, Store: smallStore()}
 		spec := ResizeSpec{ResizeAt: sim.Time(5 * sim.Millisecond), NewShards: 4}
 		return RunResize(rc, resizeTraffic(30_000), spec)
 	}
@@ -175,7 +175,7 @@ func TestResizeDeterministicSchedule(t *testing.T) {
 // clients keep mutating while the migration copies under them; every acked
 // key must remain readable after the ring swap.
 func TestConcurrentOpsDuringResize(t *testing.T) {
-	cfg := ReplicaConfig{
+	cfg := Config{
 		Shards: 3, Replicas: 2, Store: smallStore(),
 		Migrate: MigrateConfig{ChunkKeys: 8, ChunkEvery: 100 * sim.Microsecond},
 	}
@@ -258,7 +258,7 @@ func TestConcurrentOpsDuringResize(t *testing.T) {
 // Kill a shard, rebuild it in place: ReplaceShard re-replicates its ranges
 // from the survivors and the rebuilt store ends up holding data.
 func TestReplaceShardRebuildsDeadShard(t *testing.T) {
-	cfg := ReplicaConfig{Shards: 3, Replicas: 2, Store: smallStore()}
+	cfg := Config{Shards: 3, Replicas: 2, Store: smallStore()}
 	k := sim.NewKernel()
 	defer k.Close()
 	var keys []string
@@ -317,7 +317,7 @@ func TestReplaceShardRebuildsDeadShard(t *testing.T) {
 // their old owners, and re-replicate onto the next live successor; nothing
 // acked is lost and the migration still lands.
 func TestResizeRetargetsWhenDestinationDies(t *testing.T) {
-	cfg := ReplicaConfig{
+	cfg := Config{
 		Shards: 3, Replicas: 2, Store: smallStore(),
 		// Slow the copy down so the kill lands mid-Copying.
 		Migrate: MigrateConfig{ChunkKeys: 4, ChunkEvery: 300 * sim.Microsecond},
@@ -372,7 +372,7 @@ func TestResizeRetargetsWhenDestinationDies(t *testing.T) {
 // the one failover counted.
 func TestDeadOldOwnerChargesOneFailover(t *testing.T) {
 	reg := metrics.NewRegistry()
-	cfg := ReplicaConfig{
+	cfg := Config{
 		Shards: 3, Replicas: 2, Store: smallStore(), Metrics: reg,
 		Migrate: MigrateConfig{ChunkKeys: 1, ChunkEvery: sim.Second},
 	}
@@ -423,7 +423,7 @@ func TestDeadOldOwnerChargesOneFailover(t *testing.T) {
 func TestAllReplicasDeadShedsDegraded(t *testing.T) {
 	reg := metrics.NewRegistry()
 	shed := reg.Counter("kvcluster/degraded.shed")
-	cfg := ReplicaConfig{Shards: 2, Replicas: 2, Store: smallStore(), Metrics: reg}
+	cfg := Config{Shards: 2, Replicas: 2, Store: smallStore(), Metrics: reg}
 	k := sim.NewKernel()
 	defer k.Close()
 	done := false

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/kvwal"
 	"repro/internal/metrics"
 	"repro/internal/reqtrace"
@@ -31,73 +30,6 @@ import (
 // ErrUnavailable reports that no live replica could serve the operation.
 var ErrUnavailable = errors.New("kvcluster: no live replica")
 
-// ReplicaConfig parameterizes a replicated cluster.
-type ReplicaConfig struct {
-	// Shards is the shard count (default 3).
-	Shards int
-	// Replicas is the replication factor R: each key lives on R distinct
-	// shards, primary first (default 2, clamped to Shards).
-	Replicas int
-	// Profile builds the per-shard stack profile (default core.BFSDR).
-	Profile func(device.Config) core.Profile
-	// Device builds shard i's device config (default device.NVMeSSD for
-	// every shard). Per-shard, so fault personalities can differ — e.g.
-	// media errors on the primary only.
-	Device func(i int) device.Config
-	// Store is the per-shard kvwal configuration.
-	Store kvwal.Config
-	// Migrate bounds live-rebalancing copy bandwidth (see MigrateConfig).
-	Migrate MigrateConfig
-	// InflightCap is the runners' cluster-wide outstanding request bound;
-	// arrivals beyond it are shed and counted (default 64).
-	InflightCap int
-	// SLO is the per-request latency objective the runners measure goodput
-	// against (default 2ms).
-	SLO sim.Duration
-	// Metrics is an explicit observability registry; nil falls back to the
-	// process-wide live registry. The runners register their admission
-	// instruments under a "kvcluster/cluster/" prefix.
-	Metrics *metrics.Registry
-	// NewKernel builds the cluster kernel (default sim.NewKernel); the
-	// experiment driver injects its span-capturing choke point here.
-	NewKernel func(label string) *sim.Kernel
-	// Trace, when non-nil, samples per-request causal traces as Config.Trace
-	// does: the runner's sampler stamps admission/ack and each write's
-	// context rides the first live replica's store. Nil disables tracing.
-	Trace *reqtrace.Config
-}
-
-func (c ReplicaConfig) withDefaults() ReplicaConfig {
-	if c.Shards <= 0 {
-		c.Shards = 3
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
-	if c.Replicas > c.Shards {
-		c.Replicas = c.Shards
-	}
-	if c.Profile == nil {
-		c.Profile = core.BFSDR
-	}
-	if c.Device == nil {
-		c.Device = func(int) device.Config { return device.NVMeSSD() }
-	}
-	if c.Store.WALPages == 0 {
-		c.Store = kvwal.DefaultConfig()
-	}
-	if c.InflightCap <= 0 {
-		c.InflightCap = 64
-	}
-	if c.SLO <= 0 {
-		c.SLO = 2 * sim.Millisecond
-	}
-	if c.NewKernel == nil {
-		c.NewKernel = func(string) *sim.Kernel { return sim.NewKernel() }
-	}
-	return c
-}
-
 // clusterObs are the cluster's registry instruments: the one count of each
 // failover, read repair, degraded shed and replica write.
 type clusterObs struct {
@@ -118,7 +50,7 @@ type node struct {
 // kernel behind a consistent-hash ring with successor-list replication.
 type Cluster struct {
 	k     *sim.Kernel
-	cfg   ReplicaConfig
+	cfg   Config
 	ring  *Ring
 	nodes []*node
 	mig   *Migration  // active (or failed-and-pinned) migration
@@ -130,7 +62,7 @@ type Cluster struct {
 // OpenCluster builds the shard stacks and opens their stores. Call from a
 // process on the kernel that will drive the cluster; the stores' daemons
 // (group-commit leaders, flushers, compactors) spawn onto the same kernel.
-func OpenCluster(p *sim.Proc, cfg ReplicaConfig) (*Cluster, error) {
+func OpenCluster(p *sim.Proc, cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		k: p.Kernel(), cfg: cfg,
@@ -163,7 +95,7 @@ func OpenCluster(p *sim.Proc, cfg ReplicaConfig) (*Cluster, error) {
 // the current node list replaces that slot (the old stack is abandoned);
 // the index one past the end appends.
 func (c *Cluster) addNode(p *sim.Proc, i int) error {
-	prof := c.cfg.Profile(c.cfg.Device(i))
+	prof := c.cfg.Profile(c.cfg.shardDevice(i))
 	prof.Name = fmt.Sprintf("%s/replica%d", prof.Name, i)
 	if prof.Metrics == nil {
 		prof.Metrics = c.cfg.Metrics

@@ -128,10 +128,10 @@ func smallStore() kvwal.Config {
 // baseline surfaces hard read errors for the same plan.
 func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 	reg := metrics.NewRegistry()
-	cfg := ReplicaConfig{
+	cfg := Config{
 		Shards:   3,
 		Replicas: 2,
-		Device: func(i int) device.Config {
+		ShardDevice: func(i int) device.Config {
 			d := device.NVMeSSD()
 			if i == 0 {
 				d.Fault = uncPlan(42)
@@ -231,7 +231,7 @@ func TestReplicatedClusterSurvivesMediaErrors(t *testing.T) {
 // procs mutate through the cluster while the killer marks a shard down.
 func TestClusterConcurrentOpsDuringFailover(t *testing.T) {
 	reg := metrics.NewRegistry()
-	cfg := ReplicaConfig{
+	cfg := Config{
 		Shards:   3,
 		Replicas: 2,
 		Store:    smallStore(),
@@ -301,12 +301,13 @@ func TestClusterConcurrentOpsDuringFailover(t *testing.T) {
 	}
 }
 
-func TestRunReplicatedTraffic(t *testing.T) {
+// Run serves Mode Replicated through one cluster-wide runner.
+func TestRunServesReplicatedMode(t *testing.T) {
 	reg := metrics.NewRegistry()
-	rc := ReplicaConfig{Shards: 2, Replicas: 2, Store: smallStore(), InflightCap: 6, Metrics: reg}
+	rc := Config{Shards: 2, Mode: Replicated, Replicas: 2, Store: smallStore(), InflightCap: 6, Metrics: reg}
 	// At 60k offered six requests are never in flight at once.
 	tr := smallTraffic(80_000)
-	res := RunReplicated(rc, tr)
+	res := Run(rc, tr)
 	if res.Offered == 0 || res.Done == 0 {
 		t.Fatalf("no measured traffic: %+v", res)
 	}
@@ -332,7 +333,7 @@ func TestRunReplicatedTraffic(t *testing.T) {
 		t.Errorf("inflight gauge %d after drain, want 0", got)
 	}
 	rc.Metrics = metrics.NewRegistry()
-	res2 := RunReplicated(rc, tr)
+	res2 := Run(rc, tr)
 	if res.Good != res2.Good || res.Done != res2.Done {
 		t.Errorf("replicated run not deterministic: good %d vs %d, done %d vs %d",
 			res.Good, res2.Good, res.Done, res2.Done)
@@ -344,9 +345,9 @@ func TestRunReplicatedTraffic(t *testing.T) {
 // sits on a far slower device, so a stamp from its commit would push the
 // last device completion past the primary's durability return.
 func TestTraceRidesFirstOwnerOnly(t *testing.T) {
-	cfg := ReplicaConfig{
+	cfg := Config{
 		Shards: 2, Replicas: 2, Profile: core.EXT4DR,
-		Device: func(i int) device.Config {
+		ShardDevice: func(i int) device.Config {
 			if i == 1 {
 				return device.UFS()
 			}

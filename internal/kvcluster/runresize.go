@@ -11,13 +11,14 @@ import (
 	"repro/internal/workload"
 )
 
-// The replicated entry points: set-up/aggregate shells around the traffic
-// runner, serving every request through a Cluster. One kernel hosts all the
-// shard stacks, so a run is deterministic under the traffic seed like the
-// other modes. RunResize adds a control-plane schedule (kill / resize /
-// replace), a goodput+p99 timeline binned before/during/after the migration
-// window, and an acked-write audit — every write the cluster acknowledged
-// during the run must still be readable once the migration lands.
+// The replicated runs: set-up/aggregate shells around the traffic runner,
+// serving every request through a Cluster. One kernel hosts all the shard
+// stacks, so a run is deterministic under the traffic seed like the other
+// modes. Run serves Mode Replicated through one; RunResize adds a
+// control-plane schedule (kill / resize / replace), a goodput+p99 timeline
+// binned before/during/after the migration window, and an acked-write audit
+// — every write the cluster acknowledged during the run must still be
+// readable once the migration lands.
 
 // ResizeSpec schedules the control-plane actions of a resize run.
 type ResizeSpec struct {
@@ -97,34 +98,34 @@ type clusterRun struct {
 	k   *sim.Kernel
 	cl  *Cluster
 	run *runner
-	rc  ReplicaConfig
+	cfg Config
 	// engine names the run: "<profile>+r<replicas>".
 	engine string
 }
 
 // newClusterRun builds the kernel and the runner; nothing spawns until drive,
 // so the caller may still set the runner's hooks. The caller closes cr.k.
-func newClusterRun(rc ReplicaConfig, tr Traffic, label string) *clusterRun {
-	rc = rc.withDefaults()
+func newClusterRun(cfg Config, tr Traffic, label string) *clusterRun {
+	cfg = cfg.withDefaults()
 	tr = tr.withDefaults()
-	engine := fmt.Sprintf("%s+r%d", rc.Profile(rc.Device(0)).Name, rc.Replicas)
+	engine := fmt.Sprintf("%s+r%d", cfg.Profile(cfg.shardDevice(0)).Name, cfg.Replicas)
 	cr := &clusterRun{
-		k: rc.NewKernel(fmt.Sprintf("kvcluster/%s/%s", engine, label)), rc: rc, engine: engine,
+		k: cfg.NewKernel(fmt.Sprintf("kvcluster/%s/%s", engine, label)), cfg: cfg, engine: engine,
 	}
 	cr.run = &runner{
 		reqs: tr.Generate(), tr: tr, idx: -1, instruments: "kvcluster/cluster/",
-		cap: rc.InflightCap, slo: rc.SLO,
+		cap: cfg.InflightCap, slo: cfg.SLO,
 	}
-	if rc.Trace != nil {
-		cr.run.smp = reqtrace.NewSampler(*rc.Trace)
+	if cfg.Trace != nil {
+		cr.run.smp = reqtrace.NewSampler(*cfg.Trace)
 	}
 	return cr
 }
 
 // drive opens the cluster and plays the offered window plus drain.
 func (cr *clusterRun) drive() {
-	cr.run.spawn(cr.k, cr.rc.Metrics, func(p *sim.Proc) (serveFunc, error) {
-		cl, err := OpenCluster(p, cr.rc)
+	cr.run.spawn(cr.k, cr.cfg.Metrics, func(p *sim.Proc) (serveFunc, error) {
+		cl, err := OpenCluster(p, cr.cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -136,29 +137,19 @@ func (cr *clusterRun) drive() {
 
 // result folds the run into its measured-window Result.
 func (cr *clusterRun) result() Result {
-	res := Result{Engine: cr.engine, Mode: Replicated, Shards: cr.rc.Shards}
+	res := Result{Engine: cr.engine, Mode: Replicated, Shards: cr.cfg.Shards}
 	return aggregate(res, []*runner{cr.run})
 }
 
-// RunReplicated drives a replicated cluster under tr and reports the
-// measured-window outcome. rc.InflightCap bounds cluster-wide outstanding
-// requests (shed-and-count beyond it); rc.SLO is the latency objective.
-func RunReplicated(rc ReplicaConfig, tr Traffic) Result {
-	cr := newClusterRun(rc, tr, "replicated")
-	defer cr.k.Close()
-	cr.drive()
-	return cr.result()
-}
-
-// RunResize drives a replicated cluster under tr while spec's control-plane
-// schedule plays out, waits for the migration to land, audits every acked
+// RunResize drives a replicated cluster under tr, whatever cfg.Mode says,
+// while spec's control-plane schedule plays out, waits for the migration to land, audits every acked
 // write, and reports the timeline in spec.Bins slices of the measured
 // window.
-func RunResize(rc ReplicaConfig, tr Traffic, spec ResizeSpec) ResizeResult {
+func RunResize(cfg Config, tr Traffic, spec ResizeSpec) ResizeResult {
 	if spec.Bins <= 0 {
 		spec.Bins = 10
 	}
-	cr := newClusterRun(rc, tr, "resize")
+	cr := newClusterRun(cfg, tr, "resize")
 	k := cr.k
 	defer k.Close()
 	var mig *Migration

@@ -3,8 +3,6 @@ package kvcluster
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 
 	"repro/internal/reqtrace"
 	"repro/internal/sim"
@@ -76,34 +74,13 @@ func (t Traffic) Generate() []Request {
 	zipf := workload.NewZipf(t.Arrivals.Seed+1, t.KeySpace, t.ZipfTheta)
 	rng := rand.New(rand.NewSource(t.Arrivals.Seed + 2))
 	reqs := make([]Request, len(times))
-	names := keyNames("u", 7, t.KeySpace)
+	names := workload.KeyNames("u", 7, t.KeySpace)
 	for i, at := range times {
 		class := t.Mix.Pick(rng) // draw order: class, key, tenant
 		k := zipf.Next()
 		reqs[i] = Request{At: at, Class: class, Key: names[k], Tenant: rng.Intn(t.Tenants)}
 	}
 	return reqs
-}
-
-// keyNames returns fmt.Sprintf("%s%0*d", prefix, width, k) for every key k
-// below n, each a slice of one string built at once: the whole key space
-// costs the names slice and that string.
-func keyNames(prefix string, width, n int) []string {
-	var b strings.Builder
-	b.Grow(n * (len(prefix) + width))
-	var digits [20]byte
-	names := make([]string, n)
-	for k := range names {
-		start := b.Len()
-		b.WriteString(prefix)
-		d := strconv.AppendInt(digits[:0], int64(k), 10)
-		for range width - len(d) {
-			b.WriteByte('0')
-		}
-		b.Write(d)
-		names[k] = b.String()[start:] // a Builder never rewrites what it holds
-	}
-	return names
 }
 
 // maxRouted is the largest shard count routes can record: a byte per request.

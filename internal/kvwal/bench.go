@@ -2,8 +2,6 @@ package kvwal
 
 import (
 	"math/rand"
-	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -43,7 +41,7 @@ func Bench(k *sim.Kernel, s *core.Stack, clients int, duration sim.Duration) Ben
 		}
 		ready = true
 	})
-	names := keyNames("k", 5, benchKeySpace)
+	names := workload.KeyNames("k", 5, benchKeySpace)
 	for c := 0; c < clients; c++ {
 		c := c
 		k.SpawnIdx("kv/client", c, func(p *sim.Proc) {
@@ -80,25 +78,4 @@ func Bench(k *sim.Kernel, s *core.Stack, clients int, duration sim.Duration) Ben
 		res.GroupMean = float64(st.stats.WALRecords-o0) / float64(groups)
 	}
 	return res
-}
-
-// keyNames returns fmt.Sprintf("%s%0*d", prefix, width, k) for every key k
-// below n, each a slice of one string built at once: the whole key space
-// costs the names slice and that string.
-func keyNames(prefix string, width, n int) []string {
-	var b strings.Builder
-	b.Grow(n * (len(prefix) + width))
-	var digits [20]byte
-	names := make([]string, n)
-	for k := range names {
-		start := b.Len()
-		b.WriteString(prefix)
-		d := strconv.AppendInt(digits[:0], int64(k), 10)
-		for range width - len(d) {
-			b.WriteByte('0')
-		}
-		b.Write(d)
-		names[k] = b.String()[start:] // a Builder never rewrites what it holds
-	}
-	return names
 }

@@ -510,22 +510,3 @@ func TestAuditDeleteReflectedAfterCompaction(t *testing.T) {
 		t.Errorf("violations: dur=%v ord=%v", dur, ord)
 	}
 }
-
-// TestKeyNames: every name in the one-string table equals the fmt.Sprintf
-// form it replaces, also past the padding width.
-func TestKeyNames(t *testing.T) {
-	for _, c := range []struct {
-		prefix   string
-		width, n int
-	}{{"k", 5, 4096}, {"k", 2, 150}, {"", 0, 11}} {
-		names := keyNames(c.prefix, c.width, c.n)
-		if len(names) != c.n {
-			t.Fatalf("%d names, want %d", len(names), c.n)
-		}
-		for k, got := range names {
-			if want := fmt.Sprintf("%s%0*d", c.prefix, c.width, k); got != want {
-				t.Fatalf("key %d: %q, want %q", k, got, want)
-			}
-		}
-	}
-}

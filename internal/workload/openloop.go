@@ -3,6 +3,8 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -157,6 +159,27 @@ func (z *Zipf) Next() int {
 		}
 	}
 	return lo
+}
+
+// KeyNames returns fmt.Sprintf("%s%0*d", prefix, width, k) for every key k
+// below n, each a slice of one string built at once: the whole key space
+// costs the names slice and that string.
+func KeyNames(prefix string, width, n int) []string {
+	var b strings.Builder
+	b.Grow(n * (len(prefix) + width))
+	var digits [20]byte
+	names := make([]string, n)
+	for k := range names {
+		start := b.Len()
+		b.WriteString(prefix)
+		d := strconv.AppendInt(digits[:0], int64(k), 10)
+		for range width - len(d) {
+			b.WriteByte('0')
+		}
+		b.Write(d)
+		names[k] = b.String()[start:] // a Builder never rewrites what it holds
+	}
+	return names
 }
 
 // OpClass is the YCSB-style operation class of one generated request.

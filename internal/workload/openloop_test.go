@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -167,5 +168,24 @@ func TestMixPick(t *testing.T) {
 	// Deletes: 10% of the non-read half.
 	if dels < 4_000 || dels > 6_000 {
 		t.Errorf("deletes %d, want ~5000", dels)
+	}
+}
+
+// TestKeyNames: every name in the one-string table equals the fmt.Sprintf
+// form it replaces, also past the padding width.
+func TestKeyNames(t *testing.T) {
+	for _, c := range []struct {
+		prefix   string
+		width, n int
+	}{{"u", 7, 4096}, {"k", 5, 4096}, {"k", 2, 150}, {"", 0, 11}} {
+		names := KeyNames(c.prefix, c.width, c.n)
+		if len(names) != c.n {
+			t.Fatalf("%d names, want %d", len(names), c.n)
+		}
+		for k, got := range names {
+			if want := fmt.Sprintf("%s%0*d", c.prefix, c.width, k); got != want {
+				t.Fatalf("key %d: %q, want %q", k, got, want)
+			}
+		}
 	}
 }
