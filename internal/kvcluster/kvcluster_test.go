@@ -320,3 +320,22 @@ func TestShardedRunCountsFailedReads(t *testing.T) {
 		t.Errorf("done = %d, good = %d: hard read errors counted as successes", res.Done, res.Good)
 	}
 }
+
+// TestKeyNames: every generated request names its key in the
+// fmt.Sprintf("u%07d") form, with the key inside the key space.
+func TestKeyNames(t *testing.T) {
+	tr := smallTraffic(200_000)
+	reqs := tr.Generate()
+	if len(reqs) == 0 {
+		t.Fatal("no requests generated")
+	}
+	for i, r := range reqs {
+		var k int
+		if _, err := fmt.Sscanf(r.Key, "u%07d", &k); err != nil || k < 0 || k >= tr.KeySpace {
+			t.Fatalf("request %d: key %q is not u%%07d below %d", i, r.Key, tr.KeySpace)
+		}
+		if want := fmt.Sprintf("u%07d", k); r.Key != want {
+			t.Fatalf("request %d: key %q, want %q", i, r.Key, want)
+		}
+	}
+}

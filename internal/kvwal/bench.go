@@ -41,7 +41,7 @@ func Bench(k *sim.Kernel, s *core.Stack, clients int, duration sim.Duration) Ben
 		}
 		ready = true
 	})
-	names := workload.KeyNames("k", 5, benchKeySpace)
+	names := benchKeys()
 	for c := 0; c < clients; c++ {
 		c := c
 		k.SpawnIdx("kv/client", c, func(p *sim.Proc) {
@@ -79,3 +79,6 @@ func Bench(k *sim.Kernel, s *core.Stack, clients int, duration sim.Duration) Ben
 	}
 	return res
 }
+
+// benchKeys names the benchmark's key universe: "k00000" through "k04095".
+func benchKeys() []string { return workload.KeyNames("k", 5, benchKeySpace) }

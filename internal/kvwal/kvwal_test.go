@@ -510,3 +510,17 @@ func TestAuditDeleteReflectedAfterCompaction(t *testing.T) {
 		t.Errorf("violations: dur=%v ord=%v", dur, ord)
 	}
 }
+
+// TestKeyNames: the benchmark's key table holds one fmt.Sprintf("k%05d")
+// name per key of the universe.
+func TestKeyNames(t *testing.T) {
+	names := benchKeys()
+	if len(names) != benchKeySpace {
+		t.Fatalf("%d names, want %d", len(names), benchKeySpace)
+	}
+	for k, got := range names {
+		if want := fmt.Sprintf("k%05d", k); got != want {
+			t.Fatalf("key %d: %q, want %q", k, got, want)
+		}
+	}
+}
