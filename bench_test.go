@@ -393,6 +393,22 @@ func BenchmarkKVCluster(b *testing.B) {
 	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(reqs), "B/req")
 }
 
+// BenchmarkNewStack measures what building a simulated machine costs the
+// host: one NVMe-class BFS-DR stack built, run for 1 µs of virtual time and
+// closed. Every experiment cell, crash state and kvcluster shard pays this
+// once; allocs/op is a count that repeats exactly (CI gates it at
+// threshold 0).
+func BenchmarkNewStack(b *testing.B) {
+	prof := core.BFSDR(device.NVMeSSD())
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		k := sim.NewKernel()
+		core.NewStack(k, prof)
+		k.RunUntil(sim.Time(sim.Microsecond))
+		k.Close()
+	}
+}
+
 // BenchmarkDeviceOrdered drives the peel ladder's device rung — 4000 4 KB
 // writes in epochs of eight, the eighth an ordered barrier write, straight
 // into the NVMe-class device — and reports what one command costs the

@@ -8,13 +8,16 @@ import (
 // Kernel-owned free lists for the per-command allocations of the dispatch
 // hot path. The simulation kernel runs exactly one process at a time, so
 // the pools need no locking and no sync.Pool machinery: a plain LIFO slice
-// is both faster and deterministic.
+// is both faster and deterministic. A pool that runs dry carves its next
+// entry from a sim.Slab, so growing to a run's high-water mark costs a few
+// chunk allocations rather than one per entry.
 
 // cmdPool recycles device commands together with their completion plumbing.
 // Each pooled entry binds its Done closure once, at allocation, so a
 // steady-state dispatch allocates neither the command nor a closure.
 type cmdPool struct {
 	free   []*cmdCtx
+	slab   sim.Slab[cmdCtx]
 	onDone func(at sim.Time, r *Request)
 	retry  *retrier // nil unless enableRetry armed bounded retry
 }
@@ -37,7 +40,7 @@ func (pl *cmdPool) get(r *Request) *device.Command {
 		c = pl.free[n-1]
 		pl.free = pl.free[:n-1]
 	} else {
-		c = &cmdCtx{pool: pl}
+		c = pl.slab.New(cmdCtx{pool: pl})
 		c.cmd.Done = c.done // one bound closure per pooled ctx, ever
 	}
 	c.r = r
@@ -106,13 +109,14 @@ func (c *cmdCtx) done(at sim.Time, cc *device.Command) {
 // request. The last Release returns the request to the pool.
 type ReqPool struct {
 	free []*Request
+	slab sim.Slab[Request]
 }
 
 // Get returns a zeroed request holding one reference for the caller.
 func (pl *ReqPool) Get() *Request {
 	n := len(pl.free)
 	if n == 0 {
-		return &Request{pool: pl, holds: 1}
+		return pl.slab.New(Request{pool: pl, holds: 1})
 	}
 	r := pl.free[n-1]
 	pl.free = pl.free[:n-1]

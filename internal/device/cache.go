@@ -48,7 +48,7 @@ func (d *Device) cacheInsert(c *Command) *cacheEntry {
 	if e != nil {
 		d.freeEntries = e.next
 	} else {
-		e = new(cacheEntry)
+		e = d.entrySlab.New(cacheEntry{})
 	}
 	d.entrySeq++
 	*e = cacheEntry{seq: d.entrySeq, lpa: c.LPA, data: c.Data, stream: c.Stream,

@@ -47,7 +47,8 @@ type Device struct {
 	wbNext                 *cacheEntry // oldest of them not yet handed to the FTL appender
 	flightHead, flightTail *cacheEntry // appended entries awaiting durability, in append order
 	freeEntries            *cacheEntry
-	cachePages             int // entries in the cache list
+	entrySlab              sim.Slab[cacheEntry] // where freeEntries grows from
+	cachePages             int                  // entries in the cache list
 	entrySeq               uint64
 	dirtyN                 int               // entries not yet handed to the FTL appender
 	urgentN                int               // dirty entries with FUA urgency
@@ -68,9 +69,11 @@ type Device struct {
 	dead        bool
 	plpSnapshot []plpPage // cache image the supercap saved at Crash
 
-	// Service-process state machines (see handler.go).
-	wb   wbSM
-	reap reapSM
+	// Service-process state machines (see handler.go): one per command
+	// worker, in one array, and the writeback daemon's and reaper's.
+	workers []workerSM
+	wb      wbSM
+	reap    reapSM
 
 	qdSeries *metrics.Series // nil until QDSeries is first called
 	stats    Stats
@@ -169,9 +172,10 @@ func newDevice(k *sim.Kernel, cfg Config, arr *nand.Array) *Device {
 func (d *Device) start() {
 	prefix := d.cfg.Name + "/worker"
 	d.pickers = d.cfg.QueueDepth // every worker's first activation runs pick
-	for i := 0; i < d.cfg.QueueDepth; i++ {
-		w := &workerSM{}
-		d.k.SpawnHandlerIdx(prefix, i, func(h *sim.Proc) { d.workerStep(h, w) })
+	d.workers = make([]workerSM, d.cfg.QueueDepth)
+	step := d.serveWorker
+	for i := range d.workers {
+		d.k.SpawnHandlerIdx(prefix, i, step)
 	}
 	d.k.SpawnHandler(d.cfg.Name+"/writeback", d.writebackStep)
 	d.k.SpawnHandler(d.cfg.Name+"/reaper", d.reaperStep)

@@ -3,6 +3,7 @@ package device
 import (
 	"testing"
 
+	"repro/internal/nand"
 	"repro/internal/sim"
 )
 
@@ -507,6 +508,34 @@ func TestCaptureConstraintsVolatileAbsentFromRecoveredBase(t *testing.T) {
 		if data, ok := d2.DurableData(w.LPA); ok && data == w.Data {
 			t.Errorf("write lpa=%d seq=%d modeled as volatile but present in the recovered base",
 				w.LPA, w.Seq)
+		}
+	}
+}
+
+// TestBuildAllocations bounds what building an NVMe-class array and device
+// costs the host, each on a fresh kernel that is closed again. Both must
+// grow with the number of components, not with the 128 chips, 64 workers
+// and 64 FTL segments: the chips' state, blocks and queues, the workers'
+// state machines and the segments are flat arrays, and the procs are carved
+// from the kernel's slab.
+func TestBuildAllocations(t *testing.T) {
+	cfg := defaults(NVMeSSD())
+	for _, c := range []struct {
+		name  string
+		max   float64
+		build func(k *sim.Kernel)
+	}{
+		{"nand.New", 50, func(k *sim.Kernel) { nand.New(k, cfg.Geometry, cfg.Timing) }},
+		{"device.New", 80, func(k *sim.Kernel) { New(k, cfg) }},
+	} {
+		got := testing.AllocsPerRun(5, func() {
+			k := sim.NewKernel()
+			c.build(k)
+			k.Close()
+		})
+		t.Logf("%s: %.0f allocations", c.name, got)
+		if got > c.max {
+			t.Errorf("%s took %.0f allocations, want <= %.0f", c.name, got, c.max)
 		}
 	}
 }

@@ -91,6 +91,10 @@ func (w *workerSM) flushDone(d *Device) {
 	w.phase = wWrite
 }
 
+// serveWorker is the step of every command worker: the handler's spawn
+// index is its worker.
+func (d *Device) serveWorker(h *sim.Proc) { d.workerStep(h, &d.workers[h.Idx()]) }
+
 func (d *Device) workerStep(h *sim.Proc, w *workerSM) {
 	for {
 		switch w.phase {

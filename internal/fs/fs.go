@@ -45,6 +45,7 @@ package fs
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/block"
 	"repro/internal/jbd"
@@ -249,7 +250,7 @@ type FS struct {
 	nextIno     Ino
 	nextLPA     uint64
 	nFree       int
-	allocGrps   []*jbd.Buffer
+	allocGrps   [allocGroups]jbd.Buffer
 	writeVer    int64
 
 	// reqPool recycles data-writeback and page-read requests, each when the
@@ -304,9 +305,8 @@ func New(k *sim.Kernel, layer block.Submitter, opts Options) *FS {
 	// contending on one global block (which would serialize every commit
 	// through the multi-transaction page-conflict machinery).
 	snap := func(any) any { return f.allocSnapshot() }
-	for g := 0; g < allocGroups; g++ {
-		buf := &jbd.Buffer{Home: f.allocLPARaw(), Name: fmt.Sprintf("alloc-group-%d", g), Snapshot: snap}
-		f.allocGrps = append(f.allocGrps, buf)
+	for g := range f.allocGrps {
+		f.allocGrps[g] = jbd.Buffer{Home: f.allocLPARaw(), Name: "alloc-group-" + strconv.Itoa(g), Snapshot: snap}
 	}
 	f.root = f.newInode(RootIno, true)
 	if opts.PdflushInterval > 0 {
@@ -357,7 +357,7 @@ func (f *FS) allocSnapshot() any { return f.allocs.New(AllocMeta{NextLPA: f.next
 
 // allocBufFor returns the allocation-group buffer covering an inode.
 func (f *FS) allocBufFor(ino Ino) *jbd.Buffer {
-	return f.allocGrps[uint64(ino)%allocGroups]
+	return &f.allocGrps[uint64(ino)%allocGroups]
 }
 
 // Journal exposes the journal (instrumentation).

@@ -94,8 +94,8 @@ func testSnapshotsImmutable(t *testing.T, mode jbd.Mode, seed int64) {
 	defer e.close()
 	log := &snapshotLog{}
 	log.watch(&e.fs.Root().buf)
-	for _, b := range e.fs.allocGrps {
-		log.watch(b)
+	for i := range e.fs.allocGrps {
+		log.watch(&e.fs.allocGrps[i])
 	}
 	fills := 0
 	for c := 0; c < 3; c++ {

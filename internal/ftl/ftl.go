@@ -76,7 +76,7 @@ type FTL struct {
 	caps int // slots per segment (chips * pagesPerBlock)
 
 	mapping Table[slotRef]
-	segs    []*segment
+	segs    []segment // one per block index, in one array
 	free    sim.FIFO[int]
 	active  *segment
 
@@ -91,6 +91,7 @@ type FTL struct {
 	gcBusy      bool
 
 	progFree []*progCtx // free list of pooled program ops (kernel-single-threaded)
+	progSlab sim.Slab[progCtx]
 	readFree []*readCtx // free list of pooled read ops
 
 	stats Stats
@@ -106,8 +107,9 @@ func New(k *sim.Kernel, arr *nand.Array, cfg Config) *FTL {
 		k: k, arr: arr, cfg: cfg, geo: arr.Geometry(),
 		caps: arr.Geometry().Chips() * arr.Geometry().PagesPerBlock,
 	}
-	for s := 0; s < f.geo.BlocksPerChip; s++ {
-		f.segs = append(f.segs, &segment{id: s})
+	f.segs = make([]segment, f.geo.BlocksPerChip)
+	for s := range f.segs {
+		f.segs[s].id = s
 		f.free.Push(s)
 	}
 	f.durableCond = sim.NewCond(k)
@@ -193,7 +195,7 @@ func (f *FTL) openSegment() {
 	}
 	id := f.free.Pop()
 	f.allocSeq++
-	seg := f.segs[id]
+	seg := &f.segs[id]
 	*seg = segment{
 		id:       id,
 		allocSeq: f.allocSeq,
@@ -215,7 +217,8 @@ func (f *FTL) openSegment() {
 // progCtx is a pooled program operation: the NAND request plus its
 // completion context, with the Done closure bound once at allocation. The
 // free list is owned by the (single-threaded) kernel's FTL, so steady-state
-// programs — every host write and GC move — allocate nothing.
+// programs — every host write and GC move — allocate nothing; a dry list
+// carves its next op from progSlab.
 type progCtx struct {
 	f    *FTL
 	seg  *segment
@@ -241,7 +244,7 @@ func (f *FTL) program(seg *segment, slot int, meta nand.PageMeta, data any) {
 		c = f.progFree[n-1]
 		f.progFree = f.progFree[:n-1]
 	} else {
-		c = &progCtx{f: f}
+		c = f.progSlab.New(progCtx{f: f})
 		c.req.Done = c.done // one bound closure per pooled ctx, ever
 	}
 	c.seg, c.slot = seg, slot
@@ -323,7 +326,8 @@ func (f *FTL) gcLoop(p *sim.Proc) {
 // if no sealed segment can be reclaimed profitably.
 func (f *FTL) pickVictim() *segment {
 	var best *segment
-	for _, s := range f.segs {
+	for i := range f.segs {
+		s := &f.segs[i]
 		if s == f.active || !s.sealed || s.done == nil {
 			continue
 		}

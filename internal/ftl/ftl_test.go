@@ -135,7 +135,8 @@ func TestAppendersWokenAtSealShareOneSegment(t *testing.T) {
 	if f.allocSeq != 3 {
 		t.Errorf("segments allocated = %d, want 3", f.allocSeq)
 	}
-	for _, s := range f.segs {
+	for i := range f.segs {
+		s := &f.segs[i]
 		if s.done != nil && !s.sealed && s != f.active {
 			t.Errorf("segment %d left unsealed with %d of %d slots appended", s.id, s.nextSlot, f.caps)
 		}

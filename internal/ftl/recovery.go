@@ -37,8 +37,9 @@ func Mount(p *sim.Proc, arr *nand.Array, cfg Config) *FTL {
 	alloc := make(map[int]uint64)
 	var withSummary []int
 	var garbage []int
-	for s := 0; s < f.geo.BlocksPerChip; s++ {
-		f.segs = append(f.segs, &segment{id: s})
+	f.segs = make([]segment, f.geo.BlocksPerChip)
+	for s := range f.segs {
+		f.segs[s].id = s
 		ok, meta, _ := arr.PageInfo(0, s, 0)
 		switch {
 		case ok && meta.LPA == SummaryLPA:
@@ -59,7 +60,7 @@ func Mount(p *sim.Proc, arr *nand.Array, cfg Config) *FTL {
 
 	// Phase 3: erase summary-less garbage so the segments are reusable.
 	for _, id := range garbage {
-		seg := f.segs[id]
+		seg := &f.segs[id]
 		seg.done = make([]bool, f.caps) // mark as in-use so eraseSegment resets cleanly
 		f.eraseSegment(p, seg)
 		f.stats.SegsErased-- // mount cleanup is not a GC erase
@@ -83,7 +84,7 @@ func (f *FTL) segmentHasAnyPage(id int) bool {
 // the mapping. Only the newest segment may legitimately contain a hole; it
 // is crash-sealed there.
 func (f *FTL) replaySegment(p *sim.Proc, id int, allocSeq uint64) {
-	seg := f.segs[id]
+	seg := &f.segs[id]
 	*seg = segment{
 		id: id, allocSeq: allocSeq,
 		done: make([]bool, f.caps),

@@ -283,36 +283,52 @@ func Run(cfg Config, tr Traffic) Result {
 	if cfg.Mode == MQStreams {
 		runMQStreams(cfg, tr, reqs, route, runs, end)
 	} else {
-		par.For(cfg.Shards, func(i int) {
-			runs[i] = runShardStack(cfg, tr, i, reqs, route, end)
-			if !par.Enabled() {
-				// One after another: the flash page store of a closed shard
-				// is the next shard's (nand recycles it), but the rest of the
-				// machine — stack, caches, store, traces — is garbage the
-				// moment its kernel closes. Collect it here, not when the
-				// pacer next fires: a collection still marking at this
-				// instant counts the dead machine and the next one as live
-				// together, the heap goal stays that much higher for the
-				// whole next shard, and kv-service's peak memory reads 56 MB
-				// rather than 42.
-				runtime.GC()
-			}
-		})
+		sh := &shardRuns{cfg: cfg, tr: tr, reqs: reqs, route: route, end: end, runs: runs}
+		par.ForWith(cfg.Shards, sh, (*shardRuns).run)
 	}
 	res := Result{Engine: cfg.Profile(cfg.Device()).Name, Mode: cfg.Mode, Shards: cfg.Shards}
 	return aggregate(res, runs)
 }
 
-// runShardStack runs one shard on its own device, stack and kernel.
-func runShardStack(cfg Config, tr Traffic, idx int, reqs []Request, route []uint8, end sim.Time) *runner {
+// shardRuns is what the shard runs of one sharded Run share, handed to each
+// by pointer: a closure over Config, which is wider than the 128 bytes a
+// closure captures by value, would move it to the heap besides itself.
+type shardRuns struct {
+	cfg   Config
+	tr    Traffic
+	reqs  []Request
+	route []uint8
+	end   sim.Time
+	runs  []*runner
+}
+
+// run runs shard idx and keeps its runner.
+func (sh *shardRuns) run(idx int) {
+	sh.runs[idx] = sh.runShardStack(idx)
+	if !par.Enabled() {
+		// One after another: the flash page store of a closed shard is the
+		// next shard's (nand recycles it), but the rest of the machine —
+		// stack, caches, store, traces — is garbage the moment its kernel
+		// closes. Collect it here, not when the pacer next fires: a
+		// collection still marking at this instant counts the dead machine
+		// and the next one as live together, the heap goal stays that much
+		// higher for the whole next shard, and kv-service's peak memory
+		// reads 56 MB rather than 42.
+		runtime.GC()
+	}
+}
+
+// runShardStack runs shard idx on its own device, stack and kernel.
+func (sh *shardRuns) runShardStack(idx int) *runner {
+	cfg := &sh.cfg
 	prof := cfg.Profile(cfg.shardDevice(idx))
 	if prof.Metrics == nil {
 		prof.Metrics = cfg.Metrics
 	}
 	k := cfg.NewKernel(fmt.Sprintf("kvcluster/%s/shard%d", prof.Name, idx))
 	defer k.Close()
-	run := cfg.spawnShard(k, idx, reqs, route, tr, core.NewStack(k, prof).FS)
-	drive(k, []*runner{run}, end)
+	run := cfg.spawnShard(k, idx, sh.reqs, sh.route, sh.tr, core.NewStack(k, prof).FS)
+	drive(k, []*runner{run}, sh.end)
 	return run
 }
 

@@ -33,6 +33,20 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 	}
 }
 
+// TestOwnersAtAllocatesItsResultOnly pins what one successor walk costs the
+// host: the owner slice it returns. Its seen-set is a map that does not
+// escape, which stays on the stack while it holds at most 8 owners; a walk
+// for more replicas than that allocates the map too.
+func TestOwnersAtAllocatesItsResultOnly(t *testing.T) {
+	r := NewRing(16)
+	down := func(s int) bool { return s == 1 }
+	for _, n := range []int{1, 2, 3, 8} {
+		if a := testing.AllocsPerRun(100, func() { r.ownersAt(12345, n, down) }); a != 1 {
+			t.Errorf("ownersAt for %d owners: %v allocations, want 1", n, a)
+		}
+	}
+}
+
 // Consistent hashing's point: dropping one shard must remap only roughly
 // that shard's share of the keyspace, not reshuffle everything.
 func TestRingStabilityUnderResize(t *testing.T) {

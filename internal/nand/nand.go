@@ -134,8 +134,8 @@ const (
 type chip struct {
 	id     int
 	ch     int
-	q      *sim.Queue[*Request]
-	blocks []blockState
+	q      *sim.Queue[*Request] // the chip's entry in Array.queues
+	blocks []blockState         // the chip's run of Array.blocks
 
 	phase int      // service state machine position
 	cur   *Request // job in service
@@ -157,9 +157,14 @@ type Array struct {
 	geo    Geometry
 	timing Timing
 	buses  []*sim.Mutex
-	chips  []*chip
 	gen    uint64 // incremented on every power failure
 	failed bool
+
+	// Every chip's state, block bookkeeping and job queue, each kind in one
+	// flat array: a chip costs the host no allocation of its own.
+	chips  []chip
+	blocks []blockState
+	queues []sim.Queue[*Request]
 
 	// pageStore's meta and data hold every page's content, indexed by
 	// slot(): two flat slices for the whole array, meta pointer-free so the
@@ -202,21 +207,33 @@ func New(k *sim.Kernel, geo Geometry, timing Timing) *Array {
 	for i := range a.buses {
 		a.buses[i] = sim.NewMutex(k)
 	}
-	for id := 0; id < geo.Chips(); id++ {
-		c := &chip{id: id, ch: id % geo.Channels, q: sim.NewQueue[*Request](k)}
-		c.blocks = make([]blockState, geo.BlocksPerChip)
-		a.chips = append(a.chips, c)
-		k.SpawnHandlerIdx("nand/chip", id, func(h *sim.Proc) { a.chipStep(h, c) })
+	n := geo.Chips()
+	a.chips = make([]chip, n)
+	a.blocks = make([]blockState, n*geo.BlocksPerChip)
+	a.queues = sim.NewQueues[*Request](k, n, chipQueueCap)
+	step := a.serveChip
+	for id := range a.chips {
+		a.chips[id] = chip{id: id, ch: id % geo.Channels, q: &a.queues[id],
+			blocks: a.blocks[id*geo.BlocksPerChip : (id+1)*geo.BlocksPerChip]}
+		k.SpawnHandlerIdx("nand/chip", id, step)
 	}
 	return a
 }
 
-// freeStores holds the page stores of closed arrays. An NVMe-class store is
-// 16.8 MB (524 288 pages × 32 B) of which a run programs a few percent, so
-// the next New of the same size clears far less by taking it than by
-// allocating. Kernels close and build on several goroutines at once
-// (par.For), hence the mutex; a sync.Pool would not do, since the collection
-// between one run and the next empties it.
+// chipQueueCap is the room each chip queue has before its first growth.
+const chipQueueCap = 4
+
+// serveChip is the step of every chip handler: the handler's spawn index
+// is its chip.
+func (a *Array) serveChip(h *sim.Proc) { a.chipStep(h, &a.chips[h.Idx()]) }
+
+// freeStores holds the page stores of closed arrays, as sim's freeQueues
+// holds the event queues of closed kernels. An NVMe-class store is 16.8 MB
+// (524 288 pages × 32 B) of which a run programs a few percent, so the next
+// New of the same size clears far less by taking it than by allocating.
+// Kernels close and build on several goroutines at once (par.For), hence
+// the mutex; a sync.Pool would not do, since the collection between one run
+// and the next empties it.
 var freeStores struct {
 	sync.Mutex
 	list []pageStore
@@ -252,17 +269,15 @@ func takeStore(n int) pageStore {
 // slices go nil, so a closed device panics on use rather than reading
 // another device's pages.
 func (a *Array) release() {
-	for _, c := range a.chips {
-		for b, blk := range c.blocks {
-			lo := a.slot(c.id, b, 0)
-			clear(a.meta[lo : lo+blk.next])
-			clear(a.data[lo : lo+blk.next])
-		}
+	for i, blk := range a.blocks {
+		lo := i * a.geo.PagesPerBlock // a.slot of the block's page 0
+		clear(a.meta[lo : lo+blk.next])
+		clear(a.data[lo : lo+blk.next])
 	}
 	freeStores.Lock()
 	freeStores.list = append(freeStores.list, a.pageStore)
 	freeStores.Unlock()
-	a.pageStore, a.chips = pageStore{}, nil
+	a.pageStore, a.chips, a.blocks = pageStore{}, nil, nil
 }
 
 // slot returns the index of a page in meta and data.

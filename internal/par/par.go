@@ -44,6 +44,15 @@ func Progress() (done, total int64) {
 // every call has finished. fn must confine its side effects to state owned
 // by index i.
 func For(n int, fn func(i int)) {
+	ForWith(n, fn, func(fn func(int), i int) { fn(i) })
+}
+
+// ForWith is For over a body that reads shared state: it runs fn(arg, i).
+// fn can be a method expression, which allocates nothing, so the call costs
+// what arg costs. A closure passed to For escapes to the workers, and so does
+// every variable it captures by reference: each one wider than 128 bytes is
+// an allocation of its own.
+func ForWith[T any](n int, arg T, fn func(arg T, i int)) {
 	totalTasks.Add(int64(n))
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -51,7 +60,7 @@ func For(n int, fn func(i int)) {
 	}
 	if !Enabled() || workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(arg, i)
 			doneTasks.Add(1)
 		}
 		return
@@ -67,7 +76,7 @@ func For(n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(arg, i)
 				doneTasks.Add(1)
 			}
 		}()

@@ -231,6 +231,22 @@ func (q *eventQueue) settle() {
 	}
 }
 
+// reset empties the queue and keeps every backing array at its capacity,
+// for the next kernel. Popped and cascaded slots are already zero; the
+// events still queued (stale wake-ups of a closed kernel's procs) are
+// cleared so the arrays pin no Proc.
+func (q *eventQueue) reset() {
+	clear(q.near)
+	clear(q.overflow)
+	for l := range q.wheel {
+		for i, s := range q.wheel[l] {
+			clear(s)
+			q.wheel[l][i] = s[:0]
+		}
+	}
+	*q = eventQueue{near: q.near[:0], overflow: q.overflow[:0], wheel: q.wheel}
+}
+
 // peek returns the next event in (at, seq) order without removing it.
 func (q *eventQueue) peek() (event, bool) {
 	if q.size == 0 {

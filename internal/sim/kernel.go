@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"sync"
 )
 
 // event is a scheduled wake-up for a process. token guards against stale
@@ -31,6 +32,7 @@ type Kernel struct {
 	seq     uint64
 	q       eventQueue
 	procs   []*Proc
+	slab    Slab[Proc] // every Proc of the kernel is carved here
 	live    int
 	cur     *Proc
 	stopped bool
@@ -43,10 +45,34 @@ type Kernel struct {
 }
 
 // NewKernel returns an empty kernel at virtual time zero, dispatching
-// through the timer-wheel event queue.
+// through the timer-wheel event queue. The queue's arrays are those of a
+// closed kernel when one is free.
 func NewKernel() *Kernel {
-	return &Kernel{}
+	k := &Kernel{}
+	freeQueues.Lock()
+	if n := len(freeQueues.list); n > 0 {
+		k.q = freeQueues.list[n-1]
+		freeQueues.list[n-1] = eventQueue{}
+		freeQueues.list = freeQueues.list[:n-1]
+	}
+	freeQueues.Unlock()
+	return k
 }
+
+// freeQueues holds the emptied event queues of closed kernels, wheel slots
+// and heaps at the capacity their runs grew them to, so the next NewKernel
+// schedules into arrays that are already there instead of growing some two
+// hundred slices again. It is the event-queue sibling of nand's freeStores:
+// kernels close and build on several goroutines at once (par.For), hence
+// the mutex; a sync.Pool would not do, since the collection between one run
+// and the next empties it. At most maxFreeQueues are kept, so a program
+// that closes many kernels at once does not keep all their arrays.
+var freeQueues struct {
+	sync.Mutex
+	list []eventQueue
+}
+
+const maxFreeQueues = 64
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -79,14 +105,15 @@ func (k *Kernel) spawn(prefix string, idx int, fn func(p *Proc)) *Proc {
 	if k.closed {
 		panic("sim: Spawn on closed kernel")
 	}
-	p := &Proc{
+	p := k.slab.New(Proc{
 		k:       k,
 		id:      len(k.procs),
+		idx:     idx,
 		name:    prefix,
 		nameIdx: idx,
 		fn:      fn,
 		state:   statePending,
-	}
+	})
 	k.procs = append(k.procs, p)
 	k.live++
 	if k.ks != nil {
@@ -112,6 +139,8 @@ func (k *Kernel) SpawnHandler(name string, step func(h *Proc)) *Proc {
 }
 
 // SpawnHandlerIdx is SpawnHandler with a lazily rendered prefix+idx name.
+// The proc keeps idx (Proc.Idx), so n handlers serving n components of one
+// array can share one step function that finds its component by index.
 func (k *Kernel) SpawnHandlerIdx(prefix string, idx int, step func(h *Proc)) *Proc {
 	return k.spawnHandler(prefix, idx, step)
 }
@@ -120,14 +149,15 @@ func (k *Kernel) spawnHandler(prefix string, idx int, step func(h *Proc)) *Proc 
 	if k.closed {
 		panic("sim: SpawnHandler on closed kernel")
 	}
-	p := &Proc{
+	p := k.slab.New(Proc{
 		k:       k,
 		id:      len(k.procs),
+		idx:     idx,
 		name:    prefix,
 		nameIdx: idx,
 		step:    step,
 		state:   statePending,
-	}
+	})
 	k.procs = append(k.procs, p)
 	k.live++
 	if k.ks != nil {
@@ -234,8 +264,9 @@ func (k *Kernel) OnClose(fn func()) {
 
 // Close terminates every live process: a parked body is unwound (its
 // deferred calls run), a handler or a proc that never started is retired in
-// place. Then it runs the OnClose hooks. The kernel must not be used
-// afterwards. It is safe to call Close multiple times.
+// place. Then it runs the OnClose hooks and hands the emptied event queue
+// to the next NewKernel. The kernel must not be used afterwards. It is safe
+// to call Close multiple times.
 func (k *Kernel) Close() {
 	if k.closed {
 		return
@@ -258,4 +289,11 @@ func (k *Kernel) Close() {
 		fn()
 	}
 	k.onClose = nil
+	k.q.reset()
+	freeQueues.Lock()
+	if len(freeQueues.list) < maxFreeQueues {
+		freeQueues.list = append(freeQueues.list, k.q)
+	}
+	freeQueues.Unlock()
+	k.q = eventQueue{}
 }

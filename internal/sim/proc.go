@@ -50,6 +50,7 @@ var errKilled = errors.New("sim: process killed")
 type Proc struct {
 	k       *Kernel
 	id      int
+	idx     int    // SpawnIdx/SpawnHandlerIdx index; -1 for Spawn/SpawnHandler
 	name    string // full name, or the prefix while nameIdx >= 0
 	nameIdx int    // lazy-name suffix; -1 once rendered (or when absent)
 	fn      func(*Proc)
@@ -84,8 +85,14 @@ func (p *Proc) SetTraceSlot(ref any, gen uint32) { p.traceRef, p.traceGen = ref,
 // Kernel returns the kernel this process belongs to.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
-// ID returns the process's unique id (its spawn index).
+// ID returns the process's unique id (its place in the kernel's spawn
+// order).
 func (p *Proc) ID() int { return p.id }
+
+// Idx returns the index the process was spawned with (SpawnIdx,
+// SpawnHandlerIdx), or -1 if it was spawned without one. Rendering the name
+// does not change it.
+func (p *Proc) Idx() int { return p.idx }
 
 // Name returns the process name. Lazily named procs (SpawnIdx) render and
 // cache prefix+idx on first call.

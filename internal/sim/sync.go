@@ -39,16 +39,24 @@ func (f *FIFO[T]) Pop() T {
 	return x
 }
 
-// slabChunk is the number of entries one Slab allocation carves.
-const slabChunk = 64
+// A Slab's first chunk holds slabFirst entries and each next one twice as
+// many, up to slabChunk.
+const (
+	slabFirst = 4
+	slabChunk = 64
+)
 
-// Slab carves entries from arrays of slabChunk, so slabChunk small objects
-// cost one allocation; the zero value is ready. An entry is
-// never handed out twice: whoever holds the pointer may keep it forever,
-// which is what lets a record ride into the device cache and the NAND array
-// with no copy. The price is retention: one live entry pins its whole array.
+// Slab carves entries from arrays it allocates a chunk at a time; the zero
+// value is ready. The chunks grow from slabFirst entries to slabChunk, so a
+// slab that carves a handful of entries (a pool that never grows past its
+// first few) allocates a handful, and a busy one pays one allocation per
+// slabChunk entries. However its chunks grow, an entry is never handed out
+// twice: whoever holds the pointer may keep it forever, which is what lets a
+// record ride into the device cache and the NAND array with no copy. The
+// price is retention: one live entry pins its whole array.
 type Slab[T any] struct {
-	free []T
+	free  []T
+	chunk int // entries in the last chunk carved; 0 before the first
 }
 
 // New carves one entry holding v.
@@ -58,11 +66,12 @@ func (s *Slab[T]) New(v T) *T {
 	return x
 }
 
-// Take carves n contiguous zeroed entries. A run longer than a chunk gets an
-// array of its own.
+// Take carves n contiguous zeroed entries. A run longer than the next chunk
+// gets an array of its own.
 func (s *Slab[T]) Take(n int) []T {
 	if n > len(s.free) {
-		s.free = make([]T, max(n, slabChunk))
+		s.chunk = min(max(2*s.chunk, slabFirst), slabChunk)
+		s.free = make([]T, max(n, s.chunk))
 	}
 	x := s.free[:n:n]
 	s.free = s.free[n:]
@@ -138,6 +147,23 @@ func (q *Queue[T]) GetOrPark(h *Proc) (T, bool) {
 		return zero, false
 	}
 	return q.items.Pop(), true
+}
+
+// NewQueues returns n empty queues on kernel k in one array, each with room
+// for capacity items and one parked getter before its FIFOs first grow: the
+// shape of n indexed handlers serving one queue each (the NAND chips). The
+// queues and their first FIFO capacity cost three allocations, however
+// large n is; a queue that outgrows its share moves to an array of its own.
+func NewQueues[T any](k *Kernel, n, capacity int) []Queue[T] {
+	qs := make([]Queue[T], n)
+	items := make([]T, n*capacity)
+	waiters := make([]*Proc, n)
+	for i := range qs {
+		qs[i].k = k
+		qs[i].items.s = items[i*capacity : i*capacity : (i+1)*capacity]
+		qs[i].waiters.s = waiters[i : i : i+1]
+	}
+	return qs
 }
 
 // TryGet removes and returns the head item without blocking.
