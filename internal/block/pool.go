@@ -5,19 +5,17 @@ import (
 	"repro/internal/sim"
 )
 
-// Kernel-owned free lists for the per-command allocations of the dispatch
-// hot path. The simulation kernel runs exactly one process at a time, so
-// the pools need no locking and no sync.Pool machinery: a plain LIFO slice
-// is both faster and deterministic. A pool that runs dry carves its next
-// entry from a sim.Slab, so growing to a run's high-water mark costs a few
-// chunk allocations rather than one per entry.
+// The dispatch hot path recycles its per-command allocations through
+// sim.Pool, the stack's one free list: LIFO, lock-free (the kernel runs one
+// process at a time) and deterministic, with misses carved from the pool's
+// own sim.Slab, so growing to a run's high-water mark costs a few chunk
+// allocations rather than one per entry.
 
 // cmdPool recycles device commands together with their completion plumbing.
 // Each pooled entry binds its Done closure once, at allocation, so a
 // steady-state dispatch allocates neither the command nor a closure.
 type cmdPool struct {
-	free   []*cmdCtx
-	slab   sim.Slab[cmdCtx]
+	free   sim.Pool[cmdCtx]
 	onDone func(at sim.Time, r *Request)
 	retry  *retrier // nil unless enableRetry armed bounded retry
 }
@@ -35,12 +33,9 @@ type cmdCtx struct {
 // The command returns to the pool when it completes; commands dropped by a
 // device crash simply fall out of the pool.
 func (pl *cmdPool) get(r *Request) *device.Command {
-	var c *cmdCtx
-	if n := len(pl.free); n > 0 {
-		c = pl.free[n-1]
-		pl.free = pl.free[:n-1]
-	} else {
-		c = pl.slab.New(cmdCtx{pool: pl})
+	c, fresh := pl.free.Get()
+	if fresh {
+		c.pool = pl
 		c.cmd.Done = c.done // one bound closure per pooled ctx, ever
 	}
 	c.r = r
@@ -78,7 +73,7 @@ func (c *cmdCtx) done(at sim.Time, cc *device.Command) {
 	data := cc.Data
 	c.r = nil
 	c.cmd.Data = nil
-	pl.free = append(pl.free, c)
+	pl.free.Put(c)
 	if cc.Err != nil {
 		if rt := pl.retry; rt != nil && r.attempts < budget(r.Op) {
 			// Within budget: re-drive the command after backoff instead of
@@ -107,19 +102,14 @@ func (c *cmdCtx) done(at sim.Time, cc *device.Command) {
 // callbacks have returned, and Wait holds it across the park, so neither an
 // OnComplete that releases nor a waiter that runs later sees a recycled
 // request. The last Release returns the request to the pool.
-type ReqPool struct {
-	free []*Request
-	slab sim.Slab[Request]
-}
+type ReqPool struct{ free sim.Pool[Request] }
 
 // Get returns a zeroed request holding one reference for the caller.
 func (pl *ReqPool) Get() *Request {
-	n := len(pl.free)
-	if n == 0 {
-		return pl.slab.New(Request{pool: pl, holds: 1})
+	r, fresh := pl.free.Get()
+	if fresh {
+		r.pool = pl
 	}
-	r := pl.free[n-1]
-	pl.free = pl.free[:n-1]
 	r.holds = 1
 	return r
 }
@@ -137,6 +127,6 @@ func (r *Request) Release() {
 	}
 	if r.holds == 0 && r.pool != nil {
 		*r = Request{waiters: r.waiters[:0], pool: r.pool}
-		r.pool.free = append(r.pool.free, r)
+		r.pool.free.Put(r)
 	}
 }

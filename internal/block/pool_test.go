@@ -25,8 +25,8 @@ func TestReqPoolWaiterOutlivesLastRelease(t *testing.T) {
 		r.Release() // the creator's hold: the layer holds it in flight
 		r.Wait(p)
 		woke = true
-		if len(pool.free) != 1 || pool.free[0] != r {
-			t.Errorf("request not recycled after its last waiter ran: free=%d", len(pool.free))
+		if pool.free.Len() != 1 || !pool.free.Contains(r) {
+			t.Errorf("request not recycled after its last waiter ran: free=%d", pool.free.Len())
 		}
 	})
 	k.Run()
@@ -51,8 +51,8 @@ func TestReqPoolLiveThroughCompletionCallbacks(t *testing.T) {
 	if seen != 9 {
 		t.Errorf("layer callback saw LPA %d, want 9: request recycled under it", seen)
 	}
-	if len(pool.free) != 1 {
-		t.Errorf("request not recycled once completion returned: free=%d", len(pool.free))
+	if pool.free.Len() != 1 {
+		t.Errorf("request not recycled once completion returned: free=%d", pool.free.Len())
 	}
 }
 

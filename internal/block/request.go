@@ -131,6 +131,11 @@ type Request struct {
 	// not block; use it to Resume waiting processes or tally counters).
 	OnComplete func(at sim.Time, r *Request)
 
+	// Awaiter, if set, is the process whose expected completions this
+	// request counts in (sim.Proc.Expect/Await): completion counts one
+	// arrival for it, after OnComplete.
+	Awaiter *sim.Proc
+
 	// Err reports a hard IO failure, valid once the request completed: the
 	// device returned an error (fault.ErrUNC on an uncorrectable sector)
 	// and the layer's retry budget — if any — is exhausted. Callers that
@@ -209,11 +214,13 @@ func (r *Request) Wait(p *sim.Proc) {
 	r.Release()
 }
 
-// complete marks the request done, wakes waiters, and runs OnComplete and
-// then the layer's own done callback, if any. Called by the dispatcher from
-// device completion context. It ends by dropping the hold bind took, so a
-// callback that releases the last other hold does not recycle the request
-// under the ones after it.
+// complete marks the request done, wakes waiters, runs OnComplete, counts
+// the Awaiter's arrival and then runs the layer's own done callback, if
+// any. Called by the dispatcher from device completion context. It ends by
+// dropping the hold bind took, so a callback that releases the last other
+// hold does not recycle the request under the ones after it. The Awaiter
+// is resumed after the Wait callers, so ordered data that the commit thread
+// Waits on and an fsync Awaits wakes the commit thread first.
 func (r *Request) complete(at sim.Time, done func(at sim.Time, r *Request)) {
 	r.completed = true
 	for _, w := range r.waiters {
@@ -222,6 +229,10 @@ func (r *Request) complete(at sim.Time, done func(at sim.Time, r *Request)) {
 	r.waiters = r.waiters[:0] // keep the array: Release carries it across reuse
 	if r.OnComplete != nil {
 		r.OnComplete(at, r)
+	}
+	if p := r.Awaiter; p != nil {
+		r.Awaiter = nil
+		p.Arrive()
 	}
 	if done != nil {
 		done(at, r)

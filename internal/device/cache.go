@@ -15,7 +15,10 @@ package device
 //
 // Entries are pooled: the reaper returns a retired entry to the free list
 // unless a FUA writer is still waiting on it, in which case that writer
-// frees it once it has seen durable.
+// frees it once it has seen durable. The free list is the one recycled
+// object of the stack not on a sim.Pool: it is threaded through the
+// entries' own next field, so it costs no array, where a pool's slice
+// grows with the cache (blk-ordered host_allocs_per_op 0.0155 -> 0.0162).
 
 // noIdx marks an entry whose FTL append has not been issued yet: it compares
 // above every durability watermark, so a page the appender is still blocked

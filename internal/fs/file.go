@@ -324,35 +324,14 @@ func (f *FS) Fdatawait(p *sim.Proc, i *Inode) {
 // waitAll blocks until every request in the plan completes, charging one
 // wake-up, and releases the plan.
 func (f *FS) waitAll(p *sim.Proc, i *Inode, plan writebackPlan) {
-	defer f.release(i, plan)
-	n := 0
 	for _, r := range plan.reqs {
 		if !r.Completed() {
-			n++
+			p.Expect(1)
+			r.Awaiter = p
 		}
 	}
-	if n == 0 {
-		return
-	}
-	waiting := false
-	for _, r := range plan.reqs {
-		if r.Completed() {
-			continue
-		}
-		prev := r.OnComplete
-		r.OnComplete = func(at sim.Time, rr *block.Request) {
-			if prev != nil {
-				prev(at, rr)
-			}
-			n--
-			if n == 0 && waiting {
-				f.k.Resume(p)
-			}
-		}
-	}
-	if n > 0 {
-		waiting = true
-		p.Suspend()
+	if p.Await() {
 		f.wake(p)
 	}
+	f.release(i, plan)
 }

@@ -257,13 +257,12 @@ type FS struct {
 	// last of {sync call's plan or reader, transaction's ordered data, the
 	// block layer} releases it.
 	reqPool block.ReqPool
-	// The slabs carve content stamps, frozen metadata and page-cache entries.
-	stamps   sim.Slab[PageData]
-	metas    sim.Slab[InodeMeta]
-	allocs   sim.Slab[AllocMeta]
-	pageSlab sim.Slab[page]
-	// freePages holds recycled page-cache entries, for newPage.
-	freePages []*page
+	// The slabs carve content stamps and frozen metadata.
+	stamps sim.Slab[PageData]
+	metas  sim.Slab[InodeMeta]
+	allocs sim.Slab[AllocMeta]
+	// freePages recycles page-cache entries, for newPage.
+	freePages sim.Pool[page]
 	// spare is the scratch of unlinked inodes, for newInode.
 	spare []inodeScratch
 	// onDone is writebackDone, bound once: every data write's OnComplete.
@@ -397,13 +396,8 @@ func (f *FS) newInode(ino Ino, dir bool) *Inode {
 // newPage caches pg as page pg.idx of i, in a recycled entry when there is
 // one and in a newly carved one otherwise.
 func (f *FS) newPage(i *Inode, pg page) *page {
-	var e *page
-	if n := len(f.freePages); n > 0 {
-		e, f.freePages = f.freePages[n-1], f.freePages[:n-1]
-		*e = pg
-	} else {
-		e = f.pageSlab.New(pg)
-	}
+	e, _ := f.freePages.Get()
+	*e = pg
 	if old := int64(len(i.pages)); pg.idx >= old {
 		// Grow in place when capacity allows: append(make) allocates the
 		// temporary under -race instrumentation, once per new page.
@@ -419,7 +413,7 @@ func (f *FS) newPage(i *Inode, pg page) *page {
 // yet still holds it.
 func (f *FS) recyclePage(pg *page) {
 	if pg != nil && !pg.dirty {
-		f.freePages = append(f.freePages, pg)
+		f.freePages.Put(pg)
 	}
 }
 

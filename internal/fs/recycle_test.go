@@ -287,7 +287,7 @@ func TestUnlinkDuringWritebackKeepsLists(t *testing.T) {
 
 // onFreeList reports whether pg is on the filesystem's page free list.
 func (f *FS) onFreeList(pg *page) bool {
-	return slices.Contains(f.freePages, pg)
+	return f.freePages.Contains(pg)
 }
 
 // TestUnlinkRecyclesPages: the pages of a file unlinked with no writeback in
@@ -323,8 +323,8 @@ func TestUnlinkRecyclesPages(t *testing.T) {
 		for i := int64(0); i < 2*pages; i++ {
 			e.fs.Write(p, nu, i)
 		}
-		if len(e.fs.freePages) != 0 {
-			t.Errorf("%d pages left on the free list after %d new pages", len(e.fs.freePages), 2*pages)
+		if e.fs.freePages.Len() != 0 {
+			t.Errorf("%d pages left on the free list after %d new pages", e.fs.freePages.Len(), 2*pages)
 		}
 		for idx, pg := range nu.pages {
 			if !slices.Contains(held, pg) {

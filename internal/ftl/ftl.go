@@ -90,9 +90,8 @@ type FTL struct {
 	gcCond      *sim.Cond
 	gcBusy      bool
 
-	progFree []*progCtx // free list of pooled program ops (kernel-single-threaded)
-	progSlab sim.Slab[progCtx]
-	readFree []*readCtx // free list of pooled read ops
+	progs sim.Pool[progCtx] // pooled program ops
+	reads sim.Pool[readCtx] // pooled read ops
 
 	stats Stats
 }
@@ -215,10 +214,8 @@ func (f *FTL) openSegment() {
 }
 
 // progCtx is a pooled program operation: the NAND request plus its
-// completion context, with the Done closure bound once at allocation. The
-// free list is owned by the (single-threaded) kernel's FTL, so steady-state
-// programs — every host write and GC move — allocate nothing; a dry list
-// carves its next op from progSlab.
+// completion context, with the Done closure bound once at allocation, so
+// steady-state programs — every host write and GC move — allocate nothing.
 type progCtx struct {
 	f    *FTL
 	seg  *segment
@@ -235,16 +232,13 @@ func (c *progCtx) done(at sim.Time, r *nand.Request) {
 	c.seg = nil
 	c.req.Data = nil
 	c.req.Meta = nand.PageMeta{}
-	f.progFree = append(f.progFree, c)
+	f.progs.Put(c)
 }
 
 func (f *FTL) program(seg *segment, slot int, meta nand.PageMeta, data any) {
-	var c *progCtx
-	if n := len(f.progFree); n > 0 {
-		c = f.progFree[n-1]
-		f.progFree = f.progFree[:n-1]
-	} else {
-		c = f.progSlab.New(progCtx{f: f})
+	c, fresh := f.progs.Get()
+	if fresh {
+		c.f = f
 		c.req.Done = c.done // one bound closure per pooled ctx, ever
 	}
 	c.seg, c.slot = seg, slot
@@ -373,23 +367,14 @@ func (f *FTL) collect(p *sim.Proc, victim *segment) {
 	f.eraseSegment(p, victim)
 }
 
+// eraseSegment erases seg on every chip at once and waits for all of them,
+// one wake-up.
 func (f *FTL) eraseSegment(p *sim.Proc, seg *segment) {
-	pending := f.geo.Chips()
-	done := sim.NewCond(f.k)
+	p.Expect(f.geo.Chips())
 	for chip := 0; chip < f.geo.Chips(); chip++ {
-		f.arr.Submit(&nand.Request{
-			Kind: nand.OpErase, Chip: chip, Block: seg.id,
-			Done: func(at sim.Time, r *nand.Request) {
-				pending--
-				if pending == 0 {
-					done.Broadcast()
-				}
-			},
-		})
+		f.arr.Submit(&nand.Request{Kind: nand.OpErase, Chip: chip, Block: seg.id, Awaiter: p})
 	}
-	for pending > 0 {
-		done.Wait(p)
-	}
+	p.Await()
 	*seg = segment{id: seg.id}
 	f.free.Push(seg.id)
 	f.stats.SegsErased++

@@ -82,7 +82,7 @@ func (c *readCtx) done(at sim.Time, r *nand.Request) {
 	c.h, c.out, c.errOut = nil, nil, nil
 	c.req.Data = nil
 	c.req.Meta = nand.PageMeta{}
-	f.readFree = append(f.readFree, c)
+	f.reads.Put(c)
 	// One wake-up per read: the reader suspended after issuing it.
 	f.k.Resume(h)
 }
@@ -107,12 +107,9 @@ func (f *FTL) ReadStart(h *sim.Proc, lpa uint64, out *any, errOut *error) bool {
 // one read path, behind ReadStart and GC relocation. noFault exempts the
 // read from media-error injection.
 func (f *FTL) readSlot(h *sim.Proc, ref slotRef, out *any, errOut *error, noFault bool) {
-	var c *readCtx
-	if n := len(f.readFree); n > 0 {
-		c = f.readFree[n-1]
-		f.readFree = f.readFree[:n-1]
-	} else {
-		c = &readCtx{f: f}
+	c, fresh := f.reads.Get()
+	if fresh {
+		c.f = f
 		c.req.Done = c.done
 	}
 	c.h, c.out, c.errOut = h, out, errOut

@@ -156,22 +156,17 @@ func (f *FTL) countDroppedTail(id, from int) {
 }
 
 func (f *FTL) writeSeal(p *sim.Proc, seg *segment, slot int) {
-	done := sim.NewCond(f.k)
-	finished := false
-	f.arr.Submit(&nand.Request{
+	r := &nand.Request{
 		Kind: nand.OpProgram,
 		Chip: f.chipOf(slot), Block: seg.id, Page: f.pageOf(slot),
-		Meta: nand.PageMeta{LPA: SealLPA, Seq: uint64(slot)},
-		Done: func(at sim.Time, r *nand.Request) {
-			if r.Err != nil {
-				panic(fmt.Sprintf("ftl: seal program failed: %v", r.Err))
-			}
-			finished = true
-			done.Broadcast()
-		},
-	})
-	for !finished {
-		done.Wait(p)
+		Meta:    nand.PageMeta{LPA: SealLPA, Seq: uint64(slot)},
+		Awaiter: p,
+	}
+	p.Expect(1)
+	f.arr.Submit(r)
+	p.Await()
+	if r.Err != nil {
+		panic(fmt.Sprintf("ftl: seal program failed: %v", r.Err))
 	}
 	seg.done[slot] = true
 	seg.lpas[slot] = SealLPA

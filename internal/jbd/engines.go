@@ -38,27 +38,18 @@ type SuperBlock struct {
 	TailTxn uint64
 }
 
-// chunkWaiter returns p's submitWaitAll, which submits every request and
-// blocks until all complete, costing p a single wake-up (the requests form
-// one logical chunk, like JBD2's coalesced descriptor+logs write). Each proc
-// owns its counter: the commit engine and the checkpointer can both wait.
-func (j *Journal) chunkWaiter(p *sim.Proc) func([]*block.Request) {
-	n := 0
-	done := func(sim.Time, *block.Request) {
-		if n--; n == 0 {
-			j.k.Resume(p)
-		}
+// submitWaitAll submits every request and blocks until all complete,
+// costing p a single wake-up (the requests form one logical chunk, like
+// JBD2's coalesced descriptor+logs write). A completion that lands while a
+// congested Submit has p parked does not resume it.
+func (j *Journal) submitWaitAll(p *sim.Proc, reqs ...*block.Request) {
+	p.Expect(len(reqs))
+	for _, r := range reqs {
+		r.Awaiter = p
+		j.layer.Submit(p, r)
 	}
-	return func(reqs []*block.Request) {
-		n = len(reqs) + 1 // p's own count, dropped once all are submitted
-		for _, r := range reqs {
-			r.OnComplete = done
-			j.layer.Submit(p, r)
-		}
-		if n--; n > 0 {
-			p.Suspend()
-			j.wake(p)
-		}
+	if p.Await() {
+		j.wake(p)
 	}
 }
 
@@ -175,7 +166,6 @@ func (j *Journal) jcDone(_ sim.Time, r *block.Request) {
 // flush, OptFS at its delayed flush or a dsync-style waiter's, a nobarrier
 // mount never (it retires at commit completion).
 func (j *Journal) commitThread(p *sim.Proc) {
-	submitWaitAll := j.chunkWaiter(p)
 	onJC := j.jcDone // every Dual-Mode JC's OnComplete, bound once
 	for {
 		t := j.commitQ.Get(p)
@@ -230,7 +220,7 @@ func (j *Journal) commitThread(p *sim.Proc) {
 			// sends JC with FLUSH|FUA, compressing flush→JC→flush (§2.3), so
 			// its completion means durable; under nobarrier and on OptFS it
 			// only means transferred, and nothing flushes on this path.
-			submitWaitAll(jd)
+			j.submitWaitAll(p, jd...)
 			if j.fuaCommit {
 				jc.Flags |= block.FlagFlush | block.FlagFUA
 				j.stats.Flushes++
@@ -238,7 +228,7 @@ func (j *Journal) commitThread(p *sim.Proc) {
 				t.preflushed = true
 			}
 			j.countBesideCkpt()
-			submitWaitAll([]*block.Request{jc})
+			j.submitWaitAll(p, jc)
 			j.releaseReqs(jd)
 			jc.Release()
 			t.jcTransferred = true
@@ -441,7 +431,6 @@ func (j *Journal) releaseBuffers(t *Txn) {
 // completed before the checkpoint began, and a flush covers the whole
 // cache whatever its stream.
 func (j *Journal) checkpointThread(p *sim.Proc) {
-	submitWaitAll := j.chunkWaiter(p)
 	// Reused by every batch: the queue alternates between batch and spare.
 	homes := make(map[uint64]*block.Request)
 	var spare []*Txn
@@ -480,7 +469,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 				r.Data = l.Snapshot
 			}
 		}
-		submitWaitAll(reqs)
+		j.submitWaitAll(p, reqs...)
 		j.releaseReqs(reqs)
 		// 3. Make the in-place copies durable, then advance the tail.
 		j.ckptFlush(p)
@@ -489,7 +478,7 @@ func (j *Journal) checkpointThread(p *sim.Proc) {
 		sb.Op, sb.LPA = block.OpWrite, j.cfg.SuperLPA
 		sb.Data = j.supers.New(SuperBlock{TailTxn: j.tailTxn})
 		sb.Flags = block.FlagFUA
-		submitWaitAll([]*block.Request{sb})
+		j.submitWaitAll(p, sb)
 		sb.Release()
 		j.ckptBusy = false
 		for _, t := range batch {

@@ -47,6 +47,40 @@ func TestOwnersAtAllocatesItsResultOnly(t *testing.T) {
 	}
 }
 
+// TestClusterRequestAllocates pins what one Put and one Get on an opened
+// two-shard, two-replica cluster cost the host, every layer below
+// included: a Put allocates the owner slice ownersAt returns and apply's
+// batches slice, a Get the owner slice alone. downFn's closure costs
+// nothing: it is inlined at both call sites, where it does not escape.
+func TestClusterRequestAllocates(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	var put, get float64 = -1, -1
+	k.Spawn("client", func(p *sim.Proc) {
+		defer k.Stop()
+		c, err := OpenCluster(p, Config{Shards: 2, Replicas: 2})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		keys := make([]string, 16)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("k%02d", i)
+			if err := c.Put(p, keys[i]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		i := 0
+		put = testing.AllocsPerRun(64, func() { c.Put(p, keys[i%len(keys)]); i++ })
+		get = testing.AllocsPerRun(64, func() { c.Get(p, keys[i%len(keys)]); i++ })
+	})
+	k.Run()
+	if put != 2 || get != 1 {
+		t.Errorf("one Put: %v allocations, one Get: %v; want 2 and 1", put, get)
+	}
+}
+
 // Consistent hashing's point: dropping one shard must remap only roughly
 // that shard's share of the keyspace, not reshuffle everything.
 func TestRingStabilityUnderResize(t *testing.T) {

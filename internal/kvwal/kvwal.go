@@ -250,7 +250,7 @@ type Store struct {
 	compactCond *sim.Cond
 	manifestMu  *sim.Mutex // serializes manifest publication
 
-	free    []*Batch // waited batches, reused LIFO by ApplyAsync
+	free    sim.Pool[Batch] // waited batches, for ApplyAsync
 	mem     map[string]memEnt
 	imm     map[string]memEnt // frozen memtable being flushed (nil when idle)
 	spare   map[string]memEnt // the last flushed memtable, cleared for reuse
@@ -400,11 +400,10 @@ type Batch struct {
 // batch copies into an array it keeps across reuse.
 func (st *Store) ApplyAsync(p *sim.Proc, ops []Op) *Batch {
 	now, tc := p.Now(), reqtrace.Of(p)
-	if len(st.free) == 0 {
-		st.free = append(st.free, &Batch{st: st})
+	bt, fresh := st.free.Get()
+	if fresh {
+		bt.st = st
 	}
-	bt := st.free[len(st.free)-1]
-	st.free = st.free[:len(st.free)-1]
 	b := &bt.batch
 	*b = batch{buf: b.buf, enqueued: now, trace: tc}
 	switch len(ops) {
@@ -436,7 +435,7 @@ func (bt *Batch) Wait(p *sim.Proc) uint64 {
 	if len(b.ops) == 0 {
 		seq = bt.st.committedSeq
 	}
-	bt.st.free = append(bt.st.free, bt)
+	bt.st.free.Put(bt)
 	return seq
 }
 

@@ -158,8 +158,8 @@ func TestBatchesRecycle(t *testing.T) {
 	if stats.GroupCommits >= stats.Batches {
 		t.Errorf("group commits (%d) not shared: %d batches", stats.GroupCommits, stats.Batches)
 	}
-	if len(st.free) > clients {
-		t.Errorf("%d batches allocated for %d clients: waited batches are not reused", len(st.free), clients)
+	if st.free.Len() > clients {
+		t.Errorf("%d batches allocated for %d clients: waited batches are not reused", st.free.Len(), clients)
 	}
 	var rec Recovered
 	k.Spawn("crash", func(p *sim.Proc) {

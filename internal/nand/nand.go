@@ -93,6 +93,10 @@ type Request struct {
 	Meta  PageMeta
 	Data  any
 	Done  func(at sim.Time, r *Request)
+	// Awaiter, if set, is the process whose expected completions this job
+	// counts in (sim.Proc.Expect/Await): completion counts one arrival for
+	// it, after Done. Jobs lost to a power failure never arrive.
+	Awaiter *sim.Proc
 
 	// Err is set before Done fires when the operation violated a NAND
 	// constraint (e.g. out-of-order program) or hit an injected media
@@ -106,6 +110,17 @@ type Request struct {
 	NoFault bool
 
 	gen uint64 // power-cycle generation at submit time
+}
+
+// finish delivers a completed job: Done, then the Awaiter's arrival.
+func (r *Request) finish(at sim.Time) {
+	if r.Done != nil {
+		r.Done(at, r)
+	}
+	if p := r.Awaiter; p != nil {
+		r.Awaiter = nil
+		p.Arrive()
+	}
 }
 
 // blockState is the per-block bookkeeping. Pages are programmed strictly in
@@ -380,9 +395,7 @@ func (a *Array) chipStep(h *sim.Proc, c *chip) {
 						c.id, r.Block, r.Page, blk.next)
 					a.stats.Faults++
 					c.cur = nil
-					if r.Done != nil {
-						r.Done(h.Now(), r)
-					}
+					r.finish(h.Now())
 					continue
 				}
 				c.phase = chipPgmBus
@@ -433,9 +446,7 @@ func (a *Array) chipStep(h *sim.Proc, c *chip) {
 			a.store(c.id, r)
 			blk.next++
 			a.stats.Programs++
-			if r.Done != nil {
-				r.Done(h.Now(), r)
-			}
+			r.finish(h.Now())
 
 		case chipReadCell:
 			c.phase = chipReadBus
@@ -461,9 +472,7 @@ func (a *Array) chipStep(h *sim.Proc, c *chip) {
 				r.Meta, r.Data = a.load(c.id, r.Block, r.Page)
 			}
 			a.stats.Reads++
-			if r.Done != nil {
-				r.Done(h.Now(), r)
-			}
+			r.finish(h.Now())
 
 		case chipErase:
 			r := c.cur
@@ -478,9 +487,7 @@ func (a *Array) chipStep(h *sim.Proc, c *chip) {
 			blk.erases++
 			a.wipe(c.id, r.Block)
 			a.stats.Erases++
-			if r.Done != nil {
-				r.Done(h.Now(), r)
-			}
+			r.finish(h.Now())
 		}
 	}
 }

@@ -211,7 +211,7 @@ func (c Config) withDefaults() Config {
 // the kernel has stopped), so it needs no lock.
 type Sampler struct {
 	cfg    Config
-	free   []*Rec
+	free   sim.Pool[Rec]
 	n      uint64     // finished requests seen
 	window []Exemplar // current window's slowest-first candidates (≤ TopK)
 	winEnd sim.Time
@@ -231,13 +231,7 @@ func (s *Sampler) Admit(at sim.Time) Ctx {
 	if s == nil {
 		return Ctx{}
 	}
-	var r *Rec
-	if n := len(s.free); n > 0 {
-		r = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		r = new(Rec)
-	}
+	r, _ := s.free.Get()
 	r.stamp(StageAdmit, at)
 	return Ctx{rec: r, gen: r.gen}
 }
@@ -258,7 +252,7 @@ func (s *Sampler) Finish(c Ctx, at sim.Time) {
 	r.gen++
 	r.mask = 0
 	r.link = Ctx{}
-	s.free = append(s.free, r)
+	s.free.Put(r)
 	s.n++
 
 	if s.cfg.Uniform > 0 && s.n%uint64(s.cfg.Uniform) == 0 {

@@ -89,7 +89,7 @@ func (k *Kernel) schedule(at Time, p *Proc) {
 // start at the current virtual time. It may be called before Run or from
 // inside a running process.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	return k.spawn(name, -1, fn)
+	return k.spawn(name, -1, fn, nil)
 }
 
 // SpawnIdx is Spawn with the name rendered lazily as prefix+idx: the
@@ -98,10 +98,11 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // name. Hot spawn sites (per-chip, per-worker, per-client procs) use it so
 // an untraced run never formats a name.
 func (k *Kernel) SpawnIdx(prefix string, idx int, fn func(p *Proc)) *Proc {
-	return k.spawn(prefix, idx, fn)
+	return k.spawn(prefix, idx, fn, nil)
 }
 
-func (k *Kernel) spawn(prefix string, idx int, fn func(p *Proc)) *Proc {
+// spawn creates every proc: a blocking one runs fn, a handler step.
+func (k *Kernel) spawn(prefix string, idx int, fn, step func(p *Proc)) *Proc {
 	if k.closed {
 		panic("sim: Spawn on closed kernel")
 	}
@@ -112,12 +113,17 @@ func (k *Kernel) spawn(prefix string, idx int, fn func(p *Proc)) *Proc {
 		name:    prefix,
 		nameIdx: idx,
 		fn:      fn,
+		step:    step,
 		state:   statePending,
 	})
 	k.procs = append(k.procs, p)
 	k.live++
 	if k.ks != nil {
-		k.ks.Spawns.Add(1)
+		if step != nil {
+			k.ks.HandlerSpawns.Add(1)
+		} else {
+			k.ks.Spawns.Add(1)
+		}
 	}
 	k.schedule(k.now, p)
 	return p
@@ -135,36 +141,14 @@ func (k *Kernel) spawn(prefix string, idx int, fn func(p *Proc)) *Proc {
 // Returning without arming is equivalent to Park. Like Spawn, the handler's
 // first activation is scheduled at the current virtual time.
 func (k *Kernel) SpawnHandler(name string, step func(h *Proc)) *Proc {
-	return k.spawnHandler(name, -1, step)
+	return k.spawn(name, -1, nil, step)
 }
 
 // SpawnHandlerIdx is SpawnHandler with a lazily rendered prefix+idx name.
 // The proc keeps idx (Proc.Idx), so n handlers serving n components of one
 // array can share one step function that finds its component by index.
 func (k *Kernel) SpawnHandlerIdx(prefix string, idx int, step func(h *Proc)) *Proc {
-	return k.spawnHandler(prefix, idx, step)
-}
-
-func (k *Kernel) spawnHandler(prefix string, idx int, step func(h *Proc)) *Proc {
-	if k.closed {
-		panic("sim: SpawnHandler on closed kernel")
-	}
-	p := k.slab.New(Proc{
-		k:       k,
-		id:      len(k.procs),
-		idx:     idx,
-		name:    prefix,
-		nameIdx: idx,
-		step:    step,
-		state:   statePending,
-	})
-	k.procs = append(k.procs, p)
-	k.live++
-	if k.ks != nil {
-		k.ks.HandlerSpawns.Add(1)
-	}
-	k.schedule(k.now, p)
-	return p
+	return k.spawn(prefix, idx, nil, step)
 }
 
 // Stop requests that the event loop return after the current process yields.

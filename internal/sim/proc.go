@@ -57,7 +57,11 @@ type Proc struct {
 	step    func(*Proc) // handler step fn; nil for blocking procs
 	state   procState
 	armed   bool // handler armed its continuation this activation
-	token   uint64
+	// Await's count: completions Expected and not yet Arrived, and whether
+	// the proc is parked in Await, where the last Arrive resumes it.
+	awaiting bool
+	arrivals int32
+	token    uint64
 
 	// The body's coroutine (iter.Pull), nil until the first dispatch.
 	resume func() (struct{}, bool) // run the body until it next blocks or ends
@@ -210,4 +214,34 @@ func (p *Proc) Join(target *Proc) {
 	}
 	target.doneWaiters = append(target.doneWaiters, p)
 	p.Suspend()
+}
+
+// Expect announces n more completions the process will Await: the one
+// Wait-on-Transfer count of the stack, fed by block.Request and
+// nand.Request completions (their Awaiter field). Call it before
+// submitting the IO the completions belong to.
+func (p *Proc) Expect(n int) { p.arrivals += int32(n) }
+
+// Arrive counts one expected completion. The last one resumes the process
+// if it is parked in Await, and only then: a completion that lands while
+// the process is parked elsewhere (a congested submission) leaves it there.
+// It may be called from any process, handlers included.
+func (p *Proc) Arrive() {
+	p.arrivals--
+	if p.arrivals == 0 && p.awaiting {
+		p.awaiting = false
+		p.k.Resume(p)
+	}
+}
+
+// Await blocks until every expected completion has arrived, one wake-up
+// for all of them, and reports whether it blocked: it returns at once, with
+// no kernel event, when they all arrived before the call.
+func (p *Proc) Await() bool {
+	if p.arrivals == 0 {
+		return false
+	}
+	p.awaiting = true
+	p.Suspend()
+	return true
 }

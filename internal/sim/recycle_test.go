@@ -153,3 +153,61 @@ func TestNewQueuesAreIndependent(t *testing.T) {
 		t.Fatalf("NewQueues took %v allocations, want 3", a)
 	}
 }
+
+// TestPoolIsLIFO checks that a pool hands back the entry put last first,
+// and that only a miss reports a fresh entry.
+func TestPoolIsLIFO(t *testing.T) {
+	var pl Pool[int]
+	var got [3]*int
+	for i := range got {
+		x, fresh := pl.Get()
+		if !fresh {
+			t.Fatalf("get %d from an empty pool is not fresh", i)
+		}
+		got[i] = x
+	}
+	for _, x := range got {
+		pl.Put(x)
+	}
+	for i := len(got) - 1; i >= 0; i-- {
+		if x, fresh := pl.Get(); x != got[i] || fresh {
+			t.Fatalf("get %d: entry %p (fresh %v), want the entry put last, %p", len(got)-1-i, x, fresh, got[i])
+		}
+	}
+}
+
+// TestPoolKeepsRecycledEntry checks that a recycled entry comes back as it
+// was put: what its owner keeps across reuse (a generation, a buffer)
+// survives.
+func TestPoolKeepsRecycledEntry(t *testing.T) {
+	type rec struct {
+		gen int
+		buf []int
+	}
+	var pl Pool[rec]
+	x, _ := pl.Get()
+	x.gen, x.buf = 7, make([]int, 0, 8)
+	pl.Put(x)
+	y, fresh := pl.Get()
+	if y != x || fresh || y.gen != 7 || cap(y.buf) != 8 {
+		t.Fatalf("recycled entry %+v (fresh %v), want gen 7 and its 8-entry buffer", *y, fresh)
+	}
+}
+
+// poolSink keeps the entries a test carves reachable, as their owners do.
+var poolSink *[2]int
+
+// TestPoolMissesCostOneAllocationPerChunk: a pool growing to its high-water
+// mark pays one allocation per slab chunk, not one per entry.
+func TestPoolMissesCostOneAllocationPerChunk(t *testing.T) {
+	const n = 4 + 8 + 16 + 32 + 64 + 64 // six chunks
+	allocs := testing.AllocsPerRun(10, func() {
+		var pl Pool[[2]int]
+		for i := 0; i < n; i++ {
+			poolSink, _ = pl.Get()
+		}
+	})
+	if allocs != 6 {
+		t.Fatalf("%d misses took %v allocations, want 6", n, allocs)
+	}
+}

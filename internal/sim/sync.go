@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // FIFO is a head-indexed queue; the zero value is empty. Pop advances the
 // head instead of reslicing, because a [1:] slide throws away the array's
 // head capacity and the next append reallocates it. The array is reused in
@@ -77,6 +79,41 @@ func (s *Slab[T]) Take(n int) []T {
 	s.free = s.free[n:]
 	return x
 }
+
+// Pool is the one free list of the stack's recycled objects (block
+// requests and device commands, NAND program and read ops, page-cache
+// entries, trace records, kvwal batches); the zero value is ready. It is
+// LIFO, so the entry put last, whose memory is warmest, comes back first,
+// and it needs no lock: the kernel runs one process at a time. A miss carves
+// its entry from the pool's own Slab. Pool never clears an entry: what the
+// owner keeps across reuse (a record's generation, a request's waiter
+// array, a batch's op buffer) survives, and the owner resets the rest.
+type Pool[T any] struct {
+	free []*T
+	slab Slab[T]
+}
+
+// Get returns the entry put last, as it was put, or a zeroed one carved
+// from the slab, reporting which: a fresh entry is the caller's to bind once
+// (the owner pointer and bound closures it keeps across reuse).
+func (pl *Pool[T]) Get() (x *T, fresh bool) {
+	n := len(pl.free)
+	if n == 0 {
+		return &pl.slab.Take(1)[0], true
+	}
+	x = pl.free[n-1]
+	pl.free = pl.free[:n-1]
+	return x, false
+}
+
+// Put returns x to the pool; its owner must not touch it again.
+func (pl *Pool[T]) Put(x *T) { pl.free = append(pl.free, x) }
+
+// Len returns the number of entries waiting for reuse.
+func (pl *Pool[T]) Len() int { return len(pl.free) }
+
+// Contains reports whether x waits in the pool for reuse.
+func (pl *Pool[T]) Contains(x *T) bool { return slices.Contains(pl.free, x) }
 
 // waitlist is the FIFO of parked processes behind every wait primitive.
 // Entries go stale when their proc was woken some other way or reaped; the

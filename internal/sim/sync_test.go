@@ -287,3 +287,87 @@ func TestFIFOZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("allocs per push/pop cycle = %v, want 0", allocs)
 	}
 }
+
+// arriveAt spawns a proc that counts one arrival for p at virtual time at.
+func arriveAt(k *Kernel, p *Proc, at Time) {
+	k.Spawn("completion", func(c *Proc) {
+		c.Sleep(at.Sub(c.Now()))
+		p.Arrive()
+	})
+}
+
+// TestAwaitOneWakeupForAll: a proc expecting N completions is woken once,
+// by the last of them.
+func TestAwaitOneWakeupForAll(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	const n = 4
+	var blocked bool
+	var woke Time
+	var wakeups int64 = -1
+	k.Spawn("waiter", func(p *Proc) {
+		p.Expect(n)
+		for i := 1; i <= n; i++ {
+			arriveAt(k, p, Time(Duration(i)*Microsecond))
+		}
+		before := p.wakeups
+		blocked = p.Await()
+		woke, wakeups = p.Now(), p.wakeups-before
+	})
+	k.Run()
+	if !blocked || woke != Time(n*Microsecond) || wakeups != 1 {
+		t.Fatalf("Await blocked %v, returned at %v after %d wake-ups; want true, %v, 1",
+			blocked, woke, wakeups, Time(n*Microsecond))
+	}
+}
+
+// TestAwaitAfterAllArrivedDoesNotPark: when every expected completion came
+// before the wait, Await returns at once, with no kernel event.
+func TestAwaitAfterAllArrivedDoesNotPark(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	var blocked, done bool
+	var wakeups int64 = -1
+	k.Spawn("waiter", func(p *Proc) {
+		p.Expect(2)
+		arriveAt(k, p, Time(Microsecond))
+		arriveAt(k, p, Time(2*Microsecond))
+		p.Sleep(5 * Microsecond)
+		before := p.wakeups
+		blocked = p.Await()
+		wakeups = p.wakeups - before
+		done = true
+	})
+	k.Run()
+	if !done || blocked || wakeups != 0 {
+		t.Fatalf("Await after all arrivals: returned %v, blocked %v, %d wake-ups; want true, false, 0",
+			done, blocked, wakeups)
+	}
+}
+
+// TestArrivalWhileParkedElsewhereDoesNotResume is the congested-submit
+// shape: the last completion lands while the proc is parked on something
+// else. It must stay parked there until that wakes it, and its Await then
+// returns without blocking.
+func TestArrivalWhileParkedElsewhereDoesNotResume(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	congested := NewCond(k)
+	var woke Time
+	blocked := true
+	k.Spawn("waiter", func(p *Proc) {
+		p.Expect(1)
+		arriveAt(k, p, Time(2*Microsecond))
+		congested.Wait(p) // no loop: a stray Resume would end the wait early
+		woke = p.Now()
+		blocked = p.Await()
+	})
+	k.Spawn("uncongest", func(p *Proc) {
+		p.Sleep(5 * Microsecond)
+		congested.Signal()
+	})
+	k.Run()
+	if woke != Time(5*Microsecond) || blocked {
+		t.Fatalf("waiter left its congestion wait at %v (Await blocked %v); want 5µs, false", woke, blocked)
+	}
+}
